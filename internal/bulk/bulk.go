@@ -25,8 +25,11 @@ type Config struct {
 	// Theta computes every product ≥ Theta (> 0 selects Above-θ mode).
 	Theta float64
 	// PanelRows is the query-panel height (default 256): large enough to
-	// amortize per-panel sort and claim cost, small enough that a panel's
-	// directions plus per-worker scratch stay cache-resident.
+	// amortize per-panel sort and claim cost — and, since both retrieval
+	// loops put the probe bucket outside the panel's queries, the memory
+	// read of every bucket and its sorted lists, done once per panel —
+	// small enough that a panel's directions plus per-worker scratch stay
+	// cache-resident beside the bucket being scanned.
 	PanelRows int
 	// Parallelism is the worker-pool size (default all cores — this is
 	// the throughput mode).
@@ -44,8 +47,10 @@ type Config struct {
 	// (default 64).
 	CheckpointEvery int
 	// Run carries per-job retrieval policy (algorithm override, tuning
-	// cache). Parallelism inside Run is ignored — panel scans are
-	// single-threaded, the pool parallelizes across panels.
+	// cache). Parallelism inside Run is overridden with the pool size: it
+	// sizes the job's one tuning pass (run by the first panel while the
+	// rest of the pool waits for the fit); panel scans are single-threaded,
+	// the pool parallelizes across panels.
 	Run core.RunOptions
 }
 
@@ -146,11 +151,13 @@ func Run(ctx context.Context, ix *core.Index, src QuerySource, outPath string, c
 	st.ResumedPanels = startPanel
 	st.Panels = panels - startPanel
 
+	run := cfg.Run
+	run.Parallelism = cfg.Parallelism
 	var pr *core.PanelRun
 	if mode == ModeTopK {
-		pr, err = ix.NewPanelRunTopK(cfg.K, cfg.Run)
+		pr, err = ix.NewPanelRunTopK(cfg.K, run)
 	} else {
-		pr, err = ix.NewPanelRunAbove(cfg.Theta, cfg.Run)
+		pr, err = ix.NewPanelRunAbove(cfg.Theta, run)
 	}
 	if err != nil {
 		j.f.Close()

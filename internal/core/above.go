@@ -104,9 +104,12 @@ func (ix *Index) AboveThetaCtx(ctx context.Context, q *matrix.Matrix, theta floa
 // aboveWorker processes queries [lo, hi) of the sorted query set against
 // all buckets, polling the call's context once per (bucket, query) pair.
 // The scan loop carries the bucket position bi, so the early-exit pruning
-// statistic is O(1) instead of a slice walk re-locating the bucket.
+// statistic is O(1) instead of a slice walk re-locating the bucket. The
+// range is one scratch tile: what a query needs in every bucket it meets
+// (quantized codes, BLSH signature) is derived once and kept per row.
 func (ix *Index) aboveWorker(c *call, qs *querySet, lo, hi int, theta float64, s *scratch, emit retrieval.Sink, st *Stats) {
 	nq := int64(hi - lo)
+	s.beginTile(lo, hi-lo)
 	for bi, b := range ix.scan {
 		// θ_b(q) = θ/(‖q‖·l_b); for l_b = 0 this is +Inf and the
 		// bucket (zero vectors only) is pruned for every query.

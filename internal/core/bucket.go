@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"lemp/internal/covertree"
 	"lemp/internal/l2ap"
@@ -40,6 +41,12 @@ type bucket struct {
 	sigsOnce sync.Once
 	sigs     []uint64
 
+	// hasIndex is set once any lazy index above exists. The indexes
+	// themselves are read only behind their Once or mutex; this flag is
+	// what indexed() reads, so counting a run's indexed buckets never
+	// races with another panel worker building one.
+	hasIndex atomic.Bool
+
 	// Tuned algorithm-selection parameters (§4.4).
 	tuned bool
 	tb    float64 // use LENGTH when θ_b(q) < tb
@@ -64,15 +71,18 @@ func (b *bucket) dir(lid int) []float64 {
 	return b.dirs[lid*b.r : (lid+1)*b.r : (lid+1)*b.r]
 }
 
-// ensureLists builds the sorted-list index on first use. A bucket restored
-// from a snapshot that persisted its lists (SLST section) arrives with
-// b.lists pre-populated — installed single-threaded before the index is
-// published — and skips the build.
-func (b *bucket) ensureLists() *sortedLists {
+// ensureLists builds the sorted-list index on first use, over up to
+// `workers` goroutines (the scan paths pass 1; the tuning sample passes the
+// call's parallelism, since it is what first touches most buckets). A
+// bucket restored from a snapshot that persisted its lists (SLST section)
+// arrives with b.lists pre-populated — installed single-threaded before the
+// index is published — and skips the build.
+func (b *bucket) ensureLists(workers int) *sortedLists {
 	b.listsOnce.Do(func() {
 		if b.lists == nil {
-			b.lists = buildLists(b)
+			b.lists = buildLists(b, workers)
 		}
+		b.hasIndex.Store(true)
 	})
 	return b.lists
 }
@@ -86,6 +96,7 @@ func (b *bucket) ensureTree() *covertree.Tree {
 			vecmath.Scale(pts.Vec(lid), b.dir(lid), b.lens[lid])
 		}
 		b.tree = covertree.Build(pts, covertree.DefaultBase)
+		b.hasIndex.Store(true)
 	})
 	return b.tree
 }
@@ -97,6 +108,7 @@ func (b *bucket) ensureL2AP(t0 float64) *l2ap.Index {
 	defer b.l2mu.Unlock()
 	if b.l2 == nil || b.l2.T0() > t0 {
 		b.l2 = l2ap.Build(b.dir, b.size(), b.r, t0)
+		b.hasIndex.Store(true)
 	}
 	return b.l2
 }
@@ -109,14 +121,13 @@ func (b *bucket) ensureSigs(h *lsh.Hasher) []uint64 {
 			sigs[lid] = h.Signature(b.dir(lid))
 		}
 		b.sigs = sigs
+		b.hasIndex.Store(true)
 	})
 	return b.sigs
 }
 
 // indexed reports whether any lazy index has been built (for Stats).
-func (b *bucket) indexed() bool {
-	return b.lists != nil || b.tree != nil || b.l2 != nil || b.sigs != nil
-}
+func (b *bucket) indexed() bool { return b.hasIndex.Load() }
 
 // lengthPrefix returns the number of leading vectors with length ≥ minLen
 // (the LENGTH scan boundary: lens is sorted decreasingly).

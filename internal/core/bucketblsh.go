@@ -13,16 +13,13 @@ import "lemp/internal/lsh"
 func runBucketBLSH(b *bucket, h *lsh.Hasher, table *lsh.Table, qi int32, qdir []float64, qlen, theta, thetaB float64, s *scratch) {
 	s.cand = s.cand[:0]
 	sigs := b.ensureSigs(h)
-	if s.sigQuery != qi {
-		s.sigQuery = qi
-		s.sig = h.Signature(qdir)
-	}
+	sig := s.querySig(h, qi, qdir)
 	minLen := theta / qlen
 	prefix := b.lengthPrefix(minLen)
 	need := table.MinMatches(thetaB)
 	bits := h.Bits()
 	for lid := 0; lid < prefix; lid++ {
-		if lsh.Matches(s.sig, sigs[lid], bits) >= need {
+		if lsh.Matches(sig, sigs[lid], bits) >= need {
 			s.cand = append(s.cand, int32(lid))
 		}
 	}

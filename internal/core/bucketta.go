@@ -15,7 +15,7 @@ func runBucketTA(b *bucket, qdir []float64, thetaB float64, s *scratch) {
 		allCandidates(b, s)
 		return
 	}
-	lists := b.ensureLists()
+	lists := b.ensureLists(1)
 	n := b.size()
 	s.taMark++
 	if s.taMark <= 0 { // wrapped: clear stamps once per 2³¹ calls

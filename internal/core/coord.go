@@ -18,7 +18,7 @@ func runCoord(b *bucket, qdir []float64, thetaB float64, phi int, s *scratch) {
 		allCandidates(b, s)
 		return
 	}
-	lists := b.ensureLists()
+	lists := b.ensureLists(1)
 	s.selectFocus(qdir, phi)
 	nf := len(s.focus)
 	if nf == 0 { // r == 0 or φ == 0: nothing to prune on

@@ -20,7 +20,7 @@ func benchBucket(b *testing.B) (*bucket, []float64, *scratch) {
 	p := genMatrix(rng, 1024, 50, 0.6, 1, false, 0, 0)
 	buckets := bucketize(p, nil, 0, 1, 0)
 	bk := buckets[0]
-	bk.ensureLists()
+	bk.ensureLists(1)
 	qdir := make([]float64, 50)
 	for f := range qdir {
 		qdir[f] = rng.NormFloat64()

@@ -22,7 +22,7 @@ func runIncr(b *bucket, qdir []float64, qlen, theta, thetaB float64, phi int, s 
 		allCandidates(b, s)
 		return
 	}
-	lists := b.ensureLists()
+	lists := b.ensureLists(1)
 	s.selectFocus(qdir, phi)
 	nf := len(s.focus)
 	if nf == 0 {

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // sortedLists is the per-bucket sorted-list index of §4.2 (Fig. 4c): for
@@ -17,25 +19,65 @@ type sortedLists struct {
 	lids []int32
 }
 
-func buildLists(b *bucket) *sortedLists {
+// listEntry is one (value, local id) pair of a coordinate list under
+// construction.
+type listEntry struct {
+	val float64
+	lid int32
+}
+
+// buildListsMinParallel is the bucket volume (n·r values) below which a
+// list build stays on the calling goroutine: a small bucket sorts faster
+// than its workers start.
+const buildListsMinParallel = 1 << 14
+
+// buildLists sorts every coordinate of the bucket into its list: typed
+// (value, lid) pairs by decreasing value, ties by ascending lid — the order
+// a stable sort of 0..n-1 by decreasing value yields, ±0 comparing equal,
+// so a rebuilt index matches a snapshotted one byte for byte. The r lists
+// are independent and split evenly over up to `workers` goroutines.
+func buildLists(b *bucket, workers int) *sortedLists {
 	n, r := b.size(), b.r
 	sl := &sortedLists{n: n, vals: make([]float64, r*n), lids: make([]int32, r*n)}
-	perm := make([]int32, n)
-	for f := 0; f < r; f++ {
-		for i := range perm {
-			perm[i] = int32(i)
+	workers = max(1, min(workers, r))
+	if n*r < buildListsMinParallel {
+		workers = 1
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buildListRange(b, sl, w*r/workers, (w+1)*r/workers)
+		}()
+	}
+	buildListRange(b, sl, 0, r/workers) // the caller sorts the first share
+	wg.Wait()
+	return sl
+}
+
+// buildListRange fills the lists of coordinates [f0, f1).
+func buildListRange(b *bucket, sl *sortedLists, f0, f1 int) {
+	n, r := b.size(), b.r
+	pairs := make([]listEntry, n)
+	for f := f0; f < f1; f++ {
+		for i := range pairs {
+			pairs[i] = listEntry{val: b.dirs[i*r+f], lid: int32(i)}
 		}
-		sort.SliceStable(perm, func(x, y int) bool {
-			return b.dirs[int(perm[x])*r+f] > b.dirs[int(perm[y])*r+f]
+		slices.SortFunc(pairs, func(x, y listEntry) int {
+			if x.val > y.val {
+				return -1
+			}
+			if x.val < y.val {
+				return 1
+			}
+			return int(x.lid) - int(y.lid)
 		})
-		vals := sl.vals[f*n : (f+1)*n]
-		lids := sl.lids[f*n : (f+1)*n]
-		for i, lid := range perm {
-			lids[i] = lid
-			vals[i] = b.dirs[int(lid)*r+f]
+		vals, lids := sl.list(f)
+		for i, e := range pairs {
+			vals[i], lids[i] = e.val, e.lid
 		}
 	}
-	return sl
 }
 
 // list returns the value and id arrays of coordinate f.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -19,7 +21,7 @@ func testBucket(rng *rand.Rand, n, r int) *bucket {
 func TestSortedListsSortedAndComplete(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	b := testBucket(rng, 200, 7)
-	sl := b.ensureLists()
+	sl := b.ensureLists(1)
 	for f := 0; f < b.r; f++ {
 		vals, lids := sl.list(f)
 		if len(vals) != b.size() || len(lids) != b.size() {
@@ -42,11 +44,64 @@ func TestSortedListsSortedAndComplete(t *testing.T) {
 	}
 }
 
+// referenceLists defines the list order: a stable sort of the local ids by
+// decreasing value, one coordinate at a time.
+func referenceLists(b *bucket) *sortedLists {
+	n, r := b.size(), b.r
+	sl := &sortedLists{n: n, vals: make([]float64, r*n), lids: make([]int32, r*n)}
+	perm := make([]int32, n)
+	for f := 0; f < r; f++ {
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+		sort.SliceStable(perm, func(x, y int) bool {
+			return b.dirs[int(perm[x])*r+f] > b.dirs[int(perm[y])*r+f]
+		})
+		vals, lids := sl.list(f)
+		for i, lid := range perm {
+			lids[i], vals[i] = lid, b.dirs[int(lid)*r+f]
+		}
+	}
+	return sl
+}
+
+// The typed-pair sort must order every list exactly as the stable sort did
+// — ties, which snapshots persist, included: duplicated values and ±0
+// (equal under >, different bits) keep ascending local id. Serial and
+// parallel builds alike.
+func TestBuildListsMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(85))
+	for _, shape := range []struct{ n, r int }{{1, 3}, {37, 5}, {2072, 9}} {
+		b := testBucket(rng, shape.n, shape.r)
+		// Coarsen the directions so values collide, and plant signed zeros.
+		for i := range b.dirs {
+			switch v := math.Round(b.dirs[i]*4) / 4; {
+			case v == 0 && rng.Intn(2) == 0:
+				b.dirs[i] = math.Copysign(0, -1)
+			default:
+				b.dirs[i] = v
+			}
+		}
+		want := referenceLists(b)
+		for _, workers := range []int{1, 2, 4, 64} {
+			got := buildLists(b, workers)
+			if !slices.Equal(got.lids, want.lids) {
+				t.Fatalf("n=%d r=%d workers=%d: local ids differ from the stable sort", shape.n, shape.r, workers)
+			}
+			for i := range want.vals {
+				if math.Float64bits(got.vals[i]) != math.Float64bits(want.vals[i]) {
+					t.Fatalf("n=%d r=%d workers=%d: value %d is %v, stable sort has %v", shape.n, shape.r, workers, i, got.vals[i], want.vals[i])
+				}
+			}
+		}
+	}
+}
+
 func TestEnsureListsIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	b := testBucket(rng, 50, 4)
-	first := b.ensureLists()
-	if second := b.ensureLists(); second != first {
+	first := b.ensureLists(1)
+	if second := b.ensureLists(1); second != first {
 		t.Error("ensureLists rebuilt the index")
 	}
 }
@@ -54,7 +109,7 @@ func TestEnsureListsIdempotent(t *testing.T) {
 func TestScanRangeMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	b := testBucket(rng, 300, 5)
-	sl := b.ensureLists()
+	sl := b.ensureLists(1)
 	for trial := 0; trial < 500; trial++ {
 		f := rng.Intn(b.r)
 		lo := rng.Float64()*2 - 1
@@ -77,7 +132,7 @@ func TestScanRangeMatchesLinearScan(t *testing.T) {
 func TestScanRangeQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
 	b := testBucket(rng, 120, 3)
-	sl := b.ensureLists()
+	sl := b.ensureLists(1)
 	f := func(loRaw, hiRaw int8, coord uint8) bool {
 		lo := float64(loRaw) / 64
 		hi := float64(hiRaw) / 64

@@ -21,14 +21,22 @@ import (
 // index for the whole job (every later panel reuses the fit, so a
 // million-row job tunes exactly once).
 //
+// The job's Parallelism (RunOptions, else the index's) is spent on that
+// preparation only: while the first panel tunes, the job's other workers
+// can do nothing but wait for the fit, so the tuning pass fans its sample
+// queries and its sorted-list builds out over the job's parallelism
+// itself. Panel scans stay single-threaded — parallelism across panels is
+// the caller's.
+//
 // Unlike the Index-level drivers, panel calls MAY run concurrently on one
 // PanelRun — that is their point: the bulk engine hands each worker its
 // own panels. This is safe only because a PanelRun never mutates shared
 // index state after tuning: the tuning pass is serialized under the job
 // mutex before any concurrent scan starts, lazily built per-bucket
-// indexes and the BLSH table are sync.Once-guarded, and every worker owns
-// pooled scratch. The index must not be mutated (Apply/Compact) while a
-// PanelRun is live — the usual Index contract, job-wide.
+// indexes and the BLSH table are sync.Once-guarded (and counted through an
+// atomic flag), and every worker owns pooled scratch. The index must not be
+// mutated (Apply/Compact) while a PanelRun is live — the usual Index
+// contract, job-wide.
 type PanelRun struct {
 	ix    *Index
 	opts  Options
@@ -44,9 +52,9 @@ type PanelRun struct {
 }
 
 // NewPanelRunTopK prepares a Row-Top-k panel job. RunOptions carry the
-// usual per-call policy (algorithm override, tuning cache); Parallelism is
-// ignored — each panel call scans single-threaded, parallelism is the
-// caller's panel-level concern.
+// usual per-call policy (algorithm override, tuning cache); Parallelism
+// sizes the job's one tuning pass and nothing else — each panel call scans
+// single-threaded, parallelism across panels is the caller's concern.
 func (ix *Index) NewPanelRunTopK(k int, ro RunOptions) (*PanelRun, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: k must be positive, got %d", k)
@@ -73,12 +81,10 @@ func (ix *Index) NewPanelRunAbove(theta float64, ro RunOptions) (*PanelRun, erro
 }
 
 func (ix *Index) newPanelRun(ro RunOptions) (*PanelRun, error) {
-	ro.Parallelism = 0 // panel calls are single-threaded by design
 	opts, err := ix.effOptions(ro)
 	if err != nil {
 		return nil, err
 	}
-	opts.Parallelism = 1
 	return &PanelRun{ix: ix, opts: opts, cache: ro.Cache}, nil
 }
 

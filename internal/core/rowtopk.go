@@ -31,7 +31,14 @@ func (ix *Index) RowTopK(q *matrix.Matrix, k int) (retrieval.TopK, Stats, error)
 // ranking, so the search runs on the unit direction (‖q‖ = 1) and values
 // are rescaled at the end.
 //
-// The context is checked at every (query, bucket) boundary, in the tuning
+// The loop nest is §3.2's, shared with Above-θ: queries are cut into tiles
+// (topkTile), and within a tile the probe bucket is the outer loop and the
+// tile's queries the inner one, each query carrying its own heap and θ′ —
+// a cache-sized bucket and its sorted lists are read once per tile, not
+// once per query. Per-row results and all counters are independent of the
+// tiling.
+//
+// The context is checked at every (bucket, query) boundary, in the tuning
 // sample and in every worker: a canceled call returns ctx.Err() within one
 // bucket's work per worker and leaves the index fully reusable. No partial
 // result is returned and no partial tuning fit is published.
@@ -99,39 +106,71 @@ func (ix *Index) RowTopKCtx(ctx context.Context, q *matrix.Matrix, k int, ro Run
 	return out, st, nil
 }
 
-// topkWorker answers queries [lo, hi) of the sorted query set. Each worker
-// owns its scratch and heap; output rows are disjoint, so no locking. The
-// call's context is polled once per (query, bucket) pair, so cancellation
-// costs at most one bucket of work per worker.
+// topkTileRows caps the queries one bucket-major pass carries: enough that
+// a bucket and its sorted lists, read from memory once per tile, are shared
+// by many queries, few enough that the tile's directions, heaps and
+// quantized codes stay cache-resident beside the bucket. It equals the bulk
+// engine's default panel height, so a default panel is one tile. The heaps
+// are part of that working set, so a large k shrinks the tile: together
+// they hold at most topkTileItems entries (16 bytes each, 1 MB).
+const (
+	topkTileRows  = 256
+	topkTileItems = 1 << 16
+)
+
+// topkWorker answers queries [lo, hi) of the sorted query set, tile by
+// tile. Each worker owns its scratch — the tile's heaps included; output
+// rows are disjoint, so no locking. The call's context is polled once per
+// (bucket, query) pair, so cancellation costs at most one bucket of work
+// per worker.
 func (ix *Index) topkWorker(c *call, qs *querySet, lo, hi, k int, s *scratch, out retrieval.TopK, st *Stats) {
 	live := ix.LiveN()
 	if live == 0 {
 		return
 	}
-	kk := k
-	if kk > live {
-		kk = live
+	kk := min(k, live)
+	rows := min(topkTileRows, max(1, topkTileItems/kk))
+	for ; lo < hi && !c.canceled(); lo += rows {
+		ix.topkTile(c, qs, lo, min(lo+rows, hi), kk, s, out, st)
 	}
-	heap := topk.New(kk)
-	negInf := math.Inf(-1)
-	for qi := lo; qi < hi; qi++ {
-		origID := qs.ids[qi]
-		qlen := qs.lens[qi]
-		if qlen == 0 {
-			if c.canceled() {
-				return
-			}
-			row := ix.zeroQueryRow(int(origID), kk)
-			out[origID] = row
-			st.Results += int64(len(row))
-			continue
+}
+
+// topkTile runs the §3.2 loop nest for one tile of queries: probe buckets
+// in the outer loop, the tile's still-active queries in the inner one, so a
+// bucket is streamed from memory once per tile instead of once per query —
+// the same order as aboveWorker. Every query keeps its own heap and running
+// threshold θ′ and still meets the buckets in decreasing-l_b order, so its
+// candidates, its result row and every counter equal a one-query scan's; a
+// query leaves the active list at the first bucket its θ′ prunes
+// (θ′/l_b > 1), which prunes every later bucket too. A single row is the
+// degenerate one-query tile.
+func (ix *Index) topkTile(c *call, qs *querySet, lo, hi, kk int, s *scratch, out retrieval.TopK, st *Stats) {
+	n := hi - lo
+	s.beginTile(lo, n)
+	if cap(s.heaps) < n {
+		s.heaps = make([]topk.Heap, n)
+	}
+	heaps := s.heaps[:n]
+	active := s.active[:0]
+	for t := range heaps {
+		heaps[t].Init(kk)
+		if qs.lens[lo+t] != 0 { // zero-length queries scan nothing
+			active = append(active, int32(t))
 		}
-		qdir := qs.dir(qi)
-		heap.Reset()
-		for _, b := range ix.scan {
+	}
+	s.active = active // keep the grown storage pooled
+	negInf := math.Inf(-1)
+	for _, b := range ix.scan {
+		if len(active) == 0 {
+			break
+		}
+		keep := active[:0]
+		for _, t := range active {
 			if c.canceled() {
 				return
 			}
+			qi := lo + int(t)
+			heap := &heaps[t]
 			theta, thetaB := negInf, negInf
 			if thr, ok := heap.Threshold(); ok {
 				theta = thr
@@ -139,20 +178,22 @@ func (ix *Index) topkWorker(c *call, qs *querySet, lo, hi, k int, s *scratch, ou
 					// Zero-length probes: products are 0.
 					if theta > 0 {
 						st.PrunedPairs++
-						break
+						continue
 					}
 					thetaB = -1
 				} else {
 					thetaB = theta / b.lb
 					if thetaB > 1 {
 						st.PrunedPairs++
-						break
+						continue
 					}
 				}
 			} else if b.lb == 0 {
 				thetaB = -1
 			}
+			keep = append(keep, t)
 			st.ProcessedPairs++
+			qdir := qs.dir(qi)
 			alg, phi := ix.resolve(c.opts, b, thetaB)
 			ix.gather(b, alg, phi, int32(qi), qdir, 1, theta, thetaB, 0, s)
 			st.Candidates += int64(len(s.cand))
@@ -173,10 +214,22 @@ func (ix *Index) topkWorker(c *call, qs *querySet, lo, hi, k int, s *scratch, ou
 				heap.Push(int(b.ids[lid]), s.vals[i]*b.lens[lid])
 			}
 		}
-		items := heap.Items()
-		row := make([]retrieval.Entry, len(items))
-		for t, it := range items {
-			row[t] = retrieval.Entry{Query: int(origID), Probe: it.ID, Value: it.Value * qlen}
+		active = keep
+	}
+	for t := range heaps {
+		origID, qlen := qs.ids[lo+t], qs.lens[lo+t]
+		var row []retrieval.Entry
+		if qlen == 0 {
+			if c.canceled() {
+				return
+			}
+			row = ix.zeroQueryRow(int(origID), kk)
+		} else {
+			items := heaps[t].Items()
+			row = make([]retrieval.Entry, len(items))
+			for j, it := range items {
+				row[j] = retrieval.Entry{Query: int(origID), Probe: it.ID, Value: it.Value * qlen}
+			}
 		}
 		st.Results += int64(len(row))
 		out[origID] = row

@@ -2,7 +2,9 @@ package core
 
 import (
 	"lemp/internal/l2ap"
+	"lemp/internal/lsh"
 	"lemp/internal/quant"
+	"lemp/internal/topk"
 )
 
 // scratch holds all per-worker mutable state so the retrieval phase does no
@@ -38,13 +40,24 @@ type scratch struct {
 
 	l2 *l2ap.Scratch
 
-	sigQuery int32  // query (sorted index) whose BLSH signature is cached
-	sig      uint64 // cached query signature
+	// Per-tile query state. Both retrieval loops are bucket-outer /
+	// query-inner, so whatever is derived from a query alone must be kept
+	// for every query of the worker's tile, not for the last one seen: row
+	// t belongs to sorted query tileLo+t. The quantized codes and the BLSH
+	// signature fill lazily on a row's first use (tileHave records which),
+	// so each is computed once per query per call; the arrays grow to the
+	// largest tile the scratch has served and are pooled with it.
+	tileLo    int32
+	tileHave  []uint8       // one per tile row: haveQ8 | q8OK | haveSig
+	tileQ8    []quant.Query // quantized queries; Codes alias tileCodes
+	tileCodes []int8        // tile rows × r
+	tileSigs  []uint64      // BLSH query signatures
 
-	q8codes []int8      // quantized-query code buffer, len r
-	q8q     quant.Query // cached quantized query (codes alias q8codes)
-	q8qi    int32       // query (sorted index) the cache holds, -1 when empty
-	q8ok    bool        // whether that query quantized cleanly
+	// Row-Top-k tile state (topkTile): one bounded heap per tile row and
+	// the rows whose running threshold has not yet pruned the rest of the
+	// scan, in query order.
+	heaps  []topk.Heap
+	active []int32
 
 	work int64 // deterministic cost counter for TuneByCost
 
@@ -75,9 +88,6 @@ func newScratch(maxBucket, r int) *scratch {
 		rangeStart: make([]int, r),
 		rangeEnd:   make([]int, r),
 		l2:         l2ap.NewScratch(maxBucket, r),
-		sigQuery:   -1,
-		q8codes:    make([]int8, r),
-		q8qi:       -1,
 		maxBucket:  maxBucket,
 		r:          r,
 	}
@@ -92,12 +102,11 @@ func (ix *Index) getScratch() *scratch {
 	if v := ix.scratchPool.Get(); v != nil {
 		s := v.(*scratch)
 		if s.maxBucket >= ix.maxBucket && s.r == ix.r {
-			// Per-call caches must not leak across calls: the BLSH
-			// signature and the quantized query are keyed by a query index
-			// whose meaning is call-local, and the cost counter restarts
-			// per call.
-			s.sigQuery = -1
-			s.q8qi = -1
+			// Per-call state must not leak across calls: the tile caches
+			// are keyed by a query index whose meaning is call-local
+			// (beginTile re-arms them), and the cost counter restarts per
+			// call.
+			s.tileHave = s.tileHave[:0]
 			s.work = 0
 			return s
 		}
@@ -108,16 +117,56 @@ func (ix *Index) getScratch() *scratch {
 // putScratch returns a scratch to the pool once its worker is done.
 func (ix *Index) putScratch(s *scratch) { ix.scratchPool.Put(s) }
 
-// quantQuery returns whether the quantized form of query qi (sorted index,
-// direction qdir) is usable for screening, quantizing it into the scratch's
-// code buffer on first use — the same keyed per-call cache as the BLSH
-// signature, so a query crossing many buckets quantizes once.
-func (s *scratch) quantQuery(qi int32, qdir []float64) bool {
-	if s.q8qi != qi {
-		s.q8qi = qi
-		s.q8q, s.q8ok = quant.QuantizeQuery(s.q8codes, qdir)
+// tileHave bits.
+const (
+	haveQ8  uint8 = 1 << iota // quantization of the row was attempted
+	q8OK                      // ... and produced usable codes
+	haveSig                   // the row's BLSH signature is filled
+)
+
+// beginTile re-arms the per-tile query caches for sorted queries
+// [lo, lo+n): every row starts with nothing derived.
+func (s *scratch) beginTile(lo, n int) {
+	s.tileLo = int32(lo)
+	if cap(s.tileHave) < n {
+		s.tileHave = make([]uint8, n)
 	}
-	return s.q8ok
+	s.tileHave = s.tileHave[:n]
+	clear(s.tileHave)
+}
+
+// quantQuery returns the quantized form of query qi (sorted index inside
+// the current tile, direction qdir) and whether it is usable for screening,
+// quantizing it into the tile's code buffer on first use — so a query
+// crossing many buckets quantizes once, whatever the loop order.
+func (s *scratch) quantQuery(qi int32, qdir []float64) (quant.Query, bool) {
+	t := int(qi - s.tileLo)
+	if s.tileHave[t]&haveQ8 == 0 {
+		if n := len(s.tileHave); len(s.tileQ8) < n {
+			s.tileQ8 = make([]quant.Query, n)
+			s.tileCodes = make([]int8, n*s.r)
+		}
+		s.tileHave[t] |= haveQ8
+		var ok bool
+		if s.tileQ8[t], ok = quant.QuantizeQuery(s.tileCodes[t*s.r:(t+1)*s.r], qdir); ok {
+			s.tileHave[t] |= q8OK
+		}
+	}
+	return s.tileQ8[t], s.tileHave[t]&q8OK != 0
+}
+
+// querySig returns the BLSH signature of query qi (sorted index inside the
+// current tile), hashed on first use like quantQuery.
+func (s *scratch) querySig(h *lsh.Hasher, qi int32, qdir []float64) uint64 {
+	t := int(qi - s.tileLo)
+	if s.tileHave[t]&haveSig == 0 {
+		if n := len(s.tileHave); len(s.tileSigs) < n {
+			s.tileSigs = make([]uint64, n)
+		}
+		s.tileHave[t] |= haveSig
+		s.tileSigs[t] = h.Signature(qdir)
+	}
+	return s.tileSigs[t]
 }
 
 // selectFocus fills s.focus with the φ coordinates of q̄ having the largest

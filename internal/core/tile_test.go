@@ -1,0 +1,264 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"lemp/internal/matrix"
+	"lemp/internal/retrieval"
+)
+
+// addCounters accumulates the Stats fields that sum over (query, bucket)
+// pairs — the ones a parallel scan sums over its workers — and so must not
+// depend on how the queries are cut into tiles. Everything else in sum
+// stays zero, so two sums compare with ==.
+func addCounters(sum *Stats, st Stats) { addWorkerStats(sum, []Stats{st}) }
+
+// tileFixture builds a many-bucket index with frozen tuning (so every call
+// resolves the same per-bucket methods, whatever its first panel was) and a
+// query matrix holding zero-length rows inside its tiles. With mutate, the
+// index additionally carries tombstones and delta buckets.
+func tileFixture(t *testing.T, alg Algorithm, quantize, mutate bool) (*Index, *matrix.Matrix) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(311))
+	const r = 8
+	p := genMatrix(rng, 300, r, 0.7, 1, false, 2, 6)
+	q := genMatrix(rng, 270, r, 0.5, 1, false, 0, 0) // > topkTileRows: a 256-row panel plus a ragged one
+	for _, row := range []int{0, 5, 6, 130, 269} {
+		clear(q.Vec(row))
+	}
+	opts := testOptions(alg)
+	opts.Quantize = quantize
+	ix, err := NewIndex(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.PretuneTopK(q.Slice(10, 40), 7); err != nil {
+		t.Fatal(err)
+	}
+	if mutate {
+		var ups []ProbeUpdate
+		for id := int32(0); id < 60; id += 3 {
+			ups = append(ups, ProbeUpdate{Op: OpRemove, ID: id})
+		}
+		for i := 0; i < 50; i++ {
+			ups = append(ups, ProbeUpdate{Op: OpAdd, ID: int32(1000 + i), Vec: randVec(rng, r)})
+		}
+		for id := int32(100); id < 130; id += 2 {
+			ups = append(ups, ProbeUpdate{Op: OpUpdate, ID: id, Vec: randVec(rng, r)})
+		}
+		if _, err := ix.Apply(ups); err != nil {
+			t.Fatal(err)
+		}
+		if len(ix.delta) == 0 || len(ix.dead) == 0 {
+			t.Fatal("mutated fixture has no delta buckets or no tombstones")
+		}
+	}
+	if ix.NumBuckets() < 8 {
+		t.Fatalf("fixture has %d buckets, want many", ix.NumBuckets())
+	}
+	return ix, q
+}
+
+// TestTopKTilesMatchPerRowLoop is the differential test of the bucket-major
+// Row-Top-k executor: cutting the queries into panels of 1, 2, 7 or 256
+// rows (the last crossing a tile boundary inside RowTopKCtx too) must give,
+// for every query, the entries a one-row call gives — same probes, same
+// value bits, same order — and the summed counters of the one-row calls,
+// for every exact algorithm, with and without tombstones + delta buckets,
+// with and without the int8 screen.
+func TestTopKTilesMatchPerRowLoop(t *testing.T) {
+	ctx := context.Background()
+	for _, alg := range diffAlgorithms {
+		for _, mutate := range []bool{false, true} {
+			for _, quantize := range []bool{false, true} {
+				name := fmt.Sprintf("%v/mutated=%v/quant=%v", alg, mutate, quantize)
+				t.Run(name, func(t *testing.T) {
+					ix, all := tileFixture(t, alg, quantize, mutate)
+					for _, k := range []int{7, ix.LiveN() + 50} {
+						q := all
+						if k > ix.LiveN() { // every row holds every live probe: a few rows suffice
+							q = all.Slice(0, 40)
+						}
+						want := make(retrieval.TopK, q.N())
+						var wantC Stats
+						for i := 0; i < q.N(); i++ {
+							rows, st, err := ix.RowTopKCtx(ctx, q.Slice(i, i+1), k, RunOptions{})
+							if err != nil {
+								t.Fatal(err)
+							}
+							for j := range rows[0] {
+								rows[0][j].Query = i
+							}
+							want[i] = rows[0]
+							addCounters(&wantC, st)
+						}
+						if quantize && k == 7 && wantC.QuantScreened == 0 {
+							t.Fatal("quantized fixture screened nothing")
+						}
+						for _, panelRows := range []int{1, 2, 7, 256} {
+							pr, err := ix.NewPanelRunTopK(k, RunOptions{})
+							if err != nil {
+								t.Fatal(err)
+							}
+							var gotC Stats
+							for lo := 0; lo < q.N(); lo += panelRows {
+								hi := min(lo+panelRows, q.N())
+								rows, st, err := pr.TopKPanel(ctx, q.Slice(lo, hi))
+								if err != nil {
+									t.Fatal(err)
+								}
+								addCounters(&gotC, st)
+								for i, row := range rows {
+									for j := range row {
+										row[j].Query += lo
+									}
+									if !slices.Equal(row, want[lo+i]) {
+										t.Fatalf("k=%d panel=%d row %d:\n got %v\nwant %v", k, panelRows, lo+i, row, want[lo+i])
+									}
+								}
+							}
+							if gotC != wantC {
+								t.Fatalf("k=%d panel=%d counters:\n got %+v\nwant %+v", k, panelRows, gotC, wantC)
+							}
+						}
+						// The full-matrix driver tiles internally.
+						rows, st, err := ix.RowTopKCtx(ctx, q, k, RunOptions{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.EqualFunc(rows, want, slices.Equal[[]retrieval.Entry]) {
+							t.Fatalf("k=%d: full-matrix call differs from the per-row loop", k)
+						}
+						var fullC Stats
+						if addCounters(&fullC, st); fullC != wantC {
+							t.Fatalf("k=%d full-matrix counters:\n got %+v\nwant %+v", k, fullC, wantC)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestTopKCancelMidTile cancels a one-tile panel while its bucket loop is
+// running: the call must return the context's error with no rows, and the
+// index must answer the same panel correctly afterwards. The cancellation
+// is timed (a top-k scan calls nothing of the caller's), so the delay is
+// searched for: a canceled call that had processed some but not all pairs
+// was stopped inside the tile.
+func TestTopKCancelMidTile(t *testing.T) {
+	rng := rand.New(rand.NewSource(313))
+	const r, k = 32, 5
+	p := genMatrix(rng, 30000, r, 0.3, 1, false, 0, 0)
+	q := genMatrix(rng, 256, r, 0.3, 1, false, 0, 0)
+	ix, err := NewIndex(p, Options{Algorithm: AlgL, CacheBytes: 64 * 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := ix.NewPanelRunTopK(k, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, full, err := pr.TopKPanel(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := false
+	for delay := 50 * time.Microsecond; delay < 2*time.Second && !hit; delay += delay / 2 {
+		ctx, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(delay, cancel)
+		rows, st, err := pr.TopKPanel(ctx, q)
+		timer.Stop()
+		cancel()
+		if err == nil {
+			break // the delay outgrew the scan
+		}
+		if !errors.Is(err, context.Canceled) || rows != nil {
+			t.Fatalf("canceled panel returned rows=%v err=%v, want nil rows and context.Canceled", rows != nil, err)
+		}
+		hit = st.ProcessedPairs > 0 && st.ProcessedPairs < full.ProcessedPairs
+	}
+	if !hit {
+		t.Skip("no delay landed inside the tile's scan on this machine")
+	}
+	again, st, err := pr.TopKPanel(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fullC, againC Stats
+	addCounters(&fullC, full)
+	addCounters(&againC, st)
+	if !slices.EqualFunc(again, want, slices.Equal[[]retrieval.Entry]) || againC != fullC {
+		t.Fatal("panel answered differently after a mid-tile cancellation")
+	}
+}
+
+// TestConcurrentPanelsOnFreshIndex is the bulk engine's access pattern from
+// its very first panel, for the race detector: concurrent panel calls on an
+// index no call has touched, so the job's tuning pass, the lazy sorted-list
+// builds of the panels behind it and every call's indexed-bucket count all
+// overlap.
+func TestConcurrentPanelsOnFreshIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(317))
+	const r, panelRows = 10, 16
+	p := genMatrix(rng, 900, r, 0.6, 1, false, 0, 0)
+	q := genMatrix(rng, 128, r, 0.6, 1, false, 0, 0)
+	opts := testOptions(AlgLI)
+	opts.TuneByCost = false
+	panels := func(run func(lo, hi int) (Stats, error)) {
+		t.Helper()
+		var wg sync.WaitGroup
+		var mu sync.Mutex
+		tunings := 0
+		for lo := 0; lo < q.N(); lo += panelRows {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				st, err := run(lo, lo+panelRows)
+				if err != nil {
+					t.Error(err)
+				}
+				mu.Lock()
+				tunings += st.Tunings
+				mu.Unlock()
+			}()
+		}
+		wg.Wait()
+		if tunings != 1 {
+			t.Errorf("job ran %d tuning passes, want exactly 1", tunings)
+		}
+	}
+
+	ix, err := NewIndex(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, err := ix.NewPanelRunTopK(4, RunOptions{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	panels(func(lo, hi int) (Stats, error) {
+		_, st, err := top.TopKPanel(context.Background(), q.Slice(lo, hi))
+		return st, err
+	})
+
+	ix, err = NewIndex(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	theta, _ := safeTheta(t, q, p, 200)
+	above, err := ix.NewPanelRunAbove(theta, RunOptions{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	panels(func(lo, hi int) (Stats, error) {
+		return above.AbovePanel(context.Background(), q.Slice(lo, hi), func(retrieval.Entry) {})
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -160,58 +161,58 @@ func (ix *Index) tuneSubset(c *call, qs *querySet, prob any, only map[*bucket]st
 			b.tuned = false
 		}
 	}
-	sample := sampleIndices(qs.n(), c.opts.SampleQueries)
-	s := ix.getScratch()
-	defer ix.putScratch(s)
-	obs := make([][]observation, len(ix.scan))
+	kk := 0
+	if p, ok := prob.(tuneTopK); ok {
+		kk = min(p.k, ix.LiveN())
+	}
 
-	switch p := prob.(type) {
-	case tuneAbove:
-		for _, qi := range sample {
-			qlen := qs.lens[qi]
-			if qlen == 0 {
-				break
-			}
-			qdir := qs.dir(qi)
+	// The sample queries are independent, so they fan out over the call's
+	// parallelism, each worker with its own scratch and heap. Every query
+	// records its observations privately; they are merged below in sample
+	// order, so the fit sees exactly the sequence a serial pass produces
+	// (bit-identical under TuneByCost, where the costs are counts).
+	type bucketObs struct {
+		bi int
+		o  observation
+	}
+	sample := sampleIndices(qs.n(), c.opts.SampleQueries)
+	perSample := make([][]bucketObs, len(sample))
+	sampleQuery := func(si int, s *scratch, heap *topk.Heap) {
+		qi := sample[si]
+		qlen := qs.lens[qi]
+		if qlen == 0 {
+			return
+		}
+		qdir := qs.dir(qi)
+		switch p := prob.(type) {
+		case tuneAbove:
 			for bi, b := range ix.scan {
 				if bi > lastTarget {
 					break // no target bucket remains
 				}
 				if c.canceled() {
-					return c.ctxErr()
+					return
 				}
 				thetaB := p.theta / (qlen * b.lb)
 				if thetaB > 1 {
 					break // buckets are ordered by decreasing l_b
 				}
 				if target(b) {
-					obs[bi] = append(obs[bi], ix.observe(c, b, qdir, qlen, p.theta, thetaB, s))
+					perSample[si] = append(perSample[si], bucketObs{bi, ix.observe(c, b, qdir, qlen, p.theta, thetaB, s)})
 				}
 			}
-		}
-	case tuneTopK:
-		kk := p.k
-		if live := ix.LiveN(); kk > live {
-			kk = live
-		}
-		if kk == 0 {
-			break
-		}
-		var trajStats Stats // trajectory verification is not a run; discard
-		heap := topk.New(kk)
-		for _, qi := range sample {
-			qlen := qs.lens[qi]
-			if qlen == 0 {
-				break
+		case tuneTopK:
+			if heap == nil {
+				return // no live probe to rank
 			}
-			qdir := qs.dir(qi)
+			var trajStats Stats // trajectory verification is not a run; discard
 			heap.Reset()
 			for bi, b := range ix.scan {
 				if bi > lastTarget {
 					break // trajectory past the deepest target is unused
 				}
 				if c.canceled() {
-					return c.ctxErr()
+					return
 				}
 				theta, thetaB := math.Inf(-1), math.Inf(-1)
 				if thr, ok := heap.Threshold(); ok {
@@ -230,26 +231,67 @@ func (ix *Index) tuneSubset(c *call, qs *querySet, prob any, only map[*bucket]st
 				} else if b.lb == 0 {
 					thetaB = -1
 				}
-				// Coordinate methods only ever run with
-				// θ_b ∈ (0,1]; below that resolve() forces
-				// LENGTH, so there is nothing to measure.
-				if thetaB > 0 && target(b) {
-					obs[bi] = append(obs[bi], ix.observe(c, b, qdir, 1, theta, thetaB, s))
+				// Advance the running threshold with an exact LENGTH
+				// pass (the sample must follow the same θ′ trajectory as
+				// a real run), verified with the same blocked kernels as
+				// the real run. Coordinate methods only ever run with
+				// θ_b ∈ (0,1] — below that resolve() forces LENGTH and
+				// there is nothing to measure — and where they are
+				// measured, the observation's own LENGTH pass is that
+				// step: it ran last and left its candidates in the
+				// scratch, verified already unless costs are counted.
+				observed := thetaB > 0 && target(b)
+				if observed {
+					perSample[si] = append(perSample[si], bucketObs{bi, ix.observe(c, b, qdir, 1, theta, thetaB, s)})
+				} else {
+					runLength(b, theta, 1, s)
 				}
-				// Advance the running threshold with an exact
-				// LENGTH pass (the sample must follow the same
-				// θ′ trajectory as a real run), verified with the
-				// same blocked kernels as the real run.
-				runLength(b, theta, 1, s)
-				ix.compactLiveCands(b, s)
-				verifyDots(b, qdir, s, &trajStats)
+				if !observed || c.opts.TuneByCost {
+					ix.compactLiveCands(b, s)
+					verifyDots(b, qdir, s, &trajStats)
+				}
 				for i, lid := range s.cand {
 					heap.Push(int(b.ids[lid]), s.vals[i]*b.lens[lid])
 				}
 			}
 		}
 	}
+	var next atomic.Int64
+	sampleWorker := func() {
+		s := ix.getScratch()
+		defer ix.putScratch(s)
+		var heap *topk.Heap
+		if kk > 0 {
+			heap = topk.New(kk)
+		}
+		for !c.canceled() {
+			si := int(next.Add(1)) - 1
+			if si >= len(sample) {
+				return
+			}
+			sampleQuery(si, s, heap)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := min(c.opts.Parallelism, len(sample)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sampleWorker()
+		}()
+	}
+	sampleWorker() // the caller is the first worker
+	wg.Wait()
+	if c.canceled() {
+		return c.ctxErr()
+	}
 
+	obs := make([][]observation, len(ix.scan))
+	for _, row := range perSample {
+		for _, bo := range row {
+			obs[bo.bi] = append(obs[bo.bi], bo.o)
+		}
+	}
 	for bi, b := range ix.scan {
 		if target(b) {
 			ix.fitBucketFor(c.opts, b, obs[bi])
@@ -258,42 +300,43 @@ func (ix *Index) tuneSubset(c *call, qs *querySet, prob any, only map[*bucket]st
 	return nil
 }
 
-// observe measures one (query, bucket) pair: the LENGTH cost and the
-// coordinate-family cost for every candidate φ, each including candidate
-// verification (the dominant term).
+// observe measures one (query, bucket) pair: the coordinate-family cost
+// for every candidate φ, then the LENGTH cost, each including candidate
+// verification (the dominant term). LENGTH goes last so that it is timed
+// as warm as the φ passes before it, and so that on return the scratch
+// holds LENGTH's candidate set — with its verified dot products in s.vals
+// unless TuneByCost, which counts work instead of verifying — for the
+// Row-Top-k sample to advance its threshold from. The bucket's sorted lists
+// are built beforehand, over the call's parallelism, so no measurement
+// times a build.
 func (ix *Index) observe(c *call, b *bucket, qdir []float64, qlen, theta, thetaB float64, s *scratch) observation {
 	o := observation{thetaB: thetaB, costPhi: make([]float64, c.opts.MaxPhi+1)}
 	byCost := c.opts.TuneByCost
+	b.ensureLists(c.opts.Parallelism)
 
 	measure := func(gather func()) float64 {
 		s.work = 0
 		start := time.Now()
 		gather()
 		s.work += int64(len(s.cand)) * int64(b.r)
-		if !byCost {
-			// Verify with the blocked kernels so the measured cost
-			// reflects what a real run's verification will pay.
-			var mst Stats
-			ix.compactLiveCands(b, s)
-			verifyDots(b, qdir, s, &mst)
-			var acc float64
-			for i, lid := range s.cand {
-				acc += s.vals[i] * qlen * b.lens[lid]
-			}
-			verifySink.Store(math.Float64bits(acc)) // defeat dead-code elimination
-		}
 		if byCost {
 			return float64(s.work)
 		}
+		// Verify with the blocked kernels so the measured cost reflects
+		// what a real run's verification will pay.
+		var mst Stats
+		ix.compactLiveCands(b, s)
+		verifyDots(b, qdir, s, &mst)
+		var acc float64
+		for i, lid := range s.cand {
+			acc += s.vals[i] * qlen * b.lens[lid]
+		}
+		verifySink.Store(math.Float64bits(acc)) // defeat dead-code elimination
 		return float64(time.Since(start))
 	}
 
-	o.costL = measure(func() { runLength(b, theta, qlen, s) })
-
-	phis := ix.tunePhisFor(c.opts)
 	incr := c.opts.Algorithm == AlgLI || c.opts.Algorithm == AlgI
-	for _, phi := range phis {
-		phi := phi
+	for _, phi := range ix.tunePhisFor(c.opts) {
 		o.costPhi[phi] = measure(func() {
 			if incr && phi > 1 {
 				runIncr(b, qdir, qlen, theta, thetaB, phi, s)
@@ -302,6 +345,7 @@ func (ix *Index) observe(c *call, b *bucket, qdir []float64, qlen, theta, thetaB
 			}
 		})
 	}
+	o.costL = measure(func() { runLength(b, theta, qlen, s) })
 	return o
 }
 

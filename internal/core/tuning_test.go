@@ -180,3 +180,53 @@ func TestTuningModesAgreeOnResults(t *testing.T) {
 		t.Errorf("tuning mode changed results: %d vs %d entries", len(gotC), len(gotT))
 	}
 }
+
+// Under TuneByCost the costs are counts, so the fit must not depend on how
+// many goroutines the sample fanned out over: the observations are merged
+// in sample order, and every bucket gets bit-identical (t_b, φ_b).
+func TestTuningParallelismFitsIdentically(t *testing.T) {
+	rng := rand.New(rand.NewSource(95))
+	q := genMatrix(rng, 90, 10, 0.9, 1, false, 1, 0)
+	p := genMatrix(rng, 700, 10, 0.9, 1, false, 0, 0)
+	theta, _ := safeTheta(t, q, p, 300)
+	type fit struct {
+		tuned bool
+		tb    float64
+		phi   int
+	}
+	for _, alg := range []Algorithm{AlgLI, AlgLC, AlgI} {
+		for _, prob := range []any{tuneTopK{k: 6}, tuneAbove{theta: theta}} {
+			var want []fit
+			for _, par := range []int{1, 2, 4} {
+				opts := testOptions(alg)
+				opts.SampleQueries = 20
+				opts.Parallelism = par
+				ix, err := NewIndex(p, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ix.tune(newCall(nil, ix.opts, nil), prepareQueries(q), prob); err != nil {
+					t.Fatal(err)
+				}
+				got := make([]fit, len(ix.scan))
+				split := false
+				for bi, b := range ix.scan {
+					got[bi] = fit{b.tuned, b.tb, b.phi}
+					split = split || (b.tb > 0 && !math.IsInf(b.tb, 1) && b.tb != defaultTB)
+				}
+				if par == 1 {
+					want = got
+					if alg.needsTB() && !split {
+						t.Fatalf("%v %T: no bucket fitted an interior t_b; fixture too easy", alg, prob)
+					}
+					continue
+				}
+				for bi := range want {
+					if got[bi] != want[bi] {
+						t.Fatalf("%v %T parallelism %d bucket %d: fit %+v, serial %+v", alg, prob, par, bi, got[bi], want[bi])
+					}
+				}
+			}
+		}
+	}
+}

@@ -75,7 +75,11 @@ func (ix *Index) compactLiveCands(b *bucket, s *scratch) {
 // coordinates, degenerate magnitudes).
 func (ix *Index) screenCands(b *bucket, s *scratch, qi int32, qdir []float64, qlen, cut float64, approxOnly bool, st *Stats) bool {
 	q8 := b.q8
-	if q8 == nil || !s.quantQuery(qi, qdir) {
+	if q8 == nil {
+		return false
+	}
+	qq, ok := s.quantQuery(qi, qdir)
+	if !ok {
 		return false
 	}
 	cand := s.cand
@@ -89,7 +93,7 @@ func (ix *Index) screenCands(b *bucket, s *scratch, qi int32, qdir []float64, ql
 	// so the per-candidate predicate is one multiply against the row length
 	// — still the caller's emit multiply order, (val·qlen)·lens, with the
 	// inner factor bounded instead of computed.
-	scr := q8.NewScreen(s.q8q, qlen)
+	scr := q8.NewScreen(qq, qlen)
 	k := 0
 	i := 0
 	// 8-wide main loop: the batched int8 head-dot kernel amortizes the
@@ -122,7 +126,7 @@ func (ix *Index) screenCands(b *bucket, s *scratch, qi int32, qdir []float64, ql
 			j := bits.TrailingZeros8(m)
 			lid := cand[i+j]
 			if approxOnly {
-				approx, bound := q8.FinishApproxBound(s.q8q, int(lid), dh[j])
+				approx, bound := q8.FinishApproxBound(qq, int(lid), dh[j])
 				if (approx+bound)*qlen*b.lens[lid] < cut {
 					continue
 				}
@@ -146,7 +150,7 @@ func (ix *Index) screenCands(b *bucket, s *scratch, qi int32, qdir []float64, ql
 			j := bits.TrailingZeros8(m)
 			lid := cand[i+j]
 			if approxOnly {
-				approx, bound := q8.FinishApproxBound(s.q8q, int(lid), dh4[j])
+				approx, bound := q8.FinishApproxBound(qq, int(lid), dh4[j])
 				if (approx+bound)*qlen*b.lens[lid] < cut {
 					continue
 				}
@@ -164,7 +168,7 @@ func (ix *Index) screenCands(b *bucket, s *scratch, qi int32, qdir []float64, ql
 			continue
 		}
 		if approxOnly {
-			approx, bound := q8.FinishApproxBound(s.q8q, int(lid), head)
+			approx, bound := q8.FinishApproxBound(qq, int(lid), head)
 			if (approx+bound)*qlen*b.lens[lid] < cut {
 				continue
 			}

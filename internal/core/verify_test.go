@@ -179,13 +179,14 @@ func TestScratchPoolReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1 := ix.getScratch()
+	s1.beginTile(5, 3)
 	ix.putScratch(s1)
 	s2 := ix.getScratch()
 	if s1 != s2 {
 		t.Fatal("pooled scratch not reused for an unchanged layout")
 	}
-	if s2.sigQuery != -1 {
-		t.Fatal("pooled scratch handed out with a stale signature cache")
+	if len(s2.tileHave) != 0 {
+		t.Fatal("pooled scratch handed out with a stale query tile")
 	}
 	ix.putScratch(s2)
 	// Shrink the pooled sizing below the index's requirement.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"lemp/internal/core"
@@ -598,4 +599,74 @@ func FuzzRead(f *testing.F) {
 			return // rejected by structural validation, as designed
 		}
 	})
+}
+
+// TestSortedListBytesMatchStableSort pins the SLST bytes to the tie order
+// the section has always had — a stable sort of the local ids by decreasing
+// value, so equal values (±0 included: equal under >, different bits) stay
+// in ascending local id — on a catalog built to collide. A snapshot written
+// from the index's own lists must equal, byte for byte, one written from
+// lists sorted that way here.
+func TestSortedListBytesMatchStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	const r, n = 6, 400
+	p := matrix.New(r, n)
+	alphabet := []float64{-1, math.Copysign(0, -1), 0, 1, 2}
+	for i := 0; i < n; i++ {
+		v := p.Vec(i)
+		for f := range v {
+			v[f] = alphabet[rng.Intn(len(alphabet))]
+		}
+		v[rng.Intn(r)] = 1 // no zero vectors
+	}
+	ix, err := core.NewIndex(p, core.Options{MinBucketSize: 40, SampleQueries: 8, TuneByCost: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := matrix.New(r, 20)
+	q.FillRandom(rng)
+	if err := ix.PretuneTopK(q, 5); err != nil {
+		t.Fatal(err)
+	}
+	st := ix.State()
+	ref := *st
+	ref.Buckets = append([]core.BucketState(nil), st.Buckets...)
+	built, ties := 0, 0
+	for bi := range ref.Buckets {
+		b := &ref.Buckets[bi]
+		if b.ListVals == nil {
+			continue
+		}
+		built++
+		size := len(b.IDs)
+		b.ListVals, b.ListLids = make([]float64, size*r), make([]int32, size*r)
+		perm := make([]int32, size)
+		for f := 0; f < r; f++ {
+			for i := range perm {
+				perm[i] = int32(i)
+			}
+			sort.SliceStable(perm, func(x, y int) bool {
+				return b.Dirs[int(perm[x])*r+f] > b.Dirs[int(perm[y])*r+f]
+			})
+			for i, lid := range perm {
+				b.ListLids[f*size+i], b.ListVals[f*size+i] = lid, b.Dirs[int(lid)*r+f]
+				if i > 0 && b.ListVals[f*size+i] == b.ListVals[f*size+i-1] {
+					ties++
+				}
+			}
+		}
+	}
+	if built == 0 || ties == 0 {
+		t.Fatalf("fixture built lists for %d buckets with %d tied neighbours; want both positive", built, ties)
+	}
+	var got, want bytes.Buffer
+	if err := WriteWith(&got, st, WriteOptions{IncludeLists: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteWith(&want, &ref, WriteOptions{IncludeLists: true}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("snapshot with the index's sorted lists differs from one with stable-sorted lists")
+	}
 }

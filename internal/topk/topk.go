@@ -10,8 +10,9 @@ type Item struct {
 }
 
 // Heap keeps the k items with the largest values among everything pushed
-// into it. The zero value is unusable; construct with New. Ties are broken
-// arbitrarily, matching the paper's problem statement.
+// into it. The zero value is unusable; construct with New or prepare a
+// pooled value with Init. Ties are broken arbitrarily, matching the paper's
+// problem statement.
 type Heap struct {
 	k     int
 	items []Item // min-heap on Value
@@ -19,10 +20,23 @@ type Heap struct {
 
 // New returns a collector for the k largest values. k must be positive.
 func New(k int) *Heap {
+	h := &Heap{}
+	h.Init(k)
+	return h
+}
+
+// Init empties the heap and sets its capacity to k, keeping the item
+// storage when it is large enough. It makes a zero or recycled Heap usable,
+// so callers holding heaps in a pool need no allocation per reuse.
+func (h *Heap) Init(k int) {
 	if k <= 0 {
 		panic("topk: k must be positive")
 	}
-	return &Heap{k: k, items: make([]Item, 0, k)}
+	h.k = k
+	if cap(h.items) < k {
+		h.items = make([]Item, 0, k)
+	}
+	h.items = h.items[:0]
 }
 
 // K returns the capacity of the collector.
