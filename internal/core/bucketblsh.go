@@ -11,7 +11,7 @@ import "lemp/internal/lsh"
 // paper found best. This is the library's only approximate method: each
 // true result independently escapes with probability ≤ ε.
 func runBucketBLSH(b *bucket, h *lsh.Hasher, table *lsh.Table, qi int32, qdir []float64, qlen, theta, thetaB float64, s *scratch) {
-	s.cand = s.cand[:0]
+	s.resetCands()
 	sigs := b.ensureSigs(h)
 	sig := s.querySig(h, qi, qdir)
 	minLen := theta / qlen

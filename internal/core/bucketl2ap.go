@@ -9,7 +9,7 @@ package core
 // structural disadvantage inside LEMP. Negative local thresholds disable
 // cosine pruning entirely.
 func runBucketL2AP(b *bucket, qdir []float64, thetaB, t0 float64, s *scratch) {
-	s.cand = s.cand[:0]
+	s.resetCands()
 	if thetaB <= 0 {
 		allCandidates(b, s)
 		return

@@ -10,7 +10,7 @@ package core
 // The per-list frontier is selected with a max-heap over q̄_f·p̄_f, the
 // "most promising coordinate" strategy the paper uses (§6.1).
 func runBucketTA(b *bucket, qdir []float64, thetaB float64, s *scratch) {
-	s.cand = s.cand[:0]
+	s.resetCands()
 	if thetaB <= 0 {
 		allCandidates(b, s)
 		return

@@ -12,7 +12,7 @@ import "math"
 // verification re-checks them against θ, keeping candidate accounting
 // uniform across bucket algorithms.
 func runBucketTree(b *bucket, qdir []float64, qlen, theta float64, s *scratch) {
-	s.cand = s.cand[:0]
+	s.resetCands()
 	scaled := theta / qlen
 	if math.IsInf(scaled, -1) {
 		// Unseeded Row-Top-k pass: everything qualifies, so skip even

@@ -13,7 +13,7 @@ package core
 // final filter re-scans only the first range checking for the value φ.
 // Entries outside the first range are never read.
 func runCoord(b *bucket, qdir []float64, thetaB float64, phi int, s *scratch) {
-	s.cand = s.cand[:0]
+	s.resetCands()
 	if thetaB <= 0 {
 		allCandidates(b, s)
 		return

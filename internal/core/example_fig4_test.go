@@ -58,7 +58,7 @@ var fig4Query = struct {
 
 func sortedCands(s *scratch) []int {
 	out := make([]int, len(s.cand))
-	for i, lid := range s.cand {
+	for i, lid := range s.lids() {
 		out[i] = int(lid)
 	}
 	sort.Ints(out)
@@ -114,7 +114,7 @@ func TestFig4Verification(t *testing.T) {
 	s := newScratch(6, 4)
 	runCoord(b, fig4Query.qdir, 0.9, 2, s)
 	var passed []int
-	for _, lid := range s.cand {
+	for _, lid := range s.lids() {
 		v := vecmath.Dot(fig4Query.qdir, b.dir(int(lid))) * fig4Query.qlen * b.lens[lid]
 		if v >= fig4Query.theta {
 			passed = append(passed, int(lid))

@@ -88,7 +88,7 @@ func BenchmarkVerification(b *testing.B) {
 	b.ResetTimer()
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		for _, lid := range s.cand {
+		for _, lid := range s.lids() {
 			acc += vecmath.Dot(qdir, bk.dir(int(lid)))
 		}
 	}
@@ -99,10 +99,22 @@ func BenchmarkVerification(b *testing.B) {
 // Blocked-verification benchmarks: the seed scalar loop (deadSkip + one Dot
 // per candidate, exactly what the verify paths ran before the blocked
 // engine) against compactLiveCands + verifyDots, across dimension and
-// candidate density. "dense" is LENGTH's contiguous prefix (the DotBatch
+// candidate density. "dense" is LENGTH's recorded prefix (the DotBatch
 // panel path), "sparse" a strided coordinate-method survivor set (the
 // Dot8/Dot4 path).
 // ---------------------------------------------------------------------------
+
+// loadCands hands a fixture's candidate set to the scratch the way its
+// generator would: a dense set as a recorded prefix, a sparse one as a
+// copied list.
+func loadCands(s *scratch, cand []int32, dense bool) {
+	if dense {
+		s.setPrefix(len(cand))
+		return
+	}
+	s.resetCands()
+	s.cand = append(s.cand, cand...)
+}
 
 // benchVerifyFixture builds a single 1024-vector bucket at dimension r with
 // a candidate set covering the requested density.
@@ -136,7 +148,7 @@ func benchVerifyFixture(tb testing.TB, r int, dense bool) (ix *Index, bk *bucket
 	return ix, bk, qdir, cand
 }
 
-func verifyGrid(b *testing.B, run func(b *testing.B, ix *Index, bk *bucket, qdir []float64, cand []int32)) {
+func verifyGrid(b *testing.B, run func(b *testing.B, ix *Index, bk *bucket, qdir []float64, cand []int32, dense bool)) {
 	for _, r := range []int{16, 64, 256} {
 		for _, dense := range []bool{true, false} {
 			name := fmt.Sprintf("r=%d/sparse", r)
@@ -147,7 +159,7 @@ func verifyGrid(b *testing.B, run func(b *testing.B, ix *Index, bk *bucket, qdir
 				ix, bk, qdir, cand := benchVerifyFixture(b, r, dense)
 				b.SetBytes(int64(len(cand) * r * 8))
 				b.ResetTimer()
-				run(b, ix, bk, qdir, cand)
+				run(b, ix, bk, qdir, cand, dense)
 			})
 		}
 	}
@@ -155,12 +167,12 @@ func verifyGrid(b *testing.B, run func(b *testing.B, ix *Index, bk *bucket, qdir
 
 // BenchmarkVerifyScalar is the seed per-candidate verification loop.
 func BenchmarkVerifyScalar(b *testing.B) {
-	verifyGrid(b, func(b *testing.B, ix *Index, bk *bucket, qdir []float64, cand []int32) {
+	verifyGrid(b, func(b *testing.B, ix *Index, bk *bucket, qdir []float64, cand []int32, dense bool) {
 		s := newScratch(bk.size(), bk.r)
 		var acc float64
 		for i := 0; i < b.N; i++ {
-			s.cand = append(s.cand[:0], cand...)
-			for _, lid := range s.cand {
+			loadCands(s, cand, dense)
+			for _, lid := range s.lids() {
 				if ix.deadSkip(bk, int(lid)) {
 					continue
 				}
@@ -176,16 +188,16 @@ func BenchmarkVerifyScalar(b *testing.B) {
 // per-iteration cost of re-copying the candidate list the way a real
 // (query, bucket) pair pays it.
 func BenchmarkVerifyBlocked(b *testing.B) {
-	verifyGrid(b, func(b *testing.B, ix *Index, bk *bucket, qdir []float64, cand []int32) {
+	verifyGrid(b, func(b *testing.B, ix *Index, bk *bucket, qdir []float64, cand []int32, dense bool) {
 		s := newScratch(bk.size(), bk.r)
 		var st Stats
 		var acc float64
 		for i := 0; i < b.N; i++ {
-			s.cand = append(s.cand[:0], cand...)
+			loadCands(s, cand, dense)
 			ix.compactLiveCands(bk, s)
 			verifyDots(bk, qdir, s, &st)
-			for j, lid := range s.cand {
-				acc += s.vals[j] * bk.lens[lid]
+			for j, dot := range s.vals {
+				acc += dot * bk.lens[s.lid(j)]
 			}
 		}
 		verifySink.Store(math.Float64bits(acc))
@@ -226,8 +238,8 @@ func BenchmarkVerifyKernelGuard(b *testing.B) {
 		var st Stats
 		var acc float64
 		scalarPass := func() {
-			s.cand = append(s.cand[:0], cand...)
-			for _, lid := range s.cand {
+			loadCands(s, cand, c.dense)
+			for _, lid := range s.lids() {
 				if ix.deadSkip(bk, int(lid)) {
 					continue
 				}
@@ -235,11 +247,11 @@ func BenchmarkVerifyKernelGuard(b *testing.B) {
 			}
 		}
 		blockedPass := func() {
-			s.cand = append(s.cand[:0], cand...)
+			loadCands(s, cand, c.dense)
 			ix.compactLiveCands(bk, s)
 			verifyDots(bk, qdir, s, &st)
-			for j, lid := range s.cand {
-				acc += s.vals[j] * bk.lens[lid]
+			for j, dot := range s.vals {
+				acc += dot * bk.lens[s.lid(j)]
 			}
 		}
 		reps := 1 + (1<<22)/(len(cand)*c.r+1)

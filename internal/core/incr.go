@@ -17,7 +17,7 @@ package core
 // never a true result, so the (possibly incomplete) accumulators can only
 // admit spurious candidates, which verification removes.
 func runIncr(b *bucket, qdir []float64, qlen, theta, thetaB float64, phi int, s *scratch) {
-	s.cand = s.cand[:0]
+	s.resetCands()
 	if thetaB <= 0 {
 		allCandidates(b, s)
 		return

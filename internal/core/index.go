@@ -312,17 +312,19 @@ func (ix *Index) gather(b *bucket, alg Algorithm, phi int, qi int32, qdir []floa
 // Tombstoned main-bucket entries are dropped before the blocked dot-product
 // pass (verify.go), then the quantized screen (when a sidecar is active)
 // discards candidates that provably cannot reach θ; the θ filter runs over
-// the block results. Each emitted value is (q̄ᵀp̄)·‖q‖·‖p‖, multiplied in the
-// same order as the scalar verifier, so results are byte-identical to the
-// per-candidate Dot path.
+// the block results. Each emitted value is (q̄ᵀp̄)·‖q‖·‖p‖, always multiplied
+// in that order, with q̄ᵀp̄ accumulated in vecmath's canonical order (stated
+// in vecmath/kernels.go) whichever kernel computed it, so a candidate's
+// value does not depend on which candidates it was verified with.
 func (ix *Index) verifyAbove(b *bucket, qi int32, qdir []float64, qlen, theta float64, origID int32, s *scratch, emit retrieval.Sink, st *Stats) {
 	st.Candidates += int64(len(s.cand))
 	s.work += int64(len(s.cand)) * int64(b.r)
 	ix.compactLiveCands(b, s)
 	ix.screenCands(b, s, qi, qdir, qlen, theta, false, st)
 	verifyDots(b, qdir, s, st)
-	for i, lid := range s.cand {
-		v := s.vals[i] * qlen * b.lens[lid]
+	for i, dot := range s.vals {
+		lid := s.lid(i)
+		v := dot * qlen * b.lens[lid]
 		if v >= theta {
 			st.Results++
 			emit(retrieval.Entry{Query: int(origID), Probe: int(b.ids[lid]), Value: v})

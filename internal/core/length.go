@@ -4,14 +4,12 @@ package core
 // are sorted by decreasing length, so scan the prefix with
 // ‖p‖ ≥ θ/‖q‖ — beyond it no inner product can reach θ — and hand the
 // prefix to verification. theta may be -Inf (an unseeded Row-Top-k run),
-// in which case the whole bucket qualifies.
+// in which case the whole bucket qualifies. The prefix is recorded, not
+// written out lid by lid (scratch.setPrefix).
 func runLength(b *bucket, theta, qlen float64, s *scratch) {
 	minLen := theta / qlen
 	prefix := b.lengthPrefix(minLen)
-	s.cand = s.cand[:0]
-	for lid := 0; lid < prefix; lid++ {
-		s.cand = append(s.cand, int32(lid))
-	}
+	s.setPrefix(prefix)
 	s.work += int64(prefix)
 }
 
@@ -19,9 +17,6 @@ func runLength(b *bucket, theta, qlen float64, s *scratch) {
 // coordinate methods when the local threshold is non-positive (pruning by
 // direction is impossible).
 func allCandidates(b *bucket, s *scratch) {
-	s.cand = s.cand[:0]
-	for lid := 0; lid < b.size(); lid++ {
-		s.cand = append(s.cand, int32(lid))
-	}
+	s.setPrefix(b.size())
 	s.work += int64(b.size())
 }

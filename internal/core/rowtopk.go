@@ -203,15 +203,17 @@ func (ix *Index) topkTile(c *call, qs *querySet, lo, hi, kk int, s *scratch, out
 			// (theta is -Inf until the heap fills, so nothing screens
 			// before the seed; Push drops values ≤ floor, so strict-<
 			// screening is byte-safe), compute the block dot products,
-			// then apply the heap per block result. v = (q̄ᵀp̄)·‖p‖ exactly
-			// as the scalar path computed it; in Approx mode v is the
-			// quantized estimate and the exact kernels are skipped.
+			// then apply the heap per block result. v = (q̄ᵀp̄)·‖p‖ with the
+			// dot in vecmath's canonical order (vecmath/kernels.go), so the
+			// tile a row rides in never changes its values; in Approx mode
+			// v is the quantized estimate and the exact kernels are skipped.
 			ix.compactLiveCands(b, s)
 			if !ix.screenCands(b, s, int32(qi), qdir, 1, theta, c.approx, st) {
 				verifyDots(b, qdir, s, st)
 			}
-			for i, lid := range s.cand {
-				heap.Push(int(b.ids[lid]), s.vals[i]*b.lens[lid])
+			for i, dot := range s.vals {
+				lid := s.lid(i)
+				heap.Push(int(b.ids[lid]), dot*b.lens[lid])
 			}
 		}
 		active = keep

@@ -25,6 +25,15 @@ type scratch struct {
 	cand []int32   // candidate local ids of the current (query, bucket) pair
 	vals []float64 // blocked-verification dot products, parallel to cand
 
+	// prefix is set when the candidates are the bucket's first len(cand)
+	// rows in order — LENGTH's prefix, the whole-bucket fallback. Those
+	// generators record only the count (setPrefix): cand has the right
+	// length but its elements are not written, so readers go through lid
+	// or lids. The flag survives tombstone compaction and the int8 screen
+	// only while they drop nothing; while it is set, verification is one
+	// panel product over the head of b.dirs.
+	prefix bool
+
 	// panel is the gathered row-panel of the blocked re-rank path
 	// (RowTopKApprox): candidate raw vectors copied contiguously so one
 	// DotBatch pass verifies them. Reused across queries and pooled with
@@ -83,6 +92,7 @@ func newScratch(maxBucket, r int) *scratch {
 		cpdot:      make([]float64, maxBucket),
 		cpsq:       make([]float64, maxBucket),
 		taSeen:     make([]int32, maxBucket),
+		cand:       make([]int32, 0, maxBucket),
 		focus:      make([]int32, 0, r),
 		focusAbs:   make([]float64, 0, r),
 		rangeStart: make([]int, r),
@@ -116,6 +126,47 @@ func (ix *Index) getScratch() *scratch {
 
 // putScratch returns a scratch to the pool once its worker is done.
 func (ix *Index) putScratch(s *scratch) { ix.scratchPool.Put(s) }
+
+// resetCands empties the candidate set for a generator that appends lids.
+func (s *scratch) resetCands() {
+	s.cand = s.cand[:0]
+	s.prefix = false
+}
+
+// setPrefix makes lids 0..n-1 the candidate set without writing them; cand
+// holds a whole bucket from the start (newScratch).
+func (s *scratch) setPrefix(n int) {
+	s.cand = s.cand[:n]
+	s.prefix = true
+}
+
+// lid returns the local id of candidate i.
+func (s *scratch) lid(i int) int32 {
+	if s.prefix {
+		return int32(i)
+	}
+	return s.cand[i]
+}
+
+// lids returns the candidate local ids as a slice, writing a recorded
+// prefix out first: for the passes that may drop candidates in place.
+func (s *scratch) lids() []int32 {
+	if s.prefix {
+		for i := range s.cand {
+			s.cand[i] = int32(i)
+		}
+	}
+	return s.cand
+}
+
+// dropTo keeps the first k entries an in-place filter left in cand; a
+// filter that dropped anything ends a recorded prefix.
+func (s *scratch) dropTo(k int) {
+	if k < len(s.cand) {
+		s.prefix = false
+	}
+	s.cand = s.cand[:k]
+}
 
 // tileHave bits.
 const (

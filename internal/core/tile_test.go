@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -12,6 +13,7 @@ import (
 
 	"lemp/internal/matrix"
 	"lemp/internal/retrieval"
+	"lemp/internal/vecmath"
 )
 
 // addCounters accumulates the Stats fields that sum over (query, bucket)
@@ -145,6 +147,55 @@ func TestTopKTilesMatchPerRowLoop(t *testing.T) {
 			}
 		}
 	}
+	// LENGTH and the whole-bucket fallback record their candidates as a
+	// prefix flag instead of a list. A tombstone inside the prefix must
+	// clear the flag, and from there on the pair must verify to the lids
+	// and value bits of the written-out list; with no tombstone in reach the
+	// flag must survive to the panel kernel.
+	t.Run("prefix flag set, one tombstone inside the prefix", func(t *testing.T) {
+		ix, q := tileFixture(t, AlgL, false, false)
+		b := ix.scan[0]
+		if err := ix.RemoveProbe(b.ids[1]); err != nil {
+			t.Fatal(err)
+		}
+		qdir := make([]float64, ix.r)
+		vecmath.Normalize(qdir, q.Vec(1))
+		var st Stats
+		s, want := newScratch(ix.maxBucket, ix.r), newScratch(ix.maxBucket, ix.r)
+		runLength(b, math.Inf(-1), 1, s)
+		if !s.prefix || len(s.cand) != b.size() {
+			t.Fatalf("LENGTH at θ = -Inf: prefix=%v over %d of %d rows", s.prefix, len(s.cand), b.size())
+		}
+		ix.compactLiveCands(b, s)
+		if s.prefix {
+			t.Fatal("prefix flag survived a tombstone inside the prefix")
+		}
+		verifyDots(b, qdir, s, &st)
+		want.resetCands()
+		for lid := 0; lid < b.size(); lid++ {
+			want.cand = append(want.cand, int32(lid))
+		}
+		ix.compactLiveCands(b, want)
+		verifyDots(b, qdir, want, &st)
+		if len(s.cand) != b.size()-1 || !slices.Equal(s.cand, want.cand) || !slices.Equal(s.vals, want.vals) {
+			t.Fatalf("flagged prefix:\n got %v %v\nwant %v %v", s.cand, s.vals, want.cand, want.vals)
+		}
+		// The next main bucket holds no tombstone: the flag reaches the
+		// verifier, which must give the written-out list's values.
+		b = ix.scan[1]
+		allCandidates(b, s)
+		ix.compactLiveCands(b, s)
+		if !s.prefix {
+			t.Fatal("prefix flag cleared with no tombstone inside the prefix")
+		}
+		verifyDots(b, qdir, s, &st)
+		want.resetCands()
+		want.cand = append(want.cand, s.lids()...)
+		verifyDots(b, qdir, want, &st)
+		if !slices.Equal(s.vals, want.vals) {
+			t.Fatalf("panel kernel over a flagged prefix:\n got %v\nwant %v", s.vals, want.vals)
+		}
+	})
 }
 
 // TestTopKCancelMidTile cancels a one-tile panel while its bucket loop is

@@ -250,8 +250,9 @@ func (ix *Index) tuneSubset(c *call, qs *querySet, prob any, only map[*bucket]st
 					ix.compactLiveCands(b, s)
 					verifyDots(b, qdir, s, &trajStats)
 				}
-				for i, lid := range s.cand {
-					heap.Push(int(b.ids[lid]), s.vals[i]*b.lens[lid])
+				for i, dot := range s.vals {
+					lid := s.lid(i)
+					heap.Push(int(b.ids[lid]), dot*b.lens[lid])
 				}
 			}
 		}
@@ -328,8 +329,8 @@ func (ix *Index) observe(c *call, b *bucket, qdir []float64, qlen, theta, thetaB
 		ix.compactLiveCands(b, s)
 		verifyDots(b, qdir, s, &mst)
 		var acc float64
-		for i, lid := range s.cand {
-			acc += s.vals[i] * qlen * b.lens[lid]
+		for i, dot := range s.vals {
+			acc += dot * qlen * b.lens[s.lid(i)]
 		}
 		verifySink.Store(math.Float64bits(acc)) // defeat dead-code elimination
 		return float64(time.Since(start))

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"slices"
 
 	"lemp/internal/vecmath"
 )
@@ -14,10 +13,11 @@ import (
 //
 //  1. compacts the candidate list to live entries in place (tombstone
 //     filtering moves out of the dot-product loop);
-//  2. detects the common contiguous-ascending case — LENGTH's prefix and
-//     the whole-bucket fallback produce lids 0..c-1 — and runs one DotBatch
-//     panel pass directly over b.dirs with zero gathering (the candidate set
-//     is literally a dense matrix–vector product there);
+//  2. takes the common prefix case — LENGTH's prefix and the whole-bucket
+//     fallback are lids 0..c-1, which the generator records as a flag
+//     (scratch.prefix) instead of a list — as one DotBatch panel pass
+//     directly over b.dirs with zero gathering (the candidate set is
+//     literally a dense matrix–vector product there);
 //  3. otherwise verifies in 8/4-wide blocks with vecmath.Dot8/Dot4 over the
 //     strided rows in generator order, falling back to scalar Dot only for
 //     the ragged tail. Candidates are deliberately NOT sorted first:
@@ -25,20 +25,22 @@ import (
 //     sort buys no locality while costing O(c log c) per (query, bucket)
 //     pair — benchmarked as a net loss at every r in {16, 64, 256}.
 //
-// Every kernel keeps Dot's per-row accumulation order, so the blocked
-// verifier is bit-identical to the scalar one — the differential mutation
-// harness (delta_test.go) asserts byte-identical retrieval results across
-// it. Threshold and heap checks are applied per block by the callers, which
-// read the dot products back out of s.vals.
+// Every kernel accumulates a row in vecmath's one canonical order (stated
+// in vecmath/kernels.go), so which kernel verifies a candidate never
+// changes its value — the differential mutation harness (delta_test.go)
+// asserts byte-identical retrieval results across it. Threshold and heap
+// checks are applied per block by the callers, which read the dot products
+// back out of s.vals.
 
 // compactLiveCands drops tombstoned candidates from s.cand in place,
 // preserving the generator's order. Delta buckets hold only live entries
-// and skip the filter entirely.
+// and skip the filter entirely. A recorded prefix stays one unless a
+// tombstone falls inside it.
 func (ix *Index) compactLiveCands(b *bucket, s *scratch) {
 	if b.delta || len(ix.dead) == 0 {
 		return
 	}
-	cand := s.cand
+	cand := s.lids()
 	k := 0
 	for _, lid := range cand {
 		if _, gone := ix.dead[b.ids[lid]]; !gone {
@@ -46,7 +48,7 @@ func (ix *Index) compactLiveCands(b *bucket, s *scratch) {
 			k++
 		}
 	}
-	s.cand = cand[:k]
+	s.dropTo(k)
 }
 
 // screenCands runs the quantized prefilter over s.cand, between tombstone
@@ -82,7 +84,7 @@ func (ix *Index) screenCands(b *bucket, s *scratch, qi int32, qdir []float64, ql
 	if !ok {
 		return false
 	}
-	cand := s.cand
+	cand := s.lids()
 	if approxOnly {
 		if cap(s.vals) < len(cand) {
 			s.vals = make([]float64, len(cand)+len(cand)/2+8)
@@ -105,10 +107,9 @@ func (ix *Index) screenCands(b *bucket, s *scratch, qi int32, qdir []float64, ql
 	// the exact path hands checkpoint survivors to the f64 kernels
 	// directly.
 	// LENGTH's prefix (and the whole-bucket fallback) hands over lids
-	// 0..c-1 in order; in that contiguous-ascending case the per-block row
-	// lengths are a direct slice view into b.lens instead of a gather.
-	contig := len(cand) > 0 && int(cand[len(cand)-1])-int(cand[0]) == len(cand)-1 &&
-		slices.IsSorted(cand)
+	// 0..c-1 in order; there the per-block row lengths are a direct slice
+	// view into b.lens instead of a gather.
+	contig := s.prefix
 	var dh [8]int32
 	var lens8 [8]float64
 	for ; i+8 <= len(cand); i += 8 {
@@ -179,7 +180,7 @@ func (ix *Index) screenCands(b *bucket, s *scratch, qi int32, qdir []float64, ql
 	}
 	st.QuantScreened += int64(len(cand) - k)
 	st.QuantSurvived += int64(k)
-	s.cand = cand[:k]
+	s.dropTo(k)
 	if approxOnly {
 		s.vals = s.vals[:k]
 	}
@@ -198,10 +199,8 @@ func verifyDots(b *bucket, qdir []float64, s *scratch, st *Stats) {
 	if c == 0 {
 		return
 	}
-	// Contiguous ascending run (unique lids): one dense panel product.
-	if int(s.cand[c-1])-int(s.cand[0]) == c-1 && slices.IsSorted(s.cand) {
-		lo := int(s.cand[0])
-		vecmath.DotBatch(qdir, b.dirs[lo*b.r:(lo+c)*b.r], s.vals)
+	if s.prefix { // rows 0..c-1: one dense panel product
+		vecmath.DotBatch(qdir, b.dirs[:c*b.r], s.vals)
 		st.BlockVerified += int64(c)
 		return
 	}

@@ -45,7 +45,7 @@ func TestBlockedVerifyBitIdenticalToScalar(t *testing.T) {
 		for _, b := range ix.scan {
 			// Random candidate subset in shuffled order (coordinate
 			// methods emit candidates in list order, not lid order).
-			s.cand = s.cand[:0]
+			s.resetCands()
 			for lid := 0; lid < b.size(); lid++ {
 				if rng.Intn(3) != 0 {
 					s.cand = append(s.cand, int32(lid))

@@ -169,9 +169,12 @@ func (qr *Rows) Bytes() int {
 // products followed by a square root, with a wide safety margin.
 func sumSlack(r int) float64 { return 4 * float64(r+8) * ulp }
 
-// dotSlack bounds |Dot(q,p) − qᵀp| relative to ‖q‖·‖p‖ for the float64
-// accumulation order vecmath.Dot uses (error ≤ γ_r·Σ|q_i p_i| with
-// γ_r ≈ r·2⁻⁵³; the constant is generous to cover unrolled groupings).
+// dotSlack bounds |Dot(q,p) − qᵀp| relative to ‖q‖·‖p‖. The bound holds
+// for any summation order: r rounded products added in whatever grouping
+// err by at most γ_r·Σ|q_i p_i| with γ_r ≈ r·2⁻⁵³ — sequential order is the
+// worst case, lanes and trees only shorten the chains — and Σ|q_i p_i| ≤
+// ‖q‖·‖p‖. So it covers vecmath's canonical four-lane order (stated in
+// vecmath/kernels.go), assembly or portable, with the factor 4 to spare.
 func dotSlack(r int) float64 { return 4 * float64(r+8) * ulp }
 
 // inflate widens a computed upper bound so that its own floating-point

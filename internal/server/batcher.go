@@ -148,7 +148,7 @@ type formingBatch struct {
 	data    []float64 // concatenated query vectors
 	rows    int
 	waiters []*waiter
-	timer   *time.Timer
+	timer   *time.Timer // the window's deadline; nil until the batch has to wait
 	created time.Time
 	fired   bool // dispatched (by size or timer); no longer accepting rows
 
@@ -158,6 +158,13 @@ type formingBatch struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	live   int
+}
+
+// stopTimer disarms the window timer of a batch that armed one.
+func (fb *formingBatch) stopTimer() {
+	if fb.timer != nil {
+		fb.timer.Stop()
+	}
 }
 
 // waiter is one caller's slice of a forming batch: rows [off, off+n).
@@ -268,7 +275,28 @@ func (b *Batcher) submit(ctx context.Context, key batchKey, v *View, data []floa
 		return res.rows, res.stats, res.err
 	}
 
+	fb, w := b.join(ctx, key, v, data, rows)
+	select {
+	case res := <-w.done:
+		return res.rows, res.stats, res.err
+	case <-ctx.Done():
+		// This caller is gone (client disconnect, deadline). Its rows stay
+		// in the batch — removing them would renumber other waiters — but
+		// when every caller has left, the batch context cancels and the
+		// sharded retrieval aborts mid-scan instead of running to
+		// completion for nobody.
+		b.abandon(fb, w)
+		return nil, lemp.Stats{}, ctx.Err()
+	}
+}
+
+// join adds one request's rows to key's forming batch, starting a new batch
+// where there is none to join, and then fires the batch, or leaves it to
+// wait with the window timer armed. It returns the batch and the caller's
+// place in it.
+func (b *Batcher) join(ctx context.Context, key batchKey, v *View, data []float64, rows int) (*formingBatch, *waiter) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	fb := b.forming[key]
 	if fb == nil || fb.fired || fb.rows+rows > b.max {
 		// Start a new batch. An oversized or displaced predecessor keeps
@@ -278,11 +306,6 @@ func (b *Batcher) submit(ctx context.Context, key batchKey, v *View, data []floa
 		}
 		fb = &formingBatch{key: key, view: v, created: time.Now()}
 		fb.ctx, fb.cancel = context.WithCancel(context.Background())
-		fb.timer = time.AfterFunc(b.window, func() {
-			b.mu.Lock()
-			defer b.mu.Unlock()
-			b.fire(fb)
-		})
 		b.forming[key] = fb
 	}
 	w := &waiter{off: fb.rows, n: rows, done: make(chan batchResult, 1), retSpan: obs.NoSpan, joined: time.Now()}
@@ -303,21 +326,17 @@ func (b *Batcher) submit(ctx context.Context, key batchKey, v *View, data []floa
 		// retrieval in flight and the batch holds until it completes
 		// (completion fires it), the window elapses, or max is reached.
 		b.fire(fb)
+	case fb.timer == nil:
+		// The batch waits, so the window bounds the wait from here. A batch
+		// that fires in the call that created it — every request on an idle
+		// key in continuous mode — never arms a timer at all.
+		fb.timer = time.AfterFunc(b.window, func() {
+			b.mu.Lock()
+			defer b.mu.Unlock()
+			b.fire(fb)
+		})
 	}
-	b.mu.Unlock()
-
-	select {
-	case res := <-w.done:
-		return res.rows, res.stats, res.err
-	case <-ctx.Done():
-		// This caller is gone (client disconnect, deadline). Its rows stay
-		// in the batch — removing them would renumber other waiters — but
-		// when every caller has left, the batch context cancels and the
-		// sharded retrieval aborts mid-scan instead of running to
-		// completion for nobody.
-		b.abandon(fb, w)
-		return nil, lemp.Stats{}, ctx.Err()
-	}
+	return fb, w
 }
 
 // inflight returns the number of dispatched-but-unfinished retrievals for
@@ -351,7 +370,7 @@ func (b *Batcher) abandon(fb *formingBatch, w *waiter) {
 			// Nobody is waiting: there is nothing to dispatch. Mark the
 			// batch fired so submit can never add rows to it again.
 			fb.fired = true
-			fb.timer.Stop()
+			fb.stopTimer()
 			if b.forming[fb.key] == fb {
 				delete(b.forming, fb.key)
 			}
@@ -369,7 +388,7 @@ func (b *Batcher) fire(fb *formingBatch) {
 		return
 	}
 	fb.fired = true
-	fb.timer.Stop()
+	fb.stopTimer()
 	if b.forming[fb.key] == fb {
 		delete(b.forming, fb.key)
 	}

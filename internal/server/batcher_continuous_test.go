@@ -315,3 +315,90 @@ func TestBatcherContinuousStress(t *testing.T) {
 		t.Fatalf("dispatched %d rows for %d submissions (%d served): double- or lost dispatch", d, s, ok)
 	}
 }
+
+// TestBatcherArmsTimerOnlyWhenWaiting: the window timer exists for batches
+// that wait. A batch that fires in the call that created it — an idle key
+// in continuous mode, a batch filled to max — never arms one, and retiring
+// a batch without a timer is safe; window mode and the batch held behind an
+// in-flight retrieval still fire on the timer.
+func TestBatcherArmsTimerOnlyWhenWaiting(t *testing.T) {
+	sh, q := newTestSharded(t)
+	ctx := context.Background()
+	view := sh.CurrentView()
+	key := batchKey{topk: true, k: 5, epoch: view.Epoch()}
+	await := func(t *testing.T, w *waiter) {
+		t.Helper()
+		select {
+		case res := <-w.done:
+			if res.err != nil || len(res.rows) != 1 || len(res.rows[0]) != 5 {
+				t.Fatalf("batch result: %d rows, err %v", len(res.rows), res.err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("batch never fired")
+		}
+	}
+
+	t.Run("idle key in continuous mode", func(t *testing.T) {
+		b := NewBatcher(sh, 10*time.Second, 1024, BatchModeContinuous)
+		fb, w := b.join(ctx, key, view, q.Vec(0), 1)
+		if !fb.fired || fb.timer != nil {
+			t.Fatalf("fired=%v timer=%v, want an immediate dispatch without a timer", fb.fired, fb.timer)
+		}
+		await(t, w)
+	})
+	t.Run("filled to max", func(t *testing.T) {
+		b := NewBatcher(sh, 10*time.Second, 2, BatchModeWindow)
+		fb, w := b.join(ctx, key, view, q.Slice(0, 2).Data(), 2)
+		if !fb.fired || fb.timer != nil {
+			t.Fatalf("fired=%v timer=%v, want an immediate dispatch without a timer", fb.fired, fb.timer)
+		}
+		if res := <-w.done; res.err != nil || len(res.rows) != 2 {
+			t.Fatalf("batch result: %d rows, err %v", len(res.rows), res.err)
+		}
+	})
+	t.Run("abandon before fire with no timer", func(t *testing.T) {
+		b := NewBatcher(sh, 10*time.Second, 1024, BatchModeWindow)
+		fb := &formingBatch{key: key, view: view, rows: 1, live: 1}
+		fb.ctx, fb.cancel = context.WithCancel(ctx)
+		w := &waiter{n: 1, done: make(chan batchResult, 1)}
+		fb.waiters = []*waiter{w}
+		b.forming[key] = fb
+		b.pending.Add(1)
+		b.abandon(fb, w)
+		if !fb.fired || len(b.forming) != 0 || b.PendingRows() != 0 || fb.ctx.Err() == nil {
+			t.Fatalf("abandoned batch not retired: fired=%v forming=%d pending=%d", fb.fired, len(b.forming), b.PendingRows())
+		}
+	})
+	t.Run("window mode fires on the timer", func(t *testing.T) {
+		b := NewBatcher(sh, 5*time.Millisecond, 1024, BatchModeWindow)
+		fb, w := b.join(ctx, key, view, q.Vec(0), 1)
+		b.mu.Lock()
+		armed := fb.timer != nil
+		b.mu.Unlock()
+		if !armed {
+			t.Fatal("waiting batch has no window timer")
+		}
+		await(t, w)
+	})
+	t.Run("held behind an in-flight retrieval fires on the timer", func(t *testing.T) {
+		b := NewBatcher(sh, 5*time.Millisecond, 1024, BatchModeContinuous)
+		release := make(chan struct{})
+		var dispatches atomic.Int64
+		b.onDispatch = func(rows, requests int) {
+			if dispatches.Add(1) == 1 {
+				<-release // hold the first retrieval for the whole test
+			}
+		}
+		_, first := b.join(ctx, key, view, q.Vec(0), 1)
+		held, w := b.join(ctx, key, view, q.Vec(1), 1)
+		b.mu.Lock()
+		armed := held.timer != nil
+		b.mu.Unlock()
+		if !armed {
+			t.Fatal("batch held behind an in-flight retrieval has no window timer")
+		}
+		await(t, w) // the first retrieval is still held: only the timer can have fired this
+		close(release)
+		await(t, first)
+	})
+}

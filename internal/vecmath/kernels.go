@@ -1,20 +1,52 @@
 package vecmath
 
-// Blocked verification kernels. LEMP's verification phase — one exact inner
-// product per candidate that survived bucket-level pruning — is a dense
+// Verification kernels. LEMP's verification phase — one exact inner product
+// per candidate that survived bucket-level pruning — is a dense
 // panel-times-vector product in disguise: the probe directions of one bucket
 // are contiguous rows, and a candidate set is a (possibly strided) selection
-// of them. Evaluating several rows per pass with one independent accumulator
-// chain per row keeps the floating-point units busy while the single shared
-// query vector stays in registers, the same panel-at-a-time structure blocked
-// sparse/dense multiplication kernels use.
+// of them. The kernels evaluate several rows per pass, each row with its own
+// accumulators, while the shared query vector stays in registers.
 //
-// Bit-exactness contract: every kernel accumulates each row in exactly the
-// order Dot uses (unrolled by four within one row, sequential tail), so for
-// any row the blocked result is bit-identical to calling Dot on that row.
-// Only the *interleaving across rows* changes, which no result depends on.
-// Exactness-asserted paths (the differential mutation harness) therefore see
-// byte-identical output from the blocked and scalar verifiers.
+// # Canonical accumulation order
+//
+// Every inner product this package computes — Dot, Dot4, Dot8, DotBatch and
+// the dot half of DotNorm2 — is accumulated in one order, stated here once:
+//
+//   - four lanes l0..l3 start at +0; with n4 = 4⌊r/4⌋, element i < n4 is
+//     multiplied, rounded, and added to lane i mod 4;
+//   - the lanes combine as (l0 + l2) + (l1 + l3);
+//   - the tail elements n4 ≤ i < r are multiplied, rounded, and added to
+//     that sum one by one, in index order;
+//   - a product and the addition that consumes it are two roundings: there
+//     is no fused multiply-add anywhere.
+//
+// It is the order one 256-bit register of four doubles produces, so the
+// AVX2 assembly (kernels_amd64.s: chosen once at start-up when CPUID and
+// XGETBV report AVX2 with operating-system support, on amd64 builds without
+// the purego tag) and the portable Go code (kernels_generic.go: every other
+// GOARCH, CPUs without AVX2, -tags purego) follow it operation for
+// operation and return the same bits. So on a given machine every kernel is
+// bit-identical, row by row, to Dot on that row; only the interleaving
+// *across* rows differs between kernels, which no result depends on. The
+// exactness-asserted paths (the differential mutation harness, the
+// tile-vs-row test, the bulk cross-check) rely on that.
+//
+// The wrappers below keep the shape checks and every slice-to-pointer step
+// in Go: assembly sees only rows of r ≥ 4 elements whose lengths were
+// checked, and reads exactly r elements of each.
+
+// Dot returns the inner product of a and b, accumulated in the canonical
+// order above. The slices must have equal length; Dot panics otherwise (a
+// programming error, not an input error).
+func Dot(a, b []float64) float64 {
+	if len(a) != len(b) {
+		panic("vecmath: Dot on vectors of unequal length")
+	}
+	if useAVX2 && len(a) >= 4 {
+		return dotAVX2(&a[0], &b[0], len(a))
+	}
+	return dotGo(a, b)
+}
 
 // DotBatch computes the inner product of q against every row of a contiguous
 // row-panel: out[i] = Dot(q, panel[i*r:(i+1)*r]) for r = len(q). The panel
@@ -26,122 +58,72 @@ func DotBatch(q, panel, out []float64) {
 	if len(panel) != len(out)*r {
 		panic("vecmath: DotBatch panel size does not match len(out) rows")
 	}
-	if r == 0 {
-		for i := range out {
-			out[i] = 0
-		}
+	if !useAVX2 || r < 4 {
+		dotBatchGo(q, panel, out)
 		return
 	}
 	n := len(out)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		p := panel[i*r : (i+8)*r]
-		Dot8(q,
-			p[0*r:1*r], p[1*r:2*r], p[2*r:3*r], p[3*r:4*r],
-			p[4*r:5*r], p[5*r:6*r], p[6*r:7*r], p[7*r:8*r],
-			(*[8]float64)(out[i:i+8]))
+	i := n &^ 7
+	if i > 0 {
+		dotBatch8AVX2(&q[0], &panel[0], r, i/8, &out[0])
 	}
-	for ; i+4 <= n; i += 4 {
+	if i+4 <= n {
 		p := panel[i*r : (i+4)*r]
-		Dot4(q, p[0*r:1*r], p[1*r:2*r], p[2*r:3*r], p[3*r:4*r],
-			(*[4]float64)(out[i:i+4]))
+		dot4AVX2(&q[0], &p[0], &p[r], &p[2*r], &p[3*r], r, (*[4]float64)(out[i:i+4]))
+		i += 4
 	}
 	for ; i < n; i++ {
-		out[i] = Dot(q, panel[i*r:(i+1)*r])
+		out[i] = dotAVX2(&q[0], &panel[i*r], r)
 	}
 }
 
 // Dot4 computes four inner products of q against four rows at once, for
 // strided candidate sets whose rows are not adjacent in memory: out[j] =
-// Dot(q, pj), bit-identical to four scalar Dot calls. All rows must have
-// len(q) elements; Dot4 panics otherwise.
+// Dot(q, pj), bit-identical to four Dot calls. All rows must have len(q)
+// elements; Dot4 panics otherwise.
 func Dot4(q, p0, p1, p2, p3 []float64, out *[4]float64) {
 	r := len(q)
 	if len(p0) != r || len(p1) != r || len(p2) != r || len(p3) != r {
 		panic("vecmath: Dot4 on rows of unequal length")
 	}
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= r; i += 4 {
-		qq := q[i : i+4 : i+4]
-		q0, q1, q2, q3 := qq[0], qq[1], qq[2], qq[3]
-		s0 += q0*p0[i] + q1*p0[i+1] + q2*p0[i+2] + q3*p0[i+3]
-		s1 += q0*p1[i] + q1*p1[i+1] + q2*p1[i+2] + q3*p1[i+3]
-		s2 += q0*p2[i] + q1*p2[i+1] + q2*p2[i+2] + q3*p2[i+3]
-		s3 += q0*p3[i] + q1*p3[i+1] + q2*p3[i+2] + q3*p3[i+3]
+	if useAVX2 && r >= 4 {
+		dot4AVX2(&q[0], &p0[0], &p1[0], &p2[0], &p3[0], r, out)
+		return
 	}
-	for ; i < r; i++ {
-		x := q[i]
-		s0 += x * p0[i]
-		s1 += x * p1[i]
-		s2 += x * p2[i]
-		s3 += x * p3[i]
-	}
-	out[0], out[1], out[2], out[3] = s0, s1, s2, s3
+	dot4Go(q, p0, p1, p2, p3, out)
 }
 
 // Dot8 is Dot4 widened to eight rows: out[j] = Dot(q, pj), bit-identical to
-// eight scalar Dot calls. Eight accumulator chains hide more floating-point
-// latency than four on wide cores; DotBatch and the blocked verifier prefer
-// it and fall back to Dot4/Dot for the tail.
+// eight Dot calls. Eight independent rows hide the floating-point latency
+// of one row's accumulators; the blocked verifier prefers it and falls back
+// to Dot4/Dot for the tail.
 func Dot8(q, p0, p1, p2, p3, p4, p5, p6, p7 []float64, out *[8]float64) {
 	r := len(q)
 	if len(p0) != r || len(p1) != r || len(p2) != r || len(p3) != r ||
 		len(p4) != r || len(p5) != r || len(p6) != r || len(p7) != r {
 		panic("vecmath: Dot8 on rows of unequal length")
 	}
-	var s0, s1, s2, s3, s4, s5, s6, s7 float64
-	i := 0
-	for ; i+4 <= r; i += 4 {
-		qq := q[i : i+4 : i+4]
-		q0, q1, q2, q3 := qq[0], qq[1], qq[2], qq[3]
-		s0 += q0*p0[i] + q1*p0[i+1] + q2*p0[i+2] + q3*p0[i+3]
-		s1 += q0*p1[i] + q1*p1[i+1] + q2*p1[i+2] + q3*p1[i+3]
-		s2 += q0*p2[i] + q1*p2[i+1] + q2*p2[i+2] + q3*p2[i+3]
-		s3 += q0*p3[i] + q1*p3[i+1] + q2*p3[i+2] + q3*p3[i+3]
-		s4 += q0*p4[i] + q1*p4[i+1] + q2*p4[i+2] + q3*p4[i+3]
-		s5 += q0*p5[i] + q1*p5[i+1] + q2*p5[i+2] + q3*p5[i+3]
-		s6 += q0*p6[i] + q1*p6[i+1] + q2*p6[i+2] + q3*p6[i+3]
-		s7 += q0*p7[i] + q1*p7[i+1] + q2*p7[i+2] + q3*p7[i+3]
+	if useAVX2 && r >= 4 {
+		dot8AVX2(&q[0], &p0[0], &p1[0], &p2[0], &p3[0], &p4[0], &p5[0], &p6[0], &p7[0], r, out)
+		return
 	}
-	for ; i < r; i++ {
-		x := q[i]
-		s0 += x * p0[i]
-		s1 += x * p1[i]
-		s2 += x * p2[i]
-		s3 += x * p3[i]
-		s4 += x * p4[i]
-		s5 += x * p5[i]
-		s6 += x * p6[i]
-		s7 += x * p7[i]
-	}
-	out[0], out[1], out[2], out[3] = s0, s1, s2, s3
-	out[4], out[5], out[6], out[7] = s4, s5, s6, s7
+	dot8Go(q, p0, p1, p2, p3, p4, p5, p6, p7, out)
 }
 
 // DotNorm2 fuses the two accumulations INCR-style bounds need — the inner
 // product a·b and the squared norm ‖b‖² — into one pass over b, halving the
 // memory traffic of computing them separately. The slices must have equal
-// length; DotNorm2 panics otherwise. The dot accumulator follows Dot's
-// order exactly (bit-identical to Dot(a, b)); the norm accumulator uses the
-// same unrolled grouping, which may differ from Norm2's sequential order in
+// length; DotNorm2 panics otherwise. The dot accumulator follows the
+// canonical order (bit-identical to Dot(a, b)); the norm accumulator uses
+// the same four lanes, which may differ from Norm2's sequential order in
 // the last bits — callers needing bit-compatibility with Norm2 must keep
 // calling Norm2.
 func DotNorm2(a, b []float64) (dot, norm2 float64) {
 	if len(a) != len(b) {
 		panic("vecmath: DotNorm2 on vectors of unequal length")
 	}
-	var s, n float64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		b0, b1, b2, b3 := b[i], b[i+1], b[i+2], b[i+3]
-		s += a[i]*b0 + a[i+1]*b1 + a[i+2]*b2 + a[i+3]*b3
-		n += b0*b0 + b1*b1 + b2*b2 + b3*b3
+	if useAVX2 && len(a) >= 4 {
+		return dotNorm2AVX2(&a[0], &b[0], len(a))
 	}
-	for ; i < len(a); i++ {
-		x := b[i]
-		s += a[i] * x
-		n += x * x
-	}
-	return s, n
+	return dotNorm2Go(a, b)
 }

@@ -7,10 +7,15 @@ import (
 )
 
 // Kernel micro-benchmarks: one query against a panel of probe directions,
-// scalar (one Dot per row) vs blocked (DotBatch), across the dimensionality
+// one Dot per row vs the multi-row kernels, across the dimensionality
 // regimes the library targets. The panel is sized to stay cache-resident,
-// matching LEMP's bucket design, so the comparison isolates instruction-level
-// parallelism rather than memory bandwidth.
+// matching LEMP's bucket design, so the comparison isolates the kernels
+// rather than memory bandwidth.
+//
+//	go test -run '^$' -bench 'DotBatchPanel|Dot8Strided' ./internal/vecmath
+//
+// prints the dispatched and the portable kernel side by side; with
+// -tags purego both rows are the portable one.
 
 const benchRows = 512
 
@@ -42,16 +47,60 @@ func BenchmarkDotScalarPanel(b *testing.B) {
 	}
 }
 
+// kernelDims are the dimensions the dispatched-vs-portable benchmarks sweep;
+// 50 is the benchmark catalogs' dimension.
+var kernelDims = []int{16, 50, 64, 256}
+
+// reportPerRow adds the ns/row column the kernel acceptance numbers are
+// read from.
+func reportPerRow(b *testing.B) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchRows), "ns/row")
+}
+
+// BenchmarkDotBatchPanel times the contiguous-panel kernel, the dispatched
+// one (assembly where the CPU has it) beside the portable Go one.
 func BenchmarkDotBatchPanel(b *testing.B) {
-	for _, r := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
-			q, panel, out := benchPanel(r)
-			b.SetBytes(int64(benchRows * r * 8))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				DotBatch(q, panel, out)
-			}
-		})
+	for _, r := range kernelDims {
+		for _, k := range []struct {
+			name  string
+			batch func(q, panel, out []float64)
+		}{{"dispatch", DotBatch}, {"portable", dotBatchGo}} {
+			b.Run(fmt.Sprintf("r=%d/%s", r, k.name), func(b *testing.B) {
+				q, panel, out := benchPanel(r)
+				b.SetBytes(int64(benchRows * r * 8))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k.batch(q, panel, out)
+				}
+				reportPerRow(b)
+			})
+		}
+	}
+}
+
+// BenchmarkDot8Strided times the eight-pointer kernel over rows taken from
+// the panel in a scattered order, the shape of a COORD/INCR survivor set.
+func BenchmarkDot8Strided(b *testing.B) {
+	for _, r := range kernelDims {
+		for _, k := range []struct {
+			name string
+			dot8 func(q, p0, p1, p2, p3, p4, p5, p6, p7 []float64, out *[8]float64)
+		}{{"dispatch", Dot8}, {"portable", dot8Go}} {
+			b.Run(fmt.Sprintf("r=%d/%s", r, k.name), func(b *testing.B) {
+				q, panel, out := benchPanel(r)
+				order := rand.New(rand.NewSource(8)).Perm(benchRows)
+				row := func(i int) []float64 { return panel[order[i]*r : (order[i]+1)*r] }
+				b.SetBytes(int64(benchRows * r * 8))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for j := 0; j < benchRows; j += 8 {
+						k.dot8(q, row(j), row(j+1), row(j+2), row(j+3), row(j+4), row(j+5), row(j+6), row(j+7),
+							(*[8]float64)(out[j:j+8]))
+					}
+				}
+				reportPerRow(b)
+			})
+		}
 	}
 }
 

@@ -8,26 +8,6 @@ package vecmath
 
 import "math"
 
-// Dot returns the inner product of a and b. The slices must have equal
-// length; Dot panics otherwise (a programming error, not an input error).
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("vecmath: Dot on vectors of unequal length")
-	}
-	var s float64
-	// Unrolled by four: measurably faster than the naive loop for the
-	// r in [10,500] regime this library targets, and exact bit-for-bit
-	// accumulation order is not part of the API contract.
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		s += a[i]*b[i] + a[i+1]*b[i+1] + a[i+2]*b[i+2] + a[i+3]*b[i+3]
-	}
-	for ; i < len(a); i++ {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
 // Norm2 returns the squared Euclidean norm of v.
 func Norm2(v []float64) float64 {
 	var s float64
