@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"lemp/internal/vecmath"
 )
 
 // record adds printed measurements to the trajectory buffer; the table
@@ -18,9 +20,12 @@ func (r *Runner) record(ms []Measurement) {
 // are reported in seconds — the unit benchstat-style tooling diffs across
 // commits — alongside the work counters the paper's tables show.
 type trajectory struct {
-	Experiment   string       `json:"experiment"`
-	Scale        float64      `json:"scale"`
-	Quick        bool         `json:"quick"`
+	Experiment string  `json:"experiment"`
+	Scale      float64 `json:"scale"`
+	Quick      bool    `json:"quick"`
+	// Kernels is vecmath.Kernels(): a slow host is told from a slow build
+	// ("avx2" or "portable") when trajectories are compared.
+	Kernels      string       `json:"kernels"`
 	Measurements []jsonResult `json:"measurements"`
 }
 
@@ -46,6 +51,7 @@ func (r *Runner) writeJSON(id string, ms []Measurement) error {
 		Experiment:   id,
 		Scale:        r.cfg.Scale,
 		Quick:        r.cfg.Quick,
+		Kernels:      vecmath.Kernels(),
 		Measurements: make([]jsonResult, 0, len(ms)),
 	}
 	for _, m := range ms {

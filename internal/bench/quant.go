@@ -14,22 +14,20 @@ import (
 
 // The quant experiment measures what the int8 screening sidecar buys on
 // LEMP's verification phase: candidates that survive bucket pruning are
-// bounded in int8 (DotQ8 plus a conservative error bound) and only the
-// survivors reach the exact f64 kernels. Screening never changes results —
-// every θ level cross-checks the quantized index against the plain one —
-// so the interesting numbers are the screen rate and the verified-candidate
-// throughput. High θ is the sweet spot: most candidates fall clearly short
-// of the threshold, and the int8 bound proves it at an eighth of the
-// memory traffic.
+// bounded in int8 (the full-width integer dot plus a conservative error
+// bound) and only the survivors reach the exact f64 kernels. Screening never
+// changes results — every θ level cross-checks the quantized index against
+// the plain one — so the interesting numbers are the screen rate and the
+// verified-candidate throughput. High θ is the sweet spot: most candidates
+// fall clearly short of the threshold, and the int8 bound proves it at an
+// eighth of the memory traffic.
 
 // quantWorkload builds a clustered, moderately length-skewed catalog and a
 // matching query set, with a power-law spectral profile across dimensions:
 // coordinate f is damped by (f+1)^-0.6, the shape of SVD/NMF factor
 // matrices (the paper's own datasets), whose dimensions come ordered by
-// singular value. That profile is also what the screen's remaining-mass
-// checkpoint exploits — most code mass sits in the head prefix, so the
-// tail bound is tight and losers die after a quarter of the dot work.
-// Deterministic (fixed seed): bench runs must be reproducible.
+// singular value. Deterministic (fixed seed): bench runs must be
+// reproducible.
 func quantWorkload(scale float64) (p, q *matrix.Matrix) {
 	rng := rand.New(rand.NewSource(131))
 	n := int(200000 * scale)
@@ -41,8 +39,7 @@ func quantWorkload(scale float64) (p, q *matrix.Matrix) {
 		m = 16
 	}
 	// r matches the paper's rank-100 factorizations (the widest IE-SVD and
-	// IE-NMF setting): the checkpoint dots r/4 dimensions per candidate, so
-	// its advantage over the full exact dot grows with rank.
+	// IE-NMF setting).
 	const r, nCenters = 100, 6
 	spectrum := make([]float64, r)
 	for f := range spectrum {
@@ -88,13 +85,7 @@ func quantWorkload(scale float64) (p, q *matrix.Matrix) {
 // per-call fixed costs (bucket walk, query setup) dominate both sides, so
 // the measurement stops saying anything about verification.
 func quantThetas(p, q *matrix.Matrix) []float64 {
-	products := make([]float64, 0, q.N()*p.N())
-	for i := 0; i < q.N(); i++ {
-		qi := q.Vec(i)
-		for j := 0; j < p.N(); j++ {
-			products = append(products, vecmath.Dot(qi, p.Vec(j)))
-		}
-	}
+	products := allProducts(p, q)
 	var thetas []float64
 	for _, qq := range []float64{0.95, 0.99, 0.999} {
 		if t := quantile(products, qq); t > 0 {
@@ -104,11 +95,26 @@ func quantThetas(p, q *matrix.Matrix) []float64 {
 	return thetas
 }
 
+// allProducts returns every entry of QPᵀ, by brute force: the distribution
+// θ levels are calibrated on.
+func allProducts(p, q *matrix.Matrix) []float64 {
+	products := make([]float64, 0, q.N()*p.N())
+	for i := 0; i < q.N(); i++ {
+		qi := q.Vec(i)
+		for j := 0; j < p.N(); j++ {
+			products = append(products, vecmath.Dot(qi, p.Vec(j)))
+		}
+	}
+	return products
+}
+
 // quantRow is one θ level's measurements.
 type quantRow struct {
 	theta      float64
 	candidates int64         // pre-screen candidates (identical both runs)
-	screenRate float64       // screened / (screened + survivors)
+	screened   int64         // candidates the sidecar discarded,
+	survived   int64         // and those it passed on to the exact kernels
+	screenRate float64       // screened / (screened + survived)
 	plainTime  time.Duration // unquantized Above-θ wall time
 	quantTime  time.Duration // quantized Above-θ wall time
 	results    int
@@ -116,8 +122,10 @@ type quantRow struct {
 
 // measureQuantAbove runs Above-θ at one θ with and without the sidecar,
 // cross-checks the result sets entry for entry, and times both (after a
-// warmup pass that pays tuning and lazy index construction).
-func measureQuantAbove(p, q *matrix.Matrix, theta float64) (quantRow, error) {
+// warmup pass that pays tuning and lazy index construction) for as long as
+// budget allows: a zero budget takes one timed pass of each, enough for the
+// counts.
+func measureQuantAbove(p, q *matrix.Matrix, theta float64, budget time.Duration) (quantRow, error) {
 	row := quantRow{theta: theta}
 	// AlgL makes the run verification-heavy: candidate generation is a
 	// near-free length-prefix scan, so wall time is the verification phase
@@ -153,7 +161,7 @@ func measureQuantAbove(p, q *matrix.Matrix, theta float64) (quantRow, error) {
 	var plainStats, quantStats core.Stats
 	var plainTotal, quantTotal time.Duration
 	passes := 0
-	for plainTotal+quantTotal < 2*time.Second && passes < 512 {
+	for passes == 0 || (plainTotal+quantTotal < budget && passes < 512) {
 		st, d, err := pass(plain, &plainOut)
 		if err != nil {
 			return row, err
@@ -184,8 +192,9 @@ func measureQuantAbove(p, q *matrix.Matrix, theta float64) (quantRow, error) {
 	row.plainTime = plainTime
 	row.quantTime = quantTime
 	row.results = len(plainOut)
-	if total := quantStats.QuantScreened + quantStats.QuantSurvived; total > 0 {
-		row.screenRate = float64(quantStats.QuantScreened) / float64(total)
+	row.screened, row.survived = quantStats.QuantScreened, quantStats.QuantSurvived
+	if total := row.screened + row.survived; total > 0 {
+		row.screenRate = float64(row.screened) / float64(total)
 	}
 	return row, nil
 }
@@ -205,7 +214,7 @@ func (r *Runner) quantScreening() error {
 	fmt.Fprintf(r.cfg.Out, "%-10s %12s %9s %12s %12s %9s %14s %9s\n",
 		"Theta", "Candidates", "Screened", "PlainTime", "QuantTime", "Speedup", "Verify/s", "Results")
 	for _, theta := range thetas {
-		row, err := measureQuantAbove(p, q, theta)
+		row, err := measureQuantAbove(p, q, theta, 2*time.Second)
 		if err != nil {
 			return fmt.Errorf("quant θ=%v: %w", theta, err)
 		}

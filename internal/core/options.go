@@ -143,9 +143,12 @@ type Options struct {
 	// kernels run. Exact results are unchanged — the bound is conservative,
 	// so only candidates that provably cannot reach the threshold are
 	// skipped; the Approx retrieval mode additionally skips the exact
-	// fall-through for survivors. Costs ~n·r bytes of sidecar per index
-	// (about 1/8 of the probe directions) plus quantization time on build,
-	// mutation and compaction. Dimensions above quant.MaxDim silently
+	// fall-through for survivors. Costs r + 24 bytes of sidecar per probe
+	// (74 beside the 400 bytes of an r = 50 direction; the ratio tends to
+	// 1/8 as r grows) plus quantization time on build, mutation and
+	// compaction. It pays where the int8 kernels run in assembly
+	// (vecmath.AVX2); on the portable kernels the screen costs more than
+	// the exact dot it saves. Dimensions above quant.MaxDim silently
 	// disable screening.
 	Quantize bool
 }

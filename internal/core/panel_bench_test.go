@@ -29,10 +29,11 @@ func BenchmarkBuildLists(b *testing.B) {
 // topKPanelBench is the catalog BenchmarkTopKPanel scans: 120 000 probes at
 // r = 50 — 48 MB of directions, more again in sorted lists, far beyond the
 // last-level cache — with the flat length distribution (CoV ≈ 0.40) that
-// leaves top-k retrieval verification-bound. Built once per process.
+// leaves top-k retrieval verification-bound, indexed once without and once
+// with the int8 sidecar. Built once per process.
 var topKPanelBench struct {
 	once sync.Once
-	pr   *PanelRun
+	pr   [2]*PanelRun // plain, quantized
 	q    *matrix.Matrix
 }
 
@@ -40,11 +41,13 @@ var topKPanelBench struct {
 // the clock starts) for panels of 1, 16 and 256 rows and reports the time
 // per row: the curve that shows what the bucket-outer loop amortises — with
 // the bucket read from memory once per panel, the per-row time must fall as
-// the panel grows.
+// the panel grows. The quant/ rows repeat it on the same catalog indexed
+// with Options.Quantize: the screen pays when they read below their plain
+// twins.
 func BenchmarkTopKPanel(b *testing.B) {
 	tb := &topKPanelBench
-	run := func(lo, rows int) {
-		if _, _, err := tb.pr.TopKPanel(context.Background(), tb.q.Slice(lo, lo+rows)); err != nil {
+	run := func(pr *PanelRun, lo, rows int) {
+		if _, _, err := pr.TopKPanel(context.Background(), tb.q.Slice(lo, lo+rows)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -52,25 +55,29 @@ func BenchmarkTopKPanel(b *testing.B) {
 		rng := rand.New(rand.NewSource(305))
 		p := genMatrix(rng, 120000, 50, 0.39, 1, false, 0, 0)
 		tb.q = genMatrix(rng, 1024, 50, 0.39, 1, false, 0, 0)
-		ix, err := NewIndex(p, Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if tb.pr, err = ix.NewPanelRunTopK(10, RunOptions{}); err != nil {
-			b.Fatal(err)
-		}
-		run(0, 256) // tunes, and builds the lists the panel reaches
-	})
-	for _, rows := range []int{1, 16, 256} {
-		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			lo := 0
-			for i := 0; i < b.N; i++ {
-				run(lo, rows)
-				if lo += rows; lo+rows > tb.q.N() {
-					lo = 0
-				}
+		for i, quantize := range []bool{false, true} {
+			ix, err := NewIndex(p.Clone(), Options{Quantize: quantize})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows)/1e3, "us/row")
-		})
+			if tb.pr[i], err = ix.NewPanelRunTopK(10, RunOptions{}); err != nil {
+				b.Fatal(err)
+			}
+			run(tb.pr[i], 0, 256) // tunes, and builds the lists the panel reaches
+		}
+	})
+	for i, prefix := range []string{"", "quant/"} {
+		for _, rows := range []int{1, 16, 256} {
+			b.Run(fmt.Sprintf("%srows=%d", prefix, rows), func(b *testing.B) {
+				lo := 0
+				for j := 0; j < b.N; j++ {
+					run(tb.pr[i], lo, rows)
+					if lo += rows; lo+rows > tb.q.N() {
+						lo = 0
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows)/1e3, "us/row")
+			})
+		}
 	}
 }

@@ -24,6 +24,7 @@ type scratch struct {
 
 	cand []int32   // candidate local ids of the current (query, bucket) pair
 	vals []float64 // blocked-verification dot products, parallel to cand
+	dots []int32   // int8 screen: integer dots, one whole bucket once a sidecar is met
 
 	// prefix is set when the candidates are the bucket's first len(cand)
 	// rows in order — LENGTH's prefix, the whole-bucket fallback. Those

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math/bits"
-
-	"lemp/internal/vecmath"
-)
+import "lemp/internal/vecmath"
 
 // Blocked verification. Candidate generation prunes, but every surviving
 // candidate still pays an exact inner product (§3.2, line 16 of Algorithm 1),
@@ -52,25 +48,27 @@ func (ix *Index) compactLiveCands(b *bucket, s *scratch) {
 }
 
 // screenCands runs the quantized prefilter over s.cand, between tombstone
-// compaction and exact verification: the checkpoint bound (an int8
-// head-prefix dot plus quant's remaining-mass Cauchy–Schwarz term) screens
-// losers at a quarter of the dot work. The bound caps the scaled value the
-// caller would emit, computed in the caller's own multiply order —
-// (val·qlen)·lens for Above-θ, val·lens for top-k with qlen == 1 — so float
-// rounding monotonicity makes the comparison sound. Candidates whose upper
-// bound falls below cut (θ, or the current top-k heap floor) are dropped
-// from s.cand in place without touching their f64 row; a non-finite upper
-// bound compares false and conservatively survives. Checkpoint survivors go
-// straight to the exact kernels: finishing the remaining int8 dimensions
-// for the tighter full bracket kills so few extra candidates (the
-// checkpoint takes ~96% of the full bound's kills on spectral-decay data)
-// that the exact f64 dot for those borderline rows is cheaper than the
-// finish pass over every survivor.
+// compaction and exact verification: the full-width int8 dot against the
+// bucket's sidecar plus quant's conservative bound discards losers without
+// touching their f64 row. The bound caps the scaled value the caller would
+// emit, computed in the caller's own multiply order — (val·qlen)·lens for
+// Above-θ, val·lens for top-k with qlen == 1; qlen is folded into the
+// screen's constants (NewScreen's emit factor) — so float rounding
+// monotonicity makes the comparison sound. Candidates whose upper bound
+// falls below cut (θ, or the current top-k heap floor) are dropped; a
+// non-finite upper bound compares false and conservatively survives.
 //
-// With approxOnly set (the Approx retrieval mode's centroid phase),
-// survivors adopt their approximate dot into s.vals and the caller skips
-// exact verification entirely. The return value reports that: true means
-// s.vals is already filled and verifyDots must not run.
+// A recorded prefix goes to the panel kernel as it is, rows 0..c-1 of the
+// sidecar, and only its survivors are ever written to s.cand; a list goes
+// through the eight-pointer kernel in blocks and the one-row kernel for the
+// ragged tail (quant.Screen.Prefix and List). Nothing here allocates once
+// the scratch has served a call.
+//
+// With approxOnly set (the Approx retrieval mode's centroid phase), a
+// survivor must also pass the tight per-row bracket, adopts its approximate
+// dot into s.vals, and the caller skips exact verification entirely. The
+// return value reports that: true means s.vals is already filled and
+// verifyDots must not run.
 //
 // Screening is off — returning false with s.cand untouched — when the
 // bucket has no sidecar or the query does not quantize cleanly (non-finite
@@ -84,106 +82,37 @@ func (ix *Index) screenCands(b *bucket, s *scratch, qi int32, qdir []float64, ql
 	if !ok {
 		return false
 	}
-	cand := s.lids()
-	if approxOnly {
-		if cap(s.vals) < len(cand) {
-			s.vals = make([]float64, len(cand)+len(cand)/2+8)
-		}
-		s.vals = s.vals[:cap(s.vals)]
+	c := len(s.cand)
+	if len(s.dots) < c {
+		s.dots = make([]int32, cap(s.cand))
 	}
-	// qlen is folded into the screen's constants (NewScreen's emit factor),
-	// so the per-candidate predicate is one multiply against the row length
-	// — still the caller's emit multiply order, (val·qlen)·lens, with the
-	// inner factor bounded instead of computed.
 	scr := q8.NewScreen(qq, qlen)
-	k := 0
-	i := 0
-	// 8-wide main loop: the batched int8 head-dot kernel amortizes the
-	// shared query loads and loop control across rows, mirroring the Dot8
-	// structure of exact verification, and applies the cutoff predicate
-	// in-kernel — the caller walks only the survivor bits of the returned
-	// mask, usually none. Only the Approx mode finishes the remaining
-	// dimensions — it needs the approximate value and the tight bracket;
-	// the exact path hands checkpoint survivors to the f64 kernels
-	// directly.
-	// LENGTH's prefix (and the whole-bucket fallback) hands over lids
-	// 0..c-1 in order; there the per-block row lengths are a direct slice
-	// view into b.lens instead of a gather.
-	contig := s.prefix
-	var dh [8]int32
-	var lens8 [8]float64
-	for ; i+8 <= len(cand); i += 8 {
-		lens := &lens8
-		if contig {
-			lens = (*[8]float64)(b.lens[cand[i] : cand[i]+8])
-		} else {
-			for j := 0; j < 8; j++ {
-				lens8[j] = b.lens[cand[i+j]]
-			}
-		}
-		mask := scr.Screen8(int(cand[i]), int(cand[i+1]), int(cand[i+2]), int(cand[i+3]),
-			int(cand[i+4]), int(cand[i+5]), int(cand[i+6]), int(cand[i+7]), lens, cut, &dh)
-		for m := mask; m != 0; m &= m - 1 {
-			j := bits.TrailingZeros8(m)
-			lid := cand[i+j]
-			if approxOnly {
-				approx, bound := q8.FinishApproxBound(qq, int(lid), dh[j])
-				if (approx+bound)*qlen*b.lens[lid] < cut {
-					continue
-				}
-				s.vals[k] = approx
-			}
-			cand[k] = lid
-			k++
-		}
+	var k int
+	if s.prefix {
+		k = scr.Prefix(b.lens[:c], cut, s.dots, s.cand)
+	} else {
+		k = scr.List(s.cand, b.lens, cut, s.dots)
 	}
-	// 4-wide then scalar ragged tail. Very selective thresholds leave most
-	// buckets with single-digit candidate prefixes, so the tail path is hot
-	// there — it gets the same fused predicate as the main loop.
-	if i+4 <= len(cand) {
-		var dh4 [4]int32
-		var lens4 [4]float64
-		for j := 0; j < 4; j++ {
-			lens4[j] = b.lens[cand[i+j]]
+	if approxOnly {
+		if cap(s.vals) < k {
+			s.vals = make([]float64, k+k/2+8)
 		}
-		mask := scr.Screen4(int(cand[i]), int(cand[i+1]), int(cand[i+2]), int(cand[i+3]), &lens4, cut, &dh4)
-		for m := mask; m != 0; m &= m - 1 {
-			j := bits.TrailingZeros8(m)
-			lid := cand[i+j]
-			if approxOnly {
-				approx, bound := q8.FinishApproxBound(qq, int(lid), dh4[j])
-				if (approx+bound)*qlen*b.lens[lid] < cut {
-					continue
-				}
-				s.vals[k] = approx
-			}
-			cand[k] = lid
-			k++
-		}
-		i += 4
-	}
-	for ; i < len(cand); i++ {
-		lid := cand[i]
-		head, u := scr.UB(int(lid))
-		if u*b.lens[lid] < cut {
-			continue
-		}
-		if approxOnly {
-			approx, bound := q8.FinishApproxBound(qq, int(lid), head)
+		s.vals = s.vals[:k]
+		kept := 0
+		for i, lid := range s.cand[:k] {
+			approx, bound := q8.BoundFromDot(qq, int(lid), s.dots[i])
 			if (approx+bound)*qlen*b.lens[lid] < cut {
 				continue
 			}
-			s.vals[k] = approx
+			s.cand[kept], s.vals[kept] = lid, approx
+			kept++
 		}
-		cand[k] = lid
-		k++
-	}
-	st.QuantScreened += int64(len(cand) - k)
-	st.QuantSurvived += int64(k)
-	s.dropTo(k)
-	if approxOnly {
+		k = kept
 		s.vals = s.vals[:k]
 	}
+	st.QuantScreened += int64(c - k)
+	st.QuantSurvived += int64(k)
+	s.dropTo(k)
 	return approxOnly
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -37,13 +38,18 @@ func TestDotQ8MatchesNaive(t *testing.T) {
 	}
 }
 
-// TestBatchedKernelsMatchScalar: DotQ8x4 and ApproxBound4 exist only for
-// speed — every batched result must be bit-identical to the scalar call.
+// TestBatchedKernelsMatchScalar: Screen8, Prefix and List exist only for
+// speed — every batched shape must hand back the dots and reach the
+// screen/survive decisions of the one-row path (List over a single row:
+// DotQ8 plus the predicate), across cutoffs that land inside and outside
+// the bound range, and compact its survivors in order.
 func TestBatchedKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for _, r := range []int{1, 3, 4, 8, 16, 33, 64} {
-		rows := make([]float64, 8*r)
+	const n = 21 // Prefix and List: two blocks of eight and a five-row tail
+	for _, r := range []int{1, 3, 4, 8, 16, 33, 50, 64} {
+		rows := make([]float64, n*r)
 		q := make([]float64, r)
+		lens := make([]float64, n)
 		for trial := 0; trial < 10; trial++ {
 			for i := range rows {
 				rows[i] = rng.NormFloat64() * math.Exp(3*rng.NormFloat64())
@@ -51,78 +57,69 @@ func TestBatchedKernelsMatchScalar(t *testing.T) {
 			for i := range q {
 				q[i] = rng.NormFloat64()
 			}
+			for i := range lens {
+				lens[i] = 5 * rng.Float64()
+			}
+			lens[2] = 0
 			qr := quant.QuantizeRows(rows, r)
 			qq, ok := quant.QuantizeQuery(make([]int8, r), q)
 			if !ok {
 				t.Fatalf("r=%d: query did not quantize", r)
 			}
-			var d [4]int32
-			quant.DotQ8x4(qq.Codes, qr.Row(4), qr.Row(1), qr.Row(7), qr.Row(2), &d)
-			for j, i := range [4]int{4, 1, 7, 2} {
-				if want := quant.DotQ8(qq.Codes, qr.Row(i)); d[j] != want {
-					t.Fatalf("r=%d: DotQ8x4[%d] = %d, DotQ8 = %d", r, j, d[j], want)
-				}
-			}
-			var ap, bd [4]float64
-			qr.ApproxBound4(qq, 3, 0, 6, 5, &ap, &bd)
-			for j, i := range [4]int{3, 0, 6, 5} {
-				wantA, wantB := qr.ApproxBound(qq, i)
-				if ap[j] != wantA || bd[j] != wantB {
-					t.Fatalf("r=%d row %d: ApproxBound4 = (%v, %v), ApproxBound = (%v, %v)",
-						r, i, ap[j], bd[j], wantA, wantB)
-				}
-			}
-			scr := qr.NewScreen(qq, 1)
-			var dh [4]int32
-			var ub [4]float64
-			scr.UB4(2, 6, 0, 7, &dh, &ub)
-			for j, i := range [4]int{2, 6, 0, 7} {
-				wantH, wantU := scr.UB(i)
-				if dh[j] != wantH || ub[j] != wantU {
-					t.Fatalf("r=%d row %d: UB4 = (%d, %v), UB = (%d, %v)",
-						r, i, dh[j], ub[j], wantH, wantU)
-				}
-			}
-			var dh8 [8]int32
-			var ub8 [8]float64
-			scr.UB8(5, 2, 7, 0, 3, 6, 1, 4, &dh8, &ub8)
-			for j, i := range [8]int{5, 2, 7, 0, 3, 6, 1, 4} {
-				wantH, wantU := scr.UB(i)
-				if dh8[j] != wantH || ub8[j] != wantU {
-					t.Fatalf("r=%d row %d: UB8 = (%d, %v), UB = (%d, %v)",
-						r, i, dh8[j], ub8[j], wantH, wantU)
-				}
-			}
-			// Screen8's fused predicate must reach the same screen/survive
-			// decision as UB followed by the caller-side multiply, across
-			// cutoffs that land inside and outside the bound range.
-			lens := [8]float64{0.3, 1.7, 0, 2.4, 0.9, 5.1, 1.0, 0.04}
+			scr := qr.NewScreen(qq, 1.5)
 			for _, cut := range []float64{-10, -0.1, 0, 0.1, 1, 10, math.Inf(1)} {
-				var sdh [8]int32
-				mask := scr.Screen8(5, 2, 7, 0, 3, 6, 1, 4, &lens, cut, &sdh)
-				if sdh != dh8 {
-					t.Fatalf("r=%d: Screen8 head dots %v, UB8 %v", r, sdh, dh8)
-				}
-				for j, i := range [8]int{5, 2, 7, 0, 3, 6, 1, 4} {
-					_, u := scr.UB(i)
-					want := uint8(1)
-					if u*lens[j] < cut {
-						want = 0
-					}
-					if got := (mask >> j) & 1; got != want {
-						t.Fatalf("r=%d row %d cut %v: Screen8 keep = %d, UB predicate = %d",
-							r, i, cut, got, want)
+				// The one-row path decides each row on its own.
+				var wantRows, wantDots []int32
+				for i := 0; i < n; i++ {
+					one, d := []int32{int32(i)}, []int32{0}
+					if scr.List(one, lens, cut, d) == 1 {
+						wantRows, wantDots = append(wantRows, int32(i)), append(wantDots, d[0])
+						if want := quant.DotQ8(qq.Codes, qr.Row(i)); d[0] != want {
+							t.Fatalf("r=%d row %d: List dot %d, DotQ8 %d", r, i, d[0], want)
+						}
 					}
 				}
-				lens4 := [4]float64{lens[0], lens[1], lens[2], lens[3]}
-				var sdh4 [4]int32
-				mask4 := scr.Screen4(5, 2, 7, 0, &lens4, cut, &sdh4)
-				if [4]int32{sdh[0], sdh[1], sdh[2], sdh[3]} != sdh4 {
-					t.Fatalf("r=%d: Screen4 head dots %v, Screen8 %v", r, sdh4, sdh)
+				got, dots := make([]int32, n), make([]int32, n)
+				k := scr.Prefix(lens, cut, dots, got)
+				if !slices.Equal(got[:k], wantRows) || !slices.Equal(dots[:k], wantDots) {
+					t.Fatalf("r=%d cut %v: Prefix kept %v dots %v, one-row path %v dots %v",
+						r, cut, got[:k], dots[:k], wantRows, wantDots)
 				}
-				if mask4 != mask&0x0f {
-					t.Fatalf("r=%d cut %v: Screen4 mask %04b, Screen8 low bits %04b",
-						r, cut, mask4, mask&0x0f)
+				// List over a scattered order with a repeat: survivors stay in
+				// list order.
+				order := rng.Perm(n)
+				order[n-1] = order[0]
+				list := make([]int32, n)
+				var wantList []int32
+				for j, i := range order {
+					list[j] = int32(i)
+					if slices.Contains(wantRows, int32(i)) {
+						wantList = append(wantList, int32(i))
+					}
+				}
+				k = scr.List(list, lens, cut, dots)
+				if !slices.Equal(list[:k], wantList) {
+					t.Fatalf("r=%d cut %v: List kept %v, one-row path %v", r, cut, list[:k], wantList)
+				}
+				for j, i := range list[:k] {
+					if want := quant.DotQ8(qq.Codes, qr.Row(int(i))); dots[j] != want {
+						t.Fatalf("r=%d cut %v: List dot %d of row %d, DotQ8 %d", r, cut, dots[j], i, want)
+					}
+				}
+				ids := [8]int{5, 2, 7, 0, 3, 6, 1, 4}
+				var l8 [8]float64
+				for j, i := range ids {
+					l8[j] = lens[i]
+				}
+				var d8 [8]int32
+				mask := scr.Screen8(ids[0], ids[1], ids[2], ids[3], ids[4], ids[5], ids[6], ids[7], &l8, cut, &d8)
+				for j, i := range ids {
+					if want := quant.DotQ8(qq.Codes, qr.Row(i)); d8[j] != want {
+						t.Fatalf("r=%d: Screen8 dot %d of row %d, DotQ8 %d", r, d8[j], i, want)
+					}
+					if got, want := mask>>j&1 == 1, slices.Contains(wantRows, int32(i)); got != want {
+						t.Fatalf("r=%d row %d cut %v: Screen8 keep = %v, one-row path = %v", r, i, cut, got, want)
+					}
 				}
 			}
 		}
@@ -166,27 +163,16 @@ func checkBracket(t *testing.T, q, rows []float64, r int) bool {
 		// Unquantizable query: screening is off entirely; nothing to check.
 		return true
 	}
-	scr := qr.NewScreen(qq, 1)
-	// A second screen with a nontrivial emit factor: its bound must cover
-	// the emit-scaled dot in the caller's multiply order.
-	const emit = 2.5
-	scrE := qr.NewScreen(qq, emit)
+	if !checkScreen(t, qr, qq, q, rows) {
+		return false
+	}
 	for i := 0; i < qr.N(); i++ {
 		approx, bound := qr.ApproxBound(qq, i)
 		row := rows[i*r : (i+1)*r]
 		exact := vecmath.Dot(q, row)
-		head, ub := scr.UB(i)
-		if _, ubE := scrE.UB(i); !math.IsNaN(exact) && emit*exact > ubE {
-			t.Errorf("row %d: emit-folded bound %v below %v·exact = %v", i, ubE, emit, emit*exact)
-			return false
-		}
-		if fa, fb := qr.FinishApproxBound(qq, i, head); fa != approx || fb != bound {
-			t.Errorf("row %d: FinishApproxBound (%v, %v) != ApproxBound (%v, %v)",
+		if fa, fb := qr.BoundFromDot(qq, i, quant.DotQ8(qq.Codes, qr.Row(i))); fa != approx || fb != bound {
+			t.Errorf("row %d: BoundFromDot (%v, %v) != ApproxBound (%v, %v)",
 				i, fa, fb, approx, bound)
-			return false
-		}
-		if !math.IsNaN(exact) && exact > ub {
-			t.Errorf("row %d: checkpoint bound %v below exact dot %v", i, ub, exact)
 			return false
 		}
 		if math.IsInf(bound, 1) {
@@ -206,6 +192,45 @@ func checkBracket(t *testing.T, q, rows []float64, r int) bool {
 			t.Errorf("row %d: exact %v outside [%v, %v] (approx %v, bound %v)",
 				i, exact, approx-bound, approx+bound, approx, bound)
 			return false
+		}
+	}
+	return true
+}
+
+// checkScreen is checkBracket's twin for the screening predicate, over the
+// same inputs: ub ≥ fl(emit·Dot(q, row_i)), observed the way the verifier
+// relies on it — with the cutoff set to the very value the exact path would
+// emit for row i, fl(fl(Dot·emit)·len), row i must survive every shape of
+// the screen (a NaN cutoff, from an overflowed exact dot, discards nothing).
+// emit = 1 is Row-Top-k's screen, the others stand for query lengths.
+func checkScreen(t *testing.T, qr *quant.Rows, qq quant.Query, q, rows []float64) bool {
+	t.Helper()
+	r, n := qr.R(), qr.N()
+	lens := make([]float64, n)
+	keep, dots, list := make([]int32, n), make([]int32, n), make([]int32, 1)
+	for _, emit := range []float64{1, 2.5, 1e-3} {
+		scr := qr.NewScreen(qq, emit)
+		for _, rowLen := range []float64{1, 0.37, 41} {
+			for i := range lens {
+				lens[i] = rowLen
+			}
+			for i := 0; i < n; i++ {
+				cut := vecmath.Dot(q, rows[i*r:(i+1)*r]) * emit * rowLen
+				if k := scr.Prefix(lens, cut, dots, keep); !slices.Contains(keep[:k], int32(i)) {
+					t.Errorf("row %d (emit %v, len %v): Prefix discards it at its own value %v", i, emit, rowLen, cut)
+					return false
+				}
+				if list[0] = int32(i); scr.List(list, lens, cut, dots) != 1 {
+					t.Errorf("row %d (emit %v, len %v): List discards it at its own value %v", i, emit, rowLen, cut)
+					return false
+				}
+				l8 := [8]float64{rowLen, rowLen, rowLen, rowLen, rowLen, rowLen, rowLen, rowLen}
+				var d8 [8]int32
+				if mask := scr.Screen8(i, i, i, i, i, i, i, i, &l8, cut, &d8); mask != 0xff {
+					t.Errorf("row %d (emit %v, len %v): Screen8 mask %08b at its own value %v", i, emit, rowLen, mask, cut)
+					return false
+				}
+			}
 		}
 	}
 	return true
@@ -322,6 +347,29 @@ func TestNonFiniteRowsNeverScreened(t *testing.T) {
 			}
 		}
 	}
+	// The screen keeps them through every shape, at any cutoff and emit.
+	lens := []float64{1, 1, 1, 1}
+	for _, emit := range []float64{1, 3, 0} {
+		scr := qr.NewScreen(qq, emit)
+		for _, cut := range []float64{-1, 0, 1e300, math.Inf(1)} {
+			keep, dots := make([]int32, 4), make([]int32, 4)
+			k := scr.Prefix(lens, cut, dots, keep)
+			for i := int32(1); i < 4; i++ {
+				if !slices.Contains(keep[:k], i) {
+					t.Fatalf("emit %v cut %v: Prefix kept %v, dropping non-finite row %d", emit, cut, keep[:k], i)
+				}
+			}
+			list := []int32{3, 1, 2}
+			if k := scr.List(list, lens, cut, dots); k != 3 {
+				t.Fatalf("emit %v cut %v: List kept %v of the non-finite rows", emit, cut, list[:k])
+			}
+			l8 := [8]float64{1, 1, 1, 1, 1, 1, 1, 1}
+			var d8 [8]int32
+			if mask := scr.Screen8(1, 2, 3, 1, 2, 3, 1, 2, &l8, cut, &d8); mask != 0xff {
+				t.Fatalf("emit %v cut %v: Screen8 mask %08b over non-finite rows", emit, cut, mask)
+			}
+		}
+	}
 }
 
 func TestNonFiniteQueryDisablesScreening(t *testing.T) {
@@ -371,7 +419,7 @@ func TestRowsAccessors(t *testing.T) {
 	if len(qr.Row(1)) != 3 {
 		t.Fatalf("Row(1) len %d", len(qr.Row(1)))
 	}
-	wantBytes := 6 + 8*(2+2+2+2+2*2)
+	wantBytes := 6 + 8*(2+2+2) // r + 24 bytes per row
 	if qr.Bytes() != wantBytes {
 		t.Fatalf("Bytes = %d, want %d", qr.Bytes(), wantBytes)
 	}
@@ -443,75 +491,6 @@ func TestScreeningIsUseful(t *testing.T) {
 	}
 	if screened < n/2 {
 		t.Fatalf("bound too loose: only %d/%d unit rows screened at θ=%v", screened, n, theta)
-	}
-}
-
-func BenchmarkDotQ8(b *testing.B) {
-	for _, r := range []int{16, 64, 256} {
-		x := make([]int8, r)
-		y := make([]int8, r)
-		rng := rand.New(rand.NewSource(5))
-		for i := range x {
-			x[i] = int8(rng.Intn(255) - 127)
-			y[i] = int8(rng.Intn(255) - 127)
-		}
-		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
-			b.SetBytes(int64(2 * r))
-			var sink int32
-			for i := 0; i < b.N; i++ {
-				sink += quant.DotQ8(x, y)
-			}
-			_ = sink
-		})
-	}
-}
-
-func BenchmarkDotQ8x4(b *testing.B) {
-	for _, r := range []int{16, 64, 256} {
-		rng := rand.New(rand.NewSource(5))
-		q := make([]int8, r)
-		rows := make([]int8, 4*r)
-		for i := range q {
-			q[i] = int8(rng.Intn(255) - 127)
-		}
-		for i := range rows {
-			rows[i] = int8(rng.Intn(255) - 127)
-		}
-		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
-			b.SetBytes(int64(5 * r))
-			var out [4]int32
-			for i := 0; i < b.N; i++ {
-				quant.DotQ8x4(q, rows[0:r], rows[r:2*r], rows[2*r:3*r], rows[3*r:4*r], &out)
-			}
-			_ = out
-		})
-	}
-}
-
-func BenchmarkApproxBound4(b *testing.B) {
-	for _, r := range []int{16, 64, 256} {
-		rng := rand.New(rand.NewSource(6))
-		n := 1024
-		rows := make([]float64, n*r)
-		for i := range rows {
-			rows[i] = rng.NormFloat64()
-		}
-		qr := quant.QuantizeRows(rows, r)
-		q := make([]float64, r)
-		for i := range q {
-			q[i] = rng.NormFloat64()
-		}
-		qq, _ := quant.QuantizeQuery(make([]int8, r), q)
-		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
-			var ap, bd [4]float64
-			var sink float64
-			for i := 0; i < b.N; i++ {
-				j := (i * 4) % (n - 4)
-				qr.ApproxBound4(qq, j, j+1, j+2, j+3, &ap, &bd)
-				sink += ap[0] + bd[3]
-			}
-			_ = sink
-		})
 	}
 }
 

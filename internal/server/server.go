@@ -16,6 +16,7 @@ import (
 
 	"lemp"
 	"lemp/internal/obs"
+	"lemp/internal/vecmath"
 )
 
 // Config sizes a Server. The zero value is usable: it means 1 shard, no
@@ -872,6 +873,7 @@ type statsResponse struct {
 	BatchRows     uint64    `json:"batch_rows"`
 	AvgBatchRows  float64   `json:"avg_batch_rows"`
 	BatchMode     string    `json:"batch_mode"`
+	Kernels       string    `json:"kernels"` // "avx2" or "portable": vecmath.Kernels
 	Shed          shedInfo  `json:"shed"`
 	Placement     string    `json:"placement"`
 	CostSkew      float64   `json:"cost_skew"`
@@ -958,6 +960,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		BatchRows:     rows,
 		AvgBatchRows:  avg,
 		BatchMode:     s.batcher.Mode().String(),
+		Kernels:       vecmath.Kernels(),
 		Shed: shedInfo{
 			QueueRowsLimit: max(0, s.cfg.ShedQueueRows),
 			InflightLimit:  max(0, s.cfg.ShedInflight),

@@ -35,6 +35,21 @@ package vecmath
 // in Go: assembly sees only rows of r ≥ 4 elements whose lengths were
 // checked, and reads exactly r elements of each.
 
+// AVX2 reports whether this process runs the AVX2 assembly kernels: the one
+// CPU probe in the tree, which internal/quant's int8 kernels dispatch on
+// too. False on every GOARCH but amd64, on amd64 CPUs or operating systems
+// without AVX2 support, and under -tags purego.
+func AVX2() bool { return useAVX2 }
+
+// Kernels names the kernel set AVX2 selects, for run headers and /stats: a
+// slow host is told from a slow build by this string.
+func Kernels() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "portable"
+}
+
 // Dot returns the inner product of a and b, accumulated in the canonical
 // order above. The slices must have equal length; Dot panics otherwise (a
 // programming error, not an input error).
