@@ -1,6 +1,7 @@
 package lemp_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -47,19 +48,19 @@ func TestRowTopKApproxPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, _, err := index.RowTopK(q, k)
+	exact, _, err := rowTopK(index, q, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, st, err := index.RowTopKApprox(q, k, lemp.ApproxOptions{Clusters: groups, Expand: 10, Seed: 3})
+	approx, err := index.Retrieve(context.Background(), q, lemp.TopK(k), lemp.Approx(lemp.ApproxOptions{Clusters: groups, Expand: 10, Seed: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := lemp.Recall(exact, approx); rec < 0.9 {
+	if rec := lemp.Recall(exact, approx.TopK); rec < 0.9 {
 		t.Errorf("recall %.3f through public API, want ≥ 0.9", rec)
 	}
-	if st.Queries != users {
-		t.Errorf("stats queries %d", st.Queries)
+	if approx.Stats.Queries != users {
+		t.Errorf("stats queries %d", approx.Stats.Queries)
 	}
 	if rec := lemp.Recall(exact, exact); rec != 1 {
 		t.Errorf("self-recall %g", rec)
@@ -84,8 +85,8 @@ func TestParallelOptionsThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTop, _, _ := serial.RowTopK(q, 3)
-	gotTop, _, _ := parallel.RowTopK(q, 3)
+	wantTop, _, _ := rowTopK(serial, q, 3)
+	gotTop, _, _ := rowTopK(parallel, q, 3)
 	for i := range wantTop {
 		for j := range wantTop[i] {
 			if wantTop[i][j].Value != gotTop[i][j].Value {
@@ -93,8 +94,8 @@ func TestParallelOptionsThroughPublicAPI(t *testing.T) {
 			}
 		}
 	}
-	want, _, _ := serial.AboveTheta(q, 3)
-	got, _, _ := parallel.AboveTheta(q, 3)
+	want, _, _ := aboveTheta(serial, q, 3)
+	got, _, _ := aboveTheta(parallel, q, 3)
 	if len(want) != len(got) {
 		t.Fatalf("parallel Above-θ %d entries, serial %d", len(got), len(want))
 	}

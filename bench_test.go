@@ -6,6 +6,7 @@
 package lemp_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -107,7 +108,7 @@ func benchLEMPAbove(b *testing.B, s *benchSet, theta float64, alg core.Algorithm
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ix.AboveTheta(s.q, theta, countSink); err != nil {
+		if _, _, err := ix.Retrieve(context.Background(), s.q, core.Problem{Theta: theta}, countSink, core.RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -147,7 +148,7 @@ func benchLEMPTopK(b *testing.B, s *benchSet, k int, alg core.Algorithm, opts co
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := ix.RowTopK(s.q, k); err != nil {
+		if _, _, err := ix.Retrieve(context.Background(), s.q, core.Problem{K: k}, nil, core.RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -321,7 +322,7 @@ func BenchmarkApproxRowTopK(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := ix.RowTopKApprox(s.q, 10, core.ApproxOptions{Clusters: clusters}); err != nil {
+				if _, _, err := ix.RetrieveApprox(context.Background(), s.q, 10, core.ApproxOptions{Clusters: clusters}, core.RunOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -38,7 +38,7 @@ func TestBulkPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := index.RowTopK(q, k)
+	want, _, err := rowTopK(index, q, k)
 	if err != nil {
 		t.Fatal(err)
 	}

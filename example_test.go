@@ -1,6 +1,7 @@
 package lemp_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,34 +34,34 @@ func fig1Matrices() (q, p *lemp.Matrix) {
 	return q, p
 }
 
-func ExampleIndex_AboveTheta() {
+func ExampleIndex_Retrieve_aboveTheta() {
 	q, p := fig1Matrices()
 	index, err := lemp.New(p, lemp.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	entries, _, err := index.AboveTheta(q, 4.5)
+	res, err := index.Retrieve(context.Background(), q, lemp.AboveTheta(4.5))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%d predictions above 4.5\n", len(entries))
+	fmt.Printf("%d predictions above 4.5\n", len(res.Entries))
 	// Output:
 	// 6 predictions above 4.5
 }
 
-func ExampleIndex_RowTopK() {
+func ExampleIndex_Retrieve() {
 	q, p := fig1Matrices()
 	index, err := lemp.New(p, lemp.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	top, _, err := index.RowTopK(q, 1)
+	res, err := index.Retrieve(context.Background(), q, lemp.TopK(1))
 	if err != nil {
 		log.Fatal(err)
 	}
 	movies := []string{"Die Hard", "Taken", "Twilight", "Amelie", "Titanic"}
 	users := []string{"Adam", "Bob", "Charlie", "Dennis"}
-	for u, row := range top {
+	for u, row := range res.TopK {
 		fmt.Printf("%s -> %s (%.2f)\n", users[u], movies[row[0].Probe], row[0].Value)
 	}
 	// Output:
@@ -70,7 +71,7 @@ func ExampleIndex_RowTopK() {
 	// Dennis -> Amelie (4.92)
 }
 
-func ExampleIndex_AboveThetaFunc() {
+func ExampleIndex_Retrieve_stream() {
 	q, p := fig1Matrices()
 	index, err := lemp.New(p, lemp.Options{})
 	if err != nil {
@@ -79,12 +80,12 @@ func ExampleIndex_AboveThetaFunc() {
 	// Stream entries without materializing the result set.
 	var count int
 	var max float64
-	_, err = index.AboveThetaFunc(q, 3.0, func(e lemp.Entry) {
+	_, err = index.Retrieve(context.Background(), q, lemp.AboveTheta(3.0), lemp.Stream(func(e lemp.Entry) {
 		count++
 		if e.Value > max {
 			max = e.Value
 		}
-	})
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -52,24 +53,25 @@ func main() {
 		log.Fatal(err)
 	}
 
-	exact, exactStats, err := index.RowTopK(q, k)
+	ctx := context.Background()
+	exact, err := index.Retrieve(ctx, q, lemp.TopK(k))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nexact Row-Top-%d: %v, %.0f candidates/query\n",
-		k, exactStats.TotalTime().Round(1000), exactStats.CandidatesPerQuery())
+		k, exact.Stats.TotalTime().Round(1000), exact.Stats.CandidatesPerQuery())
 
 	fmt.Printf("\n%-10s %12s %16s %8s\n", "clusters", "total", "cands/query", "recall")
 	for _, clusters := range []int{4, 24, 96, 384} {
-		approx, st, err := index.RowTopKApprox(q, k, lemp.ApproxOptions{
+		approx, err := index.Retrieve(ctx, q, lemp.TopK(k), lemp.Approx(lemp.ApproxOptions{
 			Clusters: clusters, Expand: 8, Seed: 7,
-		})
+		}))
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-10d %12v %16.1f %8.3f\n",
-			clusters, st.TotalTime().Round(1000), st.CandidatesPerQuery(),
-			lemp.Recall(exact, approx))
+			clusters, approx.Stats.TotalTime().Round(1000), approx.Stats.CandidatesPerQuery(),
+			lemp.Recall(exact.TopK, approx.TopK))
 	}
 	fmt.Println("\nrecall climbs toward 1 as the cluster count approaches the")
 	fmt.Println("true group structure; candidate work stays far below exact.")

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,12 +37,14 @@ func main() {
 
 	// Retrieve all facts with predicted confidence ≥ θ for a sweep of
 	// thresholds, streaming so the result set is never materialized.
+	ctx := context.Background()
 	for _, theta := range []float64{8, 4, 2} {
 		var count int64
-		st, err := index.AboveThetaFunc(q, theta, func(lemp.Entry) { count++ })
+		res, err := index.Retrieve(ctx, q, lemp.AboveTheta(theta), lemp.Stream(func(lemp.Entry) { count++ }))
 		if err != nil {
 			log.Fatal(err)
 		}
+		st := res.Stats
 		pairs := st.ProcessedPairs + st.PrunedPairs
 		fmt.Printf("θ=%-4g %8d facts  %10v  candidates/query %7.1f  bucket prunes %4.1f%%\n",
 			theta, count, st.TotalTime().Round(1000), st.CandidatesPerQuery(),
@@ -56,10 +59,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	top, st, err := indexT.RowTopK(p, 5)
+	res, err := indexT.Retrieve(ctx, p, lemp.TopK(5))
 	if err != nil {
 		log.Fatal(err)
 	}
+	top, st := res.TopK, res.Stats
 	fmt.Printf("retrieved for %d patterns in %v (candidates/query %.1f of %d)\n",
 		st.Queries, st.TotalTime().Round(1000), st.CandidatesPerQuery(), indexT.N())
 	fmt.Printf("example: pattern 0 -> argument pairs %d, %d, %d ...\n",

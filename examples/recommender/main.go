@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -45,10 +46,11 @@ func main() {
 		log.Fatal(err)
 	}
 	start = time.Now()
-	top, st, err := index.RowTopK(model.Users, k)
+	res, err := index.Retrieve(context.Background(), model.Users, lemp.TopK(k))
 	if err != nil {
 		log.Fatal(err)
 	}
+	top, st := res.TopK, res.Stats
 	fmt.Printf("retrieved top-%d for %d users in %v (candidates/query %.1f of %d items)\n",
 		k, st.Queries, st.TotalTime().Round(time.Millisecond), st.CandidatesPerQuery(), items)
 

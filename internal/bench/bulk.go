@@ -63,7 +63,7 @@ func bulkComparison(parallel int) ([]bulkRun, float64, error) {
 	want := make(retrieval.TopK, q.N())
 	seqStart := time.Now()
 	for i := 0; i < q.N(); i++ {
-		rows, _, err := ix.RowTopKCtx(context.Background(), q.Slice(i, i+1), k, core.RunOptions{Parallelism: 1})
+		rows, _, err := ix.Retrieve(context.Background(), q.Slice(i, i+1), core.Problem{K: k}, nil, core.RunOptions{Parallelism: 1})
 		if err != nil {
 			return nil, 0, err
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -241,7 +242,7 @@ func (r *Runner) lempPrepTime(ds *dataset) time.Duration {
 	// Tuning requires a retrieval call; use Row-Top-1 on a small prefix
 	// of the queries so retrieval is negligible but tuning is measured.
 	sample := ds.q.Head(min(ds.q.N(), 64))
-	_, st, err := ix.RowTopK(sample, 1)
+	_, st, err := ix.Retrieve(context.Background(), sample, core.Problem{K: 1}, nil, core.RunOptions{})
 	if err != nil {
 		panic(err)
 	}

@@ -126,7 +126,7 @@ func (r *Runner) lempAbove(ds *dataset, level int, alg core.Algorithm, opts core
 	var n int64
 	// The algorithm is a per-call execution policy on the shared options,
 	// exercising the same RunOptions path the serving layer uses.
-	st, err := ix.AboveThetaCtx(context.Background(), ds.q, ds.thetas[level], discard(&n), core.RunOptions{Algorithm: &alg})
+	_, st, err := ix.Retrieve(context.Background(), ds.q, core.Problem{Theta: ds.thetas[level]}, discard(&n), core.RunOptions{Algorithm: &alg})
 	if err != nil {
 		panic(err)
 	}
@@ -143,7 +143,7 @@ func (r *Runner) lempTopK(ds *dataset, k int, alg core.Algorithm, opts core.Opti
 	if err != nil {
 		panic(err)
 	}
-	_, st, err := ix.RowTopKCtx(context.Background(), ds.q, k, core.RunOptions{Algorithm: &alg})
+	_, st, err := ix.Retrieve(context.Background(), ds.q, core.Problem{K: k}, nil, core.RunOptions{Algorithm: &alg})
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -119,12 +120,13 @@ func measurePlacement(kind server.PlacementKind, p, q *matrix.Matrix, theta floa
 	}
 	row.skew = sh.CostSkew()
 	row.minScan, row.maxScan = time.Duration(math.MaxInt64), 0
+	ctx := context.Background()
 	for _, ix := range sh.Indexes() {
-		if _, _, err := ix.AboveTheta(q, theta); err != nil { // warmup: tuning + lists
+		if _, err := ix.Retrieve(ctx, q, lemp.AboveTheta(theta)); err != nil { // warmup: tuning + lists
 			return row, err
 		}
 		start := time.Now()
-		if _, _, err := ix.AboveTheta(q, theta); err != nil {
+		if _, err := ix.Retrieve(ctx, q, lemp.AboveTheta(theta)); err != nil {
 			return row, err
 		}
 		d := time.Since(start)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -143,7 +144,7 @@ func measureQuantAbove(p, q *matrix.Matrix, theta float64, budget time.Duration)
 	pass := func(ix *core.Index, out *[]retrieval.Entry) (core.Stats, time.Duration, error) {
 		*out = (*out)[:0]
 		start := time.Now()
-		st, err := ix.AboveTheta(q, theta, retrieval.Collect(out))
+		_, st, err := ix.Retrieve(context.Background(), q, core.Problem{Theta: theta}, retrieval.Collect(out), core.RunOptions{})
 		return st, time.Since(start), err
 	}
 	// Warmup both indexes (tuning, lazy construction), then alternate timed

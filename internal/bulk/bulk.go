@@ -48,9 +48,9 @@ type Config struct {
 	CheckpointEvery int
 	// Run carries per-job retrieval policy (algorithm override, tuning
 	// cache). Parallelism inside Run is overridden with the pool size: it
-	// sizes the job's one tuning pass (run by the first panel while the
-	// rest of the pool waits for the fit); panel scans are single-threaded,
-	// the pool parallelizes across panels.
+	// sizes the one tuning pass of the core.Job (made by the first panel
+	// while the rest of the pool waits for the fit); each panel is one
+	// single-threaded Job.Run, the pool parallelizes across panels.
 	Run core.RunOptions
 }
 
@@ -70,13 +70,12 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
+// validate checks the job's shape; K and Theta are core.Problem's to check
+// (Run builds the retrieval job before it opens any file).
 func (cfg Config) validate() error {
-	if (cfg.K > 0) == (cfg.Theta > 0) {
-		return fmt.Errorf("bulk: exactly one of K (%d) or Theta (%g) must be positive", cfg.K, cfg.Theta)
-	}
-	if cfg.K < 0 || cfg.PanelRows < 1 || cfg.Parallelism < 1 || cfg.Window < 1 || cfg.CheckpointEvery < 1 {
-		return fmt.Errorf("bulk: invalid config (k=%d panel=%d parallel=%d window=%d ckpt-every=%d)",
-			cfg.K, cfg.PanelRows, cfg.Parallelism, cfg.Window, cfg.CheckpointEvery)
+	if cfg.PanelRows < 1 || cfg.Parallelism < 1 || cfg.Window < 1 || cfg.CheckpointEvery < 1 {
+		return fmt.Errorf("bulk: invalid config (panel=%d parallel=%d window=%d ckpt-every=%d)",
+			cfg.PanelRows, cfg.Parallelism, cfg.Window, cfg.CheckpointEvery)
 	}
 	return nil
 }
@@ -131,6 +130,12 @@ func Run(ctx context.Context, ix *core.Index, src QuerySource, outPath string, c
 	if err := cfg.validate(); err != nil {
 		return st, err
 	}
+	run := cfg.Run
+	run.Parallelism = cfg.Parallelism
+	rj, err := ix.NewJob(core.Problem{K: cfg.K, Theta: cfg.Theta}, run)
+	if err != nil {
+		return st, err
+	}
 	if outPath == "" {
 		return st, errors.New("bulk: output path required")
 	}
@@ -150,19 +155,6 @@ func Run(ctx context.Context, ix *core.Index, src QuerySource, outPath string, c
 	st.Rows = m
 	st.ResumedPanels = startPanel
 	st.Panels = panels - startPanel
-
-	run := cfg.Run
-	run.Parallelism = cfg.Parallelism
-	var pr *core.PanelRun
-	if mode == ModeTopK {
-		pr, err = ix.NewPanelRunTopK(cfg.K, run)
-	} else {
-		pr, err = ix.NewPanelRunAbove(cfg.Theta, run)
-	}
-	if err != nil {
-		j.f.Close()
-		return st, err
-	}
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -198,7 +190,7 @@ func Run(ctx context.Context, ix *core.Index, src QuerySource, outPath string, c
 				if hi > m {
 					hi = m
 				}
-				buf, err := runPanel(runCtx, pr, src, mode, lo, hi, &workerStats[w])
+				buf, err := runPanel(runCtx, rj, src, mode, lo, hi, &workerStats[w])
 				if err != nil {
 					j.fail(err)
 					cancel()
@@ -255,13 +247,13 @@ func Run(ctx context.Context, ix *core.Index, src QuerySource, outPath string, c
 }
 
 // runPanel computes and canonically encodes one panel.
-func runPanel(ctx context.Context, pr *core.PanelRun, src QuerySource, mode Mode, lo, hi int, ws *core.Stats) ([]byte, error) {
+func runPanel(ctx context.Context, rj *core.Job, src QuerySource, mode Mode, lo, hi int, ws *core.Stats) ([]byte, error) {
 	qm, err := src.Panel(lo, hi-lo)
 	if err != nil {
 		return nil, fmt.Errorf("bulk: reading query panel [%d,%d): %w", lo, hi, err)
 	}
 	if mode == ModeTopK {
-		rows, pst, err := pr.TopKPanel(ctx, qm)
+		rows, pst, err := rj.Run(ctx, qm, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -269,7 +261,7 @@ func runPanel(ctx context.Context, pr *core.PanelRun, src QuerySource, mode Mode
 		return encodeTopKPanel(rows), nil
 	}
 	rows := make([][]retrieval.Entry, qm.N())
-	pst, err := pr.AbovePanel(ctx, qm, func(e retrieval.Entry) {
+	_, pst, err := rj.Run(ctx, qm, func(e retrieval.Entry) {
 		rows[e.Query] = append(rows[e.Query], e)
 	})
 	if err != nil {

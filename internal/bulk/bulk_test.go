@@ -56,7 +56,7 @@ func TestBulkTopKMatchesServing(t *testing.T) {
 	if res.Mode != ModeTopK || res.K != k || res.R != q.R() || len(res.Rows) != q.N() {
 		t.Fatalf("result header: %+v (rows %d)", res, len(res.Rows))
 	}
-	want, _, err := ix.RowTopK(q, k)
+	want, _, err := ix.Retrieve(context.Background(), q, core.Problem{K: k}, nil, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +87,9 @@ func TestBulkAboveMatchesServing(t *testing.T) {
 		t.Fatalf("result header: %+v", res)
 	}
 	want := make(retrieval.TopK, q.N())
-	if _, err := ix.AboveTheta(q, theta, func(e retrieval.Entry) {
+	if _, _, err := ix.Retrieve(context.Background(), q, core.Problem{Theta: theta}, func(e retrieval.Entry) {
 		want[e.Query] = append(want[e.Query], e)
-	}); err != nil {
+	}, core.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	total := 0

@@ -10,10 +10,11 @@
 // worker's whole share), scanned single-threaded against the bucketed
 // index with per-worker scratch reuse, quantized screening active inside
 // the tiles when the index carries a sidecar, and exactly one tuning pass
-// for the whole job (core.PanelRun). Panels are claimed as (query-panel ×
-// all-buckets) tiles rather than (panel × single-bucket) ones: Row-Top-k
-// carries a running θ′ bound across buckets, so splitting the bucket
-// dimension would forfeit the pruning that makes LEMP fast.
+// for the whole job (one core.Job; each panel is a Job.Run). Panels are
+// claimed as (query-panel × all-buckets) tiles rather than (panel ×
+// single-bucket) ones: Row-Top-k carries a running θ′ bound across buckets,
+// so splitting the bucket dimension would forfeit the pruning that makes
+// LEMP fast.
 //
 // Completed panels pass through a bounded reordering writer that flushes
 // them to the result file strictly in panel order, which makes the output

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"time"
 
@@ -21,7 +20,7 @@ import (
 // absent from its centroid's expanded list; it improves with more clusters
 // and a larger Expand.
 
-// ApproxOptions tune RowTopKApprox.
+// ApproxOptions tune RetrieveApprox.
 type ApproxOptions struct {
 	// Clusters is the number of query clusters (default √m, at least 1).
 	Clusters int
@@ -52,32 +51,26 @@ func (o ApproxOptions) withDefaults(m int) ApproxOptions {
 	return o
 }
 
-// RowTopKApprox returns an approximate Row-Top-k answer: per query, k probe
+// RetrieveApprox returns an approximate Row-Top-k answer: per query, k probe
 // entries whose values are exact inner products, but which may miss some
 // true top-k members (the only approximate retrieval mode besides the BLSH
-// bucket algorithm, and the only one that can miss by design). It is
-// RowTopKApproxCtx with a background context and the index's build-time
-// options.
-func (ix *Index) RowTopKApprox(q *matrix.Matrix, k int, aopts ApproxOptions) (retrieval.TopK, Stats, error) {
-	return ix.RowTopKApproxCtx(context.Background(), q, k, aopts, RunOptions{})
-}
-
-// RowTopKApproxCtx is the context-aware approximate driver with per-call
-// execution overrides. The context is honored between the clustering phase
-// and the centroid retrieval, throughout the exact centroid Row-Top-k', and
-// at every query of the final re-ranking pass.
-func (ix *Index) RowTopKApproxCtx(ctx context.Context, q *matrix.Matrix, k int, aopts ApproxOptions, ro RunOptions) (retrieval.TopK, Stats, error) {
-	if q.R() != ix.r {
-		return nil, Stats{}, fmt.Errorf("core: query dimension %d does not match index dimension %d", q.R(), ix.r)
-	}
-	if k <= 0 {
-		return nil, Stats{}, fmt.Errorf("core: k must be positive, got %d", k)
-	}
-	opts, err := ix.effOptions(ro)
+// bucket algorithm, and the only one that can miss by design). It is a
+// composite around the executor, not a mode inside it: k-means, one
+// centroid job, an exact re-rank. The context is honored between the
+// clustering phase and the centroid retrieval, throughout the centroid job,
+// and at every query of the final re-ranking pass.
+func (ix *Index) RetrieveApprox(ctx context.Context, q *matrix.Matrix, k int, aopts ApproxOptions, ro RunOptions) (retrieval.TopK, Stats, error) {
+	// The centroid job is built first, for k itself, so that a bad k or a
+	// bad RunOptions is refused before the clustering runs; its k′ is set
+	// once the clusters exist.
+	centroids, err := ix.NewJob(Problem{K: k}, ro)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	c := newCall(ctx, opts, ro.Cache)
+	if err := ix.checkDim(q); err != nil {
+		return nil, Stats{}, err
+	}
+	c := newCall(ctx, centroids.opts, nil)
 	m := q.N()
 	aopts = aopts.withDefaults(m)
 	st := Stats{Queries: m, Buckets: len(ix.scan), PrepTime: ix.prepTime}
@@ -96,38 +89,30 @@ func (ix *Index) RowTopKApproxCtx(ctx context.Context, q *matrix.Matrix, k int, 
 		return nil, st, c.ctxErr()
 	}
 
-	// Phase 2: Row-Top-k' for the centroids. With a quantized sidecar
-	// active this phase runs with screenApprox set: the centroid list is
-	// only a candidate pool, so survivors keep their approximate dots and
-	// skip the exact kernels — phase 3 re-ranks every candidate with exact
-	// products, so result values stay exact either way.
-	kk := k
-	if kk > live {
-		kk = live
-	}
-	expanded := kk * aopts.Expand
-	if expanded > live {
-		expanded = live
-	}
-	roCentroid := ro
-	roCentroid.screenApprox = true
-	centroidTop, centroidStats, err := ix.RowTopKCtx(ctx, clusters.Centroids, expanded, roCentroid)
+	// Phase 2: Row-Top-k′ for the centroids, k′ = Expand·k clamped to the
+	// live probes. With a quantized sidecar active the job runs with approx
+	// set: the centroid list is only a candidate pool, so survivors keep
+	// their approximate dots and skip the exact kernels — phase 3 re-ranks
+	// every candidate with exact products, so result values stay exact
+	// either way. The job's work is this call's work, so its stats fold in
+	// whole — except its own row count and results, which describe the
+	// centroid answer and not this one.
+	kk := min(k, live)
+	centroids.prob.K = min(kk*aopts.Expand, live)
+	centroids.approx = true
+	var cst Stats
+	centroidTop, err := centroids.run(ctx, clusters.Centroids, nil, centroids.opts.Parallelism, &cst)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	st.TuneTime += centroidStats.TuneTime
-	st.Tunings += centroidStats.Tunings
-	st.TuneCacheHits += centroidStats.TuneCacheHits
-	st.Candidates += centroidStats.Candidates
-	st.ProcessedPairs += centroidStats.ProcessedPairs
-	st.PrunedPairs += centroidStats.PrunedPairs
+	cst.Queries, cst.Results = 0, 0
+	st.Add(cst)
 
 	// Phase 3: answer each query exactly over its centroid's candidates.
 	// The candidate raw vectors are gathered into a reusable scratch panel
-	// (scaled from their bucket-resident unit directions, exactly how the
-	// old per-candidate path materialized them) and verified with one
-	// blocked DotBatch pass per query — no per-candidate allocation or
-	// lookup-table locking remains on this path.
+	// (scaled from their bucket-resident unit directions) and verified with
+	// one blocked DotBatch pass per query — no per-candidate allocation or
+	// lookup-table locking on this path.
 	start := time.Now()
 	heap := topk.New(kk)
 	locs := ix.probeLocations()
@@ -167,8 +152,7 @@ func (ix *Index) RowTopKApproxCtx(ctx context.Context, q *matrix.Matrix, k int, 
 		st.Results += int64(len(row))
 		out[i] = row
 	}
-	st.RetrievalTime = centroidStats.RetrievalTime + time.Since(start)
-	ix.countIndexedBuckets(&st)
+	st.RetrievalTime += time.Since(start)
 	return out, st, nil
 }
 
@@ -200,7 +184,7 @@ type probeLoc struct {
 
 // Recall returns the fraction of true top-k entries (per exact) that also
 // appear in approx, averaged over queries — the quality metric for
-// RowTopKApprox. Rows must correspond query by query.
+// RetrieveApprox. Rows must correspond query by query.
 func Recall(exact, approx retrieval.TopK) float64 {
 	if len(exact) == 0 {
 		return 1

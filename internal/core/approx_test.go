@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -43,7 +44,7 @@ func TestRowTopKApproxHighRecallOnClusteredQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact, _ := naive.RowTopK(q, p, 5)
-	approx, st, err := ix.RowTopKApprox(q, 5, ApproxOptions{Clusters: 6, Expand: 10, Seed: 2})
+	approx, st, err := ix.RetrieveApprox(context.Background(), q, 5, ApproxOptions{Clusters: 6, Expand: 10, Seed: 2}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestRowTopKApproxValuesAreExactProducts(t *testing.T) {
 	q := clusteredQueries(rng, 80, 4, 8, 0.2)
 	p := genMatrix(rng, 250, 8, 0.8, 1, false, 0, 0)
 	ix, _ := NewIndex(p, testOptions(AlgLI))
-	approx, _, err := ix.RowTopKApprox(q, 4, ApproxOptions{Clusters: 4, Expand: 6, Seed: 3})
+	approx, _, err := ix.RetrieveApprox(context.Background(), q, 4, ApproxOptions{Clusters: 4, Expand: 6, Seed: 3}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +96,11 @@ func TestRowTopKApproxMoreClustersImproveRecall(t *testing.T) {
 	p := genMatrix(rng, 400, 10, 0.8, 1, false, 0, 0)
 	ix, _ := NewIndex(p, testOptions(AlgLI))
 	exact, _ := naive.RowTopK(q, p, 5)
-	few, _, err := ix.RowTopKApprox(q, 5, ApproxOptions{Clusters: 1, Expand: 4, Seed: 5})
+	few, _, err := ix.RetrieveApprox(context.Background(), q, 5, ApproxOptions{Clusters: 1, Expand: 4, Seed: 5}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, _, err := ix.RowTopKApprox(q, 5, ApproxOptions{Clusters: 64, Expand: 4, Seed: 5})
+	many, _, err := ix.RetrieveApprox(context.Background(), q, 5, ApproxOptions{Clusters: 64, Expand: 4, Seed: 5}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +113,35 @@ func TestRowTopKApproxMoreClustersImproveRecall(t *testing.T) {
 	}
 }
 
+// The centroid phase's work is the approximate call's work: on a quantized
+// index its candidates go through the int8 screen, and the call's stats must
+// say so. Survivors keep their approximate dot there, so what was verified
+// exactly or screened away can never exceed the candidates.
+func TestRowTopKApproxReportsCentroidPhaseWork(t *testing.T) {
+	rng := rand.New(rand.NewSource(115))
+	q := clusteredQueries(rng, 200, 8, 16, 0.1)
+	p := genMatrix(rng, 2000, 16, 0.8, 1, false, 0, 0)
+	opts := testOptions(AlgLI)
+	opts.Quantize = true
+	ix, err := NewIndex(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := ix.RetrieveApprox(context.Background(), q, 10, ApproxOptions{}, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.QuantScreened+st.QuantSurvived == 0 {
+		t.Errorf("approximate call on a quantized index reports no screened candidate: %+v", st)
+	}
+	if st.BlockVerified+st.ScalarVerified+st.QuantScreened > st.Candidates {
+		t.Errorf("verified %d+%d and screened %d of only %d candidates", st.BlockVerified, st.ScalarVerified, st.QuantScreened, st.Candidates)
+	}
+	if st.Queries != q.N() || st.Results != int64(10*q.N()) {
+		t.Errorf("Queries = %d, Results = %d: the centroid job's own answer leaked into the call's", st.Queries, st.Results)
+	}
+}
+
 func TestRowTopKApproxEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(114))
 	p := genMatrix(rng, 60, 6, 0.5, 1, false, 0, 0)
@@ -119,7 +149,7 @@ func TestRowTopKApproxEdgeCases(t *testing.T) {
 	q := genMatrix(rng, 10, 6, 0.5, 1, false, 0, 0)
 
 	// k larger than n.
-	approx, _, err := ix.RowTopKApprox(q, 100, ApproxOptions{Clusters: 2, Expand: 2})
+	approx, _, err := ix.RetrieveApprox(context.Background(), q, 100, ApproxOptions{Clusters: 2, Expand: 2}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,16 +159,16 @@ func TestRowTopKApproxEdgeCases(t *testing.T) {
 		}
 	}
 	// Invalid arguments.
-	if _, _, err := ix.RowTopKApprox(q, 0, ApproxOptions{}); err == nil {
+	if _, _, err := ix.RetrieveApprox(context.Background(), q, 0, ApproxOptions{}, RunOptions{}); err == nil {
 		t.Error("k=0 accepted")
 	}
 	bad := genMatrix(rng, 5, 7, 0.5, 1, false, 0, 0)
-	if _, _, err := ix.RowTopKApprox(bad, 3, ApproxOptions{}); err == nil {
+	if _, _, err := ix.RetrieveApprox(context.Background(), bad, 3, ApproxOptions{}, RunOptions{}); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 	// Empty query matrix.
 	empty := matrix.New(6, 0)
-	out, _, err := ix.RowTopKApprox(empty, 3, ApproxOptions{})
+	out, _, err := ix.RetrieveApprox(context.Background(), empty, 3, ApproxOptions{}, RunOptions{})
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty queries: %d rows, err %v", len(out), err)
 	}

@@ -156,7 +156,7 @@ func TestCacheBudgetControlsBucketCount(t *testing.T) {
 		t.Errorf("cache budget did not increase bucket count: %d vs %d",
 			small.NumBuckets(), big.NumBuckets())
 	}
-	if got := len(big.BucketSizes()); got != big.NumBuckets() {
-		t.Errorf("BucketSizes length %d != NumBuckets %d", got, big.NumBuckets())
+	if got := len(big.Buckets()); got != big.NumBuckets() {
+		t.Errorf("Buckets length %d != NumBuckets %d", got, big.NumBuckets())
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -142,10 +143,21 @@ func safeTheta(t *testing.T, q, p *matrix.Matrix, level int) (float64, int) {
 	return theta, lvl
 }
 
+// rowTopK and aboveTheta are the one-shot executor under a background
+// context and the index's own options: the shape most tests call it in.
+func rowTopK(ix *Index, q *matrix.Matrix, k int) (retrieval.TopK, Stats, error) {
+	return ix.Retrieve(context.Background(), q, Problem{K: k}, nil, RunOptions{})
+}
+
+func aboveTheta(ix *Index, q *matrix.Matrix, theta float64, sink retrieval.Sink) (Stats, error) {
+	_, st, err := ix.Retrieve(context.Background(), q, Problem{Theta: theta}, sink, RunOptions{})
+	return st, err
+}
+
 func collectAbove(t *testing.T, ix *Index, q *matrix.Matrix, theta float64) ([]retrieval.Entry, Stats) {
 	t.Helper()
 	var out []retrieval.Entry
-	st, err := ix.AboveTheta(q, theta, retrieval.Collect(&out))
+	st, err := aboveTheta(ix, q, theta, retrieval.Collect(&out))
 	if err != nil {
 		t.Fatalf("AboveTheta: %v", err)
 	}
@@ -227,7 +239,7 @@ func TestRowTopKMatchesNaiveAllAlgorithms(t *testing.T) {
 					if err != nil {
 						t.Fatalf("NewIndex(%v): %v", alg, err)
 					}
-					got, _, err := ix.RowTopK(inst.q, k)
+					got, _, err := rowTopK(ix, inst.q, k)
 					if err != nil {
 						t.Fatalf("RowTopK(%v): %v", alg, err)
 					}
@@ -321,7 +333,7 @@ func TestEmptyInputs(t *testing.T) {
 	if len(got) != 0 || st.Queries != 0 {
 		t.Errorf("empty query matrix: %d entries, %d queries", len(got), st.Queries)
 	}
-	top, _, err := ix.RowTopK(empty, 3)
+	top, _, err := rowTopK(ix, empty, 3)
 	if err != nil || len(top) != 0 {
 		t.Errorf("empty query top-k: %v rows, err %v", len(top), err)
 	}
@@ -335,7 +347,7 @@ func TestEmptyInputs(t *testing.T) {
 	if len(got) != 0 {
 		t.Errorf("empty probe matrix returned %d entries", len(got))
 	}
-	top, _, err = ixEmpty.RowTopK(q, 3)
+	top, _, err = rowTopK(ixEmpty, q, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,20 +366,20 @@ func TestInvalidArguments(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := genMatrix(rng, 4, 5, 0.5, 1, false, 0, 0)
-	if _, err := ix.AboveTheta(q, 0, func(retrieval.Entry) {}); err == nil {
+	if _, err := aboveTheta(ix, q, 0, func(retrieval.Entry) {}); err == nil {
 		t.Error("theta=0 accepted")
 	}
-	if _, err := ix.AboveTheta(q, -1, func(retrieval.Entry) {}); err == nil {
+	if _, err := aboveTheta(ix, q, -1, func(retrieval.Entry) {}); err == nil {
 		t.Error("negative theta accepted")
 	}
-	if _, _, err := ix.RowTopK(q, 0); err == nil {
+	if _, _, err := rowTopK(ix, q, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
 	bad := genMatrix(rng, 4, 6, 0.5, 1, false, 0, 0)
-	if _, err := ix.AboveTheta(bad, 1, func(retrieval.Entry) {}); err == nil {
+	if _, err := aboveTheta(ix, bad, 1, func(retrieval.Entry) {}); err == nil {
 		t.Error("dimension mismatch accepted in AboveTheta")
 	}
-	if _, _, err := ix.RowTopK(bad, 1); err == nil {
+	if _, _, err := rowTopK(ix, bad, 1); err == nil {
 		t.Error("dimension mismatch accepted in RowTopK")
 	}
 	if _, err := NewIndex(p, Options{ShrinkFactor: 2}); err == nil {
@@ -402,8 +414,8 @@ func TestParallelismMatchesSerial(t *testing.T) {
 		t.Errorf("parallel Above-θ: %d entries vs serial %d", len(gotP), len(gotS))
 	}
 
-	topS, _, _ := ixS.RowTopK(q, 7)
-	topP, _, _ := ixP.RowTopK(q, 7)
+	topS, _, _ := rowTopK(ixS, q, 7)
+	topP, _, _ := rowTopK(ixP, q, 7)
 	compareTopK(t, "parallel", q, p, topP, topS)
 }
 

@@ -24,7 +24,7 @@ import (
 //     is re-bucketized into delta buckets on every mutation batch. Delta
 //     buckets are ordinary buckets — the same bucket algorithms, lazy
 //     indexes and tuning apply — merged with the main buckets into the
-//     decreasing-l_b scan order both retrieval drivers require.
+//     decreasing-l_b scan order both retrieval kernels require.
 //   - Compact folds the whole delta layer into a fresh bucketization over
 //     the live probe set (amortizing the rebuild the way blocked methods
 //     for slowly changing matrices amortize recomputation), preserving
@@ -408,8 +408,7 @@ const pretuneDeltaMinOverlay = 32
 func (ix *Index) pretuneDelta() {
 	if !ix.pretuned || len(ix.delta) == 0 || len(ix.overlay) < pretuneDeltaMinOverlay ||
 		len(ix.overlay)*2 < ix.pretunedOverlay*3 ||
-		ix.tuneProb == nil || ix.tuneSample == nil ||
-		!ix.hasTunableParams() || ix.LiveN() == 0 {
+		ix.tuneSample == nil || !ix.opts.hasTunableParams() || ix.LiveN() == 0 {
 		return
 	}
 	start := time.Now()
@@ -423,7 +422,7 @@ func (ix *Index) pretuneDelta() {
 }
 
 // refreshScan merges main and delta buckets into the decreasing-l_b order
-// both retrieval drivers rely on for pruning, and re-derives the scratch
+// both retrieval kernels rely on for pruning, and re-derives the scratch
 // sizing bound. Every call is a bucket-layout change, so the layout
 // generation advances (invalidating TuningCache entries for this index).
 func (ix *Index) refreshScan() {
@@ -534,7 +533,7 @@ func (ix *Index) Compact() {
 	ix.attachSidecars(ix.buckets)
 	ix.refreshScan()
 	ix.prepTime += time.Since(start)
-	if ix.pretuned && ix.tuneProb != nil && ix.tuneSample != nil && liveN > 0 && ix.hasTunableParams() {
+	if ix.pretuned && ix.tuneSample != nil && liveN > 0 && ix.opts.hasTunableParams() {
 		tuneStart := time.Now()
 		ix.tune(newCall(nil, ix.opts, nil), prepareQueries(ix.tuneSample), ix.tuneProb)
 		ix.prepTime += time.Since(tuneStart)

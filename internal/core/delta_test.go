@@ -129,11 +129,11 @@ func checkEqual(t *testing.T, tag string, mutated, fresh *Index, q *matrix.Matri
 	if got, want := mutated.LiveN(), fresh.LiveN(); got != want {
 		t.Fatalf("%s: LiveN %d, fresh %d", tag, got, want)
 	}
-	gotTop, _, err := mutated.RowTopK(q, k)
+	gotTop, _, err := rowTopK(mutated, q, k)
 	if err != nil {
 		t.Fatalf("%s: mutated RowTopK: %v", tag, err)
 	}
-	wantTop, _, err := fresh.RowTopK(q, k)
+	wantTop, _, err := rowTopK(fresh, q, k)
 	if err != nil {
 		t.Fatalf("%s: fresh RowTopK: %v", tag, err)
 	}
@@ -165,10 +165,10 @@ func checkEqual(t *testing.T, tag string, mutated, fresh *Index, q *matrix.Matri
 		theta = best * 0.4
 	}
 	var got, want []retrieval.Entry
-	if _, err := mutated.AboveTheta(q, theta, retrieval.Collect(&got)); err != nil {
+	if _, err := aboveTheta(mutated, q, theta, retrieval.Collect(&got)); err != nil {
 		t.Fatalf("%s: mutated AboveTheta: %v", tag, err)
 	}
-	if _, err := fresh.AboveTheta(q, theta, retrieval.Collect(&want)); err != nil {
+	if _, err := aboveTheta(fresh, q, theta, retrieval.Collect(&want)); err != nil {
 		t.Fatalf("%s: fresh AboveTheta: %v", tag, err)
 	}
 	retrieval.Sort(got)
@@ -307,7 +307,7 @@ func TestApplyValidationAndAtomicity(t *testing.T) {
 	q := matrix.New(4, 2)
 	copy(q.Vec(0), randVec(rng, 4))
 	copy(q.Vec(1), randVec(rng, 4))
-	before, _, err := ix.RowTopK(q, 5)
+	before, _, err := rowTopK(ix, q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestApplyValidationAndAtomicity(t *testing.T) {
 				tc.name, epoch, ix.Epoch(), live, ix.LiveN())
 		}
 	}
-	after, _, err := ix.RowTopK(q, 5)
+	after, _, err := rowTopK(ix, q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestCompactPreservesPretunedFreeze(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		copy(sample.Vec(i), randVec(rng, 8))
 	}
-	if err := ix.PretuneTopK(sample, 5); err != nil {
+	if err := ix.Pretune(sample, Problem{K: 5}); err != nil {
 		t.Fatal(err)
 	}
 	model := &probeModel{vecs: make(map[int32][]float64)}
@@ -488,7 +488,7 @@ func TestEmptyAfterRemoveAll(t *testing.T) {
 	}
 	q := matrix.New(4, 1)
 	copy(q.Vec(0), randVec(rng, 4))
-	top, _, err := ix.RowTopK(q, 3)
+	top, _, err := rowTopK(ix, q, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +496,7 @@ func TestEmptyAfterRemoveAll(t *testing.T) {
 		t.Fatalf("empty index returned %d entries", len(top[0]))
 	}
 	var ents []retrieval.Entry
-	if _, err := ix.AboveTheta(q, 0.1, retrieval.Collect(&ents)); err != nil {
+	if _, err := aboveTheta(ix, q, 0.1, retrieval.Collect(&ents)); err != nil {
 		t.Fatal(err)
 	}
 	if len(ents) != 0 {

@@ -48,7 +48,7 @@ func TestQueryOrderEarlyExit(t *testing.T) {
 	}
 	ix, _ := NewIndex(p, testOptions(AlgLI))
 	var got []retrieval.Entry
-	st, err := ix.AboveTheta(q, 5, retrieval.Collect(&got))
+	st, err := aboveTheta(ix, q, 5, retrieval.Collect(&got))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestRowTopKAllNegativeProducts(t *testing.T) {
 			continue
 		}
 		ix, _ := NewIndex(p, testOptions(alg))
-		got, st, err := ix.RowTopK(q, 4)
+		got, st, err := rowTopK(ix, q, 4)
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -96,7 +96,7 @@ func TestBLSHRowTopKValuesExact(t *testing.T) {
 	q := genMatrix(rng, 40, 10, 0.8, 1, false, 0, 0)
 	p := genMatrix(rng, 300, 10, 0.8, 1, false, 0, 0)
 	ix, _ := NewIndex(p, testOptions(AlgBLSH))
-	got, _, err := ix.RowTopK(q, 5)
+	got, _, err := rowTopK(ix, q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestIndexReuseAcrossCalls(t *testing.T) {
 		}
 	}
 	// Interleave a Row-Top-k call and re-check.
-	if _, _, err := ix.RowTopK(q, 3); err != nil {
+	if _, _, err := rowTopK(ix, q, 3); err != nil {
 		t.Fatal(err)
 	}
 	again, _ := collectAbove(t, ix, q, theta)

@@ -43,7 +43,7 @@ func FuzzAboveThetaEquivalence(f *testing.F) {
 				t.Fatalf("NewIndex(%v): %v", alg, err)
 			}
 			var got []retrieval.Entry
-			if _, err := ix.AboveTheta(q, theta, retrieval.Collect(&got)); err != nil {
+			if _, err := aboveTheta(ix, q, theta, retrieval.Collect(&got)); err != nil {
 				t.Fatalf("AboveTheta(%v): %v", alg, err)
 			}
 			if !retrieval.EqualSets(got, want) {
@@ -76,7 +76,7 @@ func FuzzRowTopKEquivalence(f *testing.F) {
 			if err != nil {
 				t.Fatalf("NewIndex(%v): %v", alg, err)
 			}
-			got, _, err := ix.RowTopK(q, k)
+			got, _, err := rowTopK(ix, q, k)
 			if err != nil {
 				t.Fatalf("RowTopK(%v): %v", alg, err)
 			}

@@ -10,7 +10,6 @@ import (
 	"lemp/internal/lsh"
 	"lemp/internal/matrix"
 	"lemp/internal/quant"
-	"lemp/internal/retrieval"
 )
 
 // Index is a LEMP index over a probe matrix P: the preprocessing phase of
@@ -18,8 +17,8 @@ import (
 // search indexes built lazily during retrieval, plus the delta layer of
 // delta.go that absorbs probe mutations between re-bucketizations. It
 // supports internal parallelism (Options.Parallelism), but distinct
-// retrieval calls — and mutation calls, see Apply — must not run
-// concurrently on the same Index.
+// retrieval calls — the Run calls of one Job excepted — and mutation calls,
+// see Apply, must not run concurrently on the same Index.
 type Index struct {
 	opts      Options
 	r         int
@@ -57,10 +56,11 @@ type Index struct {
 
 	// pretuned freezes per-call tuning: retrieval reuses the stored
 	// per-bucket (t_b, φ_b) instead of re-fitting them on every call. Set
-	// by the Pretune methods and restored by FromState. tuneProb and
-	// tuneSample retain what Pretune fitted, so Compact can re-freeze.
+	// by Pretune and restored by FromState. tuneProb and tuneSample retain
+	// what Pretune fitted (the sample is nil when nothing was retained), so
+	// Compact can re-freeze.
 	pretuned   bool
-	tuneProb   any
+	tuneProb   Problem
 	tuneSample *matrix.Matrix
 	// pretunedOverlay is the overlay size at the last delta-bucket pretune
 	// (delta.go): the overlay must grow 1.5× past it before another fit
@@ -77,7 +77,7 @@ type Index struct {
 	// invalidation when the bucket layout changes.
 	scratchPool sync.Pool
 
-	// Lazy external-id → (scan bucket, lid) lookup for RowTopKApprox,
+	// Lazy external-id → (scan bucket, lid) lookup for RetrieveApprox,
 	// invalidated by mutations.
 	probeMu   sync.Mutex
 	probeLocs map[int32]probeLoc
@@ -153,16 +153,6 @@ func (ix *Index) N() int { return ix.LiveN() }
 // NumBuckets returns the number of probe buckets (main and delta).
 func (ix *Index) NumBuckets() int { return len(ix.scan) }
 
-// BucketSizes returns the size of each scanned bucket in decreasing-length
-// order.
-func (ix *Index) BucketSizes() []int {
-	out := make([]int, len(ix.scan))
-	for i, b := range ix.scan {
-		out[i] = b.size()
-	}
-	return out
-}
-
 // BucketInfo describes one probe bucket for introspection: its size and
 // length range, whether any lazy index has been built, and — after a
 // retrieval run with a tuning algorithm — the selected per-bucket
@@ -213,12 +203,9 @@ func (ix *Index) ensureLSH() (*lsh.Hasher, *lsh.Table) {
 	return ix.hasher, ix.table
 }
 
-// defaultPhi is the focus-set size used before tuning has produced a
-// per-bucket φ_b, under the index's build-time options.
-func (ix *Index) defaultPhi() int { return ix.defaultPhiFor(ix.opts) }
-
-// defaultPhiFor is defaultPhi under a call's effective options.
-func (ix *Index) defaultPhiFor(o Options) int {
+// defaultPhi is the focus-set size used under options o before tuning has
+// produced a per-bucket φ_b.
+func (ix *Index) defaultPhi(o Options) int {
 	phi := 3
 	if o.MaxPhi < phi {
 		phi = o.MaxPhi
@@ -242,7 +229,7 @@ func (ix *Index) resolve(o Options, b *bucket, thetaB float64) (Algorithm, int) 
 		if b.tuned {
 			phi = b.phi
 		} else {
-			phi = ix.defaultPhiFor(o)
+			phi = ix.defaultPhi(o)
 		}
 	}
 	if phi > ix.r && ix.r > 0 {
@@ -304,31 +291,6 @@ func (ix *Index) gather(b *bucket, alg Algorithm, phi int, qi int32, qdir []floa
 		runBucketBLSH(b, h, tbl, qi, qdir, qlen, theta, thetaB, s)
 	default:
 		panic(fmt.Sprintf("core: unresolved algorithm %v", alg))
-	}
-}
-
-// verifyAbove computes exact inner products for the candidates of one
-// (query, bucket) pair and emits entries passing θ (line 16 of Algorithm 1).
-// Tombstoned main-bucket entries are dropped before the blocked dot-product
-// pass (verify.go), then the quantized screen (when a sidecar is active)
-// discards candidates that provably cannot reach θ; the θ filter runs over
-// the block results. Each emitted value is (q̄ᵀp̄)·‖q‖·‖p‖, always multiplied
-// in that order, with q̄ᵀp̄ accumulated in vecmath's canonical order (stated
-// in vecmath/kernels.go) whichever kernel computed it, so a candidate's
-// value does not depend on which candidates it was verified with.
-func (ix *Index) verifyAbove(b *bucket, qi int32, qdir []float64, qlen, theta float64, origID int32, s *scratch, emit retrieval.Sink, st *Stats) {
-	st.Candidates += int64(len(s.cand))
-	s.work += int64(len(s.cand)) * int64(b.r)
-	ix.compactLiveCands(b, s)
-	ix.screenCands(b, s, qi, qdir, qlen, theta, false, st)
-	verifyDots(b, qdir, s, st)
-	for i, dot := range s.vals {
-		lid := s.lid(i)
-		v := dot * qlen * b.lens[lid]
-		if v >= theta {
-			st.Results++
-			emit(retrieval.Entry{Query: int(origID), Probe: int(b.ids[lid]), Value: v})
-		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package core implements the LEMP framework of the paper: bucketization of
-// the probe vectors by length (§3), the Above-θ and Row-Top-k retrieval
-// drivers (§3.2, §4.5), the bucket-level retrieval algorithms LENGTH, COORD
-// and INCR (§4.1–4.3), sample-based algorithm selection (§4.4), and the
+// the probe vectors by length (§3), one retrieval executor over the Above-θ
+// and Row-Top-k tile kernels (§3.2, §4.5; executor.go, scan.go), the
+// bucket-level retrieval algorithms LENGTH, COORD and INCR (§4.1–4.3), sample-based algorithm selection (§4.4), and the
 // adapters that run TA, cover trees, L2AP and BayesLSH-Lite as bucket
 // algorithms (§5, §6.3).
 package core

@@ -33,11 +33,11 @@ func BenchmarkBuildLists(b *testing.B) {
 // with the int8 sidecar. Built once per process.
 var topKPanelBench struct {
 	once sync.Once
-	pr   [2]*PanelRun // plain, quantized
+	pr   [2]*Job // plain, quantized
 	q    *matrix.Matrix
 }
 
-// BenchmarkTopKPanel times PanelRun.TopKPanel (k = 10, tuned once before
+// BenchmarkTopKPanel times Job.Run for Row-Top-k (k = 10, tuned once before
 // the clock starts) for panels of 1, 16 and 256 rows and reports the time
 // per row: the curve that shows what the bucket-outer loop amortises — with
 // the bucket read from memory once per panel, the per-row time must fall as
@@ -46,8 +46,8 @@ var topKPanelBench struct {
 // twins.
 func BenchmarkTopKPanel(b *testing.B) {
 	tb := &topKPanelBench
-	run := func(pr *PanelRun, lo, rows int) {
-		if _, _, err := pr.TopKPanel(context.Background(), tb.q.Slice(lo, lo+rows)); err != nil {
+	run := func(pr *Job, lo, rows int) {
+		if _, _, err := pr.Run(context.Background(), tb.q.Slice(lo, lo+rows), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,7 +60,7 @@ func BenchmarkTopKPanel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if tb.pr[i], err = ix.NewPanelRunTopK(10, RunOptions{}); err != nil {
+			if tb.pr[i], err = ix.NewJob(Problem{K: 10}, RunOptions{}); err != nil {
 				b.Fatal(err)
 			}
 			run(tb.pr[i], 0, 256) // tunes, and builds the lists the panel reaches

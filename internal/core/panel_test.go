@@ -35,12 +35,12 @@ func panelFixture(t *testing.T, m, n, r int, seed int64) (*Index, *matrix.Matrix
 func TestPanelTopKMatchesFullCall(t *testing.T) {
 	ix, q := panelFixture(t, 61, 400, 12, 7)
 	const k = 5
-	want, _, err := ix.RowTopK(q, k)
+	want, _, err := rowTopK(ix, q, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, panelRows := range []int{1, 7, 16, 61, 100} {
-		pr, err := ix.NewPanelRunTopK(k, RunOptions{})
+		pr, err := ix.NewJob(Problem{K: k}, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func TestPanelTopKMatchesFullCall(t *testing.T) {
 			if hi > q.N() {
 				hi = q.N()
 			}
-			rows, _, err := pr.TopKPanel(context.Background(), q.Slice(lo, hi))
+			rows, _, err := pr.Run(context.Background(), q.Slice(lo, hi), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,59 +67,72 @@ func TestPanelTopKMatchesFullCall(t *testing.T) {
 	}
 }
 
-// Concurrent panel calls on one PanelRun — the bulk engine's access
-// pattern — must produce the same rows as sequential ones, with exactly
+// Concurrent Run calls on one Job — the bulk engine's access pattern — must
+// produce the same rows as one full call, for both problems, with exactly
 // one tuning pass for the whole job.
 func TestPanelRunConcurrentPanels(t *testing.T) {
 	ix, q := panelFixture(t, 96, 300, 10, 11)
-	const k, panelRows = 3, 8
-	want, _, err := ix.RowTopK(q, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := ix.NewPanelRunTopK(k, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nPanels := (q.N() + panelRows - 1) / panelRows
-	rowsByPanel := make([]retrieval.TopK, nPanels)
-	statsByPanel := make([]Stats, nPanels)
-	var wg sync.WaitGroup
-	for pi := 0; pi < nPanels; pi++ {
-		wg.Add(1)
-		go func(pi int) {
-			defer wg.Done()
-			lo := pi * panelRows
-			hi := lo + panelRows
-			if hi > q.N() {
-				hi = q.N()
-			}
-			rows, st, err := pr.TopKPanel(context.Background(), q.Slice(lo, hi))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			rowsByPanel[pi], statsByPanel[pi] = rows, st
-		}(pi)
-	}
-	wg.Wait()
-	tunings := 0
-	for pi, rows := range rowsByPanel {
-		tunings += statsByPanel[pi].Tunings
-		lo := pi * panelRows
-		for i, row := range rows {
-			got := make([]retrieval.Entry, len(row))
-			copy(got, row)
-			for j := range got {
-				got[j].Query += lo
-			}
-			if !reflect.DeepEqual(got, want[lo+i]) {
-				t.Fatalf("panel %d row %d mismatch", pi, lo+i)
-			}
+	ctx := context.Background()
+	const panelRows = 8
+	for _, prob := range []Problem{{K: 3}, {Theta: 2.5}} {
+		want, _ := cutAnswer(t, q, prob, q.N(), func(q *matrix.Matrix, sink retrieval.Sink) (retrieval.TopK, Stats, error) {
+			return ix.Retrieve(ctx, q, prob, sink, RunOptions{})
+		})
+		job, err := ix.NewJob(prob, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if tunings != 1 {
-		t.Fatalf("job ran %d tuning passes, want exactly 1", tunings)
+		nPanels := (q.N() + panelRows - 1) / panelRows
+		got := make([][]retrieval.Entry, q.N()) // each panel writes only its own rows
+		statsByPanel := make([]Stats, nPanels)
+		var wg sync.WaitGroup
+		for pi := 0; pi < nPanels; pi++ {
+			wg.Add(1)
+			go func(pi int) {
+				defer wg.Done()
+				lo := pi * panelRows
+				var sink retrieval.Sink
+				if prob.K == 0 {
+					sink = func(e retrieval.Entry) {
+						e.Query += lo
+						got[e.Query] = append(got[e.Query], e)
+					}
+				}
+				rows, st, err := job.Run(ctx, q.Slice(lo, min(lo+panelRows, q.N())), sink)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i, row := range rows {
+					for j := range row {
+						row[j].Query += lo // panel-local -> global row id
+					}
+					got[lo+i] = row
+				}
+				statsByPanel[pi] = st
+			}(pi)
+		}
+		wg.Wait()
+		tunings := 0
+		for _, st := range statsByPanel {
+			tunings += st.Tunings
+		}
+		if tunings != 1 {
+			t.Fatalf("%+v: job ran %d tuning passes, want exactly 1", prob, tunings)
+		}
+		entries := 0
+		for i := range want {
+			if prob.K == 0 {
+				retrieval.Sort(got[i])
+			}
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%+v row %d:\n got %v\nwant %v", prob, i, got[i], want[i])
+			}
+			entries += len(want[i])
+		}
+		if entries == 0 {
+			t.Fatalf("%+v: fixture yields no entries", prob)
+		}
 	}
 }
 
@@ -131,12 +144,12 @@ func TestPanelAboveMatchesFullCall(t *testing.T) {
 	ix, q := panelFixture(t, 48, 350, 10, 13)
 	const theta = 2.5
 	var want []retrieval.Entry
-	if _, err := ix.AboveTheta(q, theta, retrieval.Collect(&want)); err != nil {
+	if _, err := aboveTheta(ix, q, theta, retrieval.Collect(&want)); err != nil {
 		t.Fatal(err)
 	}
 	retrieval.Sort(want)
 	collect := func() []retrieval.Entry {
-		pr, err := ix.NewPanelRunAbove(theta, RunOptions{})
+		pr, err := ix.NewJob(Problem{Theta: theta}, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +160,7 @@ func TestPanelAboveMatchesFullCall(t *testing.T) {
 			if hi > q.N() {
 				hi = q.N()
 			}
-			_, err := pr.AbovePanel(context.Background(), q.Slice(lo, hi), func(e retrieval.Entry) {
+			_, _, err := pr.Run(context.Background(), q.Slice(lo, hi), func(e retrieval.Entry) {
 				e.Query += lo
 				got = append(got, e)
 			})
@@ -169,24 +182,32 @@ func TestPanelAboveMatchesFullCall(t *testing.T) {
 	}
 }
 
-// Mode misuse and bad parameters fail at construction or first call.
+// Bad parameters fail at construction; a sink that does not fit the job's
+// problem and a wrong dimension fail at the call, before any work.
 func TestPanelRunValidation(t *testing.T) {
 	ix, q := panelFixture(t, 8, 50, 6, 17)
-	if _, err := ix.NewPanelRunTopK(0, RunOptions{}); err == nil {
+	if _, err := ix.NewJob(Problem{K: 0}, RunOptions{}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := ix.NewPanelRunAbove(0, RunOptions{}); err == nil {
+	if _, err := ix.NewJob(Problem{Theta: 0}, RunOptions{}); err == nil {
 		t.Error("theta=0 accepted")
 	}
-	pr, err := ix.NewPanelRunTopK(2, RunOptions{})
+	pr, err := ix.NewJob(Problem{K: 2}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pr.AbovePanel(context.Background(), q, func(retrieval.Entry) {}); err == nil {
-		t.Error("AbovePanel accepted on a TopK run")
+	if _, _, err := pr.Run(context.Background(), q, func(retrieval.Entry) {}); err == nil {
+		t.Error("a sink accepted on a Row-Top-k job")
+	}
+	above, err := ix.NewJob(Problem{Theta: 1}, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := above.Run(context.Background(), q, nil); err == nil {
+		t.Error("a nil sink accepted on an Above-θ job")
 	}
 	bad := matrix.New(ix.R()+1, 2)
-	if _, _, err := pr.TopKPanel(context.Background(), bad); err == nil {
+	if _, _, err := pr.Run(context.Background(), bad, nil); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 }

@@ -29,13 +29,6 @@ type RunOptions struct {
 	// version, eliminating the per-call sample-tuning cost that dominates
 	// small serving batches. See TuningCache.
 	Cache *TuningCache
-
-	// screenApprox lets quantized screening survivors adopt their
-	// approximate dot instead of falling through to the exact kernels.
-	// Only the Approx retrieval mode sets it (for its centroid phase —
-	// the final re-rank stays exact); it is deliberately unexported so
-	// exact drivers cannot be switched into approximate mode from outside.
-	screenApprox bool
 }
 
 // effOptions resolves the per-call effective options: the index's defaults
@@ -57,14 +50,14 @@ func (ix *Index) effOptions(ro RunOptions) (Options, error) {
 	return o, nil
 }
 
-// call is the per-invocation state threaded through a retrieval driver and
-// its workers: the caller's context (sampled at bucket boundaries so a
+// call is the per-invocation state threaded through the executor and its
+// workers: the caller's context (sampled at bucket boundaries so a
 // cancellation aborts the scan promptly), the effective options, and the
 // request trace (if any) for phase spans.
 type call struct {
 	opts   Options
 	cache  *TuningCache
-	approx bool            // RunOptions.screenApprox: survivors keep approximate dots
+	approx bool            // Job.approx: screen survivors keep approximate dots
 	done   <-chan struct{} // ctx.Done(); nil for context.Background()
 	err    func() error    // ctx.Err
 	tr     *obs.Trace      // request trace; nil when untraced
@@ -94,7 +87,7 @@ func (c *call) startSpan(name string) obs.SpanRef {
 func (c *call) endSpan(ref obs.SpanRef) { c.tr.End(ref) }
 
 // canceled reports whether the call's context is done. It is the
-// cancellation checkpoint the drivers place at bucket boundaries: one
+// cancellation checkpoint the kernels place at bucket boundaries: one
 // non-blocking channel poll, free for background contexts.
 func (c *call) canceled() bool {
 	if c.done == nil {

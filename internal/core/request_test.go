@@ -3,11 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lemp/internal/matrix"
+	"lemp/internal/obs"
 	"lemp/internal/retrieval"
 )
 
@@ -33,20 +36,20 @@ func TestCancelBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, _, err := ix.RowTopKCtx(ctx, q, 5, RunOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RowTopKCtx on canceled ctx: err = %v, want context.Canceled", err)
+	if _, _, err := ix.Retrieve(ctx, q, Problem{K: 5}, nil, RunOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Row-Top-k on canceled ctx: err = %v, want context.Canceled", err)
 	}
 	var n int
-	if _, err := ix.AboveThetaCtx(ctx, q, 0.5, func(retrieval.Entry) { n++ }, RunOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AboveThetaCtx on canceled ctx: err = %v, want context.Canceled", err)
+	if _, _, err := ix.Retrieve(ctx, q, Problem{Theta: 0.5}, func(retrieval.Entry) { n++ }, RunOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Above-θ on canceled ctx: err = %v, want context.Canceled", err)
 	}
-	if _, _, err := ix.RowTopKApproxCtx(ctx, q, 5, ApproxOptions{}, RunOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RowTopKApproxCtx on canceled ctx: err = %v, want context.Canceled", err)
+	if _, _, err := ix.RetrieveApprox(ctx, q, 5, ApproxOptions{}, RunOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RetrieveApprox on canceled ctx: err = %v, want context.Canceled", err)
 	}
 
 	// The index stays fully usable: an uncanceled call answers identically
 	// to a fresh index over the same probes.
-	top, _, err := ix.RowTopK(q, 5)
+	top, _, err := rowTopK(ix, q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +57,7 @@ func TestCancelBeforeStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := fresh.RowTopK(q, 5)
+	want, _, err := rowTopK(fresh, q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +75,7 @@ func TestCancelMidRetrieval(t *testing.T) {
 	theta := 0.2 // low threshold: many entries, many buckets survive
 
 	var full int
-	if _, err := ix.AboveTheta(q, theta, func(retrieval.Entry) { full++ }); err != nil {
+	if _, err := aboveTheta(ix, q, theta, func(retrieval.Entry) { full++ }); err != nil {
 		t.Fatal(err)
 	}
 	if full < 100 {
@@ -88,7 +91,7 @@ func TestCancelMidRetrieval(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	emitted := 0
-	_, err := ix.AboveThetaCtx(ctx, q, theta, func(retrieval.Entry) {
+	_, _, err := ix.Retrieve(ctx, q, Problem{Theta: theta}, func(retrieval.Entry) {
 		emitted++
 		if emitted == 10 {
 			cancel()
@@ -106,7 +109,7 @@ func TestCancelMidRetrieval(t *testing.T) {
 
 	// Reusable afterwards, byte-identically.
 	var again int
-	if _, err := ix.AboveTheta(q, theta, func(retrieval.Entry) { again++ }); err != nil {
+	if _, err := aboveTheta(ix, q, theta, func(retrieval.Entry) { again++ }); err != nil {
 		t.Fatal(err)
 	}
 	if again != full {
@@ -115,13 +118,13 @@ func TestCancelMidRetrieval(t *testing.T) {
 }
 
 // TestCancelMidRetrievalParallel is the same mid-scan cancellation under
-// worker fan-out: every worker must stop, the driver must report the
+// worker fan-out: every worker must stop, the executor must report the
 // context error, and the index must stay usable.
 func TestCancelMidRetrievalParallel(t *testing.T) {
 	ix, q := cancelFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
-	_, err := ix.AboveThetaCtx(ctx, q, 0.2, func(retrieval.Entry) {
+	_, _, err := ix.Retrieve(ctx, q, Problem{Theta: 0.2}, func(retrieval.Entry) {
 		n++
 		if n == 5 {
 			cancel()
@@ -130,7 +133,7 @@ func TestCancelMidRetrievalParallel(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("parallel mid-scan cancel: err = %v, want context.Canceled", err)
 	}
-	if _, _, err := ix.RowTopKCtx(context.Background(), q, 3, RunOptions{Parallelism: 4}); err != nil {
+	if _, _, err := ix.Retrieve(context.Background(), q, Problem{K: 3}, nil, RunOptions{Parallelism: 4}); err != nil {
 		t.Fatalf("index unusable after parallel cancel: %v", err)
 	}
 }
@@ -139,7 +142,7 @@ func TestRunOptionsAlgorithmOverride(t *testing.T) {
 	ix, q := cancelFixture(t)
 	for _, alg := range []Algorithm{AlgL, AlgTA, AlgL2AP} {
 		alg := alg
-		got, _, err := ix.RowTopKCtx(context.Background(), q, 5, RunOptions{Algorithm: &alg})
+		got, _, err := ix.Retrieve(context.Background(), q, Problem{K: 5}, nil, RunOptions{Algorithm: &alg})
 		if err != nil {
 			t.Fatalf("override %v: %v", alg, err)
 		}
@@ -149,7 +152,7 @@ func TestRunOptionsAlgorithmOverride(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := fresh.RowTopK(q, 5)
+		want, _, err := rowTopK(fresh, q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,18 +161,120 @@ func TestRunOptionsAlgorithmOverride(t *testing.T) {
 		}
 	}
 	// The default algorithm still answers correctly after the overrides.
-	if _, _, err := ix.RowTopK(q, 5); err != nil {
+	if _, _, err := rowTopK(ix, q, 5); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestProblemValidatedOnceEverywhere drives every core entry that takes a
+// problem, and FromState, through the same bad k/θ values: each must give
+// Problem.Validate's refusal, before any tuning or scan work starts.
+func TestProblemValidatedOnceEverywhere(t *testing.T) {
+	ix, q := cancelFixture(t)
+	if err := ix.Pretune(q, Problem{K: 3}); err != nil {
+		t.Fatal(err)
+	}
+	state := ix.State() // carries a retained tuning sample and problem
+	ctx := context.Background()
+	sink := func(retrieval.Entry) { t.Error("a refused call emitted an entry") }
+	bad := []Problem{
+		{}, // neither set
+		{K: -1},
+		{Theta: -1},
+		{Theta: math.NaN()},
+		{Theta: math.Inf(1)},
+		{Theta: math.Inf(-1)},
+		{K: 3, Theta: 0.5}, // both set
+		{K: -1, Theta: 0.5},
+	}
+	for _, prob := range bad {
+		want := prob.Validate()
+		if want == nil {
+			t.Fatalf("%+v validates", prob)
+		}
+		fresh, err := NewIndex(ix.Probe(), ix.Options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc := NewTuningCache()
+		entries := map[string]error{}
+		_, _, entries["Retrieve"] = fresh.Retrieve(ctx, q, prob, sink, RunOptions{Cache: tc})
+		_, _, entries["Retrieve, nil sink"] = fresh.Retrieve(ctx, q, prob, nil, RunOptions{Cache: tc})
+		_, entries["NewJob"] = fresh.NewJob(prob, RunOptions{Cache: tc})
+		entries["Pretune"] = fresh.Pretune(q, prob)
+		if prob.Theta == 0 { // the approximate entry takes a bare k
+			_, _, entries["RetrieveApprox"] = fresh.RetrieveApprox(ctx, q, prob.K, ApproxOptions{}, RunOptions{Cache: tc})
+		}
+		for name, err := range entries {
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("%+v through %s: err = %v, want %v", prob, name, err, want)
+			}
+		}
+		if tc.Misses() != 0 || fresh.Pretuned() {
+			t.Errorf("%+v: a refused call reached the tuning phase", prob)
+		}
+		for bi, b := range fresh.Buckets() {
+			if b.Tuned || b.Indexed {
+				t.Errorf("%+v: bucket %d tuned or indexed by a refused call", prob, bi)
+			}
+		}
+		st := *state
+		st.TuneProblem = prob
+		if _, err := FromState(&st); err == nil || !strings.HasSuffix(err.Error(), want.Error()) {
+			t.Errorf("%+v through FromState: err = %v, want %v", prob, err, want)
+		}
+	}
+	if _, err := FromState(state); err != nil {
+		t.Fatalf("the unedited state does not load: %v", err)
+	}
+}
+
+// TestJobRunRecordsPhaseSpans: a traced Job.Run records exactly one tune and
+// one scan span under the caller's span, like the one-shot call; the hooks
+// of an untraced call allocate nothing.
+func TestJobRunRecordsPhaseSpans(t *testing.T) {
+	ix, q := cancelFixture(t)
+	for _, c := range []struct {
+		prob Problem
+		sink retrieval.Sink
+	}{{Problem{K: 5}, nil}, {Problem{Theta: 0.5}, func(retrieval.Entry) {}}} {
+		job, err := ix.NewJob(c.prob, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.NewTracer(obs.TracerConfig{}).StartTrace()
+		root := tr.Start("panel", obs.NoSpan)
+		if _, _, err := job.Run(obs.ContextWithSpan(context.Background(), tr, root), q, c.sink); err != nil {
+			t.Fatal(err)
+		}
+		tr.End(root)
+		count := map[string]int{}
+		for _, sp := range tr.Spans()[1:] {
+			count[sp.Name]++
+			if sp.Parent != root || sp.EndNS < sp.StartNS || sp.EndNS == 0 {
+				t.Errorf("%+v: span %+v is not a closed child of the caller's span", c.prob, sp)
+			}
+		}
+		if len(count) != 2 || count["tune"] != 1 || count["scan"] != 1 {
+			t.Errorf("%+v: traced Run recorded spans %v, want one tune and one scan", c.prob, count)
+		}
+	}
+	untraced := newCall(context.Background(), ix.opts, nil)
+	if n := testing.AllocsPerRun(100, func() {
+		untraced.endSpan(untraced.startSpan("tune"))
+		untraced.endSpan(untraced.startSpan("scan"))
+	}); n != 0 {
+		t.Errorf("untraced phase-span hooks allocate %v times per call", n)
 	}
 }
 
 func TestRunOptionsRejectsInvalid(t *testing.T) {
 	ix, q := cancelFixture(t)
 	bad := Algorithm(99)
-	if _, _, err := ix.RowTopKCtx(context.Background(), q, 5, RunOptions{Algorithm: &bad}); err == nil {
+	if _, _, err := ix.Retrieve(context.Background(), q, Problem{K: 5}, nil, RunOptions{Algorithm: &bad}); err == nil {
 		t.Fatal("invalid per-call algorithm accepted")
 	}
-	if _, _, err := ix.RowTopKCtx(context.Background(), q, 5, RunOptions{Parallelism: -2}); err == nil {
+	if _, _, err := ix.Retrieve(context.Background(), q, Problem{K: 5}, nil, RunOptions{Parallelism: -2}); err == nil {
 		t.Fatal("negative per-call parallelism accepted")
 	}
 }
@@ -178,12 +283,12 @@ func TestTuningCacheWarmCallSkipsTuning(t *testing.T) {
 	ix, q := cancelFixture(t)
 	tc := NewTuningCache()
 
-	baseline, _, err := ix.RowTopK(q, 5)
+	baseline, _, err := rowTopK(ix, q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cold, coldSt, err := ix.RowTopKCtx(context.Background(), q, 5, RunOptions{Cache: tc})
+	cold, coldSt, err := ix.Retrieve(context.Background(), q, Problem{K: 5}, nil, RunOptions{Cache: tc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +296,7 @@ func TestTuningCacheWarmCallSkipsTuning(t *testing.T) {
 		t.Fatalf("cold call: Tunings=%d TuneCacheHits=%d, want 1/0", coldSt.Tunings, coldSt.TuneCacheHits)
 	}
 
-	warm, warmSt, err := ix.RowTopKCtx(context.Background(), q, 5, RunOptions{Cache: tc})
+	warm, warmSt, err := ix.Retrieve(context.Background(), q, Problem{K: 5}, nil, RunOptions{Cache: tc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +311,7 @@ func TestTuningCacheWarmCallSkipsTuning(t *testing.T) {
 	}
 
 	// A different k is a different problem: it must tune again.
-	_, otherSt, err := ix.RowTopKCtx(context.Background(), q, 7, RunOptions{Cache: tc})
+	_, otherSt, err := ix.Retrieve(context.Background(), q, Problem{K: 7}, nil, RunOptions{Cache: tc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,10 +321,10 @@ func TestTuningCacheWarmCallSkipsTuning(t *testing.T) {
 
 	// Above-θ keys separately from Row-Top-k.
 	sink := func(retrieval.Entry) {}
-	if _, err := ix.AboveThetaCtx(context.Background(), q, 0.5, sink, RunOptions{Cache: tc}); err != nil {
+	if _, _, err := ix.Retrieve(context.Background(), q, Problem{Theta: 0.5}, sink, RunOptions{Cache: tc}); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := ix.AboveThetaCtx(context.Background(), q, 0.5, sink, RunOptions{Cache: tc})
+	_, st2, err := ix.Retrieve(context.Background(), q, Problem{Theta: 0.5}, sink, RunOptions{Cache: tc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,13 +338,13 @@ func TestTuningCacheInvalidatedByMutation(t *testing.T) {
 	tc := NewTuningCache()
 	ro := RunOptions{Cache: tc}
 
-	if _, _, err := ix.RowTopKCtx(context.Background(), q, 5, ro); err != nil {
+	if _, _, err := ix.Retrieve(context.Background(), q, Problem{K: 5}, nil, ro); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ix.AddProbe(q.Vec(0)); err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := ix.RowTopKCtx(context.Background(), q, 5, ro)
+	_, st, err := ix.Retrieve(context.Background(), q, Problem{K: 5}, nil, ro)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +354,11 @@ func TestTuningCacheInvalidatedByMutation(t *testing.T) {
 
 	// Compact changes the bucket layout without advancing the epoch; the
 	// layout generation must still rotate the key.
-	if _, _, err := ix.RowTopKCtx(context.Background(), q, 5, ro); err != nil {
+	if _, _, err := ix.Retrieve(context.Background(), q, Problem{K: 5}, nil, ro); err != nil {
 		t.Fatal(err)
 	}
 	ix.Compact()
-	_, st, err = ix.RowTopKCtx(context.Background(), q, 5, ro)
+	_, st, err = ix.Retrieve(context.Background(), q, Problem{K: 5}, nil, ro)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +367,7 @@ func TestTuningCacheInvalidatedByMutation(t *testing.T) {
 	}
 
 	// And the mutated index still answers byte-identically to fresh.
-	top, _, err := ix.RowTopKCtx(context.Background(), q, 5, ro)
+	top, _, err := ix.Retrieve(context.Background(), q, Problem{K: 5}, nil, ro)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +375,7 @@ func TestTuningCacheInvalidatedByMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := fresh.RowTopK(q, 5)
+	want, _, err := rowTopK(fresh, q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +391,7 @@ func TestCanceledTuningPublishesNothing(t *testing.T) {
 	tc := NewTuningCache()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before the tuning loop's first bucket checkpoint
-	if _, _, err := ix.RowTopKCtx(ctx, q, 5, RunOptions{Cache: tc}); !errors.Is(err, context.Canceled) {
+	if _, _, err := ix.Retrieve(ctx, q, Problem{K: 5}, nil, RunOptions{Cache: tc}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if n := tc.Len(); n != 0 {
@@ -296,7 +401,7 @@ func TestCanceledTuningPublishesNothing(t *testing.T) {
 	if tc.Hits() != 0 {
 		t.Fatalf("phantom cache hit recorded")
 	}
-	if _, _, err := ix.RowTopKCtx(context.Background(), q, 5, RunOptions{Cache: tc}); err != nil {
+	if _, _, err := ix.Retrieve(context.Background(), q, Problem{K: 5}, nil, RunOptions{Cache: tc}); err != nil {
 		t.Fatal(err)
 	}
 	if tc.Len() != 1 {

@@ -36,7 +36,7 @@ type scratch struct {
 	prefix bool
 
 	// panel is the gathered row-panel of the blocked re-rank path
-	// (RowTopKApprox): candidate raw vectors copied contiguously so one
+	// (RetrieveApprox): candidate raw vectors copied contiguously so one
 	// DotBatch pass verifies them. Reused across queries and pooled with
 	// the scratch.
 	panel []float64

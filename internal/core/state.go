@@ -21,7 +21,7 @@ import (
 type State struct {
 	Opts     Options
 	Probe    *matrix.Matrix
-	Pretuned bool // per-call tuning is frozen (Index.PretuneTopK et al.)
+	Pretuned bool // per-call tuning is frozen (Index.Pretune)
 	Buckets  []BucketState
 
 	// IDs maps probe column → external id; nil means the identity mapping
@@ -47,12 +47,10 @@ type State struct {
 	// and problem it fitted so Compact can re-freeze the parameters after a
 	// re-bucketization; persisting them lets a snapshot-restored pretuned
 	// index do the same instead of silently dropping back to defaults.
-	// TuneSample nil means no sample was retained; TuneTopK selects the
-	// problem kind (Row-Top-k at TuneK, else Above-θ at TuneTheta).
-	TuneSample *matrix.Matrix
-	TuneTopK   bool
-	TuneK      int
-	TuneTheta  float64
+	// TuneSample nil means no sample was retained; TuneProblem is the
+	// problem it was fitted for.
+	TuneSample  *matrix.Matrix
+	TuneProblem Problem
 }
 
 // BucketState is the serializable state of one probe bucket: the sorted
@@ -115,15 +113,7 @@ func (ix *Index) State() *State {
 		NextID:   ix.nextID,
 	}
 	if ix.pretuned && ix.tuneSample != nil {
-		st.TuneSample = ix.tuneSample
-		switch p := ix.tuneProb.(type) {
-		case tuneTopK:
-			st.TuneTopK, st.TuneK = true, p.k
-		case tuneAbove:
-			st.TuneTheta = p.theta
-		default:
-			st.TuneSample = nil // unknown problem: nothing to persist
-		}
+		st.TuneSample, st.TuneProblem = ix.tuneSample, ix.tuneProb
 	}
 	for i, b := range ix.buckets {
 		st.Buckets[i] = BucketState{
@@ -185,18 +175,10 @@ func FromState(st *State) (*Index, error) {
 				return nil, fmt.Errorf("core: tuning sample holds non-finite value %v", x)
 			}
 		}
-		if st.TuneTopK {
-			if st.TuneK < 1 {
-				return nil, fmt.Errorf("core: retained tuning k %d must be positive", st.TuneK)
-			}
-			ix.tuneProb = tuneTopK{k: st.TuneK}
-		} else {
-			if !(st.TuneTheta > 0) || math.IsInf(st.TuneTheta, 0) {
-				return nil, fmt.Errorf("core: retained tuning theta %v must be a positive finite number", st.TuneTheta)
-			}
-			ix.tuneProb = tuneAbove{theta: st.TuneTheta}
+		if err := st.TuneProblem.Validate(); err != nil {
+			return nil, fmt.Errorf("core: retained tuning problem: %w", err)
 		}
-		ix.tuneSample = st.TuneSample
+		ix.tuneSample, ix.tuneProb = st.TuneSample, st.TuneProblem
 	}
 	// Resolve the external id universe: identity (ids are column numbers)
 	// or the explicit column → id mapping of a compacted mutated index.

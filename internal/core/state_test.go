@@ -31,12 +31,12 @@ func TestStateRoundTrip(t *testing.T) {
 		}
 		// Tune the original (RowTopK runs a tuning pass for LI/LC) so the
 		// exported state carries fitted parameters for those algorithms.
-		wantTop, _, err := ix.RowTopK(q, 7)
+		wantTop, _, err := rowTopK(ix, q, 7)
 		if err != nil {
 			t.Fatalf("RowTopK(%v): %v", alg, err)
 		}
 		var wantAbove []retrieval.Entry
-		if _, err := ix.AboveTheta(q, theta, retrieval.Collect(&wantAbove)); err != nil {
+		if _, err := aboveTheta(ix, q, theta, retrieval.Collect(&wantAbove)); err != nil {
 			t.Fatalf("AboveTheta(%v): %v", alg, err)
 		}
 		retrieval.Sort(wantAbove)
@@ -49,7 +49,7 @@ func TestStateRoundTrip(t *testing.T) {
 			t.Fatalf("alg %v: restored shape %d/%d/%d, want %d/%d/%d",
 				alg, re.N(), re.R(), re.NumBuckets(), ix.N(), ix.R(), ix.NumBuckets())
 		}
-		gotTop, _, err := re.RowTopK(q, 7)
+		gotTop, _, err := rowTopK(re, q, 7)
 		if err != nil {
 			t.Fatalf("restored RowTopK(%v): %v", alg, err)
 		}
@@ -57,7 +57,7 @@ func TestStateRoundTrip(t *testing.T) {
 			t.Fatalf("alg %v: restored RowTopK differs", alg)
 		}
 		var gotAbove []retrieval.Entry
-		if _, err := re.AboveTheta(q, theta, retrieval.Collect(&gotAbove)); err != nil {
+		if _, err := aboveTheta(re, q, theta, retrieval.Collect(&gotAbove)); err != nil {
 			t.Fatalf("restored AboveTheta(%v): %v", alg, err)
 		}
 		retrieval.Sort(gotAbove)
@@ -78,16 +78,16 @@ func TestPretuneFreezesTuning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, st, err := ix.RowTopK(q, 5); err != nil || st.TuneTime == 0 {
+	if _, st, err := rowTopK(ix, q, 5); err != nil || st.TuneTime == 0 {
 		t.Fatalf("untuned LI index should tune per call: TuneTime=%v err=%v", st.TuneTime, err)
 	}
-	if err := ix.PretuneTopK(q, 5); err != nil {
+	if err := ix.Pretune(q, Problem{K: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if !ix.Pretuned() {
 		t.Fatal("PretuneTopK did not set the frozen flag")
 	}
-	if _, st, err := ix.RowTopK(q, 5); err != nil || st.TuneTime != 0 {
+	if _, st, err := rowTopK(ix, q, 5); err != nil || st.TuneTime != 0 {
 		t.Fatalf("pretuned index re-tuned: TuneTime=%v err=%v", st.TuneTime, err)
 	}
 
@@ -98,7 +98,7 @@ func TestPretuneFreezesTuning(t *testing.T) {
 	if !re.Pretuned() {
 		t.Fatal("Pretuned flag lost in state round-trip")
 	}
-	if _, st, err := re.RowTopK(q, 5); err != nil || st.TuneTime != 0 {
+	if _, st, err := rowTopK(re, q, 5); err != nil || st.TuneTime != 0 {
 		t.Fatalf("restored pretuned index re-tuned: TuneTime=%v err=%v", st.TuneTime, err)
 	}
 
@@ -109,17 +109,17 @@ func TestPretuneFreezesTuning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, st, err := re2.RowTopK(q, 5); err != nil || st.TuneTime == 0 {
+	if _, st, err := rowTopK(re2, q, 5); err != nil || st.TuneTime == 0 {
 		t.Fatalf("unfrozen restored index should tune: TuneTime=%v err=%v", st.TuneTime, err)
 	}
 
-	if err := ix.PretuneAboveTheta(q, math.NaN()); err == nil {
+	if err := ix.Pretune(q, Problem{Theta: math.NaN()}); err == nil {
 		t.Error("NaN theta accepted by PretuneAboveTheta")
 	}
-	if err := ix.PretuneTopK(matrix.New(10, 0), 5); err == nil {
+	if err := ix.Pretune(matrix.New(10, 0), Problem{K: 5}); err == nil {
 		t.Error("empty query sample accepted by PretuneTopK")
 	}
-	if err := ix.PretuneTopK(matrix.New(3, 4), 5); err == nil {
+	if err := ix.Pretune(matrix.New(3, 4), Problem{K: 5}); err == nil {
 		t.Error("dimension mismatch accepted by PretuneTopK")
 	}
 }

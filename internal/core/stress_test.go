@@ -44,7 +44,7 @@ func TestStressProfileScale(t *testing.T) {
 	}
 
 	wantTop, _ := naive.RowTopK(q, p, 10)
-	gotTop, topSt, err := ix.RowTopK(q, 10)
+	gotTop, topSt, err := rowTopK(ix, q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,46 @@ import (
 // pairs — the ones a parallel scan sums over its workers — and so must not
 // depend on how the queries are cut into tiles. Everything else in sum
 // stays zero, so two sums compare with ==.
-func addCounters(sum *Stats, st Stats) { addWorkerStats(sum, []Stats{st}) }
+func addCounters(sum *Stats, st Stats) {
+	st.Queries, st.Buckets, st.IndexedBuckets, st.Tunings, st.TuneCacheHits = 0, 0, 0, 0, 0
+	st.PrepTime, st.TuneTime, st.RetrievalTime = 0, 0, 0
+	sum.Add(st)
+}
+
+// cutAnswer answers q through run in panels of panelRows rows and returns
+// the per-query rows under global row ids with the summed counters. An
+// Above-θ row is sorted by probe: only its entry set is specified.
+func cutAnswer(t *testing.T, q *matrix.Matrix, p Problem, panelRows int, run func(*matrix.Matrix, retrieval.Sink) (retrieval.TopK, Stats, error)) ([][]retrieval.Entry, Stats) {
+	t.Helper()
+	rows := make([][]retrieval.Entry, q.N())
+	var sum Stats
+	for lo := 0; lo < q.N(); lo += panelRows {
+		var sink retrieval.Sink
+		if p.K == 0 {
+			sink = func(e retrieval.Entry) {
+				e.Query += lo
+				rows[e.Query] = append(rows[e.Query], e)
+			}
+		}
+		top, st, err := run(q.Slice(lo, min(lo+panelRows, q.N())), sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, row := range top {
+			for j := range row {
+				row[j].Query += lo
+			}
+			rows[lo+i] = row
+		}
+		addCounters(&sum, st)
+	}
+	if p.K == 0 {
+		for _, row := range rows {
+			retrieval.Sort(row)
+		}
+	}
+	return rows, sum
+}
 
 // tileFixture builds a many-bucket index with frozen tuning (so every call
 // resolves the same per-bucket methods, whatever its first panel was) and a
@@ -41,7 +80,7 @@ func tileFixture(t *testing.T, alg Algorithm, quantize, mutate bool) (*Index, *m
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.PretuneTopK(q.Slice(10, 40), 7); err != nil {
+	if err := ix.Pretune(q.Slice(10, 40), Problem{K: 7}); err != nil {
 		t.Fatal(err)
 	}
 	if mutate {
@@ -68,13 +107,15 @@ func tileFixture(t *testing.T, alg Algorithm, quantize, mutate bool) (*Index, *m
 	return ix, q
 }
 
-// TestTopKTilesMatchPerRowLoop is the differential test of the bucket-major
-// Row-Top-k executor: cutting the queries into panels of 1, 2, 7 or 256
-// rows (the last crossing a tile boundary inside RowTopKCtx too) must give,
-// for every query, the entries a one-row call gives — same probes, same
-// value bits, same order — and the summed counters of the one-row calls,
-// for every exact algorithm, with and without tombstones + delta buckets,
-// with and without the int8 screen.
+// TestTopKTilesMatchPerRowLoop is the differential test of the executor's
+// cuts, for both problems: answering the queries as panels of 1, 2, 7 or
+// 256 rows through Job.Run, or in one serial or four-worker Retrieve (which
+// tiles internally, the serial one across a 256-row boundary), must give,
+// for every query, the entries a one-row call gives — Row-Top-k: same
+// probes, same value bits, same order; Above-θ: the same set with the same
+// value bits — and the summed counters of the one-row calls, for every
+// exact algorithm, with and without tombstones + delta buckets, with and
+// without the int8 screen.
 func TestTopKTilesMatchPerRowLoop(t *testing.T) {
 	ctx := context.Background()
 	for _, alg := range diffAlgorithms {
@@ -83,65 +124,57 @@ func TestTopKTilesMatchPerRowLoop(t *testing.T) {
 				name := fmt.Sprintf("%v/mutated=%v/quant=%v", alg, mutate, quantize)
 				t.Run(name, func(t *testing.T) {
 					ix, all := tileFixture(t, alg, quantize, mutate)
-					for _, k := range []int{7, ix.LiveN() + 50} {
+					for _, prob := range []Problem{{K: 7}, {K: ix.LiveN() + 50}, {Theta: 1.5}} {
 						q := all
-						if k > ix.LiveN() { // every row holds every live probe: a few rows suffice
+						if prob.K > ix.LiveN() { // every row holds every live probe: a few rows suffice
 							q = all.Slice(0, 40)
 						}
-						want := make(retrieval.TopK, q.N())
-						var wantC Stats
-						for i := 0; i < q.N(); i++ {
-							rows, st, err := ix.RowTopKCtx(ctx, q.Slice(i, i+1), k, RunOptions{})
-							if err != nil {
-								t.Fatal(err)
+						oneShot := func(ro RunOptions) func(*matrix.Matrix, retrieval.Sink) (retrieval.TopK, Stats, error) {
+							return func(q *matrix.Matrix, sink retrieval.Sink) (retrieval.TopK, Stats, error) {
+								return ix.Retrieve(ctx, q, prob, sink, ro)
 							}
-							for j := range rows[0] {
-								rows[0][j].Query = i
-							}
-							want[i] = rows[0]
-							addCounters(&wantC, st)
 						}
-						if quantize && k == 7 && wantC.QuantScreened == 0 {
-							t.Fatal("quantized fixture screened nothing")
+						// L2AP's lazy bucket index keeps the smallest index-time
+						// threshold any call has asked for, and its candidate
+						// sets depend on it: one whole-matrix call brings it to
+						// the state every cut below then sees.
+						cutAnswer(t, q, prob, q.N(), oneShot(RunOptions{}))
+						want, wantC := cutAnswer(t, q, prob, 1, oneShot(RunOptions{}))
+						if quantize && prob.K != ix.LiveN()+50 && wantC.QuantScreened == 0 {
+							t.Fatalf("%+v: quantized fixture screened nothing", prob)
 						}
-						for _, panelRows := range []int{1, 2, 7, 256} {
-							pr, err := ix.NewPanelRunTopK(k, RunOptions{})
-							if err != nil {
-								t.Fatal(err)
-							}
-							var gotC Stats
-							for lo := 0; lo < q.N(); lo += panelRows {
-								hi := min(lo+panelRows, q.N())
-								rows, st, err := pr.TopKPanel(ctx, q.Slice(lo, hi))
-								if err != nil {
-									t.Fatal(err)
-								}
-								addCounters(&gotC, st)
-								for i, row := range rows {
-									for j := range row {
-										row[j].Query += lo
-									}
-									if !slices.Equal(row, want[lo+i]) {
-										t.Fatalf("k=%d panel=%d row %d:\n got %v\nwant %v", k, panelRows, lo+i, row, want[lo+i])
-									}
+						if prob.K == 0 && (wantC.Results == 0 || wantC.PrunedPairs == 0 || wantC.ProcessedPairs == 0) {
+							t.Fatalf("Above-θ fixture is degenerate: %+v", wantC)
+						}
+						check := func(cut string, got [][]retrieval.Entry, gotC Stats) {
+							t.Helper()
+							for i := range want {
+								if !slices.Equal(got[i], want[i]) {
+									t.Fatalf("%+v %s row %d:\n got %v\nwant %v", prob, cut, i, got[i], want[i])
 								}
 							}
 							if gotC != wantC {
-								t.Fatalf("k=%d panel=%d counters:\n got %+v\nwant %+v", k, panelRows, gotC, wantC)
+								t.Fatalf("%+v %s counters:\n got %+v\nwant %+v", prob, cut, gotC, wantC)
+							}
+							if pairs := int64(q.N()) * int64(ix.NumBuckets()); prob.K == 0 && gotC.ProcessedPairs+gotC.PrunedPairs != pairs {
+								t.Fatalf("%+v %s: %d processed + %d pruned pairs, want %d", prob, cut, gotC.ProcessedPairs, gotC.PrunedPairs, pairs)
 							}
 						}
-						// The full-matrix driver tiles internally.
-						rows, st, err := ix.RowTopKCtx(ctx, q, k, RunOptions{})
-						if err != nil {
-							t.Fatal(err)
+						check("one-row calls", want, wantC)
+						for _, panelRows := range []int{1, 2, 7, 256} {
+							job, err := ix.NewJob(prob, RunOptions{})
+							if err != nil {
+								t.Fatal(err)
+							}
+							got, gotC := cutAnswer(t, q, prob, panelRows, func(q *matrix.Matrix, sink retrieval.Sink) (retrieval.TopK, Stats, error) {
+								return job.Run(ctx, q, sink)
+							})
+							check(fmt.Sprintf("panel=%d", panelRows), got, gotC)
 						}
-						if !slices.EqualFunc(rows, want, slices.Equal[[]retrieval.Entry]) {
-							t.Fatalf("k=%d: full-matrix call differs from the per-row loop", k)
-						}
-						var fullC Stats
-						if addCounters(&fullC, st); fullC != wantC {
-							t.Fatalf("k=%d full-matrix counters:\n got %+v\nwant %+v", k, fullC, wantC)
-						}
+						got, gotC := cutAnswer(t, q, prob, q.N(), oneShot(RunOptions{}))
+						check("serial Retrieve", got, gotC)
+						got, gotC = cutAnswer(t, q, prob, q.N(), oneShot(RunOptions{Parallelism: 4}))
+						check("Retrieve at Parallelism 4", got, gotC)
 					}
 				})
 			}
@@ -213,11 +246,11 @@ func TestTopKCancelMidTile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := ix.NewPanelRunTopK(k, RunOptions{})
+	pr, err := ix.NewJob(Problem{K: k}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, full, err := pr.TopKPanel(context.Background(), q)
+	want, full, err := pr.Run(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +258,7 @@ func TestTopKCancelMidTile(t *testing.T) {
 	for delay := 50 * time.Microsecond; delay < 2*time.Second && !hit; delay += delay / 2 {
 		ctx, cancel := context.WithCancel(context.Background())
 		timer := time.AfterFunc(delay, cancel)
-		rows, st, err := pr.TopKPanel(ctx, q)
+		rows, st, err := pr.Run(ctx, q, nil)
 		timer.Stop()
 		cancel()
 		if err == nil {
@@ -239,7 +272,7 @@ func TestTopKCancelMidTile(t *testing.T) {
 	if !hit {
 		t.Skip("no delay landed inside the tile's scan on this machine")
 	}
-	again, st, err := pr.TopKPanel(context.Background(), q)
+	again, st, err := pr.Run(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,12 +324,12 @@ func TestConcurrentPanelsOnFreshIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, err := ix.NewPanelRunTopK(4, RunOptions{Parallelism: 2})
+	top, err := ix.NewJob(Problem{K: 4}, RunOptions{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	panels(func(lo, hi int) (Stats, error) {
-		_, st, err := top.TopKPanel(context.Background(), q.Slice(lo, hi))
+		_, st, err := top.Run(context.Background(), q.Slice(lo, hi), nil)
 		return st, err
 	})
 
@@ -305,11 +338,12 @@ func TestConcurrentPanelsOnFreshIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	theta, _ := safeTheta(t, q, p, 200)
-	above, err := ix.NewPanelRunAbove(theta, RunOptions{Parallelism: 2})
+	above, err := ix.NewJob(Problem{Theta: theta}, RunOptions{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	panels(func(lo, hi int) (Stats, error) {
-		return above.AbovePanel(context.Background(), q.Slice(lo, hi), func(retrieval.Entry) {})
+		_, st, err := above.Run(context.Background(), q.Slice(lo, hi), func(retrieval.Entry) {})
+		return st, err
 	})
 }

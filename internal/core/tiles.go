@@ -49,20 +49,3 @@ func (c *tileCursor) claim() (lo, hi int, ok bool) {
 	}
 	return lo, hi, true
 }
-
-// addWorkerStats accumulates the per-worker counters that sum across a
-// parallel scan (the phase times and index-shape fields are owned by the
-// driver).
-func addWorkerStats(st *Stats, workers []Stats) {
-	for i := range workers {
-		ws := &workers[i]
-		st.Candidates += ws.Candidates
-		st.Results += ws.Results
-		st.BlockVerified += ws.BlockVerified
-		st.ScalarVerified += ws.ScalarVerified
-		st.ProcessedPairs += ws.ProcessedPairs
-		st.PrunedPairs += ws.PrunedPairs
-		st.QuantScreened += ws.QuantScreened
-		st.QuantSurvived += ws.QuantSurvived
-	}
-}

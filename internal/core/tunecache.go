@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"sync"
-)
+import "sync"
 
 // Cross-call reuse of the sample-based algorithm selection (§4.4). Tuning
 // costs a sample of real retrievals per call — roughly 10× the marginal
@@ -44,10 +41,8 @@ type tuneCacheKey struct {
 	layout   uint64 // bucketization generation (delta rebuilds, Compact)
 	pretuned bool   // frozen-tuning state
 	alg      Algorithm
-	phi      int  // Options.Phi policy (0 = tuned per bucket)
-	topk     bool // problem kind
-	k        int
-	theta    uint64 // math.Float64bits of θ
+	phi      int // Options.Phi policy (0 = tuned per bucket)
+	prob     Problem
 }
 
 // tunedParam is one bucket's fitted state, in scan order.
@@ -106,23 +101,16 @@ func (tc *TuningCache) put(key tuneCacheKey, params []tunedParam) {
 
 // tuneCacheKey builds the cache key for this index at its current version
 // under the call's effective options and problem.
-func (ix *Index) tuneCacheKey(o Options, prob any) tuneCacheKey {
-	key := tuneCacheKey{
+func (ix *Index) tuneCacheKey(o Options, prob Problem) tuneCacheKey {
+	return tuneCacheKey{
 		index:    ix.id,
 		epoch:    ix.epoch,
 		layout:   ix.layout,
 		pretuned: ix.pretuned,
 		alg:      o.Algorithm,
 		phi:      o.Phi,
+		prob:     prob,
 	}
-	switch p := prob.(type) {
-	case tuneTopK:
-		key.topk = true
-		key.k = p.k
-	case tuneAbove:
-		key.theta = math.Float64bits(p.theta)
-	}
-	return key
 }
 
 // captureTunedParams snapshots the scan buckets' fitted parameters.

@@ -21,19 +21,11 @@ import (
 // (the paper's approach) or a deterministic operation count with
 // Options.TuneByCost.
 
-// hasTunableParams reports whether the index's build-time algorithm has
-// per-bucket parameters to select.
-func (ix *Index) hasTunableParams() bool { return ix.opts.hasTunableParams() }
-
-// needsTuning reports whether a retrieval call should run the sample-based
-// selection: the algorithm has parameters to fit and tuning has not been
-// frozen by a Pretune call (or a snapshot restore of a pretuned index).
-func (ix *Index) needsTuning() bool {
-	return !ix.pretuned && ix.hasTunableParams()
-}
-
-// needsTuningFor is needsTuning under a call's effective options.
-func (ix *Index) needsTuningFor(o Options) bool {
+// needsTuning reports whether a retrieval under options o should run the
+// sample-based selection: the algorithm has parameters to fit and tuning
+// has not been frozen by a Pretune call (or a snapshot restore of a
+// pretuned index).
+func (ix *Index) needsTuning(o Options) bool {
 	return !ix.pretuned && o.hasTunableParams()
 }
 
@@ -43,8 +35,8 @@ func (ix *Index) needsTuningFor(o Options) bool {
 // problem, and a timed sample-tuning pass (stored back into the cache)
 // otherwise. Cancellation mid-tune returns the context error; no partial
 // fit is ever published to the cache.
-func (ix *Index) ensureTuned(c *call, qs *querySet, prob any, st *Stats) error {
-	if !ix.needsTuningFor(c.opts) || ix.LiveN() == 0 || qs.n() == 0 {
+func (ix *Index) ensureTuned(c *call, qs *querySet, prob Problem, st *Stats) error {
+	if !ix.needsTuning(c.opts) || ix.LiveN() == 0 || qs.n() == 0 {
 		return nil
 	}
 	var key tuneCacheKey
@@ -67,36 +59,24 @@ func (ix *Index) ensureTuned(c *call, qs *querySet, prob any, st *Stats) error {
 	return nil
 }
 
-// PretuneTopK runs the sample-based algorithm selection (§4.4) for
-// Row-Top-k retrieval with the given query sample and freezes the fitted
-// per-bucket parameters: subsequent retrieval calls reuse them instead of
-// re-tuning. Freezing trades adaptivity for per-call latency — results stay
-// exact either way, only the per-bucket algorithm choice is affected — and
-// the frozen parameters survive snapshot save/restore, which is how a
-// snapshot-loaded server answers queries with zero tuning time.
-func (ix *Index) PretuneTopK(q *matrix.Matrix, k int) error {
-	if k <= 0 {
-		return fmt.Errorf("core: k must be positive, got %d", k)
+// Pretune runs the sample-based algorithm selection (§4.4) for the problem
+// with the given query sample and freezes the fitted per-bucket parameters:
+// subsequent retrieval calls reuse them instead of re-tuning. Freezing
+// trades adaptivity for per-call latency — results stay exact either way,
+// only the per-bucket algorithm choice is affected — and the frozen
+// parameters survive snapshot save/restore, which is how a snapshot-loaded
+// server answers queries with zero tuning time.
+func (ix *Index) Pretune(q *matrix.Matrix, prob Problem) error {
+	if err := prob.Validate(); err != nil {
+		return err
 	}
-	return ix.pretune(q, tuneTopK{k: k})
-}
-
-// PretuneAboveTheta is PretuneTopK for Above-θ retrieval at threshold theta.
-func (ix *Index) PretuneAboveTheta(q *matrix.Matrix, theta float64) error {
-	if !(theta > 0) || math.IsInf(theta, 0) {
-		return fmt.Errorf("core: theta must be a positive finite number, got %v", theta)
-	}
-	return ix.pretune(q, tuneAbove{theta: theta})
-}
-
-func (ix *Index) pretune(q *matrix.Matrix, prob any) error {
-	if q.R() != ix.r {
-		return fmt.Errorf("core: query dimension %d does not match index dimension %d", q.R(), ix.r)
+	if err := ix.checkDim(q); err != nil {
+		return err
 	}
 	if q.N() == 0 {
 		return fmt.Errorf("core: pretuning needs at least one sample query")
 	}
-	if ix.hasTunableParams() && ix.LiveN() > 0 {
+	if ix.opts.hasTunableParams() && ix.LiveN() > 0 {
 		ix.tune(newCall(nil, ix.opts, nil), prepareQueries(q), prob)
 	}
 	ix.pretuned = true
@@ -107,11 +87,6 @@ func (ix *Index) pretune(q *matrix.Matrix, prob any) error {
 	ix.tuneSample = q.Clone()
 	return nil
 }
-
-// tuneAbove and tuneTopK carry the problem context into the tuner; the
-// sample must be measured at the thresholds the real run will see.
-type tuneAbove struct{ theta float64 }
-type tuneTopK struct{ k int }
 
 // observation is the measured cost of both method families for one
 // (query, bucket) pair.
@@ -125,7 +100,7 @@ type observation struct {
 // checking the call's context at bucket boundaries: a canceled call stops
 // mid-sample and returns the context error with every bucket left untuned
 // (the next call re-tunes), so the index stays fully usable.
-func (ix *Index) tune(c *call, qs *querySet, prob any) error {
+func (ix *Index) tune(c *call, qs *querySet, prob Problem) error {
 	return ix.tuneSubset(c, qs, prob, nil)
 }
 
@@ -139,7 +114,7 @@ func (ix *Index) tune(c *call, qs *querySet, prob any) error {
 // pretuning (delta.go) uses this to fit freshly built overlay buckets from
 // the retained pretune sample without disturbing the frozen main-bucket
 // parameters.
-func (ix *Index) tuneSubset(c *call, qs *querySet, prob any, only map[*bucket]struct{}) error {
+func (ix *Index) tuneSubset(c *call, qs *querySet, prob Problem, only map[*bucket]struct{}) error {
 	target := func(b *bucket) bool {
 		if only == nil {
 			return true
@@ -161,10 +136,7 @@ func (ix *Index) tuneSubset(c *call, qs *querySet, prob any, only map[*bucket]st
 			b.tuned = false
 		}
 	}
-	kk := 0
-	if p, ok := prob.(tuneTopK); ok {
-		kk = min(p.k, ix.LiveN())
-	}
+	kk := min(prob.K, ix.LiveN()) // 0 for Above-θ
 
 	// The sample queries are independent, so they fan out over the call's
 	// parallelism, each worker with its own scratch and heap. Every query
@@ -184,8 +156,7 @@ func (ix *Index) tuneSubset(c *call, qs *querySet, prob any, only map[*bucket]st
 			return
 		}
 		qdir := qs.dir(qi)
-		switch p := prob.(type) {
-		case tuneAbove:
+		if prob.K == 0 {
 			for bi, b := range ix.scan {
 				if bi > lastTarget {
 					break // no target bucket remains
@@ -193,67 +164,53 @@ func (ix *Index) tuneSubset(c *call, qs *querySet, prob any, only map[*bucket]st
 				if c.canceled() {
 					return
 				}
-				thetaB := p.theta / (qlen * b.lb)
+				thetaB := prob.Theta / (qlen * b.lb)
 				if thetaB > 1 {
 					break // buckets are ordered by decreasing l_b
 				}
 				if target(b) {
-					perSample[si] = append(perSample[si], bucketObs{bi, ix.observe(c, b, qdir, qlen, p.theta, thetaB, s)})
+					perSample[si] = append(perSample[si], bucketObs{bi, ix.observe(c, b, qdir, qlen, prob.Theta, thetaB, s)})
 				}
 			}
-		case tuneTopK:
-			if heap == nil {
-				return // no live probe to rank
+			return
+		}
+		if heap == nil {
+			return // no live probe to rank
+		}
+		var trajStats Stats // trajectory verification is not a run; discard
+		heap.Reset()
+		for bi, b := range ix.scan {
+			if bi > lastTarget {
+				break // trajectory past the deepest target is unused
 			}
-			var trajStats Stats // trajectory verification is not a run; discard
-			heap.Reset()
-			for bi, b := range ix.scan {
-				if bi > lastTarget {
-					break // trajectory past the deepest target is unused
-				}
-				if c.canceled() {
-					return
-				}
-				theta, thetaB := math.Inf(-1), math.Inf(-1)
-				if thr, ok := heap.Threshold(); ok {
-					theta = thr
-					if b.lb == 0 {
-						if theta > 0 {
-							break
-						}
-						thetaB = -1
-					} else {
-						thetaB = theta / b.lb
-						if thetaB > 1 {
-							break
-						}
-					}
-				} else if b.lb == 0 {
-					thetaB = -1
-				}
-				// Advance the running threshold with an exact LENGTH
-				// pass (the sample must follow the same θ′ trajectory as
-				// a real run), verified with the same blocked kernels as
-				// the real run. Coordinate methods only ever run with
-				// θ_b ∈ (0,1] — below that resolve() forces LENGTH and
-				// there is nothing to measure — and where they are
-				// measured, the observation's own LENGTH pass is that
-				// step: it ran last and left its candidates in the
-				// scratch, verified already unless costs are counted.
-				observed := thetaB > 0 && target(b)
-				if observed {
-					perSample[si] = append(perSample[si], bucketObs{bi, ix.observe(c, b, qdir, 1, theta, thetaB, s)})
-				} else {
-					runLength(b, theta, 1, s)
-				}
-				if !observed || c.opts.TuneByCost {
-					ix.compactLiveCands(b, s)
-					verifyDots(b, qdir, s, &trajStats)
-				}
-				for i, dot := range s.vals {
-					lid := s.lid(i)
-					heap.Push(int(b.ids[lid]), dot*b.lens[lid])
-				}
+			if c.canceled() {
+				return
+			}
+			theta, thetaB, pruned := topkThresholds(heap, b.lb)
+			if pruned {
+				break
+			}
+			// Advance the running threshold with an exact LENGTH pass (the
+			// sample must follow the same θ′ trajectory as a real run),
+			// verified with the same blocked kernels as the real run.
+			// Coordinate methods only ever run with θ_b ∈ (0,1] — below
+			// that resolve() forces LENGTH and there is nothing to measure
+			// — and where they are measured, the observation's own LENGTH
+			// pass is that step: it ran last and left its candidates in the
+			// scratch, verified already unless costs are counted.
+			observed := thetaB > 0 && target(b)
+			if observed {
+				perSample[si] = append(perSample[si], bucketObs{bi, ix.observe(c, b, qdir, 1, theta, thetaB, s)})
+			} else {
+				runLength(b, theta, 1, s)
+			}
+			if !observed || c.opts.TuneByCost {
+				ix.compactLiveCands(b, s)
+				verifyDots(b, qdir, s, &trajStats)
+			}
+			for i, dot := range s.vals {
+				lid := s.lid(i)
+				heap.Push(int(b.ids[lid]), dot*b.lens[lid])
 			}
 		}
 	}
@@ -295,7 +252,7 @@ func (ix *Index) tuneSubset(c *call, qs *querySet, prob any, only map[*bucket]st
 	}
 	for bi, b := range ix.scan {
 		if target(b) {
-			ix.fitBucketFor(c.opts, b, obs[bi])
+			ix.fitBucket(c.opts, b, obs[bi])
 		}
 	}
 	return nil
@@ -337,7 +294,7 @@ func (ix *Index) observe(c *call, b *bucket, qdir []float64, qlen, theta, thetaB
 	}
 
 	incr := c.opts.Algorithm == AlgLI || c.opts.Algorithm == AlgI
-	for _, phi := range ix.tunePhisFor(c.opts) {
+	for _, phi := range ix.tunePhis(c.opts) {
 		o.costPhi[phi] = measure(func() {
 			if incr && phi > 1 {
 				runIncr(b, qdir, qlen, theta, thetaB, phi, s)
@@ -355,13 +312,9 @@ func (ix *Index) observe(c *call, b *bucket, qdir []float64, qlen, theta, thetaB
 // indexes (e.g. server shards) may tune concurrently.
 var verifySink atomic.Uint64
 
-// tunePhis returns the φ values the tuner tries under the index's
-// build-time options: all of 1..MaxPhi when φ is tuned, or just the fixed
-// value.
-func (ix *Index) tunePhis() []int { return ix.tunePhisFor(ix.opts) }
-
-// tunePhisFor is tunePhis under a call's effective options.
-func (ix *Index) tunePhisFor(o Options) []int {
+// tunePhis returns the φ values the tuner tries under options o: all of
+// 1..MaxPhi when φ is tuned, or just the fixed value.
+func (ix *Index) tunePhis(o Options) []int {
 	if o.Phi > 0 {
 		phi := o.Phi
 		if phi > ix.r && ix.r > 0 {
@@ -380,19 +333,16 @@ func (ix *Index) tunePhisFor(o Options) []int {
 	return phis
 }
 
-// fitBucket selects φ_b and t_b from the bucket's observations under the
-// index's build-time options.
-func (ix *Index) fitBucket(b *bucket, obs []observation) { ix.fitBucketFor(ix.opts, b, obs) }
-
-// fitBucketFor is fitBucket under a call's effective options.
-func (ix *Index) fitBucketFor(o Options, b *bucket, obs []observation) {
+// fitBucket selects φ_b and t_b from the bucket's observations under
+// options o.
+func (ix *Index) fitBucket(o Options, b *bucket, obs []observation) {
 	b.tuned = true
 	b.tb = defaultTB
-	b.phi = ix.defaultPhiFor(o)
+	b.phi = ix.defaultPhi(o)
 	if len(obs) == 0 {
 		return
 	}
-	phis := ix.tunePhisFor(o)
+	phis := ix.tunePhis(o)
 	if len(phis) == 0 {
 		return
 	}

@@ -18,7 +18,7 @@ func TestTuningSetsParametersOnAllBuckets(t *testing.T) {
 		t.Fatal(err)
 	}
 	theta, _ := safeTheta(t, q, p, 100)
-	if _, err := ix.AboveTheta(q, theta, func(retrieval.Entry) {}); err != nil {
+	if _, err := aboveTheta(ix, q, theta, func(retrieval.Entry) {}); err != nil {
 		t.Fatal(err)
 	}
 	for bi, b := range ix.buckets {
@@ -58,7 +58,7 @@ func TestNeedsTuning(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := ix.needsTuning(); got != c.want {
+		if got := ix.needsTuning(ix.opts); got != c.want {
 			t.Errorf("needsTuning(%v, φ=%d) = %v, want %v",
 				c.opts.Algorithm, c.opts.Phi, got, c.want)
 		}
@@ -91,7 +91,7 @@ func TestFitBucketSplit(t *testing.T) {
 		}
 		obs = append(obs, o)
 	}
-	ix.fitBucket(b, obs)
+	ix.fitBucket(ix.opts, b, obs)
 	if !b.tuned {
 		t.Fatal("bucket not marked tuned")
 	}
@@ -106,7 +106,7 @@ func TestFitBucketSplit(t *testing.T) {
 			obs[i].costPhi[phi] = 5
 		}
 	}
-	ix.fitBucket(b, obs)
+	ix.fitBucket(ix.opts, b, obs)
 	if !math.IsInf(b.tb, 1) {
 		t.Errorf("t_b=%g, want +Inf (always LENGTH)", b.tb)
 	}
@@ -118,7 +118,7 @@ func TestFitBucketSplit(t *testing.T) {
 			obs[i].costPhi[phi] = 1
 		}
 	}
-	ix.fitBucket(b, obs)
+	ix.fitBucket(ix.opts, b, obs)
 	if b.tb != 0 {
 		t.Errorf("t_b=%g, want 0 (never LENGTH)", b.tb)
 	}
@@ -129,13 +129,13 @@ func TestFitBucketSplit(t *testing.T) {
 			obs[i].costPhi[phi] = float64(10 - phi) // φ=5 cheapest
 		}
 	}
-	ix.fitBucket(b, obs)
+	ix.fitBucket(ix.opts, b, obs)
 	if b.phi != 5 {
 		t.Errorf("φ_b=%d, want 5", b.phi)
 	}
 
 	// No observations: defaults.
-	ix.fitBucket(b, nil)
+	ix.fitBucket(ix.opts, b, nil)
 	if !b.tuned || b.tb != defaultTB {
 		t.Errorf("empty-fit: tuned=%v tb=%g", b.tuned, b.tb)
 	}
@@ -195,7 +195,7 @@ func TestTuningParallelismFitsIdentically(t *testing.T) {
 		phi   int
 	}
 	for _, alg := range []Algorithm{AlgLI, AlgLC, AlgI} {
-		for _, prob := range []any{tuneTopK{k: 6}, tuneAbove{theta: theta}} {
+		for _, prob := range []Problem{{K: 6}, {Theta: theta}} {
 			var want []fit
 			for _, par := range []int{1, 2, 4} {
 				opts := testOptions(alg)
@@ -217,13 +217,13 @@ func TestTuningParallelismFitsIdentically(t *testing.T) {
 				if par == 1 {
 					want = got
 					if alg.needsTB() && !split {
-						t.Fatalf("%v %T: no bucket fitted an interior t_b; fixture too easy", alg, prob)
+						t.Fatalf("%v %+v: no bucket fitted an interior t_b; fixture too easy", alg, prob)
 					}
 					continue
 				}
 				for bi := range want {
 					if got[bi] != want[bi] {
-						t.Fatalf("%v %T parallelism %d bucket %d: fit %+v, serial %+v", alg, prob, par, bi, got[bi], want[bi])
+						t.Fatalf("%v %+v parallelism %d bucket %d: fit %+v, serial %+v", alg, prob, par, bi, got[bi], want[bi])
 					}
 				}
 			}

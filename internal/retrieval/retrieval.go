@@ -79,7 +79,7 @@ func (h *mergeHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h 
 
 // MergeTopK k-way-merges per-shard Row-Top-k results into a global one.
 // Each part must hold the same number of rows (one per query), each row
-// sorted by decreasing value as returned by RowTopK; the merged row i is
+// sorted by decreasing value as Row-Top-k returns it; the merged row i is
 // the k largest entries across all parts' rows i, again by decreasing
 // value. Probe ids are taken as-is — remap shard-local ids to global ones
 // before merging.

@@ -52,7 +52,7 @@ func ParseBatchMode(s string) (BatchMode, error) {
 }
 
 // Batcher coalesces concurrent retrieval requests into whole-matrix calls.
-// LEMP's drivers are batch-oriented — Row-Top-k and Above-θ take a query
+// LEMP's retrieval is batch-oriented — Row-Top-k and Above-θ take a query
 // *matrix* — so serving one HTTP request per retrieval call wastes the
 // amortization the paper's design invites. The batcher holds each incoming
 // request for at most Window, merging every request with identical

@@ -33,10 +33,7 @@ func TestShardedMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := direct.RowTopK(q, k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := directTopK(t, direct, q, k)
 	for i := range want {
 		if len(got[i]) != len(want[i]) {
 			t.Fatalf("query %d: %d entries, want %d", i, len(got[i]), len(want[i]))
@@ -53,10 +50,7 @@ func TestShardedMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, _, err := direct.AboveTheta(q, theta)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := directAbove(t, direct, q, theta)
 	lemp.SortEntries(entries)
 	wantRows := make([][]lemp.Entry, q.N())
 	for _, e := range entries {
@@ -83,10 +77,7 @@ func TestBatcherCoalesces(t *testing.T) {
 	direct := directIndex(t, p)
 
 	const callers, k = 32, 5
-	want, _, err := direct.RowTopK(q.Head(callers), k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := directTopK(t, direct, q.Head(callers), k)
 
 	b := NewBatcher(sh, 100*time.Millisecond, 1024, BatchModeWindow)
 	var dispatches, coalesced atomic.Int64

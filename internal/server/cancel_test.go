@@ -290,10 +290,7 @@ func TestShardedTuningCacheReuse(t *testing.T) {
 
 	// Results identical to a direct unsharded index.
 	direct := directIndex(t, p)
-	want, _, err := direct.RowTopK(q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := directTopK(t, direct, q, 5)
 	for i := range want {
 		if len(top[i]) != len(want[i]) {
 			t.Fatalf("row %d: %d entries, want %d", i, len(top[i]), len(want[i]))

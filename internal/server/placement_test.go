@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -213,10 +214,11 @@ func TestClusterPrunedDifferential(t *testing.T) {
 			}
 			compareRows(t, "pruned vs full fan-out", got, full)
 
-			entries, _, err := ref.AboveTheta(q, theta)
+			refRes, err := ref.Retrieve(context.Background(), q, lemp.AboveTheta(theta))
 			if err != nil {
 				t.Fatalf("seq %d round %d: reference above: %v", seq, round, err)
 			}
+			entries := refRes.Entries
 			lemp.SortEntries(entries)
 			want := make([][]lemp.Entry, m)
 			for _, e := range entries {
@@ -229,11 +231,11 @@ func TestClusterPrunedDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seq %d round %d: sharded topk: %v", seq, round, err)
 			}
-			wantTop, _, err := ref.RowTopK(q, k)
+			refRes, err = ref.Retrieve(context.Background(), q, lemp.TopK(k))
 			if err != nil {
 				t.Fatalf("seq %d round %d: reference topk: %v", seq, round, err)
 			}
-			compareTopKValues(t, "topk vs reference", gotTop, wantTop)
+			compareTopKValues(t, "topk vs reference", gotTop, refRes.TopK)
 		}
 		totalPruned += sh.ShardsPruned()
 		totalScanned += sh.ShardsScanned()
@@ -439,10 +441,7 @@ func TestPlacementAddRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, _, err := ref.AboveTheta(q, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := directAbove(t, ref, q, 0.8)
 	lemp.SortEntries(entries)
 	want := make([][]lemp.Entry, 4)
 	for _, e := range entries {

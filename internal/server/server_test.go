@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -30,6 +31,26 @@ func directIndex(t testing.TB, p *lemp.Matrix) *lemp.Index {
 		t.Fatal(err)
 	}
 	return ix
+}
+
+// directTopK and directAbove answer on one unsharded index: the reference
+// sharded results are compared against.
+func directTopK(t testing.TB, ix *lemp.Index, q *lemp.Matrix, k int) lemp.TopKRows {
+	t.Helper()
+	res, err := ix.Retrieve(context.Background(), q, lemp.TopK(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.TopK
+}
+
+func directAbove(t testing.TB, ix *lemp.Index, q *lemp.Matrix, theta float64) []lemp.Entry {
+	t.Helper()
+	res, err := ix.Retrieve(context.Background(), q, lemp.AboveTheta(theta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Entries
 }
 
 // newTestServer builds a Server over the Smoke probes with 4 shards and
@@ -97,10 +118,7 @@ func TestTopKMatchesDirect(t *testing.T) {
 	direct := directIndex(t, p)
 
 	const k, nq = 10, 64
-	want, _, err := direct.RowTopK(q.Head(nq), k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := directTopK(t, direct, q.Head(nq), k)
 
 	var resp queryResponse
 	postJSON(t, ts.URL+"/v1/topk", topKRequest{Queries: vecs(q, 0, nq), K: k}, &resp)
@@ -128,10 +146,7 @@ func TestAboveMatchesDirect(t *testing.T) {
 
 	const nq = 64
 	theta := 1.5
-	entries, _, err := direct.AboveTheta(q.Head(nq), theta)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := directAbove(t, direct, q.Head(nq), theta)
 	lemp.SortEntries(entries)
 	want := make([][]lemp.Entry, nq)
 	for _, e := range entries {
@@ -168,10 +183,7 @@ func TestConcurrencySmoke(t *testing.T) {
 	direct := directIndex(t, p)
 
 	const k, inflight = 5, 200
-	want, _, err := direct.RowTopK(q.Head(inflight), k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := directTopK(t, direct, q.Head(inflight), k)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, inflight)

@@ -1,7 +1,7 @@
 // Package server turns the lemp library into a long-lived query service:
 // it shards a probe matrix across independent LEMP indexes, micro-batches
 // concurrent HTTP requests into whole-matrix retrieval calls (the batch
-// interface RowTopK/AboveTheta already expose), caches per-query results,
+// interface Retrieve already exposes), caches per-query results,
 // applies live probe updates with epoch-consistent snapshots, and reports
 // cumulative retrieval statistics.
 package server
@@ -552,8 +552,8 @@ func addShardStats(dst *lemp.Stats, st lemp.Stats) {
 // request deadline — aborts all shard scans mid-bucket.
 //
 // When ctx carries a trace (obs.ContextWithSpan), each shard goroutine
-// opens its own shard-tagged span and passes it down, so the core drivers
-// hang their tune/scan phase spans under the right shard. Per-shard wall
+// opens its own shard-tagged span and passes it down, so the core executor
+// hangs its tune/scan phase spans under the right shard. Per-shard wall
 // time — including the wait for the shard mutex, which is exactly the
 // serialization skew worth seeing — feeds scanHist[i] when the server has
 // wired it.

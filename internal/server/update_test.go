@@ -151,10 +151,7 @@ func TestUpdateEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	httpResp.Body.Close()
-	want, _, err := ref.RowTopK(q, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := directTopK(t, ref, q, 4)
 	for i := range want {
 		if len(resp.Results[i]) != len(want[i]) {
 			t.Fatalf("query %d: %d entries, want %d", i, len(resp.Results[i]), len(want[i]))

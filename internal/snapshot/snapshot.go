@@ -574,9 +574,9 @@ func writeProbe(w io.Writer, p *matrix.Matrix) error {
 // fitted (kind, k, θ) and the retained query sample.
 func writeTuneSample(w io.Writer, st *core.State) error {
 	var hdr [25]byte
-	hdr[0] = boolByte(st.TuneTopK)
-	binary.LittleEndian.PutUint64(hdr[1:9], uint64(int64(st.TuneK)))
-	binary.LittleEndian.PutUint64(hdr[9:17], math.Float64bits(st.TuneTheta))
+	hdr[0] = boolByte(st.TuneProblem.K > 0)
+	binary.LittleEndian.PutUint64(hdr[1:9], uint64(int64(st.TuneProblem.K)))
+	binary.LittleEndian.PutUint64(hdr[9:17], math.Float64bits(st.TuneProblem.Theta))
 	binary.LittleEndian.PutUint32(hdr[17:21], uint32(st.TuneSample.R()))
 	binary.LittleEndian.PutUint32(hdr[21:25], uint32(st.TuneSample.N()))
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -886,9 +886,11 @@ func readTuneSample(r io.Reader, st *core.State) error {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return err
 	}
-	st.TuneTopK = hdr[0] != 0
-	st.TuneK = int(int64(binary.LittleEndian.Uint64(hdr[1:9])))
-	st.TuneTheta = math.Float64frombits(binary.LittleEndian.Uint64(hdr[9:17]))
+	if hdr[0] != 0 { // the kind byte selects which of k and θ counts
+		st.TuneProblem.K = int(int64(binary.LittleEndian.Uint64(hdr[1:9])))
+	} else {
+		st.TuneProblem.Theta = math.Float64frombits(binary.LittleEndian.Uint64(hdr[9:17]))
+	}
 	rr := int(binary.LittleEndian.Uint32(hdr[17:21]))
 	m := int(binary.LittleEndian.Uint32(hdr[21:25]))
 	if rr < 1 || m < 1 || rr > maxDim || m > maxProbes {

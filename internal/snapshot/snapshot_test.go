@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -32,7 +33,7 @@ func buildState(t testing.TB) *core.State {
 	}
 	q := matrix.New(8, 20)
 	q.FillRandom(rand.New(rand.NewSource(22)))
-	if err := ix.PretuneTopK(q, 5); err != nil {
+	if err := ix.Pretune(q, core.Problem{K: 5}); err != nil {
 		t.Fatal(err)
 	}
 	return ix.State()
@@ -362,11 +363,11 @@ func TestRestoredListsServeIdentically(t *testing.T) {
 	}
 	q := matrix.New(st.Probe.R(), 5)
 	q.FillRandom(rand.New(rand.NewSource(77)))
-	wantTop, _, err := original.RowTopK(q, 7)
+	wantTop, _, err := original.Retrieve(context.Background(), q, core.Problem{K: 7}, nil, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTop, _, err := restored.RowTopK(q, 7)
+	gotTop, _, err := restored.Retrieve(context.Background(), q, core.Problem{K: 7}, nil, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,11 +449,11 @@ func TestQuantRoundTrip(t *testing.T) {
 	}
 	q := matrix.New(st.Probe.R(), 5)
 	q.FillRandom(rand.New(rand.NewSource(78)))
-	wantTop, _, err := original.RowTopK(q, 7)
+	wantTop, _, err := original.Retrieve(context.Background(), q, core.Problem{K: 7}, nil, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTop, _, err := restored.RowTopK(q, 7)
+	gotTop, _, err := restored.Retrieve(context.Background(), q, core.Problem{K: 7}, nil, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,7 +626,7 @@ func TestSortedListBytesMatchStableSort(t *testing.T) {
 	}
 	q := matrix.New(r, 20)
 	q.FillRandom(rng)
-	if err := ix.PretuneTopK(q, 5); err != nil {
+	if err := ix.Pretune(q, core.Problem{K: 5}); err != nil {
 		t.Fatal(err)
 	}
 	st := ix.State()

@@ -28,13 +28,10 @@
 // Retrieve is the context-aware entry point for every mode; per-call policy
 // — algorithm, parallelism, tuning reuse, approximation, streaming — is
 // selected with functional options (TopK, AboveTheta, WithAlgorithm,
-// WithParallelism, WithTuningCache, Approx, Stream). The methods RowTopK,
-// AboveTheta, AboveThetaFunc and RowTopKApprox are thin wrappers over
-// Retrieve kept for convenience and compatibility.
+// WithParallelism, WithTuningCache, Approx, Stream).
 package lemp
 
 import (
-	"context"
 	"time"
 
 	"lemp/internal/core"
@@ -128,59 +125,9 @@ func (ix *Index) Buckets() []BucketInfo { return ix.inner.Buckets() }
 // PrepTime returns the preprocessing wall-clock time.
 func (ix *Index) PrepTime() time.Duration { return ix.inner.PrepTime() }
 
-// AboveTheta returns every entry of QᵀP with value ≥ theta (θ > 0), in
-// unspecified order. It is a wrapper over Retrieve with the AboveTheta
-// option and a background context; for very large result sets prefer
-// streaming (AboveThetaFunc or the Stream option), which does not
-// materialize entries.
-func (ix *Index) AboveTheta(q *Matrix, theta float64) ([]Entry, Stats, error) {
-	res, err := ix.Retrieve(context.Background(), q, AboveTheta(theta))
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return res.Entries, res.Stats, nil
-}
-
-// AboveThetaFunc streams every entry of QᵀP with value ≥ theta to emit. It
-// is a wrapper over Retrieve with the AboveTheta and Stream options and a
-// background context. The Entry passed to emit must not be retained.
-func (ix *Index) AboveThetaFunc(q *Matrix, theta float64, emit func(Entry)) (Stats, error) {
-	res, err := ix.Retrieve(context.Background(), q, AboveTheta(theta), Stream(emit))
-	if err != nil {
-		return Stats{}, err
-	}
-	return res.Stats, nil
-}
-
-// RowTopK returns, for every query vector, its k probe vectors with the
-// largest inner products, by decreasing value (fewer than k when the index
-// holds fewer probes). Ties are broken arbitrarily. It is a wrapper over
-// Retrieve with the TopK option and a background context.
-func (ix *Index) RowTopK(q *Matrix, k int) (TopKRows, Stats, error) {
-	res, err := ix.Retrieve(context.Background(), q, TopK(k))
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return res.TopK, res.Stats, nil
-}
-
 // ApproxOptions tune approximate Row-Top-k (cluster count, candidate
 // expansion); see the Approx option.
 type ApproxOptions = core.ApproxOptions
-
-// RowTopKApprox answers Row-Top-k approximately by clustering the queries
-// and retrieving exactly only for cluster centroids (the scheme of
-// Koenigstein et al. the paper cites as composable with LEMP). Values are
-// exact inner products, but some true top-k members may be missing; use
-// Recall to quantify quality against an exact run. It is a wrapper over
-// Retrieve with the TopK and Approx options and a background context.
-func (ix *Index) RowTopKApprox(q *Matrix, k int, opts ApproxOptions) (TopKRows, Stats, error) {
-	res, err := ix.Retrieve(context.Background(), q, TopK(k), Approx(opts))
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return res.TopK, res.Stats, nil
-}
 
 // Recall returns the average fraction of exact top-k entries recovered by
 // an approximate run, per query.

@@ -2,6 +2,7 @@ package lemp_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"os"
@@ -30,13 +31,31 @@ func fig1(t *testing.T) (q, p *lemp.Matrix) {
 	return q, p
 }
 
+// rowTopK and aboveTheta are Retrieve under a background context with the
+// mode option alone: the shape most tests call it in.
+func rowTopK(ix *lemp.Index, q *lemp.Matrix, k int) (lemp.TopKRows, lemp.Stats, error) {
+	res, err := ix.Retrieve(context.Background(), q, lemp.TopK(k))
+	if err != nil {
+		return nil, lemp.Stats{}, err
+	}
+	return res.TopK, res.Stats, nil
+}
+
+func aboveTheta(ix *lemp.Index, q *lemp.Matrix, theta float64) ([]lemp.Entry, lemp.Stats, error) {
+	res, err := ix.Retrieve(context.Background(), q, lemp.AboveTheta(theta))
+	if err != nil {
+		return nil, lemp.Stats{}, err
+	}
+	return res.Entries, res.Stats, nil
+}
+
 func TestQuickstartAboveTheta(t *testing.T) {
 	q, p := fig1(t)
 	index, err := lemp.New(p, lemp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, st, err := index.AboveTheta(q, 3.0)
+	entries, st, err := aboveTheta(index, q, 3.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +87,7 @@ func TestQuickstartRowTopK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, _, err := index.RowTopK(q, 1)
+	top, _, err := rowTopK(index, q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +104,12 @@ func TestAboveThetaFuncStreams(t *testing.T) {
 	q, p := fig1(t)
 	index, _ := lemp.New(p, lemp.Options{})
 	var n int
-	st, err := index.AboveThetaFunc(q, 3.0, func(lemp.Entry) { n++ })
+	res, err := index.Retrieve(context.Background(), q, lemp.AboveTheta(3.0), lemp.Stream(func(lemp.Entry) { n++ }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 10 || int(st.Results) != 10 {
-		t.Errorf("streamed %d entries, stats %d", n, st.Results)
+	if n != 10 || int(res.Stats.Results) != 10 || res.Entries != nil {
+		t.Errorf("streamed %d entries, stats %d, %d entries materialized", n, res.Stats.Results, len(res.Entries))
 	}
 }
 
@@ -108,7 +127,7 @@ func TestAllAlgorithmsThroughPublicAPI(t *testing.T) {
 	q, _ := lemp.MatrixFromVectors(vecs[:40])
 	reference, _, err := func() ([]lemp.Entry, lemp.Stats, error) {
 		ix, _ := lemp.New(p, lemp.Options{Algorithm: lemp.AlgorithmL})
-		return ix.AboveTheta(q, 4.0)
+		return aboveTheta(ix, q, 4.0)
 	}()
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +140,7 @@ func TestAllAlgorithmsThroughPublicAPI(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(%v): %v", alg, err)
 		}
-		got, _, err := ix.AboveTheta(q, 4.0)
+		got, _, err := aboveTheta(ix, q, 4.0)
 		if err != nil {
 			t.Fatalf("AboveTheta(%v): %v", alg, err)
 		}

@@ -3,7 +3,6 @@ package lemp
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"lemp/internal/core"
 	"lemp/internal/retrieval"
@@ -38,7 +37,7 @@ func (ix *Index) Retrieve(ctx context.Context, q *Matrix, opts ...Option) (*Resu
 // RetrieveSpec is Retrieve with a pre-validated Spec, letting serving loops
 // build the spec once and reuse it across calls.
 func (ix *Index) RetrieveSpec(ctx context.Context, q *Matrix, spec *Spec) (*Result, error) {
-	if spec == nil || !spec.valid {
+	if spec == nil || spec.prob == (core.Problem{}) {
 		return nil, fmt.Errorf("lemp: spec must be built with NewSpec")
 	}
 	ro := core.RunOptions{
@@ -48,15 +47,14 @@ func (ix *Index) RetrieveSpec(ctx context.Context, q *Matrix, spec *Spec) (*Resu
 	}
 	res := &Result{Epoch: ix.Epoch()}
 	var err error
-	switch {
-	case spec.topk && spec.approx != nil:
-		res.TopK, res.Stats, err = ix.inner.RowTopKApproxCtx(ctx, q, spec.k, *spec.approx, ro)
-	case spec.topk:
-		res.TopK, res.Stats, err = ix.inner.RowTopKCtx(ctx, q, spec.k, ro)
-	case spec.stream != nil:
-		res.Stats, err = ix.inner.AboveThetaCtx(ctx, q, spec.theta, retrieval.Sink(spec.stream), ro)
-	default:
-		res.Stats, err = ix.inner.AboveThetaCtx(ctx, q, spec.theta, retrieval.Collect(&res.Entries), ro)
+	if spec.approx != nil {
+		res.TopK, res.Stats, err = ix.inner.RetrieveApprox(ctx, q, spec.prob.K, *spec.approx, ro)
+	} else {
+		sink := retrieval.Sink(spec.stream)
+		if spec.prob.K == 0 && sink == nil {
+			sink = retrieval.Collect(&res.Entries)
+		}
+		res.TopK, res.Stats, err = ix.inner.Retrieve(ctx, q, spec.prob, sink, ro)
 	}
 	if err != nil {
 		return nil, err
@@ -85,11 +83,7 @@ type Result struct {
 // Spec is a validated retrieval specification. Build one with NewSpec (or
 // implicitly via Retrieve); the zero value is invalid.
 type Spec struct {
-	valid       bool
-	topk        bool
-	above       bool
-	k           int
-	theta       float64
+	prob        core.Problem // set, and valid, in every Spec NewSpec returns
 	algorithm   *Algorithm
 	parallelism int
 	cache       *TuningCache
@@ -114,16 +108,15 @@ func NewSpec(opts ...Option) (*Spec, error) {
 			return nil, err
 		}
 	}
-	if !spec.topk && !spec.above {
+	if spec.prob == (core.Problem{}) {
 		return nil, fmt.Errorf("lemp: no retrieval mode: pass TopK(k) or AboveTheta(theta)")
 	}
-	if spec.approx != nil && !spec.topk {
+	if spec.approx != nil && spec.prob.K == 0 {
 		return nil, fmt.Errorf("lemp: Approx applies only to TopK retrieval")
 	}
-	if spec.stream != nil && !spec.above {
+	if spec.stream != nil && spec.prob.K > 0 {
 		return nil, fmt.Errorf("lemp: Stream applies only to AboveTheta retrieval")
 	}
-	spec.valid = true
 	return spec, nil
 }
 
@@ -132,14 +125,7 @@ func NewSpec(opts ...Option) (*Spec, error) {
 // the index holds fewer live probes). Ties are broken arbitrarily.
 func TopK(k int) Option {
 	return func(s *Spec) error {
-		if err := s.setMode(); err != nil {
-			return err
-		}
-		if k < 1 {
-			return fmt.Errorf("lemp: k must be positive, got %d", k)
-		}
-		s.topk, s.k = true, k
-		return nil
+		return s.setProblem(core.Problem{K: k}, "k must be positive, got %d", k)
 	}
 }
 
@@ -148,23 +134,22 @@ func TopK(k int) Option {
 // as in the paper's problem statement.
 func AboveTheta(theta float64) Option {
 	return func(s *Spec) error {
-		if err := s.setMode(); err != nil {
-			return err
-		}
-		if math.IsNaN(theta) || !(theta > 0) || math.IsInf(theta, 0) {
-			return fmt.Errorf("lemp: theta must be a positive finite number, got %v", theta)
-		}
-		s.above, s.theta = true, theta
-		return nil
+		return s.setProblem(core.Problem{Theta: theta}, "theta must be a positive finite number, got %v", theta)
 	}
 }
 
-// setMode guards against conflicting mode options (TopK + AboveTheta, or a
-// mode given twice).
-func (s *Spec) setMode() error {
-	if s.topk || s.above {
+// setProblem installs the retrieval mode, refusing a second mode option
+// (TopK + AboveTheta, or a mode given twice) and an out-of-range k or θ.
+// Whether the value is in range is core's one validator's decision; the
+// words are the option's, which knows what the caller passed.
+func (s *Spec) setProblem(p core.Problem, rangeMsg string, arg any) error {
+	if s.prob != (core.Problem{}) {
 		return fmt.Errorf("lemp: retrieval mode already set: pass exactly one of TopK or AboveTheta")
 	}
+	if p.Validate() != nil {
+		return fmt.Errorf("lemp: "+rangeMsg, arg)
+	}
+	s.prob = p
 	return nil
 }
 

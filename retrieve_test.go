@@ -123,41 +123,39 @@ func TestRetrieveRejectsBeforeWork(t *testing.T) {
 	}
 }
 
-// TestRetrieveMatchesLegacyWrappers is the differential check the
-// acceptance criteria require: Retrieve and the legacy methods return
-// byte-identical results in every mode.
-func TestRetrieveMatchesLegacyWrappers(t *testing.T) {
+// TestRetrieveModesFillTheirResult checks what each mode puts in a Result:
+// TopK fills rows and no entries — a prebuilt Spec answering as the options
+// do — AboveTheta collects entries and no rows, Stream delivers the same
+// entry set and materializes nothing, Approx answers k exact-valued entries
+// per row and is reproducible under its seed.
+func TestRetrieveModesFillTheirResult(t *testing.T) {
 	ix, q := retrieveFixture(t)
 	ctx := context.Background()
 
-	wantTop, _, err := ix.RowTopK(q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := ix.Retrieve(ctx, q, lemp.TopK(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.TopK, wantTop) {
-		t.Fatal("Retrieve TopK differs from RowTopK")
+	if len(res.TopK) != q.N() || res.Entries != nil {
+		t.Fatalf("TopK mode: %d rows for %d queries, Entries set: %v", len(res.TopK), q.N(), res.Entries != nil)
 	}
-	if res.Entries != nil {
-		t.Fatal("TopK mode filled Entries")
-	}
-
-	wantEnts, _, err := ix.AboveTheta(q, 0.8)
+	spec, err := lemp.NewSpec(lemp.TopK(10))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if viaSpec, err := ix.RetrieveSpec(ctx, q, spec); err != nil || !reflect.DeepEqual(viaSpec.TopK, res.TopK) {
+		t.Fatalf("RetrieveSpec differs from Retrieve with the same options (err %v)", err)
+	}
+
 	res, err = ix.Retrieve(ctx, q, lemp.AboveTheta(0.8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lemp.SortEntries(wantEnts)
-	lemp.SortEntries(res.Entries)
-	if !reflect.DeepEqual(res.Entries, wantEnts) {
-		t.Fatal("Retrieve AboveTheta differs from the AboveTheta method")
+	wantEnts := res.Entries
+	if len(wantEnts) == 0 || res.TopK != nil {
+		t.Fatalf("AboveTheta mode: %d entries, TopK set: %v", len(wantEnts), res.TopK != nil)
 	}
+	lemp.SortEntries(wantEnts)
 
 	var streamed []lemp.Entry
 	res, err = ix.Retrieve(ctx, q, lemp.AboveTheta(0.8), lemp.Stream(func(e lemp.Entry) { streamed = append(streamed, e) }))
@@ -172,16 +170,23 @@ func TestRetrieveMatchesLegacyWrappers(t *testing.T) {
 		t.Fatal("Stream entries differ from collected entries")
 	}
 
-	wantApprox, _, err := ix.RowTopKApprox(q, 5, lemp.ApproxOptions{Clusters: 4, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err = ix.Retrieve(ctx, q, lemp.TopK(5), lemp.Approx(lemp.ApproxOptions{Clusters: 4, Seed: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.TopK, wantApprox) {
-		t.Fatal("Retrieve Approx differs from RowTopKApprox")
+	for i, row := range res.TopK {
+		if len(row) != 5 {
+			t.Fatalf("Approx row %d holds %d entries, want 5", i, len(row))
+		}
+		for _, e := range row {
+			if want := q.Product(ix.Probe(), i, e.Probe); math.Abs(e.Value-want) > 1e-9*(1+math.Abs(want)) {
+				t.Fatalf("Approx entry (%d,%d): value %g is not the product %g", i, e.Probe, e.Value, want)
+			}
+		}
+	}
+	again, err := ix.Retrieve(ctx, q, lemp.TopK(5), lemp.Approx(lemp.ApproxOptions{Clusters: 4, Seed: 3}))
+	if err != nil || !reflect.DeepEqual(again.TopK, res.TopK) {
+		t.Fatalf("Approx under one seed answered differently twice (err %v)", err)
 	}
 }
 
@@ -193,7 +198,7 @@ func TestRetrieveTuningCacheZeroWork(t *testing.T) {
 	ctx := context.Background()
 	tc := lemp.NewTuningCache()
 
-	want, _, err := ix.RowTopK(q, 10)
+	want, _, err := rowTopK(ix, q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +218,7 @@ func TestRetrieveTuningCacheZeroWork(t *testing.T) {
 			warm.Stats.Tunings, warm.Stats.TuneCacheHits, warm.Stats.TuneTime)
 	}
 	if !reflect.DeepEqual(cold.TopK, want) || !reflect.DeepEqual(warm.TopK, want) {
-		t.Fatal("cached results differ from legacy RowTopK")
+		t.Fatal("cached results differ from an uncached call")
 	}
 }
 
@@ -312,7 +317,7 @@ func TestSnapshotRestoredPretuneSurvivesCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := fresh.RowTopK(q, 5)
+	want, _, err := rowTopK(fresh, q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,10 +153,10 @@ func (ix *Index) Pretuned() bool { return ix.inner.Pretuned() }
 // with zero tuning time. Results stay exact either way; tuning only picks
 // the per-bucket method. Use LoadOptions.Retune to unfreeze.
 func (ix *Index) PretuneTopK(q *Matrix, k int) error {
-	return ix.inner.PretuneTopK(q, k)
+	return ix.inner.Pretune(q, core.Problem{K: k})
 }
 
 // PretuneAboveTheta is PretuneTopK for Above-θ retrieval at threshold theta.
 func (ix *Index) PretuneAboveTheta(q *Matrix, theta float64) error {
-	return ix.inner.PretuneAboveTheta(q, theta)
+	return ix.inner.Pretune(q, core.Problem{Theta: theta})
 }

@@ -36,11 +36,11 @@ func TestSnapshotRoundTripSmoke(t *testing.T) {
 			loaded.N(), loaded.R(), loaded.NumBuckets(), ix.N(), ix.R(), ix.NumBuckets())
 	}
 
-	wantTop, _, err := ix.RowTopK(q, 10)
+	wantTop, _, err := rowTopK(ix, q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTop, _, err := loaded.RowTopK(q, 10)
+	gotTop, _, err := rowTopK(loaded, q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +49,11 @@ func TestSnapshotRoundTripSmoke(t *testing.T) {
 	}
 
 	theta := medianTopValue(wantTop)
-	wantAbove, _, err := ix.AboveTheta(q, theta)
+	wantAbove, _, err := aboveTheta(ix, q, theta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotAbove, _, err := loaded.AboveTheta(q, theta)
+	gotAbove, _, err := aboveTheta(loaded, q, theta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSnapshotPretunedSkipsTuning(t *testing.T) {
 	if !loaded.Pretuned() {
 		t.Fatal("pretuned flag lost across snapshot")
 	}
-	if _, st, err := loaded.RowTopK(q, 10); err != nil || st.TuneTime != 0 {
+	if _, st, err := rowTopK(loaded, q, 10); err != nil || st.TuneTime != 0 {
 		t.Fatalf("pretuned loaded index re-tuned: TuneTime=%v err=%v", st.TuneTime, err)
 	}
 
@@ -102,7 +102,7 @@ func TestSnapshotPretunedSkipsTuning(t *testing.T) {
 	if retuned.Pretuned() {
 		t.Fatal("Retune did not unfreeze tuning")
 	}
-	if _, st, err := retuned.RowTopK(q, 10); err != nil || st.TuneTime == 0 {
+	if _, st, err := rowTopK(retuned, q, 10); err != nil || st.TuneTime == 0 {
 		t.Fatalf("retuned index should tune per call: TuneTime=%v err=%v", st.TuneTime, err)
 	}
 }
@@ -123,11 +123,11 @@ func TestLoadIndexParallelismOverride(t *testing.T) {
 	}
 	// The override must not perturb results, only fan-out.
 	q, _ := data.Smoke.Generate()
-	want, _, err := ix.RowTopK(q, 5)
+	want, _, err := rowTopK(ix, q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := loaded.RowTopK(q, 5)
+	got, _, err := rowTopK(loaded, q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

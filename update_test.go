@@ -90,11 +90,11 @@ func TestMutatedSnapshotRoundTrip(t *testing.T) {
 	}
 
 	const k = 9
-	wantTop, _, err := ix.RowTopK(q, k)
+	wantTop, _, err := rowTopK(ix, q, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTop, _, err := loaded.RowTopK(q, k)
+	gotTop, _, err := rowTopK(loaded, q, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +111,11 @@ func TestMutatedSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	theta := 1.0
-	want, _, err := ix.AboveTheta(q, theta)
+	want, _, err := aboveTheta(ix, q, theta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := loaded.AboveTheta(q, theta)
+	got, _, err := aboveTheta(loaded, q, theta)
 	if err != nil {
 		t.Fatal(err)
 	}
