@@ -70,12 +70,14 @@ func main() {
 			label, res.Stats.TotalTime().Round(1000), res.Stats.CandidatesPerQuery())
 	}
 
-	fmt.Println("\nper-bucket selections of the tuned LI run (first 8 buckets):")
+	// A retrieval's fit belongs to that retrieval; what an index can show
+	// is the fit PretuneTopK froze on it, which every later call runs under.
+	fmt.Println("\nper-bucket selections LI freezes with PretuneTopK (first 8 buckets):")
 	index, err = lemp.New(p, lemp.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := index.Retrieve(ctx, q, lemp.TopK(k)); err != nil {
+	if err := index.PretuneTopK(q, k); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  %-8s %8s %10s %8s %6s\n", "bucket", "size", "max len", "t_b", "φ_b")

@@ -23,9 +23,10 @@ type bucket struct {
 	dirs []float64 // normalized vectors, contiguous (size() × r)
 	lb   float64   // length of the longest vector
 
-	// Sorted-list index for COORD/INCR/TA, built lazily on first use.
+	// Sorted-list index for COORD/INCR/TA, built lazily on first use. An
+	// atomic pointer because State reads it beside retrievals that build it.
 	listsOnce sync.Once
-	lists     *sortedLists
+	lists     atomic.Pointer[sortedLists]
 
 	// Cover tree over the bucket's raw vectors, for AlgTree.
 	treeOnce sync.Once
@@ -46,11 +47,6 @@ type bucket struct {
 	// what indexed() reads, so counting a run's indexed buckets never
 	// races with another panel worker building one.
 	hasIndex atomic.Bool
-
-	// Tuned algorithm-selection parameters (§4.4).
-	tuned bool
-	tb    float64 // use LENGTH when θ_b(q) < tb
-	phi   int     // focus-set size for COORD/INCR
 
 	// delta marks an overlay bucket (delta.go): its entries are always
 	// live, so tombstone filtering is skipped.
@@ -75,16 +71,15 @@ func (b *bucket) dir(lid int) []float64 {
 // `workers` goroutines (the scan paths pass 1; the tuning sample passes the
 // call's parallelism, since it is what first touches most buckets). A
 // bucket restored from a snapshot that persisted its lists (SLST section)
-// arrives with b.lists pre-populated — installed single-threaded before the
-// index is published — and skips the build.
+// arrives with b.lists pre-populated and skips the build.
 func (b *bucket) ensureLists(workers int) *sortedLists {
 	b.listsOnce.Do(func() {
-		if b.lists == nil {
-			b.lists = buildLists(b, workers)
+		if b.lists.Load() == nil {
+			b.lists.Store(buildLists(b, workers))
 		}
 		b.hasIndex.Store(true)
 	})
-	return b.lists
+	return b.lists.Load()
 }
 
 // ensureTree builds the per-bucket cover tree over the raw (un-normalized)

@@ -1,0 +1,177 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"lemp/internal/retrieval"
+)
+
+// TestConcurrentRetrievals is the Index concurrency contract under the race
+// detector: several goroutines mix every kind of retrieval — Row-Top-k at
+// several k, Above-θ, the panels of one Job, RetrieveApprox — on one index
+// and on its copy-on-write derivative at once, with and without a shared
+// TuningCache, fitting per call and under a frozen fit, while another
+// goroutine exports State. No retrieval writes index state, so every answer
+// must equal the one the same call gives alone. TuneByCost makes each call's
+// fit a function of the call, which the approximate mode's candidate pool —
+// unlike every exact answer — depends on.
+func TestConcurrentRetrievals(t *testing.T) {
+	const (
+		r       = 10
+		workers = 6
+	)
+	rng := rand.New(rand.NewSource(1901))
+	p := genMatrix(rng, 500, r, 0.9, 1, false, 0, 0)
+	q := genMatrix(rng, 36, r, 0.9, 1, false, 1, 0)
+	theta, _ := safeTheta(t, q, p, 150)
+
+	// Enough adds for pretuneDelta to publish a frozen fit with delta entries.
+	var ups []ProbeUpdate
+	for i := 0; i < pretuneDeltaMinOverlay+8; i++ {
+		ups = append(ups, ProbeUpdate{Op: OpAdd, ID: AutoID, Vec: randVec(rng, r)})
+	}
+	for id := int32(0); id < 10; id++ {
+		ups = append(ups, ProbeUpdate{Op: OpRemove, ID: id})
+		ups = append(ups, ProbeUpdate{Op: OpUpdate, ID: 100 + id, Vec: randVec(rng, r)})
+	}
+
+	// answer is a call's result in canonical form: Row-Top-k rows as
+	// returned, Above-θ entries sorted by (query, probe).
+	type answer struct {
+		rows  []retrieval.TopK
+		above []retrieval.Entry
+	}
+	ctx := context.Background()
+	topk := func(k int) func(*Index, RunOptions) (answer, error) {
+		return func(ix *Index, ro RunOptions) (answer, error) {
+			rows, _, err := ix.Retrieve(ctx, q, Problem{K: k}, nil, ro)
+			return answer{rows: []retrieval.TopK{rows}}, err
+		}
+	}
+	calls := []struct {
+		name string
+		run  func(*Index, RunOptions) (answer, error)
+	}{
+		{"topk3", topk(3)},
+		{"topk5", topk(5)},
+		{"topk9", topk(9)},
+		{"above", func(ix *Index, ro RunOptions) (answer, error) {
+			var a answer
+			_, _, err := ix.Retrieve(ctx, q, Problem{Theta: theta}, retrieval.Collect(&a.above), ro)
+			retrieval.Sort(a.above)
+			return a, err
+		}},
+		{"panels", func(ix *Index, ro RunOptions) (answer, error) {
+			j, err := ix.NewJob(Problem{K: 7}, ro)
+			if err != nil {
+				return answer{}, err
+			}
+			const panelRows = 12
+			a := answer{rows: make([]retrieval.TopK, (q.N()+panelRows-1)/panelRows)}
+			errs := make([]error, len(a.rows))
+			var wg sync.WaitGroup
+			for pi := range a.rows {
+				wg.Add(1)
+				go func(pi int) {
+					defer wg.Done()
+					a.rows[pi], _, errs[pi] = j.Run(ctx, q.Slice(pi*panelRows, min((pi+1)*panelRows, q.N())), nil)
+				}(pi)
+			}
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					return a, err
+				}
+			}
+			return a, nil
+		}},
+		{"approx", func(ix *Index, ro RunOptions) (answer, error) {
+			rows, _, err := ix.RetrieveApprox(ctx, q, 4, ApproxOptions{Clusters: 5}, ro)
+			return answer{rows: []retrieval.TopK{rows}}, err
+		}},
+	}
+
+	for _, alg := range []Algorithm{AlgLI, AlgLC, AlgI} {
+		for _, pretuned := range []bool{false, true} {
+			for _, cached := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%v/pretuned=%v/cache=%v", alg, pretuned, cached), func(t *testing.T) {
+					// The serial answers come from a twin pair built the same
+					// way, so the concurrent phase meets cold indexes and
+					// their lazy per-bucket builds too.
+					build := func() []*Index {
+						base, err := NewIndex(p, Options{Algorithm: alg, TuneByCost: true, Quantize: true, MinBucketSize: 10, CacheBytes: 8 * 1024})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if pretuned {
+							if err := base.Pretune(q.Head(12), Problem{K: 5}); err != nil {
+								t.Fatal(err)
+							}
+						}
+						derived, _, err := base.WithUpdates(ups)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return []*Index{base, derived}
+					}
+					ixs := build()
+					want := make([][]answer, len(ixs))
+					for i, ix := range build() {
+						want[i] = make([]answer, len(calls))
+						for ci, c := range calls {
+							var err error
+							if want[i][ci], err = c.run(ix, RunOptions{}); err != nil {
+								t.Fatalf("serial %s on index %d: %v", c.name, i, err)
+							}
+						}
+					}
+
+					var ro RunOptions
+					if cached {
+						ro.Cache = NewTuningCache()
+					}
+					var stop atomic.Bool
+					var exporter sync.WaitGroup
+					exporter.Add(1)
+					go func() {
+						defer exporter.Done()
+						for !stop.Load() {
+							for i, ix := range ixs {
+								if st := ix.State(); st.Pretuned != pretuned || len(st.Buckets) == 0 {
+									t.Errorf("State of index %d beside retrievals: pretuned=%v, %d buckets", i, st.Pretuned, len(st.Buckets))
+								}
+							}
+						}
+					}()
+					var wg sync.WaitGroup
+					for w := 0; w < workers; w++ {
+						wg.Add(1)
+						go func(w int) {
+							defer wg.Done()
+							// Every worker makes every call on both indexes,
+							// each starting somewhere else.
+							for n := 0; n < len(ixs)*len(calls); n++ {
+								i, ci := (w+n)%len(ixs), (w+n/len(ixs))%len(calls)
+								got, err := calls[ci].run(ixs[i], ro)
+								if err != nil {
+									t.Errorf("%s on index %d: %v", calls[ci].name, i, err)
+								} else if !reflect.DeepEqual(got, want[i][ci]) {
+									t.Errorf("%s on index %d: answer differs from the serial one", calls[ci].name, i)
+								}
+							}
+						}(w)
+					}
+					wg.Wait()
+					stop.Store(true)
+					exporter.Wait()
+				})
+			}
+		}
+	}
+}

@@ -31,9 +31,8 @@ import (
 //     external ids.
 //
 // Every mutation batch bumps the index epoch, the version number serving
-// layers key caches and consistency checks on. Mutation calls follow the
-// same concurrency contract as retrieval: they must not run concurrently
-// with retrieval calls or other mutations on the same Index. Use
+// layers key caches and consistency checks on. Mutation calls are exclusive
+// with everything else on the Index they mutate (see Index). Use
 // WithUpdates for copy-on-write derivation when readers must keep using
 // the old version while the new one is prepared.
 
@@ -200,9 +199,9 @@ func (ix *Index) UpdateProbe(id int32, vec []float64) error {
 // The returned slice holds, for each op, the affected external id (the
 // assigned id for AutoID adds).
 //
-// Apply must not run concurrently with retrieval calls or other mutations
-// on the same Index; serving layers that need lock-free readers should use
-// WithUpdates and swap the derived index in atomically.
+// Apply is exclusive with everything else on this Index; serving layers
+// that must keep answering while updates land use WithUpdates and swap the
+// derived index in atomically.
 func (ix *Index) Apply(ups []ProbeUpdate) ([]int32, error) {
 	if len(ups) == 0 {
 		return nil, nil
@@ -296,9 +295,8 @@ func (ix *Index) Apply(ups []ProbeUpdate) ([]int32, error) {
 // WithUpdates derives a new index with the batch applied, leaving the
 // receiver untouched (copy-on-write): the derived index shares the main
 // buckets and probe matrix and carries its own delta layer. The receiver
-// may keep serving retrievals while the derivation runs, but retrieval
-// calls on the two indexes must still be serialized against each other —
-// they share main-bucket tuning state and lazy per-bucket indexes.
+// may keep serving retrievals while the derivation runs, and afterwards the
+// two answer retrievals independently of each other (see Index).
 func (ix *Index) WithUpdates(ups []ProbeUpdate) (*Index, []int32, error) {
 	cp := ix.shallowClone()
 	ids, err := cp.Apply(ups)
@@ -328,6 +326,7 @@ func (ix *Index) shallowClone() *Index {
 		maxBucket:       ix.maxBucket,
 		prepTime:        ix.prepTime,
 		pretuned:        ix.pretuned,
+		frozen:          ix.frozen,
 		tuneProb:        ix.tuneProb,
 		tuneSample:      ix.tuneSample,
 		pretunedOverlay: ix.pretunedOverlay,
@@ -395,8 +394,8 @@ const pretuneDeltaMinOverlay = 32
 // Without it a pretuned index's overlay runs on default parameters until the
 // next Compact — heavy update churn would keep the hottest (freshest) probes
 // on the least-tuned buckets indefinitely, since frozen tuning means no
-// retrieval call ever re-fits them. Main buckets keep their frozen fit
-// untouched. Results are unaffected either way (tuning only selects the
+// retrieval call ever re-fits them. Main buckets keep their frozen entries in
+// the new fit. Results are unaffected either way (tuning only selects the
 // per-bucket method); the cost, like Compact's re-freeze, lands in PrepTime
 // and is bounded three ways: tiny overlays skip tuning entirely, the
 // restricted tuner stops its scan at the deepest delta bucket, and re-fits
@@ -412,21 +411,21 @@ func (ix *Index) pretuneDelta() {
 		return
 	}
 	start := time.Now()
-	only := make(map[*bucket]struct{}, len(ix.delta))
-	for _, b := range ix.delta {
-		only[b] = struct{}{}
-	}
-	ix.tuneSubset(newCall(nil, ix.opts, nil), prepareQueries(ix.tuneSample), ix.tuneProb, only)
+	ix.frozen, _ = ix.tune(newCall(nil, ix.opts, nil), prepareQueries(ix.tuneSample), ix.tuneProb, true) // never canceled
 	ix.pretunedOverlay = len(ix.overlay)
 	ix.prepTime += time.Since(start)
 }
 
 // refreshScan merges main and delta buckets into the decreasing-l_b order
-// both retrieval kernels rely on for pruning, and re-derives the scratch
-// sizing bound. Every call is a bucket-layout change, so the layout
+// both retrieval kernels rely on for pruning, re-derives the scratch sizing
+// bound, and re-aligns the frozen fit with the new order: a new slice in
+// which the main buckets — the same buckets, in the same relative order —
+// keep their entries and every delta position is untuned until pretuneDelta
+// publishes a fit for it. Every call is a bucket-layout change, so the layout
 // generation advances (invalidating TuningCache entries for this index).
 func (ix *Index) refreshScan() {
 	ix.layout++
+	old, oldFit := ix.scan, ix.frozen
 	if len(ix.delta) == 0 {
 		ix.scan = ix.buckets
 	} else {
@@ -445,10 +444,20 @@ func (ix *Index) refreshScan() {
 		scan = append(scan, ix.delta[j:]...)
 		ix.scan = scan
 	}
+	if oldFit != nil {
+		ix.frozen = make([]tunedParam, len(ix.scan))
+	}
 	ix.maxBucket = 0
-	for _, b := range ix.scan {
+	oi := 0
+	for bi, b := range ix.scan {
 		if b.size() > ix.maxBucket {
 			ix.maxBucket = b.size()
+		}
+		if oldFit != nil && !b.delta {
+			for old[oi] != b {
+				oi++
+			}
+			ix.frozen[bi] = oldFit[oi]
 		}
 	}
 }
@@ -493,8 +502,7 @@ func (ix *Index) MaybeCompact(threshold float64) bool {
 // changes — so the epoch is not advanced. If per-call tuning was frozen by
 // a Pretune method, the fitted per-bucket parameters are re-frozen on the
 // retained tuning sample — which snapshots persist, so a snapshot-restored
-// pretuned index re-freezes after Compact exactly like the original. Same
-// concurrency contract as Apply.
+// pretuned index re-freezes after Compact exactly like the original.
 func (ix *Index) Compact() {
 	if !ix.mutated() {
 		return
@@ -529,13 +537,14 @@ func (ix *Index) Compact() {
 	ix.delta = nil
 	ix.pretunedOverlay = 0
 	ix.probeLocs = nil
+	ix.frozen = nil // fitted to buckets that no longer exist
 	ix.buckets = bucketize(probe, ix.explicitIDs(), ix.opts.ShrinkFactor, ix.opts.MinBucketSize, ix.bucketCap())
 	ix.attachSidecars(ix.buckets)
 	ix.refreshScan()
 	ix.prepTime += time.Since(start)
 	if ix.pretuned && ix.tuneSample != nil && liveN > 0 && ix.opts.hasTunableParams() {
 		tuneStart := time.Now()
-		ix.tune(newCall(nil, ix.opts, nil), prepareQueries(ix.tuneSample), ix.tuneProb)
+		ix.frozen, _ = ix.tune(newCall(nil, ix.opts, nil), prepareQueries(ix.tuneSample), ix.tuneProb, false) // never canceled
 		ix.prepTime += time.Since(tuneStart)
 	}
 }

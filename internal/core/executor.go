@@ -51,18 +51,13 @@ func (p Problem) Validate() error {
 // §4.4 on its own queries for the whole job — every later run reuses the
 // fit, so a million-row job cut into panels tunes exactly once.
 //
-// Unlike one-shot Retrieve calls, Run calls MAY execute concurrently on one
-// Job — the bulk engine hands each worker its own panels. This is safe only
-// because a Job never mutates shared index state after tuning: the fit is
-// serialized under the job's lock before any concurrent scan starts, lazily
-// built per-bucket indexes and the BLSH table are sync.Once-guarded (and
-// counted through an atomic flag), and every run owns pooled scratch. Each
-// Run scans single-threaded — parallelism across runs is the caller's — and
-// the job's Parallelism sizes the one tuning pass: while the first panel
-// tunes, the job's other workers can only wait for the fit, so the pass
-// fans its sample queries and sorted-list builds out itself. The index must
-// not be mutated (Apply/Compact), nor answer a retrieval outside the job,
-// while a Job is in use.
+// Run calls may execute concurrently on one Job — the bulk engine hands each
+// worker its own panels — and beside any other retrieval on the index (see
+// Index). Each Run scans single-threaded — parallelism across runs is the
+// caller's — and the job's Parallelism sizes the one tuning pass: while the
+// first panel tunes, the job's other workers can only wait for the fit, so
+// the pass fans its sample queries and sorted-list builds out itself. The
+// index must not be mutated while a Job is in use.
 type Job struct {
 	ix    *Index
 	prob  Problem
@@ -75,8 +70,9 @@ type Job struct {
 	// exactly; an exact job cannot be switched from outside.
 	approx bool
 
-	tuned  atomic.Bool // fast path: the job's fit is in place
-	tuneMu sync.Mutex  // serializes the one tuning pass
+	tuned  atomic.Bool  // fast path: fit is set
+	tuneMu sync.Mutex   // serializes the one tuning pass
+	fit    []tunedParam // the job's one fit, written once before tuned is set
 }
 
 // NewJob validates the problem and resolves the per-call options against
@@ -172,6 +168,7 @@ func (j *Job) run(ctx context.Context, q *matrix.Matrix, sink retrieval.Sink, wo
 	if err != nil {
 		return nil, err
 	}
+	c.fit = j.fit
 	scanSpan := c.startSpan("scan")
 	start := time.Now()
 	if workers == 1 || qs.n() < 2*workers {
@@ -229,9 +226,9 @@ func (ix *Index) scanParallel(c *call, p Problem, qs *querySet, workers int, out
 }
 
 // ensureTuned makes the job's one fit, with the first run's queries as the
-// sample, serialized so concurrent first runs cannot race on the per-bucket
-// (t_b, φ_b) fields. The only failure is a canceled context, which leaves
-// the job unfitted: the next run tunes.
+// sample, under the job's lock so concurrent first runs make it once. The
+// only failure is a canceled context, which leaves the job without a fit: the
+// next run tunes.
 func (j *Job) ensureTuned(c *call, qs *querySet, st *Stats) error {
 	if j.tuned.Load() {
 		return nil
@@ -241,9 +238,11 @@ func (j *Job) ensureTuned(c *call, qs *querySet, st *Stats) error {
 	if j.tuned.Load() {
 		return nil
 	}
-	if err := j.ix.ensureTuned(c, qs, j.prob, st); err != nil {
+	fit, err := j.ix.ensureTuned(c, qs, j.prob, st)
+	if err != nil {
 		return err
 	}
+	j.fit = fit
 	j.tuned.Store(true)
 	return nil
 }

@@ -15,10 +15,15 @@ import (
 // Index is a LEMP index over a probe matrix P: the preprocessing phase of
 // Algorithm 1 (bucketization by length, normalization), with all per-bucket
 // search indexes built lazily during retrieval, plus the delta layer of
-// delta.go that absorbs probe mutations between re-bucketizations. It
-// supports internal parallelism (Options.Parallelism), but distinct
-// retrieval calls — the Run calls of one Job excepted — and mutation calls,
-// see Apply, must not run concurrently on the same Index.
+// delta.go that absorbs probe mutations between re-bucketizations.
+//
+// Concurrency: any number of retrievals — one-shot Retrieve calls, the Run
+// panels of any Job, RetrieveApprox — may run concurrently on one Index and
+// on its copy-on-write relatives (WithUpdates). No retrieval writes index
+// state: the §4.4 fit is a value its job owns, lazily built per-bucket
+// indexes are Once- or mutex-guarded, scratch is pooled. Apply, Compact and
+// Pretune are exclusive with everything else on the index they mutate.
+// State — and so WriteSnapshot — only reads and may run beside retrievals.
 type Index struct {
 	opts      Options
 	r         int
@@ -54,12 +59,18 @@ type Index struct {
 	delta   []*bucket
 	scan    []*bucket // main+delta merged by decreasing l_b; == buckets when no delta
 
-	// pretuned freezes per-call tuning: retrieval reuses the stored
-	// per-bucket (t_b, φ_b) instead of re-fitting them on every call. Set
-	// by Pretune and restored by FromState. tuneProb and tuneSample retain
-	// what Pretune fitted (the sample is nil when nothing was retained), so
-	// Compact can re-freeze.
+	// pretuned freezes per-call tuning: every retrieval runs under the
+	// frozen fit instead of fitting its own. Set by Pretune and restored by
+	// FromState. frozen is aligned with scan, nil unless pretuned (and then
+	// still nil when nothing was tunable: defaults), and only ever replaced
+	// wholesale — by Pretune, Compact's re-freeze, pretuneDelta, and
+	// refreshScan, which carries the main buckets' entries to their new
+	// positions — never written in place, so copy-on-write relatives and
+	// running jobs may hold it. tuneProb and tuneSample retain what Pretune
+	// fitted (the sample is nil when nothing was retained), so Compact can
+	// re-freeze.
 	pretuned   bool
+	frozen     []tunedParam
 	tuneProb   Problem
 	tuneSample *matrix.Matrix
 	// pretunedOverlay is the overlay size at the last delta-bucket pretune
@@ -154,15 +165,17 @@ func (ix *Index) N() int { return ix.LiveN() }
 func (ix *Index) NumBuckets() int { return len(ix.scan) }
 
 // BucketInfo describes one probe bucket for introspection: its size and
-// length range, whether any lazy index has been built, and — after a
-// retrieval run with a tuning algorithm — the selected per-bucket
-// parameters t_b and φ_b (§4.4).
+// length range, whether any lazy index has been built, and the bucket's
+// entry in the frozen fit of a pretuned index (§4.4). Tuned, TB and Phi are
+// false/zero on an index that is not pretuned — there each retrieval fits
+// and owns its own parameters, and none are the index's to report — and for
+// a bucket the frozen fit has not reached (a delta bucket awaiting its fit).
 type BucketInfo struct {
 	Size      int
 	MaxLength float64 // l_b, the length of the longest vector
 	MinLength float64
 	Indexed   bool    // a sorted-list/tree/L2AP/signature index exists
-	Tuned     bool    // t_b and φ_b were fitted by the last tuning pass
+	Tuned     bool    // the frozen fit holds t_b and φ_b for this bucket
 	TB        float64 // switch threshold: LENGTH below, coordinate method above
 	Phi       int     // focus-set size φ_b
 	Delta     bool    // an overlay (delta-layer) bucket
@@ -173,14 +186,15 @@ type BucketInfo struct {
 func (ix *Index) Buckets() []BucketInfo {
 	out := make([]BucketInfo, len(ix.scan))
 	for i, b := range ix.scan {
+		p := fitEntry(ix.frozen, i)
 		out[i] = BucketInfo{
 			Size:      b.size(),
 			MaxLength: b.lb,
 			MinLength: b.lens[b.size()-1],
 			Indexed:   b.indexed(),
-			Tuned:     b.tuned,
-			TB:        b.tb,
-			Phi:       b.phi,
+			Tuned:     p.tuned,
+			TB:        p.tb,
+			Phi:       p.phi,
 			Delta:     b.delta,
 		}
 	}
@@ -220,24 +234,27 @@ func (ix *Index) defaultPhi(o Options) int {
 }
 
 // resolve maps the call's effective algorithm to the concrete method for
-// one (bucket, θ_b) pair: mixed algorithms switch on the tuned t_b, and
-// INCR with φ_b = 1 degrades to COORD (Appendix A).
-func (ix *Index) resolve(o Options, b *bucket, thetaB float64) (Algorithm, int) {
-	alg := o.Algorithm
-	phi := o.Phi
+// one (scan bucket bi, θ_b) pair: mixed algorithms switch on the tuned t_b,
+// and INCR with φ_b = 1 degrades to COORD (Appendix A). It is the one reader
+// of a fit: the bucket's entry in the one the call runs under, defaults when
+// that is nil or the entry untuned.
+func (ix *Index) resolve(c *call, bi int, thetaB float64) (Algorithm, int) {
+	p := fitEntry(c.fit, bi)
+	alg := c.opts.Algorithm
+	phi := c.opts.Phi
 	if phi == 0 {
-		if b.tuned {
-			phi = b.phi
+		if p.tuned {
+			phi = p.phi
 		} else {
-			phi = ix.defaultPhi(o)
+			phi = ix.defaultPhi(c.opts)
 		}
 	}
 	if phi > ix.r && ix.r > 0 {
 		phi = ix.r
 	}
 	tb := defaultTB
-	if b.tuned {
-		tb = b.tb
+	if p.tuned {
+		tb = p.tb
 	}
 	switch alg {
 	case AlgLC:

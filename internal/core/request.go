@@ -52,11 +52,13 @@ func (ix *Index) effOptions(ro RunOptions) (Options, error) {
 
 // call is the per-invocation state threaded through the executor and its
 // workers: the caller's context (sampled at bucket boundaries so a
-// cancellation aborts the scan promptly), the effective options, and the
-// request trace (if any) for phase spans.
+// cancellation aborts the scan promptly), the effective options, the fit the
+// scan runs under (set by the executor once the job has one), and the request
+// trace (if any) for phase spans.
 type call struct {
 	opts   Options
 	cache  *TuningCache
+	fit    []tunedParam    // aligned with ix.scan; nil = defaults
 	approx bool            // Job.approx: screen survivors keep approximate dots
 	done   <-chan struct{} // ctx.Done(); nil for context.Background()
 	err    func() error    // ctx.Err

@@ -407,4 +407,23 @@ func TestCanceledTuningPublishesNothing(t *testing.T) {
 	if tc.Len() != 1 {
 		t.Fatalf("recovered call did not publish its fit")
 	}
+
+	// The same through a Job: a canceled first run leaves it without a fit,
+	// and the next run makes one.
+	j, err := ix.NewJob(Problem{K: 6}, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := j.Run(ctx, q, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if j.tuned.Load() || j.fit != nil {
+		t.Fatalf("canceled run left the job a fit (tuned=%v, %d entries)", j.tuned.Load(), len(j.fit))
+	}
+	if _, _, err := j.Run(context.Background(), q, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !j.tuned.Load() || len(j.fit) != len(ix.scan) {
+		t.Fatalf("recovered run made no fit (tuned=%v, %d entries for %d buckets)", j.tuned.Load(), len(j.fit), len(ix.scan))
+	}
 }

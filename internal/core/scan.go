@@ -89,7 +89,7 @@ func (ix *Index) aboveWorker(c *call, qs *querySet, lo, hi int, theta float64, s
 			}
 			processed++
 			qdir, origID := qs.dir(qi), int(qs.ids[qi])
-			alg, phi := ix.resolve(c.opts, b, thetaB)
+			alg, phi := ix.resolve(c, bi, thetaB)
 			ix.gather(b, alg, phi, int32(qi), qdir, qlen, theta, thetaB, l2T0, s)
 			ix.verifyCands(b, s, int32(qi), qdir, qlen, theta, false, st)
 			// Each emitted value is (q̄ᵀp̄)·‖q‖·‖p‖, always multiplied in
@@ -171,7 +171,7 @@ func (ix *Index) topkTile(c *call, qs *querySet, lo, hi, kk int, s *scratch, out
 		}
 	}
 	s.active = active // keep the grown storage pooled
-	for _, b := range ix.scan {
+	for bi, b := range ix.scan {
 		if len(active) == 0 {
 			break
 		}
@@ -190,7 +190,7 @@ func (ix *Index) topkTile(c *call, qs *querySet, lo, hi, kk int, s *scratch, out
 			keep = append(keep, t)
 			st.ProcessedPairs++
 			qdir := qs.dir(qi)
-			alg, phi := ix.resolve(c.opts, b, thetaB)
+			alg, phi := ix.resolve(c, bi, thetaB)
 			ix.gather(b, alg, phi, int32(qi), qdir, 1, theta, thetaB, 0, s)
 			// theta is -Inf until the heap fills, so nothing screens before
 			// the seed; Push drops values ≤ the floor, so the screen's

@@ -54,7 +54,8 @@ type State struct {
 }
 
 // BucketState is the serializable state of one probe bucket: the sorted
-// membership (§3.2) and the tuned algorithm-selection parameters (§4.4).
+// membership (§3.2) and the bucket's entry in the frozen fit of a pretuned
+// index (§4.4; Tuned is false throughout the state of one that is not).
 // Most lazily built per-bucket indexes (trees, L2AP, signatures) are not
 // part of the state and are rebuilt lazily after a restore; the sorted-list
 // index — the one COORD/INCR/TA rebuild on a restored server's first batch,
@@ -90,8 +91,9 @@ type BucketState struct {
 }
 
 // State exports the index's serializable state. The contained slices alias
-// index storage and must not be mutated; retrieval calls must not run
-// concurrently with serialization (tuning rewrites bucket parameters).
+// index storage and must not be mutated. It only reads, so it may run beside
+// retrievals, and what it exports does not depend on which were answered —
+// except for the sorted lists they have built so far.
 //
 // A mutated index (live delta layer) is compacted on export — into a
 // private copy, the receiver is unchanged — so the state always describes
@@ -116,17 +118,18 @@ func (ix *Index) State() *State {
 		st.TuneSample, st.TuneProblem = ix.tuneSample, ix.tuneProb
 	}
 	for i, b := range ix.buckets {
+		p := fitEntry(ix.frozen, i) // aligned with scan, which is buckets here
 		st.Buckets[i] = BucketState{
 			IDs:   b.ids,
 			Lens:  b.lens,
 			Dirs:  b.dirs,
-			Tuned: b.tuned,
-			TB:    b.tb,
-			Phi:   b.phi,
+			Tuned: p.tuned,
+			TB:    p.tb,
+			Phi:   p.phi,
 		}
-		if b.lists != nil {
-			st.Buckets[i].ListVals = b.lists.vals
-			st.Buckets[i].ListLids = b.lists.lids
+		if l := b.lists.Load(); l != nil {
+			st.Buckets[i].ListVals = l.vals
+			st.Buckets[i].ListLids = l.lids
 		}
 		if b.q8 != nil {
 			st.Buckets[i].QuantScales = b.q8.Scales
@@ -199,6 +202,7 @@ func FromState(st *State) (*Index, error) {
 		}
 	}
 	ix.buckets = make([]*bucket, len(st.Buckets))
+	frozen := make([]tunedParam, len(st.Buckets))
 	seen := make([]bool, n)
 	var listSeen []bool // per-list permutation check scratch, sized on demand
 	total := 0
@@ -252,16 +256,8 @@ func FromState(st *State) (*Index, error) {
 		if bs.Tuned && (math.IsNaN(bs.TB) || bs.Phi < 1) {
 			return nil, fmt.Errorf("core: bucket %d tuned parameters invalid (tb=%v, phi=%d)", i, bs.TB, bs.Phi)
 		}
-		b := &bucket{
-			r:     r,
-			ids:   bs.IDs,
-			lens:  bs.Lens,
-			dirs:  bs.Dirs,
-			lb:    bs.Lens[0],
-			tuned: bs.Tuned,
-			tb:    bs.TB,
-			phi:   bs.Phi,
-		}
+		frozen[i] = tunedParam{tuned: bs.Tuned, tb: bs.TB, phi: bs.Phi}
+		b := &bucket{r: r, ids: bs.IDs, lens: bs.Lens, dirs: bs.Dirs, lb: bs.Lens[0]}
 		if bs.ListVals != nil || bs.ListLids != nil {
 			if len(bs.ListVals) != size*r || len(bs.ListLids) != size*r {
 				return nil, fmt.Errorf("core: bucket %d sorted-list shape mismatch: %d vals, %d lids, want %d each",
@@ -273,7 +269,7 @@ func FromState(st *State) (*Index, error) {
 			if err := checkLists(bs.ListVals, bs.ListLids, bs.Dirs, size, r, listSeen); err != nil {
 				return nil, fmt.Errorf("core: bucket %d sorted lists: %w", i, err)
 			}
-			b.lists = &sortedLists{n: size, vals: bs.ListVals, lids: bs.ListLids}
+			b.lists.Store(&sortedLists{n: size, vals: bs.ListVals, lids: bs.ListLids})
 			b.hasIndex.Store(true)
 		}
 		if bs.QuantScales != nil || bs.QuantCodes != nil || bs.QuantResid != nil {
@@ -312,6 +308,9 @@ func FromState(st *State) (*Index, error) {
 	// snapshot loaded with screening requested: quantize the missing ones.
 	ix.attachSidecars(ix.buckets)
 	ix.refreshScan()
+	if st.Pretuned {
+		ix.frozen = frozen // scan is buckets: no delta layer in a state
+	}
 	ix.nextID = maxIDPlusOne(ix)
 	if st.NextID > ix.nextID {
 		ix.nextID = st.NextID

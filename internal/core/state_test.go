@@ -29,8 +29,8 @@ func TestStateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewIndex(%v): %v", alg, err)
 		}
-		// Tune the original (RowTopK runs a tuning pass for LI/LC) so the
-		// exported state carries fitted parameters for those algorithms.
+		// The retrievals build lazy indexes on the original, so the exported
+		// state carries sorted lists for the algorithms that use them.
 		wantTop, _, err := rowTopK(ix, q, 7)
 		if err != nil {
 			t.Fatalf("RowTopK(%v): %v", alg, err)
@@ -91,10 +91,33 @@ func TestPretuneFreezesTuning(t *testing.T) {
 		t.Fatalf("pretuned index re-tuned: TuneTime=%v err=%v", st.TuneTime, err)
 	}
 
-	re, err := FromState(ix.State())
-	if err != nil {
-		t.Fatal(err)
+	// The frozen fit itself survives the round-trip, bucket for bucket.
+	roundTrip := func(label string) *Index {
+		t.Helper()
+		re, err := FromState(ix.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := re.Buckets(), ix.Buckets()
+		if len(got) != len(want) {
+			t.Fatalf("%s: restored %d buckets, want %d", label, len(got), len(want))
+		}
+		tuned := 0
+		for i := range want {
+			if got[i].Tuned != want[i].Tuned || got[i].TB != want[i].TB || got[i].Phi != want[i].Phi {
+				t.Fatalf("%s: bucket %d restored fit (%v, %g, %d), want (%v, %g, %d)", label, i,
+					got[i].Tuned, got[i].TB, got[i].Phi, want[i].Tuned, want[i].TB, want[i].Phi)
+			}
+			if want[i].Tuned {
+				tuned++
+			}
+		}
+		if tuned == 0 {
+			t.Fatalf("%s: the pretuned index froze no bucket", label)
+		}
+		return re
 	}
+	re := roundTrip("pretuned")
 	if !re.Pretuned() {
 		t.Fatal("Pretuned flag lost in state round-trip")
 	}
@@ -122,6 +145,18 @@ func TestPretuneFreezesTuning(t *testing.T) {
 	if err := ix.Pretune(matrix.New(3, 4), Problem{K: 5}); err == nil {
 		t.Error("dimension mismatch accepted by PretuneTopK")
 	}
+
+	// Compact re-freezes on the new bucketization; that fit round-trips too.
+	var ups []ProbeUpdate
+	for i := 0; i < 20; i++ {
+		ups = append(ups, ProbeUpdate{Op: OpAdd, ID: AutoID, Vec: randVec(rng, 10)})
+		ups = append(ups, ProbeUpdate{Op: OpRemove, ID: int32(i)})
+	}
+	if _, err := ix.Apply(ups); err != nil {
+		t.Fatal(err)
+	}
+	ix.Compact()
+	roundTrip("compacted")
 }
 
 // TestFromStateRejectsCorruptState mutates a valid state one invariant at a

@@ -110,8 +110,18 @@ func TestBucketsIntrospection(t *testing.T) {
 	if total != p.N() {
 		t.Errorf("bucket sizes sum to %d, want %d", total, p.N())
 	}
+	// A retrieval fits and owns its own parameters; the index reports only
+	// the fit a Pretune froze.
 	theta, _ := safeTheta(t, q, p, 50)
 	collectAbove(t, ix, q, theta)
+	for i, bi := range ix.Buckets() {
+		if bi.Tuned {
+			t.Errorf("bucket %d reported tuned after a retrieval on an index that is not pretuned", i)
+		}
+	}
+	if err := ix.Pretune(q, Problem{Theta: theta}); err != nil {
+		t.Fatal(err)
+	}
 	tuned := 0
 	for _, bi := range ix.Buckets() {
 		if bi.Tuned {
@@ -122,6 +132,6 @@ func TestBucketsIntrospection(t *testing.T) {
 		}
 	}
 	if tuned != len(infos) {
-		t.Errorf("%d of %d buckets tuned after retrieval", tuned, len(infos))
+		t.Errorf("%d of %d buckets tuned after Pretune", tuned, len(infos))
 	}
 }

@@ -8,9 +8,9 @@ import "sync"
 // over a large query matrix but a serving system re-pays on every small
 // request. A TuningCache remembers the fitted per-bucket (t_b, φ_b) keyed by
 // everything that determines them: the exact index version (instance, epoch
-// and bucket layout), the frozen-tuning state, the effective algorithm and φ
-// policy, and the problem (k or θ). A warm hit restores the parameters with
-// a single pass over the buckets and skips sample tuning entirely.
+// and bucket layout), the effective algorithm, and the problem (k or θ). A
+// fit is an immutable value, so a warm hit is a map lookup: the call scans
+// under the cached slice itself and skips sample tuning entirely.
 
 // TuningCache caches fitted per-bucket tuning parameters across retrieval
 // calls. It is safe for concurrent use by multiple goroutines and may be
@@ -36,20 +36,30 @@ const tuningCacheMaxEntries = 1024
 
 // tuneCacheKey identifies one fitted parameter set.
 type tuneCacheKey struct {
-	index    uint64 // Index instance id (indexSeq)
-	epoch    uint64 // mutation epoch
-	layout   uint64 // bucketization generation (delta rebuilds, Compact)
-	pretuned bool   // frozen-tuning state
-	alg      Algorithm
-	phi      int // Options.Phi policy (0 = tuned per bucket)
-	prob     Problem
+	index  uint64 // Index instance id (indexSeq); fixes Options.Phi too
+	epoch  uint64 // mutation epoch
+	layout uint64 // bucketization generation (delta rebuilds, Compact)
+	alg    Algorithm
+	prob   Problem
 }
 
-// tunedParam is one bucket's fitted state, in scan order.
+// tunedParam is one bucket's §4.4 selection. A fit is a []tunedParam aligned
+// with Index.scan, immutable once published: the one type a Job, a
+// TuningCache entry and an index's frozen slot hold, read only by resolve. A
+// nil fit, and an entry with tuned unset, mean the defaults.
 type tunedParam struct {
 	tuned bool
-	tb    float64
-	phi   int
+	tb    float64 // use LENGTH when θ_b(q) < tb
+	phi   int     // focus-set size for COORD/INCR
+}
+
+// fitEntry returns scan bucket bi's entry in fit, the untuned one when fit is
+// nil.
+func fitEntry(fit []tunedParam, bi int) tunedParam {
+	if fit == nil {
+		return tunedParam{}
+	}
+	return fit[bi]
 }
 
 // NewTuningCache returns an empty tuning cache.
@@ -102,36 +112,5 @@ func (tc *TuningCache) put(key tuneCacheKey, params []tunedParam) {
 // tuneCacheKey builds the cache key for this index at its current version
 // under the call's effective options and problem.
 func (ix *Index) tuneCacheKey(o Options, prob Problem) tuneCacheKey {
-	return tuneCacheKey{
-		index:    ix.id,
-		epoch:    ix.epoch,
-		layout:   ix.layout,
-		pretuned: ix.pretuned,
-		alg:      o.Algorithm,
-		phi:      o.Phi,
-		prob:     prob,
-	}
-}
-
-// captureTunedParams snapshots the scan buckets' fitted parameters.
-func (ix *Index) captureTunedParams() []tunedParam {
-	params := make([]tunedParam, len(ix.scan))
-	for i, b := range ix.scan {
-		params[i] = tunedParam{tuned: b.tuned, tb: b.tb, phi: b.phi}
-	}
-	return params
-}
-
-// applyTunedParams restores cached parameters onto the scan buckets. It
-// reports false — caller falls back to a tuning pass — when the cached
-// shape no longer matches the bucket list (possible only if a layout
-// change failed to rotate the key; belt and braces).
-func (ix *Index) applyTunedParams(params []tunedParam) bool {
-	if len(params) != len(ix.scan) {
-		return false
-	}
-	for i, b := range ix.scan {
-		b.tuned, b.tb, b.phi = params[i].tuned, params[i].tb, params[i].phi
-	}
-	return true
+	return tuneCacheKey{index: ix.id, epoch: ix.epoch, layout: ix.layout, alg: o.Algorithm, prob: prob}
 }

@@ -29,34 +29,37 @@ func (ix *Index) needsTuning(o Options) bool {
 	return !ix.pretuned && o.hasTunableParams()
 }
 
-// ensureTuned runs the per-call tuning phase for one retrieval call: a
-// no-op when nothing is tunable or tuning is frozen, a parameter restore
-// when the call's TuningCache holds a fit for this exact index version and
-// problem, and a timed sample-tuning pass (stored back into the cache)
-// otherwise. Cancellation mid-tune returns the context error; no partial
-// fit is ever published to the cache.
-func (ix *Index) ensureTuned(c *call, qs *querySet, prob Problem, st *Stats) error {
+// ensureTuned returns the fit one retrieval runs under: the frozen fit (nil,
+// meaning defaults, unless pretuned) when nothing is to be fitted, the slice
+// the call's TuningCache holds for this exact index version and problem when
+// there is one, and the result of a timed sample-tuning pass (stored into the
+// cache) otherwise. Cancellation mid-tune returns the context error and no
+// fit: nothing partial is ever published.
+func (ix *Index) ensureTuned(c *call, qs *querySet, prob Problem, st *Stats) ([]tunedParam, error) {
 	if !ix.needsTuning(c.opts) || ix.LiveN() == 0 || qs.n() == 0 {
-		return nil
+		return ix.frozen, nil
 	}
 	var key tuneCacheKey
 	if c.cache != nil {
 		key = ix.tuneCacheKey(c.opts, prob)
-		if params, ok := c.cache.get(key); ok && ix.applyTunedParams(params) {
+		// The length check is belt and braces: only a layout change that
+		// failed to rotate the key could trip it.
+		if fit, ok := c.cache.get(key); ok && len(fit) == len(ix.scan) {
 			st.TuneCacheHits++
-			return nil
+			return fit, nil
 		}
 	}
 	tuneStart := time.Now()
-	if err := ix.tune(c, qs, prob); err != nil {
-		return err
+	fit, err := ix.tune(c, qs, prob, false)
+	if err != nil {
+		return nil, err
 	}
 	st.TuneTime += time.Since(tuneStart)
 	st.Tunings++
 	if c.cache != nil {
-		c.cache.put(key, ix.captureTunedParams())
+		c.cache.put(key, fit)
 	}
-	return nil
+	return fit, nil
 }
 
 // Pretune runs the sample-based algorithm selection (§4.4) for the problem
@@ -76,8 +79,9 @@ func (ix *Index) Pretune(q *matrix.Matrix, prob Problem) error {
 	if q.N() == 0 {
 		return fmt.Errorf("core: pretuning needs at least one sample query")
 	}
+	ix.frozen = nil
 	if ix.opts.hasTunableParams() && ix.LiveN() > 0 {
-		ix.tune(newCall(nil, ix.opts, nil), prepareQueries(q), prob)
+		ix.frozen, _ = ix.tune(newCall(nil, ix.opts, nil), prepareQueries(q), prob, false) // never canceled
 	}
 	ix.pretuned = true
 	// Retain the sample and problem so Compact can re-freeze the fitted
@@ -96,44 +100,26 @@ type observation struct {
 	costPhi []float64 // indexed by φ; 0 unused
 }
 
-// tune runs the sample-based selection under the call's effective options,
-// checking the call's context at bucket boundaries: a canceled call stops
-// mid-sample and returns the context error with every bucket left untuned
-// (the next call re-tunes), so the index stays fully usable.
-func (ix *Index) tune(c *call, qs *querySet, prob Problem) error {
-	return ix.tuneSubset(c, qs, prob, nil)
-}
-
-// tuneSubset is tune restricted to a set of buckets: only buckets in `only`
-// (nil = all) are reset, observed and fitted. The Row-Top-k sample still
-// walks the scan prefix up to the deepest target bucket to advance the
+// tune runs the sample-based selection under the call's effective options
+// and returns the fit, one entry per scan bucket. It checks the call's
+// context at bucket boundaries: a canceled call stops mid-sample and returns
+// the context error and no fit.
+//
+// With deltaOnly only the delta buckets are observed and fitted; the main
+// buckets' entries are the frozen fit's. The Row-Top-k sample still walks the
+// scan prefix up to the deepest target bucket to advance the
 // running-threshold trajectory — the observations must be taken at the
 // thresholds a real run would see — but skips the per-bucket cost
 // measurements everywhere else and stops once no target bucket remains, so
 // a restricted pass costs O(scan prefix), not O(index). Delta-layer
 // pretuning (delta.go) uses this to fit freshly built overlay buckets from
-// the retained pretune sample without disturbing the frozen main-bucket
-// parameters.
-func (ix *Index) tuneSubset(c *call, qs *querySet, prob Problem, only map[*bucket]struct{}) error {
-	target := func(b *bucket) bool {
-		if only == nil {
-			return true
-		}
-		_, ok := only[b]
-		return ok
-	}
-	lastTarget := len(ix.scan) - 1
-	if only != nil {
-		lastTarget = -1
-		for bi, b := range ix.scan {
-			if target(b) {
-				lastTarget = bi
-			}
-		}
-	}
-	for _, b := range ix.scan {
+// the retained pretune sample.
+func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tunedParam, error) {
+	target := func(b *bucket) bool { return !deltaOnly || b.delta }
+	lastTarget := -1
+	for bi, b := range ix.scan {
 		if target(b) {
-			b.tuned = false
+			lastTarget = bi
 		}
 	}
 	kk := min(prob.K, ix.LiveN()) // 0 for Above-θ
@@ -241,7 +227,7 @@ func (ix *Index) tuneSubset(c *call, qs *querySet, prob Problem, only map[*bucke
 	sampleWorker() // the caller is the first worker
 	wg.Wait()
 	if c.canceled() {
-		return c.ctxErr()
+		return nil, c.ctxErr()
 	}
 
 	obs := make([][]observation, len(ix.scan))
@@ -250,12 +236,16 @@ func (ix *Index) tuneSubset(c *call, qs *querySet, prob Problem, only map[*bucke
 			obs[bo.bi] = append(obs[bo.bi], bo.o)
 		}
 	}
+	fit := make([]tunedParam, len(ix.scan))
+	if deltaOnly {
+		copy(fit, ix.frozen)
+	}
 	for bi, b := range ix.scan {
 		if target(b) {
-			ix.fitBucket(c.opts, b, obs[bi])
+			fit[bi] = ix.fitBucket(c.opts, obs[bi])
 		}
 	}
-	return nil
+	return fit, nil
 }
 
 // observe measures one (query, bucket) pair: the coordinate-family cost
@@ -333,18 +323,16 @@ func (ix *Index) tunePhis(o Options) []int {
 	return phis
 }
 
-// fitBucket selects φ_b and t_b from the bucket's observations under
+// fitBucket selects φ_b and t_b from one bucket's observations under
 // options o.
-func (ix *Index) fitBucket(o Options, b *bucket, obs []observation) {
-	b.tuned = true
-	b.tb = defaultTB
-	b.phi = ix.defaultPhi(o)
+func (ix *Index) fitBucket(o Options, obs []observation) tunedParam {
+	p := tunedParam{tuned: true, tb: defaultTB, phi: ix.defaultPhi(o)}
 	if len(obs) == 0 {
-		return
+		return p
 	}
 	phis := ix.tunePhis(o)
 	if len(phis) == 0 {
-		return
+		return p
 	}
 	// φ_b: smallest total coordinate-method cost over the sample.
 	bestPhi, bestCost := phis[0], math.Inf(1)
@@ -357,9 +345,9 @@ func (ix *Index) fitBucket(o Options, b *bucket, obs []observation) {
 			bestPhi, bestCost = phi, total
 		}
 	}
-	b.phi = bestPhi
+	p.phi = bestPhi
 	if !o.Algorithm.needsTB() {
-		return
+		return p
 	}
 	// t_b: best split of the θ_b-sorted sample between LENGTH (below)
 	// and the coordinate method (above).
@@ -378,14 +366,15 @@ func (ix *Index) fitBucket(o Options, b *bucket, obs []observation) {
 	}
 	switch bestSplit {
 	case 0:
-		b.tb = 0 // θ_b < 0 never holds against a positive threshold
+		p.tb = 0 // θ_b < 0 never holds against a positive threshold
 	case len(obs):
-		b.tb = math.Inf(1) // always LENGTH
+		p.tb = math.Inf(1) // always LENGTH
 	default:
 		// Observations below the split use LENGTH: any t_b strictly
 		// between the two neighboring θ_b values realizes the split.
-		b.tb = (obs[bestSplit-1].thetaB + obs[bestSplit].thetaB) / 2
+		p.tb = (obs[bestSplit-1].thetaB + obs[bestSplit].thetaB) / 2
 	}
+	return p
 }
 
 // sampleIndices spreads up to want indices evenly over [0, n).

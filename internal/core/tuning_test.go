@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,17 +19,24 @@ func TestTuningSetsParametersOnAllBuckets(t *testing.T) {
 		t.Fatal(err)
 	}
 	theta, _ := safeTheta(t, q, p, 100)
-	if _, err := aboveTheta(ix, q, theta, func(retrieval.Entry) {}); err != nil {
+	j, err := ix.NewJob(Problem{Theta: theta}, RunOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for bi, b := range ix.buckets {
-		if !b.tuned {
+	if _, _, err := j.Run(context.Background(), q, func(retrieval.Entry) {}); err != nil {
+		t.Fatal(err)
+	}
+	if len(j.fit) != len(ix.buckets) {
+		t.Fatalf("fit holds %d entries for %d buckets", len(j.fit), len(ix.buckets))
+	}
+	for bi, f := range j.fit {
+		if !f.tuned {
 			t.Fatalf("bucket %d not tuned", bi)
 		}
-		if b.phi < 1 || b.phi > opts.withDefaults().MaxPhi {
-			t.Fatalf("bucket %d: φ_b=%d out of range", bi, b.phi)
+		if f.phi < 1 || f.phi > opts.withDefaults().MaxPhi {
+			t.Fatalf("bucket %d: φ_b=%d out of range", bi, f.phi)
 		}
-		if math.IsNaN(b.tb) {
+		if math.IsNaN(f.tb) {
 			t.Fatalf("bucket %d: t_b is NaN", bi)
 		}
 	}
@@ -70,7 +78,6 @@ func TestFitBucketSplit(t *testing.T) {
 	// r must be ≥ MaxPhi (5) or tunePhis caps the φ search space at r.
 	p := genMatrix(rng, 100, 6, 0.5, 1, false, 0, 0)
 	ix, _ := NewIndex(p, Options{Algorithm: AlgLI, TuneByCost: true})
-	b := ix.buckets[0]
 
 	// LENGTH cheap below θ_b = 0.5, coordinate method cheap above: the
 	// fitted t_b must land between the two clusters.
@@ -91,12 +98,12 @@ func TestFitBucketSplit(t *testing.T) {
 		}
 		obs = append(obs, o)
 	}
-	ix.fitBucket(ix.opts, b, obs)
-	if !b.tuned {
+	f := ix.fitBucket(ix.opts, obs)
+	if !f.tuned {
 		t.Fatal("bucket not marked tuned")
 	}
-	if b.tb < 0.4 || b.tb > 0.6 {
-		t.Errorf("t_b=%g, want ≈0.5", b.tb)
+	if f.tb < 0.4 || f.tb > 0.6 {
+		t.Errorf("t_b=%g, want ≈0.5", f.tb)
 	}
 
 	// All observations favor LENGTH: t_b = +Inf.
@@ -106,9 +113,9 @@ func TestFitBucketSplit(t *testing.T) {
 			obs[i].costPhi[phi] = 5
 		}
 	}
-	ix.fitBucket(ix.opts, b, obs)
-	if !math.IsInf(b.tb, 1) {
-		t.Errorf("t_b=%g, want +Inf (always LENGTH)", b.tb)
+	f = ix.fitBucket(ix.opts, obs)
+	if !math.IsInf(f.tb, 1) {
+		t.Errorf("t_b=%g, want +Inf (always LENGTH)", f.tb)
 	}
 
 	// All observations favor the coordinate method: t_b = 0.
@@ -118,9 +125,9 @@ func TestFitBucketSplit(t *testing.T) {
 			obs[i].costPhi[phi] = 1
 		}
 	}
-	ix.fitBucket(ix.opts, b, obs)
-	if b.tb != 0 {
-		t.Errorf("t_b=%g, want 0 (never LENGTH)", b.tb)
+	f = ix.fitBucket(ix.opts, obs)
+	if f.tb != 0 {
+		t.Errorf("t_b=%g, want 0 (never LENGTH)", f.tb)
 	}
 
 	// φ_b follows the cheapest φ.
@@ -129,15 +136,15 @@ func TestFitBucketSplit(t *testing.T) {
 			obs[i].costPhi[phi] = float64(10 - phi) // φ=5 cheapest
 		}
 	}
-	ix.fitBucket(ix.opts, b, obs)
-	if b.phi != 5 {
-		t.Errorf("φ_b=%d, want 5", b.phi)
+	f = ix.fitBucket(ix.opts, obs)
+	if f.phi != 5 {
+		t.Errorf("φ_b=%d, want 5", f.phi)
 	}
 
 	// No observations: defaults.
-	ix.fitBucket(ix.opts, b, nil)
-	if !b.tuned || b.tb != defaultTB {
-		t.Errorf("empty-fit: tuned=%v tb=%g", b.tuned, b.tb)
+	f = ix.fitBucket(ix.opts, nil)
+	if !f.tuned || f.tb != defaultTB {
+		t.Errorf("empty-fit: tuned=%v tb=%g", f.tuned, f.tb)
 	}
 }
 
@@ -189,14 +196,9 @@ func TestTuningParallelismFitsIdentically(t *testing.T) {
 	q := genMatrix(rng, 90, 10, 0.9, 1, false, 1, 0)
 	p := genMatrix(rng, 700, 10, 0.9, 1, false, 0, 0)
 	theta, _ := safeTheta(t, q, p, 300)
-	type fit struct {
-		tuned bool
-		tb    float64
-		phi   int
-	}
 	for _, alg := range []Algorithm{AlgLI, AlgLC, AlgI} {
 		for _, prob := range []Problem{{K: 6}, {Theta: theta}} {
-			var want []fit
+			var want []tunedParam
 			for _, par := range []int{1, 2, 4} {
 				opts := testOptions(alg)
 				opts.SampleQueries = 20
@@ -205,14 +207,16 @@ func TestTuningParallelismFitsIdentically(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := ix.tune(newCall(nil, ix.opts, nil), prepareQueries(q), prob); err != nil {
+				got, err := ix.tune(newCall(nil, ix.opts, nil), prepareQueries(q), prob, false)
+				if err != nil {
 					t.Fatal(err)
 				}
-				got := make([]fit, len(ix.scan))
+				if len(got) != len(ix.scan) {
+					t.Fatalf("fit holds %d entries for %d buckets", len(got), len(ix.scan))
+				}
 				split := false
-				for bi, b := range ix.scan {
-					got[bi] = fit{b.tuned, b.tb, b.phi}
-					split = split || (b.tb > 0 && !math.IsInf(b.tb, 1) && b.tb != defaultTB)
+				for _, f := range got {
+					split = split || (f.tb > 0 && !math.IsInf(f.tb, 1) && f.tb != defaultTB)
 				}
 				if par == 1 {
 					want = got

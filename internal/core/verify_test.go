@@ -157,9 +157,9 @@ func TestPretuneDeltaBuckets(t *testing.T) {
 	if len(ix.delta) == 0 {
 		t.Fatal("batch produced no overlay entries")
 	}
-	for i, b := range ix.delta {
-		if !b.tuned {
-			t.Fatalf("delta bucket %d not pretuned despite frozen tuning", i)
+	for bi, b := range ix.scan {
+		if b.delta && !ix.frozen[bi].tuned {
+			t.Fatalf("delta bucket at scan position %d not pretuned despite frozen tuning", bi)
 		}
 	}
 	q := matrix.New(8, 3)

@@ -93,7 +93,7 @@ func newServerMetrics(shards int) *serverMetrics {
 		"Query rows per dispatched retrieval call.",
 		obs.ExpBuckets(1, 2, 10))
 	scanVec := reg.HistogramVec("lemp_shard_scan_seconds",
-		"Per-shard retrieval time (including serialization wait), the per-shard skew signal.",
+		"Per-shard retrieval time, the per-shard skew signal.",
 		obs.LatencyBuckets(), "shard")
 	m.shardScan = make([]*obs.Histogram, shards)
 	for i := range m.shardScan {

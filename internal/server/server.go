@@ -343,8 +343,9 @@ func (s *Server) Sharded() *Sharded { return s.sharded }
 // implementing Abort() is aborted instead of closed, so implementations
 // that commit on Close (temp file + rename) can discard the partial output
 // rather than publish it. Restart with NewFromSnapshot by supplying the
-// same snapshots in the same order. Must not run concurrently with request
-// serving — per-call tuning rewrites the state being serialized.
+// same snapshots in the same order. It may run beside request serving: it
+// writes the shard versions current when it starts, and queries change
+// nothing it reads.
 func (s *Server) WriteSnapshots(open func(i, n int) (io.WriteCloser, error)) error {
 	return s.WriteSnapshotsWith(open, lemp.SnapshotOptions{})
 }

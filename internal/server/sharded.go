@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,9 +35,8 @@ import (
 // updates land, and no response can mix pre- and post-update probe
 // vectors.
 //
-// Each shard serializes retrieval calls across all index versions
-// (lemp.Index supports one call at a time, and old/new versions share
-// main-bucket state), so Sharded is safe for concurrent use.
+// Sharded is safe for concurrent use: retrievals on one shard, on any of its
+// index versions, run beside each other (see lemp.Index).
 type Sharded struct {
 	r int
 
@@ -46,15 +46,15 @@ type Sharded struct {
 	placement PlacementKind
 	opts      lemp.Options
 
-	// mu guards the swappable serving state: the shard index pointers,
-	// the epoch, the live probe count, and the placement metadata (per-
-	// shard estimated costs, and direction cones for cluster placement).
-	// Cone and cost slices are replaced wholesale on every commit, never
-	// mutated in place, so a View may hold them without the lock.
+	// mu guards the swappable serving state: the shard indexes, the epoch,
+	// the live probe count, and the placement metadata (per-shard estimated
+	// costs, and direction cones for cluster placement). The index, cone
+	// and cost slices are replaced wholesale on every commit, never mutated
+	// in place, so a View may hold them without the lock.
 	mu     sync.RWMutex
 	epoch  uint64
-	n      int // live probes across all shards
-	shards []*shard
+	n      int               // live probes across all shards
+	shards []*lemp.Index     // current version of every shard
 	costs  []float64         // per-shard estimated scan cost
 	cones  []*lemp.ShardCone // per-shard direction cones; nil unless cluster-placed
 
@@ -108,13 +108,6 @@ type Sharded struct {
 	testShardDone  func(shard int, err error)
 }
 
-// shard is one probe partition: the current index version and the mutex
-// that serializes retrieval calls on any version of it.
-type shard struct {
-	mu    sync.Mutex
-	index *lemp.Index // current version; pointer guarded by Sharded.mu
-}
-
 // NewSharded builds nShards LEMP indexes over contiguous slices of probe
 // (sharing its storage), shard i indexing probes [i·n/S, (i+1)·n/S) under
 // their global ids 0..n-1. Every shard receives the same options; shards
@@ -155,7 +148,7 @@ func NewShardedPlaced(probe *lemp.Matrix, ids []int32, nShards int, opts lemp.Op
 	}
 	s := &Sharded{
 		r: probe.R(), n: n, placement: kind, opts: opts,
-		shards: make([]*shard, nShards), tc: lemp.NewTuningCache(),
+		shards: make([]*lemp.Index, nShards), tc: lemp.NewTuningCache(),
 	}
 	routeIDs := make([][]int32, nShards)
 	for i, part := range parts {
@@ -168,25 +161,14 @@ func NewShardedPlaced(probe *lemp.Matrix, ids []int32, nShards int, opts lemp.Op
 		if err != nil {
 			return nil, fmt.Errorf("server: building shard %d: %w", i, err)
 		}
-		s.shards[i] = &shard{index: ix}
+		s.shards[i] = ix
 		// The router wants ascending ids; the shard's live-id view is
 		// already sorted and deduplicated.
 		routeIDs[i] = ix.LiveIDs()
 	}
 	s.router = newRouter(routeIDs)
-	s.costs, s.cones = s.placementMeta(s.indexesLocked())
+	s.costs, s.cones = s.placementMeta(s.shards)
 	return s, nil
-}
-
-// indexesLocked returns the current shard index pointers without locking;
-// callers must hold s.mu or have exclusive access (construction, updMu
-// with no concurrent swap possible).
-func (s *Sharded) indexesLocked() []*lemp.Index {
-	out := make([]*lemp.Index, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.index
-	}
-	return out
 }
 
 // placementMeta computes the per-shard placement metadata for a shard-index
@@ -230,7 +212,7 @@ func NewShardedFromIndexesPlaced(ixs []*lemp.Index, kind PlacementKind, cones []
 	}
 	s := &Sharded{
 		r: ixs[0].R(), placement: kind, opts: ixs[0].Options(),
-		shards: make([]*shard, len(ixs)), tc: lemp.NewTuningCache(),
+		shards: slices.Clone(ixs), tc: lemp.NewTuningCache(),
 	}
 	routeIDs := make([][]int32, len(ixs))
 	for i, ix := range ixs {
@@ -241,7 +223,6 @@ func NewShardedFromIndexesPlaced(ixs []*lemp.Index, kind PlacementKind, cones []
 		if next := ix.NextID(); next > s.nextID {
 			s.nextID = next
 		}
-		s.shards[i] = &shard{index: ix}
 		s.n += ix.N()
 	}
 	s.router = newRouter(routeIDs)
@@ -300,16 +281,11 @@ func NewShardedFromSnapshot(snapshots []io.Reader, opts lemp.LoadOptions) (*Shar
 }
 
 // Indexes returns the current per-shard indexes in shard order. Callers
-// must not run retrievals or mutations on them while the Sharded is
-// serving.
+// must not mutate them: views still serve from them.
 func (s *Sharded) Indexes() []*lemp.Index {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]*lemp.Index, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.index
-	}
-	return out
+	return slices.Clone(s.shards)
 }
 
 // N returns the current number of live probes across all shards.
@@ -331,8 +307,8 @@ func (s *Sharded) SidecarBytes() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	total := 0
-	for _, sh := range s.shards {
-		total += sh.index.SidecarBytes()
+	for _, ix := range s.shards {
+		total += ix.SidecarBytes()
 	}
 	return total
 }
@@ -461,7 +437,6 @@ func (s *Sharded) replaceLocked(nShards int) error {
 	if err != nil {
 		return err
 	}
-	newShards := make([]*shard, len(parts))
 	newIxs := make([]*lemp.Index, len(parts))
 	routeIDs := make([][]int32, len(parts))
 	for i, part := range parts {
@@ -469,13 +444,12 @@ func (s *Sharded) replaceLocked(nShards int) error {
 		if err != nil {
 			return fmt.Errorf("server: rebuilding shard %d: %w", i, err)
 		}
-		newShards[i] = &shard{index: ix}
 		newIxs[i] = ix
 		routeIDs[i] = ix.LiveIDs()
 	}
 	costs, cones := s.placementMeta(newIxs)
 	s.mu.Lock()
-	s.shards = newShards
+	s.shards = newIxs
 	s.router = newRouter(routeIDs)
 	s.epoch++
 	s.n = total
@@ -498,23 +472,18 @@ func (s *Sharded) CumulativeStats() lemp.Stats {
 // index versions are retained by the snapshot), but long-held views serve
 // increasingly stale data.
 type View struct {
-	s      *Sharded
-	epoch  uint64
-	n      int
-	shards []*shard // the shard structs the ixs were taken from (their mutexes)
-	ixs    []*lemp.Index
-	cones  []*lemp.ShardCone // epoch-consistent cone snapshot; nil unless cluster-placed
+	s     *Sharded
+	epoch uint64
+	n     int
+	ixs   []*lemp.Index
+	cones []*lemp.ShardCone // epoch-consistent cone snapshot; nil unless cluster-placed
 }
 
 // CurrentView snapshots the serving state at the current epoch.
 func (s *Sharded) CurrentView() *View {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v := &View{s: s, epoch: s.epoch, n: s.n, shards: s.shards, ixs: make([]*lemp.Index, len(s.shards)), cones: s.cones}
-	for i, sh := range s.shards {
-		v.ixs[i] = sh.index
-	}
-	return v
+	return &View{s: s, epoch: s.epoch, n: s.n, ixs: s.shards, cones: s.cones}
 }
 
 // Epoch returns the update epoch the view was taken at.
@@ -546,17 +515,15 @@ func addShardStats(dst *lemp.Stats, st lemp.Stats) {
 // fanOut runs fn on every active shard of the view concurrently and
 // accumulates the per-shard stats; it returns the first error encountered.
 // active selects the shards to dispatch (nil = all); skipped shards are
-// counted as pruned, dispatched ones as scanned. The shard mutex serializes
-// retrieval across all index versions of a shard. The context is passed
-// down into every shard retrieval, so canceling it — client disconnect,
-// request deadline — aborts all shard scans mid-bucket.
+// counted as pruned, dispatched ones as scanned. Nothing orders calls on one
+// shard: fan-outs of different views or batch keys overlap on it. The
+// context is passed down into every shard retrieval, so canceling it —
+// client disconnect, request deadline — aborts all shard scans mid-bucket.
 //
 // When ctx carries a trace (obs.ContextWithSpan), each shard goroutine
 // opens its own shard-tagged span and passes it down, so the core executor
 // hangs its tune/scan phase spans under the right shard. Per-shard wall
-// time — including the wait for the shard mutex, which is exactly the
-// serialization skew worth seeing — feeds scanHist[i] when the server has
-// wired it.
+// time feeds scanHist[i] when the server has wired it.
 func (v *View) fanOut(ctx context.Context, active []bool, fn func(ctx context.Context, i int, ix *lemp.Index) (lemp.Stats, error)) (lemp.Stats, error) {
 	var (
 		wg    sync.WaitGroup
@@ -590,8 +557,6 @@ func (v *View) fanOut(ctx context.Context, active []bool, fn func(ctx context.Co
 				cctx = obs.ContextWithSpan(ctx, tr, ref)
 			}
 			start := time.Now()
-			sh := v.shards[i]
-			sh.mu.Lock()
 			if v.s.testShardStart != nil {
 				v.s.testShardStart(cctx, i)
 			}
@@ -599,7 +564,6 @@ func (v *View) fanOut(ctx context.Context, active []bool, fn func(ctx context.Co
 			if v.s.testShardDone != nil {
 				v.s.testShardDone(i, err)
 			}
-			sh.mu.Unlock()
 			tr.End(ref)
 			if i < len(v.s.scanHist) {
 				v.s.scanHist[i].ObserveDuration(time.Since(start))
@@ -936,16 +900,15 @@ func (s *Sharded) Update(ups []lemp.ProbeUpdate, compactThreshold float64) (Upda
 	// Commit: swap all affected shards under one epoch increment.
 	s.mu.Lock()
 	if changed {
-		for i, nix := range newIxs {
-			if nix != nil {
-				s.shards[i].index = nix
-			}
-		}
-		s.epoch++
 		s.n = 0
-		for _, sh := range s.shards {
-			s.n += sh.index.N()
+		for i, ix := range cur {
+			if newIxs[i] == nil {
+				newIxs[i] = ix
+			}
+			s.n += newIxs[i].N()
 		}
+		s.shards = newIxs
+		s.epoch++
 		for id, sh := range overlay {
 			if sh < 0 {
 				s.router.remove(id)

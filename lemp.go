@@ -83,9 +83,10 @@ const (
 func ParseAlgorithm(s string) (Algorithm, error) { return core.ParseAlgorithm(s) }
 
 // Index is a LEMP index over a probe matrix, ready to answer Above-θ and
-// Row-Top-k queries. Build one with New; it is safe for concurrent reads
-// only through a single retrieval call at a time (use WithParallelism or
-// Options.Parallelism for intra-call parallelism).
+// Row-Top-k queries. Build one with New. Any number of Retrieve calls may
+// run concurrently on it and on its WithUpdates relatives, WriteSnapshot
+// beside them; calls that mutate it (ApplyUpdates, Compact, the Pretune
+// methods) are exclusive with everything else on it.
 type Index struct {
 	inner *core.Index
 }
@@ -114,12 +115,13 @@ func (ix *Index) NumBuckets() int { return ix.inner.NumBuckets() }
 // (Options.Quantize), 0 when screening is off.
 func (ix *Index) SidecarBytes() int { return ix.inner.SidecarBytes() }
 
-// BucketInfo describes one probe bucket (size, length range, lazy-index and
-// tuning state).
+// BucketInfo describes one probe bucket: size, length range, lazy-index
+// state and its entry in the fit a Pretune method froze.
 type BucketInfo = core.BucketInfo
 
-// Buckets reports per-bucket state in decreasing-length order; tuning
-// fields are meaningful after a retrieval call with a tuning algorithm.
+// Buckets reports per-bucket state in decreasing-length order. The tuning
+// fields show the frozen fit of a pretuned index (see PretuneTopK) and are
+// false/zero otherwise: a retrieval's own fit is not index state.
 func (ix *Index) Buckets() []BucketInfo { return ix.inner.Buckets() }
 
 // PrepTime returns the preprocessing wall-clock time.

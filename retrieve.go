@@ -23,9 +23,6 @@ import (
 // bucket's work per worker, returns ctx.Err(), and leaves the index fully
 // reusable. Option conflicts and invalid parameters are reported before any
 // retrieval work runs.
-//
-// Concurrency follows the Index contract: one retrieval call at a time per
-// index (intra-call parallelism via WithParallelism or Options.Parallelism).
 func (ix *Index) Retrieve(ctx context.Context, q *Matrix, opts ...Option) (*Result, error) {
 	spec, err := NewSpec(opts...)
 	if err != nil {

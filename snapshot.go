@@ -15,9 +15,8 @@ import (
 // truncated snapshot fails to load instead of serving wrong results.
 
 // WriteSnapshot serializes the index (probe matrix, options, bucketization
-// and tuning state) in the LEMPIDX1 format. It must not run concurrently
-// with retrieval calls on the same index: per-call tuning rewrites the
-// per-bucket parameters being serialized.
+// and, if pretuned, the frozen fit) in the LEMPIDX1 format. It may run
+// beside retrieval calls, and its bytes do not depend on which were answered.
 func (ix *Index) WriteSnapshot(w io.Writer) error {
 	return ix.WriteSnapshotWith(w, SnapshotOptions{})
 }

@@ -65,6 +65,16 @@ func TestSnapshotRoundTripSmoke(t *testing.T) {
 	if !reflect.DeepEqual(gotAbove, wantAbove) {
 		t.Fatal("snapshot-loaded AboveTheta differs from freshly built index")
 	}
+
+	// A retrieval's fit is not index state: the snapshot of an index that
+	// is not pretuned does not depend on what it has answered.
+	var after bytes.Buffer
+	if err := ix.WriteSnapshot(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after.Bytes(), buf.Bytes()) {
+		t.Fatal("snapshot bytes changed after retrievals on an index that is not pretuned")
+	}
 }
 
 // TestSnapshotPretunedSkipsTuning checks the serving-restart contract: a

@@ -12,8 +12,8 @@ import (
 // exact after any mutation sequence: a mutated index answers queries
 // identically to an index freshly built over the same live probe set.
 //
-// Concurrency: mutation calls follow the same contract as retrieval — one
-// call at a time per Index. Serving layers that must keep answering
+// Concurrency: a mutation call is exclusive with everything else on the
+// Index it mutates (see Index). Serving layers that must keep answering
 // queries while updates land use WithUpdates to derive a new index
 // copy-on-write and swap it in atomically; see internal/server.
 
@@ -55,17 +55,17 @@ func NewWithIDs(probe *Matrix, ids []int32, opts Options) (*Index, error) {
 // ApplyUpdates performs a batch of probe mutations atomically: the index
 // is untouched unless every op validates, and the epoch advances once per
 // successful batch. The returned slice holds each op's affected id (the
-// assigned id for AutoID adds). Must not run concurrently with retrieval
-// or other mutations on this index.
+// assigned id for AutoID adds). Exclusive with everything else on this
+// index.
 func (ix *Index) ApplyUpdates(ups []ProbeUpdate) ([]int32, error) {
 	return ix.inner.Apply(ups)
 }
 
 // WithUpdates derives a new index with the batch applied, leaving the
 // receiver untouched: the two share the immutable main structure
-// (copy-on-write), so derivation costs only the delta work. Retrieval
-// calls on the two indexes must still be serialized against each other —
-// they share main-bucket tuning state and lazy per-bucket indexes.
+// (copy-on-write), so derivation costs only the delta work. The receiver
+// keeps answering retrievals meanwhile, and afterwards the two serve
+// independently of each other.
 func (ix *Index) WithUpdates(ups []ProbeUpdate) (*Index, []int32, error) {
 	inner, ids, err := ix.inner.WithUpdates(ups)
 	if err != nil {
@@ -114,8 +114,8 @@ func (ix *Index) DeltaMass() float64 { return ix.inner.DeltaMass() }
 
 // Compact folds the delta layer into a fresh bucketization over the live
 // probe set (ids preserved), restoring full pruning effectiveness. Results
-// before and after are identical. Same concurrency contract as
-// ApplyUpdates.
+// before and after are identical. Exclusive with everything else on this
+// index.
 func (ix *Index) Compact() { ix.inner.Compact() }
 
 // MaybeCompact compacts when DeltaMass exceeds the threshold, reporting
