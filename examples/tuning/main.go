@@ -71,7 +71,10 @@ func main() {
 	}
 
 	// A retrieval's fit belongs to that retrieval; what an index can show
-	// is the fit PretuneTopK froze on it, which every later call runs under.
+	// is the fit PretuneTopK froze on it, which every later call runs under,
+	// and which buckets carry an int8 screening sidecar: where the int8
+	// kernels are assembly, those whose candidate sets the tuning sample
+	// timed with the screen on; none elsewhere (no Options.Quantize here).
 	fmt.Println("\nper-bucket selections LI freezes with PretuneTopK (first 8 buckets):")
 	index, err = lemp.New(p, lemp.Options{})
 	if err != nil {
@@ -80,13 +83,13 @@ func main() {
 	if err := index.PretuneTopK(q, k); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  %-8s %8s %10s %8s %6s\n", "bucket", "size", "max len", "t_b", "φ_b")
+	fmt.Printf("  %-8s %8s %10s %8s %6s %8s\n", "bucket", "size", "max len", "t_b", "φ_b", "sidecar")
 	for i, b := range index.Buckets() {
 		if i == 8 {
 			fmt.Println("  ...")
 			break
 		}
-		fmt.Printf("  %-8d %8d %10.3f %8.2f %6d\n", i, b.Size, b.MaxLength, b.TB, b.Phi)
+		fmt.Printf("  %-8d %8d %10.3f %8.2f %6d %8v\n", i, b.Size, b.MaxLength, b.TB, b.Phi, b.Sidecar)
 	}
 
 	fmt.Println("\ncache-aware vs cache-oblivious bucketization:")

@@ -101,7 +101,9 @@ func TestPlacementPruneGuard(t *testing.T) {
 // the highest calibrated θ of the seeded smoke workload, the int8 sidecar
 // must screen out at least 40% of the verification candidates — without
 // changing a single result entry (measureQuantAbove cross-checks every
-// row). The workload is seeded, so this is a regression guard on screening
+// row against the default-options index, which screens by its own rule
+// where the int8 kernels are assembly, and against internal/naive). The
+// workload is seeded, so this is a regression guard on screening
 // effectiveness, not a flaky timing assertion.
 func TestQuantScreenGuard(t *testing.T) {
 	p, q := quantWorkload(0.1)
@@ -128,12 +130,12 @@ func TestQuantScreenGuard(t *testing.T) {
 // 4.44 (the skew catalog), Above-θ at the θ that returns about ten entries
 // per query. The sidecar must discard at least 90% of the candidates (a
 // 16-dimension head prefix bounded by remaining mass discards 39% here) with
-// the result set byte-identical to the unquantized index's. measureQuantAbove
-// fixes the bucket algorithm to LENGTH, so the candidate set does not depend
-// on the wall-clock tuner and the counts are pinned: integer dots and one
-// float predicate in Go decide every row, so the assembly and the portable
-// (-tags purego) kernels must both land on exactly these. Counts on a seed,
-// not a timing.
+// the result set byte-identical to the default-options index's and equal to
+// internal/naive's. measureQuantAbove fixes the bucket algorithm to LENGTH, so
+// the candidate set does not depend on the wall-clock tuner and the counts are
+// pinned: integer dots and one float predicate in Go decide every row, so the
+// assembly and the portable (-tags purego) kernels must both land on exactly
+// these. Counts on a seed, not a timing.
 func TestQuantScreenGuardUniform(t *testing.T) {
 	const n, m, r, perQuery = 20000, 128, 50, 10
 	p := data.GenerateVectors(rand.New(rand.NewSource(171)), n, r, 4.44, 1, false)

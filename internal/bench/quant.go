@@ -9,19 +9,24 @@ import (
 
 	"lemp/internal/core"
 	"lemp/internal/matrix"
+	"lemp/internal/naive"
 	"lemp/internal/retrieval"
 	"lemp/internal/vecmath"
 )
 
-// The quant experiment measures what the int8 screening sidecar buys on
-// LEMP's verification phase: candidates that survive bucket pruning are
-// bounded in int8 (the full-width integer dot plus a conservative error
-// bound) and only the survivors reach the exact f64 kernels. Screening never
-// changes results — every θ level cross-checks the quantized index against
-// the plain one — so the interesting numbers are the screen rate and the
-// verified-candidate throughput. High θ is the sweet spot: most candidates
-// fall clearly short of the threshold, and the int8 bound proves it at an
-// eighth of the memory traffic.
+// The quant experiment measures the int8 screening sidecar on LEMP's
+// verification phase: candidates that survive bucket pruning are bounded in
+// int8 (the full-width integer dot plus a conservative error bound) and only
+// the survivors reach the exact f64 kernels. Its two arms are an index built
+// with default options — which screens by itself, through lazy sidecars,
+// exactly where the int8 kernels are assembly — and one built with
+// Options.Quantize, which screens everywhere: about 1.0× apart on an AVX2
+// host, and on the portable kernels the price of forcing the screen on.
+// Screening never changes results — at every θ level the two arms must agree
+// entry for entry and with internal/naive — so the interesting numbers are the
+// screen rate and the verified-candidate throughput. High θ is the sweet spot:
+// most candidates fall clearly short of the threshold, and the int8 bound
+// proves it at an eighth of the memory traffic.
 
 // quantWorkload builds a clustered, moderately length-skewed catalog and a
 // matching query set, with a power-law spectral profile across dimensions:
@@ -109,23 +114,24 @@ func allProducts(p, q *matrix.Matrix) []float64 {
 	return products
 }
 
-// quantRow is one θ level's measurements.
+// quantRow is one θ level's measurements. The counts are the Quantize arm's:
+// it screens every pair on every build.
 type quantRow struct {
 	theta      float64
 	candidates int64         // pre-screen candidates (identical both runs)
 	screened   int64         // candidates the sidecar discarded,
 	survived   int64         // and those it passed on to the exact kernels
 	screenRate float64       // screened / (screened + survived)
-	plainTime  time.Duration // unquantized Above-θ wall time
-	quantTime  time.Duration // quantized Above-θ wall time
+	plainTime  time.Duration // default-options Above-θ wall time
+	quantTime  time.Duration // Options.Quantize Above-θ wall time
 	results    int
 }
 
-// measureQuantAbove runs Above-θ at one θ with and without the sidecar,
-// cross-checks the result sets entry for entry, and times both (after a
-// warmup pass that pays tuning and lazy index construction) for as long as
-// budget allows: a zero budget takes one timed pass of each, enough for the
-// counts.
+// measureQuantAbove runs Above-θ at one θ on a default-options index and on
+// an Options.Quantize one, cross-checks the result sets entry for entry and
+// against internal/naive, and times both (after a warmup pass that pays tuning
+// and lazy index construction) for as long as budget allows: a zero budget
+// takes one timed pass of each, enough for the counts.
 func measureQuantAbove(p, q *matrix.Matrix, theta float64, budget time.Duration) (quantRow, error) {
 	row := quantRow{theta: theta}
 	// AlgL makes the run verification-heavy: candidate generation is a
@@ -180,14 +186,17 @@ func measureQuantAbove(p, q *matrix.Matrix, theta float64, budget time.Duration)
 	retrieval.Sort(plainOut)
 	retrieval.Sort(quantOut)
 	if len(plainOut) != len(quantOut) {
-		return row, fmt.Errorf("screening changed the result set: %d entries plain, %d quantized (θ=%v)",
+		return row, fmt.Errorf("the arms' result sets differ: %d entries by default, %d under Quantize (θ=%v)",
 			len(plainOut), len(quantOut), theta)
 	}
 	for i := range plainOut {
 		if plainOut[i] != quantOut[i] {
-			return row, fmt.Errorf("screening changed entry %d: plain %+v, quantized %+v (θ=%v)",
+			return row, fmt.Errorf("the arms differ at entry %d: default %+v, Quantize %+v (θ=%v)",
 				i, plainOut[i], quantOut[i], theta)
 		}
+	}
+	if err := checkAboveAgainstNaive(p, q, theta, quantOut); err != nil {
+		return row, fmt.Errorf("θ=%v: %w", theta, err)
 	}
 	row.candidates = plainStats.Candidates
 	row.plainTime = plainTime
@@ -200,9 +209,40 @@ func measureQuantAbove(p, q *matrix.Matrix, theta float64, budget time.Duration)
 	return row, nil
 }
 
-// quantScreening runs the experiment: a θ sweep with the sidecar on and
-// off, reporting screen rate and verified-candidate throughput. Exact
-// results are screening-invariant, so every row doubles as a cross-check.
+// checkAboveAgainstNaive holds an Above-θ answer against the brute-force
+// product: the same (query, probe) pairs with values equal to nine digits —
+// LEMP multiplies a unit-direction dot by two lengths, naive takes the raw
+// dot — where a pair whose value sits that close to θ may fall on either side.
+func checkAboveAgainstNaive(p, q *matrix.Matrix, theta float64, got []retrieval.Entry) error {
+	near := func(a, b float64) bool {
+		return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
+	}
+	type pair struct{ query, probe int }
+	want := make(map[pair]float64)
+	naive.AboveTheta(q, p, theta, func(e retrieval.Entry) { want[pair{e.Query, e.Probe}] = e.Value })
+	for _, e := range got {
+		key := pair{e.Query, e.Probe}
+		v, ok := want[key]
+		switch {
+		case ok && near(v, e.Value):
+			delete(want, key)
+		case ok:
+			return fmt.Errorf("entry %+v, naive value %v", e, v)
+		case !near(e.Value, theta):
+			return fmt.Errorf("entry %+v is not in the naive result", e)
+		}
+	}
+	for key, v := range want {
+		if !near(v, theta) {
+			return fmt.Errorf("naive entry %+v (value %v) is missing", key, v)
+		}
+	}
+	return nil
+}
+
+// quantScreening runs the experiment: a θ sweep over the two arms, reporting
+// screen rate and verified-candidate throughput. Exact results are
+// screening-invariant, so every row doubles as a cross-check.
 func (r *Runner) quantScreening() error {
 	r.header("Quantized screening: int8 candidate pruning before exact verification (θ sweep)")
 	p, q := quantWorkload(r.cfg.Scale)
@@ -213,7 +253,7 @@ func (r *Runner) quantScreening() error {
 	}
 	r.logf("catalog n=%d r=%d, %d queries", p.N(), p.R(), q.N())
 	fmt.Fprintf(r.cfg.Out, "%-10s %12s %9s %12s %12s %9s %14s %9s\n",
-		"Theta", "Candidates", "Screened", "PlainTime", "QuantTime", "Speedup", "Verify/s", "Results")
+		"Theta", "Candidates", "Screened", "Default", "Quantize", "Ratio", "Verify/s", "Results")
 	for _, theta := range thetas {
 		row, err := measureQuantAbove(p, q, theta, 2*time.Second)
 		if err != nil {

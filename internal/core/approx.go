@@ -90,16 +90,18 @@ func (ix *Index) RetrieveApprox(ctx context.Context, q *matrix.Matrix, k int, ao
 	}
 
 	// Phase 2: Row-Top-k′ for the centroids, k′ = Expand·k clamped to the
-	// live probes. With a quantized sidecar active the job runs with approx
+	// live probes. On an Options.Quantize index the job runs with approx
 	// set: the centroid list is only a candidate pool, so survivors keep
 	// their approximate dots and skip the exact kernels — phase 3 re-ranks
 	// every candidate with exact products, so result values stay exact
-	// either way. The job's work is this call's work, so its stats fold in
-	// whole — except its own row count and results, which describe the
-	// centroid answer and not this one.
+	// either way. An index that screens by itself runs the centroid job like
+	// any exact one, screen and rule included: which candidates make the
+	// pool must not depend on the host's kernels. The job's work is this
+	// call's work, so its stats fold in whole — except its own row count and
+	// results, which describe the centroid answer and not this one.
 	kk := min(k, live)
 	centroids.prob.K = min(kk*aopts.Expand, live)
-	centroids.approx = true
+	centroids.approx = ix.opts.Quantize
 	var cst Stats
 	centroidTop, err := centroids.run(ctx, clusters.Centroids, nil, centroids.opts.Parallelism, &cst)
 	if err != nil {

@@ -52,12 +52,16 @@ type bucket struct {
 	// live, so tombstone filtering is skipped.
 	delta bool
 
-	// q8 is the int8 quantization sidecar of dirs (Options.Quantize): the
-	// conservative screen that runs ahead of exact verification. nil when
-	// quantized screening is off or the dimension exceeds quant.MaxDim.
-	// Attached right after bucketization, before the bucket is published,
-	// so it needs no synchronization.
-	q8 *quant.Rows
+	// Int8 quantization sidecar of dirs: the conservative screen that runs
+	// ahead of exact verification (verify.go). One more lazy index — built by
+	// the first (query, bucket) pair the screen pays for, so a bucket no
+	// retrieval verifies never carries one — except under Options.Quantize,
+	// where attachSidecars builds it before the bucket is published. An
+	// atomic pointer because State and SidecarBytes read it beside retrievals
+	// that build it. Derived state like the lists, but it does not set
+	// hasIndex: Stats.IndexedBuckets counts the candidate-generation indexes.
+	q8Once sync.Once
+	q8     atomic.Pointer[quant.Rows]
 }
 
 func (b *bucket) size() int { return len(b.ids) }
@@ -80,6 +84,19 @@ func (b *bucket) ensureLists(workers int) *sortedLists {
 		b.hasIndex.Store(true)
 	})
 	return b.lists.Load()
+}
+
+// ensureSidecar quantizes the bucket's directions on first use. A bucket
+// restored from a snapshot that persisted its sidecar (QNT8 section) arrives
+// with b.q8 pre-populated and skips the build. The dimension must lie in
+// [1, quant.MaxDim]: attachSidecars checks, Index.autoScreen implies it.
+func (b *bucket) ensureSidecar() *quant.Rows {
+	b.q8Once.Do(func() {
+		if b.q8.Load() == nil {
+			b.q8.Store(quant.QuantizeRows(b.dirs, b.r))
+		}
+	})
+	return b.q8.Load()
 }
 
 // ensureTree builds the per-bucket cover tree over the raw (un-normalized)

@@ -20,7 +20,10 @@ import (
 // goroutine exports State. No retrieval writes index state, so every answer
 // must equal the one the same call gives alone. TuneByCost makes each call's
 // fit a function of the call, which the approximate mode's candidate pool —
-// unlike every exact answer — depends on.
+// unlike every exact answer — depends on. The index screens either eagerly
+// (Options.Quantize) or through lazy sidecars, switched on whatever the host's
+// kernels: there the first-touch sidecar builds meet concurrent scans, State
+// and the copy-on-write relative, which shares the main buckets' sidecars.
 func TestConcurrentRetrievals(t *testing.T) {
 	const (
 		r       = 10
@@ -100,77 +103,88 @@ func TestConcurrentRetrievals(t *testing.T) {
 	for _, alg := range []Algorithm{AlgLI, AlgLC, AlgI} {
 		for _, pretuned := range []bool{false, true} {
 			for _, cached := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%v/pretuned=%v/cache=%v", alg, pretuned, cached), func(t *testing.T) {
-					// The serial answers come from a twin pair built the same
-					// way, so the concurrent phase meets cold indexes and
-					// their lazy per-bucket builds too.
-					build := func() []*Index {
-						base, err := NewIndex(p, Options{Algorithm: alg, TuneByCost: true, Quantize: true, MinBucketSize: 10, CacheBytes: 8 * 1024})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if pretuned {
-							if err := base.Pretune(q.Head(12), Problem{K: 5}); err != nil {
+				for _, quantize := range []bool{true, false} {
+					name := fmt.Sprintf("%v/pretuned=%v/cache=%v", alg, pretuned, cached)
+					if !quantize {
+						name += "/lazy-sidecars"
+					}
+					t.Run(name, func(t *testing.T) {
+						// The serial answers come from a twin pair built the same
+						// way, so the concurrent phase meets cold indexes and
+						// their lazy per-bucket builds too.
+						build := func() []*Index {
+							base, err := NewIndex(p, Options{Algorithm: alg, TuneByCost: true, Quantize: quantize, MinBucketSize: 10, CacheBytes: 8 * 1024})
+							if err != nil {
 								t.Fatal(err)
 							}
+							base.autoScreen = !quantize
+							if pretuned {
+								if err := base.Pretune(q.Head(12), Problem{K: 5}); err != nil {
+									t.Fatal(err)
+								}
+							}
+							derived, _, err := base.WithUpdates(ups)
+							if err != nil {
+								t.Fatal(err)
+							}
+							return []*Index{base, derived}
 						}
-						derived, _, err := base.WithUpdates(ups)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return []*Index{base, derived}
-					}
-					ixs := build()
-					want := make([][]answer, len(ixs))
-					for i, ix := range build() {
-						want[i] = make([]answer, len(calls))
-						for ci, c := range calls {
-							var err error
-							if want[i][ci], err = c.run(ix, RunOptions{}); err != nil {
-								t.Fatalf("serial %s on index %d: %v", c.name, i, err)
+						ixs := build()
+						want := make([][]answer, len(ixs))
+						for i, ix := range build() {
+							want[i] = make([]answer, len(calls))
+							for ci, c := range calls {
+								var err error
+								if want[i][ci], err = c.run(ix, RunOptions{}); err != nil {
+									t.Fatalf("serial %s on index %d: %v", c.name, i, err)
+								}
 							}
 						}
-					}
 
-					var ro RunOptions
-					if cached {
-						ro.Cache = NewTuningCache()
-					}
-					var stop atomic.Bool
-					var exporter sync.WaitGroup
-					exporter.Add(1)
-					go func() {
-						defer exporter.Done()
-						for !stop.Load() {
-							for i, ix := range ixs {
-								if st := ix.State(); st.Pretuned != pretuned || len(st.Buckets) == 0 {
-									t.Errorf("State of index %d beside retrievals: pretuned=%v, %d buckets", i, st.Pretuned, len(st.Buckets))
-								}
-							}
+						var ro RunOptions
+						if cached {
+							ro.Cache = NewTuningCache()
 						}
-					}()
-					var wg sync.WaitGroup
-					for w := 0; w < workers; w++ {
-						wg.Add(1)
-						go func(w int) {
-							defer wg.Done()
-							// Every worker makes every call on both indexes,
-							// each starting somewhere else.
-							for n := 0; n < len(ixs)*len(calls); n++ {
-								i, ci := (w+n)%len(ixs), (w+n/len(ixs))%len(calls)
-								got, err := calls[ci].run(ixs[i], ro)
-								if err != nil {
-									t.Errorf("%s on index %d: %v", calls[ci].name, i, err)
-								} else if !reflect.DeepEqual(got, want[i][ci]) {
-									t.Errorf("%s on index %d: answer differs from the serial one", calls[ci].name, i)
+						var stop atomic.Bool
+						var exporter sync.WaitGroup
+						exporter.Add(1)
+						go func() {
+							defer exporter.Done()
+							for !stop.Load() {
+								for i, ix := range ixs {
+									if st := ix.State(); st.Pretuned != pretuned || len(st.Buckets) == 0 {
+										t.Errorf("State of index %d beside retrievals: pretuned=%v, %d buckets", i, st.Pretuned, len(st.Buckets))
+									}
 								}
 							}
-						}(w)
-					}
-					wg.Wait()
-					stop.Store(true)
-					exporter.Wait()
-				})
+						}()
+						var wg sync.WaitGroup
+						for w := 0; w < workers; w++ {
+							wg.Add(1)
+							go func(w int) {
+								defer wg.Done()
+								// Every worker makes every call on both indexes,
+								// each starting somewhere else.
+								for n := 0; n < len(ixs)*len(calls); n++ {
+									i, ci := (w+n)%len(ixs), (w+n/len(ixs))%len(calls)
+									got, err := calls[ci].run(ixs[i], ro)
+									if err != nil {
+										t.Errorf("%s on index %d: %v", calls[ci].name, i, err)
+									} else if !reflect.DeepEqual(got, want[i][ci]) {
+										t.Errorf("%s on index %d: answer differs from the serial one", calls[ci].name, i)
+									}
+								}
+							}(w)
+						}
+						wg.Wait()
+						stop.Store(true)
+						exporter.Wait()
+						if !quantize && (ixs[0].SidecarBytes() == 0 || ixs[0].State().Buckets[0].QuantCodes != nil) {
+							t.Errorf("lazy arm: %d sidecar bytes after the calls, State exports one: %v",
+								ixs[0].SidecarBytes(), ixs[0].State().Buckets[0].QuantCodes != nil)
+						}
+					})
+				}
 			}
 		}
 	}

@@ -325,6 +325,7 @@ func (ix *Index) shallowClone() *Index {
 		scan:            ix.scan,
 		maxBucket:       ix.maxBucket,
 		prepTime:        ix.prepTime,
+		autoScreen:      ix.autoScreen,
 		pretuned:        ix.pretuned,
 		frozen:          ix.frozen,
 		tuneProb:        ix.tuneProb,

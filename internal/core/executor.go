@@ -66,8 +66,9 @@ type Job struct {
 
 	// approx lets int8-screen survivors keep their approximate dot instead
 	// of falling through to the exact kernels. Only RetrieveApprox sets it,
-	// for its centroid phase, whose rows are a candidate pool re-ranked
-	// exactly; an exact job cannot be switched from outside.
+	// for its centroid phase on an Options.Quantize index, whose rows are a
+	// candidate pool re-ranked exactly; an exact job cannot be switched from
+	// outside.
 	approx bool
 
 	tuned  atomic.Bool  // fast path: fit is set

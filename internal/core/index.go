@@ -33,6 +33,14 @@ type Index struct {
 	maxBucket int            // largest bucket in scan (sizes worker scratch)
 	prepTime  time.Duration
 
+	// autoScreen is set where the int8 screen runs without being asked for:
+	// the index was built without Options.Quantize and quant's kernels are
+	// assembly for its dimension. Sidecars are then lazy per-bucket indexes
+	// and sidecarFor (verify.go) decides pair by pair. Fixed at construction
+	// and shared with copy-on-write relatives; tests clear it to obtain the
+	// screen-less reference.
+	autoScreen bool
+
 	// id uniquely identifies this Index instance (copy-on-write derivations
 	// get fresh ids); layout counts bucketization changes (delta rebuilds,
 	// Compact). Together with the epoch they version the index for
@@ -127,7 +135,8 @@ func NewIndexWithIDs(p *matrix.Matrix, ids []int32, opts Options) (*Index, error
 		}
 	}
 	start := time.Now()
-	ix := &Index{opts: opts, r: p.R(), n: p.N(), probe: p, id: indexSeq.Add(1)}
+	ix := &Index{opts: opts, r: p.R(), n: p.N(), probe: p, id: indexSeq.Add(1),
+		autoScreen: !opts.Quantize && quant.Accelerated(p.R())}
 	ix.setIDs(ids)
 	ix.buckets = bucketize(p, ix.explicitIDs(), opts.ShrinkFactor, opts.MinBucketSize, ix.bucketCap())
 	ix.attachSidecars(ix.buckets)
@@ -165,16 +174,18 @@ func (ix *Index) N() int { return ix.LiveN() }
 func (ix *Index) NumBuckets() int { return len(ix.scan) }
 
 // BucketInfo describes one probe bucket for introspection: its size and
-// length range, whether any lazy index has been built, and the bucket's
-// entry in the frozen fit of a pretuned index (§4.4). Tuned, TB and Phi are
-// false/zero on an index that is not pretuned — there each retrieval fits
-// and owns its own parameters, and none are the index's to report — and for
-// a bucket the frozen fit has not reached (a delta bucket awaiting its fit).
+// length range, whether any lazy index has been built, whether it carries an
+// int8 screening sidecar, and the bucket's entry in the frozen fit of a
+// pretuned index (§4.4). Tuned, TB and Phi are false/zero on an index that is
+// not pretuned — there each retrieval fits and owns its own parameters, and
+// none are the index's to report — and for a bucket the frozen fit has not
+// reached (a delta bucket awaiting its fit).
 type BucketInfo struct {
 	Size      int
 	MaxLength float64 // l_b, the length of the longest vector
 	MinLength float64
 	Indexed   bool    // a sorted-list/tree/L2AP/signature index exists
+	Sidecar   bool    // an int8 sidecar exists: built eagerly (Options.Quantize) or by a screened pair
 	Tuned     bool    // the frozen fit holds t_b and φ_b for this bucket
 	TB        float64 // switch threshold: LENGTH below, coordinate method above
 	Phi       int     // focus-set size φ_b
@@ -192,6 +203,7 @@ func (ix *Index) Buckets() []BucketInfo {
 			MaxLength: b.lb,
 			MinLength: b.lens[b.size()-1],
 			Indexed:   b.indexed(),
+			Sidecar:   b.q8.Load() != nil,
 			Tuned:     p.tuned,
 			TB:        p.tb,
 			Phi:       p.phi,
@@ -312,28 +324,28 @@ func (ix *Index) gather(b *bucket, alg Algorithm, phi int, qi int32, qdir []floa
 }
 
 // attachSidecars quantizes the directions of freshly bucketized buckets
-// into their int8 screening sidecars (Options.Quantize). Buckets that
-// already carry one — restored from a snapshot, say — are left alone.
-// Runs before the buckets are published to any retrieval call, so no
-// synchronization is needed. Dimensions outside [1, quant.MaxDim] leave
-// every sidecar nil, silently disabling screening.
+// into their int8 screening sidecars, eagerly, under Options.Quantize; every
+// other index leaves them to the first screened pair (sidecarFor). Buckets
+// that already carry one — restored from a snapshot, say — are left alone.
+// Dimensions outside [1, quant.MaxDim] leave every sidecar nil, silently
+// disabling screening.
 func (ix *Index) attachSidecars(buckets []*bucket) {
 	if !ix.opts.Quantize || ix.r < 1 || ix.r > quant.MaxDim {
 		return
 	}
 	for _, b := range buckets {
-		if b.q8 == nil {
-			b.q8 = quant.QuantizeRows(b.dirs, b.r)
-		}
+		b.ensureSidecar()
 	}
 }
 
-// SidecarBytes returns the memory held by the quantized screening sidecars
-// across all scanned buckets (0 when Options.Quantize is off).
+// SidecarBytes returns the memory held by the int8 screening sidecars across
+// all scanned buckets: every bucket's under Options.Quantize, otherwise those
+// of the buckets retrievals have screened so far (none where the int8 kernels
+// are not assembly). It may run beside retrievals.
 func (ix *Index) SidecarBytes() int {
 	total := 0
 	for _, b := range ix.scan {
-		total += b.q8.Bytes()
+		total += b.q8.Load().Bytes()
 	}
 	return total
 }

@@ -137,19 +137,26 @@ type Options struct {
 	Epsilon float64
 	// Seed drives the BLSH hyperplanes (default 1).
 	Seed int64
-	// Quantize maintains an int8 sidecar of every bucket's directions
-	// (internal/quant) and screens verification candidates with a cheap
-	// approximate dot plus a conservative error bound before the exact f64
-	// kernels run. Exact results are unchanged — the bound is conservative,
-	// so only candidates that provably cannot reach the threshold are
-	// skipped; the Approx retrieval mode additionally skips the exact
-	// fall-through for survivors. Costs r + 24 bytes of sidecar per probe
-	// (74 beside the 400 bytes of an r = 50 direction; the ratio tends to
-	// 1/8 as r grows) plus quantization time on build, mutation and
-	// compaction. It pays where the int8 kernels run in assembly
-	// (vecmath.AVX2); on the portable kernels the screen costs more than
-	// the exact dot it saves. Dimensions above quant.MaxDim silently
-	// disable screening.
+	// Quantize makes the int8 screen (internal/quant: a cheap approximate
+	// dot plus a conservative error bound that discards verification
+	// candidates before the exact f64 kernels run) eager, unconditional and
+	// persistent: every bucket's sidecar is built at index construction, on
+	// mutation and on compaction, every (query, bucket) pair is screened,
+	// the portable kernels included, and snapshots carry the sidecars (QNT8
+	// section). Without it an index screens by itself wherever the int8
+	// kernels run in assembly for its dimension (quant.Accelerated): a
+	// bucket's sidecar is built by the first pair that shows at least eight
+	// candidates under a finite threshold, only such pairs are screened,
+	// buckets no retrieval verifies never carry one, and snapshots hold
+	// none. Exact results are the same in all three cases — the bound is
+	// conservative, so only candidates that provably cannot reach the
+	// threshold are skipped; with the option, the Approx retrieval mode
+	// additionally skips the exact fall-through for survivors of its
+	// centroid phase. A sidecar costs r + 24 bytes per probe (74 beside the
+	// 400 bytes of an r = 50 direction; the ratio tends to 1/8 as r grows).
+	// On the portable kernels the screen costs more than the exact dot it
+	// saves, which is why only this option turns it on there. Dimensions
+	// above quant.MaxDim silently disable screening.
 	Quantize bool
 }
 

@@ -29,11 +29,11 @@ func BenchmarkBuildLists(b *testing.B) {
 // topKPanelBench is the catalog BenchmarkTopKPanel scans: 120 000 probes at
 // r = 50 — 48 MB of directions, more again in sorted lists, far beyond the
 // last-level cache — with the flat length distribution (CoV ≈ 0.40) that
-// leaves top-k retrieval verification-bound, indexed once without and once
-// with the int8 sidecar. Built once per process.
+// leaves top-k retrieval verification-bound, indexed once with default options
+// and once with Options.Quantize. Built once per process.
 var topKPanelBench struct {
 	once sync.Once
-	pr   [2]*Job // plain, quantized
+	pr   [2]*Job // default options, Quantize
 	q    *matrix.Matrix
 }
 
@@ -42,8 +42,10 @@ var topKPanelBench struct {
 // per row: the curve that shows what the bucket-outer loop amortises — with
 // the bucket read from memory once per panel, the per-row time must fall as
 // the panel grows. The quant/ rows repeat it on the same catalog indexed
-// with Options.Quantize: the screen pays when they read below their plain
-// twins.
+// with Options.Quantize. Where quant's kernels are assembly the default index
+// screens too, through lazy sidecars, and the twins read alike; on the
+// portable kernels it does not, and quant/ shows what forcing the screen on
+// costs there.
 func BenchmarkTopKPanel(b *testing.B) {
 	tb := &topKPanelBench
 	run := func(pr *Job, lo, rows int) {

@@ -40,17 +40,17 @@ func (ix *Index) scanRange(c *call, p Problem, qs *querySet, lo, hi int, s *scra
 
 // verifyCands is the per-pair step of both kernels (line 16 of Algorithm
 // 1): count the candidates the bucket method left in s.cand, drop
-// tombstones, screen against cut — θ, or the current heap floor — when a
-// sidecar is active, and compute the survivors' dots q̄ᵀp̄ into s.vals with
-// the blocked kernels (verify.go). The dots are accumulated in vecmath's
-// canonical order (vecmath/kernels.go) whichever kernel computes them, so a
-// candidate's value depends neither on the candidates it is verified with
-// nor on the tile its query rides in. With approx set the screen's
-// survivors keep their quantized estimate and the exact kernels are
-// skipped.
+// tombstones, screen against cut — θ, or the current heap floor — where
+// sidecarFor says the pair is screened, and compute the survivors' dots q̄ᵀp̄
+// into s.vals with the blocked kernels (verify.go). The tuner's measurements
+// and its Row-Top-k trajectory call it too, so §4.4 fits the cost a scan
+// pays. The dots are accumulated in vecmath's canonical order
+// (vecmath/kernels.go) whichever kernel computes them, so a candidate's value
+// depends neither on the candidates it is verified with nor on the tile its
+// query rides in. With approx set the screen's survivors keep their quantized
+// estimate and the exact kernels are skipped.
 func (ix *Index) verifyCands(b *bucket, s *scratch, qi int32, qdir []float64, qlen, cut float64, approx bool, st *Stats) {
 	st.Candidates += int64(len(s.cand))
-	s.work += int64(len(s.cand)) * int64(b.r)
 	ix.compactLiveCands(b, s)
 	if !ix.screenCands(b, s, qi, qdir, qlen, cut, approx, st) {
 		verifyDots(b, qdir, s, st)

@@ -131,10 +131,13 @@ func (ix *Index) State() *State {
 			st.Buckets[i].ListVals = l.vals
 			st.Buckets[i].ListLids = l.lids
 		}
-		if b.q8 != nil {
-			st.Buckets[i].QuantScales = b.q8.Scales
-			st.Buckets[i].QuantCodes = b.q8.Codes
-			st.Buckets[i].QuantResid = b.q8.Resid
+		// Only a sidecar the options asked for is state; one a retrieval
+		// built is derived, and exporting it would make the bytes depend on
+		// the queries answered.
+		if q8 := b.q8.Load(); q8 != nil && ix.opts.Quantize {
+			st.Buckets[i].QuantScales = q8.Scales
+			st.Buckets[i].QuantCodes = q8.Codes
+			st.Buckets[i].QuantResid = q8.Resid
 		}
 	}
 	return st
@@ -165,7 +168,8 @@ func FromState(st *State) (*Index, error) {
 		return nil, fmt.Errorf("core: state has no probe matrix")
 	}
 	r, n := st.Probe.R(), st.Probe.N()
-	ix := &Index{opts: opts, r: r, n: n, probe: st.Probe, pretuned: st.Pretuned, id: indexSeq.Add(1)}
+	ix := &Index{opts: opts, r: r, n: n, probe: st.Probe, pretuned: st.Pretuned, id: indexSeq.Add(1),
+		autoScreen: !opts.Quantize && quant.Accelerated(r)}
 	if st.TuneSample != nil && st.Pretuned {
 		if st.TuneSample.R() != r {
 			return nil, fmt.Errorf("core: tuning sample dimension %d does not match probe dimension %d", st.TuneSample.R(), r)
@@ -293,7 +297,7 @@ func FromState(st *State) (*Index, error) {
 				!slices.Equal(q8.Resid, bs.QuantResid) {
 				return nil, fmt.Errorf("core: bucket %d quantized sidecar does not match its directions", i)
 			}
-			b.q8 = q8
+			b.q8.Store(q8)
 		}
 		ix.buckets[i] = b
 		if size > ix.maxBucket {

@@ -19,8 +19,9 @@ type Stats struct {
 	// by kernel: block-verified candidates went through the panel kernels
 	// (DotBatch over a contiguous run, or 8/4-wide strided blocks), scalar-
 	// verified ones were the ragged tail handled by plain Dot. Their sum
-	// can undershoot Candidates: tombstoned candidates are dropped before
-	// verification and counted in neither.
+	// can undershoot Candidates: tombstoned candidates and those the int8
+	// screen discards (QuantScreened) never reach verification and are
+	// counted in neither.
 	BlockVerified  int64
 	ScalarVerified int64
 
@@ -30,12 +31,17 @@ type Stats struct {
 	ProcessedPairs int64
 	PrunedPairs    int64
 
-	// QuantScreened and QuantSurvived split the candidates that reached an
-	// active quantized screen (Options.Quantize): screened ones were
-	// discarded by the conservative int8 bound without touching their f64
-	// row, survived ones fell through to the exact kernels (or, in Approx
-	// mode, adopted their approximate value). Both stay 0 when no sidecar
-	// is active.
+	// QuantScreened and QuantSurvived split the candidates of the screened
+	// (query, bucket) pairs: screened ones were discarded by the
+	// conservative int8 bound without touching their f64 row, survived ones
+	// fell through to the exact kernels (or, in Approx mode, adopted their
+	// approximate value). Every pair is screened under Options.Quantize;
+	// otherwise the pairs of at least eight candidates under a finite
+	// threshold are, and only where the int8 kernels are assembly — so on an
+	// index built without the option these two, and with them the
+	// BlockVerified/ScalarVerified split, differ between an AVX2 host and a
+	// portable one (both 0 there), while rows and every other counter do
+	// not.
 	QuantScreened int64
 	QuantSurvived int64
 

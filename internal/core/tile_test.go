@@ -287,11 +287,11 @@ func TestTopKCancelMidTile(t *testing.T) {
 // TestConcurrentPanelsOnFreshIndex is the bulk engine's access pattern from
 // its very first panel, for the race detector: concurrent panel calls on an
 // index no call has touched, so the job's tuning pass, the lazy sorted-list
-// builds of the panels behind it and every call's indexed-bucket count all
-// overlap.
+// and — at a dimension quant's assembly takes — sidecar builds of the panels
+// behind it and every call's indexed-bucket count all overlap.
 func TestConcurrentPanelsOnFreshIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(317))
-	const r, panelRows = 10, 16
+	const r, panelRows = 16, 16
 	p := genMatrix(rng, 900, r, 0.6, 1, false, 0, 0)
 	q := genMatrix(rng, 128, r, 0.6, 1, false, 0, 0)
 	opts := testOptions(AlgLI)

@@ -142,6 +142,7 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 			return
 		}
 		qdir := qs.dir(qi)
+		s.beginTile(qi, 1) // verifyCands keeps the query's int8 codes per tile row
 		if prob.K == 0 {
 			for bi, b := range ix.scan {
 				if bi > lastTarget {
@@ -155,7 +156,7 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 					break // buckets are ordered by decreasing l_b
 				}
 				if target(b) {
-					perSample[si] = append(perSample[si], bucketObs{bi, ix.observe(c, b, qdir, qlen, prob.Theta, thetaB, s)})
+					perSample[si] = append(perSample[si], bucketObs{bi, ix.observe(c, b, int32(qi), qdir, qlen, prob.Theta, thetaB, s)})
 				}
 			}
 			return
@@ -178,21 +179,20 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 			}
 			// Advance the running threshold with an exact LENGTH pass (the
 			// sample must follow the same θ′ trajectory as a real run),
-			// verified with the same blocked kernels as the real run.
-			// Coordinate methods only ever run with θ_b ∈ (0,1] — below
-			// that resolve() forces LENGTH and there is nothing to measure
-			// — and where they are measured, the observation's own LENGTH
-			// pass is that step: it ran last and left its candidates in the
-			// scratch, verified already unless costs are counted.
+			// verified by the scan's own per-pair step. Coordinate methods
+			// only ever run with θ_b ∈ (0,1] — below that resolve() forces
+			// LENGTH and there is nothing to measure — and where they are
+			// measured, the observation's own LENGTH pass is that step: it
+			// ran last and left its candidates in the scratch, verified
+			// already unless costs are counted.
 			observed := thetaB > 0 && target(b)
 			if observed {
-				perSample[si] = append(perSample[si], bucketObs{bi, ix.observe(c, b, qdir, 1, theta, thetaB, s)})
+				perSample[si] = append(perSample[si], bucketObs{bi, ix.observe(c, b, int32(qi), qdir, 1, theta, thetaB, s)})
 			} else {
 				runLength(b, theta, 1, s)
 			}
 			if !observed || c.opts.TuneByCost {
-				ix.compactLiveCands(b, s)
-				verifyDots(b, qdir, s, &trajStats)
+				ix.verifyCands(b, s, int32(qi), qdir, 1, theta, c.approx, &trajStats)
 			}
 			for i, dot := range s.vals {
 				lid := s.lid(i)
@@ -250,31 +250,33 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 
 // observe measures one (query, bucket) pair: the coordinate-family cost
 // for every candidate φ, then the LENGTH cost, each including candidate
-// verification (the dominant term). LENGTH goes last so that it is timed
+// verification (the dominant term) by verifyCands, the scan's own per-pair
+// step, against the pair's cut theta — so a method is charged the int8 screen
+// plus the exact rows of its survivors where the scan would screen, and the
+// exact rows alone where it would not. LENGTH goes last so that it is timed
 // as warm as the φ passes before it, and so that on return the scratch
 // holds LENGTH's candidate set — with its verified dot products in s.vals
 // unless TuneByCost, which counts work instead of verifying — for the
 // Row-Top-k sample to advance its threshold from. The bucket's sorted lists
-// are built beforehand, over the call's parallelism, so no measurement
-// times a build.
-func (ix *Index) observe(c *call, b *bucket, qdir []float64, qlen, theta, thetaB float64, s *scratch) observation {
+// are built beforehand, over the call's parallelism, and so is the sidecar a
+// timed pass could be the first to ask for: no measurement times a build.
+func (ix *Index) observe(c *call, b *bucket, qi int32, qdir []float64, qlen, theta, thetaB float64, s *scratch) observation {
 	o := observation{thetaB: thetaB, costPhi: make([]float64, c.opts.MaxPhi+1)}
 	byCost := c.opts.TuneByCost
 	b.ensureLists(c.opts.Parallelism)
+	if ix.autoScreen && !byCost {
+		b.ensureSidecar()
+	}
 
 	measure := func(gather func()) float64 {
 		s.work = 0
 		start := time.Now()
 		gather()
-		s.work += int64(len(s.cand)) * int64(b.r)
 		if byCost {
-			return float64(s.work)
+			return float64(s.work + int64(len(s.cand))*int64(b.r))
 		}
-		// Verify with the blocked kernels so the measured cost reflects
-		// what a real run's verification will pay.
 		var mst Stats
-		ix.compactLiveCands(b, s)
-		verifyDots(b, qdir, s, &mst)
+		ix.verifyCands(b, s, qi, qdir, qlen, theta, c.approx, &mst)
 		var acc float64
 		for i, dot := range s.vals {
 			acc += dot * qlen * b.lens[s.lid(i)]

@@ -1,6 +1,11 @@
 package core
 
-import "lemp/internal/vecmath"
+import (
+	"math"
+
+	"lemp/internal/quant"
+	"lemp/internal/vecmath"
+)
 
 // Blocked verification. Candidate generation prunes, but every surviving
 // candidate still pays an exact inner product (§3.2, line 16 of Algorithm 1),
@@ -64,17 +69,17 @@ func (ix *Index) compactLiveCands(b *bucket, s *scratch) {
 // ragged tail (quant.Screen.Prefix and List). Nothing here allocates once
 // the scratch has served a call.
 //
-// With approxOnly set (the Approx retrieval mode's centroid phase), a
-// survivor must also pass the tight per-row bracket, adopts its approximate
-// dot into s.vals, and the caller skips exact verification entirely. The
-// return value reports that: true means s.vals is already filled and
-// verifyDots must not run.
+// With approxOnly set (the Approx retrieval mode's centroid phase on an
+// Options.Quantize index), a survivor must also pass the tight per-row
+// bracket, adopts its approximate dot into s.vals, and the caller skips exact
+// verification entirely. The return value reports that: true means s.vals is
+// already filled and verifyDots must not run.
 //
-// Screening is off — returning false with s.cand untouched — when the
-// bucket has no sidecar or the query does not quantize cleanly (non-finite
-// coordinates, degenerate magnitudes).
+// Screening is off — returning false with s.cand untouched — when
+// sidecarFor gives the pair no sidecar or the query does not quantize cleanly
+// (non-finite coordinates, degenerate magnitudes).
 func (ix *Index) screenCands(b *bucket, s *scratch, qi int32, qdir []float64, qlen, cut float64, approxOnly bool, st *Stats) bool {
-	q8 := b.q8
+	q8 := ix.sidecarFor(b, len(s.cand), cut)
 	if q8 == nil {
 		return false
 	}
@@ -114,6 +119,31 @@ func (ix *Index) screenCands(b *bucket, s *scratch, qi int32, qdir []float64, ql
 	st.QuantSurvived += int64(k)
 	s.dropTo(k)
 	return approxOnly
+}
+
+// autoScreenMin is the fewest candidates for which an automatic screen pays:
+// the width of quant's strided kernel (Screen8). Below it the screen runs row
+// by row, at more than the exact row it would save.
+const autoScreenMin = 8
+
+// sidecarFor returns the sidecar that screens a pair holding n live
+// candidates against cut, nil for none. Under Options.Quantize that is the
+// bucket's eagerly attached sidecar, for every pair. Otherwise, where the int8
+// kernels are assembly (Index.autoScreen), a pair is screened iff it shows at
+// least autoScreenMin candidates under a finite cut — a Row-Top-k heap that is
+// not yet full can drop nothing — and the first such pair builds the bucket's
+// sidecar. Whether a pair is screened must not depend on whether the sidecar
+// already exists: the rule that uses one is the rule that builds it, so a
+// call's counters stay a function of (index, query, problem) and not of the
+// calls before it.
+func (ix *Index) sidecarFor(b *bucket, n int, cut float64) *quant.Rows {
+	if !ix.autoScreen {
+		return b.q8.Load()
+	}
+	if n < autoScreenMin || math.IsInf(cut, -1) {
+		return nil
+	}
+	return b.ensureSidecar()
 }
 
 // verifyDots computes s.vals[i] = q̄ᵀp̄ for every (live) candidate s.cand[i]

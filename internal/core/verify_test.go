@@ -87,9 +87,10 @@ func TestBlockedVerifyBitIdenticalToScalar(t *testing.T) {
 	}
 }
 
-// TestVerifyStatsSplit: a run reports every live verified candidate as
-// either block- or scalar-verified, with the blocked share dominating once
-// candidate sets are non-trivial.
+// TestVerifyStatsSplit: a run accounts for every live candidate exactly
+// once — discarded by the int8 screen (none on the portable kernels, where a
+// default index does not screen), or block- or scalar-verified — with the
+// blocked share dominating once candidate sets are non-trivial.
 func TestVerifyStatsSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(502))
 	p := genMatrix(rng, 400, 16, 0.8, 1, false, 0, 0)
@@ -103,9 +104,12 @@ func TestVerifyStatsSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := st.BlockVerified + st.ScalarVerified
-	if total != st.Candidates {
-		t.Fatalf("verified split %d+%d does not cover %d candidates (no tombstones here)",
-			st.BlockVerified, st.ScalarVerified, st.Candidates)
+	if total+st.QuantScreened != st.Candidates {
+		t.Fatalf("screened %d + verified %d+%d does not cover %d candidates (no tombstones here)",
+			st.QuantScreened, st.BlockVerified, st.ScalarVerified, st.Candidates)
+	}
+	if (st.QuantScreened > 0) != ix.autoScreen {
+		t.Fatalf("%d candidates screened on a default index, autoScreen=%v", st.QuantScreened, ix.autoScreen)
 	}
 	if st.BlockVerified == 0 {
 		t.Fatal("no block-verified candidates on a 400-probe index")

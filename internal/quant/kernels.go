@@ -26,6 +26,14 @@ import "lemp/internal/vecmath"
 // minAsmDim is the narrowest row the assembly takes: one 16-byte chunk.
 const minAsmDim = 16
 
+// Accelerated reports whether the kernels run in assembly for rows of
+// dimension r on this host: the one test every dispatcher below makes, and
+// the one a caller asks to learn whether the screen undercuts the exact row
+// it guards (core screens by default exactly where this holds).
+func Accelerated(r int) bool {
+	return vecmath.AVX2() && minAsmDim <= r && r <= MaxDim
+}
+
 // DotQ8 returns the integer inner product of two int8 code vectors. The
 // slices must have equal length ≤ MaxDim with values in [-127, 127], as
 // QuantizeRows and QuantizeQuery produce; DotQ8 panics on unequal lengths.
@@ -33,7 +41,7 @@ func DotQ8(a, b []int8) int32 {
 	if len(a) != len(b) {
 		panic("quant: DotQ8 on code vectors of unequal length")
 	}
-	if vecmath.AVX2() && len(a) >= minAsmDim {
+	if Accelerated(len(a)) {
 		return dotAVX2(&a[0], &b[0], len(a))
 	}
 	return dotGo(a, b)
@@ -44,7 +52,7 @@ func DotQ8(a, b []int8) int32 {
 // A row outside codes panics, as slicing it would.
 func dot8(q, codes []int8, rows *[8]int, out *[8]int32) {
 	r := len(q)
-	if !vecmath.AVX2() || r < minAsmDim {
+	if !Accelerated(r) {
 		dot8Go(q, codes, rows, out)
 		return
 	}
@@ -60,7 +68,7 @@ func dotPanel(q, panel []int8, out []int32) {
 	if len(panel) != len(out)*r {
 		panic("quant: dotPanel panel size does not match len(out) rows")
 	}
-	if !vecmath.AVX2() || r < minAsmDim {
+	if !Accelerated(r) {
 		dotPanelGo(q, panel, out)
 		return
 	}

@@ -129,7 +129,7 @@ func newServerMetrics(shards int) *serverMetrics {
 		"Cumulative retrieval-scan time, summed across shards and calls (worker time, not wall clock).")
 
 	m.quantScreened = reg.Counter("lemp_quant_screened_total",
-		"Candidates discarded by int8 quantized screening before exact verification (0 unless built with quantization).")
+		"Candidates discarded by int8 quantized screening before exact verification (0 on the portable kernels unless built with quantization).")
 	m.quantSurvivors = reg.Counter("lemp_quant_survivors_total",
 		"Candidates that passed quantized screening and went on to exact verification.")
 
@@ -221,7 +221,7 @@ func (s *Server) wireState() {
 		"Max/mean ratio of per-shard estimated scan cost (1 = perfectly balanced).",
 		func() float64 { return s.sharded.CostSkew() })
 	reg.GaugeFunc("lemp_quant_sidecar_bytes",
-		"Memory held by the int8 quantized screening sidecars across all shards (0 when screening is off).",
+		"Memory held by the int8 quantized screening sidecars across all shards: every bucket's when built with quantization, otherwise it grows with the buckets queries reach (0 on the portable kernels).",
 		func() float64 { return float64(s.sharded.SidecarBytes()) })
 	reg.CounterFunc("lemp_batches_total",
 		"Retrieval calls dispatched (each serving one coalesced batch).",

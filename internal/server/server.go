@@ -41,8 +41,10 @@ type Config struct {
 	RebalanceOnLoad bool
 	// Quant overrides the snapshots' quantized-screening state when
 	// restoring (NewFromSnapshot): lemp.QuantAuto (the zero value) keeps
-	// what each snapshot persisted, QuantOn forces screening on (rebuilding
-	// missing sidecars from the stored directions), QuantOff drops it.
+	// what each snapshot persisted, QuantOn forces Options.Quantize on
+	// (rebuilding missing sidecars from the stored directions), QuantOff
+	// drops the persisted sidecars and the option (the shards then screen
+	// lazily where the int8 kernels are assembly, like any default build).
 	// Fresh builds ignore it — set Options.Quantize instead.
 	Quant lemp.QuantMode
 	// Options configure each shard's index. Options.Parallelism == 0 is
@@ -887,7 +889,9 @@ type statsResponse struct {
 
 // quantInfo reports quantized-screening effectiveness and footprint:
 // candidates discarded before exact verification vs passed through, and
-// the sidecar memory across shards (all zero when screening is off).
+// the sidecar memory across shards — every bucket's with Options.Quantize,
+// otherwise growing with the buckets queries reach. All zero on the portable
+// kernels without the option.
 type quantInfo struct {
 	Screened     int64 `json:"screened"`
 	Survivors    int64 `json:"survivors"`

@@ -301,8 +301,9 @@ func (s *Sharded) R() int { return s.r }
 // NumShards returns the number of shards.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
-// SidecarBytes returns the memory held by the quantized screening
-// sidecars across all shards; 0 when screening is off.
+// SidecarBytes returns the memory held by the int8 screening sidecars
+// across all shards: every bucket's with Options.Quantize, otherwise those of
+// the buckets queries have reached (none on the portable kernels).
 func (s *Sharded) SidecarBytes() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

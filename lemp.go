@@ -111,8 +111,10 @@ func (ix *Index) R() int { return ix.inner.R() }
 // NumBuckets returns the number of probe buckets.
 func (ix *Index) NumBuckets() int { return ix.inner.NumBuckets() }
 
-// SidecarBytes returns the memory held by the quantized screening sidecar
-// (Options.Quantize), 0 when screening is off.
+// SidecarBytes returns the memory held by the int8 screening sidecars: every
+// bucket's under Options.Quantize; otherwise those of the buckets retrievals
+// have screened so far, which grows with the buckets queries reach and stays
+// 0 where the int8 kernels are not assembly.
 func (ix *Index) SidecarBytes() int { return ix.inner.SidecarBytes() }
 
 // BucketInfo describes one probe bucket: size, length range, lazy-index

@@ -62,10 +62,12 @@ type LoadOptions struct {
 	Retune bool
 	// Quant overrides the snapshot's quantized-screening state
 	// (Options.Quantize / the QNT8 section). QuantAuto keeps what the
-	// snapshot persisted; QuantOn forces screening on, rebuilding the
-	// sidecar from the stored directions when the snapshot has none;
-	// QuantOff drops any persisted sidecar and disables screening. Exact
-	// results are identical in every mode.
+	// snapshot persisted; QuantOn forces Options.Quantize on, rebuilding
+	// the sidecars from the stored directions when the snapshot has none;
+	// QuantOff drops any persisted sidecar and loads with the option off —
+	// the index then screens like one built without it: lazily, and only
+	// where the int8 kernels are assembly. Exact results are identical in
+	// every mode.
 	Quant QuantMode
 }
 
@@ -74,13 +76,16 @@ type LoadOptions struct {
 type QuantMode int
 
 const (
-	// QuantAuto restores the snapshot's own state: screening on iff a QNT8
-	// section was persisted.
+	// QuantAuto restores the snapshot's own state: Options.Quantize on iff
+	// a QNT8 section was persisted.
 	QuantAuto QuantMode = iota
-	// QuantOn forces quantized screening on, quantizing the stored
-	// directions when the snapshot carries no sidecar.
+	// QuantOn forces Options.Quantize on, quantizing the stored directions
+	// when the snapshot carries no sidecar.
 	QuantOn
-	// QuantOff drops any persisted sidecar and loads with screening off.
+	// QuantOff drops any persisted sidecar and loads with Options.Quantize
+	// off. The restored index still screens where the int8 kernels are
+	// assembly, through sidecars it builds lazily, as any index built
+	// without the option does.
 	QuantOff
 )
 

@@ -9,12 +9,15 @@ import (
 
 	"lemp"
 	"lemp/internal/data"
+	"lemp/internal/quant"
 )
 
 // TestSnapshotRoundTripSmoke is the snapshot subsystem's end-to-end
 // property test: build an index on the Smoke profile, snapshot it, load it
 // back, and require byte-identical RowTopK and AboveTheta results — loaded
-// indexes must be indistinguishable from freshly built ones.
+// indexes must be indistinguishable from freshly built ones, down to the int8
+// sidecars a default index builds lazily: none on arrival, their own after the
+// first retrievals (where quant's kernels are assembly), none in the snapshot.
 func TestSnapshotRoundTripSmoke(t *testing.T) {
 	q, p := data.Smoke.Generate()
 	ix, err := lemp.New(p, lemp.Options{TuneByCost: true})
@@ -34,6 +37,9 @@ func TestSnapshotRoundTripSmoke(t *testing.T) {
 	if loaded.N() != ix.N() || loaded.R() != ix.R() || loaded.NumBuckets() != ix.NumBuckets() {
 		t.Fatalf("loaded shape %d/%d/%d, want %d/%d/%d",
 			loaded.N(), loaded.R(), loaded.NumBuckets(), ix.N(), ix.R(), ix.NumBuckets())
+	}
+	if ix.SidecarBytes() != 0 || loaded.SidecarBytes() != 0 {
+		t.Fatalf("sidecars before any retrieval: %d bytes built, %d bytes loaded", ix.SidecarBytes(), loaded.SidecarBytes())
 	}
 
 	wantTop, _, err := rowTopK(ix, q, 10)
@@ -66,8 +72,13 @@ func TestSnapshotRoundTripSmoke(t *testing.T) {
 		t.Fatal("snapshot-loaded AboveTheta differs from freshly built index")
 	}
 
-	// A retrieval's fit is not index state: the snapshot of an index that
-	// is not pretuned does not depend on what it has answered.
+	// Neither a retrieval's fit nor the sidecars it left behind are index
+	// state: the snapshot of an index that is not pretuned does not depend on
+	// what it has answered.
+	if screens := quant.Accelerated(p.R()); (ix.SidecarBytes() > 0) != screens || (loaded.SidecarBytes() > 0) != screens {
+		t.Fatalf("sidecars after the retrievals: %d bytes built, %d bytes loaded, int8 kernels in assembly: %v",
+			ix.SidecarBytes(), loaded.SidecarBytes(), screens)
+	}
 	var after bytes.Buffer
 	if err := ix.WriteSnapshot(&after); err != nil {
 		t.Fatal(err)
