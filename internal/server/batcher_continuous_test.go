@@ -25,7 +25,7 @@ func TestBatcherRejectsMalformedSubmission(t *testing.T) {
 	const k = 5
 	goodDone := make(chan error, 1)
 	go func() {
-		rows, err := b.TopK(context.Background(), q.Vec(0), 1, k)
+		rows, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(0), 1, k)
 		if err == nil && (len(rows) != 1 || len(rows[0]) != k) {
 			err = errors.New("good caller got a bad row shape")
 		}
@@ -42,7 +42,7 @@ func TestBatcherRejectsMalformedSubmission(t *testing.T) {
 	}
 	bad := q.Vec(1)[:sh.R()-1] // one coordinate short
 	start := time.Now()
-	if _, err := b.TopK(context.Background(), bad, 1, k); err == nil {
+	if _, _, err := b.TopKAt(context.Background(), sh.CurrentView(), bad, 1, k); err == nil {
 		t.Fatal("malformed submission accepted")
 	} else if !strings.Contains(err.Error(), "rows of dimension") {
 		t.Fatalf("malformed submission error = %v, want a shape error", err)
@@ -55,33 +55,34 @@ func TestBatcherRejectsMalformedSubmission(t *testing.T) {
 	}
 }
 
-// TestBatcherRejectsBadParams pins the NaN-θ orphan-batch fix: θ is part
-// of the coalescing key and NaN != NaN, so an admitted NaN-θ request could
-// never find its forming batch again — every call would spawn its own
-// timer-held batch. Non-finite θ and k < 1 must be rejected with an
-// explicit error and leave no forming batch behind.
+// TestBatcherRejectsBadParams pins the batcher door: the one k/θ check fails
+// a bad parameter's own caller before it can join a batch. It also pins the
+// NaN-θ orphan-batch fix: θ is part of the coalescing key and NaN != NaN, so
+// an admitted NaN-θ request could never find its forming batch again — every
+// call would spawn its own timer-held batch. Every refusal must be an
+// explicit error and leave no pending row, forming batch or timer behind.
 func TestBatcherRejectsBadParams(t *testing.T) {
 	sh, q := newTestSharded(t)
 	b := NewBatcher(sh, 10*time.Second, 1024, BatchModeWindow)
 
-	for _, theta := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := b.AboveTheta(context.Background(), q.Vec(0), 1, theta); err == nil {
-			t.Errorf("AboveTheta(θ=%v) accepted", theta)
+	for _, theta := range []float64{0, -1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, _, err := b.AboveThetaAt(context.Background(), sh.CurrentView(), q.Vec(0), 1, theta); err == nil {
+			t.Errorf("AboveThetaAt(θ=%v) accepted", theta)
 		}
 	}
 	for _, k := range []int{0, -3} {
-		if _, err := b.TopK(context.Background(), q.Vec(0), 1, k); err == nil {
-			t.Errorf("TopK(k=%d) accepted", k)
+		if _, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(0), 1, k); err == nil {
+			t.Errorf("TopKAt(k=%d) accepted", k)
 		}
 	}
 	if n := b.PendingRows(); n != 0 {
 		t.Fatalf("rejected requests left %d pending rows", n)
 	}
 	b.mu.Lock()
-	forming := len(b.forming)
+	forming, keys := len(b.forming), len(b.keys)
 	b.mu.Unlock()
-	if forming != 0 {
-		t.Fatalf("rejected requests left %d orphan forming batches", forming)
+	if forming != 0 || keys != 0 {
+		t.Fatalf("rejected requests left %d orphan forming batches (the only holders of a timer) and %d key states", forming, keys)
 	}
 }
 
@@ -93,7 +94,7 @@ func TestBatcherContinuousImmediateDispatch(t *testing.T) {
 	b := NewBatcher(sh, 10*time.Second, 1024, BatchModeContinuous)
 
 	start := time.Now()
-	rows, err := b.TopK(context.Background(), q.Vec(0), 1, 5)
+	rows, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(0), 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestBatcherContinuousBackToBack(t *testing.T) {
 
 	firstDone := make(chan error, 1)
 	go func() {
-		_, err := b.TopK(context.Background(), q.Vec(0), 1, 5)
+		_, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(0), 1, 5)
 		firstDone <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -141,7 +142,7 @@ func TestBatcherContinuousBackToBack(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := b.TopK(context.Background(), q.Vec(i), 1, 5); err != nil {
+			if _, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(i), 1, 5); err != nil {
 				errs <- err
 			}
 		}(i)
@@ -186,12 +187,12 @@ func TestBatcherSkipsAbandonedWaiters(t *testing.T) {
 	ctxA, cancelA := context.WithCancel(context.Background())
 	aDone := make(chan error, 1)
 	go func() {
-		_, err := b.TopK(ctxA, q.Vec(0), 1, k)
+		_, _, err := b.TopKAt(ctxA, sh.CurrentView(), q.Vec(0), 1, k)
 		aDone <- err
 	}()
 	cDone := make(chan error, 1)
 	go func() {
-		rows, err := b.TopK(context.Background(), q.Vec(1), 1, k)
+		rows, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(1), 1, k)
 		if err == nil && len(rows) != 1 {
 			err = errors.New("bad shape")
 		}
@@ -235,7 +236,7 @@ func TestBatcherSkipsAbandonedWaiters(t *testing.T) {
 
 	// A third caller fills the batch to max (3 rows): it fires with the
 	// abandoned waiter still in it.
-	rows, err := b.TopK(context.Background(), q.Vec(2), 1, k)
+	rows, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(2), 1, k)
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("filling caller: rows=%d err=%v", len(rows), err)
 	}
@@ -276,7 +277,7 @@ func TestBatcherContinuousStress(t *testing.T) {
 				}
 				k := 2 + rng.Intn(2) // two keys, so batches displace and coexist
 				submitted.Add(1)
-				rows, err := b.TopK(ctx, q.Vec((g*iters+i)%q.N()), 1, k)
+				rows, _, err := b.TopKAt(ctx, sh.CurrentView(), q.Vec((g*iters+i)%q.N()), 1, k)
 				cancel()
 				switch {
 				case err == nil:

@@ -14,7 +14,7 @@ import (
 func newTestSharded(t testing.TB) (*Sharded, *lemp.Matrix) {
 	t.Helper()
 	q, p := smokeMatrices(t)
-	sh, err := NewSharded(p, testShards, lemp.Options{Parallelism: 1})
+	sh, err := NewShardedPlaced(p, nil, testShards, lemp.Options{Parallelism: 1}, PlaceRange)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,43 +29,18 @@ func TestShardedMatchesDirect(t *testing.T) {
 	direct := directIndex(t, p)
 
 	const k = 7
-	got, _, err := sh.TopK(q, k)
+	got, _, err := sh.CurrentView().TopKCtx(context.Background(), q, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := directTopK(t, direct, q, k)
-	for i := range want {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("query %d: %d entries, want %d", i, len(got[i]), len(want[i]))
-		}
-		for j := range want[i] {
-			if got[i][j].Probe != want[i][j].Probe || got[i][j].Value != want[i][j].Value {
-				t.Fatalf("query %d entry %d: got %+v, want %+v", i, j, got[i][j], want[i][j])
-			}
-		}
-	}
+	compareRows(t, "top-k", got, directTopK(t, direct, q, k))
 
 	theta := 1.5
-	gotRows, _, err := sh.AboveTheta(q, theta)
+	gotRows, _, err := sh.CurrentView().AboveThetaCtx(context.Background(), q, theta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := directAbove(t, direct, q, theta)
-	lemp.SortEntries(entries)
-	wantRows := make([][]lemp.Entry, q.N())
-	for _, e := range entries {
-		wantRows[e.Query] = append(wantRows[e.Query], e)
-	}
-	for i := range wantRows {
-		if len(gotRows[i]) != len(wantRows[i]) {
-			t.Fatalf("query %d: %d entries, want %d", i, len(gotRows[i]), len(wantRows[i]))
-		}
-		for j := range wantRows[i] {
-			if gotRows[i][j] != wantRows[i][j] {
-				t.Fatalf("query %d entry %d: got %+v, want %+v", i, j, gotRows[i][j], wantRows[i][j])
-			}
-		}
-	}
+	compareRows(t, "above-θ", gotRows, directAboveRows(t, direct, q, theta))
 }
 
 // TestBatcherCoalesces submits many concurrent single-row requests inside
@@ -94,7 +69,7 @@ func TestBatcherCoalesces(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			rows, err := b.TopK(context.Background(), q.Vec(i), 1, k)
+			rows, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(i), 1, k)
 			if err != nil {
 				errs <- err
 				return
@@ -138,7 +113,7 @@ func TestBatcherDispatchesAtMax(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := b.TopK(context.Background(), q.Vec(i), 1, 3); err != nil {
+			if _, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(i), 1, 3); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -171,7 +146,7 @@ func TestBatcherKeysSeparateParams(t *testing.T) {
 		go func(i, k int) {
 			defer wg.Done()
 			<-start
-			if _, err := b.TopK(context.Background(), q.Vec(i), 1, k); err != nil {
+			if _, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(i), 1, k); err != nil {
 				t.Error(err)
 			}
 		}(i, k)
@@ -180,7 +155,7 @@ func TestBatcherKeysSeparateParams(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-start
-		if _, err := b.AboveTheta(context.Background(), q.Vec(5), 1, 1.5); err != nil {
+		if _, _, err := b.AboveThetaAt(context.Background(), sh.CurrentView(), q.Vec(5), 1, 1.5); err != nil {
 			t.Error(err)
 		}
 	}()

@@ -16,12 +16,12 @@ func benchSharded(b *testing.B) (*Sharded, *lemp.Matrix) {
 	b.Helper()
 	profile := data.Smoke.Scale(4)
 	q, p := profile.Generate()
-	sh, err := NewSharded(p, testShards, lemp.Options{Parallelism: 1})
+	sh, err := NewShardedPlaced(p, nil, testShards, lemp.Options{Parallelism: 1}, PlaceRange)
 	if err != nil {
 		b.Fatal(err)
 	}
 	// Force lazy index builds and tuning out of the measured region.
-	if _, _, err := sh.TopK(q.Head(64), benchK); err != nil {
+	if _, _, err := sh.CurrentView().TopKCtx(context.Background(), q.Head(64), benchK); err != nil {
 		b.Fatal(err)
 	}
 	return sh, q
@@ -45,7 +45,7 @@ func runDispatchBench(b *testing.B, window time.Duration, maxBatch int) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			row := int(i.Add(1)) % n
-			if _, err := batcher.TopK(context.Background(), q.Vec(row), 1, benchK); err != nil {
+			if _, _, err := batcher.TopKAt(context.Background(), sh.CurrentView(), q.Vec(row), 1, benchK); err != nil {
 				b.Error(err)
 				return
 			}
@@ -79,12 +79,12 @@ func BenchmarkTuningCacheServing(b *testing.B) {
 
 	best := 1.0
 	for attempt := 0; attempt < 5 && best > 0.20; attempt++ {
-		sh, err := NewSharded(p, testShards, lemp.Options{Parallelism: 1})
+		sh, err := NewShardedPlaced(p, nil, testShards, lemp.Options{Parallelism: 1}, PlaceRange)
 		if err != nil {
 			b.Fatal(err)
 		}
 		coldStart := time.Now()
-		_, coldSt, err := sh.TopK(small, benchK)
+		_, coldSt, err := sh.CurrentView().TopKCtx(context.Background(), small, benchK)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func BenchmarkTuningCacheServing(b *testing.B) {
 		warm := time.Duration(1 << 62)
 		for i := 0; i < 3; i++ {
 			warmStart := time.Now()
-			_, warmSt, err := sh.TopK(small, benchK)
+			_, warmSt, err := sh.CurrentView().TopKCtx(context.Background(), small, benchK)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -17,7 +17,7 @@ import (
 // TestClientDisconnectCancelsShardRetrievals is the acceptance criterion:
 // an HTTP request whose client disconnects mid-batch cancels the underlying
 // shard retrievals — observed through the shard test hooks — instead of
-// running to completion, and never publishes a cache entry.
+// running to completion.
 func TestClientDisconnectCancelsShardRetrievals(t *testing.T) {
 	q, p := smokeMatrices(t)
 	srv, err := New(p, Config{Shards: testShards, Options: lemp.Options{Parallelism: 1}})
@@ -96,9 +96,6 @@ func TestClientDisconnectCancelsShardRetrievals(t *testing.T) {
 	if canceled != testShards {
 		t.Fatalf("%d of %d shard retrievals saw context.Canceled: %v", canceled, testShards, shardErrs)
 	}
-	if n := srv.cache.Len(); n != 0 {
-		t.Fatalf("canceled request published %d cache rows", n)
-	}
 }
 
 // TestRequestTimeoutAbortsRetrieval checks Config.RequestTimeout flows into
@@ -125,9 +122,6 @@ func TestRequestTimeoutAbortsRetrieval(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 on request timeout", resp.StatusCode)
 	}
-	if n := srv.cache.Len(); n != 0 {
-		t.Fatalf("timed-out request published %d cache rows", n)
-	}
 }
 
 // TestBatcherMergedContext checks the coalescing semantics: one impatient
@@ -135,7 +129,7 @@ func TestRequestTimeoutAbortsRetrieval(t *testing.T) {
 // leaves, the batch context cancels and the shards abort.
 func TestBatcherMergedContext(t *testing.T) {
 	q, p := smokeMatrices(t)
-	sh, err := NewSharded(p, testShards, lemp.Options{Parallelism: 1})
+	sh, err := NewShardedPlaced(p, nil, testShards, lemp.Options{Parallelism: 1}, PlaceRange)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +139,7 @@ func TestBatcherMergedContext(t *testing.T) {
 	ctxA, cancelA := context.WithCancel(context.Background())
 	aDone := make(chan error, 1)
 	go func() {
-		_, err := b.TopK(ctxA, q.Vec(0), 1, 3)
+		_, _, err := b.TopKAt(ctxA, sh.CurrentView(), q.Vec(0), 1, 3)
 		aDone <- err
 	}()
 	bDone := make(chan struct {
@@ -153,7 +147,7 @@ func TestBatcherMergedContext(t *testing.T) {
 		err  error
 	}, 1)
 	go func() {
-		rows, err := b.TopK(context.Background(), q.Vec(1), 1, 3)
+		rows, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(1), 1, 3)
 		bDone <- struct {
 			rows [][]lemp.Entry
 			err  error
@@ -194,7 +188,7 @@ func TestBatcherMergedContext(t *testing.T) {
 	ctxC, cancelC := context.WithCancel(context.Background())
 	cDone := make(chan error, 1)
 	go func() {
-		_, err := fast.TopK(ctxC, q.Vec(2), 1, 3)
+		_, _, err := fast.TopKAt(ctxC, sh.CurrentView(), q.Vec(2), 1, 3)
 		cDone <- err
 	}()
 	select {
@@ -234,7 +228,7 @@ func TestBatcherMergedContext(t *testing.T) {
 // a fresh batch, not join the dead one and inherit its cancellation.
 func TestAbandonedBatchNotJoinable(t *testing.T) {
 	q, p := smokeMatrices(t)
-	sh, err := NewSharded(p, testShards, lemp.Options{Parallelism: 1})
+	sh, err := NewShardedPlaced(p, nil, testShards, lemp.Options{Parallelism: 1}, PlaceRange)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +237,7 @@ func TestAbandonedBatchNotJoinable(t *testing.T) {
 	ctxA, cancelA := context.WithCancel(context.Background())
 	aDone := make(chan error, 1)
 	go func() {
-		_, err := b.TopK(ctxA, q.Vec(0), 1, 3)
+		_, _, err := b.TopKAt(ctxA, sh.CurrentView(), q.Vec(0), 1, 3)
 		aDone <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // A creates the forming batch
@@ -254,7 +248,7 @@ func TestAbandonedBatchNotJoinable(t *testing.T) {
 
 	// B arrives on the same (mode, k, epoch) key while A's batch window
 	// would still be open. It must get real rows, not A's cancellation.
-	rows, err := b.TopK(context.Background(), q.Vec(1), 1, 3)
+	rows, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(1), 1, 3)
 	if err != nil {
 		t.Fatalf("innocent caller after an abandoned batch: %v", err)
 	}
@@ -268,16 +262,16 @@ func TestAbandonedBatchNotJoinable(t *testing.T) {
 // updates force exactly one re-tune per shard.
 func TestShardedTuningCacheReuse(t *testing.T) {
 	q, p := smokeMatrices(t)
-	sh, err := NewSharded(p, testShards, lemp.Options{Parallelism: 1})
+	sh, err := NewShardedPlaced(p, nil, testShards, lemp.Options{Parallelism: 1}, PlaceRange)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, st, err := sh.TopK(q, 5); err != nil {
+	if _, st, err := sh.CurrentView().TopKCtx(context.Background(), q, 5); err != nil {
 		t.Fatal(err)
 	} else if st.Tunings != testShards {
 		t.Fatalf("first call ran %d tunings, want one per shard (%d)", st.Tunings, testShards)
 	}
-	top, st, err := sh.TopK(q, 5)
+	top, st, err := sh.CurrentView().TopKCtx(context.Background(), q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +300,7 @@ func TestShardedTuningCacheReuse(t *testing.T) {
 	if _, err := sh.Update([]lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: p.Vec(0)}}, -1); err != nil {
 		t.Fatal(err)
 	}
-	_, st, err = sh.TopK(q, 5)
+	_, st, err = sh.CurrentView().TopKCtx(context.Background(), q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

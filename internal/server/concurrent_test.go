@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -17,7 +18,7 @@ import (
 // they do alone.
 func TestConcurrentSameShardCalls(t *testing.T) {
 	q, p := smokeMatrices(t)
-	sh, err := NewSharded(p, testShards, lemp.Options{Parallelism: 1})
+	sh, err := NewShardedPlaced(p, nil, testShards, lemp.Options{Parallelism: 1}, PlaceRange)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func TestConcurrentSameShardCalls(t *testing.T) {
 	v := sh.CurrentView()
 	want := make(map[int]lemp.TopKRows)
 	for _, k := range []int{5, 7} {
-		if want[k], _, err = v.TopK(q, k); err != nil {
+		if want[k], _, err = v.TopKCtx(context.Background(), q, k); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,4 +72,47 @@ func TestConcurrentSameShardCalls(t *testing.T) {
 	awaitEntry("the second call, while the first is held there,")
 	close(release)
 	wg.Wait()
+}
+
+// TestConcurrentNumShardsBesideUpdates: /healthz and the lemp_shards gauge
+// read the shard count while Update's commit and a drift-triggered
+// re-placement replace the shard slice. Under -race this fails unless
+// NumShards takes the read lock, as N and Epoch do.
+func TestConcurrentNumShardsBesideUpdates(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	const r, n = 4, 40
+	srv, err := New(epochProbe(rng, r, n), Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, sh := srv.Handler(), srv.Sharded()
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, path := range []string{"/healthz", "/metrics"} {
+				if w := doJSON(t, h, "GET", path, ""); w.Code != 200 {
+					t.Errorf("GET %s = %d", path, w.Code)
+					return
+				}
+			}
+		}
+	}()
+	// Single adds until the router's exceptions cross the drift bound, so
+	// the re-placement's write is covered as well as the commit's.
+	for i := 0; sh.Replacements() == 0 && i < 4*driftMinExceptions; i++ {
+		if _, err := sh.Update([]lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: randVec(rng, r)}}, 0.25); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-done
+	if sh.Replacements() == 0 {
+		t.Fatal("the update storm never crossed the drift bound")
+	}
 }

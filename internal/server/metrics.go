@@ -13,7 +13,7 @@ import (
 // latencies, batch-wait time, per-shard scan time, merge time, per-call
 // core counters — records through pre-resolved handles (atomic adds, no
 // allocation, no locks); state that already lives in an atomic somewhere
-// (cache hits, epoch, queue depth) is exported through func-backed
+// (epoch, queue depth, dispatch counts) is exported through func-backed
 // counters/gauges read only at scrape time.
 
 // endpoints instrumented with request counters and latency histograms.
@@ -100,7 +100,7 @@ func newServerMetrics(shards int) *serverMetrics {
 		m.shardScan[i] = scanVec.With(fmt.Sprint(i))
 	}
 	m.mergeDur = reg.Histogram("lemp_merge_seconds",
-		"K-way merge (top-k) or row sort (above-theta) time per retrieval call.",
+		"K-way merge (top-k) or row gather and sort (above-theta) time per retrieval call.",
 		obs.ExpBuckets(10e-6, 2, 12))
 	m.requestsShed = reg.Counter("lemp_requests_shed_total",
 		"Retrieval requests rejected with 429 by admission control (batch queue depth or in-flight limit reached).")
@@ -232,18 +232,6 @@ func (s *Server) wireState() {
 	reg.GaugeFunc("lemp_batch_queue_rows",
 		"Query rows currently waiting in forming batches (batcher queue depth).",
 		func() float64 { return float64(s.batcher.PendingRows()) })
-	reg.CounterFunc("lemp_cache_hits_total",
-		"Result-cache hits.",
-		func() float64 { return float64(s.cache.Hits()) })
-	reg.CounterFunc("lemp_cache_misses_total",
-		"Result-cache misses.",
-		func() float64 { return float64(s.cache.Misses()) })
-	reg.GaugeFunc("lemp_cache_rows",
-		"Result rows currently cached.",
-		func() float64 { return float64(s.cache.Len()) })
-	reg.GaugeFunc("lemp_cache_entries",
-		"Result entries currently cached (the capacity unit).",
-		func() float64 { return float64(s.cache.Entries()) })
 	reg.CounterFunc("lemp_traces_finished_total",
 		"Request traces recorded (tail-sampled at completion).",
 		func() float64 { return float64(s.tracer.Finished()) })

@@ -107,7 +107,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if w := doJSON(t, h, "POST", "/v1/topk", topKBody(t, dim, 3, 5)); w.Code != 200 {
 		t.Fatalf("topk = %d: %s", w.Code, w.Body.String())
 	}
-	// Same queries again: cache hits this time.
+	// Same queries again: nothing remembers answers, so they dispatch again.
 	if w := doJSON(t, h, "POST", "/v1/topk", topKBody(t, dim, 3, 5)); w.Code != 200 {
 		t.Fatalf("topk = %d: %s", w.Code, w.Body.String())
 	}
@@ -142,8 +142,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"lemp_epoch", "lemp_live_probes", "lemp_shards",
 		"lemp_requests_total", "lemp_updates_total", "lemp_compactions_total",
 		"lemp_batches_total", "lemp_batch_rows_total", "lemp_batch_queue_rows",
-		"lemp_cache_hits_total", "lemp_cache_misses_total",
-		"lemp_cache_rows", "lemp_cache_entries",
 		"lemp_traces_finished_total", "lemp_traces_retained_total",
 		"lemp_requests_shed_total", "lemp_batch_dispatch_idle_ns",
 	}
@@ -184,8 +182,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v, ok := value("lemp_core_candidates_total", nil); !ok || v <= 0 {
 		t.Errorf("core candidates = %v (ok=%v), want > 0", v, ok)
 	}
-	if v, ok := value("lemp_cache_hits_total", nil); !ok || v != 3 {
-		t.Errorf("cache hits = %v (ok=%v), want 3", v, ok)
+	if v, ok := value("lemp_batch_rows_total", nil); !ok || v != 6 {
+		t.Errorf("batch rows = %v (ok=%v), want 6: the repeat must retrieve again", v, ok)
 	}
 	if v, ok := value("lemp_shards", nil); !ok || v != 2 {
 		t.Errorf("lemp_shards = %v (ok=%v), want 2", v, ok)
@@ -416,7 +414,7 @@ func TestAccessLog(t *testing.T) {
 // TestStatsDurations checks /stats serves the machine-stable _ns integers
 // alongside the human-readable strings, and that they agree.
 func TestStatsDurations(t *testing.T) {
-	srv, h, _ := obsServer(t, Config{Shards: 2, Options: lemp.Options{Parallelism: 1}, CacheEntries: -1})
+	srv, h, _ := obsServer(t, Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})
 	dim := srv.Sharded().R()
 	if w := doJSON(t, h, "POST", "/v1/topk", topKBody(t, dim, 2, 5)); w.Code != 200 {
 		t.Fatalf("topk = %d", w.Code)

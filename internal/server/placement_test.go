@@ -202,12 +202,12 @@ func TestClusterPrunedDifferential(t *testing.T) {
 			}
 			theta := 0.05 + 2.5*rng.Float64()
 
-			got, _, err := sh.AboveTheta(q, theta)
+			got, _, err := sh.CurrentView().AboveThetaCtx(context.Background(), q, theta)
 			if err != nil {
 				t.Fatalf("seq %d round %d: pruned above: %v", seq, round, err)
 			}
 			sh.noPrune = true
-			full, _, err := sh.AboveTheta(q, theta)
+			full, _, err := sh.CurrentView().AboveThetaCtx(context.Background(), q, theta)
 			sh.noPrune = false
 			if err != nil {
 				t.Fatalf("seq %d round %d: full above: %v", seq, round, err)
@@ -227,7 +227,7 @@ func TestClusterPrunedDifferential(t *testing.T) {
 			compareRows(t, "pruned vs reference", got, want)
 
 			k := 1 + rng.Intn(4)
-			gotTop, _, err := sh.TopK(q, k)
+			gotTop, _, err := sh.CurrentView().TopKCtx(context.Background(), q, k)
 			if err != nil {
 				t.Fatalf("seq %d round %d: sharded topk: %v", seq, round, err)
 			}
@@ -365,11 +365,11 @@ func TestCostPlacementBalancesSkew(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		copy(q.Vec(i), randVec(rng, r))
 	}
-	a, _, err := rangeSh.AboveTheta(q, 0.5)
+	a, _, err := rangeSh.CurrentView().AboveThetaCtx(context.Background(), q, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := costSh.AboveTheta(q, 0.5)
+	b, _, err := costSh.CurrentView().AboveThetaCtx(context.Background(), q, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,17 +437,11 @@ func TestPlacementAddRouting(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		copy(q.Vec(i), clusteredProbe(rng, r, 1).Vec(0))
 	}
-	got, _, err := sh.AboveTheta(q, 0.8)
+	got, _, err := sh.CurrentView().AboveThetaCtx(context.Background(), q, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := directAbove(t, ref, q, 0.8)
-	lemp.SortEntries(entries)
-	want := make([][]lemp.Entry, 4)
-	for _, e := range entries {
-		want[e.Query] = append(want[e.Query], e)
-	}
-	compareRows(t, "post-replacement", got, want)
+	compareRows(t, "post-replacement", got, directAboveRows(t, ref, q, 0.8))
 
 	// Cost placement: adds must land on the cheapest shard.
 	costSh, err := NewShardedPlaced(p.Clone(), nil, 3, opts, PlaceCost)
@@ -503,11 +497,11 @@ func TestClusterSnapshotRoundTrip(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		copy(q.Vec(i), clusteredProbe(rng, r, 1).Vec(0))
 	}
-	want, _, err := srv.Sharded().AboveTheta(q, 0.9)
+	want, _, err := srv.Sharded().CurrentView().AboveThetaCtx(context.Background(), q, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := restored.Sharded().AboveTheta(q, 0.9)
+	got, _, err := restored.Sharded().CurrentView().AboveThetaCtx(context.Background(), q, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +515,7 @@ func TestClusterSnapshotRoundTrip(t *testing.T) {
 	if resharded.Sharded().NumShards() != 2 {
 		t.Fatalf("re-sharded to %d shards, want 2", resharded.Sharded().NumShards())
 	}
-	got2, _, err := resharded.Sharded().AboveTheta(q, 0.9)
+	got2, _, err := resharded.Sharded().CurrentView().AboveThetaCtx(context.Background(), q, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}

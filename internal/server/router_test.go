@@ -79,7 +79,7 @@ func TestRouterMemoryRegression(t *testing.T) {
 			v[f] = rng.NormFloat64()
 		}
 	}
-	sh, err := NewSharded(probe, shards, lemp.Options{})
+	sh, err := NewShardedPlaced(probe, nil, shards, lemp.Options{}, PlaceRange)
 	if err != nil {
 		t.Fatal(err)
 	}

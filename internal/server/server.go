@@ -20,10 +20,10 @@ import (
 )
 
 // Config sizes a Server. The zero value is usable: it means 1 shard, no
-// batching window, a modest cache, a bounded request-body size, and
-// library-default retrieval options except Parallelism, which defaults to
-// using all cores across the shard fan-out (a server owns the machine,
-// unlike the paper's single-threaded measurements).
+// batching window, a bounded request-body size, and library-default
+// retrieval options except Parallelism, which defaults to using all cores
+// across the shard fan-out (a server owns the machine, unlike the paper's
+// single-threaded measurements).
 type Config struct {
 	// Shards is the number of index shards (default 1).
 	Shards int
@@ -75,12 +75,6 @@ type Config struct {
 	// negative disables in-flight shedding). Shedding early keeps latency
 	// bounded under overload instead of letting the queue collapse.
 	ShedInflight int
-	// CacheEntries is the LRU result-cache capacity in result entries
-	// (default 65536; negative disables caching). Entries, not rows: an
-	// Above-θ row can hold up to N entries, so a row bound would not
-	// bound memory. Each cached row also stores its 25+8R-byte key beyond
-	// the counted entries; size the capacity with that overhead in mind.
-	CacheEntries int
 	// MaxBodyBytes caps the request body size (default 32 MiB; negative
 	// disables the limit). A long-lived server must not let one client
 	// buffer arbitrary JSON into memory.
@@ -144,9 +138,6 @@ func (c Config) withDefaults() Config {
 	if c.ShedInflight == 0 {
 		c.ShedInflight = 4096
 	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 65536
-	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 32 << 20
 	}
@@ -178,7 +169,6 @@ type Server struct {
 	cfg     Config
 	sharded *Sharded
 	batcher *Batcher
-	cache   *Cache
 	start   time.Time
 
 	metrics *serverMetrics
@@ -201,7 +191,7 @@ type Server struct {
 }
 
 // New builds a server over the probe matrix: cfg.Shards indexes over
-// contiguous probe ranges behind a micro-batcher and a result cache.
+// contiguous probe ranges behind a micro-batcher.
 func New(probe *lemp.Matrix, cfg Config) (*Server, error) {
 	return NewWithIDs(probe, nil, cfg)
 }
@@ -231,7 +221,7 @@ func NewWithIDs(probe *lemp.Matrix, ids []int32, cfg Config) (*Server, error) {
 }
 
 // NewFromSnapshot builds a server from one LEMPIDX1 snapshot per shard (in
-// shard order, as written by WriteSnapshots), skipping index construction
+// shard order, as written by WriteSnapshotsWith), skipping index construction
 // entirely: startup is O(read) instead of O(index). cfg.Options contributes
 // only Parallelism (structure and algorithm are fixed by the snapshots).
 //
@@ -290,7 +280,6 @@ func newServer(sharded *Sharded, cfg Config) *Server {
 		cfg:     cfg,
 		sharded: sharded,
 		batcher: NewBatcher(sharded, cfg.BatchWindow, cfg.BatchMax, mode),
-		cache:   NewCache(cfg.CacheEntries),
 		start:   time.Now(),
 		logger:  cfg.Logger,
 		logging: cfg.Logger != nil,
@@ -338,8 +327,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // introspection).
 func (s *Server) Sharded() *Sharded { return s.sharded }
 
-// WriteSnapshots persists every shard index: open(i, n) is called with each
-// shard number and the shard count and returns the destination (and any
+// WriteSnapshotsWith persists every shard index: open(i, n) is called with
+// each shard number and the shard count and returns the destination (and any
 // error, which aborts the walk). Close is called only after a fully
 // successful write; when a write fails mid-stream, a destination
 // implementing Abort() is aborted instead of closed, so implementations
@@ -347,15 +336,9 @@ func (s *Server) Sharded() *Sharded { return s.sharded }
 // rather than publish it. Restart with NewFromSnapshot by supplying the
 // same snapshots in the same order. It may run beside request serving: it
 // writes the shard versions current when it starts, and queries change
-// nothing it reads.
-func (s *Server) WriteSnapshots(open func(i, n int) (io.WriteCloser, error)) error {
-	return s.WriteSnapshotsWith(open, lemp.SnapshotOptions{})
-}
-
-// WriteSnapshotsWith is WriteSnapshots with explicit persistence options —
-// e.g. lemp.SnapshotOptions{IncludeLists: true} to carry the built
-// sorted-list indexes so a restored server's first batch skips their
-// rebuild.
+// nothing it reads. opts are the persistence options — e.g.
+// lemp.SnapshotOptions{IncludeLists: true} to carry the built sorted-list
+// indexes so a restored server's first batch skips their rebuild.
 func (s *Server) WriteSnapshotsWith(open func(i, n int) (io.WriteCloser, error), opts lemp.SnapshotOptions) error {
 	ixs := s.sharded.Indexes()
 	kind, cones := s.sharded.PlacementInfo()
@@ -416,12 +399,11 @@ func (s *Server) Handler() http.Handler {
 }
 
 // reqInfo is the per-request scratch the handlers fill for the instrument
-// wrapper: query rows served, cache hits, and the batch's core stats, so
-// the access and slow-query logs can report work, not just latency.
+// wrapper: query rows served and the batch's core stats, so the access and
+// slow-query logs can report work, not just latency.
 type reqInfo struct {
-	rows      int
-	cacheHits int
-	stats     lemp.Stats
+	rows  int
+	stats lemp.Stats
 }
 
 type reqInfoKey struct{}
@@ -565,7 +547,6 @@ func (s *Server) logSlowQuery(r *http.Request, endpoint string, status int, dur 
 		slog.Int("status", status),
 		slog.Duration("duration", dur),
 		slog.Int("rows", info.rows),
-		slog.Int("cache_hits", info.cacheHits),
 		slog.Int64("batch_wait_ns", waitNS),
 		slog.Int64("tune_ns", tuneNS),
 		slog.Int64("scan_ns", scanNS),
@@ -659,10 +640,6 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if req.K < 1 {
-		httpError(w, http.StatusBadRequest, "k must be positive, got %d", req.K)
-		return
-	}
 	s.serve(w, r, batchKey{topk: true, k: req.K}, req.Queries)
 }
 
@@ -674,25 +651,23 @@ func (s *Server) handleAbove(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if !finitePositive(req.Theta) {
-		httpError(w, http.StatusBadRequest, "theta must be a positive finite number, got %v", req.Theta)
-		return
-	}
 	s.serve(w, r, batchKey{theta: req.Theta}, req.Queries)
 }
 
 // serve answers one retrieval request pinned to a single update epoch:
-// the epoch snapshot is taken once, cache lookups, the batched retrieval
-// and cache inserts all use it, so a response can never mix rows from
-// different epochs and a cached row can never outlive the probe set it
-// was computed against.
+// the epoch snapshot is taken once and both the coalescing key and the
+// batched retrieval use it, so a response can never mix rows from different
+// epochs.
 //
 // The request context (plus the configured RequestTimeout) flows into the
 // sharded retrieval: a client that disconnects mid-batch stops contributing
 // to the merged batch context, and when every batch-mate has left the
-// underlying shard scans abort mid-bucket. A canceled request never
-// publishes rows into the result cache.
+// underlying shard scans abort mid-bucket.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, key batchKey, queries [][]float64) {
+	if err := key.check(); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	ctx := r.Context()
 	if s.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc
@@ -702,25 +677,27 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, key batchKey, que
 	view := s.sharded.CurrentView()
 	key.epoch = view.Epoch()
 	// A row can never hold more than N entries; clamping here keeps huge k
-	// values from sizing merge buffers (and cache keys) off user input.
+	// values from sizing merge buffers off user input.
 	if n := view.N(); key.topk && n > 0 && key.k > n {
 		key.k = n
 	}
 	dim := s.sharded.R()
+	data := make([]float64, 0, len(queries)*dim)
 	for i, q := range queries {
 		if len(q) != dim {
 			httpError(w, http.StatusBadRequest, "query %d has dimension %d, want %d", i, len(q), dim)
 			return
 		}
 		// Non-finite coordinates poison the retrieval pipeline (query
-		// lengths and bucket bounds become NaN, silently emptying results)
-		// and the cache key; reject them at the door.
+		// lengths and bucket bounds become NaN, silently emptying results);
+		// reject them at the door.
 		for j, x := range q {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				httpError(w, http.StatusBadRequest, "query %d coordinate %d is %v; coordinates must be finite", i, j, x)
 				return
 			}
 		}
+		data = append(data, q...)
 	}
 	s.requests.Add(1)
 	info := requestInfo(ctx)
@@ -728,64 +705,22 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, key batchKey, que
 		info.rows = len(queries)
 	}
 
-	// Split rows into cache hits and misses; misses form one submission.
-	rows := make([][]lemp.Entry, len(queries))
-	var (
-		keys     []string
-		missData []float64
-		missIdx  []int
-	)
-	if s.cache != nil {
-		keys = make([]string, len(queries))
-	}
-	for i, q := range queries {
-		if s.cache != nil {
-			keys[i] = cacheKey(key, q)
-			if row, ok := s.cache.Get(keys[i]); ok {
-				rows[i] = row
-				continue
-			}
-		}
-		missData = append(missData, q...)
-		missIdx = append(missIdx, i)
-	}
+	// The request's rows form one submission (none: no dispatch).
+	rows, st, err := s.batcher.submit(ctx, key, view, data, len(queries))
 	if info != nil {
-		info.cacheHits = len(queries) - len(missIdx)
+		info.stats = st
 	}
-	if len(missIdx) > 0 {
-		var (
-			fresh [][]lemp.Entry
-			st    lemp.Stats
-			err   error
-		)
-		if key.topk {
-			fresh, st, err = s.batcher.TopKAt(ctx, view, missData, len(missIdx), key.k)
-		} else {
-			fresh, st, err = s.batcher.AboveThetaAt(ctx, view, missData, len(missIdx), key.theta)
-		}
-		if info != nil {
-			info.stats = st
-		}
-		switch {
-		case err == nil:
-		case errors.Is(err, context.Canceled):
-			// The client is gone; there is nobody to answer. Returning
-			// here (before any cache insert) guarantees a canceled
-			// request never publishes a partial row.
-			return
-		case errors.Is(err, context.DeadlineExceeded):
-			httpError(w, http.StatusServiceUnavailable, "retrieval timed out")
-			return
-		default:
-			httpError(w, http.StatusInternalServerError, "retrieval: %v", err)
-			return
-		}
-		for j, i := range missIdx {
-			rows[i] = fresh[j]
-			if s.cache != nil {
-				s.cache.Put(keys[i], fresh[j])
-			}
-		}
+	switch {
+	case err == nil:
+	case errors.Is(err, context.Canceled):
+		// The client is gone; there is nobody to answer.
+		return
+	case errors.Is(err, context.DeadlineExceeded):
+		httpError(w, http.StatusServiceUnavailable, "retrieval timed out")
+		return
+	default:
+		httpError(w, http.StatusInternalServerError, "retrieval: %v", err)
+		return
 	}
 
 	resp := queryResponse{Results: make([][]resultEntry, len(rows))}
@@ -882,7 +817,6 @@ type statsResponse struct {
 	CostSkew      float64   `json:"cost_skew"`
 	ShardsScanned uint64    `json:"shards_scanned"`
 	ShardsPruned  uint64    `json:"shards_pruned"`
-	Cache         cacheInfo `json:"cache"`
 	Quant         quantInfo `json:"quant"`
 	Core          coreStats `json:"core"`
 }
@@ -896,13 +830,6 @@ type quantInfo struct {
 	Screened     int64 `json:"screened"`
 	Survivors    int64 `json:"survivors"`
 	SidecarBytes int   `json:"sidecar_bytes"`
-}
-
-type cacheInfo struct {
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-	Rows    int    `json:"rows"`
-	Entries int    `json:"entries"`
 }
 
 // shedInfo reports the admission-control configuration and effect: the
@@ -977,7 +904,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		CostSkew:      s.sharded.CostSkew(),
 		ShardsScanned: s.sharded.ShardsScanned(),
 		ShardsPruned:  s.sharded.ShardsPruned(),
-		Cache:         cacheInfo{Hits: s.cache.Hits(), Misses: s.cache.Misses(), Rows: s.cache.Len(), Entries: s.cache.Entries()},
 		Quant: quantInfo{
 			Screened:     st.QuantScreened,
 			Survivors:    st.QuantSurvived,
@@ -1003,15 +929,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			Retrieval:      st.RetrievalTime.String(),
 		},
 	})
-}
-
-// finitePositive reports whether x is a positive finite float, the valid
-// domain for θ. Written as x > 0 rather than !(x <= 0) so NaN is rejected:
-// every comparison with NaN is false, so a NaN θ passes an x <= 0 guard and
-// would poison bucket-pruning bounds and the result-cache key. +Inf passes
-// x > 0 and needs its own check.
-func finitePositive(x float64) bool {
-	return x > 0 && !math.IsInf(x, 0)
 }
 
 // writeJSON marshals before writing so an encoding failure (e.g. a ±Inf

@@ -33,8 +33,9 @@ func directIndex(t testing.TB, p *lemp.Matrix) *lemp.Index {
 	return ix
 }
 
-// directTopK and directAbove answer on one unsharded index: the reference
-// sharded results are compared against.
+// directTopK and directAboveRows answer on one unsharded index: the reference
+// sharded results are compared against, in the serving stack's shape (one row
+// per query; Above-θ entries by ascending probe id).
 func directTopK(t testing.TB, ix *lemp.Index, q *lemp.Matrix, k int) lemp.TopKRows {
 	t.Helper()
 	res, err := ix.Retrieve(context.Background(), q, lemp.TopK(k))
@@ -44,13 +45,18 @@ func directTopK(t testing.TB, ix *lemp.Index, q *lemp.Matrix, k int) lemp.TopKRo
 	return res.TopK
 }
 
-func directAbove(t testing.TB, ix *lemp.Index, q *lemp.Matrix, theta float64) []lemp.Entry {
+func directAboveRows(t testing.TB, ix *lemp.Index, q *lemp.Matrix, theta float64) [][]lemp.Entry {
 	t.Helper()
 	res, err := ix.Retrieve(context.Background(), q, lemp.AboveTheta(theta))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Entries
+	lemp.SortEntries(res.Entries)
+	rows := make([][]lemp.Entry, q.N())
+	for _, e := range res.Entries {
+		rows[e.Query] = append(rows[e.Query], e)
+	}
+	return rows
 }
 
 // newTestServer builds a Server over the Smoke probes with 4 shards and
@@ -146,12 +152,7 @@ func TestAboveMatchesDirect(t *testing.T) {
 
 	const nq = 64
 	theta := 1.5
-	entries := directAbove(t, direct, q.Head(nq), theta)
-	lemp.SortEntries(entries)
-	want := make([][]lemp.Entry, nq)
-	for _, e := range entries {
-		want[e.Query] = append(want[e.Query], e)
-	}
+	want := directAboveRows(t, direct, q.Head(nq), theta)
 
 	var resp queryResponse
 	postJSON(t, ts.URL+"/v1/above", aboveRequest{Queries: vecs(q, 0, nq), Theta: theta}, &resp)
@@ -227,50 +228,54 @@ func TestConcurrencySmoke(t *testing.T) {
 	}
 }
 
-// TestCacheHitsSkipRetrieval repeats a request and checks via /stats that
-// the second hit the cache and dispatched no retrieval.
-func TestCacheHitsSkipRetrieval(t *testing.T) {
-	cfg := testConfig()
-	cfg.CacheEntries = 4096
-	ts, q, _ := newTestServer(t, cfg)
-
-	req := topKRequest{Queries: vecs(q, 0, 8), K: 3}
-	var first, second queryResponse
-	postJSON(t, ts.URL+"/v1/topk", req, &first)
-
-	var st1 statsResponse
-	getJSON(t, ts.URL+"/stats", &st1)
-	if st1.Batches == 0 || st1.Cache.Misses != 8 {
-		t.Fatalf("after first request: batches=%d misses=%d", st1.Batches, st1.Cache.Misses)
+// TestHandlerMatchesViewAndDirect is the one-body claim as an assertion:
+// every (k | θ) × {1, 7 rows} request through Handler() answers, entry for
+// entry, what View.TopKCtx / AboveThetaCtx answer on the same view and what
+// one unsharded index does.
+func TestHandlerMatchesViewAndDirect(t *testing.T) {
+	q, p := smokeMatrices(t)
+	srv, err := New(p, testConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	postJSON(t, ts.URL+"/v1/topk", req, &second)
-	var st2 statsResponse
-	getJSON(t, ts.URL+"/stats", &st2)
-	if st2.Batches != st1.Batches || st2.BatchRows != st1.BatchRows {
-		t.Errorf("cached repeat dispatched retrieval: batches %d→%d rows %d→%d",
-			st1.Batches, st2.Batches, st1.BatchRows, st2.BatchRows)
-	}
-	if st2.Cache.Hits != 8 {
-		t.Errorf("cache hits = %d, want 8", st2.Cache.Hits)
-	}
-	if len(second.Results) != len(first.Results) {
-		t.Fatalf("cached response shape differs")
-	}
-	for i := range first.Results {
-		for j := range first.Results[i] {
-			if first.Results[i][j] != second.Results[i][j] {
-				t.Fatalf("cached row %d differs", i)
+	direct, view, h := directIndex(t, p), srv.Sharded().CurrentView(), srv.Handler()
+	post := func(path string, body any) [][]lemp.Entry {
+		buf, _ := json.Marshal(body)
+		rec := doJSON(t, h, "POST", path, string(buf))
+		var resp queryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("POST %s: status %d, %v: %s", path, rec.Code, err, rec.Body)
+		}
+		rows := make([][]lemp.Entry, len(resp.Results))
+		for i, row := range resp.Results {
+			for _, e := range row {
+				rows[i] = append(rows[i], lemp.Entry{Query: i, Probe: e.Probe, Value: e.Value})
 			}
 		}
+		return rows
 	}
-
-	// A different k is a different cache key.
-	postJSON(t, ts.URL+"/v1/topk", topKRequest{Queries: vecs(q, 0, 1), K: 4}, &first)
-	var st3 statsResponse
-	getJSON(t, ts.URL+"/stats", &st3)
-	if st3.Cache.Misses != st2.Cache.Misses+1 {
-		t.Errorf("changed k should miss: misses %d→%d", st2.Cache.Misses, st3.Cache.Misses)
+	for _, nq := range []int{1, 7} {
+		qs := q.Head(nq)
+		for _, k := range []int{1, 10, 50} {
+			name := fmt.Sprintf("k=%d rows=%d", k, nq)
+			got := post("/v1/topk", topKRequest{Queries: vecs(q, 0, nq), K: k})
+			fromView, _, err := view.TopKCtx(context.Background(), qs, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareRows(t, name+" handler vs view", got, fromView)
+			compareRows(t, name+" handler vs direct", got, directTopK(t, direct, qs, k))
+		}
+		for _, theta := range []float64{1, 1.5, 2.5} {
+			name := fmt.Sprintf("theta=%v rows=%d", theta, nq)
+			got := post("/v1/above", aboveRequest{Queries: vecs(q, 0, nq), Theta: theta})
+			fromView, _, err := view.AboveThetaCtx(context.Background(), qs, theta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareRows(t, name+" handler vs view", got, fromView)
+			compareRows(t, name+" handler vs direct", got, directAboveRows(t, direct, qs, theta))
+		}
 	}
 }
 

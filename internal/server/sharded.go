@@ -1,9 +1,8 @@
 // Package server turns the lemp library into a long-lived query service:
 // it shards a probe matrix across independent LEMP indexes, micro-batches
 // concurrent HTTP requests into whole-matrix retrieval calls (the batch
-// interface Retrieve already exposes), caches per-query results,
-// applies live probe updates with epoch-consistent snapshots, and reports
-// cumulative retrieval statistics.
+// interface Retrieve already exposes), applies live probe updates with
+// epoch-consistent snapshots, and reports cumulative retrieval statistics.
 package server
 
 import (
@@ -108,26 +107,15 @@ type Sharded struct {
 	testShardDone  func(shard int, err error)
 }
 
-// NewSharded builds nShards LEMP indexes over contiguous slices of probe
-// (sharing its storage), shard i indexing probes [i·n/S, (i+1)·n/S) under
-// their global ids 0..n-1. Every shard receives the same options; shards
-// differ in size by at most one probe.
-func NewSharded(probe *lemp.Matrix, nShards int, opts lemp.Options) (*Sharded, error) {
-	return NewShardedWithIDs(probe, nil, nShards, opts)
-}
-
-// NewShardedWithIDs is NewSharded with caller-chosen external probe ids
-// (ids[i] names probe column i; nil assigns 0..n-1). Re-sharding a
-// previously mutated catalog uses this so probe ids survive the rebuild
-// instead of being renumbered.
-func NewShardedWithIDs(probe *lemp.Matrix, ids []int32, nShards int, opts lemp.Options) (*Sharded, error) {
-	return NewShardedPlaced(probe, ids, nShards, opts, PlaceRange)
-}
-
-// NewShardedPlaced builds a shard set under an explicit placement strategy:
-// equal-count contiguous ranges (PlaceRange), contiguous ranges balanced by
-// estimated scan cost (PlaceCost), or direction clusters with per-shard
-// cones for query-time shard pruning (PlaceCluster).
+// NewShardedPlaced builds nShards LEMP indexes over probe (sharing its
+// storage) under an explicit placement strategy: equal-count contiguous
+// ranges (PlaceRange: shard i indexes probes [i·n/S, (i+1)·n/S), sizes
+// differing by at most one), contiguous ranges balanced by estimated scan
+// cost (PlaceCost), or direction clusters with per-shard cones for
+// query-time shard pruning (PlaceCluster). Every shard receives the same
+// options. ids[i] names probe column i in the global id space (nil assigns
+// 0..n-1); re-sharding a previously mutated catalog passes them so probe ids
+// survive the rebuild instead of being renumbered.
 func NewShardedPlaced(probe *lemp.Matrix, ids []int32, nShards int, opts lemp.Options, kind PlacementKind) (*Sharded, error) {
 	n := probe.N()
 	if nShards < 1 {
@@ -189,20 +177,15 @@ func (s *Sharded) placementMeta(ixs []*lemp.Index) ([]float64, []*lemp.ShardCone
 	return costs, cones
 }
 
-// NewShardedFromIndexes assembles a Sharded from pre-built indexes —
+// NewShardedFromIndexesPlaced assembles a Sharded from pre-built indexes —
 // typically loaded from per-shard snapshots — in shard order. The indexes'
 // probe ids must be globally unique; they are adopted as the serving id
 // space. Empty shards are legal — probe updates can drain a shard, and its
-// snapshot must still restore (later adds refill it).
-func NewShardedFromIndexes(ixs []*lemp.Index) (*Sharded, error) {
-	return NewShardedFromIndexesPlaced(ixs, PlaceRange, nil)
-}
-
-// NewShardedFromIndexesPlaced is NewShardedFromIndexes adopting a placement
-// strategy and, for cluster placement, optional per-shard direction cones
-// (from snapshot PLMT sections). Missing cones — nil slice or nil entries —
-// are recomputed from the live probe sets, so pruning works even when the
-// snapshots predate placement metadata.
+// snapshot must still restore (later adds refill it). The set adopts a
+// placement strategy and, for cluster placement, optional per-shard
+// direction cones (from snapshot PLMT sections). Missing cones — nil slice
+// or nil entries — are recomputed from the live probe sets, so pruning works
+// even when the snapshots predate placement metadata.
 func NewShardedFromIndexesPlaced(ixs []*lemp.Index, kind PlacementKind, cones []*lemp.ShardCone) (*Sharded, error) {
 	if len(ixs) == 0 {
 		return nil, fmt.Errorf("server: no shard indexes")
@@ -253,8 +236,8 @@ func NewShardedFromIndexesPlaced(ixs []*lemp.Index, kind PlacementKind, cones []
 
 // NewShardedFromSnapshot rebuilds a Sharded from one LEMPIDX1 snapshot per
 // shard (in shard order), skipping bucketization and tuning: startup is
-// O(read). Snapshots written by Server.WriteSnapshots restore an identical
-// shard layout.
+// O(read). Snapshots written by Server.WriteSnapshotsWith restore an
+// identical shard layout.
 // Placement metadata stored in the snapshots (PLMT sections) is adopted:
 // the shard set restores under the strategy it was built with, cones
 // included. Snapshots without placement metadata — or carrying a strategy
@@ -298,8 +281,13 @@ func (s *Sharded) N() int {
 // R returns the vector dimension.
 func (s *Sharded) R() int { return s.r }
 
-// NumShards returns the number of shards.
-func (s *Sharded) NumShards() int { return len(s.shards) }
+// NumShards returns the current number of shards (Rebalance, and a
+// drift-triggered re-placement inside Update, may change it).
+func (s *Sharded) NumShards() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.shards)
+}
 
 // SidecarBytes returns the memory held by the int8 screening sidecars
 // across all shards: every bucket's with Options.Quantize, otherwise those of
@@ -513,19 +501,20 @@ func addShardStats(dst *lemp.Stats, st lemp.Stats) {
 	dst.Queries = queries
 }
 
-// fanOut runs fn on every active shard of the view concurrently and
-// accumulates the per-shard stats; it returns the first error encountered.
-// active selects the shards to dispatch (nil = all); skipped shards are
-// counted as pruned, dispatched ones as scanned. Nothing orders calls on one
-// shard: fan-outs of different views or batch keys overlap on it. The
-// context is passed down into every shard retrieval, so canceling it —
-// client disconnect, request deadline — aborts all shard scans mid-bucket.
+// fanOut runs the spec's retrieval for q on every active shard of the view
+// concurrently and returns the per-shard results (nil for a skipped shard)
+// with their accumulated stats, or the first error encountered. active
+// selects the shards to dispatch (nil = all); skipped shards are counted as
+// pruned, dispatched ones as scanned. Nothing orders calls on one shard:
+// fan-outs of different views or batch keys overlap on it. The context is
+// passed down into every shard retrieval, so canceling it — client
+// disconnect, request deadline — aborts all shard scans mid-bucket.
 //
 // When ctx carries a trace (obs.ContextWithSpan), each shard goroutine
 // opens its own shard-tagged span and passes it down, so the core executor
 // hangs its tune/scan phase spans under the right shard. Per-shard wall
 // time feeds scanHist[i] when the server has wired it.
-func (v *View) fanOut(ctx context.Context, active []bool, fn func(ctx context.Context, i int, ix *lemp.Index) (lemp.Stats, error)) (lemp.Stats, error) {
+func (v *View) fanOut(ctx context.Context, active []bool, q *lemp.Matrix, spec *lemp.Spec) ([]*lemp.Result, lemp.Stats, error) {
 	var (
 		wg    sync.WaitGroup
 		mu    sync.Mutex
@@ -543,6 +532,7 @@ func (v *View) fanOut(ctx context.Context, active []bool, fn func(ctx context.Co
 	}
 	v.s.scanned.Add(uint64(nAct))
 	v.s.pruned.Add(uint64(len(v.ixs) - nAct))
+	parts := make([]*lemp.Result, len(v.ixs))
 	tr, parent := obs.SpanFrom(ctx)
 	wg.Add(nAct)
 	for i, ix := range v.ixs {
@@ -561,7 +551,7 @@ func (v *View) fanOut(ctx context.Context, active []bool, fn func(ctx context.Co
 			if v.s.testShardStart != nil {
 				v.s.testShardStart(cctx, i)
 			}
-			st, err := fn(cctx, i, ix)
+			res, err := ix.RetrieveSpec(cctx, q, spec)
 			if v.s.testShardDone != nil {
 				v.s.testShardDone(i, err)
 			}
@@ -570,8 +560,10 @@ func (v *View) fanOut(ctx context.Context, active []bool, fn func(ctx context.Co
 				v.s.scanHist[i].ObserveDuration(time.Since(start))
 			}
 			mu.Lock()
-			addShardStats(&call, st)
-			if err != nil && first == nil {
+			if err == nil {
+				parts[i] = res
+				addShardStats(&call, res.Stats)
+			} else if first == nil {
 				first = err
 			}
 			mu.Unlock()
@@ -584,48 +576,60 @@ func (v *View) fanOut(ctx context.Context, active []bool, fn func(ctx context.Co
 	if v.s.onCallStats != nil {
 		v.s.onCallStats(call)
 	}
-	return call, first
+	return parts, call, first
 }
 
-// TopKCtx answers Row-Top-k for a whole query matrix across all shards of
-// the view and merges per-shard rows into global top-k rows. Every shard
-// retrieval runs under ctx and shares the Sharded's tuning cache, so a
-// repeated (k, epoch) pays sample tuning only on its first call.
-func (v *View) TopKCtx(ctx context.Context, q *lemp.Matrix, k int) (lemp.TopKRows, lemp.Stats, error) {
-	// One spec serves every shard of the call (and validates once).
-	spec, err := lemp.NewSpec(lemp.TopK(k), lemp.WithTuningCache(v.s.tc))
+// retrieve is the serving stack's one sharded retrieval body: key's problem
+// — Row-Top-k at key.k or Above-θ at key.theta; key.epoch is not read, the
+// view is the epoch — for a whole query matrix across the shards of the
+// view, merged into one row per query. Top-k rows are the k-way merge of the
+// shards' rows, by decreasing value; Above-θ rows gather the shards' entries
+// in canonical (Query, Probe) order, the grouping batching works in. One spec
+// serves every shard of the call (and validates once); shard retrievals run
+// under ctx and share the Sharded's tuning cache, so a repeated (k | θ,
+// epoch) pays sample tuning only on its first call.
+func (v *View) retrieve(ctx context.Context, q *lemp.Matrix, key batchKey) ([][]lemp.Entry, lemp.Stats, error) {
+	mode := lemp.TopK(key.k)
+	if !key.topk {
+		mode = lemp.AboveTheta(key.theta)
+	}
+	spec, err := lemp.NewSpec(mode, lemp.WithTuningCache(v.s.tc))
 	if err != nil {
 		return nil, lemp.Stats{}, err
 	}
-	// Row-Top-k cannot be shard-pruned a priori: the k-th best value is
-	// only known after the merge, so a low-bound shard may still hold a
-	// true top result. Every shard scans.
-	parts := make([]lemp.TopKRows, len(v.ixs))
-	st, err := v.fanOut(ctx, nil, func(sctx context.Context, i int, ix *lemp.Index) (lemp.Stats, error) {
-		res, err := ix.RetrieveSpec(sctx, q, spec)
-		if err != nil {
-			return lemp.Stats{}, err
-		}
-		parts[i] = res.TopK
-		return res.Stats, nil
-	})
+	parts, st, err := v.fanOut(ctx, v.pruneSet(q, key), q, spec)
 	if err != nil {
 		return nil, st, err
 	}
 	tr, parent := obs.SpanFrom(ctx)
 	ref := tr.Start("merge", parent)
 	start := time.Now()
-	out := lemp.MergeTopK(k, parts...)
+	var rows [][]lemp.Entry
+	if key.topk {
+		tops := make([]lemp.TopKRows, len(parts))
+		for i, p := range parts {
+			tops[i] = p.TopK
+		}
+		rows = lemp.MergeTopK(key.k, tops...)
+	} else {
+		rows = make([][]lemp.Entry, q.N())
+		for _, p := range parts {
+			if p == nil {
+				continue // pruned shard
+			}
+			for _, e := range p.Entries {
+				rows[e.Query] = append(rows[e.Query], e)
+			}
+		}
+		for _, row := range rows {
+			lemp.SortEntries(row)
+		}
+	}
 	tr.End(ref)
 	if v.s.mergeHist != nil {
 		v.s.mergeHist.ObserveDuration(time.Since(start))
 	}
-	return out, st, nil
-}
-
-// TopK is TopKCtx with a background context.
-func (v *View) TopK(q *lemp.Matrix, k int) (lemp.TopKRows, lemp.Stats, error) {
-	return v.TopKCtx(context.Background(), q, k)
+	return rows, st, nil
 }
 
 // pruneSet computes the shard dispatch set for an Above-θ batch under
@@ -633,12 +637,13 @@ func (v *View) TopK(q *lemp.Matrix, k int) (lemp.TopKRows, lemp.Stats, error) {
 // every query row's cone bound stays below θ, so the dispatch set is the
 // union over the coalesced batch and a pruned shard cannot contribute any
 // qualifying entry for any row. Results are byte-identical to a full
-// fan-out. Row-Top-k never prunes (the per-row cutoff is only known after
-// the merge).
-func (v *View) pruneSet(q *lemp.Matrix, theta float64) []bool {
-	if v.cones == nil || v.s.noPrune {
+// fan-out. Row-Top-k never prunes: the k-th best value is only known after
+// the merge, so a low-bound shard may still hold a true top result.
+func (v *View) pruneSet(q *lemp.Matrix, key batchKey) []bool {
+	if key.topk || v.cones == nil || v.s.noPrune {
 		return nil
 	}
+	theta := key.theta
 	qn := q.N()
 	qlens := make([]float64, qn)
 	for j := 0; j < qn; j++ {
@@ -664,61 +669,17 @@ func (v *View) pruneSet(q *lemp.Matrix, theta float64) []bool {
 	return active
 }
 
-// AboveThetaCtx answers Above-θ for a whole query matrix across all shards
-// of the view, concatenating per-shard result sets. Entries are returned
-// grouped by query in rows (row i holds query i's entries) in canonical
-// (Query, Probe) order, the grouping batching and caching work in. Shard
-// retrievals run under ctx and share the Sharded's tuning cache.
+// TopKCtx answers Row-Top-k for a whole query matrix on the view: retrieve
+// under the name benchmark/replay.go calls.
+func (v *View) TopKCtx(ctx context.Context, q *lemp.Matrix, k int) (lemp.TopKRows, lemp.Stats, error) {
+	return v.retrieve(ctx, q, batchKey{topk: true, k: k})
+}
+
+// AboveThetaCtx answers Above-θ for a whole query matrix on the view (row i
+// holds query i's entries): retrieve under the name benchmark/replay.go
+// calls.
 func (v *View) AboveThetaCtx(ctx context.Context, q *lemp.Matrix, theta float64) ([][]lemp.Entry, lemp.Stats, error) {
-	spec, err := lemp.NewSpec(lemp.AboveTheta(theta), lemp.WithTuningCache(v.s.tc))
-	if err != nil {
-		return nil, lemp.Stats{}, err
-	}
-	rows := make([][]lemp.Entry, q.N())
-	var mu sync.Mutex
-	st, err := v.fanOut(ctx, v.pruneSet(q, theta), func(sctx context.Context, _ int, ix *lemp.Index) (lemp.Stats, error) {
-		res, err := ix.RetrieveSpec(sctx, q, spec)
-		if err != nil {
-			return lemp.Stats{}, err
-		}
-		mu.Lock()
-		for _, e := range res.Entries {
-			rows[e.Query] = append(rows[e.Query], e)
-		}
-		mu.Unlock()
-		return res.Stats, nil
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	tr, parent := obs.SpanFrom(ctx)
-	ref := tr.Start("merge", parent)
-	start := time.Now()
-	for _, row := range rows {
-		lemp.SortEntries(row)
-	}
-	tr.End(ref)
-	if v.s.mergeHist != nil {
-		v.s.mergeHist.ObserveDuration(time.Since(start))
-	}
-	return rows, st, nil
-}
-
-// AboveTheta is AboveThetaCtx with a background context.
-func (v *View) AboveTheta(q *lemp.Matrix, theta float64) ([][]lemp.Entry, lemp.Stats, error) {
-	return v.AboveThetaCtx(context.Background(), q, theta)
-}
-
-// TopK answers Row-Top-k at the current epoch. Callers that must pin
-// several operations to one epoch (cache keys, batches) should take a
-// CurrentView once and use it throughout.
-func (s *Sharded) TopK(q *lemp.Matrix, k int) (lemp.TopKRows, lemp.Stats, error) {
-	return s.CurrentView().TopK(q, k)
-}
-
-// AboveTheta answers Above-θ at the current epoch.
-func (s *Sharded) AboveTheta(q *lemp.Matrix, theta float64) ([][]lemp.Entry, lemp.Stats, error) {
-	return s.CurrentView().AboveTheta(q, theta)
+	return v.retrieve(ctx, q, batchKey{theta: theta})
 }
 
 // TuningCache returns the cache of fitted tuning parameters shared by all

@@ -80,7 +80,6 @@ func TestShedQueueRows(t *testing.T) {
 	cfg.BatchMax = 1024
 	cfg.ShedQueueRows = 4
 	cfg.ShedInflight = -1
-	cfg.CacheEntries = -1
 	srv, ts, q := newShedServer(t, cfg)
 
 	// Park requests in the forming batch one at a time so the queue depth
@@ -153,7 +152,6 @@ func TestShedInflight(t *testing.T) {
 	cfg.BatchMax = 1024
 	cfg.ShedQueueRows = -1
 	cfg.ShedInflight = 1
-	cfg.CacheEntries = -1
 	srv, ts, q := newShedServer(t, cfg)
 
 	first := make(chan int, 1)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"testing"
 
@@ -79,7 +80,7 @@ func BenchmarkFirstBatchAfterRestore(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Warm retrieval builds the sorted lists -save-snapshot would persist.
-	if _, _, err := built.Sharded().TopK(q.Head(64), benchK); err != nil {
+	if _, _, err := built.Sharded().CurrentView().TopKCtx(context.Background(), q.Head(64), benchK); err != nil {
 		b.Fatal(err)
 	}
 	for _, withLists := range []bool{false, true} {
@@ -105,7 +106,7 @@ func BenchmarkFirstBatchAfterRestore(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if _, _, err := srv.Sharded().TopK(batch, benchK); err != nil {
+				if _, _, err := srv.Sharded().CurrentView().TopKCtx(context.Background(), batch, benchK); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math"
 	"net/http"
@@ -18,10 +19,10 @@ import (
 func writeShardSnapshots(t testing.TB, srv *Server) []*bytes.Buffer {
 	t.Helper()
 	var bufs []*bytes.Buffer
-	err := srv.WriteSnapshots(func(i, n int) (io.WriteCloser, error) {
+	err := srv.WriteSnapshotsWith(func(i, n int) (io.WriteCloser, error) {
 		bufs = append(bufs, &bytes.Buffer{})
 		return nopWriteCloser{bufs[i]}, nil
-	})
+	}, lemp.SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestSnapshotServerWithLists(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm-up builds the lazy sorted lists the snapshot should carry.
-	if _, _, err := built.Sharded().TopK(q.Head(8), 5); err != nil {
+	if _, _, err := built.Sharded().CurrentView().TopKCtx(context.Background(), q.Head(8), 5); err != nil {
 		t.Fatal(err)
 	}
 	var bufs []*bytes.Buffer
@@ -76,11 +77,11 @@ func TestSnapshotServerWithLists(t *testing.T) {
 	if indexed == 0 {
 		t.Fatal("restored shards carry no pre-built sorted lists")
 	}
-	wantRows, _, err := built.Sharded().TopK(q.Head(16), 7)
+	wantRows, _, err := built.Sharded().CurrentView().TopKCtx(context.Background(), q.Head(16), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRows, _, err := restored.Sharded().TopK(q.Head(16), 7)
+	gotRows, _, err := restored.Sharded().CurrentView().TopKCtx(context.Background(), q.Head(16), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestWriteSnapshotsAbortsFailedWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	dest := &failingDest{}
-	err = srv.WriteSnapshots(func(i, n int) (io.WriteCloser, error) { return dest, nil })
+	err = srv.WriteSnapshotsWith(func(i, n int) (io.WriteCloser, error) { return dest, nil }, lemp.SnapshotOptions{})
 	if err == nil {
 		t.Fatal("failing write reported success")
 	}
@@ -204,13 +205,13 @@ func TestNewShardedFromIndexesValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewShardedFromIndexes(nil); err == nil {
+	if _, err := NewShardedFromIndexesPlaced(nil, PlaceRange, nil); err == nil {
 		t.Error("empty index list accepted")
 	}
-	if _, err := NewShardedFromIndexes([]*lemp.Index{ix, other}); err == nil {
+	if _, err := NewShardedFromIndexesPlaced([]*lemp.Index{ix, other}, PlaceRange, nil); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
-	sh, err := NewShardedFromIndexes([]*lemp.Index{ix})
+	sh, err := NewShardedFromIndexesPlaced([]*lemp.Index{ix}, PlaceRange, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,12 +266,12 @@ func TestRejectsNonFiniteInputs(t *testing.T) {
 
 	// The θ guard itself (reachable by any future non-JSON transport).
 	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
-		if finitePositive(x) {
-			t.Errorf("finitePositive(%v) = true", x)
+		if (batchKey{theta: x}).check() == nil {
+			t.Errorf("θ = %v passed the check", x)
 		}
 	}
-	if !finitePositive(0.5) || !finitePositive(math.MaxFloat64) {
-		t.Error("finitePositive rejected a valid θ")
+	if (batchKey{theta: 0.5}).check() != nil || (batchKey{theta: math.MaxFloat64}).check() != nil {
+		t.Error("the check refused a valid θ")
 	}
 
 	// The query-coordinate guard in serve, called directly so non-finite

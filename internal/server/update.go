@@ -20,15 +20,14 @@ import (
 // The whole batch validates before anything is applied: an unknown or
 // duplicate id, a dimension mismatch, a non-finite coordinate, an unknown
 // op, an empty batch or an oversized one (Config.MaxUpdateOps) returns
-// 400 and leaves the probe set, the epoch and every cached result exactly
-// as they were. On success the response reports the new epoch, the live
-// probe count, and the per-op ids (assigned ids for adds without one).
+// 400 and leaves the probe set and the epoch exactly as they were. On
+// success the response reports the new epoch, the live probe count, and the
+// per-op ids (assigned ids for adds without one).
 //
 // Consistency model: every applied batch advances the epoch by one.
 // Queries are pinned to the epoch snapshot taken at admission — responses
-// never mix pre- and post-update vectors — and cached rows are keyed by
-// epoch, so a mutation implicitly invalidates every cached result (stale
-// rows age out of the LRU; they are never served at a newer epoch).
+// never mix pre- and post-update vectors, and requests coalesce only with
+// others admitted at the same epoch.
 
 // updateRequest is the body of POST /v1/update.
 type updateRequest struct {

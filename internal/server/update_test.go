@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -269,7 +270,7 @@ func FuzzUpdateHandler(f *testing.F) {
 
 // TestEpochConsistencyUnderRace is the update/query race test: an updater
 // rescales every probe per batch while readers hammer /v1/topk and
-// /v1/above through the batcher and cache. Every probe's value under a
+// /v1/above through the batcher. Every probe's value under a
 // query recovers the scale factor (probes and queries live in the positive
 // octant), so a response mixing two epochs is detectable: all entries of a
 // response must imply the same scale. Run under -race in CI.
@@ -278,11 +279,10 @@ func TestEpochConsistencyUnderRace(t *testing.T) {
 	const r, n, epochs, readers = 3, 24, 25, 4
 	base := epochProbe(rng, r, n)
 	srv, err := New(base.Clone(), Config{
-		Shards:       3,
-		Options:      lemp.Options{Parallelism: 1},
-		BatchWindow:  200 * time.Microsecond,
-		BatchMax:     8,
-		CacheEntries: 4096,
+		Shards:      3,
+		Options:     lemp.Options{Parallelism: 1},
+		BatchWindow: 200 * time.Microsecond,
+		BatchMax:    8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestEpochConsistencyUnderRace(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// A small fixed query pool so cache hits happen across epochs.
+	// A small fixed query pool, so the same rows are asked at every epoch.
 	queries := make([][]float64, 6)
 	qm := epochProbe(rng, r, len(queries))
 	for i := range queries {
@@ -418,62 +418,56 @@ func TestEpochConsistencyUnderRace(t *testing.T) {
 	}
 }
 
-// TestCacheEpochInvalidation: a cached row must never be served once a
-// mutation advanced the epoch — including through the LRU entry-accounting
-// path, where stale-epoch rows still occupy and then vacate capacity.
-func TestCacheEpochInvalidation(t *testing.T) {
+// TestRepeatRetrievesAtItsEpoch: nothing remembers answers. An identical
+// request repeated with no update in between dispatches a second retrieval
+// (/stats batches advances) and returns a byte-identical body; repeated after
+// an update that changes its answer it returns the new values.
+func TestRepeatRetrievesAtItsEpoch(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	const r, n = 4, 30
 	p := epochProbe(rng, r, n)
-	srv, err := New(p.Clone(), Config{Shards: 2, CacheEntries: 64, Options: lemp.Options{Parallelism: 1}})
+	srv, err := New(p.Clone(), Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	query := p.Vec(3)
-	body, _ := json.Marshal(map[string]any{"queries": [][]float64{query}, "k": 2})
-	fetch := func() []float64 {
+	body, _ := json.Marshal(map[string]any{"queries": [][]float64{p.Vec(3)}, "k": 2})
+	fetch := func() (string, []float64) {
 		resp, err := http.Post(ts.URL+"/v1/topk", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var out struct {
-			Results [][]struct {
-				Probe int     `json:"probe"`
-				Value float64 `json:"value"`
-			} `json:"results"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
+		raw, _ := io.ReadAll(resp.Body)
+		var out queryResponse
+		if err := json.Unmarshal(raw, &out); err != nil || len(out.Results) != 1 {
+			t.Fatalf("decoding %q: %v", raw, err)
 		}
 		vals := make([]float64, 0, 2)
 		for _, e := range out.Results[0] {
 			vals = append(vals, e.Value)
 		}
-		return vals
+		return string(raw), vals
+	}
+	batches := func() uint64 {
+		var st statsResponse
+		getJSON(t, ts.URL+"/stats", &st)
+		return st.Batches
 	}
 
-	before := fetch()
-	if hits := srv.cache.Hits(); hits != 0 {
-		t.Fatalf("cold cache reported %d hits", hits)
+	first, before := fetch()
+	dispatched := batches()
+	if again, _ := fetch(); again != first {
+		t.Fatalf("identical repeat at one epoch answered %q, then %q", first, again)
 	}
-	again := fetch()
-	if srv.cache.Hits() != 1 {
-		t.Fatalf("identical repeat did not hit the cache (hits %d)", srv.cache.Hits())
-	}
-	if fmt.Sprint(before) != fmt.Sprint(again) {
-		t.Fatalf("cache hit returned different values: %v vs %v", before, again)
-	}
-	rowsAtEpoch0 := srv.cache.Len()
-	if rowsAtEpoch0 == 0 {
-		t.Fatal("nothing cached")
+	if got := batches(); got != dispatched+1 {
+		t.Fatalf("identical repeat: batches %d -> %d, want one more retrieval", dispatched, got)
 	}
 
-	// Mutate: double every probe. The cached row's values are now wrong
-	// for the live probe set; the epoch key must make it unreachable.
+	// Mutate: double every probe. The first answer's values are now wrong
+	// for the live probe set.
 	ops := make([]map[string]any, n)
 	for i := 0; i < n; i++ {
 		v := make([]float64, r)
@@ -486,61 +480,13 @@ func TestCacheEpochInvalidation(t *testing.T) {
 	if status, out := postBody(t, ts.URL+"/v1/update", string(upd)); status != http.StatusOK {
 		t.Fatalf("update: %d %v", status, out)
 	}
-
-	hitsBefore := srv.cache.Hits()
-	after := fetch()
-	if srv.cache.Hits() != hitsBefore {
-		t.Fatalf("post-update fetch hit the stale cache entry")
+	_, after := fetch()
+	if len(after) != len(before) {
+		t.Fatalf("post-update values %v, want 2× %v", after, before)
 	}
 	for i := range after {
 		if math.Abs(after[i]-2*before[i]) > 1e-9*math.Abs(after[i]) {
 			t.Fatalf("post-update values %v, want 2× %v", after, before)
-		}
-	}
-	// Both epochs' rows coexist under LRU accounting until eviction.
-	if srv.cache.Len() != rowsAtEpoch0+1 {
-		t.Fatalf("cache rows %d, want %d (stale row retained, new row added)", srv.cache.Len(), rowsAtEpoch0+1)
-	}
-}
-
-// TestCacheKeyEpochUnitAndAccounting pins the key-level property (same
-// query, different epoch → different key) and the entry accounting while
-// stale-epoch rows are evicted by fresh-epoch inserts.
-func TestCacheKeyEpochUnitAndAccounting(t *testing.T) {
-	vec := []float64{1, 2, 3}
-	k0 := cacheKey(batchKey{topk: true, k: 5, epoch: 0}, vec)
-	k1 := cacheKey(batchKey{topk: true, k: 5, epoch: 1}, vec)
-	if k0 == k1 {
-		t.Fatal("cache keys collide across epochs")
-	}
-
-	c := NewCache(10)
-	row := []lemp.Entry{{Probe: 1, Value: 2}, {Probe: 2, Value: 1}} // weight 2
-	for i := 0; i < 5; i++ {
-		c.Put(cacheKey(batchKey{topk: true, k: 5, epoch: 0}, []float64{float64(i)}), row)
-	}
-	if c.Entries() != 10 || c.Len() != 5 {
-		t.Fatalf("entries %d rows %d, want 10 and 5", c.Entries(), c.Len())
-	}
-	// Epoch bump: same queries re-cached under new keys evict the stale
-	// rows one by one; the weight accounting must stay exact.
-	for i := 0; i < 5; i++ {
-		c.Put(cacheKey(batchKey{topk: true, k: 5, epoch: 1}, []float64{float64(i)}), row)
-		if c.Entries() > 10 {
-			t.Fatalf("entry accounting exceeded capacity: %d", c.Entries())
-		}
-	}
-	if c.Entries() != 10 || c.Len() != 5 {
-		t.Fatalf("after epoch churn: entries %d rows %d, want 10 and 5", c.Entries(), c.Len())
-	}
-	// Every stale-epoch key must now be gone (evicted), every fresh one
-	// present.
-	for i := 0; i < 5; i++ {
-		if _, ok := c.Get(cacheKey(batchKey{topk: true, k: 5, epoch: 0}, []float64{float64(i)})); ok {
-			t.Fatalf("stale epoch-0 row %d still served", i)
-		}
-		if _, ok := c.Get(cacheKey(batchKey{topk: true, k: 5, epoch: 1}, []float64{float64(i)})); !ok {
-			t.Fatalf("fresh epoch-1 row %d missing", i)
 		}
 	}
 }
@@ -628,10 +574,10 @@ func TestEmptyShardSnapshotRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	var bufs []*bytes.Buffer
-	err = srv.WriteSnapshots(func(i, n int) (io.WriteCloser, error) {
+	err = srv.WriteSnapshotsWith(func(i, n int) (io.WriteCloser, error) {
 		bufs = append(bufs, &bytes.Buffer{})
 		return nopWriteCloser{bufs[i]}, nil
-	})
+	}, lemp.SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -657,7 +603,7 @@ func TestEmptyShardSnapshotRestores(t *testing.T) {
 		t.Fatalf("LiveN %d after refill, want 3", res.LiveN)
 	}
 	q, _ := lemp.MatrixFromData(r, 1, append([]float64(nil), p.Vec(0)...))
-	top, _, err := restored.Sharded().TopK(q, 3)
+	top, _, err := restored.Sharded().CurrentView().TopKCtx(context.Background(), q, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
