@@ -114,10 +114,9 @@ func (ix *Index) RetrieveApprox(ctx context.Context, q *matrix.Matrix, k int, ao
 	// The candidate raw vectors are gathered into a reusable scratch panel
 	// (scaled from their bucket-resident unit directions) and verified with
 	// one blocked DotBatch pass per query — no per-candidate allocation or
-	// lookup-table locking on this path.
+	// map lookup on this path.
 	start := time.Now()
 	heap := topk.New(kk)
-	locs := ix.probeLocations()
 	s := ix.getScratch()
 	defer ix.putScratch(s)
 	for i := 0; i < m; i++ {
@@ -131,9 +130,9 @@ func (ix *Index) RetrieveApprox(ctx context.Context, q *matrix.Matrix, k int, ao
 		}
 		panel := s.panel[:nc*ix.r]
 		for j, e := range cands {
-			l := locs[int32(e.Probe)]
-			b := ix.scan[l.bucket]
-			vecmath.Scale(panel[j*ix.r:(j+1)*ix.r], b.dir(int(l.lid)), b.lens[l.lid])
+			_, bi, lid, _ := ix.find(int32(e.Probe))
+			b := ix.scan[bi]
+			vecmath.Scale(panel[j*ix.r:(j+1)*ix.r], b.dir(lid), b.lens[lid])
 		}
 		if cap(s.vals) < nc {
 			s.vals = make([]float64, nc)
@@ -156,32 +155,6 @@ func (ix *Index) RetrieveApprox(ctx context.Context, q *matrix.Matrix, k int, ao
 	}
 	st.RetrievalTime += time.Since(start)
 	return out, st, nil
-}
-
-// probeLocations returns the lazy external-id → (scan bucket, lid) lookup,
-// building it under the lock on first use. Mutations invalidate it (they
-// rebuild the scan order it indexes into).
-func (ix *Index) probeLocations() map[int32]probeLoc {
-	ix.probeMu.Lock()
-	defer ix.probeMu.Unlock()
-	if ix.probeLocs == nil {
-		loc := make(map[int32]probeLoc, ix.LiveN())
-		for bi, b := range ix.scan {
-			for lid := 0; lid < b.size(); lid++ {
-				if ix.deadSkip(b, lid) {
-					continue
-				}
-				loc[b.ids[lid]] = probeLoc{bucket: int32(bi), lid: int32(lid)}
-			}
-		}
-		ix.probeLocs = loc
-	}
-	return ix.probeLocs
-}
-
-type probeLoc struct {
-	bucket int32
-	lid    int32
 }
 
 // Recall returns the fraction of true top-k entries (per exact) that also

@@ -198,15 +198,14 @@ func TestProbeVecReconstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(115))
 	p := genMatrix(rng, 120, 7, 1.0, 1, false, 2, 5)
 	ix, _ := NewIndex(p, testOptions(AlgLI))
-	locs := ix.probeLocations()
 	got := make([]float64, ix.r)
 	for id := 0; id < p.N(); id++ {
-		l, ok := locs[int32(id)]
+		_, bi, lid, ok := ix.find(int32(id))
 		if !ok {
 			t.Fatalf("probe %d missing from location lookup", id)
 		}
-		b := ix.scan[l.bucket]
-		vecmath.Scale(got, b.dir(int(l.lid)), b.lens[l.lid])
+		b := ix.scan[bi]
+		vecmath.Scale(got, b.dir(lid), b.lens[lid])
 		want := p.Vec(id)
 		for f := range want {
 			if math.Abs(got[f]-want[f]) > 1e-9 {

@@ -76,7 +76,7 @@ func TestAutoScreenMatchesUnscreened(t *testing.T) {
 							if _, err := ix.Apply(ups); err != nil {
 								t.Fatal(err)
 							}
-							if len(ix.delta) == 0 || len(ix.dead) == 0 {
+							if len(ix.runs) == 0 || ix.deadMain == 0 {
 								t.Fatal("mutated fixture has no delta buckets or no tombstones")
 							}
 						}

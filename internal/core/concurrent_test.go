@@ -189,3 +189,76 @@ func TestConcurrentRetrievals(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentDeriveBesideRetrievals is the sharing contract of the delta
+// layer under the race detector: while one writer derives 300 versions, each
+// from the last — setting tombstones in copied bitsets, merging runs,
+// carrying buckets, fits and the scratch pool over by pointer — readers keep
+// retrieving from the first index and three generations of its relatives.
+// Nothing reachable from a published index is written again, so every
+// answer equals the one the version gave before the writer started.
+func TestConcurrentDeriveBesideRetrievals(t *testing.T) {
+	const r = 10
+	rng := rand.New(rand.NewSource(2201))
+	p := genMatrix(rng, 400, r, 0.9, 1, false, 0, 0)
+	q := genMatrix(rng, 6, r, 0.9, 1, false, 1, 0)
+	base, err := NewIndex(p, Options{TuneByCost: true, MinBucketSize: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := base.Pretune(q, Problem{K: 5}); err != nil {
+		t.Fatal(err)
+	}
+	model := &probeModel{vecs: make(map[int32][]float64)}
+	for i := 0; i < p.N(); i++ {
+		model.vecs[int32(i)] = p.Vec(i)
+	}
+	var recent, gone []int32
+	nextID := int32(p.N())
+	derive := func(ix *Index, batches int) *Index {
+		for i := 0; i < batches; i++ {
+			next, _, err := ix.WithUpdates(churnBatch(rng, model, &nextID, r, &recent, &gone))
+			if err != nil {
+				t.Error(err)
+				return ix
+			}
+			ix = next
+		}
+		return ix
+	}
+	versions := []*Index{base}
+	for g := 0; g < 3; g++ { // three generations, 12 batches apart
+		versions = append(versions, derive(versions[g], 12))
+	}
+	ctx := context.Background()
+	answer := func(ix *Index) retrieval.TopK {
+		rows, _, err := ix.Retrieve(ctx, q, Problem{K: 7}, nil, RunOptions{})
+		if err != nil {
+			t.Error(err)
+		}
+		return rows
+	}
+	want := make([]retrieval.TopK, len(versions))
+	for i, ix := range versions {
+		want[i] = answer(ix)
+	}
+
+	var stop atomic.Bool
+	var readers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		readers.Add(1)
+		go func(w int) {
+			defer readers.Done()
+			for n := w; !stop.Load(); n++ {
+				if i := n % len(versions); !reflect.DeepEqual(answer(versions[i]), want[i]) {
+					t.Errorf("version %d answers differently beside the writer", i)
+					return
+				}
+			}
+		}(w)
+	}
+	last := derive(versions[len(versions)-1], 300)
+	stop.Store(true)
+	readers.Wait()
+	checkEqual(t, "the 300th derivation", last, model.freshIndex(t, r, Options{TuneByCost: true}), q, 7)
+}

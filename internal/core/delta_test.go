@@ -288,6 +288,156 @@ func TestDifferentialMutations(t *testing.T) {
 	t.Logf("%d sequences, %d differential checks", sequences, checks)
 }
 
+// churnBatch draws 1..6 ops valid for the model, mutating it in step like
+// randomBatch, but aimed where the run structure can break: most rewrites
+// and removals name an id some earlier batch added or rewrote (recent — an
+// entry of a run, perhaps one merged since), and some adds revive an id that
+// was removed (gone — dead in a run or in the main structure).
+func churnBatch(rng *rand.Rand, model *probeModel, nextID *int32, r int, recent, gone *[]int32) []ProbeUpdate {
+	pick := func(from []int32) (int32, bool) { // a live id, from the list if it has one
+		for try := 0; try < 4 && len(from) > 0; try++ {
+			if id := from[rng.Intn(len(from))]; model.vecs[id] != nil {
+				return id, true
+			}
+		}
+		if len(model.vecs) == 0 {
+			return 0, false
+		}
+		live := make([]int32, 0, len(model.vecs))
+		for id := range model.vecs {
+			live = append(live, id)
+		}
+		sort.Slice(live, func(a, b int) bool { return live[a] < live[b] })
+		return live[rng.Intn(len(live))], true
+	}
+	n := 1 + rng.Intn(6)
+	ups := make([]ProbeUpdate, 0, n)
+	for len(ups) < n {
+		op := rng.Intn(10)
+		id, ok := pick(nil)
+		if op >= 4 && rng.Intn(10) < 7 {
+			id, ok = pick(*recent)
+		}
+		switch {
+		case op < 4 || !ok: // add, sometimes of a removed id
+			id = *nextID
+			if k := len(*gone); k > 0 && rng.Intn(3) == 0 && model.vecs[(*gone)[k-1]] == nil {
+				id, *gone = (*gone)[k-1], (*gone)[:k-1]
+			} else {
+				*nextID++
+			}
+			vec := randVec(rng, r)
+			ups = append(ups, ProbeUpdate{Op: OpAdd, ID: id, Vec: vec})
+			model.vecs[id] = vec
+			*recent = append(*recent, id)
+		case op < 7: // rewrite
+			vec := randVec(rng, r)
+			ups = append(ups, ProbeUpdate{Op: OpUpdate, ID: id, Vec: vec})
+			model.vecs[id] = vec
+			*recent = append(*recent, id)
+		default:
+			ups = append(ups, ProbeUpdate{Op: OpRemove, ID: id})
+			delete(model.vecs, id)
+			*gone = append(*gone, id)
+		}
+	}
+	return ups
+}
+
+// TestDifferentialMutationsLong is the harness's long arm: sequences of 200
+// batches, so that runs merge through several levels, checked against a
+// fresh build every ten batches. Every index is derived copy-on-write, and
+// every sixteenth is kept with the model it had: at the end each kept
+// ancestor must still answer for its own model, whatever its descendants
+// tombstoned, merged and compacted since — the aliasing test of a structure
+// shared by pointer.
+func TestDifferentialMutationsLong(t *testing.T) {
+	sequences, batches := 48, 200
+	if testing.Short() {
+		sequences = 8
+	}
+	checks := 0
+	for seq := 0; seq < sequences; seq++ {
+		rng := rand.New(rand.NewSource(int64(9000 + seq)))
+		r := []int{3, 16}[seq%2]
+		opts := Options{
+			Algorithm:     diffAlgorithms[(seq/16)%len(diffAlgorithms)],
+			MinBucketSize: []int{1, 30}[seq/2%2],
+			Quantize:      seq/4%2 == 0,
+			TuneByCost:    true,
+		}
+		pretuned := seq/8%2 == 0
+		model := &probeModel{vecs: make(map[int32][]float64)}
+		n0 := 60 + rng.Intn(120)
+		p := matrix.New(r, n0)
+		for i := 0; i < n0; i++ {
+			vec := randVec(rng, r)
+			copy(p.Vec(i), vec)
+			model.vecs[int32(i)] = vec
+		}
+		ix, err := NewIndex(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pretuned {
+			sample := matrix.New(r, 8)
+			for i := 0; i < 8; i++ {
+				copy(sample.Vec(i), randVec(rng, r))
+			}
+			if err := ix.Pretune(sample, Problem{K: 5}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check := func(tag string, ix *Index, model *probeModel) {
+			q := matrix.New(r, 3)
+			for i := 0; i < 3; i++ {
+				if rng.Intn(6) != 0 { // else a zero query
+					copy(q.Vec(i), randVec(rng, r))
+				}
+			}
+			k := []int{1, 3, 10, len(model.vecs) + 5}[rng.Intn(4)]
+			checkEqual(t, tag, ix, model.freshIndex(t, r, opts), q, k)
+			checks++
+		}
+		type version struct {
+			ix    *Index
+			model *probeModel
+			step  int
+		}
+		var kept []version
+		var recent, gone []int32
+		nextID, maxRuns := int32(n0), 0
+		for step := 0; step < batches; step++ {
+			ups := churnBatch(rng, model, &nextID, r, &recent, &gone)
+			next, _, err := ix.WithUpdates(ups)
+			if err != nil {
+				t.Fatalf("seq %d step %d: %v", seq, step, err)
+			}
+			ix = next
+			maxRuns = max(maxRuns, len(ix.runs))
+			switch rng.Intn(60) {
+			case 0:
+				ix.Compact()
+			case 1, 2, 3:
+				ix.MaybeCompact(1.5)
+			}
+			if step%16 == 0 {
+				kept = append(kept, version{ix, model.clone(), step})
+			}
+			if step%10 == 9 {
+				check(fmt.Sprintf("long seq %d step %d", seq, step), ix, model)
+			}
+		}
+		if maxRuns < 3 {
+			t.Errorf("seq %d never held three runs at once (%d): the merge levels were not reached", seq, maxRuns)
+		}
+		for _, v := range kept {
+			check(fmt.Sprintf("long seq %d: the version of step %d, re-checked at the end", seq, v.step), v.ix, v.model)
+		}
+	}
+	t.Logf("%d sequences of %d batches, %d differential checks", sequences, batches, checks)
+}
+
 // TestApplyValidationAndAtomicity: a batch with any invalid op must leave
 // the index untouched — ids, epoch, live set and query results.
 func TestApplyValidationAndAtomicity(t *testing.T) {

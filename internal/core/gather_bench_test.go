@@ -173,7 +173,7 @@ func BenchmarkVerifyScalar(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			loadCands(s, cand, dense)
 			for _, lid := range s.lids() {
-				if ix.deadSkip(bk, int(lid)) {
+				if ix.deadSkip(0, int(lid)) {
 					continue
 				}
 				acc += vecmath.Dot(qdir, bk.dir(int(lid))) * bk.lens[lid]
@@ -194,7 +194,7 @@ func BenchmarkVerifyBlocked(b *testing.B) {
 		var acc float64
 		for i := 0; i < b.N; i++ {
 			loadCands(s, cand, dense)
-			ix.compactLiveCands(bk, s)
+			ix.compactLiveCands(0, s)
 			verifyDots(bk, qdir, s, &st)
 			for j, dot := range s.vals {
 				acc += dot * bk.lens[s.lid(j)]
@@ -240,7 +240,7 @@ func BenchmarkVerifyKernelGuard(b *testing.B) {
 		scalarPass := func() {
 			loadCands(s, cand, c.dense)
 			for _, lid := range s.lids() {
-				if ix.deadSkip(bk, int(lid)) {
+				if ix.deadSkip(0, int(lid)) {
 					continue
 				}
 				acc += vecmath.Dot(qdir, bk.dir(int(lid))) * bk.lens[lid]
@@ -248,7 +248,7 @@ func BenchmarkVerifyKernelGuard(b *testing.B) {
 		}
 		blockedPass := func() {
 			loadCands(s, cand, c.dense)
-			ix.compactLiveCands(bk, s)
+			ix.compactLiveCands(0, s)
 			verifyDots(bk, qdir, s, &st)
 			for j, dot := range s.vals {
 				acc += dot * bk.lens[s.lid(j)]

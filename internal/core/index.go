@@ -52,54 +52,49 @@ type Index struct {
 	// External probe ids (delta.go): main column col has id idBase+col, or
 	// probeIDs[col] when the live id set is no longer contiguous (after a
 	// Compact of a mutated index). mainLoc inverts probeIDs for mutation
-	// routing.
+	// routing; mainAt is the lazily built column → bucket entry index of
+	// this main structure, shared with every relative.
 	idBase   int32
 	probeIDs []int32
 	mainLoc  map[int32]int32
+	mainAt   *locator
 
-	// Delta layer (delta.go): tombstoned main ids, live overlay vectors,
-	// the overlay's bucketization, and the merged scan order. epoch counts
-	// applied mutation batches; nextID feeds AutoID adds.
-	epoch   uint64
-	nextID  int32
-	dead    map[int32]struct{}
-	overlay map[int32][]float64
-	delta   []*bucket
-	scan    []*bucket // main+delta merged by decreasing l_b; == buckets when no delta
+	// Delta layer (delta.go): the overlay's runs, oldest first, the merged
+	// scan order, and — aligned with it, nil until the first tombstone — the
+	// tombstones of this version. deadMain and overlayN count tombstoned
+	// main probes and live overlay vectors. epoch counts applied mutation
+	// batches; nextID feeds AutoID adds.
+	epoch    uint64
+	nextID   int32
+	runs     []runRef
+	scan     []*bucket // main+delta merged by decreasing l_b
+	dead     []tombs
+	deadMain int
+	overlayN int
 
 	// pretuned freezes per-call tuning: every retrieval runs under the
 	// frozen fit instead of fitting its own. Set by Pretune and restored by
 	// FromState. frozen is aligned with scan, nil unless pretuned (and then
 	// still nil when nothing was tunable: defaults), and only ever replaced
-	// wholesale — by Pretune, Compact's re-freeze, pretuneDelta, and
-	// refreshScan, which carries the main buckets' entries to their new
-	// positions — never written in place, so copy-on-write relatives and
-	// running jobs may hold it. tuneProb and tuneSample retain what Pretune
-	// fitted (the sample is nil when nothing was retained), so Compact can
-	// re-freeze.
+	// wholesale — by Pretune, Compact's re-freeze, pretuneDelta, and rescan,
+	// which carries every surviving bucket's entry to its new position —
+	// never written in place, so copy-on-write relatives and running jobs
+	// may hold it. tuneProb and tuneSample retain what Pretune fitted (the
+	// sample is nil when nothing was retained), so Compact can re-freeze.
 	pretuned   bool
 	frozen     []tunedParam
 	tuneProb   Problem
 	tuneSample *matrix.Matrix
-	// pretunedOverlay is the overlay size at the last delta-bucket pretune
-	// (delta.go): the overlay must grow 1.5× past it before another fit
-	// runs, amortizing per-batch tuning cost under churn.
-	pretunedOverlay int
 
-	lshOnce sync.Once
-	hasher  *lsh.Hasher
-	table   *lsh.Table
-
-	// scratchPool recycles per-worker scratch space across retrieval calls
-	// (see getScratch). Copy-on-write derivations start with an empty pool;
-	// stale sizings are rejected at Get time, so the pool needs no explicit
+	// State behind pointers that an index and all its copy-on-write
+	// relatives share (shallowClone copies the struct): the lazily created
+	// BLSH hyperplanes and posterior table, a function of the options alone,
+	// and the pool that recycles per-worker scratch space across retrieval
+	// calls (see getScratch), so a read after an update finds warm scratch.
+	// Stale sizings are rejected at Get time, so the pool needs no explicit
 	// invalidation when the bucket layout changes.
-	scratchPool sync.Pool
-
-	// Lazy external-id → (scan bucket, lid) lookup for RetrieveApprox,
-	// invalidated by mutations.
-	probeMu   sync.Mutex
-	probeLocs map[int32]probeLoc
+	lsh         *lshState
+	scratchPool *sync.Pool
 }
 
 // NewIndex preprocesses the probe matrix into a LEMP index. The matrix must
@@ -135,12 +130,12 @@ func NewIndexWithIDs(p *matrix.Matrix, ids []int32, opts Options) (*Index, error
 		}
 	}
 	start := time.Now()
-	ix := &Index{opts: opts, r: p.R(), n: p.N(), probe: p, id: indexSeq.Add(1),
+	ix := &Index{opts: opts, r: p.R(), n: p.N(), probe: p, id: indexSeq.Add(1), lsh: new(lshState), scratchPool: new(sync.Pool),
 		autoScreen: !opts.Quantize && quant.Accelerated(p.R())}
 	ix.setIDs(ids)
-	ix.buckets = bucketize(p, ix.explicitIDs(), opts.ShrinkFactor, opts.MinBucketSize, ix.bucketCap())
-	ix.attachSidecars(ix.buckets)
-	ix.refreshScan()
+	buckets := bucketize(p, ix.explicitIDs(), opts.ShrinkFactor, opts.MinBucketSize, ix.bucketCap())
+	ix.attachSidecars(buckets)
+	ix.setMain(buckets)
 	ix.nextID = maxIDPlusOne(ix)
 	ix.prepTime = time.Since(start)
 	return ix, nil
@@ -219,14 +214,21 @@ func (ix *Index) PrepTime() time.Duration { return ix.prepTime }
 // Options returns the effective (defaulted) options.
 func (ix *Index) Options() Options { return ix.opts }
 
+type lshState struct {
+	once   sync.Once
+	hasher *lsh.Hasher
+	table  *lsh.Table
+}
+
 // ensureLSH lazily creates the shared BLSH hyperplanes and posterior table.
 func (ix *Index) ensureLSH() (*lsh.Hasher, *lsh.Table) {
-	ix.lshOnce.Do(func() {
+	l := ix.lsh
+	l.once.Do(func() {
 		rng := rand.New(rand.NewSource(ix.opts.Seed))
-		ix.hasher = lsh.NewHasher(ix.r, ix.opts.SignatureBits, rng)
-		ix.table = lsh.NewTable(ix.opts.SignatureBits, ix.opts.Epsilon)
+		l.hasher = lsh.NewHasher(ix.r, ix.opts.SignatureBits, rng)
+		l.table = lsh.NewTable(ix.opts.SignatureBits, ix.opts.Epsilon)
 	})
-	return ix.hasher, ix.table
+	return l.hasher, l.table
 }
 
 // defaultPhi is the focus-set size used under options o before tuning has

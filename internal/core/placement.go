@@ -78,14 +78,10 @@ func ScanCostWeights(p *matrix.Matrix, opts Options) []float64 {
 // shards and the placement-skew gauge reports.
 func (ix *Index) EstimatedCost() float64 {
 	var cost float64
-	for _, b := range ix.scan {
+	for bi, b := range ix.scan {
 		live := b.size()
-		if !b.delta && len(ix.dead) > 0 {
-			for lid := 0; lid < b.size(); lid++ {
-				if ix.deadSkip(b, lid) {
-					live--
-				}
-			}
+		if ix.dead != nil {
+			live -= int(ix.dead[bi].n)
 		}
 		cost += float64(live) * b.lb
 	}
@@ -99,9 +95,9 @@ func (ix *Index) EstimatedCost() float64 {
 func (ix *Index) DirectionCone() *Cone {
 	c := &Cone{CosRadius: 1}
 	sum := make([]float64, ix.r)
-	for _, b := range ix.scan {
+	for bi, b := range ix.scan {
 		for lid := 0; lid < b.size(); lid++ {
-			if ix.deadSkip(b, lid) {
+			if ix.deadSkip(bi, lid) {
 				continue
 			}
 			if l := b.lens[lid]; l > c.MaxLen {
@@ -124,9 +120,9 @@ func (ix *Index) DirectionCone() *Cone {
 	}
 	c.Centroid = centroid
 	minDot := 1.0
-	for _, b := range ix.scan {
+	for bi, b := range ix.scan {
 		for lid := 0; lid < b.size(); lid++ {
-			if ix.deadSkip(b, lid) || b.lens[lid] == 0 {
+			if ix.deadSkip(bi, lid) || b.lens[lid] == 0 {
 				continue
 			}
 			if d := vecmath.Dot(b.dir(lid), centroid); d < minDot {
@@ -146,15 +142,7 @@ func (ix *Index) DirectionCone() *Cone {
 // plus overlay vectors — as a fresh matrix with its ids in ascending order,
 // the gather step of a shard re-placement.
 func (ix *Index) LiveProbes() (*matrix.Matrix, []int32) {
-	ids := ix.LiveIDs()
-	m := matrix.New(ix.r, len(ids))
-	for i, id := range ids {
-		if v, ok := ix.overlay[id]; ok {
-			copy(m.Vec(i), v)
-			continue
-		}
-		col, _ := ix.mainCol(id)
-		copy(m.Vec(i), ix.probe.Vec(col))
-	}
-	return m, ids
+	live := ix.liveVecs()
+	sort.Slice(live, func(a, b int) bool { return live[a].id < live[b].id })
+	return ix.materialize(live)
 }

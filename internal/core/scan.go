@@ -39,8 +39,8 @@ func (ix *Index) scanRange(c *call, p Problem, qs *querySet, lo, hi int, s *scra
 }
 
 // verifyCands is the per-pair step of both kernels (line 16 of Algorithm
-// 1): count the candidates the bucket method left in s.cand, drop
-// tombstones, screen against cut — θ, or the current heap floor — where
+// 1), for scan bucket bi: count the candidates its method left in s.cand,
+// drop tombstones, screen against cut — θ, or the current heap floor — where
 // sidecarFor says the pair is screened, and compute the survivors' dots q̄ᵀp̄
 // into s.vals with the blocked kernels (verify.go). The tuner's measurements
 // and its Row-Top-k trajectory call it too, so §4.4 fits the cost a scan
@@ -49,9 +49,10 @@ func (ix *Index) scanRange(c *call, p Problem, qs *querySet, lo, hi int, s *scra
 // depends neither on the candidates it is verified with nor on the tile its
 // query rides in. With approx set the screen's survivors keep their quantized
 // estimate and the exact kernels are skipped.
-func (ix *Index) verifyCands(b *bucket, s *scratch, qi int32, qdir []float64, qlen, cut float64, approx bool, st *Stats) {
+func (ix *Index) verifyCands(bi int, s *scratch, qi int32, qdir []float64, qlen, cut float64, approx bool, st *Stats) {
+	b := ix.scan[bi]
 	st.Candidates += int64(len(s.cand))
-	ix.compactLiveCands(b, s)
+	ix.compactLiveCands(bi, s)
 	if !ix.screenCands(b, s, qi, qdir, qlen, cut, approx, st) {
 		verifyDots(b, qdir, s, st)
 	}
@@ -91,7 +92,7 @@ func (ix *Index) aboveWorker(c *call, qs *querySet, lo, hi int, theta float64, s
 			qdir, origID := qs.dir(qi), int(qs.ids[qi])
 			alg, phi := ix.resolve(c, bi, thetaB)
 			ix.gather(b, alg, phi, int32(qi), qdir, qlen, theta, thetaB, l2T0, s)
-			ix.verifyCands(b, s, int32(qi), qdir, qlen, theta, false, st)
+			ix.verifyCands(bi, s, int32(qi), qdir, qlen, theta, false, st)
 			// Each emitted value is (q̄ᵀp̄)·‖q‖·‖p‖, always multiplied in
 			// that order.
 			for i, dot := range s.vals {
@@ -195,7 +196,7 @@ func (ix *Index) topkTile(c *call, qs *querySet, lo, hi, kk int, s *scratch, out
 			// theta is -Inf until the heap fills, so nothing screens before
 			// the seed; Push drops values ≤ the floor, so the screen's
 			// strict < is byte-safe. v = (q̄ᵀp̄)·‖p‖.
-			ix.verifyCands(b, s, int32(qi), qdir, 1, theta, c.approx, st)
+			ix.verifyCands(bi, s, int32(qi), qdir, 1, theta, c.approx, st)
 			for i, dot := range s.vals {
 				lid := s.lid(i)
 				heap.Push(int(b.ids[lid]), dot*b.lens[lid])
@@ -236,7 +237,7 @@ func (ix *Index) zeroQueryRow(origID, kk int) []retrieval.Entry {
 		var bestLen float64
 		var bestID int32
 		for bi, b := range ix.scan {
-			for cur[bi] < b.size() && ix.deadSkip(b, cur[bi]) {
+			for cur[bi] < b.size() && ix.deadSkip(bi, cur[bi]) {
 				cur[bi]++
 			}
 			if cur[bi] >= b.size() {

@@ -106,9 +106,10 @@ func newScratch(maxBucket, r int) *scratch {
 
 // getScratch hands out a pooled per-worker scratch, falling back to a fresh
 // allocation when the pool is empty or the index's bucket layout outgrew the
-// pooled sizing (after delta rebuilds). Pooling keeps steady-state serving
-// load allocation-free: repeated retrieval calls on one index stop paying
-// the O(maxBucket) scratch setup per call.
+// pooled sizing (a relative's, or this index's before a batch). Pooling keeps
+// steady-state serving load allocation-free: repeated retrieval calls on an
+// index and its relatives stop paying the O(maxBucket) scratch setup per
+// call.
 func (ix *Index) getScratch() *scratch {
 	if v := ix.scratchPool.Get(); v != nil {
 		s := v.(*scratch)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"lemp/internal/matrix"
@@ -168,7 +169,7 @@ func FromState(st *State) (*Index, error) {
 		return nil, fmt.Errorf("core: state has no probe matrix")
 	}
 	r, n := st.Probe.R(), st.Probe.N()
-	ix := &Index{opts: opts, r: r, n: n, probe: st.Probe, pretuned: st.Pretuned, id: indexSeq.Add(1),
+	ix := &Index{opts: opts, r: r, n: n, probe: st.Probe, pretuned: st.Pretuned, id: indexSeq.Add(1), lsh: new(lshState), scratchPool: new(sync.Pool),
 		autoScreen: !opts.Quantize && quant.Accelerated(r)}
 	if st.TuneSample != nil && st.Pretuned {
 		if st.TuneSample.R() != r {
@@ -205,7 +206,7 @@ func FromState(st *State) (*Index, error) {
 			idSet[id] = false
 		}
 	}
-	ix.buckets = make([]*bucket, len(st.Buckets))
+	buckets := make([]*bucket, len(st.Buckets))
 	frozen := make([]tunedParam, len(st.Buckets))
 	seen := make([]bool, n)
 	var listSeen []bool // per-list permutation check scratch, sized on demand
@@ -299,10 +300,7 @@ func FromState(st *State) (*Index, error) {
 			}
 			b.q8.Store(q8)
 		}
-		ix.buckets[i] = b
-		if size > ix.maxBucket {
-			ix.maxBucket = size
-		}
+		buckets[i] = b
 	}
 	if total != n {
 		return nil, fmt.Errorf("core: buckets hold %d probes, probe matrix has %d", total, n)
@@ -310,8 +308,8 @@ func FromState(st *State) (*Index, error) {
 	ix.setIDs(st.IDs)
 	// Quantize on but no (or only some) persisted sidecars — a pre-quant
 	// snapshot loaded with screening requested: quantize the missing ones.
-	ix.attachSidecars(ix.buckets)
-	ix.refreshScan()
+	ix.attachSidecars(buckets)
+	ix.setMain(buckets)
 	if st.Pretuned {
 		ix.frozen = frozen // scan is buckets: no delta layer in a state
 	}

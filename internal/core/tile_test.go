@@ -97,7 +97,7 @@ func tileFixture(t *testing.T, alg Algorithm, quantize, mutate bool) (*Index, *m
 		if _, err := ix.Apply(ups); err != nil {
 			t.Fatal(err)
 		}
-		if len(ix.delta) == 0 || len(ix.dead) == 0 {
+		if len(ix.runs) == 0 || ix.deadMain == 0 {
 			t.Fatal("mutated fixture has no delta buckets or no tombstones")
 		}
 	}
@@ -199,7 +199,7 @@ func TestTopKTilesMatchPerRowLoop(t *testing.T) {
 		if !s.prefix || len(s.cand) != b.size() {
 			t.Fatalf("LENGTH at θ = -Inf: prefix=%v over %d of %d rows", s.prefix, len(s.cand), b.size())
 		}
-		ix.compactLiveCands(b, s)
+		ix.compactLiveCands(0, s)
 		if s.prefix {
 			t.Fatal("prefix flag survived a tombstone inside the prefix")
 		}
@@ -208,7 +208,7 @@ func TestTopKTilesMatchPerRowLoop(t *testing.T) {
 		for lid := 0; lid < b.size(); lid++ {
 			want.cand = append(want.cand, int32(lid))
 		}
-		ix.compactLiveCands(b, want)
+		ix.compactLiveCands(0, want)
 		verifyDots(b, qdir, want, &st)
 		if len(s.cand) != b.size()-1 || !slices.Equal(s.cand, want.cand) || !slices.Equal(s.vals, want.vals) {
 			t.Fatalf("flagged prefix:\n got %v %v\nwant %v %v", s.cand, s.vals, want.cand, want.vals)
@@ -217,7 +217,7 @@ func TestTopKTilesMatchPerRowLoop(t *testing.T) {
 		// verifier, which must give the written-out list's values.
 		b = ix.scan[1]
 		allCandidates(b, s)
-		ix.compactLiveCands(b, s)
+		ix.compactLiveCands(1, s)
 		if !s.prefix {
 			t.Fatal("prefix flag cleared with no tombstone inside the prefix")
 		}

@@ -105,20 +105,22 @@ type observation struct {
 // context at bucket boundaries: a canceled call stops mid-sample and returns
 // the context error and no fit.
 //
-// With deltaOnly only the delta buckets are observed and fitted; the main
-// buckets' entries are the frozen fit's. The Row-Top-k sample still walks the
-// scan prefix up to the deepest target bucket to advance the
-// running-threshold trajectory — the observations must be taken at the
-// thresholds a real run would see — but skips the per-bucket cost
+// With deltaOnly only the delta buckets the frozen fit has no entry for are
+// observed and fitted; every other entry is the frozen fit's. The Row-Top-k
+// sample still walks the scan prefix up to the deepest target bucket to
+// advance the running-threshold trajectory — the observations must be taken
+// at the thresholds a real run would see — but skips the per-bucket cost
 // measurements everywhere else and stops once no target bucket remains, so
 // a restricted pass costs O(scan prefix), not O(index). Delta-layer
-// pretuning (delta.go) uses this to fit freshly built overlay buckets from
-// the retained pretune sample.
+// pretuning (delta.go) uses this to fit new overlay buckets from the
+// retained pretune sample.
 func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tunedParam, error) {
-	target := func(b *bucket) bool { return !deltaOnly || b.delta }
+	target := func(bi int) bool {
+		return !deltaOnly || ix.scan[bi].delta && !fitEntry(ix.frozen, bi).tuned
+	}
 	lastTarget := -1
-	for bi, b := range ix.scan {
-		if target(b) {
+	for bi := range ix.scan {
+		if target(bi) {
 			lastTarget = bi
 		}
 	}
@@ -155,8 +157,8 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 				if thetaB > 1 {
 					break // buckets are ordered by decreasing l_b
 				}
-				if target(b) {
-					perSample[si] = append(perSample[si], bucketObs{bi, ix.observe(c, b, int32(qi), qdir, qlen, prob.Theta, thetaB, s)})
+				if target(bi) {
+					perSample[si] = append(perSample[si], bucketObs{bi, ix.observe(c, bi, int32(qi), qdir, qlen, prob.Theta, thetaB, s)})
 				}
 			}
 			return
@@ -185,14 +187,14 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 			// measured, the observation's own LENGTH pass is that step: it
 			// ran last and left its candidates in the scratch, verified
 			// already unless costs are counted.
-			observed := thetaB > 0 && target(b)
+			observed := thetaB > 0 && target(bi)
 			if observed {
-				perSample[si] = append(perSample[si], bucketObs{bi, ix.observe(c, b, int32(qi), qdir, 1, theta, thetaB, s)})
+				perSample[si] = append(perSample[si], bucketObs{bi, ix.observe(c, bi, int32(qi), qdir, 1, theta, thetaB, s)})
 			} else {
 				runLength(b, theta, 1, s)
 			}
 			if !observed || c.opts.TuneByCost {
-				ix.verifyCands(b, s, int32(qi), qdir, 1, theta, c.approx, &trajStats)
+				ix.verifyCands(bi, s, int32(qi), qdir, 1, theta, c.approx, &trajStats)
 			}
 			for i, dot := range s.vals {
 				lid := s.lid(i)
@@ -240,8 +242,8 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 	if deltaOnly {
 		copy(fit, ix.frozen)
 	}
-	for bi, b := range ix.scan {
-		if target(b) {
+	for bi := range ix.scan {
+		if target(bi) {
 			fit[bi] = ix.fitBucket(c.opts, obs[bi])
 		}
 	}
@@ -260,7 +262,8 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 // Row-Top-k sample to advance its threshold from. The bucket's sorted lists
 // are built beforehand, over the call's parallelism, and so is the sidecar a
 // timed pass could be the first to ask for: no measurement times a build.
-func (ix *Index) observe(c *call, b *bucket, qi int32, qdir []float64, qlen, theta, thetaB float64, s *scratch) observation {
+func (ix *Index) observe(c *call, bi int, qi int32, qdir []float64, qlen, theta, thetaB float64, s *scratch) observation {
+	b := ix.scan[bi]
 	o := observation{thetaB: thetaB, costPhi: make([]float64, c.opts.MaxPhi+1)}
 	byCost := c.opts.TuneByCost
 	b.ensureLists(c.opts.Parallelism)
@@ -276,7 +279,7 @@ func (ix *Index) observe(c *call, b *bucket, qi int32, qdir []float64, qlen, the
 			return float64(s.work + int64(len(s.cand))*int64(b.r))
 		}
 		var mst Stats
-		ix.verifyCands(b, s, qi, qdir, qlen, theta, c.approx, &mst)
+		ix.verifyCands(bi, s, qi, qdir, qlen, theta, c.approx, &mst)
 		var acc float64
 		for i, dot := range s.vals {
 			acc += dot * qlen * b.lens[s.lid(i)]

@@ -33,18 +33,19 @@ import (
 // checks are applied per block by the callers, which read the dot products
 // back out of s.vals.
 
-// compactLiveCands drops tombstoned candidates from s.cand in place,
-// preserving the generator's order. Delta buckets hold only live entries
-// and skip the filter entirely. A recorded prefix stays one unless a
-// tombstone falls inside it.
-func (ix *Index) compactLiveCands(b *bucket, s *scratch) {
-	if b.delta || len(ix.dead) == 0 {
+// compactLiveCands drops the tombstoned candidates of scan bucket bi from
+// s.cand in place, preserving the generator's order. A bucket without a
+// tombstone — every bucket of a never-mutated index — skips the filter
+// entirely. A recorded prefix stays one unless a tombstone falls inside it.
+func (ix *Index) compactLiveCands(bi int, s *scratch) {
+	if ix.dead == nil || ix.dead[bi].bits == nil {
 		return
 	}
+	bits := ix.dead[bi].bits
 	cand := s.lids()
 	k := 0
 	for _, lid := range cand {
-		if _, gone := ix.dead[b.ids[lid]]; !gone {
+		if bits[lid>>6]&(1<<(uint32(lid)&63)) == 0 {
 			cand[k] = lid
 			k++
 		}

@@ -29,7 +29,7 @@ func TestBlockedVerifyBitIdenticalToScalar(t *testing.T) {
 		if n > 2 && trial%2 == 0 {
 			for d := 0; d < 1+rng.Intn(3); d++ {
 				id := int32(rng.Intn(n))
-				if ix.isLive(id) {
+				if _, _, _, live := ix.find(id); live {
 					if err := ix.RemoveProbe(id); err != nil {
 						t.Fatal(err)
 					}
@@ -42,7 +42,7 @@ func TestBlockedVerifyBitIdenticalToScalar(t *testing.T) {
 		}
 		vecmath.Normalize(qdir, qdir)
 		s := newScratch(ix.maxBucket, ix.r)
-		for _, b := range ix.scan {
+		for bi, b := range ix.scan {
 			// Random candidate subset in shuffled order (coordinate
 			// methods emit candidates in list order, not lid order).
 			s.resetCands()
@@ -59,14 +59,14 @@ func TestBlockedVerifyBitIdenticalToScalar(t *testing.T) {
 			var wantLids []int32
 			var wantBits []uint64
 			for _, lid := range s.cand {
-				if ix.deadSkip(b, int(lid)) {
+				if ix.deadSkip(bi, int(lid)) {
 					continue
 				}
 				wantLids = append(wantLids, lid)
 				wantBits = append(wantBits, math.Float64bits(vecmath.Dot(qdir, b.dir(int(lid)))))
 			}
 			var st Stats
-			ix.compactLiveCands(b, s)
+			ix.compactLiveCands(bi, s)
 			verifyDots(b, qdir, s, &st)
 			if len(s.cand) != len(wantLids) {
 				t.Fatalf("trial %d: %d live candidates, want %d", trial, len(s.cand), len(wantLids))
@@ -158,7 +158,7 @@ func TestPretuneDeltaBuckets(t *testing.T) {
 	if _, err := ix.Apply(ups); err != nil {
 		t.Fatal(err)
 	}
-	if len(ix.delta) == 0 {
+	if len(ix.runs) == 0 {
 		t.Fatal("batch produced no overlay entries")
 	}
 	for bi, b := range ix.scan {

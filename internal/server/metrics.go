@@ -244,6 +244,12 @@ func (s *Server) wireState() {
 	s.sharded.scanHist = m.shardScan
 	s.sharded.mergeHist = m.mergeDur
 	s.sharded.onCallStats = m.recordCallStats
+	s.sharded.applyHist = reg.Histogram("lemp_update_apply_seconds",
+		"Wall time of one committed update batch, any shard compaction it ran included.",
+		obs.LatencyBuckets())
+	s.sharded.compactHist = reg.Histogram("lemp_compaction_seconds",
+		"Wall time of one shard compaction (re-bucketization triggered by update delta mass).",
+		obs.LatencyBuckets())
 	// And the batcher: wait/size histograms, the idle-gap counter and the
 	// batch-scoped tracer.
 	s.batcher.batchWaitHist = m.batchWait

@@ -144,6 +144,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"lemp_batches_total", "lemp_batch_rows_total", "lemp_batch_queue_rows",
 		"lemp_traces_finished_total", "lemp_traces_retained_total",
 		"lemp_requests_shed_total", "lemp_batch_dispatch_idle_ns",
+		"lemp_update_apply_seconds", "lemp_compaction_seconds",
 	}
 	for _, name := range required {
 		if fams[name] == nil {
@@ -198,6 +199,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if v, ok := value("lemp_request_duration_seconds_count", nil); ok && v == 0 {
 		t.Errorf("request duration histogram recorded nothing")
+	}
+	if f := fams["lemp_update_apply_seconds"]; f != nil {
+		for _, s := range f.Samples {
+			if s.Name == "lemp_update_apply_seconds_count" && s.Value != 1 {
+				t.Errorf("update apply histogram holds %v observations, want 1: one per committed batch", s.Value)
+			}
+		}
 	}
 }
 

@@ -98,6 +98,10 @@ type Sharded struct {
 	scanHist    []*obs.Histogram
 	mergeHist   *obs.Histogram
 	onCallStats func(lemp.Stats)
+	// applyHist observes the wall time of each committed Update, compactHist
+	// that of each shard compaction inside one.
+	applyHist   *obs.Histogram
+	compactHist *obs.Histogram
 
 	// Test instrumentation: when set, testShardStart is called as each
 	// shard retrieval begins (with the retrieval context, so a test can
@@ -698,14 +702,17 @@ type UpdateResult struct {
 // shard), each affected shard derives a new index copy-on-write, and all
 // new indexes are swapped in under a single epoch increment — a query
 // View taken before the swap sees none of the batch, one taken after sees
-// all of it. On any validation error (unknown or duplicate id, dimension
-// mismatch, non-finite coordinate) nothing is changed.
+// all of it. Every op is validated while the batch is planned (unknown or
+// duplicate id, dimension mismatch, non-finite coordinate, each reported
+// under the op's index in the batch), before any shard derives anything: a
+// rejected batch changes and counts nothing.
 //
 // compactThreshold bounds per-shard delta mass: after applying the batch,
 // any shard whose DeltaMass exceeds it is re-bucketized before the swap
 // (negative disables compaction). Update calls serialize with each other
 // but not with queries: in-flight retrievals keep their views.
 func (s *Sharded) Update(ups []lemp.ProbeUpdate, compactThreshold float64) (UpdateResult, error) {
+	start := time.Now()
 	s.updMu.Lock()
 	defer s.updMu.Unlock()
 
@@ -777,6 +784,9 @@ func (s *Sharded) Update(ups []lemp.ProbeUpdate, compactThreshold float64) (Upda
 	nextID := s.nextID
 	ids := make([]int32, len(ups))
 	for i, up := range ups {
+		if err := up.CheckVector(i, s.r); err != nil {
+			return UpdateResult{}, err
+		}
 		switch up.Op {
 		case lemp.OpAdd:
 			id := up.ID
@@ -814,10 +824,11 @@ func (s *Sharded) Update(ups []lemp.ProbeUpdate, compactThreshold float64) (Upda
 		}
 	}
 
-	// Derive the new index versions copy-on-write. Nothing is visible yet,
-	// so an error from any shard aborts the whole batch atomically.
+	// Derive the new index versions copy-on-write. Nothing is visible yet;
+	// the plan above validated every op, so no shard refuses its share.
 	newIxs := make([]*lemp.Index, len(cur))
 	changed := false
+	compacted := uint64(0)
 	for i, ops := range perShard {
 		if len(ops) == 0 {
 			continue
@@ -826,8 +837,11 @@ func (s *Sharded) Update(ups []lemp.ProbeUpdate, compactThreshold float64) (Upda
 		if err != nil {
 			return UpdateResult{}, err
 		}
-		if compactThreshold >= 0 && nix.MaybeCompact(compactThreshold) {
-			s.compactions.Add(1)
+		if compactStart := time.Now(); compactThreshold >= 0 && nix.MaybeCompact(compactThreshold) {
+			compacted++
+			if s.compactHist != nil {
+				s.compactHist.ObserveDuration(time.Since(compactStart))
+			}
 		}
 		newIxs[i] = nix
 		changed = true
@@ -886,6 +900,10 @@ func (s *Sharded) Update(ups []lemp.ProbeUpdate, compactThreshold float64) (Upda
 	}
 	res := UpdateResult{Epoch: s.epoch, IDs: ids, LiveN: s.n}
 	s.mu.Unlock()
+	s.compactions.Add(compacted)
+	if s.applyHist != nil {
+		s.applyHist.ObserveDuration(time.Since(start))
+	}
 
 	// Drift bound: placement-routed adds land wherever the placement says,
 	// which the compact range router records as exceptions. Once the

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"math"
 	"net/http"
 
 	"lemp"
@@ -62,7 +61,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "update batch holds %d ops, limit is %d", len(req.Updates), s.cfg.MaxUpdateOps)
 		return
 	}
-	dim := s.sharded.R()
 	ups := make([]lemp.ProbeUpdate, len(req.Updates))
 	for i, op := range req.Updates {
 		var kind lemp.UpdateOp
@@ -88,26 +86,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "update %d: op %q needs an id", i, op.Op)
 			return
 		}
-		if kind == lemp.OpRemove {
-			if op.Vector != nil {
-				httpError(w, http.StatusBadRequest, "update %d: remove takes no vector", i)
-				return
-			}
-		} else {
-			if len(op.Vector) != dim {
-				httpError(w, http.StatusBadRequest, "update %d: vector has dimension %d, want %d", i, len(op.Vector), dim)
-				return
-			}
-			// Same door policy as queries: non-finite coordinates poison
-			// lengths and bucket bounds. The JSON decoder cannot produce
-			// them, but the core guard is mirrored here so any future
-			// transport hits it too.
-			for j, x := range op.Vector {
-				if math.IsNaN(x) || math.IsInf(x, 0) {
-					httpError(w, http.StatusBadRequest, "update %d: coordinate %d is %v; coordinates must be finite", i, j, x)
-					return
-				}
-			}
+		if kind == lemp.OpRemove && op.Vector != nil {
+			httpError(w, http.StatusBadRequest, "update %d: remove takes no vector", i)
+			return
 		}
 		ups[i] = lemp.ProbeUpdate{Op: kind, ID: id, Vec: op.Vector}
 	}

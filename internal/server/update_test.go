@@ -225,6 +225,57 @@ func TestUpdateHandlerRejects(t *testing.T) {
 	}
 }
 
+// TestUpdateValidatesBeforeDeriving: Sharded.Update checks every op's vector
+// while it plans the batch, before placement reads it and before any shard
+// derives or compacts anything — so a bad vector is an error under every
+// placement, is reported under its index in the batch, and costs nothing.
+func TestUpdateValidatesBeforeDeriving(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const r, n = 4, 40
+	p := epochProbe(rng, r, n)
+	vec := func() []float64 { return append([]float64(nil), p.Vec(rng.Intn(n))...) }
+
+	t.Run("cluster placement meets a short vector", func(t *testing.T) {
+		sh, err := NewShardedPlaced(p, nil, 2, lemp.Options{Parallelism: 1}, PlaceCluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sh.Update([]lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: []float64{1, 2}}}, -1); err == nil {
+			t.Fatal("a two-coordinate add was accepted by a four-dimensional catalog")
+		}
+	})
+
+	t.Run("a rejected batch counts no compaction and names its own op", func(t *testing.T) {
+		sh, err := NewShardedPlaced(p, nil, 2, lemp.Options{Parallelism: 1}, PlaceRange)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := sh.Indexes()[1].LiveIDs()
+		// Op 0 alone would push shard 0 past the threshold and compact it;
+		// op 1 is shard 1's first op and no index accepts it.
+		ups := []lemp.ProbeUpdate{
+			{Op: lemp.OpUpdate, ID: sh.Indexes()[0].LiveIDs()[0], Vec: vec()},
+			{Op: lemp.OpUpdate, ID: ids[0], Vec: []float64{math.NaN(), 0, 0, 0}},
+		}
+		_, err = sh.Update(ups, 0)
+		if err == nil {
+			t.Fatal("a NaN coordinate was accepted")
+		}
+		if !strings.Contains(err.Error(), "update 1:") {
+			t.Errorf("error %q does not name op 1 of the batch", err)
+		}
+		if c, e := sh.Compactions(), sh.Epoch(); c != 0 || e != 0 {
+			t.Errorf("rejected batch left %d compactions at epoch %d, want 0 at 0", c, e)
+		}
+		if _, err := sh.Update(ups[:1], 0); err != nil {
+			t.Fatal(err)
+		}
+		if c, e := sh.Compactions(), sh.Epoch(); c != 1 || e != 1 {
+			t.Errorf("the valid half alone: %d compactions at epoch %d, want 1 at 1", c, e)
+		}
+	})
+}
+
 // FuzzUpdateHandler throws arbitrary JSON at /v1/update: the handler must
 // never panic, and any non-200 response must leave the server's epoch and
 // probe count untouched.

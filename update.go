@@ -5,12 +5,18 @@ import (
 )
 
 // Dynamic probe updates. An Index is no longer frozen at build time: probes
-// can be added, removed and replaced by stable external id, with small
-// changes absorbed by a cheap delta layer (per-index overlay buckets plus a
-// tombstone set, scanned alongside the main buckets) and accumulated drift
-// folded back into a full re-bucketization by Compact. Results remain
-// exact after any mutation sequence: a mutated index answers queries
-// identically to an index freshly built over the same live probe set.
+// can be added, removed and replaced by stable external id, with changes
+// absorbed by a delta layer scanned alongside the main buckets — a batch's
+// new vectors become one immutable run of ordinary buckets, runs merge
+// geometrically, and a removed or rewritten probe is a bit in its bucket's
+// tombstone bitset — and accumulated drift folded back into a full
+// re-bucketization by Compact. Applying a batch costs O(batch · r + buckets)
+// time and allocation, independent of the probe count and of what the delta
+// layer already holds; a derived index shares every bucket the batch did
+// not retire, and nothing reachable from an index is written again once it
+// is published. Results remain exact after any mutation sequence: a mutated
+// index answers queries identically to an index freshly built over the same
+// live probe set.
 //
 // Concurrency: a mutation call is exclusive with everything else on the
 // Index it mutates (see Index). Serving layers that must keep answering
