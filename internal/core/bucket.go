@@ -72,10 +72,10 @@ func (b *bucket) dir(lid int) []float64 {
 }
 
 // ensureLists builds the sorted-list index on first use, over up to
-// `workers` goroutines (the scan paths pass 1; the tuning sample passes the
-// call's parallelism, since it is what first touches most buckets). A
-// bucket restored from a snapshot that persisted its lists (SLST section)
-// arrives with b.lists pre-populated and skips the build.
+// `workers` goroutines: the scan paths pass 1, the tuning pass — which builds
+// most lists, and only for a bucket it is about to observe (tune) — the
+// call's parallelism. A bucket restored from a snapshot that persisted its
+// lists (SLST section) arrives with b.lists pre-populated and skips the build.
 func (b *bucket) ensureLists(workers int) *sortedLists {
 	b.listsOnce.Do(func() {
 		if b.lists.Load() == nil {

@@ -262,3 +262,72 @@ func TestConcurrentDeriveBesideRetrievals(t *testing.T) {
 	readers.Wait()
 	checkEqual(t, "the 300th derivation", last, model.freshIndex(t, r, Options{TuneByCost: true}), q, 7)
 }
+
+// TestConcurrentTuneBesideRetrievals runs the tuning pass itself under the
+// race detector: two problems are fitted at once on one cold index, each pass
+// fanning its pairs over three goroutines, beside retrievals of both problems
+// that fit and scan too. The passes meet in the lazy builds — sorted lists
+// and sidecars behind their Once — and in the scratch pool, and share nothing
+// else, so under counted costs every fit and every answer is the one the
+// same call gives alone.
+func TestConcurrentTuneBesideRetrievals(t *testing.T) {
+	const r = 10
+	rng := rand.New(rand.NewSource(2302))
+	p := genMatrix(rng, 600, r, 0.9, 1, false, 0, 0)
+	q := genMatrix(rng, 24, r, 0.9, 1, false, 1, 0)
+	theta, _ := safeTheta(t, q, p, 120)
+	probs := []Problem{{K: 4}, {Theta: theta}}
+	build := func() *Index {
+		ix, err := NewIndex(p, Options{TuneByCost: true, MinBucketSize: 10, CacheBytes: 8 * 1024, Parallelism: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix.autoScreen = true // lazy sidecars whatever the host's kernels
+		return ix
+	}
+	tune := func(ix *Index, prob Problem) []tunedParam {
+		fit, err := ix.tune(newCall(nil, ix.opts, nil), prepareQueries(q), prob, false)
+		if err != nil {
+			t.Error(err)
+		}
+		return fit
+	}
+	answer := func(ix *Index, prob Problem) any {
+		var above []retrieval.Entry
+		var sink retrieval.Sink
+		if prob.K == 0 {
+			sink = retrieval.Collect(&above)
+		}
+		rows, _, err := ix.Retrieve(context.Background(), q, prob, sink, RunOptions{})
+		if err != nil {
+			t.Error(err)
+		}
+		retrieval.Sort(above)
+		return []any{rows, above}
+	}
+	var wantFit [2][]tunedParam
+	var want [2]any
+	for i, prob := range probs {
+		wantFit[i], want[i] = tune(build(), prob), answer(build(), prob)
+	}
+
+	ix := build()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			i := w % 2
+			if w < 2 {
+				for n := 0; n < 3; n++ {
+					if got := tune(ix, probs[i]); !reflect.DeepEqual(got, wantFit[i]) {
+						t.Errorf("%+v: fit beside another tuning pass differs from the one made alone", probs[i])
+					}
+				}
+			} else if !reflect.DeepEqual(answer(ix, probs[i]), want[i]) {
+				t.Errorf("%+v: answer beside two tuning passes differs from the one given alone", probs[i])
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -41,6 +41,10 @@ type Index struct {
 	// screen-less reference.
 	autoScreen bool
 
+	// sweepOff makes the tuner observe every bucket its sample reaches, not
+	// stop where LENGTH sweeps (tunePatience): set by tests, to compare fits.
+	sweepOff bool
+
 	// id uniquely identifies this Index instance (copy-on-write derivations
 	// get fresh ids); layout counts bucketization changes (delta rebuilds,
 	// Compact). Together with the epoch they version the index for
@@ -348,6 +352,19 @@ func (ix *Index) SidecarBytes() int {
 	total := 0
 	for _, b := range ix.scan {
 		total += b.q8.Load().Bytes()
+	}
+	return total
+}
+
+// ListBytes returns the memory held by the sorted-list indexes (§4.2), 12·r
+// bytes per probe of every scanned bucket that carries them: built by a tuning
+// pass or a coordinate method's scan, or restored. It may run beside retrievals.
+func (ix *Index) ListBytes() int {
+	total := 0
+	for _, b := range ix.scan {
+		if sl := b.lists.Load(); sl != nil {
+			total += 8*len(sl.vals) + 4*len(sl.lids)
+		}
 	}
 	return total
 }

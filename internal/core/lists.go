@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 )
@@ -19,23 +18,21 @@ type sortedLists struct {
 	lids []int32
 }
 
-// listEntry is one (value, local id) pair of a coordinate list under
-// construction.
-type listEntry struct {
-	val float64
-	lid int32
-}
-
 // buildListsMinParallel is the bucket volume (n·r values) below which a
 // list build stays on the calling goroutine: a small bucket sorts faster
 // than its workers start.
 const buildListsMinParallel = 1 << 14
 
-// buildLists sorts every coordinate of the bucket into its list: typed
-// (value, lid) pairs by decreasing value, ties by ascending lid — the order
-// a stable sort of 0..n-1 by decreasing value yields, ±0 comparing equal,
-// so a rebuilt index matches a snapshotted one byte for byte. The r lists
-// are independent and split evenly over up to `workers` goroutines.
+// radixMin is the list length from which buildListRange sorts by radix: below
+// it, clearing and summing eight 256-counter histograms per list costs more
+// than a stable insertion sort of the same keys (equal at n ≈ 100, 4× at 32).
+const radixMin = 96
+
+// buildLists sorts every coordinate of the bucket into its list: values
+// decreasing, ties by ascending lid — the order a stable sort of 0..n-1 by
+// decreasing value yields, ±0 comparing equal, so a rebuilt index matches a
+// snapshotted one byte for byte. The r lists are independent and split
+// evenly over up to `workers` goroutines.
 func buildLists(b *bucket, workers int) *sortedLists {
 	n, r := b.size(), b.r
 	sl := &sortedLists{n: n, vals: make([]float64, r*n), lids: make([]int32, r*n)}
@@ -56,26 +53,68 @@ func buildLists(b *bucket, workers int) *sortedLists {
 	return sl
 }
 
-// buildListRange fills the lists of coordinates [f0, f1).
+// listKey maps a value to the key whose ascending unsigned order is the
+// lists' decreasing value order: a negative value's bits as they are, a
+// positive one's magnitude inverted under its clear sign bit. Adding 0 turns
+// −0 into +0 and nothing else: the two compare equal and must tie.
+func listKey(v float64) uint64 {
+	u := math.Float64bits(v + 0)
+	return u ^ (math.MaxInt64 &^ uint64(int64(u)>>63))
+}
+
+// buildListRange fills the lists of coordinates [f0, f1) by a stable LSD
+// radix sort: a column is gathered once out of the r-strided directions and
+// keyed, and the local ids, ascending to begin with, go through one counting
+// pass per 8-bit digit of the keys, least significant first, so ties keep
+// ascending lid without a comparator. A digit every key shares — exponent
+// bytes of a narrow value range, low mantissa bytes of coarse values — is
+// skipped. Short lists are insertion-sorted on the same keys (radixMin).
 func buildListRange(b *bucket, sl *sortedLists, f0, f1 int) {
 	n, r := b.size(), b.r
-	pairs := make([]listEntry, n)
+	col, keys, tmp := make([]float64, n), make([]uint64, n), make([]int32, n)
 	for f := f0; f < f1; f++ {
-		for i := range pairs {
-			pairs[i] = listEntry{val: b.dirs[i*r+f], lid: int32(i)}
+		for i := range col {
+			col[i] = b.dirs[i*r+f]
+			keys[i] = listKey(col[i])
 		}
-		slices.SortFunc(pairs, func(x, y listEntry) int {
-			if x.val > y.val {
-				return -1
-			}
-			if x.val < y.val {
-				return 1
-			}
-			return int(x.lid) - int(y.lid)
-		})
 		vals, lids := sl.list(f)
-		for i, e := range pairs {
-			vals[i], lids[i] = e.val, e.lid
+		src, dst := lids, tmp
+		for i := range src {
+			src[i] = int32(i)
+		}
+		if n < radixMin {
+			for i := 1; i < n; i++ {
+				j, k := i, keys[i]
+				for ; j > 0 && keys[src[j-1]] > k; j-- {
+					src[j] = src[j-1]
+				}
+				src[j] = int32(i)
+			}
+		} else {
+			var counts [8][256]int32
+			for _, k := range keys {
+				for d := range counts {
+					counts[d][byte(k>>(8*d))]++
+				}
+			}
+			for d := range counts {
+				cnt, at := &counts[d], int32(0)
+				if int(cnt[byte(keys[0]>>(8*d))]) == n {
+					continue
+				}
+				for j, c := range cnt {
+					cnt[j], at = at, at+c
+				}
+				for _, lid := range src {
+					j := byte(keys[lid] >> (8 * d))
+					dst[cnt[j]] = lid
+					cnt[j]++
+				}
+				src, dst = dst, src
+			}
+		}
+		for i, lid := range src { // src is lids itself after an even number of passes
+			lids[i], vals[i] = lid, col[lid]
 		}
 	}
 }

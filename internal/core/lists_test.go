@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -65,14 +66,38 @@ func referenceLists(b *bucket) *sortedLists {
 	return sl
 }
 
-// The typed-pair sort must order every list exactly as the stable sort did
-// — ties, which snapshots persist, included: duplicated values and ±0
-// (equal under >, different bits) keep ascending local id. Serial and
-// parallel builds alike.
+// The radix build must order every list exactly as the stable sort does —
+// ties, which snapshots persist, included: duplicated values and ±0 (equal
+// under >, different bits) keep ascending local id. Serial and parallel
+// builds alike, at sizes around one digit's 256 counters and past 65 535
+// entries, on columns that leave the sort nothing to do (all equal, ±0 only),
+// that differ in the last mantissa bit alone, and on denormals; and over
+// random finite bit patterns. checkLists, the snapshot reader's test of a
+// list index, must accept every one built.
 func TestBuildListsMatchesStableSort(t *testing.T) {
+	check := func(name string, b *bucket) {
+		t.Helper()
+		want := referenceLists(b)
+		seen := make([]bool, b.size())
+		for _, workers := range []int{1, 2, 4, 64} {
+			got := buildLists(b, workers)
+			if !slices.Equal(got.lids, want.lids) {
+				t.Fatalf("%s workers=%d: local ids differ from the stable sort", name, workers)
+			}
+			for i := range want.vals {
+				if math.Float64bits(got.vals[i]) != math.Float64bits(want.vals[i]) {
+					t.Fatalf("%s workers=%d: value %d is %v, stable sort has %v", name, workers, i, got.vals[i], want.vals[i])
+				}
+			}
+			if err := checkLists(got.vals, got.lids, b.dirs, b.size(), b.r, seen); err != nil {
+				t.Fatalf("%s workers=%d: checkLists: %v", name, workers, err)
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(85))
-	for _, shape := range []struct{ n, r int }{{1, 3}, {37, 5}, {2072, 9}} {
+	for _, shape := range []struct{ n, r int }{{1, 3}, {2, 3}, {37, 5}, {255, 4}, {256, 4}, {257, 4}, {2072, 9}, {70000, 2}} {
 		b := testBucket(rng, shape.n, shape.r)
+		check(fmt.Sprintf("n=%d r=%d", shape.n, shape.r), b)
 		// Coarsen the directions so values collide, and plant signed zeros.
 		for i := range b.dirs {
 			switch v := math.Round(b.dirs[i]*4) / 4; {
@@ -82,18 +107,43 @@ func TestBuildListsMatchesStableSort(t *testing.T) {
 				b.dirs[i] = v
 			}
 		}
-		want := referenceLists(b)
-		for _, workers := range []int{1, 2, 4, 64} {
-			got := buildLists(b, workers)
-			if !slices.Equal(got.lids, want.lids) {
-				t.Fatalf("n=%d r=%d workers=%d: local ids differ from the stable sort", shape.n, shape.r, workers)
-			}
-			for i := range want.vals {
-				if math.Float64bits(got.vals[i]) != math.Float64bits(want.vals[i]) {
-					t.Fatalf("n=%d r=%d workers=%d: value %d is %v, stable sort has %v", shape.n, shape.r, workers, i, got.vals[i], want.vals[i])
-				}
-			}
+		check(fmt.Sprintf("n=%d r=%d coarse", shape.n, shape.r), b)
+	}
+
+	// One column per hard case, insertion-sorted and radix-sorted.
+	const tiny = 5e-324 // the smallest denormal
+	for _, n := range []int{radixMin / 2, 3 * radixMin} {
+		b := testBucket(rng, n, 5)
+		for i := 0; i < n; i++ {
+			d := b.dir(i)
+			d[0] = 0.25                                                              // all equal
+			d[1] = math.Copysign(0, float64(rng.Intn(2))-0.5)                        // ±0 only
+			d[2] = math.Float64frombits(math.Float64bits(0.5) + uint64(rng.Intn(4))) // last mantissa bits
+			d[3] = tiny * float64(rng.Intn(7)-3)                                     // denormals around ±0
+			d[4] = float64(rng.Intn(5)-2) / 2                                        // duplicates
 		}
+		check(fmt.Sprintf("hard columns, n=%d", n), b)
+	}
+
+	prop := func(bits []uint64, long bool) bool {
+		for long && len(bits) < 2*radixMin { // quick's slices are short: insertion-sorted
+			bits = append(bits, rng.Uint64())
+		}
+		if len(bits) == 0 {
+			return true
+		}
+		b := &bucket{r: 1, ids: make([]int32, len(bits)), dirs: make([]float64, len(bits))}
+		for i, u := range bits {
+			if u>>52&0x7ff == 0x7ff {
+				u &^= 1 << 52 // Inf or NaN: make it finite
+			}
+			b.dirs[i] = math.Float64frombits(u)
+		}
+		check("random bit patterns", b)
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
+		t.Error(err)
 	}
 }
 

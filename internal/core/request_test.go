@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -425,5 +426,69 @@ func TestCanceledTuningPublishesNothing(t *testing.T) {
 	}
 	if !j.tuned.Load() || len(j.fit) != len(ix.scan) {
 		t.Fatalf("recovered run made no fit (tuned=%v, %d entries for %d buckets)", j.tuned.Load(), len(j.fit), len(ix.scan))
+	}
+}
+
+// TestCanceledTuningWhileFitting cancels a tuning pass in its second phase,
+// deterministically: the trajectories are walked and the deepest bucket the
+// sample reaches has its lists, when the cancellation lands, and the pass is
+// kept from finishing first by holding the list build of the next bucket it
+// must observe (the two deepest are observed whatever their timings: the
+// sweep needs tunePatience fitted buckets). It returns the context's error,
+// publishes nothing, and the index answers as its untouched twin.
+func TestCanceledTuningWhileFitting(t *testing.T) {
+	ix, q := cancelFixture(t)
+	twin, _ := cancelFixture(t)
+	prob := Problem{K: 5}
+	if _, err := twin.tune(newCall(nil, twin.opts, nil), prepareQueries(q), prob, false); err != nil {
+		t.Fatal(err)
+	}
+	var observed []*bucket // of ix, in the order the pass observes them
+	for bi := len(twin.scan) - 1; bi >= 0; bi-- {
+		if twin.scan[bi].lists.Load() != nil {
+			observed = append(observed, ix.scan[bi])
+		}
+	}
+	if len(observed) < 2 {
+		t.Fatalf("the tuning pass observes %d buckets, want at least two", len(observed))
+	}
+	first, second := observed[0], observed[1]
+	held, release := make(chan struct{}), make(chan struct{})
+	go second.listsOnce.Do(func() {
+		close(held)
+		<-release
+		second.lists.Store(buildLists(second, 1))
+		second.hasIndex.Store(true)
+	})
+	<-held
+
+	ctx, cancel := context.WithCancel(context.Background())
+	tc := NewTuningCache()
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := ix.Retrieve(ctx, q, prob, nil, RunOptions{Cache: tc})
+		errc <- err
+	}()
+	for first.lists.Load() == nil { // the first phase builds none
+		runtime.Gosched()
+	}
+	cancel()
+	close(release)
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := tc.Len(); n != 0 {
+		t.Fatalf("canceled pass published %d cache entries", n)
+	}
+	got, _, err := ix.Retrieve(context.Background(), q, prob, nil, RunOptions{Cache: tc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := rowTopK(twin, q, prob.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || tc.Len() != 1 {
+		t.Fatalf("after the canceled pass: answer equals the twin's: %v, %d cache entries", reflect.DeepEqual(got, want), tc.Len())
 	}
 }

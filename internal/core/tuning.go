@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,175 +101,192 @@ type observation struct {
 	costPhi []float64 // indexed by φ; 0 unused
 }
 
+// tunePair is one meeting of a sample query with scan bucket bi, as a real
+// run would see it: the query's sorted index and length (1 for Row-Top-k,
+// which ranks unit directions), the cut θ it brings — the problem's, or its
+// heap's running θ′ — and θ_b ∈ (0, 1], at or below 0 resolve forces LENGTH.
+type tunePair struct {
+	bi, qi              int32
+	qlen, theta, thetaB float64
+}
+
+// tunePatience is how many buckets in a row LENGTH must sweep (t_b = +Inf)
+// before the tuner stops observing at lower θ_b. One could be a bucket whose
+// timings a stall tipped; two are the frontier the fits of a flat catalog
+// show: finite t_b on one band of deep buckets and nowhere above it.
+const tunePatience = 2
+
 // tune runs the sample-based selection under the call's effective options
-// and returns the fit, one entry per scan bucket. It checks the call's
-// context at bucket boundaries: a canceled call stops mid-sample and returns
-// the context error and no fit.
+// and returns the fit, one entry per scan bucket, in two phases. First every
+// sample query walks the scan — pure arithmetic for Above-θ, LENGTH verified
+// by the scan's own per-pair step for Row-Top-k, whose running threshold must
+// follow the trajectory of a real run — and records the pairs it meets. Then
+// the buckets are fitted deepest first, each from all of its pairs. A
+// coordinate method's feasible region only widens as θ_b falls, which is what
+// "LENGTH when θ_b < t_b" means: once LENGTH has swept tunePatience fitted
+// buckets in a row, a shallower bucket whose largest θ_b does not exceed the
+// smallest "largest θ_b" of that run is fitted t_b = +Inf unobserved, and its
+// sorted lists are never built. A bucket observed and not swept starts the
+// count again; an algorithm without a t_b observes every bucket reached.
+//
+// Both phases fan out over the call's parallelism, each worker with its own
+// scratch, and a bucket's observations stay in sample order, so the fit is a
+// serial pass's (bit-identical under TuneByCost, where the costs are counts).
+// A call canceled, which is checked at bucket boundaries, returns no fit.
 //
 // With deltaOnly only the delta buckets the frozen fit has no entry for are
-// observed and fitted; every other entry is the frozen fit's. The Row-Top-k
-// sample still walks the scan prefix up to the deepest target bucket to
-// advance the running-threshold trajectory — the observations must be taken
-// at the thresholds a real run would see — but skips the per-bucket cost
-// measurements everywhere else and stops once no target bucket remains, so
-// a restricted pass costs O(scan prefix), not O(index). Delta-layer
-// pretuning (delta.go) uses this to fit new overlay buckets from the
-// retained pretune sample.
+// fitted, from a sample that walks no further than the deepest of them, and
+// every other entry is the frozen fit's: how delta-layer pretuning (delta.go)
+// fits new overlay buckets from the retained pretune sample.
 func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tunedParam, error) {
 	target := func(bi int) bool {
 		return !deltaOnly || ix.scan[bi].delta && !fitEntry(ix.frozen, bi).tuned
 	}
-	lastTarget := -1
-	for bi := range ix.scan {
-		if target(bi) {
-			lastTarget = bi
-		}
-	}
-	kk := min(prob.K, ix.LiveN()) // 0 for Above-θ
-
-	// The sample queries are independent, so they fan out over the call's
-	// parallelism, each worker with its own scratch and heap. Every query
-	// records its observations privately; they are merged below in sample
-	// order, so the fit sees exactly the sequence a serial pass produces
-	// (bit-identical under TuneByCost, where the costs are counts).
-	type bucketObs struct {
-		bi int
-		o  observation
-	}
-	sample := sampleIndices(qs.n(), c.opts.SampleQueries)
-	perSample := make([][]bucketObs, len(sample))
-	sampleQuery := func(si int, s *scratch, heap *topk.Heap) {
-		qi := sample[si]
-		qlen := qs.lens[qi]
-		if qlen == 0 {
-			return
-		}
-		qdir := qs.dir(qi)
-		s.beginTile(qi, 1) // verifyCands keeps the query's int8 codes per tile row
-		if prob.K == 0 {
-			for bi, b := range ix.scan {
-				if bi > lastTarget {
-					break // no target bucket remains
-				}
-				if c.canceled() {
-					return
-				}
-				thetaB := prob.Theta / (qlen * b.lb)
-				if thetaB > 1 {
-					break // buckets are ordered by decreasing l_b
-				}
-				if target(bi) {
-					perSample[si] = append(perSample[si], bucketObs{bi, ix.observe(c, bi, int32(qi), qdir, qlen, prob.Theta, thetaB, s)})
-				}
-			}
-			return
-		}
-		if heap == nil {
-			return // no live probe to rank
-		}
-		var trajStats Stats // trajectory verification is not a run; discard
-		heap.Reset()
-		for bi, b := range ix.scan {
-			if bi > lastTarget {
-				break // trajectory past the deepest target is unused
-			}
-			if c.canceled() {
-				return
-			}
-			theta, thetaB, pruned := topkThresholds(heap, b.lb)
-			if pruned {
-				break
-			}
-			// Advance the running threshold with an exact LENGTH pass (the
-			// sample must follow the same θ′ trajectory as a real run),
-			// verified by the scan's own per-pair step. Coordinate methods
-			// only ever run with θ_b ∈ (0,1] — below that resolve() forces
-			// LENGTH and there is nothing to measure — and where they are
-			// measured, the observation's own LENGTH pass is that step: it
-			// ran last and left its candidates in the scratch, verified
-			// already unless costs are counted.
-			observed := thetaB > 0 && target(bi)
-			if observed {
-				perSample[si] = append(perSample[si], bucketObs{bi, ix.observe(c, bi, int32(qi), qdir, 1, theta, thetaB, s)})
-			} else {
-				runLength(b, theta, 1, s)
-			}
-			if !observed || c.opts.TuneByCost {
-				ix.verifyCands(bi, s, int32(qi), qdir, 1, theta, c.approx, &trajStats)
-			}
-			for i, dot := range s.vals {
-				lid := s.lid(i)
-				heap.Push(int(b.ids[lid]), dot*b.lens[lid])
-			}
-		}
-	}
-	var next atomic.Int64
-	sampleWorker := func() {
-		s := ix.getScratch()
-		defer ix.putScratch(s)
-		var heap *topk.Heap
-		if kk > 0 {
-			heap = topk.New(kk)
-		}
-		for !c.canceled() {
-			si := int(next.Add(1)) - 1
-			if si >= len(sample) {
-				return
-			}
-			sampleQuery(si, s, heap)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := min(c.opts.Parallelism, len(sample)); w > 1; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sampleWorker()
-		}()
-	}
-	sampleWorker() // the caller is the first worker
-	wg.Wait()
-	if c.canceled() {
-		return nil, c.ctxErr()
-	}
-
-	obs := make([][]observation, len(ix.scan))
-	for _, row := range perSample {
-		for _, bo := range row {
-			obs[bo.bi] = append(obs[bo.bi], bo.o)
-		}
-	}
+	// Every target starts from the defaults, which one the sample misses keeps.
+	phis := ix.tunePhis(c.opts)
 	fit := make([]tunedParam, len(ix.scan))
 	if deltaOnly {
 		copy(fit, ix.frozen)
 	}
+	lastTarget := -1
 	for bi := range ix.scan {
 		if target(bi) {
-			fit[bi] = ix.fitBucket(c.opts, obs[bi])
+			lastTarget, fit[bi] = bi, ix.fitBucket(c.opts, phis, nil)
+		}
+	}
+	kk := min(prob.K, ix.LiveN()) // 0 for Above-θ
+
+	// fan runs work(i), i in [0, n), over the call's parallelism, caller included.
+	fan := func(n int, work func(i int, s *scratch)) {
+		var next atomic.Int64
+		worker := func() {
+			s := ix.getScratch()
+			defer ix.putScratch(s)
+			for !c.canceled() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				work(i, s)
+			}
+		}
+		var wg sync.WaitGroup
+		for w := min(c.opts.Parallelism, n); w > 1; w-- {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				worker()
+			}()
+		}
+		worker()
+		wg.Wait()
+	}
+
+	sample := sampleIndices(qs.n(), c.opts.SampleQueries)
+	perSample := make([][]tunePair, len(sample))
+	fan(len(sample), func(si int, s *scratch) {
+		qi := sample[si]
+		qlen := qs.lens[qi]
+		if qlen == 0 {
+			return // a zero query scans nothing
+		}
+		qdir := qs.dir(qi)
+		s.beginTile(qi, 1) // verifyCands keeps the query's int8 codes per tile row
+		var heap topk.Heap
+		if kk > 0 {
+			heap.Init(kk)
+			qlen = 1 // a query's length is irrelevant to its ranking
+		}
+		var trajStats Stats // trajectory verification is not a run; discard
+		for bi, b := range ix.scan[:lastTarget+1] {
+			if c.canceled() {
+				return
+			}
+			theta, thetaB := prob.Theta, prob.Theta/(qlen*b.lb)
+			pruned := thetaB > 1 // and so is every later, shorter bucket
+			if kk > 0 {
+				theta, thetaB, pruned = topkThresholds(&heap, b.lb)
+			}
+			if pruned {
+				break
+			}
+			if thetaB > 0 && target(bi) {
+				perSample[si] = append(perSample[si], tunePair{int32(bi), int32(qi), qlen, theta, thetaB})
+			}
+			if kk > 0 {
+				runLength(b, theta, 1, s)
+				ix.verifyCands(bi, s, int32(qi), qdir, 1, theta, c.approx, &trajStats)
+				for i, dot := range s.vals {
+					lid := s.lid(i)
+					heap.Push(int(b.ids[lid]), dot*b.lens[lid])
+				}
+			}
+		}
+	})
+	if c.canceled() {
+		return nil, c.ctxErr()
+	}
+	pairs := make([][]tunePair, len(ix.scan))
+	for _, row := range perSample {
+		for _, p := range row {
+			pairs[p.bi] = append(pairs[p.bi], p)
+		}
+	}
+
+	swept, sweptTop := 0, math.Inf(1) // the current run of LENGTH-swept buckets
+	for bi := lastTarget; bi >= 0; bi-- {
+		ps := pairs[bi] // of targets only
+		if len(ps) == 0 {
+			continue
+		}
+		top := math.Inf(-1)
+		for _, p := range ps {
+			top = max(top, p.thetaB)
+		}
+		if swept >= tunePatience && top <= sweptTop && !ix.sweepOff {
+			fit[bi] = tunedParam{tuned: true, tb: math.Inf(1), phi: ix.defaultPhi(c.opts)}
+			continue
+		}
+		b := ix.scan[bi]
+		b.ensureLists(c.opts.Parallelism)
+		if ix.autoScreen && !c.opts.TuneByCost {
+			b.ensureSidecar()
+		}
+		obs, w := make([]observation, len(ps)), c.opts.MaxPhi+1
+		costs := make([]float64, len(ps)*w) // a row of φ costs per pair
+		fan(len(ps), func(i int, s *scratch) {
+			obs[i] = ix.observe(c, ps[i], qs.dir(int(ps[i].qi)), phis, costs[i*w:(i+1)*w], s)
+		})
+		if c.canceled() {
+			return nil, c.ctxErr()
+		}
+		fit[bi] = ix.fitBucket(c.opts, phis, obs)
+		if math.IsInf(fit[bi].tb, 1) { // only an algorithm with a t_b is ever fitted one
+			swept, sweptTop = swept+1, min(sweptTop, top)
+		} else {
+			swept, sweptTop = 0, math.Inf(1)
 		}
 	}
 	return fit, nil
 }
 
-// observe measures one (query, bucket) pair: the coordinate-family cost
-// for every candidate φ, then the LENGTH cost, each including candidate
-// verification (the dominant term) by verifyCands, the scan's own per-pair
-// step, against the pair's cut theta — so a method is charged the int8 screen
-// plus the exact rows of its survivors where the scan would screen, and the
-// exact rows alone where it would not. LENGTH goes last so that it is timed
-// as warm as the φ passes before it, and so that on return the scratch
-// holds LENGTH's candidate set — with its verified dot products in s.vals
-// unless TuneByCost, which counts work instead of verifying — for the
-// Row-Top-k sample to advance its threshold from. The bucket's sorted lists
-// are built beforehand, over the call's parallelism, and so is the sidecar a
-// timed pass could be the first to ask for: no measurement times a build.
-func (ix *Index) observe(c *call, bi int, qi int32, qdir []float64, qlen, theta, thetaB float64, s *scratch) observation {
+// observe measures one pair: the coordinate-family cost for every candidate
+// φ, then the LENGTH cost, each including candidate verification (the dominant
+// term) by verifyCands, the scan's own per-pair step, against the pair's cut —
+// so a method is charged the int8 screen plus the exact rows of its survivors
+// where the scan would screen, and the exact rows alone where it would not.
+// LENGTH goes last so that it is timed as warm as the φ passes before it. No
+// measurement times a build: tune has built the bucket's sorted lists and the
+// sidecar a timed pass could be the first to ask for, and the query is
+// quantized here, ahead of the clock. costPhi is the pair's cost row.
+func (ix *Index) observe(c *call, p tunePair, qdir []float64, phis []int, costPhi []float64, s *scratch) observation {
+	bi, qlen := int(p.bi), p.qlen
 	b := ix.scan[bi]
-	o := observation{thetaB: thetaB, costPhi: make([]float64, c.opts.MaxPhi+1)}
+	o := observation{thetaB: p.thetaB, costPhi: costPhi}
 	byCost := c.opts.TuneByCost
-	b.ensureLists(c.opts.Parallelism)
-	if ix.autoScreen && !byCost {
-		b.ensureSidecar()
+	s.beginTile(int(p.qi), 1)
+	if b.q8.Load() != nil {
+		s.quantQuery(p.qi, qdir)
 	}
 
 	measure := func(gather func()) float64 {
@@ -279,7 +297,7 @@ func (ix *Index) observe(c *call, bi int, qi int32, qdir []float64, qlen, theta,
 			return float64(s.work + int64(len(s.cand))*int64(b.r))
 		}
 		var mst Stats
-		ix.verifyCands(bi, s, qi, qdir, qlen, theta, c.approx, &mst)
+		ix.verifyCands(bi, s, p.qi, qdir, qlen, p.theta, c.approx, &mst)
 		var acc float64
 		for i, dot := range s.vals {
 			acc += dot * qlen * b.lens[s.lid(i)]
@@ -289,16 +307,16 @@ func (ix *Index) observe(c *call, bi int, qi int32, qdir []float64, qlen, theta,
 	}
 
 	incr := c.opts.Algorithm == AlgLI || c.opts.Algorithm == AlgI
-	for _, phi := range ix.tunePhis(c.opts) {
+	for _, phi := range phis {
 		o.costPhi[phi] = measure(func() {
 			if incr && phi > 1 {
-				runIncr(b, qdir, qlen, theta, thetaB, phi, s)
+				runIncr(b, qdir, qlen, p.theta, p.thetaB, phi, s)
 			} else {
-				runCoord(b, qdir, thetaB, phi, s)
+				runCoord(b, qdir, p.thetaB, phi, s)
 			}
 		})
 	}
-	o.costL = measure(func() { runLength(b, theta, qlen, s) })
+	o.costL = measure(func() { runLength(b, p.theta, qlen, s) })
 	return o
 }
 
@@ -330,13 +348,9 @@ func (ix *Index) tunePhis(o Options) []int {
 
 // fitBucket selects φ_b and t_b from one bucket's observations under
 // options o.
-func (ix *Index) fitBucket(o Options, obs []observation) tunedParam {
+func (ix *Index) fitBucket(o Options, phis []int, obs []observation) tunedParam {
 	p := tunedParam{tuned: true, tb: defaultTB, phi: ix.defaultPhi(o)}
-	if len(obs) == 0 {
-		return p
-	}
-	phis := ix.tunePhis(o)
-	if len(phis) == 0 {
+	if len(obs) == 0 || len(phis) == 0 {
 		return p
 	}
 	// φ_b: smallest total coordinate-method cost over the sample.
@@ -356,7 +370,7 @@ func (ix *Index) fitBucket(o Options, obs []observation) tunedParam {
 	}
 	// t_b: best split of the θ_b-sorted sample between LENGTH (below)
 	// and the coordinate method (above).
-	sort.Slice(obs, func(i, j int) bool { return obs[i].thetaB < obs[j].thetaB })
+	slices.SortStableFunc(obs, func(x, y observation) int { return cmp.Compare(x.thetaB, y.thetaB) })
 	suffix := make([]float64, len(obs)+1)
 	for i := len(obs) - 1; i >= 0; i-- {
 		suffix[i] = suffix[i+1] + obs[i].costPhi[bestPhi]

@@ -223,6 +223,9 @@ func (s *Server) wireState() {
 	reg.GaugeFunc("lemp_quant_sidecar_bytes",
 		"Memory held by the int8 quantized screening sidecars across all shards: every bucket's when built with quantization, otherwise it grows with the buckets queries reach (0 on the portable kernels).",
 		func() float64 { return float64(s.sharded.SidecarBytes()) })
+	reg.GaugeFunc("lemp_index_list_bytes",
+		"Memory held by the sorted-list indexes of the coordinate methods across all shards, 12 r bytes per probe of every bucket that carries them: it grows with the buckets tuning passes observe and coordinate methods scan.",
+		func() float64 { return float64(s.sharded.ListBytes()) })
 	reg.CounterFunc("lemp_batches_total",
 		"Retrieval calls dispatched (each serving one coalesced batch).",
 		func() float64 { return float64(s.batches.Load()) })

@@ -145,6 +145,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"lemp_traces_finished_total", "lemp_traces_retained_total",
 		"lemp_requests_shed_total", "lemp_batch_dispatch_idle_ns",
 		"lemp_update_apply_seconds", "lemp_compaction_seconds",
+		"lemp_quant_sidecar_bytes", "lemp_index_list_bytes",
 	}
 	for _, name := range required {
 		if fams[name] == nil {
@@ -185,6 +186,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if v, ok := value("lemp_batch_rows_total", nil); !ok || v != 6 {
 		t.Errorf("batch rows = %v (ok=%v), want 6: the repeat must retrieve again", v, ok)
+	}
+	// The sorted lists the first call's tuning pass built, as /stats has them.
+	var st statsResponse
+	if err := json.Unmarshal(doJSON(t, h, "GET", "/stats", "").Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := value("lemp_index_list_bytes", nil); !ok || v <= 0 || int(v) != srv.Sharded().ListBytes() || st.ListBytes != int(v) {
+		t.Errorf("lemp_index_list_bytes = %v (ok=%v), /stats list_bytes = %d, Sharded.ListBytes = %d: want one positive number",
+			v, ok, st.ListBytes, srv.Sharded().ListBytes())
 	}
 	if v, ok := value("lemp_shards", nil); !ok || v != 2 {
 		t.Errorf("lemp_shards = %v (ok=%v), want 2", v, ok)

@@ -817,6 +817,7 @@ type statsResponse struct {
 	CostSkew      float64   `json:"cost_skew"`
 	ShardsScanned uint64    `json:"shards_scanned"`
 	ShardsPruned  uint64    `json:"shards_pruned"`
+	ListBytes     int       `json:"list_bytes"` // sorted-list indexes across shards: Sharded.ListBytes
 	Quant         quantInfo `json:"quant"`
 	Core          coreStats `json:"core"`
 }
@@ -904,6 +905,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		CostSkew:      s.sharded.CostSkew(),
 		ShardsScanned: s.sharded.ShardsScanned(),
 		ShardsPruned:  s.sharded.ShardsPruned(),
+		ListBytes:     s.sharded.ListBytes(),
 		Quant: quantInfo{
 			Screened:     st.QuantScreened,
 			Survivors:    st.QuantSurvived,

@@ -306,6 +306,19 @@ func (s *Sharded) SidecarBytes() int {
 	return total
 }
 
+// ListBytes returns the memory held by the sorted-list indexes across all
+// shards: it grows with the buckets tuning passes observe and coordinate
+// methods scan.
+func (s *Sharded) ListBytes() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	total := 0
+	for _, ix := range s.shards {
+		total += ix.ListBytes()
+	}
+	return total
+}
+
 // Epoch returns the current update epoch: 0 at construction, +1 per
 // applied update batch.
 func (s *Sharded) Epoch() uint64 {

@@ -357,6 +357,13 @@ func TestRestoredListsServeIdentically(t *testing.T) {
 	if indexed == 0 {
 		t.Fatal("restored index reports no pre-built bucket indexes")
 	}
+	listBytes := 0
+	for _, bs := range st.Buckets {
+		listBytes += 8*len(bs.ListVals) + 4*len(bs.ListLids)
+	}
+	if got := restored.ListBytes(); got == 0 || got != listBytes {
+		t.Fatalf("restored index reports %d list bytes, the snapshot carried %d", got, listBytes)
+	}
 	original, err := core.FromState(buildState(t))
 	if err != nil {
 		t.Fatal(err)

@@ -117,6 +117,12 @@ func (ix *Index) NumBuckets() int { return ix.inner.NumBuckets() }
 // 0 where the int8 kernels are not assembly.
 func (ix *Index) SidecarBytes() int { return ix.inner.SidecarBytes() }
 
+// ListBytes returns the memory held by the lazily built sorted-list indexes
+// of the coordinate methods, 12·r bytes per probe of every bucket that
+// carries them: those a tuning pass observed, a retrieval scanned with COORD
+// or INCR, or a snapshot restored with its lists.
+func (ix *Index) ListBytes() int { return ix.inner.ListBytes() }
+
 // BucketInfo describes one probe bucket: size, length range, lazy-index
 // state and its entry in the fit a Pretune method froze.
 type BucketInfo = core.BucketInfo
