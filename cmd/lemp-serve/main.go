@@ -31,13 +31,13 @@
 // three re-place the restored probe set through the active placement
 // (which re-pays index build for the moved shards, with ids preserved).
 //
-// Placement (-placement) decides which probes share a shard: "range"
-// splits the catalog into contiguous equal-count runs, "cost" splits it
-// into contiguous runs of equal estimated scan cost (balancing per-shard
-// scan time under length-skewed catalogs), and "cluster" groups
-// directionally similar probes via spherical k-means and prunes whole
-// shards per Above-θ query with a conservative centroid/radius cone bound
-// (results stay exact; see lemp_shards_pruned_total).
+// Placement (-placement) decides which probes share a shard, at build and
+// at every re-placement, and nothing else: "range" splits the catalog into
+// contiguous equal-count runs, "cost" splits it into contiguous runs of
+// equal estimated scan cost (balancing per-shard scan time under
+// length-skewed catalogs), and "cluster" groups directionally similar
+// probes via spherical k-means. Every query reaches every shard, and every
+// add goes to the shard with the least estimated scan cost.
 //
 // Endpoints:
 //
@@ -122,7 +122,7 @@ func main() {
 	snapshotPath := flag.String("snapshot", "", "restore shard indexes from LEMPIDX1 snapshots (path, or path.0..path.N-1 as written by -save-snapshot) instead of building them")
 	saveSnapshot := flag.String("save-snapshot", "", "after building, pretune and write one snapshot per shard (path for 1 shard, else path.0..path.N-1), then serve")
 	shards := flag.Int("shards", 4, "number of index shards")
-	placementName := flag.String("placement", "range", "shard placement strategy: range (contiguous equal-count), cost (contiguous cost-balanced) or cluster (spherical k-means with centroid cone shard pruning)")
+	placementName := flag.String("placement", "range", "shard placement strategy, how the catalog is partitioned: range (contiguous equal-count), cost (contiguous cost-balanced) or cluster (spherical k-means)")
 	rebalanceOnLoad := flag.Bool("rebalance-on-load", false, "with -snapshot, re-partition the restored probe set under the active placement even when shard count and strategy already match")
 	algName := flag.String("alg", "LI", "bucket algorithm: L LI LC I C TA Tree L2AP BLSH")
 	phi := flag.Int("phi", 0, "fixed focus-set size φ (0 = tuned per bucket)")

@@ -19,8 +19,7 @@ import (
 // Zipf law and the catalog arrives sorted by decreasing length (the order
 // a popularity-ranked export naturally has), so contiguous equal-count
 // splits concentrate the paper's ~l_b scan cost in the first shard.
-// Directions fall into a few clusters, so centroid cone pruning can skip
-// whole shards for directionally focused high-θ queries.
+// Directions fall into a few clusters, which cluster placement groups.
 
 // placementShards is the shard count for the placement experiment.
 const placementShards = 4
@@ -60,8 +59,7 @@ func placementWorkload(scale float64) (p, q *matrix.Matrix, theta float64) {
 		norm := vecmath.Norm(v)
 		vecmath.Scale(v, v, 8.0/(norm*math.Pow(float64(i+1), 0.7)))
 	}
-	// Queries focus on one cluster direction each: the regime where a
-	// per-query cone test can rule whole shards out.
+	// Queries focus on one cluster direction each.
 	q = matrix.New(r, m)
 	for i := 0; i < m; i++ {
 		v := q.Vec(i)
@@ -73,8 +71,8 @@ func placementWorkload(scale float64) (p, q *matrix.Matrix, theta float64) {
 		vecmath.Scale(v, v, 1/norm)
 	}
 	// Calibrate θ near the top of the product distribution (the paper's
-	// high-recall regime, where Above-θ answers are rare and pruning
-	// opportunity is largest): the 99.9th percentile product value.
+	// high-recall regime, where Above-θ answers are rare): the 99.9th
+	// percentile product value.
 	heap := make([]float64, 0, q.N()*p.N())
 	for i := 0; i < q.N(); i++ {
 		qi := q.Vec(i)
@@ -100,18 +98,17 @@ func quantile(xs []float64, q float64) float64 {
 
 // placementRow is one placement strategy's measurements.
 type placementRow struct {
-	kind       server.PlacementKind
-	skew       float64       // max/mean per-shard estimated scan cost
-	minScan    time.Duration // fastest shard's serial scan time
-	maxScan    time.Duration // slowest shard's serial scan time
-	prunedRate float64       // pruned / dispatched shard scans
-	results    int
+	kind    server.PlacementKind
+	skew    float64       // max/mean per-shard estimated scan cost
+	minScan time.Duration // fastest shard's serial scan time
+	maxScan time.Duration // slowest shard's serial scan time
+	results int
 }
 
 // measurePlacement builds a shard set under one strategy and measures the
 // per-shard scan-time spread (each shard scanned serially, after a warmup
-// pass that pays tuning) and — through the sharded fan-out, so the cone
-// test is on the real serving path — the shard prune rate at θ.
+// pass that pays tuning) and the result count of one sharded Above-θ call
+// at θ.
 func measurePlacement(kind server.PlacementKind, p, q *matrix.Matrix, theta float64) (placementRow, error) {
 	row := placementRow{kind: kind}
 	sh, err := server.NewShardedPlaced(p.Clone(), nil, placementShards, lemp.Options{Parallelism: 1}, kind)
@@ -144,9 +141,6 @@ func measurePlacement(kind server.PlacementKind, p, q *matrix.Matrix, theta floa
 	for _, es := range rows {
 		row.results += len(es)
 	}
-	if total := sh.ShardsScanned() + sh.ShardsPruned(); total > 0 {
-		row.prunedRate = float64(sh.ShardsPruned()) / float64(total)
-	}
 	return row, nil
 }
 
@@ -154,11 +148,11 @@ func measurePlacement(kind server.PlacementKind, p, q *matrix.Matrix, theta floa
 // catalog and workload. Exact results are placement-invariant, so the
 // result counts double as a cross-check.
 func (r *Runner) placement() error {
-	r.header("Placement: cost-balanced partitioning and centroid shard pruning (Zipf-length catalog, sorted by length)")
+	r.header("Placement: cost-balanced partitioning (Zipf-length catalog, sorted by length)")
 	p, q, theta := placementWorkload(r.cfg.Scale)
 	r.logf("catalog n=%d r=%d, %d queries, θ=%.4f, %d shards", p.N(), p.R(), q.N(), theta, placementShards)
-	fmt.Fprintf(r.cfg.Out, "%-10s %10s %12s %12s %8s %9s %9s\n",
-		"Placement", "CostSkew", "MinShard", "MaxShard", "Spread", "Pruned", "Results")
+	fmt.Fprintf(r.cfg.Out, "%-10s %10s %12s %12s %8s %9s\n",
+		"Placement", "CostSkew", "MinShard", "MaxShard", "Spread", "Results")
 	wantResults := -1
 	for _, kind := range []server.PlacementKind{server.PlaceRange, server.PlaceCost, server.PlaceCluster} {
 		row, err := measurePlacement(kind, p, q, theta)
@@ -169,9 +163,9 @@ func (r *Runner) placement() error {
 		if row.minScan > 0 {
 			spread = float64(row.maxScan) / float64(row.minScan)
 		}
-		fmt.Fprintf(r.cfg.Out, "%-10s %9.2fx %12s %12s %7.2fx %8.1f%% %9d\n",
+		fmt.Fprintf(r.cfg.Out, "%-10s %9.2fx %12s %12s %7.2fx %9d\n",
 			string(row.kind), row.skew, fmtDur(row.minScan), fmtDur(row.maxScan),
-			spread, 100*row.prunedRate, row.results)
+			spread, row.results)
 		if wantResults == -1 {
 			wantResults = row.results
 		} else if row.results != wantResults {

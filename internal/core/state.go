@@ -35,14 +35,11 @@ type State struct {
 	NextID int32
 
 	// Shard-placement metadata (snapshot PLMT section): the placement
-	// strategy the shard set holding this index was built with, and — for
-	// cluster placement — the shard's direction cone. Both are passive
-	// pass-through for the serving layer: State never sets them (the owner
-	// of the shard set does before writing a snapshot) and FromState
-	// ignores them (the loader hands them back to the serving layer, which
-	// recomputes anything missing).
+	// strategy the shard set holding this index was built with. A passive
+	// pass-through for the serving layer: State never sets it (the owner of
+	// the shard set does before writing a snapshot) and FromState ignores it
+	// (the loader hands it back to the serving layer).
 	PlacementKind string
-	Cone          *Cone
 
 	// Retained tuning sample (§4.4). A Pretune call keeps the query sample
 	// and problem it fitted so Compact can re-freeze the parameters after a

@@ -516,10 +516,8 @@ func (b *Batcher) dispatch(fb *formingBatch) {
 
 // retrieve performs one sharded retrieval over a batch of rows, on the
 // epoch snapshot the batch was admitted at, under the batch's (merged)
-// context. Under cluster placement the Above-θ shard dispatch set derives
-// from the whole coalesced matrix (a shard is scanned when any batched
-// row's cone bound reaches θ), so coalescing can only widen — never
-// shrink — the set any individual request would have scanned.
+// context. Every shard scans the whole coalesced matrix, whatever the
+// placement.
 func (b *Batcher) retrieve(ctx context.Context, key batchKey, v *View, data []float64, rows, requests int) batchResult {
 	q, err := lemp.MatrixFromData(b.sharded.R(), rows, data)
 	if err != nil {

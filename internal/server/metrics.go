@@ -10,11 +10,11 @@ import (
 
 // The server's metric surface, exposed in Prometheus text format at
 // GET /metrics. Everything observed on the serving path — request
-// latencies, batch-wait time, per-shard scan time, merge time, per-call
-// core counters — records through pre-resolved handles (atomic adds, no
-// allocation, no locks); state that already lives in an atomic somewhere
-// (epoch, queue depth, dispatch counts) is exported through func-backed
-// counters/gauges read only at scrape time.
+// latencies, batch-wait time, per-shard scan time, merge time — records
+// through pre-resolved handles (atomic adds, no allocation, no locks);
+// state that already lives somewhere (epoch, queue depth, dispatch counts,
+// the cumulative core stats /stats renders) is exported through
+// func-backed counters/gauges read only at scrape time.
 
 // endpoints instrumented with request counters and latency histograms.
 // A fixed list, never request data: label cardinality stays bounded.
@@ -40,19 +40,6 @@ type serverMetrics struct {
 	mergeDur     *obs.Histogram
 	requestsShed *obs.Counter
 	dispatchIdle *obs.Counter
-
-	coreCandidates  *obs.Counter
-	coreResults     *obs.Counter
-	coreBlock       *obs.Counter
-	coreScalar      *obs.Counter
-	coreProcessed   *obs.Counter
-	corePruned      *obs.Counter
-	coreTunings     *obs.Counter
-	coreTuneHits    *obs.Counter
-	coreTuneSeconds *obs.Counter
-	coreScanSeconds *obs.Counter
-	quantScreened   *obs.Counter
-	quantSurvivors  *obs.Counter
 
 	slowQueries *obs.Counter
 }
@@ -107,32 +94,6 @@ func newServerMetrics(shards int) *serverMetrics {
 	m.dispatchIdle = reg.Counter("lemp_batch_dispatch_idle_ns",
 		"Total nanoseconds a key's index sat idle while a forming batch waited to dispatch (the window penalty continuous batching removes).")
 
-	m.coreCandidates = reg.Counter("lemp_core_candidates_total",
-		"Probe vectors that survived bucket pruning and were exactly verified (the paper's |C|).")
-	m.coreResults = reg.Counter("lemp_core_results_total",
-		"Verified entries that passed the threshold or ended in a top-k set.")
-	m.coreBlock = reg.Counter("lemp_core_block_verified_total",
-		"Candidates verified through the blocked panel kernels.")
-	m.coreScalar = reg.Counter("lemp_core_scalar_verified_total",
-		"Candidates verified through the scalar tail path.")
-	m.coreProcessed = reg.Counter("lemp_core_processed_pairs_total",
-		"(query, bucket) combinations processed.")
-	m.corePruned = reg.Counter("lemp_core_pruned_pairs_total",
-		"(query, bucket) combinations pruned by the local threshold bound.")
-	m.coreTunings = reg.Counter("lemp_core_tunings_total",
-		"Sample-tuning passes executed.")
-	m.coreTuneHits = reg.Counter("lemp_core_tune_cache_hits_total",
-		"Tuning phases answered from the shared tuning cache.")
-	m.coreTuneSeconds = reg.Counter("lemp_core_tune_seconds_total",
-		"Cumulative tuning time, summed across shards and calls (worker time, not wall clock).")
-	m.coreScanSeconds = reg.Counter("lemp_core_scan_seconds_total",
-		"Cumulative retrieval-scan time, summed across shards and calls (worker time, not wall clock).")
-
-	m.quantScreened = reg.Counter("lemp_quant_screened_total",
-		"Candidates discarded by int8 quantized screening before exact verification (0 on the portable kernels unless built with quantization).")
-	m.quantSurvivors = reg.Counter("lemp_quant_survivors_total",
-		"Candidates that passed quantized screening and went on to exact verification.")
-
 	m.slowQueries = reg.Counter("lemp_slow_queries_total",
 		"Requests past the slow-query threshold (always traced and logged).")
 
@@ -150,27 +111,6 @@ func (m *serverMetrics) observeRequest(endpoint string, status int, dur time.Dur
 	} else {
 		m.reqTotalOther[endpoint].Inc()
 	}
-}
-
-// recordCallStats folds one retrieval call's core stats into the counters;
-// it runs once per sharded call (not per request) and performs only atomic
-// adds.
-func (m *serverMetrics) recordCallStats(st lemp.Stats) {
-	if m == nil {
-		return
-	}
-	m.coreCandidates.Add(float64(st.Candidates))
-	m.coreResults.Add(float64(st.Results))
-	m.coreBlock.Add(float64(st.BlockVerified))
-	m.coreScalar.Add(float64(st.ScalarVerified))
-	m.coreProcessed.Add(float64(st.ProcessedPairs))
-	m.corePruned.Add(float64(st.PrunedPairs))
-	m.coreTunings.Add(float64(st.Tunings))
-	m.coreTuneHits.Add(float64(st.TuneCacheHits))
-	m.coreTuneSeconds.AddDuration(st.TuneTime)
-	m.coreScanSeconds.AddDuration(st.RetrievalTime)
-	m.quantScreened.Add(float64(st.QuantScreened))
-	m.quantSurvivors.Add(float64(st.QuantSurvived))
 }
 
 // wireState registers the func-backed families that read live server
@@ -211,9 +151,6 @@ func (s *Server) wireState() {
 	reg.CounterFunc("lemp_shards_scanned_total",
 		"Per-shard retrievals dispatched across all batches.",
 		func() float64 { return float64(s.sharded.ShardsScanned()) })
-	reg.CounterFunc("lemp_shards_pruned_total",
-		"Per-shard retrievals skipped by the cone bound (cluster placement, Above-theta only).",
-		func() float64 { return float64(s.sharded.ShardsPruned()) })
 	reg.CounterFunc("lemp_placement_replacements_total",
 		"Whole-set re-placements triggered by router-exception drift.",
 		func() float64 { return float64(s.sharded.Replacements()) })
@@ -242,11 +179,52 @@ func (s *Server) wireState() {
 		"Request traces retained into the /debug/traces ring.",
 		func() float64 { return float64(s.tracer.Retained()) })
 
-	// Hook the sharded layer: per-shard scan histograms, merge histogram,
-	// and the per-call stats fold.
+	// The core and quant counters read the cumulative stats /stats renders
+	// as "core" and "quant", so the two surfaces cannot disagree.
+	stat := func(name, help string, field func(lemp.Stats) float64) {
+		reg.CounterFunc(name, help, func() float64 { return field(s.sharded.CumulativeStats()) })
+	}
+	stat("lemp_core_candidates_total",
+		"Probe vectors that survived bucket pruning and were exactly verified (the paper's |C|).",
+		func(st lemp.Stats) float64 { return float64(st.Candidates) })
+	stat("lemp_core_results_total",
+		"Verified entries that passed the threshold or ended in a top-k set.",
+		func(st lemp.Stats) float64 { return float64(st.Results) })
+	stat("lemp_core_block_verified_total",
+		"Candidates verified through the blocked panel kernels.",
+		func(st lemp.Stats) float64 { return float64(st.BlockVerified) })
+	stat("lemp_core_scalar_verified_total",
+		"Candidates verified through the scalar tail path.",
+		func(st lemp.Stats) float64 { return float64(st.ScalarVerified) })
+	stat("lemp_core_processed_pairs_total",
+		"(query, bucket) combinations processed.",
+		func(st lemp.Stats) float64 { return float64(st.ProcessedPairs) })
+	stat("lemp_core_pruned_pairs_total",
+		"(query, bucket) combinations pruned by the local threshold bound.",
+		func(st lemp.Stats) float64 { return float64(st.PrunedPairs) })
+	stat("lemp_core_tunings_total",
+		"Sample-tuning passes executed.",
+		func(st lemp.Stats) float64 { return float64(st.Tunings) })
+	stat("lemp_core_tune_cache_hits_total",
+		"Tuning phases answered from the shared tuning cache.",
+		func(st lemp.Stats) float64 { return float64(st.TuneCacheHits) })
+	stat("lemp_core_tune_seconds_total",
+		"Cumulative tuning time, summed across shards and calls (worker time, not wall clock).",
+		func(st lemp.Stats) float64 { return st.TuneTime.Seconds() })
+	stat("lemp_core_scan_seconds_total",
+		"Cumulative retrieval-scan time, summed across shards and calls (worker time, not wall clock).",
+		func(st lemp.Stats) float64 { return st.RetrievalTime.Seconds() })
+	stat("lemp_quant_screened_total",
+		"Candidates discarded by int8 quantized screening before exact verification (0 on the portable kernels unless built with quantization).",
+		func(st lemp.Stats) float64 { return float64(st.QuantScreened) })
+	stat("lemp_quant_survivors_total",
+		"Candidates that passed quantized screening and went on to exact verification.",
+		func(st lemp.Stats) float64 { return float64(st.QuantSurvived) })
+
+	// Hook the sharded layer: per-shard scan histograms and the merge
+	// histogram.
 	s.sharded.scanHist = m.shardScan
 	s.sharded.mergeHist = m.mergeDur
-	s.sharded.onCallStats = m.recordCallStats
 	s.sharded.applyHist = reg.Histogram("lemp_update_apply_seconds",
 		"Wall time of one committed update batch, any shard compaction it ran included.",
 		obs.LatencyBuckets())

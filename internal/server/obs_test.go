@@ -219,6 +219,61 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestCoreCountersMatchStats: after mixed traffic (top-k, Above-θ, an update
+// between them, quantized screening on), each lemp_core_* and lemp_quant_*
+// counter family must equal its /stats "core" / "quant" field exactly — both
+// read the same cumulative stats.
+func TestCoreCountersMatchStats(t *testing.T) {
+	srv, h, _ := obsServer(t, Config{Shards: 2, Options: lemp.Options{Parallelism: 1, Quantize: true}})
+	dim := srv.Sharded().R()
+	above := strings.Replace(strings.Replace(topKBody(t, dim, 4, 1), `"k":1`, `"theta":0.05`, 1), "0.1", "0.3", -1)
+	for _, req := range [][2]string{
+		{"/v1/topk", topKBody(t, dim, 3, 5)},
+		{"/v1/above", above},
+		{"/v1/update", `{"updates":[{"op":"remove","id":0},{"op":"remove","id":5}]}`},
+		{"/v1/topk", topKBody(t, dim, 16, 10)},
+		{"/v1/above", above},
+	} {
+		if w := doJSON(t, h, "POST", req[0], req[1]); w.Code != 200 {
+			t.Fatalf("%s = %d: %s", req[0], w.Code, w.Body.String())
+		}
+	}
+	fams, err := obs.ParseExposition(strings.NewReader(doJSON(t, h, "GET", "/metrics", "").Body.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st statsResponse
+	if err := json.Unmarshal(doJSON(t, h, "GET", "/stats", "").Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Core.Candidates == 0 || st.Core.Results == 0 || st.Quant.Screened+st.Quant.Survivors == 0 {
+		t.Fatalf("traffic left core %+v quant %+v: want candidates, results and screened ones", st.Core, st.Quant)
+	}
+	for name, want := range map[string]float64{
+		"lemp_core_candidates_total":      float64(st.Core.Candidates),
+		"lemp_core_results_total":         float64(st.Core.Results),
+		"lemp_core_block_verified_total":  float64(st.Core.BlockVerified),
+		"lemp_core_scalar_verified_total": float64(st.Core.ScalarVerified),
+		"lemp_core_processed_pairs_total": float64(st.Core.ProcessedPairs),
+		"lemp_core_pruned_pairs_total":    float64(st.Core.PrunedPairs),
+		"lemp_core_tunings_total":         float64(st.Core.Tunings),
+		"lemp_core_tune_cache_hits_total": float64(st.Core.TuneCacheHits),
+		"lemp_core_tune_seconds_total":    time.Duration(st.Core.TuneNS).Seconds(),
+		"lemp_core_scan_seconds_total":    time.Duration(st.Core.RetrievalNS).Seconds(),
+		"lemp_quant_screened_total":       float64(st.Quant.Screened),
+		"lemp_quant_survivors_total":      float64(st.Quant.Survivors),
+	} {
+		f := fams[name]
+		if f == nil || len(f.Samples) != 1 {
+			t.Errorf("%s: family missing or not one sample", name)
+			continue
+		}
+		if got := f.Samples[0].Value; got != want {
+			t.Errorf("%s = %v, /stats has %v", name, got, want)
+		}
+	}
+}
+
 // TestTraceHeaderAndRing checks the per-request trace contract: retrieval
 // responses carry X-Lemp-Trace, and with SampleRate 1 the same id is
 // retrievable from GET /debug/traces with the span tree intact. The batch

@@ -2,23 +2,15 @@ package server
 
 import (
 	"fmt"
-	"math"
 
 	"lemp"
 	"lemp/internal/kmeans"
-	"lemp/internal/vecmath"
 )
 
-// Shard placement: how a probe catalog is partitioned across shards, and —
-// for cluster placement — how whole shards are pruned per query. The
-// paper's Cauchy–Schwarz bucket bound (§3.2) lifts one level up: a shard
-// whose live probes fit in a direction cone of known angular radius and
-// maximum length cannot produce an inner product above
-// ‖q‖·MaxLen·cos(max(0, ∠(q, centroid) − radius)), so an Above-θ query
-// skips the shard entirely when that bound stays below θ. The bound is
-// conservative (padded radius, floored at zero, slack on the per-query
-// arithmetic), so exact-mode results stay byte-identical: a pruned shard
-// would have contributed nothing to the merge.
+// Shard placement: how a probe catalog is partitioned across shards, at
+// build and at every re-placement. Placement decides nothing else: every
+// retrieval fans out to every shard, and adds follow one rule whatever the
+// kind (Sharded.Update).
 
 // PlacementKind names a shard-placement strategy.
 type PlacementKind string
@@ -34,9 +26,7 @@ const (
 	// contiguous, so the range router stays compact.
 	PlaceCost PlacementKind = "cost"
 	// PlaceCluster groups directionally similar probes per shard
-	// (spherical k-means, seeded by Options.Seed) and stores each shard's
-	// direction cone, enabling per-query whole-shard pruning on Above-θ
-	// retrievals.
+	// (spherical k-means, seeded by Options.Seed).
 	PlaceCluster PlacementKind = "cluster"
 )
 
@@ -147,86 +137,4 @@ func partitionProbes(kind PlacementKind, probe *lemp.Matrix, ids []int32, nShard
 		return parts, nil
 	}
 	return nil, fmt.Errorf("server: unknown placement %q", kind)
-}
-
-// coneSlack is the relative slack added to the per-query cone bound before
-// the prune comparison, absorbing the rounding of the dot product, the
-// query-length division and the cos(a−b) expansion. It only ever raises
-// the bound, keeping pruning conservative.
-const coneSlack = 1e-9
-
-// coneBound returns a conservative upper bound on qᵀp over every live
-// probe p of a shard with the given cone; q has length qlen. A nil cone
-// means "no placement information" and never prunes. The bound is floored
-// at 0 — a zero-length probe's inner product — and a NaN bound (non-finite
-// query) compares false against θ under the !(bound < θ) keep rule, so
-// such shards are always scanned.
-func coneBound(c *lemp.ShardCone, q []float64, qlen float64) float64 {
-	if c == nil {
-		return math.Inf(1)
-	}
-	if c.MaxLen == 0 || qlen == 0 {
-		return 0
-	}
-	if c.Centroid == nil {
-		// No usable axis: only the length bound applies.
-		return qlen * c.MaxLen
-	}
-	d := vecmath.Dot(q, c.Centroid) / qlen
-	if d > 1 {
-		d = 1
-	} else if d < -1 {
-		d = -1
-	}
-	cosR := c.CosRadius
-	// cos(max(0, a−b)) with cos a = d, cos b = cosR, both angles in [0, π]:
-	// 1 when the query lies inside the cone (a ≤ b), else the expansion
-	// cos a·cos b + sin a·sin b.
-	cang := 1.0
-	if d < cosR {
-		cang = d*cosR + math.Sqrt((1-d*d)*(1-cosR*cosR))
-	}
-	bound := qlen * c.MaxLen * (cang + coneSlack)
-	if bound < 0 {
-		return 0
-	}
-	return bound
-}
-
-// widenCone returns a copy of c grown to also enclose vec (an added or
-// rewritten probe): MaxLen rises to the vector's length and the radius
-// opens to cover its direction. Removals never shrink the cone — stale
-// width only costs pruning opportunity, never correctness — so updates
-// stay cheap and a drift re-placement restores tightness. A nil cone stays
-// nil. The receiver is never mutated: views snapshot cone pointers.
-func widenCone(c *lemp.ShardCone, vec []float64) *lemp.ShardCone {
-	if c == nil {
-		return nil
-	}
-	nc := *c
-	if nc.Centroid == nil {
-		if l := vecmath.Norm(vec); l > nc.MaxLen {
-			nc.MaxLen = l
-		}
-		return &nc
-	}
-	dot, norm2 := vecmath.DotNorm2(nc.Centroid, vec)
-	l := math.Sqrt(norm2)
-	if l > nc.MaxLen {
-		nc.MaxLen = l
-	}
-	if l > 0 {
-		d := dot / l
-		if d > 1 {
-			d = 1
-		}
-		d -= 1e-12
-		if d < -1 {
-			d = -1
-		}
-		if d < nc.CosRadius {
-			nc.CosRadius = d
-		}
-	}
-	return &nc
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lemp"
@@ -127,13 +128,13 @@ func compareTopKValues(t *testing.T, ctx string, got, want [][]lemp.Entry) {
 	}
 }
 
-// TestClusterPrunedDifferential is the placement differential harness:
-// across randomized mutation/query sequences and every bucket algorithm,
-// cluster-routed retrieval with cone pruning enabled must be byte-identical
-// to (a) the same shard set fanning out to all shards and (b) a single
-// unsharded reference index mirroring every mutation. Sequences include
-// zero probes, zero queries, empty results and post-update cone drift.
-func TestClusterPrunedDifferential(t *testing.T) {
+// TestClusterPlacedDifferential is the placement differential harness:
+// across randomized mutation/query sequences and every bucket algorithm, a
+// cluster-placed shard set must answer Above-θ byte-identically, and
+// Row-Top-k with the same values, as a single unsharded reference index
+// mirroring every mutation. Sequences include zero probes, zero queries,
+// empty results and cost-routed adds.
+func TestClusterPlacedDifferential(t *testing.T) {
 	algos := []lemp.Algorithm{
 		lemp.AlgorithmLI, lemp.AlgorithmL, lemp.AlgorithmC, lemp.AlgorithmI,
 		lemp.AlgorithmLC, lemp.AlgorithmTA, lemp.AlgorithmTree, lemp.AlgorithmL2AP,
@@ -142,7 +143,6 @@ func TestClusterPrunedDifferential(t *testing.T) {
 	if testing.Short() {
 		sequences = 80
 	}
-	var totalPruned, totalScanned uint64
 	for seq := 0; seq < sequences; seq++ {
 		rng := rand.New(rand.NewSource(int64(9000 + seq)))
 		opts := lemp.Options{
@@ -204,15 +204,8 @@ func TestClusterPrunedDifferential(t *testing.T) {
 
 			got, _, err := sh.CurrentView().AboveThetaCtx(context.Background(), q, theta)
 			if err != nil {
-				t.Fatalf("seq %d round %d: pruned above: %v", seq, round, err)
+				t.Fatalf("seq %d round %d: sharded above: %v", seq, round, err)
 			}
-			sh.noPrune = true
-			full, _, err := sh.CurrentView().AboveThetaCtx(context.Background(), q, theta)
-			sh.noPrune = false
-			if err != nil {
-				t.Fatalf("seq %d round %d: full above: %v", seq, round, err)
-			}
-			compareRows(t, "pruned vs full fan-out", got, full)
 
 			refRes, err := ref.Retrieve(context.Background(), q, lemp.AboveTheta(theta))
 			if err != nil {
@@ -224,7 +217,7 @@ func TestClusterPrunedDifferential(t *testing.T) {
 			for _, e := range entries {
 				want[e.Query] = append(want[e.Query], e)
 			}
-			compareRows(t, "pruned vs reference", got, want)
+			compareRows(t, "above vs reference", got, want)
 
 			k := 1 + rng.Intn(4)
 			gotTop, _, err := sh.CurrentView().TopKCtx(context.Background(), q, k)
@@ -236,93 +229,6 @@ func TestClusterPrunedDifferential(t *testing.T) {
 				t.Fatalf("seq %d round %d: reference topk: %v", seq, round, err)
 			}
 			compareTopKValues(t, "topk vs reference", gotTop, refRes.TopK)
-		}
-		totalPruned += sh.ShardsPruned()
-		totalScanned += sh.ShardsScanned()
-	}
-	// The harness must actually exercise pruning, or the differential
-	// assertions above prove nothing about the cone bound.
-	if totalPruned == 0 {
-		t.Fatalf("no shard was ever pruned across %d sequences (%d scans)", sequences, totalScanned)
-	}
-	t.Logf("pruned %d of %d shard scans (%.1f%%)",
-		totalPruned, totalPruned+totalScanned, 100*float64(totalPruned)/float64(totalPruned+totalScanned))
-}
-
-// TestConeBoundConservative is the cone-soundness property test: for a
-// shard's direction cone, the per-query bound must dominate the exact
-// maximum inner product over the shard's live probes — including zero
-// probes, zero queries, and cones widened by post-build updates (adds and
-// rewrites that drift outside the original radius). A NaN query must never
-// prune under the !(bound < θ) keep rule.
-func TestConeBoundConservative(t *testing.T) {
-	trials := 400
-	if testing.Short() {
-		trials = 60
-	}
-	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(int64(5000 + trial)))
-		r := 3 + rng.Intn(10)
-		n := 5 + rng.Intn(40)
-		p := clusteredProbe(rng, r, n)
-		ix, err := lemp.New(p.Clone(), lemp.Options{MinBucketSize: 4, Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cone := ix.DirectionCone()
-
-		check := func(stage string, c *lemp.ShardCone, probes *lemp.Matrix) {
-			for qi := 0; qi < 20; qi++ {
-				q := randVec(rng, r)
-				if qi == 0 {
-					q = make([]float64, r) // zero query
-				}
-				qlen := vecmath.Norm(q)
-				maxDot := math.Inf(-1)
-				for i := 0; i < probes.N(); i++ {
-					if d := vecmath.Dot(q, probes.Vec(i)); d > maxDot {
-						maxDot = d
-					}
-				}
-				bound := coneBound(c, q, qlen)
-				// The floored bound only claims to dominate qualifying
-				// (v ≥ θ > 0) products, which maxDot ≤ 0 never yields.
-				if maxDot > 0 && bound < maxDot {
-					t.Fatalf("trial %d %s: cone bound %v below exact max %v (qlen %v, cone %+v)",
-						trial, stage, bound, maxDot, qlen, c)
-				}
-			}
-		}
-		check("fresh", cone, ix.Probe())
-
-		// Widen by a batch of adds/rewrites and re-check against the new
-		// probe set: the widened cone must still enclose every live probe.
-		probes, ids := ix.LiveProbes()
-		widened := cone
-		nAdd := 1 + rng.Intn(6)
-		grown := lemp.NewMatrix(r, probes.N()+nAdd)
-		for i := 0; i < probes.N(); i++ {
-			copy(grown.Vec(i), probes.Vec(i))
-		}
-		for a := 0; a < nAdd; a++ {
-			v := randVec(rng, r)
-			copy(grown.Vec(probes.N()+a), v)
-			widened = widenCone(widened, v)
-		}
-		_ = ids
-		check("widened", widened, grown)
-
-		// NaN query: the bound must not prune for any θ.
-		nanq := make([]float64, r)
-		nanq[0] = math.NaN()
-		b := coneBound(cone, nanq, vecmath.Norm(nanq))
-		if b < math.Inf(1) && !math.IsNaN(b) {
-			// A finite bound would be fine only if it still kept the shard
-			// for every θ, which it cannot; require NaN or +Inf.
-			t.Fatalf("trial %d: NaN query produced finite bound %v", trial, b)
-		}
-		if b < 1e18 { // the keep rule itself: !(bound < θ) must hold
-			t.Fatalf("trial %d: NaN query bound %v would prune", trial, b)
 		}
 	}
 }
@@ -376,15 +282,60 @@ func TestCostPlacementBalancesSkew(t *testing.T) {
 	compareRows(t, "range vs cost", a, b)
 }
 
-// TestPlacementAddRouting: adds must follow the active placement — nearest
-// cone centroid under cluster placement, cheapest shard under cost
-// placement — and drift past the exception bound must trigger a whole-set
-// re-placement that leaves the router compact and results exact.
+// TestPlacementAddRouting: under every placement, each add must go to the
+// shard with the least estimated scan cost, counting the adds the batch
+// already placed (a new vector weighs its length; a zero vector weighs
+// nothing). Under cluster placement, drift past the exception bound must
+// then trigger a whole-set re-placement that leaves the router compact and
+// results exact.
 func TestPlacementAddRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	const r, n = 6, 120
 	p := clusteredProbe(rng, r, n)
 	opts := lemp.Options{MinBucketSize: 6, Parallelism: 1}
+	for _, kind := range []PlacementKind{PlaceRange, PlaceCost, PlaceCluster} {
+		sh, err := NewShardedPlaced(p.Clone(), nil, 3, opts, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The batch opens with an add long enough to lift the cheapest shard
+		// past the dearest, so the rule must move on within the batch.
+		costs := append([]float64(nil), sh.costs...)
+		spread := slices.Max(costs) - slices.Min(costs)
+		long := randVec(rng, r)
+		for vecmath.Norm(long) == 0 {
+			long = randVec(rng, r)
+		}
+		vecmath.Scale(long, long, (spread+1)/vecmath.Norm(long))
+		vecs := [][]float64{long, make([]float64, r), randVec(rng, r), randVec(rng, r), make([]float64, r)}
+		ups := make([]lemp.ProbeUpdate, len(vecs))
+		want := make([]int, len(vecs))
+		for i, v := range vecs {
+			ups[i] = lemp.ProbeUpdate{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: v}
+			for j := range costs {
+				if costs[j] < costs[want[i]] {
+					want[i] = j
+				}
+			}
+			costs[want[i]] += vecmath.Norm(v)
+		}
+		if want[0] == want[1] {
+			t.Fatalf("%s: the long add did not move the cheapest shard (costs %v)", kind, sh.costs)
+		}
+		res, err := sh.Update(ups, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range res.IDs {
+			if shard, live := sh.router.route(id); !live || shard != want[i] {
+				t.Errorf("%s: add %d (length %.3g) routed to shard %d (live %v), want %d",
+					kind, i, vecmath.Norm(vecs[i]), shard, live, want[i])
+			}
+		}
+	}
+
+	// Pile on adds until the drift bound trips: the exception map must be
+	// re-collapsed into ranges and results must still match the reference.
 	sh, err := NewShardedPlaced(p.Clone(), nil, 3, opts, PlaceCluster)
 	if err != nil {
 		t.Fatal(err)
@@ -393,28 +344,6 @@ func TestPlacementAddRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Route an add along shard 0's centroid: it must land on shard 0.
-	_, cones := sh.PlacementInfo()
-	if cones == nil || cones[0] == nil || cones[0].Centroid == nil {
-		t.Fatal("cluster placement built no cones")
-	}
-	along := make([]float64, r)
-	copy(along, cones[0].Centroid)
-	vecmath.Scale(along, along, 1.5)
-	res, err := sh.Update([]lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: along}}, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shard, live := sh.router.route(res.IDs[0]); !live || shard != 0 {
-		t.Fatalf("centroid-aligned add routed to shard %d (live %v), want 0", shard, live)
-	}
-	if _, err := ref.ApplyUpdates([]lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: res.IDs[0], Vec: along}}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Pile on adds until the drift bound trips: the exception map must be
-	// re-collapsed into ranges and results must still match the reference.
 	added := 0
 	for sh.Replacements() == 0 && added < 4*n {
 		v := clusteredProbe(rng, r, 1).Vec(0)
@@ -442,31 +371,11 @@ func TestPlacementAddRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareRows(t, "post-replacement", got, directAboveRows(t, ref, q, 0.8))
-
-	// Cost placement: adds must land on the cheapest shard.
-	costSh, err := NewShardedPlaced(p.Clone(), nil, 3, opts, PlaceCost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	costs := append([]float64(nil), costSh.costs...)
-	cheapest := 0
-	for i := range costs {
-		if costs[i] < costs[cheapest] {
-			cheapest = i
-		}
-	}
-	res, err = costSh.Update([]lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: randVec(rng, r)}}, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shard, live := costSh.router.route(res.IDs[0]); !live || shard != cheapest {
-		t.Fatalf("cost add routed to shard %d (live %v), want cheapest %d", shard, live, cheapest)
-	}
 }
 
 // TestClusterSnapshotRoundTrip: a cluster-placed server snapshotted and
-// restored must keep its placement (kind and cones), keep pruning, and
-// answer identically to the original.
+// restored must adopt its placement kind and answer identically to the
+// original.
 func TestClusterSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	const r, n = 6, 90
@@ -484,15 +393,6 @@ func TestClusterSnapshotRoundTrip(t *testing.T) {
 	if got := restored.Sharded().Placement(); got != PlaceCluster {
 		t.Fatalf("restored placement %q, want %q", got, PlaceCluster)
 	}
-	_, cones := restored.Sharded().PlacementInfo()
-	if cones == nil {
-		t.Fatal("restored shard set has no cones")
-	}
-	for i, c := range cones {
-		if c == nil {
-			t.Fatalf("restored shard %d has no cone", i)
-		}
-	}
 	q := lemp.NewMatrix(r, 5)
 	for i := 0; i < 5; i++ {
 		copy(q.Vec(i), clusteredProbe(rng, r, 1).Vec(0))
@@ -506,6 +406,15 @@ func TestClusterSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareRows(t, "restored vs original", got, want)
+	wantTop, _, err := srv.Sharded().CurrentView().TopKCtx(context.Background(), q, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotTop, _, err := restored.Sharded().CurrentView().TopKCtx(context.Background(), q, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareRows(t, "restored top-k vs original", gotTop, wantTop)
 
 	// A shard-count override must re-place through the placement interface.
 	resharded, err := NewFromSnapshot(snapshotReaders(writeShardSnapshots(t, srv)), Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})

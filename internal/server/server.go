@@ -27,12 +27,15 @@ import (
 type Config struct {
 	// Shards is the number of index shards (default 1).
 	Shards int
-	// Placement selects the shard-placement strategy: "range" (equal-count
-	// contiguous, the default), "cost" (contiguous, balanced by estimated
-	// scan cost) or "cluster" (directional k-means with per-shard cone
-	// pruning of Above-θ queries). When restoring from snapshots, an empty
-	// Placement adopts whatever strategy the snapshots were written under;
-	// a non-empty one overrides it (forcing a re-placement on load).
+	// Placement selects how the catalog is partitioned into shards at build
+	// and at re-placement: "range" (equal-count contiguous, the default),
+	// "cost" (contiguous, balanced by estimated scan cost) or "cluster"
+	// (directional spherical k-means). It decides nothing else: every
+	// retrieval reaches every shard, and adds go to the shard with the least
+	// estimated scan cost under any placement. When restoring from
+	// snapshots, an empty Placement adopts whatever strategy the snapshots
+	// were written under; a non-empty one overrides it (forcing a
+	// re-placement on load).
 	Placement string
 	// RebalanceOnLoad re-places the restored probe set under the effective
 	// placement strategy before serving, instead of adopting the snapshot
@@ -226,7 +229,7 @@ func NewWithIDs(probe *lemp.Matrix, ids []int32, cfg Config) (*Server, error) {
 // only Parallelism (structure and algorithm are fixed by the snapshots).
 //
 // The snapshot layout is adopted as-is by default: snapshot count = shard
-// count, stored placement strategy and cones included. Any of cfg.Shards
+// count, stored placement strategy included. Any of cfg.Shards
 // set to a different count, cfg.Placement overriding the stored strategy,
 // or cfg.RebalanceOnLoad forces one re-placement of the live probe set —
 // through the placement interface, whatever the snapshot layout was —
@@ -251,7 +254,7 @@ func NewFromSnapshot(snapshots []io.Reader, cfg Config) (*Server, error) {
 		if kind != sharded.Placement() {
 			// Re-adopt the loaded indexes under the overriding strategy,
 			// then re-place: the snapshot partitioning reflects the old one.
-			if sharded, err = NewShardedFromIndexesPlaced(sharded.Indexes(), kind, nil); err != nil {
+			if sharded, err = NewShardedFromIndexesPlaced(sharded.Indexes(), kind); err != nil {
 				return nil, err
 			}
 			rebalance = true
@@ -341,25 +344,18 @@ func (s *Server) Sharded() *Sharded { return s.sharded }
 // indexes so a restored server's first batch skips their rebuild.
 func (s *Server) WriteSnapshotsWith(open func(i, n int) (io.WriteCloser, error), opts lemp.SnapshotOptions) error {
 	ixs := s.sharded.Indexes()
-	kind, cones := s.sharded.PlacementInfo()
+	if kind := s.sharded.Placement(); opts.Placement == nil && kind != PlaceRange {
+		// Persist the placement strategy so a restore re-places the way the
+		// original build did. Range placement writes no PLMT section,
+		// keeping those snapshots readable by older builds.
+		opts.Placement = &lemp.ShardPlacement{Kind: string(kind)}
+	}
 	for i, ix := range ixs {
-		shOpts := opts
-		if shOpts.Placement == nil && kind != PlaceRange {
-			// Persist the placement strategy (and, for cluster shards, the
-			// direction cone) so a restore adopts it instead of falling back
-			// to range semantics. Range placement writes no PLMT section,
-			// keeping those snapshots readable by older builds.
-			pl := &lemp.ShardPlacement{Kind: string(kind)}
-			if cones != nil {
-				pl.Cone = cones[i]
-			}
-			shOpts.Placement = pl
-		}
 		w, err := open(i, len(ixs))
 		if err != nil {
 			return err
 		}
-		if err := ix.WriteSnapshotWith(w, shOpts); err != nil {
+		if err := ix.WriteSnapshotWith(w, opts); err != nil {
 			if a, ok := w.(interface{ Abort() error }); ok {
 				a.Abort()
 			} else {
@@ -816,7 +812,6 @@ type statsResponse struct {
 	Placement     string    `json:"placement"`
 	CostSkew      float64   `json:"cost_skew"`
 	ShardsScanned uint64    `json:"shards_scanned"`
-	ShardsPruned  uint64    `json:"shards_pruned"`
 	ListBytes     int       `json:"list_bytes"` // sorted-list indexes across shards: Sharded.ListBytes
 	Quant         quantInfo `json:"quant"`
 	Core          coreStats `json:"core"`
@@ -904,7 +899,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Placement:     string(s.sharded.Placement()),
 		CostSkew:      s.sharded.CostSkew(),
 		ShardsScanned: s.sharded.ShardsScanned(),
-		ShardsPruned:  s.sharded.ShardsPruned(),
 		ListBytes:     s.sharded.ListBytes(),
 		Quant: quantInfo{
 			Screened:     st.QuantScreened,

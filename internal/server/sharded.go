@@ -46,16 +46,14 @@ type Sharded struct {
 	opts      lemp.Options
 
 	// mu guards the swappable serving state: the shard indexes, the epoch,
-	// the live probe count, and the placement metadata (per-shard estimated
-	// costs, and direction cones for cluster placement). The index, cone
-	// and cost slices are replaced wholesale on every commit, never mutated
-	// in place, so a View may hold them without the lock.
+	// the live probe count, and the per-shard estimated scan costs. The
+	// index and cost slices are replaced wholesale on every commit, never
+	// mutated in place, so a View may hold them without the lock.
 	mu     sync.RWMutex
 	epoch  uint64
-	n      int               // live probes across all shards
-	shards []*lemp.Index     // current version of every shard
-	costs  []float64         // per-shard estimated scan cost
-	cones  []*lemp.ShardCone // per-shard direction cones; nil unless cluster-placed
+	n      int           // live probes across all shards
+	shards []*lemp.Index // current version of every shard
+	costs  []float64     // per-shard estimated scan cost
 
 	// updMu serializes Update calls. Routing state (router, nextID) is
 	// only accessed while it is held.
@@ -79,25 +77,16 @@ type Sharded struct {
 	compactions  atomic.Uint64
 	replacements atomic.Uint64
 
-	// Shard-scan accounting: scanned counts shard retrievals dispatched,
-	// pruned the shard retrievals skipped by the cone bound (exported as
-	// lemp_shards_scanned_total / lemp_shards_pruned_total).
+	// scanned counts shard retrievals dispatched (exported as
+	// lemp_shards_scanned_total).
 	scanned atomic.Uint64
-	pruned  atomic.Uint64
-
-	// noPrune disables cone pruning (differential tests compare pruned
-	// against full fan-out on the same shard set).
-	noPrune bool
 
 	// Observability hooks, wired once by the server before serving and
-	// nil for library use (all three are nil-safe at the call sites).
+	// nil for library use (both are nil-safe at the call sites).
 	// scanHist[i] observes shard i's per-call retrieval time, mergeHist
-	// the cross-shard merge time, and onCallStats receives each call's
-	// accumulated core stats (it must be cheap and allocation-free: it
-	// runs on the retrieval path).
-	scanHist    []*obs.Histogram
-	mergeHist   *obs.Histogram
-	onCallStats func(lemp.Stats)
+	// the cross-shard merge time.
+	scanHist  []*obs.Histogram
+	mergeHist *obs.Histogram
 	// applyHist observes the wall time of each committed Update, compactHist
 	// that of each shard compaction inside one.
 	applyHist   *obs.Histogram
@@ -115,11 +104,10 @@ type Sharded struct {
 // storage) under an explicit placement strategy: equal-count contiguous
 // ranges (PlaceRange: shard i indexes probes [i·n/S, (i+1)·n/S), sizes
 // differing by at most one), contiguous ranges balanced by estimated scan
-// cost (PlaceCost), or direction clusters with per-shard cones for
-// query-time shard pruning (PlaceCluster). Every shard receives the same
-// options. ids[i] names probe column i in the global id space (nil assigns
-// 0..n-1); re-sharding a previously mutated catalog passes them so probe ids
-// survive the rebuild instead of being renumbered.
+// cost (PlaceCost), or direction clusters (PlaceCluster). Every shard
+// receives the same options. ids[i] names probe column i in the global id
+// space (nil assigns 0..n-1); re-sharding a previously mutated catalog
+// passes them so probe ids survive the rebuild instead of being renumbered.
 func NewShardedPlaced(probe *lemp.Matrix, ids []int32, nShards int, opts lemp.Options, kind PlacementKind) (*Sharded, error) {
 	n := probe.N()
 	if nShards < 1 {
@@ -159,43 +147,28 @@ func NewShardedPlaced(probe *lemp.Matrix, ids []int32, nShards int, opts lemp.Op
 		routeIDs[i] = ix.LiveIDs()
 	}
 	s.router = newRouter(routeIDs)
-	s.costs, s.cones = s.placementMeta(s.shards)
+	s.costs = shardCosts(s.shards)
 	return s, nil
 }
 
-// placementMeta computes the per-shard placement metadata for a shard-index
-// set: estimated scan costs always, direction cones only under cluster
-// placement (the only strategy that prunes with them).
-func (s *Sharded) placementMeta(ixs []*lemp.Index) ([]float64, []*lemp.ShardCone) {
+// shardCosts returns the estimated scan cost of every index of a shard set.
+func shardCosts(ixs []*lemp.Index) []float64 {
 	costs := make([]float64, len(ixs))
-	var cones []*lemp.ShardCone
-	if s.placement == PlaceCluster {
-		cones = make([]*lemp.ShardCone, len(ixs))
-	}
 	for i, ix := range ixs {
 		costs[i] = ix.EstimatedCost()
-		if cones != nil {
-			cones[i] = ix.DirectionCone()
-		}
 	}
-	return costs, cones
+	return costs
 }
 
 // NewShardedFromIndexesPlaced assembles a Sharded from pre-built indexes —
 // typically loaded from per-shard snapshots — in shard order. The indexes'
 // probe ids must be globally unique; they are adopted as the serving id
 // space. Empty shards are legal — probe updates can drain a shard, and its
-// snapshot must still restore (later adds refill it). The set adopts a
-// placement strategy and, for cluster placement, optional per-shard
-// direction cones (from snapshot PLMT sections). Missing cones — nil slice
-// or nil entries — are recomputed from the live probe sets, so pruning works
-// even when the snapshots predate placement metadata.
-func NewShardedFromIndexesPlaced(ixs []*lemp.Index, kind PlacementKind, cones []*lemp.ShardCone) (*Sharded, error) {
+// snapshot must still restore (later adds refill it). The set adopts the
+// given placement strategy for later re-placements.
+func NewShardedFromIndexesPlaced(ixs []*lemp.Index, kind PlacementKind) (*Sharded, error) {
 	if len(ixs) == 0 {
 		return nil, fmt.Errorf("server: no shard indexes")
-	}
-	if cones != nil && len(cones) != len(ixs) {
-		return nil, fmt.Errorf("server: %d shard cones for %d shards", len(cones), len(ixs))
 	}
 	s := &Sharded{
 		r: ixs[0].R(), placement: kind, opts: ixs[0].Options(),
@@ -218,23 +191,7 @@ func NewShardedFromIndexesPlaced(ixs []*lemp.Index, kind PlacementKind, cones []
 	if a, b, id, overlap := s.router.overlap(); overlap {
 		return nil, fmt.Errorf("server: probe id %d appears in shards %d and %d", id, a, b)
 	}
-	s.costs = make([]float64, len(ixs))
-	for i, ix := range ixs {
-		s.costs[i] = ix.EstimatedCost()
-	}
-	if kind == PlaceCluster {
-		// Adopt stored cones (kept O(read): they were widened by any updates
-		// applied after the original build, so they are at least as wide as
-		// required); recompute only the missing ones from the live sets.
-		s.cones = make([]*lemp.ShardCone, len(ixs))
-		for i, ix := range ixs {
-			if cones != nil && cones[i] != nil {
-				s.cones[i] = cones[i]
-			} else {
-				s.cones[i] = ix.DirectionCone()
-			}
-		}
-	}
+	s.costs = shardCosts(ixs)
 	return s, nil
 }
 
@@ -242,29 +199,34 @@ func NewShardedFromIndexesPlaced(ixs []*lemp.Index, kind PlacementKind, cones []
 // shard (in shard order), skipping bucketization and tuning: startup is
 // O(read). Snapshots written by Server.WriteSnapshotsWith restore an
 // identical shard layout.
-// Placement metadata stored in the snapshots (PLMT sections) is adopted:
-// the shard set restores under the strategy it was built with, cones
-// included. Snapshots without placement metadata — or carrying a strategy
-// this build does not know — restore as range-placed, which serves
-// correctly (no pruning, adds by count).
+// The placement strategy stored in the snapshots (PLMT sections) is
+// adopted, so later re-placements partition as the original build did.
+// Snapshots without placement metadata — or carrying a strategy this build
+// does not know — count as range-placed, which serves correctly. Every
+// shard must name the same strategy: a set that mixes them (snapshots of
+// two different runs) is refused.
 func NewShardedFromSnapshot(snapshots []io.Reader, opts lemp.LoadOptions) (*Sharded, error) {
 	ixs := make([]*lemp.Index, len(snapshots))
-	cones := make([]*lemp.ShardCone, len(snapshots))
-	kind := PlaceRange
+	var kind PlacementKind
 	for i, r := range snapshots {
 		ix, pl, err := lemp.LoadIndexPlacement(r, opts)
 		if err != nil {
 			return nil, fmt.Errorf("server: loading shard %d snapshot: %w", i, err)
 		}
 		ixs[i] = ix
+		k := PlaceRange
 		if pl != nil {
-			cones[i] = pl.Cone
-			if k, err := ParsePlacement(pl.Kind); err == nil {
-				kind = k
+			if pk, err := ParsePlacement(pl.Kind); err == nil {
+				k = pk
 			}
 		}
+		if i == 0 {
+			kind = k
+		} else if k != kind {
+			return nil, fmt.Errorf("server: shard 0 snapshot is %s-placed, shard %d %s-placed", kind, i, k)
+		}
 	}
-	return NewShardedFromIndexesPlaced(ixs, kind, cones)
+	return NewShardedFromIndexesPlaced(ixs, kind)
 }
 
 // Indexes returns the current per-shard indexes in shard order. Callers
@@ -338,10 +300,6 @@ func (s *Sharded) Placement() PlacementKind { return s.placement }
 // dispatched across all batches since construction.
 func (s *Sharded) ShardsScanned() uint64 { return s.scanned.Load() }
 
-// ShardsPruned returns the cumulative number of per-shard retrievals
-// skipped by the cone bound since construction.
-func (s *Sharded) ShardsPruned() uint64 { return s.pruned.Load() }
-
 // Replacements returns the number of drift-triggered whole-set
 // re-placements since construction.
 func (s *Sharded) Replacements() uint64 { return s.replacements.Load() }
@@ -367,15 +325,6 @@ func (s *Sharded) CostSkew() float64 {
 		return 1
 	}
 	return max * float64(len(s.costs)) / sum
-}
-
-// PlacementInfo returns the placement strategy and the current per-shard
-// direction cones (nil unless cluster-placed) in one consistent snapshot —
-// the metadata per-shard snapshot writing persists (PLMT sections).
-func (s *Sharded) PlacementInfo() (PlacementKind, []*lemp.ShardCone) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.placement, s.cones
 }
 
 // Drift re-placement trigger (Update): at least driftMinExceptions router
@@ -453,13 +402,13 @@ func (s *Sharded) replaceLocked(nShards int) error {
 		newIxs[i] = ix
 		routeIDs[i] = ix.LiveIDs()
 	}
-	costs, cones := s.placementMeta(newIxs)
+	costs := shardCosts(newIxs)
 	s.mu.Lock()
 	s.shards = newIxs
 	s.router = newRouter(routeIDs)
 	s.epoch++
 	s.n = total
-	s.costs, s.cones = costs, cones
+	s.costs = costs
 	s.mu.Unlock()
 	return nil
 }
@@ -482,14 +431,13 @@ type View struct {
 	epoch uint64
 	n     int
 	ixs   []*lemp.Index
-	cones []*lemp.ShardCone // epoch-consistent cone snapshot; nil unless cluster-placed
 }
 
 // CurrentView snapshots the serving state at the current epoch.
 func (s *Sharded) CurrentView() *View {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return &View{s: s, epoch: s.epoch, n: s.n, ixs: s.shards, cones: s.cones}
+	return &View{s: s, epoch: s.epoch, n: s.n, ixs: s.shards}
 }
 
 // Epoch returns the update epoch the view was taken at.
@@ -518,11 +466,9 @@ func addShardStats(dst *lemp.Stats, st lemp.Stats) {
 	dst.Queries = queries
 }
 
-// fanOut runs the spec's retrieval for q on every active shard of the view
-// concurrently and returns the per-shard results (nil for a skipped shard)
-// with their accumulated stats, or the first error encountered. active
-// selects the shards to dispatch (nil = all); skipped shards are counted as
-// pruned, dispatched ones as scanned. Nothing orders calls on one shard:
+// fanOut runs the spec's retrieval for q on every shard of the view
+// concurrently and returns the per-shard results with their accumulated
+// stats, or the first error encountered. Nothing orders calls on one shard:
 // fan-outs of different views or batch keys overlap on it. The context is
 // passed down into every shard retrieval, so canceling it — client
 // disconnect, request deadline — aborts all shard scans mid-bucket.
@@ -531,31 +477,18 @@ func addShardStats(dst *lemp.Stats, st lemp.Stats) {
 // opens its own shard-tagged span and passes it down, so the core executor
 // hangs its tune/scan phase spans under the right shard. Per-shard wall
 // time feeds scanHist[i] when the server has wired it.
-func (v *View) fanOut(ctx context.Context, active []bool, q *lemp.Matrix, spec *lemp.Spec) ([]*lemp.Result, lemp.Stats, error) {
+func (v *View) fanOut(ctx context.Context, q *lemp.Matrix, spec *lemp.Spec) ([]*lemp.Result, lemp.Stats, error) {
 	var (
 		wg    sync.WaitGroup
 		mu    sync.Mutex
 		call  lemp.Stats
 		first error
 	)
-	nAct := len(v.ixs)
-	if active != nil {
-		nAct = 0
-		for _, a := range active {
-			if a {
-				nAct++
-			}
-		}
-	}
-	v.s.scanned.Add(uint64(nAct))
-	v.s.pruned.Add(uint64(len(v.ixs) - nAct))
+	v.s.scanned.Add(uint64(len(v.ixs)))
 	parts := make([]*lemp.Result, len(v.ixs))
 	tr, parent := obs.SpanFrom(ctx)
-	wg.Add(nAct)
+	wg.Add(len(v.ixs))
 	for i, ix := range v.ixs {
-		if active != nil && !active[i] {
-			continue
-		}
 		go func(i int, ix *lemp.Index) {
 			defer wg.Done()
 			cctx := ctx
@@ -590,9 +523,6 @@ func (v *View) fanOut(ctx context.Context, active []bool, q *lemp.Matrix, spec *
 	v.s.statsMu.Lock()
 	v.s.cum.Add(call)
 	v.s.statsMu.Unlock()
-	if v.s.onCallStats != nil {
-		v.s.onCallStats(call)
-	}
 	return parts, call, first
 }
 
@@ -614,7 +544,7 @@ func (v *View) retrieve(ctx context.Context, q *lemp.Matrix, key batchKey) ([][]
 	if err != nil {
 		return nil, lemp.Stats{}, err
 	}
-	parts, st, err := v.fanOut(ctx, v.pruneSet(q, key), q, spec)
+	parts, st, err := v.fanOut(ctx, q, spec)
 	if err != nil {
 		return nil, st, err
 	}
@@ -631,9 +561,6 @@ func (v *View) retrieve(ctx context.Context, q *lemp.Matrix, key batchKey) ([][]
 	} else {
 		rows = make([][]lemp.Entry, q.N())
 		for _, p := range parts {
-			if p == nil {
-				continue // pruned shard
-			}
 			for _, e := range p.Entries {
 				rows[e.Query] = append(rows[e.Query], e)
 			}
@@ -647,43 +574,6 @@ func (v *View) retrieve(ctx context.Context, q *lemp.Matrix, key batchKey) ([][]
 		v.s.mergeHist.ObserveDuration(time.Since(start))
 	}
 	return rows, st, nil
-}
-
-// pruneSet computes the shard dispatch set for an Above-θ batch under
-// cluster placement (nil = scan all shards): a shard is skipped only when
-// every query row's cone bound stays below θ, so the dispatch set is the
-// union over the coalesced batch and a pruned shard cannot contribute any
-// qualifying entry for any row. Results are byte-identical to a full
-// fan-out. Row-Top-k never prunes: the k-th best value is only known after
-// the merge, so a low-bound shard may still hold a true top result.
-func (v *View) pruneSet(q *lemp.Matrix, key batchKey) []bool {
-	if key.topk || v.cones == nil || v.s.noPrune {
-		return nil
-	}
-	theta := key.theta
-	qn := q.N()
-	qlens := make([]float64, qn)
-	for j := 0; j < qn; j++ {
-		qlens[j] = vecmath.Norm(q.Vec(j))
-	}
-	active := make([]bool, len(v.ixs))
-	anyPruned := false
-	for i, c := range v.cones {
-		keep := false
-		for j := 0; j < qn && !keep; j++ {
-			// !(bound < theta) keeps NaN bounds (non-finite queries) on the
-			// scan side — only a provably sub-θ shard is skipped.
-			if !(coneBound(c, q.Vec(j), qlens[j]) < theta) {
-				keep = true
-			}
-		}
-		active[i] = keep
-		anyPruned = anyPruned || !keep
-	}
-	if !anyPruned {
-		return nil
-	}
-	return active
 }
 
 // TopKCtx answers Row-Top-k for a whole query matrix on the view: retrieve
@@ -711,14 +601,14 @@ type UpdateResult struct {
 }
 
 // Update applies a batch of probe mutations atomically across all shards:
-// ops are routed to their owning shard (adds go to the currently smallest
-// shard), each affected shard derives a new index copy-on-write, and all
-// new indexes are swapped in under a single epoch increment — a query
-// View taken before the swap sees none of the batch, one taken after sees
-// all of it. Every op is validated while the batch is planned (unknown or
-// duplicate id, dimension mismatch, non-finite coordinate, each reported
-// under the op's index in the batch), before any shard derives anything: a
-// rejected batch changes and counts nothing.
+// ops are routed to their owning shard (adds go to the shard with the least
+// estimated scan cost), each affected shard derives a new index
+// copy-on-write, and all new indexes are swapped in under a single epoch
+// increment — a query View taken before the swap sees none of the batch,
+// one taken after sees all of it. Every op is validated while the batch is
+// planned (unknown or duplicate id, dimension mismatch, non-finite
+// coordinate, each reported under the op's index in the batch), before any
+// shard derives anything: a rejected batch changes and counts nothing.
 //
 // compactThreshold bounds per-shard delta mass: after applying the batch,
 // any shard whose DeltaMass exceeds it is re-bucketized before the swap
@@ -733,10 +623,6 @@ func (s *Sharded) Update(ups []lemp.ProbeUpdate, compactThreshold float64) (Upda
 	// in an overlay so ops within the batch compose (add then remove of
 	// the same id is legal).
 	cur := s.Indexes()
-	counts := make([]int, len(cur))
-	for i, ix := range cur {
-		counts[i] = ix.N()
-	}
 	overlay := make(map[int32]int) // id → shard, or -1 when removed in-batch
 	route := func(id int32) (int, bool) {
 		if sh, ok := overlay[id]; ok {
@@ -744,54 +630,23 @@ func (s *Sharded) Update(ups []lemp.ProbeUpdate, compactThreshold float64) (Upda
 		}
 		return s.router.route(id)
 	}
-	smallest := func() int {
-		best := 0
-		for i := 1; i < len(counts); i++ {
-			if counts[i] < counts[best] {
-				best = i
-			}
-		}
-		return best
-	}
-	// Adds are routed by the active placement: nearest cone centroid under
-	// cluster placement (keeping shards directionally tight, so pruning
-	// stays effective), cheapest shard by estimated cost under cost
-	// placement (addCost tracks in-batch growth, the new vector's length
-	// approximating its bucket's l_b), smallest by count otherwise.
+	// Every add goes to the shard with the least estimated scan cost, under
+	// every placement: the fan-out waits on its slowest shard, and
+	// EstimatedCost models that shard's work. addCost tracks the batch's
+	// own growth, the new vector's length approximating its bucket's l_b.
 	s.mu.RLock()
-	cones, baseCosts := s.cones, s.costs
+	baseCosts := s.costs
 	s.mu.RUnlock()
 	addCost := make([]float64, len(cur))
 	placeAdd := func(vec []float64) int {
-		switch s.placement {
-		case PlaceCluster:
-			best, bestDot := -1, 0.0
-			if l := vecmath.Norm(vec); l > 0 {
-				for i, c := range cones {
-					if c == nil || c.Centroid == nil {
-						continue
-					}
-					if d := vecmath.Dot(vec, c.Centroid) / l; best < 0 || d > bestDot {
-						best, bestDot = i, d
-					}
-				}
+		best := 0
+		for i := 1; i < len(baseCosts); i++ {
+			if baseCosts[i]+addCost[i] < baseCosts[best]+addCost[best] {
+				best = i
 			}
-			if best >= 0 {
-				return best
-			}
-			return smallest() // zero vector, or no shard has a usable axis
-		case PlaceCost:
-			best := 0
-			for i := 1; i < len(baseCosts); i++ {
-				if baseCosts[i]+addCost[i] < baseCosts[best]+addCost[best] {
-					best = i
-				}
-			}
-			addCost[best] += vecmath.Norm(vec)
-			return best
-		default:
-			return smallest()
 		}
+		addCost[best] += vecmath.Norm(vec)
+		return best
 	}
 	perShard := make([][]lemp.ProbeUpdate, len(cur))
 	nextID := s.nextID
@@ -819,7 +674,6 @@ func (s *Sharded) Update(ups []lemp.ProbeUpdate, compactThreshold float64) (Upda
 			sh := placeAdd(up.Vec)
 			perShard[sh] = append(perShard[sh], lemp.ProbeUpdate{Op: lemp.OpAdd, ID: id, Vec: up.Vec})
 			overlay[id] = sh
-			counts[sh]++
 			ids[i] = id
 		case lemp.OpRemove, lemp.OpUpdate:
 			sh, live := route(up.ID)
@@ -829,7 +683,6 @@ func (s *Sharded) Update(ups []lemp.ProbeUpdate, compactThreshold float64) (Upda
 			perShard[sh] = append(perShard[sh], up)
 			if up.Op == lemp.OpRemove {
 				overlay[up.ID] = -1
-				counts[sh]--
 			}
 			ids[i] = up.ID
 		default:
@@ -860,28 +713,14 @@ func (s *Sharded) Update(ups []lemp.ProbeUpdate, compactThreshold float64) (Upda
 		changed = true
 	}
 
-	// Refresh placement metadata for the shards the batch touched, still
-	// outside the serving lock: costs are recomputed from the new index
-	// versions; cones only ever widen (adds and rewrites may fall outside
-	// the old cone, removals are left alone — a stale-wide cone costs
-	// pruning opportunity, never correctness).
+	// Refresh the estimated costs of the shards the batch touched, still
+	// outside the serving lock.
 	var newCosts []float64
-	var newCones []*lemp.ShardCone
 	if changed {
 		newCosts = append([]float64(nil), baseCosts...)
 		for i, nix := range newIxs {
 			if nix != nil {
 				newCosts[i] = nix.EstimatedCost()
-			}
-		}
-		if cones != nil {
-			newCones = append([]*lemp.ShardCone(nil), cones...)
-			for i, ops := range perShard {
-				for _, op := range ops {
-					if op.Op == lemp.OpAdd || op.Op == lemp.OpUpdate {
-						newCones[i] = widenCone(newCones[i], op.Vec)
-					}
-				}
 			}
 		}
 	}
@@ -907,9 +746,6 @@ func (s *Sharded) Update(ups []lemp.ProbeUpdate, compactThreshold float64) (Upda
 		}
 		s.nextID = nextID
 		s.costs = newCosts
-		if newCones != nil {
-			s.cones = newCones
-		}
 	}
 	res := UpdateResult{Epoch: s.epoch, IDs: ids, LiveN: s.n}
 	s.mu.Unlock()
@@ -918,12 +754,12 @@ func (s *Sharded) Update(ups []lemp.ProbeUpdate, compactThreshold float64) (Upda
 		s.applyHist.ObserveDuration(time.Since(start))
 	}
 
-	// Drift bound: placement-routed adds land wherever the placement says,
-	// which the compact range router records as exceptions. Once the
-	// exception map outweighs a fraction of the catalog the id space has
-	// drifted far from the placement that built it — re-place the whole
-	// set (MaybeCompact-style: amortized against the update volume that
-	// caused it). Also restores cone tightness after removals.
+	// Drift bound: cost-routed adds land wherever the costs say, which the
+	// compact range router records as exceptions. Once the exception map
+	// outweighs a fraction of the catalog the id space has drifted far from
+	// the placement that built it — re-place the whole set
+	// (MaybeCompact-style: amortized against the update volume that caused
+	// it).
 	if changed && s.router.exceptions() > driftMinExceptions &&
 		float64(s.router.exceptions()) > driftFraction*float64(res.LiveN) {
 		if err := s.replaceLocked(len(s.shards)); err == nil {

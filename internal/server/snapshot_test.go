@@ -205,13 +205,13 @@ func TestNewShardedFromIndexesValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewShardedFromIndexesPlaced(nil, PlaceRange, nil); err == nil {
+	if _, err := NewShardedFromIndexesPlaced(nil, PlaceRange); err == nil {
 		t.Error("empty index list accepted")
 	}
-	if _, err := NewShardedFromIndexesPlaced([]*lemp.Index{ix, other}, PlaceRange, nil); err == nil {
+	if _, err := NewShardedFromIndexesPlaced([]*lemp.Index{ix, other}, PlaceRange); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
-	sh, err := NewShardedFromIndexesPlaced([]*lemp.Index{ix}, PlaceRange, nil)
+	sh, err := NewShardedFromIndexesPlaced([]*lemp.Index{ix}, PlaceRange)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,6 +231,68 @@ func TestNewFromSnapshotRejectsCorrupt(t *testing.T) {
 	raw[len(raw)/2] ^= 0x20
 	if _, err := NewFromSnapshot(snapshotReaders(bufs), testConfig()); err == nil {
 		t.Fatal("corrupt shard snapshot accepted")
+	}
+}
+
+// TestSnapshotSetPlacementMustAgree: a snapshot set restores under the
+// placement its shards name, and one whose shards name different placements
+// (files of two runs) is refused with both shards and both kinds named.
+// No PLMT section, or a kind this build does not know, counts as range.
+func TestSnapshotSetPlacementMustAgree(t *testing.T) {
+	_, p := smokeMatrices(t)
+	half := p.N() / 2
+	shards := [][2]int{{0, half}, {half, p.N()}}
+	snap := func(i int, kind string) io.Reader {
+		ids := make([]int32, shards[i][1]-shards[i][0])
+		for j := range ids {
+			ids[j] = int32(shards[i][0] + j)
+		}
+		ix, err := lemp.NewWithIDs(p.Slice(shards[i][0], shards[i][1]), ids, lemp.Options{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var opts lemp.SnapshotOptions
+		if kind != "" {
+			opts.Placement = &lemp.ShardPlacement{Kind: kind}
+		}
+		var buf bytes.Buffer
+		if err := ix.WriteSnapshotWith(&buf, opts); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+	for _, tc := range []struct {
+		kinds [2]string
+		want  PlacementKind // "" = refused, naming both shards and the kinds in named
+		named [2]PlacementKind
+	}{
+		{kinds: [2]string{"cluster", "cluster"}, want: PlaceCluster},
+		{kinds: [2]string{"cost", "cost"}, want: PlaceCost},
+		{kinds: [2]string{"", ""}, want: PlaceRange},
+		{kinds: [2]string{"", "range"}, want: PlaceRange},
+		{kinds: [2]string{"spiral", ""}, want: PlaceRange},
+		{kinds: [2]string{"cluster", "cost"}, named: [2]PlacementKind{PlaceCluster, PlaceCost}},
+		{kinds: [2]string{"", "cluster"}, named: [2]PlacementKind{PlaceRange, PlaceCluster}},
+		{kinds: [2]string{"cost", "spiral"}, named: [2]PlacementKind{PlaceCost, PlaceRange}},
+	} {
+		sh, err := NewShardedFromSnapshot([]io.Reader{snap(0, tc.kinds[0]), snap(1, tc.kinds[1])}, lemp.LoadOptions{})
+		if tc.want == "" {
+			if err == nil {
+				t.Errorf("%q: mixed placements restored as %s", tc.kinds, sh.Placement())
+				continue
+			}
+			for _, part := range []string{"shard 0", "shard 1", string(tc.named[0]), string(tc.named[1])} {
+				if !strings.Contains(err.Error(), part) {
+					t.Errorf("%q: error %q does not name %s", tc.kinds, err, part)
+				}
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%q: %v", tc.kinds, err)
+		} else if sh.Placement() != tc.want {
+			t.Errorf("%q: restored as %s, want %s", tc.kinds, sh.Placement(), tc.want)
+		}
 	}
 }
 

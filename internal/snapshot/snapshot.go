@@ -55,11 +55,13 @@
 // Version 4 adds one optional section after BUKT (and SLST, when present):
 //
 //	"PLMT"  shard-placement metadata for the serving layer: the placement
-//	        strategy name, and — for cluster-placed shards — the shard's
-//	        direction cone (unit centroid, cos of the angular radius,
-//	        maximum live probe length). The section lets a restored shard
-//	        set resume centroid-routed pruning without recomputing cones;
-//	        a snapshot without it restores with placement re-derived.
+//	        strategy name (length-prefixed), then a cone flag. Builds that
+//	        pruned whole shards by direction wrote flag 1 and a direction
+//	        cone after it (uint32 centroid length 0 or r, the centroid,
+//	        cos of the angular radius, maximum live probe length); cone
+//	        bytes are read and skipped, never written — this writer emits
+//	        flag 0. A snapshot without the section restores as
+//	        range-placed.
 //
 // Version 5 adds one optional section after BUKT (and SLST/PLMT, when
 // present):
@@ -208,16 +210,9 @@ func WriteWith(w io.Writer, st *core.State, opts WriteOptions) error {
 			break
 		}
 	}
-	writePlmt := st.PlacementKind != "" || st.Cone != nil
-	if writePlmt {
-		if len(st.PlacementKind) > maxPlacementKind {
-			return fmt.Errorf("snapshot: placement kind %q longer than %d bytes", st.PlacementKind, maxPlacementKind)
-		}
-		if c := st.Cone; c != nil {
-			if c.Centroid != nil && len(c.Centroid) != st.Probe.R() {
-				return fmt.Errorf("snapshot: placement centroid has dimension %d, probe matrix %d", len(c.Centroid), st.Probe.R())
-			}
-		}
+	writePlmt := st.PlacementKind != ""
+	if len(st.PlacementKind) > maxPlacementKind {
+		return fmt.Errorf("snapshot: placement kind %q longer than %d bytes", st.PlacementKind, maxPlacementKind)
 	}
 	version := uint32(Version)
 	if st.IDs != nil || writeMuta || writeTune {
@@ -305,9 +300,6 @@ func WriteWith(w io.Writer, st *core.State, opts WriteOptions) error {
 	}
 	if writePlmt {
 		plmtLen := uint64(1+len(st.PlacementKind)) + 1
-		if c := st.Cone; c != nil {
-			plmtLen += 4 + 8*uint64(len(c.Centroid)) + 16
-		}
 		if err := writeSection(bw, tagPlacement, plmtLen, func(w io.Writer) error {
 			return writePlacement(w, st)
 		}); err != nil {
@@ -420,41 +412,19 @@ func writeSortedLists(w io.Writer, st *core.State) error {
 }
 
 // writePlacement emits the PLMT payload: the placement kind (length-
-// prefixed), a cone-presence byte, and — when present — the centroid
-// (length-prefixed; 0 for a degenerate cone with no usable axis), the cos
-// of the angular radius, and the maximum live probe length.
+// prefixed) and a zero cone flag.
 func writePlacement(w io.Writer, st *core.State) error {
 	buf := make([]byte, 0, 2+len(st.PlacementKind))
 	buf = append(buf, byte(len(st.PlacementKind)))
 	buf = append(buf, st.PlacementKind...)
-	buf = append(buf, boolByte(st.Cone != nil))
-	if _, err := w.Write(buf); err != nil {
-		return err
-	}
-	c := st.Cone
-	if c == nil {
-		return nil
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(c.Centroid)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if err := matrix.WriteFloat64s(w, c.Centroid); err != nil {
-		return err
-	}
-	var tail [16]byte
-	binary.LittleEndian.PutUint64(tail[0:8], math.Float64bits(c.CosRadius))
-	binary.LittleEndian.PutUint64(tail[8:16], math.Float64bits(c.MaxLen))
-	_, err := w.Write(tail[:])
+	buf = append(buf, 0)
+	_, err := w.Write(buf)
 	return err
 }
 
-// readPlacement parses and validates the PLMT payload. A cone that fails
-// validation here could silently prune shards that still hold qualifying
-// probes, so every field is checked: the centroid must match the probe
-// dimension, be finite, and be (near-)unit; the radius cosine must be a
-// finite value in [-1, 1]; the maximum length finite and non-negative.
+// readPlacement parses the PLMT payload. A cone written by an older build
+// (flag 1) is skipped: its centroid length must be 0 or the probe
+// dimension, and its bytes stay under the section's length and checksum.
 func readPlacement(r io.Reader, st *core.State) error {
 	var kindLen [1]byte
 	if _, err := io.ReadFull(r, kindLen[:]); err != nil {
@@ -483,41 +453,12 @@ func readPlacement(r io.Reader, st *core.State) error {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return err
 	}
-	clen := int(binary.LittleEndian.Uint32(hdr[:]))
-	if clen != 0 && clen != st.Probe.R() {
+	clen := int64(binary.LittleEndian.Uint32(hdr[:]))
+	if clen != 0 && clen != int64(st.Probe.R()) {
 		return fmt.Errorf("cone centroid has dimension %d, probe matrix %d", clen, st.Probe.R())
 	}
-	c := &core.Cone{}
-	if clen > 0 {
-		var err error
-		if c.Centroid, err = matrix.ReadFloat64s(r, clen); err != nil {
-			return err
-		}
-		norm2 := 0.0
-		for _, x := range c.Centroid {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return fmt.Errorf("cone centroid holds non-finite value %v", x)
-			}
-			norm2 += x * x
-		}
-		if math.Abs(norm2-1) > 1e-6 {
-			return fmt.Errorf("cone centroid is not a unit vector (squared norm %v)", norm2)
-		}
-	}
-	var tail [16]byte
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return err
-	}
-	c.CosRadius = math.Float64frombits(binary.LittleEndian.Uint64(tail[0:8]))
-	c.MaxLen = math.Float64frombits(binary.LittleEndian.Uint64(tail[8:16]))
-	if math.IsNaN(c.CosRadius) || c.CosRadius < -1 || c.CosRadius > 1 {
-		return fmt.Errorf("cone radius cosine %v outside [-1, 1]", c.CosRadius)
-	}
-	if math.IsNaN(c.MaxLen) || math.IsInf(c.MaxLen, 0) || c.MaxLen < 0 {
-		return fmt.Errorf("cone max length is %v", c.MaxLen)
-	}
-	st.Cone = c
-	return nil
+	_, err := io.CopyN(io.Discard, r, 8*clen+16)
+	return err
 }
 
 // writeSection frames one section: tag, declared length, the payload teed

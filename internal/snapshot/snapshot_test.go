@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"reflect"
@@ -133,21 +134,18 @@ func buildUntunedState(t testing.TB) *core.State {
 	return ix.State()
 }
 
-// TestPlacementRoundTrip: placement metadata must emit format version 4,
-// round-trip exactly, and stay absent (version unchanged) when not set.
-// Invalid stored cones must be rejected by the reader.
+// TestPlacementRoundTrip: placement metadata must emit format version 4
+// with a kind-only PLMT payload (kind, cone flag 0 — the form every build
+// since version 4 reads), round-trip the kind, and stay absent (version
+// unchanged) when not set.
 func TestPlacementRoundTrip(t *testing.T) {
 	st := buildState(t)
-	r := st.Probe.R()
 	var base bytes.Buffer
 	if err := Write(&base, st); err != nil {
 		t.Fatal(err)
 	}
 	baseVersion := binary.LittleEndian.Uint32(base.Bytes()[8:12])
-	centroid := make([]float64, r)
-	centroid[0], centroid[1] = 0.6, 0.8
 	st.PlacementKind = "cluster"
-	st.Cone = &core.Cone{Centroid: centroid, CosRadius: 0.25, MaxLen: 3.5}
 	var buf bytes.Buffer
 	if err := Write(&buf, st); err != nil {
 		t.Fatal(err)
@@ -156,6 +154,9 @@ func TestPlacementRoundTrip(t *testing.T) {
 	if v := binary.LittleEndian.Uint32(raw[8:12]); v != VersionPlacement {
 		t.Fatalf("format version %d, want %d", v, VersionPlacement)
 	}
+	if got, want := sectionPayload(t, raw, tagPlacement), append([]byte{7}, "cluster\x00"...); !bytes.Equal(got, want) {
+		t.Fatalf("PLMT payload %q, want %q", got, want)
+	}
 	got, err := Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -163,29 +164,9 @@ func TestPlacementRoundTrip(t *testing.T) {
 	if got.PlacementKind != st.PlacementKind {
 		t.Errorf("placement kind %q, want %q", got.PlacementKind, st.PlacementKind)
 	}
-	if !reflect.DeepEqual(got.Cone, st.Cone) {
-		t.Errorf("cone %+v, want %+v", got.Cone, st.Cone)
-	}
-
-	// A kind-only placement (cost shards have no cone) round-trips too.
-	st.Cone = nil
-	buf.Reset()
-	if err := Write(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	got, err = Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.PlacementKind != st.PlacementKind {
-		t.Errorf("placement kind %q, want %q", got.PlacementKind, st.PlacementKind)
-	}
-	if got.Cone != nil {
-		t.Errorf("cone %+v, want nil", got.Cone)
-	}
 
 	// Without placement metadata the version must not rise.
-	st.PlacementKind, st.Cone = "", nil
+	st.PlacementKind = ""
 	buf.Reset()
 	if err := Write(&buf, st); err != nil {
 		t.Fatal(err)
@@ -193,24 +174,114 @@ func TestPlacementRoundTrip(t *testing.T) {
 	if v := binary.LittleEndian.Uint32(buf.Bytes()[8:12]); v != baseVersion {
 		t.Fatalf("placement-free snapshot has version %d, want %d", v, baseVersion)
 	}
+}
 
-	// Invalid cones must fail the write-side validation: wrong centroid
-	// dimension, and a non-unit centroid must fail the read side.
+// TestPlacementReadsParentCone: builds before this one wrote a direction
+// cone into the PLMT section of cluster shards (cone flag 1, uint32
+// centroid length 0 or r, the centroid, cos radius, max length). The
+// reader must skip it and keep the kind, and still reject a flag other
+// than 0 or 1, a centroid length that is neither 0 nor r, and a section
+// that ends inside the cone.
+func TestPlacementReadsParentCone(t *testing.T) {
+	st := buildState(t)
+	r := st.Probe.R()
 	st.PlacementKind = "cluster"
-	st.Cone = &core.Cone{Centroid: make([]float64, r+1), CosRadius: 0, MaxLen: 1}
-	if err := Write(&bytes.Buffer{}, st); err == nil {
-		t.Error("cone with wrong centroid dimension accepted")
-	}
-	bad := make([]float64, r)
-	bad[0] = 0.5 // |norm²−1| far beyond tolerance
-	st.Cone = &core.Cone{Centroid: bad, CosRadius: 0, MaxLen: 1}
-	buf.Reset()
+	var buf bytes.Buffer
 	if err := Write(&buf, st); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("non-unit centroid accepted by reader")
+	raw := buf.Bytes()
+	cone := func(flag byte, clen, floats int) []byte {
+		p := append([]byte{7}, "cluster"...)
+		p = append(p, flag)
+		p = binary.LittleEndian.AppendUint32(p, uint32(clen))
+		for i := 0; i < floats; i++ {
+			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(0.5))
+		}
+		return p
 	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		ok      bool
+	}{
+		{"cone", cone(1, r, r+2), true},
+		{"axis-free cone", cone(1, 0, 2), true},
+		{"flag 2", cone(2, r, r+2), false},
+		{"centroid length r+1", cone(1, r+1, r+3), false},
+		{"centroid length 1", cone(1, 1, 3), false},
+		{"section ends inside the centroid", cone(1, r, r-1), false},
+		{"section ends inside the tail", cone(1, r, r+1), false},
+		{"section ends inside the length", cone(1, r, 0)[:10], false},
+	} {
+		got, err := Read(bytes.NewReader(replaceSection(t, raw, tagPlacement, tc.payload)))
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("%s: accepted", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got.PlacementKind != "cluster" {
+			t.Errorf("%s: placement kind %q, want cluster", tc.name, got.PlacementKind)
+		}
+		if _, err := core.FromState(got); err != nil {
+			t.Fatalf("%s: FromState: %v", tc.name, err)
+		}
+	}
+	// A stream cut inside the cone fails too.
+	full := replaceSection(t, raw, tagPlacement, cone(1, r, r+2))
+	at := bytes.Index(full, tagPlacement[:]) + 12 + 13 + 8*(r/2)
+	if _, err := Read(bytes.NewReader(full[:at])); err == nil {
+		t.Error("stream truncated inside the cone accepted")
+	}
+}
+
+// sections walks a snapshot stream's sections after the 16-byte header,
+// calling fn with each tag and payload.
+func sections(t *testing.T, raw []byte, fn func(tag [4]byte, payload []byte)) {
+	t.Helper()
+	for off := 16; off < len(raw); {
+		var tag [4]byte
+		copy(tag[:], raw[off:])
+		n := int(binary.LittleEndian.Uint64(raw[off+4:]))
+		fn(tag, raw[off+12:off+12+n])
+		off += 12 + n + 4
+	}
+}
+
+// sectionPayload returns the payload of the snapshot's section with tag.
+func sectionPayload(t *testing.T, raw []byte, tag [4]byte) []byte {
+	t.Helper()
+	var out []byte
+	sections(t, raw, func(tg [4]byte, p []byte) {
+		if tg == tag {
+			out = p
+		}
+	})
+	if out == nil {
+		t.Fatalf("no %q section", tag[:])
+	}
+	return out
+}
+
+// replaceSection returns a copy of the snapshot with the payload of the
+// section with tag replaced, its length and checksum rewritten to match.
+func replaceSection(t *testing.T, raw []byte, tag [4]byte, payload []byte) []byte {
+	t.Helper()
+	out := append([]byte(nil), raw[:16]...)
+	sections(t, raw, func(tg [4]byte, p []byte) {
+		if tg == tag {
+			p = payload
+		}
+		out = append(out, tg[:]...)
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(p)))
+		out = append(out, p...)
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(p))
+	})
+	return out
 }
 
 func TestReadRejectsBadMagicAndVersion(t *testing.T) {

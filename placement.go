@@ -5,24 +5,16 @@ import (
 )
 
 // Shard-placement support for serving layers that partition a probe
-// catalog across several indexes. The core exposes two geometric
-// quantities: the per-probe scan-cost weight implied by the bucketization
-// (what cost-balanced placement equalizes), and the direction cone of an
-// index's live probe set (what centroid-routed shard pruning bounds with).
-
-// ShardCone is the direction cone enclosing an index's live probe set:
-// unit centroid, cosine of the angular radius, and maximum live probe
-// length. For any query q, every live probe p satisfies
-// qᵀp ≤ ‖q‖·MaxLen·max(0, cos(∠(q, Centroid) − radius)).
-type ShardCone = core.Cone
+// catalog across several indexes: the per-probe scan-cost weight implied by
+// the bucketization and its sum over an index, what cost-balanced placement
+// equalizes and the serving layer's add routing compares.
 
 // ShardPlacement describes how a snapshotted shard was placed: the
 // placement strategy name (the serving layer's vocabulary, e.g. "cost" or
-// "cluster") and, for cluster-placed shards, the shard's direction cone.
-// It is persisted as the snapshot PLMT section (format version 4).
+// "cluster"). It is persisted as the snapshot PLMT section (format
+// version 4).
 type ShardPlacement struct {
 	Kind string
-	Cone *ShardCone
 }
 
 // ScanCostWeights estimates each probe column's scan cost under the
@@ -38,12 +30,6 @@ func ScanCostWeights(p *Matrix, opts Options) []float64 {
 // current bucketization (delta buckets included): the per-shard quantity a
 // cost-balanced placement equalizes and a placement-skew gauge reports.
 func (ix *Index) EstimatedCost() float64 { return ix.inner.EstimatedCost() }
-
-// DirectionCone computes the cone enclosing the index's live probe set,
-// the per-shard state centroid-routed pruning needs. Zero-length probes
-// raise MaxLen but are excluded from the centroid and radius (their inner
-// product with any query is 0, which the floored bound already covers).
-func (ix *Index) DirectionCone() *ShardCone { return ix.inner.DirectionCone() }
 
 // LiveProbes materializes the index's live probe set as a fresh matrix
 // with its external ids in ascending order — the gather step when a shard

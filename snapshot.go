@@ -32,10 +32,9 @@ type SnapshotOptions struct {
 	// fails the load instead of mis-pruning.
 	IncludeLists bool
 	// Placement attaches shard-placement metadata (the PLMT section,
-	// format version 4): the strategy the owning shard set was built with
-	// and, for cluster placement, this shard's direction cone. Snapshots
-	// without it stay at their lowest sufficient version and restore with
-	// placement re-derived by the serving layer.
+	// format version 4): the strategy the owning shard set was built with.
+	// Snapshots without it stay at their lowest sufficient version and
+	// restore as range-placed.
 	Placement *ShardPlacement
 }
 
@@ -44,7 +43,6 @@ func (ix *Index) WriteSnapshotWith(w io.Writer, opts SnapshotOptions) error {
 	st := ix.inner.State()
 	if opts.Placement != nil {
 		st.PlacementKind = opts.Placement.Kind
-		st.Cone = opts.Placement.Cone
 	}
 	return snapshot.WriteWith(w, st, snapshot.WriteOptions{IncludeLists: opts.IncludeLists})
 }
@@ -101,18 +99,17 @@ func LoadIndex(r io.Reader, opts LoadOptions) (*Index, error) {
 
 // LoadIndexPlacement is LoadIndex returning the snapshot's shard-placement
 // metadata alongside the index: nil when the snapshot predates format
-// version 4 or was written without a PLMT section. The metadata is
-// validated by the reader (centroid dimension and normality, radius cosine
-// range) but otherwise opaque to the index itself; serving layers adopt or
-// recompute it.
+// version 4 or was written without a PLMT section. The metadata is opaque
+// to the index itself; serving layers adopt it. A direction cone written
+// by older builds is read and skipped.
 func LoadIndexPlacement(r io.Reader, opts LoadOptions) (*Index, *ShardPlacement, error) {
 	st, err := snapshot.Read(r)
 	if err != nil {
 		return nil, nil, err
 	}
 	var pl *ShardPlacement
-	if st.PlacementKind != "" || st.Cone != nil {
-		pl = &ShardPlacement{Kind: st.PlacementKind, Cone: st.Cone}
+	if st.PlacementKind != "" {
+		pl = &ShardPlacement{Kind: st.PlacementKind}
 	}
 	if opts.Parallelism != 0 {
 		st.Opts.Parallelism = opts.Parallelism
