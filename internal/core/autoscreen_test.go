@@ -76,7 +76,7 @@ func TestAutoScreenMatchesUnscreened(t *testing.T) {
 							if _, err := ix.Apply(ups); err != nil {
 								t.Fatal(err)
 							}
-							if len(ix.runs) == 0 || ix.deadMain == 0 {
+							if base := ix.segs[0]; len(ix.segs) == 1 || base.live == len(base.ids) {
 								t.Fatal("mutated fixture has no delta buckets or no tombstones")
 							}
 						}

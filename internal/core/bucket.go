@@ -48,8 +48,10 @@ type bucket struct {
 	// races with another panel worker building one.
 	hasIndex atomic.Bool
 
-	// delta marks an overlay bucket (delta.go): its entries are always
-	// live, so tombstone filtering is skipped.
+	// delta marks a bucket outside the base segment, a run's (delta.go):
+	// BucketInfo.Delta reports it, and pretuneDelta fits the ones the
+	// frozen fit has no entry for. Its entries carry tombstones like any
+	// other bucket's.
 	delta bool
 
 	// Int8 quantization sidecar of dirs: the conservative screen that runs
@@ -180,13 +182,13 @@ func bucketSpans(sortedLens []float64, shrink float64, minSize, maxSize int) [][
 }
 
 // bucketize sorts the probe vectors by decreasing length and groups them
-// into buckets per §3.2 (boundaries from bucketSpans). extIDs names column
-// col extIDs[col] in the bucket id arrays; nil uses the column numbers
-// themselves.
-func bucketize(p *matrix.Matrix, extIDs []int32, shrink float64, minSize, maxSize int) []*bucket {
+// into buckets per §3.2 (boundaries from bucketSpans), and says by column
+// where each probe landed. extIDs names column col extIDs[col] in the bucket
+// id arrays; nil uses the column numbers themselves.
+func bucketize(p *matrix.Matrix, extIDs []int32, shrink float64, minSize, maxSize int) ([]*bucket, []probeLoc) {
 	n := p.N()
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
 	r := p.R()
 	order := make([]int32, n)
@@ -201,6 +203,7 @@ func bucketize(p *matrix.Matrix, extIDs []int32, shrink float64, minSize, maxSiz
 	}
 
 	var buckets []*bucket
+	loc := make([]probeLoc, n)
 	for _, sp := range bucketSpans(sorted, shrink, minSize, maxSize) {
 		start, end := sp[0], sp[1]
 		lb := sorted[start]
@@ -214,6 +217,7 @@ func bucketize(p *matrix.Matrix, extIDs []int32, shrink float64, minSize, maxSiz
 		for i := start; i < end; i++ {
 			lid := i - start
 			id := order[i]
+			loc[id] = probeLoc{int32(len(buckets)), int32(lid)}
 			if extIDs != nil {
 				b.ids[lid] = extIDs[id]
 			} else {
@@ -224,7 +228,7 @@ func bucketize(p *matrix.Matrix, extIDs []int32, shrink float64, minSize, maxSiz
 		}
 		buckets = append(buckets, b)
 	}
-	return buckets
+	return buckets, loc
 }
 
 // bucketBytes estimates the cache footprint of one probe vector inside a

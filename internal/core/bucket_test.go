@@ -26,7 +26,7 @@ func TestBucketizeInvariants(t *testing.T) {
 		{0, 30, 100, 0.9},
 	} {
 		p := randomProbe(rng, tc.n, 8, 1.0)
-		buckets := bucketize(p, nil, tc.shrink, tc.minSize, tc.maxSize)
+		buckets, _ := bucketize(p, nil, tc.shrink, tc.minSize, tc.maxSize)
 
 		// Every probe vector appears in exactly one bucket.
 		seen := make(map[int32]bool)
@@ -104,7 +104,7 @@ func TestBucketizeZeroVectorsLast(t *testing.T) {
 		}
 	}
 	// vectors 40..49 stay zero
-	buckets := bucketize(p, nil, 0.9, 5, 20)
+	buckets, _ := bucketize(p, nil, 0.9, 5, 20)
 	// Zero vectors sort last, so in the concatenated bucket order no
 	// non-zero length may follow a zero length (a minimum-size bucket is
 	// allowed to mix them, but only at the global tail).

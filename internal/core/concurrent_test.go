@@ -23,7 +23,7 @@ import (
 // unlike every exact answer — depends on. The index screens either eagerly
 // (Options.Quantize) or through lazy sidecars, switched on whatever the host's
 // kernels: there the first-touch sidecar builds meet concurrent scans, State
-// and the copy-on-write relative, which shares the main buckets' sidecars.
+// and the copy-on-write relative, which shares the base segment's sidecars.
 func TestConcurrentRetrievals(t *testing.T) {
 	const (
 		r       = 10

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"lemp/internal/matrix"
@@ -13,38 +13,39 @@ import (
 
 // Dynamic probe maintenance. The paper's bucketization (§3.2) assumes a
 // static probe matrix; a long-lived server tracking a live item catalog
-// needs add/remove/update without a full rebuild. The delta layer absorbs a
-// batch in O(batch · r + buckets) time and allocation — whatever the probe
-// count and however much the layer already holds — and defers
-// re-bucketization:
+// needs add/remove/update without a full rebuild. An index therefore holds
+// its probes as segments, each one immutable bucketization of a fixed set of
+// vectors: the base segment a build, a restore or a Compact produces, and
+// newer runs of the vectors later batches added or rewrote. A batch costs
+// O(batch · r + buckets) time and allocation — whatever the probe count and
+// however many vectors the runs already hold — and defers re-bucketization:
 //
-//   - Every probe carries a stable external id. A freshly built index
-//     assigns ids base..base+n-1 (base 0 for NewIndex); mutations address
-//     probes by id and never renumber survivors.
-//   - The vectors a batch adds or rewrites become one delta run: an
-//     immutable, id-sorted group of raw vectors with its own bucketization.
+//   - Every probe carries a stable external id, the caller's or 0..n-1 for
+//     NewIndex; mutations address probes by id and never renumber survivors.
+//   - The vectors a batch adds or rewrites become one run, by ascending id.
 //     Its buckets are ordinary buckets — the same bucket algorithms, lazy
-//     indexes and tuning apply — merged with the main buckets into the
+//     indexes and tuning apply — merged with every other segment's into the
 //     decreasing-l_b scan order both retrieval kernels require.
 //   - Runs merge geometrically (the logarithmic method): a run stays while
 //     it holds at least twice the live vectors of everything newer and at
 //     least half of its own are live; otherwise it and every newer run are
 //     rewritten into one, dead entries dropped. So there are
-//     O(log(overlay / batch)) runs and a vector is re-copied O(log) times.
-//   - A removed or rewritten probe, main- or run-resident, is a tombstone:
+//     O(log(run vectors / batch)) runs and a vector is re-copied O(log)
+//     times. A batch never rewrites the base segment.
+//   - A removed or rewritten probe, in whichever segment, is a tombstone:
 //     one bit, addressed (bucket, lid), in a bitset the index version holds
 //     per scan bucket beside a dead count. Tombstoned entries are skipped at
 //     verification time, so length bounds stay conservative and results
 //     stay exact.
-//   - Sharing: a bucket, run or bitset reachable from a published index is
-//     never written again. A batch copies the bitsets of the buckets it
+//   - Sharing: a segment, bucket or bitset reachable from a published index
+//     is never written again. A batch copies the bitsets of the buckets it
 //     touches and nothing else; every bucket it does not retire is carried
 //     to the derived index by pointer, with its lazily built lists and
 //     sidecar and its entry in a frozen fit.
-//   - Compact folds the whole delta layer into a fresh bucketization over
-//     the live probe set (amortizing the rebuild the way blocked methods
-//     for slowly changing matrices amortize recomputation), preserving
-//     external ids.
+//   - Compact is the same merge started at the base: every segment's live
+//     vectors become one new base, re-bucketized and re-tuned (amortizing
+//     the rebuild the way blocked methods for slowly changing matrices
+//     amortize recomputation), external ids preserved.
 //
 // Every mutation batch bumps the index epoch, the version number serving
 // layers key caches and consistency checks on. Mutation calls are exclusive
@@ -128,55 +129,72 @@ func isDead(dead []tombs, bi, lid int) bool {
 // deadSkip reports whether entry lid of scan bucket bi is tombstoned.
 func (ix *Index) deadSkip(bi, lid int) bool { return isDead(ix.dead, bi, lid) }
 
-// probeLoc addresses one bucket entry inside a bucketization: the bucket's
-// position in Index.buckets or deltaRun.buckets, and the lid.
+// probeLoc addresses one bucket entry inside a segment: the bucket's
+// position in segment.buckets, and the lid.
 type probeLoc struct{ bucket, lid int32 }
 
-// locate inverts a bucketization of n probes: entry col(id) of the result
-// is where the probe with that id sits.
-func locate(buckets []*bucket, n int, col func(id int32) int) []probeLoc {
-	loc := make([]probeLoc, n)
-	for bi, b := range buckets {
-		for lid, id := range b.ids {
-			loc[col(id)] = probeLoc{int32(bi), int32(lid)}
-		}
-	}
-	return loc
-}
-
-// locator is the location index of one main structure, column → (main
-// bucket, lid): 8 bytes per probe, built by the first lookup that reaches a
-// main probe after a build, restore or Compact and shared by every relative
-// derived from that structure.
-type locator struct {
-	once sync.Once
-	loc  []probeLoc
-}
-
-func (ix *Index) mainLocs() []probeLoc {
-	ix.mainAt.once.Do(func() {
-		ix.mainAt.loc = locate(ix.buckets, ix.n, func(id int32) int {
-			col, _ := ix.mainCol(id)
-			return col
-		})
-	})
-	return ix.mainAt.loc
-}
-
-// deltaRun is one immutable run of the overlay: the vectors some batches
-// added or rewrote, by ascending id, and their bucketization.
-type deltaRun struct {
-	ids     []int32
+// segment is one immutable bucketization (§3.2) of a set of probe vectors,
+// shared by every index version that holds it.
+type segment struct {
+	ids     []int32        // external ids by column
 	vecs    *matrix.Matrix // raw vectors; column i belongs to ids[i]
-	buckets []*bucket
-	loc     []probeLoc // by column
+	buckets []*bucket      // decreasing l_b
+	loc     []probeLoc     // by column: where each probe sits
+	byID    []int32        // columns by ascending id; nil when ids ascend
 }
 
-// runRef is a run as one index version holds it: live counts the entries
-// that version has not tombstoned.
-type runRef struct {
-	*deltaRun
+// segRef is a segment as one index version holds it: live counts the
+// entries that version has not tombstoned.
+type segRef struct {
+	*segment
 	live int
+}
+
+// columnsByID lists the columns of ids by ascending id, or returns nil when
+// the ids ascend already: the id lookup of a base over caller-chosen ids or
+// of one a Compact produced. Like buildListRange it is a stable LSD radix
+// sort, one counting pass per byte of the non-negative ids, skipping a byte
+// every id shares.
+func columnsByID(ids []int32) []int32 {
+	if slices.IsSorted(ids) {
+		return nil
+	}
+	src, dst := identityIDs(len(ids)), make([]int32, len(ids))
+	for shift := 0; shift < 32; shift += 8 {
+		var cnt [256]int32
+		for _, id := range ids {
+			cnt[byte(id>>shift)]++
+		}
+		if int(cnt[byte(ids[0]>>shift)]) == len(ids) {
+			continue
+		}
+		at := int32(0)
+		for j, c := range cnt {
+			cnt[j], at = at, at+c
+		}
+		for _, col := range src {
+			j := byte(ids[col] >> shift)
+			dst[cnt[j]] = col
+			cnt[j]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// at returns where the entry with the given id sits, if the segment holds
+// one, live or dead.
+func (s *segment) at(id int32) (probeLoc, bool) {
+	col, ok := 0, false
+	if s.byID == nil {
+		col, ok = slices.BinarySearch(s.ids, id)
+	} else if k, hit := slices.BinarySearchFunc(s.byID, id, func(c, id int32) int { return cmp.Compare(s.ids[c], id) }); hit {
+		col, ok = int(s.byID[k]), true
+	}
+	if !ok {
+		return probeLoc{}, false
+	}
+	return s.loc[col], true
 }
 
 // liveVec is one live probe: its id and its raw vector, aliased.
@@ -196,21 +214,34 @@ func (ix *Index) materialize(probes []liveVec) (*matrix.Matrix, []int32) {
 	return m, ids
 }
 
-// newRun builds the run holding entries, which it sorts by id.
-func (ix *Index) newRun(entries []liveVec) runRef {
-	sort.Slice(entries, func(a, b int) bool { return entries[a].id < entries[b].id })
-	run := &deltaRun{}
-	run.vecs, run.ids = ix.materialize(entries)
-	run.buckets = bucketize(run.vecs, run.ids, ix.opts.ShrinkFactor, ix.opts.MinBucketSize, ix.bucketCap())
-	for _, b := range run.buckets {
-		b.delta = true
+// newSegment bucketizes the probes of vecs, column col named ids[col], into
+// a segment with every entry live. Under Options.Quantize its buckets carry
+// their sidecars.
+func (ix *Index) newSegment(vecs *matrix.Matrix, ids []int32) segRef {
+	s := &segment{ids: ids, vecs: vecs, byID: columnsByID(ids)}
+	s.buckets, s.loc = bucketize(vecs, ids, ix.opts.ShrinkFactor, ix.opts.MinBucketSize, ix.bucketCap())
+	ix.attachSidecars(s.buckets)
+	return segRef{s, len(ids)}
+}
+
+// identityIDs returns the ids 0..n-1.
+func identityIDs(n int) []int32 {
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
 	}
-	ix.attachSidecars(run.buckets)
-	run.loc = locate(run.buckets, len(run.ids), func(id int32) int {
-		i, _ := slices.BinarySearch(run.ids, id)
-		return i
-	})
-	return runRef{run, len(entries)}
+	return ids
+}
+
+// setBase installs a tombstone-free base segment as the whole index, as a
+// build and a restore end: no run, no tombstone and no fit.
+func (ix *Index) setBase(base segRef) {
+	ix.segs = []segRef{base}
+	ix.nextID = 0
+	if len(base.ids) > 0 {
+		ix.nextID = slices.Max(base.ids) + 1
+	}
+	ix.rescan(nil, nil, base.buckets)
 }
 
 // Epoch returns the index's mutation epoch: 0 at build, incremented by
@@ -221,18 +252,28 @@ func (ix *Index) Epoch() uint64 { return ix.epoch }
 // NextID returns the id the next AutoID add would receive.
 func (ix *Index) NextID() int32 { return ix.nextID }
 
-// LiveN returns the number of live probes: main probes minus tombstones
-// plus live overlay vectors.
-func (ix *Index) LiveN() int { return ix.n - ix.deadMain + ix.overlayN }
+// LiveN returns the number of live probes: the base segment's untombstoned
+// columns plus the newer runs' live vectors.
+func (ix *Index) LiveN() int { return ix.segs[0].live + ix.runsLive() }
+
+// runsLive counts the live vectors of the runs newer than the base segment.
+func (ix *Index) runsLive() int {
+	n := 0
+	for _, s := range ix.segs[1:] {
+		n += s.live
+	}
+	return n
+}
 
 // DeltaMass returns the fraction of mutation state relative to the live
-// probe count: (main tombstones + live overlay vectors) / live probes. It
-// grows with accumulated drift — tombstones waste scan work inside main
-// buckets, and overlay vectors live in small delta buckets — and is the
+// probe count: (base-segment tombstones + live vectors of newer runs) / live
+// probes. It grows with accumulated drift — tombstones waste scan work
+// inside base buckets, and run vectors live in small buckets — and is the
 // quantity MaybeCompact thresholds on. An index whose every probe was
-// updated once has delta mass 2 (n tombstones + n overlay vectors).
+// updated once has delta mass 2 (n tombstones + n run vectors).
 func (ix *Index) DeltaMass() float64 {
-	mass := ix.deadMain + ix.overlayN
+	base := ix.segs[0]
+	mass := len(base.ids) - base.live + ix.runsLive()
 	if mass == 0 {
 		return 0
 	}
@@ -242,44 +283,31 @@ func (ix *Index) DeltaMass() float64 {
 // LiveIDs returns the external ids of all live probes in ascending order.
 func (ix *Index) LiveIDs() []int32 {
 	out := make([]int32, 0, ix.LiveN())
-	if ix.deadMain == 0 {
-		// By column the ids are as good as sorted already, a tenth of the
-		// sort below: the case of every shard a server is set up over.
-		for col := 0; col < ix.n; col++ {
-			out = append(out, ix.extID(col))
-		}
-	}
-	for bi, b := range ix.scan {
-		if !b.delta && ix.deadMain == 0 {
-			continue
-		}
-		for lid, id := range b.ids {
-			if !ix.deadSkip(bi, lid) {
-				out = append(out, id)
-			}
-		}
+	for _, s := range ix.segs {
+		ix.eachLive(s, ix.dead, func(col int) { out = append(out, s.ids[col]) })
 	}
 	slices.Sort(out)
 	return out
 }
 
-// extID maps a main probe column to its external id.
-func (ix *Index) extID(col int) int32 {
-	if ix.probeIDs != nil {
-		return ix.probeIDs[col]
+// eachLive calls f with every column of segment s that dead, aligned with
+// this version's scan, does not tombstone, in column order.
+func (ix *Index) eachLive(s segRef, dead []tombs, f func(col int)) {
+	if s.live == len(s.ids) {
+		for col := range s.ids {
+			f(col)
+		}
+		return
 	}
-	return ix.idBase + int32(col)
-}
-
-// mainCol maps an external id to its main probe column, if the id is
-// main-resident (whether or not it has been tombstoned).
-func (ix *Index) mainCol(id int32) (int, bool) {
-	if ix.probeIDs == nil {
-		col := int(id) - int(ix.idBase)
-		return col, col >= 0 && col < ix.n
+	pos := make([]int, len(s.buckets))
+	for k, b := range s.buckets {
+		pos[k] = ix.scanPos(b)
 	}
-	col, ok := ix.mainLoc[id]
-	return int(col), ok
+	for col, l := range s.loc {
+		if !isDead(dead, pos[l.bucket], int(l.lid)) {
+			f(col)
+		}
+	}
 }
 
 // scanPos returns the scan position of a bucket of this index version.
@@ -291,27 +319,19 @@ func (ix *Index) scanPos(b *bucket) int {
 	return i
 }
 
-// find locates the live probe with the given id: the run that holds it (-1
-// for the main structure), its bucket's scan position and its lid. An id
-// has at most one live entry, whatever dead ones older runs and the main
-// structure still carry.
-func (ix *Index) find(id int32) (run, bi, lid int, ok bool) {
-	for run = len(ix.runs) - 1; run >= 0; run-- {
-		p := ix.runs[run]
-		if i, hit := slices.BinarySearch(p.ids, id); hit {
-			l := p.loc[i]
-			if bi, lid = ix.scanPos(p.buckets[l.bucket]), int(l.lid); !ix.deadSkip(bi, lid) {
-				return run, bi, lid, true
+// find locates the live probe with the given id: the segment that holds it,
+// its bucket's scan position and its lid. An id has at most one live entry,
+// whatever dead ones other segments still carry.
+func (ix *Index) find(id int32) (seg, bi, lid int, ok bool) {
+	for seg = len(ix.segs) - 1; seg >= 0; seg-- {
+		s := ix.segs[seg]
+		if l, hit := s.at(id); hit {
+			if bi, lid = ix.scanPos(s.buckets[l.bucket]), int(l.lid); !ix.deadSkip(bi, lid) {
+				return seg, bi, lid, true
 			}
 		}
 	}
-	col, main := ix.mainCol(id)
-	if !main {
-		return -1, 0, 0, false
-	}
-	l := ix.mainLocs()[col]
-	bi, lid = ix.scanPos(ix.buckets[l.bucket]), int(l.lid)
-	return -1, bi, lid, !ix.deadSkip(bi, lid)
+	return 0, 0, 0, false
 }
 
 // AddProbe inserts a new probe vector and returns its assigned id.
@@ -411,18 +431,12 @@ func (ix *Index) Apply(ups []ProbeUpdate) ([]int32, error) {
 	// Commit. Every id the batch names loses the live entry it had, to a
 	// tombstone set in a private copy of its bucket's bitset, and enters the
 	// new run if the batch leaves it live.
-	dead, runs := ix.dead, slices.Clone(ix.runs)
-	deadMain, overlayN := ix.deadMain, ix.overlayN
+	dead, segs := ix.dead, slices.Clone(ix.segs)
 	copied := false // dead is the batch's own slice
-	var entries []liveVec
+	var batch []liveVec
 	for id, op := range staged {
-		if run, bi, lid, ok := ix.find(id); ok {
-			if run < 0 {
-				deadMain++
-			} else {
-				runs[run].live--
-				overlayN--
-			}
+		if seg, bi, lid, ok := ix.find(id); ok {
+			segs[seg].live--
 			if !copied {
 				dead, copied = make([]tombs, len(ix.scan)), true
 				copy(dead, ix.dead)
@@ -437,82 +451,73 @@ func (ix *Index) Apply(ups []ProbeUpdate) ([]int32, error) {
 			t.n++
 		}
 		if op >= 0 {
-			entries = append(entries, liveVec{id, ups[op].Vec})
+			batch = append(batch, liveVec{id, ups[op].Vec})
 		}
 	}
-	overlayN += len(entries)
 
-	// Merge: the oldest run that is half dead, or holds less than twice the
-	// live vectors of everything newer, is rewritten with all newer ones.
-	from, newer := len(runs), len(entries)
-	for i := len(runs) - 1; i >= 0; i-- {
-		if p := runs[i]; p.live*2 < len(p.ids) || p.live < 2*newer {
+	// The oldest run that is half dead, or holds less than twice the live
+	// vectors of everything newer, is rewritten with all newer ones.
+	from, newer := len(segs), len(batch)
+	for i := len(segs) - 1; i > 0; i-- {
+		if s := segs[i]; s.live*2 < len(s.ids) || s.live < 2*newer {
 			from = i
 		}
-		newer += runs[i].live
+		newer += segs[i].live
 	}
-	gone := make([]bool, len(ix.scan)) // by scan position: a bucket of a rewritten run
-	for _, p := range runs[from:] {
-		for _, b := range p.buckets {
-			gone[ix.scanPos(b)] = true
-		}
-		entries = ix.appendLive(entries, dead, p.deltaRun, func(i int) int32 { return p.ids[i] })
-	}
-	runs = runs[:from]
-	var fresh []*bucket
-	if len(entries) > 0 {
-		run := ix.newRun(entries)
-		runs, fresh = append(runs, run), run.buckets
-	}
-	ix.rescan(dead, gone, fresh)
-	ix.runs, ix.deadMain, ix.overlayN, ix.nextID = runs, deadMain, overlayN, nextID
+	ix.merge(segs, from, dead, batch)
+	ix.nextID = nextID
 	ix.epoch++
-	if from == 0 {
+	if from == 1 {
 		ix.pretuneDelta()
 	}
 	return ids, nil
 }
 
-// appendLive appends the probes of one bucketization — a run, or the main
-// structure — that dead, aligned with the current scan, does not tombstone:
-// column col has id(col) and its raw vector in vecs.
-func (ix *Index) appendLive(out []liveVec, dead []tombs, p *deltaRun, id func(col int) int32) []liveVec {
-	pos := make([]int, len(p.buckets))
-	for k, b := range p.buckets {
-		pos[k] = ix.scanPos(b)
+// merge rewrites segs[from:] — this version's segments, their live counts
+// matching dead — and the batch's vectors into one new segment, and installs
+// segs[:from] plus that segment, whose buckets take the rewritten ones'
+// places in the scan. The new segment keeps segment 0's live columns in
+// column order, when it rewrites segment 0, and takes every other vector by
+// ascending id: the column order a snapshot of a mutated index stores. It is
+// Apply's geometric merge (from ≥ 1) and Compact (from 0, no batch); only
+// the latter leaves no fit and no tombstone behind.
+func (ix *Index) merge(segs []segRef, from int, dead []tombs, batch []liveVec) {
+	gone := make([]bool, len(ix.scan)) // by scan position: a bucket of a rewritten segment
+	n := len(batch)
+	for _, s := range segs[from:] {
+		n += s.live
 	}
-	for col, l := range p.loc {
-		if !isDead(dead, pos[l.bucket], int(l.lid)) {
-			out = append(out, liveVec{id(col), p.vecs.Vec(col)})
+	live := make([]liveVec, 0, n)
+	for _, s := range segs[from:] {
+		for _, b := range s.buckets {
+			gone[ix.scanPos(b)] = true
 		}
+		ix.eachLive(s, dead, func(col int) { live = append(live, liveVec{s.ids[col], s.vecs.Vec(col)}) })
 	}
-	return out
-}
+	live = append(live, batch...)
+	rest := live
+	if from == 0 {
+		rest = live[segs[0].live:]
+		ix.scan, ix.frozen, dead, gone = nil, nil, nil, nil // nothing of the old scan survives
+	}
+	sort.Slice(rest, func(a, b int) bool { return rest[a].id < rest[b].id })
 
-// liveVecs lists the live probes: the main ones in column order, then the
-// overlay's by ascending id — the column order Compact gives its matrix.
-func (ix *Index) liveVecs() []liveVec {
-	out := make([]liveVec, 0, ix.LiveN())
-	if ix.deadMain == 0 {
-		for col := 0; col < ix.n; col++ {
-			out = append(out, liveVec{ix.extID(col), ix.probe.Vec(col)})
+	segs = segs[:from:from]
+	var fresh []*bucket
+	if len(live) > 0 || from == 0 {
+		s := ix.newSegment(ix.materialize(live))
+		for _, b := range s.buckets {
+			b.delta = from > 0
 		}
-	} else {
-		main := &deltaRun{vecs: ix.probe, buckets: ix.buckets, loc: ix.mainLocs()}
-		out = ix.appendLive(out, ix.dead, main, func(col int) int32 { return ix.extID(col) })
+		segs, fresh = append(segs, s), s.buckets
 	}
-	mainN := len(out)
-	for _, p := range ix.runs {
-		out = ix.appendLive(out, ix.dead, p.deltaRun, func(i int) int32 { return p.ids[i] })
-	}
-	overlay := out[mainN:]
-	sort.Slice(overlay, func(a, b int) bool { return overlay[a].id < overlay[b].id })
-	return out
+	ix.segs = segs
+	ix.rescan(dead, gone, fresh)
 }
 
 // WithUpdates derives a new index with the batch applied, leaving the
-// receiver untouched (copy-on-write): the derived index shares the probe
-// matrix and every bucket the batch did not retire, and holds its own scan
+// receiver untouched (copy-on-write): the derived index shares every
+// segment and every bucket the batch did not retire, and holds its own scan
 // order and tombstones. The receiver may keep serving retrievals while the
 // derivation runs, and afterwards the two answer retrievals independently
 // of each other (see Index).
@@ -534,31 +539,31 @@ func (ix *Index) shallowClone() *Index {
 	return &cp
 }
 
-// pretuneDeltaMinOverlay is the overlay size below which pretuneDelta does
-// nothing: scanning a handful of vectors costs about the same under any
-// per-bucket method, so fitting parameters for them would charge small
-// mutation batches a tuning pass that cannot pay for itself. Above it,
-// delta buckets are big enough that a bad default method shows up in every
-// retrieval until the next Compact.
+// pretuneDeltaMinOverlay is the number of live run vectors below which
+// pretuneDelta does nothing: scanning a handful of vectors costs about the
+// same under any per-bucket method, so fitting parameters for them would
+// charge small mutation batches a tuning pass that cannot pay for itself.
+// Above it, run buckets are big enough that a bad default method shows up in
+// every retrieval until the next Compact.
 const pretuneDeltaMinOverlay = 32
 
-// pretuneDelta fits per-bucket parameters for the delta buckets the frozen
-// fit has no entry for, reusing the retained pretune sample. Without it a
-// pretuned index's overlay runs on default parameters until the next
-// Compact — heavy update churn would keep the hottest (freshest) probes on
-// the least-tuned buckets indefinitely, since frozen tuning means no
-// retrieval call ever re-fits them. Every bucket that has an entry keeps it.
-// Results are unaffected either way (tuning only selects the per-bucket
-// method); the cost, like Compact's re-freeze, lands in PrepTime and is
-// bounded three ways: tiny overlays skip tuning entirely, the restricted
-// tuner stops its scan at the deepest bucket it fits, and fits are
-// geometrically amortized — Apply calls this only for a batch that rewrote
-// the oldest run, which takes everything newer to have reached half its
-// size, so the overlay grew 1.5× since the last pass and a churn sequence of
-// B batches pays O(log B) passes, not B. Between passes the newer runs'
-// buckets run on defaults, and hold less than a third of the overlay.
+// pretuneDelta fits per-bucket parameters for the run buckets the frozen fit
+// has no entry for, reusing the retained pretune sample. Without it a
+// pretuned index's runs scan on default parameters until the next Compact —
+// heavy update churn would keep the hottest (freshest) probes on the
+// least-tuned buckets indefinitely, since frozen tuning means no retrieval
+// call ever re-fits them. Every bucket that has an entry keeps it. Results
+// are unaffected either way (tuning only selects the per-bucket method); the
+// cost, like Compact's re-freeze, lands in PrepTime and is bounded three
+// ways: tiny runs skip tuning entirely, the restricted tuner stops its scan
+// at the deepest bucket it fits, and fits are geometrically amortized —
+// Apply calls this only for a batch that rewrote the oldest run, which takes
+// everything newer to have reached half its size, so the runs grew 1.5×
+// since the last pass and a churn sequence of B batches pays O(log B)
+// passes, not B. Between passes the newer runs' buckets run on defaults, and
+// hold less than a third of the runs' vectors.
 func (ix *Index) pretuneDelta() {
-	if !ix.pretuned || ix.overlayN < pretuneDeltaMinOverlay || ix.tuneSample == nil || !ix.opts.hasTunableParams() {
+	if !ix.pretuned || ix.runsLive() < pretuneDeltaMinOverlay || ix.tuneSample == nil || !ix.opts.hasTunableParams() {
 		return
 	}
 	start := time.Now()
@@ -566,16 +571,17 @@ func (ix *Index) pretuneDelta() {
 	ix.prepTime += time.Since(start)
 }
 
-// rescan rebuilds the scan order — main and delta buckets merged by
+// rescan rebuilds the scan order — every segment's buckets merged by
 // decreasing l_b, which both retrieval kernels rely on for pruning — after a
-// batch: the buckets of rewritten runs (gone, by old scan position) leave,
-// the new run's (fresh, by decreasing l_b) enter, and every other bucket
-// keeps, from its old position, its tombstones (dead is aligned with the old
-// scan) and its entry in the frozen fit; a fresh position is untuned until
-// pretuneDelta publishes a fit for it. All four arrays are new, so relatives
-// and running jobs may hold the old ones. It re-derives the scratch sizing
-// bound, and, every call being a bucket-layout change, advances the layout
-// generation (invalidating TuningCache entries for this index).
+// batch: the buckets of rewritten segments (gone, by old scan position)
+// leave, the new segment's (fresh, by decreasing l_b) enter, and every other
+// bucket keeps, from its old position, its tombstones (dead is aligned with
+// the old scan) and its entry in the frozen fit; a fresh position is untuned
+// until pretuneDelta publishes a fit for it. All four arrays are new, so
+// relatives and running jobs may hold the old ones. It re-derives the
+// scratch sizing bound, and, every call being a bucket-layout change,
+// advances the layout generation (invalidating TuningCache entries for this
+// index).
 func (ix *Index) rescan(dead []tombs, gone []bool, fresh []*bucket) {
 	old, oldFit := ix.scan, ix.frozen
 	n := len(old) + len(fresh)
@@ -615,15 +621,6 @@ func (ix *Index) rescan(dead []tombs, gone []bool, fresh []*bucket) {
 	}
 }
 
-// setMain installs a tombstone-free main structure as the whole index: what
-// a build, a restore and a Compact end with. No fit survives it.
-func (ix *Index) setMain(buckets []*bucket) {
-	ix.buckets, ix.mainAt = buckets, &locator{}
-	ix.runs, ix.deadMain, ix.overlayN = nil, 0, 0
-	ix.scan, ix.frozen = nil, nil
-	ix.rescan(nil, nil, buckets)
-}
-
 // bucketCap resolves Options.CacheBytes into the per-bucket size cap
 // bucketize enforces.
 func (ix *Index) bucketCap() int { return bucketCapFor(ix.opts, ix.r) }
@@ -641,14 +638,14 @@ func bucketCapFor(opts Options, r int) int {
 	return maxSize
 }
 
-// mutated reports whether any delta-layer state exists.
-func (ix *Index) mutated() bool { return ix.deadMain > 0 || len(ix.runs) > 0 }
+// mutated reports whether the index holds a tombstone or a run.
+func (ix *Index) mutated() bool { return len(ix.segs) > 1 || ix.segs[0].live < len(ix.segs[0].ids) }
 
 // MaybeCompact compacts when the delta mass exceeds the threshold,
 // reporting whether it did. Serving layers call this after every update
-// batch: small drift stays in the cheap delta layer, accumulated drift
-// pays one re-bucketization and returns the index to its tuned, tombstone-
-// free shape.
+// batch: small drift stays in the cheap runs and tombstones, accumulated
+// drift pays one re-bucketization and returns the index to one tuned,
+// tombstone-free segment.
 func (ix *Index) MaybeCompact(threshold float64) bool {
 	if !ix.mutated() || ix.DeltaMass() <= threshold {
 		return false
@@ -657,77 +654,38 @@ func (ix *Index) MaybeCompact(threshold float64) bool {
 	return true
 }
 
-// Compact folds the delta layer into the main structure: the live probe
-// set is materialized (external ids preserved) and re-bucketized per §3.2,
-// and tombstones and runs are cleared. Queries before and after a Compact
-// return identical results — only the internal layout changes — so the
-// epoch is not advanced. If per-call tuning was frozen by a Pretune method,
-// the fitted per-bucket parameters are re-frozen on the retained tuning
-// sample — which snapshots persist, so a snapshot-restored pretuned index
-// re-freezes after Compact exactly like the original.
+// Compact merges every segment into one new base segment: the live probes —
+// the base's in column order, then the runs' by ascending id, external ids
+// preserved — re-bucketized per §3.2, with no tombstone and no run left.
+// Queries before and after a Compact return identical results — only the
+// internal layout changes — so the epoch is not advanced. If per-call tuning
+// was frozen by a Pretune method, the fitted per-bucket parameters are
+// re-frozen on the retained tuning sample — which snapshots persist, so a
+// snapshot-restored pretuned index re-freezes after Compact exactly like the
+// original.
 func (ix *Index) Compact() {
 	if !ix.mutated() {
 		return
 	}
 	start := time.Now()
-	live := ix.liveVecs()
-	probe, ids := ix.materialize(live)
-	ix.probe, ix.n = probe, len(live)
-	ix.setIDs(ids)
-	buckets := bucketize(probe, ix.explicitIDs(), ix.opts.ShrinkFactor, ix.opts.MinBucketSize, ix.bucketCap())
-	ix.attachSidecars(buckets)
-	ix.setMain(buckets)
+	ix.merge(ix.segs, 0, ix.dead, nil)
 	ix.prepTime += time.Since(start)
-	if ix.pretuned && ix.tuneSample != nil && len(live) > 0 && ix.opts.hasTunableParams() {
+	if ix.pretuned && ix.tuneSample != nil && ix.LiveN() > 0 && ix.opts.hasTunableParams() {
 		tuneStart := time.Now()
 		ix.frozen, _ = ix.tune(newCall(nil, ix.opts, nil), prepareQueries(ix.tuneSample), ix.tuneProb, false) // never canceled
 		ix.prepTime += time.Since(tuneStart)
 	}
 }
 
-// setIDs installs a column → external id mapping, using the compact
-// arithmetic representation when the ids form a contiguous run; otherwise
-// mainLoc inverts it for mutation routing.
-func (ix *Index) setIDs(ids []int32) {
-	ix.mainLoc = nil
-	if len(ids) == 0 {
-		ix.idBase, ix.probeIDs = 0, nil
-		return
-	}
-	dense := true
-	for i, id := range ids {
-		if id != ids[0]+int32(i) {
-			dense = false
-			break
+// ProbeIDs returns the external ids of the base segment's columns — the
+// columns of Probe — in column order, nil when they are the column numbers
+// themselves. Newer runs are not reflected.
+func (ix *Index) ProbeIDs() []int32 {
+	ids := ix.segs[0].ids
+	for col, id := range ids {
+		if id != int32(col) {
+			return ids
 		}
 	}
-	if dense {
-		ix.idBase, ix.probeIDs = ids[0], nil
-		return
-	}
-	ix.idBase, ix.probeIDs = 0, ids
-	ix.mainLoc = make(map[int32]int32, len(ids))
-	for col, id := range ids {
-		ix.mainLoc[id] = int32(col)
-	}
-}
-
-// ProbeIDs returns the external ids of the probe matrix columns in column
-// order (nil = identity). Delta-layer state is not reflected.
-func (ix *Index) ProbeIDs() []int32 { return ix.explicitIDs() }
-
-// explicitIDs materializes the column → external id mapping, or returns
-// nil when ids are the column numbers themselves.
-func (ix *Index) explicitIDs() []int32 {
-	if ix.probeIDs != nil {
-		return ix.probeIDs
-	}
-	if ix.idBase == 0 {
-		return nil
-	}
-	ids := make([]int32, ix.n)
-	for col := range ids {
-		ids[col] = ix.idBase + int32(col)
-	}
-	return ids
+	return nil
 }

@@ -191,7 +191,8 @@ var diffAlgorithms = []Algorithm{AlgLI, AlgL, AlgC, AlgI, AlgLC, AlgTA, AlgTree,
 
 // TestDifferentialMutations is the acceptance harness: ≥1000 randomized
 // mutation/query sequences, each asserting exact equality between the
-// mutated index and a fresh build over the same effective probe set.
+// mutated index and a fresh build over the same effective probe set, a
+// third of them from a base over shuffled, sparse caller ids.
 func TestDifferentialMutations(t *testing.T) {
 	sequences := 1100
 	if testing.Short() {
@@ -216,23 +217,47 @@ func TestDifferentialMutations(t *testing.T) {
 		freshOpts := opts
 		freshOpts.Quantize = rng.Intn(2) == 0
 
+		// Every third sequence builds over caller-chosen ids, shuffled and
+		// sparse, so the base segment finds its own ids through its id →
+		// column lookup: removes, rewrites and revivals of them exercise it.
+		var baseIDs []int32
+		if seq%3 == 2 {
+			baseIDs = make([]int32, n0)
+			for col, k := range rng.Perm(n0) {
+				baseIDs[col] = int32(5*k + 2)
+			}
+		}
 		model := &probeModel{vecs: make(map[int32][]float64)}
 		p := matrix.New(r, n0)
 		for i := 0; i < n0; i++ {
 			vec := randVec(rng, r)
 			copy(p.Vec(i), vec)
-			model.vecs[int32(i)] = vec
+			id := int32(i)
+			if baseIDs != nil {
+				id = baseIDs[i]
+			}
+			model.vecs[id] = vec
 		}
-		ix, err := NewIndex(p, opts)
+		ix, err := NewIndexWithIDs(p, baseIDs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nextID := int32(n0)
+		nextID := ix.NextID()
 
 		steps := 1 + rng.Intn(5)
 		for step := 0; step < steps; step++ {
 			preModel := model.clone()
 			ups := randomBatch(rng, model, &nextID, r)
+			if baseIDs != nil && rng.Intn(2) == 0 { // revive a removed base id
+				for _, id := range baseIDs {
+					if model.vecs[id] == nil {
+						vec := randVec(rng, r)
+						ups = append(ups, ProbeUpdate{Op: OpAdd, ID: id, Vec: vec})
+						model.vecs[id] = vec
+						break
+					}
+				}
+			}
 			epochBefore := ix.Epoch()
 			if rng.Intn(4) == 0 {
 				// Copy-on-write path: derive, then verify the old index
@@ -292,7 +317,7 @@ func TestDifferentialMutations(t *testing.T) {
 // randomBatch, but aimed where the run structure can break: most rewrites
 // and removals name an id some earlier batch added or rewrote (recent — an
 // entry of a run, perhaps one merged since), and some adds revive an id that
-// was removed (gone — dead in a run or in the main structure).
+// was removed (gone — dead in a run or in the base segment).
 func churnBatch(rng *rand.Rand, model *probeModel, nextID *int32, r int, recent, gone *[]int32) []ProbeUpdate {
 	pick := func(from []int32) (int32, bool) { // a live id, from the list if it has one
 		for try := 0; try < 4 && len(from) > 0; try++ {
@@ -414,7 +439,7 @@ func TestDifferentialMutationsLong(t *testing.T) {
 				t.Fatalf("seq %d step %d: %v", seq, step, err)
 			}
 			ix = next
-			maxRuns = max(maxRuns, len(ix.runs))
+			maxRuns = max(maxRuns, len(ix.segs)-1)
 			switch rng.Intn(60) {
 			case 0:
 				ix.Compact()
@@ -526,7 +551,7 @@ func TestUpdateSequenceSemantics(t *testing.T) {
 	if err := ix.RemoveProbe(3); err == nil {
 		t.Fatal("double remove accepted")
 	}
-	// Re-adding a removed main id is allowed and revives the id.
+	// Re-adding a removed base id is allowed and revives the id.
 	if err := ix.AddProbeWithID(3, randVec(rng, 3)); err != nil {
 		t.Fatalf("re-add of removed id: %v", err)
 	}

@@ -14,8 +14,9 @@ import (
 
 // Index is a LEMP index over a probe matrix P: the preprocessing phase of
 // Algorithm 1 (bucketization by length, normalization), with all per-bucket
-// search indexes built lazily during retrieval, plus the delta layer of
-// delta.go that absorbs probe mutations between re-bucketizations.
+// search indexes built lazily during retrieval. Its probes live in segments
+// (delta.go): the base segment a build, restore or Compact produces, and the
+// newer runs that absorb probe mutations between re-bucketizations.
 //
 // Concurrency: any number of retrievals — one-shot Retrieve calls, the Run
 // panels of any Job, RetrieveApprox — may run concurrently on one Index and
@@ -27,10 +28,7 @@ import (
 type Index struct {
 	opts      Options
 	r         int
-	n         int            // main probe columns (tombstoned ones included)
-	probe     *matrix.Matrix // the matrix the index was built over (for snapshots)
-	buckets   []*bucket      // main buckets, decreasing l_b
-	maxBucket int            // largest bucket in scan (sizes worker scratch)
+	maxBucket int // largest bucket in scan (sizes worker scratch)
 	prepTime  time.Duration
 
 	// autoScreen is set where the int8 screen runs without being asked for:
@@ -46,35 +44,24 @@ type Index struct {
 	sweepOff bool
 
 	// id uniquely identifies this Index instance (copy-on-write derivations
-	// get fresh ids); layout counts bucketization changes (delta rebuilds,
+	// get fresh ids); layout counts bucketization changes (batches,
 	// Compact). Together with the epoch they version the index for
 	// TuningCache keys: a cached parameter set can never be applied to an
 	// index whose buckets have changed shape.
 	id     uint64
 	layout uint64
 
-	// External probe ids (delta.go): main column col has id idBase+col, or
-	// probeIDs[col] when the live id set is no longer contiguous (after a
-	// Compact of a mutated index). mainLoc inverts probeIDs for mutation
-	// routing; mainAt is the lazily built column → bucket entry index of
-	// this main structure, shared with every relative.
-	idBase   int32
-	probeIDs []int32
-	mainLoc  map[int32]int32
-	mainAt   *locator
-
-	// Delta layer (delta.go): the overlay's runs, oldest first, the merged
-	// scan order, and — aligned with it, nil until the first tombstone — the
-	// tombstones of this version. deadMain and overlayN count tombstoned
-	// main probes and live overlay vectors. epoch counts applied mutation
-	// batches; nextID feeds AutoID adds.
-	epoch    uint64
-	nextID   int32
-	runs     []runRef
-	scan     []*bucket // main+delta merged by decreasing l_b
-	dead     []tombs
-	deadMain int
-	overlayN int
+	// The probes (delta.go): segs[0] is the base segment, segs[1:] the runs
+	// newer than it, oldest first, each with this version's live count.
+	// scan merges every segment's buckets by decreasing l_b, and dead —
+	// aligned with it, nil until the first tombstone — holds this version's
+	// tombstones. epoch counts applied mutation batches; nextID feeds AutoID
+	// adds.
+	epoch  uint64
+	nextID int32
+	segs   []segRef
+	scan   []*bucket
+	dead   []tombs
 
 	// pretuned freezes per-call tuning: every retrieval runs under the
 	// frozen fit instead of fitting its own. Set by Pretune and restored by
@@ -118,7 +105,9 @@ func NewIndexWithIDs(p *matrix.Matrix, ids []int32, opts Options) (*Index, error
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if ids != nil {
+	if ids == nil {
+		ids = identityIDs(p.N())
+	} else {
 		if len(ids) != p.N() {
 			return nil, fmt.Errorf("core: %d probe ids for %d probes", len(ids), p.N())
 		}
@@ -134,13 +123,9 @@ func NewIndexWithIDs(p *matrix.Matrix, ids []int32, opts Options) (*Index, error
 		}
 	}
 	start := time.Now()
-	ix := &Index{opts: opts, r: p.R(), n: p.N(), probe: p, id: indexSeq.Add(1), lsh: new(lshState), scratchPool: new(sync.Pool),
+	ix := &Index{opts: opts, r: p.R(), id: indexSeq.Add(1), lsh: new(lshState), scratchPool: new(sync.Pool),
 		autoScreen: !opts.Quantize && quant.Accelerated(p.R())}
-	ix.setIDs(ids)
-	buckets := bucketize(p, ix.explicitIDs(), opts.ShrinkFactor, opts.MinBucketSize, ix.bucketCap())
-	ix.attachSidecars(buckets)
-	ix.setMain(buckets)
-	ix.nextID = maxIDPlusOne(ix)
+	ix.setBase(ix.newSegment(p, ids))
 	ix.prepTime = time.Since(start)
 	return ix, nil
 }
@@ -148,28 +133,14 @@ func NewIndexWithIDs(p *matrix.Matrix, ids []int32, opts Options) (*Index, error
 // indexSeq issues unique Index instance ids (TuningCache key component).
 var indexSeq atomic.Uint64
 
-// maxIDPlusOne computes the smallest id larger than every assigned id.
-func maxIDPlusOne(ix *Index) int32 {
-	if ix.n == 0 {
-		return ix.idBase
-	}
-	max := int32(-1)
-	for col := 0; col < ix.n; col++ {
-		if id := ix.extID(col); id > max {
-			max = id
-		}
-	}
-	return max + 1
-}
-
 // R returns the vector dimension.
 func (ix *Index) R() int { return ix.r }
 
-// N returns the number of live probe vectors (main probes minus tombstones
-// plus overlay entries).
+// N returns the number of live probe vectors: the base segment's
+// untombstoned columns plus the newer runs' live vectors.
 func (ix *Index) N() int { return ix.LiveN() }
 
-// NumBuckets returns the number of probe buckets (main and delta).
+// NumBuckets returns the number of probe buckets, every segment's.
 func (ix *Index) NumBuckets() int { return len(ix.scan) }
 
 // BucketInfo describes one probe bucket for introspection: its size and
@@ -178,7 +149,7 @@ func (ix *Index) NumBuckets() int { return len(ix.scan) }
 // pretuned index (§4.4). Tuned, TB and Phi are false/zero on an index that is
 // not pretuned — there each retrieval fits and owns its own parameters, and
 // none are the index's to report — and for a bucket the frozen fit has not
-// reached (a delta bucket awaiting its fit).
+// reached (a run's bucket awaiting its fit).
 type BucketInfo struct {
 	Size      int
 	MaxLength float64 // l_b, the length of the longest vector
@@ -188,11 +159,11 @@ type BucketInfo struct {
 	Tuned     bool    // the frozen fit holds t_b and φ_b for this bucket
 	TB        float64 // switch threshold: LENGTH below, coordinate method above
 	Phi       int     // focus-set size φ_b
-	Delta     bool    // an overlay (delta-layer) bucket
+	Delta     bool    // a bucket of a run newer than the base segment
 }
 
 // Buckets reports the current per-bucket state in decreasing-length order,
-// delta buckets included.
+// the runs' buckets included.
 func (ix *Index) Buckets() []BucketInfo {
 	out := make([]BucketInfo, len(ix.scan))
 	for i, b := range ix.scan {

@@ -44,7 +44,7 @@ func ScanCostWeights(p *matrix.Matrix, opts Options) []float64 {
 }
 
 // EstimatedCost sums the live probes' scan-cost weights under the current
-// bucketization (including delta buckets): Σ over live entries of their
+// bucketization (every segment's buckets): Σ over live entries of their
 // bucket's l_b. It is the quantity cost-balanced placement equalizes across
 // shards and the placement-skew gauge reports.
 func (ix *Index) EstimatedCost() float64 {
@@ -59,11 +59,14 @@ func (ix *Index) EstimatedCost() float64 {
 	return cost
 }
 
-// LiveProbes materializes the live probe set — main probes minus tombstones
-// plus overlay vectors — as a fresh matrix with its ids in ascending order,
+// LiveProbes materializes the live probe set — every segment's
+// untombstoned vectors — as a fresh matrix with its ids in ascending order,
 // the gather step of a shard re-placement.
 func (ix *Index) LiveProbes() (*matrix.Matrix, []int32) {
-	live := ix.liveVecs()
+	live := make([]liveVec, 0, ix.LiveN())
+	for _, s := range ix.segs {
+		ix.eachLive(s, ix.dead, func(col int) { live = append(live, liveVec{s.ids[col], s.vecs.Vec(col)}) })
+	}
 	sort.Slice(live, func(a, b int) bool { return live[a].id < live[b].id })
 	return ix.materialize(live)
 }

@@ -26,8 +26,8 @@ type State struct {
 	Buckets  []BucketState
 
 	// IDs maps probe column → external id; nil means the identity mapping
-	// (column numbers are the ids). Mutated-then-compacted indexes have
-	// arbitrary stable ids.
+	// (column numbers are the ids). Indexes built over caller-chosen ids and
+	// mutated-then-compacted ones have arbitrary stable ids.
 	IDs []int32
 	// Epoch is the mutation epoch (delta.go); NextID the next AutoID
 	// assignment. A zero NextID means "derive from the ids".
@@ -93,9 +93,9 @@ type BucketState struct {
 // retrievals, and what it exports does not depend on which were answered —
 // except for the sorted lists they have built so far.
 //
-// A mutated index (live delta layer) is compacted on export — into a
+// A mutated index (a tombstone or a run) is compacted on export — into a
 // private copy, the receiver is unchanged — so the state always describes
-// a tombstone-free bucketization over the live probe set with external ids
+// one tombstone-free segment over the live probe set with external ids
 // preserved. Loading it answers queries identically to the mutated index.
 func (ix *Index) State() *State {
 	if ix.mutated() {
@@ -105,18 +105,18 @@ func (ix *Index) State() *State {
 	}
 	st := &State{
 		Opts:     ix.opts,
-		Probe:    ix.probe,
+		Probe:    ix.Probe(),
 		Pretuned: ix.pretuned,
-		Buckets:  make([]BucketState, len(ix.buckets)),
-		IDs:      ix.explicitIDs(),
+		Buckets:  make([]BucketState, len(ix.scan)),
+		IDs:      ix.ProbeIDs(),
 		Epoch:    ix.epoch,
 		NextID:   ix.nextID,
 	}
 	if ix.pretuned && ix.tuneSample != nil {
 		st.TuneSample, st.TuneProblem = ix.tuneSample, ix.tuneProb
 	}
-	for i, b := range ix.buckets {
-		p := fitEntry(ix.frozen, i) // aligned with scan, which is buckets here
+	for i, b := range ix.scan { // the base segment's buckets: nothing else is left
+		p := fitEntry(ix.frozen, i)
 		st.Buckets[i] = BucketState{
 			IDs:   b.ids,
 			Lens:  b.lens,
@@ -141,9 +141,10 @@ func (ix *Index) State() *State {
 	return st
 }
 
-// Probe returns the probe matrix the index was built over (or restored
-// with). It aliases index state and must not be mutated.
-func (ix *Index) Probe() *matrix.Matrix { return ix.probe }
+// Probe returns the base segment's raw vectors: the probe matrix the index
+// was built over or restored with, or the one its last Compact produced.
+// Newer runs are not in it. It aliases index state and must not be mutated.
+func (ix *Index) Probe() *matrix.Matrix { return ix.segs[0].vecs }
 
 // Pretuned reports whether per-call tuning is frozen: the index reuses its
 // stored per-bucket parameters instead of re-tuning on every retrieval.
@@ -166,7 +167,7 @@ func FromState(st *State) (*Index, error) {
 		return nil, fmt.Errorf("core: state has no probe matrix")
 	}
 	r, n := st.Probe.R(), st.Probe.N()
-	ix := &Index{opts: opts, r: r, n: n, probe: st.Probe, pretuned: st.Pretuned, id: indexSeq.Add(1), lsh: new(lshState), scratchPool: new(sync.Pool),
+	ix := &Index{opts: opts, r: r, pretuned: st.Pretuned, id: indexSeq.Add(1), lsh: new(lshState), scratchPool: new(sync.Pool),
 		autoScreen: !opts.Quantize && quant.Accelerated(r)}
 	if st.TuneSample != nil && st.Pretuned {
 		if st.TuneSample.R() != r {
@@ -186,26 +187,30 @@ func FromState(st *State) (*Index, error) {
 		ix.tuneSample, ix.tuneProb = st.TuneSample, st.TuneProblem
 	}
 	// Resolve the external id universe: identity (ids are column numbers)
-	// or the explicit column → id mapping of a compacted mutated index.
-	var idSet map[int32]bool // id → seen in a bucket yet; nil = identity
-	if st.IDs != nil {
-		if len(st.IDs) != n {
-			return nil, fmt.Errorf("core: state has %d probe ids for %d probes", len(st.IDs), n)
+	// or the explicit column → id mapping, which cols inverts.
+	ids := st.IDs
+	var cols map[int32]int32 // id → column; nil = identity
+	if ids == nil {
+		ids = identityIDs(n)
+	} else {
+		if len(ids) != n {
+			return nil, fmt.Errorf("core: state has %d probe ids for %d probes", len(ids), n)
 		}
-		idSet = make(map[int32]bool, n)
-		for _, id := range st.IDs {
+		cols = make(map[int32]int32, n)
+		for col, id := range ids {
 			if id < 0 || id > MaxProbeID {
 				return nil, fmt.Errorf("core: probe id %d out of range [0, %d]", id, int32(MaxProbeID))
 			}
-			if _, dup := idSet[id]; dup {
+			if _, dup := cols[id]; dup {
 				return nil, fmt.Errorf("core: probe id %d appears twice", id)
 			}
-			idSet[id] = false
+			cols[id] = int32(col)
 		}
 	}
 	buckets := make([]*bucket, len(st.Buckets))
 	frozen := make([]tunedParam, len(st.Buckets))
-	seen := make([]bool, n)
+	// By column: where each probe sits, and whether a bucket named it yet.
+	loc, seen := make([]probeLoc, n), make([]bool, n)
 	var listSeen []bool // per-list permutation check scratch, sized on demand
 	total := 0
 	prevLen := math.Inf(1)
@@ -223,24 +228,20 @@ func FromState(st *State) (*Index, error) {
 			return nil, fmt.Errorf("core: buckets hold more than %d probes", n)
 		}
 		for j, id := range bs.IDs {
-			if idSet != nil {
-				used, known := idSet[id]
+			col := int(id)
+			if cols != nil {
+				c, known := cols[id]
 				if !known {
 					return nil, fmt.Errorf("core: bucket %d id %d is not a probe id", i, id)
 				}
-				if used {
-					return nil, fmt.Errorf("core: probe id %d appears twice", id)
-				}
-				idSet[id] = true
-			} else {
-				if id < 0 || int(id) >= n {
-					return nil, fmt.Errorf("core: bucket %d id %d out of range [0,%d)", i, id, n)
-				}
-				if seen[id] {
-					return nil, fmt.Errorf("core: probe id %d appears twice", id)
-				}
-				seen[id] = true
+				col = int(c)
+			} else if id < 0 || col >= n {
+				return nil, fmt.Errorf("core: bucket %d id %d out of range [0,%d)", i, id, n)
 			}
+			if seen[col] {
+				return nil, fmt.Errorf("core: probe id %d appears twice", id)
+			}
+			seen[col], loc[col] = true, probeLoc{int32(i), int32(j)}
 			l := bs.Lens[j]
 			if math.IsNaN(l) || math.IsInf(l, 0) || l < 0 {
 				return nil, fmt.Errorf("core: bucket %d length %d is %v", i, j, l)
@@ -302,15 +303,13 @@ func FromState(st *State) (*Index, error) {
 	if total != n {
 		return nil, fmt.Errorf("core: buckets hold %d probes, probe matrix has %d", total, n)
 	}
-	ix.setIDs(st.IDs)
 	// Quantize on but no (or only some) persisted sidecars — a pre-quant
 	// snapshot loaded with screening requested: quantize the missing ones.
 	ix.attachSidecars(buckets)
-	ix.setMain(buckets)
+	ix.setBase(segRef{&segment{ids: ids, vecs: st.Probe, buckets: buckets, loc: loc, byID: columnsByID(ids)}, n})
 	if st.Pretuned {
-		ix.frozen = frozen // scan is buckets: no delta layer in a state
+		ix.frozen = frozen // scan is the base's buckets
 	}
-	ix.nextID = maxIDPlusOne(ix)
 	if st.NextID > ix.nextID {
 		ix.nextID = st.NextID
 	}

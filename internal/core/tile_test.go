@@ -97,7 +97,7 @@ func tileFixture(t *testing.T, alg Algorithm, quantize, mutate bool) (*Index, *m
 		if _, err := ix.Apply(ups); err != nil {
 			t.Fatal(err)
 		}
-		if len(ix.runs) == 0 || ix.deadMain == 0 {
+		if base := ix.segs[0]; len(ix.segs) == 1 || base.live == len(base.ids) {
 			t.Fatal("mutated fixture has no delta buckets or no tombstones")
 		}
 	}
@@ -213,7 +213,7 @@ func TestTopKTilesMatchPerRowLoop(t *testing.T) {
 		if len(s.cand) != b.size()-1 || !slices.Equal(s.cand, want.cand) || !slices.Equal(s.vals, want.vals) {
 			t.Fatalf("flagged prefix:\n got %v %v\nwant %v %v", s.cand, s.vals, want.cand, want.vals)
 		}
-		// The next main bucket holds no tombstone: the flag reaches the
+		// The next base bucket holds no tombstone: the flag reaches the
 		// verifier, which must give the written-out list's values.
 		b = ix.scan[1]
 		allCandidates(b, s)

@@ -134,10 +134,10 @@ const tunePatience = 2
 // serial pass's (bit-identical under TuneByCost, where the costs are counts).
 // A call canceled, which is checked at bucket boundaries, returns no fit.
 //
-// With deltaOnly only the delta buckets the frozen fit has no entry for are
+// With deltaOnly only the run buckets the frozen fit has no entry for are
 // fitted, from a sample that walks no further than the deepest of them, and
-// every other entry is the frozen fit's: how delta-layer pretuning (delta.go)
-// fits new overlay buckets from the retained pretune sample.
+// every other entry is the frozen fit's: how pretuneDelta (delta.go) fits
+// new runs' buckets from the retained pretune sample.
 func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tunedParam, error) {
 	target := func(bi int) bool {
 		return !deltaOnly || ix.scan[bi].delta && !fitEntry(ix.frozen, bi).tuned

@@ -27,8 +27,8 @@ func TestTuningSetsParametersOnAllBuckets(t *testing.T) {
 	if _, _, err := j.Run(context.Background(), q, func(retrieval.Entry) {}); err != nil {
 		t.Fatal(err)
 	}
-	if len(j.fit) != len(ix.buckets) {
-		t.Fatalf("fit holds %d entries for %d buckets", len(j.fit), len(ix.buckets))
+	if len(j.fit) != len(ix.scan) {
+		t.Fatalf("fit holds %d entries for %d buckets", len(j.fit), len(ix.scan))
 	}
 	for bi, f := range j.fit {
 		if !f.tuned {

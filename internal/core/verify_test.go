@@ -158,7 +158,7 @@ func TestPretuneDeltaBuckets(t *testing.T) {
 	if _, err := ix.Apply(ups); err != nil {
 		t.Fatal(err)
 	}
-	if len(ix.runs) == 0 {
+	if len(ix.segs) == 1 {
 		t.Fatal("batch produced no overlay entries")
 	}
 	for bi, b := range ix.scan {

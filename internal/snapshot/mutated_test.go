@@ -1,0 +1,116 @@
+package snapshot
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"lemp/internal/core"
+	"lemp/internal/matrix"
+)
+
+// mutatedSnapshotSHA256 is the SHA-256 of the snapshot
+// TestMutatedSnapshotBytesPinned writes. Change it only with a format change
+// that says why the bytes of an unchanged index moved.
+const mutatedSnapshotSHA256 = "5552e037ff9dad3e19e1f202eafc9de7038ebc44d5d3e145a6304a621282267e"
+
+// TestMutatedSnapshotBytesPinned pins the bytes of a mutated index's
+// snapshot. State compacts a clone, and the column order that compaction
+// gives its matrix — the base segment's live columns in column order, then
+// every newer live vector by ascending id — fixes the probe matrix and the
+// bucket membership the file stores, so it is part of the format. The index
+// is built over shuffled, sparse caller ids, is neither pretuned nor
+// quantized and answers no retrieval (no sorted lists, no lazy sidecars), so
+// the bytes depend on the mutation sequence alone. Its second batch lands
+// beside the first batch's run without merging it: the export compacts a
+// tombstoned base and two runs.
+func TestMutatedSnapshotBytesPinned(t *testing.T) {
+	const r, n = 6, 120
+	rng := rand.New(rand.NewSource(26))
+	vec := func() []float64 {
+		v := make([]float64, r)
+		scale := math.Exp(0.9 * rng.NormFloat64())
+		for f := range v {
+			v[f] = scale * rng.NormFloat64()
+		}
+		return v
+	}
+	p := matrix.New(r, n)
+	ids := make([]int32, n)
+	for col, k := range rng.Perm(n) {
+		copy(p.Vec(col), vec())
+		ids[col] = int32(3*k + 1)
+	}
+	ix, err := core.NewIndexWithIDs(p, ids, core.Options{MinBucketSize: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply := func(ups []core.ProbeUpdate) []int32 {
+		t.Helper()
+		got, err := ix.Apply(ups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	deltaBuckets := func() []core.BucketInfo {
+		var out []core.BucketInfo
+		for _, b := range ix.Buckets() {
+			if b.Delta {
+				out = append(out, b)
+			}
+		}
+		return out
+	}
+
+	// Batch one: forty adds, ten base ids removed and ten rewritten.
+	var first []core.ProbeUpdate
+	for i := 0; i < 40; i++ {
+		first = append(first, core.ProbeUpdate{Op: core.OpAdd, ID: core.AutoID, Vec: vec()})
+	}
+	for _, id := range ids[:10] {
+		first = append(first, core.ProbeUpdate{Op: core.OpRemove, ID: id})
+	}
+	for _, id := range ids[10:20] {
+		first = append(first, core.ProbeUpdate{Op: core.OpUpdate, ID: id, Vec: vec()})
+	}
+	added := apply(first)[:40]
+	runA := deltaBuckets()
+
+	// Batch two, too small to merge the first run: adds, a revived base id,
+	// a rewrite in the run and one in the base, two more base removals.
+	apply([]core.ProbeUpdate{
+		{Op: core.OpAdd, ID: core.AutoID, Vec: vec()},
+		{Op: core.OpAdd, ID: core.AutoID, Vec: vec()},
+		{Op: core.OpAdd, ID: ids[3], Vec: vec()},
+		{Op: core.OpUpdate, ID: added[7], Vec: vec()},
+		{Op: core.OpUpdate, ID: ids[40], Vec: vec()},
+		{Op: core.OpRemove, ID: ids[50]},
+		{Op: core.OpRemove, ID: ids[60]},
+	})
+	now := deltaBuckets()
+	if len(now) <= len(runA) {
+		t.Fatalf("second batch added no run: %d delta buckets, %d after the first batch", len(now), len(runA))
+	}
+	for _, b := range runA {
+		if !slices.Contains(now, b) {
+			t.Fatalf("second batch merged the first run away (bucket %+v gone)", b)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := Write(&buf, ix.State()); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != mutatedSnapshotSHA256 {
+		t.Fatalf("mutated snapshot (%d bytes) has SHA-256 %s, pinned %s", buf.Len(), got, mutatedSnapshotSHA256)
+	}
+	if ix.DeltaMass() == 0 {
+		t.Fatal("exporting the snapshot compacted the index itself")
+	}
+}

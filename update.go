@@ -6,13 +6,13 @@ import (
 
 // Dynamic probe updates. An Index is no longer frozen at build time: probes
 // can be added, removed and replaced by stable external id, with changes
-// absorbed by a delta layer scanned alongside the main buckets — a batch's
+// absorbed by runs scanned alongside the base segment's buckets — a batch's
 // new vectors become one immutable run of ordinary buckets, runs merge
 // geometrically, and a removed or rewritten probe is a bit in its bucket's
-// tombstone bitset — and accumulated drift folded back into a full
-// re-bucketization by Compact. Applying a batch costs O(batch · r + buckets)
-// time and allocation, independent of the probe count and of what the delta
-// layer already holds; a derived index shares every bucket the batch did
+// tombstone bitset — and accumulated drift merged back into one freshly
+// bucketized base by Compact. Applying a batch costs O(batch · r + buckets)
+// time and allocation, independent of the probe count and of what the runs
+// already hold; a derived index shares every bucket the batch did
 // not retire, and nothing reachable from an index is written again once it
 // is published. Results remain exact after any mutation sequence: a mutated
 // index answers queries identically to an index freshly built over the same
@@ -68,8 +68,8 @@ func (ix *Index) ApplyUpdates(ups []ProbeUpdate) ([]int32, error) {
 }
 
 // WithUpdates derives a new index with the batch applied, leaving the
-// receiver untouched: the two share the immutable main structure
-// (copy-on-write), so derivation costs only the delta work. The receiver
+// receiver untouched: the two share every immutable segment (copy-on-write),
+// so derivation costs only the batch's work. The receiver
 // keeps answering retrievals meanwhile, and afterwards the two serve
 // independently of each other.
 func (ix *Index) WithUpdates(ups []ProbeUpdate) (*Index, []int32, error) {
@@ -109,17 +109,17 @@ func (ix *Index) LiveIDs() []int32 { return ix.inner.LiveIDs() }
 
 // ProbeIDs returns the external ids of the Probe() matrix's columns, in
 // column order, or nil when the ids are the column numbers themselves.
-// Delta-layer mutations are not reflected — Compact first (snapshot-loaded
-// indexes are always compacted). Re-sharding uses this to rebuild shards
+// Probes added or rewritten since the last build or Compact are not
+// reflected — Compact first (snapshot-loaded indexes are always compacted). Re-sharding uses this to rebuild shards
 // without renumbering the catalog.
 func (ix *Index) ProbeIDs() []int32 { return ix.inner.ProbeIDs() }
 
-// DeltaMass reports accumulated mutation drift: (tombstones + overlay
+// DeltaMass reports accumulated mutation drift: (base tombstones + run
 // vectors) / live probes. See MaybeCompact.
 func (ix *Index) DeltaMass() float64 { return ix.inner.DeltaMass() }
 
-// Compact folds the delta layer into a fresh bucketization over the live
-// probe set (ids preserved), restoring full pruning effectiveness. Results
+// Compact merges every run and the base into one fresh bucketization over
+// the live probe set (ids preserved), restoring full pruning effectiveness. Results
 // before and after are identical. Exclusive with everything else on this
 // index.
 func (ix *Index) Compact() { ix.inner.Compact() }
