@@ -334,6 +334,13 @@ func (ix *Index) find(id int32) (seg, bi, lid int, ok bool) {
 	return 0, 0, 0, false
 }
 
+// Has reports whether the probe with the given id is live. It only reads,
+// so it may run beside retrievals.
+func (ix *Index) Has(id int32) bool {
+	_, _, _, ok := ix.find(id)
+	return ok
+}
+
 // AddProbe inserts a new probe vector and returns its assigned id.
 func (ix *Index) AddProbe(vec []float64) (int32, error) {
 	ids, err := ix.Apply([]ProbeUpdate{{Op: OpAdd, ID: AutoID, Vec: vec}})

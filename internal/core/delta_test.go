@@ -243,6 +243,7 @@ func TestDifferentialMutations(t *testing.T) {
 			t.Fatal(err)
 		}
 		nextID := ix.NextID()
+		removed := int32(-1) // an id the model once held and no longer does
 
 		steps := 1 + rng.Intn(5)
 		for step := 0; step < steps; step++ {
@@ -292,6 +293,28 @@ func TestDifferentialMutations(t *testing.T) {
 				}
 			case 1:
 				ix.MaybeCompact(0.5)
+			}
+
+			// Has agrees with the model: on every live id, on a removed one
+			// and on one never used.
+			if removed >= 0 && model.vecs[removed] != nil {
+				removed = -1
+			}
+			for _, up := range ups {
+				if up.Op == OpRemove && model.vecs[up.ID] == nil {
+					removed = up.ID
+				}
+			}
+			for id := range model.vecs {
+				if !ix.Has(id) {
+					t.Fatalf("seq %d step %d: Has(%d) false for a live id", seq, step, id)
+				}
+			}
+			if removed >= 0 && ix.Has(removed) {
+				t.Fatalf("seq %d step %d: Has(%d) true for a removed id", seq, step, removed)
+			}
+			if ix.Has(nextID) {
+				t.Fatalf("seq %d step %d: Has(%d) true for an id never used", seq, step, nextID)
 			}
 
 			if rng.Intn(10) < 7 {
@@ -551,9 +574,15 @@ func TestUpdateSequenceSemantics(t *testing.T) {
 	if err := ix.RemoveProbe(3); err == nil {
 		t.Fatal("double remove accepted")
 	}
+	if ix.Has(3) {
+		t.Fatal("Has(3) after its removal")
+	}
 	// Re-adding a removed base id is allowed and revives the id.
 	if err := ix.AddProbeWithID(3, randVec(rng, 3)); err != nil {
 		t.Fatalf("re-add of removed id: %v", err)
+	}
+	if !ix.Has(3) {
+		t.Fatal("!Has(3) after its revival")
 	}
 	if err := ix.UpdateProbe(id, randVec(rng, 3)); err != nil {
 		t.Fatalf("update of added probe: %v", err)
@@ -585,6 +614,12 @@ func TestUpdateSequenceSemantics(t *testing.T) {
 	}
 	if ix.NextID() != 12 {
 		t.Fatalf("NextID %d, want 12", ix.NextID())
+	}
+	if ix.Has(11) {
+		t.Fatal("Has(11) for the id added and removed in one batch")
+	}
+	if ix.Has(ix.NextID()) {
+		t.Fatal("Has(NextID()) for an id never used")
 	}
 }
 

@@ -89,9 +89,10 @@ type Index struct {
 }
 
 // NewIndex preprocesses the probe matrix into a LEMP index. The matrix must
-// not be mutated while the index is in use (directions are copied, but the
-// cover-tree bucket algorithm rebuilds raw vectors from them). Probes are
-// assigned the external ids 0..n-1.
+// not be mutated while the index is in use: directions are copied, but the
+// base segment aliases the matrix for the raw vectors that Compact and run
+// merges, LiveProbes, Probe and State read. Probes are assigned the external
+// ids 0..n-1.
 func NewIndex(p *matrix.Matrix, opts Options) (*Index, error) {
 	return NewIndexWithIDs(p, nil, opts)
 }

@@ -75,9 +75,10 @@ func TestConcurrentSameShardCalls(t *testing.T) {
 }
 
 // TestConcurrentNumShardsBesideUpdates: /healthz and the lemp_shards gauge
-// read the shard count while Update's commit and a drift-triggered
-// re-placement replace the shard slice. Under -race this fails unless
-// NumShards takes the read lock, as N and Epoch do.
+// read the shard count while Rebalance, the only writer of the count,
+// replaces the shard slice 2 → 3 → 2, and Update's commits replace it
+// between. Under -race this fails unless NumShards takes the read lock, as
+// N and Epoch do.
 func TestConcurrentNumShardsBesideUpdates(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	const r, n = 4, 40
@@ -103,16 +104,18 @@ func TestConcurrentNumShardsBesideUpdates(t *testing.T) {
 			}
 		}
 	}()
-	// Single adds until the router's exceptions cross the drift bound, so
-	// the re-placement's write is covered as well as the commit's.
-	for i := 0; sh.Replacements() == 0 && i < 4*driftMinExceptions; i++ {
+	for round := 0; round < 16; round++ {
+		shards := 3 - round%2
 		if _, err := sh.Update([]lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: randVec(rng, r)}}, 0.25); err != nil {
 			t.Fatal(err)
+		}
+		if err := sh.Rebalance(shards); err != nil {
+			t.Fatal(err)
+		}
+		if got := sh.NumShards(); got != shards {
+			t.Fatalf("Rebalance(%d) left %d shards", shards, got)
 		}
 	}
 	close(stop)
 	<-done
-	if sh.Replacements() == 0 {
-		t.Fatal("the update storm never crossed the drift bound")
-	}
 }

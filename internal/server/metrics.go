@@ -151,9 +151,6 @@ func (s *Server) wireState() {
 	reg.CounterFunc("lemp_shards_scanned_total",
 		"Per-shard retrievals dispatched across all batches.",
 		func() float64 { return float64(s.sharded.ShardsScanned()) })
-	reg.CounterFunc("lemp_placement_replacements_total",
-		"Whole-set re-placements triggered by router-exception drift.",
-		func() float64 { return float64(s.sharded.Replacements()) })
 	reg.GaugeFunc("lemp_placement_cost_skew",
 		"Max/mean ratio of per-shard estimated scan cost (1 = perfectly balanced).",
 		func() float64 { return s.sharded.CostSkew() })

@@ -17,13 +17,12 @@ type PlacementKind string
 
 const (
 	// PlaceRange is the equal-count contiguous split: shard i holds probe
-	// columns [i·n/S, (i+1)·n/S). The default; keeps the range router at
-	// one run per shard.
+	// columns [i·n/S, (i+1)·n/S). The default, and the layout snapshots
+	// without placement metadata restore as.
 	PlaceRange PlacementKind = "range"
 	// PlaceCost partitions contiguously by estimated scan cost — each
 	// probe weighted by the l_b of the bucket it lands in — so skewed
-	// length distributions no longer leave shards with unequal work. Still
-	// contiguous, so the range router stays compact.
+	// length distributions no longer leave shards with unequal work.
 	PlaceCost PlacementKind = "cost"
 	// PlaceCluster groups directionally similar probes per shard
 	// (spherical k-means, seeded by Options.Seed).

@@ -20,8 +20,10 @@ import (
 	"lemp/internal/vecmath"
 )
 
-// Sharded partitions a probe matrix into S contiguous shards, each backed
-// by its own lemp.Index built directly in the global probe-id space, and
+// Sharded partitions a probe matrix into S shards under a placement
+// strategy, each backed by its own lemp.Index built directly in the global
+// probe-id space — the shard indexes are the only record of which shard
+// holds an id — and
 // answers whole-batch retrievals by fanning the query matrix across all
 // shards concurrently and merging per-shard results: a k-way heap merge
 // for Row-Top-k, concatenation for Above-θ.
@@ -55,11 +57,10 @@ type Sharded struct {
 	shards []*lemp.Index // current version of every shard
 	costs  []float64     // per-shard estimated scan cost
 
-	// updMu serializes Update calls. Routing state (router, nextID) is
-	// only accessed while it is held.
+	// updMu serializes the writers of the shard set, Update and Rebalance;
+	// nextID is only accessed while it is held.
 	updMu  sync.Mutex
-	router *router // live probe id → shard (ranges + exceptions)
-	nextID int32   // next auto-assigned probe id
+	nextID int32 // next auto-assigned probe id
 
 	// tc shares fitted per-bucket tuning parameters across all retrieval
 	// calls of all shards: the first call per (problem, shard version)
@@ -72,10 +73,8 @@ type Sharded struct {
 	cum     lemp.Stats // cumulative stats across all retrieval calls
 
 	// compactions counts shard re-bucketizations triggered by update
-	// delta mass (exported as lemp_compactions_total); replacements the
-	// drift-triggered whole-set re-placements (router exception mass).
-	compactions  atomic.Uint64
-	replacements atomic.Uint64
+	// delta mass (exported as lemp_compactions_total).
+	compactions atomic.Uint64
 
 	// scanned counts shard retrievals dispatched (exported as
 	// lemp_shards_scanned_total).
@@ -122,77 +121,77 @@ func NewShardedPlaced(probe *lemp.Matrix, ids []int32, nShards int, opts lemp.Op
 	if nShards == 0 {
 		return nil, fmt.Errorf("server: probe matrix is empty")
 	}
+	ixs, err := place(kind, probe, ids, nShards, opts)
+	if err != nil {
+		return nil, err
+	}
+	return assemble(ixs, kind, opts), nil
+}
+
+// place partitions a catalog — probe column i named ids[i] — into nShards
+// parts under the placement strategy and builds one index over each.
+func place(kind PlacementKind, probe *lemp.Matrix, ids []int32, nShards int, opts lemp.Options) ([]*lemp.Index, error) {
 	parts, err := partitionProbes(kind, probe, ids, nShards, opts)
 	if err != nil {
 		return nil, err
 	}
-	s := &Sharded{
-		r: probe.R(), n: n, placement: kind, opts: opts,
-		shards: make([]*lemp.Index, nShards), tc: lemp.NewTuningCache(),
-	}
-	routeIDs := make([][]int32, nShards)
+	ixs := make([]*lemp.Index, len(parts))
 	for i, part := range parts {
-		for _, id := range part.ids {
-			if id >= s.nextID {
-				s.nextID = id + 1
-			}
-		}
-		ix, err := lemp.NewWithIDs(part.probe, part.ids, opts)
-		if err != nil {
+		if ixs[i], err = lemp.NewWithIDs(part.probe, part.ids, opts); err != nil {
 			return nil, fmt.Errorf("server: building shard %d: %w", i, err)
 		}
-		s.shards[i] = ix
-		// The router wants ascending ids; the shard's live-id view is
-		// already sorted and deduplicated.
-		routeIDs[i] = ix.LiveIDs()
 	}
-	s.router = newRouter(routeIDs)
-	s.costs = shardCosts(s.shards)
-	return s, nil
+	return ixs, nil
 }
 
-// shardCosts returns the estimated scan cost of every index of a shard set.
-func shardCosts(ixs []*lemp.Index) []float64 {
-	costs := make([]float64, len(ixs))
+// assemble wraps a shard set, in shard order, as a Sharded at epoch 0.
+func assemble(ixs []*lemp.Index, kind PlacementKind, opts lemp.Options) *Sharded {
+	s := &Sharded{r: ixs[0].R(), placement: kind, opts: opts, shards: ixs, tc: lemp.NewTuningCache()}
+	s.n, s.nextID, s.costs = tally(ixs)
+	return s
+}
+
+// tally sums up a shard set: its live probe count, the least next AutoID id
+// none of its shards has used, and every shard's estimated scan cost.
+func tally(ixs []*lemp.Index) (n int, nextID int32, costs []float64) {
+	costs = make([]float64, len(ixs))
 	for i, ix := range ixs {
+		n += ix.N()
+		nextID = max(nextID, ix.NextID())
 		costs[i] = ix.EstimatedCost()
 	}
-	return costs
+	return n, nextID, costs
 }
 
 // NewShardedFromIndexesPlaced assembles a Sharded from pre-built indexes —
 // typically loaded from per-shard snapshots — in shard order. The indexes'
-// probe ids must be globally unique; they are adopted as the serving id
-// space. Empty shards are legal — probe updates can drain a shard, and its
-// snapshot must still restore (later adds refill it). The set adopts the
-// given placement strategy for later re-placements.
+// probe ids must be globally unique — an id live in two shards is an error
+// naming both — and are adopted as the serving id space. Empty shards are
+// legal — probe updates can drain a shard, and its snapshot must still
+// restore (later adds refill it). The set adopts the given placement
+// strategy for later re-placements.
 func NewShardedFromIndexesPlaced(ixs []*lemp.Index, kind PlacementKind) (*Sharded, error) {
 	if len(ixs) == 0 {
 		return nil, fmt.Errorf("server: no shard indexes")
 	}
-	s := &Sharded{
-		r: ixs[0].R(), placement: kind, opts: ixs[0].Options(),
-		shards: slices.Clone(ixs), tc: lemp.NewTuningCache(),
-	}
-	routeIDs := make([][]int32, len(ixs))
+	// Every live id of every shard as id<<32 | shard: sorted, a collision
+	// between two shards is a pair of neighbours with the same high half.
+	var owned []int64
 	for i, ix := range ixs {
-		if ix.R() != s.r {
-			return nil, fmt.Errorf("server: shard %d has dimension %d, shard 0 has %d", i, ix.R(), s.r)
+		if ix.R() != ixs[0].R() {
+			return nil, fmt.Errorf("server: shard %d has dimension %d, shard 0 has %d", i, ix.R(), ixs[0].R())
 		}
-		routeIDs[i] = ix.LiveIDs()
-		if next := ix.NextID(); next > s.nextID {
-			s.nextID = next
+		for _, id := range ix.LiveIDs() {
+			owned = append(owned, int64(id)<<32|int64(i))
 		}
-		s.n += ix.N()
 	}
-	s.router = newRouter(routeIDs)
-	// Cross-shard id collisions surface as overlapping id runs — checked
-	// in O(runs) rather than via a transient O(probes) set.
-	if a, b, id, overlap := s.router.overlap(); overlap {
-		return nil, fmt.Errorf("server: probe id %d appears in shards %d and %d", id, a, b)
+	slices.Sort(owned)
+	for j := 1; j < len(owned); j++ {
+		if id := owned[j] >> 32; id == owned[j-1]>>32 {
+			return nil, fmt.Errorf("server: probe id %d appears in shards %d and %d", id, int32(owned[j-1]), int32(owned[j]))
+		}
 	}
-	s.costs = shardCosts(ixs)
-	return s, nil
+	return assemble(slices.Clone(ixs), kind, ixs[0].Options()), nil
 }
 
 // NewShardedFromSnapshot rebuilds a Sharded from one LEMPIDX1 snapshot per
@@ -247,8 +246,7 @@ func (s *Sharded) N() int {
 // R returns the vector dimension.
 func (s *Sharded) R() int { return s.r }
 
-// NumShards returns the current number of shards (Rebalance, and a
-// drift-triggered re-placement inside Update, may change it).
+// NumShards returns the current number of shards (Rebalance may change it).
 func (s *Sharded) NumShards() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -300,10 +298,6 @@ func (s *Sharded) Placement() PlacementKind { return s.placement }
 // dispatched across all batches since construction.
 func (s *Sharded) ShardsScanned() uint64 { return s.scanned.Load() }
 
-// Replacements returns the number of drift-triggered whole-set
-// re-placements since construction.
-func (s *Sharded) Replacements() uint64 { return s.replacements.Load() }
-
 // CostSkew reports the current placement balance as the max/mean ratio of
 // per-shard estimated scan cost: 1 is perfectly balanced, S means one
 // shard carries the whole catalog. Degenerate catalogs (no cost mass)
@@ -327,14 +321,6 @@ func (s *Sharded) CostSkew() float64 {
 	return max * float64(len(s.costs)) / sum
 }
 
-// Drift re-placement trigger (Update): at least driftMinExceptions router
-// exceptions and more than driftFraction of the live catalog routed
-// outside the contiguous id runs.
-const (
-	driftMinExceptions = 64
-	driftFraction      = 0.25
-)
-
 // Rebalance re-places the whole live probe set under the current placement
 // strategy into nShards shards (0 or negative keeps the current count),
 // rebuilding every shard index and swapping the new set in under one epoch
@@ -345,16 +331,10 @@ const (
 func (s *Sharded) Rebalance(nShards int) error {
 	s.updMu.Lock()
 	defer s.updMu.Unlock()
-	return s.replaceLocked(nShards)
-}
-
-// replaceLocked is Rebalance under an already-held updMu (the drift check
-// in Update re-places without re-acquiring it).
-func (s *Sharded) replaceLocked(nShards int) error {
-	if nShards <= 0 {
-		nShards = len(s.shards)
-	}
 	cur := s.Indexes()
+	if nShards <= 0 {
+		nShards = len(cur)
+	}
 	mats := make([]*lemp.Matrix, len(cur))
 	idss := make([][]int32, len(cur))
 	total := 0
@@ -368,8 +348,8 @@ func (s *Sharded) replaceLocked(nShards int) error {
 	if nShards > total {
 		nShards = total
 	}
-	// Gather in ascending global id order so contiguous placements produce
-	// compact id runs for the router, whatever the former layout was.
+	// Gather in ascending global id order, so the new layout depends on the
+	// live probe set alone, not on the former one.
 	type ref struct {
 		shard, col int
 	}
@@ -388,27 +368,17 @@ func (s *Sharded) replaceLocked(nShards int) error {
 		copy(probe.Vec(j), mats[rf.shard].Vec(rf.col))
 		ids[j] = idss[rf.shard][rf.col]
 	}
-	parts, err := partitionProbes(s.placement, probe, ids, nShards, s.opts)
+	ixs, err := place(s.placement, probe, ids, nShards, s.opts)
 	if err != nil {
 		return err
 	}
-	newIxs := make([]*lemp.Index, len(parts))
-	routeIDs := make([][]int32, len(parts))
-	for i, part := range parts {
-		ix, err := lemp.NewWithIDs(part.probe, part.ids, s.opts)
-		if err != nil {
-			return fmt.Errorf("server: rebuilding shard %d: %w", i, err)
-		}
-		newIxs[i] = ix
-		routeIDs[i] = ix.LiveIDs()
-	}
-	costs := shardCosts(newIxs)
+	n, nextID, costs := tally(ixs)
+	// An id the old set used and then removed is in no new shard: keep the
+	// higher mark so AutoID never hands it out again.
+	s.nextID = max(s.nextID, nextID)
 	s.mu.Lock()
-	s.shards = newIxs
-	s.router = newRouter(routeIDs)
+	s.shards, s.n, s.costs = ixs, n, costs
 	s.epoch++
-	s.n = total
-	s.costs = costs
 	s.mu.Unlock()
 	return nil
 }
@@ -621,14 +591,20 @@ func (s *Sharded) Update(ups []lemp.ProbeUpdate, compactThreshold float64) (Upda
 
 	// Plan: route every op to a shard, tracking in-batch liveness changes
 	// in an overlay so ops within the batch compose (add then remove of
-	// the same id is legal).
+	// the same id is legal). Past the overlay, the shard holding an id is
+	// the one whose index has it live: ids are unique across shards.
 	cur := s.Indexes()
 	overlay := make(map[int32]int) // id → shard, or -1 when removed in-batch
 	route := func(id int32) (int, bool) {
 		if sh, ok := overlay[id]; ok {
 			return sh, sh >= 0
 		}
-		return s.router.route(id)
+		for i, ix := range cur {
+			if ix.Has(id) {
+				return i, true
+			}
+		}
+		return 0, false
 	}
 	// Every add goes to the shard with the least estimated scan cost, under
 	// every placement: the fan-out waits on its slowest shard, and
@@ -658,7 +634,7 @@ func (s *Sharded) Update(ups []lemp.ProbeUpdate, compactThreshold float64) (Upda
 		switch up.Op {
 		case lemp.OpAdd:
 			id := up.ID
-			if id == lemp.AutoID {
+			if id == lemp.AutoID { // never live: ids at or past nextID were never used
 				id = nextID
 				if id > lemp.MaxProbeID {
 					return UpdateResult{}, fmt.Errorf("server: update %d: probe id space exhausted", i)
@@ -737,13 +713,6 @@ func (s *Sharded) Update(ups []lemp.ProbeUpdate, compactThreshold float64) (Upda
 		}
 		s.shards = newIxs
 		s.epoch++
-		for id, sh := range overlay {
-			if sh < 0 {
-				s.router.remove(id)
-			} else {
-				s.router.set(id, sh)
-			}
-		}
 		s.nextID = nextID
 		s.costs = newCosts
 	}
@@ -752,19 +721,6 @@ func (s *Sharded) Update(ups []lemp.ProbeUpdate, compactThreshold float64) (Upda
 	s.compactions.Add(compacted)
 	if s.applyHist != nil {
 		s.applyHist.ObserveDuration(time.Since(start))
-	}
-
-	// Drift bound: cost-routed adds land wherever the costs say, which the
-	// compact range router records as exceptions. Once the exception map
-	// outweighs a fraction of the catalog the id space has drifted far from
-	// the placement that built it — re-place the whole set
-	// (MaybeCompact-style: amortized against the update volume that caused
-	// it).
-	if changed && s.router.exceptions() > driftMinExceptions &&
-		float64(s.router.exceptions()) > driftFraction*float64(res.LiveN) {
-		if err := s.replaceLocked(len(s.shards)); err == nil {
-			s.replacements.Add(1)
-		}
 	}
 	return res, nil
 }

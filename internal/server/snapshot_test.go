@@ -195,21 +195,37 @@ func TestWriteSnapshotsAbortsFailedWrites(t *testing.T) {
 	}
 }
 
+// TestNewShardedFromIndexesValidates: an index set from outside the program
+// is refused when it is empty, mixes dimensions or names one live id in two
+// shards — the error naming both shards and the id — and adopted otherwise.
 func TestNewShardedFromIndexesValidates(t *testing.T) {
 	_, p := smokeMatrices(t)
-	ix, err := lemp.New(p, lemp.Options{})
-	if err != nil {
-		t.Fatal(err)
+	build := func(probe *lemp.Matrix, ids []int32) *lemp.Index {
+		t.Helper()
+		ix, err := lemp.NewWithIDs(probe, ids, lemp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
 	}
-	other, err := lemp.New(lemp.NewMatrix(3, 5), lemp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewShardedFromIndexesPlaced(nil, PlaceRange); err == nil {
-		t.Error("empty index list accepted")
-	}
-	if _, err := NewShardedFromIndexesPlaced([]*lemp.Index{ix, other}, PlaceRange); err == nil {
-		t.Error("dimension mismatch accepted")
+	ix := build(p, nil)
+	r := p.R()
+	for _, tc := range []struct {
+		name string
+		ixs  []*lemp.Index
+		want string
+	}{
+		{"no indexes", nil, "no shard indexes"},
+		{"dimension mismatch", []*lemp.Index{ix, build(lemp.NewMatrix(3, 5), nil)}, "shard 1 has dimension 3"},
+		{"shared id", []*lemp.Index{
+			build(lemp.NewMatrix(r, 3), []int32{0, 1, 2}),
+			build(lemp.NewMatrix(r, 2), []int32{9, 10}),
+			build(lemp.NewMatrix(r, 2), []int32{2, 3}),
+		}, "probe id 2 appears in shards 0 and 2"},
+	} {
+		if _, err := NewShardedFromIndexesPlaced(tc.ixs, PlaceRange); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 	sh, err := NewShardedFromIndexesPlaced([]*lemp.Index{ix}, PlaceRange)
 	if err != nil {

@@ -662,3 +662,28 @@ func TestEmptyShardSnapshotRestores(t *testing.T) {
 		t.Fatalf("query after refill returned %d entries, want 3", len(top[0]))
 	}
 }
+
+// TestRebalanceKeepsAutoIDsFresh: a Rebalance rebuilds every shard from the
+// live probes alone, so once the highest id is removed no new shard remembers
+// it; the next AutoID add must still receive an id never used before.
+func TestRebalanceKeepsAutoIDsFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const r, n = 4, 12
+	sh, err := NewShardedPlaced(epochProbe(rng, r, n), nil, 2, lemp.Options{Parallelism: 1}, PlaceRange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sh.Update([]lemp.ProbeUpdate{{Op: lemp.OpRemove, ID: n - 1}}, -1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.Rebalance(0); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sh.Update([]lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: randVec(rng, r)}}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.IDs[0] != n {
+		t.Fatalf("AutoID add after Rebalance got id %d, want the never-used %d", res.IDs[0], n)
+	}
+}

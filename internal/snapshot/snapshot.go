@@ -6,7 +6,7 @@
 // The LEMPIDX1 format is a versioned, self-describing container:
 //
 //	magic    [8]byte  "LEMPIDX1"
-//	version  uint32   format version (currently 1)
+//	version  uint32   format version 1–5: the lowest defining every section written
 //	reserved uint32   zero
 //	section* — each section:
 //	    tag     [4]byte
@@ -117,9 +117,9 @@ import (
 const Magic = "LEMPIDX1"
 
 // Version is the base format version; VersionIDs is emitted when the
-// external-id sections (PIDS/MUTA) are present, VersionLists when the
+// external-id sections (PIDS/MUTA/TSMP) are present, VersionLists when the
 // sorted-list section (SLST) is, VersionPlacement when the placement
-// section (PLMT) is.
+// section (PLMT) is, VersionQuant when the quantized sidecar (QNT8) is.
 const (
 	Version          = 1
 	VersionIDs       = 2
@@ -180,14 +180,17 @@ type WriteOptions struct {
 	IncludeLists bool
 }
 
-// Write serializes st in the LEMPIDX1 format with default options,
-// choosing version 1 or 2 by whether external-id state must be recorded.
+// Write serializes st in the LEMPIDX1 format with default options (no
+// SLST section).
 func Write(w io.Writer, st *core.State) error {
 	return WriteWith(w, st, WriteOptions{})
 }
 
-// WriteWith is Write with explicit options; opting into list persistence
-// emits format version 3.
+// WriteWith is Write with explicit options. The header carries the lowest
+// version that defines every section written: 1 with none of the optional
+// ones, 2 with PIDS, MUTA or TSMP, 3 with SLST (opted into by
+// WriteOptions.IncludeLists and written only when some list is built), 4
+// with PLMT, 5 with QNT8.
 func WriteWith(w io.Writer, st *core.State, opts WriteOptions) error {
 	if st.Probe == nil {
 		return fmt.Errorf("snapshot: state has no probe matrix")

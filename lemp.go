@@ -93,7 +93,9 @@ type Index struct {
 
 // New preprocesses the probe matrix into a LEMP index (bucketization by
 // vector length; per-bucket search indexes are built lazily during
-// retrieval). The matrix must not be mutated while the index is in use.
+// retrieval). The matrix must not be mutated while the index is in use: the
+// index keeps it as the raw vectors that Compact, LiveProbes, Probe and
+// snapshots read.
 func New(probe *Matrix, opts Options) (*Index, error) {
 	inner, err := core.NewIndex(probe, opts)
 	if err != nil {

@@ -107,6 +107,10 @@ func (ix *Index) NextID() int32 { return ix.inner.NextID() }
 // LiveIDs returns the external ids of all live probes in ascending order.
 func (ix *Index) LiveIDs() []int32 { return ix.inner.LiveIDs() }
 
+// Has reports whether the probe with the given id is live. Like LiveIDs it
+// may run beside retrievals.
+func (ix *Index) Has(id int32) bool { return ix.inner.Has(id) }
+
 // ProbeIDs returns the external ids of the Probe() matrix's columns, in
 // column order, or nil when the ids are the column numbers themselves.
 // Probes added or rewritten since the last build or Compact are not
