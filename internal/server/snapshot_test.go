@@ -236,6 +236,37 @@ func TestNewShardedFromIndexesValidates(t *testing.T) {
 	}
 }
 
+// TestRouterOverlapDetection: shard indexes whose live ids overlap cannot
+// be assembled — probe updates route by which shard holds an id, so an id
+// held twice has no owner — while disjoint id sets assemble and every id
+// routes to the shard that holds it.
+func TestRouterOverlapDetection(t *testing.T) {
+	r := 4
+	build := func(ids []int32) *lemp.Index {
+		t.Helper()
+		ix, err := lemp.NewWithIDs(lemp.NewMatrix(r, len(ids)), ids, lemp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	_, err := NewShardedFromIndexesPlaced([]*lemp.Index{build([]int32{0, 1, 2}), build([]int32{2, 3})}, PlaceRange)
+	if err == nil || !strings.Contains(err.Error(), "probe id 2 appears in shards 0 and 1") {
+		t.Fatalf("overlapping shards: error %v, want one naming id 2 in shards 0 and 1", err)
+	}
+	sh, err := NewShardedFromIndexesPlaced([]*lemp.Index{build([]int32{0, 1}), build([]int32{2, 3})}, PlaceRange)
+	if err != nil {
+		t.Fatalf("disjoint shards refused: %v", err)
+	}
+	for id, shard := range []int{0, 0, 1, 1} {
+		for i, ix := range sh.Indexes() {
+			if got := ix.Has(int32(id)); got != (i == shard) {
+				t.Fatalf("shard %d Has(%d) = %v, want %v", i, id, got, i == shard)
+			}
+		}
+	}
+}
+
 func TestNewFromSnapshotRejectsCorrupt(t *testing.T) {
 	_, p := smokeMatrices(t)
 	built, err := New(p, testConfig())
