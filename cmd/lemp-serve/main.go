@@ -126,7 +126,7 @@ func main() {
 	rebalanceOnLoad := flag.Bool("rebalance-on-load", false, "with -snapshot, re-partition the restored probe set under the active placement even when shard count and strategy already match")
 	algName := flag.String("alg", "LI", "bucket algorithm: L LI LC I C TA Tree L2AP BLSH")
 	phi := flag.Int("phi", 0, "fixed focus-set size φ (0 = tuned per bucket)")
-	quantize := flag.Bool("quant", false, "build the int8 screening sidecars eagerly, screen every candidate set and persist them in snapshots (results stay exact; ~1 byte per probe per dimension). Without it the server screens by itself where the int8 kernels are assembly (/stats \"kernels\": \"avx2\"), building sidecars lazily for the buckets queries reach; the flag adds the eager build, the persistence and, on the portable kernels, the screen itself, which loses there. With -snapshot, given explicitly it forces the persisted sidecars on or off regardless of what the snapshot holds")
+	quantize := flag.Bool("quant", false, "build the int8 screening sidecars eagerly and screen every candidate set (results stay exact; ~1 byte per probe per dimension); snapshots record the option and re-quantize on restore. Without it the server screens by itself where the int8 kernels are assembly (/stats \"kernels\": \"avx2\"), building sidecars lazily for the buckets queries reach; the flag adds the eager build and, on the portable kernels, the screen itself, which loses there. With -snapshot, given explicitly it forces the option on or off regardless of what the snapshots recorded")
 	parallel := flag.Int("parallel", 0, "retrieval goroutines per shard (0 = NumCPU/shards, so one batch uses all cores)")
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "upper bound on how long requests wait to coalesce (0 disables batching)")
 	batchMax := flag.Int("batch-max", 256, "maximum query rows per combined batch")
@@ -236,8 +236,8 @@ func main() {
 		if !flagSet("placement") {
 			cfg.Placement = ""
 		}
-		// An explicit -quant overrides the snapshots' persisted screening
-		// state in either direction; by default they restore as written.
+		// An explicit -quant overrides the snapshots' recorded Quantize
+		// option in either direction; by default they restore as written.
 		if flagSet("quant") {
 			if *quantize {
 				cfg.Quant = lemp.QuantOn

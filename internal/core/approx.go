@@ -20,14 +20,15 @@ import (
 // absent from its centroid's expanded list; it improves with more clusters
 // and a larger Expand.
 
+// approxKMeansIters bounds the k-means iterations that cluster the queries.
+const approxKMeansIters = 10
+
 // ApproxOptions tune RetrieveApprox.
 type ApproxOptions struct {
 	// Clusters is the number of query clusters (default √m, at least 1).
 	Clusters int
 	// Expand retrieves Expand·k candidates per centroid (default 10).
 	Expand int
-	// MaxIter bounds the k-means iterations (default 10).
-	MaxIter int
 	// Seed drives the clustering initialization (default 1).
 	Seed int64
 }
@@ -41,9 +42,6 @@ func (o ApproxOptions) withDefaults(m int) ApproxOptions {
 	}
 	if o.Expand <= 0 {
 		o.Expand = 10
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 10
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -83,7 +81,7 @@ func (ix *Index) RetrieveApprox(ctx context.Context, q *matrix.Matrix, k int, ao
 	// Phase 1: cluster the queries (charged to tuning time: it plays the
 	// same role — a small upfront investment guiding retrieval).
 	tuneStart := time.Now()
-	clusters := kmeans.Spherical(q, aopts.Clusters, aopts.MaxIter, aopts.Seed)
+	clusters := kmeans.Spherical(q, aopts.Clusters, approxKMeansIters, aopts.Seed)
 	st.TuneTime = time.Since(tuneStart)
 	if c.canceled() {
 		return nil, st, c.ctxErr()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -87,6 +88,7 @@ func TestAutoScreenMatchesUnscreened(t *testing.T) {
 						t.Fatalf("autoScreen = %v on a default index (accelerated: %v), %v under Quantize", auto.autoScreen, accelerated, eager.autoScreen)
 					}
 					off.autoScreen = false
+					exported := exportedState(auto)
 					if auto.SidecarBytes() != 0 || eager.SidecarBytes() == 0 {
 						t.Fatalf("before any call: %d sidecar bytes on a default index, %d under Quantize", auto.SidecarBytes(), eager.SidecarBytes())
 					}
@@ -145,8 +147,8 @@ func TestAutoScreenMatchesUnscreened(t *testing.T) {
 					if !slices.ContainsFunc(auto.Buckets(), func(b BucketInfo) bool { return b.Sidecar }) {
 						t.Fatal("no bucket reports the sidecar SidecarBytes counts")
 					}
-					if auto.State().Buckets[0].QuantCodes != nil {
-						t.Fatal("State exports a sidecar the options did not ask for")
+					if !reflect.DeepEqual(exportedState(auto), exported) {
+						t.Fatal("the calls changed the state a snapshot exports")
 					}
 				})
 			}

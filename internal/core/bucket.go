@@ -59,9 +59,10 @@ type bucket struct {
 	// the first (query, bucket) pair the screen pays for, so a bucket no
 	// retrieval verifies never carries one — except under Options.Quantize,
 	// where attachSidecars builds it before the bucket is published. An
-	// atomic pointer because State and SidecarBytes read it beside retrievals
-	// that build it. Derived state like the lists, but it does not set
-	// hasIndex: Stats.IndexedBuckets counts the candidate-generation indexes.
+	// atomic pointer because SidecarBytes and Buckets read it beside
+	// retrievals that build it. Derived state like the lists, but it does
+	// not set hasIndex: Stats.IndexedBuckets counts the candidate-generation
+	// indexes.
 	q8Once sync.Once
 	q8     atomic.Pointer[quant.Rows]
 }
@@ -88,16 +89,11 @@ func (b *bucket) ensureLists(workers int) *sortedLists {
 	return b.lists.Load()
 }
 
-// ensureSidecar quantizes the bucket's directions on first use. A bucket
-// restored from a snapshot that persisted its sidecar (QNT8 section) arrives
-// with b.q8 pre-populated and skips the build. The dimension must lie in
-// [1, quant.MaxDim]: attachSidecars checks, Index.autoScreen implies it.
+// ensureSidecar quantizes the bucket's directions on first use. The
+// dimension must lie in [1, quant.MaxDim]: attachSidecars checks,
+// Index.autoScreen implies it.
 func (b *bucket) ensureSidecar() *quant.Rows {
-	b.q8Once.Do(func() {
-		if b.q8.Load() == nil {
-			b.q8.Store(quant.QuantizeRows(b.dirs, b.r))
-		}
-	})
+	b.q8Once.Do(func() { b.q8.Store(quant.QuantizeRows(b.dirs, b.r)) })
 	return b.q8.Load()
 }
 
@@ -190,7 +186,6 @@ func bucketize(p *matrix.Matrix, extIDs []int32, shrink float64, minSize, maxSiz
 	if n == 0 {
 		return nil, nil
 	}
-	r := p.R()
 	order := make([]int32, n)
 	for i := range order {
 		order[i] = int32(i)
@@ -205,30 +200,31 @@ func bucketize(p *matrix.Matrix, extIDs []int32, shrink float64, minSize, maxSiz
 	var buckets []*bucket
 	loc := make([]probeLoc, n)
 	for _, sp := range bucketSpans(sorted, shrink, minSize, maxSize) {
-		start, end := sp[0], sp[1]
-		lb := sorted[start]
-		b := &bucket{
-			r:    r,
-			ids:  make([]int32, end-start),
-			lens: make([]float64, end-start),
-			dirs: make([]float64, (end-start)*r),
-			lb:   lb,
-		}
-		for i := start; i < end; i++ {
-			lid := i - start
-			id := order[i]
-			loc[id] = probeLoc{int32(len(buckets)), int32(lid)}
+		cols := order[sp[0]:sp[1]]
+		ids := make([]int32, len(cols))
+		for lid, col := range cols {
+			loc[col] = probeLoc{int32(len(buckets)), int32(lid)}
+			ids[lid] = col
 			if extIDs != nil {
-				b.ids[lid] = extIDs[id]
-			} else {
-				b.ids[lid] = id
+				ids[lid] = extIDs[col]
 			}
-			b.lens[lid] = lens[id]
-			vecmath.Normalize(b.dir(lid), p.Vec(int(id)))
 		}
-		buckets = append(buckets, b)
+		buckets = append(buckets, newBucket(p, cols, ids))
 	}
 	return buckets, loc
+}
+
+// newBucket gathers probe columns cols of p, named ids, into one bucket: each
+// member's length and normalized direction. bucketize and FromState both
+// build their buckets here, so a restored bucket holds the bits a freshly
+// built one does.
+func newBucket(p *matrix.Matrix, cols, ids []int32) *bucket {
+	b := &bucket{r: p.R(), ids: ids, lens: make([]float64, len(ids)), dirs: make([]float64, len(ids)*p.R())}
+	for lid, col := range cols {
+		b.lens[lid] = vecmath.Normalize(b.dir(lid), p.Vec(int(col)))
+	}
+	b.lb = b.lens[0]
+	return b
 }
 
 // bucketBytes estimates the cache footprint of one probe vector inside a

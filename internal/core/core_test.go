@@ -385,12 +385,6 @@ func TestInvalidArguments(t *testing.T) {
 	if _, err := NewIndex(p, Options{ShrinkFactor: 2}); err == nil {
 		t.Error("ShrinkFactor=2 accepted")
 	}
-	if _, err := NewIndex(p, Options{Epsilon: 1.5}); err == nil {
-		t.Error("Epsilon=1.5 accepted")
-	}
-	if _, err := NewIndex(p, Options{SignatureBits: 65}); err == nil {
-		t.Error("SignatureBits=65 accepted")
-	}
 	if _, err := NewIndex(p, Options{Algorithm: Algorithm(99)}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}

@@ -190,6 +190,13 @@ func (ix *Index) PrepTime() time.Duration { return ix.prepTime }
 // Options returns the effective (defaulted) options.
 func (ix *Index) Options() Options { return ix.opts }
 
+// BLSH runs at the paper's settings: 32-bit signatures and a 3 %
+// false-negative rate.
+const (
+	blshBits    = 32
+	blshEpsilon = 0.03
+)
+
 type lshState struct {
 	once   sync.Once
 	hasher *lsh.Hasher
@@ -201,8 +208,8 @@ func (ix *Index) ensureLSH() (*lsh.Hasher, *lsh.Table) {
 	l := ix.lsh
 	l.once.Do(func() {
 		rng := rand.New(rand.NewSource(ix.opts.Seed))
-		l.hasher = lsh.NewHasher(ix.r, ix.opts.SignatureBits, rng)
-		l.table = lsh.NewTable(ix.opts.SignatureBits, ix.opts.Epsilon)
+		l.hasher = lsh.NewHasher(ix.r, blshBits, rng)
+		l.table = lsh.NewTable(blshBits, blshEpsilon)
 	})
 	return l.hasher, l.table
 }
@@ -301,12 +308,11 @@ func (ix *Index) gather(b *bucket, alg Algorithm, phi int, qi int32, qdir []floa
 	}
 }
 
-// attachSidecars quantizes the directions of freshly bucketized buckets
-// into their int8 screening sidecars, eagerly, under Options.Quantize; every
-// other index leaves them to the first screened pair (sidecarFor). Buckets
-// that already carry one — restored from a snapshot, say — are left alone.
-// Dimensions outside [1, quant.MaxDim] leave every sidecar nil, silently
-// disabling screening.
+// attachSidecars quantizes the directions of freshly built or restored
+// buckets into their int8 screening sidecars, eagerly, under
+// Options.Quantize; every other index leaves them to the first screened pair
+// (sidecarFor). Dimensions outside [1, quant.MaxDim] leave every sidecar nil,
+// silently disabling screening.
 func (ix *Index) attachSidecars(buckets []*bucket) {
 	if !ix.opts.Quantize || ix.r < 1 || ix.r > quant.MaxDim {
 		return

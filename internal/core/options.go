@@ -131,26 +131,23 @@ type Options struct {
 	// Parallelism fans the retrieval phase out over this many goroutines
 	// (default 1, matching the paper's single-threaded measurements).
 	Parallelism int
-	// SignatureBits is the BLSH signature length (default 32, ≤ 64).
-	SignatureBits int
-	// Epsilon is the BLSH false-negative rate (default 0.03).
-	Epsilon float64
 	// Seed drives the BLSH hyperplanes (default 1).
 	Seed int64
 	// Quantize makes the int8 screen (internal/quant: a cheap approximate
 	// dot plus a conservative error bound that discards verification
 	// candidates before the exact f64 kernels run) eager, unconditional and
 	// persistent: every bucket's sidecar is built at index construction, on
-	// mutation and on compaction, every (query, bucket) pair is screened,
-	// the portable kernels included, and snapshots carry the sidecars (QNT8
-	// section). Without it an index screens by itself wherever the int8
-	// kernels run in assembly for its dimension (quant.Accelerated): a
-	// bucket's sidecar is built by the first pair that shows at least eight
-	// candidates under a finite threshold, only such pairs are screened,
-	// buckets no retrieval verifies never carry one, and snapshots hold
-	// none. Exact results are the same in all three cases — the bound is
-	// conservative, so only candidates that provably cannot reach the
-	// threshold are skipped; with the option, the Approx retrieval mode
+	// mutation, on compaction and on snapshot restore, and every (query,
+	// bucket) pair is screened, the portable kernels included. Snapshots
+	// record the option (QNT8 section), not the sidecars: they are
+	// re-quantized on load. Without it an index screens by itself wherever
+	// the int8 kernels run in assembly for its dimension (quant.Accelerated):
+	// a bucket's sidecar is built by the first pair that shows at least eight
+	// candidates under a finite threshold, only such pairs are screened, and
+	// buckets no retrieval verifies never carry one. Exact results are the
+	// same in all three cases — the bound is conservative, so only
+	// candidates that provably cannot reach the threshold are skipped; with
+	// the option, the Approx retrieval mode
 	// additionally skips the exact fall-through for survivors of its
 	// centroid phase. A sidecar costs r + 24 bytes per probe (74 beside the
 	// 400 bytes of an r = 50 direction; the ratio tends to 1/8 as r grows).
@@ -192,12 +189,6 @@ func (o Options) withDefaults() Options {
 	if o.Parallelism <= 0 {
 		o.Parallelism = 1
 	}
-	if o.SignatureBits == 0 {
-		o.SignatureBits = 32
-	}
-	if o.Epsilon == 0 {
-		o.Epsilon = 0.03
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -211,12 +202,6 @@ func (o Options) validate() error {
 	}
 	if o.ShrinkFactor < 0 || o.ShrinkFactor > 1 {
 		return fmt.Errorf("core: ShrinkFactor %v out of [0,1]", o.ShrinkFactor)
-	}
-	if o.SignatureBits < 0 || o.SignatureBits > 64 {
-		return fmt.Errorf("core: SignatureBits %d out of [1,64]", o.SignatureBits)
-	}
-	if o.Epsilon < 0 || o.Epsilon >= 1 {
-		return fmt.Errorf("core: Epsilon %v out of (0,1)", o.Epsilon)
 	}
 	if o.MinBucketSize < 1 {
 		return fmt.Errorf("core: MinBucketSize %d must be positive", o.MinBucketSize)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -15,7 +14,9 @@ import (
 // effective options, and the bucketization (§3.2) with any tuned per-bucket
 // parameters (§4.4). It is the contract between core and internal/snapshot:
 // Index.State exports it, FromState rebuilds an index from it without
-// re-running bucketization or tuning.
+// re-running bucketization or tuning. It holds nothing FromState can derive
+// from the probe matrix: not the members' lengths and directions, not the
+// int8 screening sidecars.
 //
 // The slices returned by Index.State alias the index's internal storage —
 // they may be read (serialized) but must not be mutated.
@@ -54,15 +55,14 @@ type State struct {
 // BucketState is the serializable state of one probe bucket: the sorted
 // membership (§3.2) and the bucket's entry in the frozen fit of a pretuned
 // index (§4.4; Tuned is false throughout the state of one that is not).
-// Most lazily built per-bucket indexes (trees, L2AP, signatures) are not
-// part of the state and are rebuilt lazily after a restore; the sorted-list
-// index — the one COORD/INCR/TA rebuild on a restored server's first batch,
-// dominating post-restore latency — can optionally ride along (ListVals/
-// ListLids, persisted as the snapshot SLST section).
+// Most lazily built per-bucket indexes (trees, L2AP, signatures, int8
+// sidecars) are not part of the state and are rebuilt lazily after a
+// restore; the sorted-list index — the one COORD/INCR/TA rebuild on a
+// restored server's first batch, dominating post-restore latency — can
+// optionally ride along (ListVals/ListLids, persisted as the snapshot SLST
+// section).
 type BucketState struct {
-	IDs   []int32   // original probe column numbers, by decreasing length
-	Lens  []float64 // vector lengths, decreasing
-	Dirs  []float64 // normalized vectors, contiguous (len(IDs) × r)
+	IDs   []int32 // external probe ids, by decreasing length
 	Tuned bool
 	TB    float64
 	Phi   int
@@ -70,22 +70,11 @@ type BucketState struct {
 	// Sorted-list index (§4.2, Fig. 4c), both len(IDs) × r in
 	// coordinate-major layout (list f occupies [f·n, (f+1)·n)), or nil when
 	// the bucket's lists were never built. FromState verifies they are
-	// exactly what buildLists would produce from Dirs — a corrupted or
-	// hand-edited list index fails to load rather than mis-pruning.
+	// exactly what buildLists would produce from the directions — a
+	// corrupted or hand-edited list index fails to load rather than
+	// mis-pruning.
 	ListVals []float64
 	ListLids []int32
-
-	// Quantized screening sidecar (internal/quant, persisted as the
-	// snapshot QNT8 section): per-row scales, int8 codes (len(IDs) × r,
-	// row-major) and residual-norm bounds, or all nil when the bucket
-	// carries no sidecar. Like the sorted lists, FromState verifies the
-	// arrays are exactly what QuantizeRows would produce from Dirs —
-	// quantization is deterministic — so a corrupted sidecar fails to load
-	// rather than silently screening wrong candidates. The dequantized-norm
-	// array is recomputed on load, not persisted.
-	QuantScales []float64
-	QuantCodes  []int8
-	QuantResid  []float64
 }
 
 // State exports the index's serializable state. The contained slices alias
@@ -117,25 +106,10 @@ func (ix *Index) State() *State {
 	}
 	for i, b := range ix.scan { // the base segment's buckets: nothing else is left
 		p := fitEntry(ix.frozen, i)
-		st.Buckets[i] = BucketState{
-			IDs:   b.ids,
-			Lens:  b.lens,
-			Dirs:  b.dirs,
-			Tuned: p.tuned,
-			TB:    p.tb,
-			Phi:   p.phi,
-		}
+		st.Buckets[i] = BucketState{IDs: b.ids, Tuned: p.tuned, TB: p.tb, Phi: p.phi}
 		if l := b.lists.Load(); l != nil {
 			st.Buckets[i].ListVals = l.vals
 			st.Buckets[i].ListLids = l.lids
-		}
-		// Only a sidecar the options asked for is state; one a retrieval
-		// built is derived, and exporting it would make the bytes depend on
-		// the queries answered.
-		if q8 := b.q8.Load(); q8 != nil && ix.opts.Quantize {
-			st.Buckets[i].QuantScales = q8.Scales
-			st.Buckets[i].QuantCodes = q8.Codes
-			st.Buckets[i].QuantResid = q8.Resid
 		}
 	}
 	return st
@@ -152,7 +126,10 @@ func (ix *Index) Pretuned() bool { return ix.pretuned }
 
 // FromState rebuilds an index from an exported state, skipping the
 // bucketization and tuning phases — the whole point of snapshot restore:
-// startup cost is O(read) instead of O(index). The state is validated
+// startup cost is O(read) instead of O(index). Each member's length and
+// direction are derived from its probe column, one pass over the matrix
+// like the read itself, and under Options.Quantize every bucket is
+// quantized. The state is validated
 // structurally (every invariant retrieval relies on) so a corrupt or
 // hand-edited snapshot fails loudly here instead of serving wrong results.
 // The state's slices are adopted, not copied; the caller must not reuse
@@ -211,7 +188,8 @@ func FromState(st *State) (*Index, error) {
 	frozen := make([]tunedParam, len(st.Buckets))
 	// By column: where each probe sits, and whether a bucket named it yet.
 	loc, seen := make([]probeLoc, n), make([]bool, n)
-	var listSeen []bool // per-list permutation check scratch, sized on demand
+	var memberCols []int32 // one bucket's columns, reused across buckets
+	var listSeen []bool    // per-list permutation check scratch, sized on demand
 	total := 0
 	prevLen := math.Inf(1)
 	for i, bs := range st.Buckets {
@@ -219,14 +197,11 @@ func FromState(st *State) (*Index, error) {
 		if size == 0 {
 			return nil, fmt.Errorf("core: bucket %d is empty", i)
 		}
-		if len(bs.Lens) != size || len(bs.Dirs) != size*r {
-			return nil, fmt.Errorf("core: bucket %d shape mismatch: %d ids, %d lens, %d dirs (r=%d)",
-				i, size, len(bs.Lens), len(bs.Dirs), r)
-		}
 		total += size
 		if total > n {
 			return nil, fmt.Errorf("core: buckets hold more than %d probes", n)
 		}
+		memberCols = memberCols[:0]
 		for j, id := range bs.IDs {
 			col := int(id)
 			if cols != nil {
@@ -242,8 +217,15 @@ func FromState(st *State) (*Index, error) {
 				return nil, fmt.Errorf("core: probe id %d appears twice", id)
 			}
 			seen[col], loc[col] = true, probeLoc{int32(i), int32(j)}
-			l := bs.Lens[j]
-			if math.IsNaN(l) || math.IsInf(l, 0) || l < 0 {
+			memberCols = append(memberCols, int32(col))
+		}
+		// Lengths and directions are derived as bucketize derives them. The
+		// lengths must come out finite — so every coordinate, and every
+		// direction value, is — and non-increasing across the whole
+		// bucketization, which is what catches a permuted membership.
+		b := newBucket(st.Probe, memberCols, bs.IDs)
+		for j, l := range b.lens {
+			if math.IsNaN(l) || math.IsInf(l, 0) {
 				return nil, fmt.Errorf("core: bucket %d length %d is %v", i, j, l)
 			}
 			if l > prevLen {
@@ -251,16 +233,10 @@ func FromState(st *State) (*Index, error) {
 			}
 			prevLen = l
 		}
-		for j, d := range bs.Dirs {
-			if math.IsNaN(d) || math.IsInf(d, 0) {
-				return nil, fmt.Errorf("core: bucket %d direction value %d is %v", i, j, d)
-			}
-		}
 		if bs.Tuned && (math.IsNaN(bs.TB) || bs.Phi < 1) {
 			return nil, fmt.Errorf("core: bucket %d tuned parameters invalid (tb=%v, phi=%d)", i, bs.TB, bs.Phi)
 		}
 		frozen[i] = tunedParam{tuned: bs.Tuned, tb: bs.TB, phi: bs.Phi}
-		b := &bucket{r: r, ids: bs.IDs, lens: bs.Lens, dirs: bs.Dirs, lb: bs.Lens[0]}
 		if bs.ListVals != nil || bs.ListLids != nil {
 			if len(bs.ListVals) != size*r || len(bs.ListLids) != size*r {
 				return nil, fmt.Errorf("core: bucket %d sorted-list shape mismatch: %d vals, %d lids, want %d each",
@@ -269,42 +245,17 @@ func FromState(st *State) (*Index, error) {
 			if len(listSeen) < size {
 				listSeen = make([]bool, size)
 			}
-			if err := checkLists(bs.ListVals, bs.ListLids, bs.Dirs, size, r, listSeen); err != nil {
+			if err := checkLists(bs.ListVals, bs.ListLids, b.dirs, size, r, listSeen); err != nil {
 				return nil, fmt.Errorf("core: bucket %d sorted lists: %w", i, err)
 			}
 			b.lists.Store(&sortedLists{n: size, vals: bs.ListVals, lids: bs.ListLids})
 			b.hasIndex.Store(true)
-		}
-		if bs.QuantScales != nil || bs.QuantCodes != nil || bs.QuantResid != nil {
-			if !opts.Quantize {
-				return nil, fmt.Errorf("core: bucket %d carries a quantized sidecar but Options.Quantize is off", i)
-			}
-			if r < 1 || r > quant.MaxDim {
-				return nil, fmt.Errorf("core: bucket %d quantized sidecar at unsupported dimension %d", i, r)
-			}
-			if len(bs.QuantScales) != size || len(bs.QuantResid) != size || len(bs.QuantCodes) != size*r {
-				return nil, fmt.Errorf("core: bucket %d quantized sidecar shape mismatch: %d scales, %d resid, %d codes (size=%d, r=%d)",
-					i, len(bs.QuantScales), len(bs.QuantResid), len(bs.QuantCodes), size, r)
-			}
-			// Quantization is deterministic, so the persisted sidecar must
-			// be exactly what QuantizeRows produces from the (already
-			// validated) directions — anything else is corruption that
-			// would make screening unsound.
-			q8 := quant.QuantizeRows(bs.Dirs, r)
-			if !slices.Equal(q8.Scales, bs.QuantScales) ||
-				!slices.Equal(q8.Codes, bs.QuantCodes) ||
-				!slices.Equal(q8.Resid, bs.QuantResid) {
-				return nil, fmt.Errorf("core: bucket %d quantized sidecar does not match its directions", i)
-			}
-			b.q8.Store(q8)
 		}
 		buckets[i] = b
 	}
 	if total != n {
 		return nil, fmt.Errorf("core: buckets hold %d probes, probe matrix has %d", total, n)
 	}
-	// Quantize on but no (or only some) persisted sidecars — a pre-quant
-	// snapshot loaded with screening requested: quantize the missing ones.
 	ix.attachSidecars(buckets)
 	ix.setBase(segRef{&segment{ids: ids, vecs: st.Probe, buckets: buckets, loc: loc, byID: columnsByID(ids)}, n})
 	if st.Pretuned {

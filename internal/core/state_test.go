@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"lemp/internal/matrix"
@@ -165,26 +166,27 @@ func TestFromStateRejectsCorruptState(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	p := genMatrix(rng, 120, 6, 0.9, 1, false, 0, 0)
 	build := func() *State {
-		ix, err := NewIndex(p, testOptions(AlgLI))
+		ix, err := NewIndex(p.Clone(), testOptions(AlgLI))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ix.State()
 	}
+	// member returns the probe column of bucket b's member j (the ids are
+	// the column numbers).
+	member := func(st *State, b, j int) []float64 { return st.Probe.Vec(int(st.Buckets[b].IDs[j])) }
 	cases := []struct {
 		name   string
 		mutate func(st *State)
 	}{
 		{"nil probe", func(st *State) { st.Probe = nil }},
-		{"empty bucket", func(st *State) { st.Buckets[0].IDs = nil; st.Buckets[0].Lens = nil; st.Buckets[0].Dirs = nil }},
-		{"lens shape", func(st *State) { st.Buckets[0].Lens = st.Buckets[0].Lens[:1] }},
-		{"dirs shape", func(st *State) { st.Buckets[0].Dirs = st.Buckets[0].Dirs[:5] }},
+		{"empty bucket", func(st *State) { st.Buckets[0].IDs = nil }},
 		{"id out of range", func(st *State) { st.Buckets[0].IDs[0] = 9999 }},
 		{"duplicate id", func(st *State) { st.Buckets[0].IDs[1] = st.Buckets[0].IDs[0] }},
-		{"negative length", func(st *State) { st.Buckets[0].Lens[0] = -1 }},
-		{"NaN length", func(st *State) { st.Buckets[0].Lens[0] = math.NaN() }},
-		{"length order", func(st *State) { st.Buckets[len(st.Buckets)-1].Lens[0] = 1e12 }},
-		{"NaN direction", func(st *State) { st.Buckets[0].Dirs[2] = math.NaN() }},
+		{"swapped ids", func(st *State) { ids := st.Buckets[0].IDs; ids[0], ids[1] = ids[1], ids[0] }},
+		{"NaN probe value", func(st *State) { member(st, 0, 0)[2] = math.NaN() }},
+		{"infinite probe value", func(st *State) { member(st, 1, 0)[0] = math.Inf(-1) }},
+		{"probe value breaks the length order", func(st *State) { member(st, len(st.Buckets)-1, 0)[0] = 1e12 }},
 		{"bad tuned phi", func(st *State) { st.Buckets[0].Tuned = true; st.Buckets[0].Phi = 0 }},
 		{"NaN tb", func(st *State) { st.Buckets[0].Tuned = true; st.Buckets[0].Phi = 1; st.Buckets[0].TB = math.NaN() }},
 		{"missing probes", func(st *State) { st.Buckets = st.Buckets[:len(st.Buckets)-1] }},
@@ -197,4 +199,16 @@ func TestFromStateRejectsCorruptState(t *testing.T) {
 			t.Errorf("%s: corrupt state accepted", tc.name)
 		}
 	}
+}
+
+// exportedState is ix.State() without the sorted lists, the one part of it
+// retrievals may add to: the state a snapshot written without
+// IncludeLists stores.
+func exportedState(ix *Index) *State {
+	st := ix.State()
+	st.Buckets = slices.Clone(st.Buckets)
+	for i := range st.Buckets {
+		st.Buckets[i].ListVals, st.Buckets[i].ListLids = nil, nil
+	}
+	return st
 }

@@ -165,58 +165,6 @@ func ReadInt32s(r io.Reader, count int) ([]int32, error) {
 	return out, nil
 }
 
-// WriteInt8s writes vals as raw bytes in bulk chunks; the quantized-sidecar
-// counterpart of WriteFloat64s (snapshot QNT8 section payloads).
-func WriteInt8s(w io.Writer, vals []int8) error {
-	buf := make([]byte, chunkBytes(len(vals), 1))
-	chunk := len(buf)
-	for len(vals) > 0 {
-		c := len(vals)
-		if c > chunk {
-			c = chunk
-		}
-		for i, v := range vals[:c] {
-			buf[i] = byte(v)
-		}
-		if _, err := w.Write(buf[:c]); err != nil {
-			return err
-		}
-		vals = vals[c:]
-	}
-	return nil
-}
-
-// ReadInt8s reads count values with the same bounded incremental allocation
-// as ReadFloat64s: a lying header fails at the first missing byte instead of
-// allocating the claimed size up front.
-func ReadInt8s(r io.Reader, count int) ([]int8, error) {
-	if count < 0 {
-		return nil, fmt.Errorf("matrix: negative value count %d", count)
-	}
-	cap0 := count
-	if cap0 > ioChunkFloats {
-		cap0 = ioChunkFloats
-	}
-	out := make([]int8, 0, cap0)
-	buf := make([]byte, chunkBytes(count, 1))
-	chunk := len(buf)
-	for len(out) < count {
-		c := count - len(out)
-		if c > chunk {
-			c = chunk
-		}
-		if _, err := io.ReadFull(r, buf[:c]); err != nil {
-			return nil, err
-		}
-		base := len(out)
-		out = slices.Grow(out, c)[:base+c]
-		for i := 0; i < c; i++ {
-			out[base+i] = int8(buf[i])
-		}
-	}
-	return out, nil
-}
-
 // WriteBinary writes m in the LEMPMAT1 binary format.
 func WriteBinary(w io.Writer, m *Matrix) error {
 	bw := bufio.NewWriter(w)

@@ -42,11 +42,10 @@ type Config struct {
 	// layout as-is. Implied when Placement overrides the stored strategy or
 	// the snapshot count differs from Shards.
 	RebalanceOnLoad bool
-	// Quant overrides the snapshots' quantized-screening state when
-	// restoring (NewFromSnapshot): lemp.QuantAuto (the zero value) keeps
-	// what each snapshot persisted, QuantOn forces Options.Quantize on
-	// (rebuilding missing sidecars from the stored directions), QuantOff
-	// drops the persisted sidecars and the option (the shards then screen
+	// Quant overrides the snapshots' Options.Quantize when restoring
+	// (NewFromSnapshot): lemp.QuantAuto (the zero value) keeps what each
+	// snapshot recorded, QuantOn forces the option on (every bucket is
+	// quantized at load), QuantOff forces it off (the shards then screen
 	// lazily where the int8 kernels are assembly, like any default build).
 	// Fresh builds ignore it — set Options.Quantize instead.
 	Quant lemp.QuantMode

@@ -15,20 +15,19 @@ import (
 
 // mutatedSnapshotSHA256 is the SHA-256 of the snapshot
 // TestMutatedSnapshotBytesPinned writes. Change it only with a format change
-// that says why the bytes of an unchanged index moved.
-const mutatedSnapshotSHA256 = "5552e037ff9dad3e19e1f202eafc9de7038ebc44d5d3e145a6304a621282267e"
+// that says why the bytes of an unchanged index moved. Format version 6 moved
+// them: BUKT no longer stores each member's length and direction, which the
+// loader re-derives from PROB.
+const mutatedSnapshotSHA256 = "a415938fc2f368fee36444df1ed2bc07624ede2004a84f6fe137248a9413a41a"
 
-// TestMutatedSnapshotBytesPinned pins the bytes of a mutated index's
-// snapshot. State compacts a clone, and the column order that compaction
-// gives its matrix — the base segment's live columns in column order, then
-// every newer live vector by ascending id — fixes the probe matrix and the
-// bucket membership the file stores, so it is part of the format. The index
-// is built over shuffled, sparse caller ids, is neither pretuned nor
-// quantized and answers no retrieval (no sorted lists, no lazy sidecars), so
-// the bytes depend on the mutation sequence alone. Its second batch lands
-// beside the first batch's run without merging it: the export compacts a
-// tombstoned base and two runs.
-func TestMutatedSnapshotBytesPinned(t *testing.T) {
+// mutatedIndex builds the index TestMutatedSnapshotBytesPinned pins: built
+// over shuffled, sparse caller ids, neither pretuned nor quantized, answering
+// no retrieval (no sorted lists, no lazy sidecars), so its snapshot bytes
+// depend on the mutation sequence alone. Its second batch lands beside the
+// first batch's run without merging it: the export compacts a tombstoned base
+// and two runs.
+func mutatedIndex(t testing.TB) *core.Index {
+	t.Helper()
 	const r, n = 6, 120
 	rng := rand.New(rand.NewSource(26))
 	vec := func() []float64 {
@@ -101,7 +100,16 @@ func TestMutatedSnapshotBytesPinned(t *testing.T) {
 			t.Fatalf("second batch merged the first run away (bucket %+v gone)", b)
 		}
 	}
+	return ix
+}
 
+// TestMutatedSnapshotBytesPinned pins the bytes of a mutated index's
+// snapshot. State compacts a clone, and the column order that compaction
+// gives its matrix — the base segment's live columns in column order, then
+// every newer live vector by ascending id — fixes the probe matrix and the
+// bucket membership the file stores, so it is part of the format.
+func TestMutatedSnapshotBytesPinned(t *testing.T) {
+	ix := mutatedIndex(t)
 	var buf bytes.Buffer
 	if err := Write(&buf, ix.State()); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@
 // The LEMPIDX1 format is a versioned, self-describing container:
 //
 //	magic    [8]byte  "LEMPIDX1"
-//	version  uint32   format version 1–5: the lowest defining every section written
+//	version  uint32   format version; this writer emits 6
 //	reserved uint32   zero
 //	section* — each section:
 //	    tag     [4]byte
@@ -14,73 +14,60 @@
 //	    payload [length]byte
 //	    crc32   uint32   IEEE CRC-32 of the payload
 //
-// All integers and floats are little endian. Version 1 defines four
-// sections, written in this order:
+// All integers and floats are little endian. A version-6 stream stores each
+// fact once, and nothing the loader can derive from the probe matrix, in
+// these sections, in this order:
 //
-//	"OPTS"  the core.Options the index was built with
+//	"OPTS"  the core.Options the index was built with (a fixed 85 bytes;
+//	        two slots that once held BLSH settings carry their fixed
+//	        values, 32 and 0.03, and are ignored on read)
 //	"PROB"  the probe matrix (r, n, r×n float64)
-//	"BUKT"  the bucketization: pretuned flag, then per bucket its tuning
-//	        state (tuned, t_b, φ_b) and membership (ids, lengths,
-//	        normalized directions)
+//	"PIDS"  optional: probe column → external id (n × int32), present when
+//	        the ids are not the column numbers
+//	"MUTA"  optional: mutation epoch (uint64) and next AutoID assignment
+//	        (int64), present when either differs from its derived default
+//	"TSMP"  optional: the retained tuning sample of a pretuned index — the
+//	        problem kind (topk flag), k (int64), θ (float64), then the
+//	        sample matrix (r, m, r×m float64) — so a restored index can
+//	        re-freeze fitted parameters after a Compact
+//	"BUKT"  the bucketization: bucket count (uint32) and pretuned flag, then
+//	        per bucket its size (uint32), tuning state (tuned flag, t_b
+//	        float64, φ_b int64) and member ids (size × int32) by decreasing
+//	        length
+//	"SLST"  optional (WriteOptions.IncludeLists): the per-bucket sorted-list
+//	        indexes (§4.2) built so far — per bucket a presence byte, then
+//	        when present the coordinate-major values (size × r float64) and
+//	        local ids (size × r int32). Persisting them lets a restored
+//	        server's first batch skip the rebuild that dominates
+//	        post-restore latency, at roughly twice the snapshot size.
+//	"PLMT"  optional: shard-placement metadata for the serving layer — the
+//	        placement strategy name (length-prefixed), then a zero byte. A
+//	        snapshot without it restores as range-placed.
+//	"QNT8"  present iff core.Options.Quantize (the OPTS layout predates the
+//	        flag): one zero byte per bucket
 //	"END\0" zero-length terminator
 //
-// Version 2 adds three optional sections between PROB and BUKT. PIDS and
-// MUTA carry the external-id state of a mutated (dynamically updated)
-// index; mutated indexes are compacted on save — the delta layer folds into
-// a fresh bucketization with ids preserved — so the sections are small and
-// the BUKT layout stays identical. TSMP retains a pretuned index's tuning
-// sample so a restored index can re-freeze fitted parameters after a
-// Compact:
+// A mutated index is compacted on save — the delta layer folds into a fresh
+// bucketization with ids preserved — so every snapshot holds one
+// bucketization over the live probes.
 //
-//	"PIDS"  probe column → external id (n × int32), present when the ids
-//	        are not the column numbers
-//	"MUTA"  mutation epoch (uint64) and next AutoID assignment (int64),
-//	        present when either differs from its derived default
-//	"TSMP"  the retained tuning sample of a pretuned index: problem kind
-//	        (topk flag), k (int64), θ (float64), then the sample matrix
-//	        (r, m, r×m float64)
+// Derived on load: core.FromState recomputes each member's length and
+// normalized direction from its PROB column with the code bucketization
+// runs, so a restored bucket holds the bits a fresh one does. The lengths
+// must come out finite and non-increasing, which is what catches a corrupt
+// probe value or a permuted membership. A Quantize index re-quantizes its
+// int8 screening sidecars from those directions, and persisted sorted lists
+// are verified against them bit for bit, so a tampered list fails to load.
 //
-// Version 3 adds one optional section after BUKT:
-//
-//	"SLST"  the lazily built per-bucket sorted-list indexes (§4.2): per
-//	        bucket a presence byte, then — when present — the coordinate-
-//	        major value array (size × r float64) and local-id array
-//	        (size × r int32). Persisting them lets a restored server's
-//	        first batch skip the rebuild that dominates post-restore
-//	        latency; core.FromState re-verifies them against the bucket
-//	        directions, so a tampered list index fails to load. The
-//	        section is opt-in (WriteOptions.IncludeLists) because it
-//	        roughly doubles snapshot size.
-//
-// Version 4 adds one optional section after BUKT (and SLST, when present):
-//
-//	"PLMT"  shard-placement metadata for the serving layer: the placement
-//	        strategy name (length-prefixed), then a cone flag. Builds that
-//	        pruned whole shards by direction wrote flag 1 and a direction
-//	        cone after it (uint32 centroid length 0 or r, the centroid,
-//	        cos of the angular radius, maximum live probe length); cone
-//	        bytes are read and skipped, never written — this writer emits
-//	        flag 0. A snapshot without the section restores as
-//	        range-placed.
-//
-// Version 5 adds one optional section after BUKT (and SLST/PLMT, when
-// present):
-//
-//	"QNT8"  the quantized screening sidecar (internal/quant,
-//	        core.Options.Quantize): per bucket a presence byte, then —
-//	        when present — the per-row scales (size × float64), the
-//	        residual-norm bounds (size × float64) and the int8 codes
-//	        (size × r bytes). Presence of the section implies
-//	        Options.Quantize on load (the fixed-size OPTS payload predates
-//	        the flag); core.FromState re-verifies the sidecar against the
-//	        bucket directions — quantization is deterministic — so a
-//	        tampered sidecar fails to load instead of mis-screening. A
-//	        snapshot without the section loads with screening off; loaders
-//	        can force it back on (lemp.LoadOptions), which rebuilds the
-//	        sidecar from the directions.
-//
-// A writer emits version 1 whenever none of the optional sections is
-// needed, so plain snapshots stay byte-compatible with version-1 readers.
+// Versions 1–5 are read, never written. Version 1 has OPTS, PROB, BUKT and
+// END; 2 adds PIDS, MUTA and TSMP; 3 SLST; 4 PLMT; 5 QNT8. Their BUKT also
+// stores each member's length (float64) and direction (r × float64) after
+// the ids, their QNT8 follows a presence byte 1 with a sidecar (size scales
+// and size residual bounds as float64, size × r int8 codes), and a PLMT of
+// builds that pruned shards by direction follows a cone flag 1 with a cone
+// (uint32 centroid length 0 or r, the centroid, cos of the angular radius,
+// maximum live probe length). The reader checks the framing of those bytes
+// and skips them; the section checksums still cover them.
 //
 // A reader fails loudly — never silently serves wrong results — on a bad
 // magic, an unsupported version, an unknown section tag, a checksum
@@ -91,9 +78,9 @@
 // an accepted stream every tag is known, so an unknown one is corruption —
 // a flipped tag byte must not silently drop a section.)
 //
-// Other lazily built per-bucket indexes (cover trees, L2AP, signatures)
-// are intentionally not persisted: they are cheap relative to
-// bucketization, query-dependent, and rebuilt lazily after a restore.
+// Other lazily built per-bucket indexes (cover trees, L2AP, signatures, int8
+// sidecars) are intentionally not persisted: they are cheap relative to
+// bucketization, query-dependent or derived, and rebuilt after a restore.
 // Sorted lists earned their optional section because every coordinate
 // method needs them and their rebuild dominates a restored server's first
 // batch.
@@ -108,6 +95,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 
 	"lemp/internal/core"
 	"lemp/internal/matrix"
@@ -116,17 +104,8 @@ import (
 // Magic identifies a LEMPIDX1 snapshot stream.
 const Magic = "LEMPIDX1"
 
-// Version is the base format version; VersionIDs is emitted when the
-// external-id sections (PIDS/MUTA/TSMP) are present, VersionLists when the
-// sorted-list section (SLST) is, VersionPlacement when the placement
-// section (PLMT) is, VersionQuant when the quantized sidecar (QNT8) is.
-const (
-	Version          = 1
-	VersionIDs       = 2
-	VersionLists     = 3
-	VersionPlacement = 4
-	VersionQuant     = 5
-)
+// Version is the format version Write emits. Read accepts 1 through Version.
+const Version = 6
 
 var (
 	tagOptions   = [4]byte{'O', 'P', 'T', 'S'}
@@ -155,6 +134,14 @@ const (
 // one byte.
 const optionsLen = 4 + 10*8 + 1
 
+// The values Write puts in the two OPTS slots that held BLSH's signature
+// length and false-negative rate when they were options: the settings the
+// index now always uses. Read ignores the slots.
+const (
+	blshBits    = 32
+	blshEpsilon = 0.03
+)
+
 // defaultNextID is the NextID value a state would derive on load anyway,
 // which therefore does not need a MUTA section.
 func defaultNextID(st *core.State) int32 {
@@ -173,10 +160,10 @@ func defaultNextID(st *core.State) int32 {
 // WriteOptions adjust what Write persists beyond the required sections.
 type WriteOptions struct {
 	// IncludeLists persists the per-bucket sorted-list indexes that have
-	// been built so far (SLST section, format version 3), trading snapshot
-	// size for a restored server that skips the first-use list rebuild.
-	// Buckets whose lists were never built are recorded as absent and
-	// still rebuild lazily after restore.
+	// been built so far (SLST section), trading snapshot size for a restored
+	// server that skips the first-use list rebuild. Buckets whose lists were
+	// never built are recorded as absent and still rebuild lazily after
+	// restore.
 	IncludeLists bool
 }
 
@@ -186,56 +173,25 @@ func Write(w io.Writer, st *core.State) error {
 	return WriteWith(w, st, WriteOptions{})
 }
 
-// WriteWith is Write with explicit options. The header carries the lowest
-// version that defines every section written: 1 with none of the optional
-// ones, 2 with PIDS, MUTA or TSMP, 3 with SLST (opted into by
-// WriteOptions.IncludeLists and written only when some list is built), 4
-// with PLMT, 5 with QNT8.
+// WriteWith is Write with explicit options. It always writes format
+// Version; the optional sections appear when the state needs them, SLST
+// when WriteOptions.IncludeLists asks for it and some list is built.
 func WriteWith(w io.Writer, st *core.State, opts WriteOptions) error {
 	if st.Probe == nil {
 		return fmt.Errorf("snapshot: state has no probe matrix")
 	}
-	writeMuta := st.Epoch != 0 || st.NextID != defaultNextID(st)
-	writeTune := st.Pretuned && st.TuneSample != nil
-	writeLists := false
-	if opts.IncludeLists {
-		for _, b := range st.Buckets {
-			if b.ListVals != nil {
-				writeLists = true
-				break
-			}
-		}
-	}
-	writeQuant := false
-	for _, b := range st.Buckets {
-		if b.QuantScales != nil {
-			writeQuant = true
-			break
-		}
-	}
-	writePlmt := st.PlacementKind != ""
 	if len(st.PlacementKind) > maxPlacementKind {
 		return fmt.Errorf("snapshot: placement kind %q longer than %d bytes", st.PlacementKind, maxPlacementKind)
 	}
-	version := uint32(Version)
-	if st.IDs != nil || writeMuta || writeTune {
-		version = VersionIDs
-	}
-	if writeLists {
-		version = VersionLists
-	}
-	if writePlmt {
-		version = VersionPlacement
-	}
-	if writeQuant {
-		version = VersionQuant
-	}
+	writeMuta := st.Epoch != 0 || st.NextID != defaultNextID(st)
+	writeTune := st.Pretuned && st.TuneSample != nil
+	writeLists := opts.IncludeLists && slices.ContainsFunc(st.Buckets, func(b core.BucketState) bool { return b.ListVals != nil })
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(Magic); err != nil {
 		return err
 	}
 	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], version)
+	binary.LittleEndian.PutUint32(hdr[0:4], Version)
 	binary.LittleEndian.PutUint32(hdr[4:8], 0)
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
@@ -278,10 +234,8 @@ func WriteWith(w io.Writer, st *core.State, opts WriteOptions) error {
 		}
 	}
 	bucketsLen := uint64(5)
-	r := uint64(st.Probe.R())
 	for _, b := range st.Buckets {
-		s := uint64(len(b.IDs))
-		bucketsLen += 21 + 4*s + 8*s + 8*s*r
+		bucketsLen += 21 + 4*uint64(len(b.IDs))
 	}
 	if err := writeSection(bw, tagBuckets, bucketsLen, func(w io.Writer) error {
 		return writeBuckets(w, st)
@@ -301,7 +255,7 @@ func WriteWith(w io.Writer, st *core.State, opts WriteOptions) error {
 			return err
 		}
 	}
-	if writePlmt {
+	if st.PlacementKind != "" {
 		plmtLen := uint64(1+len(st.PlacementKind)) + 1
 		if err := writeSection(bw, tagPlacement, plmtLen, func(w io.Writer) error {
 			return writePlacement(w, st)
@@ -309,17 +263,10 @@ func WriteWith(w io.Writer, st *core.State, opts WriteOptions) error {
 			return err
 		}
 	}
-	if writeQuant {
-		quantLen := uint64(len(st.Buckets))
-		r := uint64(st.Probe.R())
-		for _, b := range st.Buckets {
-			if b.QuantScales != nil {
-				s := uint64(len(b.QuantScales))
-				quantLen += 8*s + 8*s + s*r
-			}
-		}
-		if err := writeSection(bw, tagQuant, quantLen, func(w io.Writer) error {
-			return writeQuantSidecar(w, st)
+	if st.Opts.Quantize {
+		if err := writeSection(bw, tagQuant, uint64(len(st.Buckets)), func(w io.Writer) error {
+			_, err := w.Write(make([]byte, len(st.Buckets)))
+			return err
 		}); err != nil {
 			return err
 		}
@@ -330,40 +277,13 @@ func WriteWith(w io.Writer, st *core.State, opts WriteOptions) error {
 	return bw.Flush()
 }
 
-// writeQuantSidecar emits the QNT8 payload: one presence byte per bucket,
-// then the present buckets' scales, residual bounds and int8 codes.
-func writeQuantSidecar(w io.Writer, st *core.State) error {
-	for _, b := range st.Buckets {
-		present := byte(0)
-		if b.QuantScales != nil {
-			present = 1
-		}
-		if _, err := w.Write([]byte{present}); err != nil {
-			return err
-		}
-		if present == 0 {
-			continue
-		}
-		if err := matrix.WriteFloat64s(w, b.QuantScales); err != nil {
-			return err
-		}
-		if err := matrix.WriteFloat64s(w, b.QuantResid); err != nil {
-			return err
-		}
-		if err := matrix.WriteInt8s(w, b.QuantCodes); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readQuantSidecar parses the QNT8 payload into the already-read bucket
-// states. Allocation is bounded by the declared bucket sizes; semantic
-// verification (exact agreement with re-quantized directions) runs in
-// core.FromState.
+// readQuantSidecar parses the QNT8 payload: one presence byte per
+// already-read bucket. A version-5 writer followed a 1 with the bucket's
+// sidecar, which is skipped — FromState re-quantizes the directions it
+// derives.
 func readQuantSidecar(r io.Reader, st *core.State) error {
-	dim := st.Probe.R()
-	for i := range st.Buckets {
+	dim := int64(st.Probe.R())
+	for i, b := range st.Buckets {
 		var present [1]byte
 		if _, err := io.ReadFull(r, present[:]); err != nil {
 			return fmt.Errorf("bucket %d sidecar flag: %w", i, err)
@@ -375,16 +295,8 @@ func readQuantSidecar(r io.Reader, st *core.State) error {
 		default:
 			return fmt.Errorf("bucket %d sidecar flag is %d, want 0 or 1", i, present[0])
 		}
-		size := len(st.Buckets[i].IDs)
-		var err error
-		if st.Buckets[i].QuantScales, err = matrix.ReadFloat64s(r, size); err != nil {
-			return fmt.Errorf("bucket %d sidecar scales: %w", i, err)
-		}
-		if st.Buckets[i].QuantResid, err = matrix.ReadFloat64s(r, size); err != nil {
-			return fmt.Errorf("bucket %d sidecar residuals: %w", i, err)
-		}
-		if st.Buckets[i].QuantCodes, err = matrix.ReadInt8s(r, size*dim); err != nil {
-			return fmt.Errorf("bucket %d sidecar codes: %w", i, err)
+		if _, err := io.CopyN(io.Discard, r, int64(len(b.IDs))*(8+8+dim)); err != nil {
+			return fmt.Errorf("bucket %d sidecar: %w", i, err)
 		}
 	}
 	return nil
@@ -497,8 +409,8 @@ func writeOptions(w io.Writer, o core.Options) error {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(o.SampleQueries)))
 	buf = append(buf, boolByte(o.TuneByCost))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(o.Parallelism)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(o.SignatureBits)))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(o.Epsilon))
+	buf = binary.LittleEndian.AppendUint64(buf, blshBits)
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(blshEpsilon))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(o.Seed))
 	_, err := w.Write(buf)
 	return err
@@ -546,12 +458,6 @@ func writeBuckets(w io.Writer, st *core.State) error {
 			return err
 		}
 		if err := matrix.WriteInt32s(w, b.IDs); err != nil {
-			return err
-		}
-		if err := matrix.WriteFloat64s(w, b.Lens); err != nil {
-			return err
-		}
-		if err := matrix.WriteFloat64s(w, b.Dirs); err != nil {
 			return err
 		}
 	}
@@ -612,8 +518,9 @@ func Read(r io.Reader) (*core.State, error) {
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("snapshot: reading header: %w", err)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[0:4]); v < Version || v > VersionQuant {
-		return nil, fmt.Errorf("snapshot: unsupported format version %d (this build reads versions %d through %d)", v, Version, VersionQuant)
+	version := binary.LittleEndian.Uint32(hdr[0:4])
+	if version < 1 || version > Version {
+		return nil, fmt.Errorf("snapshot: unsupported format version %d (this build reads versions 1 through %d)", version, Version)
 	}
 	if rsv := binary.LittleEndian.Uint32(hdr[4:8]); rsv != 0 {
 		return nil, fmt.Errorf("snapshot: reserved header field is %#x, want 0", rsv)
@@ -662,7 +569,7 @@ func Read(r io.Reader) (*core.State, error) {
 			if _, err = io.ReadFull(sr, buf[:]); err == nil {
 				st.Epoch = binary.LittleEndian.Uint64(buf[0:8])
 				next := int64(binary.LittleEndian.Uint64(buf[8:16]))
-				if next < 0 || next > maxProbes {
+				if next < 0 || next > core.MaxProbeID+1 {
 					return nil, fmt.Errorf("snapshot: implausible next probe id %d", next)
 				}
 				st.NextID = int32(next)
@@ -681,7 +588,7 @@ func Read(r io.Reader) (*core.State, error) {
 				return nil, fmt.Errorf("snapshot: BUKT section before PROB")
 			}
 			haveBuckets = true
-			err = readBuckets(sr, st)
+			err = readBuckets(sr, st, version)
 		case tagLists:
 			if haveLists {
 				return nil, fmt.Errorf("snapshot: duplicate SLST section")
@@ -709,7 +616,7 @@ func Read(r io.Reader) (*core.State, error) {
 			}
 			haveQuant = true
 			// The fixed-size OPTS payload predates the Quantize flag;
-			// presence of the sidecar section is the persisted form of it.
+			// presence of the QNT8 section is the persisted form of it.
 			st.Opts.Quantize = true
 			err = readQuantSidecar(sr, st)
 		case tagEnd:
@@ -794,8 +701,6 @@ func readOptions(r io.Reader) (core.Options, error) {
 		SampleQueries: int(int64(u64(44))),
 		TuneByCost:    buf[52] != 0,
 		Parallelism:   int(int64(u64(53))),
-		SignatureBits: int(int64(u64(61))),
-		Epsilon:       math.Float64frombits(u64(69)),
 		Seed:          int64(u64(77)),
 	}
 	return o, nil
@@ -852,7 +757,10 @@ func readTuneSample(r io.Reader, st *core.State) error {
 	return err
 }
 
-func readBuckets(r io.Reader, st *core.State) error {
+// readBuckets parses the BUKT payload of a stream of the given format
+// version. Before version 6 each bucket's ids are followed by the members'
+// lengths and directions, which are skipped: FromState derives them.
+func readBuckets(r io.Reader, st *core.State, version uint32) error {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return err
@@ -887,11 +795,10 @@ func readBuckets(r io.Reader, st *core.State) error {
 		if b.IDs, err = matrix.ReadInt32s(r, size); err != nil {
 			return fmt.Errorf("bucket %d ids: %w", i, err)
 		}
-		if b.Lens, err = matrix.ReadFloat64s(r, size); err != nil {
-			return fmt.Errorf("bucket %d lengths: %w", i, err)
-		}
-		if b.Dirs, err = matrix.ReadFloat64s(r, size*dim); err != nil {
-			return fmt.Errorf("bucket %d directions: %w", i, err)
+		if version < 6 {
+			if _, err := io.CopyN(io.Discard, r, 8*int64(size)*int64(1+dim)); err != nil {
+				return fmt.Errorf("bucket %d lengths and directions: %w", i, err)
+			}
 		}
 		st.Buckets = append(st.Buckets, b)
 	}

@@ -13,6 +13,7 @@ import (
 
 	"lemp/internal/core"
 	"lemp/internal/matrix"
+	"lemp/internal/retrieval"
 )
 
 // buildState makes a small tuned index state deterministically.
@@ -78,7 +79,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 // TestWriteReadRoundTripWithLists: opting into list persistence must emit
-// format version 3 and round-trip the sorted-list arrays bit-for-bit, and
+// an SLST section and round-trip the sorted-list arrays bit-for-bit, and
 // the loaded state must pass FromState's list verification.
 func TestWriteReadRoundTripWithLists(t *testing.T) {
 	st := buildState(t)
@@ -96,8 +97,8 @@ func TestWriteReadRoundTripWithLists(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if v := binary.LittleEndian.Uint32(raw[8:12]); v != VersionLists {
-		t.Fatalf("format version %d, want %d", v, VersionLists)
+	if v := version(raw); v != Version || !hasSection(t, raw, tagLists) {
+		t.Fatalf("format version %d, SLST section %v; want %d and one", v, hasSection(t, raw, tagLists), Version)
 	}
 	got, err := Read(bytes.NewReader(raw))
 	if err != nil {
@@ -109,17 +110,20 @@ func TestWriteReadRoundTripWithLists(t *testing.T) {
 	if _, err := core.FromState(got); err != nil {
 		t.Fatalf("FromState on round-tripped state with lists: %v", err)
 	}
-	// Without any built lists, IncludeLists must degrade to the plain
-	// format (no empty SLST section, version unchanged).
+	// Without any built lists, IncludeLists must write no empty SLST
+	// section.
 	plain := buildUntunedState(t)
 	var buf2 bytes.Buffer
 	if err := WriteWith(&buf2, plain, WriteOptions{IncludeLists: true}); err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(buf2.Bytes()[8:12]); v != Version {
-		t.Fatalf("listless IncludeLists snapshot has version %d, want %d", v, Version)
+	if v := version(buf2.Bytes()); v != Version || hasSection(t, buf2.Bytes(), tagLists) {
+		t.Fatalf("listless IncludeLists snapshot: version %d, SLST section %v", v, hasSection(t, buf2.Bytes(), tagLists))
 	}
 }
+
+// version returns a snapshot's format version.
+func version(raw []byte) uint32 { return binary.LittleEndian.Uint32(raw[8:12]) }
 
 // buildUntunedState makes a state whose buckets never built sorted lists.
 func buildUntunedState(t testing.TB) *core.State {
@@ -134,25 +138,19 @@ func buildUntunedState(t testing.TB) *core.State {
 	return ix.State()
 }
 
-// TestPlacementRoundTrip: placement metadata must emit format version 4
-// with a kind-only PLMT payload (kind, cone flag 0 — the form every build
-// since version 4 reads), round-trip the kind, and stay absent (version
-// unchanged) when not set.
+// TestPlacementRoundTrip: placement metadata must emit a kind-only PLMT
+// payload (kind, cone flag 0 — the form every build since version 4 reads),
+// round-trip the kind, and stay absent when not set.
 func TestPlacementRoundTrip(t *testing.T) {
 	st := buildState(t)
-	var base bytes.Buffer
-	if err := Write(&base, st); err != nil {
-		t.Fatal(err)
-	}
-	baseVersion := binary.LittleEndian.Uint32(base.Bytes()[8:12])
 	st.PlacementKind = "cluster"
 	var buf bytes.Buffer
 	if err := Write(&buf, st); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if v := binary.LittleEndian.Uint32(raw[8:12]); v != VersionPlacement {
-		t.Fatalf("format version %d, want %d", v, VersionPlacement)
+	if v := version(raw); v != Version {
+		t.Fatalf("format version %d, want %d", v, Version)
 	}
 	if got, want := sectionPayload(t, raw, tagPlacement), append([]byte{7}, "cluster\x00"...); !bytes.Equal(got, want) {
 		t.Fatalf("PLMT payload %q, want %q", got, want)
@@ -165,14 +163,14 @@ func TestPlacementRoundTrip(t *testing.T) {
 		t.Errorf("placement kind %q, want %q", got.PlacementKind, st.PlacementKind)
 	}
 
-	// Without placement metadata the version must not rise.
+	// Without placement metadata there is no PLMT section.
 	st.PlacementKind = ""
 	buf.Reset()
 	if err := Write(&buf, st); err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(buf.Bytes()[8:12]); v != baseVersion {
-		t.Fatalf("placement-free snapshot has version %d, want %d", v, baseVersion)
+	if v := version(buf.Bytes()); v != Version || hasSection(t, buf.Bytes(), tagPlacement) {
+		t.Fatalf("placement-free snapshot: version %d, PLMT section %v", v, hasSection(t, buf.Bytes(), tagPlacement))
 	}
 }
 
@@ -267,6 +265,14 @@ func sectionPayload(t *testing.T, raw []byte, tag [4]byte) []byte {
 	return out
 }
 
+// hasSection reports whether the snapshot has a section with tag.
+func hasSection(t *testing.T, raw []byte, tag [4]byte) bool {
+	t.Helper()
+	found := false
+	sections(t, raw, func(tg [4]byte, _ []byte) { found = found || tg == tag })
+	return found
+}
+
 // replaceSection returns a copy of the snapshot with the payload of the
 // section with tag replaced, its length and checksum rewritten to match.
 func replaceSection(t *testing.T, raw []byte, tag [4]byte, payload []byte) []byte {
@@ -295,10 +301,15 @@ func TestReadRejectsBadMagicAndVersion(t *testing.T) {
 	if _, err := Read(bytes.NewReader([]byte("LEMPMAT1garbage..."))); err == nil {
 		t.Error("matrix magic accepted as a snapshot")
 	}
-	bad := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint32(bad[8:12], VersionQuant+1)
-	if _, err := Read(bytes.NewReader(bad)); err == nil {
-		t.Error("future format version accepted")
+	if v := version(raw); v != Version {
+		t.Fatalf("format version %d, want %d", v, Version)
+	}
+	for _, v := range []uint32{0, Version + 1} {
+		bad := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint32(bad[8:12], v)
+		if _, err := Read(bytes.NewReader(bad)); err == nil {
+			t.Errorf("format version %d accepted", v)
+		}
 	}
 }
 
@@ -454,8 +465,8 @@ func TestRestoredListsServeIdentically(t *testing.T) {
 	}
 }
 
-// buildQuantState makes a state whose index carries the quantized
-// screening sidecar (Options.Quantize, format version 5).
+// buildQuantState makes a state whose index was built with
+// Options.Quantize.
 func buildQuantState(t testing.TB) *core.State {
 	t.Helper()
 	rng := rand.New(rand.NewSource(29))
@@ -475,29 +486,19 @@ func buildQuantState(t testing.TB) *core.State {
 	return ix.State()
 }
 
-// TestQuantRoundTrip: a Quantize index must emit format version 5 with a
-// QNT8 section, round-trip the sidecar bit-for-bit, restore with screening
-// active (sidecar attached, Opts.Quantize set) and answer exactly like the
-// original. A snapshot without the section must stay at its lower version
-// and restore with screening off.
+// TestQuantRoundTrip: a Quantize index records the option as a QNT8
+// section of one zero byte per bucket — no sidecar — and restores with
+// every bucket quantized, answering exactly like the original. A snapshot
+// without the section restores with the option off.
 func TestQuantRoundTrip(t *testing.T) {
 	st := buildQuantState(t)
-	withQuant := false
-	for _, b := range st.Buckets {
-		if b.QuantScales != nil {
-			withQuant = true
-		}
-	}
-	if !withQuant {
-		t.Fatal("fixture built no quant sidecar; Options.Quantize should have")
-	}
 	var buf bytes.Buffer
 	if err := Write(&buf, st); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if v := binary.LittleEndian.Uint32(raw[8:12]); v != VersionQuant {
-		t.Fatalf("format version %d, want %d", v, VersionQuant)
+	if got, want := sectionPayload(t, raw, tagQuant), make([]byte, len(st.Buckets)); !bytes.Equal(got, want) {
+		t.Fatalf("QNT8 payload %v, want %d zero bytes", got, len(want))
 	}
 	got, err := Read(bytes.NewReader(raw))
 	if err != nil {
@@ -506,24 +507,16 @@ func TestQuantRoundTrip(t *testing.T) {
 	if !got.Opts.Quantize {
 		t.Fatal("QNT8 snapshot read back with Opts.Quantize false")
 	}
-	for i := range st.Buckets {
-		w, g := st.Buckets[i], got.Buckets[i]
-		if !reflect.DeepEqual(g.QuantScales, w.QuantScales) ||
-			!reflect.DeepEqual(g.QuantCodes, w.QuantCodes) ||
-			!reflect.DeepEqual(g.QuantResid, w.QuantResid) {
-			t.Fatalf("bucket %d: quant sidecar differs after round trip", i)
-		}
-	}
 	restored, err := core.FromState(got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.SidecarBytes() == 0 {
-		t.Fatal("restored index holds no quant sidecar")
-	}
 	original, err := core.FromState(buildQuantState(t))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if restored.SidecarBytes() == 0 || restored.SidecarBytes() != original.SidecarBytes() {
+		t.Fatalf("restored index holds %d sidecar bytes, the original %d", restored.SidecarBytes(), original.SidecarBytes())
 	}
 	q := matrix.New(st.Probe.R(), 5)
 	q.FillRandom(rand.New(rand.NewSource(78)))
@@ -539,15 +532,13 @@ func TestQuantRoundTrip(t *testing.T) {
 		t.Fatal("restored quant index answers differently")
 	}
 
-	// A snapshot without a QNT8 section must not bump the version and must
-	// read back with screening off.
 	plain := buildUntunedState(t)
 	var buf2 bytes.Buffer
 	if err := Write(&buf2, plain); err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(buf2.Bytes()[8:12]); v != Version {
-		t.Fatalf("quantless snapshot has version %d, want %d", v, Version)
+	if hasSection(t, buf2.Bytes(), tagQuant) {
+		t.Fatal("snapshot of an index without Quantize has a QNT8 section")
 	}
 	got2, err := Read(bytes.NewReader(buf2.Bytes()))
 	if err != nil {
@@ -558,75 +549,65 @@ func TestQuantRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuantCorruptionDetected is TestReadDetectsCorruption over a
-// version-5 (QNT8) snapshot, plus CRC-valid semantic tampering: a sidecar
-// whose bytes are intact but whose content disagrees with the stored
-// directions must be rejected by FromState's verify-by-recompute, never
-// loaded to silently mis-screen.
+// TestQuantCorruptionDetected: the int8 sidecars a version-5 snapshot
+// carries are skipped, never trusted. Tampered sidecar bytes under a fixed
+// checksum load, the sidecars are rebuilt from the directions, and the
+// index answers exactly like one loaded from the untouched file. A sidecar
+// flag other than 0 or 1, or a sidecar the section ends inside, still fails.
 func TestQuantCorruptionDetected(t *testing.T) {
-	st := buildQuantState(t)
-	var buf bytes.Buffer
-	if err := Write(&buf, st); err != nil {
+	raw := readFixture(t, "v5.snap")
+	st, err := Read(bytes.NewReader(raw))
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	step := 1
-	if len(raw) > 1<<16 {
-		step = len(raw) / (1 << 16)
-	}
-	for off := 0; off < len(raw); off += step {
-		bad := append([]byte(nil), raw...)
-		bad[off] ^= 0x40
-		got, err := Read(bytes.NewReader(bad))
-		if err != nil {
-			continue
-		}
-		if _, err := core.FromState(got); err == nil {
-			t.Fatalf("bit flip at offset %d of a quant snapshot went undetected", off)
+	// Flip every sidecar byte, keeping the presence flags.
+	payload := sectionPayload(t, raw, tagQuant)
+	tampered := append([]byte(nil), payload...)
+	off, sidecars := 0, 0
+	for _, b := range st.Buckets {
+		off++
+		if payload[off-1] == 1 {
+			end := off + len(b.IDs)*(16+st.Probe.R())
+			for ; off < end; off++ {
+				tampered[off] ^= 0x5a
+			}
+			sidecars++
 		}
 	}
-
-	tampers := []struct {
-		name string
-		mut  func(st *core.State, bs *core.BucketState)
-	}{
-		{"scale drift", func(_ *core.State, bs *core.BucketState) {
-			bs.QuantScales[0] = math.Nextafter(bs.QuantScales[0], math.Inf(1))
-		}},
-		{"code flip", func(_ *core.State, bs *core.BucketState) {
-			bs.QuantCodes[0] ^= 1
-		}},
-		{"resid drift", func(_ *core.State, bs *core.BucketState) {
-			bs.QuantResid[0] = math.Nextafter(bs.QuantResid[0], math.Inf(1))
-		}},
-		{"codes shape mismatch", func(_ *core.State, bs *core.BucketState) {
-			bs.QuantCodes = bs.QuantCodes[:len(bs.QuantCodes)-1]
-		}},
-		{"scales shape mismatch", func(_ *core.State, bs *core.BucketState) {
-			bs.QuantScales = append(bs.QuantScales, 0)
-		}},
-		{"sidecar with screening off", func(st *core.State, _ *core.BucketState) {
-			st.Opts.Quantize = false
-		}},
+	if sidecars == 0 || off != len(payload) {
+		t.Fatalf("fixture QNT8: %d sidecars, %d of %d bytes walked", sidecars, off, len(payload))
 	}
-	for _, tc := range tampers {
-		got, err := Read(bytes.NewReader(raw))
+	answer := func(raw []byte) retrieval.TopK {
+		t.Helper()
+		st, err := Read(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
-		target := -1
-		for i := range got.Buckets {
-			if len(got.Buckets[i].QuantCodes) > 0 {
-				target = i
-				break
-			}
+		ix, err := core.FromState(st)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if target < 0 {
-			t.Fatal("no bucket with a usable sidecar in the fixture")
+		q := matrix.New(ix.R(), 6)
+		q.FillRandom(rand.New(rand.NewSource(79)))
+		top, stats, err := ix.Retrieve(context.Background(), q, core.Problem{K: 5}, nil, core.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		tc.mut(got, &got.Buckets[target])
-		if _, err := core.FromState(got); err == nil {
-			t.Errorf("%s: tampered quant sidecar loaded", tc.name)
+		if ix.SidecarBytes() == 0 || stats.QuantScreened+stats.QuantSurvived == 0 {
+			t.Fatalf("restored Quantize index: %d sidecar bytes, %+v", ix.SidecarBytes(), stats)
+		}
+		return top
+	}
+	if !reflect.DeepEqual(answer(replaceSection(t, raw, tagQuant, tampered)), answer(raw)) {
+		t.Fatal("a tampered version-5 sidecar changed the answers")
+	}
+	for name, bad := range map[string][]byte{
+		"flag 2":                        append([]byte{2}, payload[1:]...),
+		"section ends inside a sidecar": payload[:len(payload)/2],
+		"empty section":                 payload[:0],
+	} {
+		if _, err := Read(bytes.NewReader(replaceSection(t, raw, tagQuant, bad))); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }
@@ -662,13 +643,16 @@ func FuzzRead(f *testing.F) {
 	if err := Write(&qbuf, buildQuantState(f)); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(qbuf.Bytes()) // version-5 seed: QNT8 section reachable by mutation
+	f.Add(qbuf.Bytes()) // QNT8 section reachable by mutation
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
 	// A header whose BUKT section claims huge sizes.
 	crafted := append([]byte(nil), raw[:16]...)
 	crafted = append(crafted, 'B', 'U', 'K', 'T', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)
 	f.Add(crafted)
+	for _, name := range []string{"v1.snap", "v2.snap", "v5.snap"} {
+		f.Add(readFixture(f, name)) // older versions: skipped bytes reachable
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Read(bytes.NewReader(data))
 		if err != nil {
@@ -718,6 +702,7 @@ func TestSortedListBytesMatchStableSort(t *testing.T) {
 		}
 		built++
 		size := len(b.IDs)
+		_, dirs := derived(st, *b)
 		b.ListVals, b.ListLids = make([]float64, size*r), make([]int32, size*r)
 		perm := make([]int32, size)
 		for f := 0; f < r; f++ {
@@ -725,10 +710,10 @@ func TestSortedListBytesMatchStableSort(t *testing.T) {
 				perm[i] = int32(i)
 			}
 			sort.SliceStable(perm, func(x, y int) bool {
-				return b.Dirs[int(perm[x])*r+f] > b.Dirs[int(perm[y])*r+f]
+				return dirs[int(perm[x])*r+f] > dirs[int(perm[y])*r+f]
 			})
 			for i, lid := range perm {
-				b.ListLids[f*size+i], b.ListVals[f*size+i] = lid, b.Dirs[int(lid)*r+f]
+				b.ListLids[f*size+i], b.ListVals[f*size+i] = lid, dirs[int(lid)*r+f]
 				if i > 0 && b.ListVals[f*size+i] == b.ListVals[f*size+i-1] {
 					ties++
 				}

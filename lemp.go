@@ -75,7 +75,7 @@ const (
 	// AlgorithmL2AP runs an L2AP index per bucket.
 	AlgorithmL2AP = core.AlgL2AP
 	// AlgorithmBLSH prunes with BayesLSH-Lite signatures (approximate:
-	// each true result is missed with probability ≤ Options.Epsilon).
+	// each true result is missed with probability ≤ 0.03).
 	AlgorithmBLSH = core.AlgBLSH
 )
 

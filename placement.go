@@ -11,8 +11,7 @@ import (
 
 // ShardPlacement describes how a snapshotted shard was placed: the
 // placement strategy name (the serving layer's vocabulary, e.g. "cost" or
-// "cluster"). It is persisted as the snapshot PLMT section (format
-// version 4).
+// "cluster"). It is persisted as the snapshot PLMT section.
 type ShardPlacement struct {
 	Kind string
 }

@@ -28,12 +28,11 @@ type SnapshotOptions struct {
 	// so far, so a restored index answers its first coordinate-method
 	// queries without rebuilding them (they otherwise dominate the first
 	// post-restore batch). Roughly doubles the snapshot size; the loader
-	// re-verifies the lists against the stored directions, so corruption
-	// fails the load instead of mis-pruning.
+	// verifies the lists against the directions it derives from the probe
+	// matrix, so corruption fails the load instead of mis-pruning.
 	IncludeLists bool
-	// Placement attaches shard-placement metadata (the PLMT section,
-	// format version 4): the strategy the owning shard set was built with.
-	// Snapshots without it stay at their lowest sufficient version and
+	// Placement attaches shard-placement metadata (the PLMT section): the
+	// strategy the owning shard set was built with. Snapshots without it
 	// restore as range-placed.
 	Placement *ShardPlacement
 }
@@ -58,32 +57,28 @@ type LoadOptions struct {
 	// index re-runs per-call sample-based tuning like a freshly built one,
 	// instead of reusing the stored per-bucket parameters.
 	Retune bool
-	// Quant overrides the snapshot's quantized-screening state
-	// (Options.Quantize / the QNT8 section). QuantAuto keeps what the
-	// snapshot persisted; QuantOn forces Options.Quantize on, rebuilding
-	// the sidecars from the stored directions when the snapshot has none;
-	// QuantOff drops any persisted sidecar and loads with the option off —
-	// the index then screens like one built without it: lazily, and only
+	// Quant overrides the snapshot's Options.Quantize (recorded by the QNT8
+	// section). QuantAuto keeps it as written, QuantOn forces it on and
+	// QuantOff off. With the option on, the loader quantizes every bucket's
+	// directions into its int8 sidecar before returning the index; with it
+	// off, the index screens like one built without it: lazily, and only
 	// where the int8 kernels are assembly. Exact results are identical in
 	// every mode.
 	Quant QuantMode
 }
 
-// QuantMode selects how LoadIndex treats a snapshot's quantized screening
-// sidecar.
+// QuantMode selects how LoadIndex sets a snapshot's Options.Quantize.
 type QuantMode int
 
 const (
-	// QuantAuto restores the snapshot's own state: Options.Quantize on iff
-	// a QNT8 section was persisted.
+	// QuantAuto restores the snapshot's own setting: Options.Quantize on iff
+	// it has a QNT8 section.
 	QuantAuto QuantMode = iota
-	// QuantOn forces Options.Quantize on, quantizing the stored directions
-	// when the snapshot carries no sidecar.
+	// QuantOn forces Options.Quantize on: every bucket is quantized at load.
 	QuantOn
-	// QuantOff drops any persisted sidecar and loads with Options.Quantize
-	// off. The restored index still screens where the int8 kernels are
-	// assembly, through sidecars it builds lazily, as any index built
-	// without the option does.
+	// QuantOff loads with Options.Quantize off. The restored index still
+	// screens where the int8 kernels are assembly, through sidecars it
+	// builds lazily, as any index built without the option does.
 	QuantOff
 )
 
@@ -122,14 +117,9 @@ func LoadIndexPlacement(r io.Reader, opts LoadOptions) (*Index, *ShardPlacement,
 	}
 	switch opts.Quant {
 	case QuantOn:
-		st.Opts.Quantize = true // missing sidecars are rebuilt by FromState
+		st.Opts.Quantize = true
 	case QuantOff:
 		st.Opts.Quantize = false
-		for i := range st.Buckets {
-			st.Buckets[i].QuantScales = nil
-			st.Buckets[i].QuantCodes = nil
-			st.Buckets[i].QuantResid = nil
-		}
 	}
 	inner, err := core.FromState(st)
 	if err != nil {

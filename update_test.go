@@ -2,12 +2,15 @@ package lemp_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"lemp"
 	"lemp/internal/data"
+	"lemp/internal/snapshot"
 )
 
 // sortTopRow orders one top-k row canonically for comparison.
@@ -144,10 +147,10 @@ func TestMutatedSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUnmutatedSnapshotStaysVersion1: an index that never saw an update
-// must keep writing byte-identical version-1 snapshots (the format bump is
-// paid only when external-id state exists).
-func TestUnmutatedSnapshotStaysVersion1(t *testing.T) {
+// TestUnmutatedSnapshotCarriesNoIDState: an index that never saw an update
+// writes the current format version and no external-id state — its
+// sections are OPTS, PROB, BUKT and END alone.
+func TestUnmutatedSnapshotCarriesNoIDState(t *testing.T) {
 	_, p := data.Smoke.Generate()
 	ix, err := lemp.New(p, lemp.Options{})
 	if err != nil {
@@ -158,7 +161,14 @@ func TestUnmutatedSnapshotStaysVersion1(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if got := raw[8]; got != 1 {
-		t.Fatalf("unmutated snapshot has version %d, want 1", got)
+	if got := binary.LittleEndian.Uint32(raw[8:12]); got != snapshot.Version {
+		t.Fatalf("unmutated snapshot has version %d, want %d", got, snapshot.Version)
+	}
+	var tags []string
+	for off := 16; off < len(raw); off += 12 + int(binary.LittleEndian.Uint64(raw[off+4:])) + 4 {
+		tags = append(tags, string(raw[off:off+4]))
+	}
+	if want := []string{"OPTS", "PROB", "BUKT", "END\x00"}; !slices.Equal(tags, want) {
+		t.Fatalf("unmutated snapshot sections %q, want %q", tags, want)
 	}
 }
