@@ -124,7 +124,7 @@ func main() {
 	shards := flag.Int("shards", 4, "number of index shards")
 	placementName := flag.String("placement", "range", "shard placement strategy, how the catalog is partitioned: range (contiguous equal-count), cost (contiguous cost-balanced) or cluster (spherical k-means)")
 	rebalanceOnLoad := flag.Bool("rebalance-on-load", false, "with -snapshot, re-partition the restored probe set under the active placement even when shard count and strategy already match")
-	algName := flag.String("alg", "LI", "bucket algorithm: L LI LC I C TA Tree L2AP BLSH")
+	algName := flag.String("alg", "LI", "bucket algorithm: L LI LC I C")
 	phi := flag.Int("phi", 0, "fixed focus-set size φ (0 = tuned per bucket)")
 	quantize := flag.Bool("quant", false, "build the int8 screening sidecars eagerly and screen every candidate set (results stay exact; ~1 byte per probe per dimension); snapshots record the option and re-quantize on restore. Without it the server screens by itself where the int8 kernels are assembly (/stats \"kernels\": \"avx2\"), building sidecars lazily for the buckets queries reach; the flag adds the eager build and, on the portable kernels, the screen itself, which loses there. With -snapshot, given explicitly it forces the option on or off regardless of what the snapshots recorded")
 	parallel := flag.Int("parallel", 0, "retrieval goroutines per shard (0 = NumCPU/shards, so one batch uses all cores)")

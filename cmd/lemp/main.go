@@ -13,7 +13,7 @@
 //
 //	lemp -q users.q -p items.p -topk 10                 # top-10 per user
 //	lemp -q q.csv -p p.csv -theta 0.9 -out result.csv   # Above-θ
-//	lemp -q q.csv -p p.csv -theta 0.9 -alg L2AP -stats
+//	lemp -q q.csv -p p.csv -theta 0.9 -alg LC -stats
 package main
 
 import (
@@ -36,7 +36,7 @@ func main() {
 	pPath := flag.String("p", "", "probe matrix file (columns of P as vectors)")
 	theta := flag.Float64("theta", 0, "Above-θ threshold (> 0); mutually exclusive with -topk")
 	topk := flag.Int("topk", 0, "Row-Top-k: number of results per query; mutually exclusive with -theta")
-	algName := flag.String("alg", "LI", "bucket algorithm: L LI LC I C TA Tree L2AP BLSH")
+	algName := flag.String("alg", "LI", "bucket algorithm: L LI LC I C")
 	phi := flag.Int("phi", 0, "fixed focus-set size φ (0 = tuned per bucket)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "retrieval goroutines (default all cores; use -parallel 1 for the paper's single-threaded setting)")
 	approx := flag.Int("approx", 0, "approximate -topk via this many query clusters (0 = exact)")

@@ -95,11 +95,11 @@ func ExampleIndex_Retrieve_stream() {
 }
 
 func ExampleParseAlgorithm() {
-	alg, err := lemp.ParseAlgorithm("l2ap")
+	alg, err := lemp.ParseAlgorithm("lc")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(alg)
 	// Output:
-	// L2AP
+	// LC
 }

@@ -2,9 +2,9 @@
 // workload runs under every bucket algorithm — selected per call with
 // lemp.WithAlgorithm on one shared index — showing the trade-off the
 // paper's Tables 5–6 measure: LENGTH verifies many candidates cheaply,
-// INCR/COORD prune aggressively at some scanning cost, TA/Tree/L2AP/BLSH
-// sit in between — and the mixed LI, which picks per bucket and per query,
-// matches the best of them. The example also demonstrates fixing φ by
+// INCR/COORD prune aggressively at some scanning cost — and the mixed LC
+// and LI, which pick per bucket and per query, match the best of them. (The
+// paper's TA, Tree, L2AP and BLSH baselines run under lemp-bench.) The example also demonstrates fixing φ by
 // hand, disabling the cache-size bucket limit, and reusing fitted tuning
 // parameters across calls with a TuningCache (the serving-path win: repeat
 // calls skip §4.4 sample tuning entirely).
@@ -32,13 +32,13 @@ func main() {
 	const k = 10
 	ctx := context.Background()
 
-	// One index, nine algorithms: the bucket method is per-call policy.
+	// One index, five algorithms: the bucket method is per-call policy.
 	index, err := lemp.New(p, lemp.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n%-18s %12s %14s %10s\n", "algorithm", "tune+retr", "cands/query", "buckets")
-	for _, name := range []string{"L", "C", "I", "LC", "LI", "TA", "Tree", "L2AP", "BLSH"} {
+	for _, name := range []string{"L", "C", "I", "LC", "LI"} {
 		alg, err := lemp.ParseAlgorithm(name)
 		if err != nil {
 			log.Fatal(err)

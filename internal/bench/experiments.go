@@ -94,7 +94,7 @@ func (r *Runner) fullMethodsAbove(ds *dataset, level int) []Measurement {
 	ms = append(ms,
 		r.treeAbove(ds, level),
 		r.taAbove(ds, level),
-		r.lempAbove(ds, level, core.AlgLI, core.Options{}),
+		r.lempAbove(ds, level, bucketAlg(core.AlgLI), core.Options{}),
 	)
 	return ms
 }
@@ -107,7 +107,7 @@ func (r *Runner) fullMethodsTopK(ds *dataset, k int) []Measurement {
 	ms = append(ms,
 		r.treeTopK(ds, k),
 		r.taTopK(ds, k),
-		r.lempTopK(ds, k, core.AlgLI, core.Options{}),
+		r.lempTopK(ds, k, bucketAlg(core.AlgLI), core.Options{}),
 	)
 	return ms
 }
@@ -150,11 +150,15 @@ func (r *Runner) fig6b() error {
 }
 
 // bucketAlgorithms lists the LEMP variants of §6.3 (Fig. 7, Tables 5–6).
-func (r *Runner) bucketAlgorithms() []core.Algorithm {
+func (r *Runner) bucketAlgorithms() []variant {
 	if r.cfg.Quick {
-		return []core.Algorithm{core.AlgL, core.AlgLI, core.AlgI, core.AlgTA}
+		return []variant{bucketAlg(core.AlgL), bucketAlg(core.AlgLI), bucketAlg(core.AlgI), baselines[0]}
 	}
-	return core.Algorithms()
+	var vs []variant
+	for _, a := range core.Algorithms() {
+		vs = append(vs, bucketAlg(a))
+	}
+	return append(vs, baselines...)
 }
 
 // bucketGridAbove measures (once) the Above-θ bucket-algorithm grid shared
@@ -167,8 +171,8 @@ func (r *Runner) bucketGridAbove() []Measurement {
 	for _, name := range []string{"IE-SVD", "IE-NMF"} {
 		ds := r.get(name)
 		for _, level := range r.levelsFor(ds) {
-			for _, alg := range r.bucketAlgorithms() {
-				ms = append(ms, r.lempAbove(ds, level, alg, core.Options{}))
+			for _, v := range r.bucketAlgorithms() {
+				ms = append(ms, r.lempAbove(ds, level, v, core.Options{}))
 			}
 		}
 	}
@@ -186,8 +190,8 @@ func (r *Runner) bucketGridTopK() []Measurement {
 	for _, name := range []string{"IE-SVDT", "IE-NMFT", "KDD", "Netflix"} {
 		ds := r.get(name)
 		for _, k := range r.ks() {
-			for _, alg := range r.bucketAlgorithms() {
-				ms = append(ms, r.lempTopK(ds, k, alg, core.Options{}))
+			for _, v := range r.bucketAlgorithms() {
+				ms = append(ms, r.lempTopK(ds, k, v, core.Options{}))
 			}
 		}
 	}
@@ -316,8 +320,8 @@ func (r *Runner) table6() error {
 func (r *Runner) cacheAblation() error {
 	r.header("§6.2 caching effects: cache-aware vs. cache-oblivious bucketization (KDD, Row-Top-10)")
 	ds := r.get("KDD")
-	aware := r.lempTopK(ds, 10, core.AlgLI, core.Options{CacheBytes: 256 << 10})
-	oblivious := r.lempTopK(ds, 10, core.AlgLI, core.Options{CacheBytes: -1})
+	aware := r.lempTopK(ds, 10, bucketAlg(core.AlgLI), core.Options{CacheBytes: 256 << 10})
+	oblivious := r.lempTopK(ds, 10, bucketAlg(core.AlgLI), core.Options{CacheBytes: -1})
 	fmt.Fprintf(r.cfg.Out, "%-16s %10s %10s\n", "Variant", "Buckets", "Total")
 	fmt.Fprintf(r.cfg.Out, "%-16s %10d %10s\n", "cache-aware", aware.NumBuckets, fmtDur(aware.Total))
 	fmt.Fprintf(r.cfg.Out, "%-16s %10d %10s\n", "cache-oblivious", oblivious.NumBuckets, fmtDur(oblivious.Total))
@@ -332,11 +336,11 @@ func (r *Runner) tuneAblation() error {
 	dsT := r.get("IE-SVDT")
 	ds := r.get("IE-SVD")
 	var ms []Measurement
-	tuned := r.lempTopK(dsT, 10, core.AlgLI, core.Options{})
+	tuned := r.lempTopK(dsT, 10, bucketAlg(core.AlgLI), core.Options{})
 	tuned.Method = "LEMP-LI(tuned)"
 	ms = append(ms, tuned)
 	for _, phi := range []int{1, 2, 3, 5} {
-		m := r.lempTopK(dsT, 10, core.AlgI, core.Options{Phi: phi})
+		m := r.lempTopK(dsT, 10, bucketAlg(core.AlgI), core.Options{Phi: phi})
 		m.Method = fmt.Sprintf("LEMP-I(φ=%d)", phi)
 		ms = append(ms, m)
 	}
@@ -349,11 +353,11 @@ func (r *Runner) tuneAblation() error {
 		}
 	}
 	if level > 0 {
-		tunedA := r.lempAbove(ds, level, core.AlgLI, core.Options{})
+		tunedA := r.lempAbove(ds, level, bucketAlg(core.AlgLI), core.Options{})
 		tunedA.Method = "LEMP-LI(tuned)"
 		ms = append(ms, tunedA)
 		for _, phi := range []int{1, 2, 3, 5} {
-			m := r.lempAbove(ds, level, core.AlgI, core.Options{Phi: phi})
+			m := r.lempAbove(ds, level, bucketAlg(core.AlgI), core.Options{Phi: phi})
 			m.Method = fmt.Sprintf("LEMP-I(φ=%d)", phi)
 			ms = append(ms, m)
 		}

@@ -40,115 +40,98 @@ func (r *Runner) naiveTopK(ds *dataset, k int) Measurement {
 	}
 }
 
-// --- Standalone TA -------------------------------------------------------
+// --- Standalone baselines: TA, single and dual cover tree ----------------
 
-func (r *Runner) taAbove(ds *dataset, level int) Measurement {
+// baseStats is what the standalone baselines report; ta.Stats and
+// covertree.Stats convert to it.
+type baseStats struct {
+	Queries    int
+	Candidates int64
+	Results    int64
+	PrepTime   time.Duration
+	Time       time.Duration
+}
+
+// standalone measures one cell of a standalone baseline: run builds its
+// index and answers the cell.
+func standalone(ds *dataset, problem, method string, run func() baseStats) Measurement {
 	start := time.Now()
-	ix := ta.NewIndex(ds.p)
-	var n int64
-	st := ix.AboveTheta(ds.q, ds.thetas[level], discard(&n))
+	st := run()
 	return Measurement{
-		Dataset: ds.profile.Name, Problem: problemAbove(level), Method: "TA",
+		Dataset: ds.profile.Name, Problem: problem, Method: method,
 		Total: time.Since(start), Prep: st.PrepTime,
 		CandPerQ: perQuery(st.Candidates, st.Queries), Results: st.Results,
 	}
+}
+
+func (r *Runner) taAbove(ds *dataset, level int) Measurement {
+	return standalone(ds, problemAbove(level), "TA", func() baseStats {
+		var n int64
+		return baseStats(ta.NewIndex(ds.p).AboveTheta(ds.q, ds.thetas[level], discard(&n)))
+	})
 }
 
 func (r *Runner) taTopK(ds *dataset, k int) Measurement {
-	start := time.Now()
-	ix := ta.NewIndex(ds.p)
-	_, st := ix.RowTopK(ds.q, k)
-	return Measurement{
-		Dataset: ds.profile.Name, Problem: problemTopK(k), Method: "TA",
-		Total: time.Since(start), Prep: st.PrepTime,
-		CandPerQ: perQuery(st.Candidates, st.Queries), Results: st.Results,
-	}
+	return standalone(ds, problemTopK(k), "TA", func() baseStats {
+		_, st := ta.NewIndex(ds.p).RowTopK(ds.q, k)
+		return baseStats(st)
+	})
 }
 
-// --- Single cover tree ---------------------------------------------------
-
 func (r *Runner) treeAbove(ds *dataset, level int) Measurement {
-	start := time.Now()
-	tree := covertree.Build(ds.p, covertree.DefaultBase)
-	var n int64
-	st := tree.AboveTheta(ds.q, ds.thetas[level], discard(&n))
-	return Measurement{
-		Dataset: ds.profile.Name, Problem: problemAbove(level), Method: "Tree",
-		Total: time.Since(start), Prep: st.PrepTime,
-		CandPerQ: perQuery(st.Candidates, st.Queries), Results: st.Results,
-	}
+	return standalone(ds, problemAbove(level), "Tree", func() baseStats {
+		var n int64
+		return baseStats(covertree.Build(ds.p, covertree.DefaultBase).AboveTheta(ds.q, ds.thetas[level], discard(&n)))
+	})
 }
 
 func (r *Runner) treeTopK(ds *dataset, k int) Measurement {
-	start := time.Now()
-	tree := covertree.Build(ds.p, covertree.DefaultBase)
-	_, st := tree.RowTopK(ds.q, k)
-	return Measurement{
-		Dataset: ds.profile.Name, Problem: problemTopK(k), Method: "Tree",
-		Total: time.Since(start), Prep: st.PrepTime,
-		CandPerQ: perQuery(st.Candidates, st.Queries), Results: st.Results,
-	}
+	return standalone(ds, problemTopK(k), "Tree", func() baseStats {
+		_, st := covertree.Build(ds.p, covertree.DefaultBase).RowTopK(ds.q, k)
+		return baseStats(st)
+	})
 }
 
-// --- Dual cover tree -----------------------------------------------------
-
 func (r *Runner) dtreeAbove(ds *dataset, level int) Measurement {
-	start := time.Now()
-	dual := covertree.NewDual(ds.q, ds.p, covertree.DefaultBase)
-	var n int64
-	st := dual.AboveTheta(ds.thetas[level], discard(&n))
-	return Measurement{
-		Dataset: ds.profile.Name, Problem: problemAbove(level), Method: "D-Tree",
-		Total: time.Since(start), Prep: st.PrepTime,
-		CandPerQ: perQuery(st.Candidates, st.Queries), Results: st.Results,
-	}
+	return standalone(ds, problemAbove(level), "D-Tree", func() baseStats {
+		var n int64
+		return baseStats(covertree.NewDual(ds.q, ds.p, covertree.DefaultBase).AboveTheta(ds.thetas[level], discard(&n)))
+	})
 }
 
 func (r *Runner) dtreeTopK(ds *dataset, k int) Measurement {
-	start := time.Now()
-	dual := covertree.NewDual(ds.q, ds.p, covertree.DefaultBase)
-	_, st := dual.RowTopK(k)
-	return Measurement{
-		Dataset: ds.profile.Name, Problem: problemTopK(k), Method: "D-Tree",
-		Total: time.Since(start), Prep: st.PrepTime,
-		CandPerQ: perQuery(st.Candidates, st.Queries), Results: st.Results,
-	}
+	return standalone(ds, problemTopK(k), "D-Tree", func() baseStats {
+		_, st := covertree.NewDual(ds.q, ds.p, covertree.DefaultBase).RowTopK(k)
+		return baseStats(st)
+	})
 }
 
 // --- LEMP ----------------------------------------------------------------
 
-func (r *Runner) lempAbove(ds *dataset, level int, alg core.Algorithm, opts core.Options) Measurement {
-	start := time.Now()
-	ix, err := core.NewIndex(ds.p, opts)
-	if err != nil {
-		panic(err)
-	}
+func (r *Runner) lempAbove(ds *dataset, level int, v variant, opts core.Options) Measurement {
 	var n int64
-	// The algorithm is a per-call execution policy on the shared options,
-	// exercising the same RunOptions path the serving layer uses.
-	_, st, err := ix.Retrieve(context.Background(), ds.q, core.Problem{Theta: ds.thetas[level]}, discard(&n), core.RunOptions{Algorithm: &alg})
-	if err != nil {
-		panic(err)
-	}
-	return Measurement{
-		Dataset: ds.profile.Name, Problem: problemAbove(level), Method: "LEMP-" + alg.String(),
-		Total: time.Since(start), Prep: st.PrepTime + st.TuneTime,
-		CandPerQ: st.CandidatesPerQuery(), Results: st.Results, NumBuckets: st.Buckets,
-	}
+	return r.lemp(ds, core.Problem{Theta: ds.thetas[level]}, problemAbove(level), discard(&n), v, opts)
 }
 
-func (r *Runner) lempTopK(ds *dataset, k int, alg core.Algorithm, opts core.Options) Measurement {
+func (r *Runner) lempTopK(ds *dataset, k int, v variant, opts core.Options) Measurement {
+	return r.lemp(ds, core.Problem{K: k}, problemTopK(k), nil, v, opts)
+}
+
+// lemp measures variant v on one problem. The variant is a per-call
+// execution policy on the shared options, exercising the same RunOptions
+// path the serving layer uses.
+func (r *Runner) lemp(ds *dataset, prob core.Problem, label string, sink retrieval.Sink, v variant, opts core.Options) Measurement {
 	start := time.Now()
 	ix, err := core.NewIndex(ds.p, opts)
 	if err != nil {
 		panic(err)
 	}
-	_, st, err := ix.Retrieve(context.Background(), ds.q, core.Problem{K: k}, nil, core.RunOptions{Algorithm: &alg})
+	_, st, err := ix.Retrieve(context.Background(), ds.q, prob, sink, v.runOptions(ix, ds.q, prob))
 	if err != nil {
 		panic(err)
 	}
 	return Measurement{
-		Dataset: ds.profile.Name, Problem: problemTopK(k), Method: "LEMP-" + alg.String(),
+		Dataset: ds.profile.Name, Problem: label, Method: "LEMP-" + v.name,
 		Total: time.Since(start), Prep: st.PrepTime + st.TuneTime,
 		CandPerQ: st.CandidatesPerQuery(), Results: st.Results, NumBuckets: st.Buckets,
 	}

@@ -51,8 +51,7 @@ func (o ApproxOptions) withDefaults(m int) ApproxOptions {
 
 // RetrieveApprox returns an approximate Row-Top-k answer: per query, k probe
 // entries whose values are exact inner products, but which may miss some
-// true top-k members (the only approximate retrieval mode besides the BLSH
-// bucket algorithm, and the only one that can miss by design). It is a
+// true top-k members (the library's only approximate retrieval mode). It is a
 // composite around the executor, not a mode inside it: k-means, one
 // centroid job, an exact re-rank. The context is honored between the
 // clustering phase and the centroid retrieval, throughout the centroid job,

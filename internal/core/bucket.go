@@ -5,9 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"lemp/internal/covertree"
-	"lemp/internal/l2ap"
-	"lemp/internal/lsh"
 	"lemp/internal/matrix"
 	"lemp/internal/quant"
 	"lemp/internal/vecmath"
@@ -23,30 +20,10 @@ type bucket struct {
 	dirs []float64 // normalized vectors, contiguous (size() × r)
 	lb   float64   // length of the longest vector
 
-	// Sorted-list index for COORD/INCR/TA, built lazily on first use. An
+	// Sorted-list index for COORD/INCR, built lazily on first use. An
 	// atomic pointer because State reads it beside retrievals that build it.
 	listsOnce sync.Once
 	lists     atomic.Pointer[sortedLists]
-
-	// Cover tree over the bucket's raw vectors, for AlgTree.
-	treeOnce sync.Once
-	tree     *covertree.Tree
-
-	// L2AP index, for AlgL2AP. Guarded by a mutex rather than a Once
-	// because it must be rebuilt when a run needs a smaller index-time
-	// threshold than it was built with.
-	l2mu sync.Mutex
-	l2   *l2ap.Index
-
-	// BLSH signatures of the normalized vectors, for AlgBLSH.
-	sigsOnce sync.Once
-	sigs     []uint64
-
-	// hasIndex is set once any lazy index above exists. The indexes
-	// themselves are read only behind their Once or mutex; this flag is
-	// what indexed() reads, so counting a run's indexed buckets never
-	// races with another panel worker building one.
-	hasIndex atomic.Bool
 
 	// delta marks a bucket outside the base segment, a run's (delta.go):
 	// BucketInfo.Delta reports it, and pretuneDelta fits the ones the
@@ -60,9 +37,8 @@ type bucket struct {
 	// retrieval verifies never carries one — except under Options.Quantize,
 	// where attachSidecars builds it before the bucket is published. An
 	// atomic pointer because SidecarBytes and Buckets read it beside
-	// retrievals that build it. Derived state like the lists, but it does
-	// not set hasIndex: Stats.IndexedBuckets counts the candidate-generation
-	// indexes.
+	// retrievals that build it. Derived state like the lists, but
+	// Stats.IndexedBuckets counts only the lists.
 	q8Once sync.Once
 	q8     atomic.Pointer[quant.Rows]
 }
@@ -84,7 +60,6 @@ func (b *bucket) ensureLists(workers int) *sortedLists {
 		if b.lists.Load() == nil {
 			b.lists.Store(buildLists(b, workers))
 		}
-		b.hasIndex.Store(true)
 	})
 	return b.lists.Load()
 }
@@ -97,47 +72,8 @@ func (b *bucket) ensureSidecar() *quant.Rows {
 	return b.q8.Load()
 }
 
-// ensureTree builds the per-bucket cover tree over the raw (un-normalized)
-// vectors on first use.
-func (b *bucket) ensureTree() *covertree.Tree {
-	b.treeOnce.Do(func() {
-		pts := matrix.New(b.r, b.size())
-		for lid := 0; lid < b.size(); lid++ {
-			vecmath.Scale(pts.Vec(lid), b.dir(lid), b.lens[lid])
-		}
-		b.tree = covertree.Build(pts, covertree.DefaultBase)
-		b.hasIndex.Store(true)
-	})
-	return b.tree
-}
-
-// ensureL2AP returns an L2AP index valid for query thresholds ≥ t0,
-// (re)building when the existing index was built with a larger bound.
-func (b *bucket) ensureL2AP(t0 float64) *l2ap.Index {
-	b.l2mu.Lock()
-	defer b.l2mu.Unlock()
-	if b.l2 == nil || b.l2.T0() > t0 {
-		b.l2 = l2ap.Build(b.dir, b.size(), b.r, t0)
-		b.hasIndex.Store(true)
-	}
-	return b.l2
-}
-
-// ensureSigs computes the BLSH signatures of the bucket's directions.
-func (b *bucket) ensureSigs(h *lsh.Hasher) []uint64 {
-	b.sigsOnce.Do(func() {
-		sigs := make([]uint64, b.size())
-		for lid := range sigs {
-			sigs[lid] = h.Signature(b.dir(lid))
-		}
-		b.sigs = sigs
-		b.hasIndex.Store(true)
-	})
-	return b.sigs
-}
-
-// indexed reports whether any lazy index has been built (for Stats).
-func (b *bucket) indexed() bool { return b.hasIndex.Load() }
+// indexed reports whether the sorted lists exist (for Stats).
+func (b *bucket) indexed() bool { return b.lists.Load() != nil }
 
 // lengthPrefix returns the number of leading vectors with length ≥ minLen
 // (the LENGTH scan boundary: lens is sorted decreasingly).

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"lemp/internal/matrix"
@@ -187,9 +188,6 @@ func TestAboveThetaMatchesNaiveAllAlgorithms(t *testing.T) {
 					t.Fatalf("oracle returned %d entries, want %d", len(want), lvl)
 				}
 				for _, alg := range Algorithms() {
-					if !alg.Exact() {
-						continue // BLSH is probabilistic; tested separately
-					}
 					ix, err := NewIndex(inst.p, testOptions(alg))
 					if err != nil {
 						t.Fatalf("NewIndex(%v): %v", alg, err)
@@ -232,9 +230,6 @@ func TestRowTopKMatchesNaiveAllAlgorithms(t *testing.T) {
 			for _, k := range []int{1, 3, 10, inst.p.N() + 5} {
 				want, _ := naive.RowTopK(inst.q, inst.p, k)
 				for _, alg := range Algorithms() {
-					if !alg.Exact() {
-						continue
-					}
 					ix, err := NewIndex(inst.p, testOptions(alg))
 					if err != nil {
 						t.Fatalf("NewIndex(%v): %v", alg, err)
@@ -279,40 +274,6 @@ func compareTopK(t *testing.T, label string, q, p *matrix.Matrix, got, want retr
 				t.Fatalf("%s row %d: reported %g, actual product %g", label, i, e.Value, actual)
 			}
 		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// BLSH: approximate, but one-sided
-// ---------------------------------------------------------------------------
-
-func TestBLSHSubsetAndRecall(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	q := genMatrix(rng, 80, 12, 0.8, 1, false, 0, 0)
-	p := genMatrix(rng, 400, 12, 0.8, 1, false, 0, 0)
-	theta, _ := safeTheta(t, q, p, 400)
-	var want []retrieval.Entry
-	naive.AboveTheta(q, p, theta, retrieval.Collect(&want))
-
-	ix, err := NewIndex(p, testOptions(AlgBLSH))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := collectAbove(t, ix, q, theta)
-
-	type pair struct{ q, p int }
-	truth := make(map[pair]bool, len(want))
-	for _, e := range want {
-		truth[pair{e.Query, e.Probe}] = true
-	}
-	for _, e := range got {
-		if !truth[pair{e.Query, e.Probe}] {
-			t.Fatalf("BLSH returned false positive (%d,%d)=%g with θ=%g", e.Query, e.Probe, e.Value, theta)
-		}
-	}
-	recall := float64(len(got)) / float64(len(want))
-	if recall < 0.85 { // ε=0.03 per candidate; 0.85 leaves slack for variance
-		t.Errorf("BLSH recall %.3f too low (%d/%d)", recall, len(got), len(want))
 	}
 }
 
@@ -385,8 +346,13 @@ func TestInvalidArguments(t *testing.T) {
 	if _, err := NewIndex(p, Options{ShrinkFactor: 2}); err == nil {
 		t.Error("ShrinkFactor=2 accepted")
 	}
-	if _, err := NewIndex(p, Options{Algorithm: Algorithm(99)}); err == nil {
-		t.Error("unknown algorithm accepted")
+	for _, a := range []Algorithm{Algorithm(5), Algorithm(8), Algorithm(99)} {
+		if _, err := NewIndex(p, Options{Algorithm: a}); err == nil {
+			t.Errorf("unknown algorithm %d accepted", int(a))
+		}
+	}
+	if _, err := ParseAlgorithm("TA"); err == nil || !strings.Contains(err.Error(), "lemp-bench -experiment fig7ab|fig7cf|table5|table6") {
+		t.Errorf("ParseAlgorithm(TA) = %v, want the lemp-bench pointer", err)
 	}
 }
 

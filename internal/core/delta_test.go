@@ -183,11 +183,8 @@ func checkEqual(t *testing.T, tag string, mutated, fresh *Index, q *matrix.Matri
 	}
 }
 
-// diffAlgorithms are the exact bucket algorithms the harness cycles
-// through. BLSH is excluded by design: its pruning decisions depend on
-// per-bucket thresholds, so a differently bucketized (mutated) index may
-// legitimately miss different entries.
-var diffAlgorithms = []Algorithm{AlgLI, AlgL, AlgC, AlgI, AlgLC, AlgTA, AlgTree, AlgL2AP}
+// diffAlgorithms are the bucket algorithms the harness cycles through.
+var diffAlgorithms = []Algorithm{AlgLI, AlgL, AlgC, AlgI, AlgLC}
 
 // TestDifferentialMutations is the acceptance harness: ≥1000 randomized
 // mutation/query sequences, each asserting exact equality between the

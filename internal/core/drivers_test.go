@@ -74,9 +74,6 @@ func TestRowTopKAllNegativeProducts(t *testing.T) {
 	p := genMatrix(rng, 150, 7, 0.8, 1, true, 0, 0)
 	want, _ := naive.RowTopK(q, p, 4)
 	for _, alg := range Algorithms() {
-		if !alg.Exact() {
-			continue
-		}
 		ix, _ := NewIndex(p, testOptions(alg))
 		got, st, err := rowTopK(ix, q, 4)
 		if err != nil {
@@ -86,39 +83,6 @@ func TestRowTopKAllNegativeProducts(t *testing.T) {
 		if st.PrunedPairs != 0 {
 			t.Errorf("%v pruned %d pairs despite negative thresholds", alg, st.PrunedPairs)
 		}
-	}
-}
-
-// BLSH in Row-Top-k mode: the returned values must still be exact products
-// of real probes (only membership is approximate).
-func TestBLSHRowTopKValuesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(124))
-	q := genMatrix(rng, 40, 10, 0.8, 1, false, 0, 0)
-	p := genMatrix(rng, 300, 10, 0.8, 1, false, 0, 0)
-	ix, _ := NewIndex(p, testOptions(AlgBLSH))
-	got, _, err := rowTopK(ix, q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, _ := naive.RowTopK(q, p, 5)
-	var sumExact, sumGot float64
-	for i, row := range got {
-		if len(row) != 5 {
-			t.Fatalf("row %d has %d entries", i, len(row))
-		}
-		for j, e := range row {
-			want := q.Product(p, i, e.Probe)
-			if math.Abs(e.Value-want) > 1e-9*(1+math.Abs(want)) {
-				t.Fatalf("row %d: value %g is not the product %g", i, e.Value, want)
-			}
-			sumGot += e.Value
-			sumExact += exact[i][j].Value
-		}
-	}
-	// Aggregate quality: the approximate top-k mass should be close to
-	// the exact mass (ε = 0.03 per candidate).
-	if sumGot < 0.9*sumExact {
-		t.Errorf("BLSH top-k mass %.3f far below exact %.3f", sumGot, sumExact)
 	}
 }
 
@@ -144,34 +108,6 @@ func TestIndexReuseAcrossCalls(t *testing.T) {
 	again, _ := collectAbove(t, ix, q, theta)
 	if !retrieval.EqualSets(first, again) {
 		t.Fatal("Above-θ results changed after a Row-Top-k call")
-	}
-}
-
-// The L2AP bucket index must transparently rebuild when a later run needs a
-// smaller index-time threshold.
-func TestL2APIndexRebuildOnSmallerThreshold(t *testing.T) {
-	rng := rand.New(rand.NewSource(126))
-	q := genMatrix(rng, 40, 8, 0.8, 1, false, 0, 0)
-	p := genMatrix(rng, 250, 8, 0.8, 1, false, 0, 0)
-	thetaHigh, _ := safeTheta(t, q, p, 20)
-	thetaLow, _ := safeTheta(t, q, p, 600)
-	if thetaLow >= thetaHigh {
-		t.Skip("levels collapsed")
-	}
-	ix, _ := NewIndex(p, testOptions(AlgL2AP))
-	// High threshold first: the index is built with a large t0.
-	var wantHigh, wantLow []retrieval.Entry
-	naive.AboveTheta(q, p, thetaHigh, retrieval.Collect(&wantHigh))
-	naive.AboveTheta(q, p, thetaLow, retrieval.Collect(&wantLow))
-	gotHigh, _ := collectAbove(t, ix, q, thetaHigh)
-	if !retrieval.EqualSets(gotHigh, wantHigh) {
-		t.Fatalf("high-θ run: %d vs %d", len(gotHigh), len(wantHigh))
-	}
-	// Low threshold afterwards: without the rebuild this would lose
-	// entries hidden in un-indexed prefixes.
-	gotLow, _ := collectAbove(t, ix, q, thetaLow)
-	if !retrieval.EqualSets(gotLow, wantLow) {
-		t.Fatalf("low-θ run after high-θ run: %d vs %d", len(gotLow), len(wantLow))
 	}
 }
 

@@ -63,6 +63,7 @@ type Job struct {
 	prob  Problem
 	opts  Options
 	cache *TuningCache
+	gen   CandidateGen
 
 	// approx lets int8-screen survivors keep their approximate dot instead
 	// of falling through to the exact kernels. Only RetrieveApprox sets it,
@@ -86,7 +87,7 @@ func (ix *Index) NewJob(p Problem, ro RunOptions) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Job{ix: ix, prob: p, opts: opts, cache: ro.Cache}, nil
+	return &Job{ix: ix, prob: p, opts: opts, cache: ro.Cache, gen: ro.Gen}, nil
 }
 
 // Retrieve answers one problem for one query matrix: NewJob plus one run
@@ -156,7 +157,7 @@ func (j *Job) run(ctx context.Context, q *matrix.Matrix, sink retrieval.Sink, wo
 		return nil, fmt.Errorf("core: Row-Top-k returns rows and takes a nil sink, Above-θ needs one (k=%d, sink set: %v)", p.K, sink != nil)
 	}
 	c := newCall(ctx, j.opts, j.cache)
-	c.approx = j.approx
+	c.approx, c.gen = j.approx, j.gen
 	*st = Stats{Queries: q.N(), Buckets: len(ix.scan), PrepTime: ix.prepTime}
 	var out retrieval.TopK
 	if p.K > 0 {

@@ -35,9 +35,6 @@ func FuzzAboveThetaEquivalence(f *testing.F) {
 		var want []retrieval.Entry
 		naive.AboveTheta(q, p, theta, retrieval.Collect(&want))
 		for _, alg := range Algorithms() {
-			if !alg.Exact() {
-				continue
-			}
 			ix, err := NewIndex(p, testOptions(alg))
 			if err != nil {
 				t.Fatalf("NewIndex(%v): %v", alg, err)
@@ -69,9 +66,6 @@ func FuzzRowTopKEquivalence(f *testing.F) {
 		p := genMatrix(rng, n, r, 1.1, 1, false, 1, 2)
 		want, _ := naive.RowTopK(q, p, k)
 		for _, alg := range Algorithms() {
-			if !alg.Exact() {
-				continue
-			}
 			ix, err := NewIndex(p, testOptions(alg))
 			if err != nil {
 				t.Fatalf("NewIndex(%v): %v", alg, err)

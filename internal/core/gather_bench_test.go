@@ -55,33 +55,6 @@ func BenchmarkGatherIncr(b *testing.B) {
 	}
 }
 
-func BenchmarkGatherBucketTA(b *testing.B) {
-	bk, qdir, s := benchBucket(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runBucketTA(bk, qdir, 0.7, s)
-	}
-}
-
-func BenchmarkGatherBucketTree(b *testing.B) {
-	bk, qdir, s := benchBucket(b)
-	bk.ensureTree()
-	theta := 0.7 * bk.lb
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runBucketTree(bk, qdir, 1, theta, s)
-	}
-}
-
-func BenchmarkGatherL2AP(b *testing.B) {
-	bk, qdir, s := benchBucket(b)
-	bk.ensureL2AP(0.7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runBucketL2AP(bk, qdir, 0.7, 0.7, s)
-	}
-}
-
 func BenchmarkVerification(b *testing.B) {
 	bk, qdir, s := benchBucket(b)
 	runLength(bk, bk.lens[bk.size()/2], 1, s) // ~512 candidates

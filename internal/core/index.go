@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"lemp/internal/lsh"
 	"lemp/internal/matrix"
 	"lemp/internal/quant"
 )
@@ -77,14 +75,11 @@ type Index struct {
 	tuneProb   Problem
 	tuneSample *matrix.Matrix
 
-	// State behind pointers that an index and all its copy-on-write
-	// relatives share (shallowClone copies the struct): the lazily created
-	// BLSH hyperplanes and posterior table, a function of the options alone,
-	// and the pool that recycles per-worker scratch space across retrieval
-	// calls (see getScratch), so a read after an update finds warm scratch.
-	// Stale sizings are rejected at Get time, so the pool needs no explicit
-	// invalidation when the bucket layout changes.
-	lsh         *lshState
+	// The pool that recycles per-worker scratch space across retrieval calls
+	// (see getScratch), shared by an index and all its copy-on-write
+	// relatives (shallowClone copies the pointer), so a read after an update
+	// finds warm scratch. Stale sizings are rejected at Get time, so the pool
+	// needs no explicit invalidation when the bucket layout changes.
 	scratchPool *sync.Pool
 }
 
@@ -124,7 +119,7 @@ func NewIndexWithIDs(p *matrix.Matrix, ids []int32, opts Options) (*Index, error
 		}
 	}
 	start := time.Now()
-	ix := &Index{opts: opts, r: p.R(), id: indexSeq.Add(1), lsh: new(lshState), scratchPool: new(sync.Pool),
+	ix := &Index{opts: opts, r: p.R(), id: indexSeq.Add(1), scratchPool: new(sync.Pool),
 		autoScreen: !opts.Quantize && quant.Accelerated(p.R())}
 	ix.setBase(ix.newSegment(p, ids))
 	ix.prepTime = time.Since(start)
@@ -155,7 +150,7 @@ type BucketInfo struct {
 	Size      int
 	MaxLength float64 // l_b, the length of the longest vector
 	MinLength float64
-	Indexed   bool    // a sorted-list/tree/L2AP/signature index exists
+	Indexed   bool    // the sorted lists exist
 	Sidecar   bool    // an int8 sidecar exists: built eagerly (Options.Quantize) or by a screened pair
 	Tuned     bool    // the frozen fit holds t_b and φ_b for this bucket
 	TB        float64 // switch threshold: LENGTH below, coordinate method above
@@ -190,45 +185,9 @@ func (ix *Index) PrepTime() time.Duration { return ix.prepTime }
 // Options returns the effective (defaulted) options.
 func (ix *Index) Options() Options { return ix.opts }
 
-// BLSH runs at the paper's settings: 32-bit signatures and a 3 %
-// false-negative rate.
-const (
-	blshBits    = 32
-	blshEpsilon = 0.03
-)
-
-type lshState struct {
-	once   sync.Once
-	hasher *lsh.Hasher
-	table  *lsh.Table
-}
-
-// ensureLSH lazily creates the shared BLSH hyperplanes and posterior table.
-func (ix *Index) ensureLSH() (*lsh.Hasher, *lsh.Table) {
-	l := ix.lsh
-	l.once.Do(func() {
-		rng := rand.New(rand.NewSource(ix.opts.Seed))
-		l.hasher = lsh.NewHasher(ix.r, blshBits, rng)
-		l.table = lsh.NewTable(blshBits, blshEpsilon)
-	})
-	return l.hasher, l.table
-}
-
 // defaultPhi is the focus-set size used under options o before tuning has
 // produced a per-bucket φ_b.
-func (ix *Index) defaultPhi(o Options) int {
-	phi := 3
-	if o.MaxPhi < phi {
-		phi = o.MaxPhi
-	}
-	if ix.r < phi {
-		phi = ix.r
-	}
-	if phi < 1 {
-		phi = 1
-	}
-	return phi
-}
+func (ix *Index) defaultPhi(o Options) int { return max(1, min(3, o.MaxPhi, ix.r)) }
 
 // resolve maps the call's effective algorithm to the concrete method for
 // one (scan bucket bi, θ_b) pair: mixed algorithms switch on the tuned t_b,
@@ -280,29 +239,33 @@ func (ix *Index) resolve(c *call, bi int, thetaB float64) (Algorithm, int) {
 // at retrieval time they are almost always pruned or barely scanned).
 const defaultTB = 0.9
 
-// gather runs the resolved bucket algorithm for one (query, bucket) pair,
-// leaving the candidate local ids in s.cand. qi is the query's index in the
+// gather leaves the candidates of one (query, scan bucket bi) pair in
+// s.cand: the call's generator's (RunOptions.Gen) when it has one, otherwise
+// those of the bucket method resolve picks. qi is the query's index in the
 // sorted query set, qdir its unit direction, qlen its length (1 for
-// Row-Top-k), theta the global threshold (-Inf while a Row-Top-k heap is
-// not yet full), thetaB the local threshold, and l2T0 the index-time lower
-// bound for L2AP.
-func (ix *Index) gather(b *bucket, alg Algorithm, phi int, qi int32, qdir []float64, qlen, theta, thetaB, l2T0 float64, s *scratch) {
-	switch alg {
+// Row-Top-k), theta the global threshold (-Inf while a Row-Top-k heap is not
+// yet full) and thetaB the local one.
+func (ix *Index) gather(c *call, bi int, qi int32, qdir []float64, qlen, theta, thetaB float64, s *scratch) {
+	b := ix.scan[bi]
+	if c.gen != nil {
+		if s.gen == nil {
+			s.gen = c.gen.Worker()
+		}
+		lids, prefix := s.gen(Bucket{b}, Pair{QI: qi, Dir: qdir, Len: qlen, Theta: theta, ThetaB: thetaB}, s.cand[:0])
+		if prefix > 0 {
+			s.setPrefix(prefix)
+		} else {
+			s.cand, s.prefix = lids, false
+		}
+		return
+	}
+	switch alg, phi := ix.resolve(c, bi, thetaB); alg {
 	case AlgL:
 		runLength(b, theta, qlen, s)
 	case AlgC:
 		runCoord(b, qdir, thetaB, phi, s)
 	case AlgI:
 		runIncr(b, qdir, qlen, theta, thetaB, phi, s)
-	case AlgTA:
-		runBucketTA(b, qdir, thetaB, s)
-	case AlgTree:
-		runBucketTree(b, qdir, qlen, theta, s)
-	case AlgL2AP:
-		runBucketL2AP(b, qdir, thetaB, l2T0, s)
-	case AlgBLSH:
-		h, tbl := ix.ensureLSH()
-		runBucketBLSH(b, h, tbl, qi, qdir, qlen, theta, thetaB, s)
 	default:
 		panic(fmt.Sprintf("core: unresolved algorithm %v", alg))
 	}

@@ -1,9 +1,10 @@
 // Package core implements the LEMP framework of the paper: bucketization of
 // the probe vectors by length (§3), one retrieval executor over the Above-θ
 // and Row-Top-k tile kernels (§3.2, §4.5; executor.go, scan.go), the
-// bucket-level retrieval algorithms LENGTH, COORD and INCR (§4.1–4.3), sample-based algorithm selection (§4.4), and the
-// adapters that run TA, cover trees, L2AP and BayesLSH-Lite as bucket
-// algorithms (§5, §6.3).
+// bucket-level retrieval algorithms LENGTH, COORD and INCR (§4.1–4.3) and
+// sample-based algorithm selection (§4.4). Other candidate generators — the
+// TA, cover-tree, L2AP and BayesLSH-Lite baselines of §6.3, which live in
+// internal/bench — plug into the same scan through RunOptions.Gen (gen.go).
 package core
 
 import (
@@ -29,28 +30,14 @@ const (
 	AlgI
 	// AlgLC mixes LENGTH and COORD via the tuned t_b.
 	AlgLC
-	// AlgTA runs the threshold algorithm inside each bucket.
-	AlgTA
-	// AlgTree runs a lazily built cover tree inside each bucket.
-	AlgTree
-	// AlgL2AP runs an L2AP index inside each bucket.
-	AlgL2AP
-	// AlgBLSH prunes length-qualified candidates with BayesLSH-Lite
-	// signatures. It is the only approximate method: results may miss a
-	// true entry with probability ε per candidate.
-	AlgBLSH
 )
 
 var algorithmNames = map[Algorithm]string{
-	AlgLI:   "LI",
-	AlgL:    "L",
-	AlgC:    "C",
-	AlgI:    "I",
-	AlgLC:   "LC",
-	AlgTA:   "TA",
-	AlgTree: "Tree",
-	AlgL2AP: "L2AP",
-	AlgBLSH: "BLSH",
+	AlgLI: "LI",
+	AlgL:  "L",
+	AlgC:  "C",
+	AlgI:  "I",
+	AlgLC: "LC",
 }
 
 // String returns the paper's LEMP-X suffix for the algorithm.
@@ -63,38 +50,24 @@ func (a Algorithm) String() string {
 
 // Algorithms lists all bucket algorithms in a stable presentation order.
 func Algorithms() []Algorithm {
-	return []Algorithm{AlgL, AlgLI, AlgLC, AlgI, AlgC, AlgTA, AlgTree, AlgL2AP, AlgBLSH}
+	return []Algorithm{AlgL, AlgLI, AlgLC, AlgI, AlgC}
 }
 
 // ParseAlgorithm resolves a (case-insensitive) LEMP-X suffix such as "LI"
-// or "l2ap".
+// or "lc".
 func ParseAlgorithm(s string) (Algorithm, error) {
 	for a, name := range algorithmNames {
 		if strings.EqualFold(s, name) {
 			return a, nil
 		}
 	}
-	return 0, fmt.Errorf("core: unknown algorithm %q", s)
+	return 0, fmt.Errorf("core: unknown algorithm %q: the bucket algorithms are L, LI, LC, I and C; the paper's TA, Tree, L2AP and BLSH baselines run only under lemp-bench -experiment fig7ab|fig7cf|table5|table6", s)
 }
-
-// Exact reports whether the algorithm guarantees exact results. Everything
-// except BLSH is exact.
-func (a Algorithm) Exact() bool { return a != AlgBLSH }
 
 // Valid reports whether a names a known bucket algorithm.
 func (a Algorithm) Valid() bool {
 	_, ok := algorithmNames[a]
 	return ok
-}
-
-// needsPhi reports whether the algorithm scans sorted lists and therefore
-// uses the focus-set size φ.
-func (a Algorithm) needsPhi() bool {
-	switch a {
-	case AlgC, AlgI, AlgLC, AlgLI:
-		return true
-	}
-	return false
 }
 
 // needsTB reports whether the algorithm switches between LENGTH and
@@ -131,7 +104,8 @@ type Options struct {
 	// Parallelism fans the retrieval phase out over this many goroutines
 	// (default 1, matching the paper's single-threaded measurements).
 	Parallelism int
-	// Seed drives the BLSH hyperplanes (default 1).
+	// Seed seeds the serving layer's cluster placement (default 1); the
+	// index itself draws nothing at random.
 	Seed int64
 	// Quantize makes the int8 screen (internal/quant: a cheap approximate
 	// dot plus a conservative error bound that discards verification
@@ -160,10 +134,7 @@ type Options struct {
 // hasTunableParams reports whether the options' algorithm has per-bucket
 // parameters for the sample-based selection of §4.4 to fit.
 func (o Options) hasTunableParams() bool {
-	if o.Algorithm.needsTB() {
-		return true
-	}
-	return o.Algorithm.needsPhi() && o.Phi == 0
+	return o.Algorithm.needsTB() || o.Algorithm != AlgL && o.Phi == 0
 }
 
 // withDefaults returns a copy with zero fields replaced by defaults.

@@ -11,7 +11,8 @@ import (
 // (bucketization, cache sizing, the id space); RunOptions carries the few
 // knobs that are legitimately per-query-batch decisions — which bucket
 // algorithm to run, how many goroutines to fan out over, and whether fitted
-// tuning parameters may be reused across calls — so a serving system can
+// tuning parameters may be reused across calls, and the candidate generator
+// an experiment substitutes for the bucket methods — so a serving system can
 // hold one index and vary execution policy request by request.
 
 // RunOptions are per-call overrides of an Index's build-time Options plus
@@ -29,6 +30,10 @@ type RunOptions struct {
 	// version, eliminating the per-call sample-tuning cost that dominates
 	// small serving batches. See TuningCache.
 	Cache *TuningCache
+	// Gen, when non-nil, generates every pair's candidates in place of the
+	// bucket algorithm (gen.go); the call then runs no tuning pass and
+	// ignores Algorithm, Phi and any fit.
+	Gen CandidateGen
 }
 
 // effOptions resolves the per-call effective options: the index's defaults
@@ -59,6 +64,7 @@ type call struct {
 	opts   Options
 	cache  *TuningCache
 	fit    []tunedParam    // aligned with ix.scan; nil = defaults
+	gen    CandidateGen    // RunOptions.Gen; nil runs the bucket algorithms
 	approx bool            // Job.approx: screen survivors keep approximate dots
 	done   <-chan struct{} // ctx.Done(); nil for context.Background()
 	err    func() error    // ctx.Err

@@ -141,7 +141,7 @@ func TestCancelMidRetrievalParallel(t *testing.T) {
 
 func TestRunOptionsAlgorithmOverride(t *testing.T) {
 	ix, q := cancelFixture(t)
-	for _, alg := range []Algorithm{AlgL, AlgTA, AlgL2AP} {
+	for _, alg := range []Algorithm{AlgL, AlgC, AlgLC} {
 		alg := alg
 		got, _, err := ix.Retrieve(context.Background(), q, Problem{K: 5}, nil, RunOptions{Algorithm: &alg})
 		if err != nil {
@@ -458,7 +458,6 @@ func TestCanceledTuningWhileFitting(t *testing.T) {
 		close(held)
 		<-release
 		second.lists.Store(buildLists(second, 1))
-		second.hasIndex.Store(true)
 	})
 	<-held
 

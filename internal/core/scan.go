@@ -5,7 +5,6 @@ import (
 
 	"lemp/internal/retrieval"
 	"lemp/internal/topk"
-	"lemp/internal/vecmath"
 )
 
 // The two tile kernels under the executor (executor.go). Both run §3.2's
@@ -59,8 +58,8 @@ func (ix *Index) verifyCands(bi int, s *scratch, qi int32, qdir []float64, qlen,
 }
 
 // aboveWorker is the Above-θ kernel for sorted queries [lo, hi), one
-// scratch tile: what a query needs in every bucket it meets (quantized
-// codes, BLSH signature) is derived once and kept per row. A query whose
+// scratch tile: what a query needs in every bucket it meets (its quantized
+// codes) is derived once and kept per row. A query whose
 // local threshold exceeds 1 ends the inner loop — every later query is
 // shorter — and a bucket whose longest query is pruned ends the run — every
 // later bucket is shorter too. The loop carries the bucket position bi, so
@@ -71,10 +70,6 @@ func (ix *Index) aboveWorker(c *call, qs *querySet, lo, hi int, theta float64, s
 	for bi, b := range ix.scan {
 		// θ_b(q) = θ/(‖q‖·l_b); for l_b = 0 this is +Inf and the
 		// bucket (zero vectors only) is pruned for every query.
-		var l2T0 float64
-		if c.opts.Algorithm == AlgL2AP && qs.n() > 0 && b.lb > 0 && qs.lens[0] > 0 {
-			l2T0 = vecmath.Clamp(theta/(qs.lens[0]*b.lb), 0, 1)
-		}
 		processed := int64(0)
 		for qi := lo; qi < hi; qi++ {
 			if c.canceled() {
@@ -90,8 +85,7 @@ func (ix *Index) aboveWorker(c *call, qs *querySet, lo, hi int, theta float64, s
 			}
 			processed++
 			qdir, origID := qs.dir(qi), int(qs.ids[qi])
-			alg, phi := ix.resolve(c, bi, thetaB)
-			ix.gather(b, alg, phi, int32(qi), qdir, qlen, theta, thetaB, l2T0, s)
+			ix.gather(c, bi, int32(qi), qdir, qlen, theta, thetaB, s)
 			ix.verifyCands(bi, s, int32(qi), qdir, qlen, theta, false, st)
 			// Each emitted value is (q̄ᵀp̄)·‖q‖·‖p‖, always multiplied in
 			// that order.
@@ -191,8 +185,7 @@ func (ix *Index) topkTile(c *call, qs *querySet, lo, hi, kk int, s *scratch, out
 			keep = append(keep, t)
 			st.ProcessedPairs++
 			qdir := qs.dir(qi)
-			alg, phi := ix.resolve(c, bi, thetaB)
-			ix.gather(b, alg, phi, int32(qi), qdir, 1, theta, thetaB, 0, s)
+			ix.gather(c, bi, int32(qi), qdir, 1, theta, thetaB, s)
 			// theta is -Inf until the heap fills, so nothing screens before
 			// the seed; Push drops values ≤ the floor, so the screen's
 			// strict < is byte-safe. v = (q̄ᵀp̄)·‖p‖.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"lemp/internal/l2ap"
-	"lemp/internal/lsh"
 	"lemp/internal/quant"
 	"lemp/internal/topk"
 )
@@ -18,9 +16,6 @@ type scratch struct {
 	cp    []int32   // COORD counters
 	cpdot []float64 // INCR partial inner products q̄_Fᵀp̄_F
 	cpsq  []float64 // INCR partial squared norms ‖p̄_F‖²
-
-	taSeen []int32      // bucket-TA seen stamps (its own array: no collisions)
-	taHeap []taFrontier // bucket-TA frontier heap storage, reused per call
 
 	cand []int32   // candidate local ids of the current (query, bucket) pair
 	vals []float64 // blocked-verification dot products, parallel to cand
@@ -46,22 +41,22 @@ type scratch struct {
 	rangeStart []int
 	rangeEnd   []int
 
-	taMark int32 // current TA stamp
-
-	l2 *l2ap.Scratch
+	// The call's candidate generator as this worker runs it (RunOptions.Gen),
+	// made on the worker's first pair and dropped when the scratch returns
+	// to the pool.
+	gen GenFunc
 
 	// Per-tile query state. Both retrieval loops are bucket-outer /
 	// query-inner, so whatever is derived from a query alone must be kept
 	// for every query of the worker's tile, not for the last one seen: row
-	// t belongs to sorted query tileLo+t. The quantized codes and the BLSH
-	// signature fill lazily on a row's first use (tileHave records which),
-	// so each is computed once per query per call; the arrays grow to the
-	// largest tile the scratch has served and are pooled with it.
+	// t belongs to sorted query tileLo+t. The quantized codes fill lazily on
+	// a row's first use (tileHave records it), so they are computed once per
+	// query per call; the arrays grow to the largest tile the scratch has
+	// served and are pooled with it.
 	tileLo    int32
-	tileHave  []uint8       // one per tile row: haveQ8 | q8OK | haveSig
+	tileHave  []uint8       // one per tile row: haveQ8 | q8OK
 	tileQ8    []quant.Query // quantized queries; Codes alias tileCodes
 	tileCodes []int8        // tile rows × r
-	tileSigs  []uint64      // BLSH query signatures
 
 	// Row-Top-k tile state (topkTile): one bounded heap per tile row and
 	// the rows whose running threshold has not yet pruned the rest of the
@@ -78,27 +73,16 @@ type scratch struct {
 	r         int
 }
 
-// taFrontier is one active sorted list of the bucket-TA scan: its current
-// position, scan direction, and frontier contribution q̄_f·p̄_f.
-type taFrontier struct {
-	contrib float64
-	f       int32
-	pos     int32
-	dir     int32 // +1 top-down, -1 bottom-up
-}
-
 func newScratch(maxBucket, r int) *scratch {
 	return &scratch{
 		cp:         make([]int32, maxBucket),
 		cpdot:      make([]float64, maxBucket),
 		cpsq:       make([]float64, maxBucket),
-		taSeen:     make([]int32, maxBucket),
 		cand:       make([]int32, 0, maxBucket),
 		focus:      make([]int32, 0, r),
 		focusAbs:   make([]float64, 0, r),
 		rangeStart: make([]int, r),
 		rangeEnd:   make([]int, r),
-		l2:         l2ap.NewScratch(maxBucket, r),
 		maxBucket:  maxBucket,
 		r:          r,
 	}
@@ -127,7 +111,10 @@ func (ix *Index) getScratch() *scratch {
 }
 
 // putScratch returns a scratch to the pool once its worker is done.
-func (ix *Index) putScratch(s *scratch) { ix.scratchPool.Put(s) }
+func (ix *Index) putScratch(s *scratch) {
+	s.gen = nil
+	ix.scratchPool.Put(s)
+}
 
 // resetCands empties the candidate set for a generator that appends lids.
 func (s *scratch) resetCands() {
@@ -172,9 +159,8 @@ func (s *scratch) dropTo(k int) {
 
 // tileHave bits.
 const (
-	haveQ8  uint8 = 1 << iota // quantization of the row was attempted
-	q8OK                      // ... and produced usable codes
-	haveSig                   // the row's BLSH signature is filled
+	haveQ8 uint8 = 1 << iota // quantization of the row was attempted
+	q8OK                     // ... and produced usable codes
 )
 
 // beginTile re-arms the per-tile query caches for sorted queries
@@ -206,20 +192,6 @@ func (s *scratch) quantQuery(qi int32, qdir []float64) (quant.Query, bool) {
 		}
 	}
 	return s.tileQ8[t], s.tileHave[t]&q8OK != 0
-}
-
-// querySig returns the BLSH signature of query qi (sorted index inside the
-// current tile), hashed on first use like quantQuery.
-func (s *scratch) querySig(h *lsh.Hasher, qi int32, qdir []float64) uint64 {
-	t := int(qi - s.tileLo)
-	if s.tileHave[t]&haveSig == 0 {
-		if n := len(s.tileHave); len(s.tileSigs) < n {
-			s.tileSigs = make([]uint64, n)
-		}
-		s.tileHave[t] |= haveSig
-		s.tileSigs[t] = h.Signature(qdir)
-	}
-	return s.tileSigs[t]
 }
 
 // selectFocus fills s.focus with the φ coordinates of q̄ having the largest

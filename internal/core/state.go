@@ -55,9 +55,8 @@ type State struct {
 // BucketState is the serializable state of one probe bucket: the sorted
 // membership (§3.2) and the bucket's entry in the frozen fit of a pretuned
 // index (§4.4; Tuned is false throughout the state of one that is not).
-// Most lazily built per-bucket indexes (trees, L2AP, signatures, int8
-// sidecars) are not part of the state and are rebuilt lazily after a
-// restore; the sorted-list index — the one COORD/INCR/TA rebuild on a
+// The int8 sidecars are not part of the state and are rebuilt lazily after
+// a restore; the sorted-list index — the one COORD/INCR rebuild on a
 // restored server's first batch, dominating post-restore latency — can
 // optionally ride along (ListVals/ListLids, persisted as the snapshot SLST
 // section).
@@ -144,7 +143,7 @@ func FromState(st *State) (*Index, error) {
 		return nil, fmt.Errorf("core: state has no probe matrix")
 	}
 	r, n := st.Probe.R(), st.Probe.N()
-	ix := &Index{opts: opts, r: r, pretuned: st.Pretuned, id: indexSeq.Add(1), lsh: new(lshState), scratchPool: new(sync.Pool),
+	ix := &Index{opts: opts, r: r, pretuned: st.Pretuned, id: indexSeq.Add(1), scratchPool: new(sync.Pool),
 		autoScreen: !opts.Quantize && quant.Accelerated(r)}
 	if st.TuneSample != nil && st.Pretuned {
 		if st.TuneSample.R() != r {
@@ -249,7 +248,6 @@ func FromState(st *State) (*Index, error) {
 				return nil, fmt.Errorf("core: bucket %d sorted lists: %w", i, err)
 			}
 			b.lists.Store(&sortedLists{n: size, vals: bs.ListVals, lids: bs.ListLids})
-			b.hasIndex.Store(true)
 		}
 		buckets[i] = b
 	}

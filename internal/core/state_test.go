@@ -23,9 +23,6 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Fatal("no usable threshold")
 	}
 	for _, alg := range Algorithms() {
-		if !alg.Exact() {
-			continue
-		}
 		ix, err := NewIndex(p, testOptions(alg))
 		if err != nil {
 			t.Fatalf("NewIndex(%v): %v", alg, err)

@@ -45,8 +45,8 @@ type Stats struct {
 	QuantScreened int64
 	QuantSurvived int64
 
-	// IndexedBuckets counts buckets whose sorted-list (or tree, L2AP,
-	// signature) index was actually built — LEMP builds lazily (§4.2).
+	// IndexedBuckets counts buckets whose sorted lists were actually built —
+	// LEMP builds them lazily (§4.2).
 	IndexedBuckets int
 
 	// Tunings counts sample-tuning passes (§4.4) actually executed by the

@@ -71,9 +71,6 @@ func TestStressAllAlgorithmsAboveTheta(t *testing.T) {
 	var want []retrieval.Entry
 	naive.AboveTheta(q, p, theta, retrieval.Collect(&want))
 	for _, alg := range Algorithms() {
-		if !alg.Exact() {
-			continue
-		}
 		ix, err := NewIndex(p, Options{Algorithm: alg})
 		if err != nil {
 			t.Fatal(err)

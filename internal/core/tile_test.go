@@ -114,16 +114,31 @@ func tileFixture(t *testing.T, alg Algorithm, quantize, mutate bool) (*Index, *m
 // for every query, the entries a one-row call gives — Row-Top-k: same
 // probes, same value bits, same order; Above-θ: the same set with the same
 // value bits — and the summed counters of the one-row calls, for every
-// exact algorithm, with and without tombstones + delta buckets, with and
-// without the int8 screen.
+// bucket algorithm and for an L2AP candidate generator (one shared by every
+// call, indexing at t0 = 0, so every cut sees the same candidate sets), with
+// and without tombstones + delta buckets, with and without the int8 screen.
 func TestTopKTilesMatchPerRowLoop(t *testing.T) {
 	ctx := context.Background()
+	type method struct {
+		name string
+		alg  Algorithm
+		gen  func() CandidateGen
+	}
+	var methods []method
 	for _, alg := range diffAlgorithms {
+		methods = append(methods, method{name: alg.String(), alg: alg})
+	}
+	methods = append(methods, method{name: "L2AP", alg: AlgLI, gen: func() CandidateGen { return new(testL2APGen) }})
+	for _, m := range methods {
 		for _, mutate := range []bool{false, true} {
 			for _, quantize := range []bool{false, true} {
-				name := fmt.Sprintf("%v/mutated=%v/quant=%v", alg, mutate, quantize)
+				name := fmt.Sprintf("%s/mutated=%v/quant=%v", m.name, mutate, quantize)
 				t.Run(name, func(t *testing.T) {
-					ix, all := tileFixture(t, alg, quantize, mutate)
+					ix, all := tileFixture(t, m.alg, quantize, mutate)
+					var base RunOptions
+					if m.gen != nil {
+						base.Gen = m.gen()
+					}
 					for _, prob := range []Problem{{K: 7}, {K: ix.LiveN() + 50}, {Theta: 1.5}} {
 						q := all
 						if prob.K > ix.LiveN() { // every row holds every live probe: a few rows suffice
@@ -134,12 +149,7 @@ func TestTopKTilesMatchPerRowLoop(t *testing.T) {
 								return ix.Retrieve(ctx, q, prob, sink, ro)
 							}
 						}
-						// L2AP's lazy bucket index keeps the smallest index-time
-						// threshold any call has asked for, and its candidate
-						// sets depend on it: one whole-matrix call brings it to
-						// the state every cut below then sees.
-						cutAnswer(t, q, prob, q.N(), oneShot(RunOptions{}))
-						want, wantC := cutAnswer(t, q, prob, 1, oneShot(RunOptions{}))
+						want, wantC := cutAnswer(t, q, prob, 1, oneShot(base))
 						if quantize && prob.K != ix.LiveN()+50 && wantC.QuantScreened == 0 {
 							t.Fatalf("%+v: quantized fixture screened nothing", prob)
 						}
@@ -162,7 +172,7 @@ func TestTopKTilesMatchPerRowLoop(t *testing.T) {
 						}
 						check("one-row calls", want, wantC)
 						for _, panelRows := range []int{1, 2, 7, 256} {
-							job, err := ix.NewJob(prob, RunOptions{})
+							job, err := ix.NewJob(prob, base)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -171,9 +181,11 @@ func TestTopKTilesMatchPerRowLoop(t *testing.T) {
 							})
 							check(fmt.Sprintf("panel=%d", panelRows), got, gotC)
 						}
-						got, gotC := cutAnswer(t, q, prob, q.N(), oneShot(RunOptions{}))
+						got, gotC := cutAnswer(t, q, prob, q.N(), oneShot(base))
 						check("serial Retrieve", got, gotC)
-						got, gotC = cutAnswer(t, q, prob, q.N(), oneShot(RunOptions{Parallelism: 4}))
+						par := base
+						par.Parallelism = 4
+						got, gotC = cutAnswer(t, q, prob, q.N(), oneShot(par))
 						check("Retrieve at Parallelism 4", got, gotC)
 					}
 				})

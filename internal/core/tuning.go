@@ -37,7 +37,7 @@ func (ix *Index) needsTuning(o Options) bool {
 // cache) otherwise. Cancellation mid-tune returns the context error and no
 // fit: nothing partial is ever published.
 func (ix *Index) ensureTuned(c *call, qs *querySet, prob Problem, st *Stats) ([]tunedParam, error) {
-	if !ix.needsTuning(c.opts) || ix.LiveN() == 0 || qs.n() == 0 {
+	if c.gen != nil || !ix.needsTuning(c.opts) || ix.LiveN() == 0 || qs.n() == 0 {
 		return ix.frozen, nil
 	}
 	var key tuneCacheKey

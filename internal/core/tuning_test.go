@@ -55,10 +55,8 @@ func TestNeedsTuning(t *testing.T) {
 		{Options{Algorithm: AlgI}, true},
 		{Options{Algorithm: AlgI, Phi: 2}, false}, // φ fixed, no t_b
 		{Options{Algorithm: AlgC, Phi: 1}, false},
-		{Options{Algorithm: AlgTA}, false},
-		{Options{Algorithm: AlgTree}, false},
-		{Options{Algorithm: AlgL2AP}, false},
-		{Options{Algorithm: AlgBLSH}, false},
+		{Options{Algorithm: AlgC}, true},
+		{Options{Algorithm: AlgLC, Phi: 2}, true}, // t_b still tuned
 	}
 	rng := rand.New(rand.NewSource(92))
 	p := genMatrix(rng, 50, 4, 0.5, 1, false, 0, 0)

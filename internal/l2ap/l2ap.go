@@ -81,20 +81,6 @@ func Build(dir func(lid int) []float64, n, r int, t0 float64) *Index {
 	return ix
 }
 
-// T0 returns the index-time lower-bound threshold. Queries must use
-// thresholds ≥ T0 or risk false negatives; LEMP rebuilds the index when a
-// smaller threshold shows up.
-func (ix *Index) T0() float64 { return ix.t0 }
-
-// Entries returns the total number of indexed postings (for size stats).
-func (ix *Index) Entries() int {
-	var total int
-	for f := range ix.lists {
-		total += len(ix.lists[f].lids)
-	}
-	return total
-}
-
 // Scratch holds the per-query accumulators. One Scratch may be reused
 // across queries and across Index instances of the same or smaller size.
 type Scratch struct {

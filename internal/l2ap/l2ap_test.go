@@ -115,24 +115,24 @@ func TestIndexSmallerWithHigherT0(t *testing.T) {
 	dir := func(lid int) []float64 { return vecs[lid] }
 	loose := Build(dir, n, r, 0)
 	tight := Build(dir, n, r, 0.8)
-	if tight.Entries() >= loose.Entries() {
+	if entries(tight) >= entries(loose) {
 		t.Errorf("t0=0.8 index has %d entries, t0=0 has %d; prefix trimming missing",
-			tight.Entries(), loose.Entries())
+			entries(tight), entries(loose))
 	}
-	if loose.T0() != 0 || tight.T0() != 0.8 {
-		t.Errorf("T0 not recorded: %g %g", loose.T0(), tight.T0())
+	if loose.t0 != 0 || tight.t0 != 0.8 {
+		t.Errorf("T0 not recorded: %g %g", loose.t0, tight.t0)
 	}
 }
 
 func TestT0Clamped(t *testing.T) {
 	vecs := unitVectors(rand.New(rand.NewSource(44)), 10, 4, 1, false)
 	ix := Build(func(lid int) []float64 { return vecs[lid] }, 10, 4, 3.5)
-	if ix.T0() != 1 {
-		t.Errorf("T0=%g, want clamp to 1", ix.T0())
+	if ix.t0 != 1 {
+		t.Errorf("T0=%g, want clamp to 1", ix.t0)
 	}
 	ix = Build(func(lid int) []float64 { return vecs[lid] }, 10, 4, -2)
-	if ix.T0() != 0 {
-		t.Errorf("T0=%g, want clamp to 0", ix.T0())
+	if ix.t0 != 0 {
+		t.Errorf("T0=%g, want clamp to 0", ix.t0)
 	}
 }
 
@@ -197,8 +197,8 @@ func TestEmptyIndex(t *testing.T) {
 	if got := ix.Candidates(make([]float64, 5), 0.5, s, nil); len(got) != 0 {
 		t.Errorf("empty index returned %d candidates", len(got))
 	}
-	if ix.Entries() != 0 {
-		t.Errorf("empty index has %d entries", ix.Entries())
+	if entries(ix) != 0 {
+		t.Errorf("empty index has %d entries", entries(ix))
 	}
 }
 
@@ -216,4 +216,13 @@ func TestZeroQueryCoordinateListsSkipped(t *testing.T) {
 	if !found[0] || !found[2] {
 		t.Errorf("candidates %v, want {0,2}", got)
 	}
+}
+
+// entries returns the total number of indexed postings.
+func entries(ix *Index) int {
+	var total int
+	for f := range ix.lists {
+		total += len(ix.lists[f].lids)
+	}
+	return total
 }

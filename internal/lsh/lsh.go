@@ -14,6 +14,7 @@ package lsh
 
 import (
 	"math"
+	mathbits "math/bits"
 	"math/rand"
 	"sync"
 
@@ -43,9 +44,6 @@ func NewHasher(r, bits int, rng *rand.Rand) *Hasher {
 	return h
 }
 
-// Bits returns the signature length.
-func (h *Hasher) Bits() int { return h.bits }
-
 // Signature returns the packed sign bits of v's projections.
 func (h *Hasher) Signature(v []float64) uint64 {
 	var sig uint64
@@ -64,18 +62,7 @@ func Matches(a, b uint64, bits int) int {
 	if bits < 64 {
 		mask = (1 << uint(bits)) - 1
 	}
-	return bits - popcount((a^b)&mask)
-}
-
-func popcount(x uint64) int {
-	// math/bits is stdlib, but keeping this dependency-free two-liner
-	// makes the package self-contained for property tests.
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
+	return bits - mathbits.OnesCount64((a^b)&mask)
 }
 
 // MatchProbability returns ρ(s) = 1 − arccos(s)/π, the per-bit agreement

@@ -137,7 +137,7 @@ func compareTopKValues(t *testing.T, ctx string, got, want [][]lemp.Entry) {
 func TestClusterPlacedDifferential(t *testing.T) {
 	algos := []lemp.Algorithm{
 		lemp.AlgorithmLI, lemp.AlgorithmL, lemp.AlgorithmC, lemp.AlgorithmI,
-		lemp.AlgorithmLC, lemp.AlgorithmTA, lemp.AlgorithmTree, lemp.AlgorithmL2AP,
+		lemp.AlgorithmLC,
 	}
 	sequences := 1100
 	if testing.Short() {

@@ -59,6 +59,12 @@
 // int8 screening sidecars from those directions, and persisted sorted lists
 // are verified against them bit for bit, so a tampered list fails to load.
 //
+// OPTS names the bucket algorithm by number: 0 LI, 1 L, 2 C, 3 I, 4 LC.
+// Builds that served the paper's TA, cover-tree, L2AP and BayesLSH-Lite
+// baselines as bucket algorithms numbered them 5–8; those now run only in
+// the experiment harness, and a file of any version naming one is refused
+// with the number, never loaded with another method in its place.
+//
 // Versions 1–5 are read, never written. Version 1 has OPTS, PROB, BUKT and
 // END; 2 adds PIDS, MUTA and TSMP; 3 SLST; 4 PLMT; 5 QNT8. Their BUKT also
 // stores each member's length (float64) and direction (r × float64) after
@@ -78,9 +84,8 @@
 // an accepted stream every tag is known, so an unknown one is corruption —
 // a flipped tag byte must not silently drop a section.)
 //
-// Other lazily built per-bucket indexes (cover trees, L2AP, signatures, int8
-// sidecars) are intentionally not persisted: they are cheap relative to
-// bucketization, query-dependent or derived, and rebuilt after a restore.
+// The int8 sidecars are intentionally not persisted: they are cheap relative
+// to bucketization, derived, and rebuilt after a restore.
 // Sorted lists earned their optional section because every coordinate
 // method needs them and their rebuild dominates a restored server's first
 // batch.
@@ -136,7 +141,7 @@ const optionsLen = 4 + 10*8 + 1
 
 // The values Write puts in the two OPTS slots that held BLSH's signature
 // length and false-negative rate when they were options: the settings the
-// index now always uses. Read ignores the slots.
+// BLSH baseline of the experiment harness uses. Read ignores the slots.
 const (
 	blshBits    = 32
 	blshEpsilon = 0.03
@@ -703,8 +708,15 @@ func readOptions(r io.Reader) (core.Options, error) {
 		Parallelism:   int(int64(u64(53))),
 		Seed:          int64(u64(77)),
 	}
+	if name, ok := retiredAlgorithms[o.Algorithm]; ok {
+		return o, fmt.Errorf("algorithm %d (LEMP-%s) is a baseline this build does not serve; rebuild the index with L, LI, LC, I or C", int(o.Algorithm), name)
+	}
 	return o, nil
 }
+
+// retiredAlgorithms names the OPTS algorithm numbers of the baselines that
+// older builds served as bucket algorithms.
+var retiredAlgorithms = map[core.Algorithm]string{5: "TA", 6: "Tree", 7: "L2AP", 8: "BLSH"}
 
 func readProbe(r io.Reader) (*matrix.Matrix, error) {
 	var hdr [8]byte

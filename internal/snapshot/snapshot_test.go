@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"lemp/internal/core"
@@ -609,6 +611,37 @@ func TestQuantCorruptionDetected(t *testing.T) {
 		if _, err := Read(bytes.NewReader(replaceSection(t, raw, tagQuant, bad))); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestRetiredAlgorithmRefused patches the algorithm word of the committed
+// version-5 fixture's OPTS section (checksum recomputed): a number the
+// baselines TA, Tree, L2AP and BLSH once held is refused with that number,
+// never loaded as another method; a serving algorithm's number still loads.
+func TestRetiredAlgorithmRefused(t *testing.T) {
+	raw := readFixture(t, "v5.snap")
+	withAlgorithm := func(a uint32) []byte {
+		opts := append([]byte(nil), sectionPayload(t, raw, tagOptions)...)
+		binary.LittleEndian.PutUint32(opts[0:4], a)
+		return replaceSection(t, raw, tagOptions, opts)
+	}
+	for a, name := range map[uint32]string{5: "TA", 6: "Tree", 7: "L2AP", 8: "BLSH"} {
+		_, err := Read(bytes.NewReader(withAlgorithm(a)))
+		if want := fmt.Sprintf("algorithm %d (LEMP-%s)", a, name); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("algorithm %d: err = %v, want one naming %q", a, err, want)
+		}
+	}
+	if st, err := Read(bytes.NewReader(withAlgorithm(9))); err != nil {
+		t.Fatal(err)
+	} else if _, err := core.FromState(st); err == nil || !strings.Contains(err.Error(), "invalid algorithm 9") {
+		t.Errorf("algorithm 9: FromState err = %v", err)
+	}
+	st, err := Read(bytes.NewReader(withAlgorithm(uint32(core.AlgLC))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.FromState(st); err != nil || st.Opts.Algorithm != core.AlgLC {
+		t.Fatalf("patched to LC: algorithm %v, FromState: %v", st.Opts.Algorithm, err)
 	}
 }
 

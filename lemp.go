@@ -68,18 +68,11 @@ const (
 	AlgorithmI = core.AlgI
 	// AlgorithmLC mixes LENGTH and COORD.
 	AlgorithmLC = core.AlgLC
-	// AlgorithmTA runs the threshold algorithm per bucket.
-	AlgorithmTA = core.AlgTA
-	// AlgorithmTree runs a cover tree per bucket.
-	AlgorithmTree = core.AlgTree
-	// AlgorithmL2AP runs an L2AP index per bucket.
-	AlgorithmL2AP = core.AlgL2AP
-	// AlgorithmBLSH prunes with BayesLSH-Lite signatures (approximate:
-	// each true result is missed with probability ≤ 0.03).
-	AlgorithmBLSH = core.AlgBLSH
 )
 
-// ParseAlgorithm resolves a LEMP-X suffix such as "LI" or "l2ap".
+// ParseAlgorithm resolves a LEMP-X suffix such as "LI" or "lc". The paper's
+// other LEMP-X variants (TA, Tree, L2AP, BLSH) are baselines that only the
+// experiment harness runs (lemp-bench); naming one is an error.
 func ParseAlgorithm(s string) (Algorithm, error) { return core.ParseAlgorithm(s) }
 
 // Index is a LEMP index over a probe matrix, ready to answer Above-θ and

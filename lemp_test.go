@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"lemp"
@@ -134,7 +135,6 @@ func TestAllAlgorithmsThroughPublicAPI(t *testing.T) {
 	}
 	for _, alg := range []lemp.Algorithm{
 		lemp.AlgorithmLI, lemp.AlgorithmLC, lemp.AlgorithmI, lemp.AlgorithmC,
-		lemp.AlgorithmTA, lemp.AlgorithmTree, lemp.AlgorithmL2AP,
 	} {
 		ix, err := lemp.New(p, lemp.Options{Algorithm: alg})
 		if err != nil {
@@ -157,6 +157,13 @@ func TestParseAlgorithm(t *testing.T) {
 	}
 	if _, err := lemp.ParseAlgorithm("nope"); err == nil {
 		t.Error("bogus algorithm accepted")
+	}
+	// The paper's other LEMP-X variants are experiment baselines, not
+	// serving algorithms: naming one says where they run.
+	for _, name := range []string{"TA", "tree", "L2AP", "blsh"} {
+		if _, err := lemp.ParseAlgorithm(name); err == nil || !strings.Contains(err.Error(), "lemp-bench -experiment") {
+			t.Errorf("ParseAlgorithm(%s) = %v, want the lemp-bench pointer", name, err)
+		}
 	}
 }
 

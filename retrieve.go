@@ -151,9 +151,9 @@ func (s *Spec) setProblem(p core.Problem, rangeMsg string, arg any) error {
 }
 
 // WithAlgorithm overrides the index's bucket algorithm for this call only.
-// Structural options fixed at build time (bucket sizing, BLSH signature
-// shape) are unaffected; lazily built per-bucket indexes for the new
-// algorithm appear on first use.
+// Structural options fixed at build time (bucket sizing) are unaffected;
+// lazily built per-bucket indexes for the new algorithm appear on first
+// use.
 func WithAlgorithm(a Algorithm) Option {
 	return func(s *Spec) error {
 		if !a.Valid() {
