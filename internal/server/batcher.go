@@ -22,12 +22,12 @@ const (
 	// added latency on every request.
 	BatchModeWindow BatchMode = iota
 	// BatchModeContinuous dispatches a forming batch the moment the key's
-	// previous retrieval completes — and immediately when the key has no
-	// retrieval in flight — with window and MaxBatch kept as upper bounds.
-	// Low-load requests pay no window penalty (an idle index dispatches
-	// them at once) and high-load dispatches run back-to-back with zero
-	// idle gap, coalescing exactly the requests that arrived during the
-	// previous retrieval.
+	// previous retrieval completes, with window and MaxBatch kept as upper
+	// bounds, and a request on a key with no retrieval in flight retrieves
+	// at once on its own goroutine. Low-load requests pay no window penalty
+	// and high-load dispatches run back-to-back with zero idle gap,
+	// coalescing exactly the requests that arrived during the previous
+	// retrieval.
 	BatchModeContinuous
 )
 
@@ -64,10 +64,12 @@ func ParseBatchMode(s string) (BatchMode, error) {
 // dispatches when it reaches MaxBatch rows or when Window elapses after
 // its first request, whichever comes first. In BatchModeContinuous (the
 // default) those stay as upper bounds, but a batch additionally dispatches
-// the moment its key has no retrieval in flight — immediately for the
-// first request after idle, and back-to-back as each retrieval completes
-// under load. Window <= 0 or MaxBatch <= 1 disables coalescing entirely:
-// every request dispatches immediately on its own context.
+// the moment its key's retrieval in flight completes, so dispatches run
+// back-to-back under load. The first request after idle forms no batch: it
+// retrieves at once on its caller's goroutine, under its own context, as a
+// batch of one would. A batch dispatches on a goroutine of its own.
+// Window <= 0 or MaxBatch <= 1 disables coalescing entirely: every request
+// retrieves at once on its caller's goroutine and context.
 //
 // Batches are epoch-pinned: requests only coalesce when they were admitted
 // at the same update epoch, and the combined retrieval runs on the View of
@@ -273,6 +275,11 @@ func (b *Batcher) submit(ctx context.Context, key batchKey, v *View, data []floa
 	}
 
 	fb, w := b.join(ctx, key, v, data, rows)
+	if fb == nil {
+		// join claimed the idle key for this request alone.
+		res := b.retrieveAlone(ctx, key, v, data, rows)
+		return res.rows, res.stats, res.err
+	}
 	select {
 	case res := <-w.done:
 		return res.rows, res.stats, res.err
@@ -291,10 +298,20 @@ func (b *Batcher) submit(ctx context.Context, key batchKey, v *View, data []floa
 // where there is none to join, and then fires the batch, or leaves it to
 // wait with the window timer armed. It returns the batch and the caller's
 // place in it.
+//
+// In continuous mode a key with no forming batch and nothing in flight
+// forms no batch at all: join counts the caller's retrieval in flight and
+// returns a nil batch, and the caller runs retrieveAlone. A batch fired on
+// arrival would accept no other rows, so it would only ever have served
+// this one caller, through a goroutine hand-off and a merged context.
 func (b *Batcher) join(ctx context.Context, key batchKey, v *View, data []float64, rows int) (*formingBatch, *waiter) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	fb := b.forming[key]
+	if fb == nil && b.mode == BatchModeContinuous && b.inflight(key) == 0 {
+		b.claim(key, time.Now())
+		return nil, nil
+	}
 	if fb == nil || fb.fired || fb.rows+rows > b.max {
 		// Start a new batch. An oversized or displaced predecessor keeps
 		// running; it simply stops being the forming batch for this key.
@@ -316,17 +333,11 @@ func (b *Batcher) join(ctx context.Context, key batchKey, v *View, data []float6
 	switch {
 	case fb.rows >= b.max:
 		b.fire(fb)
-	case b.mode == BatchModeContinuous && b.inflight(key) == 0:
-		// The index is idle for this key: dispatching now costs nothing in
-		// coalescing (nobody else could be served sooner by waiting) and
-		// saves the full window of latency. Under load the key has a
-		// retrieval in flight and the batch holds until it completes
-		// (completion fires it), the window elapses, or max is reached.
-		b.fire(fb)
 	case fb.timer == nil:
-		// The batch waits, so the window bounds the wait from here. A batch
-		// that fires in the call that created it — every request on an idle
-		// key in continuous mode — never arms a timer at all.
+		// The batch waits, so the window bounds the wait from here. In
+		// continuous mode the key has a retrieval in flight, whose
+		// completion fires the batch sooner. A batch that fires in the call
+		// that created it never arms a timer at all.
 		fb.timer = time.AfterFunc(b.window, func() {
 			b.mu.Lock()
 			defer b.mu.Unlock()
@@ -334,6 +345,28 @@ func (b *Batcher) join(ctx context.Context, key batchKey, v *View, data []float6
 		})
 	}
 	return fb, w
+}
+
+// retrieveAlone runs the retrieval of a request join admitted on an idle
+// key: on the caller's goroutine, under the caller's own context (so a
+// cancellation aborts the shard scans directly) and into the caller's own
+// trace, with the same zero-length batch.wait and batch.retrieve spans a
+// dispatched batch records. Completion then fires whatever batch formed on
+// the key meanwhile.
+func (b *Batcher) retrieveAlone(ctx context.Context, key batchKey, v *View, data []float64, rows int) batchResult {
+	joined := time.Now()
+	tr, parent := obs.SpanFrom(ctx)
+	tr.End(tr.Start("batch.wait", parent))
+	b.batchWaitHist.ObserveDuration(time.Since(joined))
+	ret := tr.Start("batch.retrieve", parent)
+	rctx := ctx
+	if tr != nil {
+		rctx = obs.ContextWithSpan(ctx, tr, ret)
+	}
+	res := b.retrieve(rctx, key, v, data, rows, 1)
+	tr.End(ret)
+	b.completeDispatch(key)
+	return res
 }
 
 // inflight returns the number of dispatched-but-unfinished retrievals for
@@ -378,8 +411,7 @@ func (b *Batcher) abandon(fb *formingBatch, w *waiter) {
 	b.mu.Unlock()
 }
 
-// fire dispatches fb on its own goroutine and charges the key's idle gap.
-// Callers must hold b.mu.
+// fire dispatches fb on its own goroutine. Callers must hold b.mu.
 func (b *Batcher) fire(fb *formingBatch) {
 	if fb.fired {
 		return
@@ -390,24 +422,29 @@ func (b *Batcher) fire(fb *formingBatch) {
 		delete(b.forming, fb.key)
 	}
 	b.pending.Add(-int64(fb.rows))
-	ks := b.keys[fb.key]
+	b.claim(fb.key, fb.created)
+	go b.dispatch(fb)
+}
+
+// claim counts one more retrieval in flight for key, charging the key's
+// idle gap when it was idle: from the later of created (when the rows to be
+// retrieved arrived) and the previous retrieval's completion, until now.
+// Continuous mode keeps this near zero by construction; window mode pays up
+// to the full window here. Callers must hold b.mu.
+func (b *Batcher) claim(key batchKey, created time.Time) {
+	ks := b.keys[key]
 	if ks == nil {
 		ks = &keyState{}
-		b.keys[fb.key] = ks
+		b.keys[key] = ks
 	}
 	if ks.inflight == 0 {
-		// The key's index sat idle while this batch waited: from the later
-		// of the batch forming and the previous retrieval completing,
-		// until now. Continuous mode keeps this near zero by construction;
-		// window mode pays up to the full window here.
-		idleStart := fb.created
+		idleStart := created
 		if ks.lastDone.After(idleStart) {
 			idleStart = ks.lastDone
 		}
 		b.dispatchIdle.Add(float64(time.Since(idleStart).Nanoseconds()))
 	}
 	ks.inflight++
-	go b.dispatch(fb)
 }
 
 // completeDispatch records one retrieval's completion and, in continuous

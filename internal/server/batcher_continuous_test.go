@@ -340,12 +340,25 @@ func TestBatcherArmsTimerOnlyWhenWaiting(t *testing.T) {
 	}
 
 	t.Run("idle key in continuous mode", func(t *testing.T) {
+		// No batch forms at all: join claims the key for the caller's own
+		// retrieval, and its completion leaves the key untracked.
 		b := NewBatcher(sh, 10*time.Second, 1024, BatchModeContinuous)
 		fb, w := b.join(ctx, key, view, q.Vec(0), 1)
-		if !fb.fired || fb.timer != nil {
-			t.Fatalf("fired=%v timer=%v, want an immediate dispatch without a timer", fb.fired, fb.timer)
+		if fb != nil || w != nil {
+			t.Fatal("join on an idle key formed a batch")
 		}
-		await(t, w)
+		b.mu.Lock()
+		inflight, forming := b.inflight(key), len(b.forming)
+		b.mu.Unlock()
+		if inflight != 1 || forming != 0 {
+			t.Fatalf("inflight=%d forming=%d after the claim, want 1 and 0", inflight, forming)
+		}
+		if res := b.retrieveAlone(ctx, key, view, q.Vec(0), 1); res.err != nil || len(res.rows) != 1 || len(res.rows[0]) != 5 {
+			t.Fatalf("inline result: %d rows, err %v", len(res.rows), res.err)
+		}
+		if len(b.keys) != 0 {
+			t.Fatalf("%d keys tracked after the inline retrieval completed", len(b.keys))
+		}
 	})
 	t.Run("filled to max", func(t *testing.T) {
 		b := NewBatcher(sh, 10*time.Second, 2, BatchModeWindow)
@@ -390,7 +403,16 @@ func TestBatcherArmsTimerOnlyWhenWaiting(t *testing.T) {
 				<-release // hold the first retrieval for the whole test
 			}
 		}
-		_, first := b.join(ctx, key, view, q.Vec(0), 1)
+		first := make(chan error, 1)
+		go func() {
+			_, _, err := b.TopKAt(ctx, view, q.Vec(0), 1, 5)
+			first <- err
+		}()
+		for deadline := time.Now().Add(5 * time.Second); dispatches.Load() == 0; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("first request never dispatched")
+			}
+		}
 		held, w := b.join(ctx, key, view, q.Vec(1), 1)
 		b.mu.Lock()
 		armed := held.timer != nil
@@ -400,6 +422,8 @@ func TestBatcherArmsTimerOnlyWhenWaiting(t *testing.T) {
 		}
 		await(t, w) // the first retrieval is still held: only the timer can have fired this
 		close(release)
-		await(t, first)
+		if err := <-first; err != nil {
+			t.Fatal(err)
+		}
 	})
 }

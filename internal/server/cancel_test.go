@@ -14,13 +14,33 @@ import (
 	"lemp"
 )
 
+// cancelPaths are the two ways a lone request reaches the shards: with no
+// coalescing configured, and alone on an idle key under the continuous
+// window. Both retrieve on the handler goroutine under the request's own
+// context, so a cancellation must reach the shard scans directly.
+var cancelPaths = []struct {
+	name   string
+	window time.Duration
+}{
+	{"no coalescing", 0},
+	{"idle key", time.Second},
+}
+
 // TestClientDisconnectCancelsShardRetrievals is the acceptance criterion:
 // an HTTP request whose client disconnects mid-batch cancels the underlying
 // shard retrievals — observed through the shard test hooks — instead of
 // running to completion.
 func TestClientDisconnectCancelsShardRetrievals(t *testing.T) {
+	for _, path := range cancelPaths {
+		t.Run(path.name, func(t *testing.T) {
+			testClientDisconnect(t, path.window)
+		})
+	}
+}
+
+func testClientDisconnect(t *testing.T, window time.Duration) {
 	q, p := smokeMatrices(t)
-	srv, err := New(p, Config{Shards: testShards, Options: lemp.Options{Parallelism: 1}})
+	srv, err := New(p, Config{Shards: testShards, Options: lemp.Options{Parallelism: 1}, BatchWindow: window})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +53,14 @@ func TestClientDisconnectCancelsShardRetrievals(t *testing.T) {
 	var startOnce sync.Once
 	var mu sync.Mutex
 	var shardErrs []error
+	own := 0 // shard scans that ran under the request's own context
 	sh := srv.Sharded()
 	sh.testShardStart = func(ctx context.Context, _ int) {
+		if requestInfo(ctx) != nil {
+			mu.Lock()
+			own++
+			mu.Unlock()
+		}
 		startOnce.Do(func() { close(started) })
 		<-ctx.Done()
 	}
@@ -96,31 +122,57 @@ func TestClientDisconnectCancelsShardRetrievals(t *testing.T) {
 	if canceled != testShards {
 		t.Fatalf("%d of %d shard retrievals saw context.Canceled: %v", canceled, testShards, shardErrs)
 	}
+	if own != testShards {
+		t.Fatalf("%d of %d shard scans ran under the request's own context, want all: a lone request must not be handed to a dispatched batch", own, testShards)
+	}
 }
 
 // TestRequestTimeoutAbortsRetrieval checks Config.RequestTimeout flows into
 // shard scans: a request whose deadline expires mid-batch returns 503 and
 // the shards observe context.DeadlineExceeded.
 func TestRequestTimeoutAbortsRetrieval(t *testing.T) {
-	q, p := smokeMatrices(t)
-	srv, err := New(p, Config{Shards: testShards, Options: lemp.Options{Parallelism: 1}, RequestTimeout: 30 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := srv.Sharded()
-	// Hold each shard until the per-request deadline has expired.
-	sh.testShardStart = func(ctx context.Context, _ int) { <-ctx.Done() }
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	for _, path := range cancelPaths {
+		t.Run(path.name, func(t *testing.T) {
+			q, p := smokeMatrices(t)
+			srv, err := New(p, Config{Shards: testShards, Options: lemp.Options{Parallelism: 1}, RequestTimeout: 30 * time.Millisecond, BatchWindow: path.window})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh := srv.Sharded()
+			// Hold each shard until the per-request deadline has expired.
+			var mu sync.Mutex
+			var shardErrs []error
+			sh.testShardStart = func(ctx context.Context, _ int) { <-ctx.Done() }
+			sh.testShardDone = func(_ int, err error) {
+				mu.Lock()
+				shardErrs = append(shardErrs, err)
+				mu.Unlock()
+			}
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
 
-	body, _ := json.Marshal(map[string]any{"queries": vecs(q, 0, 2), "k": 3})
-	resp, err := http.Post(ts.URL+"/v1/topk", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503 on request timeout", resp.StatusCode)
+			body, _ := json.Marshal(map[string]any{"queries": vecs(q, 0, 2), "k": 3})
+			resp, err := http.Post(ts.URL+"/v1/topk", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("status %d, want 503 on request timeout", resp.StatusCode)
+			}
+			// The handler answered after the fan-out returned, so every shard
+			// has reported.
+			mu.Lock()
+			defer mu.Unlock()
+			for _, err := range shardErrs {
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Errorf("shard retrieval returned %v, want context.DeadlineExceeded", err)
+				}
+			}
+			if len(shardErrs) != testShards {
+				t.Errorf("%d of %d shard retrievals reported", len(shardErrs), testShards)
+			}
+		})
 	}
 }
 

@@ -1,0 +1,373 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"math"
+	"net/http"
+	"strconv"
+	"sync"
+
+	"lemp"
+)
+
+// The retrieval endpoints' bodies have one fixed shape — a list of float
+// rows plus k or θ — and at the benchmark's request size encoding/json's
+// reflection costs more than LEMP's scan. This file decodes and encodes that
+// shape by hand, into pooled buffers. encoding/json stays the authority: any
+// body outside the strict grammar parsed here is handed to json.Unmarshal,
+// which decides it, and FuzzDecodeRequest holds the two to the same answer.
+
+// queryRequest is a decoded /v1/topk or /v1/above body: the query rows
+// flattened row-major, as the batcher takes them, plus k or θ.
+type queryRequest struct {
+	data []float64
+	rows int
+	// badRow is the first row whose length is not the index dimension (-1
+	// when every row has it) and badLen that row's length: reported only
+	// after the parameter check, the order serve has always refused in.
+	badRow, badLen int
+	k              int
+	theta          float64
+}
+
+// codecBuf is one request's pooled scratch: the raw body, the decoded
+// request and the encoded response.
+type codecBuf struct {
+	body bytes.Buffer
+	req  queryRequest
+	out  []byte
+}
+
+var codecPool = sync.Pool{New: func() any { return new(codecBuf) }}
+
+// codecPoolMax bounds the buffers a codecBuf may carry back into the pool,
+// so one huge request does not pin its memory for the life of the server.
+const codecPoolMax = 1 << 20
+
+func getCodecBuf() *codecBuf { return codecPool.Get().(*codecBuf) }
+
+func putCodecBuf(cb *codecBuf) {
+	if cb.body.Cap() > codecPoolMax || cap(cb.req.data)*8 > codecPoolMax || cap(cb.out) > codecPoolMax {
+		return
+	}
+	cb.body.Reset()
+	codecPool.Put(cb)
+}
+
+// decodeQuery reads a retrieval body under the configured size limit and
+// decodes it into cb.req for dimension dim, writing the error response
+// itself on failure.
+func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request, topk bool, dim int, cb *codecBuf) bool {
+	body := r.Body
+	if s.cfg.MaxBodyBytes > 0 {
+		body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	}
+	if r.ContentLength > 0 && (s.cfg.MaxBodyBytes <= 0 || r.ContentLength <= s.cfg.MaxBodyBytes) {
+		cb.body.Grow(int(r.ContentLength) + bytes.MinRead)
+	}
+	if _, err := cb.body.ReadFrom(body); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+			return false
+		}
+		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+		return false
+	}
+	if err := cb.req.decode(cb.body.Bytes(), topk, dim); err != nil {
+		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+		return false
+	}
+	return true
+}
+
+// decode parses body as a topKRequest (topk) or aboveRequest: the strict
+// fast grammar first, json.Unmarshal for everything else.
+func (q *queryRequest) decode(body []byte, topk bool, dim int) error {
+	*q = queryRequest{data: q.data[:0], badRow: -1}
+	if q.parse(body, topk, dim) {
+		return nil
+	}
+	*q = queryRequest{data: q.data[:0], badRow: -1}
+	var queries [][]float64
+	if topk {
+		var req topKRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return err
+		}
+		queries, q.k = req.Queries, req.K
+	} else {
+		var req aboveRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return err
+		}
+		queries, q.theta = req.Queries, req.Theta
+	}
+	for i, row := range queries {
+		if len(row) != dim && q.badRow < 0 {
+			q.badRow, q.badLen = i, len(row)
+		}
+		q.data = append(q.data, row...)
+	}
+	q.rows = len(queries)
+	return nil
+}
+
+// parse is the fast grammar: one object whose keys are exactly "queries"
+// and "k" (topk) or "theta", unescaped and in any order, the last of a
+// repeated key winning; "queries" an array of arrays of numbers, k an
+// integer, θ a number; JSON whitespace between any tokens and nothing after
+// the object. It reports false — leaving the body to json.Unmarshal — on
+// anything else, which includes every malformed body, so an error's wording
+// is always encoding/json's.
+func (q *queryRequest) parse(body []byte, topk bool, dim int) bool {
+	s := scanner{b: body}
+	if !s.eat('{') {
+		return false
+	}
+	if !s.eat('}') {
+		for {
+			key, ok := s.key()
+			if !ok || !s.eat(':') {
+				return false
+			}
+			switch {
+			case key == "queries":
+				ok = q.parseQueries(&s, dim)
+			case topk && key == "k":
+				// A fraction, an exponent or overflow is left to json.Unmarshal.
+				var lit []byte
+				if lit, ok = s.number(); ok {
+					k, err := strconv.ParseInt(string(lit), 10, 64)
+					q.k, ok = int(k), err == nil
+				}
+			case !topk && key == "theta":
+				q.theta, ok = s.float()
+			default:
+				return false // unknown, escaped or case-variant key
+			}
+			if !ok {
+				return false
+			}
+			if s.eat(',') {
+				continue
+			}
+			if s.eat('}') {
+				break
+			}
+			return false
+		}
+	}
+	s.ws()
+	return s.i == len(s.b)
+}
+
+// parseQueries parses the "queries" array into q.data, replacing whatever
+// an earlier "queries" key left there.
+func (q *queryRequest) parseQueries(s *scanner, dim int) bool {
+	q.data, q.rows, q.badRow, q.badLen = q.data[:0], 0, -1, 0
+	if !s.eat('[') {
+		return false // null, an object, a number...
+	}
+	if s.eat(']') {
+		return true
+	}
+	for {
+		if !s.eat('[') {
+			return false
+		}
+		n := 0
+		if !s.eat(']') {
+			for {
+				x, ok := s.float()
+				if !ok {
+					return false
+				}
+				q.data = append(q.data, x)
+				n++
+				if s.eat(',') {
+					continue
+				}
+				if s.eat(']') {
+					break
+				}
+				return false
+			}
+		}
+		if n != dim && q.badRow < 0 {
+			q.badRow, q.badLen = q.rows, n
+		}
+		q.rows++
+		if s.eat(',') {
+			continue
+		}
+		return s.eat(']')
+	}
+}
+
+// scanner walks a JSON body for parse.
+type scanner struct {
+	b []byte
+	i int
+}
+
+// ws skips JSON whitespace.
+func (s *scanner) ws() {
+	for s.i < len(s.b) {
+		switch s.b[s.i] {
+		case ' ', '\t', '\n', '\r':
+			s.i++
+		default:
+			return
+		}
+	}
+}
+
+// eat skips whitespace and consumes c if it comes next.
+func (s *scanner) eat(c byte) bool {
+	s.ws()
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// key consumes an object key: a string of printable ASCII without escapes.
+// Anything else reports false, for encoding/json's fuller key matching.
+func (s *scanner) key() (string, bool) {
+	if !s.eat('"') {
+		return "", false
+	}
+	start := s.i
+	for ; s.i < len(s.b); s.i++ {
+		switch c := s.b[s.i]; {
+		case c == '"':
+			key := s.b[start:s.i]
+			s.i++
+			// The switch compares without allocating; only these three
+			// keys are ever returned.
+			switch string(key) {
+			case "queries":
+				return "queries", true
+			case "k":
+				return "k", true
+			case "theta":
+				return "theta", true
+			}
+			return "", false
+		case c == '\\' || c < 0x20 || c >= 0x80:
+			return "", false
+		}
+	}
+	return "", false
+}
+
+// number consumes one literal of JSON number grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns its bytes.
+// The grammar check is what keeps strconv's wider syntax — NaN, Inf, hex
+// floats, underscores, a leading '+' — out.
+func (s *scanner) number() ([]byte, bool) {
+	s.ws()
+	b, i := s.b, s.i
+	start := i
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = digits(b, i)
+	default:
+		return nil, false
+	}
+	if i < len(b) && b[i] == '.' {
+		if j := digits(b, i+1); j > i+1 {
+			i = j
+		} else {
+			return nil, false
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if j := digits(b, i); j > i {
+			i = j
+		} else {
+			return nil, false
+		}
+	}
+	s.i = i
+	return b[start:i], true
+}
+
+// digits returns the index just past the run of ASCII digits at b[i:].
+func digits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// float consumes a number and converts it as encoding/json does. A literal
+// out of float64 range (1e400) reports false.
+func (s *scanner) float() (float64, bool) {
+	lit, ok := s.number()
+	if !ok {
+		return 0, false
+	}
+	x, err := strconv.ParseFloat(string(lit), 64)
+	return x, err == nil
+}
+
+// appendResults appends rows encoded exactly as json.Marshal encodes the
+// equivalent queryResponse, plus the trailing newline writeJSON adds. A
+// non-finite value is refused with encoding/json's own error.
+func appendResults(b []byte, rows [][]lemp.Entry) ([]byte, error) {
+	b = append(b, `{"results":[`...)
+	for i, row := range rows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		for j, e := range row {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"probe":`...)
+			b = strconv.AppendInt(b, int64(e.Probe), 10)
+			b = append(b, `,"value":`...)
+			if math.IsInf(e.Value, 0) || math.IsNaN(e.Value) {
+				return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(e.Value, 'g', -1, 64)}
+			}
+			b = appendFloat(b, e.Value)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	return append(b, "]}\n"...), nil
+}
+
+// appendFloat formats a finite float64 as encoding/json does: the shortest
+// decimal that round-trips, in 'f' form for magnitudes in [1e-6, 1e21) and
+// 'e' form otherwise, with a one-digit negative exponent unpadded (e-7, not
+// e-07).
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}

@@ -277,9 +277,10 @@ func TestCoreCountersMatchStats(t *testing.T) {
 // TestTraceHeaderAndRing checks the per-request trace contract: retrieval
 // responses carry X-Lemp-Trace, and with SampleRate 1 the same id is
 // retrievable from GET /debug/traces with the span tree intact. The batch
-// window is on, so the trace must show the coalescing shape: the wait span,
-// the shared-retrieval span, and the shard/scan/merge spans adopted from
-// the batch's scratch trace.
+// window is on and the request is alone on an idle key, so it retrieves on
+// its handler goroutine; its trace must still show the coalescing shape a
+// dispatched batch leaves: the (zero-length) wait span, the retrieval span,
+// and the shard/scan/merge spans under it.
 func TestTraceHeaderAndRing(t *testing.T) {
 	srv, h, _ := obsServer(t, Config{
 		Shards:          2,
@@ -324,10 +325,17 @@ func TestTraceHeaderAndRing(t *testing.T) {
 	}
 	names := map[string]int{}
 	shards := map[int32]bool{}
+	byID := map[int32]obs.SpanSnapshot{}
+	for _, sp := range snap.Spans {
+		byID[sp.ID] = sp
+	}
 	for _, sp := range snap.Spans {
 		names[sp.Name]++
 		if sp.Name == "shard" {
 			shards[sp.Shard] = true
+		}
+		if (sp.Name == "shard" || sp.Name == "merge") && byID[sp.Parent].Name != "batch.retrieve" {
+			t.Errorf("span %q hangs under %q, want batch.retrieve", sp.Name, byID[sp.Parent].Name)
 		}
 	}
 	for _, want := range []string{"topk", "batch.wait", "batch.retrieve", "shard", "scan", "merge"} {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -454,33 +453,35 @@ func (w *statusWriter) Status() int {
 func (s *Server) instrument(endpoint string, traced bool, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
+		// The writer and the handler's report share one allocation.
+		st := &struct {
+			sw   statusWriter
+			info reqInfo
+		}{sw: statusWriter{ResponseWriter: w}}
+		sw, info := &st.sw, &st.info
 		var (
-			tr   *obs.Trace
-			root obs.SpanRef
-			info *reqInfo
+			tr      *obs.Trace
+			root    obs.SpanRef
+			traceID string
 		)
 		if traced {
 			s.metrics.inFlight.Inc()
 			tr = s.tracer.StartTrace()
 			root = tr.Start(endpoint, obs.NoSpan)
-			info = &reqInfo{}
 			ctx := obs.ContextWithSpan(r.Context(), tr, root)
 			ctx = context.WithValue(ctx, reqInfoKey{}, info)
 			r = r.WithContext(ctx)
-			if id := tr.IDString(); id != "" {
-				sw.Header().Set("X-Lemp-Trace", id)
+			if traceID = tr.IDString(); traceID != "" {
+				sw.Header().Set("X-Lemp-Trace", traceID)
 			}
 		}
 		h(sw, r)
 		dur := time.Since(start)
 		status := sw.Status()
 		s.metrics.observeRequest(endpoint, status, dur)
-		var traceID string
 		if traced {
 			s.metrics.inFlight.Dec()
 			tr.End(root)
-			traceID = tr.IDString()
 			slow := s.cfg.SlowQueryThreshold > 0 && dur >= s.cfg.SlowQueryThreshold
 			if slow {
 				s.metrics.slowQueries.Inc()
@@ -567,6 +568,8 @@ type aboveRequest struct {
 }
 
 // resultEntry is one retrieved entry: probe id and inner-product value.
+// The retrieval endpoints write this schema with appendResults, byte for
+// byte what json.Marshal of a queryResponse gives.
 type resultEntry struct {
 	Probe int     `json:"probe"`
 	Value float64 `json:"value"`
@@ -627,26 +630,23 @@ func (s *Server) shedRequest(w http.ResponseWriter) bool {
 	return true
 }
 
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	if s.shedRequest(w) {
-		return
-	}
-	var req topKRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	s.serve(w, r, batchKey{topk: true, k: req.K}, req.Queries)
-}
+func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) { s.handleQuery(w, r, true) }
 
-func (s *Server) handleAbove(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAbove(w http.ResponseWriter, r *http.Request) { s.handleQuery(w, r, false) }
+
+// handleQuery answers /v1/topk (topk) or /v1/above: admission, then the
+// body decoded into pooled buffers, then serve.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, topk bool) {
 	if s.shedRequest(w) {
 		return
 	}
-	var req aboveRequest
-	if !s.decodeBody(w, r, &req) {
+	cb := getCodecBuf()
+	defer putCodecBuf(cb)
+	if !s.decodeQuery(w, r, topk, s.sharded.R(), cb) {
 		return
 	}
-	s.serve(w, r, batchKey{theta: req.Theta}, req.Queries)
+	key := batchKey{topk: topk, k: cb.req.k, theta: cb.req.theta}
+	s.serve(w, r, key, cb)
 }
 
 // serve answers one retrieval request pinned to a single update epoch:
@@ -658,11 +658,18 @@ func (s *Server) handleAbove(w http.ResponseWriter, r *http.Request) {
 // sharded retrieval: a client that disconnects mid-batch stops contributing
 // to the merged batch context, and when every batch-mate has left the
 // underlying shard scans abort mid-bucket.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, key batchKey, queries [][]float64) {
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, key batchKey, cb *codecBuf) {
 	if err := key.check(); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	req := &cb.req
+	if req.badRow >= 0 {
+		httpError(w, http.StatusBadRequest, "query %d has dimension %d, want %d", req.badRow, req.badLen, s.sharded.R())
+		return
+	}
+	// Every coordinate is finite: JSON spells no NaN or Inf, and the decoder
+	// refuses a literal that overflows float64.
 	ctx := r.Context()
 	if s.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc
@@ -676,32 +683,14 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, key batchKey, que
 	if n := view.N(); key.topk && n > 0 && key.k > n {
 		key.k = n
 	}
-	dim := s.sharded.R()
-	data := make([]float64, 0, len(queries)*dim)
-	for i, q := range queries {
-		if len(q) != dim {
-			httpError(w, http.StatusBadRequest, "query %d has dimension %d, want %d", i, len(q), dim)
-			return
-		}
-		// Non-finite coordinates poison the retrieval pipeline (query
-		// lengths and bucket bounds become NaN, silently emptying results);
-		// reject them at the door.
-		for j, x := range q {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				httpError(w, http.StatusBadRequest, "query %d coordinate %d is %v; coordinates must be finite", i, j, x)
-				return
-			}
-		}
-		data = append(data, q...)
-	}
 	s.requests.Add(1)
 	info := requestInfo(ctx)
 	if info != nil {
-		info.rows = len(queries)
+		info.rows = req.rows
 	}
 
 	// The request's rows form one submission (none: no dispatch).
-	rows, st, err := s.batcher.submit(ctx, key, view, data, len(queries))
+	rows, st, err := s.batcher.submit(ctx, key, view, req.data, req.rows)
 	if info != nil {
 		info.stats = st
 	}
@@ -718,15 +707,16 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, key batchKey, que
 		return
 	}
 
-	resp := queryResponse{Results: make([][]resultEntry, len(rows))}
-	for i, row := range rows {
-		out := make([]resultEntry, len(row))
-		for j, e := range row {
-			out[j] = resultEntry{Probe: e.Probe, Value: e.Value}
-		}
-		resp.Results[i] = out
+	// Encoded in full before anything is written, so a value JSON cannot
+	// spell (±Inf from an overflowing inner product) becomes a clean 500
+	// instead of a 200 with a truncated body.
+	cb.out, err = appendResults(cb.out[:0], rows)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
 	}
-	writeJSON(w, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(cb.out)
 }
 
 // healthzResponse is the body of GET /healthz.

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -307,6 +309,16 @@ func TestHealthzAndStats(t *testing.T) {
 // TestBadRequests checks input validation.
 func TestBadRequests(t *testing.T) {
 	ts, q, _ := newTestServer(t, testConfig())
+	post := func(path string, body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
 	for _, tc := range []struct {
 		path string
 		body any
@@ -317,13 +329,31 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/above", aboveRequest{Queries: [][]float64{{1}}, Theta: 1}},
 	} {
 		buf, _ := json.Marshal(tc.body)
-		resp, err := http.Post(ts.URL+tc.path, "application/json", bytes.NewReader(buf))
-		if err != nil {
-			t.Fatal(err)
+		if code, msg := post(tc.path, buf); code != http.StatusBadRequest {
+			t.Errorf("POST %s %v: status %d (%s), want 400", tc.path, tc.body, code, msg)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %s %v: status %d, want 400", tc.path, tc.body, resp.StatusCode)
+	}
+
+	// Malformed bodies around a valid one: everything outside the object is
+	// refused, as json.Unmarshal refuses it, and so are a fractional k, an
+	// out-of-range coordinate, a queries object and an unterminated array.
+	row, _ := json.Marshal(q.Vec(0))
+	valid := `{"queries":[` + string(row) + `],"k":10}`
+	if code, msg := post("/v1/topk", []byte(valid)); code != http.StatusOK {
+		t.Fatalf("valid body: status %d (%s)", code, msg)
+	}
+	for _, body := range []string{
+		valid + `garbage`,
+		valid + valid,
+		valid + ` {}`,
+		`{"queries":[` + string(row) + `],"k":1.5}`,
+		`{"queries":[[1e400` + string(row[bytes.IndexByte(row, ','):]) + `],"k":10}`,
+		`{"queries":{},"k":10}`,
+		`{"queries":[` + string(row[:len(row)-1]) + `,"k":10}`,
+		`{"queries":[` + string(row),
+	} {
+		if code, msg := post("/v1/topk", []byte(body)); code != http.StatusBadRequest || !strings.Contains(msg, "decoding request") {
+			t.Errorf("POST /v1/topk %.60s...: status %d (%s), want a 400 decoding error", body, code, msg)
 		}
 	}
 }

@@ -438,62 +438,81 @@ func addShardStats(dst *lemp.Stats, st lemp.Stats) {
 
 // fanOut runs the spec's retrieval for q on every shard of the view
 // concurrently and returns the per-shard results with their accumulated
-// stats, or the first error encountered. Nothing orders calls on one shard:
-// fan-outs of different views or batch keys overlap on it. The context is
-// passed down into every shard retrieval, so canceling it — client
-// disconnect, request deadline — aborts all shard scans mid-bucket.
+// stats, or the first error encountered. The last shard scans on the
+// calling goroutine and each other shard on one of its own. Nothing orders
+// calls on one shard: fan-outs of different views or batch keys overlap on
+// it. The context is passed down into every shard retrieval, so canceling
+// it — client disconnect, request deadline — aborts all shard scans
+// mid-bucket.
 //
-// When ctx carries a trace (obs.ContextWithSpan), each shard goroutine
-// opens its own shard-tagged span and passes it down, so the core executor
-// hangs its tune/scan phase spans under the right shard. Per-shard wall
-// time feeds scanHist[i] when the server has wired it.
+// When ctx carries a trace (obs.ContextWithSpan), each shard opens its own
+// shard-tagged span and passes it down, so the core executor hangs its
+// tune/scan phase spans under the right shard. Per-shard wall time feeds
+// scanHist[i] when the server has wired it.
 func (v *View) fanOut(ctx context.Context, q *lemp.Matrix, spec *lemp.Spec) ([]*lemp.Result, lemp.Stats, error) {
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		call  lemp.Stats
-		first error
-	)
 	v.s.scanned.Add(uint64(len(v.ixs)))
-	parts := make([]*lemp.Result, len(v.ixs))
-	tr, parent := obs.SpanFrom(ctx)
-	wg.Add(len(v.ixs))
-	for i, ix := range v.ixs {
-		go func(i int, ix *lemp.Index) {
-			defer wg.Done()
-			cctx := ctx
-			ref := obs.NoSpan
-			if tr != nil {
-				ref = tr.StartShard("shard", parent, i)
-				cctx = obs.ContextWithSpan(ctx, tr, ref)
-			}
-			start := time.Now()
-			if v.s.testShardStart != nil {
-				v.s.testShardStart(cctx, i)
-			}
-			res, err := ix.RetrieveSpec(cctx, q, spec)
-			if v.s.testShardDone != nil {
-				v.s.testShardDone(i, err)
-			}
-			tr.End(ref)
-			if i < len(v.s.scanHist) {
-				v.s.scanHist[i].ObserveDuration(time.Since(start))
-			}
-			mu.Lock()
-			if err == nil {
-				parts[i] = res
-				addShardStats(&call, res.Stats)
-			} else if first == nil {
-				first = err
-			}
-			mu.Unlock()
-		}(i, ix)
+	f := &shardFan{v: v, q: q, spec: spec, parts: make([]*lemp.Result, len(v.ixs))}
+	f.tr, f.parent = obs.SpanFrom(ctx)
+	last := len(v.ixs) - 1
+	f.wg.Add(last)
+	for i := range last {
+		go func() {
+			defer f.wg.Done()
+			f.scan(ctx, i)
+		}()
 	}
-	wg.Wait()
+	f.scan(ctx, last)
+	f.wg.Wait()
 	v.s.statsMu.Lock()
-	v.s.cum.Add(call)
+	v.s.cum.Add(f.call)
 	v.s.statsMu.Unlock()
-	return parts, call, first
+	return f.parts, f.call, f.first
+}
+
+// shardFan is one View.fanOut call's shared state: one allocation for what
+// every shard's scan reads and fills.
+type shardFan struct {
+	v      *View
+	q      *lemp.Matrix
+	spec   *lemp.Spec
+	tr     *obs.Trace
+	parent obs.SpanRef
+	wg     sync.WaitGroup
+
+	mu    sync.Mutex // guards the fields below
+	parts []*lemp.Result
+	call  lemp.Stats
+	first error
+}
+
+// scan runs shard i's retrieval and records its result.
+func (f *shardFan) scan(ctx context.Context, i int) {
+	s := f.v.s
+	ref := obs.NoSpan
+	if f.tr != nil {
+		ref = f.tr.StartShard("shard", f.parent, i)
+		ctx = obs.ContextWithSpan(ctx, f.tr, ref)
+	}
+	start := time.Now()
+	if s.testShardStart != nil {
+		s.testShardStart(ctx, i)
+	}
+	res, err := f.v.ixs[i].RetrieveSpec(ctx, f.q, f.spec)
+	if s.testShardDone != nil {
+		s.testShardDone(i, err)
+	}
+	f.tr.End(ref)
+	if i < len(s.scanHist) {
+		s.scanHist[i].ObserveDuration(time.Since(start))
+	}
+	f.mu.Lock()
+	if err == nil {
+		f.parts[i] = res
+		addShardStats(&f.call, res.Stats)
+	} else if f.first == nil {
+		f.first = err
+	}
+	f.mu.Unlock()
 }
 
 // retrieve is the serving stack's one sharded retrieval body: key's problem

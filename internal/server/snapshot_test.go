@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -383,15 +384,23 @@ func TestRejectsNonFiniteInputs(t *testing.T) {
 		t.Error("the check refused a valid θ")
 	}
 
-	// The query-coordinate guard in serve, called directly so non-finite
-	// values reach it without a JSON transport in the way.
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		qv := append([]float64(nil), q.Vec(0)...)
-		qv[1] = bad
-		rec := httptest.NewRecorder()
-		srv.serve(rec, httptest.NewRequest(http.MethodPost, "/v1/topk", nil), batchKey{topk: true, k: 3}, [][]float64{q.Vec(1), qv})
-		if rec.Code != http.StatusBadRequest {
-			t.Errorf("query with %v coordinate: status %d, want 400", bad, rec.Code)
+	// A coordinate that overflows float64 is refused by the decoder, on a
+	// body that is otherwise valid (right dimension, valid k): no non-finite
+	// value ever reaches retrieval.
+	for _, lit := range []string{"1e400", "-1e400"} {
+		coords := []string{lit}
+		for _, x := range q.Vec(0)[1:] {
+			coords = append(coords, strconv.FormatFloat(x, 'g', -1, 64))
+		}
+		body := `{"queries":[[` + strings.Join(coords, ",") + `]],"k":3}`
+		resp, err := http.Post(ts.URL+"/v1/topk", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "decoding request") {
+			t.Errorf("coordinate %s: status %d %s, want a 400 decoding error", lit, resp.StatusCode, msg)
 		}
 	}
 }
