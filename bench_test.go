@@ -309,27 +309,6 @@ func BenchmarkTuningAblation(b *testing.B) {
 	}
 }
 
-// --- Extension: approximate Row-Top-k via query clustering (§5 [17]) -------
-
-func BenchmarkApproxRowTopK(b *testing.B) {
-	s := getSet(b, "Netflix")
-	b.Run("exact", func(b *testing.B) { benchLEMPTopK(b, s, 10, core.AlgLI, core.Options{}) })
-	for _, clusters := range []int{8, 64} {
-		clusters := clusters
-		b.Run("clusters"+itoa(clusters), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ix, err := core.NewIndex(s.p, core.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := ix.RetrieveApprox(context.Background(), s.q, 10, core.ApproxOptions{Clusters: clusters}, core.RunOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- Micro-benchmarks for the hot paths ------------------------------------
 
 func BenchmarkDot50(b *testing.B) {

@@ -39,7 +39,6 @@ func main() {
 	algName := flag.String("alg", "LI", "bucket algorithm: L LI LC I C")
 	phi := flag.Int("phi", 0, "fixed focus-set size φ (0 = tuned per bucket)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "retrieval goroutines (default all cores; use -parallel 1 for the paper's single-threaded setting)")
-	approx := flag.Int("approx", 0, "approximate -topk via this many query clusters (0 = exact)")
 	outPath := flag.String("out", "", "write results as CSV (query,probe,value); default stdout")
 	stats := flag.Bool("stats", false, "print run statistics to stderr")
 	flag.Parse()
@@ -96,17 +95,11 @@ func main() {
 	defer stop()
 
 	// One call, assembled from options: the mode plus per-call policy
-	// (algorithm, parallelism, streaming/approximation).
+	// (algorithm, parallelism, streaming).
 	opts := []lemp.Option{lemp.WithAlgorithm(alg), lemp.WithParallelism(*parallel)}
-	switch {
-	case *theta > 0:
-		if *approx > 0 {
-			fail("-approx applies only to -topk")
-		}
+	if *theta > 0 {
 		opts = append(opts, lemp.AboveTheta(*theta), lemp.Stream(writeEntry))
-	case *approx > 0:
-		opts = append(opts, lemp.TopK(*topk), lemp.Approx(lemp.ApproxOptions{Clusters: *approx}))
-	default:
+	} else {
 		opts = append(opts, lemp.TopK(*topk))
 	}
 	res, err := index.Retrieve(ctx, q, opts...)

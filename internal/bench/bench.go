@@ -185,6 +185,9 @@ type Measurement struct {
 	Results    int64
 	NumBuckets int // LEMP only
 	Skipped    bool
+	// Recall is an approximate method's recall against the exact rows of
+	// the same cell (core.Recall); nil for exact methods.
+	Recall *float64
 }
 
 func (r *Runner) logf(format string, args ...any) {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lemp/internal/core"
+	"lemp/internal/retrieval"
 )
 
 // Experiment ids accepted by Run, in DESIGN.md's per-experiment index.
@@ -181,7 +182,8 @@ func (r *Runner) bucketGridAbove() []Measurement {
 }
 
 // bucketGridTopK measures (once) the Row-Top-k bucket-algorithm grid shared
-// by Fig. 7c–f and Table 6.
+// by Fig. 7c–f and Table 6. The one approximate variant, LEMP-BLSH, carries
+// its recall against the exact LEMP-LI rows of the same cell.
 func (r *Runner) bucketGridTopK() []Measurement {
 	if ms, ok := r.grids["topk"]; ok {
 		return ms
@@ -190,8 +192,17 @@ func (r *Runner) bucketGridTopK() []Measurement {
 	for _, name := range []string{"IE-SVDT", "IE-NMFT", "KDD", "Netflix"} {
 		ds := r.get(name)
 		for _, k := range r.ks() {
+			var exact retrieval.TopK
 			for _, v := range r.bucketAlgorithms() {
-				ms = append(ms, r.lempTopK(ds, k, v, core.Options{}))
+				m, rows := r.lemp(ds, core.Problem{K: k}, problemTopK(k), nil, v, core.Options{})
+				switch v.name {
+				case core.AlgLI.String():
+					exact = rows
+				case "BLSH":
+					rec := core.Recall(exact, rows)
+					m.Recall = &rec
+				}
+				ms = append(ms, m)
 			}
 		}
 	}

@@ -30,15 +30,16 @@ type trajectory struct {
 }
 
 type jsonResult struct {
-	Dataset      string  `json:"dataset"`
-	Problem      string  `json:"problem"`
-	Method       string  `json:"method"`
-	TotalSeconds float64 `json:"total_seconds"`
-	PrepSeconds  float64 `json:"prep_seconds,omitempty"`
-	CandPerQuery float64 `json:"candidates_per_query,omitempty"`
-	Results      int64   `json:"results,omitempty"`
-	NumBuckets   int     `json:"num_buckets,omitempty"`
-	Skipped      bool    `json:"skipped,omitempty"`
+	Dataset      string   `json:"dataset"`
+	Problem      string   `json:"problem"`
+	Method       string   `json:"method"`
+	TotalSeconds float64  `json:"total_seconds"`
+	PrepSeconds  float64  `json:"prep_seconds,omitempty"`
+	CandPerQuery float64  `json:"candidates_per_query,omitempty"`
+	Results      int64    `json:"results,omitempty"`
+	NumBuckets   int      `json:"num_buckets,omitempty"`
+	Skipped      bool     `json:"skipped,omitempty"`
+	Recall       *float64 `json:"recall,omitempty"`
 }
 
 // writeJSON renders one experiment's measurements to
@@ -65,6 +66,7 @@ func (r *Runner) writeJSON(id string, ms []Measurement) error {
 			Results:      m.Results,
 			NumBuckets:   m.NumBuckets,
 			Skipped:      m.Skipped,
+			Recall:       m.Recall,
 		})
 	}
 	buf, err := json.MarshalIndent(tr, "", "  ")

@@ -110,23 +110,26 @@ func (r *Runner) dtreeTopK(ds *dataset, k int) Measurement {
 
 func (r *Runner) lempAbove(ds *dataset, level int, v variant, opts core.Options) Measurement {
 	var n int64
-	return r.lemp(ds, core.Problem{Theta: ds.thetas[level]}, problemAbove(level), discard(&n), v, opts)
+	m, _ := r.lemp(ds, core.Problem{Theta: ds.thetas[level]}, problemAbove(level), discard(&n), v, opts)
+	return m
 }
 
 func (r *Runner) lempTopK(ds *dataset, k int, v variant, opts core.Options) Measurement {
-	return r.lemp(ds, core.Problem{K: k}, problemTopK(k), nil, v, opts)
+	m, _ := r.lemp(ds, core.Problem{K: k}, problemTopK(k), nil, v, opts)
+	return m
 }
 
-// lemp measures variant v on one problem. The variant is a per-call
-// execution policy on the shared options, exercising the same RunOptions
-// path the serving layer uses.
-func (r *Runner) lemp(ds *dataset, prob core.Problem, label string, sink retrieval.Sink, v variant, opts core.Options) Measurement {
+// lemp measures variant v on one problem and hands back its Row-Top-k rows
+// (nil for Above-θ). The variant is a per-call execution policy on the
+// shared options, exercising the same RunOptions path the serving layer
+// uses.
+func (r *Runner) lemp(ds *dataset, prob core.Problem, label string, sink retrieval.Sink, v variant, opts core.Options) (Measurement, retrieval.TopK) {
 	start := time.Now()
 	ix, err := core.NewIndex(ds.p, opts)
 	if err != nil {
 		panic(err)
 	}
-	_, st, err := ix.Retrieve(context.Background(), ds.q, prob, sink, v.runOptions(ix, ds.q, prob))
+	rows, st, err := ix.Retrieve(context.Background(), ds.q, prob, sink, v.runOptions(ix, ds.q, prob))
 	if err != nil {
 		panic(err)
 	}
@@ -134,7 +137,7 @@ func (r *Runner) lemp(ds *dataset, prob core.Problem, label string, sink retriev
 		Dataset: ds.profile.Name, Problem: label, Method: "LEMP-" + v.name,
 		Total: time.Since(start), Prep: st.PrepTime + st.TuneTime,
 		CandPerQ: st.CandidatesPerQuery(), Results: st.Results, NumBuckets: st.Buckets,
-	}
+	}, rows
 }
 
 func problemAbove(level int) string { return fmt.Sprintf("above@%s", siCount(level)) }

@@ -10,7 +10,8 @@ func (r *Runner) header(title string) {
 }
 
 // printTable prints measurements grouped by dataset and problem, one row
-// per method, with the paper's columns: total time and candidates/query.
+// per method, with the paper's columns: total time and candidates/query,
+// plus the recall of an approximate method.
 func (r *Runner) printTable(ms []Measurement) {
 	sortMeasurements(ms)
 	r.record(ms)
@@ -21,8 +22,12 @@ func (r *Runner) printTable(ms []Measurement) {
 			fmt.Fprintf(r.cfg.Out, "\n%s\n", group)
 			lastGroup = group
 		}
-		fmt.Fprintf(r.cfg.Out, "  %-16s %12s  (|C|/q %10.1f, results %d)\n",
+		fmt.Fprintf(r.cfg.Out, "  %-16s %12s  (|C|/q %10.1f, results %d",
 			m.Method, fmtDur(m.Total), m.CandPerQ, m.Results)
+		if m.Recall != nil {
+			fmt.Fprintf(r.cfg.Out, ", recall %.3f", *m.Recall)
+		}
+		fmt.Fprintln(r.cfg.Out, ")")
 	}
 	fmt.Fprintln(r.cfg.Out)
 }

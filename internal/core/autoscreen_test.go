@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -21,8 +20,7 @@ import (
 // are not (so under -tags purego all three arms must still agree, with the
 // default arm screening nothing) — and whether a pair is screened does not
 // depend on the calls before it: a fresh index's first call and a repeat of
-// it report equal counters. RetrieveApprox answers alike on the default and the
-// unscreened index too.
+// it report equal counters.
 func TestAutoScreenMatchesUnscreened(t *testing.T) {
 	const r = 24 // one 16-byte chunk plus an overlapped tail in the assembly
 	rng := rand.New(rand.NewSource(2001))
@@ -110,21 +108,6 @@ func TestAutoScreenMatchesUnscreened(t *testing.T) {
 					}
 					if quantizedC.QuantScreened == 0 {
 						t.Fatal("fixture is vacuous: the Quantize index screened nothing")
-					}
-					// The approximate mode's candidate pool must not depend on
-					// the host's kernels either: only under Quantize do screen
-					// survivors keep their approximate dots.
-					if prob.K > 0 {
-						approx := func(ix *Index) retrieval.TopK {
-							rows, _, err := ix.RetrieveApprox(context.Background(), q, prob.K, ApproxOptions{Clusters: 5}, RunOptions{})
-							if err != nil {
-								t.Fatal(err)
-							}
-							return rows
-						}
-						if !slices.EqualFunc(approx(auto), approx(off), slices.Equal[[]retrieval.Entry]) {
-							t.Fatal("RetrieveApprox on the default index answers differently from the unscreened one")
-						}
 					}
 					if !accelerated {
 						if firstC != wantC || auto.SidecarBytes() != 0 {

@@ -14,13 +14,12 @@ import (
 
 // TestConcurrentRetrievals is the Index concurrency contract under the race
 // detector: several goroutines mix every kind of retrieval — Row-Top-k at
-// several k, Above-θ, the panels of one Job, RetrieveApprox — on one index
-// and on its copy-on-write derivative at once, with and without a shared
-// TuningCache, fitting per call and under a frozen fit, while another
-// goroutine exports State. No retrieval writes index state, so every answer
+// several k, Above-θ, the panels of one Job — on one index and on its
+// copy-on-write derivative at once, with and without a shared TuningCache,
+// fitting per call and under a frozen fit, while another goroutine exports
+// State. No retrieval writes index state, so every answer
 // must equal the one the same call gives alone. TuneByCost makes each call's
-// fit a function of the call, which the approximate mode's candidate pool —
-// unlike every exact answer — depends on. The index screens either eagerly
+// fit a function of the call. The index screens either eagerly
 // (Options.Quantize) or through lazy sidecars, switched on whatever the host's
 // kernels: there the first-touch sidecar builds meet concurrent scans, State
 // and the copy-on-write relative, which shares the base segment's sidecars.
@@ -93,10 +92,6 @@ func TestConcurrentRetrievals(t *testing.T) {
 				}
 			}
 			return a, nil
-		}},
-		{"approx", func(ix *Index, ro RunOptions) (answer, error) {
-			rows, _, err := ix.RetrieveApprox(ctx, q, 4, ApproxOptions{Clusters: 5}, ro)
-			return answer{rows: []retrieval.TopK{rows}}, err
 		}},
 	}
 

@@ -9,6 +9,7 @@ import (
 
 	"lemp/internal/matrix"
 	"lemp/internal/retrieval"
+	"lemp/internal/vecmath"
 )
 
 // ---------------------------------------------------------------------------
@@ -746,5 +747,28 @@ func TestProbeIDOverflowRejected(t *testing.T) {
 	}
 	if _, err := NewIndexWithIDs(p, []int32{0, 1, 2, math.MaxInt32}, Options{}); err == nil {
 		t.Fatal("NewIndexWithIDs accepted id MaxInt32")
+	}
+}
+
+// find locates every probe, and its bucket-resident unit direction scaled
+// by its stored length gives back the raw vector.
+func TestProbeVecReconstruction(t *testing.T) {
+	rng := rand.New(rand.NewSource(115))
+	p := genMatrix(rng, 120, 7, 1.0, 1, false, 2, 5)
+	ix, _ := NewIndex(p, testOptions(AlgLI))
+	got := make([]float64, ix.r)
+	for id := 0; id < p.N(); id++ {
+		_, bi, lid, ok := ix.find(int32(id))
+		if !ok {
+			t.Fatalf("probe %d missing from location lookup", id)
+		}
+		b := ix.scan[bi]
+		vecmath.Scale(got, b.dir(lid), b.lens[lid])
+		want := p.Vec(id)
+		for f := range want {
+			if math.Abs(got[f]-want[f]) > 1e-9 {
+				t.Fatalf("probe %d coordinate %d: %g vs %g", id, f, got[f], want[f])
+			}
+		}
 	}
 }

@@ -14,10 +14,10 @@ import (
 
 // The retrieval executor: the one driver around the two tile kernels of
 // scan.go. Every retrieval — a one-shot call, a server shard scan, a bulk
-// panel, the centroid phase of the approximate mode — is a Job run over a
-// query matrix, and this file holds the only copy of what surrounds the
-// scan: input checks, option resolution, the §4.4 fit, the tune/scan phase
-// spans, pooled scratch, worker fan-out and the cancellation epilogue.
+// panel — is a Job run over a query matrix, and this file holds the only
+// copy of what surrounds the scan: input checks, option resolution, the §4.4
+// fit, the tune/scan phase spans, pooled scratch, worker fan-out and the
+// cancellation epilogue.
 
 // Problem is what a retrieval computes, as a value: K ≥ 1 selects Row-Top-k
 // (the paper's Problem 2: every query's K largest products), K = 0 selects
@@ -64,13 +64,6 @@ type Job struct {
 	opts  Options
 	cache *TuningCache
 	gen   CandidateGen
-
-	// approx lets int8-screen survivors keep their approximate dot instead
-	// of falling through to the exact kernels. Only RetrieveApprox sets it,
-	// for its centroid phase on an Options.Quantize index, whose rows are a
-	// candidate pool re-ranked exactly; an exact job cannot be switched from
-	// outside.
-	approx bool
 
 	tuned  atomic.Bool  // fast path: fit is set
 	tuneMu sync.Mutex   // serializes the one tuning pass
@@ -157,7 +150,7 @@ func (j *Job) run(ctx context.Context, q *matrix.Matrix, sink retrieval.Sink, wo
 		return nil, fmt.Errorf("core: Row-Top-k returns rows and takes a nil sink, Above-θ needs one (k=%d, sink set: %v)", p.K, sink != nil)
 	}
 	c := newCall(ctx, j.opts, j.cache)
-	c.approx, c.gen = j.approx, j.gen
+	c.gen = j.gen
 	*st = Stats{Queries: q.N(), Buckets: len(ix.scan), PrepTime: ix.prepTime}
 	var out retrieval.TopK
 	if p.K > 0 {

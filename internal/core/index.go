@@ -17,7 +17,7 @@ import (
 // newer runs that absorb probe mutations between re-bucketizations.
 //
 // Concurrency: any number of retrievals — one-shot Retrieve calls, the Run
-// panels of any Job, RetrieveApprox — may run concurrently on one Index and
+// panels of any Job — may run concurrently on one Index and
 // on its copy-on-write relatives (WithUpdates). No retrieval writes index
 // state: the §4.4 fit is a value its job owns, lazily built per-bucket
 // indexes are Once- or mutex-guarded, scratch is pooled. Apply, Compact and

@@ -120,10 +120,8 @@ type Options struct {
 	// candidates under a finite threshold, only such pairs are screened, and
 	// buckets no retrieval verifies never carry one. Exact results are the
 	// same in all three cases — the bound is conservative, so only
-	// candidates that provably cannot reach the threshold are skipped; with
-	// the option, the Approx retrieval mode
-	// additionally skips the exact fall-through for survivors of its
-	// centroid phase. A sidecar costs r + 24 bytes per probe (74 beside the
+	// candidates that provably cannot reach the threshold are skipped, and
+	// every survivor is verified in f64. A sidecar costs r + 24 bytes per probe (74 beside the
 	// 400 bytes of an r = 50 direction; the ratio tends to 1/8 as r grows).
 	// On the portable kernels the screen costs more than the exact dot it
 	// saves, which is why only this option turns it on there. Dimensions

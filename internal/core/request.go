@@ -61,15 +61,14 @@ func (ix *Index) effOptions(ro RunOptions) (Options, error) {
 // scan runs under (set by the executor once the job has one), and the request
 // trace (if any) for phase spans.
 type call struct {
-	opts   Options
-	cache  *TuningCache
-	fit    []tunedParam    // aligned with ix.scan; nil = defaults
-	gen    CandidateGen    // RunOptions.Gen; nil runs the bucket algorithms
-	approx bool            // Job.approx: screen survivors keep approximate dots
-	done   <-chan struct{} // ctx.Done(); nil for context.Background()
-	err    func() error    // ctx.Err
-	tr     *obs.Trace      // request trace; nil when untraced
-	span   obs.SpanRef     // parent span for this call's phase spans
+	opts  Options
+	cache *TuningCache
+	fit   []tunedParam    // aligned with ix.scan; nil = defaults
+	gen   CandidateGen    // RunOptions.Gen; nil runs the bucket algorithms
+	done  <-chan struct{} // ctx.Done(); nil for context.Background()
+	err   func() error    // ctx.Err
+	tr    *obs.Trace      // request trace; nil when untraced
+	span  obs.SpanRef     // parent span for this call's phase spans
 }
 
 // newCall binds a context and effective options into a call. A trace

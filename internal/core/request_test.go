@@ -44,9 +44,6 @@ func TestCancelBeforeStart(t *testing.T) {
 	if _, _, err := ix.Retrieve(ctx, q, Problem{Theta: 0.5}, func(retrieval.Entry) { n++ }, RunOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Above-θ on canceled ctx: err = %v, want context.Canceled", err)
 	}
-	if _, _, err := ix.RetrieveApprox(ctx, q, 5, ApproxOptions{}, RunOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RetrieveApprox on canceled ctx: err = %v, want context.Canceled", err)
-	}
 
 	// The index stays fully usable: an uncanceled call answers identically
 	// to a fresh index over the same probes.
@@ -203,9 +200,6 @@ func TestProblemValidatedOnceEverywhere(t *testing.T) {
 		_, _, entries["Retrieve, nil sink"] = fresh.Retrieve(ctx, q, prob, nil, RunOptions{Cache: tc})
 		_, entries["NewJob"] = fresh.NewJob(prob, RunOptions{Cache: tc})
 		entries["Pretune"] = fresh.Pretune(q, prob)
-		if prob.Theta == 0 { // the approximate entry takes a bare k
-			_, _, entries["RetrieveApprox"] = fresh.RetrieveApprox(ctx, q, prob.K, ApproxOptions{}, RunOptions{Cache: tc})
-		}
 		for name, err := range entries {
 			if err == nil || err.Error() != want.Error() {
 				t.Errorf("%+v through %s: err = %v, want %v", prob, name, err, want)

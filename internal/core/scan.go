@@ -46,15 +46,13 @@ func (ix *Index) scanRange(c *call, p Problem, qs *querySet, lo, hi int, s *scra
 // pays. The dots are accumulated in vecmath's canonical order
 // (vecmath/kernels.go) whichever kernel computes them, so a candidate's value
 // depends neither on the candidates it is verified with nor on the tile its
-// query rides in. With approx set the screen's survivors keep their quantized
-// estimate and the exact kernels are skipped.
-func (ix *Index) verifyCands(bi int, s *scratch, qi int32, qdir []float64, qlen, cut float64, approx bool, st *Stats) {
+// query rides in.
+func (ix *Index) verifyCands(bi int, s *scratch, qi int32, qdir []float64, qlen, cut float64, st *Stats) {
 	b := ix.scan[bi]
 	st.Candidates += int64(len(s.cand))
 	ix.compactLiveCands(bi, s)
-	if !ix.screenCands(b, s, qi, qdir, qlen, cut, approx, st) {
-		verifyDots(b, qdir, s, st)
-	}
+	ix.screenCands(b, s, qi, qdir, qlen, cut, st)
+	verifyDots(b, qdir, s, st)
 }
 
 // aboveWorker is the Above-θ kernel for sorted queries [lo, hi), one
@@ -86,7 +84,7 @@ func (ix *Index) aboveWorker(c *call, qs *querySet, lo, hi int, theta float64, s
 			processed++
 			qdir, origID := qs.dir(qi), int(qs.ids[qi])
 			ix.gather(c, bi, int32(qi), qdir, qlen, theta, thetaB, s)
-			ix.verifyCands(bi, s, int32(qi), qdir, qlen, theta, false, st)
+			ix.verifyCands(bi, s, int32(qi), qdir, qlen, theta, st)
 			// Each emitted value is (q̄ᵀp̄)·‖q‖·‖p‖, always multiplied in
 			// that order.
 			for i, dot := range s.vals {
@@ -189,7 +187,7 @@ func (ix *Index) topkTile(c *call, qs *querySet, lo, hi, kk int, s *scratch, out
 			// theta is -Inf until the heap fills, so nothing screens before
 			// the seed; Push drops values ≤ the floor, so the screen's
 			// strict < is byte-safe. v = (q̄ᵀp̄)·‖p‖.
-			ix.verifyCands(bi, s, int32(qi), qdir, 1, theta, c.approx, st)
+			ix.verifyCands(bi, s, int32(qi), qdir, 1, theta, st)
 			for i, dot := range s.vals {
 				lid := s.lid(i)
 				heap.Push(int(b.ids[lid]), dot*b.lens[lid])

@@ -30,12 +30,6 @@ type scratch struct {
 	// panel product over the head of b.dirs.
 	prefix bool
 
-	// panel is the gathered row-panel of the blocked re-rank path
-	// (RetrieveApprox): candidate raw vectors copied contiguously so one
-	// DotBatch pass verifies them. Reused across queries and pooled with
-	// the scratch.
-	panel []float64
-
 	focus      []int32 // focus coordinates, by decreasing |q̄_f|
 	focusAbs   []float64
 	rangeStart []int

@@ -215,7 +215,7 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 			}
 			if kk > 0 {
 				runLength(b, theta, 1, s)
-				ix.verifyCands(bi, s, int32(qi), qdir, 1, theta, c.approx, &trajStats)
+				ix.verifyCands(bi, s, int32(qi), qdir, 1, theta, &trajStats)
 				for i, dot := range s.vals {
 					lid := s.lid(i)
 					heap.Push(int(b.ids[lid]), dot*b.lens[lid])
@@ -297,7 +297,7 @@ func (ix *Index) observe(c *call, p tunePair, qdir []float64, phis []int, costPh
 			return float64(s.work + int64(len(s.cand))*int64(b.r))
 		}
 		var mst Stats
-		ix.verifyCands(bi, s, p.qi, qdir, qlen, p.theta, c.approx, &mst)
+		ix.verifyCands(bi, s, p.qi, qdir, qlen, p.theta, &mst)
 		var acc float64
 		for i, dot := range s.vals {
 			acc += dot * qlen * b.lens[s.lid(i)]

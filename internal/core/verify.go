@@ -68,25 +68,20 @@ func (ix *Index) compactLiveCands(bi int, s *scratch) {
 // sidecar, and only its survivors are ever written to s.cand; a list goes
 // through the eight-pointer kernel in blocks and the one-row kernel for the
 // ragged tail (quant.Screen.Prefix and List). Nothing here allocates once
-// the scratch has served a call.
+// the scratch has served a call. The screen only discards: every survivor
+// is verified in f64 afterwards.
 //
-// With approxOnly set (the Approx retrieval mode's centroid phase on an
-// Options.Quantize index), a survivor must also pass the tight per-row
-// bracket, adopts its approximate dot into s.vals, and the caller skips exact
-// verification entirely. The return value reports that: true means s.vals is
-// already filled and verifyDots must not run.
-//
-// Screening is off — returning false with s.cand untouched — when
-// sidecarFor gives the pair no sidecar or the query does not quantize cleanly
-// (non-finite coordinates, degenerate magnitudes).
-func (ix *Index) screenCands(b *bucket, s *scratch, qi int32, qdir []float64, qlen, cut float64, approxOnly bool, st *Stats) bool {
+// Screening is off — s.cand left untouched — when sidecarFor gives the pair
+// no sidecar or the query does not quantize cleanly (non-finite coordinates,
+// degenerate magnitudes).
+func (ix *Index) screenCands(b *bucket, s *scratch, qi int32, qdir []float64, qlen, cut float64, st *Stats) {
 	q8 := ix.sidecarFor(b, len(s.cand), cut)
 	if q8 == nil {
-		return false
+		return
 	}
 	qq, ok := s.quantQuery(qi, qdir)
 	if !ok {
-		return false
+		return
 	}
 	c := len(s.cand)
 	if len(s.dots) < c {
@@ -99,27 +94,9 @@ func (ix *Index) screenCands(b *bucket, s *scratch, qi int32, qdir []float64, ql
 	} else {
 		k = scr.List(s.cand, b.lens, cut, s.dots)
 	}
-	if approxOnly {
-		if cap(s.vals) < k {
-			s.vals = make([]float64, k+k/2+8)
-		}
-		s.vals = s.vals[:k]
-		kept := 0
-		for i, lid := range s.cand[:k] {
-			approx, bound := q8.BoundFromDot(qq, int(lid), s.dots[i])
-			if (approx+bound)*qlen*b.lens[lid] < cut {
-				continue
-			}
-			s.cand[kept], s.vals[kept] = lid, approx
-			kept++
-		}
-		k = kept
-		s.vals = s.vals[:k]
-	}
 	st.QuantScreened += int64(c - k)
 	st.QuantSurvived += int64(k)
 	s.dropTo(k)
-	return approxOnly
 }
 
 // autoScreenMin is the fewest candidates for which an automatic screen pays:

@@ -1,7 +1,6 @@
 // Package kmeans implements spherical k-means over vector directions, the
-// substrate for the approximate Row-Top-k mode cited by the paper (§5,
-// Koenigstein et al. [17]: cluster the query vectors and retrieve only for
-// cluster centroids).
+// clustering behind the serving layer's cluster placement, which partitions
+// a probe catalog across shards by direction.
 //
 // Spherical k-means clusters unit vectors by cosine similarity: assignment
 // maximizes q̄ᵀc, and each centroid update is the normalized mean of its

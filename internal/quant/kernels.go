@@ -4,8 +4,8 @@ import "lemp/internal/vecmath"
 
 // Integer kernels: the full r-dimension inner product of the query's codes
 // with a row's codes, in the three shapes the verifier's candidate sets
-// take — one row (DotQ8: ragged tails, Approx mode), eight rows anywhere in
-// the sidecar (dot8: COORD/INCR survivor lists; eight row pointers by the
+// take — one row (DotQ8: ragged tails), eight rows anywhere in the
+// sidecar (dot8: COORD/INCR survivor lists; eight row pointers by the
 // time assembly sees them) and a contiguous panel (dotPanel: LENGTH's
 // prefix, the whole-bucket fallback).
 //

@@ -25,10 +25,10 @@
 //	res, _ := index.Retrieve(ctx, query, lemp.TopK(10))
 //	for _, row := range res.TopK { ... }
 //
-// Retrieve is the context-aware entry point for every mode; per-call policy
-// — algorithm, parallelism, tuning reuse, approximation, streaming — is
-// selected with functional options (TopK, AboveTheta, WithAlgorithm,
-// WithParallelism, WithTuningCache, Approx, Stream).
+// Retrieve is the context-aware entry point for both problems; per-call
+// policy — algorithm, parallelism, tuning reuse, streaming — is selected with
+// functional options (TopK, AboveTheta, WithAlgorithm, WithParallelism,
+// WithTuningCache, Stream).
 package lemp
 
 import (
@@ -129,14 +129,6 @@ func (ix *Index) Buckets() []BucketInfo { return ix.inner.Buckets() }
 
 // PrepTime returns the preprocessing wall-clock time.
 func (ix *Index) PrepTime() time.Duration { return ix.inner.PrepTime() }
-
-// ApproxOptions tune approximate Row-Top-k (cluster count, candidate
-// expansion); see the Approx option.
-type ApproxOptions = core.ApproxOptions
-
-// Recall returns the average fraction of exact top-k entries recovered by
-// an approximate run, per query.
-func Recall(exact, approx TopKRows) float64 { return core.Recall(exact, approx) }
 
 // MergeTopK k-way-merges Row-Top-k results obtained from disjoint shards of
 // one probe matrix into a single global result. Each part must hold one row

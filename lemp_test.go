@@ -223,3 +223,37 @@ func TestMatrixHelpersAndLoadMatrix(t *testing.T) {
 		t.Error("ReadMatrix after drain should fail or be empty")
 	}
 }
+
+func TestParallelOptionsThroughPublicAPI(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	p := lemp.NewMatrix(6, 300)
+	q := lemp.NewMatrix(6, 80)
+	for _, m := range []*lemp.Matrix{p, q} {
+		d := m.Data()
+		for i := range d {
+			d[i] = rng.NormFloat64()
+		}
+	}
+	serial, err := lemp.New(p, lemp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := lemp.New(p, lemp.Options{Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTop, _, _ := rowTopK(serial, q, 3)
+	gotTop, _, _ := rowTopK(parallel, q, 3)
+	for i := range wantTop {
+		for j := range wantTop[i] {
+			if wantTop[i][j].Value != gotTop[i][j].Value {
+				t.Fatalf("row %d rank %d: %g vs %g", i, j, gotTop[i][j].Value, wantTop[i][j].Value)
+			}
+		}
+	}
+	want, _, _ := aboveTheta(serial, q, 3)
+	got, _, _ := aboveTheta(parallel, q, 3)
+	if len(want) != len(got) {
+		t.Fatalf("parallel Above-θ %d entries, serial %d", len(got), len(want))
+	}
+}

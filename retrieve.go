@@ -12,8 +12,8 @@ import (
 // mode. The spec is assembled from functional options: exactly one of
 // TopK(k) or AboveTheta(theta) selects the problem, and the remaining
 // options adjust per-call execution policy — bucket algorithm, parallelism,
-// tuning-parameter reuse, approximation, streaming. Index construction
-// fixes structure; Retrieve fixes policy, per call.
+// tuning-parameter reuse, streaming. Index construction fixes structure;
+// Retrieve fixes policy, per call.
 //
 //	res, err := index.Retrieve(ctx, q, lemp.TopK(10), lemp.WithParallelism(4))
 //	res, err := index.Retrieve(ctx, q, lemp.AboveTheta(0.9), lemp.Stream(emit))
@@ -43,16 +43,12 @@ func (ix *Index) RetrieveSpec(ctx context.Context, q *Matrix, spec *Spec) (*Resu
 		Cache:       spec.cache,
 	}
 	res := &Result{Epoch: ix.Epoch()}
-	var err error
-	if spec.approx != nil {
-		res.TopK, res.Stats, err = ix.inner.RetrieveApprox(ctx, q, spec.prob.K, *spec.approx, ro)
-	} else {
-		sink := retrieval.Sink(spec.stream)
-		if spec.prob.K == 0 && sink == nil {
-			sink = retrieval.Collect(&res.Entries)
-		}
-		res.TopK, res.Stats, err = ix.inner.Retrieve(ctx, q, spec.prob, sink, ro)
+	sink := retrieval.Sink(spec.stream)
+	if spec.prob.K == 0 && sink == nil {
+		sink = retrieval.Collect(&res.Entries)
 	}
+	var err error
+	res.TopK, res.Stats, err = ix.inner.Retrieve(ctx, q, spec.prob, sink, ro)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +80,6 @@ type Spec struct {
 	algorithm   *Algorithm
 	parallelism int
 	cache       *TuningCache
-	approx      *ApproxOptions
 	stream      func(Entry)
 }
 
@@ -107,9 +102,6 @@ func NewSpec(opts ...Option) (*Spec, error) {
 	}
 	if spec.prob == (core.Problem{}) {
 		return nil, fmt.Errorf("lemp: no retrieval mode: pass TopK(k) or AboveTheta(theta)")
-	}
-	if spec.approx != nil && spec.prob.K == 0 {
-		return nil, fmt.Errorf("lemp: Approx applies only to TopK retrieval")
 	}
 	if spec.stream != nil && spec.prob.K > 0 {
 		return nil, fmt.Errorf("lemp: Stream applies only to AboveTheta retrieval")
@@ -198,22 +190,6 @@ func WithTuningCache(tc *TuningCache) Option {
 			return fmt.Errorf("lemp: WithTuningCache given twice")
 		}
 		s.cache = tc
-		return nil
-	}
-}
-
-// Approx answers a TopK retrieval approximately by clustering the queries
-// and retrieving exactly only for cluster centroids (the scheme of
-// Koenigstein et al. the paper cites as composable with LEMP). Values are
-// exact inner products, but some true top-k members may be missing; use
-// Recall to quantify quality against an exact run. Conflicts with
-// AboveTheta and Stream.
-func Approx(opts ApproxOptions) Option {
-	return func(s *Spec) error {
-		if s.approx != nil {
-			return fmt.Errorf("lemp: Approx given twice")
-		}
-		s.approx = &opts
 		return nil
 	}
 }

@@ -56,7 +56,7 @@ func TestNewSpecValidation(t *testing.T) {
 	}{
 		{"topk", []lemp.Option{lemp.TopK(5)}, ""},
 		{"above", []lemp.Option{lemp.AboveTheta(0.5)}, ""},
-		{"everything-topk", []lemp.Option{lemp.TopK(5), lemp.WithAlgorithm(lemp.AlgorithmL), lemp.WithParallelism(2), lemp.WithTuningCache(tc), lemp.Approx(lemp.ApproxOptions{})}, ""},
+		{"everything-topk", []lemp.Option{lemp.TopK(5), lemp.WithAlgorithm(lemp.AlgorithmL), lemp.WithParallelism(2), lemp.WithTuningCache(tc)}, ""},
 		{"everything-above", []lemp.Option{lemp.AboveTheta(1), lemp.Stream(emit), lemp.WithParallelism(4), lemp.WithTuningCache(tc)}, ""},
 
 		{"no-mode", nil, "no retrieval mode"},
@@ -83,7 +83,6 @@ func TestNewSpecValidation(t *testing.T) {
 		{"nil-stream", []lemp.Option{lemp.AboveTheta(0.5), lemp.Stream(nil)}, "non-nil emit"},
 		{"nil-option", []lemp.Option{lemp.TopK(5), nil}, "nil Option"},
 
-		{"approx-with-above", []lemp.Option{lemp.AboveTheta(0.5), lemp.Approx(lemp.ApproxOptions{})}, "Approx applies only"},
 		{"stream-with-topk", []lemp.Option{lemp.TopK(5), lemp.Stream(emit)}, "Stream applies only"},
 	}
 	for _, c := range cases {
@@ -126,8 +125,7 @@ func TestRetrieveRejectsBeforeWork(t *testing.T) {
 // TestRetrieveModesFillTheirResult checks what each mode puts in a Result:
 // TopK fills rows and no entries — a prebuilt Spec answering as the options
 // do — AboveTheta collects entries and no rows, Stream delivers the same
-// entry set and materializes nothing, Approx answers k exact-valued entries
-// per row and is reproducible under its seed.
+// entry set and materializes nothing.
 func TestRetrieveModesFillTheirResult(t *testing.T) {
 	ix, q := retrieveFixture(t)
 	ctx := context.Background()
@@ -168,25 +166,6 @@ func TestRetrieveModesFillTheirResult(t *testing.T) {
 	lemp.SortEntries(streamed)
 	if !reflect.DeepEqual(streamed, wantEnts) {
 		t.Fatal("Stream entries differ from collected entries")
-	}
-
-	res, err = ix.Retrieve(ctx, q, lemp.TopK(5), lemp.Approx(lemp.ApproxOptions{Clusters: 4, Seed: 3}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, row := range res.TopK {
-		if len(row) != 5 {
-			t.Fatalf("Approx row %d holds %d entries, want 5", i, len(row))
-		}
-		for _, e := range row {
-			if want := q.Product(ix.Probe(), i, e.Probe); math.Abs(e.Value-want) > 1e-9*(1+math.Abs(want)) {
-				t.Fatalf("Approx entry (%d,%d): value %g is not the product %g", i, e.Probe, e.Value, want)
-			}
-		}
-	}
-	again, err := ix.Retrieve(ctx, q, lemp.TopK(5), lemp.Approx(lemp.ApproxOptions{Clusters: 4, Seed: 3}))
-	if err != nil || !reflect.DeepEqual(again.TopK, res.TopK) {
-		t.Fatalf("Approx under one seed answered differently twice (err %v)", err)
 	}
 }
 
