@@ -11,7 +11,7 @@
 //	lemp-bench -experiment bulk -json out # + BENCH_bulk.json trajectory
 //
 // Experiment ids: fig5 fig6a fig6b fig7ab fig7cf table2 table3 table4
-// table5 table6 cache tune kernels placement quant load bulk. With -json
+// table5 table6 cache tune kernels quant load bulk. With -json
 // each experiment also writes a machine-readable BENCH_<id>.json file for
 // archiving trajectories across commits.
 package main

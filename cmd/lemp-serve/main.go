@@ -24,20 +24,16 @@
 // Snapshots: -save-snapshot writes one LEMPIDX1 file per shard (path for a
 // single shard, path.0 … path.N-1 otherwise) after pretuning each shard, so
 // a later -snapshot startup skips bucketization and tuning entirely.
-// -snapshot restores that layout, including the placement strategy the
-// saving server used. Pass -shards to restore under a different shard
-// count, -placement to restore under a different strategy, or
-// -rebalance-on-load to force a fresh partition even when both match; all
-// three re-place the restored probe set through the active placement
-// (which re-pays index build for the moved shards, with ids preserved).
+// -snapshot restores that partition, whichever placement built it. Pass
+// -shards with a different count, or -rebalance-on-load, to re-place the
+// restored live probes instead: a fresh build under -placement, ids
+// preserved.
 //
-// Placement (-placement) decides which probes share a shard, at build and
-// at every re-placement, and nothing else: "range" splits the catalog into
-// contiguous equal-count runs, "cost" splits it into contiguous runs of
-// equal estimated scan cost (balancing per-shard scan time under
-// length-skewed catalogs), and "cluster" groups directionally similar
-// probes via spherical k-means. Every query reaches every shard, and every
-// add goes to the shard with the least estimated scan cost.
+// Placement (-placement) decides which probes share a shard when shards are
+// built, and nothing else: "range" splits the catalog into contiguous
+// equal-count runs, "cluster" groups directionally similar probes via
+// spherical k-means. Every query reaches every shard, and every add goes to
+// the shard with the least estimated scan cost.
 //
 // Endpoints:
 //
@@ -122,8 +118,8 @@ func main() {
 	snapshotPath := flag.String("snapshot", "", "restore shard indexes from LEMPIDX1 snapshots (path, or path.0..path.N-1 as written by -save-snapshot) instead of building them")
 	saveSnapshot := flag.String("save-snapshot", "", "after building, pretune and write one snapshot per shard (path for 1 shard, else path.0..path.N-1), then serve")
 	shards := flag.Int("shards", 4, "number of index shards")
-	placementName := flag.String("placement", "range", "shard placement strategy, how the catalog is partitioned: range (contiguous equal-count), cost (contiguous cost-balanced) or cluster (spherical k-means)")
-	rebalanceOnLoad := flag.Bool("rebalance-on-load", false, "with -snapshot, re-partition the restored probe set under the active placement even when shard count and strategy already match")
+	placementName := flag.String("placement", "range", "how a shard build partitions the catalog: range (contiguous equal-count) or cluster (spherical k-means); with -snapshot it applies only when the restore re-places")
+	rebalanceOnLoad := flag.Bool("rebalance-on-load", false, "with -snapshot, re-place the restored probe set under -placement even when -shards matches the snapshot count")
 	algName := flag.String("alg", "LI", "bucket algorithm: L LI LC I C")
 	phi := flag.Int("phi", 0, "fixed focus-set size φ (0 = tuned per bucket)")
 	quantize := flag.Bool("quant", false, "build the int8 screening sidecars eagerly and screen every candidate set (results stay exact; ~1 byte per probe per dimension); snapshots record the option and re-quantize on restore. Without it the server screens by itself where the int8 kernels are assembly (/stats \"kernels\": \"avx2\"), building sidecars lazily for the buckets queries reach; the flag adds the eager build and, on the portable kernels, the screen itself, which loses there. With -snapshot, given explicitly it forces the option on or off regardless of what the snapshots recorded")
@@ -227,14 +223,11 @@ func main() {
 
 	var srv *server.Server
 	if *snapshotPath != "" {
-		// A restore keeps the snapshot's own shard count and placement
-		// unless the flags were given explicitly: the defaults describe a
-		// fresh build, not an instruction to re-partition a stored one.
+		// A restore keeps the snapshot's own shard count unless -shards was
+		// given explicitly: the default describes a fresh build, not an
+		// instruction to re-partition a stored one.
 		if !flagSet("shards") {
 			cfg.Shards = 0
-		}
-		if !flagSet("placement") {
-			cfg.Placement = ""
 		}
 		// An explicit -quant overrides the snapshots' recorded Quantize
 		// option in either direction; by default they restore as written.
@@ -352,8 +345,8 @@ func bootHandler() http.Handler {
 }
 
 // flagSet reports whether a flag was given explicitly (as opposed to
-// resting at its default), which decides whether a snapshot restore honors
-// the snapshot's own shard count and placement or re-partitions.
+// resting at its default), which decides whether a snapshot restore keeps
+// the snapshot's own shard count or re-partitions.
 func flagSet(name string) bool {
 	set := false
 	flag.Visit(func(f *flag.Flag) {
@@ -391,11 +384,10 @@ func snapshotFiles(path string) []string {
 	return files
 }
 
-// loadSnapshots restores a server from snapshot files. A -shards or
-// -placement disagreeing with the stored layout (or -rebalance-on-load) is
-// handled inside NewFromSnapshot, which re-partitions the restored probe
-// set through the placement interface — ids preserved, index build re-paid
-// only then.
+// loadSnapshots restores a server from snapshot files. A -shards
+// disagreeing with the snapshot count (or -rebalance-on-load) is handled
+// inside NewFromSnapshot, which re-places the restored probe set under
+// -placement — ids preserved, index build re-paid only then.
 func loadSnapshots(path string, cfg server.Config) *server.Server {
 	files := snapshotFiles(path)
 	start := time.Now()
@@ -423,7 +415,6 @@ func loadSnapshots(path string, cfg server.Config) *server.Server {
 	logger.Info(msg,
 		"snapshots", len(files),
 		"shards", srv.Sharded().NumShards(),
-		"placement", string(srv.Sharded().Placement()),
 		"path", path,
 		"elapsed", time.Since(start).Round(time.Millisecond).String())
 	return srv

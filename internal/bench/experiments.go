@@ -13,7 +13,7 @@ import (
 var ExperimentIDs = []string{
 	"fig5", "fig6a", "fig6b", "fig7ab", "fig7cf",
 	"table2", "table3", "table4", "table5", "table6",
-	"cache", "tune", "kernels", "placement", "quant", "load", "bulk",
+	"cache", "tune", "kernels", "quant", "load", "bulk",
 }
 
 // Run executes one experiment by id ("all" runs every experiment) and
@@ -68,8 +68,6 @@ func (r *Runner) run1(id string) error {
 		return r.tuneAblation()
 	case "kernels":
 		return r.kernels()
-	case "placement":
-		return r.placement()
 	case "quant":
 		return r.quantScreening()
 	case "load":

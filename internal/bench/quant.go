@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"time"
 
 	"lemp/internal/core"
@@ -92,9 +93,10 @@ func quantWorkload(scale float64) (p, q *matrix.Matrix) {
 // the measurement stops saying anything about verification.
 func quantThetas(p, q *matrix.Matrix) []float64 {
 	products := allProducts(p, q)
+	sort.Float64s(products)
 	var thetas []float64
 	for _, qq := range []float64{0.95, 0.99, 0.999} {
-		if t := quantile(products, qq); t > 0 {
+		if t := products[int(qq*float64(len(products)-1))]; t > 0 {
 			thetas = append(thetas, t)
 		}
 	}

@@ -86,8 +86,7 @@ func (b *bucket) lengthPrefix(minLen float64) int {
 // bucket starts when the length drops below shrink·l_b or the bucket would
 // exceed maxSize vectors; every bucket holds at least minSize vectors and a
 // too-short tail is absorbed into the last bucket. maxSize ≤ 0 means
-// unlimited. Shared by bucketize and ScanCostWeights so the cost model sees
-// exactly the bucketization the index would build.
+// unlimited.
 func bucketSpans(sortedLens []float64, shrink float64, minSize, maxSize int) [][2]int {
 	n := len(sortedLens)
 	var spans [][2]int

@@ -630,19 +630,11 @@ func (ix *Index) rescan(dead []tombs, gone []bool, fresh []*bucket) {
 
 // bucketCap resolves Options.CacheBytes into the per-bucket size cap
 // bucketize enforces.
-func (ix *Index) bucketCap() int { return bucketCapFor(ix.opts, ix.r) }
-
-// bucketCapFor is bucketCap without an index, for callers (ScanCostWeights)
-// that model a bucketization before building one.
-func bucketCapFor(opts Options, r int) int {
-	if opts.CacheBytes <= 0 {
+func (ix *Index) bucketCap() int {
+	if ix.opts.CacheBytes <= 0 {
 		return 0
 	}
-	maxSize := opts.CacheBytes / bucketBytes(r)
-	if maxSize < opts.MinBucketSize {
-		maxSize = opts.MinBucketSize
-	}
-	return maxSize
+	return max(ix.opts.CacheBytes/bucketBytes(ix.r), ix.opts.MinBucketSize)
 }
 
 // mutated reports whether the index holds a tombstone or a run.

@@ -35,13 +35,6 @@ type State struct {
 	Epoch  uint64
 	NextID int32
 
-	// Shard-placement metadata (snapshot PLMT section): the placement
-	// strategy the shard set holding this index was built with. A passive
-	// pass-through for the serving layer: State never sets it (the owner of
-	// the shard set does before writing a snapshot) and FromState ignores it
-	// (the loader hands it back to the serving layer).
-	PlacementKind string
-
 	// Retained tuning sample (§4.4). A Pretune call keeps the query sample
 	// and problem it fitted so Compact can re-freeze the parameters after a
 	// re-bucketization; persisting them lets a snapshot-restored pretuned

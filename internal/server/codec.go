@@ -56,10 +56,22 @@ func putCodecBuf(cb *codecBuf) {
 	codecPool.Put(cb)
 }
 
-// decodeQuery reads a retrieval body under the configured size limit and
-// decodes it into cb.req for dimension dim, writing the error response
-// itself on failure.
+// decodeQuery reads a retrieval body and decodes it into cb.req for
+// dimension dim, writing the error response itself on failure.
 func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request, topk bool, dim int, cb *codecBuf) bool {
+	if !s.readBody(w, r, cb) {
+		return false
+	}
+	if err := cb.req.decode(cb.body.Bytes(), topk, dim); err != nil {
+		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+		return false
+	}
+	return true
+}
+
+// readBody reads a request body into cb.body under the configured size
+// limit, writing the error response itself on failure: 413 past the limit.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, cb *codecBuf) bool {
 	body := r.Body
 	if s.cfg.MaxBodyBytes > 0 {
 		body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
@@ -73,10 +85,6 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request, topk bool, 
 			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
 			return false
 		}
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return false
-	}
-	if err := cb.req.decode(cb.body.Bytes(), topk, dim); err != nil {
 		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return false
 	}

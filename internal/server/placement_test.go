@@ -1,13 +1,17 @@
 package server
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"lemp"
+	"lemp/internal/naive"
 	"lemp/internal/vecmath"
 )
 
@@ -233,55 +237,6 @@ func TestClusterPlacedDifferential(t *testing.T) {
 	}
 }
 
-// TestCostPlacementBalancesSkew: on a length-skewed catalog laid out in
-// decreasing length order — the worst case for equal-count contiguous
-// splits — cost placement must produce a lower max/mean per-shard estimated
-// scan cost than range placement.
-func TestCostPlacementBalancesSkew(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	const r, n, shards = 8, 600, 4
-	p := lemp.NewMatrix(r, n)
-	for i := 0; i < n; i++ {
-		v := p.Vec(i)
-		for f := range v {
-			v[f] = rng.NormFloat64()
-		}
-		// Zipf-ish length skew, decreasing with the column index.
-		norm := vecmath.Norm(v)
-		vecmath.Scale(v, v, 20.0/(norm*math.Pow(float64(i+1), 0.8)))
-	}
-	opts := lemp.Options{MinBucketSize: 10, Parallelism: 1}
-	rangeSh, err := NewShardedPlaced(p.Clone(), nil, shards, opts, PlaceRange)
-	if err != nil {
-		t.Fatal(err)
-	}
-	costSh, err := NewShardedPlaced(p.Clone(), nil, shards, opts, PlaceCost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, cs := rangeSh.CostSkew(), costSh.CostSkew()
-	if cs >= rs {
-		t.Fatalf("cost placement skew %.3f not below range skew %.3f", cs, rs)
-	}
-	if cs > 1.5 {
-		t.Fatalf("cost placement skew %.3f still badly unbalanced", cs)
-	}
-	// Both placements must serve identical results.
-	q := lemp.NewMatrix(r, 3)
-	for i := 0; i < 3; i++ {
-		copy(q.Vec(i), randVec(rng, r))
-	}
-	a, _, err := rangeSh.CurrentView().AboveThetaCtx(context.Background(), q, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := costSh.CurrentView().AboveThetaCtx(context.Background(), q, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareRows(t, "range vs cost", a, b)
-}
-
 // TestPlacementAddRouting: under every placement, each add must go to the
 // shard with the least estimated scan cost, counting the adds the batch
 // already placed (a new vector weighs its length; a zero vector weighs
@@ -292,7 +247,7 @@ func TestPlacementAddRouting(t *testing.T) {
 	const r, n = 6, 120
 	p := clusteredProbe(rng, r, n)
 	opts := lemp.Options{MinBucketSize: 6, Parallelism: 1}
-	for _, kind := range []PlacementKind{PlaceRange, PlaceCost, PlaceCluster} {
+	for _, kind := range []Placement{PlaceRange, PlaceCluster} {
 		sh, err := NewShardedPlaced(p.Clone(), nil, 3, opts, kind)
 		if err != nil {
 			t.Fatal(err)
@@ -334,9 +289,95 @@ func TestPlacementAddRouting(t *testing.T) {
 	}
 }
 
-// TestClusterSnapshotRoundTrip: a cluster-placed server snapshotted and
-// restored must adopt its placement kind and answer identically to the
-// original.
+// TestParsePlacement: the two placements parse, "" is range, and any other
+// name fails naming both.
+func TestParsePlacement(t *testing.T) {
+	for name, want := range map[string]Placement{"": PlaceRange, "range": PlaceRange, "cluster": PlaceCluster} {
+		if got, err := ParsePlacement(name); err != nil || got != want {
+			t.Errorf("ParsePlacement(%q) = %q, %v; want %q", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"cost", "Range", "spiral"} {
+		if _, err := ParsePlacement(name); err == nil || !strings.Contains(err.Error(), "range") || !strings.Contains(err.Error(), "cluster") {
+			t.Errorf("ParsePlacement(%q): error %v, want one naming range and cluster", name, err)
+		}
+	}
+}
+
+// liveSet gathers a shard set's live probes and their ids, shard by shard.
+func liveSet(sh *Sharded) (*lemp.Matrix, []int32) {
+	var data []float64
+	var ids []int32
+	for _, ix := range sh.Indexes() {
+		p, pids := ix.LiveProbes()
+		data = append(data, p.Data()...)
+		ids = append(ids, pids...)
+	}
+	p, _ := lemp.MatrixFromData(sh.R(), len(ids), data)
+	return p, ids
+}
+
+// answersLikeNaive checks a shard set against internal/naive over the live
+// probe set p (column col named ids[col]): the same Row-Top-k probes and
+// Above-θ entries, values within rounding of the exact products. θ lies
+// halfway across the widest gap among the 40 largest products, so no entry
+// sits within rounding of it.
+func answersLikeNaive(t *testing.T, what string, sh *Sharded, p *lemp.Matrix, ids []int32, q *lemp.Matrix) {
+	t.Helper()
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(b)) }
+	v := sh.CurrentView()
+	wantTop, _ := naive.RowTopK(q, p, 4)
+	gotTop, _, err := v.TopKCtx(context.Background(), q, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range wantTop {
+		if len(gotTop[i]) != len(wantTop[i]) {
+			t.Fatalf("%s: query %d has %d top-k entries, naive %d", what, i, len(gotTop[i]), len(wantTop[i]))
+		}
+		for j, w := range wantTop[i] {
+			if g := gotTop[i][j]; g.Probe != int(ids[w.Probe]) || !near(g.Value, w.Value) {
+				t.Fatalf("%s: query %d rank %d: probe %d value %v, naive probe %d value %v", what, i, j, g.Probe, g.Value, ids[w.Probe], w.Value)
+			}
+		}
+	}
+	var all []float64
+	naive.AboveTheta(q, p, math.SmallestNonzeroFloat64, func(e lemp.Entry) { all = append(all, e.Value) })
+	slices.SortFunc(all, func(a, b float64) int { return cmp.Compare(b, a) })
+	gap := 1
+	for i := 2; i < min(40, len(all)); i++ {
+		if all[i-1]-all[i] > all[gap-1]-all[gap] {
+			gap = i
+		}
+	}
+	theta := (all[gap-1] + all[gap]) / 2
+	want := make([][]lemp.Entry, q.N())
+	naive.AboveTheta(q, p, theta, func(e lemp.Entry) {
+		e.Probe = int(ids[e.Probe])
+		want[e.Query] = append(want[e.Query], e)
+	})
+	got, _, err := v.AboveThetaCtx(context.Background(), q, theta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		lemp.SortEntries(want[i])
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("%s: query %d has %d Above-θ entries, naive %d", what, i, len(got[i]), len(want[i]))
+		}
+		for j, w := range want[i] {
+			if g := got[i][j]; g.Probe != w.Probe || !near(g.Value, w.Value) {
+				t.Fatalf("%s: query %d Above-θ entry %d: %+v, naive %+v", what, i, j, g, w)
+			}
+		}
+	}
+}
+
+// TestClusterSnapshotRoundTrip: a cluster-placed server, mutated, then
+// snapshotted, restores as-is (one shard per snapshot), re-placed into fewer
+// shards, and re-placed at the same count under RebalanceOnLoad, and every
+// restore answers as internal/naive does over the live probe set. No
+// snapshot carries a PLMT section.
 func TestClusterSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	const r, n = 6, 90
@@ -346,48 +387,75 @@ func TestClusterSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps := snapshotReaders(writeShardSnapshots(t, srv))
-	restored, err := NewFromSnapshot(snaps, Config{Options: lemp.Options{Parallelism: 1}})
-	if err != nil {
-		t.Fatal(err)
+	_, live := liveSet(srv.Sharded())
+	for round := 0; round < 4; round++ {
+		ops := randomOps(rng, r, &live)
+		res, err := srv.Sharded().Update(ops, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, op := range ops {
+			if op.Op == lemp.OpAdd {
+				live = append(live, res.IDs[i])
+			}
+		}
 	}
-	if got := restored.Sharded().Placement(); got != PlaceCluster {
-		t.Fatalf("restored placement %q, want %q", got, PlaceCluster)
-	}
+	liveP, ids := liveSet(srv.Sharded())
 	q := lemp.NewMatrix(r, 5)
 	for i := 0; i < 5; i++ {
-		copy(q.Vec(i), clusteredProbe(rng, r, 1).Vec(0))
+		for vecmath.Norm(q.Vec(i)) == 0 { // probe-like, and not a zero vector
+			copy(q.Vec(i), clusteredProbe(rng, r, 1).Vec(0))
+		}
 	}
-	want, _, err := srv.Sharded().CurrentView().AboveThetaCtx(context.Background(), q, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := restored.Sharded().CurrentView().AboveThetaCtx(context.Background(), q, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareRows(t, "restored vs original", got, want)
-	wantTop, _, err := srv.Sharded().CurrentView().TopKCtx(context.Background(), q, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotTop, _, err := restored.Sharded().CurrentView().TopKCtx(context.Background(), q, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareRows(t, "restored top-k vs original", gotTop, wantTop)
+	answersLikeNaive(t, "saving server", srv.Sharded(), liveP, ids, q)
 
-	// A shard-count override must re-place through the placement interface.
-	resharded, err := NewFromSnapshot(snapshotReaders(writeShardSnapshots(t, srv)), Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})
+	bufs := writeShardSnapshots(t, srv)
+	for i, b := range bufs {
+		if bytes.Contains(b.Bytes(), []byte("PLMT")) {
+			t.Fatalf("shard %d snapshot carries a PLMT section", i)
+		}
+	}
+	for _, tc := range []struct {
+		what   string
+		cfg    Config
+		shards int
+	}{
+		{"restored as-is", Config{}, 3},
+		{"re-placed into 2 shards", Config{Shards: 2, Placement: "cluster"}, 2},
+		{"re-placed under RebalanceOnLoad", Config{Placement: "cluster", RebalanceOnLoad: true}, 3},
+	} {
+		tc.cfg.Options.Parallelism = 1
+		restored, err := NewFromSnapshot(snapshotReaders(bufs), tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.what, err)
+		}
+		if got := restored.Sharded().NumShards(); got != tc.shards {
+			t.Fatalf("%s: %d shards, want %d", tc.what, got, tc.shards)
+		}
+		answersLikeNaive(t, tc.what, restored.Sharded(), liveP, ids, q)
+	}
+}
+
+// TestRestoreKeepsPartition: a restore that does not re-place keeps the
+// saving server's partition shard by shard, whatever placement built it —
+// here cluster, restored under a Config whose placement defaults to range.
+func TestRestoreKeepsPartition(t *testing.T) {
+	p := clusteredProbe(rand.New(rand.NewSource(73)), 6, 90)
+	srv, err := New(p, Config{Shards: 3, Placement: "cluster", Options: lemp.Options{MinBucketSize: 6, Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resharded.Sharded().NumShards() != 2 {
-		t.Fatalf("re-sharded to %d shards, want 2", resharded.Sharded().NumShards())
-	}
-	got2, _, err := resharded.Sharded().CurrentView().AboveThetaCtx(context.Background(), q, 0.9)
+	restored, err := NewFromSnapshot(snapshotReaders(writeShardSnapshots(t, srv)), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareRows(t, "re-sharded vs original", got2, want)
+	want, got := srv.Sharded().Indexes(), restored.Sharded().Indexes()
+	if len(got) != len(want) {
+		t.Fatalf("restored %d shards, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(got[i].LiveIDs(), want[i].LiveIDs()) {
+			t.Errorf("shard %d holds ids %v, the saving server's %v", i, got[i].LiveIDs(), want[i].LiveIDs())
+		}
+	}
 }

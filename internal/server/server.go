@@ -26,20 +26,19 @@ import (
 type Config struct {
 	// Shards is the number of index shards (default 1).
 	Shards int
-	// Placement selects how the catalog is partitioned into shards at build
-	// and at re-placement: "range" (equal-count contiguous, the default),
-	// "cost" (contiguous, balanced by estimated scan cost) or "cluster"
-	// (directional spherical k-means). It decides nothing else: every
-	// retrieval reaches every shard, and adds go to the shard with the least
-	// estimated scan cost under any placement. When restoring from
-	// snapshots, an empty Placement adopts whatever strategy the snapshots
-	// were written under; a non-empty one overrides it (forcing a
-	// re-placement on load).
+	// Placement selects how a build partitions the catalog into shards:
+	// "range" (equal-count contiguous, the default) or "cluster"
+	// (directional spherical k-means, seeded by Options.Seed). It decides
+	// nothing else: every retrieval reaches every shard, and adds go to the
+	// shard with the least estimated scan cost under any placement. Neither
+	// indexes nor snapshots record it, so NewFromSnapshot reads it only when
+	// it re-places (see RebalanceOnLoad).
 	Placement string
-	// RebalanceOnLoad re-places the restored probe set under the effective
-	// placement strategy before serving, instead of adopting the snapshot
-	// layout as-is. Implied when Placement overrides the stored strategy or
-	// the snapshot count differs from Shards.
+	// RebalanceOnLoad makes NewFromSnapshot re-place the restored live
+	// probes under Placement: a fresh build of Shards shards (the snapshot
+	// count when Shards is 0), ids and AutoID mark preserved. Without it a
+	// restore keeps the snapshots' partition, unless Shards is set and
+	// differs from the snapshot count, which re-places just the same.
 	RebalanceOnLoad bool
 	// Quant overrides the snapshots' Options.Quantize when restoring
 	// (NewFromSnapshot): lemp.QuantAuto (the zero value) keeps what each
@@ -203,16 +202,9 @@ func New(probe *lemp.Matrix, cfg Config) (*Server, error) {
 // — must use this so results and updates keep addressing the same probes.
 func NewWithIDs(probe *lemp.Matrix, ids []int32, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if _, err := ParseBatchMode(cfg.BatchMode); err != nil {
+	kind, err := cfg.check()
+	if err != nil {
 		return nil, err
-	}
-	kind := PlaceRange
-	if cfg.Placement != "" {
-		k, err := ParsePlacement(cfg.Placement)
-		if err != nil {
-			return nil, err
-		}
-		kind = k
 	}
 	sharded, err := NewShardedPlaced(probe, ids, cfg.Shards, cfg.Options, kind)
 	if err != nil {
@@ -226,52 +218,39 @@ func NewWithIDs(probe *lemp.Matrix, ids []int32, cfg Config) (*Server, error) {
 // entirely: startup is O(read) instead of O(index). cfg.Options contributes
 // only Parallelism (structure and algorithm are fixed by the snapshots).
 //
-// The snapshot layout is adopted as-is by default: snapshot count = shard
-// count, stored placement strategy included. Any of cfg.Shards
-// set to a different count, cfg.Placement overriding the stored strategy,
-// or cfg.RebalanceOnLoad forces one re-placement of the live probe set —
-// through the placement interface, whatever the snapshot layout was —
-// before the server starts serving.
+// The snapshots' partition is kept as-is by default: one shard per snapshot.
+// cfg.Shards set to a different count, or cfg.RebalanceOnLoad, instead
+// re-places the restored live probes under cfg.Placement — a fresh build,
+// ids preserved — before the server starts serving.
 func NewFromSnapshot(snapshots []io.Reader, cfg Config) (*Server, error) {
-	target := cfg.Shards // 0 = keep the snapshot count
-	cfg.Shards = len(snapshots)
+	if cfg.Shards == 0 {
+		cfg.Shards = len(snapshots)
+	}
 	cfg = cfg.withDefaults()
-	if _, err := ParseBatchMode(cfg.BatchMode); err != nil {
+	kind, err := cfg.check()
+	if err != nil {
 		return nil, err
 	}
 	sharded, err := NewShardedFromSnapshot(snapshots, lemp.LoadOptions{Parallelism: cfg.Options.Parallelism, Quant: cfg.Quant})
 	if err != nil {
 		return nil, err
 	}
-	rebalance := cfg.RebalanceOnLoad
-	if cfg.Placement != "" {
-		kind, err := ParsePlacement(cfg.Placement)
-		if err != nil {
-			return nil, err
-		}
-		if kind != sharded.Placement() {
-			// Re-adopt the loaded indexes under the overriding strategy,
-			// then re-place: the snapshot partitioning reflects the old one.
-			if sharded, err = NewShardedFromIndexesPlaced(sharded.Indexes(), kind); err != nil {
-				return nil, err
-			}
-			rebalance = true
-		}
-	}
-	if target > 0 && target != sharded.NumShards() {
-		rebalance = true
-	} else {
-		target = sharded.NumShards()
-	}
-	if rebalance {
-		// Must precede newServer: per-shard observability is sized to the
-		// final shard count.
-		if err := sharded.Rebalance(target); err != nil {
+	if cfg.Shards != len(snapshots) || cfg.RebalanceOnLoad {
+		if sharded, err = sharded.rePlaced(cfg.Shards, kind); err != nil {
 			return nil, err
 		}
 	}
+	// Per-shard observability is sized to the final shard count.
 	cfg.Shards = sharded.NumShards()
 	return newServer(sharded, cfg), nil
+}
+
+// check validates the names a Config carries, returning the placement.
+func (c Config) check() (Placement, error) {
+	if _, err := ParseBatchMode(c.BatchMode); err != nil {
+		return "", err
+	}
+	return ParsePlacement(c.Placement)
 }
 
 // newServer wires the shared serving stack around a shard set.
@@ -342,12 +321,6 @@ func (s *Server) Sharded() *Sharded { return s.sharded }
 // indexes so a restored server's first batch skips their rebuild.
 func (s *Server) WriteSnapshotsWith(open func(i, n int) (io.WriteCloser, error), opts lemp.SnapshotOptions) error {
 	ixs := s.sharded.Indexes()
-	if kind := s.sharded.Placement(); opts.Placement == nil && kind != PlaceRange {
-		// Persist the placement strategy so a restore re-places the way the
-		// original build did. Range placement writes no PLMT section,
-		// keeping those snapshots readable by older builds.
-		opts.Placement = &lemp.ShardPlacement{Kind: string(kind)}
-	}
 	for i, ix := range ixs {
 		w, err := open(i, len(ixs))
 		if err != nil {
@@ -580,25 +553,6 @@ type queryResponse struct {
 	Results [][]resultEntry `json:"results"`
 }
 
-// decodeBody decodes the JSON request body into req under the configured
-// size limit, writing the error response itself on failure.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, req any) bool {
-	body := r.Body
-	if s.cfg.MaxBodyBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	}
-	if err := json.NewDecoder(body).Decode(req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-			return false
-		}
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return false
-	}
-	return true
-}
-
 // shedRequest is the admission-control gate, checked before a retrieval
 // request's body is even decoded: when the batcher's forming-batch queue
 // or the in-flight request count is past the configured bound, the request
@@ -730,7 +684,7 @@ type healthzResponse struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	view := s.sharded.CurrentView()
-	writeJSON(w, healthzResponse{
+	writeJSON(w, http.StatusOK, healthzResponse{
 		Status: "ok",
 		Probes: view.N(),
 		Shards: s.sharded.NumShards(),
@@ -753,19 +707,16 @@ type readyzResponse struct {
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	view := s.sharded.CurrentView()
 	resp := readyzResponse{Status: "ready", Probes: view.N(), Epoch: view.Epoch()}
+	status := http.StatusServiceUnavailable
 	switch {
 	case s.draining.Load():
 		resp.Status = "draining"
 	case !s.ready.Load():
 		resp.Status = "starting"
 	default:
-		writeJSON(w, resp)
-		return
+		status = http.StatusOK
 	}
-	buf, _ := json.Marshal(resp)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	w.Write(append(buf, '\n'))
+	writeJSON(w, status, resp)
 }
 
 // handleMetrics serves the registry in Prometheus text exposition format.
@@ -781,7 +732,7 @@ type tracesResponse struct {
 }
 
 func (s *Server) handleTraces(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, tracesResponse{Traces: s.tracer.Snapshots()})
+	writeJSON(w, http.StatusOK, tracesResponse{Traces: s.tracer.Snapshots()})
 }
 
 // statsResponse is the body of GET /stats: server counters plus the
@@ -798,7 +749,6 @@ type statsResponse struct {
 	BatchMode     string    `json:"batch_mode"`
 	Kernels       string    `json:"kernels"` // "avx2" or "portable": vecmath.Kernels
 	Shed          shedInfo  `json:"shed"`
-	Placement     string    `json:"placement"`
 	CostSkew      float64   `json:"cost_skew"`
 	ShardsScanned uint64    `json:"shards_scanned"`
 	ListBytes     int       `json:"list_bytes"` // sorted-list indexes across shards: Sharded.ListBytes
@@ -867,7 +817,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		avg = float64(rows) / float64(batches)
 	}
 	view := s.sharded.CurrentView()
-	writeJSON(w, statsResponse{
+	writeJSON(w, http.StatusOK, statsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Requests:      s.requests.Load(),
 		Updates:       s.updates.Load(),
@@ -885,7 +835,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			QueueRows:      s.batcher.PendingRows(),
 			DispatchIdleNS: int64(s.metrics.dispatchIdle.Value()),
 		},
-		Placement:     string(s.sharded.Placement()),
 		CostSkew:      s.sharded.CostSkew(),
 		ShardsScanned: s.sharded.ShardsScanned(),
 		ListBytes:     s.sharded.ListBytes(),
@@ -916,21 +865,20 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// writeJSON marshals before writing so an encoding failure (e.g. a ±Inf
-// value from an overflowing inner product) becomes a clean 500 instead of
-// a 200 with a truncated body.
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON answers status with v's JSON. It marshals before writing so an
+// encoding failure (e.g. a ±Inf value from an overflowing inner product)
+// becomes a clean 500 instead of a truncated body.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf, err := json.Marshal(v)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "encoding response: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	w.Write(append(buf, '\n'))
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }

@@ -308,7 +308,9 @@ func TestHealthzAndStats(t *testing.T) {
 
 // TestBadRequests checks input validation.
 func TestBadRequests(t *testing.T) {
-	ts, q, _ := newTestServer(t, testConfig())
+	cfg := testConfig()
+	cfg.MaxBodyBytes = 1 << 14
+	ts, q, _ := newTestServer(t, cfg)
 	post := func(path string, body []byte) (int, string) {
 		t.Helper()
 		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
@@ -354,6 +356,27 @@ func TestBadRequests(t *testing.T) {
 	} {
 		if code, msg := post("/v1/topk", []byte(body)); code != http.StatusBadRequest || !strings.Contains(msg, "decoding request") {
 			t.Errorf("POST /v1/topk %.60s...: status %d (%s), want a 400 decoding error", body, code, msg)
+		}
+	}
+
+	// Update bodies are read and refused the same way: trailing data, a
+	// second object and an over-limit body each leave the epoch at 0.
+	update := `{"updates":[{"op":"remove","id":3}]}`
+	for _, tc := range []struct {
+		body string
+		code int
+	}{
+		{update + `garbage`, http.StatusBadRequest},
+		{update + update, http.StatusBadRequest},
+		{`{"updates":[{"op":"remove","id":3}` + strings.Repeat(`,{"op":"remove","id":3}`, 1<<10) + `]}`, http.StatusRequestEntityTooLarge},
+	} {
+		if code, msg := post("/v1/update", []byte(tc.body)); code != tc.code {
+			t.Errorf("POST /v1/update %.60s...: status %d (%s), want %d", tc.body, code, msg, tc.code)
+		}
+		var hz healthzResponse
+		getJSON(t, ts.URL+"/healthz", &hz)
+		if hz.Epoch != 0 {
+			t.Fatalf("POST /v1/update %.60s...: epoch %d, want 0", tc.body, hz.Epoch)
 		}
 	}
 }

@@ -26,7 +26,8 @@ import (
 // holds an id — and
 // answers whole-batch retrievals by fanning the query matrix across all
 // shards concurrently and merging per-shard results: a k-way heap merge
-// for Row-Top-k, concatenation for Above-θ.
+// for Row-Top-k, concatenation for Above-θ. The shard count is fixed for
+// the set's lifetime; re-partitioning is a fresh build.
 //
 // The probe set is mutable: Update applies a batch of add/remove/update
 // ops by deriving new per-shard indexes copy-on-write (lemp.WithUpdates)
@@ -41,12 +42,6 @@ import (
 type Sharded struct {
 	r int
 
-	// Placement strategy the shard set was built with, and the effective
-	// build options (needed to re-place on Rebalance). Both are fixed at
-	// construction.
-	placement PlacementKind
-	opts      lemp.Options
-
 	// mu guards the swappable serving state: the shard indexes, the epoch,
 	// the live probe count, and the per-shard estimated scan costs. The
 	// index and cost slices are replaced wholesale on every commit, never
@@ -57,8 +52,8 @@ type Sharded struct {
 	shards []*lemp.Index // current version of every shard
 	costs  []float64     // per-shard estimated scan cost
 
-	// updMu serializes the writers of the shard set, Update and Rebalance;
-	// nextID is only accessed while it is held.
+	// updMu serializes Update calls; nextID is only accessed while it is
+	// held.
 	updMu  sync.Mutex
 	nextID int32 // next auto-assigned probe id
 
@@ -100,14 +95,14 @@ type Sharded struct {
 }
 
 // NewShardedPlaced builds nShards LEMP indexes over probe (sharing its
-// storage) under an explicit placement strategy: equal-count contiguous
-// ranges (PlaceRange: shard i indexes probes [i·n/S, (i+1)·n/S), sizes
-// differing by at most one), contiguous ranges balanced by estimated scan
-// cost (PlaceCost), or direction clusters (PlaceCluster). Every shard
+// storage where the placement keeps columns contiguous) under an explicit
+// placement strategy: equal-count contiguous ranges (PlaceRange: shard i
+// indexes probes [i·n/S, (i+1)·n/S), sizes differing by at most one) or
+// direction clusters (PlaceCluster, seeded by opts.Seed). Every shard
 // receives the same options. ids[i] names probe column i in the global id
 // space (nil assigns 0..n-1); re-sharding a previously mutated catalog
 // passes them so probe ids survive the rebuild instead of being renumbered.
-func NewShardedPlaced(probe *lemp.Matrix, ids []int32, nShards int, opts lemp.Options, kind PlacementKind) (*Sharded, error) {
+func NewShardedPlaced(probe *lemp.Matrix, ids []int32, nShards int, opts lemp.Options, kind Placement) (*Sharded, error) {
 	n := probe.N()
 	if nShards < 1 {
 		return nil, fmt.Errorf("server: shard count %d must be positive", nShards)
@@ -121,17 +116,7 @@ func NewShardedPlaced(probe *lemp.Matrix, ids []int32, nShards int, opts lemp.Op
 	if nShards == 0 {
 		return nil, fmt.Errorf("server: probe matrix is empty")
 	}
-	ixs, err := place(kind, probe, ids, nShards, opts)
-	if err != nil {
-		return nil, err
-	}
-	return assemble(ixs, kind, opts), nil
-}
-
-// place partitions a catalog — probe column i named ids[i] — into nShards
-// parts under the placement strategy and builds one index over each.
-func place(kind PlacementKind, probe *lemp.Matrix, ids []int32, nShards int, opts lemp.Options) ([]*lemp.Index, error) {
-	parts, err := partitionProbes(kind, probe, ids, nShards, opts)
+	parts, err := partitionProbes(kind, probe, ids, nShards, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -141,36 +126,29 @@ func place(kind PlacementKind, probe *lemp.Matrix, ids []int32, nShards int, opt
 			return nil, fmt.Errorf("server: building shard %d: %w", i, err)
 		}
 	}
-	return ixs, nil
+	return assemble(ixs), nil
 }
 
-// assemble wraps a shard set, in shard order, as a Sharded at epoch 0.
-func assemble(ixs []*lemp.Index, kind PlacementKind, opts lemp.Options) *Sharded {
-	s := &Sharded{r: ixs[0].R(), placement: kind, opts: opts, shards: ixs, tc: lemp.NewTuningCache()}
-	s.n, s.nextID, s.costs = tally(ixs)
+// assemble wraps a shard set, in shard order, as a Sharded at epoch 0: its
+// live probe count, the least next AutoID id none of its shards has used,
+// and every shard's estimated scan cost.
+func assemble(ixs []*lemp.Index) *Sharded {
+	s := &Sharded{r: ixs[0].R(), shards: ixs, costs: make([]float64, len(ixs)), tc: lemp.NewTuningCache()}
+	for i, ix := range ixs {
+		s.n += ix.N()
+		s.nextID = max(s.nextID, ix.NextID())
+		s.costs[i] = ix.EstimatedCost()
+	}
 	return s
 }
 
-// tally sums up a shard set: its live probe count, the least next AutoID id
-// none of its shards has used, and every shard's estimated scan cost.
-func tally(ixs []*lemp.Index) (n int, nextID int32, costs []float64) {
-	costs = make([]float64, len(ixs))
-	for i, ix := range ixs {
-		n += ix.N()
-		nextID = max(nextID, ix.NextID())
-		costs[i] = ix.EstimatedCost()
-	}
-	return n, nextID, costs
-}
-
-// NewShardedFromIndexesPlaced assembles a Sharded from pre-built indexes —
+// NewShardedFromIndexes assembles a Sharded from pre-built indexes —
 // typically loaded from per-shard snapshots — in shard order. The indexes'
 // probe ids must be globally unique — an id live in two shards is an error
 // naming both — and are adopted as the serving id space. Empty shards are
 // legal — probe updates can drain a shard, and its snapshot must still
-// restore (later adds refill it). The set adopts the given placement
-// strategy for later re-placements.
-func NewShardedFromIndexesPlaced(ixs []*lemp.Index, kind PlacementKind) (*Sharded, error) {
+// restore (later adds refill it).
+func NewShardedFromIndexes(ixs []*lemp.Index) (*Sharded, error) {
 	if len(ixs) == 0 {
 		return nil, fmt.Errorf("server: no shard indexes")
 	}
@@ -191,41 +169,68 @@ func NewShardedFromIndexesPlaced(ixs []*lemp.Index, kind PlacementKind) (*Sharde
 			return nil, fmt.Errorf("server: probe id %d appears in shards %d and %d", id, int32(owned[j-1]), int32(owned[j]))
 		}
 	}
-	return assemble(slices.Clone(ixs), kind, ixs[0].Options()), nil
+	return assemble(slices.Clone(ixs)), nil
 }
 
 // NewShardedFromSnapshot rebuilds a Sharded from one LEMPIDX1 snapshot per
 // shard (in shard order), skipping bucketization and tuning: startup is
 // O(read). Snapshots written by Server.WriteSnapshotsWith restore an
-// identical shard layout.
-// The placement strategy stored in the snapshots (PLMT sections) is
-// adopted, so later re-placements partition as the original build did.
-// Snapshots without placement metadata — or carrying a strategy this build
-// does not know — count as range-placed, which serves correctly. Every
-// shard must name the same strategy: a set that mixes them (snapshots of
-// two different runs) is refused.
+// identical shard layout, whatever placement built it.
 func NewShardedFromSnapshot(snapshots []io.Reader, opts lemp.LoadOptions) (*Sharded, error) {
 	ixs := make([]*lemp.Index, len(snapshots))
-	var kind PlacementKind
 	for i, r := range snapshots {
-		ix, pl, err := lemp.LoadIndexPlacement(r, opts)
+		ix, err := lemp.LoadIndex(r, opts)
 		if err != nil {
 			return nil, fmt.Errorf("server: loading shard %d snapshot: %w", i, err)
 		}
 		ixs[i] = ix
-		k := PlaceRange
-		if pl != nil {
-			if pk, err := ParsePlacement(pl.Kind); err == nil {
-				k = pk
-			}
-		}
-		if i == 0 {
-			kind = k
-		} else if k != kind {
-			return nil, fmt.Errorf("server: shard 0 snapshot is %s-placed, shard %d %s-placed", kind, i, k)
+	}
+	return NewShardedFromIndexes(ixs)
+}
+
+// rePlaced builds a fresh shard set over s's live probes: nShards shards
+// under kind, with the options of s's first shard. The probes are gathered
+// in ascending id order, so the new layout depends on the live probe set
+// alone, not on s's. An id s used and then removed is in no new shard, so
+// the new set keeps s's AutoID mark and never hands it out again. An empty
+// catalog returns s itself. It runs before s serves: nothing else reads or
+// updates s meanwhile.
+func (s *Sharded) rePlaced(nShards int, kind Placement) (*Sharded, error) {
+	cur := s.Indexes()
+	mats := make([]*lemp.Matrix, len(cur))
+	idss := make([][]int32, len(cur))
+	total := 0
+	for i, ix := range cur {
+		mats[i], idss[i] = ix.LiveProbes()
+		total += len(idss[i])
+	}
+	if total == 0 {
+		return s, nil
+	}
+	type ref struct {
+		shard, col int
+	}
+	refs := make([]ref, 0, total)
+	for i, ids := range idss {
+		for c := range ids {
+			refs = append(refs, ref{i, c})
 		}
 	}
-	return NewShardedFromIndexesPlaced(ixs, kind)
+	sort.Slice(refs, func(a, b int) bool {
+		return idss[refs[a].shard][refs[a].col] < idss[refs[b].shard][refs[b].col]
+	})
+	probe := lemp.NewMatrix(s.r, total)
+	ids := make([]int32, total)
+	for j, rf := range refs {
+		copy(probe.Vec(j), mats[rf.shard].Vec(rf.col))
+		ids[j] = idss[rf.shard][rf.col]
+	}
+	fresh, err := NewShardedPlaced(probe, ids, nShards, cur[0].Options(), kind)
+	if err != nil {
+		return nil, err
+	}
+	fresh.nextID = max(fresh.nextID, s.nextID)
+	return fresh, nil
 }
 
 // Indexes returns the current per-shard indexes in shard order. Callers
@@ -246,7 +251,7 @@ func (s *Sharded) N() int {
 // R returns the vector dimension.
 func (s *Sharded) R() int { return s.r }
 
-// NumShards returns the current number of shards (Rebalance may change it).
+// NumShards returns the number of shards.
 func (s *Sharded) NumShards() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -291,9 +296,6 @@ func (s *Sharded) Epoch() uint64 {
 // update delta mass since construction.
 func (s *Sharded) Compactions() uint64 { return s.compactions.Load() }
 
-// Placement returns the placement strategy the shard set was built with.
-func (s *Sharded) Placement() PlacementKind { return s.placement }
-
 // ShardsScanned returns the cumulative number of per-shard retrievals
 // dispatched across all batches since construction.
 func (s *Sharded) ShardsScanned() uint64 { return s.scanned.Load() }
@@ -319,68 +321,6 @@ func (s *Sharded) CostSkew() float64 {
 		return 1
 	}
 	return max * float64(len(s.costs)) / sum
-}
-
-// Rebalance re-places the whole live probe set under the current placement
-// strategy into nShards shards (0 or negative keeps the current count),
-// rebuilding every shard index and swapping the new set in under one epoch
-// increment; in-flight views keep serving the old shard set. Probe ids are
-// preserved. An empty catalog is left unchanged. A rebalance that changes
-// the shard count must run before the server wires per-shard observability
-// (per-shard histograms are sized once).
-func (s *Sharded) Rebalance(nShards int) error {
-	s.updMu.Lock()
-	defer s.updMu.Unlock()
-	cur := s.Indexes()
-	if nShards <= 0 {
-		nShards = len(cur)
-	}
-	mats := make([]*lemp.Matrix, len(cur))
-	idss := make([][]int32, len(cur))
-	total := 0
-	for i, ix := range cur {
-		mats[i], idss[i] = ix.LiveProbes()
-		total += len(idss[i])
-	}
-	if total == 0 {
-		return nil
-	}
-	if nShards > total {
-		nShards = total
-	}
-	// Gather in ascending global id order, so the new layout depends on the
-	// live probe set alone, not on the former one.
-	type ref struct {
-		shard, col int
-	}
-	refs := make([]ref, 0, total)
-	for i, ids := range idss {
-		for c := range ids {
-			refs = append(refs, ref{i, c})
-		}
-	}
-	sort.Slice(refs, func(a, b int) bool {
-		return idss[refs[a].shard][refs[a].col] < idss[refs[b].shard][refs[b].col]
-	})
-	probe := lemp.NewMatrix(s.r, total)
-	ids := make([]int32, total)
-	for j, rf := range refs {
-		copy(probe.Vec(j), mats[rf.shard].Vec(rf.col))
-		ids[j] = idss[rf.shard][rf.col]
-	}
-	ixs, err := place(s.placement, probe, ids, nShards, s.opts)
-	if err != nil {
-		return err
-	}
-	n, nextID, costs := tally(ixs)
-	// An id the old set used and then removed is in no new shard: keep the
-	// higher mark so AutoID never hands it out again.
-	s.nextID = max(s.nextID, nextID)
-	s.mu.Lock()
-	s.shards, s.n, s.costs = ixs, n, costs
-	s.epoch++
-	s.mu.Unlock()
-	return nil
 }
 
 // CumulativeStats returns the accumulated core stats of every retrieval

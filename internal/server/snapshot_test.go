@@ -5,8 +5,11 @@ import (
 	"context"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -224,11 +227,11 @@ func TestNewShardedFromIndexesValidates(t *testing.T) {
 			build(lemp.NewMatrix(r, 2), []int32{2, 3}),
 		}, "probe id 2 appears in shards 0 and 2"},
 	} {
-		if _, err := NewShardedFromIndexesPlaced(tc.ixs, PlaceRange); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := NewShardedFromIndexes(tc.ixs); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
-	sh, err := NewShardedFromIndexesPlaced([]*lemp.Index{ix}, PlaceRange)
+	sh, err := NewShardedFromIndexes([]*lemp.Index{ix})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +254,11 @@ func TestRouterOverlapDetection(t *testing.T) {
 		}
 		return ix
 	}
-	_, err := NewShardedFromIndexesPlaced([]*lemp.Index{build([]int32{0, 1, 2}), build([]int32{2, 3})}, PlaceRange)
+	_, err := NewShardedFromIndexes([]*lemp.Index{build([]int32{0, 1, 2}), build([]int32{2, 3})})
 	if err == nil || !strings.Contains(err.Error(), "probe id 2 appears in shards 0 and 1") {
 		t.Fatalf("overlapping shards: error %v, want one naming id 2 in shards 0 and 1", err)
 	}
-	sh, err := NewShardedFromIndexesPlaced([]*lemp.Index{build([]int32{0, 1}), build([]int32{2, 3})}, PlaceRange)
+	sh, err := NewShardedFromIndexes([]*lemp.Index{build([]int32{0, 1}), build([]int32{2, 3})})
 	if err != nil {
 		t.Fatalf("disjoint shards refused: %v", err)
 	}
@@ -282,65 +285,41 @@ func TestNewFromSnapshotRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// TestSnapshotSetPlacementMustAgree: a snapshot set restores under the
-// placement its shards name, and one whose shards name different placements
-// (files of two runs) is refused with both shards and both kinds named.
-// No PLMT section, or a kind this build does not know, counts as range.
-func TestSnapshotSetPlacementMustAgree(t *testing.T) {
-	_, p := smokeMatrices(t)
-	half := p.N() / 2
-	shards := [][2]int{{0, half}, {half, p.N()}}
-	snap := func(i int, kind string) io.Reader {
-		ids := make([]int32, shards[i][1]-shards[i][0])
-		for j := range ids {
-			ids[j] = int32(shards[i][0] + j)
-		}
-		ix, err := lemp.NewWithIDs(p.Slice(shards[i][0], shards[i][1]), ids, lemp.Options{Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var opts lemp.SnapshotOptions
-		if kind != "" {
-			opts.Placement = &lemp.ShardPlacement{Kind: kind}
-		}
-		var buf bytes.Buffer
-		if err := ix.WriteSnapshotWith(&buf, opts); err != nil {
-			t.Fatal(err)
-		}
-		return &buf
+// TestRestoresPlacementFixture: the version-5 snapshot fixture, whose PLMT
+// section names a cluster placement, restores through NewFromSnapshot both
+// as-is and re-placed into two cluster shards, and each answers Row-Top-k
+// as the fixture's index loaded alone does.
+func TestRestoresPlacementFixture(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "snapshot", "testdata", "v5.snap"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	ix, err := lemp.LoadIndex(bytes.NewReader(raw), lemp.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := lemp.NewMatrix(ix.R(), 6)
+	q.FillRandom(rand.New(rand.NewSource(5)))
+	want := directTopK(t, ix, q, 5)
 	for _, tc := range []struct {
-		kinds [2]string
-		want  PlacementKind // "" = refused, naming both shards and the kinds in named
-		named [2]PlacementKind
+		cfg    Config
+		shards int
 	}{
-		{kinds: [2]string{"cluster", "cluster"}, want: PlaceCluster},
-		{kinds: [2]string{"cost", "cost"}, want: PlaceCost},
-		{kinds: [2]string{"", ""}, want: PlaceRange},
-		{kinds: [2]string{"", "range"}, want: PlaceRange},
-		{kinds: [2]string{"spiral", ""}, want: PlaceRange},
-		{kinds: [2]string{"cluster", "cost"}, named: [2]PlacementKind{PlaceCluster, PlaceCost}},
-		{kinds: [2]string{"", "cluster"}, named: [2]PlacementKind{PlaceRange, PlaceCluster}},
-		{kinds: [2]string{"cost", "spiral"}, named: [2]PlacementKind{PlaceCost, PlaceRange}},
+		{Config{}, 1},
+		{Config{Shards: 2, Placement: "cluster"}, 2},
 	} {
-		sh, err := NewShardedFromSnapshot([]io.Reader{snap(0, tc.kinds[0]), snap(1, tc.kinds[1])}, lemp.LoadOptions{})
-		if tc.want == "" {
-			if err == nil {
-				t.Errorf("%q: mixed placements restored as %s", tc.kinds, sh.Placement())
-				continue
-			}
-			for _, part := range []string{"shard 0", "shard 1", string(tc.named[0]), string(tc.named[1])} {
-				if !strings.Contains(err.Error(), part) {
-					t.Errorf("%q: error %q does not name %s", tc.kinds, err, part)
-				}
-			}
-			continue
-		}
+		srv, err := NewFromSnapshot([]io.Reader{bytes.NewReader(raw)}, tc.cfg)
 		if err != nil {
-			t.Errorf("%q: %v", tc.kinds, err)
-		} else if sh.Placement() != tc.want {
-			t.Errorf("%q: restored as %s, want %s", tc.kinds, sh.Placement(), tc.want)
+			t.Fatalf("%+v: %v", tc.cfg, err)
 		}
+		if got := srv.Sharded().NumShards(); got != tc.shards {
+			t.Fatalf("%+v: %d shards, want %d", tc.cfg, got, tc.shards)
+		}
+		got, _, err := srv.Sharded().CurrentView().TopKCtx(context.Background(), q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareTopKValues(t, "restored fixture vs loaded index", got, want)
 	}
 }
 

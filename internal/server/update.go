@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 
 	"lemp"
@@ -49,8 +50,16 @@ type updateResponse struct {
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
+	cb := getCodecBuf()
+	defer putCodecBuf(cb)
+	if !s.readBody(w, r, cb) {
+		return
+	}
+	// json.Unmarshal refuses anything after the object, as the retrieval
+	// decoder does.
 	var req updateRequest
-	if !s.decodeBody(w, r, &req) {
+	if err := json.Unmarshal(cb.body.Bytes(), &req); err != nil {
+		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	if len(req.Updates) == 0 {
@@ -103,5 +112,5 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.updates.Add(1)
-	writeJSON(w, updateResponse{Epoch: res.Epoch, LiveProbes: res.LiveN, IDs: res.IDs})
+	writeJSON(w, http.StatusOK, updateResponse{Epoch: res.Epoch, LiveProbes: res.LiveN, IDs: res.IDs})
 }

@@ -663,27 +663,32 @@ func TestEmptyShardSnapshotRestores(t *testing.T) {
 	}
 }
 
-// TestRebalanceKeepsAutoIDsFresh: a Rebalance rebuilds every shard from the
-// live probes alone, so once the highest id is removed no new shard remembers
-// it; the next AutoID add must still receive an id never used before.
-func TestRebalanceKeepsAutoIDsFresh(t *testing.T) {
+// TestReplaceOnLoadKeepsAutoIDsFresh: a restore that re-places rebuilds
+// every shard from the live probes alone, so once the highest id is removed
+// no new shard remembers it; the next AutoID add must still receive an id
+// never used before.
+func TestReplaceOnLoadKeepsAutoIDsFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const r, n = 4, 12
-	sh, err := NewShardedPlaced(epochProbe(rng, r, n), nil, 2, lemp.Options{Parallelism: 1}, PlaceRange)
+	srv, err := New(epochProbe(rng, r, n), Config{Shards: 3, Options: lemp.Options{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.Update([]lemp.ProbeUpdate{{Op: lemp.OpRemove, ID: n - 1}}, -1); err != nil {
+	if _, err := srv.Sharded().Update([]lemp.ProbeUpdate{{Op: lemp.OpRemove, ID: n - 1}}, -1); err != nil {
 		t.Fatal(err)
 	}
-	if err := sh.Rebalance(0); err != nil {
+	restored, err := NewFromSnapshot(snapshotReaders(writeShardSnapshots(t, srv)), Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sh.Update([]lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: randVec(rng, r)}}, -1)
+	if got := restored.Sharded().NumShards(); got != 2 {
+		t.Fatalf("restored %d shards, want 2", got)
+	}
+	res, err := restored.Sharded().Update([]lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: randVec(rng, r)}}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.IDs[0] != n {
-		t.Fatalf("AutoID add after Rebalance got id %d, want the never-used %d", res.IDs[0], n)
+		t.Fatalf("AutoID add after the re-placing restore got id %d, want the never-used %d", res.IDs[0], n)
 	}
 }

@@ -28,8 +28,8 @@ import (
 //	go test -C ../v5 ./internal/snapshot -run TestGenerateFixtures -fixtures "$PWD/internal/snapshot/testdata"
 //
 // v1.snap is a plain index, v2.snap TestMutatedSnapshotBytesPinned's mutated
-// index, v5.snap a pretuned Quantize index with its sorted lists and a
-// cluster placement.
+// index, v5.snap a pretuned Quantize index with its sorted lists and a PLMT
+// section naming a cluster placement, which the reader discards.
 var oldFormats = []struct {
 	file    string
 	version uint32
@@ -78,8 +78,8 @@ func TestReadsOlderFormats(t *testing.T) {
 			}
 			checkSkippedBytes(t, raw, st)
 			lists := slices.ContainsFunc(st.Buckets, func(b core.BucketState) bool { return b.ListVals != nil })
-			if full := st.Pretuned && lists && st.PlacementKind == "cluster"; full != (f.version == 5) {
-				t.Fatalf("pretuned %v, sorted lists %v, placement %q", st.Pretuned, lists, st.PlacementKind)
+			if full := st.Pretuned && lists && hasSection(t, raw, tagPlacement); full != (f.version == 5) {
+				t.Fatalf("pretuned %v, sorted lists %v, PLMT section %v", st.Pretuned, lists, hasSection(t, raw, tagPlacement))
 			}
 			p, ids := st.Probe, st.IDs
 			ix, err := core.FromState(st)

@@ -40,9 +40,6 @@
 //	        local ids (size × r int32). Persisting them lets a restored
 //	        server's first batch skip the rebuild that dominates
 //	        post-restore latency, at roughly twice the snapshot size.
-//	"PLMT"  optional: shard-placement metadata for the serving layer — the
-//	        placement strategy name (length-prefixed), then a zero byte. A
-//	        snapshot without it restores as range-placed.
 //	"QNT8"  present iff core.Options.Quantize (the OPTS layout predates the
 //	        flag): one zero byte per bucket
 //	"END\0" zero-length terminator
@@ -68,12 +65,19 @@
 // Versions 1–5 are read, never written. Version 1 has OPTS, PROB, BUKT and
 // END; 2 adds PIDS, MUTA and TSMP; 3 SLST; 4 PLMT; 5 QNT8. Their BUKT also
 // stores each member's length (float64) and direction (r × float64) after
-// the ids, their QNT8 follows a presence byte 1 with a sidecar (size scales
-// and size residual bounds as float64, size × r int8 codes), and a PLMT of
-// builds that pruned shards by direction follows a cone flag 1 with a cone
-// (uint32 centroid length 0 or r, the centroid, cos of the angular radius,
-// maximum live probe length). The reader checks the framing of those bytes
-// and skips them; the section checksums still cover them.
+// the ids, and their QNT8 follows a presence byte 1 with a sidecar (size
+// scales and size residual bounds as float64, size × r int8 codes). The
+// reader checks the framing of those bytes and skips them; the section
+// checksums still cover them.
+//
+// "PLMT", which sits between SLST and QNT8 and which earlier builds also
+// wrote into version-6 files, held the serving layer's shard-placement
+// name (length-prefixed, at most 64 bytes) and a cone flag; a flag 1, from
+// builds that pruned shards by direction, is followed by a cone (uint32
+// centroid length 0 or r, the centroid, cos of the angular radius, maximum
+// live probe length). It is read and discarded, never written: any split of
+// the probes answers exactly, and a restore keeps the snapshots' partition
+// or re-places under the placement it is given.
 //
 // A reader fails loudly — never silently serves wrong results — on a bad
 // magic, an unsupported version, an unknown section tag, a checksum
@@ -126,7 +130,7 @@ var (
 )
 
 // maxPlacementKind bounds the placement-strategy name in a PLMT section; a
-// longer one is corruption, not a strategy.
+// longer one is corruption, not a name.
 const maxPlacementKind = 64
 
 // Dimension plausibility bounds, matching matrix.ReadBinary.
@@ -184,9 +188,6 @@ func Write(w io.Writer, st *core.State) error {
 func WriteWith(w io.Writer, st *core.State, opts WriteOptions) error {
 	if st.Probe == nil {
 		return fmt.Errorf("snapshot: state has no probe matrix")
-	}
-	if len(st.PlacementKind) > maxPlacementKind {
-		return fmt.Errorf("snapshot: placement kind %q longer than %d bytes", st.PlacementKind, maxPlacementKind)
 	}
 	writeMuta := st.Epoch != 0 || st.NextID != defaultNextID(st)
 	writeTune := st.Pretuned && st.TuneSample != nil
@@ -260,14 +261,6 @@ func WriteWith(w io.Writer, st *core.State, opts WriteOptions) error {
 			return err
 		}
 	}
-	if st.PlacementKind != "" {
-		plmtLen := uint64(1+len(st.PlacementKind)) + 1
-		if err := writeSection(bw, tagPlacement, plmtLen, func(w io.Writer) error {
-			return writePlacement(w, st)
-		}); err != nil {
-			return err
-		}
-	}
 	if st.Opts.Quantize {
 		if err := writeSection(bw, tagQuant, uint64(len(st.Buckets)), func(w io.Writer) error {
 			_, err := w.Write(make([]byte, len(st.Buckets)))
@@ -331,21 +324,10 @@ func writeSortedLists(w io.Writer, st *core.State) error {
 	return nil
 }
 
-// writePlacement emits the PLMT payload: the placement kind (length-
-// prefixed) and a zero cone flag.
-func writePlacement(w io.Writer, st *core.State) error {
-	buf := make([]byte, 0, 2+len(st.PlacementKind))
-	buf = append(buf, byte(len(st.PlacementKind)))
-	buf = append(buf, st.PlacementKind...)
-	buf = append(buf, 0)
-	_, err := w.Write(buf)
-	return err
-}
-
-// readPlacement parses the PLMT payload. A cone written by an older build
-// (flag 1) is skipped: its centroid length must be 0 or the probe
-// dimension, and its bytes stay under the section's length and checksum.
-func readPlacement(r io.Reader, st *core.State) error {
+// skipPlacement checks the framing of a PLMT payload and discards it: the
+// placement name, then a cone flag, and after a flag 1 a cone whose
+// centroid length must be 0 or the probe dimension.
+func skipPlacement(r io.Reader, st *core.State) error {
 	var kindLen [1]byte
 	if _, err := io.ReadFull(r, kindLen[:]); err != nil {
 		return err
@@ -353,11 +335,9 @@ func readPlacement(r io.Reader, st *core.State) error {
 	if int(kindLen[0]) > maxPlacementKind {
 		return fmt.Errorf("placement kind length %d exceeds %d", kindLen[0], maxPlacementKind)
 	}
-	kind := make([]byte, kindLen[0])
-	if _, err := io.ReadFull(r, kind); err != nil {
+	if _, err := io.CopyN(io.Discard, r, int64(kindLen[0])); err != nil {
 		return err
 	}
-	st.PlacementKind = string(kind)
 	var present [1]byte
 	if _, err := io.ReadFull(r, present[:]); err != nil {
 		return err
@@ -611,7 +591,7 @@ func Read(r io.Reader) (*core.State, error) {
 				return nil, fmt.Errorf("snapshot: PLMT section before PROB")
 			}
 			havePlmt = true
-			err = readPlacement(sr, st)
+			err = skipPlacement(sr, st)
 		case tagQuant:
 			if haveQuant {
 				return nil, fmt.Errorf("snapshot: duplicate QNT8 section")

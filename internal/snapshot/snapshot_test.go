@@ -140,57 +140,30 @@ func buildUntunedState(t testing.TB) *core.State {
 	return ix.State()
 }
 
-// TestPlacementRoundTrip: placement metadata must emit a kind-only PLMT
-// payload (kind, cone flag 0 — the form every build since version 4 reads),
-// round-trip the kind, and stay absent when not set.
-func TestPlacementRoundTrip(t *testing.T) {
-	st := buildState(t)
-	st.PlacementKind = "cluster"
-	var buf bytes.Buffer
-	if err := Write(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	if v := version(raw); v != Version {
-		t.Fatalf("format version %d, want %d", v, Version)
-	}
+// TestPlacementReadsParentCone: builds before this one wrote a PLMT
+// section: a placement name and a cone flag, and into cluster shards of
+// earlier builds still a direction cone (flag 1, uint32 centroid length 0 or
+// r, the centroid, cos radius, max length). The reader must check that
+// framing and discard it — rejecting a flag other than 0 or 1, a centroid
+// length that is neither 0 nor r, an over-long name and a section that ends
+// inside the cone — and no writer emits the section.
+func TestPlacementReadsParentCone(t *testing.T) {
+	raw := readFixture(t, "v5.snap")
 	if got, want := sectionPayload(t, raw, tagPlacement), append([]byte{7}, "cluster\x00"...); !bytes.Equal(got, want) {
-		t.Fatalf("PLMT payload %q, want %q", got, want)
+		t.Fatalf("fixture PLMT payload %q, want %q", got, want)
 	}
-	got, err := Read(bytes.NewReader(raw))
+	st, err := Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.PlacementKind != st.PlacementKind {
-		t.Errorf("placement kind %q, want %q", got.PlacementKind, st.PlacementKind)
-	}
-
-	// Without placement metadata there is no PLMT section.
-	st.PlacementKind = ""
-	buf.Reset()
-	if err := Write(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	if v := version(buf.Bytes()); v != Version || hasSection(t, buf.Bytes(), tagPlacement) {
-		t.Fatalf("placement-free snapshot: version %d, PLMT section %v", v, hasSection(t, buf.Bytes(), tagPlacement))
-	}
-}
-
-// TestPlacementReadsParentCone: builds before this one wrote a direction
-// cone into the PLMT section of cluster shards (cone flag 1, uint32
-// centroid length 0 or r, the centroid, cos radius, max length). The
-// reader must skip it and keep the kind, and still reject a flag other
-// than 0 or 1, a centroid length that is neither 0 nor r, and a section
-// that ends inside the cone.
-func TestPlacementReadsParentCone(t *testing.T) {
-	st := buildState(t)
 	r := st.Probe.R()
-	st.PlacementKind = "cluster"
 	var buf bytes.Buffer
-	if err := Write(&buf, st); err != nil {
+	if err := WriteWith(&buf, st, WriteOptions{IncludeLists: true}); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
+	if hasSection(t, buf.Bytes(), tagPlacement) {
+		t.Fatal("the fixture written again carries a PLMT section")
+	}
 	cone := func(flag byte, clen, floats int) []byte {
 		p := append([]byte{7}, "cluster"...)
 		p = append(p, flag)
@@ -207,9 +180,12 @@ func TestPlacementReadsParentCone(t *testing.T) {
 	}{
 		{"cone", cone(1, r, r+2), true},
 		{"axis-free cone", cone(1, 0, 2), true},
+		{"empty name", []byte{0, 0}, true},
 		{"flag 2", cone(2, r, r+2), false},
 		{"centroid length r+1", cone(1, r+1, r+3), false},
 		{"centroid length 1", cone(1, 1, 3), false},
+		{"name of 65 bytes", append(append([]byte{65}, strings.Repeat("x", 65)...), 0), false},
+		{"section ends inside the name", []byte{7, 'c', 'l'}, false},
 		{"section ends inside the centroid", cone(1, r, r-1), false},
 		{"section ends inside the tail", cone(1, r, r+1), false},
 		{"section ends inside the length", cone(1, r, 0)[:10], false},
@@ -223,9 +199,6 @@ func TestPlacementReadsParentCone(t *testing.T) {
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got.PlacementKind != "cluster" {
-			t.Errorf("%s: placement kind %q, want cluster", tc.name, got.PlacementKind)
 		}
 		if _, err := core.FromState(got); err != nil {
 			t.Fatalf("%s: FromState: %v", tc.name, err)

@@ -1,33 +1,12 @@
 package lemp
 
-import (
-	"lemp/internal/core"
-)
+// What a serving layer that partitions a probe catalog across several
+// indexes reads from each: its estimated scan cost and its live probe set.
 
-// Shard-placement support for serving layers that partition a probe
-// catalog across several indexes: the per-probe scan-cost weight implied by
-// the bucketization and its sum over an index, what cost-balanced placement
-// equalizes and the serving layer's add routing compares.
-
-// ShardPlacement describes how a snapshotted shard was placed: the
-// placement strategy name (the serving layer's vocabulary, e.g. "cost" or
-// "cluster"). It is persisted as the snapshot PLMT section.
-type ShardPlacement struct {
-	Kind string
-}
-
-// ScanCostWeights estimates each probe column's scan cost under the
-// bucketization the given options would build: a probe's weight is the l_b
-// of the bucket it would land in, since bucket-bound work scales with
-// length mass rather than row count. Cost-balanced shard placement
-// partitions on these weights.
-func ScanCostWeights(p *Matrix, opts Options) []float64 {
-	return core.ScanCostWeights(p, opts)
-}
-
-// EstimatedCost sums the live probes' scan-cost weights under the index's
-// current bucketization (delta buckets included): the per-shard quantity a
-// cost-balanced placement equalizes and a placement-skew gauge reports.
+// EstimatedCost is the index's scan cost under its current bucketization
+// (delta buckets included): Σ over live probes of their bucket's length
+// bound l_b. It is the per-shard quantity add routing balances and a
+// placement-skew gauge reports.
 func (ix *Index) EstimatedCost() float64 { return ix.inner.EstimatedCost() }
 
 // LiveProbes materializes the index's live probe set as a fresh matrix

@@ -31,19 +31,11 @@ type SnapshotOptions struct {
 	// verifies the lists against the directions it derives from the probe
 	// matrix, so corruption fails the load instead of mis-pruning.
 	IncludeLists bool
-	// Placement attaches shard-placement metadata (the PLMT section): the
-	// strategy the owning shard set was built with. Snapshots without it
-	// restore as range-placed.
-	Placement *ShardPlacement
 }
 
 // WriteSnapshotWith is WriteSnapshot with explicit persistence options.
 func (ix *Index) WriteSnapshotWith(w io.Writer, opts SnapshotOptions) error {
-	st := ix.inner.State()
-	if opts.Placement != nil {
-		st.PlacementKind = opts.Placement.Kind
-	}
-	return snapshot.WriteWith(w, st, snapshot.WriteOptions{IncludeLists: opts.IncludeLists})
+	return snapshot.WriteWith(w, ix.inner.State(), snapshot.WriteOptions{IncludeLists: opts.IncludeLists})
 }
 
 // LoadOptions adjust how a snapshot is turned back into an Index. Only
@@ -86,25 +78,12 @@ const (
 // re-running bucketization or tuning, so loading costs O(read). The
 // snapshot is checksum- and invariant-verified; any corruption or version
 // mismatch is an error. A loaded index answers queries identically to the
-// index that was snapshotted.
+// index that was snapshotted. The shard-placement name and direction cone
+// older builds wrote (the PLMT section) are read and discarded.
 func LoadIndex(r io.Reader, opts LoadOptions) (*Index, error) {
-	ix, _, err := LoadIndexPlacement(r, opts)
-	return ix, err
-}
-
-// LoadIndexPlacement is LoadIndex returning the snapshot's shard-placement
-// metadata alongside the index: nil when the snapshot predates format
-// version 4 or was written without a PLMT section. The metadata is opaque
-// to the index itself; serving layers adopt it. A direction cone written
-// by older builds is read and skipped.
-func LoadIndexPlacement(r io.Reader, opts LoadOptions) (*Index, *ShardPlacement, error) {
 	st, err := snapshot.Read(r)
 	if err != nil {
-		return nil, nil, err
-	}
-	var pl *ShardPlacement
-	if st.PlacementKind != "" {
-		pl = &ShardPlacement{Kind: st.PlacementKind}
+		return nil, err
 	}
 	if opts.Parallelism != 0 {
 		st.Opts.Parallelism = opts.Parallelism
@@ -123,9 +102,9 @@ func LoadIndexPlacement(r io.Reader, opts LoadOptions) (*Index, *ShardPlacement,
 	}
 	inner, err := core.FromState(st)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return &Index{inner: inner}, pl, nil
+	return &Index{inner: inner}, nil
 }
 
 // Probe returns the probe matrix the index was built over (or loaded with).

@@ -3,12 +3,16 @@ package lemp_test
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
 
 	"lemp"
 	"lemp/internal/data"
+	"lemp/internal/naive"
 	"lemp/internal/quant"
 )
 
@@ -154,6 +158,38 @@ func TestLoadIndexParallelismOverride(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("parallel loaded index differs from sequential original")
+	}
+}
+
+// TestLoadIndexReadsPlacementFixture: the version-5 snapshot fixture, whose
+// PLMT section names a cluster placement, loads through LoadIndex, which
+// discards the name, and answers Row-Top-k as internal/naive does over its
+// probes.
+func TestLoadIndexReadsPlacementFixture(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("internal", "snapshot", "testdata", "v5.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := lemp.LoadIndex(bytes.NewReader(raw), lemp.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := lemp.NewMatrix(ix.R(), 8)
+	q.FillRandom(rand.New(rand.NewSource(5)))
+	got, _, err := rowTopK(ix, q, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := naive.RowTopK(q, ix.Probe(), 5)
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("query %d: %d entries, naive %d", i, len(got[i]), len(want[i]))
+		}
+		for j, w := range want[i] {
+			if g := got[i][j]; g.Probe != w.Probe || math.Abs(g.Value-w.Value) > 1e-9*(1+math.Abs(w.Value)) {
+				t.Fatalf("query %d rank %d: %+v, naive %+v", i, j, g, w)
+			}
+		}
 	}
 }
 
