@@ -138,3 +138,46 @@ func TestAutoScreenMatchesUnscreened(t *testing.T) {
 		}
 	}
 }
+
+// TestQuantizeSkipsSeedPairs: under Options.Quantize, as without it, a
+// Row-Top-k pair whose heap is not yet full (cut −∞: the seed buckets) is not
+// screened, since no bound can fall below −∞. With k at the probe count every
+// pair of every query is such a pair, so the screen counts nothing; at a
+// small k it screens. Answers equal an unscreened index's either way.
+func TestQuantizeSkipsSeedPairs(t *testing.T) {
+	const r = 24
+	rng := rand.New(rand.NewSource(2002))
+	p := genMatrix(rng, 300, r, 0.5, 1, false, 0, 0)
+	q := genMatrix(rng, 20, r, 0.5, 1, false, 0, 0)
+	build := func(quantize bool) *Index {
+		opts := testOptions(AlgL)
+		opts.CacheBytes = bucketBytes(r) * 32
+		opts.Quantize = quantize
+		ix, err := NewIndex(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix.autoScreen = false
+		return ix
+	}
+	eager, off := build(true), build(false)
+	for _, k := range []int{p.N(), 5} {
+		want, _, err := rowTopK(off, q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, st, err := rowTopK(eager, q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(got, want, slices.Equal[[]retrieval.Entry]) {
+			t.Fatalf("k=%d: the Quantize index answers differently from the unscreened one", k)
+		}
+		switch {
+		case k == p.N() && st.QuantScreened+st.QuantSurvived != 0:
+			t.Fatalf("k=%d: every pair is a seed pair, yet the screen counted %d screened and %d survived", k, st.QuantScreened, st.QuantSurvived)
+		case k < p.N() && st.QuantScreened == 0:
+			t.Fatalf("k=%d: fixture is vacuous, the Quantize index screened nothing", k)
+		}
+	}
+}

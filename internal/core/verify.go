@@ -99,26 +99,37 @@ func (ix *Index) screenCands(b *bucket, s *scratch, qi int32, qdir []float64, ql
 	s.dropTo(k)
 }
 
-// autoScreenMin is the fewest candidates for which an automatic screen pays:
-// the width of quant's strided kernel (Screen8). Below it the screen runs row
-// by row, at more than the exact row it would save.
+// autoScreenMin is the fewest candidates for which an automatic screen runs:
+// the width of quant's strided kernel (Screen8); below it the screen goes row
+// by row. Per candidate that no longer loses to the exact row: at r = 50 on
+// a 2.1 GHz Xeon, BenchmarkDotQ8 (one-row kernel plus predicate, scattered
+// rows) reads 6.8–7.6 ns and one f64 Dot (BenchmarkDotScalarPanel) 11–13 ns.
+// The constant stays because a pair below it also pays the screen's fixed
+// cost — the query's screen constants, the List call and, for the first such
+// pair, the bucket's sidecar — and verifies four to seven candidates through
+// the blocked Dot4 at under a scalar Dot each; no pair-level measurement
+// has shown a smaller one to pay.
 const autoScreenMin = 8
 
 // sidecarFor returns the sidecar that screens a pair holding n live
-// candidates against cut, nil for none. Under Options.Quantize that is the
-// bucket's eagerly attached sidecar, for every pair. Otherwise, where the int8
-// kernels are assembly (Index.autoScreen), a pair is screened iff it shows at
-// least autoScreenMin candidates under a finite cut — a Row-Top-k heap that is
-// not yet full can drop nothing — and the first such pair builds the bucket's
-// sidecar. Whether a pair is screened must not depend on whether the sidecar
-// already exists: the rule that uses one is the rule that builds it, so a
-// call's counters stay a function of (index, query, problem) and not of the
-// calls before it.
+// candidates against cut, nil for none. No pair under a cut of −∞ is
+// screened: a Row-Top-k heap that is not yet full (the seed buckets) can drop
+// nothing, so its candidates are never counted as screened or survived.
+// Otherwise, under Options.Quantize, it is the bucket's eagerly attached
+// sidecar, for every pair. Without it, where the int8 kernels are assembly
+// (Index.autoScreen), a pair is screened iff it shows at least autoScreenMin
+// candidates, and the first such pair builds the bucket's sidecar. Whether a
+// pair is screened must not depend on whether the sidecar already exists: the
+// rule that uses one is the rule that builds it, so a call's counters stay a
+// function of (index, query, problem) and not of the calls before it.
 func (ix *Index) sidecarFor(b *bucket, n int, cut float64) *quant.Rows {
+	if math.IsInf(cut, -1) {
+		return nil
+	}
 	if !ix.autoScreen {
 		return b.q8.Load()
 	}
-	if n < autoScreenMin || math.IsInf(cut, -1) {
+	if n < autoScreenMin {
 		return nil
 	}
 	return b.ensureSidecar()

@@ -7,7 +7,9 @@ import "lemp/internal/vecmath"
 // take — one row (DotQ8: ragged tails), eight rows anywhere in the
 // sidecar (dot8: COORD/INCR survivor lists; eight row pointers by the
 // time assembly sees them) and a contiguous panel (dotPanel: LENGTH's
-// prefix, the whole-bucket fallback).
+// prefix, the whole-bucket fallback) — and the screen's predicate over
+// eight dots at a time (fused into dot8AVX2 for Screen8, a pass of its own
+// for Prefix: Screen.sift in quant.go).
 //
 // # Kernel contract
 //
@@ -17,11 +19,19 @@ import "lemp/internal/vecmath"
 // assembly (kernels_amd64.s, taken when vecmath.AVX2 reports the CPU and
 // operating system support it) and the portable Go below (every other
 // GOARCH, CPUs without AVX2, -tags purego) return the same integers with no
-// accumulation order to agree on. No kernel loads a byte outside the r
-// bytes of a row or of the query: assembly consumes 16-byte chunks, the last
-// one overlapping its predecessor instead of running past the end, so rows
-// of r < minAsmDim never leave Go. The dispatchers keep the shape checks
-// and every slice-to-pointer step in Go.
+// accumulation order to agree on. The assembly multiplies 32-byte chunks
+// (16-byte ones for r < 32) with VPSIGNB, VPMADDUBSW and VPMADDWD; its word
+// pair sums are at most 2·127² = 32 258 < 2¹⁵, so VPMADDUBSW never
+// saturates. No kernel loads a byte outside the r bytes of a row or of the
+// query: the last chunk is the row's final chunk-width bytes, overlapping
+// its predecessor, with a byte tail mask zeroing the query lanes already
+// counted, so rows of r < minAsmDim never leave Go. The dispatchers keep the
+// shape checks and every slice-to-pointer step in Go.
+//
+// The predicate kernels evaluate survives' arithmetic in its order, one
+// rounding per step and no fused multiply-add, with comparisons that are
+// false on NaN, so the assembly and the Go loops keep the same rows bit for
+// bit; the Go loops are the oracle.
 
 // minAsmDim is the narrowest row the assembly takes: one 16-byte chunk.
 const minAsmDim = 16
@@ -51,18 +61,36 @@ func DotQ8(a, b []int8) int32 {
 // the row-major codes that need not be adjacent (nor distinct), r = len(q).
 // A row outside codes panics, as slicing it would.
 func dot8(q, codes []int8, rows *[8]int, out *[8]int32) {
-	r := len(q)
-	if !Accelerated(r) {
+	if !Accelerated(len(q)) {
 		dot8Go(q, codes, rows, out)
 		return
 	}
-	row := func(i int) *int8 { return &codes[i*r : i*r+r][0] }
-	dot8AVX2(&q[0], row(rows[0]), row(rows[1]), row(rows[2]), row(rows[3]),
-		row(rows[4]), row(rows[5]), row(rows[6]), row(rows[7]), r, out)
+	dot8Asm(q, codes, rows, out, nil, nil, 0, 0, 0)
+}
+
+// dot8Asm hands dot8's rows to dot8AVX2, with the predicate's operands
+// when scales is non-nil. A row outside codes panics here, so the assembly
+// only ever reads whole rows, and with len(scales)·r = len(codes) the same
+// row numbers index scales.
+func dot8Asm(q, codes []int8, rows *[8]int, out *[8]int32, scales []float64, lens *[8]float64, qs, resid, cut float64) uint8 {
+	r := len(q)
+	n := uint(len(codes) / r)
+	for _, i := range rows {
+		if uint(i) >= n {
+			panic("quant: dot8 row outside the codes")
+		}
+	}
+	var sc *float64
+	if scales != nil {
+		sc = &scales[0]
+	}
+	return dot8AVX2(&q[0], &codes[0], rows, r, out, sc, lens, qs, resid, cut)
 }
 
 // dotPanel computes out[i] = DotQ8(q, panel[i*r:(i+1)*r]) for r = len(q).
-// The panel must hold exactly len(out) rows; dotPanel panics otherwise.
+// The panel must hold exactly len(out) rows; dotPanel panics otherwise. The
+// assembly takes the rows in groups of eight; the last len(out) mod 8 go
+// through the eight-pointer kernel with the final row repeated.
 func dotPanel(q, panel []int8, out []int32) {
 	r := len(q)
 	if len(panel) != len(out)*r {
@@ -72,8 +100,19 @@ func dotPanel(q, panel []int8, out []int32) {
 		dotPanelGo(q, panel, out)
 		return
 	}
-	if len(out) > 0 {
-		dotPanelAVX2(&q[0], &panel[0], r, len(out), &out[0])
+	n := len(out)
+	g := n &^ 7
+	if g > 0 {
+		dotPanelAVX2(&q[0], &panel[0], r, g/8, &out[0])
+	}
+	if g < n {
+		var rows [8]int
+		for j := range rows {
+			rows[j] = min(g+j, n-1)
+		}
+		var o8 [8]int32
+		dot8(q, panel, &rows, &o8)
+		copy(out[g:], o8[:])
 	}
 }
 

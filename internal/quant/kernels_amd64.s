@@ -2,29 +2,58 @@
 
 #include "textflag.h"
 
-// AVX2 kernels for the full-width int8 dot. A row is consumed in 16-byte
-// chunks: VPMOVSXBW widens sixteen codes to words, VPMADDWD multiplies them
-// with the query's words and adds adjacent pairs into eight int32 lanes,
-// VPADDD accumulates. When r is not a multiple of 16 the last chunk is the
-// row's final sixteen bytes, overlapping the previous chunk, with the query
-// lanes that chunk already covered zeroed (tailMask) — so every load stays
-// inside its r-byte row and no element is counted twice. Integer sums are
-// exact in any order; nothing here depends on lane or row interleaving.
+// AVX2 kernels for the full-width int8 dot and for the screen's predicate.
 //
-// Register use, shared by every kernel:
+// # Dots
+//
+// A row is consumed in 32-byte chunks (16-byte XMM chunks when r < 32). Per
+// chunk the query's codes are loaded once and VPABSB takes |q| once for all
+// the rows the kernel carries; per row
+//
+//	VPSIGNB     q, p      →  p·sign(q)          (bytes; 0 where q is 0)
+//	VPMADDUBSW  |q|, ·    →  |q|·p·sign(q) = q·p, adjacent pairs summed (words)
+//	VPMADDWD    ones, ·   →  adjacent word pairs summed (int32 lanes)
+//	VPADDD      ·, acc
+//
+// VPMADDUBSW saturates its word sums, but codes lie in [-127, 127], so a pair
+// sum is at most 2·127² = 32 258 < 2¹⁵ and never saturates: every lane is the
+// exact integer, and integer sums are exact in any order, so nothing here
+// depends on lane or row interleaving. Negating a code cannot overflow either
+// (no code is −128).
+//
+// When r is not a multiple of the chunk the last chunk is the row's final 32
+// (or 16) bytes, overlapping the previous chunk, and a byte tail mask zeroes
+// the query lanes an earlier chunk already covered — zero query bytes zero
+// both |q| and the signed row — so every load stays inside its r-byte row and
+// query and no product is counted twice.
+//
+// Register use, shared by the dot kernels:
 //
 //	AX       the query (dotAVX2: a)
 //	DX SI DI R8 R9 R10 R11 R12   row pointers
 //	CX       byte offset into the query and every row
-//	BX       bytes covered by whole chunks, 16⌊r/16⌋
+//	BX       bytes covered by whole chunks (dot8AVX2: first the row numbers)
 //	R13      bytes per row, r
 //	R14      out
-//	R15      dotPanel8AVX2 only: the panel rows being prefetched
-//	Y0..Y7   one accumulator per row; Y8 the query chunk as words;
-//	         Y9, Y10 products; Y11 the tail chunk's lane mask
+//	R15      dotPanelAVX2: the panel rows being prefetched; dot8AVX2: the
+//	         codes the row numbers index, while the row pointers are built
+//	Y0..Y7   one accumulator per row; Y8 the query chunk, Y9 its |q|;
+//	         Y10, Y11 products; Y12 sixteen words of 1; Y13 the tail mask
+//
+// # Predicate
+//
+// siftAVX2 and dot8AVX2 decide eight rows at a time exactly as survives
+// (quant.go) does one: VCVTDQ2PD widens the dots exactly, then
+//
+//	ub = (qs·scale)·d + resid;   discard iff ub ≥ −MaxFloat64 && ub·len < cut
+//
+// in that operation order, each step one IEEE rounding (no FMA), both
+// comparisons ordered and quiet (false on NaN, so a NaN survives), and
+// VMOVMSKPD turns the eight decisions into a bit mask.
 
-// tailMask is sixteen zero words followed by sixteen all-ones words: the 32
-// bytes at word offset t = r mod 16 keep the last t lanes of a chunk.
+// tailMask is 32 zero bytes followed by 32 0xff bytes: the 32 bytes at
+// offset t keep the last t lanes of a Y chunk, the 16 at offset 16 + t the
+// last t lanes of an X chunk.
 DATA tailMask<>+0(SB)/8, $0
 DATA tailMask<>+8(SB)/8, $0
 DATA tailMask<>+16(SB)/8, $0
@@ -35,31 +64,97 @@ DATA tailMask<>+48(SB)/8, $-1
 DATA tailMask<>+56(SB)/8, $-1
 GLOBL tailMask<>(SB), RODATA|NOPTR, $64
 
-// SETUP derives BX from R13 and loads the tail mask for r mod 16 into Y11
-// (unused when r is a multiple of 16). Clobbers CX and R15.
-#define SETUP \
+// negMax is −MaxFloat64 (bits 0xffefffffffffffff).
+DATA negMax<>+0(SB)/8, $-4503599627370497
+GLOBL negMax<>(SB), RODATA|NOPTR, $8
+
+// ROWPTR sets p to the codes of the row whose number sits at off(BX): R15
+// plus that number times R13.
+#define ROWPTR(off, p) \
+	MOVQ  off(BX), p; \
+	IMULQ R13, p; \
+	ADDQ  R15, p
+
+// SETUPY derives BX from R13 for 32-byte chunks and loads the tail mask for
+// r mod 32 into Y13; SETUPX does the same for 16-byte chunks into X13. Both
+// fill Y12 with words of 1 and clobber CX and R15.
+#define SETUPY \
+	MOVQ R13, BX; \
+	ANDQ $~31, BX; \
+	MOVQ R13, CX; \
+	ANDQ $31, CX; \
+	LEAQ tailMask<>(SB), R15; \
+	VMOVDQU (R15)(CX*1), Y13; \
+	VPCMPEQW Y12, Y12, Y12; \
+	VPSRLW $15, Y12, Y12
+
+#define SETUPX \
 	MOVQ R13, BX; \
 	ANDQ $~15, BX; \
 	MOVQ R13, CX; \
 	ANDQ $15, CX; \
-	LEAQ tailMask<>(SB), R15; \
-	VMOVDQU (R15)(CX*2), Y11
+	LEAQ tailMask<>+16(SB), R15; \
+	VMOVDQU (R15)(CX*1), X13; \
+	VPCMPEQW Y12, Y12, Y12; \
+	VPSRLW $15, Y12, Y12
 
-// QUERY widens the query chunk at CX; TAILQUERY is the overlapping last
-// chunk, which keeps only the lanes no whole chunk covered.
-#define QUERY \
-	VPMOVSXBW (AX)(CX*1), Y8
+// QY loads the query chunk at CX and its absolute value; TQY is the
+// overlapping last chunk, masked to the lanes no whole chunk covered. QX and
+// TQX are the 16-byte forms.
+#define QY \
+	VMOVDQU (AX)(CX*1), Y8; \
+	VPABSB  Y8, Y9
 
-#define TAILQUERY \
-	VPMOVSXBW (AX)(CX*1), Y8; \
-	VPAND Y11, Y8, Y8
+#define TQY \
+	VMOVDQU (AX)(CX*1), Y8; \
+	VPAND   Y13, Y8, Y8; \
+	VPABSB  Y8, Y9
 
-// ROW adds the pair products of the query chunk in Y8 with sixteen codes of
-// row p.
-#define ROW(p, acc, tmp) \
-	VPMOVSXBW (p)(CX*1), tmp; \
-	VPMADDWD Y8, tmp, tmp; \
-	VPADDD tmp, acc, acc
+#define QX \
+	VMOVDQU (AX)(CX*1), X8; \
+	VPABSB  X8, X9
+
+#define TQX \
+	VMOVDQU (AX)(CX*1), X8; \
+	VPAND   X13, X8, X8; \
+	VPABSB  X8, X9
+
+// RY adds the products of the query chunk with 32 codes of row p into the
+// int32 lanes of acc; RX is the 16-byte form (its VEX.128 writes leave the
+// upper halves of acc at zero).
+#define RY(p, acc, tmp) \
+	VMOVDQU    (p)(CX*1), tmp; \
+	VPSIGNB    Y8, tmp, tmp; \
+	VPMADDUBSW tmp, Y9, tmp; \
+	VPMADDWD   Y12, tmp, tmp; \
+	VPADDD     tmp, acc, acc
+
+#define RX(p, acc, tmp) \
+	VMOVDQU    (p)(CX*1), tmp; \
+	VPSIGNB    X8, tmp, tmp; \
+	VPMADDUBSW tmp, X9, tmp; \
+	VPMADDWD   X12, tmp, tmp; \
+	VPADDD     tmp, acc, acc
+
+#define ROWS8Y \
+	RY(DX, Y0, Y10); \
+	RY(SI, Y1, Y11); \
+	RY(DI, Y2, Y10); \
+	RY(R8, Y3, Y11); \
+	RY(R9, Y4, Y10); \
+	RY(R10, Y5, Y11); \
+	RY(R11, Y6, Y10); \
+	RY(R12, Y7, Y11)
+
+#define ROWS8X \
+	RX(DX, X0, X10); \
+	RX(SI, X1, X11); \
+	RX(DI, X2, X10); \
+	RX(R8, X3, X11); \
+	RX(R9, X4, X10); \
+	RX(R10, X5, X11); \
+	RX(R11, X6, X10); \
+	RX(R12, X7, X11)
 
 #define ZERO8 \
 	VPXOR Y0, Y0, Y0; \
@@ -70,16 +165,6 @@ GLOBL tailMask<>(SB), RODATA|NOPTR, $64
 	VPXOR Y5, Y5, Y5; \
 	VPXOR Y6, Y6, Y6; \
 	VPXOR Y7, Y7, Y7
-
-#define ROWS8 \
-	ROW(DX, Y0, Y9); \
-	ROW(SI, Y1, Y10); \
-	ROW(DI, Y2, Y9); \
-	ROW(R8, Y3, Y10); \
-	ROW(R9, Y4, Y9); \
-	ROW(R10, Y5, Y10); \
-	ROW(R11, Y6, Y9); \
-	ROW(R12, Y7, Y10)
 
 // STORE8 folds the eight accumulators into the eight sums and stores them
 // at R14: two rounds of pairwise adds leave rows 0–3 (Y0) and 4–7 (Y4) summed
@@ -105,26 +190,93 @@ GLOBL tailMask<>(SB), RODATA|NOPTR, $64
 	VPSHUFD $0xb1, X0, X1; \
 	VPADDD X1, X0, X0
 
+// PRED decides eight rows from their dots as float64 (Y0 rows 0–3, Y1 rows
+// 4–7), scales (Y2, Y3) and lengths (Y6, Y7), with Y12 = qs, Y13 = resid,
+// Y14 = cut and Y15 = −MaxFloat64 broadcast, and leaves the discard mask
+// (bit j set: row j is discarded) in R9. Clobbers Y2–Y5 and R10.
+#define PRED \
+	VMULPD    Y2, Y12, Y2; \
+	VMULPD    Y3, Y12, Y3; \
+	VMULPD    Y0, Y2, Y2; \
+	VMULPD    Y1, Y3, Y3; \
+	VADDPD    Y13, Y2, Y2; \
+	VADDPD    Y13, Y3, Y3; \
+	VCMPPD    $0x1d, Y15, Y2, Y4; \
+	VCMPPD    $0x1d, Y15, Y3, Y5; \
+	VMULPD    Y6, Y2, Y2; \
+	VMULPD    Y7, Y3, Y3; \
+	VCMPPD    $0x11, Y14, Y2, Y2; \
+	VCMPPD    $0x11, Y14, Y3, Y3; \
+	VANDPD    Y4, Y2, Y2; \
+	VANDPD    Y5, Y3, Y3; \
+	VMOVMSKPD Y2, R9; \
+	VMOVMSKPD Y3, R10; \
+	SHLQ      $4, R10; \
+	ORQ       R10, R9
+
+// PREDCONST broadcasts the predicate's constants into Y12–Y15 from the
+// frame slots of qs, resid and cut.
+#define PREDCONST(qs, resid, cut) \
+	VBROADCASTSD qs, Y12; \
+	VBROADCASTSD resid, Y13; \
+	VBROADCASTSD cut, Y14; \
+	VBROADCASTSD negMax<>(SB), Y15
+
+// SCALES2 loads into v the scales of the four rows whose numbers sit at
+// off(BX), from the scale array at SI, lo and hi collecting two each.
+#define SCALES2(off, lo, hi, v) \
+	MOVQ        off(BX), R10; \
+	VMOVSD      (SI)(R10*8), lo; \
+	MOVQ        off+8(BX), R10; \
+	VMOVHPD     (SI)(R10*8), lo, lo; \
+	MOVQ        off+16(BX), R10; \
+	VMOVSD      (SI)(R10*8), hi; \
+	MOVQ        off+24(BX), R10; \
+	VMOVHPD     (SI)(R10*8), hi, hi; \
+	VINSERTF128 $1, hi, v, v
+
+// LENS2 loads into v the four lengths at off(DX) one by one.
+#define LENS2(off, lo, hi, v) \
+	VMOVSD      off(DX), lo; \
+	VMOVHPD     off+8(DX), lo, lo; \
+	VMOVSD      off+16(DX), hi; \
+	VMOVHPD     off+24(DX), hi, hi; \
+	VINSERTF128 $1, hi, v, v
+
 // func dotAVX2(a, b *int8, n int) int32
 TEXT ·dotAVX2(SB), NOSPLIT, $0-28
-	MOVQ a+0(FP), AX
-	MOVQ b+8(FP), DX
-	MOVQ n+16(FP), R13
-	SETUP
+	MOVQ  a+0(FP), AX
+	MOVQ  b+8(FP), DX
+	MOVQ  n+16(FP), R13
 	VPXOR Y0, Y0, Y0
-	XORQ CX, CX
+	CMPQ  R13, $32
+	JLT   dot_x
+	SETUPY
+	XORQ  CX, CX
 
 dot_chunk:
-	QUERY
-	ROW(DX, Y0, Y9)
-	ADDQ $16, CX
+	QY
+	RY(DX, Y0, Y10)
+	ADDQ $32, CX
 	CMPQ CX, BX
 	JLT  dot_chunk
 	CMPQ BX, R13
 	JEQ  dot_sum
+	LEAQ -32(R13), CX
+	TQY
+	RY(DX, Y0, Y10)
+	JMP  dot_sum
+
+dot_x: // 16 ≤ r < 32: one whole chunk and at most one tail
+	SETUPX
+	XORQ CX, CX
+	QX
+	RX(DX, X0, X10)
+	CMPQ BX, R13
+	JEQ  dot_sum
 	LEAQ -16(R13), CX
-	TAILQUERY
-	ROW(DX, Y0, Y9)
+	TQX
+	RX(DX, X0, X10)
 
 dot_sum:
 	SUM1
@@ -133,61 +285,112 @@ dot_sum:
 	VZEROUPPER
 	RET
 
-// func dot8AVX2(q, p0, p1, p2, p3, p4, p5, p6, p7 *int8, n int, out *[8]int32)
-TEXT ·dot8AVX2(SB), NOSPLIT, $0-88
+// func dot8AVX2(q, codes *int8, rows *[8]int, n int, out *[8]int32, scales *float64, lens *[8]float64, qs, resid, cut float64) uint8
+//
+// Row j is the n codes at codes + rows[j]·n. With scales nil it stores the
+// eight dots and returns 0. Otherwise it also screens the eight rows
+// straight from the registers (Screen8): row j's scale is scales[rows[j]],
+// its length lens[j], and bit j of the result is set when row j survives.
+// Scales and lengths are loaded one by one, not as vectors: the caller has
+// just written rows and lens element by element, and a vector load spanning
+// several pending stores stalls until they land.
+TEXT ·dot8AVX2(SB), NOSPLIT, $0-81
 	MOVQ q+0(FP), AX
-	MOVQ p0+8(FP), DX
-	MOVQ p1+16(FP), SI
-	MOVQ p2+24(FP), DI
-	MOVQ p3+32(FP), R8
-	MOVQ p4+40(FP), R9
-	MOVQ p5+48(FP), R10
-	MOVQ p6+56(FP), R11
-	MOVQ p7+64(FP), R12
-	MOVQ n+72(FP), R13
-	MOVQ out+80(FP), R14
-	SETUP
+	MOVQ codes+8(FP), R15
+	MOVQ rows+16(FP), BX
+	MOVQ n+24(FP), R13
+	MOVQ out+32(FP), R14
+	ROWPTR(0, DX)
+	ROWPTR(8, SI)
+	ROWPTR(16, DI)
+	ROWPTR(24, R8)
+	ROWPTR(32, R9)
+	ROWPTR(40, R10)
+	ROWPTR(48, R11)
+	ROWPTR(56, R12)
 	ZERO8
+	CMPQ R13, $32
+	JLT  dot8_x
+	SETUPY
 	XORQ CX, CX
 
 dot8_chunk:
-	QUERY
-	ROWS8
-	ADDQ $16, CX
+	QY
+	ROWS8Y
+	ADDQ $32, CX
 	CMPQ CX, BX
 	JLT  dot8_chunk
 	CMPQ BX, R13
 	JEQ  dot8_store
+	LEAQ -32(R13), CX
+	TQY
+	ROWS8Y
+	JMP  dot8_store
+
+dot8_x:
+	SETUPX
+	XORQ CX, CX
+	QX
+	ROWS8X
+	CMPQ BX, R13
+	JEQ  dot8_store
 	LEAQ -16(R13), CX
-	TAILQUERY
-	ROWS8
+	TQX
+	ROWS8X
 
 dot8_store:
 	STORE8
+	MOVQ  scales+40(FP), SI
+	TESTQ SI, SI
+	JNZ   dot8_screen
+	MOVB  $0, ret+80(FP)
 	VZEROUPPER
 	RET
 
-// func dotPanelAVX2(q, panel *int8, n, rows int, out *int32)
+dot8_screen:
+	VEXTRACTI128 $1, Y0, X1
+	VCVTDQ2PD X1, Y1
+	VCVTDQ2PD X0, Y0
+	MOVQ rows+16(FP), BX
+	SCALES2(0, X2, X4, Y2)
+	SCALES2(32, X3, X5, Y3)
+	MOVQ lens+48(FP), DX
+	LENS2(0, X6, X4, Y6)
+	LENS2(32, X7, X5, Y7)
+	PREDCONST(qs+56(FP), resid+64(FP), cut+72(FP))
+	PRED
+	NOTQ R9
+	MOVB R9, ret+80(FP)
+	VZEROUPPER
+	RET
+
+// func dotPanelAVX2(q, panel *int8, n, groups int, out *int32)
 //
-// dot8AVX2 over consecutive groups of eight adjacent rows — the row pointers
+// dot8AVX2 over consecutive groups of eight adjacent rows: the row pointers
 // are rebuilt from the panel pointer and the row size at the top of each
-// group, and a stack slot counts the groups left — then dotAVX2 over the
-// rows mod 8 that remain, SI counting them, so that a short candidate
-// prefix costs one call whatever its length.
+// group, and a stack slot counts the groups left. The dispatcher finishes
+// the rows mod 8 through dot8AVX2.
 //
 // A group is 8n contiguous bytes read as eight interleaved streams; each
-// chunk step also prefetches its share (two lines, 128 = 8·16 bytes) of the
-// group two ahead, whose first byte R15 points at. Prefetches never fault,
-// so running up to sixteen rows past the panel's end is harmless.
+// chunk step also prefetches its share (8 × the chunk width: four lines for
+// a Y chunk, two for an X chunk) of the group two ahead, whose first byte
+// R15 points at. Prefetches never fault, so running up to sixteen rows past
+// the panel's end is harmless.
 TEXT ·dotPanelAVX2(SB), NOSPLIT, $8-40
 	MOVQ q+0(FP), AX
 	MOVQ panel+8(FP), DX
 	MOVQ n+16(FP), R13
 	MOVQ out+32(FP), R14
-	SETUP
-	MOVQ rows+24(FP), R15
-	SHRQ $3, R15
-	JZ   panel_rows
+	CMPQ R13, $32
+	JLT  panel_setx
+	SETUPY
+	JMP  panel_start
+
+panel_setx:
+	SETUPX
+
+panel_start:
+	MOVQ groups+24(FP), R15
 	MOVQ R15, left-8(SP)
 	MOVQ R13, R15
 	SHLQ $4, R15
@@ -203,20 +406,42 @@ panel_group:
 	LEAQ (R11)(R13*1), R12
 	ZERO8
 	XORQ CX, CX
+	CMPQ R13, $32
+	JLT  panel_x
 
 panel_chunk:
 	PREFETCHT0 (R15)(CX*8)
 	PREFETCHT0 64(R15)(CX*8)
-	QUERY
-	ROWS8
-	ADDQ $16, CX
+	PREFETCHT0 128(R15)(CX*8)
+	PREFETCHT0 192(R15)(CX*8)
+	QY
+	ROWS8Y
+	ADDQ $32, CX
 	CMPQ CX, BX
 	JLT  panel_chunk
 	CMPQ BX, R13
 	JEQ  panel_store
+	LEAQ -32(R13), CX
+	PREFETCHT0 (R15)(CX*8)
+	PREFETCHT0 64(R15)(CX*8)
+	PREFETCHT0 128(R15)(CX*8)
+	PREFETCHT0 192(R15)(CX*8)
+	TQY
+	ROWS8Y
+	JMP  panel_store
+
+panel_x:
+	PREFETCHT0 (R15)
+	PREFETCHT0 64(R15)
+	QX
+	ROWS8X
+	CMPQ BX, R13
+	JEQ  panel_store
 	LEAQ -16(R13), CX
-	TAILQUERY
-	ROWS8
+	PREFETCHT0 (R15)(CX*8)
+	PREFETCHT0 64(R15)(CX*8)
+	TQX
+	ROWS8X
 
 panel_store:
 	STORE8
@@ -225,36 +450,52 @@ panel_store:
 	LEAQ (R15)(R13*8), R15
 	DECQ left-8(SP)
 	JNZ  panel_group
+	VZEROUPPER
+	RET
 
-panel_rows:
-	MOVQ rows+24(FP), SI
-	ANDQ $7, SI
-	JZ   panel_done
+// func siftAVX2(dots *int32, scales, lens *float64, n int, qs, resid, cut float64, rows *int32) int
+//
+// Screens the first n (a positive multiple of 8) rows group by group and
+// compacts the survivors in order: row numbers to rows, their dots to the
+// front of dots. A survivor's dot is read back from dots before the write
+// that could reach it: writes land below the survivor count, which never
+// passes the row being read.
+TEXT ·siftAVX2(SB), NOSPLIT, $0-72
+	MOVQ dots+0(FP), DI
+	MOVQ scales+8(FP), SI
+	MOVQ lens+16(FP), DX
+	MOVQ n+24(FP), CX
+	PREDCONST(qs+32(FP), resid+40(FP), cut+48(FP))
+	MOVQ rows+56(FP), R8
+	XORQ AX, AX // row of the group
+	XORQ BX, BX // survivors so far
 
-panel_row:
-	VPXOR Y0, Y0, Y0
-	XORQ  CX, CX
+sift_group:
+	VCVTDQ2PD (DI)(AX*4), Y0
+	VCVTDQ2PD 16(DI)(AX*4), Y1
+	VMOVUPD   (SI)(AX*8), Y2
+	VMOVUPD   32(SI)(AX*8), Y3
+	VMOVUPD   (DX)(AX*8), Y6
+	VMOVUPD   32(DX)(AX*8), Y7
+	PRED
+	XORQ $0xff, R9
+	JZ   sift_next
 
-panel_row_chunk:
-	QUERY
-	ROW(DX, Y0, Y9)
-	ADDQ $16, CX
-	CMPQ CX, BX
-	JLT  panel_row_chunk
-	CMPQ BX, R13
-	JEQ  panel_row_sum
-	LEAQ -16(R13), CX
-	TAILQUERY
-	ROW(DX, Y0, Y9)
+sift_keep:
+	BSFQ R9, R10
+	ADDQ AX, R10
+	MOVL (DI)(R10*4), R11
+	MOVL R10, (R8)(BX*4)
+	MOVL R11, (DI)(BX*4)
+	INCQ BX
+	LEAQ -1(R9), R10
+	ANDQ R10, R9
+	JNZ  sift_keep
 
-panel_row_sum:
-	SUM1
-	VMOVD X0, (R14)
-	ADDQ  $4, R14
-	ADDQ  R13, DX
-	DECQ  SI
-	JNZ   panel_row
-
-panel_done:
+sift_next:
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  sift_group
+	MOVQ BX, ret+64(FP)
 	VZEROUPPER
 	RET

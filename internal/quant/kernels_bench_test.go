@@ -17,7 +17,9 @@ import (
 //	go test -run '^$' -bench 'Screen|DotQ8' ./internal/quant
 //
 // prints the dispatched and the portable kernels side by side with an
-// ns/cand column; with -tags purego both rows are the portable ones.
+// ns/cand column; with -tags purego both rows are the portable ones. The
+// MB/s column counts what a candidate touches: its r codes, its scale and
+// its length (r + 16 bytes).
 
 const benchRows = 2048
 
@@ -56,6 +58,9 @@ func benchScreen(tb testing.TB, r int) (*Rows, Screen, []float64) {
 	return qr, qr.NewScreen(qq, 1), lens
 }
 
+// candBytes is what screening one candidate reads: codes, scale, length.
+func candBytes(r int) int64 { return int64(benchRows * (r + 16)) }
+
 // reportPerCand adds the ns/cand column the kernel acceptance numbers are
 // read from.
 func reportPerCand(b *testing.B) {
@@ -68,14 +73,13 @@ func BenchmarkScreenPanel(b *testing.B) {
 	for _, r := range benchDims {
 		for _, ks := range kernelSets {
 			b.Run(fmt.Sprintf("r=%d/%s", r, ks.name), func(b *testing.B) {
-				qr, scr, lens := benchScreen(b, r)
+				_, scr, lens := benchScreen(b, r)
 				dots, keep := make([]int32, benchRows), make([]int32, benchRows)
 				kept := 0
-				b.SetBytes(int64(benchRows * r))
+				b.SetBytes(candBytes(r))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					ks.panel(scr.codes, qr.Codes, dots)
-					kept += scr.siftPrefix(lens, benchCut, dots, keep)
+					kept += ks.prefix(&scr, lens, benchCut, dots, keep)
 				}
 				reportPerCand(b)
 				if kept > b.N*benchRows/20 {
@@ -86,29 +90,33 @@ func BenchmarkScreenPanel(b *testing.B) {
 	}
 }
 
-// BenchmarkScreen8Strided times Screen8's two halves — the eight-pointer
-// kernel and the fused predicate — over rows taken in a scattered order,
-// the shape of a COORD/INCR survivor list.
+// BenchmarkScreen8Strided times Screen8 — the eight-pointer kernel and its
+// predicate — over rows taken in a scattered order, the shape of a
+// COORD/INCR survivor list.
 func BenchmarkScreen8Strided(b *testing.B) {
 	for _, r := range benchDims {
 		for _, ks := range kernelSets {
 			b.Run(fmt.Sprintf("r=%d/%s", r, ks.name), func(b *testing.B) {
-				qr, scr, lens := benchScreen(b, r)
+				_, scr, lens := benchScreen(b, r)
 				o := rand.New(rand.NewSource(8)).Perm(benchRows)
 				l8 := (*[8]float64)(lens)
 				var d [8]int32
-				var mask uint8
-				b.SetBytes(int64(benchRows * r))
+				kept := 0
+				b.SetBytes(candBytes(r))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for j := 0; j+8 <= benchRows; j += 8 {
-						g := (*[8]int)(o[j : j+8])
-						ks.dot8(scr.codes, qr.Codes, g, &d)
-						mask ^= scr.mask8(g, l8, benchCut, &d)
+						// Walk the mask's bits as List does: the caller branches on
+						// it rather than carrying it as data.
+						for mask := ks.screen8(&scr, (*[8]int)(o[j:j+8]), l8, benchCut, &d); mask != 0; mask &= mask - 1 {
+							kept++
+						}
 					}
 				}
 				reportPerCand(b)
-				_ = mask
+				if kept > b.N*benchRows/20 {
+					b.Fatalf("cutoff kept %d of %d rows: not the screening regime", kept/b.N, benchRows)
+				}
 			})
 		}
 	}
@@ -123,7 +131,7 @@ func BenchmarkDotQ8(b *testing.B) {
 				qr, scr, lens := benchScreen(b, r)
 				o := rand.New(rand.NewSource(8)).Perm(benchRows)
 				var mask uint8
-				b.SetBytes(int64(benchRows * r))
+				b.SetBytes(candBytes(r))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for _, row := range o {

@@ -8,10 +8,14 @@ package quant
 
 func dotAVX2(a, b *int8, n int) int32 { panic("quant: no AVX2 kernels in this build") }
 
-func dot8AVX2(q, p0, p1, p2, p3, p4, p5, p6, p7 *int8, n int, out *[8]int32) {
+func dot8AVX2(q, codes *int8, rows *[8]int, n int, out *[8]int32, scales *float64, lens *[8]float64, qs, resid, cut float64) uint8 {
 	panic("quant: no AVX2 kernels in this build")
 }
 
-func dotPanelAVX2(q, panel *int8, n, rows int, out *int32) {
+func dotPanelAVX2(q, panel *int8, n, groups int, out *int32) {
+	panic("quant: no AVX2 kernels in this build")
+}
+
+func siftAVX2(dots *int32, scales, lens *float64, n int, qs, resid, cut float64, rows *int32) int {
 	panic("quant: no AVX2 kernels in this build")
 }

@@ -20,21 +20,23 @@
 //
 //	|qᵀp − q̂ᵀp̂| ≤ ‖q̂‖·‖e_p‖ + ‖e_q‖·(‖p̂‖ + ‖e_p‖).
 //
-// ApproxBound evaluates q̂ᵀp̂ exactly (an integer dot times two scales; the
-// integer fits float64 for every supported dimension) and returns that
-// Cauchy–Schwarz bound widened by three float-rounding allowances: the
-// stored norms and residuals are inflated upper bounds of the true values,
-// a term of order r·2⁻⁵³·‖q‖·‖p‖ covers the accumulation rounding of the
-// exact float64 Dot the bound must bracket (the screening contract is
-// against what vecmath.Dot computes, not against the mathematical product),
-// and the bound's own arithmetic is inflated once more. The contract, which
-// quant_test.go property-checks over adversarial inputs:
+// q̂ᵀp̂ is exact (an integer dot times two scales; the integer fits float64
+// for every supported dimension). Quantization computes inflated upper
+// bounds on ‖e_p‖ and ‖p̂‖ per row and keeps only their panel-wide maxima;
+// the bracket is widened by three float-rounding allowances: the stored
+// norms and residuals are inflated upper bounds of the true values, a term
+// of order r·2⁻⁵³·‖q‖·‖p‖ covers the accumulation rounding of the exact
+// float64 Dot the bound must bracket (the screening contract is against
+// what vecmath.Dot computes, not against the mathematical product), and the
+// bound's own arithmetic is inflated once more. The contract, which
+// quant_test.go property-checks over adversarial inputs through a per-row
+// bracket that recomputes the row's residual and norm:
 //
 //	approx − bound ≤ Dot(q, row_i) ≤ approx + bound
 //
-// for all finite inputs; whenever a quantity overflows or an input is
-// non-finite, ApproxBound returns (0, +Inf), which no screening predicate
-// of the form "upper bound below cutoff" can ever discard.
+// for all finite inputs; a non-finite input or an overflowing quantity
+// makes the bound +Inf, which no screening predicate of the form "upper
+// bound below cutoff" can ever discard.
 //
 // # The screen
 //
@@ -44,17 +46,24 @@
 //
 //	ub = emit·(S_q·S_p[i]·d + resid),   keep iff !(ub ≥ −MaxFloat64 && ub·len[i] < cut)
 //
-// where resid substitutes the panel-wide maxima of ‖e_p‖ and ‖p‖ᵘᵇ for the
+// where resid puts the panel-wide maxima of ‖e_p‖ and ‖p‖ᵘᵇ in place of the
 // per-row values in the Cauchy–Schwarz term (a sound over-approximation that
-// leaves one load and four flops per candidate) and carries every rounding
-// allowance as screenSlack·‖q‖ᵘᵇ·‖p‖ᵘᵇ: the exact kernel's accumulation, as in
-// ApproxBound, plus the handful of roundings ub itself commits, each at most
+// leaves one load and four flops per candidate, and the reason the sidecar
+// stores no per-row bound) and carries every rounding allowance as
+// screenSlack·‖q‖ᵘᵇ·‖p‖ᵘᵇ: the exact kernel's accumulation, as in the
+// bracket, plus the handful of roundings ub itself commits, each at most
 // one ulp of a quantity bounded by ‖q‖·‖p‖. Then ub ≥ fl(emit·Dot(q, row_i))
 // for all finite inputs, and a panel holding a non-finite row has an infinite
 // resid, so none of its rows is ever discarded. The dot runs the full r
 // dimensions: on directions without spectral decay a prefix of the
 // dimensions bounds almost nothing, and the integer kernels (kernels.go)
 // make the full width cheaper than the exact row it guards.
+//
+// Where the kernels are assembly (Accelerated) the predicate runs there
+// too, eight rows at a time (VCVTDQ2PD, then the same multiplies, add and
+// two ordered comparisons in the same order, no FMA), and only survivors
+// are written; survives, mask8 and siftPrefix are its portable twins and
+// its oracle.
 package quant
 
 import (
@@ -81,27 +90,23 @@ const ulp = 1.0 / (1 << 53)
 const tiny = 1e-150
 
 // Rows is the int8 sidecar of one contiguous row-panel (in core: one
-// bucket's normalized directions): per row a scale, the quantized codes,
-// and inflated upper bounds on the quantization residual norm ‖e_p‖ and
-// the dequantized norm ‖p̂‖ — r + 24 bytes per row.
+// bucket's normalized directions): per row a scale and the quantized codes,
+// r + 8 bytes per row, and two panel-wide bound inputs.
 type Rows struct {
 	r int
 	n int
 
 	// Scales[i] is row i's quantization step (maxabs/127; 0 for a zero
 	// row). Codes holds the int8 payload, row-major (n × r), every value
-	// in [-127, 127]. Resid[i] ≥ ‖row_i − Scales[i]·Codes_i‖ and
-	// Norm[i] ≥ ‖Scales[i]·Codes_i‖ are the bound inputs; a row holding a
-	// non-finite value gets Resid[i] = +Inf and is never screened.
+	// in [-127, 127].
 	Scales []float64
 	Codes  []int8
-	Resid  []float64
-	Norm   []float64
 
-	// maxResid and maxNormUB are the largest Resid[i] and Norm[i]+Resid[i]
-	// across the panel: the screen substitutes them for the per-row values
-	// (see the package comment). A non-finite row makes maxResid +Inf,
-	// which switches the screen off for the whole panel.
+	// maxResid and maxNormUB are the largest inflated bounds on a row's
+	// quantization residual ‖e_p‖ and on ‖p̂‖+‖e_p‖ across the panel: the
+	// screen substitutes them for the per-row values (see the package
+	// comment). A non-finite row makes maxResid +Inf, which switches the
+	// screen off for the whole panel.
 	maxResid  float64
 	maxNormUB float64
 }
@@ -117,13 +122,13 @@ func (qr *Rows) Row(i int) []int8 {
 	return qr.Codes[i*qr.r : (i+1)*qr.r : (i+1)*qr.r]
 }
 
-// Bytes returns the sidecar's memory footprint: codes plus the three
-// per-row float64 arrays.
+// Bytes returns the sidecar's memory footprint: codes plus the per-row
+// scales.
 func (qr *Rows) Bytes() int {
 	if qr == nil {
 		return 0
 	}
-	return len(qr.Codes) + 8*(len(qr.Scales)+len(qr.Resid)+len(qr.Norm))
+	return len(qr.Codes) + 8*len(qr.Scales)
 }
 
 // sumSlack bounds the relative error of a float64 sum of r nonnegative
@@ -162,13 +167,12 @@ func QuantizeRows(rows []float64, r int) *Rows {
 		n:      n,
 		Scales: make([]float64, n),
 		Codes:  make([]int8, n*r),
-		Resid:  make([]float64, n),
-		Norm:   make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
-		qr.Scales[i], qr.Resid[i], qr.Norm[i] = quantizeRow(qr.Codes[i*r:(i+1)*r], rows[i*r:(i+1)*r])
-		qr.maxResid = max(qr.maxResid, qr.Resid[i])
-		qr.maxNormUB = max(qr.maxNormUB, qr.Norm[i]+qr.Resid[i])
+		var resid, norm float64
+		qr.Scales[i], resid, norm = quantizeRow(qr.Codes[i*r:(i+1)*r], rows[i*r:(i+1)*r])
+		qr.maxResid = max(qr.maxResid, resid)
+		qr.maxNormUB = max(qr.maxNormUB, norm+resid)
 	}
 	return qr
 }
@@ -180,8 +184,7 @@ func quantizeRow(codes []int8, row []float64) (scale, resid, norm float64) {
 	for _, x := range row {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			// Non-finite row: no usable quantization. Zero codes, infinite
-			// residual — ApproxBound returns (0, +Inf) and the row is never
-			// screened.
+			// residual — the bound is +Inf and the row is never screened.
 			for j := range codes {
 				codes[j] = 0
 			}
@@ -277,52 +280,13 @@ func QuantizeQuery(dst []int8, q []float64) (qq Query, ok bool) {
 	return Query{Scale: scale, Codes: dst, Resid: resid, Norm: norm}, true
 }
 
-// ApproxBound returns the quantized estimate of Dot(q, row_i) and a
-// conservative radius: approx−bound ≤ Dot(q, row_i) ≤ approx+bound, where
-// Dot is the float64 kernel result, not the mathematical product. When any
-// input is non-finite or an intermediate overflows, it returns (0, +Inf) —
-// a candidate that can never be screened. Pure arithmetic over the sidecar;
-// no allocation, no f64 row access.
-func (qr *Rows) ApproxBound(qq Query, i int) (approx, bound float64) {
-	return qr.BoundFromDot(qq, i, DotQ8(qq.Codes, qr.Row(i)))
-}
-
-// BoundFromDot is ApproxBound for a caller that already holds d, the
-// integer dot of the query's codes with row i's (the screen hands its
-// survivors' dots back): the two scales and the per-row Cauchy–Schwarz
-// bracket.
-func (qr *Rows) BoundFromDot(qq Query, i int, d int32) (approx, bound float64) {
-	approx = qq.Scale * qr.Scales[i] * float64(d)
-	bound = qr.boundOnly(qq, i)
-	if math.IsInf(approx, 0) || math.IsNaN(approx) || math.IsNaN(bound) {
-		return 0, math.Inf(1)
-	}
-	return approx, bound
-}
-
-// boundOnly evaluates the dot-independent part of the bracket: the
-// Cauchy–Schwarz quantization-residual bound plus the float-rounding
-// allowances.
-func (qr *Rows) boundOnly(qq Query, i int) float64 {
-	pNorm := qr.Norm[i]
-	pResid := qr.Resid[i]
-	// ‖p‖ ≤ ‖p̂‖+‖e_p‖ and ‖q‖ ≤ ‖q̂‖+‖e_q‖ feed the Dot-rounding term.
-	pUB := pNorm + pResid
-	qUB := qq.Norm + qq.Resid
-	cs := qq.Norm*pResid + qq.Resid*pUB
-	// approx is computed with two roundings (integer dot exact in float64);
-	// its error ≤ 3·2⁻⁵³·|approx| ≤ 3·2⁻⁵³·‖q̂‖·‖p̂‖ is dominated by the
-	// dotSlack term, which also covers the exact kernel's accumulation.
-	return inflate(cs+dotSlack(qr.r)*qUB*pUB, 16*ulp)
-}
-
 // screenSlack is the relative allowance backing the screen's naked
 // arithmetic: it must dominate, relative to ‖q‖·‖p‖, the exact kernel's
 // accumulation rounding (as dotSlack does) and the ~10 roundings of the
 // predicate and of NewScreen's folding (emit included) — each at most one
 // ulp of a norm-dominated quantity. The headroom over dotSlack is 32 ulp,
 // about three times what those roundings can consume.
-func screenSlack(r int) float64 { return 4*float64(r+8)*ulp + 32*ulp }
+func screenSlack(r int) float64 { return dotSlack(r) + 32*ulp }
 
 // Screen is the per-(query, panel) state of the screening predicate: the
 // query's codes and the two constants the row-independent part of the bound
@@ -391,12 +355,15 @@ func (s *Screen) Screen8(i0, i1, i2, i3, i4, i5, i6, i7 int, lens *[8]float64, c
 }
 
 func (s *Screen) screen8(rows *[8]int, lens *[8]float64, cut float64, dots *[8]int32) uint8 {
-	dot8(s.codes, s.qr.Codes, rows, dots)
+	if Accelerated(s.qr.r) {
+		return dot8Asm(s.codes, s.qr.Codes, rows, dots, s.qr.Scales, lens, s.qs, s.resid, cut)
+	}
+	dot8Go(s.codes, s.qr.Codes, rows, dots)
 	return s.mask8(rows, lens, cut, dots)
 }
 
-// mask8 is the predicate half of Screen8, over dots the eight-pointer kernel
-// filled.
+// mask8 is the predicate half of Screen8 over dots the eight-pointer kernel
+// filled: the portable twin and oracle of the predicate dot8AVX2 fuses in.
 func (s *Screen) mask8(rows *[8]int, lens *[8]float64, cut float64, dots *[8]int32) uint8 {
 	scales, qs, resid := s.qr.Scales, s.qs, s.resid
 	var mask uint8
@@ -417,17 +384,30 @@ func (s *Screen) Prefix(lens []float64, cut float64, dots, rows []int32) int {
 	n := len(lens)
 	dots = dots[:n]
 	dotPanel(s.codes, s.qr.Codes[:n*s.qr.r], dots)
-	return s.siftPrefix(lens, cut, dots, rows)
+	return s.sift(lens, cut, dots, rows)
 }
 
-// siftPrefix is the predicate half of Prefix, over dots the panel kernel
-// filled.
-func (s *Screen) siftPrefix(lens []float64, cut float64, dots, rows []int32) int {
+// sift is the predicate half of Prefix, over dots the panel kernel filled:
+// siftAVX2 over the groups of eight where the kernels are assembly,
+// siftPrefix over the rest.
+func (s *Screen) sift(lens []float64, cut float64, dots, rows []int32) int {
+	n := len(dots)
+	scales, lens, rows := s.qr.Scales[:n], lens[:n], rows[:n]
+	i, k := 0, 0
+	if Accelerated(s.qr.r) && n >= 8 {
+		i = n &^ 7
+		k = siftAVX2(&dots[0], &scales[0], &lens[0], i, s.qs, s.resid, cut, &rows[0])
+	}
+	return s.siftPrefix(i, k, lens, cut, dots, rows)
+}
+
+// siftPrefix is sift's portable twin and oracle, from row i on with k
+// survivors already compacted.
+func (s *Screen) siftPrefix(i, k int, lens []float64, cut float64, dots, rows []int32) int {
 	scales, lens, rows := s.qr.Scales[:len(dots)], lens[:len(dots)], rows[:len(dots)]
 	qs, resid := s.qs, s.resid
-	k := 0
-	for i, d := range dots {
-		if survives(qs, resid, scales[i], d, lens[i], cut) {
+	for ; i < len(dots); i++ {
+		if d := dots[i]; survives(qs, resid, scales[i], d, lens[i], cut) {
 			rows[k], dots[k] = int32(i), d
 			k++
 		}

@@ -1,7 +1,6 @@
 package quant_test
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -167,14 +166,9 @@ func checkBracket(t *testing.T, q, rows []float64, r int) bool {
 		return false
 	}
 	for i := 0; i < qr.N(); i++ {
-		approx, bound := qr.ApproxBound(qq, i)
 		row := rows[i*r : (i+1)*r]
+		approx, bound := qr.ApproxBound(qq, row, i)
 		exact := vecmath.Dot(q, row)
-		if fa, fb := qr.BoundFromDot(qq, i, quant.DotQ8(qq.Codes, qr.Row(i))); fa != approx || fb != bound {
-			t.Errorf("row %d: BoundFromDot (%v, %v) != ApproxBound (%v, %v)",
-				i, fa, fb, approx, bound)
-			return false
-		}
 		if math.IsInf(bound, 1) {
 			continue // never screened: contract holds vacuously
 		}
@@ -326,8 +320,10 @@ func TestNonFiniteRowsNeverScreened(t *testing.T) {
 		0, math.Inf(-1), 0, 0,
 	}
 	qr := quant.QuantizeRows(rows, r)
-	if !math.IsInf(qr.Resid[1], 1) || !math.IsInf(qr.Resid[2], 1) || !math.IsInf(qr.Resid[3], 1) {
-		t.Fatalf("non-finite rows must carry infinite residuals, got %v", qr.Resid)
+	for i := 1; i < 4; i++ {
+		if resid, _ := quant.RowBounds(rows[i*r : (i+1)*r]); !math.IsInf(resid, 1) {
+			t.Fatalf("non-finite row %d must carry an infinite residual, got %v", i, resid)
+		}
 	}
 	dst := make([]int8, r)
 	qq, ok := quant.QuantizeQuery(dst, []float64{1, 1, 1, 1})
@@ -335,7 +331,7 @@ func TestNonFiniteRowsNeverScreened(t *testing.T) {
 		t.Fatal("finite query failed to quantize")
 	}
 	for i := 1; i < 4; i++ {
-		approx, bound := qr.ApproxBound(qq, i)
+		approx, bound := qr.ApproxBound(qq, rows[i*r:(i+1)*r], i)
 		if approx != 0 || !math.IsInf(bound, 1) {
 			t.Fatalf("row %d: want (0, +Inf), got (%v, %v)", i, approx, bound)
 		}
@@ -399,7 +395,7 @@ func TestQuantizeRowsDeterministic(t *testing.T) {
 	a := quant.QuantizeRows(rows, r)
 	b := quant.QuantizeRows(rows, r)
 	for i := range a.Scales {
-		if a.Scales[i] != b.Scales[i] || a.Resid[i] != b.Resid[i] || a.Norm[i] != b.Norm[i] {
+		if a.Scales[i] != b.Scales[i] {
 			t.Fatalf("row %d: quantization not deterministic", i)
 		}
 	}
@@ -419,7 +415,7 @@ func TestRowsAccessors(t *testing.T) {
 	if len(qr.Row(1)) != 3 {
 		t.Fatalf("Row(1) len %d", len(qr.Row(1)))
 	}
-	wantBytes := 6 + 8*(2+2+2) // r + 24 bytes per row
+	wantBytes := 6 + 8*2 // r + 8 bytes per row
 	if qr.Bytes() != wantBytes {
 		t.Fatalf("Bytes = %d, want %d", qr.Bytes(), wantBytes)
 	}
@@ -481,7 +477,7 @@ func TestScreeningIsUseful(t *testing.T) {
 	theta := 0.5 // high threshold for unit vectors: most dots are far below
 	screened := 0
 	for i := 0; i < n; i++ {
-		approx, bound := qr.ApproxBound(qq, i)
+		approx, bound := qr.ApproxBound(qq, rows[i*r:(i+1)*r], i)
 		if approx+bound < theta {
 			screened++
 			if exact := vecmath.Dot(q, rows[i*r:(i+1)*r]); exact >= theta {
@@ -491,31 +487,5 @@ func TestScreeningIsUseful(t *testing.T) {
 	}
 	if screened < n/2 {
 		t.Fatalf("bound too loose: only %d/%d unit rows screened at θ=%v", screened, n, theta)
-	}
-}
-
-func BenchmarkApproxBound(b *testing.B) {
-	for _, r := range []int{16, 64, 256} {
-		rng := rand.New(rand.NewSource(6))
-		n := 1024
-		rows := make([]float64, n*r)
-		for i := range rows {
-			rows[i] = rng.NormFloat64()
-		}
-		qr := quant.QuantizeRows(rows, r)
-		q := make([]float64, r)
-		for i := range q {
-			q[i] = rng.NormFloat64()
-		}
-		dst := make([]int8, r)
-		qq, _ := quant.QuantizeQuery(dst, q)
-		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
-			var sink float64
-			for i := 0; i < b.N; i++ {
-				a, bd := qr.ApproxBound(qq, i%n)
-				sink += a + bd
-			}
-			_ = sink
-		})
 	}
 }

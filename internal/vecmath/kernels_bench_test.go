@@ -33,7 +33,7 @@ func benchPanel(r int) (q, panel []float64, out []float64) {
 }
 
 func BenchmarkDotScalarPanel(b *testing.B) {
-	for _, r := range []int{16, 64, 256} {
+	for _, r := range kernelDims {
 		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
 			q, panel, out := benchPanel(r)
 			b.SetBytes(int64(benchRows * r * 8))
@@ -43,6 +43,7 @@ func BenchmarkDotScalarPanel(b *testing.B) {
 					out[j] = Dot(q, panel[j*r:(j+1)*r])
 				}
 			}
+			reportPerRow(b)
 		})
 	}
 }
