@@ -120,7 +120,7 @@ func main() {
 	shards := flag.Int("shards", 4, "number of index shards")
 	placementName := flag.String("placement", "range", "how a shard build partitions the catalog: range (contiguous equal-count) or cluster (spherical k-means); with -snapshot it applies only when the restore re-places")
 	rebalanceOnLoad := flag.Bool("rebalance-on-load", false, "with -snapshot, re-place the restored probe set under -placement even when -shards matches the snapshot count")
-	algName := flag.String("alg", "LI", "bucket algorithm: L LI LC I C")
+	algName := flag.String("alg", "LI", "bucket algorithm: L LI LC I C (L never tunes; the others run the paper's sample tuner, §4.4, on each new problem)")
 	phi := flag.Int("phi", 0, "fixed focus-set size φ (0 = tuned per bucket)")
 	quantize := flag.Bool("quant", false, "build the int8 screening sidecars eagerly and screen every candidate set (results stay exact; ~1 byte per probe per dimension); snapshots record the option and re-quantize on restore. Without it the server screens by itself where the int8 kernels are assembly (/stats \"kernels\": \"avx2\"), building sidecars lazily for the buckets queries reach; the flag adds the eager build and, on the portable kernels, the screen itself, which loses there. With -snapshot, given explicitly it forces the option on or off regardless of what the snapshots recorded")
 	parallel := flag.Int("parallel", 0, "retrieval goroutines per shard (0 = NumCPU/shards, so one batch uses all cores)")

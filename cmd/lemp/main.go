@@ -36,7 +36,7 @@ func main() {
 	pPath := flag.String("p", "", "probe matrix file (columns of P as vectors)")
 	theta := flag.Float64("theta", 0, "Above-θ threshold (> 0); mutually exclusive with -topk")
 	topk := flag.Int("topk", 0, "Row-Top-k: number of results per query; mutually exclusive with -theta")
-	algName := flag.String("alg", "LI", "bucket algorithm: L LI LC I C")
+	algName := flag.String("alg", "LI", "bucket algorithm: L LI LC I C (L never tunes; the others run the paper's sample tuner, §4.4, on each new problem)")
 	phi := flag.Int("phi", 0, "fixed focus-set size φ (0 = tuned per bucket)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "retrieval goroutines (default all cores; use -parallel 1 for the paper's single-threaded setting)")
 	outPath := flag.String("out", "", "write results as CSV (query,probe,value); default stdout")

@@ -76,7 +76,7 @@ func main() {
 	// kernels are assembly, those whose candidate sets the tuning sample
 	// timed with the screen on; none elsewhere (no Options.Quantize here).
 	fmt.Println("\nper-bucket selections LI freezes with PretuneTopK (first 8 buckets):")
-	index, err = lemp.New(p, lemp.Options{})
+	index, err = lemp.New(p, lemp.Options{Algorithm: lemp.AlgorithmLI})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -109,10 +109,11 @@ func main() {
 		fmt.Printf("  %-28s %4d buckets, total %v\n", label, res.Stats.Buckets, res.Stats.TotalTime().Round(1000))
 	}
 
-	// Serving-style reuse: per-call tuning dominates small batches, and a
-	// TuningCache removes it from every call after the first.
-	fmt.Println("\ntuning reuse on a small batch (2 queries, k=10):")
-	index, err = lemp.New(p, lemp.Options{})
+	// Serving-style reuse under LI (L never tunes): per-call
+	// tuning dominates small batches, and a TuningCache removes it from
+	// every call after the first.
+	fmt.Println("\ntuning reuse on a small batch under LI (2 queries, k=10):")
+	index, err = lemp.New(p, lemp.Options{Algorithm: lemp.AlgorithmLI})
 	if err != nil {
 		log.Fatal(err)
 	}

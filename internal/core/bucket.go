@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -114,22 +115,18 @@ func bucketSpans(sortedLens []float64, shrink float64, minSize, maxSize int) [][
 
 // bucketize sorts the probe vectors by decreasing length and groups them
 // into buckets per §3.2 (boundaries from bucketSpans), and says by column
-// where each probe landed. extIDs names column col extIDs[col] in the bucket
-// id arrays; nil uses the column numbers themselves.
-func bucketize(p *matrix.Matrix, extIDs []int32, shrink float64, minSize, maxSize int) ([]*bucket, []probeLoc) {
+// where each probe landed. lens holds every column's length, as
+// p.Lengths() computes it, all finite. extIDs names column col extIDs[col]
+// in the bucket id arrays; nil uses the column numbers themselves.
+func bucketize(p *matrix.Matrix, lens []float64, extIDs []int32, shrink float64, minSize, maxSize int) ([]*bucket, []probeLoc) {
 	n := p.N()
 	if n == 0 {
 		return nil, nil
 	}
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	lens := p.Lengths()
-	sort.SliceStable(order, func(a, b int) bool { return lens[order[a]] > lens[order[b]] })
+	order := byDecreasingLength(lens)
 	sorted := make([]float64, n)
-	for i, id := range order {
-		sorted[i] = lens[id]
+	for i, col := range order {
+		sorted[i] = lens[col]
 	}
 
 	var buckets []*bucket
@@ -144,22 +141,71 @@ func bucketize(p *matrix.Matrix, extIDs []int32, shrink float64, minSize, maxSiz
 				ids[lid] = extIDs[col]
 			}
 		}
-		buckets = append(buckets, newBucket(p, cols, ids))
+		buckets = append(buckets, &bucket{r: p.R(), ids: ids})
 	}
+	fillBuckets(p, lens, buckets, loc)
 	return buckets, loc
 }
 
-// newBucket gathers probe columns cols of p, named ids, into one bucket: each
-// member's length and normalized direction. bucketize and FromState both
-// build their buckets here, so a restored bucket holds the bits a freshly
-// built one does.
-func newBucket(p *matrix.Matrix, cols, ids []int32) *bucket {
-	b := &bucket{r: p.R(), ids: ids, lens: make([]float64, len(ids)), dirs: make([]float64, len(ids)*p.R())}
-	for lid, col := range cols {
-		b.lens[lid] = vecmath.Normalize(b.dir(lid), p.Vec(int(col)))
+// byDecreasingLength returns the columns ordered by decreasing length, ties
+// in column order. It is a stable LSD radix sort over ^Float64bits(length),
+// which orders non-negative, non-NaN floats (a length is never -0)
+// decreasingly: one pass counts all eight bytes, then one scatter pass runs
+// per byte the lengths do not all share.
+func byDecreasingLength(lens []float64) []int32 {
+	n := len(lens)
+	keys := make([]uint64, n)
+	var cnt [8][256]int32
+	for i, l := range lens {
+		k := ^math.Float64bits(l)
+		keys[i] = k
+		for b := range cnt {
+			cnt[b][byte(k>>(8*b))]++
+		}
 	}
-	b.lb = b.lens[0]
-	return b
+	src, dst := identityIDs(n), make([]int32, n)
+	for b := range cnt {
+		shift := 8 * b
+		c := &cnt[b]
+		if int(c[byte(keys[0]>>shift)]) == n {
+			continue
+		}
+		at := int32(0)
+		for j, x := range c {
+			c[j], at = at, at+x
+		}
+		for _, col := range src {
+			j := byte(keys[col] >> shift)
+			dst[c[j]] = col
+			c[j]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// fillBuckets derives every member's length and normalized direction into
+// buckets whose ids are set: lens[col] (p.Lengths()) and p's column col
+// scaled by its inverse, written where loc[col] says the probe sits. It
+// walks the catalog in column order, so the one large read streams; the
+// bits are vecmath.Normalize's. bucketize and FromState both fill their
+// buckets here, so a restored bucket holds the bits a freshly built one
+// does.
+func fillBuckets(p *matrix.Matrix, lens []float64, buckets []*bucket, loc []probeLoc) {
+	r := p.R()
+	for _, b := range buckets {
+		b.lens, b.dirs = make([]float64, b.size()), make([]float64, b.size()*r)
+	}
+	for col, at := range loc {
+		b, l := buckets[at.bucket], lens[col]
+		b.lens[at.lid] = l
+		if l != 0 { // a zero vector has the zero direction, already in place
+			vecmath.Scale(b.dir(int(at.lid)), p.Vec(col), 1/l)
+		}
+	}
+	for _, b := range buckets {
+		b.lb = b.lens[0]
+	}
 }
 
 // bucketBytes estimates the cache footprint of one probe vector inside a

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"lemp/internal/matrix"
+	"lemp/internal/vecmath"
 )
 
 func randomProbe(rng *rand.Rand, n, r int, sigma float64) *matrix.Matrix {
@@ -26,7 +30,7 @@ func TestBucketizeInvariants(t *testing.T) {
 		{0, 30, 100, 0.9},
 	} {
 		p := randomProbe(rng, tc.n, 8, 1.0)
-		buckets, _ := bucketize(p, nil, tc.shrink, tc.minSize, tc.maxSize)
+		buckets, _ := bucketize(p, p.Lengths(), nil, tc.shrink, tc.minSize, tc.maxSize)
 
 		// Every probe vector appears in exactly one bucket.
 		seen := make(map[int32]bool)
@@ -104,7 +108,7 @@ func TestBucketizeZeroVectorsLast(t *testing.T) {
 		}
 	}
 	// vectors 40..49 stay zero
-	buckets, _ := bucketize(p, nil, 0.9, 5, 20)
+	buckets, _ := bucketize(p, p.Lengths(), nil, 0.9, 5, 20)
 	// Zero vectors sort last, so in the concatenated bucket order no
 	// non-zero length may follow a zero length (a minimum-size bucket is
 	// allowed to mix them, but only at the global tail).
@@ -158,5 +162,130 @@ func TestCacheBudgetControlsBucketCount(t *testing.T) {
 	}
 	if got := len(big.Buckets()); got != big.NumBuckets() {
 		t.Errorf("Buckets length %d != NumBuckets %d", got, big.NumBuckets())
+	}
+}
+
+// oracleBucketize is bucketize as it stood before the radix sort and the
+// catalog-order fill: a reflective stable sort of the columns by decreasing
+// length, then every bucket normalized member by member in bucket order.
+// TestBucketizeMatchesOracle holds the two to the same bits.
+func oracleBucketize(p *matrix.Matrix, extIDs []int32, shrink float64, minSize, maxSize int) ([]*bucket, []probeLoc) {
+	n := p.N()
+	if n == 0 {
+		return nil, nil
+	}
+	order := identityIDs(n)
+	lens := p.Lengths()
+	sort.SliceStable(order, func(a, b int) bool { return lens[order[a]] > lens[order[b]] })
+	sorted := make([]float64, n)
+	for i, id := range order {
+		sorted[i] = lens[id]
+	}
+	var buckets []*bucket
+	loc := make([]probeLoc, n)
+	for _, sp := range bucketSpans(sorted, shrink, minSize, maxSize) {
+		cols := order[sp[0]:sp[1]]
+		b := &bucket{r: p.R(), ids: make([]int32, len(cols)), lens: make([]float64, len(cols)), dirs: make([]float64, len(cols)*p.R())}
+		for lid, col := range cols {
+			loc[col] = probeLoc{int32(len(buckets)), int32(lid)}
+			b.ids[lid] = col
+			if extIDs != nil {
+				b.ids[lid] = extIDs[col]
+			}
+			b.lens[lid] = vecmath.Normalize(b.dir(lid), p.Vec(int(col)))
+		}
+		b.lb = b.lens[0]
+		buckets = append(buckets, b)
+	}
+	return buckets, loc
+}
+
+// TestBucketizeMatchesOracle: the radix-sorted, catalog-order bucketize
+// produces the oracle's buckets bit for bit — ids, lengths, directions, l_b
+// and the column → entry map — on catalogs built to stress the sort key:
+// lengths tied in runs (stability decides the order), zero vectors,
+// coordinates so small that their squares are subnormal (lengths near
+// 1e-160) or vanish (subnormal coordinates: length 0, a non-zero vector
+// with the zero direction), lengths spanning many binades, a single probe,
+// and caller-chosen ids.
+func TestBucketizeMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	const r = 5
+	catalog := func(n int, vec func(i int, v []float64)) *matrix.Matrix {
+		p := matrix.New(r, n)
+		for i := 0; i < n; i++ {
+			vec(i, p.Vec(i))
+		}
+		return p
+	}
+	gauss := func(scale float64) func(int, []float64) {
+		return func(_ int, v []float64) {
+			for f := range v {
+				v[f] = scale * rng.NormFloat64()
+			}
+		}
+	}
+	cases := map[string]*matrix.Matrix{
+		"single":  catalog(1, gauss(1)),
+		"gauss":   catalog(700, gauss(1)),
+		"binades": catalog(500, func(_ int, v []float64) { gauss(math.Exp(12*rng.NormFloat64()))(0, v) }),
+		"tied": catalog(400, func(i int, v []float64) { // eight distinct vectors up to sign and order
+			clear(v)
+			v[i%r] = float64(1 + i%8)
+			if i%3 == 0 {
+				v[i%r] = -v[i%r]
+			}
+		}),
+		"zeros": catalog(300, func(i int, v []float64) {
+			clear(v)
+			if i%4 != 0 {
+				gauss(1)(i, v)
+			}
+		}),
+		"tiny": catalog(300, func(i int, v []float64) {
+			switch i % 3 {
+			case 0:
+				gauss(1e-160)(i, v) // squares subnormal: lengths near 1e-160
+			case 1:
+				gauss(1e-310)(i, v) // subnormal coordinates: squares vanish, length 0
+			default:
+				gauss(1)(i, v)
+			}
+		}),
+	}
+	for _, name := range slices.Sorted(maps.Keys(cases)) {
+		p := cases[name]
+		for _, shape := range []struct {
+			shrink           float64
+			minSize, maxSize int
+			ids              bool
+		}{{0.9, 30, 100, false}, {0.8, 1, 7, true}, {0, 1, 0, false}} {
+			var ids []int32
+			if shape.ids {
+				ids = make([]int32, p.N())
+				for col, k := range rng.Perm(p.N()) {
+					ids[col] = int32(3*k + 1)
+				}
+			}
+			got, gotLoc := bucketize(p, p.Lengths(), ids, shape.shrink, shape.minSize, shape.maxSize)
+			want, wantLoc := oracleBucketize(p, ids, shape.shrink, shape.minSize, shape.maxSize)
+			if !slices.Equal(gotLoc, wantLoc) || len(got) != len(want) {
+				t.Fatalf("%s %+v: %d buckets, oracle %d, or the column map differs", name, shape, len(got), len(want))
+			}
+			bits := func(xs []float64) []uint64 {
+				out := make([]uint64, len(xs))
+				for i, x := range xs {
+					out[i] = math.Float64bits(x)
+				}
+				return out
+			}
+			for bi, b := range got {
+				w := want[bi]
+				if !slices.Equal(b.ids, w.ids) || !slices.Equal(bits(b.lens), bits(w.lens)) ||
+					!slices.Equal(bits(b.dirs), bits(w.dirs)) || math.Float64bits(b.lb) != math.Float64bits(w.lb) || b.r != w.r {
+					t.Fatalf("%s %+v: bucket %d differs from the oracle's", name, shape, bi)
+				}
+			}
+		}
 	}
 }

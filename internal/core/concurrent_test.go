@@ -200,7 +200,7 @@ func TestConcurrentDeriveBesideRetrievals(t *testing.T) {
 	rng := rand.New(rand.NewSource(2201))
 	p := genMatrix(rng, 400, r, 0.9, 1, false, 0, 0)
 	q := genMatrix(rng, 6, r, 0.9, 1, false, 1, 0)
-	base, err := NewIndex(p, Options{TuneByCost: true, MinBucketSize: 10})
+	base, err := NewIndex(p, Options{Algorithm: AlgLI, TuneByCost: true, MinBucketSize: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestConcurrentDeriveBesideRetrievals(t *testing.T) {
 	last := derive(versions[len(versions)-1], 300)
 	stop.Store(true)
 	readers.Wait()
-	checkEqual(t, "the 300th derivation", last, model.freshIndex(t, r, Options{TuneByCost: true}), q, 7)
+	checkEqual(t, "the 300th derivation", last, model.freshIndex(t, r, Options{Algorithm: AlgLI, TuneByCost: true}), q, 7)
 }
 
 // TestConcurrentTuneBesideRetrievals runs the tuning pass itself under the
@@ -276,7 +276,7 @@ func TestConcurrentTuneBesideRetrievals(t *testing.T) {
 	theta, _ := safeTheta(t, q, p, 120)
 	probs := []Problem{{K: 4}, {Theta: theta}}
 	build := func() *Index {
-		ix, err := NewIndex(p, Options{TuneByCost: true, MinBucketSize: 10, CacheBytes: 8 * 1024, Parallelism: 3})
+		ix, err := NewIndex(p, Options{Algorithm: AlgLI, TuneByCost: true, MinBucketSize: 10, CacheBytes: 8 * 1024, Parallelism: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

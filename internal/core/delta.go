@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"lemp/internal/matrix"
+	"lemp/internal/vecmath"
 )
 
 // Dynamic probe maintenance. The paper's bucketization (§3.2) assumes a
@@ -96,8 +97,9 @@ type ProbeUpdate struct {
 
 // CheckVector is the vector half of a batch's validation, for op i of its
 // batch against an index of dimension r: an add or a rewrite carries r
-// finite coordinates. Apply runs it on every op; a serving layer that plans
-// a batch before any index sees it runs the same check there.
+// coordinates that pass checkProbe. Apply runs it on every op; a serving
+// layer that plans a batch before any index sees it runs the same check
+// there.
 func (up ProbeUpdate) CheckVector(i, r int) error {
 	if up.Op != OpAdd && up.Op != OpUpdate {
 		return nil
@@ -105,12 +107,42 @@ func (up ProbeUpdate) CheckVector(i, r int) error {
 	if len(up.Vec) != r {
 		return fmt.Errorf("core: update %d: vector dimension %d does not match index dimension %d", i, len(up.Vec), r)
 	}
-	for f, x := range up.Vec {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return fmt.Errorf("core: update %d: coordinate %d is %v; coordinates must be finite", i, f, x)
-		}
+	if err := checkProbe(up.Vec, vecmath.Norm(up.Vec)); err != nil {
+		return fmt.Errorf("core: update %d: %w", i, err)
 	}
 	return nil
+}
+
+// checkProbe is the one rule every probe an index holds obeys, at build
+// (NewIndexWithIDs), on update (CheckVector) and on restore (FromState):
+// finite coordinates and a finite length, which is vecmath.Norm(v). A NaN
+// or infinite coordinate makes the length non-finite too; so does a vector
+// of finite coordinates whose squared length overflows, such as one holding
+// 1e200, whose length no snapshot could then restore. Only a non-finite
+// length needs a look at the coordinates, to name the culprit.
+func checkProbe(v []float64, length float64) error {
+	if !math.IsNaN(length) && !math.IsInf(length, 0) {
+		return nil
+	}
+	for f, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("coordinate %d is %v; coordinates must be finite", f, x)
+		}
+	}
+	return fmt.Errorf("length is %v; a probe's length must be finite", length)
+}
+
+// probeLengths returns every column's length (p.Lengths()) once each
+// column has passed checkProbe, or an error naming the first probe, by its
+// id in ids, that fails it.
+func probeLengths(p *matrix.Matrix, ids []int32) ([]float64, error) {
+	lens := p.Lengths()
+	for col, l := range lens {
+		if err := checkProbe(p.Vec(col), l); err != nil {
+			return nil, fmt.Errorf("core: probe %d: %w", ids[col], err)
+		}
+	}
+	return lens, nil
 }
 
 // tombs is the tombstone state of one scan bucket in one index version: a
@@ -214,12 +246,12 @@ func (ix *Index) materialize(probes []liveVec) (*matrix.Matrix, []int32) {
 	return m, ids
 }
 
-// newSegment bucketizes the probes of vecs, column col named ids[col], into
-// a segment with every entry live. Under Options.Quantize its buckets carry
-// their sidecars.
-func (ix *Index) newSegment(vecs *matrix.Matrix, ids []int32) segRef {
+// newSegment bucketizes the probes of vecs, column col named ids[col] and
+// of length lens[col], into a segment with every entry live. Under
+// Options.Quantize its buckets carry their sidecars.
+func (ix *Index) newSegment(vecs *matrix.Matrix, ids []int32, lens []float64) segRef {
 	s := &segment{ids: ids, vecs: vecs, byID: columnsByID(ids)}
-	s.buckets, s.loc = bucketize(vecs, ids, ix.opts.ShrinkFactor, ix.opts.MinBucketSize, ix.bucketCap())
+	s.buckets, s.loc = bucketize(vecs, lens, ids, ix.opts.ShrinkFactor, ix.opts.MinBucketSize, ix.bucketCap())
 	ix.attachSidecars(s.buckets)
 	return segRef{s, len(ids)}
 }
@@ -512,7 +544,8 @@ func (ix *Index) merge(segs []segRef, from int, dead []tombs, batch []liveVec) {
 	segs = segs[:from:from]
 	var fresh []*bucket
 	if len(live) > 0 || from == 0 {
-		s := ix.newSegment(ix.materialize(live))
+		m, ids := ix.materialize(live)
+		s := ix.newSegment(m, ids, m.Lengths())
 		for _, b := range s.buckets {
 			b.delta = from > 0
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -124,35 +125,23 @@ func sortRow(row []retrieval.Entry) {
 }
 
 // checkEqual runs Row-Top-k and Above-θ on both indexes and requires
-// byte-identical results.
+// byte-identical results. The mutated index answers three times: under its
+// own algorithm, and overridden to L and to LI, the untuned method and the
+// paper's tuned winner, which must agree entry for entry whatever built the
+// index.
 func checkEqual(t *testing.T, tag string, mutated, fresh *Index, q *matrix.Matrix, k int) {
 	t.Helper()
 	if got, want := mutated.LiveN(), fresh.LiveN(); got != want {
 		t.Fatalf("%s: LiveN %d, fresh %d", tag, got, want)
 	}
-	gotTop, _, err := rowTopK(mutated, q, k)
-	if err != nil {
-		t.Fatalf("%s: mutated RowTopK: %v", tag, err)
-	}
+	ctx := context.Background()
 	wantTop, _, err := rowTopK(fresh, q, k)
 	if err != nil {
 		t.Fatalf("%s: fresh RowTopK: %v", tag, err)
 	}
-	for i := range wantTop {
-		g, w := gotTop[i], wantTop[i]
-		sortRow(g)
-		sortRow(w)
-		if len(g) != len(w) {
-			t.Fatalf("%s: query %d: %d entries, fresh %d", tag, i, len(g), len(w))
-		}
-		for j := range w {
-			if g[j].Probe != w[j].Probe || g[j].Value != w[j].Value {
-				t.Fatalf("%s: query %d entry %d: got (probe %d, %v), fresh (probe %d, %v)",
-					tag, i, j, g[j].Probe, g[j].Value, w[j].Probe, w[j].Value)
-			}
-		}
+	for _, row := range wantTop {
+		sortRow(row)
 	}
-
 	// Pick θ from the fresh top values so the Above-θ result set is
 	// usually non-empty; fall back to a θ that must yield nothing.
 	theta := 1.0
@@ -165,21 +154,47 @@ func checkEqual(t *testing.T, tag string, mutated, fresh *Index, q *matrix.Matri
 	if best > 0 {
 		theta = best * 0.4
 	}
-	var got, want []retrieval.Entry
-	if _, err := aboveTheta(mutated, q, theta, retrieval.Collect(&got)); err != nil {
-		t.Fatalf("%s: mutated AboveTheta: %v", tag, err)
-	}
+	var want []retrieval.Entry
 	if _, err := aboveTheta(fresh, q, theta, retrieval.Collect(&want)); err != nil {
 		t.Fatalf("%s: fresh AboveTheta: %v", tag, err)
 	}
-	retrieval.Sort(got)
 	retrieval.Sort(want)
-	if len(got) != len(want) {
-		t.Fatalf("%s: above-θ %d entries, fresh %d (θ=%v)", tag, len(got), len(want), theta)
-	}
-	for j := range want {
-		if got[j] != want[j] {
-			t.Fatalf("%s: above-θ entry %d: got %+v, fresh %+v", tag, j, got[j], want[j])
+
+	l, li := AlgL, AlgLI
+	for _, alg := range []*Algorithm{nil, &l, &li} {
+		run, name := RunOptions{Algorithm: alg}, "own"
+		if alg != nil {
+			name = alg.String()
+		}
+		gotTop, _, err := mutated.Retrieve(ctx, q, Problem{K: k}, nil, run)
+		if err != nil {
+			t.Fatalf("%s (%s): mutated RowTopK: %v", tag, name, err)
+		}
+		for i, w := range wantTop {
+			g := gotTop[i]
+			sortRow(g)
+			if len(g) != len(w) {
+				t.Fatalf("%s (%s): query %d: %d entries, fresh %d", tag, name, i, len(g), len(w))
+			}
+			for j := range w {
+				if g[j].Probe != w[j].Probe || g[j].Value != w[j].Value {
+					t.Fatalf("%s (%s): query %d entry %d: got (probe %d, %v), fresh (probe %d, %v)",
+						tag, name, i, j, g[j].Probe, g[j].Value, w[j].Probe, w[j].Value)
+				}
+			}
+		}
+		var got []retrieval.Entry
+		if _, _, err := mutated.Retrieve(ctx, q, Problem{Theta: theta}, retrieval.Collect(&got), run); err != nil {
+			t.Fatalf("%s (%s): mutated AboveTheta: %v", tag, name, err)
+		}
+		retrieval.Sort(got)
+		if len(got) != len(want) {
+			t.Fatalf("%s (%s): above-θ %d entries, fresh %d (θ=%v)", tag, name, len(got), len(want), theta)
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("%s (%s): above-θ entry %d: got %+v, fresh %+v", tag, name, j, got[j], want[j])
+			}
 		}
 	}
 }
@@ -516,6 +531,7 @@ func TestApplyValidationAndAtomicity(t *testing.T) {
 		{"dimension mismatch", []ProbeUpdate{good, {Op: OpAdd, ID: AutoID, Vec: make([]float64, 3)}}},
 		{"NaN coordinate", []ProbeUpdate{good, {Op: OpUpdate, ID: 0, Vec: []float64{1, math.NaN(), 0, 0}}}},
 		{"Inf coordinate", []ProbeUpdate{good, {Op: OpAdd, ID: AutoID, Vec: []float64{1, math.Inf(1), 0, 0}}}},
+		{"overflowing length", []ProbeUpdate{good, {Op: OpAdd, ID: AutoID, Vec: []float64{1e200, 1, 0, 0}}}},
 		{"duplicate add", []ProbeUpdate{good, {Op: OpAdd, ID: 0, Vec: randVec(rng, 4)}}},
 		{"negative id", []ProbeUpdate{good, {Op: OpAdd, ID: -7, Vec: randVec(rng, 4)}}},
 		{"unknown remove", []ProbeUpdate{good, {Op: OpRemove, ID: 999}}},
@@ -629,7 +645,7 @@ func TestCompactPreservesPretunedFreeze(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		copy(p.Vec(i), randVec(rng, 8))
 	}
-	ix, err := NewIndex(p, Options{TuneByCost: true})
+	ix, err := NewIndex(p, Options{Algorithm: AlgLI, TuneByCost: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,7 +680,7 @@ func TestCompactPreservesPretunedFreeze(t *testing.T) {
 	if !tuned {
 		t.Error("no bucket re-frozen after Compact of a pretuned index")
 	}
-	fresh := model.freshIndex(t, 8, Options{TuneByCost: true})
+	fresh := model.freshIndex(t, 8, Options{Algorithm: AlgLI, TuneByCost: true})
 	q := matrix.New(8, 3)
 	for i := 0; i < 3; i++ {
 		copy(q.Vec(i), randVec(rng, 8))

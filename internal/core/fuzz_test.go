@@ -96,7 +96,7 @@ func TestIncrSubsetOfCoordAtPhi1(t *testing.T) {
 	rng := rand.New(rand.NewSource(141))
 	for trial := 0; trial < 40; trial++ {
 		p := genMatrix(rng, 120, 8, 0.8, 1, false, 0, 0)
-		buckets, _ := bucketize(p, nil, 0, 1, 0)
+		buckets, _ := bucketize(p, p.Lengths(), nil, 0, 1, 0)
 		b := buckets[0]
 		qdir := randUnit(rng, 8)
 		qlen := 0.5 + rng.Float64()*2

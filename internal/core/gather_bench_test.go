@@ -18,7 +18,7 @@ func benchBucket(b *testing.B) (*bucket, []float64, *scratch) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(301))
 	p := genMatrix(rng, 1024, 50, 0.6, 1, false, 0, 0)
-	buckets, _ := bucketize(p, nil, 0, 1, 0)
+	buckets, _ := bucketize(p, p.Lengths(), nil, 0, 1, 0)
 	bk := buckets[0]
 	bk.ensureLists(1)
 	qdir := make([]float64, 50)

@@ -94,7 +94,8 @@ func NewIndex(p *matrix.Matrix, opts Options) (*Index, error) {
 
 // NewIndexWithIDs is NewIndex with caller-chosen external probe ids:
 // ids[col] names probe column col in every result and mutation. ids must be
-// unique and non-negative; nil assigns 0..n-1. Shards of a partitioned
+// unique and non-negative; nil assigns 0..n-1. Every probe must have finite
+// coordinates and a finite length (checkProbe). Shards of a partitioned
 // probe set use this to index directly in the global id space.
 func NewIndexWithIDs(p *matrix.Matrix, ids []int32, opts Options) (*Index, error) {
 	opts = opts.withDefaults()
@@ -119,9 +120,13 @@ func NewIndexWithIDs(p *matrix.Matrix, ids []int32, opts Options) (*Index, error
 		}
 	}
 	start := time.Now()
+	lens, err := probeLengths(p, ids)
+	if err != nil {
+		return nil, err
+	}
 	ix := &Index{opts: opts, r: p.R(), id: indexSeq.Add(1), scratchPool: new(sync.Pool),
 		autoScreen: !opts.Quantize && quant.Accelerated(p.R())}
-	ix.setBase(ix.newSegment(p, ids))
+	ix.setBase(ix.newSegment(p, ids, lens))
 	ix.prepTime = time.Since(start)
 	return ix, nil
 }

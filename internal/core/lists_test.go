@@ -12,7 +12,7 @@ import (
 
 func testBucket(rng *rand.Rand, n, r int) *bucket {
 	p := randomProbe(rng, n, r, 0.5)
-	buckets, _ := bucketize(p, nil, 0, 1, 0) // single bucket holding everything
+	buckets, _ := bucketize(p, p.Lengths(), nil, 0, 1, 0) // single bucket holding everything
 	if len(buckets) != 1 {
 		panic("expected one bucket")
 	}

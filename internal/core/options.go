@@ -20,7 +20,10 @@ const (
 	// AlgLI mixes LENGTH and INCR via the tuned per-bucket threshold t_b
 	// (§4.4) — the paper's overall winner and this library's default.
 	AlgLI Algorithm = iota
-	// AlgL uses only length-based pruning (§4.1).
+	// AlgL uses only length-based pruning (§4.1), the int8 screen
+	// discarding candidates ahead of exact verification. It has no
+	// per-bucket parameters, so nothing under it runs the sample tuner or
+	// builds a sorted list.
 	AlgL
 	// AlgC uses only coordinate-based pruning (§4.2).
 	AlgC

@@ -69,16 +69,17 @@ func TestPanelTopKMatchesFullCall(t *testing.T) {
 
 // Concurrent Run calls on one Job — the bulk engine's access pattern — must
 // produce the same rows as one full call, for both problems, with exactly
-// one tuning pass for the whole job.
+// one tuning pass for the whole job under a tuned algorithm.
 func TestPanelRunConcurrentPanels(t *testing.T) {
 	ix, q := panelFixture(t, 96, 300, 10, 11)
 	ctx := context.Background()
 	const panelRows = 8
+	li := AlgLI
 	for _, prob := range []Problem{{K: 3}, {Theta: 2.5}} {
 		want, _ := cutAnswer(t, q, prob, q.N(), func(q *matrix.Matrix, sink retrieval.Sink) (retrieval.TopK, Stats, error) {
-			return ix.Retrieve(ctx, q, prob, sink, RunOptions{})
+			return ix.Retrieve(ctx, q, prob, sink, RunOptions{Algorithm: &li})
 		})
-		job, err := ix.NewJob(prob, RunOptions{})
+		job, err := ix.NewJob(prob, RunOptions{Algorithm: &li})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,5 +210,34 @@ func TestPanelRunValidation(t *testing.T) {
 	bad := matrix.New(ix.R()+1, 2)
 	if _, _, err := pr.Run(context.Background(), bad, nil); err == nil {
 		t.Error("dimension mismatch accepted")
+	}
+}
+
+// TestLengthJobNeverTunes: the panels of a Job under algorithm L fit
+// nothing and build no sorted list, for both problems.
+func TestLengthJobNeverTunes(t *testing.T) {
+	ix, q := panelFixture(t, 96, 300, 10, 11)
+	l := AlgL
+	for _, prob := range []Problem{{K: 3}, {Theta: 2.5}} {
+		job, err := ix.NewJob(prob, RunOptions{Algorithm: &l, Parallelism: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sink retrieval.Sink
+		if prob.K == 0 {
+			sink = func(retrieval.Entry) {}
+		}
+		for lo := 0; lo < q.N(); lo += 16 {
+			_, st, err := job.Run(context.Background(), q.Slice(lo, lo+16), sink)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Tunings != 0 || st.TuneTime != 0 {
+				t.Fatalf("%+v: panel at row %d ran %d tunings in %v", prob, lo, st.Tunings, st.TuneTime)
+			}
+		}
+		if b := ix.ListBytes(); b != 0 {
+			t.Fatalf("%+v: the job built %d bytes of sorted lists", prob, b)
+		}
 	}
 }

@@ -22,7 +22,7 @@ func cancelFixture(t *testing.T) (*Index, *matrix.Matrix) {
 	rng := rand.New(rand.NewSource(41))
 	p := genMatrix(rng, 600, 8, 0.6, 1, false, 0, 0)
 	q := genMatrix(rng, 64, 8, 0.6, 1, false, 0, 0)
-	ix, err := NewIndex(p, Options{MinBucketSize: 10, CacheBytes: 8 * 1024})
+	ix, err := NewIndex(p, Options{Algorithm: AlgLI, MinBucketSize: 10, CacheBytes: 8 * 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,9 +119,9 @@ func (ix *Index) Pretuned() bool { return ix.pretuned }
 // FromState rebuilds an index from an exported state, skipping the
 // bucketization and tuning phases — the whole point of snapshot restore:
 // startup cost is O(read) instead of O(index). Each member's length and
-// direction are derived from its probe column, one pass over the matrix
-// like the read itself, and under Options.Quantize every bucket is
-// quantized. The state is validated
+// direction are derived from its probe column in catalog order
+// (fillBuckets), one pass over the matrix like the read itself, and under
+// Options.Quantize every bucket is quantized. The state is validated
 // structurally (every invariant retrieval relies on) so a corrupt or
 // hand-edited snapshot fails loudly here instead of serving wrong results.
 // The state's slices are adopted, not copied; the caller must not reuse
@@ -180,10 +180,7 @@ func FromState(st *State) (*Index, error) {
 	frozen := make([]tunedParam, len(st.Buckets))
 	// By column: where each probe sits, and whether a bucket named it yet.
 	loc, seen := make([]probeLoc, n), make([]bool, n)
-	var memberCols []int32 // one bucket's columns, reused across buckets
-	var listSeen []bool    // per-list permutation check scratch, sized on demand
 	total := 0
-	prevLen := math.Inf(1)
 	for i, bs := range st.Buckets {
 		size := len(bs.IDs)
 		if size == 0 {
@@ -193,7 +190,6 @@ func FromState(st *State) (*Index, error) {
 		if total > n {
 			return nil, fmt.Errorf("core: buckets hold more than %d probes", n)
 		}
-		memberCols = memberCols[:0]
 		for j, id := range bs.IDs {
 			col := int(id)
 			if cols != nil {
@@ -209,26 +205,35 @@ func FromState(st *State) (*Index, error) {
 				return nil, fmt.Errorf("core: probe id %d appears twice", id)
 			}
 			seen[col], loc[col] = true, probeLoc{int32(i), int32(j)}
-			memberCols = append(memberCols, int32(col))
-		}
-		// Lengths and directions are derived as bucketize derives them. The
-		// lengths must come out finite — so every coordinate, and every
-		// direction value, is — and non-increasing across the whole
-		// bucketization, which is what catches a permuted membership.
-		b := newBucket(st.Probe, memberCols, bs.IDs)
-		for j, l := range b.lens {
-			if math.IsNaN(l) || math.IsInf(l, 0) {
-				return nil, fmt.Errorf("core: bucket %d length %d is %v", i, j, l)
-			}
-			if l > prevLen {
-				return nil, fmt.Errorf("core: lengths not in decreasing order at bucket %d entry %d", i, j)
-			}
-			prevLen = l
 		}
 		if bs.Tuned && (math.IsNaN(bs.TB) || bs.Phi < 1) {
 			return nil, fmt.Errorf("core: bucket %d tuned parameters invalid (tb=%v, phi=%d)", i, bs.TB, bs.Phi)
 		}
 		frozen[i] = tunedParam{tuned: bs.Tuned, tb: bs.TB, phi: bs.Phi}
+		buckets[i] = &bucket{r: r, ids: bs.IDs}
+	}
+	if total != n {
+		return nil, fmt.Errorf("core: buckets hold %d probes, probe matrix has %d", total, n)
+	}
+	// Lengths and directions are derived as bucketize derives them, once
+	// every probe obeys the rule a build enforces. The lengths must then be
+	// non-increasing across the whole bucketization, which is what catches a
+	// permuted membership.
+	lens, err := probeLengths(st.Probe, ids)
+	if err != nil {
+		return nil, err
+	}
+	fillBuckets(st.Probe, lens, buckets, loc)
+	var listSeen []bool // per-list permutation check scratch, sized on demand
+	prevLen := math.Inf(1)
+	for i, b := range buckets {
+		for j, l := range b.lens {
+			if l > prevLen {
+				return nil, fmt.Errorf("core: lengths not in decreasing order at bucket %d entry %d", i, j)
+			}
+			prevLen = l
+		}
+		bs, size := st.Buckets[i], b.size()
 		if bs.ListVals != nil || bs.ListLids != nil {
 			if len(bs.ListVals) != size*r || len(bs.ListLids) != size*r {
 				return nil, fmt.Errorf("core: bucket %d sorted-list shape mismatch: %d vals, %d lids, want %d each",
@@ -242,10 +247,6 @@ func FromState(st *State) (*Index, error) {
 			}
 			b.lists.Store(&sortedLists{n: size, vals: bs.ListVals, lids: bs.ListLids})
 		}
-		buckets[i] = b
-	}
-	if total != n {
-		return nil, fmt.Errorf("core: buckets hold %d probes, probe matrix has %d", total, n)
 	}
 	ix.attachSidecars(buckets)
 	ix.setBase(segRef{&segment{ids: ids, vecs: st.Probe, buckets: buckets, loc: loc, byID: columnsByID(ids)}, n})

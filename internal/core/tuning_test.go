@@ -302,7 +302,7 @@ func TestTuneSweepSkipsLists(t *testing.T) {
 	} {
 		q := tc.q
 		build := func(sweepOff bool) (*Index, []tunedParam) {
-			ix, err := NewIndex(p, Options{TuneByCost: true, CacheBytes: bucketBytes(r) * 256})
+			ix, err := NewIndex(p, Options{Algorithm: AlgLI, TuneByCost: true, CacheBytes: bucketBytes(r) * 256})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -129,7 +129,7 @@ func TestPretuneDeltaBuckets(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		copy(p.Vec(i), randVec(rng, 8))
 	}
-	ix, err := NewIndex(p, Options{TuneByCost: true})
+	ix, err := NewIndex(p, Options{Algorithm: AlgLI, TuneByCost: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestPretuneDeltaBuckets(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		copy(q.Vec(i), randVec(rng, 8))
 	}
-	checkEqual(t, "pretuned-delta", ix, model.freshIndex(t, 8, Options{TuneByCost: true}), q, 6)
+	checkEqual(t, "pretuned-delta", ix, model.freshIndex(t, 8, Options{Algorithm: AlgLI, TuneByCost: true}), q, 6)
 }
 
 // TestScratchPoolReuse: a second retrieval call on the same index must reuse

@@ -186,7 +186,7 @@ func TestReadAfterUpdateAllocs(t *testing.T) {
 		t.Skip("allocation ratio: see raceEnabled")
 	}
 	q, p := data.Smoke.Generate()
-	sh, err := NewShardedPlaced(p, nil, 2, lemp.Options{Parallelism: 1}, PlaceRange)
+	sh, err := NewShardedPlaced(p, nil, 2, lemp.Options{Algorithm: lemp.AlgorithmLI, Parallelism: 1}, PlaceRange)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,8 +66,9 @@ func BenchmarkDispatchBatched(b *testing.B) {
 }
 
 // BenchmarkTuningCacheServing measures — and asserts — the serving win of
-// the shared TuningCache on the Smoke profile: the first small-batch call
-// pays per-shard sample tuning, every repeat restores the fit. The ROADMAP
+// the shared TuningCache on the Smoke profile under LI, named explicitly
+// because algorithm L has nothing to tune: the first small-batch call pays
+// per-shard sample tuning, every repeat restores the fit. The ROADMAP
 // measured tuning at ~10× the marginal per-query retrieval work on small
 // batches, so a warm call must run in at most 20% of the first call's
 // time. The check retries over several cold/warm rounds before failing so
@@ -79,7 +80,7 @@ func BenchmarkTuningCacheServing(b *testing.B) {
 
 	best := 1.0
 	for attempt := 0; attempt < 5 && best > 0.20; attempt++ {
-		sh, err := NewShardedPlaced(p, nil, testShards, lemp.Options{Parallelism: 1}, PlaceRange)
+		sh, err := NewShardedPlaced(p, nil, testShards, lemp.Options{Algorithm: lemp.AlgorithmLI, Parallelism: 1}, PlaceRange)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -314,7 +314,7 @@ func TestAbandonedBatchNotJoinable(t *testing.T) {
 // updates force exactly one re-tune per shard.
 func TestShardedTuningCacheReuse(t *testing.T) {
 	q, p := smokeMatrices(t)
-	sh, err := NewShardedPlaced(p, nil, testShards, lemp.Options{Parallelism: 1}, PlaceRange)
+	sh, err := NewShardedPlaced(p, nil, testShards, lemp.Options{Algorithm: lemp.AlgorithmLI, Parallelism: 1}, PlaceRange)
 	if err != nil {
 		t.Fatal(err)
 	}

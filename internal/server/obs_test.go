@@ -101,7 +101,7 @@ func topKBody(t *testing.T, dim, rows, k int) string {
 // family the dashboards (and the CI smoke check) rely on, plus bounded
 // label cardinality.
 func TestMetricsEndpoint(t *testing.T) {
-	srv, h, _ := obsServer(t, Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})
+	srv, h, _ := obsServer(t, Config{Shards: 2, Options: lemp.Options{Algorithm: lemp.AlgorithmLI, Parallelism: 1}})
 	dim := srv.Sharded().R()
 
 	if w := doJSON(t, h, "POST", "/v1/topk", topKBody(t, dim, 3, 5)); w.Code != 200 {

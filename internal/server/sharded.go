@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -102,6 +103,7 @@ type Sharded struct {
 // receives the same options. ids[i] names probe column i in the global id
 // space (nil assigns 0..n-1); re-sharding a previously mutated catalog
 // passes them so probe ids survive the rebuild instead of being renumbered.
+// The shards build concurrently; a failure names the lowest failing shard.
 func NewShardedPlaced(probe *lemp.Matrix, ids []int32, nShards int, opts lemp.Options, kind Placement) (*Sharded, error) {
 	n := probe.N()
 	if nShards < 1 {
@@ -120,13 +122,43 @@ func NewShardedPlaced(probe *lemp.Matrix, ids []int32, nShards int, opts lemp.Op
 	if err != nil {
 		return nil, err
 	}
-	ixs := make([]*lemp.Index, len(parts))
-	for i, part := range parts {
-		if ixs[i], err = lemp.NewWithIDs(part.probe, part.ids, opts); err != nil {
+	ixs, err := eachShard(len(parts), func(i int) (*lemp.Index, error) {
+		ix, err := lemp.NewWithIDs(parts[i].probe, parts[i].ids, opts)
+		if err != nil {
 			return nil, fmt.Errorf("server: building shard %d: %w", i, err)
 		}
+		return ix, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return assemble(ixs), nil
+}
+
+// eachShard runs shard(i) for every i in [0, n), up to GOMAXPROCS of them
+// at a time, and returns their indexes in shard order, or the error of the
+// lowest-numbered shard that failed once all have returned. Builds and
+// restores are independent per shard, so their wall time approaches the
+// slowest shard's rather than the sum.
+func eachShard(n int, shard func(i int) (*lemp.Index, error)) ([]*lemp.Index, error) {
+	ixs, errs := make([]*lemp.Index, n), make([]error, n)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0)) // a counting semaphore
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			ixs[i], errs[i] = shard(i)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return ixs, nil
 }
 
 // assemble wraps a shard set, in shard order, as a Sharded at epoch 0: its
@@ -175,15 +207,19 @@ func NewShardedFromIndexes(ixs []*lemp.Index) (*Sharded, error) {
 // NewShardedFromSnapshot rebuilds a Sharded from one LEMPIDX1 snapshot per
 // shard (in shard order), skipping bucketization and tuning: startup is
 // O(read). Snapshots written by Server.WriteSnapshotsWith restore an
-// identical shard layout, whatever placement built it.
+// identical shard layout, whatever placement built it. The shards restore
+// concurrently, each reading only its own reader; a failure names the
+// lowest failing shard.
 func NewShardedFromSnapshot(snapshots []io.Reader, opts lemp.LoadOptions) (*Sharded, error) {
-	ixs := make([]*lemp.Index, len(snapshots))
-	for i, r := range snapshots {
-		ix, err := lemp.LoadIndex(r, opts)
+	ixs, err := eachShard(len(snapshots), func(i int) (*lemp.Index, error) {
+		ix, err := lemp.LoadIndex(snapshots[i], opts)
 		if err != nil {
 			return nil, fmt.Errorf("server: loading shard %d snapshot: %w", i, err)
 		}
-		ixs[i] = ix
+		return ix, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return NewShardedFromIndexes(ixs)
 }

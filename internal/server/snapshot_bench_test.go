@@ -17,6 +17,8 @@ import (
 // what -snapshot pays on every restart). BenchmarkFirstBatchAfterRestore
 // measures the remaining post-restore cost — the lazily rebuilt per-bucket
 // sorted lists — against a lists-carrying (SLST) snapshot that skips it.
+// They run LI (benchOptions), named explicitly: under L there is no fit
+// to freeze and no list to persist or rebuild.
 
 func BenchmarkStartupBuildPretuned(b *testing.B) {
 	q, p := data.Smoke.Scale(4).Generate()
@@ -66,7 +68,7 @@ func BenchmarkStartupSnapshot(b *testing.B) {
 	}
 }
 
-func benchOptions() lemp.Options { return lemp.Options{Parallelism: 1} }
+func benchOptions() lemp.Options { return lemp.Options{Algorithm: lemp.AlgorithmLI, Parallelism: 1} }
 
 // BenchmarkFirstBatchAfterRestore measures a restored server's first batch
 // — the moment the lazily built sorted lists are (re)constructed — with and

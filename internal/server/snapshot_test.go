@@ -50,7 +50,9 @@ func snapshotReaders(bufs []*bytes.Buffer) []io.Reader {
 // with their sorted-list indexes pre-built and answer identically.
 func TestSnapshotServerWithLists(t *testing.T) {
 	q, p := smokeMatrices(t)
-	built, err := New(p, testConfig())
+	cfg := testConfig()
+	cfg.Options.Algorithm = lemp.AlgorithmLI // its tuning pass builds the lists
+	built, err := New(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestSnapshotServerWithLists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := NewFromSnapshot(snapshotReaders(bufs), testConfig())
+	restored, err := NewFromSnapshot(snapshotReaders(bufs), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,6 +194,7 @@ func TestUpdateHandlerRejects(t *testing.T) {
 		{"NaN coordinate", `{"updates": [{"op": "add", "vector": [NaN, 1, 1, 1]}]}`},
 		{"Infinity coordinate", `{"updates": [{"op": "add", "vector": [Infinity, 1, 1, 1]}]}`},
 		{"overflow coordinate", `{"updates": [{"op": "add", "vector": [1e999, 1, 1, 1]}]}`},
+		{"overflowing length", `{"updates": [{"op": "add", "vector": [1e200, 1, 1, 1]}]}`},
 		{"dimension short", `{"updates": [{"op": "add", "vector": [1, 2]}]}`},
 		{"dimension long", `{"updates": [{"op": "add", "vector": [1, 2, 3, 4, 5]}]}`},
 		{"duplicate live id", `{"updates": [{"op": "add", "id": 3, "vector": [1, 1, 1, 1]}]}`},

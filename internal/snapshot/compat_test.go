@@ -59,11 +59,11 @@ func derived(st *core.State, b core.BucketState) (lens, dirs []float64) {
 	return lens, dirs
 }
 
-// TestReadsOlderFormats: every format version 1–5 file loads and answers
-// like internal/naive; the lengths, directions and int8 sidecars its BUKT
-// and QNT8 sections store, which the reader skips, are bit for bit the ones
-// derived from the probe matrix; truncation inside the skipped bytes still
-// fails; and the version-2 file, written again, is byte for byte the
+// TestReadsOlderFormats: every format version 1–5 file loads, with the
+// algorithm it stored, and answers like internal/naive; the lengths,
+// directions and int8 sidecars its BUKT and QNT8 sections store, which the
+// reader skips, are bit for bit the ones derived from the probe matrix;
+// truncation inside the skipped bytes still fails; and the version-2 file, written again, is byte for byte the
 // version-6 snapshot of the index it was taken from.
 func TestReadsOlderFormats(t *testing.T) {
 	for _, f := range oldFormats {
@@ -75,6 +75,11 @@ func TestReadsOlderFormats(t *testing.T) {
 			st, err := Read(bytes.NewReader(raw))
 			if err != nil {
 				t.Fatal(err)
+			}
+			// Every fixture stored algorithm code 0, LI, and must come
+			// back as LI.
+			if code := binary.LittleEndian.Uint32(sectionPayload(t, raw, tagOptions)); code != 0 || st.Opts.Algorithm != core.AlgLI {
+				t.Fatalf("OPTS algorithm code %d read as %v, want code 0 read as LI", code, st.Opts.Algorithm)
 			}
 			checkSkippedBytes(t, raw, st)
 			lists := slices.ContainsFunc(st.Buckets, func(b core.BucketState) bool { return b.ListVals != nil })
@@ -115,7 +120,7 @@ func TestReadsOlderFormats(t *testing.T) {
 	if err := Write(&got, ix.State()); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(&want, mutatedIndex(t).State()); err != nil {
+	if err := Write(&want, mutatedIndex(t, core.AlgLI).State()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -252,7 +257,7 @@ func answersLikeNaive(t *testing.T, ix *core.Index, p *matrix.Matrix, ids []int3
 // could hand a removed id out again.
 func TestReadBoundsNextID(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, mutatedIndex(t).State()); err != nil {
+	if err := Write(&buf, mutatedIndex(t, core.AlgLI).State()); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"math/rand"
@@ -17,16 +18,22 @@ import (
 // TestMutatedSnapshotBytesPinned writes. Change it only with a format change
 // that says why the bytes of an unchanged index moved. Format version 6 moved
 // them: BUKT no longer stores each member's length and direction, which the
-// loader re-derives from PROB.
-const mutatedSnapshotSHA256 = "a415938fc2f368fee36444df1ed2bc07624ede2004a84f6fe137248a9413a41a"
+// loader re-derives from PROB. It pins the index built with algorithm LI;
+// lengthSnapshotSHA256 pins the same index built with algorithm L, whose
+// file differs from it only in the OPTS algorithm code.
+const (
+	mutatedSnapshotSHA256 = "a415938fc2f368fee36444df1ed2bc07624ede2004a84f6fe137248a9413a41a"
+	lengthSnapshotSHA256  = "ca0b1357844ebb6283685fafc081909ca08037b2b3ca680354ac139635d1ea5b"
+)
 
-// mutatedIndex builds the index TestMutatedSnapshotBytesPinned pins: built
-// over shuffled, sparse caller ids, neither pretuned nor quantized, answering
+// mutatedIndex builds the index TestMutatedSnapshotBytesPinned pins, under
+// algorithm alg: built over shuffled, sparse caller ids, neither pretuned
+// nor quantized, answering
 // no retrieval (no sorted lists, no lazy sidecars), so its snapshot bytes
 // depend on the mutation sequence alone. Its second batch lands beside the
 // first batch's run without merging it: the export compacts a tombstoned base
 // and two runs.
-func mutatedIndex(t testing.TB) *core.Index {
+func mutatedIndex(t testing.TB, alg core.Algorithm) *core.Index {
 	t.Helper()
 	const r, n = 6, 120
 	rng := rand.New(rand.NewSource(26))
@@ -44,7 +51,7 @@ func mutatedIndex(t testing.TB) *core.Index {
 		copy(p.Vec(col), vec())
 		ids[col] = int32(3*k + 1)
 	}
-	ix, err := core.NewIndexWithIDs(p, ids, core.Options{MinBucketSize: 10})
+	ix, err := core.NewIndexWithIDs(p, ids, core.Options{Algorithm: alg, MinBucketSize: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,16 +116,32 @@ func mutatedIndex(t testing.TB) *core.Index {
 // every newer live vector by ascending id — fixes the probe matrix and the
 // bucket membership the file stores, so it is part of the format.
 func TestMutatedSnapshotBytesPinned(t *testing.T) {
-	ix := mutatedIndex(t)
-	var buf bytes.Buffer
-	if err := Write(&buf, ix.State()); err != nil {
-		t.Fatal(err)
+	files := make(map[core.Algorithm][]byte)
+	for alg, pin := range map[core.Algorithm]string{core.AlgLI: mutatedSnapshotSHA256, core.AlgL: lengthSnapshotSHA256} {
+		ix := mutatedIndex(t, alg)
+		var buf bytes.Buffer
+		if err := Write(&buf, ix.State()); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != pin {
+			t.Errorf("%v: mutated snapshot (%d bytes) has SHA-256 %s, pinned %s", alg, buf.Len(), got, pin)
+		}
+		if ix.DeltaMass() == 0 {
+			t.Fatalf("%v: exporting the snapshot compacted the index itself", alg)
+		}
+		files[alg] = buf.Bytes()
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	if got := hex.EncodeToString(sum[:]); got != mutatedSnapshotSHA256 {
-		t.Fatalf("mutated snapshot (%d bytes) has SHA-256 %s, pinned %s", buf.Len(), got, mutatedSnapshotSHA256)
+	// The two files differ in the OPTS algorithm word and its checksum only.
+	li, l := files[core.AlgLI], files[core.AlgL]
+	if len(li) != len(l) {
+		t.Fatalf("LI file %d bytes, L file %d", len(li), len(l))
 	}
-	if ix.DeltaMass() == 0 {
-		t.Fatal("exporting the snapshot compacted the index itself")
+	optsLI, optsL := sectionPayload(t, li, tagOptions), sectionPayload(t, l, tagOptions)
+	if binary.LittleEndian.Uint32(optsLI) != 0 || binary.LittleEndian.Uint32(optsL) != 1 {
+		t.Fatalf("OPTS algorithm codes %d (LI) and %d (L), want 0 and 1", binary.LittleEndian.Uint32(optsLI), binary.LittleEndian.Uint32(optsL))
+	}
+	if !bytes.Equal(li, replaceSection(t, l, tagOptions, optsLI)) {
+		t.Fatal("the LI and L files differ outside the OPTS algorithm code")
 	}
 }

@@ -31,7 +31,7 @@ func buildState(t testing.TB) *core.State {
 			v[f] *= scale
 		}
 	}
-	ix, err := core.NewIndex(p, core.Options{MinBucketSize: 10, SampleQueries: 8, TuneByCost: true})
+	ix, err := core.NewIndex(p, core.Options{Algorithm: core.AlgLI, MinBucketSize: 10, SampleQueries: 8, TuneByCost: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -688,7 +688,7 @@ func TestSortedListBytesMatchStableSort(t *testing.T) {
 		}
 		v[rng.Intn(r)] = 1 // no zero vectors
 	}
-	ix, err := core.NewIndex(p, core.Options{MinBucketSize: 40, SampleQueries: 8, TuneByCost: true})
+	ix, err := core.NewIndex(p, core.Options{Algorithm: core.AlgLI, MinBucketSize: 40, SampleQueries: 8, TuneByCost: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,12 +60,12 @@ func TestGenerateFixtures(t *testing.T) {
 	write("v1.snap", 1, plain.State(), WriteOptions{})
 
 	// Version 2: TestMutatedSnapshotBytesPinned's mutated index.
-	write("v2.snap", 2, mutatedIndex(t).State(), WriteOptions{})
+	write("v2.snap", 2, mutatedIndex(t, core.AlgLI).State(), WriteOptions{})
 
 	// Version 5: pretuned, quantized, with its sorted lists and a cluster
 	// placement.
 	rng := rand.New(rand.NewSource(65))
-	full, err := core.NewIndex(skewedProbes(rng, 8, 120), core.Options{MinBucketSize: 10, SampleQueries: 8, TuneByCost: true, Quantize: true})
+	full, err := core.NewIndex(skewedProbes(rng, 8, 120), core.Options{Algorithm: core.AlgLI, MinBucketSize: 10, SampleQueries: 8, TuneByCost: true, Quantize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ type Algorithm = core.Algorithm
 const (
 	// AlgorithmLI mixes LENGTH and INCR (default; the paper's winner).
 	AlgorithmLI = core.AlgLI
-	// AlgorithmL is pure length-based pruning.
+	// AlgorithmL is pure length-based pruning; it never tunes.
 	AlgorithmL = core.AlgL
 	// AlgorithmC is pure coordinate-based pruning.
 	AlgorithmC = core.AlgC

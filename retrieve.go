@@ -180,7 +180,9 @@ func WithParallelism(n int) Option {
 // calls restore it and perform zero sample-tuning work (Stats.Tunings == 0,
 // Stats.TuneCacheHits == 1). Probe mutations and re-bucketizations rotate
 // the key, so a stale fit is never applied. Results are byte-identical with
-// and without the cache — tuning only selects per-bucket methods.
+// and without the cache — tuning only selects per-bucket methods. Under
+// AlgorithmL there is nothing to fit: the cache is accepted and never
+// consulted.
 func WithTuningCache(tc *TuningCache) Option {
 	return func(s *Spec) error {
 		if tc == nil {

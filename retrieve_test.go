@@ -181,14 +181,14 @@ func TestRetrieveTuningCacheZeroWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := ix.Retrieve(ctx, q, lemp.TopK(10), lemp.WithTuningCache(tc))
+	cold, err := ix.Retrieve(ctx, q, lemp.TopK(10), lemp.WithAlgorithm(lemp.AlgorithmLI), lemp.WithTuningCache(tc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Stats.Tunings != 1 {
 		t.Fatalf("cold call Tunings = %d, want 1", cold.Stats.Tunings)
 	}
-	warm, err := ix.Retrieve(ctx, q, lemp.TopK(10), lemp.WithTuningCache(tc))
+	warm, err := ix.Retrieve(ctx, q, lemp.TopK(10), lemp.WithAlgorithm(lemp.AlgorithmLI), lemp.WithTuningCache(tc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestSnapshotRestoredPretuneSurvivesCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	p := genTestMatrix(rng, 300, 8)
 	q := genTestMatrix(rng, 32, 8)
-	ix, err := lemp.New(p, lemp.Options{MinBucketSize: 10, CacheBytes: 8 * 1024})
+	ix, err := lemp.New(p, lemp.Options{Algorithm: lemp.AlgorithmLI, MinBucketSize: 10, CacheBytes: 8 * 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

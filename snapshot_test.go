@@ -24,7 +24,7 @@ import (
 // first retrievals (where quant's kernels are assembly), none in the snapshot.
 func TestSnapshotRoundTripSmoke(t *testing.T) {
 	q, p := data.Smoke.Generate()
-	ix, err := lemp.New(p, lemp.Options{TuneByCost: true})
+	ix, err := lemp.New(p, lemp.Options{Algorithm: lemp.AlgorithmLI, TuneByCost: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestSnapshotRoundTripSmoke(t *testing.T) {
 // zero tuning time, while LoadOptions.Retune opts back into per-call tuning.
 func TestSnapshotPretunedSkipsTuning(t *testing.T) {
 	q, p := data.Smoke.Generate()
-	ix, err := lemp.New(p, lemp.Options{TuneByCost: true})
+	ix, err := lemp.New(p, lemp.Options{Algorithm: lemp.AlgorithmLI, TuneByCost: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSnapshotPretunedSkipsTuning(t *testing.T) {
 
 func TestLoadIndexParallelismOverride(t *testing.T) {
 	_, p := data.Smoke.Generate()
-	ix, err := lemp.New(p, lemp.Options{TuneByCost: true})
+	ix, err := lemp.New(p, lemp.Options{Algorithm: lemp.AlgorithmLI, TuneByCost: true})
 	if err != nil {
 		t.Fatal(err)
 	}

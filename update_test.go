@@ -3,6 +3,7 @@ package lemp_test
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -58,7 +59,7 @@ func mutateSmoke(t *testing.T, ix *lemp.Index, r int) {
 // external ids, and a continued epoch / id sequence.
 func TestMutatedSnapshotRoundTrip(t *testing.T) {
 	q, p := data.Smoke.Generate()
-	ix, err := lemp.New(p, lemp.Options{TuneByCost: true})
+	ix, err := lemp.New(p, lemp.Options{Algorithm: lemp.AlgorithmLI, TuneByCost: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,5 +171,73 @@ func TestUnmutatedSnapshotCarriesNoIDState(t *testing.T) {
 	}
 	if want := []string{"OPTS", "PROB", "BUKT", "END\x00"}; !slices.Equal(tags, want) {
 		t.Fatalf("unmutated snapshot sections %q, want %q", tags, want)
+	}
+}
+
+// TestAcceptedProbesRoundTrip: every index the library accepts restores
+// from its own snapshot. One rule decides what it accepts, at build and at
+// update alike: finite coordinates and a finite length. A NaN coordinate,
+// and finite coordinates whose length overflows (1e200 squares to +Inf),
+// are refused by New, ApplyUpdates, UpdateProbe and AddProbe; coordinates
+// as large as 1e150, whose length is finite, are accepted, and the index
+// holding them round-trips through WriteSnapshot and LoadIndex.
+func TestAcceptedProbesRoundTrip(t *testing.T) {
+	const r = 4
+	rng := rand.New(rand.NewSource(36))
+	p := lemp.NewMatrix(r, 40)
+	for i := range p.N() {
+		for f := range p.Vec(i) {
+			p.Vec(i)[f] = rng.NormFloat64()
+		}
+	}
+	bad := map[string][]float64{
+		"NaN coordinate":  {1, math.NaN(), 0, 0},
+		"overflow length": {1e200, 1, 0, 0},
+	}
+	for name, vec := range bad {
+		q := p.Clone()
+		copy(q.Vec(7), vec)
+		if _, err := lemp.New(q, lemp.Options{}); err == nil {
+			t.Errorf("New accepted a probe with a %s", name)
+		}
+	}
+
+	ix, err := lemp.New(p.Clone(), lemp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, vec := range bad {
+		if _, err := ix.ApplyUpdates([]lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: vec}}); err == nil {
+			t.Errorf("ApplyUpdates accepted an add with a %s", name)
+		}
+		if err := ix.UpdateProbe(3, vec); err == nil {
+			t.Errorf("UpdateProbe accepted a %s", name)
+		}
+		if _, err := ix.AddProbe(vec); err == nil {
+			t.Errorf("AddProbe accepted a %s", name)
+		}
+	}
+	if ix.Epoch() != 0 {
+		t.Fatalf("refused updates moved the epoch to %d", ix.Epoch())
+	}
+
+	huge := []float64{1e150, -1e150, 1, 0}
+	if err := ix.UpdateProbe(5, huge); err != nil {
+		t.Fatalf("a finite-length probe was refused: %v", err)
+	}
+	big := p.Clone()
+	copy(big.Vec(9), huge)
+	built, err := lemp.New(big, lemp.Options{})
+	if err != nil {
+		t.Fatalf("a finite-length probe was refused at build: %v", err)
+	}
+	for _, ix := range []*lemp.Index{ix, built} {
+		var buf bytes.Buffer
+		if err := ix.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lemp.LoadIndex(&buf, lemp.LoadOptions{}); err != nil {
+			t.Fatalf("an accepted index does not restore from its own snapshot: %v", err)
+		}
 	}
 }
