@@ -307,3 +307,42 @@ func TestHandlerSteadyStateAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestUpdateHandlerSteadyStateAllocs reads a benchmark-shaped /v1/update
+// batch — eight rewrites of 16 coordinates — through Handler() the way
+// TestHandlerSteadyStateAllocs reads a query. The body is decoded into the
+// pooled codec buffer and the response appended there too, so what is left
+// is the update's own plan and derived shard indexes. The ceiling is the
+// count measured on this fixture once the codec replaced encoding/json (its
+// decoder state, eight id pointers, eight vectors, the op slice, the
+// ProbeUpdate copy and the marshalled response): 145 → 74.
+func TestUpdateHandlerSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact allocation ceiling: see raceEnabled")
+	}
+	_, p := data.Smoke.Generate()
+	ops := make([]map[string]any, 8)
+	for i := range ops {
+		ops[i] = map[string]any{"op": "update", "id": i, "vector": p.Vec(100 + i)}
+	}
+	body, _ := json.Marshal(map[string]any{"updates": ops})
+	srv, err := New(p, Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	post := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/update", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	post() // warm-up: codec and trace pools, the first delta segment
+	const ceiling = 74
+	if allocs := testing.AllocsPerRun(20, post); allocs > ceiling {
+		t.Fatalf("%.1f allocations per eight-op /v1/update, ceiling %v", allocs, ceiling)
+	} else {
+		t.Logf("%.1f allocations per eight-op /v1/update (ceiling %v)", allocs, ceiling)
+	}
+}

@@ -12,12 +12,15 @@ import (
 	"lemp"
 )
 
-// The retrieval endpoints' bodies have one fixed shape — a list of float
-// rows plus k or θ — and at the benchmark's request size encoding/json's
-// reflection costs more than LEMP's scan. This file decodes and encodes that
-// shape by hand, into pooled buffers. encoding/json stays the authority: any
-// body outside the strict grammar parsed here is handed to json.Unmarshal,
-// which decides it, and FuzzDecodeRequest holds the two to the same answer.
+// Every serving body — /v1/topk, /v1/above and /v1/update — has one fixed
+// shape, and at the benchmark's request size encoding/json's reflection costs
+// more than LEMP's scan. This file decodes those shapes by hand, with one
+// scanner, into pooled buffers, and encodes the responses the same way.
+// Every coordinate goes through one exact single-pass conversion (number.go)
+// that gives strconv.ParseFloat's bits. encoding/json stays the authority:
+// any body outside the strict grammars parsed here is handed to
+// json.Unmarshal, which decides it and words the error, and FuzzDecodeRequest
+// and FuzzDecodeUpdate hold the two to the same answer.
 
 // queryRequest is a decoded /v1/topk or /v1/above body: the query rows
 // flattened row-major, as the batcher takes them, plus k or θ.
@@ -37,6 +40,7 @@ type queryRequest struct {
 type codecBuf struct {
 	body bytes.Buffer
 	req  queryRequest
+	upd  updateBatch
 	out  []byte
 }
 
@@ -46,10 +50,15 @@ var codecPool = sync.Pool{New: func() any { return new(codecBuf) }}
 // so one huge request does not pin its memory for the life of the server.
 const codecPoolMax = 1 << 20
 
+// codecPoolOps bounds the update ops a codecBuf may carry back: the default
+// MaxUpdateOps.
+const codecPoolOps = 4096
+
 func getCodecBuf() *codecBuf { return codecPool.Get().(*codecBuf) }
 
 func putCodecBuf(cb *codecBuf) {
-	if cb.body.Cap() > codecPoolMax || cap(cb.req.data)*8 > codecPoolMax || cap(cb.out) > codecPoolMax {
+	if cb.body.Cap() > codecPoolMax || cap(cb.req.data)*8 > codecPoolMax || cap(cb.out) > codecPoolMax ||
+		cap(cb.upd.data)*8 > codecPoolMax || cap(cb.upd.ops) > codecPoolOps {
 		return
 	}
 	cb.body.Reset()
@@ -137,21 +146,19 @@ func (q *queryRequest) parse(body []byte, topk bool, dim int) bool {
 	}
 	if !s.eat('}') {
 		for {
-			key, ok := s.key()
+			key, ok := s.str()
 			if !ok || !s.eat(':') {
 				return false
 			}
 			switch {
-			case key == "queries":
+			case string(key) == "queries":
 				ok = q.parseQueries(&s, dim)
-			case topk && key == "k":
+			case topk && string(key) == "k":
 				// A fraction, an exponent or overflow is left to json.Unmarshal.
-				var lit []byte
-				if lit, ok = s.number(); ok {
-					k, err := strconv.ParseInt(string(lit), 10, 64)
-					q.k, ok = int(k), err == nil
-				}
-			case !topk && key == "theta":
+				var k int64
+				k, ok = s.integer(64)
+				q.k = int(k)
+			case !topk && string(key) == "theta":
 				q.theta, ok = s.float()
 			default:
 				return false // unknown, escaped or case-variant key
@@ -215,6 +222,168 @@ func (q *queryRequest) parseQueries(s *scanner, dim int) bool {
 	}
 }
 
+// updateBatch is a decoded /v1/update body, one parsedOp per op in order.
+// The fast grammar's vectors alias data, pooled with the codecBuf:
+// ProbeUpdate.Vec is copied on apply, so nothing outlives the request.
+type updateBatch struct {
+	ops  []parsedOp
+	data []float64
+	ups  []lemp.ProbeUpdate // the handler's validated batch, pooled too
+}
+
+// parsedOp is one decoded update op: updateOp without the pointer, hasID
+// telling an absent id (auto-assign on add) from id 0.
+type parsedOp struct {
+	op     string
+	id     int32
+	hasID  bool
+	vec    []float64 // nil when the op has no "vector"
+	lo, hi int       // the fast grammar's vector, as data[lo:hi]; lo < 0 for none
+}
+
+// decode parses body as an updateRequest: the strict fast grammar first,
+// json.Unmarshal for everything else, as queryRequest.decode does.
+func (u *updateBatch) decode(body []byte) error {
+	if u.parse(body) {
+		return nil
+	}
+	u.ops = u.ops[:0]
+	var req updateRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return err
+	}
+	for _, op := range req.Updates {
+		p := parsedOp{op: op.Op, vec: op.Vector}
+		if op.ID != nil {
+			p.id, p.hasID = *op.ID, true
+		}
+		u.ops = append(u.ops, p)
+	}
+	return nil
+}
+
+// parse is the update body's fast grammar: an empty object, or one whose
+// only key is "updates", holding an array of op objects with the keys "op"
+// (one of "add", "remove" and "update"), optional "id" (an int32) and
+// optional "vector" (an array of numbers); keys unescaped, exact-case and in
+// any order, the last of a repeated op key winning; JSON whitespace between
+// any tokens and nothing after the object. Anything else reports false and
+// is left to json.Unmarshal: a null, an unknown op, an unknown or repeated
+// top-level key.
+func (u *updateBatch) parse(body []byte) bool {
+	u.ops, u.data = u.ops[:0], u.data[:0]
+	s := scanner{b: body}
+	if !s.eat('{') {
+		return false
+	}
+	if !s.eat('}') {
+		key, ok := s.str()
+		if !ok || string(key) != "updates" || !s.eat(':') || !s.eat('[') {
+			return false
+		}
+		if !s.eat(']') {
+			for {
+				if !u.parseOp(&s) {
+					return false
+				}
+				if s.eat(',') {
+					continue
+				}
+				if !s.eat(']') {
+					return false
+				}
+				break
+			}
+		}
+		if !s.eat('}') {
+			return false
+		}
+	}
+	s.ws()
+	if s.i != len(s.b) {
+		return false
+	}
+	for i := range u.ops {
+		if op := &u.ops[i]; op.lo >= 0 {
+			if op.vec = u.data[op.lo:op.hi:op.hi]; op.vec == nil {
+				op.vec = []float64{} // present but empty, as encoding/json leaves it
+			}
+		}
+	}
+	return true
+}
+
+// parseOp parses one op object onto u.ops, its coordinates onto u.data.
+func (u *updateBatch) parseOp(s *scanner) bool {
+	if !s.eat('{') {
+		return false
+	}
+	op := parsedOp{lo: -1}
+	for {
+		key, ok := s.str()
+		if !ok || !s.eat(':') {
+			return false
+		}
+		switch string(key) {
+		case "op":
+			var v []byte
+			if v, ok = s.str(); ok {
+				switch string(v) {
+				case "add":
+					op.op = "add"
+				case "remove":
+					op.op = "remove"
+				case "update":
+					op.op = "update"
+				default:
+					ok = false
+				}
+			}
+		case "id":
+			var id int64
+			id, ok = s.integer(32)
+			op.id, op.hasID = int32(id), true
+		case "vector":
+			op.lo, op.hi, ok = u.parseVector(s)
+		default:
+			ok = false
+		}
+		if !ok {
+			return false
+		}
+		if s.eat(',') {
+			continue
+		}
+		if !s.eat('}') || op.op == "" {
+			return false
+		}
+		u.ops = append(u.ops, op)
+		return true
+	}
+}
+
+// parseVector parses an array of numbers onto u.data, returning its bounds.
+func (u *updateBatch) parseVector(s *scanner) (lo, hi int, ok bool) {
+	lo = len(u.data)
+	if !s.eat('[') {
+		return 0, 0, false
+	}
+	if s.eat(']') {
+		return lo, lo, true
+	}
+	for {
+		x, ok := s.float()
+		if !ok {
+			return 0, 0, false
+		}
+		u.data = append(u.data, x)
+		if s.eat(',') {
+			continue
+		}
+		return lo, len(u.data), s.eat(']')
+	}
+}
+
 // scanner walks a JSON body for parse.
 type scanner struct {
 	b []byte
@@ -243,34 +412,24 @@ func (s *scanner) eat(c byte) bool {
 	return false
 }
 
-// key consumes an object key: a string of printable ASCII without escapes.
-// Anything else reports false, for encoding/json's fuller key matching.
-func (s *scanner) key() (string, bool) {
+// str consumes a string of printable ASCII without escapes — an object key
+// or a string value — and returns its bytes, aliasing the body. Anything else
+// reports false, for encoding/json's fuller matching and unescaping.
+func (s *scanner) str() ([]byte, bool) {
 	if !s.eat('"') {
-		return "", false
+		return nil, false
 	}
 	start := s.i
 	for ; s.i < len(s.b); s.i++ {
 		switch c := s.b[s.i]; {
 		case c == '"':
-			key := s.b[start:s.i]
 			s.i++
-			// The switch compares without allocating; only these three
-			// keys are ever returned.
-			switch string(key) {
-			case "queries":
-				return "queries", true
-			case "k":
-				return "k", true
-			case "theta":
-				return "theta", true
-			}
-			return "", false
+			return s.b[start : s.i-1], true
 		case c == '\\' || c < 0x20 || c >= 0x80:
-			return "", false
+			return nil, false
 		}
 	}
-	return "", false
+	return nil, false
 }
 
 // number consumes one literal of JSON number grammar,
@@ -322,15 +481,16 @@ func digits(b []byte, i int) int {
 	return i
 }
 
-// float consumes a number and converts it as encoding/json does. A literal
-// out of float64 range (1e400) reports false.
-func (s *scanner) float() (float64, bool) {
+// integer consumes an integer literal that fits in bits bits, as
+// encoding/json reads one into an integer field. A fraction, an exponent or
+// overflow reports false.
+func (s *scanner) integer(bits int) (int64, bool) {
 	lit, ok := s.number()
 	if !ok {
 		return 0, false
 	}
-	x, err := strconv.ParseFloat(string(lit), 64)
-	return x, err == nil
+	n, err := strconv.ParseInt(string(lit), 10, bits)
+	return n, err == nil
 }
 
 // appendResults appends rows encoded exactly as json.Marshal encodes the
@@ -359,6 +519,29 @@ func appendResults(b []byte, rows [][]lemp.Entry) ([]byte, error) {
 		b = append(b, ']')
 	}
 	return append(b, "]}\n"...), nil
+}
+
+// appendUpdateResponse appends r encoded exactly as json.Marshal encodes
+// it, plus the trailing newline writeJSON adds.
+func appendUpdateResponse(b []byte, r updateResponse) []byte {
+	b = append(b, `{"epoch":`...)
+	b = strconv.AppendUint(b, r.Epoch, 10)
+	b = append(b, `,"live_probes":`...)
+	b = strconv.AppendInt(b, int64(r.LiveProbes), 10)
+	b = append(b, `,"ids":`...)
+	if r.IDs == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, id := range r.IDs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(id), 10)
+		}
+		b = append(b, ']')
+	}
+	return append(b, "}\n"...)
 }
 
 // appendFloat formats a finite float64 as encoding/json does: the shortest

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -229,39 +230,244 @@ func marshalResults(t *testing.T, rows [][]lemp.Entry) string {
 	return string(b) + "\n"
 }
 
-// BenchmarkQueryCodec measures decode + encode of a benchmark-shaped
-// one-row /v1/topk exchange (50 coordinates, ten results) against
-// encoding/json doing the same.
-func BenchmarkQueryCodec(b *testing.B) {
+// FuzzDecodeUpdate holds the /v1/update decoder to encoding/json as
+// FuzzDecodeRequest does the retrieval one: every body is accepted by both
+// or refused by both, with the same error, and an accepted body decodes to
+// the same ops, the same ids (absent ones included) and the same vectors,
+// nil or not and bit for bit. Bodies the fast grammar parses itself are
+// checked against json.Unmarshal separately.
+//
+//	go test -run '^$' -fuzz FuzzDecodeUpdate -fuzztime 15s ./internal/server
+func FuzzDecodeUpdate(f *testing.F) {
+	for _, seed := range []string{
+		benchUpdateBody(rand.New(rand.NewSource(1))),
+		`{"updates":[{"op":"add","vector":[1,2,3]},{"vector":[4,5,6],"id":7,"op":"add"},{"op":"remove","id":3},{"op":"update","id":2,"vector":[0.5,-0,1e-7]}]}`,
+		" \t\n{ \"updates\" : [ { \"op\" : \"remove\" , \"id\" : 0 } ] } \r\n",
+		`{"updates":[{"OP":"add","Id":1,"Vector":[1,2,3]}]}`,
+		`{"Updates":[{"op":"add","vector":[1,2,3]}]}`,
+		`{"updates":[{"op":"\u0061dd","vector":[1,2,3]}]}`,
+		`{"updates":[{"op":"add","id":5,"id":null,"vector":[1,2,3]}]}`,
+		`{"updates":[{"op":"add","id":5,"id":6,"op":"update","vector":[1,2,3,4],"vector":[7,8,9]}]}`,
+		`{"updates":[{"op":"add","vector":[1,2,3],"vector":[]}]}`,
+		`{"updates":[{"op":"remove","id":1,"vector":null}]}`,
+		`{"updates":[{"op":"remove","id":1,"vector":[]}]}`,
+		`{"updates":null}`,
+		`{"updates":[]}`,
+		`{}`,
+		`{"updates":[{}]}`,
+		`{"updates":[{"op":"move","id":1}]}`,
+		`{"updates":[{"op":"add","vector":[1,2,3],"extra":{"a":[null]}}],"more":1}`,
+		`{"updates":[{"op":"add","id":1},{"op":"remove","id":2}],"updates":[{"op":"remove"}]}`,
+		`{"updates":[{"op":"add","id":1.0,"vector":[1,2,3]}]}`,
+		`{"updates":[{"op":"add","id":1e2,"vector":[1,2,3]}]}`,
+		`{"updates":[{"op":"add","id":2147483648,"vector":[1,2,3]}]}`,
+		`{"updates":[{"op":"add","id":-2147483649,"vector":[1,2,3]}]}`,
+		`{"updates":[{"op":"add","id":-0,"vector":[1,2,3]}]}`,
+		`{"updates":[{"op":"add","id":-1,"vector":[1e400,2,3]}]}`,
+		`{"updates":[{"op":"add","vector":[NaN,01,.5]}]}`,
+		`{"updates":[{"op":"add","vector":[1,2,3]}]}garbage`,
+		`{"updates":[{"op":"add","vector":[1,2,3]}]}{"updates":[]}`,
+		`{"updates":[{"op":"add","vector":[1,2,3]},]}`,
+		`{"updates":[{"op":"add","vector":[1,2,3]}]`,
+		"{\"updates\":[{\"op\":\"add\",\"vector\":[1]}]}\x00",
+		"{\"updates\":[{\"op\":\"\xffadd\",\"vector\":[1]}]}",
+		`null`,
+		``,
+		`[]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		want, wantErr := oracleUpdate(body)
+
+		var fast updateBatch
+		if fast.parse(body) {
+			if wantErr != nil {
+				t.Fatalf("fast path accepted %q; json.Unmarshal refuses it: %v", body, wantErr)
+			}
+			sameOps(t, body, fast.ops, want)
+		}
+
+		var got updateBatch
+		gotErr := got.decode(body)
+		switch {
+		case (gotErr == nil) != (wantErr == nil):
+			t.Fatalf("%q: decode error %v, json.Unmarshal error %v", body, gotErr, wantErr)
+		case gotErr != nil:
+			if gotErr.Error() != wantErr.Error() {
+				t.Fatalf("%q: decode error %q, json.Unmarshal error %q", body, gotErr, wantErr)
+			}
+		default:
+			sameOps(t, body, got.ops, want)
+		}
+	})
+}
+
+// benchUpdateBody is a benchmark-shaped /v1/update body: four adds under
+// explicit ids, two updates and two removes, 50 coordinates a vector.
+func benchUpdateBody(rng *rand.Rand) string {
+	vec := func() string {
+		c := make([]string, 50)
+		for i := range c {
+			c[i] = strconv.FormatFloat(rng.NormFloat64(), 'g', -1, 64)
+		}
+		return `[` + strings.Join(c, ",") + `]`
+	}
+	ops := make([]string, 0, 8)
+	for i := 0; i < 4; i++ {
+		ops = append(ops, `{"op":"add","id":`+strconv.Itoa(100000+i)+`,"vector":`+vec()+`}`)
+	}
+	for i := 0; i < 2; i++ {
+		ops = append(ops, `{"op":"update","id":`+strconv.Itoa(rng.Intn(100000))+`,"vector":`+vec()+`}`)
+	}
+	for i := 0; i < 2; i++ {
+		ops = append(ops, `{"op":"remove","id":`+strconv.Itoa(rng.Intn(100000))+`}`)
+	}
+	return `{"updates":[` + strings.Join(ops, ",") + `]}`
+}
+
+// oracleUpdate decodes body with encoding/json into the handler's ops.
+func oracleUpdate(body []byte) ([]parsedOp, error) {
+	var req updateRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, err
+	}
+	ops := make([]parsedOp, len(req.Updates))
+	for i, op := range req.Updates {
+		ops[i] = parsedOp{op: op.Op, vec: op.Vector}
+		if op.ID != nil {
+			ops[i].id, ops[i].hasID = *op.ID, true
+		}
+	}
+	return ops, nil
+}
+
+func sameOps(t *testing.T, body []byte, got, want []parsedOp) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%q: decoded %d ops, json.Unmarshal %d", body, len(got), len(want))
+	}
+	for i, g := range got {
+		w := want[i]
+		if g.op != w.op || g.hasID != w.hasID || g.id != w.id || (g.vec == nil) != (w.vec == nil) || len(g.vec) != len(w.vec) {
+			t.Fatalf("%q: op %d decoded as %q id=%d/%v vector nil=%v len %d; json.Unmarshal %q id=%d/%v vector nil=%v len %d",
+				body, i, g.op, g.id, g.hasID, g.vec == nil, len(g.vec), w.op, w.id, w.hasID, w.vec == nil, len(w.vec))
+		}
+		for j := range w.vec {
+			if math.Float64bits(g.vec[j]) != math.Float64bits(w.vec[j]) {
+				t.Fatalf("%q: op %d coordinate %d decoded as %v, json.Unmarshal gives %v", body, i, j, g.vec[j], w.vec[j])
+			}
+		}
+	}
+}
+
+// TestAppendUpdateResponseMatchesMarshal checks the update response encoder
+// against json.Marshal of an updateResponse plus a newline, byte for byte:
+// nil and empty id lists, extreme epochs, counts and ids.
+func TestAppendUpdateResponseMatchesMarshal(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	coords := make([]string, 50)
-	for i := range coords {
-		coords[i] = strconv.FormatFloat(rng.NormFloat64(), 'g', -1, 64)
+	epochs := []uint64{0, 1, 99, math.MaxUint32, math.MaxUint64}
+	counts := []int{0, 1, 100000, math.MaxInt64, -1, math.MinInt64}
+	ids := []int32{0, 1, -1, 100000, math.MaxInt32, math.MinInt32}
+	for trial := 0; trial < 2000; trial++ {
+		r := updateResponse{Epoch: epochs[rng.Intn(len(epochs))], LiveProbes: counts[rng.Intn(len(counts))]}
+		if rng.Intn(4) == 0 {
+			r.Epoch, r.LiveProbes = rng.Uint64(), rng.Int()
+		}
+		switch n := rng.Intn(8) - 1; {
+		case n == 0:
+			r.IDs = []int32{}
+		case n > 0:
+			r.IDs = make([]int32, n)
+			for i := range r.IDs {
+				if r.IDs[i] = int32(rng.Uint32()); rng.Intn(2) == 0 {
+					r.IDs[i] = ids[rng.Intn(len(ids))]
+				}
+			}
+		}
+		want, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendUpdateResponse([]byte("stale"), r); string(got) != "stale"+string(want)+"\n" {
+			t.Fatalf("appendUpdateResponse:\n%s\njson.Marshal:\n%s", got[5:], want)
+		}
 	}
-	body := []byte(`{"queries":[[` + strings.Join(coords, ",") + `]],"k":10}`)
-	rows := [][]lemp.Entry{make([]lemp.Entry, 10)}
-	for j := range rows[0] {
-		rows[0][j] = lemp.Entry{Probe: rng.Intn(100000), Value: rng.Float64() * 3}
+}
+
+// BenchmarkQueryCodec measures decode + encode of a benchmark-shaped
+// /v1/topk exchange (one or 16 rows of 50 coordinates, ten results a row)
+// against encoding/json doing the same.
+func BenchmarkQueryCodec(b *testing.B) {
+	for _, n := range []int{1, 16} {
+		rng := rand.New(rand.NewSource(1))
+		qs := make([]string, n)
+		for i := range qs {
+			coords := make([]string, 50)
+			for j := range coords {
+				coords[j] = strconv.FormatFloat(rng.NormFloat64(), 'g', -1, 64)
+			}
+			qs[i] = `[` + strings.Join(coords, ",") + `]`
+		}
+		body := []byte(`{"queries":[` + strings.Join(qs, ",") + `],"k":10}`)
+		rows := make([][]lemp.Entry, n)
+		for i := range rows {
+			rows[i] = make([]lemp.Entry, 10)
+			for j := range rows[i] {
+				rows[i][j] = lemp.Entry{Query: i, Probe: rng.Intn(100000), Value: rng.Float64() * 3}
+			}
+		}
+		b.Run(fmt.Sprintf("rows=%d/codec", n), func(b *testing.B) {
+			b.ReportAllocs()
+			var q queryRequest
+			var out []byte
+			for range b.N {
+				if err := q.decode(body, true, 50); err != nil {
+					b.Fatal(err)
+				}
+				out, _ = appendResults(out[:0], rows)
+			}
+		})
+		b.Run(fmt.Sprintf("rows=%d/encoding_json", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				var req topKRequest
+				if err := json.Unmarshal(body, &req); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := json.Marshal(toResponse(rows)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
+}
+
+// BenchmarkUpdateCodec measures decode + encode of a benchmark-shaped
+// /v1/update exchange (eight ops, six vectors of 50 coordinates) against
+// encoding/json doing the same.
+func BenchmarkUpdateCodec(b *testing.B) {
+	body := []byte(benchUpdateBody(rand.New(rand.NewSource(1))))
+	resp := updateResponse{Epoch: 17, LiveProbes: 100004, IDs: []int32{100000, 100001, 100002, 100003, 5, 6, 7, 8}}
 	b.Run("codec", func(b *testing.B) {
 		b.ReportAllocs()
-		var q queryRequest
+		var u updateBatch
 		var out []byte
 		for range b.N {
-			if err := q.decode(body, true, 50); err != nil {
+			if err := u.decode(body); err != nil {
 				b.Fatal(err)
 			}
-			out, _ = appendResults(out[:0], rows)
+			out = appendUpdateResponse(out[:0], resp)
 		}
 	})
 	b.Run("encoding_json", func(b *testing.B) {
 		b.ReportAllocs()
 		for range b.N {
-			var req topKRequest
+			var req updateRequest
 			if err := json.Unmarshal(body, &req); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := json.Marshal(toResponse(rows)); err != nil {
+			if _, err := json.Marshal(resp); err != nil {
 				b.Fatal(err)
 			}
 		}

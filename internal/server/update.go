@@ -1,7 +1,8 @@
 package server
 
 import (
-	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 
 	"lemp"
@@ -29,7 +30,8 @@ import (
 // never mix pre- and post-update vectors, and requests coalesce only with
 // others admitted at the same epoch.
 
-// updateRequest is the body of POST /v1/update.
+// updateRequest is the body of POST /v1/update as encoding/json decodes it,
+// for the bodies outside the codec's fast grammar (codec.go).
 type updateRequest struct {
 	Updates []updateOp `json:"updates"`
 }
@@ -42,7 +44,8 @@ type updateOp struct {
 	Vector []float64 `json:"vector"`
 }
 
-// updateResponse is the body of a successful update.
+// updateResponse is the body of a successful update, written by
+// appendUpdateResponse exactly as json.Marshal would.
 type updateResponse struct {
 	Epoch      uint64  `json:"epoch"`
 	LiveProbes int     `json:"live_probes"`
@@ -55,51 +58,16 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if !s.readBody(w, r, cb) {
 		return
 	}
-	// json.Unmarshal refuses anything after the object, as the retrieval
-	// decoder does.
-	var req updateRequest
-	if err := json.Unmarshal(cb.body.Bytes(), &req); err != nil {
+	// Anything after the object is refused, as for the retrieval bodies.
+	u := &cb.upd
+	if err := u.decode(cb.body.Bytes()); err != nil {
 		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	if len(req.Updates) == 0 {
-		httpError(w, http.StatusBadRequest, "no updates in batch")
+	ups, err := u.validate(s.cfg.MaxUpdateOps)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	if s.cfg.MaxUpdateOps > 0 && len(req.Updates) > s.cfg.MaxUpdateOps {
-		httpError(w, http.StatusBadRequest, "update batch holds %d ops, limit is %d", len(req.Updates), s.cfg.MaxUpdateOps)
-		return
-	}
-	ups := make([]lemp.ProbeUpdate, len(req.Updates))
-	for i, op := range req.Updates {
-		var kind lemp.UpdateOp
-		switch op.Op {
-		case "add":
-			kind = lemp.OpAdd
-		case "remove":
-			kind = lemp.OpRemove
-		case "update":
-			kind = lemp.OpUpdate
-		default:
-			httpError(w, http.StatusBadRequest, "update %d: unknown op %q (want add, remove or update)", i, op.Op)
-			return
-		}
-		id := lemp.AutoID
-		if op.ID != nil {
-			id = *op.ID
-			if id < 0 {
-				httpError(w, http.StatusBadRequest, "update %d: invalid probe id %d", i, id)
-				return
-			}
-		} else if kind != lemp.OpAdd {
-			httpError(w, http.StatusBadRequest, "update %d: op %q needs an id", i, op.Op)
-			return
-		}
-		if kind == lemp.OpRemove && op.Vector != nil {
-			httpError(w, http.StatusBadRequest, "update %d: remove takes no vector", i)
-			return
-		}
-		ups[i] = lemp.ProbeUpdate{Op: kind, ID: id, Vec: op.Vector}
 	}
 	if info := requestInfo(r.Context()); info != nil {
 		info.rows = len(ups)
@@ -112,5 +80,48 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.updates.Add(1)
-	writeJSON(w, http.StatusOK, updateResponse{Epoch: res.Epoch, LiveProbes: res.LiveN, IDs: res.IDs})
+	cb.out = appendUpdateResponse(cb.out[:0], updateResponse{Epoch: res.Epoch, LiveProbes: res.LiveN, IDs: res.IDs})
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(cb.out)
+}
+
+// validate turns the decoded ops into the batch Sharded.Update takes, kept
+// in u.ups: an empty or oversized batch (past maxOps, when positive), an
+// unknown op, a negative or missing id and a remove with a vector are
+// refused, the error the 400's message.
+func (u *updateBatch) validate(maxOps int) ([]lemp.ProbeUpdate, error) {
+	if len(u.ops) == 0 {
+		return nil, errors.New("no updates in batch")
+	}
+	if maxOps > 0 && len(u.ops) > maxOps {
+		return nil, fmt.Errorf("update batch holds %d ops, limit is %d", len(u.ops), maxOps)
+	}
+	ups := u.ups[:0]
+	for i, op := range u.ops {
+		var kind lemp.UpdateOp
+		switch op.op {
+		case "add":
+			kind = lemp.OpAdd
+		case "remove":
+			kind = lemp.OpRemove
+		case "update":
+			kind = lemp.OpUpdate
+		default:
+			return nil, fmt.Errorf("update %d: unknown op %q (want add, remove or update)", i, op.op)
+		}
+		id := lemp.AutoID
+		if op.hasID {
+			if id = op.id; id < 0 {
+				return nil, fmt.Errorf("update %d: invalid probe id %d", i, id)
+			}
+		} else if kind != lemp.OpAdd {
+			return nil, fmt.Errorf("update %d: op %q needs an id", i, op.op)
+		}
+		if kind == lemp.OpRemove && op.vec != nil {
+			return nil, fmt.Errorf("update %d: remove takes no vector", i)
+		}
+		ups = append(ups, lemp.ProbeUpdate{Op: kind, ID: id, Vec: op.vec})
+	}
+	u.ups = ups
+	return ups, nil
 }

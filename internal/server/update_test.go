@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -291,6 +293,18 @@ func FuzzUpdateHandler(f *testing.F) {
 	f.Add(`{"updates": null}`)
 	f.Add(`[1, 2, 3]`)
 	f.Add(`{"updates": [{"op": "add", "vector": []}]}`)
+	f.Add(`{"updates":[{"op":"add","id":20,"vector":[1,2,3,4]},{"op":"update","id":2,"vector":[0.5,0,0,1e-7]},{"op":"remove","id":3}]}`)
+	f.Add(`{"updates": [{"OP": "remove", "Id": 1}]}`)
+	f.Add(`{"updates": [{"op": "\u0061dd", "vector": [1, 1, 1, 1]}]}`)
+	f.Add(`{"updates": [{"op": "remove", "id": 1, "id": null}]}`)
+	f.Add(`{"updates": [{"op": "add", "vector": [1, 1], "vector": [1, 1, 1, 1]}]}`)
+	f.Add(`{"updates": [{"op": "remove", "id": 1, "vector": null}]}`)
+	f.Add(`{"updates": [{"op": "remove", "id": 1, "extra": true}]}`)
+	f.Add(`{"updates": [{"op": "remove", "id": 1.0}]}`)
+	f.Add(`{"updates": [{"op": "remove", "id": 1e2}]}`)
+	f.Add(`{"updates": [{"op": "add", "id": 2147483648, "vector": [1, 1, 1, 1]}]}`)
+	f.Add(`{"updates": [{"op": "remove", "id": -0}]}`)
+	f.Add(`{"updates": [{"op": "remove", "id": 1}]}garbage`)
 
 	rng := rand.New(rand.NewSource(17))
 	const r, n = 4, 16
@@ -318,6 +332,68 @@ func FuzzUpdateHandler(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestPooledUpdateVectorsOutliveReuse applies a batch whose vectors were
+// decoded into the codec's pooled storage, then decodes a second body into
+// the same storage: the applied probe and a query's answer must not change,
+// since an applied vector is copied out of the request.
+func TestPooledUpdateVectorsOutliveReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const r, n = 4, 32
+	srv, err := New(epochProbe(rng, r, n), Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := srv.Sharded()
+	// The answers of the basis queries hold every probe's coordinates; the
+	// random query's is the one a client would see.
+	q := lemp.NewMatrix(r, r+1)
+	for f := 0; f < r; f++ {
+		q.Vec(f)[f] = 1
+	}
+	copy(q.Vec(r), epochProbe(rng, r, 1).Vec(0))
+	answer := func() lemp.TopKRows {
+		rows, _, err := sh.CurrentView().TopKCtx(context.Background(), q, n+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+
+	added := []float64{3, 0.5, 0.25, 0.125}
+	var u updateBatch
+	if err := u.decode([]byte(`{"updates":[{"op":"add","id":100,"vector":[3,0.5,0.25,0.125]},{"op":"update","id":1,"vector":[0.25,0.5,0.75,1]}]}`)); err != nil {
+		t.Fatal(err)
+	}
+	pooled := &u.data[0]
+	ups, err := u.validate(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &ups[0].Vec[0] != pooled {
+		t.Fatal("the fast path did not decode the vectors into the pooled storage")
+	}
+	if _, err := sh.Update(ups, -1); err != nil {
+		t.Fatal(err)
+	}
+	before := answer()
+	for f, row := range before[:r] {
+		i := slices.IndexFunc(row, func(e lemp.Entry) bool { return e.Probe == 100 })
+		if i < 0 || math.Abs(row[i].Value-added[f]) > 1e-12 {
+			t.Fatalf("coordinate %d of the added probe: row %v", f, row)
+		}
+	}
+
+	if err := u.decode([]byte(`{"updates":[{"op":"update","id":100,"vector":[-9,-9,-9,-9]},{"op":"add","vector":[-7,-7,-7,-7]}]}`)); err != nil {
+		t.Fatal(err)
+	}
+	if &u.data[0] != pooled || u.data[0] != -9 {
+		t.Fatal("the second body did not reuse the pooled storage")
+	}
+	if after := answer(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("answers changed when the pooled storage was reused:\nbefore %v\nafter  %v", before, after)
+	}
 }
 
 // TestEpochConsistencyUnderRace is the update/query race test: an updater
