@@ -3,12 +3,11 @@
 // and answers Row-Top-k and Above-θ queries over HTTP, micro-batching
 // concurrent requests into single whole-matrix retrieval calls.
 //
-// Batching is continuous by default (-batch-mode continuous): a request
-// arriving at an idle index dispatches immediately — no window penalty at
-// low load — and under load batches dispatch back-to-back the moment the
-// previous retrieval completes, with -batch-window and -batch-max as upper
-// bounds. -batch-mode window restores the classic always-wait-the-window
-// batcher. Admission control sheds load before it queues: when forming
+// Batching is continuous: a request arriving at an idle index dispatches
+// immediately — no window penalty at low load — and under load batches
+// dispatch back-to-back the moment the previous retrieval completes, with
+// -batch-window and -batch-max as upper bounds (-batch-window 0 disables
+// coalescing). Admission control sheds load before it queues: when forming
 // batches hold ≥ -shed-queue-rows query rows, or more than -shed-inflight
 // requests are in flight, new retrieval requests get 429 with a
 // Retry-After header instead of joining an unboundedly deep queue (see
@@ -126,7 +125,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "retrieval goroutines per shard (0 = NumCPU/shards, so one batch uses all cores)")
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "upper bound on how long requests wait to coalesce (0 disables batching)")
 	batchMax := flag.Int("batch-max", 256, "maximum query rows per combined batch")
-	batchMode := flag.String("batch-mode", "continuous", "batch dispatch mode: continuous (dispatch when the index is idle and back-to-back as retrievals complete; -batch-window is only an upper bound) or window (always wait out the window)")
 	shedQueueRows := flag.Int("shed-queue-rows", 16384, "reject retrieval requests with 429 while this many query rows wait in forming batches (0 or negative disables)")
 	shedInflight := flag.Int("shed-inflight", 4096, "reject retrieval requests with 429 past this many in-flight requests (0 or negative disables)")
 	pretuneK := flag.Int("pretune-k", 10, "k used by -save-snapshot's pretuning pass")
@@ -161,9 +159,6 @@ func main() {
 	if _, err := server.ParsePlacement(*placementName); err != nil {
 		fail("%v", err)
 	}
-	if _, err := server.ParseBatchMode(*batchMode); err != nil {
-		fail("%v", err)
-	}
 	if *shedQueueRows <= 0 {
 		// On the CLI, 0 naturally reads as "never shed"; the Config zero
 		// value means "default" per the library convention.
@@ -184,7 +179,6 @@ func main() {
 		Options:            lemp.Options{Algorithm: alg, Phi: *phi, Parallelism: *parallel, Quantize: *quantize},
 		BatchWindow:        *batchWindow,
 		BatchMax:           *batchMax,
-		BatchMode:          *batchMode,
 		ShedQueueRows:      *shedQueueRows,
 		ShedInflight:       *shedInflight,
 		MaxUpdateOps:       *maxUpdateOps,
@@ -274,7 +268,6 @@ func main() {
 		"dim", srv.Sharded().R(),
 		"shards", srv.Sharded().NumShards(),
 		"addr", *addr,
-		"batch_mode", *batchMode,
 		"batch_window", batchWindow.String(),
 		"batch_max", *batchMax,
 		"parallelism", par,

@@ -32,7 +32,6 @@ func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 		"Table 2", "Table 3", "Table 4", "Table 5", "Table 6",
 		"caching effects", "ablation",
 		"verification kernels",
-		"latency vs load", "continuous", "overload",
 		"LEMP-LI", "Naive",
 	} {
 		if !strings.Contains(text, want) {
@@ -179,20 +178,6 @@ func TestBenchJSONTrajectory(t *testing.T) {
 	for _, m := range tr.Measurements {
 		if m.Method == "" || m.Dataset == "" {
 			t.Fatalf("incomplete measurement: %+v", m)
-		}
-	}
-}
-
-// BenchmarkServingLoad runs the closed-loop latency-vs-load experiment
-// once per iteration; CI's bench-smoke job runs it at -benchtime=1x as the
-// serving-envelope regression canary (the run itself asserts that the
-// server's shed counter matches the client-observed 429s).
-func BenchmarkServingLoad(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var out bytes.Buffer
-		r := NewRunner(Config{Scale: 0.02, Quick: true, Out: &out})
-		if err := r.Run("load"); err != nil {
-			b.Fatalf("Run(load): %v\n%s", err, out.String())
 		}
 	}
 }

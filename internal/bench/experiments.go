@@ -9,11 +9,12 @@ import (
 	"lemp/internal/retrieval"
 )
 
-// Experiment ids accepted by Run, in DESIGN.md's per-experiment index.
+// Experiment ids accepted by Run: the paper's figures and tables of §6,
+// then the ablations and engine measurements this repository adds.
 var ExperimentIDs = []string{
 	"fig5", "fig6a", "fig6b", "fig7ab", "fig7cf",
 	"table2", "table3", "table4", "table5", "table6",
-	"cache", "tune", "kernels", "quant", "load", "bulk",
+	"cache", "tune", "kernels", "quant", "bulk",
 }
 
 // Run executes one experiment by id ("all" runs every experiment) and
@@ -70,8 +71,6 @@ func (r *Runner) run1(id string) error {
 		return r.kernels()
 	case "quant":
 		return r.quantScreening()
-	case "load":
-		return r.servingLoad()
 	case "bulk":
 		return r.bulkThroughput()
 	default:

@@ -177,20 +177,31 @@ func (t *Trace) reset(id uint64) {
 	t.dropped.Store(0)
 }
 
-// spanCtx carries the active trace and the parent span for child spans
-// opened further down the stack (shard scans, core tune/scan phases).
+// spanCtx is the context ContextWithSpan returns: its parent plus the
+// active trace and the parent span for child spans opened further down the
+// stack (shard scans, core tune/scan phases). It is one allocation where
+// context.WithValue would be two (the context and the boxed value): Value
+// hands out the spanCtx itself.
 type spanCtx struct {
+	context.Context
 	tr     *Trace
 	parent SpanRef
 }
 
 type spanCtxKey struct{}
 
+func (c *spanCtx) Value(key any) any {
+	if key == (spanCtxKey{}) {
+		return c
+	}
+	return c.Context.Value(key)
+}
+
 // ContextWithSpan returns ctx carrying (trace, parent) for downstream span
-// recording. It allocates (context.WithValue), so callers attach it once
-// per request or per shard call, never per candidate.
+// recording. It allocates once, so callers attach it once per request or
+// per shard call, never per candidate.
 func ContextWithSpan(ctx context.Context, tr *Trace, parent SpanRef) context.Context {
-	return context.WithValue(ctx, spanCtxKey{}, spanCtx{tr: tr, parent: parent})
+	return &spanCtx{Context: ctx, tr: tr, parent: parent}
 }
 
 // SpanFrom extracts the active trace and parent span from ctx, or
@@ -199,7 +210,7 @@ func SpanFrom(ctx context.Context) (*Trace, SpanRef) {
 	if ctx == nil {
 		return nil, NoSpan
 	}
-	if sc, ok := ctx.Value(spanCtxKey{}).(spanCtx); ok {
+	if sc, ok := ctx.Value(spanCtxKey{}).(*spanCtx); ok {
 		return sc.tr, sc.parent
 	}
 	return nil, NoSpan

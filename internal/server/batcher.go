@@ -12,64 +12,29 @@ import (
 	"lemp/internal/obs"
 )
 
-// BatchMode selects when a forming batch dispatches.
+// BatchMode names the batcher's dispatch policy, for NewBatcher's argument.
 type BatchMode int
 
-const (
-	// BatchModeWindow is the classic micro-batcher: a forming batch always
-	// waits out the full window (or fills to MaxBatch), even when the
-	// index is idle. Maximizes coalescing at the cost of a fixed window of
-	// added latency on every request.
-	BatchModeWindow BatchMode = iota
-	// BatchModeContinuous dispatches a forming batch the moment the key's
-	// previous retrieval completes, with window and MaxBatch kept as upper
-	// bounds, and a request on a key with no retrieval in flight retrieves
-	// at once on its own goroutine. Low-load requests pay no window penalty
-	// and high-load dispatches run back-to-back with zero idle gap,
-	// coalescing exactly the requests that arrived during the previous
-	// retrieval.
-	BatchModeContinuous
-)
-
-// String returns the mode's flag spelling.
-func (m BatchMode) String() string {
-	if m == BatchModeContinuous {
-		return "continuous"
-	}
-	return "window"
-}
-
-// ParseBatchMode parses a -batch-mode flag value. The empty string is the
-// default, continuous.
-func ParseBatchMode(s string) (BatchMode, error) {
-	switch s {
-	case "", "continuous":
-		return BatchModeContinuous, nil
-	case "window":
-		return BatchModeWindow, nil
-	}
-	return 0, fmt.Errorf("server: unknown batch mode %q (want window or continuous)", s)
-}
+// BatchModeContinuous is the batcher's one dispatch policy (see Batcher).
+const BatchModeContinuous BatchMode = 0
 
 // Batcher coalesces concurrent retrieval requests into whole-matrix calls.
 // LEMP's retrieval is batch-oriented — Row-Top-k and Above-θ take a query
 // *matrix* — so serving one HTTP request per retrieval call wastes the
-// amortization the paper's design invites. The batcher holds each incoming
-// request for at most Window, merging every request with identical
-// parameters (same k, or same θ) that arrives meanwhile into one query
-// matrix; the combined batch is dispatched as a single sharded retrieval
-// and the per-query result rows are scattered back to the waiting callers.
+// amortization the paper's design invites. Requests with identical
+// parameters (same k, or same θ) that arrive while their key's retrieval
+// is in flight merge into one query matrix; the combined batch is
+// dispatched as a single sharded retrieval and the per-query result rows
+// are scattered back to the waiting callers.
 //
-// Dispatch timing depends on the mode. In BatchModeWindow a batch
-// dispatches when it reaches MaxBatch rows or when Window elapses after
-// its first request, whichever comes first. In BatchModeContinuous (the
-// default) those stay as upper bounds, but a batch additionally dispatches
-// the moment its key's retrieval in flight completes, so dispatches run
-// back-to-back under load. The first request after idle forms no batch: it
-// retrieves at once on its caller's goroutine, under its own context, as a
-// batch of one would. A batch dispatches on a goroutine of its own.
-// Window <= 0 or MaxBatch <= 1 disables coalescing entirely: every request
-// retrieves at once on its caller's goroutine and context.
+// A forming batch dispatches the moment its key's retrieval in flight
+// completes, so dispatches run back-to-back under load; it dispatches
+// sooner if it reaches MaxBatch rows or Window elapses after its first
+// request, so both are upper bounds. The first request after idle forms no
+// batch: it retrieves at once on its caller's goroutine, under its own
+// context, as a batch of one would. A batch dispatches on a goroutine of
+// its own. Window <= 0 or MaxBatch <= 1 disables coalescing entirely:
+// every request retrieves alone, and no key is tracked.
 //
 // Batches are epoch-pinned: requests only coalesce when they were admitted
 // at the same update epoch, and the combined retrieval runs on the View of
@@ -86,24 +51,20 @@ type Batcher struct {
 	sharded *Sharded
 	window  time.Duration
 	max     int
-	mode    BatchMode
 
-	// onDispatch, if set, observes every dispatched batch: the number of
-	// query rows and the number of coalesced requests it served.
+	// onDispatch, if set, observes every retrieval call before it runs:
+	// the number of query rows and the number of coalesced requests it
+	// serves. Tests use it to hold a retrieval in flight.
 	onDispatch func(rows, requests int)
 
 	// Observability hooks, wired by the server and nil for library use.
-	// batchWaitHist observes each waiter's coalescing delay, batchRowsHist
-	// each dispatched call's row count. dispatchIdle accumulates the
-	// nanoseconds a key's index sat idle while a forming batch waited to
-	// dispatch — the window penalty continuous mode exists to remove.
-	// tracer supplies the batch-scoped scratch trace that shared
-	// retrievals record spans into; the spans are then adopted into every
-	// still-waiting request's own trace, so a coalesced request's trace
-	// shows the shard fan-out it shared.
+	// batchWaitHist observes each request's coalescing delay, batchRowsHist
+	// each retrieval call's row count. tracer supplies the batch-scoped
+	// scratch trace that shared retrievals record spans into; the spans are
+	// then adopted into every still-waiting request's own trace, so a
+	// coalesced request's trace shows the shard fan-out it shared.
 	batchWaitHist *obs.Histogram
 	batchRowsHist *obs.Histogram
-	dispatchIdle  *obs.Counter
 	tracer        *obs.Tracer
 
 	// pending counts query rows sitting in forming (not yet dispatched)
@@ -113,19 +74,12 @@ type Batcher struct {
 
 	mu      sync.Mutex
 	forming map[batchKey]*formingBatch
-	// keys tracks per-key dispatch state: how many retrievals are in
-	// flight (continuous mode fires the next forming batch when one
-	// completes) and when the key last went idle (for the idle-gap
-	// metric). Entries are reaped once a key has neither in-flight
-	// dispatches nor a forming batch, so the map stays bounded across
-	// epochs and parameter churn.
-	keys map[batchKey]*keyState
-}
-
-// keyState is the per-key dispatch bookkeeping. Guarded by Batcher.mu.
-type keyState struct {
-	inflight int       // dispatched-but-unfinished retrievals for the key
-	lastDone time.Time // when inflight last dropped to zero
+	// keys counts each key's dispatched-but-unfinished retrievals; the
+	// completion of one fires the key's forming batch. A key with a forming
+	// batch always has a retrieval in flight, and its entry is dropped when
+	// the count returns to zero, so the map stays bounded across epochs and
+	// parameter churn.
+	keys map[batchKey]int
 }
 
 // PendingRows returns the number of query rows currently waiting in
@@ -168,8 +122,7 @@ type formingBatch struct {
 	rows    int
 	waiters []*waiter
 	timer   *time.Timer // the window's deadline; nil until the batch has to wait
-	created time.Time
-	fired   bool // dispatched (by size or timer); no longer accepting rows
+	fired   bool        // dispatched or retired; no longer accepting rows
 
 	// Merged cancellation: ctx is the batch's retrieval context, live the
 	// number of waiters still interested. abandon() decrements live and
@@ -217,21 +170,20 @@ type batchResult struct {
 	err   error
 }
 
-// NewBatcher wraps a sharded index with request coalescing in the given
-// dispatch mode.
-func NewBatcher(sh *Sharded, window time.Duration, maxBatch int, mode BatchMode) *Batcher {
+// NewBatcher wraps a sharded index with request coalescing, window and
+// maxBatch bounding each batch's wait and size. The mode argument is
+// ignored: BatchModeContinuous is the only policy. The parameter and the
+// BatchMode type leave in the next refresh of the benchmark/ module, whose
+// traced replay still passes BatchModeContinuous.
+func NewBatcher(sh *Sharded, window time.Duration, maxBatch int, _ BatchMode) *Batcher {
 	return &Batcher{
 		sharded: sh,
 		window:  window,
 		max:     maxBatch,
-		mode:    mode,
 		forming: make(map[batchKey]*formingBatch),
-		keys:    make(map[batchKey]*keyState),
+		keys:    make(map[batchKey]int),
 	}
 }
-
-// Mode returns the batcher's dispatch mode.
-func (b *Batcher) Mode() BatchMode { return b.mode }
 
 // TopKAt submits one request's query rows (concatenated vectors of
 // dimension R) for Row-Top-k retrieval on the caller's epoch snapshot and
@@ -249,8 +201,8 @@ func (b *Batcher) AboveThetaAt(ctx context.Context, v *View, data []float64, row
 }
 
 // submit is the batcher's one request path: refuse a bad parameter or shape,
-// then retrieve alone (no coalescing configured) or join key's forming batch
-// and wait for this caller's rows.
+// then retrieve alone (no coalescing configured, or an idle key) or join
+// key's forming batch and wait for this caller's rows.
 func (b *Batcher) submit(ctx context.Context, key batchKey, v *View, data []float64, rows int) ([][]lemp.Entry, lemp.Stats, error) {
 	if err := key.check(); err != nil {
 		return nil, lemp.Stats{}, fmt.Errorf("server: %w", err)
@@ -268,16 +220,16 @@ func (b *Batcher) submit(ctx context.Context, key batchKey, v *View, data []floa
 		return nil, lemp.Stats{}, fmt.Errorf("server: batch submission has %d values for %d rows of dimension %d", len(data), rows, r)
 	}
 	if b.window <= 0 || b.max <= 1 {
-		// No coalescing: the request's own context drives the retrieval,
-		// and its trace (if any) receives the shard/merge spans directly.
-		res := b.retrieve(ctx, key, v, data, rows, 1)
+		res := b.retrieveAlone(ctx, key, v, data, rows)
 		return res.rows, res.stats, res.err
 	}
 
 	fb, w := b.join(ctx, key, v, data, rows)
 	if fb == nil {
-		// join claimed the idle key for this request alone.
+		// join claimed the idle key for this request alone; the completion
+		// fires whatever batch formed on the key meanwhile.
 		res := b.retrieveAlone(ctx, key, v, data, rows)
+		b.completeDispatch(key)
 		return res.rows, res.stats, res.err
 	}
 	select {
@@ -299,26 +251,26 @@ func (b *Batcher) submit(ctx context.Context, key batchKey, v *View, data []floa
 // wait with the window timer armed. It returns the batch and the caller's
 // place in it.
 //
-// In continuous mode a key with no forming batch and nothing in flight
-// forms no batch at all: join counts the caller's retrieval in flight and
-// returns a nil batch, and the caller runs retrieveAlone. A batch fired on
-// arrival would accept no other rows, so it would only ever have served
-// this one caller, through a goroutine hand-off and a merged context.
+// A key with no forming batch and nothing in flight forms no batch at all:
+// join counts the caller's retrieval in flight and returns a nil batch, and
+// the caller runs retrieveAlone. A batch fired on arrival would accept no
+// other rows, so it would only ever have served this one caller, through a
+// goroutine hand-off and a merged context.
 func (b *Batcher) join(ctx context.Context, key batchKey, v *View, data []float64, rows int) (*formingBatch, *waiter) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	fb := b.forming[key]
-	if fb == nil && b.mode == BatchModeContinuous && b.inflight(key) == 0 {
-		b.claim(key, time.Now())
+	if fb == nil && b.keys[key] == 0 {
+		b.keys[key] = 1
 		return nil, nil
 	}
-	if fb == nil || fb.fired || fb.rows+rows > b.max {
-		// Start a new batch. An oversized or displaced predecessor keeps
-		// running; it simply stops being the forming batch for this key.
-		if fb != nil && !fb.fired {
+	if fb == nil || fb.rows+rows > b.max {
+		// Start a new batch. An oversized predecessor keeps running; it
+		// simply stops being the forming batch for this key.
+		if fb != nil {
 			b.fire(fb)
 		}
-		fb = &formingBatch{key: key, view: v, created: time.Now()}
+		fb = &formingBatch{key: key, view: v}
 		fb.ctx, fb.cancel = context.WithCancel(context.Background())
 		b.forming[key] = fb
 	}
@@ -334,10 +286,9 @@ func (b *Batcher) join(ctx context.Context, key batchKey, v *View, data []float6
 	case fb.rows >= b.max:
 		b.fire(fb)
 	case fb.timer == nil:
-		// The batch waits, so the window bounds the wait from here. In
-		// continuous mode the key has a retrieval in flight, whose
-		// completion fires the batch sooner. A batch that fires in the call
-		// that created it never arms a timer at all.
+		// The batch waits behind the key's retrieval in flight, whose
+		// completion fires it; the window bounds the wait from here. A
+		// batch that fires in the call that created it never arms a timer.
 		fb.timer = time.AfterFunc(b.window, func() {
 			b.mu.Lock()
 			defer b.mu.Unlock()
@@ -347,12 +298,11 @@ func (b *Batcher) join(ctx context.Context, key batchKey, v *View, data []float6
 	return fb, w
 }
 
-// retrieveAlone runs the retrieval of a request join admitted on an idle
-// key: on the caller's goroutine, under the caller's own context (so a
-// cancellation aborts the shard scans directly) and into the caller's own
-// trace, with the same zero-length batch.wait and batch.retrieve spans a
-// dispatched batch records. Completion then fires whatever batch formed on
-// the key meanwhile.
+// retrieveAlone runs the retrieval of a request that joins no batch: on the
+// caller's goroutine, under the caller's own context (so a cancellation
+// aborts the shard scans directly) and into the caller's own trace, with the
+// same zero-length batch.wait and batch.retrieve spans, and the same wait
+// observation, a dispatched batch records.
 func (b *Batcher) retrieveAlone(ctx context.Context, key batchKey, v *View, data []float64, rows int) batchResult {
 	joined := time.Now()
 	tr, parent := obs.SpanFrom(ctx)
@@ -365,17 +315,7 @@ func (b *Batcher) retrieveAlone(ctx context.Context, key batchKey, v *View, data
 	}
 	res := b.retrieve(rctx, key, v, data, rows, 1)
 	tr.End(ret)
-	b.completeDispatch(key)
 	return res
-}
-
-// inflight returns the number of dispatched-but-unfinished retrievals for
-// key. Callers must hold b.mu.
-func (b *Batcher) inflight(key batchKey) int {
-	if ks := b.keys[key]; ks != nil {
-		return ks.inflight
-	}
-	return 0
 }
 
 // abandon records one waiter's departure. When the last interested waiter
@@ -405,7 +345,6 @@ func (b *Batcher) abandon(fb *formingBatch, w *waiter) {
 				delete(b.forming, fb.key)
 			}
 			b.pending.Add(-int64(fb.rows))
-			b.reapKey(fb.key)
 		}
 	}
 	b.mu.Unlock()
@@ -422,60 +361,19 @@ func (b *Batcher) fire(fb *formingBatch) {
 		delete(b.forming, fb.key)
 	}
 	b.pending.Add(-int64(fb.rows))
-	b.claim(fb.key, fb.created)
+	b.keys[fb.key]++
 	go b.dispatch(fb)
 }
 
-// claim counts one more retrieval in flight for key, charging the key's
-// idle gap when it was idle: from the later of created (when the rows to be
-// retrieved arrived) and the previous retrieval's completion, until now.
-// Continuous mode keeps this near zero by construction; window mode pays up
-// to the full window here. Callers must hold b.mu.
-func (b *Batcher) claim(key batchKey, created time.Time) {
-	ks := b.keys[key]
-	if ks == nil {
-		ks = &keyState{}
-		b.keys[key] = ks
-	}
-	if ks.inflight == 0 {
-		idleStart := created
-		if ks.lastDone.After(idleStart) {
-			idleStart = ks.lastDone
-		}
-		b.dispatchIdle.Add(float64(time.Since(idleStart).Nanoseconds()))
-	}
-	ks.inflight++
-}
-
-// completeDispatch records one retrieval's completion and, in continuous
-// mode, fires the key's forming batch (if any) so dispatches stay
-// back-to-back with zero idle gap.
+// completeDispatch records one retrieval's completion and fires the key's
+// forming batch, if any, so dispatches stay back-to-back.
 func (b *Batcher) completeDispatch(key batchKey) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	ks := b.keys[key]
-	if ks == nil {
-		return
-	}
-	ks.inflight--
-	if ks.inflight == 0 {
-		ks.lastDone = time.Now()
-	}
-	if b.mode == BatchModeContinuous {
-		if next := b.forming[key]; next != nil && !next.fired {
-			b.fire(next)
-			return
-		}
-	}
-	b.reapKey(key)
-}
-
-// reapKey drops a key's dispatch state once it is fully quiet — no
-// retrieval in flight and no forming batch — so the map does not grow
-// without bound across epochs and parameter values. Callers must hold
-// b.mu.
-func (b *Batcher) reapKey(key batchKey) {
-	if ks := b.keys[key]; ks != nil && ks.inflight == 0 && b.forming[key] == nil {
+	b.keys[key]--
+	if next := b.forming[key]; next != nil {
+		b.fire(next)
+	} else if b.keys[key] == 0 {
 		delete(b.keys, key)
 	}
 }

@@ -20,26 +20,25 @@ import (
 // batch-mate.
 func TestBatcherRejectsMalformedSubmission(t *testing.T) {
 	sh, q := newTestSharded(t)
-	b := NewBatcher(sh, 100*time.Millisecond, 1024, BatchModeWindow)
+	b := NewBatcher(sh, 10*time.Second, 1024, BatchModeContinuous)
+	held := holdCalls(t, b, 1)
 
 	const k = 5
-	goodDone := make(chan error, 1)
-	go func() {
-		rows, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(0), 1, k)
+	call := func(i int, done chan<- error) {
+		rows, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(i), 1, k)
 		if err == nil && (len(rows) != 1 || len(rows[0]) != k) {
 			err = errors.New("good caller got a bad row shape")
 		}
-		goodDone <- err
-	}()
-	// Wait until the good caller sits in the forming batch, then offer the
-	// malformed submission that would have poisoned it.
-	deadline := time.Now().Add(5 * time.Second)
-	for b.PendingRows() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("good caller never joined a forming batch")
-		}
-		time.Sleep(100 * time.Microsecond)
+		done <- err
 	}
+	firstDone, goodDone := make(chan error, 1), make(chan error, 1)
+	go call(2, firstDone)
+	held.await(t, 1)
+	go call(0, goodDone)
+	// Wait until the good caller sits in the forming batch behind the held
+	// retrieval, then offer the malformed submission that would have
+	// poisoned it.
+	awaitPending(t, b, 1)
 	bad := q.Vec(1)[:sh.R()-1] // one coordinate short
 	start := time.Now()
 	if _, _, err := b.TopKAt(context.Background(), sh.CurrentView(), bad, 1, k); err == nil {
@@ -49,6 +48,10 @@ func TestBatcherRejectsMalformedSubmission(t *testing.T) {
 	}
 	if time.Since(start) > 50*time.Millisecond {
 		t.Error("malformed submission waited for the batch instead of failing at submit")
+	}
+	held.release()
+	if err := <-firstDone; err != nil {
+		t.Fatal(err)
 	}
 	if err := <-goodDone; err != nil {
 		t.Fatalf("innocent batch-mate poisoned: %v", err)
@@ -63,7 +66,7 @@ func TestBatcherRejectsMalformedSubmission(t *testing.T) {
 // explicit error and leave no pending row, forming batch or timer behind.
 func TestBatcherRejectsBadParams(t *testing.T) {
 	sh, q := newTestSharded(t)
-	b := NewBatcher(sh, 10*time.Second, 1024, BatchModeWindow)
+	b := NewBatcher(sh, 10*time.Second, 1024, BatchModeContinuous)
 
 	for _, theta := range []float64{0, -1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, _, err := b.AboveThetaAt(context.Background(), sh.CurrentView(), q.Vec(0), 1, theta); err == nil {
@@ -113,27 +116,14 @@ func TestBatcherContinuousImmediateDispatch(t *testing.T) {
 func TestBatcherContinuousBackToBack(t *testing.T) {
 	sh, q := newTestSharded(t)
 	b := NewBatcher(sh, 10*time.Second, 1024, BatchModeContinuous)
-
-	release := make(chan struct{})
-	var dispatches atomic.Int64
-	b.onDispatch = func(rows, requests int) {
-		if dispatches.Add(1) == 1 {
-			<-release // hold the first retrieval so a second batch forms
-		}
-	}
+	held := holdCalls(t, b, 1) // hold the first retrieval so a second batch forms
 
 	firstDone := make(chan error, 1)
 	go func() {
 		_, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(0), 1, 5)
 		firstDone <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for dispatches.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never dispatched")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	held.await(t, 1)
 
 	const joiners = 8
 	var wg sync.WaitGroup
@@ -149,15 +139,10 @@ func TestBatcherContinuousBackToBack(t *testing.T) {
 	}
 	// All joiners must coalesce into one forming batch held behind the
 	// in-flight retrieval.
-	for b.PendingRows() < joiners {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d joiners coalesced behind the in-flight batch", b.PendingRows(), joiners)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	awaitPending(t, b, joiners)
 
 	start := time.Now()
-	close(release)
+	held.release()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -169,8 +154,8 @@ func TestBatcherContinuousBackToBack(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("held batch took %v after completion; must fire immediately, not at the window", elapsed)
 	}
-	if got := dispatches.Load(); got != 2 {
-		t.Fatalf("%d dispatches for 1+%d requests, want exactly 2 (immediate + completion-fired)", got, joiners)
+	if rows, _ := held.calls(); len(rows) != 2 {
+		t.Fatalf("%d dispatches for 1+%d requests, want exactly 2 (immediate + completion-fired)", len(rows), joiners)
 	}
 }
 
@@ -181,9 +166,16 @@ func TestBatcherContinuousBackToBack(t *testing.T) {
 // that will never come.
 func TestBatcherSkipsAbandonedWaiters(t *testing.T) {
 	sh, q := newTestSharded(t)
-	b := NewBatcher(sh, 10*time.Second, 3, BatchModeWindow)
+	b := NewBatcher(sh, 10*time.Second, 3, BatchModeContinuous)
+	held := holdCalls(t, b, 1)
 
 	const k = 5
+	firstDone := make(chan error, 1)
+	go func() {
+		_, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(3), 1, k)
+		firstDone <- err
+	}()
+	held.await(t, 1)
 	ctxA, cancelA := context.WithCancel(context.Background())
 	aDone := make(chan error, 1)
 	go func() {
@@ -198,13 +190,7 @@ func TestBatcherSkipsAbandonedWaiters(t *testing.T) {
 		}
 		cDone <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for b.PendingRows() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("callers never joined the forming batch")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	awaitPending(t, b, 2)
 	// Grab A's waiter (offset 0 belongs to whichever joined first; find the
 	// gone one after cancellation instead of assuming order).
 	b.mu.Lock()
@@ -235,7 +221,7 @@ func TestBatcherSkipsAbandonedWaiters(t *testing.T) {
 	}
 
 	// A third caller fills the batch to max (3 rows): it fires with the
-	// abandoned waiter still in it.
+	// abandoned waiter still in it, while the first retrieval is held.
 	rows, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(2), 1, k)
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("filling caller: rows=%d err=%v", len(rows), err)
@@ -245,6 +231,10 @@ func TestBatcherSkipsAbandonedWaiters(t *testing.T) {
 	}
 	if n := len(abandoned.done); n != 0 {
 		t.Fatalf("dispatch sent %d results into an abandoned waiter's channel", n)
+	}
+	held.release()
+	if err := <-firstDone; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -318,10 +308,10 @@ func TestBatcherContinuousStress(t *testing.T) {
 }
 
 // TestBatcherArmsTimerOnlyWhenWaiting: the window timer exists for batches
-// that wait. A batch that fires in the call that created it — an idle key
-// in continuous mode, a batch filled to max — never arms one, and retiring
-// a batch without a timer is safe; window mode and the batch held behind an
-// in-flight retrieval still fire on the timer.
+// that wait. A request on an idle key forms no batch and a batch filled to
+// max fires in the call that created it, so neither arms one, and retiring
+// a batch without a timer is safe; a batch held behind an in-flight
+// retrieval that outlasts the window fires on the timer.
 func TestBatcherArmsTimerOnlyWhenWaiting(t *testing.T) {
 	sh, q := newTestSharded(t)
 	ctx := context.Background()
@@ -348,7 +338,7 @@ func TestBatcherArmsTimerOnlyWhenWaiting(t *testing.T) {
 			t.Fatal("join on an idle key formed a batch")
 		}
 		b.mu.Lock()
-		inflight, forming := b.inflight(key), len(b.forming)
+		inflight, forming := b.keys[key], len(b.forming)
 		b.mu.Unlock()
 		if inflight != 1 || forming != 0 {
 			t.Fatalf("inflight=%d forming=%d after the claim, want 1 and 0", inflight, forming)
@@ -356,12 +346,14 @@ func TestBatcherArmsTimerOnlyWhenWaiting(t *testing.T) {
 		if res := b.retrieveAlone(ctx, key, view, q.Vec(0), 1); res.err != nil || len(res.rows) != 1 || len(res.rows[0]) != 5 {
 			t.Fatalf("inline result: %d rows, err %v", len(res.rows), res.err)
 		}
+		b.completeDispatch(key)
 		if len(b.keys) != 0 {
 			t.Fatalf("%d keys tracked after the inline retrieval completed", len(b.keys))
 		}
 	})
 	t.Run("filled to max", func(t *testing.T) {
-		b := NewBatcher(sh, 10*time.Second, 2, BatchModeWindow)
+		b := NewBatcher(sh, 10*time.Second, 2, BatchModeContinuous)
+		b.keys[key] = 1 // a retrieval in flight, so the rows join a batch
 		fb, w := b.join(ctx, key, view, q.Slice(0, 2).Data(), 2)
 		if !fb.fired || fb.timer != nil {
 			t.Fatalf("fired=%v timer=%v, want an immediate dispatch without a timer", fb.fired, fb.timer)
@@ -371,7 +363,7 @@ func TestBatcherArmsTimerOnlyWhenWaiting(t *testing.T) {
 		}
 	})
 	t.Run("abandon before fire with no timer", func(t *testing.T) {
-		b := NewBatcher(sh, 10*time.Second, 1024, BatchModeWindow)
+		b := NewBatcher(sh, 10*time.Second, 1024, BatchModeContinuous)
 		fb := &formingBatch{key: key, view: view, rows: 1, live: 1}
 		fb.ctx, fb.cancel = context.WithCancel(ctx)
 		w := &waiter{n: 1, done: make(chan batchResult, 1)}
@@ -383,45 +375,24 @@ func TestBatcherArmsTimerOnlyWhenWaiting(t *testing.T) {
 			t.Fatalf("abandoned batch not retired: fired=%v forming=%d pending=%d", fb.fired, len(b.forming), b.PendingRows())
 		}
 	})
-	t.Run("window mode fires on the timer", func(t *testing.T) {
-		b := NewBatcher(sh, 5*time.Millisecond, 1024, BatchModeWindow)
-		fb, w := b.join(ctx, key, view, q.Vec(0), 1)
-		b.mu.Lock()
-		armed := fb.timer != nil
-		b.mu.Unlock()
-		if !armed {
-			t.Fatal("waiting batch has no window timer")
-		}
-		await(t, w)
-	})
 	t.Run("held behind an in-flight retrieval fires on the timer", func(t *testing.T) {
 		b := NewBatcher(sh, 5*time.Millisecond, 1024, BatchModeContinuous)
-		release := make(chan struct{})
-		var dispatches atomic.Int64
-		b.onDispatch = func(rows, requests int) {
-			if dispatches.Add(1) == 1 {
-				<-release // hold the first retrieval for the whole test
-			}
-		}
+		held := holdCalls(t, b, 1) // hold the first retrieval for the whole test
 		first := make(chan error, 1)
 		go func() {
 			_, _, err := b.TopKAt(ctx, view, q.Vec(0), 1, 5)
 			first <- err
 		}()
-		for deadline := time.Now().Add(5 * time.Second); dispatches.Load() == 0; time.Sleep(100 * time.Microsecond) {
-			if time.Now().After(deadline) {
-				t.Fatal("first request never dispatched")
-			}
-		}
-		held, w := b.join(ctx, key, view, q.Vec(1), 1)
+		held.await(t, 1)
+		fb, w := b.join(ctx, key, view, q.Vec(1), 1)
 		b.mu.Lock()
-		armed := held.timer != nil
+		armed := fb.timer != nil
 		b.mu.Unlock()
 		if !armed {
 			t.Fatal("batch held behind an in-flight retrieval has no window timer")
 		}
 		await(t, w) // the first retrieval is still held: only the timer can have fired this
-		close(release)
+		held.release()
 		if err := <-first; err != nil {
 			t.Fatal(err)
 		}

@@ -2,8 +2,8 @@ package server
 
 import (
 	"context"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,9 +43,72 @@ func TestShardedMatchesDirect(t *testing.T) {
 	compareRows(t, "above-θ", gotRows, directAboveRows(t, direct, q, theta))
 }
 
-// TestBatcherCoalesces submits many concurrent single-row requests inside
-// one window and checks that (a) far fewer retrieval calls than requests
-// were dispatched and (b) every caller got exactly its own row back.
+// heldCalls holds the first n retrieval calls of a batcher in flight, in
+// its onDispatch hook, until release, and logs every call's row and request
+// counts. Requests on the key of a held call wait in a forming batch behind
+// it, so a test can park them deterministically.
+type heldCalls struct {
+	n       int
+	gate    chan struct{}
+	release func()
+
+	mu       sync.Mutex
+	rows     []int
+	requests int
+}
+
+func holdCalls(t testing.TB, b *Batcher, n int) *heldCalls {
+	h := &heldCalls{n: n, gate: make(chan struct{})}
+	var once sync.Once
+	h.release = func() { once.Do(func() { close(h.gate) }) }
+	t.Cleanup(h.release)
+	b.onDispatch = func(rows, requests int) {
+		h.mu.Lock()
+		h.rows = append(h.rows, rows)
+		h.requests += requests
+		held := len(h.rows) <= h.n
+		h.mu.Unlock()
+		if held {
+			<-h.gate
+		}
+	}
+	return h
+}
+
+// calls returns the row counts of the calls made so far and the number of
+// requests they served.
+func (h *heldCalls) calls() ([]int, int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return append([]int(nil), h.rows...), h.requests
+}
+
+// await waits until at least n calls have started.
+func (h *heldCalls) await(t testing.TB, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		if rows, _ := h.calls(); len(rows) >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d retrieval calls never started", n)
+		}
+	}
+}
+
+// awaitPending waits until b's forming batches hold n rows.
+func awaitPending(t testing.TB, b *Batcher, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); b.PendingRows() < n; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d rows joined a forming batch", b.PendingRows(), n)
+		}
+	}
+}
+
+// TestBatcherCoalesces parks many concurrent single-row requests behind one
+// held retrieval and checks that (a) they are served by one combined call
+// and (b) every caller got exactly its own row back.
 func TestBatcherCoalesces(t *testing.T) {
 	sh, q := newTestSharded(t)
 	_, p := smokeMatrices(t)
@@ -54,58 +117,61 @@ func TestBatcherCoalesces(t *testing.T) {
 	const callers, k = 32, 5
 	want := directTopK(t, direct, q.Head(callers), k)
 
-	b := NewBatcher(sh, 100*time.Millisecond, 1024, BatchModeWindow)
-	var dispatches, coalesced atomic.Int64
-	b.onDispatch = func(rows, requests int) {
-		dispatches.Add(1)
-		coalesced.Add(int64(requests))
-	}
+	b := NewBatcher(sh, 10*time.Second, 1024, BatchModeContinuous)
+	held := holdCalls(t, b, 1)
 
-	start := make(chan struct{})
 	var wg sync.WaitGroup
 	errs := make(chan error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			rows, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(i), 1, k)
-			if err != nil {
-				errs <- err
+	call := func(i int) {
+		defer wg.Done()
+		rows, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(i), 1, k)
+		if err != nil {
+			errs <- err
+			return
+		}
+		if len(rows) != 1 || len(rows[0]) != len(want[i]) {
+			t.Errorf("caller %d: bad shape", i)
+			return
+		}
+		for j, e := range rows[0] {
+			if e.Query != 0 || e.Probe != want[i][j].Probe || e.Value != want[i][j].Value {
+				t.Errorf("caller %d entry %d: got %+v, want %+v", i, j, e, want[i][j])
 				return
 			}
-			if len(rows) != 1 || len(rows[0]) != len(want[i]) {
-				t.Errorf("caller %d: bad shape", i)
-				return
-			}
-			for j, e := range rows[0] {
-				if e.Query != 0 || e.Probe != want[i][j].Probe || e.Value != want[i][j].Value {
-					t.Errorf("caller %d entry %d: got %+v, want %+v", i, j, e, want[i][j])
-					return
-				}
-			}
-		}(i)
+		}
 	}
-	close(start)
+	wg.Add(callers)
+	go call(0) // alone on the idle key: its retrieval is held
+	held.await(t, 1)
+	for i := 1; i < callers; i++ {
+		go call(i)
+	}
+	awaitPending(t, b, callers-1)
+	held.release()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := dispatches.Load(); got >= callers/2 {
-		t.Errorf("%d retrieval calls for %d concurrent requests: batching ineffective", got, callers)
-	}
-	if got := coalesced.Load(); got != callers {
-		t.Errorf("coalesced %d requests, want %d", got, callers)
+	if rows, requests := held.calls(); len(rows) != 2 || rows[1] != callers-1 || requests != callers {
+		t.Errorf("calls %v serving %d requests, want [1 %d] serving %d", rows, requests, callers-1, callers)
 	}
 }
 
 // TestBatcherDispatchesAtMax checks that a batch reaching BatchMax rows
-// dispatches immediately instead of waiting out a long window.
+// dispatches at once, without waiting for the retrieval it is held behind
+// or for a long window.
 func TestBatcherDispatchesAtMax(t *testing.T) {
 	sh, q := newTestSharded(t)
 	const max = 8
-	b := NewBatcher(sh, 10*time.Second, max, BatchModeWindow)
+	b := NewBatcher(sh, 10*time.Second, max, BatchModeContinuous)
+	held := holdCalls(t, b, 1)
+	first := make(chan error, 1)
+	go func() {
+		_, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(max), 1, 3)
+		first <- err
+	}()
+	held.await(t, 1)
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -122,58 +188,57 @@ func TestBatcherDispatchesAtMax(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("batch at max waited %v; should dispatch before the window", elapsed)
 	}
+	held.release()
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestBatcherKeysSeparateParams checks that requests with different k (or
 // different problems) never share a batch.
 func TestBatcherKeysSeparateParams(t *testing.T) {
 	sh, q := newTestSharded(t)
-	b := NewBatcher(sh, 50*time.Millisecond, 1024, BatchModeWindow)
-	type dispatched struct{ rows int }
-	var mu sync.Mutex
-	var batches []dispatched
-	b.onDispatch = func(rows, _ int) {
-		mu.Lock()
-		batches = append(batches, dispatched{rows})
-		mu.Unlock()
-	}
+	b := NewBatcher(sh, 10*time.Second, 1024, BatchModeContinuous)
+	held := holdCalls(t, b, 3)
 
-	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		k := 2 + i%2 // two distinct k values
+	submit := func(i, k int) { // k < 0 submits Above-θ at θ = 1.5
 		wg.Add(1)
-		go func(i, k int) {
+		go func() {
 			defer wg.Done()
-			<-start
-			if _, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(i), 1, k); err != nil {
+			var err error
+			if k > 0 {
+				_, _, err = b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(i), 1, k)
+			} else {
+				_, _, err = b.AboveThetaAt(context.Background(), sh.CurrentView(), q.Vec(i), 1, 1.5)
+			}
+			if err != nil {
 				t.Error(err)
 			}
-		}(i, k)
+		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		<-start
-		if _, _, err := b.AboveThetaAt(context.Background(), sh.CurrentView(), q.Vec(5), 1, 1.5); err != nil {
-			t.Error(err)
+	// One held retrieval on each of the keys {k=2, k=3, θ=1.5}, then one,
+	// two and three rows parked behind them.
+	keys := []int{2, 3, -1}
+	for i, k := range keys {
+		submit(i, k)
+		held.await(t, i+1)
+	}
+	row := len(keys)
+	for i, k := range keys {
+		for j := 0; j <= i; j++ {
+			submit(row, k)
+			row++
 		}
-	}()
-	close(start)
+	}
+	awaitPending(t, b, 6)
+	held.release()
 	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	// Three distinct parameter sets {k=2, k=3, θ=1.5} can never share a
-	// batch, so at least 3 batches fire; scheduling skew past the window
-	// may split a key into more, but every row must be accounted for.
-	total := 0
-	for _, d := range batches {
-		total += d.rows
-	}
-	if len(batches) < 3 {
-		t.Errorf("%d batches for {k=2, k=3, θ=1.5}, want at least 3: %+v", len(batches), batches)
-	}
-	if total != 5 {
-		t.Errorf("dispatched %d rows across batches, want 5: %+v", total, batches)
+	// Batches of 1, 2 and 3 rows, one per key: requests that differ in a
+	// parameter never share a retrieval call.
+	rows, _ := held.calls()
+	slices.Sort(rows)
+	if !slices.Equal(rows, []int{1, 1, 1, 1, 2, 3}) {
+		t.Errorf("retrieval calls of %v rows, want three held calls and one batch of 1, 2 and 3 rows", rows)
 	}
 }

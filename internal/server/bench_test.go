@@ -34,7 +34,7 @@ const benchK = 10
 // call per request — the baseline the batched configuration must beat.
 func runDispatchBench(b *testing.B, window time.Duration, maxBatch int) {
 	sh, q := benchSharded(b)
-	batcher := NewBatcher(sh, window, maxBatch, BatchModeWindow)
+	batcher := NewBatcher(sh, window, maxBatch, BatchModeContinuous)
 	n := q.N()
 	var i atomic.Int64
 	// Many more in-flight clients than cores: the regime batching targets.
@@ -60,7 +60,7 @@ func BenchmarkDispatchPerRequest(b *testing.B) {
 }
 
 // BenchmarkDispatchBatched coalesces concurrent queries into combined
-// retrieval calls (1 ms window, up to 256 rows per batch).
+// retrieval calls (waits of at most 1 ms, up to 256 rows per batch).
 func BenchmarkDispatchBatched(b *testing.B) {
 	runDispatchBench(b, time.Millisecond, 256)
 }

@@ -12,9 +12,9 @@ import (
 // GET /metrics. Everything observed on the serving path — request
 // latencies, batch-wait time, per-shard scan time, merge time — records
 // through pre-resolved handles (atomic adds, no allocation, no locks);
-// state that already lives somewhere (epoch, queue depth, dispatch counts,
-// the cumulative core stats /stats renders) is exported through
-// func-backed counters/gauges read only at scrape time.
+// state that already lives somewhere (epoch, queue depth, the cumulative
+// core stats /stats renders) is exported through func-backed
+// counters/gauges read only at scrape time.
 
 // endpoints instrumented with request counters and latency histograms.
 // A fixed list, never request data: label cardinality stays bounded.
@@ -39,7 +39,6 @@ type serverMetrics struct {
 	shardScan    []*obs.Histogram // per shard
 	mergeDur     *obs.Histogram
 	requestsShed *obs.Counter
-	dispatchIdle *obs.Counter
 
 	slowQueries *obs.Counter
 }
@@ -91,8 +90,6 @@ func newServerMetrics(shards int) *serverMetrics {
 		obs.ExpBuckets(10e-6, 2, 12))
 	m.requestsShed = reg.Counter("lemp_requests_shed_total",
 		"Retrieval requests rejected with 429 by admission control (batch queue depth or in-flight limit reached).")
-	m.dispatchIdle = reg.Counter("lemp_batch_dispatch_idle_ns",
-		"Total nanoseconds a key's index sat idle while a forming batch waited to dispatch (the window penalty continuous batching removes).")
 
 	m.slowQueries = reg.Counter("lemp_slow_queries_total",
 		"Requests past the slow-query threshold (always traced and logged).")
@@ -160,12 +157,6 @@ func (s *Server) wireState() {
 	reg.GaugeFunc("lemp_index_list_bytes",
 		"Memory held by the sorted-list indexes of the coordinate methods across all shards, 12 r bytes per probe of every bucket that carries them: it grows with the buckets tuning passes observe and coordinate methods scan.",
 		func() float64 { return float64(s.sharded.ListBytes()) })
-	reg.CounterFunc("lemp_batches_total",
-		"Retrieval calls dispatched (each serving one coalesced batch).",
-		func() float64 { return float64(s.batches.Load()) })
-	reg.CounterFunc("lemp_batch_rows_total",
-		"Query rows across all dispatched retrieval calls.",
-		func() float64 { return float64(s.batchRows.Load()) })
 	reg.GaugeFunc("lemp_batch_queue_rows",
 		"Query rows currently waiting in forming batches (batcher queue depth).",
 		func() float64 { return float64(s.batcher.PendingRows()) })
@@ -228,10 +219,8 @@ func (s *Server) wireState() {
 	s.sharded.compactHist = reg.Histogram("lemp_compaction_seconds",
 		"Wall time of one shard compaction (re-bucketization triggered by update delta mass).",
 		obs.LatencyBuckets())
-	// And the batcher: wait/size histograms, the idle-gap counter and the
-	// batch-scoped tracer.
+	// And the batcher: wait/size histograms and the batch-scoped tracer.
 	s.batcher.batchWaitHist = m.batchWait
 	s.batcher.batchRowsHist = m.batchRows
-	s.batcher.dispatchIdle = m.dispatchIdle
 	s.batcher.tracer = s.tracer
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -141,9 +142,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"lemp_slow_queries_total", "lemp_uptime_seconds", "lemp_ready",
 		"lemp_epoch", "lemp_live_probes", "lemp_shards",
 		"lemp_requests_total", "lemp_updates_total", "lemp_compactions_total",
-		"lemp_batches_total", "lemp_batch_rows_total", "lemp_batch_queue_rows",
+		"lemp_batch_queue_rows",
 		"lemp_traces_finished_total", "lemp_traces_retained_total",
-		"lemp_requests_shed_total", "lemp_batch_dispatch_idle_ns",
+		"lemp_requests_shed_total",
 		"lemp_update_apply_seconds", "lemp_compaction_seconds",
 		"lemp_quant_sidecar_bytes", "lemp_index_list_bytes",
 	}
@@ -154,7 +155,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	value := func(name string, labels map[string]string) (float64, bool) {
-		f := fams[name]
+		f := fams[strings.TrimSuffix(strings.TrimSuffix(name, "_sum"), "_count")]
 		if f == nil {
 			return 0, false
 		}
@@ -184,7 +185,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v, ok := value("lemp_core_candidates_total", nil); !ok || v <= 0 {
 		t.Errorf("core candidates = %v (ok=%v), want > 0", v, ok)
 	}
-	if v, ok := value("lemp_batch_rows_total", nil); !ok || v != 6 {
+	if v, ok := value("lemp_batch_rows_sum", nil); !ok || v != 6 {
 		t.Errorf("batch rows = %v (ok=%v), want 6: the repeat must retrieve again", v, ok)
 	}
 	// The sorted lists the first call's tuning pass built, as /stats has them.
@@ -207,7 +208,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if card := fams["lemp_shard_scan_seconds"].LabelCardinality(); card != 2 {
 		t.Errorf("lemp_shard_scan_seconds cardinality = %d, want 2", card)
 	}
-	if v, ok := value("lemp_request_duration_seconds_count", nil); ok && v == 0 {
+	if v, ok := value("lemp_request_duration_seconds_count", map[string]string{"endpoint": "topk"}); !ok || v == 0 {
 		t.Errorf("request duration histogram recorded nothing")
 	}
 	if f := fams["lemp_update_apply_seconds"]; f != nil {
@@ -274,77 +275,137 @@ func TestCoreCountersMatchStats(t *testing.T) {
 	}
 }
 
-// TestTraceHeaderAndRing checks the per-request trace contract: retrieval
-// responses carry X-Lemp-Trace, and with SampleRate 1 the same id is
-// retrievable from GET /debug/traces with the span tree intact. The batch
-// window is on and the request is alone on an idle key, so it retrieves on
-// its handler goroutine; its trace must still show the coalescing shape a
-// dispatched batch leaves: the (zero-length) wait span, the retrieval span,
-// and the shard/scan/merge spans under it.
-func TestTraceHeaderAndRing(t *testing.T) {
-	srv, h, _ := obsServer(t, Config{
-		Shards:          2,
-		Options:         lemp.Options{Parallelism: 1},
-		TraceSampleRate: 1,
-		BatchWindow:     100 * time.Microsecond,
-	})
+// TestBatchCountsMatchHistogram: /stats batches and batch_rows read the
+// lemp_batch_rows histogram, so after lone requests and a coalesced batch
+// they equal its count and sum.
+func TestBatchCountsMatchHistogram(t *testing.T) {
+	srv, h, _ := obsServer(t, Config{Shards: 2, Options: lemp.Options{Parallelism: 1}, BatchWindow: 10 * time.Second})
 	dim := srv.Sharded().R()
+	post := func(rows int) {
+		if w := doJSON(t, h, "POST", "/v1/topk", topKBody(t, dim, rows, 5)); w.Code != 200 {
+			t.Errorf("topk = %d: %s", w.Code, w.Body.String())
+		}
+	}
+	// Two lone requests, then two that coalesce behind a held third.
+	post(3)
+	post(1)
+	held := holdCalls(t, srv.batcher, 1)
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() { defer wg.Done(); post(2) }()
+	held.await(t, 1)
+	for _, rows := range []int{1, 4} {
+		go func() { defer wg.Done(); post(rows) }()
+	}
+	awaitPending(t, srv.batcher, 5)
+	held.release()
+	wg.Wait()
 
-	w := doJSON(t, h, "POST", "/v1/topk", topKBody(t, dim, 2, 5))
-	if w.Code != 200 {
-		t.Fatalf("topk = %d: %s", w.Code, w.Body.String())
-	}
-	id := w.Header().Get("X-Lemp-Trace")
-	if len(id) != 16 {
-		t.Fatalf("X-Lemp-Trace = %q, want 16 hex digits", id)
-	}
-	// Probe endpoints are untraced: no header, no ring entry.
-	if hdr := doJSON(t, h, "GET", "/healthz", "").Header().Get("X-Lemp-Trace"); hdr != "" {
-		t.Fatalf("/healthz carries a trace header %q", hdr)
-	}
-
-	tw := doJSON(t, h, "GET", "/debug/traces", "")
-	if tw.Code != 200 {
-		t.Fatalf("/debug/traces = %d", tw.Code)
-	}
-	var resp struct {
-		Traces []*obs.TraceSnapshot `json:"traces"`
-	}
-	if err := json.Unmarshal(tw.Body.Bytes(), &resp); err != nil {
+	fams, err := obs.ParseExposition(strings.NewReader(doJSON(t, h, "GET", "/metrics", "").Body.String()))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Traces) != 1 {
-		t.Fatalf("ring holds %d traces, want 1", len(resp.Traces))
+	hist := map[string]float64{}
+	for _, sm := range fams["lemp_batch_rows"].Samples {
+		hist[sm.Name] = sm.Value
 	}
-	snap := resp.Traces[0]
-	if snap.TraceID != id {
-		t.Fatalf("ring trace id %s != header %s", snap.TraceID, id)
+	var st statsResponse
+	if err := json.Unmarshal(doJSON(t, h, "GET", "/stats", "").Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
 	}
-	if snap.Kind != "topk" || snap.Rows != 2 {
-		t.Fatalf("trace meta = kind %q rows %d, want topk/2", snap.Kind, snap.Rows)
+	if st.Batches != 4 || st.BatchRows != 11 || st.AvgBatchRows != 2.75 {
+		t.Errorf("/stats batches %d, batch_rows %d, avg_batch_rows %v, want 4, 11, 2.75", st.Batches, st.BatchRows, st.AvgBatchRows)
 	}
-	names := map[string]int{}
-	shards := map[int32]bool{}
-	byID := map[int32]obs.SpanSnapshot{}
-	for _, sp := range snap.Spans {
-		byID[sp.ID] = sp
+	if float64(st.Batches) != hist["lemp_batch_rows_count"] || float64(st.BatchRows) != hist["lemp_batch_rows_sum"] {
+		t.Errorf("/stats batches %d, batch_rows %d; lemp_batch_rows count %v, sum %v", st.Batches, st.BatchRows, hist["lemp_batch_rows_count"], hist["lemp_batch_rows_sum"])
 	}
-	for _, sp := range snap.Spans {
-		names[sp.Name]++
-		if sp.Name == "shard" {
-			shards[sp.Shard] = true
-		}
-		if (sp.Name == "shard" || sp.Name == "merge") && byID[sp.Parent].Name != "batch.retrieve" {
-			t.Errorf("span %q hangs under %q, want batch.retrieve", sp.Name, byID[sp.Parent].Name)
-		}
-	}
-	for _, want := range []string{"topk", "batch.wait", "batch.retrieve", "shard", "scan", "merge"} {
-		if names[want] == 0 {
-			t.Errorf("span %q missing from trace (have %v)", want, names)
-		}
-	}
-	if !shards[0] || !shards[1] {
-		t.Errorf("shard fan-out spans incomplete: %v", shards)
+}
+
+// TestTraceHeaderAndRing checks the per-request trace contract: retrieval
+// responses carry X-Lemp-Trace, and with SampleRate 1 the same id is
+// retrievable from GET /debug/traces with the span tree intact. A request
+// that joins no batch — coalescing off, or alone on an idle key — retrieves
+// on its handler goroutine; its trace must still show the coalescing shape
+// a dispatched batch leaves: the (zero-length) wait span, the retrieval
+// span, and the shard/scan/merge spans under it, with one batch-wait
+// observation.
+func TestTraceHeaderAndRing(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		window time.Duration
+	}{
+		{"no coalescing", 0},
+		{"idle key", 100 * time.Microsecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, h, _ := obsServer(t, Config{
+				Shards:          2,
+				Options:         lemp.Options{Parallelism: 1},
+				TraceSampleRate: 1,
+				BatchWindow:     tc.window,
+			})
+			dim := srv.Sharded().R()
+
+			w := doJSON(t, h, "POST", "/v1/topk", topKBody(t, dim, 2, 5))
+			if w.Code != 200 {
+				t.Fatalf("topk = %d: %s", w.Code, w.Body.String())
+			}
+			id := w.Header().Get("X-Lemp-Trace")
+			if len(id) != 16 {
+				t.Fatalf("X-Lemp-Trace = %q, want 16 hex digits", id)
+			}
+			// Probe endpoints are untraced: no header, no ring entry.
+			if hdr := doJSON(t, h, "GET", "/healthz", "").Header().Get("X-Lemp-Trace"); hdr != "" {
+				t.Fatalf("/healthz carries a trace header %q", hdr)
+			}
+
+			tw := doJSON(t, h, "GET", "/debug/traces", "")
+			if tw.Code != 200 {
+				t.Fatalf("/debug/traces = %d", tw.Code)
+			}
+			var resp struct {
+				Traces []*obs.TraceSnapshot `json:"traces"`
+			}
+			if err := json.Unmarshal(tw.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Traces) != 1 {
+				t.Fatalf("ring holds %d traces, want 1", len(resp.Traces))
+			}
+			snap := resp.Traces[0]
+			if snap.TraceID != id {
+				t.Fatalf("ring trace id %s != header %s", snap.TraceID, id)
+			}
+			if snap.Kind != "topk" || snap.Rows != 2 {
+				t.Fatalf("trace meta = kind %q rows %d, want topk/2", snap.Kind, snap.Rows)
+			}
+			names := map[string]int{}
+			shards := map[int32]bool{}
+			byID := map[int32]obs.SpanSnapshot{}
+			for _, sp := range snap.Spans {
+				byID[sp.ID] = sp
+			}
+			for _, sp := range snap.Spans {
+				names[sp.Name]++
+				if sp.Name == "shard" {
+					shards[sp.Shard] = true
+				}
+				if (sp.Name == "shard" || sp.Name == "merge") && byID[sp.Parent].Name != "batch.retrieve" {
+					t.Errorf("span %q hangs under %q, want batch.retrieve", sp.Name, byID[sp.Parent].Name)
+				}
+			}
+			for _, want := range []string{"topk", "batch.wait", "batch.retrieve", "shard", "scan", "merge"} {
+				if names[want] == 0 {
+					t.Errorf("span %q missing from trace (have %v)", want, names)
+				}
+			}
+			if !shards[0] || !shards[1] {
+				t.Errorf("shard fan-out spans incomplete: %v", shards)
+			}
+			if n := srv.metrics.batchWait.Count(); n != 1 {
+				t.Errorf("%d batch-wait observations, want 1", n)
+			}
+		})
 	}
 }
 

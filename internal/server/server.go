@@ -52,18 +52,15 @@ type Config struct {
 	// batch fanning out across all shards uses about all cores — not
 	// Shards× of them. Set Parallelism explicitly to override.
 	Options lemp.Options
-	// BatchWindow is how long a request waits for others to coalesce with
-	// (default 0: no batching). 1–5 ms trades a little latency for a large
-	// throughput win under concurrent load.
+	// BatchWindow bounds how long a request waits to coalesce with others
+	// (default 0: no coalescing). A request on an idle key never waits, and
+	// a waiting batch dispatches as soon as its key's retrieval in flight
+	// completes, so the window is an upper bound, reached only when one
+	// retrieval outlasts it (see Batcher).
 	BatchWindow time.Duration
 	// BatchMax caps the number of query rows per combined batch
 	// (default 256).
 	BatchMax int
-	// BatchMode selects when a forming batch dispatches: "continuous"
-	// (the default; dispatch immediately when the key's index is idle and
-	// back-to-back as each retrieval completes, with BatchWindow/BatchMax
-	// as upper bounds) or "window" (always wait out the full window).
-	BatchMode string
 	// ShedQueueRows is the admission-control bound on the batcher's queue
 	// depth: while at least this many query rows sit in forming batches,
 	// new retrieval requests are rejected with 429 before enqueueing
@@ -129,9 +126,6 @@ func (c Config) withDefaults() Config {
 	if c.BatchMax == 0 {
 		c.BatchMax = 256
 	}
-	if c.BatchMode == "" {
-		c.BatchMode = BatchModeContinuous.String()
-	}
 	if c.ShedQueueRows == 0 {
 		c.ShedQueueRows = 16384
 	}
@@ -184,10 +178,8 @@ type Server struct {
 	ready    atomic.Bool
 	draining atomic.Bool
 
-	requests  atomic.Uint64 // retrieval requests accepted
-	updates   atomic.Uint64 // update batches applied
-	batches   atomic.Uint64 // retrieval calls dispatched
-	batchRows atomic.Uint64 // query rows across all dispatched calls
+	requests atomic.Uint64 // retrieval requests accepted
+	updates  atomic.Uint64 // update batches applied
 }
 
 // New builds a server over the probe matrix: cfg.Shards indexes over
@@ -202,7 +194,7 @@ func New(probe *lemp.Matrix, cfg Config) (*Server, error) {
 // — must use this so results and updates keep addressing the same probes.
 func NewWithIDs(probe *lemp.Matrix, ids []int32, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	kind, err := cfg.check()
+	kind, err := ParsePlacement(cfg.Placement)
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +219,7 @@ func NewFromSnapshot(snapshots []io.Reader, cfg Config) (*Server, error) {
 		cfg.Shards = len(snapshots)
 	}
 	cfg = cfg.withDefaults()
-	kind, err := cfg.check()
+	kind, err := ParsePlacement(cfg.Placement)
 	if err != nil {
 		return nil, err
 	}
@@ -245,21 +237,12 @@ func NewFromSnapshot(snapshots []io.Reader, cfg Config) (*Server, error) {
 	return newServer(sharded, cfg), nil
 }
 
-// check validates the names a Config carries, returning the placement.
-func (c Config) check() (Placement, error) {
-	if _, err := ParseBatchMode(c.BatchMode); err != nil {
-		return "", err
-	}
-	return ParsePlacement(c.Placement)
-}
-
 // newServer wires the shared serving stack around a shard set.
 func newServer(sharded *Sharded, cfg Config) *Server {
-	mode, _ := ParseBatchMode(cfg.BatchMode) // validated by the constructors
 	s := &Server{
 		cfg:     cfg,
 		sharded: sharded,
-		batcher: NewBatcher(sharded, cfg.BatchWindow, cfg.BatchMax, mode),
+		batcher: NewBatcher(sharded, cfg.BatchWindow, cfg.BatchMax, BatchModeContinuous),
 		start:   time.Now(),
 		logger:  cfg.Logger,
 		logging: cfg.Logger != nil,
@@ -271,10 +254,6 @@ func newServer(sharded *Sharded, cfg Config) *Server {
 	s.metrics = newServerMetrics(sharded.NumShards())
 	s.wireState()
 	s.ready.Store(true)
-	s.batcher.onDispatch = func(rows, _ int) {
-		s.batches.Add(1)
-		s.batchRows.Add(uint64(rows))
-	}
 	return s
 }
 
@@ -746,7 +725,6 @@ type statsResponse struct {
 	Batches       uint64    `json:"batches"`
 	BatchRows     uint64    `json:"batch_rows"`
 	AvgBatchRows  float64   `json:"avg_batch_rows"`
-	BatchMode     string    `json:"batch_mode"`
 	Kernels       string    `json:"kernels"` // "avx2" or "portable": vecmath.Kernels
 	Shed          shedInfo  `json:"shed"`
 	CostSkew      float64   `json:"cost_skew"`
@@ -768,16 +746,13 @@ type quantInfo struct {
 }
 
 // shedInfo reports the admission-control configuration and effect: the
-// configured bounds (0 = disabled), requests rejected with 429 so far, the
-// current queue depth the policy acts on, and the cumulative nanoseconds
-// dispatches sat idle while a batch waited (the signal continuous batching
-// drives to zero).
+// configured bounds (0 = disabled), requests rejected with 429 so far, and
+// the current queue depth the policy acts on.
 type shedInfo struct {
 	QueueRowsLimit int    `json:"queue_rows_limit"`
 	InflightLimit  int    `json:"inflight_limit"`
 	ShedTotal      uint64 `json:"shed_total"`
 	QueueRows      int64  `json:"queue_rows"`
-	DispatchIdleNS int64  `json:"dispatch_idle_ns"`
 }
 
 // coreStats mirrors lemp.Stats with JSON names. Durations come in pairs:
@@ -810,8 +785,10 @@ type coreStats struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	st := s.sharded.CumulativeStats()
-	batches := s.batches.Load()
-	rows := s.batchRows.Load()
+	// The batch counts read the lemp_batch_rows histogram, which observes
+	// every retrieval call, so /stats and /metrics cannot disagree.
+	batches := s.metrics.batchRows.Count()
+	rows := uint64(s.metrics.batchRows.Sum())
 	avg := 0.0
 	if batches > 0 {
 		avg = float64(rows) / float64(batches)
@@ -826,14 +803,12 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Batches:       batches,
 		BatchRows:     rows,
 		AvgBatchRows:  avg,
-		BatchMode:     s.batcher.Mode().String(),
 		Kernels:       vecmath.Kernels(),
 		Shed: shedInfo{
 			QueueRowsLimit: max(0, s.cfg.ShedQueueRows),
 			InflightLimit:  max(0, s.cfg.ShedInflight),
 			ShedTotal:      uint64(s.metrics.requestsShed.Value()),
 			QueueRows:      s.batcher.PendingRows(),
-			DispatchIdleNS: int64(s.metrics.dispatchIdle.Value()),
 		},
 		CostSkew:      s.sharded.CostSkew(),
 		ShardsScanned: s.sharded.ShardsScanned(),

@@ -45,13 +45,11 @@ func postTopK(t *testing.T, url string, query []float64, k int) (int, string) {
 
 // shedStats is the /stats admission-control block.
 type shedStats struct {
-	BatchMode string `json:"batch_mode"`
-	Shed      struct {
+	Shed struct {
 		QueueRowsLimit int    `json:"queue_rows_limit"`
 		InflightLimit  int    `json:"inflight_limit"`
 		ShedTotal      uint64 `json:"shed_total"`
 		QueueRows      int64  `json:"queue_rows"`
-		DispatchIdleNS int64  `json:"dispatch_idle_ns"`
 	} `json:"shed"`
 }
 
@@ -69,39 +67,48 @@ func getShedStats(t *testing.T, url string) shedStats {
 	return st
 }
 
+// holdFirstRequest posts a request whose retrieval call holds until release,
+// and returns once the call has started, with a channel that yields the
+// request's status. Requests on its key then wait in a forming batch.
+func holdFirstRequest(t *testing.T, srv *Server, url string, query []float64) (release func(), status <-chan int) {
+	t.Helper()
+	held := holdCalls(t, srv.batcher, 1)
+	first := make(chan int, 1)
+	go func() {
+		code, _ := postTopK(t, url, query, 5)
+		first <- code
+	}()
+	held.await(t, 1)
+	return held.release, first
+}
+
 // TestShedQueueRows drives the batch queue to the configured depth and
 // checks that the next request is rejected with 429 + Retry-After before
 // enqueueing, that shedding stops once the queue drains, and that the
 // /stats shed block reports it all.
 func TestShedQueueRows(t *testing.T) {
 	cfg := testConfig()
-	cfg.BatchMode = "window" // hold requests the full window so the queue is steerable
-	cfg.BatchWindow = 300 * time.Millisecond
+	cfg.BatchWindow = 10 * time.Second // only the held retrieval's completion fires the queue
 	cfg.BatchMax = 1024
 	cfg.ShedQueueRows = 4
 	cfg.ShedInflight = -1
 	srv, ts, q := newShedServer(t, cfg)
+	release, first := holdFirstRequest(t, srv, ts.URL, q.Vec(0))
 
-	// Park requests in the forming batch one at a time so the queue depth
-	// at each admission check is deterministic.
+	// Park requests in the forming batch behind the held retrieval one at a
+	// time so the queue depth at each admission check is deterministic.
 	const parked = 4
 	results := make(chan int, parked)
-	for i := 0; i < parked; i++ {
+	for i := 1; i <= parked; i++ {
 		go func(i int) {
 			status, _ := postTopK(t, ts.URL, q.Vec(i), 5)
 			results <- status
 		}(i)
-		deadline := time.Now().Add(5 * time.Second)
-		for srv.batcher.PendingRows() < int64(i+1) {
-			if time.Now().After(deadline) {
-				t.Fatalf("request %d never reached the forming batch (pending %d)", i, srv.batcher.PendingRows())
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
+		awaitPending(t, srv.batcher, int64(i))
 	}
 
 	// Queue is at the limit: the next request must shed, not enqueue.
-	status, retryAfter := postTopK(t, ts.URL, q.Vec(parked), 5)
+	status, retryAfter := postTopK(t, ts.URL, q.Vec(parked+1), 5)
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("request over queue limit: status %d, want 429", status)
 	}
@@ -112,7 +119,11 @@ func TestShedQueueRows(t *testing.T) {
 		t.Fatalf("shed request still enqueued: %d pending rows, want %d", n, parked)
 	}
 
-	// The parked requests must be unaffected.
+	// The held and parked requests must be unaffected.
+	release()
+	if got := <-first; got != http.StatusOK {
+		t.Fatalf("held request returned %d, want 200", got)
+	}
 	for i := 0; i < parked; i++ {
 		if got := <-results; got != http.StatusOK {
 			t.Fatalf("parked request returned %d, want 200", got)
@@ -120,14 +131,11 @@ func TestShedQueueRows(t *testing.T) {
 	}
 
 	// Drained: shedding stops.
-	if status, _ := postTopK(t, ts.URL, q.Vec(parked+1), 5); status != http.StatusOK {
+	if status, _ := postTopK(t, ts.URL, q.Vec(parked+2), 5); status != http.StatusOK {
 		t.Fatalf("request after drain: status %d, want 200", status)
 	}
 
 	st := getShedStats(t, ts.URL)
-	if st.BatchMode != "window" {
-		t.Errorf("stats batch_mode = %q, want window", st.BatchMode)
-	}
 	if st.Shed.QueueRowsLimit != 4 {
 		t.Errorf("stats queue_rows_limit = %d, want 4", st.Shed.QueueRowsLimit)
 	}
@@ -137,9 +145,6 @@ func TestShedQueueRows(t *testing.T) {
 	if st.Shed.ShedTotal != 1 {
 		t.Errorf("stats shed_total = %d, want 1", st.Shed.ShedTotal)
 	}
-	if st.Shed.DispatchIdleNS <= 0 {
-		t.Errorf("stats dispatch_idle_ns = %d; window mode must accumulate idle time", st.Shed.DispatchIdleNS)
-	}
 }
 
 // TestShedInflight checks the in-flight limit: with ShedInflight=1, a
@@ -147,35 +152,22 @@ func TestShedQueueRows(t *testing.T) {
 // and admission reopens once it finishes.
 func TestShedInflight(t *testing.T) {
 	cfg := testConfig()
-	cfg.BatchMode = "window"
-	cfg.BatchWindow = 300 * time.Millisecond
-	cfg.BatchMax = 1024
 	cfg.ShedQueueRows = -1
 	cfg.ShedInflight = 1
 	srv, ts, q := newShedServer(t, cfg)
-
-	first := make(chan int, 1)
-	go func() {
-		status, _ := postTopK(t, ts.URL, q.Vec(0), 5)
-		first <- status
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.batcher.PendingRows() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never reached the forming batch")
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
+	release, first := holdFirstRequest(t, srv, ts.URL, q.Vec(0))
 
 	if status, _ := postTopK(t, ts.URL, q.Vec(1), 5); status != http.StatusTooManyRequests {
 		t.Fatalf("second in-flight request: status %d, want 429", status)
 	}
+	release()
 	if got := <-first; got != http.StatusOK {
 		t.Fatalf("first request returned %d, want 200", got)
 	}
 
 	// Wait for the in-flight gauge to settle (instrument decrements after
 	// the response is written), then a fresh request must be admitted.
+	deadline := time.Now().Add(5 * time.Second)
 	for srv.metrics.inFlight.Value() > 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("in-flight gauge stuck at %v", srv.metrics.inFlight.Value())
@@ -187,14 +179,5 @@ func TestShedInflight(t *testing.T) {
 	}
 	if st := getShedStats(t, ts.URL); st.Shed.ShedTotal != 1 {
 		t.Errorf("stats shed_total = %d, want 1", st.Shed.ShedTotal)
-	}
-}
-
-// TestStatsDefaultBatchMode pins the new default: an empty Config.BatchMode
-// resolves to continuous and /stats says so.
-func TestStatsDefaultBatchMode(t *testing.T) {
-	_, ts, _ := newShedServer(t, testConfig())
-	if st := getShedStats(t, ts.URL); st.BatchMode != "continuous" {
-		t.Errorf("stats batch_mode = %q, want continuous", st.BatchMode)
 	}
 }
