@@ -95,12 +95,10 @@ type ProbeUpdate struct {
 	Vec []float64 // the vector for OpAdd/OpUpdate (copied on apply)
 }
 
-// CheckVector is the vector half of a batch's validation, for op i of its
-// batch against an index of dimension r: an add or a rewrite carries r
-// coordinates that pass checkProbe. Apply runs it on every op; a serving
-// layer that plans a batch before any index sees it runs the same check
-// there.
-func (up ProbeUpdate) CheckVector(i, r int) error {
+// checkVector is the vector half of a batch's rules, for op i of its batch
+// against an index of dimension r: an add or a rewrite carries r
+// coordinates that pass checkProbe.
+func (up ProbeUpdate) checkVector(i, r int) error {
 	if up.Op != OpAdd && up.Op != OpUpdate {
 		return nil
 	}
@@ -114,7 +112,7 @@ func (up ProbeUpdate) CheckVector(i, r int) error {
 }
 
 // checkProbe is the one rule every probe an index holds obeys, at build
-// (NewIndexWithIDs), on update (CheckVector) and on restore (FromState):
+// (NewIndexWithIDs), on update (checkVector) and on restore (FromState):
 // finite coordinates and a finite length, which is vecmath.Norm(v). A NaN
 // or infinite coordinate makes the length non-finite too; so does a vector
 // of finite coordinates whose squared length overflows, such as one holding
@@ -373,42 +371,87 @@ func (ix *Index) Has(id int32) bool {
 	return ok
 }
 
-// AddProbe inserts a new probe vector and returns its assigned id.
-func (ix *Index) AddProbe(vec []float64) (int32, error) {
-	ids, err := ix.Apply([]ProbeUpdate{{Op: OpAdd, ID: AutoID, Vec: vec}})
-	if err != nil {
-		return 0, err
+// PlanUpdates holds the rules of one mutation batch, for every layer that
+// applies one: each op is checked in order, against the batch's own effect
+// so far over live — the caller's liveness test for the state before the
+// batch — and an AutoID add takes the next id from nextID on. An add needs a
+// valid id that is not live, a remove or a rewrite a live one, and an add or
+// a rewrite r finite coordinates (checkVector); the first op that fails is
+// the error, under its index in the batch, and net is never called. Once
+// every op passes, net receives the batch's net effect, one op per id the
+// batch names in the order of its first op there, carrying the id's final
+// vector: OpRemove or OpUpdate for an id live before the batch, OpAdd for
+// one live only after, and nothing for an id live at neither end (an add
+// then a remove). PlanUpdates returns each op's id (the assigned one for an
+// AutoID add) and the id the next AutoID add would take.
+func PlanUpdates(ups []ProbeUpdate, r int, nextID int32, live func(int32) bool, net func(ProbeUpdate)) ([]int32, int32, error) {
+	// What the batch has done so far to each id it names: whether the id
+	// was live before it and is now, and the op whose vector it carries.
+	type stage struct {
+		op        int
+		was, live bool
 	}
-	return ids[0], nil
+	staged := make(map[int32]stage, len(ups))
+	ids := make([]int32, len(ups))
+	for i, up := range ups {
+		if err := up.checkVector(i, r); err != nil {
+			return nil, 0, err
+		}
+		id := up.ID
+		if up.Op == OpAdd && id == AutoID {
+			if id = nextID; id > MaxProbeID {
+				return nil, 0, fmt.Errorf("core: update %d: probe id space exhausted", i)
+			}
+		} else if up.Op == OpAdd && (id < 0 || id > MaxProbeID) {
+			return nil, 0, fmt.Errorf("core: update %d: invalid probe id %d", i, id)
+		}
+		s, seen := staged[id]
+		if !seen && id < nextID { // ids at or past nextID were never used
+			s.was = live(id)
+			s.live = s.was
+		}
+		switch up.Op {
+		case OpAdd:
+			if s.live {
+				return nil, 0, fmt.Errorf("core: update %d: probe id %d is already live", i, id)
+			}
+			nextID = max(nextID, id+1)
+		case OpRemove, OpUpdate:
+			if !s.live {
+				return nil, 0, fmt.Errorf("core: update %d: probe id %d is not live", i, id)
+			}
+		default:
+			return nil, 0, fmt.Errorf("core: update %d: unknown op %d", i, int(up.Op))
+		}
+		s.op, s.live = i, up.Op != OpRemove
+		staged[id] = s
+		ids[i] = id
+	}
+	for _, id := range ids {
+		s, ok := staged[id]
+		if !ok {
+			continue // its net op is out
+		}
+		delete(staged, id)
+		switch {
+		case s.live && s.was:
+			net(ProbeUpdate{Op: OpUpdate, ID: id, Vec: ups[s.op].Vec})
+		case s.live:
+			net(ProbeUpdate{Op: OpAdd, ID: id, Vec: ups[s.op].Vec})
+		case s.was:
+			net(ProbeUpdate{Op: OpRemove, ID: id})
+		}
+	}
+	return ids, nextID, nil
 }
 
-// AddProbeWithID inserts a new probe vector under the caller's id, which
-// must not be live.
-func (ix *Index) AddProbeWithID(id int32, vec []float64) error {
-	_, err := ix.Apply([]ProbeUpdate{{Op: OpAdd, ID: id, Vec: vec}})
-	return err
-}
-
-// RemoveProbe deletes the live probe with the given id.
-func (ix *Index) RemoveProbe(id int32) error {
-	_, err := ix.Apply([]ProbeUpdate{{Op: OpRemove, ID: id}})
-	return err
-}
-
-// UpdateProbe replaces the vector of the live probe with the given id.
-func (ix *Index) UpdateProbe(id int32, vec []float64) error {
-	_, err := ix.Apply([]ProbeUpdate{{Op: OpUpdate, ID: id, Vec: vec}})
-	return err
-}
-
-// Apply performs a batch of probe mutations atomically: ops are validated
-// and simulated in order against the batch's own effects over the untouched
-// index, which changes only if every op succeeds. On success each live entry
-// the batch removes or rewrites becomes a tombstone, the vectors it leaves
-// live become a new run — merged with older runs by the rule in the header
-// — the scan order is rebuilt and the epoch incremented once. The returned
-// slice holds, for each op, the affected external id (the assigned id for
-// AutoID adds).
+// Apply performs a batch of probe mutations atomically: PlanUpdates checks
+// the batch against the untouched index, which changes only if every op
+// passes. On success each live entry the batch removes or rewrites becomes a
+// tombstone, the vectors it leaves live become a new run — merged with
+// older runs by the rule in the header — the scan order is rebuilt and the
+// epoch incremented once. The returned slice holds, for each op, the
+// affected external id (the assigned id for AutoID adds).
 //
 // Apply is exclusive with everything else on this Index; serving layers
 // that must keep answering while updates land use WithUpdates and swap the
@@ -417,64 +460,15 @@ func (ix *Index) Apply(ups []ProbeUpdate) ([]int32, error) {
 	if len(ups) == 0 {
 		return nil, nil
 	}
-	// What the batch has done so far to each id it names: the op whose
-	// vector the id now carries, or -1 once removed.
-	staged := make(map[int32]int, len(ups))
-	nextID := ix.nextID
-	live := func(id int32) bool {
-		if op, ok := staged[id]; ok {
-			return op >= 0
-		}
-		_, _, _, ok := ix.find(id)
-		return ok
-	}
-
-	ids := make([]int32, len(ups))
-	for i, up := range ups {
-		if err := up.CheckVector(i, ix.r); err != nil {
-			return nil, err
-		}
-		switch up.Op {
-		case OpAdd:
-			id := up.ID
-			if id == AutoID {
-				id = nextID
-				if id > MaxProbeID {
-					return nil, fmt.Errorf("core: update %d: probe id space exhausted", i)
-				}
-			} else if id < 0 || id > MaxProbeID {
-				return nil, fmt.Errorf("core: update %d: invalid probe id %d", i, id)
-			}
-			if live(id) {
-				return nil, fmt.Errorf("core: update %d: probe id %d is already live", i, id)
-			}
-			staged[id] = i
-			if id >= nextID {
-				nextID = id + 1
-			}
-			ids[i] = id
-		case OpRemove, OpUpdate:
-			if !live(up.ID) {
-				return nil, fmt.Errorf("core: update %d: probe id %d is not live", i, up.ID)
-			}
-			staged[up.ID] = i
-			if up.Op == OpRemove {
-				staged[up.ID] = -1
-			}
-			ids[i] = up.ID
-		default:
-			return nil, fmt.Errorf("core: update %d: unknown op %d", i, int(up.Op))
-		}
-	}
-
-	// Commit. Every id the batch names loses the live entry it had, to a
-	// tombstone set in a private copy of its bucket's bitset, and enters the
-	// new run if the batch leaves it live.
+	// Commit the net effect. Every id live before the batch loses its live
+	// entry, to a tombstone set in a private copy of its bucket's bitset,
+	// and every id the batch leaves live enters the new run.
 	dead, segs := ix.dead, slices.Clone(ix.segs)
 	copied := false // dead is the batch's own slice
 	var batch []liveVec
-	for id, op := range staged {
-		if seg, bi, lid, ok := ix.find(id); ok {
+	ids, nextID, err := PlanUpdates(ups, ix.r, ix.nextID, ix.Has, func(up ProbeUpdate) {
+		if up.Op != OpAdd {
+			seg, bi, lid, _ := ix.find(up.ID)
 			segs[seg].live--
 			if !copied {
 				dead, copied = make([]tombs, len(ix.scan)), true
@@ -489,9 +483,12 @@ func (ix *Index) Apply(ups []ProbeUpdate) ([]int32, error) {
 			t.bits[lid>>6] |= 1 << (uint(lid) & 63)
 			t.n++
 		}
-		if op >= 0 {
-			batch = append(batch, liveVec{id, ups[op].Vec})
+		if up.Op != OpRemove {
+			batch = append(batch, liveVec{up.ID, up.Vec})
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// The oldest run that is half dead, or holds less than twice the live

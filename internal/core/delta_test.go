@@ -575,35 +575,35 @@ func TestUpdateSequenceSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := ix.AddProbe(randVec(rng, 3))
+	ids, err := ix.Apply([]ProbeUpdate{{Op: OpAdd, ID: AutoID, Vec: randVec(rng, 3)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != 10 {
+	if id := ids[0]; id != 10 {
 		t.Fatalf("first auto id %d, want 10", id)
 	}
-	if err := ix.RemoveProbe(3); err != nil {
+	if _, err := ix.Apply([]ProbeUpdate{{Op: OpRemove, ID: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.RemoveProbe(3); err == nil {
+	if _, err := ix.Apply([]ProbeUpdate{{Op: OpRemove, ID: 3}}); err == nil {
 		t.Fatal("double remove accepted")
 	}
 	if ix.Has(3) {
 		t.Fatal("Has(3) after its removal")
 	}
 	// Re-adding a removed base id is allowed and revives the id.
-	if err := ix.AddProbeWithID(3, randVec(rng, 3)); err != nil {
+	if _, err := ix.Apply([]ProbeUpdate{{Op: OpAdd, ID: 3, Vec: randVec(rng, 3)}}); err != nil {
 		t.Fatalf("re-add of removed id: %v", err)
 	}
 	if !ix.Has(3) {
 		t.Fatal("!Has(3) after its revival")
 	}
-	if err := ix.UpdateProbe(id, randVec(rng, 3)); err != nil {
+	if _, err := ix.Apply([]ProbeUpdate{{Op: OpUpdate, ID: ids[0], Vec: randVec(rng, 3)}}); err != nil {
 		t.Fatalf("update of added probe: %v", err)
 	}
 	// One batch may add and then remove the same id.
 	v := randVec(rng, 3)
-	ids, err := ix.Apply([]ProbeUpdate{
+	ids, err = ix.Apply([]ProbeUpdate{
 		{Op: OpAdd, ID: AutoID, Vec: v},
 		{Op: OpRemove, ID: 11},
 	})
@@ -727,7 +727,7 @@ func TestEmptyAfterRemoveAll(t *testing.T) {
 		t.Fatalf("empty index emitted %d entries", len(ents))
 	}
 	ix.Compact()
-	if _, err := ix.AddProbe(randVec(rng, 4)); err != nil {
+	if _, err := ix.Apply([]ProbeUpdate{{Op: OpAdd, ID: AutoID, Vec: randVec(rng, 4)}}); err != nil {
 		t.Fatalf("refill after empty compact: %v", err)
 	}
 	if ix.LiveN() != 1 {
@@ -747,13 +747,13 @@ func TestProbeIDOverflowRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.AddProbeWithID(math.MaxInt32, randVec(rng, 3)); err == nil {
+	if _, err := ix.Apply([]ProbeUpdate{{Op: OpAdd, ID: math.MaxInt32, Vec: randVec(rng, 3)}}); err == nil {
 		t.Fatal("id MaxInt32 accepted")
 	}
-	if err := ix.AddProbeWithID(MaxProbeID, randVec(rng, 3)); err != nil {
+	if _, err := ix.Apply([]ProbeUpdate{{Op: OpAdd, ID: MaxProbeID, Vec: randVec(rng, 3)}}); err != nil {
 		t.Fatalf("id MaxProbeID rejected: %v", err)
 	}
-	if _, err := ix.AddProbe(randVec(rng, 3)); err == nil {
+	if _, err := ix.Apply([]ProbeUpdate{{Op: OpAdd, ID: AutoID, Vec: randVec(rng, 3)}}); err == nil {
 		t.Fatal("AutoID add beyond MaxProbeID accepted")
 	}
 	for _, id := range ix.LiveIDs() {

@@ -336,7 +336,7 @@ func TestTuningCacheInvalidatedByMutation(t *testing.T) {
 	if _, _, err := ix.Retrieve(context.Background(), q, Problem{K: 5}, nil, ro); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.AddProbe(q.Vec(0)); err != nil {
+	if _, err := ix.Apply([]ProbeUpdate{{Op: OpAdd, ID: AutoID, Vec: q.Vec(0)}}); err != nil {
 		t.Fatal(err)
 	}
 	_, st, err := ix.Retrieve(context.Background(), q, Problem{K: 5}, nil, ro)

@@ -200,7 +200,7 @@ func TestTopKTilesMatchPerRowLoop(t *testing.T) {
 	t.Run("prefix flag set, one tombstone inside the prefix", func(t *testing.T) {
 		ix, q := tileFixture(t, AlgL, false, false)
 		b := ix.scan[0]
-		if err := ix.RemoveProbe(b.ids[1]); err != nil {
+		if _, err := ix.Apply([]ProbeUpdate{{Op: OpRemove, ID: b.ids[1]}}); err != nil {
 			t.Fatal(err)
 		}
 		qdir := make([]float64, ix.r)

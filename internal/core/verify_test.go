@@ -30,7 +30,7 @@ func TestBlockedVerifyBitIdenticalToScalar(t *testing.T) {
 			for d := 0; d < 1+rng.Intn(3); d++ {
 				id := int32(rng.Intn(n))
 				if _, _, _, live := ix.find(id); live {
-					if err := ix.RemoveProbe(id); err != nil {
+					if _, err := ix.Apply([]ProbeUpdate{{Op: OpRemove, ID: id}}); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -188,7 +188,7 @@ func TestClusterPlacedDifferential(t *testing.T) {
 						live = append(live, res.IDs[i])
 					}
 				}
-				if _, err := ref.ApplyUpdates(refOps); err != nil {
+				if ref, _, err = ref.WithUpdates(refOps); err != nil {
 					t.Fatalf("seq %d round %d: reference update: %v", seq, round, err)
 				}
 			}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"lemp"
+	"lemp/internal/core"
 	"lemp/internal/obs"
 	"lemp/internal/vecmath"
 )
@@ -565,15 +566,18 @@ type UpdateResult struct {
 	LiveN int     // live probes after the batch
 }
 
-// Update applies a batch of probe mutations atomically across all shards:
-// ops are routed to their owning shard (adds go to the shard with the least
-// estimated scan cost), each affected shard derives a new index
-// copy-on-write, and all new indexes are swapped in under a single epoch
-// increment — a query View taken before the swap sees none of the batch,
-// one taken after sees all of it. Every op is validated while the batch is
-// planned (unknown or duplicate id, dimension mismatch, non-finite
-// coordinate, each reported under the op's index in the batch), before any
-// shard derives anything: a rejected batch changes and counts nothing.
+// Update applies a batch of probe mutations atomically across all shards.
+// core.PlanUpdates checks every op (unknown or duplicate id, dimension
+// mismatch, non-finite coordinate, each reported under the op's index in the
+// batch) before any shard derives anything, so a rejected batch changes and
+// counts nothing. Update routes the batch's net effect: an id live before
+// the batch goes to the shard whose index holds it, and each new id, in op
+// order, to the shard with the least estimated scan cost. Each affected
+// shard derives a new index copy-on-write, and all new indexes are swapped
+// in under a single epoch increment — a query View taken before the swap
+// sees none of the batch, one taken after sees all of it. Every accepted
+// batch advances the epoch and consumes its AutoIDs, even one whose net
+// effect touches no shard (an add, then a remove of the same id).
 //
 // compactThreshold bounds per-shard delta mass: after applying the batch,
 // any shard whose DeltaMass exceeds it is re-bucketized before the swap
@@ -584,22 +588,16 @@ func (s *Sharded) Update(ups []lemp.ProbeUpdate, compactThreshold float64) (Upda
 	s.updMu.Lock()
 	defer s.updMu.Unlock()
 
-	// Plan: route every op to a shard, tracking in-batch liveness changes
-	// in an overlay so ops within the batch compose (add then remove of
-	// the same id is legal). Past the overlay, the shard holding an id is
-	// the one whose index has it live: ids are unique across shards.
+	// The shard holding an id is the one whose index has it live: ids are
+	// unique across shards.
 	cur := s.Indexes()
-	overlay := make(map[int32]int) // id → shard, or -1 when removed in-batch
-	route := func(id int32) (int, bool) {
-		if sh, ok := overlay[id]; ok {
-			return sh, sh >= 0
-		}
+	holder := func(id int32) int {
 		for i, ix := range cur {
 			if ix.Has(id) {
-				return i, true
+				return i
 			}
 		}
-		return 0, false
+		return -1
 	}
 	// Every add goes to the shard with the least estimated scan cost, under
 	// every placement: the fan-out waits on its slowest shard, and
@@ -609,56 +607,23 @@ func (s *Sharded) Update(ups []lemp.ProbeUpdate, compactThreshold float64) (Upda
 	baseCosts := s.costs
 	s.mu.RUnlock()
 	addCost := make([]float64, len(cur))
-	placeAdd := func(vec []float64) int {
-		best := 0
-		for i := 1; i < len(baseCosts); i++ {
-			if baseCosts[i]+addCost[i] < baseCosts[best]+addCost[best] {
-				best = i
-			}
-		}
-		addCost[best] += vecmath.Norm(vec)
-		return best
-	}
 	perShard := make([][]lemp.ProbeUpdate, len(cur))
-	nextID := s.nextID
-	ids := make([]int32, len(ups))
-	for i, up := range ups {
-		if err := up.CheckVector(i, s.r); err != nil {
-			return UpdateResult{}, err
-		}
-		switch up.Op {
-		case lemp.OpAdd:
-			id := up.ID
-			if id == lemp.AutoID { // never live: ids at or past nextID were never used
-				id = nextID
-				if id > lemp.MaxProbeID {
-					return UpdateResult{}, fmt.Errorf("server: update %d: probe id space exhausted", i)
+	ids, nextID, err := core.PlanUpdates(ups, s.r, s.nextID, func(id int32) bool { return holder(id) >= 0 }, func(up lemp.ProbeUpdate) {
+		sh := 0
+		if up.Op != lemp.OpAdd {
+			sh = holder(up.ID)
+		} else {
+			for i := 1; i < len(baseCosts); i++ {
+				if baseCosts[i]+addCost[i] < baseCosts[sh]+addCost[sh] {
+					sh = i
 				}
-			} else if id < 0 || id > lemp.MaxProbeID {
-				return UpdateResult{}, fmt.Errorf("server: update %d: invalid probe id %d", i, id)
-			} else if _, live := route(id); live {
-				return UpdateResult{}, fmt.Errorf("server: update %d: probe id %d is already live", i, id)
 			}
-			if id >= nextID {
-				nextID = id + 1
-			}
-			sh := placeAdd(up.Vec)
-			perShard[sh] = append(perShard[sh], lemp.ProbeUpdate{Op: lemp.OpAdd, ID: id, Vec: up.Vec})
-			overlay[id] = sh
-			ids[i] = id
-		case lemp.OpRemove, lemp.OpUpdate:
-			sh, live := route(up.ID)
-			if !live {
-				return UpdateResult{}, fmt.Errorf("server: update %d: probe id %d is not live", i, up.ID)
-			}
-			perShard[sh] = append(perShard[sh], up)
-			if up.Op == lemp.OpRemove {
-				overlay[up.ID] = -1
-			}
-			ids[i] = up.ID
-		default:
-			return UpdateResult{}, fmt.Errorf("server: update %d: unknown op %d", i, int(up.Op))
+			addCost[sh] += vecmath.Norm(up.Vec)
 		}
+		perShard[sh] = append(perShard[sh], up)
+	})
+	if err != nil {
+		return UpdateResult{}, err
 	}
 
 	// Derive the new index versions copy-on-write. Nothing is visible yet;
@@ -707,9 +672,11 @@ func (s *Sharded) Update(ups []lemp.ProbeUpdate, compactThreshold float64) (Upda
 			s.n += newIxs[i].N()
 		}
 		s.shards = newIxs
+		s.costs = newCosts
+	}
+	if len(ups) > 0 { // an empty batch is no batch, as for Index.Apply
 		s.epoch++
 		s.nextID = nextID
-		s.costs = newCosts
 	}
 	res := UpdateResult{Epoch: s.epoch, IDs: ids, LiveN: s.n}
 	s.mu.Unlock()

@@ -18,14 +18,18 @@ import (
 //	    {"op": "update", "id": 2, "vector": [...]}
 //	]}
 //
-// The whole batch validates before anything is applied: an unknown or
-// duplicate id, a dimension mismatch, a non-finite coordinate, an unknown
-// op, an empty batch or an oversized one (Config.MaxUpdateOps) returns
-// 400 and leaves the probe set and the epoch exactly as they were. On
-// success the response reports the new epoch, the live probe count, and the
-// per-op ids (assigned ids for adds without one).
+// The whole batch validates before anything is applied. validate refuses
+// what the wire form alone decides (an empty or oversized batch, past
+// Config.MaxUpdateOps; an unknown op; a missing or negative id; a remove
+// with a vector), and Sharded.Update the rest, by the library's rules
+// (core.PlanUpdates: an id already or not live, an id past MaxProbeID, a
+// dimension mismatch, a non-finite coordinate). Either returns 400 and
+// leaves the probe set and the epoch exactly as they were. On success the
+// response reports the new epoch, the live probe count, and the per-op ids
+// (assigned ids for adds without one).
 //
-// Consistency model: every applied batch advances the epoch by one.
+// Consistency model: every applied batch advances the epoch by one, even
+// one whose net effect leaves every shard as it was.
 // Queries are pinned to the epoch snapshot taken at admission — responses
 // never mix pre- and post-update vectors, and requests coalesce only with
 // others admitted at the same epoch.

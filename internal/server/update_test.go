@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"net/http"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"lemp"
+	"lemp/internal/vecmath"
 )
 
 // epochProbe builds an n-probe matrix whose vectors live in the positive
@@ -632,11 +634,12 @@ func TestReshardPreservesMutatedIDs(t *testing.T) {
 	}
 	marker := make([]float64, r)
 	marker[0] = 5
-	if _, err := ix.ApplyUpdates([]lemp.ProbeUpdate{
+	ix, _, err = ix.WithUpdates([]lemp.ProbeUpdate{
 		{Op: lemp.OpRemove, ID: 3},
 		{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: marker}, // id n
 		{Op: lemp.OpUpdate, ID: 9, Vec: marker},
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -767,5 +770,238 @@ func TestReplaceOnLoadKeepsAutoIDsFresh(t *testing.T) {
 	}
 	if res.IDs[0] != n {
 		t.Fatalf("AutoID add after the re-placing restore got id %d, want the never-used %d", res.IDs[0], n)
+	}
+}
+
+// octantProbe is epochProbe with lengths spread over [0.5, 2): inner
+// products with positive-octant queries stay positive and tie-free, and the
+// probes fill more than one length bucket.
+func octantProbe(rng *rand.Rand, r, n int) *lemp.Matrix {
+	p := epochProbe(rng, r, n)
+	for i := range n {
+		vecmath.Scale(p.Vec(i), p.Vec(i), 0.5+1.5*rng.Float64())
+	}
+	return p
+}
+
+// catalogMatrix lays a catalog out as internal/naive reads it: column col
+// holds the vector of ids[col], ids ascending.
+func catalogMatrix(r int, cat map[int32][]float64) (*lemp.Matrix, []int32) {
+	ids := slices.Sorted(maps.Keys(cat))
+	p := lemp.NewMatrix(r, len(ids))
+	for col, id := range ids {
+		copy(p.Vec(col), cat[id])
+	}
+	return p, ids
+}
+
+// TestUpdateBatchInvariants: the rules of one batch hold through the shard
+// set whatever the batch's net effect. An accepted batch whose net effect is
+// empty (an AutoID add, then the remove of that id) still advances the epoch
+// by one and consumes its id; a live id removed and re-added in one batch is
+// live once, with the new vector; a new id added and then updated is live
+// with the final vector. After each batch the shards hold exactly the
+// expected catalog, cat, and answer as internal/naive does over it.
+func TestUpdateBatchInvariants(t *testing.T) {
+	for _, kind := range []Placement{PlaceRange, PlaceCluster} {
+		rng := rand.New(rand.NewSource(71))
+		const r, n = 4, 40
+		p := octantProbe(rng, r, n)
+		sh, err := NewShardedPlaced(p.Clone(), nil, 3, lemp.Options{Parallelism: 1}, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat := make(map[int32][]float64, n)
+		for i := range n {
+			cat[int32(i)] = p.Vec(i)
+		}
+		q := octantProbe(rng, r, 6)
+		vec := func() []float64 { return octantProbe(rng, r, 1).Vec(0) }
+		apply := func(step string, ups []lemp.ProbeUpdate, wantIDs ...int32) {
+			t.Helper()
+			step = fmt.Sprintf("%s: %s", kind, step)
+			epoch := sh.Epoch()
+			res, err := sh.Update(ups, -1)
+			if err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+			if res.Epoch != epoch+1 || sh.Epoch() != epoch+1 {
+				t.Fatalf("%s: epoch %d → %d (reported %d), want +1", step, epoch, sh.Epoch(), res.Epoch)
+			}
+			if !slices.Equal(res.IDs, wantIDs) {
+				t.Fatalf("%s: ids %v, want %v", step, res.IDs, wantIDs)
+			}
+			gotP, gotIDs := liveSet(sh)
+			if res.LiveN != len(cat) || len(gotIDs) != len(cat) {
+				t.Fatalf("%s: %d live probes (reported %d), want %d", step, len(gotIDs), res.LiveN, len(cat))
+			}
+			for col, id := range gotIDs {
+				if want, ok := cat[id]; !ok || !slices.Equal(gotP.Vec(col), want) {
+					t.Fatalf("%s: live probe %d holds %v, want %v (live %v)", step, id, gotP.Vec(col), want, ok)
+				}
+			}
+			wantP, ids := catalogMatrix(r, cat)
+			answersLikeNaive(t, step, sh, wantP, ids, q)
+		}
+
+		apply("add then remove", []lemp.ProbeUpdate{
+			{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: vec()},
+			{Op: lemp.OpRemove, ID: n},
+		}, n, n)
+		v := vec()
+		cat[n+1] = v
+		apply("the next AutoID add", []lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: v}}, n+1)
+
+		v = vec()
+		cat[5] = v
+		apply("remove then re-add", []lemp.ProbeUpdate{
+			{Op: lemp.OpRemove, ID: 5},
+			{Op: lemp.OpAdd, ID: 5, Vec: v},
+		}, 5, 5)
+
+		v = vec()
+		cat[1000] = v
+		apply("add then update", []lemp.ProbeUpdate{
+			{Op: lemp.OpAdd, ID: 1000, Vec: vec()},
+			{Op: lemp.OpUpdate, ID: 1000, Vec: v},
+		}, 1000, 1000)
+	}
+}
+
+// shardedBatch draws one random mutation batch against a catalog whose live
+// ids are live and whose next AutoID is next: AutoID and explicit-id adds,
+// removes and rewrites of live, dead and never-used ids, ops on ids the
+// batch already named, and now and then an invalid op — an id below 0 or
+// past MaxProbeID, a short vector, an unknown op. Until the id space is
+// exhausted, a late batch opens with an add at MaxProbeID, which exhausts it.
+func shardedBatch(rng *rand.Rand, r int, live []int32, next int32, late bool) []lemp.ProbeUpdate {
+	var named []int32
+	pick := func() int32 {
+		switch roll := rng.Intn(6); {
+		case roll < 2 && len(named) > 0:
+			return named[rng.Intn(len(named))]
+		case roll < 5 && len(live) > 0:
+			return live[rng.Intn(len(live))]
+		}
+		return rng.Int31n(int32(2*len(live) + 8))
+	}
+	vec := func() []float64 {
+		if rng.Intn(30) == 0 {
+			return octantProbe(rng, r-1, 1).Vec(0)
+		}
+		return octantProbe(rng, r, 1).Vec(0)
+	}
+	ups := make([]lemp.ProbeUpdate, 1+rng.Intn(5))
+	for i := range ups {
+		up := &ups[i]
+		roll := rng.Intn(40)
+		if i == 0 && late && next <= lemp.MaxProbeID {
+			roll = 40
+		}
+		switch {
+		case roll < 12:
+			*up = lemp.ProbeUpdate{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: vec()}
+			named = append(named, next)
+			if next <= lemp.MaxProbeID {
+				next++
+			}
+		case roll < 18:
+			*up = lemp.ProbeUpdate{Op: lemp.OpAdd, ID: pick(), Vec: vec()}
+		case roll < 28:
+			*up = lemp.ProbeUpdate{Op: lemp.OpRemove, ID: pick()}
+		case roll < 38:
+			*up = lemp.ProbeUpdate{Op: lemp.OpUpdate, ID: pick(), Vec: vec()}
+		case roll == 38:
+			bad := []int32{-3, lemp.MaxProbeID + 1}[rng.Intn(2)]
+			*up = lemp.ProbeUpdate{Op: lemp.UpdateOp(rng.Intn(3)), ID: bad, Vec: vec()}
+		case roll == 39:
+			*up = lemp.ProbeUpdate{Op: lemp.UpdateOp(3 + rng.Intn(5)), ID: pick()}
+		default:
+			*up = lemp.ProbeUpdate{Op: lemp.OpAdd, ID: lemp.MaxProbeID, Vec: vec()}
+		}
+		if up.Op == lemp.OpRemove {
+			up.Vec = nil
+		}
+		if up.ID != lemp.AutoID {
+			named = append(named, up.ID)
+		}
+	}
+	return ups
+}
+
+// TestShardedUpdatesMatchIndex is the differential harness between the two
+// entry points that apply update batches: the same random batch sequence,
+// valid and invalid ops mixed, goes to a shard set under each placement and
+// shard count and to one unsharded index over the same catalog. Both must
+// accept or refuse each batch alike (a refusal with the same error), report
+// the same per-op ids, and agree on the epoch, the next AutoID and the live
+// ids; after every accepted batch the shard set answers as internal/naive
+// does over the index's live probes, and its Row-Top-k as the index's.
+func TestShardedUpdatesMatchIndex(t *testing.T) {
+	batches := 200
+	if testing.Short() {
+		batches = 40
+	}
+	for _, kind := range []Placement{PlaceRange, PlaceCluster} {
+		for shards := 1; shards <= 3; shards++ {
+			name := fmt.Sprintf("%s/%d", kind, shards)
+			rng := rand.New(rand.NewSource(int64(83 + shards)))
+			const r, n = 5, 36
+			p := octantProbe(rng, r, n)
+			opts := lemp.Options{Parallelism: 1, MinBucketSize: 4}
+			sh, err := NewShardedPlaced(p.Clone(), nil, shards, opts, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := lemp.New(p.Clone(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := octantProbe(rng, r, 4)
+			accepted := 0
+			for b := range batches {
+				ups := shardedBatch(rng, r, ix.LiveIDs(), ix.NextID(), b >= batches-10)
+				step := fmt.Sprintf("%s batch %d %v", name, b, ups)
+				res, errS := sh.Update(ups, 0.5)
+				nix, ids, errI := ix.WithUpdates(ups)
+				if (errS == nil) != (errI == nil) || errS != nil && errS.Error() != errI.Error() {
+					t.Fatalf("%s: sharded error %v, index error %v", step, errS, errI)
+				}
+				if errI == nil {
+					accepted++
+					ix = nix
+					if !slices.Equal(res.IDs, ids) || res.Epoch != ix.Epoch() || res.LiveN != ix.N() {
+						t.Fatalf("%s: sharded ids %v epoch %d live %d, index %v %d %d", step, res.IDs, res.Epoch, res.LiveN, ids, ix.Epoch(), ix.N())
+					}
+				}
+				var live []int32
+				for _, six := range sh.Indexes() {
+					live = append(live, six.LiveIDs()...)
+				}
+				slices.Sort(live)
+				if sh.Epoch() != ix.Epoch() || sh.nextID != ix.NextID() || !slices.Equal(live, ix.LiveIDs()) {
+					t.Fatalf("%s: sharded epoch %d next id %d live %v, index %d %d %v",
+						step, sh.Epoch(), sh.nextID, live, ix.Epoch(), ix.NextID(), ix.LiveIDs())
+				}
+				if errI != nil {
+					continue
+				}
+				lp, lids := ix.LiveProbes()
+				answersLikeNaive(t, step, sh, lp, lids, q)
+				got, _, err := sh.CurrentView().TopKCtx(context.Background(), q, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ix.Retrieve(context.Background(), q, lemp.TopK(4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareTopKValues(t, step, got, want.TopK)
+			}
+			if accepted < batches/4 || accepted == batches {
+				t.Fatalf("%s: %d of %d batches accepted; the mix must exercise both outcomes", name, accepted, batches)
+			}
+			t.Logf("%s: %d of %d batches accepted", name, accepted, batches)
+		}
 	}
 }

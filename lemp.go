@@ -78,8 +78,8 @@ func ParseAlgorithm(s string) (Algorithm, error) { return core.ParseAlgorithm(s)
 // Index is a LEMP index over a probe matrix, ready to answer Above-θ and
 // Row-Top-k queries. Build one with New. Any number of Retrieve calls may
 // run concurrently on it and on its WithUpdates relatives, WriteSnapshot
-// beside them; calls that mutate it (ApplyUpdates, Compact, the Pretune
-// methods) are exclusive with everything else on it.
+// beside them; calls that mutate it (Compact, the Pretune methods) are
+// exclusive with everything else on it.
 type Index struct {
 	inner *core.Index
 }

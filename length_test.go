@@ -68,7 +68,7 @@ func TestLengthIndexNeverTunes(t *testing.T) {
 	retrieve("Retrieve after PretuneTopK", ix)
 
 	for i := range 40 {
-		if _, err := ix.AddProbe(q.Vec(i)); err != nil {
+		if ix, _, err = ix.WithUpdates([]lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: q.Vec(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -211,7 +211,7 @@ func TestResultEpoch(t *testing.T) {
 	if res.Epoch != 0 {
 		t.Fatalf("fresh index answered at epoch %d, want 0", res.Epoch)
 	}
-	if _, err := ix.AddProbe(q.Vec(0)); err != nil {
+	if ix, _, err = ix.WithUpdates([]lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: q.Vec(0)}}); err != nil {
 		t.Fatal(err)
 	}
 	res, err = ix.Retrieve(context.Background(), q, lemp.TopK(3))
@@ -267,7 +267,7 @@ func TestSnapshotRestoredPretuneSurvivesCompact(t *testing.T) {
 
 	// Mutate enough to make Compact rebuild, then compact.
 	for i := 0; i < 10; i++ {
-		if _, err := restored.AddProbe(q.Vec(i)); err != nil {
+		if restored, _, err = restored.WithUpdates([]lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: q.Vec(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}

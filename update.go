@@ -18,10 +18,10 @@ import (
 // index answers queries identically to an index freshly built over the same
 // live probe set.
 //
-// Concurrency: a mutation call is exclusive with everything else on the
-// Index it mutates (see Index). Serving layers that must keep answering
-// queries while updates land use WithUpdates to derive a new index
-// copy-on-write and swap it in atomically; see internal/server.
+// Concurrency: a batch never changes the Index it is applied to.
+// WithUpdates derives a new index copy-on-write, so serving layers keep
+// answering queries on the old one while updates land and swap the new one
+// in atomically; see internal/server.
 
 // ProbeUpdate is one mutation of the probe set: an OpAdd, OpRemove or
 // OpUpdate addressed by external probe id.
@@ -58,43 +58,20 @@ func NewWithIDs(probe *Matrix, ids []int32, opts Options) (*Index, error) {
 	return &Index{inner: inner}, nil
 }
 
-// ApplyUpdates performs a batch of probe mutations atomically: the index
-// is untouched unless every op validates, and the epoch advances once per
-// successful batch. The returned slice holds each op's affected id (the
-// assigned id for AutoID adds). Exclusive with everything else on this
-// index.
-func (ix *Index) ApplyUpdates(ups []ProbeUpdate) ([]int32, error) {
-	return ix.inner.Apply(ups)
-}
-
-// WithUpdates derives a new index with the batch applied, leaving the
-// receiver untouched: the two share every immutable segment (copy-on-write),
-// so derivation costs only the batch's work. The receiver
-// keeps answering retrievals meanwhile, and afterwards the two serve
-// independently of each other.
+// WithUpdates derives a new index with the batch of probe mutations
+// applied, leaving the receiver untouched: the two share every immutable
+// segment (copy-on-write), so derivation costs only the batch's work. The
+// batch is atomic: it fails unless every op validates, and a non-empty one
+// leaves the derived index one epoch past the receiver. The returned slice
+// holds each op's affected id (the assigned id for AutoID adds). The
+// receiver keeps answering retrievals meanwhile, and afterwards the two
+// serve independently of each other.
 func (ix *Index) WithUpdates(ups []ProbeUpdate) (*Index, []int32, error) {
 	inner, ids, err := ix.inner.WithUpdates(ups)
 	if err != nil {
 		return nil, nil, err
 	}
 	return &Index{inner: inner}, ids, nil
-}
-
-// AddProbe inserts a new probe vector and returns its assigned id.
-func (ix *Index) AddProbe(vec []float64) (int32, error) { return ix.inner.AddProbe(vec) }
-
-// AddProbeWithID inserts a new probe vector under the caller's id, which
-// must not be live.
-func (ix *Index) AddProbeWithID(id int32, vec []float64) error {
-	return ix.inner.AddProbeWithID(id, vec)
-}
-
-// RemoveProbe deletes the live probe with the given id.
-func (ix *Index) RemoveProbe(id int32) error { return ix.inner.RemoveProbe(id) }
-
-// UpdateProbe replaces the vector of the live probe with the given id.
-func (ix *Index) UpdateProbe(id int32, vec []float64) error {
-	return ix.inner.UpdateProbe(id, vec)
 }
 
 // Epoch returns the index's mutation epoch: 0 at build, +1 per applied

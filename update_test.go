@@ -24,8 +24,9 @@ func sortTopRow(row []lemp.Entry) {
 	})
 }
 
-// mutateSmoke applies a deterministic batch of adds, removes and updates.
-func mutateSmoke(t *testing.T, ix *lemp.Index, r int) {
+// mutateSmoke derives from ix, in two batches, a deterministic mix of adds,
+// removes and updates.
+func mutateSmoke(t *testing.T, ix *lemp.Index, r int) *lemp.Index {
 	t.Helper()
 	rng := rand.New(rand.NewSource(77))
 	vec := func() []float64 {
@@ -43,15 +44,18 @@ func mutateSmoke(t *testing.T, ix *lemp.Index, r int) {
 		{Op: lemp.OpUpdate, ID: 10, Vec: vec()},
 		{Op: lemp.OpUpdate, ID: 501, Vec: vec()},
 	}
-	if _, err := ix.ApplyUpdates(ups); err != nil {
+	ix, _, err := ix.WithUpdates(ups)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.ApplyUpdates([]lemp.ProbeUpdate{
+	ix, _, err = ix.WithUpdates([]lemp.ProbeUpdate{
 		{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: vec()},
 		{Op: lemp.OpRemove, ID: 7},
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	return ix
 }
 
 // TestMutatedSnapshotRoundTrip: a snapshot of a mutated index (compacted
@@ -63,7 +67,7 @@ func TestMutatedSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutateSmoke(t, ix, p.R())
+	ix = mutateSmoke(t, ix, p.R())
 
 	var buf bytes.Buffer
 	if err := ix.WriteSnapshot(&buf); err != nil {
@@ -136,11 +140,11 @@ func TestMutatedSnapshotRoundTrip(t *testing.T) {
 
 	// The loaded index must keep mutating correctly from where the
 	// original left off.
-	id, err := loaded.AddProbe(make([]float64, p.R()))
+	loaded, ids, err := loaded.WithUpdates([]lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: make([]float64, p.R())}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != ix.NextID() {
+	if id := ids[0]; id != ix.NextID() {
 		t.Fatalf("post-load add assigned id %d, want %d", id, ix.NextID())
 	}
 	if loaded.Epoch() != ix.Epoch()+1 {
@@ -178,7 +182,8 @@ func TestUnmutatedSnapshotCarriesNoIDState(t *testing.T) {
 // from its own snapshot. One rule decides what it accepts, at build and at
 // update alike: finite coordinates and a finite length. A NaN coordinate,
 // and finite coordinates whose length overflows (1e200 squares to +Inf),
-// are refused by New, ApplyUpdates, UpdateProbe and AddProbe; coordinates
+// are refused by New and by WithUpdates as an AutoID add, an explicit-id
+// add and a rewrite; coordinates
 // as large as 1e150, whose length is finite, are accepted, and the index
 // holding them round-trips through WriteSnapshot and LoadIndex.
 func TestAcceptedProbesRoundTrip(t *testing.T) {
@@ -207,14 +212,14 @@ func TestAcceptedProbesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, vec := range bad {
-		if _, err := ix.ApplyUpdates([]lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: vec}}); err == nil {
-			t.Errorf("ApplyUpdates accepted an add with a %s", name)
+		if _, _, err := ix.WithUpdates([]lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: vec}}); err == nil {
+			t.Errorf("an AutoID add with a %s was accepted", name)
 		}
-		if err := ix.UpdateProbe(3, vec); err == nil {
-			t.Errorf("UpdateProbe accepted a %s", name)
+		if _, _, err := ix.WithUpdates([]lemp.ProbeUpdate{{Op: lemp.OpUpdate, ID: 3, Vec: vec}}); err == nil {
+			t.Errorf("an update with a %s was accepted", name)
 		}
-		if _, err := ix.AddProbe(vec); err == nil {
-			t.Errorf("AddProbe accepted a %s", name)
+		if _, _, err := ix.WithUpdates([]lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: ix.NextID(), Vec: vec}}); err == nil {
+			t.Errorf("an explicit-id add with a %s was accepted", name)
 		}
 	}
 	if ix.Epoch() != 0 {
@@ -222,7 +227,8 @@ func TestAcceptedProbesRoundTrip(t *testing.T) {
 	}
 
 	huge := []float64{1e150, -1e150, 1, 0}
-	if err := ix.UpdateProbe(5, huge); err != nil {
+	ix, _, err = ix.WithUpdates([]lemp.ProbeUpdate{{Op: lemp.OpUpdate, ID: 5, Vec: huge}})
+	if err != nil {
 		t.Fatalf("a finite-length probe was refused: %v", err)
 	}
 	big := p.Clone()
