@@ -18,11 +18,12 @@
 //	lemp-serve -p items.p -shards 4                       # serve a matrix file
 //	lemp-serve -profile Smoke -addr :9000 -batch-window 2ms
 //	lemp-serve -profile Smoke -save-snapshot idx          # build once, persist
-//	lemp-serve -snapshot idx                              # restart in O(read)
+//	lemp-serve -snapshot idx                              # restart without tuning
 //
 // Snapshots: -save-snapshot writes one LEMPIDX1 file per shard (path for a
 // single shard, path.0 … path.N-1 otherwise) after pretuning each shard, so
-// a later -snapshot startup skips bucketization and tuning entirely.
+// a later -snapshot startup skips the tuning (and, with the lists saved, their
+// builds); it bucketizes the probes again and checks the stored buckets.
 // -snapshot restores that partition, whichever placement built it. Pass
 // -shards with a different count, or -rebalance-on-load, to re-place the
 // restored live probes instead: a fresh build under -placement, ids
@@ -401,7 +402,7 @@ func loadSnapshots(path string, cfg server.Config) *server.Server {
 	if err != nil {
 		fail("restoring snapshots: %v", err)
 	}
-	msg := "restored shards from snapshots (bucketization and tuning skipped)"
+	msg := "restored shards from snapshots (buckets checked, tuning skipped)"
 	if srv.Sharded().NumShards() != len(files) || cfg.RebalanceOnLoad {
 		msg = "restored and re-partitioned shards from snapshots"
 	}

@@ -255,7 +255,7 @@ func runPanel(ctx context.Context, rj *core.Job, src QuerySource, mode Mode, lo,
 	if mode == ModeTopK {
 		rows, pst, err := rj.Run(ctx, qm, nil)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("bulk: query panel [%d,%d): %w", lo, hi, err)
 		}
 		ws.Add(pst)
 		return encodeTopKPanel(rows), nil
@@ -265,7 +265,7 @@ func runPanel(ctx context.Context, rj *core.Job, src QuerySource, mode Mode, lo,
 		rows[e.Query] = append(rows[e.Query], e)
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("bulk: query panel [%d,%d): %w", lo, hi, err)
 	}
 	ws.Add(pst)
 	return encodeAbovePanel(rows), nil

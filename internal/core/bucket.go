@@ -117,9 +117,12 @@ func bucketSpans(sortedLens []float64, shrink float64, minSize, maxSize int) [][
 // into buckets per §3.2 (boundaries from bucketSpans), and says by column
 // where each probe landed. lens holds every column's length, as
 // p.Lengths() computes it, all finite. extIDs names column col extIDs[col]
-// in the bucket id arrays; nil uses the column numbers themselves.
+// in the bucket id arrays; nil uses the column numbers themselves. Each
+// member's length and direction (its column scaled by the inverse length,
+// vecmath.Normalize's bits) are then written in catalog order, so the one
+// large read streams.
 func bucketize(p *matrix.Matrix, lens []float64, extIDs []int32, shrink float64, minSize, maxSize int) ([]*bucket, []probeLoc) {
-	n := p.N()
+	n, r := p.N(), p.R()
 	if n == 0 {
 		return nil, nil
 	}
@@ -141,9 +144,16 @@ func bucketize(p *matrix.Matrix, lens []float64, extIDs []int32, shrink float64,
 				ids[lid] = extIDs[col]
 			}
 		}
-		buckets = append(buckets, &bucket{r: p.R(), ids: ids})
+		buckets = append(buckets, &bucket{r: r, ids: ids, lb: sorted[sp[0]],
+			lens: make([]float64, len(cols)), dirs: make([]float64, len(cols)*r)})
 	}
-	fillBuckets(p, lens, buckets, loc)
+	for col, at := range loc {
+		b, l := buckets[at.bucket], lens[col]
+		b.lens[at.lid] = l
+		if l != 0 { // a zero vector has the zero direction, already in place
+			vecmath.Scale(b.dir(int(at.lid)), p.Vec(col), 1/l)
+		}
+	}
 	return buckets, loc
 }
 
@@ -182,30 +192,6 @@ func byDecreasingLength(lens []float64) []int32 {
 		src, dst = dst, src
 	}
 	return src
-}
-
-// fillBuckets derives every member's length and normalized direction into
-// buckets whose ids are set: lens[col] (p.Lengths()) and p's column col
-// scaled by its inverse, written where loc[col] says the probe sits. It
-// walks the catalog in column order, so the one large read streams; the
-// bits are vecmath.Normalize's. bucketize and FromState both fill their
-// buckets here, so a restored bucket holds the bits a freshly built one
-// does.
-func fillBuckets(p *matrix.Matrix, lens []float64, buckets []*bucket, loc []probeLoc) {
-	r := p.R()
-	for _, b := range buckets {
-		b.lens, b.dirs = make([]float64, b.size()), make([]float64, b.size()*r)
-	}
-	for col, at := range loc {
-		b, l := buckets[at.bucket], lens[col]
-		b.lens[at.lid] = l
-		if l != 0 { // a zero vector has the zero direction, already in place
-			vecmath.Scale(b.dir(int(at.lid)), p.Vec(col), 1/l)
-		}
-	}
-	for _, b := range buckets {
-		b.lb = b.lens[0]
-	}
 }
 
 // bucketBytes estimates the cache footprint of one probe vector inside a

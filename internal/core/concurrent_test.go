@@ -284,7 +284,7 @@ func TestConcurrentTuneBesideRetrievals(t *testing.T) {
 		return ix
 	}
 	tune := func(ix *Index, prob Problem) []tunedParam {
-		fit, err := ix.tune(newCall(nil, ix.opts, nil), prepareQueries(q), prob, false)
+		fit, err := ix.tune(newCall(nil, ix.opts, nil), preparedQueries(t, q), prob, false)
 		if err != nil {
 			t.Error(err)
 		}

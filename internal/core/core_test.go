@@ -88,6 +88,16 @@ func negate(m *matrix.Matrix) *matrix.Matrix {
 	return m
 }
 
+// preparedQueries is prepareQueries for a test's query sample, which obeys
+// its rule; it reports a violation with t.Error, so goroutines may call it.
+func preparedQueries(t testing.TB, q *matrix.Matrix) *querySet {
+	qs, err := prepareQueries(q)
+	if err != nil {
+		t.Error(err)
+	}
+	return qs
+}
+
 // testOptions returns options that force multiple small buckets and
 // deterministic tuning, so the framework logic is fully exercised even on
 // small instances.

@@ -97,7 +97,7 @@ type ProbeUpdate struct {
 
 // checkVector is the vector half of a batch's rules, for op i of its batch
 // against an index of dimension r: an add or a rewrite carries r
-// coordinates that pass checkProbe.
+// coordinates that pass checkFinite.
 func (up ProbeUpdate) checkVector(i, r int) error {
 	if up.Op != OpAdd && up.Op != OpUpdate {
 		return nil
@@ -105,20 +105,21 @@ func (up ProbeUpdate) checkVector(i, r int) error {
 	if len(up.Vec) != r {
 		return fmt.Errorf("core: update %d: vector dimension %d does not match index dimension %d", i, len(up.Vec), r)
 	}
-	if err := checkProbe(up.Vec, vecmath.Norm(up.Vec)); err != nil {
+	if err := checkFinite(up.Vec, vecmath.Norm(up.Vec)); err != nil {
 		return fmt.Errorf("core: update %d: %w", i, err)
 	}
 	return nil
 }
 
-// checkProbe is the one rule every probe an index holds obeys, at build
-// (NewIndexWithIDs), on update (checkVector) and on restore (FromState):
-// finite coordinates and a finite length, which is vecmath.Norm(v). A NaN
-// or infinite coordinate makes the length non-finite too; so does a vector
-// of finite coordinates whose squared length overflows, such as one holding
-// 1e200, whose length no snapshot could then restore. Only a non-finite
+// checkFinite is the one rule every vector LEMP takes obeys: each probe at
+// build (NewIndexWithIDs, which FromState runs too) and on update
+// (checkVector), each query row (prepareQueries). The vector needs finite
+// coordinates and a finite length, which is vecmath.Norm(v). A NaN or
+// infinite coordinate makes the length non-finite too; so does a vector of
+// finite coordinates whose squared length overflows, such as one holding
+// 1e200, which has no direction to bucketize or rank by. Only a non-finite
 // length needs a look at the coordinates, to name the culprit.
-func checkProbe(v []float64, length float64) error {
+func checkFinite(v []float64, length float64) error {
 	if !math.IsNaN(length) && !math.IsInf(length, 0) {
 		return nil
 	}
@@ -127,17 +128,21 @@ func checkProbe(v []float64, length float64) error {
 			return fmt.Errorf("coordinate %d is %v; coordinates must be finite", f, x)
 		}
 	}
-	return fmt.Errorf("length is %v; a probe's length must be finite", length)
+	return fmt.Errorf("length is %v; a vector's length must be finite", length)
 }
 
-// probeLengths returns every column's length (p.Lengths()) once each
-// column has passed checkProbe, or an error naming the first probe, by its
-// id in ids, that fails it.
-func probeLengths(p *matrix.Matrix, ids []int32) ([]float64, error) {
-	lens := p.Lengths()
+// finiteLengths returns every column's length (m.Lengths()) once each
+// column has passed checkFinite, or an error naming the first that fails it
+// as the kind ("probe", "query") numbered ids[col], or col when ids is nil.
+func finiteLengths(m *matrix.Matrix, kind string, ids []int32) ([]float64, error) {
+	lens := m.Lengths()
 	for col, l := range lens {
-		if err := checkProbe(p.Vec(col), l); err != nil {
-			return nil, fmt.Errorf("core: probe %d: %w", ids[col], err)
+		if err := checkFinite(m.Vec(col), l); err != nil {
+			id := int32(col)
+			if ids != nil {
+				id = ids[col]
+			}
+			return nil, fmt.Errorf("core: %s %d: %w", kind, id, err)
 		}
 	}
 	return lens, nil
@@ -604,8 +609,16 @@ func (ix *Index) pretuneDelta() {
 		return
 	}
 	start := time.Now()
-	ix.frozen, _ = ix.tune(newCall(nil, ix.opts, nil), prepareQueries(ix.tuneSample), ix.tuneProb, true) // never canceled
+	ix.refreeze(true)
 	ix.prepTime += time.Since(start)
+}
+
+// refreeze refits the frozen parameters from the retained sample, every
+// bucket's or (deltaOnly) the runs' only. The sample obeyed prepareQueries'
+// rule when Pretune or FromState kept it; the fit is never canceled.
+func (ix *Index) refreeze(deltaOnly bool) {
+	qs, _ := prepareQueries(ix.tuneSample)
+	ix.frozen, _ = ix.tune(newCall(nil, ix.opts, nil), qs, ix.tuneProb, deltaOnly)
 }
 
 // rescan rebuilds the scan order — every segment's buckets merged by
@@ -701,7 +714,7 @@ func (ix *Index) Compact() {
 	ix.prepTime += time.Since(start)
 	if ix.pretuned && ix.tuneSample != nil && ix.LiveN() > 0 && ix.opts.hasTunableParams() {
 		tuneStart := time.Now()
-		ix.frozen, _ = ix.tune(newCall(nil, ix.opts, nil), prepareQueries(ix.tuneSample), ix.tuneProb, false) // never canceled
+		ix.refreeze(false)
 		ix.prepTime += time.Since(tuneStart)
 	}
 }

@@ -149,6 +149,10 @@ func (j *Job) run(ctx context.Context, q *matrix.Matrix, sink retrieval.Sink, wo
 	if (sink == nil) != (p.K > 0) {
 		return nil, fmt.Errorf("core: Row-Top-k returns rows and takes a nil sink, Above-θ needs one (k=%d, sink set: %v)", p.K, sink != nil)
 	}
+	qs, err := prepareQueries(q)
+	if err != nil {
+		return nil, err
+	}
 	c := newCall(ctx, j.opts, j.cache)
 	c.gen = j.gen
 	*st = Stats{Queries: q.N(), Buckets: len(ix.scan), PrepTime: ix.prepTime}
@@ -156,9 +160,8 @@ func (j *Job) run(ctx context.Context, q *matrix.Matrix, sink retrieval.Sink, wo
 	if p.K > 0 {
 		out = make(retrieval.TopK, q.N())
 	}
-	qs := prepareQueries(q)
 	tuneSpan := c.startSpan("tune")
-	err := j.ensureTuned(c, qs, st)
+	err = j.ensureTuned(c, qs, st)
 	c.endSpan(tuneSpan)
 	if err != nil {
 		return nil, err

@@ -95,7 +95,7 @@ func NewIndex(p *matrix.Matrix, opts Options) (*Index, error) {
 // NewIndexWithIDs is NewIndex with caller-chosen external probe ids:
 // ids[col] names probe column col in every result and mutation. ids must be
 // unique and non-negative; nil assigns 0..n-1. Every probe must have finite
-// coordinates and a finite length (checkProbe). Shards of a partitioned
+// coordinates and a finite length (checkFinite). Shards of a partitioned
 // probe set use this to index directly in the global id space.
 func NewIndexWithIDs(p *matrix.Matrix, ids []int32, opts Options) (*Index, error) {
 	opts = opts.withDefaults()
@@ -120,7 +120,7 @@ func NewIndexWithIDs(p *matrix.Matrix, ids []int32, opts Options) (*Index, error
 		}
 	}
 	start := time.Now()
-	lens, err := probeLengths(p, ids)
+	lens, err := finiteLengths(p, "probe", ids)
 	if err != nil {
 		return nil, err
 	}

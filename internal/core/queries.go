@@ -19,7 +19,15 @@ type querySet struct {
 	dirs []float64 // normalized directions, contiguous
 }
 
-func prepareQueries(q *matrix.Matrix) *querySet {
+// prepareQueries sorts and normalizes the rows of q once every row obeys
+// the probes' rule (checkFinite): a query whose length is not finite has no
+// direction, and its products are not values a bound can prune or a heap can
+// rank, so the whole matrix is refused with an error naming the row.
+func prepareQueries(q *matrix.Matrix) (*querySet, error) {
+	lens, err := finiteLengths(q, "query", nil)
+	if err != nil {
+		return nil, err
+	}
 	m := q.N()
 	r := q.R()
 	qs := &querySet{
@@ -28,7 +36,6 @@ func prepareQueries(q *matrix.Matrix) *querySet {
 		lens: make([]float64, m),
 		dirs: make([]float64, m*r),
 	}
-	lens := q.Lengths()
 	for i := range qs.ids {
 		qs.ids[i] = int32(i)
 	}
@@ -37,7 +44,7 @@ func prepareQueries(q *matrix.Matrix) *querySet {
 		qs.lens[i] = lens[id]
 		vecmath.Normalize(qs.dir(i), q.Vec(int(id)))
 	}
-	return qs
+	return qs, nil
 }
 
 func (qs *querySet) n() int { return len(qs.ids) }

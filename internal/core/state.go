@@ -3,20 +3,21 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
+	"slices"
 	"time"
 
 	"lemp/internal/matrix"
-	"lemp/internal/quant"
 )
 
 // State is the serializable snapshot of an Index: the probe matrix, the
 // effective options, and the bucketization (§3.2) with any tuned per-bucket
 // parameters (§4.4). It is the contract between core and internal/snapshot:
-// Index.State exports it, FromState rebuilds an index from it without
-// re-running bucketization or tuning. It holds nothing FromState can derive
-// from the probe matrix: not the members' lengths and directions, not the
-// int8 screening sidecars.
+// Index.State exports it, FromState rebuilds an index from it by
+// bucketizing the probes again, requiring the stored buckets to be the ones
+// it derives, and adopting their fit and sorted lists, so a restore skips
+// only the tuning and the list builds. It holds nothing else FromState can
+// derive from the probe matrix: not the members' lengths and directions,
+// not the int8 screening sidecars.
 //
 // The slices returned by Index.State alias the index's internal storage —
 // they may be read (serialized) but must not be mutated.
@@ -116,124 +117,57 @@ func (ix *Index) Probe() *matrix.Matrix { return ix.segs[0].vecs }
 // stored per-bucket parameters instead of re-tuning on every retrieval.
 func (ix *Index) Pretuned() bool { return ix.pretuned }
 
-// FromState rebuilds an index from an exported state, skipping the
-// bucketization and tuning phases — the whole point of snapshot restore:
-// startup cost is O(read) instead of O(index). Each member's length and
-// direction are derived from its probe column in catalog order
-// (fillBuckets), one pass over the matrix like the read itself, and under
-// Options.Quantize every bucket is quantized. The state is validated
-// structurally (every invariant retrieval relies on) so a corrupt or
-// hand-edited snapshot fails loudly here instead of serving wrong results.
-// The state's slices are adopted, not copied; the caller must not reuse
-// them.
+// FromState rebuilds an index from an exported state. A restore is a
+// build: NewIndexWithIDs bucketizes the state's probes under its options and
+// ids (§3.2) — every probe obeys the build's rule, and under
+// Options.Quantize every bucket is quantized — and the state's buckets must
+// equal the derived ones, member for member, or the state is refused. What a
+// restore skips is the tuning (§4.4): the stored fit of a pretuned index is
+// adopted onto those buckets, as are the sorted lists a state carries, once
+// each is verified against the directions it indexes. So a corrupt or
+// hand-edited state fails here instead of serving wrong results. The
+// state's probe matrix and lists are adopted, not copied; the caller must
+// not reuse them.
 func FromState(st *State) (*Index, error) {
 	start := time.Now()
-	opts := st.Opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
 	if st.Probe == nil {
 		return nil, fmt.Errorf("core: state has no probe matrix")
 	}
-	r, n := st.Probe.R(), st.Probe.N()
-	ix := &Index{opts: opts, r: r, pretuned: st.Pretuned, id: indexSeq.Add(1), scratchPool: new(sync.Pool),
-		autoScreen: !opts.Quantize && quant.Accelerated(r)}
+	ix, err := NewIndexWithIDs(st.Probe, st.IDs, st.Opts)
+	if err != nil {
+		return nil, err
+	}
+	r := ix.r
 	if st.TuneSample != nil && st.Pretuned {
 		if st.TuneSample.R() != r {
 			return nil, fmt.Errorf("core: tuning sample dimension %d does not match probe dimension %d", st.TuneSample.R(), r)
 		}
 		if st.TuneSample.N() == 0 {
-			return nil, fmt.Errorf("core: retained tuning sample is empty")
+			return nil, fmt.Errorf("core: retained tuning sample holds no queries")
 		}
-		for _, x := range st.TuneSample.Data() {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return nil, fmt.Errorf("core: tuning sample holds non-finite value %v", x)
-			}
+		if _, err := prepareQueries(st.TuneSample); err != nil {
+			return nil, fmt.Errorf("core: retained tuning sample: %w", err)
 		}
 		if err := st.TuneProblem.Validate(); err != nil {
 			return nil, fmt.Errorf("core: retained tuning problem: %w", err)
 		}
 		ix.tuneSample, ix.tuneProb = st.TuneSample, st.TuneProblem
 	}
-	// Resolve the external id universe: identity (ids are column numbers)
-	// or the explicit column → id mapping, which cols inverts.
-	ids := st.IDs
-	var cols map[int32]int32 // id → column; nil = identity
-	if ids == nil {
-		ids = identityIDs(n)
-	} else {
-		if len(ids) != n {
-			return nil, fmt.Errorf("core: state has %d probe ids for %d probes", len(ids), n)
-		}
-		cols = make(map[int32]int32, n)
-		for col, id := range ids {
-			if id < 0 || id > MaxProbeID {
-				return nil, fmt.Errorf("core: probe id %d out of range [0, %d]", id, int32(MaxProbeID))
-			}
-			if _, dup := cols[id]; dup {
-				return nil, fmt.Errorf("core: probe id %d appears twice", id)
-			}
-			cols[id] = int32(col)
-		}
+	buckets := ix.segs[0].buckets
+	if len(st.Buckets) != len(buckets) {
+		return nil, fmt.Errorf("core: state has %d buckets, its probes bucketize into %d", len(st.Buckets), len(buckets))
 	}
-	buckets := make([]*bucket, len(st.Buckets))
-	frozen := make([]tunedParam, len(st.Buckets))
-	// By column: where each probe sits, and whether a bucket named it yet.
-	loc, seen := make([]probeLoc, n), make([]bool, n)
-	total := 0
-	for i, bs := range st.Buckets {
-		size := len(bs.IDs)
-		if size == 0 {
-			return nil, fmt.Errorf("core: bucket %d is empty", i)
-		}
-		total += size
-		if total > n {
-			return nil, fmt.Errorf("core: buckets hold more than %d probes", n)
-		}
-		for j, id := range bs.IDs {
-			col := int(id)
-			if cols != nil {
-				c, known := cols[id]
-				if !known {
-					return nil, fmt.Errorf("core: bucket %d id %d is not a probe id", i, id)
-				}
-				col = int(c)
-			} else if id < 0 || col >= n {
-				return nil, fmt.Errorf("core: bucket %d id %d out of range [0,%d)", i, id, n)
-			}
-			if seen[col] {
-				return nil, fmt.Errorf("core: probe id %d appears twice", id)
-			}
-			seen[col], loc[col] = true, probeLoc{int32(i), int32(j)}
+	frozen := make([]tunedParam, len(buckets))
+	var listSeen []bool // per-list permutation check scratch, sized on demand
+	for i, b := range buckets {
+		bs, size := st.Buckets[i], b.size()
+		if !slices.Equal(bs.IDs, b.ids) {
+			return nil, fmt.Errorf("core: bucket %d does not match the bucketization of the state's probes", i)
 		}
 		if bs.Tuned && (math.IsNaN(bs.TB) || bs.Phi < 1) {
 			return nil, fmt.Errorf("core: bucket %d tuned parameters invalid (tb=%v, phi=%d)", i, bs.TB, bs.Phi)
 		}
 		frozen[i] = tunedParam{tuned: bs.Tuned, tb: bs.TB, phi: bs.Phi}
-		buckets[i] = &bucket{r: r, ids: bs.IDs}
-	}
-	if total != n {
-		return nil, fmt.Errorf("core: buckets hold %d probes, probe matrix has %d", total, n)
-	}
-	// Lengths and directions are derived as bucketize derives them, once
-	// every probe obeys the rule a build enforces. The lengths must then be
-	// non-increasing across the whole bucketization, which is what catches a
-	// permuted membership.
-	lens, err := probeLengths(st.Probe, ids)
-	if err != nil {
-		return nil, err
-	}
-	fillBuckets(st.Probe, lens, buckets, loc)
-	var listSeen []bool // per-list permutation check scratch, sized on demand
-	prevLen := math.Inf(1)
-	for i, b := range buckets {
-		for j, l := range b.lens {
-			if l > prevLen {
-				return nil, fmt.Errorf("core: lengths not in decreasing order at bucket %d entry %d", i, j)
-			}
-			prevLen = l
-		}
-		bs, size := st.Buckets[i], b.size()
 		if bs.ListVals != nil || bs.ListLids != nil {
 			if len(bs.ListVals) != size*r || len(bs.ListLids) != size*r {
 				return nil, fmt.Errorf("core: bucket %d sorted-list shape mismatch: %d vals, %d lids, want %d each",
@@ -248,10 +182,8 @@ func FromState(st *State) (*Index, error) {
 			b.lists.Store(&sortedLists{n: size, vals: bs.ListVals, lids: bs.ListLids})
 		}
 	}
-	ix.attachSidecars(buckets)
-	ix.setBase(segRef{&segment{ids: ids, vecs: st.Probe, buckets: buckets, loc: loc, byID: columnsByID(ids)}, n})
 	if st.Pretuned {
-		ix.frozen = frozen // scan is the base's buckets
+		ix.pretuned, ix.frozen = true, frozen // scan is the base's buckets
 	}
 	if st.NextID > ix.nextID {
 		ix.nextID = st.NextID

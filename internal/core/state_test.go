@@ -188,6 +188,17 @@ func TestFromStateRejectsCorruptState(t *testing.T) {
 		{"NaN tb", func(st *State) { st.Buckets[0].Tuned = true; st.Buckets[0].Phi = 1; st.Buckets[0].TB = math.NaN() }},
 		{"missing probes", func(st *State) { st.Buckets = st.Buckets[:len(st.Buckets)-1] }},
 		{"bad options", func(st *State) { st.Opts.ShrinkFactor = 2 }},
+		// Memberships that keep the lengths non-increasing but that a build
+		// of these probes never produces.
+		{"bucket boundary moved by one probe", func(st *State) {
+			b0, b1 := st.Buckets[0].IDs, st.Buckets[1].IDs
+			st.Buckets[0].IDs, st.Buckets[1].IDs = b0[:len(b0)-1], append([]int32{b0[len(b0)-1]}, b1...)
+		}},
+		{"bucket split in two", func(st *State) {
+			ids := st.Buckets[0].IDs
+			st.Buckets = slices.Insert(st.Buckets, 1, BucketState{IDs: ids[len(ids)/2:]})
+			st.Buckets[0].IDs = ids[:len(ids)/2]
+		}},
 	}
 	for _, tc := range cases {
 		st := build()

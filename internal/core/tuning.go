@@ -80,9 +80,13 @@ func (ix *Index) Pretune(q *matrix.Matrix, prob Problem) error {
 	if q.N() == 0 {
 		return fmt.Errorf("core: pretuning needs at least one sample query")
 	}
+	qs, err := prepareQueries(q)
+	if err != nil {
+		return err
+	}
 	ix.frozen = nil
 	if ix.opts.hasTunableParams() && ix.LiveN() > 0 {
-		ix.frozen, _ = ix.tune(newCall(nil, ix.opts, nil), prepareQueries(q), prob, false) // never canceled
+		ix.frozen, _ = ix.tune(newCall(nil, ix.opts, nil), qs, prob, false) // never canceled
 	}
 	ix.pretuned = true
 	// Retain the sample and problem so Compact can re-freeze the fitted

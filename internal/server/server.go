@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -206,8 +207,8 @@ func NewWithIDs(probe *lemp.Matrix, ids []int32, cfg Config) (*Server, error) {
 }
 
 // NewFromSnapshot builds a server from one LEMPIDX1 snapshot per shard (in
-// shard order, as written by WriteSnapshotsWith), skipping index construction
-// entirely: startup is O(read) instead of O(index). cfg.Options contributes
+// shard order, as written by WriteSnapshotsWith). Each shard re-derives its
+// buckets and skips the tuning and the list builds (lemp.LoadIndex). cfg.Options contributes
 // only Parallelism (structure and algorithm are fixed by the snapshots).
 //
 // The snapshots' partition is kept as-is by default: one shard per snapshot.
@@ -602,7 +603,15 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, key batchKey, cb 
 		return
 	}
 	// Every coordinate is finite: JSON spells no NaN or Inf, and the decoder
-	// refuses a literal that overflows float64.
+	// refuses a literal that overflows float64. A row's length can still
+	// overflow (a row of 1e200s), and the library refuses such a query; it is
+	// refused here, alone, before it can join a batch and fail its mates.
+	for i, dim := 0, s.sharded.R(); i < req.rows; i++ {
+		if l := vecmath.Norm(req.data[i*dim : (i+1)*dim]); math.IsInf(l, 0) {
+			httpError(w, http.StatusBadRequest, "query %d: length is %v; a vector's length must be finite", i, l)
+			return
+		}
+	}
 	ctx := r.Context()
 	if s.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc

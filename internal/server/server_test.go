@@ -306,6 +306,56 @@ func TestHealthzAndStats(t *testing.T) {
 	}
 }
 
+// TestOverflowingQueryRefusedAlone checks the library's query rule at the
+// HTTP door: a row of finite coordinates whose length overflows (1e200s) is
+// a 400 naming the row on /v1/topk and /v1/above, and it is refused before
+// it joins a batch, so a batch-mate parked in the forming batch it would
+// have joined still gets its 200.
+func TestOverflowingQueryRefusedAlone(t *testing.T) {
+	cfg := testConfig()
+	cfg.BatchWindow = 10 * time.Second // only the held retrieval's completion fires the forming batch
+	srv, ts, q := newShedServer(t, cfg)
+	huge := make([]float64, q.R())
+	for f := range huge {
+		huge[f] = 1e200
+	}
+	release, first := holdFirstRequest(t, srv, ts.URL, q.Vec(0))
+	mate := make(chan int, 1)
+	go func() {
+		status, _ := postTopK(t, ts.URL, q.Vec(1), 5)
+		mate <- status
+	}()
+	awaitPending(t, srv.batcher, 1)
+	for _, tc := range []struct {
+		path, want string
+		body       any
+	}{
+		{"/v1/topk", "query 1: length is +Inf", topKRequest{Queries: [][]float64{q.Vec(2), huge}, K: 5}},
+		{"/v1/above", "query 0: length is +Inf", aboveRequest{Queries: [][]float64{huge}, Theta: 0.5}},
+	} {
+		buf, _ := json.Marshal(tc.body)
+		resp, err := http.Post(ts.URL+tc.path, "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), tc.want) {
+			t.Errorf("POST %s: status %d (%s), want a 400 naming %q", tc.path, resp.StatusCode, msg, tc.want)
+		}
+	}
+	if n := srv.batcher.PendingRows(); n != 1 {
+		t.Errorf("forming batch holds %d rows after the refusals, want the batch-mate's 1", n)
+	}
+	release()
+	if got := <-first; got != http.StatusOK {
+		t.Errorf("held request returned %d, want 200", got)
+	}
+	if got := <-mate; got != http.StatusOK {
+		t.Errorf("batch-mate returned %d, want 200", got)
+	}
+}
+
 // TestBadRequests checks input validation.
 func TestBadRequests(t *testing.T) {
 	cfg := testConfig()
@@ -410,8 +460,10 @@ func TestRequestGuards(t *testing.T) {
 		t.Fatalf("oversized body: status %d, want 413", r.StatusCode)
 	}
 
-	// A query whose inner products overflow to ±Inf cannot be encoded as
-	// JSON; the server must answer 500, not 200 with a truncated body.
+	// A query whose inner products would overflow to ±Inf has a length that
+	// overflows first: it is refused as a bad request, before retrieval,
+	// instead of failing the response encoding with a 500 (values JSON
+	// cannot spell stay an encoding error: TestAppendResultsMatchesMarshal).
 	huge := make([]float64, p.R())
 	for i := range huge {
 		huge[i] = 1e308
@@ -421,9 +473,10 @@ func TestRequestGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	msg, _ := io.ReadAll(r.Body)
 	r.Body.Close()
-	if r.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("overflowing query: status %d, want 500", r.StatusCode)
+	if r.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "query 0: length is +Inf") {
+		t.Fatalf("overflowing query: status %d (%s), want a 400 naming query 0", r.StatusCode, msg)
 	}
 }
 

@@ -206,8 +206,8 @@ func NewShardedFromIndexes(ixs []*lemp.Index) (*Sharded, error) {
 }
 
 // NewShardedFromSnapshot rebuilds a Sharded from one LEMPIDX1 snapshot per
-// shard (in shard order), skipping bucketization and tuning: startup is
-// O(read). Snapshots written by Server.WriteSnapshotsWith restore an
+// shard (in shard order) through lemp.LoadIndex, which re-derives each
+// shard's buckets and skips the tuning and the list builds. Snapshots written by Server.WriteSnapshotsWith restore an
 // identical shard layout, whatever placement built it. The shards restore
 // concurrently, each reading only its own reader; a failure names the
 // lowest failing shard.

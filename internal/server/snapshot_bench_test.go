@@ -12,9 +12,9 @@ import (
 
 // The startup benchmarks compare the two ways lemp-serve reaches a
 // ready-to-serve (pretuned) state: building from the raw matrix pays
-// bucketization plus sample-based tuning (O(index), what -save-snapshot
-// pays once), restoring pays only deserialization and validation (O(read),
-// what -snapshot pays on every restart). BenchmarkFirstBatchAfterRestore
+// bucketization plus sample-based tuning (what -save-snapshot pays once),
+// restoring pays deserialization and the bucketization it checks the stored
+// buckets against, but no tuning (what -snapshot pays on every restart). BenchmarkFirstBatchAfterRestore
 // measures the remaining post-restore cost — the lazily rebuilt per-bucket
 // sorted lists — against a lists-carrying (SLST) snapshot that skips it.
 // They run LI (benchOptions), named explicitly: under L there is no fit

@@ -1,7 +1,8 @@
-// Package snapshot serializes a LEMP index so a server can restart in
-// O(read) instead of re-paying the preprocessing of Algorithm 1 — the
-// bucketization of §3.2 and, when the index was pretuned, the sample-based
-// parameter selection of §4.4.
+// Package snapshot serializes a LEMP index so a server can restart without
+// re-paying the expensive part of its preprocessing: when the index was
+// pretuned, the sample-based parameter selection of §4.4, and the
+// sorted-list builds. The bucketization of §3.2 is stored and checked, not
+// trusted: a load bucketizes the probes again.
 //
 // The LEMPIDX1 format is a versioned, self-describing container:
 //
@@ -15,8 +16,9 @@
 //	    crc32   uint32   IEEE CRC-32 of the payload
 //
 // All integers and floats are little endian. A version-6 stream stores each
-// fact once, and nothing the loader can derive from the probe matrix, in
-// these sections, in this order:
+// fact once, in these sections, in this order. Of what the loader can derive
+// from the probe matrix it keeps only BUKT's member ids: they are the check
+// that the stored fit and lists belong to the buckets a load derives.
 //
 //	"OPTS"  the core.Options the index was built with (a fixed 85 bytes;
 //	        two slots that once held BLSH settings carry their fixed
@@ -48,13 +50,14 @@
 // bucketization with ids preserved — so every snapshot holds one
 // bucketization over the live probes.
 //
-// Derived on load: core.FromState recomputes each member's length and
-// normalized direction from its PROB column with the code bucketization
-// runs, so a restored bucket holds the bits a fresh one does. The lengths
-// must come out finite and non-increasing, which is what catches a corrupt
-// probe value or a permuted membership. A Quantize index re-quantizes its
-// int8 screening sidecars from those directions, and persisted sorted lists
-// are verified against them bit for bit, so a tampered list fails to load.
+// Derived on load: core.FromState is a build. It bucketizes the PROB
+// columns under OPTS and PIDS as core.NewIndexWithIDs does, so a restored
+// bucket holds the bits a fresh one does, and it refuses the file unless
+// BUKT names exactly the derived buckets, member for member, which is what
+// catches a corrupt probe value, a permuted membership or a moved bucket
+// boundary. A Quantize index quantizes its int8 screening sidecars as a
+// build does, and persisted sorted lists are verified against the derived
+// directions bit for bit, so a tampered list fails to load.
 //
 // OPTS names the bucket algorithm by number: 0 LI, 1 L, 2 C, 3 I, 4 LC.
 // Builds that served the paper's TA, cover-tree, L2AP and BayesLSH-Lite

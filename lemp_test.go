@@ -215,6 +215,18 @@ func TestMatrixHelpersAndLoadMatrix(t *testing.T) {
 		}
 	}
 
+	// A read error is returned; only an empty file reads as an empty matrix.
+	if _, err := lemp.LoadMatrix(dir); err == nil {
+		t.Error("LoadMatrix of a directory succeeded")
+	}
+	emptyPath := filepath.Join(dir, "empty")
+	if err := os.WriteFile(emptyPath, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := lemp.LoadMatrix(emptyPath); err != nil || got.N() != 0 {
+		t.Errorf("LoadMatrix of an empty file: %v, %v", got, err)
+	}
+
 	if _, err := lemp.MatrixFromData(2, 2, []float64{1, 2, 3}); err == nil {
 		t.Error("bad FromData accepted")
 	}

@@ -44,8 +44,11 @@ func LoadMatrix(path string) (*Matrix, error) {
 	defer f.Close()
 	var magic [8]byte
 	n, err := io.ReadFull(f, magic[:])
-	if err != nil && n == 0 {
+	switch {
+	case err == io.EOF: // an empty file is an empty matrix
 		return matrix.New(0, 0), nil
+	case err != nil && err != io.ErrUnexpectedEOF: // shorter than the magic: CSV
+		return nil, err
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -311,5 +312,72 @@ func TestSnapshotRestoredPretuneSurvivesCompact(t *testing.T) {
 	}
 	if retuned.Pretuned() {
 		t.Fatal("Retune load kept the frozen tuning state")
+	}
+}
+
+// TestQueriesObeyTheProbesRule checks that a query row whose length is not
+// finite (a NaN or infinite coordinate, or finite ones whose squared length
+// overflows) is refused as lemp.New refuses such a probe: by Retrieve for
+// both problems, by Pretune and by a bulk job, with an error naming the row.
+// The index is left as it was and answers the next call exactly.
+func TestQueriesObeyTheProbesRule(t *testing.T) {
+	ix, good := retrieveFixture(t)
+	want, _, err := rowTopK(ix, good, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, dir := context.Background(), t.TempDir()
+	for _, bad := range []struct {
+		name, err string
+		x         float64
+	}{
+		{"NaN", "query 17: coordinate 2 is NaN", math.NaN()},
+		{"+Inf", "query 17: coordinate 2 is +Inf", math.Inf(1)},
+		{"overflow", "query 17: length is +Inf", 1e200},
+	} {
+		q := good.Clone()
+		q.Vec(17)[2] = bad.x
+		if bad.name == "overflow" {
+			for f := range q.Vec(17) {
+				q.Vec(17)[f] = bad.x
+			}
+		}
+		calls := []struct {
+			name string
+			call func() error
+		}{
+			{"TopK", func() error { _, err := ix.Retrieve(ctx, q, lemp.TopK(5)); return err }},
+			{"AboveTheta", func() error {
+				_, err := ix.Retrieve(ctx, q, lemp.AboveTheta(0.5), lemp.Stream(func(lemp.Entry) {}))
+				return err
+			}},
+			{"PretuneTopK", func() error { return ix.PretuneTopK(q, 5) }},
+			{"PretuneAboveTheta", func() error { return ix.PretuneAboveTheta(q, 0.5) }},
+			{"BulkTopK", func() error {
+				// Row 17 is row 1 of the panel [16,32).
+				_, err := ix.BulkTopK(ctx, lemp.BulkQueries(q), filepath.Join(dir, "top"), 5, lemp.BulkOptions{PanelRows: 16})
+				if err != nil && !strings.Contains(err.Error(), "panel [16,32)") {
+					t.Errorf("%s BulkTopK: %v does not name the panel", bad.name, err)
+				}
+				return err
+			}},
+		}
+		for _, c := range calls {
+			err := c.call()
+			wantErr := bad.err
+			if c.name == "BulkTopK" {
+				wantErr = strings.Replace(wantErr, "query 17", "query 1", 1)
+			}
+			if err == nil || !strings.Contains(err.Error(), wantErr) {
+				t.Errorf("%s %s: err = %v, want one containing %q", bad.name, c.name, err, wantErr)
+			}
+		}
+	}
+	if ix.Pretuned() {
+		t.Error("a refused sample pretuned the index")
+	}
+	got, _, err := rowTopK(ix, good, 5)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("after the refusals: err %v, rows differ: %v", err, !reflect.DeepEqual(got, want))
 	}
 }

@@ -7,12 +7,14 @@ import (
 	"lemp/internal/snapshot"
 )
 
-// Index snapshots persist the expensive preprocessing — bucketization
-// (§3.2) and, for pretuned indexes, the sample-based parameter selection
-// (§4.4) — in the versioned LEMPIDX1 binary format, so a process can
-// restart in O(read) instead of O(index). The format embeds the probe
-// matrix and the build options and checksums every section; a corrupt or
-// truncated snapshot fails to load instead of serving wrong results.
+// Index snapshots persist an index in the versioned LEMPIDX1 binary format:
+// the probe matrix, the build options and the bucketization (§3.2), and for
+// pretuned indexes the sample-based parameter selection (§4.4), optionally
+// with the sorted lists built so far. A load bucketizes the probes again, as
+// a build does, and refuses a snapshot whose stored buckets differ from the
+// ones it derives; what it skips is the tuning and the list builds, the
+// expensive part. Every section is checksummed; a corrupt or truncated
+// snapshot fails to load instead of serving wrong results.
 
 // WriteSnapshot serializes the index (probe matrix, options, bucketization
 // and, if pretuned, the frozen fit) in the LEMPIDX1 format. It may run
@@ -74,10 +76,11 @@ const (
 	QuantOff
 )
 
-// LoadIndex reads a LEMPIDX1 snapshot and rebuilds the index without
-// re-running bucketization or tuning, so loading costs O(read). The
-// snapshot is checksum- and invariant-verified; any corruption or version
-// mismatch is an error. A loaded index answers queries identically to the
+// LoadIndex reads a LEMPIDX1 snapshot and rebuilds the index: it
+// bucketizes the probes as New does and adopts the stored fit and sorted
+// lists onto those buckets, so it skips the tuning and the list builds. The
+// snapshot is checksum-verified and its buckets must be the ones the build
+// derives; any corruption or version mismatch is an error. A loaded index answers queries identically to the
 // index that was snapshotted. The shard-placement name and direction cone
 // older builds wrote (the PLMT section) are read and discarded.
 func LoadIndex(r io.Reader, opts LoadOptions) (*Index, error) {
