@@ -120,8 +120,8 @@ func main() {
 		fmt.Fprintf(os.Stderr,
 			"queries=%d probes=%d buckets=%d results=%d candidates/query=%.1f\n"+
 				"prep=%v tune=%v retrieval=%v total=%v\n",
-			st.Queries, index.N(), st.Buckets, st.Results, st.CandidatesPerQuery(),
-			st.PrepTime, st.TuneTime, st.RetrievalTime, st.TotalTime())
+			st.Queries, index.N(), index.NumBuckets(), st.Results, st.CandidatesPerQuery(),
+			index.PrepTime(), st.TuneTime, st.RetrievalTime, index.PrepTime()+st.TuneTime+st.RetrievalTime)
 	}
 }
 

@@ -47,7 +47,7 @@ func main() {
 		st := res.Stats
 		pairs := st.ProcessedPairs + st.PrunedPairs
 		fmt.Printf("θ=%-4g %8d facts  %10v  candidates/query %7.1f  bucket prunes %4.1f%%\n",
-			theta, count, st.TotalTime().Round(1000), st.CandidatesPerQuery(),
+			theta, count, (index.PrepTime() + st.TuneTime + st.RetrievalTime).Round(1000), st.CandidatesPerQuery(),
 			100*float64(st.PrunedPairs)/float64(pairs))
 	}
 
@@ -65,7 +65,7 @@ func main() {
 	}
 	top, st := res.TopK, res.Stats
 	fmt.Printf("retrieved for %d patterns in %v (candidates/query %.1f of %d)\n",
-		st.Queries, st.TotalTime().Round(1000), st.CandidatesPerQuery(), indexT.N())
+		st.Queries, (indexT.PrepTime() + st.TuneTime + st.RetrievalTime).Round(1000), st.CandidatesPerQuery(), indexT.N())
 	fmt.Printf("example: pattern 0 -> argument pairs %d, %d, %d ...\n",
 		top[0][0].Probe, top[0][1].Probe, top[0][2].Probe)
 }

@@ -52,7 +52,7 @@ func main() {
 	}
 	top, st := res.TopK, res.Stats
 	fmt.Printf("retrieved top-%d for %d users in %v (candidates/query %.1f of %d items)\n",
-		k, st.Queries, st.TotalTime().Round(time.Millisecond), st.CandidatesPerQuery(), items)
+		k, st.Queries, (index.PrepTime() + st.TuneTime + st.RetrievalTime).Round(time.Millisecond), st.CandidatesPerQuery(), items)
 
 	fmt.Println("\nsample recommendations:")
 	for _, u := range []int{0, 1, 2} {

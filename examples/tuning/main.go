@@ -49,7 +49,7 @@ func main() {
 		}
 		st := res.Stats
 		fmt.Printf("LEMP-%-13s %12v %14.1f %10d\n",
-			name, (st.TuneTime + st.RetrievalTime).Round(1000), st.CandidatesPerQuery(), st.Buckets)
+			name, (st.TuneTime + st.RetrievalTime).Round(1000), st.CandidatesPerQuery(), index.NumBuckets())
 	}
 
 	fmt.Println("\nfixed φ vs tuned φ_b (pure INCR):")
@@ -67,7 +67,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-6s total %12v  cands/query %10.1f\n",
-			label, res.Stats.TotalTime().Round(1000), res.Stats.CandidatesPerQuery())
+			label, (index.PrepTime() + res.Stats.TuneTime + res.Stats.RetrievalTime).Round(1000), res.Stats.CandidatesPerQuery())
 	}
 
 	// A retrieval's fit belongs to that retrieval; what an index can show
@@ -106,7 +106,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %-28s %4d buckets, total %v\n", label, res.Stats.Buckets, res.Stats.TotalTime().Round(1000))
+		fmt.Printf("  %-28s %4d buckets, total %v\n", label, index.NumBuckets(), (index.PrepTime() + res.Stats.TuneTime + res.Stats.RetrievalTime).Round(1000))
 	}
 
 	// Serving-style reuse under LI (L never tunes): per-call

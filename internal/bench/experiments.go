@@ -258,7 +258,7 @@ func (r *Runner) lempPrepTime(ds *dataset) time.Duration {
 	if err != nil {
 		panic(err)
 	}
-	return st.PrepTime + st.TuneTime
+	return ix.PrepTime() + st.TuneTime
 }
 
 func (r *Runner) taPrepTime(ds *dataset) time.Duration {
@@ -382,10 +382,3 @@ func timeOf(f func()) time.Duration {
 
 // benchSink defeats dead-code elimination of timed construction work.
 var benchSink int
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

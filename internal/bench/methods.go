@@ -135,8 +135,8 @@ func (r *Runner) lemp(ds *dataset, prob core.Problem, label string, sink retriev
 	}
 	return Measurement{
 		Dataset: ds.profile.Name, Problem: label, Method: "LEMP-" + v.name,
-		Total: time.Since(start), Prep: st.PrepTime + st.TuneTime,
-		CandPerQ: st.CandidatesPerQuery(), Results: st.Results, NumBuckets: st.Buckets,
+		Total: time.Since(start), Prep: ix.PrepTime() + st.TuneTime,
+		CandPerQ: st.CandidatesPerQuery(), Results: st.Results, NumBuckets: ix.NumBuckets(),
 	}, rows
 }
 

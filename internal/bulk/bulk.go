@@ -90,8 +90,9 @@ func (cfg Config) mode() Mode {
 
 // Stats reports one bulk run.
 type Stats struct {
-	// Core aggregates the retrieval work of every panel (TuneTime and
-	// RetrievalTime are summed worker time, not wall clock).
+	// Core is the sum of every panel's retrieval work (TuneTime and
+	// RetrievalTime are summed worker time, not wall clock). The index's own
+	// state, such as its preprocessing time, is read from the index.
 	Core core.Stats
 	// Rows is the total query count of the job; Panels the panel count
 	// computed by THIS run, ResumedPanels those skipped because a

@@ -57,7 +57,7 @@ func ReadResults(path string) (*Results, error) {
 	if m > 1<<40 {
 		return nil, fmt.Errorf("bulk: implausible query count %d", m)
 	}
-	res.Rows = make(retrieval.TopK, 0, min64(m, 1<<16))
+	res.Rows = make(retrieval.TopK, 0, min(m, 1<<16))
 	var rec [12]byte
 	for q := uint64(0); q < m; q++ {
 		if _, err := io.ReadFull(br, rec[:4]); err != nil {
@@ -69,7 +69,7 @@ func ReadResults(path string) (*Results, error) {
 		}
 		var row []retrieval.Entry
 		if count > 0 {
-			row = make([]retrieval.Entry, 0, minU32(count, 1<<13))
+			row = make([]retrieval.Entry, 0, min(count, 1<<13))
 		}
 		for i := uint32(0); i < count; i++ {
 			if _, err := io.ReadFull(br, rec[:]); err != nil {
@@ -87,18 +87,4 @@ func ReadResults(path string) (*Results, error) {
 		return nil, fmt.Errorf("bulk: trailing bytes after %d rows", m)
 	}
 	return res, nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func minU32(a, b uint32) uint32 {
-	if a < b {
-		return a
-	}
-	return b
 }

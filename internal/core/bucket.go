@@ -38,8 +38,8 @@ type bucket struct {
 	// retrieval verifies never carries one — except under Options.Quantize,
 	// where attachSidecars builds it before the bucket is published. An
 	// atomic pointer because SidecarBytes and Buckets read it beside
-	// retrievals that build it. Derived state like the lists, but
-	// Stats.IndexedBuckets counts only the lists.
+	// retrievals that build it. Derived state like the lists; BucketInfo
+	// reports it as Sidecar, apart from Indexed.
 	q8Once sync.Once
 	q8     atomic.Pointer[quant.Rows]
 }
@@ -72,9 +72,6 @@ func (b *bucket) ensureSidecar() *quant.Rows {
 	b.q8Once.Do(func() { b.q8.Store(quant.QuantizeRows(b.dirs, b.r)) })
 	return b.q8.Load()
 }
-
-// indexed reports whether the sorted lists exist (for Stats).
-func (b *bucket) indexed() bool { return b.lists.Load() != nil }
 
 // lengthPrefix returns the number of leading vectors with length ≥ minLen
 // (the LENGTH scan boundary: lens is sorted decreasingly).

@@ -426,9 +426,6 @@ func TestStatsAccounting(t *testing.T) {
 	if st.Queries != q.N() {
 		t.Errorf("Queries=%d, want %d", st.Queries, q.N())
 	}
-	if st.Buckets != ix.NumBuckets() {
-		t.Errorf("Buckets=%d, want %d", st.Buckets, ix.NumBuckets())
-	}
 	if st.Candidates < st.Results {
 		t.Errorf("Candidates=%d < Results=%d", st.Candidates, st.Results)
 	}
@@ -439,7 +436,7 @@ func TestStatsAccounting(t *testing.T) {
 	if st.CandidatesPerQuery() <= 0 {
 		t.Errorf("CandidatesPerQuery=%g", st.CandidatesPerQuery())
 	}
-	if st.TotalTime() < st.RetrievalTime {
-		t.Errorf("TotalTime %v < RetrievalTime %v", st.TotalTime(), st.RetrievalTime)
+	if st.RetrievalTime <= 0 {
+		t.Errorf("RetrievalTime=%v after a retrieval", st.RetrievalTime)
 	}
 }

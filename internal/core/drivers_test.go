@@ -29,8 +29,14 @@ func TestBucketPruningEffective(t *testing.T) {
 		t.Errorf("only %.0f%% of pairs pruned on a high-skew instance", frac*100)
 	}
 	// Lazy indexing: pruned buckets must not have been indexed.
-	if st.IndexedBuckets >= st.Buckets {
-		t.Errorf("all %d buckets indexed despite pruning", st.Buckets)
+	indexed := 0
+	for _, b := range ix.Buckets() {
+		if b.Indexed {
+			indexed++
+		}
+	}
+	if indexed >= ix.NumBuckets() {
+		t.Errorf("all %d buckets indexed despite pruning", indexed)
 	}
 }
 

@@ -155,7 +155,7 @@ func (j *Job) run(ctx context.Context, q *matrix.Matrix, sink retrieval.Sink, wo
 	}
 	c := newCall(ctx, j.opts, j.cache)
 	c.gen = j.gen
-	*st = Stats{Queries: q.N(), Buckets: len(ix.scan), PrepTime: ix.prepTime}
+	*st = Stats{Queries: q.N()}
 	var out retrieval.TopK
 	if p.K > 0 {
 		out = make(retrieval.TopK, q.N())
@@ -178,7 +178,6 @@ func (j *Job) run(ctx context.Context, q *matrix.Matrix, sink retrieval.Sink, wo
 	}
 	st.RetrievalTime = time.Since(start)
 	c.endSpan(scanSpan)
-	ix.countIndexedBuckets(st)
 	if c.canceled() {
 		return nil, c.ctxErr()
 	}

@@ -173,7 +173,7 @@ func (ix *Index) Buckets() []BucketInfo {
 			Size:      b.size(),
 			MaxLength: b.lb,
 			MinLength: b.lens[b.size()-1],
-			Indexed:   b.indexed(),
+			Indexed:   b.lists.Load() != nil,
 			Sidecar:   b.q8.Load() != nil,
 			Tuned:     p.tuned,
 			TB:        p.tb,
@@ -313,14 +313,4 @@ func (ix *Index) ListBytes() int {
 		}
 	}
 	return total
-}
-
-// countIndexedBuckets fills the lazy-index statistic after a run.
-func (ix *Index) countIndexedBuckets(st *Stats) {
-	st.IndexedBuckets = 0
-	for _, b := range ix.scan {
-		if b.indexed() {
-			st.IndexedBuckets++
-		}
-	}
 }

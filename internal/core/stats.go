@@ -2,18 +2,22 @@ package core
 
 import "time"
 
-// Stats reports the work done by one retrieval run, in the units the
+// Stats reports the work done by one retrieval call, in the units the
 // paper's tables use: wall-clock phases and average candidate set sizes.
+// Index state — bucket counts, lazily built lists, the one-time
+// preprocessing time — is not a call's work and is read from the Index
+// (NumBuckets, Buckets, PrepTime). Every field sums under Add, so a
+// cumulative or cross-shard total is the plain sum of its calls. The JSON
+// names are those of a server's /stats "core" block.
 type Stats struct {
-	Queries int // number of query vectors processed
-	Buckets int // number of probe buckets in the index
+	Queries int `json:"queries"` // number of query vectors processed
 
 	// Candidates counts probe vectors that survived bucket-level pruning
 	// and were verified with an exact inner product — the paper's |C|
 	// column. Results counts verified entries that passed the threshold
 	// (or ended in a top-k set).
-	Candidates int64
-	Results    int64
+	Candidates int64 `json:"candidates"`
+	Results    int64 `json:"results"`
 
 	// BlockVerified and ScalarVerified split the live verified candidates
 	// by kernel: block-verified candidates went through the panel kernels
@@ -22,14 +26,14 @@ type Stats struct {
 	// can undershoot Candidates: tombstoned candidates and those the int8
 	// screen discards (QuantScreened) never reach verification and are
 	// counted in neither.
-	BlockVerified  int64
-	ScalarVerified int64
+	BlockVerified  int64 `json:"block_verified"`
+	ScalarVerified int64 `json:"scalar_verified"`
 
 	// ProcessedPairs and PrunedPairs count (query, bucket) combinations
 	// that were processed vs. skipped because the local threshold
 	// exceeded 1 (line 13 of Algorithm 1).
-	ProcessedPairs int64
-	PrunedPairs    int64
+	ProcessedPairs int64 `json:"processed_pairs"`
+	PrunedPairs    int64 `json:"pruned_pairs"`
 
 	// QuantScreened and QuantSurvived split the candidates of the screened
 	// (query, bucket) pairs: screened ones were discarded by the
@@ -41,45 +45,26 @@ type Stats struct {
 	// index built without the option these two, and with them the
 	// BlockVerified/ScalarVerified split, differ between an AVX2 host and a
 	// portable one (both 0 there), while rows and every other counter do
-	// not.
-	QuantScreened int64
-	QuantSurvived int64
-
-	// IndexedBuckets counts buckets whose sorted lists were actually built —
-	// LEMP builds them lazily (§4.2).
-	IndexedBuckets int
+	// not. A server renders them in its own "quant" block.
+	QuantScreened int64 `json:"-"`
+	QuantSurvived int64 `json:"-"`
 
 	// Tunings counts sample-tuning passes (§4.4) actually executed by the
 	// call; TuneCacheHits counts tuning phases answered by restoring
 	// parameters from a TuningCache instead. A warm-cache call reports
 	// Tunings == 0 — the assertion that repeat-call tuning cost is gone.
-	Tunings       int
-	TuneCacheHits int
+	Tunings       int `json:"tunings"`
+	TuneCacheHits int `json:"tune_cache_hits"`
 
-	// Phase times. For a single retrieval call each is that call's
-	// wall-clock time; under Add (and therefore in any cumulative or
-	// cross-shard aggregate, like a server's /stats) their semantics
-	// diverge and consumers must not mix them up:
-	//
-	//   - PrepTime is one-time index preprocessing (bucketization, sorting,
-	//     normalization). Add takes the MAX, and a sharded server sums the
-	//     per-shard maxima — so at the server level it is total build cost,
-	//     reported identically by every call.
-	//   - TuneTime and RetrievalTime SUM across calls and across shards:
-	//     a cumulative value is total worker time, not wall clock. Four
-	//     shards scanning concurrently for 1ms report 4ms of RetrievalTime.
-	PrepTime      time.Duration // bucketization + sorting + normalization
-	TuneTime      time.Duration // sample-based algorithm selection (§4.4)
-	RetrievalTime time.Duration // the retrieval phase itself
+	// Phase times of the call, in integer nanoseconds in JSON. Summed over
+	// calls or shards they are worker time, not wall clock: four shards
+	// scanning concurrently for 1ms add 4ms of RetrievalTime.
+	TuneTime      time.Duration `json:"tune_ns"`      // sample-based algorithm selection (§4.4)
+	RetrievalTime time.Duration `json:"retrieval_ns"` // the retrieval phase itself
 }
 
-// Add accumulates another run's stats into s: work counters and the
-// per-call phase times (tuning, retrieval) sum, while Buckets,
-// IndexedBuckets and PrepTime take the maximum — they describe index
-// state, not per-run work (every call re-reports the same one-time
-// preprocessing cost, so summing PrepTime would multiply it by the call
-// count). Long-lived servers use this to expose cumulative stats across
-// many retrieval calls.
+// Add accumulates another call's stats into s, field by field. Long-lived
+// servers use it to expose cumulative stats across many retrieval calls.
 func (s *Stats) Add(o Stats) {
 	s.Queries += o.Queries
 	s.Candidates += o.Candidates
@@ -92,23 +77,8 @@ func (s *Stats) Add(o Stats) {
 	s.QuantSurvived += o.QuantSurvived
 	s.Tunings += o.Tunings
 	s.TuneCacheHits += o.TuneCacheHits
-	if o.Buckets > s.Buckets {
-		s.Buckets = o.Buckets
-	}
-	if o.IndexedBuckets > s.IndexedBuckets {
-		s.IndexedBuckets = o.IndexedBuckets
-	}
-	if o.PrepTime > s.PrepTime {
-		s.PrepTime = o.PrepTime
-	}
 	s.TuneTime += o.TuneTime
 	s.RetrievalTime += o.RetrievalTime
-}
-
-// TotalTime returns preprocessing + tuning + retrieval, the paper's
-// "total wall-clock time" (Figs. 5–7, Tables 3–6).
-func (s Stats) TotalTime() time.Duration {
-	return s.PrepTime + s.TuneTime + s.RetrievalTime
 }
 
 // CandidatesPerQuery returns the average candidate set size per query, the

@@ -21,8 +21,8 @@ import (
 // depend on how the queries are cut into tiles. Everything else in sum
 // stays zero, so two sums compare with ==.
 func addCounters(sum *Stats, st Stats) {
-	st.Queries, st.Buckets, st.IndexedBuckets, st.Tunings, st.TuneCacheHits = 0, 0, 0, 0, 0
-	st.PrepTime, st.TuneTime, st.RetrievalTime = 0, 0, 0
+	st.Queries, st.Tunings, st.TuneCacheHits = 0, 0, 0
+	st.TuneTime, st.RetrievalTime = 0, 0
 	sum.Add(st)
 }
 
@@ -300,7 +300,7 @@ func TestTopKCancelMidTile(t *testing.T) {
 // its very first panel, for the race detector: concurrent panel calls on an
 // index no call has touched, so the job's tuning pass, the lazy sorted-list
 // and — at a dimension quant's assembly takes — sidecar builds of the panels
-// behind it and every call's indexed-bucket count all overlap.
+// behind it all overlap.
 func TestConcurrentPanelsOnFreshIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(317))
 	const r, panelRows = 16, 16

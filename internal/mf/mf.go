@@ -40,11 +40,6 @@ type Model struct {
 	LossByEpoch []float64
 }
 
-// Predict returns the model's predicted value for (user, item).
-func (m *Model) Predict(user, item int) float64 {
-	return vecmath.Dot(m.Users.Vec(user), m.Items.Vec(item))
-}
-
 // Train runs SGD over the ratings. users and items give the matrix
 // dimensions (all indices in ratings must be in range).
 func Train(ratings []data.Rating, users, items int, cfg Config) (*Model, error) {
@@ -107,20 +102,19 @@ func (m *Model) RMSE(ratings []data.Rating) float64 {
 	if len(ratings) == 0 {
 		return 0
 	}
-	var se float64
-	for _, rt := range ratings {
-		d := m.Predict(rt.User, rt.Item) - rt.Value
-		se += d * d
-	}
-	return math.Sqrt(se / float64(len(ratings)))
+	return math.Sqrt(m.squaredError(ratings) / float64(len(ratings)))
 }
 
 func (m *Model) objective(ratings []data.Rating, reg float64) float64 {
-	var loss float64
+	return m.squaredError(ratings) + reg*(vecmath.Norm2(m.Users.Data())+vecmath.Norm2(m.Items.Data()))
+}
+
+// squaredError sums the model's squared prediction errors over ratings.
+func (m *Model) squaredError(ratings []data.Rating) float64 {
+	var se float64
 	for _, rt := range ratings {
-		d := m.Predict(rt.User, rt.Item) - rt.Value
-		loss += d * d
+		d := vecmath.Dot(m.Users.Vec(rt.User), m.Items.Vec(rt.Item)) - rt.Value
+		se += d * d
 	}
-	loss += reg * (vecmath.Norm2(m.Users.Data()) + vecmath.Norm2(m.Items.Data()))
-	return loss
+	return se
 }

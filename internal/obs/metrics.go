@@ -99,9 +99,6 @@ func (c *Counter) Add(d float64) {
 // Inc adds 1.
 func (c *Counter) Inc() { c.Add(1) }
 
-// AddDuration adds d in seconds (the Prometheus base unit for time).
-func (c *Counter) AddDuration(d time.Duration) { c.Add(d.Seconds()) }
-
 // Value returns the current value.
 func (c *Counter) Value() float64 {
 	if c == nil {
@@ -235,20 +232,15 @@ type Family struct {
 	order    []*child
 }
 
-// CounterVec, GaugeVec and HistogramVec hand out per-label-value children
+// CounterVec and HistogramVec hand out per-label-value children
 // of a family. With is meant for wiring time (startup, shard construction):
 // it takes the family lock and may allocate; hold on to the returned handle
 // for hot-path observation.
 type CounterVec struct{ fam *Family }
-type GaugeVec struct{ fam *Family }
 type HistogramVec struct{ fam *Family }
 
 func (v *CounterVec) With(labelVals ...string) *Counter {
 	return v.fam.child(labelVals).ctr
-}
-
-func (v *GaugeVec) With(labelVals ...string) *Gauge {
-	return v.fam.child(labelVals).gauge
 }
 
 func (v *HistogramVec) With(labelVals ...string) *Histogram {
@@ -361,11 +353,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 // Gauge registers (or returns) an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.register(name, help, KindGauge, nil, nil).child(nil).gauge
-}
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelKeys ...string) *GaugeVec {
-	return &GaugeVec{fam: r.register(name, help, KindGauge, labelKeys, nil)}
 }
 
 // GaugeFunc registers a gauge read from fn at exposition time.

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterAndGaugeBasics(t *testing.T) {
@@ -17,9 +16,9 @@ func TestCounterAndGaugeBasics(t *testing.T) {
 	if got := c.Value(); got != 3 {
 		t.Fatalf("counter = %v, want 3", got)
 	}
-	c.AddDuration(500 * time.Millisecond)
+	c.Add(0.5)
 	if got := c.Value(); got != 3.5 {
-		t.Fatalf("counter after AddDuration = %v, want 3.5", got)
+		t.Fatalf("counter after Add(0.5) = %v, want 3.5", got)
 	}
 
 	g := r.Gauge("g", "help")
@@ -126,8 +125,8 @@ func TestExpositionRoundTrip(t *testing.T) {
 	cv.With("topk", "200").Add(7)
 	cv.With("topk", "400").Inc()
 	cv.With("above", "200").Add(2)
-	gv := r.GaugeVec("queue", `weird "values\` /* escape torture */, "q")
-	gv.With(`a"b\c` + "\nd").Set(5)
+	qv := r.CounterVec("queue_total", `weird "values\` /* escape torture */, "q")
+	qv.With(`a"b\c` + "\nd").Add(5)
 	hv := r.HistogramVec("lat_seconds", "latency", []float64{0.001, 0.01}, "shard")
 	hv.With("0").Observe(0.0005)
 	hv.With("1").Observe(0.5)
@@ -161,9 +160,9 @@ func TestExpositionRoundTrip(t *testing.T) {
 	if !found {
 		t.Fatal("labeled sample {endpoint=topk,status=200} missing")
 	}
-	qf := fams["queue"]
+	qf := fams["queue_total"]
 	if qf == nil || len(qf.Samples) != 1 {
-		t.Fatalf("queue family wrong: %+v", qf)
+		t.Fatalf("queue_total family wrong: %+v", qf)
 	}
 	if got := qf.Samples[0].Labels["q"]; got != `a"b\c`+"\nd" {
 		t.Fatalf("escaped label round-tripped to %q", got)
@@ -243,7 +242,7 @@ func TestObserveDoesNotAllocate(t *testing.T) {
 	child := r.CounterVec("v_total", "h", "shard").With("3")
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
-		c.AddDuration(time.Microsecond)
+		c.Add(1e-6)
 		g.Set(4)
 		g.Add(-1)
 		h.Observe(0.0042)

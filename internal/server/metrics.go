@@ -120,9 +120,9 @@ func (s *Server) wireState() {
 		"Seconds since the server was constructed.",
 		func() float64 { return time.Since(s.start).Seconds() })
 	reg.GaugeFunc("lemp_ready",
-		"1 when the server is serving (built, pretuned, not draining), else 0.",
+		"1 when the server is serving (not draining), else 0.",
 		func() float64 {
-			if s.ready.Load() && !s.draining.Load() {
+			if !s.draining.Load() {
 				return 1
 			}
 			return 0

@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -259,8 +261,8 @@ func TestCoreCountersMatchStats(t *testing.T) {
 		"lemp_core_pruned_pairs_total":    float64(st.Core.PrunedPairs),
 		"lemp_core_tunings_total":         float64(st.Core.Tunings),
 		"lemp_core_tune_cache_hits_total": float64(st.Core.TuneCacheHits),
-		"lemp_core_tune_seconds_total":    time.Duration(st.Core.TuneNS).Seconds(),
-		"lemp_core_scan_seconds_total":    time.Duration(st.Core.RetrievalNS).Seconds(),
+		"lemp_core_tune_seconds_total":    st.Core.TuneTime.Seconds(),
+		"lemp_core_scan_seconds_total":    st.Core.RetrievalTime.Seconds(),
 		"lemp_quant_screened_total":       float64(st.Quant.Screened),
 		"lemp_quant_survivors_total":      float64(st.Quant.Survivors),
 	} {
@@ -473,8 +475,8 @@ func TestSlowQueryLog(t *testing.T) {
 }
 
 // TestReadyzLifecycle pins the readiness contract: ready on construction,
-// 503 "starting" while warm-up clears it, 503 "draining" permanently after
-// BeginDrain — while /healthz stays 200 throughout.
+// 503 "draining" permanently after BeginDrain — while /healthz stays 200
+// throughout.
 func TestReadyzLifecycle(t *testing.T) {
 	srv, h, sink := obsServer(t, Config{Shards: 1, Options: lemp.Options{Parallelism: 1}})
 
@@ -489,28 +491,13 @@ func TestReadyzLifecycle(t *testing.T) {
 	if code, st := status(); code != 200 || st != "ready" {
 		t.Fatalf("initial readyz = %d %q, want 200 ready", code, st)
 	}
-	srv.SetReady(false)
-	if code, st := status(); code != 503 || st != "starting" {
-		t.Fatalf("unready readyz = %d %q, want 503 starting", code, st)
-	}
-	if w := doJSON(t, h, "GET", "/healthz", ""); w.Code != 200 {
-		t.Fatalf("healthz during warm-up = %d, want 200", w.Code)
-	}
-	srv.SetReady(true)
 	srv.BeginDrain()
 	srv.BeginDrain() // idempotent
 	if code, st := status(); code != 503 || st != "draining" {
 		t.Fatalf("draining readyz = %d %q, want 503 draining", code, st)
 	}
-	srv.SetReady(true) // ready cannot undo draining
-	if code, _ := status(); code != 503 {
-		t.Fatalf("readyz after drain+SetReady = %d, want 503", code)
-	}
 	if w := doJSON(t, h, "GET", "/healthz", ""); w.Code != 200 {
 		t.Fatalf("healthz during drain = %d, want 200", w.Code)
-	}
-	if !srv.Draining() {
-		t.Fatal("Draining() = false after BeginDrain")
 	}
 	if rec := sink.find(t, "draining"); rec == nil {
 		t.Fatal("BeginDrain logged no lifecycle event")
@@ -553,8 +540,9 @@ func TestAccessLog(t *testing.T) {
 	}
 }
 
-// TestStatsDurations checks /stats serves the machine-stable _ns integers
-// alongside the human-readable strings, and that they agree.
+// TestStatsDurations checks /stats serves its durations as integer
+// nanoseconds only: retrieval_ns counts the query's scans, prep_ns is the
+// shards' build time, and no human-readable duration string is left.
 func TestStatsDurations(t *testing.T) {
 	srv, h, _ := obsServer(t, Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})
 	dim := srv.Sharded().R()
@@ -566,34 +554,96 @@ func TestStatsDurations(t *testing.T) {
 		t.Fatalf("/stats = %d", w.Code)
 	}
 	var st struct {
-		Core struct {
-			PrepNS      int64  `json:"prep_ns"`
-			Prep        string `json:"prep"`
-			TuneNS      int64  `json:"tune_ns"`
-			Tune        string `json:"tune"`
-			RetrievalNS int64  `json:"retrieval_ns"`
-			Retrieval   string `json:"retrieval"`
-		} `json:"core"`
+		Core map[string]any `json:"core"`
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	c := st.Core
-	if c.RetrievalNS <= 0 {
-		t.Fatalf("retrieval_ns = %d, want > 0 after a query", c.RetrievalNS)
-	}
-	for _, pair := range []struct {
-		ns  int64
-		str string
-	}{{c.PrepNS, c.Prep}, {c.TuneNS, c.Tune}, {c.RetrievalNS, c.Retrieval}} {
-		d, err := time.ParseDuration(pair.str)
-		if err != nil {
-			t.Fatalf("duration string %q does not parse: %v", pair.str, err)
+	ns := func(key string) int64 {
+		t.Helper()
+		v, ok := st.Core[key].(float64)
+		if !ok || v != math.Trunc(v) {
+			t.Fatalf("core.%s = %v, want an integer of nanoseconds", key, st.Core[key])
 		}
-		if d.Nanoseconds() != pair.ns {
-			t.Fatalf("duration pair disagrees: %q != %dns", pair.str, pair.ns)
+		return int64(v)
+	}
+	if got := ns("retrieval_ns"); got <= 0 {
+		t.Fatalf("retrieval_ns = %d, want > 0 after a query", got)
+	}
+	ns("tune_ns")
+	var prep time.Duration
+	for _, ix := range srv.Sharded().Indexes() {
+		prep += ix.PrepTime()
+	}
+	if got := ns("prep_ns"); got != prep.Nanoseconds() {
+		t.Fatalf("prep_ns = %d, the shards' PrepTime sums to %d", got, prep.Nanoseconds())
+	}
+	for _, key := range []string{"prep", "tune", "retrieval"} {
+		if v, ok := st.Core[key]; ok {
+			t.Errorf("core.%s = %v: durations are served as _ns integers only", key, v)
 		}
 	}
+}
+
+// TestStatsIndexStateFollowsShards: /stats buckets, indexed_buckets and
+// prep_ns describe the shards serving when /stats is read, summed over
+// them — before any query, and after a batch that removes most of the
+// catalog and compacts the shards.
+func TestStatsIndexStateFollowsShards(t *testing.T) {
+	srv, h, _ := obsServer(t, Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})
+	check := func(when string) {
+		t.Helper()
+		var st statsResponse
+		if err := json.Unmarshal(doJSON(t, h, "GET", "/stats", "").Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		var buckets, indexed int
+		var prep time.Duration
+		for _, ix := range srv.Sharded().Indexes() {
+			buckets += ix.NumBuckets()
+			prep += ix.PrepTime()
+			for _, b := range ix.Buckets() {
+				if b.Indexed {
+					indexed++
+				}
+			}
+		}
+		if buckets == 0 || prep <= 0 {
+			t.Fatalf("%s: shards hold %d buckets built in %v", when, buckets, prep)
+		}
+		if st.Core.Buckets != buckets || st.Core.IndexedBuckets != indexed || st.Core.PrepNS != prep.Nanoseconds() {
+			t.Errorf("%s: /stats buckets %d, indexed_buckets %d, prep_ns %d; the shards hold %d, %d, %d",
+				when, st.Core.Buckets, st.Core.IndexedBuckets, st.Core.PrepNS, buckets, indexed, prep.Nanoseconds())
+		}
+	}
+	check("before any query")
+
+	dim := srv.Sharded().R()
+	if w := doJSON(t, h, "POST", "/v1/topk", topKBody(t, dim, 4, 5)); w.Code != 200 {
+		t.Fatalf("topk = %d: %s", w.Code, w.Body.String())
+	}
+	check("after a query")
+
+	var ups strings.Builder
+	ups.WriteString(`{"updates":[`)
+	for id := range 3 * srv.Sharded().N() / 4 {
+		if id > 0 {
+			ups.WriteByte(',')
+		}
+		fmt.Fprintf(&ups, `{"op":"remove","id":%d}`, id)
+	}
+	ups.WriteString(`]}`)
+	if w := doJSON(t, h, "POST", "/v1/update", ups.String()); w.Code != 200 {
+		t.Fatalf("update = %d: %s", w.Code, w.Body.String())
+	}
+	if srv.Sharded().Compactions() == 0 {
+		t.Fatal("removing three quarters of the catalog compacted no shard")
+	}
+	check("after the shrinking batch")
+	if w := doJSON(t, h, "POST", "/v1/topk", topKBody(t, dim, 4, 5)); w.Code != 200 {
+		t.Fatalf("topk = %d: %s", w.Code, w.Body.String())
+	}
+	check("after a query on the shrunk shards")
 }
 
 // TestPprofGate checks the profiling endpoints are mounted only on opt-in.

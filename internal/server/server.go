@@ -151,7 +151,7 @@ func (c Config) withDefaults() Config {
 //	POST /v1/above       {"queries": [[...], ...], "theta": 0.9}
 //	POST /v1/update      {"updates": [{"op": "add", "vector": [...]}, ...]}
 //	GET  /healthz        liveness
-//	GET  /readyz         readiness (503 while starting or draining)
+//	GET  /readyz         readiness (503 once draining)
 //	GET  /stats          cumulative JSON stats
 //	GET  /metrics        Prometheus text exposition
 //	GET  /debug/traces   retained request traces (tail-sampled)
@@ -171,12 +171,9 @@ type Server struct {
 	logger  *slog.Logger // nil-safe via logging flag
 	logging bool
 
-	// ready flips on once the owner declares the index built/restored and
-	// pretuned (New* constructors are synchronous, so it defaults true;
-	// cmd/lemp-serve clears it while warming up). draining flips on at
-	// BeginDrain and never back. GET /readyz reports 200 only while
-	// ready && !draining.
-	ready    atomic.Bool
+	// draining flips on at BeginDrain and never back. The constructors
+	// are synchronous, so a Server is ready from the start: GET /readyz
+	// reports 200 until draining.
 	draining atomic.Bool
 
 	requests atomic.Uint64 // retrieval requests accepted
@@ -254,7 +251,6 @@ func newServer(sharded *Sharded, cfg Config) *Server {
 	s.tracer = obs.NewTracer(obs.TracerConfig{SampleRate: cfg.TraceSampleRate, RingSize: cfg.TraceRingSize})
 	s.metrics = newServerMetrics(sharded.NumShards())
 	s.wireState()
-	s.ready.Store(true)
 	return s
 }
 
@@ -265,12 +261,6 @@ func (s *Server) Registry() *obs.Registry { return s.metrics.reg }
 // Tracer exposes the server's tracer (tests and custom trace sinks).
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
-// SetReady flips the readiness probe: GET /readyz answers 200 only while
-// ready and not draining. Constructors start ready; an owner doing
-// post-construction warm-up (snapshot restore, pretuning) clears it first
-// and sets it when serving can begin.
-func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
 // BeginDrain marks the server draining: /readyz flips to 503 so load
 // balancers stop routing here, while in-flight and straggler requests
 // still complete. Draining is one-way.
@@ -279,9 +269,6 @@ func (s *Server) BeginDrain() {
 		s.logger.Info("draining", "uptime", time.Since(s.start).String())
 	}
 }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Sharded returns the server's shard set (for snapshot persistence and
 // introspection).
@@ -688,21 +675,16 @@ type readyzResponse struct {
 	Epoch  uint64 `json:"epoch"`
 }
 
-// handleReadyz is the readiness probe: 200 only while the server is both
-// ready (shards built or restored, warm-up done) and not draining.
+// handleReadyz is the readiness probe: 200 until BeginDrain, 503 after.
 // /healthz answers liveness — "the process serves HTTP" — and stays 200
-// through both warm-up and drain.
+// through the drain. While the index is still building there is no Server
+// yet; cmd/lemp-serve answers "starting" itself.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	view := s.sharded.CurrentView()
 	resp := readyzResponse{Status: "ready", Probes: view.N(), Epoch: view.Epoch()}
-	status := http.StatusServiceUnavailable
-	switch {
-	case s.draining.Load():
-		resp.Status = "draining"
-	case !s.ready.Load():
-		resp.Status = "starting"
-	default:
-		status = http.StatusOK
+	status := http.StatusOK
+	if s.draining.Load() {
+		resp.Status, status = "draining", http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, resp)
 }
@@ -764,32 +746,17 @@ type shedInfo struct {
 	QueueRows      int64  `json:"queue_rows"`
 }
 
-// coreStats mirrors lemp.Stats with JSON names. Durations come in pairs:
-// a machine-stable integer nanosecond field (_ns suffix) and a
-// human-readable rendering of the same value. Their semantics follow the
-// cumulative Stats aggregation (see lemp.Stats): prep is the one-time
-// index preprocessing cost, reported identically by every call, while
-// tune and retrieval SUM worker time across shards and calls — four
-// shards scanning concurrently for 1ms add 4ms of retrieval time — so
-// neither is wall clock.
+// coreStats is the "core" block of GET /stats: the cumulative lemp.Stats of
+// every retrieval call (all shards, all batches) beside the index state of
+// the current view, summed over its shards. Durations are integer
+// nanoseconds; tune_ns and retrieval_ns sum worker time across shards and
+// calls — four shards scanning concurrently for 1ms add 4ms — so neither is
+// wall clock, while prep_ns is the shards' total build time.
 type coreStats struct {
-	Queries        int    `json:"queries"`
-	Buckets        int    `json:"buckets"`
-	IndexedBuckets int    `json:"indexed_buckets"`
-	Candidates     int64  `json:"candidates"`
-	Results        int64  `json:"results"`
-	BlockVerified  int64  `json:"block_verified"`
-	ScalarVerified int64  `json:"scalar_verified"`
-	ProcessedPairs int64  `json:"processed_pairs"`
-	PrunedPairs    int64  `json:"pruned_pairs"`
-	Tunings        int    `json:"tunings"`
-	TuneCacheHits  int    `json:"tune_cache_hits"`
-	PrepNS         int64  `json:"prep_ns"`
-	Prep           string `json:"prep"`
-	TuneNS         int64  `json:"tune_ns"`
-	Tune           string `json:"tune"`
-	RetrievalNS    int64  `json:"retrieval_ns"`
-	Retrieval      string `json:"retrieval"`
+	lemp.Stats
+	Buckets        int   `json:"buckets"`
+	IndexedBuckets int   `json:"indexed_buckets"`
+	PrepNS         int64 `json:"prep_ns"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -803,6 +770,16 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		avg = float64(rows) / float64(batches)
 	}
 	view := s.sharded.CurrentView()
+	core := coreStats{Stats: st}
+	for _, ix := range view.ixs {
+		for _, b := range ix.Buckets() {
+			core.Buckets++
+			if b.Indexed {
+				core.IndexedBuckets++
+			}
+		}
+		core.PrepNS += ix.PrepTime().Nanoseconds()
+	}
 	writeJSON(w, http.StatusOK, statsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Requests:      s.requests.Load(),
@@ -827,25 +804,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			Survivors:    st.QuantSurvived,
 			SidecarBytes: s.sharded.SidecarBytes(),
 		},
-		Core: coreStats{
-			Queries:        st.Queries,
-			Buckets:        st.Buckets,
-			IndexedBuckets: st.IndexedBuckets,
-			Candidates:     st.Candidates,
-			Results:        st.Results,
-			BlockVerified:  st.BlockVerified,
-			ScalarVerified: st.ScalarVerified,
-			ProcessedPairs: st.ProcessedPairs,
-			PrunedPairs:    st.PrunedPairs,
-			Tunings:        st.Tunings,
-			TuneCacheHits:  st.TuneCacheHits,
-			PrepNS:         st.PrepTime.Nanoseconds(),
-			Prep:           st.PrepTime.String(),
-			TuneNS:         st.TuneTime.Nanoseconds(),
-			Tune:           st.TuneTime.String(),
-			RetrievalNS:    st.RetrievalTime.Nanoseconds(),
-			Retrieval:      st.RetrievalTime.String(),
-		},
+		Core: core,
 	})
 }
 

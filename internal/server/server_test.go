@@ -298,7 +298,7 @@ func TestHealthzAndStats(t *testing.T) {
 	if st.Requests != 1 || st.Batches == 0 || st.BatchRows != 4 {
 		t.Errorf("stats counters: %+v", st)
 	}
-	if st.Core.Queries == 0 || st.Core.Results == 0 || st.Core.Buckets == 0 {
+	if st.Core.Queries != 4 || st.Core.Results == 0 || st.Core.Buckets == 0 {
 		t.Errorf("core stats not accumulated: %+v", st.Core)
 	}
 	if st.Kernels != "avx2" && st.Kernels != "portable" {

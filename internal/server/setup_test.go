@@ -54,9 +54,9 @@ func TestLengthServerNeverTunes(t *testing.T) {
 		if err := json.Unmarshal(doJSON(t, h, "GET", "/stats", "").Body.Bytes(), &st); err != nil {
 			t.Fatal(err)
 		}
-		if st.Core.Tunings != 0 || st.Core.TuneNS != 0 || st.Core.TuneCacheHits != 0 || st.ListBytes != 0 || st.Core.IndexedBuckets != 0 {
+		if st.Core.Tunings != 0 || st.Core.TuneTime != 0 || st.Core.TuneCacheHits != 0 || st.ListBytes != 0 || st.Core.IndexedBuckets != 0 {
 			t.Errorf("%s: /stats tunings %d, tune_ns %d, tune_cache_hits %d, list_bytes %d, indexed_buckets %d, want all 0",
-				name, st.Core.Tunings, st.Core.TuneNS, st.Core.TuneCacheHits, st.ListBytes, st.Core.IndexedBuckets)
+				name, st.Core.Tunings, st.Core.TuneTime.Nanoseconds(), st.Core.TuneCacheHits, st.ListBytes, st.Core.IndexedBuckets)
 		}
 	}
 	serve("built", built)

@@ -360,8 +360,10 @@ func (s *Sharded) CostSkew() float64 {
 	return max * float64(len(s.costs)) / sum
 }
 
-// CumulativeStats returns the accumulated core stats of every retrieval
-// call (all shards, all batches) since construction.
+// CumulativeStats returns the sum of the core stats of every retrieval call
+// (all shards, all batches) since construction. A call counts its query rows
+// once, however many shards scanned them. Index state is not in it: /stats
+// reads that from the current shards.
 func (s *Sharded) CumulativeStats() lemp.Stats {
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
@@ -393,26 +395,6 @@ func (v *View) Epoch() uint64 { return v.epoch }
 // N returns the live probe count at the view's epoch.
 func (v *View) N() int { return v.n }
 
-// addShardStats merges one shard's per-call stats into the whole-call
-// total, with two deviations from Stats.Add. Shards are distinct indexes,
-// so the index-state values — Buckets, IndexedBuckets, the one-time
-// PrepTime — sum across them where Add takes the max (across repeated
-// calls those sums stay constant or grow monotonically, so Add's max keeps
-// them correct at the cumulative level). And every shard saw the same
-// logical queries, so Queries takes the max where Add sums (max rather
-// than any-one-shard so an erroring shard reporting 0 cannot skew it).
-func addShardStats(dst *lemp.Stats, st lemp.Stats) {
-	buckets, indexed := dst.Buckets+st.Buckets, dst.IndexedBuckets+st.IndexedBuckets
-	prep := dst.PrepTime + st.PrepTime
-	queries := dst.Queries
-	if st.Queries > queries {
-		queries = st.Queries
-	}
-	dst.Add(st)
-	dst.Buckets, dst.IndexedBuckets, dst.PrepTime = buckets, indexed, prep
-	dst.Queries = queries
-}
-
 // fanOut runs the spec's retrieval for q on every shard of the view
 // concurrently and returns the per-shard results with their accumulated
 // stats, or the first error encountered. The last shard scans on the
@@ -440,6 +422,9 @@ func (v *View) fanOut(ctx context.Context, q *lemp.Matrix, spec *lemp.Spec) ([]*
 	}
 	f.scan(ctx, last)
 	f.wg.Wait()
+	// Every shard saw the same queries: the call answered q.N() of them
+	// once, however many shards scanned them.
+	f.call.Queries = q.N()
 	v.s.statsMu.Lock()
 	v.s.cum.Add(f.call)
 	v.s.statsMu.Unlock()
@@ -485,7 +470,7 @@ func (f *shardFan) scan(ctx context.Context, i int) {
 	f.mu.Lock()
 	if err == nil {
 		f.parts[i] = res
-		addShardStats(&f.call, res.Stats)
+		f.call.Add(res.Stats)
 	} else if f.first == nil {
 		f.first = err
 	}

