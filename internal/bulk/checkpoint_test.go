@@ -221,20 +221,23 @@ func TestBulkCheckpointRejection(t *testing.T) {
 }
 
 // A fresh job with a checkpoint path configured but no checkpoint on disk
-// starts from scratch and completes clean.
+// starts from scratch and completes clean. Window 1 flushes the 10 panels one
+// at a time, so the cadence of 3 writes exactly 3 checkpoints whatever order
+// the panels finish in (a wider window lets one late panel 0 flush them all
+// at once, past every cadence point but the last).
 func TestBulkCheckpointFreshStart(t *testing.T) {
 	ix, q := bulkFixture(t, 40, 200, 8, 47)
 	dir := t.TempDir()
 	out := filepath.Join(dir, "out.lempbrs")
 	ckpt := filepath.Join(dir, "job.bulkck")
 	st, err := Run(context.Background(), ix, Matrix{M: q}, out, Config{
-		K: 3, PanelRows: 4, Checkpoint: ckpt, CheckpointEvery: 3,
+		K: 3, PanelRows: 4, Window: 1, Checkpoint: ckpt, CheckpointEvery: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Checkpoints == 0 {
-		t.Fatal("no checkpoints written during run")
+	if st.Checkpoints != 3 {
+		t.Fatalf("%d checkpoints written for 10 panels at cadence 3, want 3", st.Checkpoints)
 	}
 	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("checkpoint left behind: %v", err)

@@ -24,7 +24,7 @@ func TestFeasibleRegionSound(t *testing.T) {
 			thetaB = 1
 		}
 		for f := 0; f < r; f++ {
-			lo, hi := feasibleRegion(q[f], thetaB)
+			lo, hi := feasibleRegion(q[f], thetaB, 0)
 			if p[f] < lo-1e-9 || p[f] > hi+1e-9 {
 				t.Fatalf("trial %d: q̄_f=%g p̄_f=%g cos=%g θ_b=%g but region [%g,%g]",
 					trial, q[f], p[f], cos, thetaB, lo, hi)
@@ -37,13 +37,13 @@ func TestFeasibleRegionSound(t *testing.T) {
 // q̄ = (0.70, 0.3, 0.4, 0.51), focus coordinates 1 and 4 give
 // [0.32, 0.94] and [0.09, 0.83].
 func TestFeasibleRegionPaperExample(t *testing.T) {
-	lo, hi := feasibleRegion(0.70, 0.9)
+	lo, hi := feasibleRegion(0.70, 0.9, 0)
 	if math.Abs(lo-0.3187) > 0.001 || math.Abs(hi-0.9413) > 0.001 {
 		t.Errorf("coordinate 1: [%g, %g], paper says ≈[0.32, 0.94]", lo, hi)
 	}
 	// Exact arithmetic gives [0.0841, 0.8339]; the paper prints the
 	// rounded [0.09, 0.83].
-	lo, hi = feasibleRegion(0.51, 0.9)
+	lo, hi = feasibleRegion(0.51, 0.9, 0)
 	if math.Abs(lo-0.0841) > 0.001 || math.Abs(hi-0.8339) > 0.001 {
 		t.Errorf("coordinate 4: [%g, %g], want ≈[0.084, 0.834] (paper rounds to [0.09, 0.83])", lo, hi)
 	}
@@ -51,28 +51,28 @@ func TestFeasibleRegionPaperExample(t *testing.T) {
 
 func TestFeasibleRegionEdgeCases(t *testing.T) {
 	// θ_b ≤ 0: no pruning possible, full range.
-	if lo, hi := feasibleRegion(0.5, 0); lo != -1 || hi != 1 {
+	if lo, hi := feasibleRegion(0.5, 0, 0); lo != -1 || hi != 1 {
 		t.Errorf("θ_b=0: [%g, %g]", lo, hi)
 	}
-	if lo, hi := feasibleRegion(-0.7, -3); lo != -1 || hi != 1 {
+	if lo, hi := feasibleRegion(-0.7, -3, 0); lo != -1 || hi != 1 {
 		t.Errorf("θ_b=-3: [%g, %g]", lo, hi)
 	}
 	// θ_b > 1: empty region (callers prune the bucket first anyway).
-	if lo, hi := feasibleRegion(0.5, 1.5); lo <= hi {
+	if lo, hi := feasibleRegion(0.5, 1.5, 0); lo <= hi {
 		t.Errorf("θ_b=1.5: non-empty region [%g, %g]", lo, hi)
 	}
 	// θ_b = 1: only the exact direction qualifies; the region must still
 	// contain q̄_f itself.
 	for _, qf := range []float64{-1, -0.3, 0, 0.4, 1} {
-		lo, hi := feasibleRegion(qf, 1)
+		lo, hi := feasibleRegion(qf, 1, 0)
 		if qf < lo-1e-9 || qf > hi+1e-9 {
 			t.Errorf("θ_b=1, q̄_f=%g not in [%g, %g]", qf, lo, hi)
 		}
 	}
 	// Symmetry: region(-q̄_f) = -region(q̄_f) mirrored.
 	for _, qf := range []float64{0.1, 0.5, 0.9} {
-		lo1, hi1 := feasibleRegion(qf, 0.7)
-		lo2, hi2 := feasibleRegion(-qf, 0.7)
+		lo1, hi1 := feasibleRegion(qf, 0.7, 0)
+		lo2, hi2 := feasibleRegion(-qf, 0.7, 0)
 		if math.Abs(lo1+hi2) > 1e-12 || math.Abs(hi1+lo2) > 1e-12 {
 			t.Errorf("asymmetry at q̄_f=%g: [%g,%g] vs [%g,%g]", qf, lo1, hi1, lo2, hi2)
 		}
@@ -92,7 +92,7 @@ func TestFeasibleRegionSoundQuick(t *testing.T) {
 		if best < thetaB {
 			return true // pair infeasible; no containment obligation
 		}
-		lo, hi := feasibleRegion(qf, thetaB)
+		lo, hi := feasibleRegion(qf, thetaB, 0)
 		return pf >= lo-1e-9 && pf <= hi+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {

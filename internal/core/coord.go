@@ -12,7 +12,7 @@ package core
 // twice) *sets* CP entries to 1, the remaining lists increment, and the
 // final filter re-scans only the first range checking for the value φ.
 // Entries outside the first range are never read.
-func runCoord(b *bucket, qdir []float64, thetaB float64, phi int, s *scratch) {
+func runCoord(b *bucket, qdir []float64, thetaB, slack float64, phi int, s *scratch) {
 	s.resetCands()
 	if thetaB <= 0 {
 		allCandidates(b, s)
@@ -27,7 +27,7 @@ func runCoord(b *bucket, qdir []float64, thetaB float64, phi int, s *scratch) {
 	}
 	first := 0
 	for i, f := range s.focus {
-		lo, hi := feasibleRegion(qdir[f], thetaB)
+		lo, hi := feasibleRegion(qdir[f], thetaB, slack)
 		start, end := lists.scanRange(int(f), lo, hi)
 		s.rangeStart[i], s.rangeEnd[i] = start, end
 		if end-start < s.rangeEnd[first]-s.rangeStart[first] {

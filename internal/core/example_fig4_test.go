@@ -84,7 +84,7 @@ func TestFig4LocalThreshold(t *testing.T) {
 func TestFig4CoordCandidates(t *testing.T) {
 	b := fig4Bucket(t)
 	s := newScratch(6, 4)
-	runCoord(b, fig4Query.qdir, 0.9, 2, s)
+	runCoord(b, fig4Query.qdir, 0.9, 0, 2, s)
 	got := sortedCands(s)
 	want := []int{0, 3, 4} // the paper's {1, 4, 5}
 	if len(got) != len(want) {
@@ -100,7 +100,7 @@ func TestFig4CoordCandidates(t *testing.T) {
 func TestFig4IncrCandidates(t *testing.T) {
 	b := fig4Bucket(t)
 	s := newScratch(6, 4)
-	runIncr(b, fig4Query.qdir, fig4Query.qlen, fig4Query.theta, 0.9, 2, s)
+	runIncr(b, fig4Query.qdir, fig4Query.qlen, fig4Query.theta, 0.9, 0, 2, s)
 	got := sortedCands(s)
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("INCR candidates %v, want [0] (the paper's {1})", got)
@@ -112,7 +112,7 @@ func TestFig4IncrCandidates(t *testing.T) {
 func TestFig4Verification(t *testing.T) {
 	b := fig4Bucket(t)
 	s := newScratch(6, 4)
-	runCoord(b, fig4Query.qdir, 0.9, 2, s)
+	runCoord(b, fig4Query.qdir, 0.9, 0, 2, s)
 	var passed []int
 	for _, lid := range s.lids() {
 		v := vecmath.Dot(fig4Query.qdir, b.dir(int(lid))) * fig4Query.qlen * b.lens[lid]

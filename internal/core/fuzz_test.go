@@ -104,13 +104,13 @@ func TestIncrSubsetOfCoordAtPhi1(t *testing.T) {
 		theta := thetaB * qlen * b.lb
 
 		sC := newScratch(b.size(), 8)
-		runCoord(b, qdir, thetaB, 1, sC)
+		runCoord(b, qdir, thetaB, 0, 1, sC)
 		coordSet := map[int32]bool{}
 		for _, lid := range sC.lids() {
 			coordSet[lid] = true
 		}
 		sI := newScratch(b.size(), 8)
-		runIncr(b, qdir, qlen, theta, thetaB, 1, sI)
+		runIncr(b, qdir, qlen, theta, thetaB, 0, 1, sI)
 		for _, lid := range sI.lids() {
 			if !coordSet[lid] {
 				t.Fatalf("trial %d: INCR candidate %d missing from COORD's set", trial, lid)

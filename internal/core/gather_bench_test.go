@@ -34,7 +34,7 @@ func BenchmarkGatherLength(b *testing.B) {
 	theta := bk.lens[bk.size()/2] // half the bucket qualifies
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runLength(bk, theta, 1, s)
+		runLength(bk, theta, 1, 0, s)
 	}
 }
 
@@ -42,7 +42,7 @@ func BenchmarkGatherCoord(b *testing.B) {
 	bk, qdir, s := benchBucket(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runCoord(bk, qdir, 0.7, 3, s)
+		runCoord(bk, qdir, 0.7, 0, 3, s)
 	}
 }
 
@@ -51,13 +51,13 @@ func BenchmarkGatherIncr(b *testing.B) {
 	theta := 0.7 * bk.lb
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runIncr(bk, qdir, 1, theta, 0.7, 3, s)
+		runIncr(bk, qdir, 1, theta, 0.7, 0, 3, s)
 	}
 }
 
 func BenchmarkVerification(b *testing.B) {
 	bk, qdir, s := benchBucket(b)
-	runLength(bk, bk.lens[bk.size()/2], 1, s) // ~512 candidates
+	runLength(bk, bk.lens[bk.size()/2], 1, 0, s) // ~512 candidates
 	b.ResetTimer()
 	var acc float64
 	for i := 0; i < b.N; i++ {

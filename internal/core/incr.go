@@ -1,5 +1,7 @@
 package core
 
+import "math"
+
 // runIncr implements the INCR algorithm (§4.3 with the rewritten
 // acceptance tests of Appendix A). Like COORD it scans the feasible ranges
 // of the φ focus-coordinate lists, but it additionally accumulates, per
@@ -15,8 +17,9 @@ package core
 // Per Appendix A the COORD counter is dropped: a vector missing from some
 // focus range is infeasible in that coordinate, hence below θ_b ≤ θ_p and
 // never a true result, so the (possibly incomplete) accumulators can only
-// admit spurious candidates, which verification removes.
-func runIncr(b *bucket, qdir []float64, qlen, theta, thetaB float64, phi int, s *scratch) {
+// admit spurious candidates, which verification removes. The index's slack
+// (boundSlack) loosens θ, the feasible regions and both remainders.
+func runIncr(b *bucket, qdir []float64, qlen, theta, thetaB, slack float64, phi int, s *scratch) {
 	s.resetCands()
 	if thetaB <= 0 {
 		allCandidates(b, s)
@@ -31,7 +34,7 @@ func runIncr(b *bucket, qdir []float64, qlen, theta, thetaB float64, phi int, s 
 	}
 	first := 0
 	for i, f := range s.focus {
-		lo, hi := feasibleRegion(qdir[f], thetaB)
+		lo, hi := feasibleRegion(qdir[f], thetaB, slack)
 		start, end := lists.scanRange(int(f), lo, hi)
 		s.rangeStart[i], s.rangeEnd[i] = start, end
 		if end-start < s.rangeEnd[first]-s.rangeStart[first] {
@@ -103,10 +106,11 @@ func runIncr(b *bucket, qdir []float64, qlen, theta, thetaB float64, phi int, s 
 		}
 	}
 	// Filter over the first range with the rewritten Eq. (5).
-	qRestSq := 1 - qFsq
+	qRestSq := 1 + slack - qFsq
 	if qRestSq < 0 {
 		qRestSq = 0
 	}
+	theta -= slack * math.Abs(theta)
 	_, lids := lists.list(int(s.focus[first]))
 	for i := s.rangeStart[first]; i < s.rangeEnd[first]; i++ {
 		lid := lids[i]
@@ -116,7 +120,7 @@ func runIncr(b *bucket, qdir []float64, qlen, theta, thetaB float64, phi int, s 
 			s.cand = append(s.cand, lid)
 			continue
 		}
-		pRestSq := 1 - s.cpsq[lid]
+		pRestSq := 1 + slack - s.cpsq[lid]
 		if pRestSq < 0 {
 			pRestSq = 0
 		}

@@ -28,6 +28,7 @@ type Index struct {
 	r         int
 	maxBucket int // largest bucket in scan (sizes worker scratch)
 	prepTime  time.Duration
+	slack     float64 // boundSlack(r), by which every pruning bound is loosened
 
 	// autoScreen is set where the int8 screen runs without being asked for:
 	// the index was built without Options.Quantize and quant's kernels are
@@ -124,7 +125,7 @@ func NewIndexWithIDs(p *matrix.Matrix, ids []int32, opts Options) (*Index, error
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{opts: opts, r: p.R(), id: indexSeq.Add(1), scratchPool: new(sync.Pool),
+	ix := &Index{opts: opts, r: p.R(), slack: boundSlack(p.R()), id: indexSeq.Add(1), scratchPool: new(sync.Pool),
 		autoScreen: !opts.Quantize && quant.Accelerated(p.R())}
 	ix.setBase(ix.newSegment(p, ids, lens))
 	ix.prepTime = time.Since(start)
@@ -266,11 +267,11 @@ func (ix *Index) gather(c *call, bi int, qi int32, qdir []float64, qlen, theta, 
 	}
 	switch alg, phi := ix.resolve(c, bi, thetaB); alg {
 	case AlgL:
-		runLength(b, theta, qlen, s)
+		runLength(b, theta, qlen, ix.slack, s)
 	case AlgC:
-		runCoord(b, qdir, thetaB, phi, s)
+		runCoord(b, qdir, thetaB, ix.slack, phi, s)
 	case AlgI:
-		runIncr(b, qdir, qlen, theta, thetaB, phi, s)
+		runIncr(b, qdir, qlen, theta, thetaB, ix.slack, phi, s)
 	default:
 		panic(fmt.Sprintf("core: unresolved algorithm %v", alg))
 	}

@@ -64,6 +64,7 @@ func (ix *Index) verifyCands(bi int, s *scratch, qi int32, qdir []float64, qlen,
 // that early exit's pruning statistic is O(1).
 func (ix *Index) aboveWorker(c *call, qs *querySet, lo, hi int, theta float64, s *scratch, emit retrieval.Sink, st *Stats) {
 	nq := int64(hi - lo)
+	limit := 1 + ix.slack // the largest local threshold a computed value can reach
 	s.beginTile(lo, hi-lo)
 	for bi, b := range ix.scan {
 		// θ_b(q) = θ/(‖q‖·l_b); for l_b = 0 this is +Inf and the
@@ -78,7 +79,7 @@ func (ix *Index) aboveWorker(c *call, qs *querySet, lo, hi int, theta float64, s
 				break // zero queries produce only zero products < θ
 			}
 			thetaB := theta / (qlen * b.lb)
-			if thetaB > 1 {
+			if thetaB > limit {
 				break // every later query is shorter (line 13)
 			}
 			processed++
@@ -125,8 +126,9 @@ const (
 // vectors, is scanned fully and plays the role of the paper's "k longest
 // vectors" seed — and whether θ′ prunes the bucket, which prunes every
 // later one too. The query's length is irrelevant to its ranking, so the
-// search runs on the unit direction (‖q‖ = 1).
-func topkThresholds(heap *topk.Heap, lb float64) (theta, thetaB float64, pruned bool) {
+// search runs on the unit direction (‖q‖ = 1). limit is 1 plus the index's
+// slack (boundSlack).
+func topkThresholds(heap *topk.Heap, lb, limit float64) (theta, thetaB float64, pruned bool) {
 	theta, thetaB = math.Inf(-1), math.Inf(-1)
 	if thr, ok := heap.Threshold(); ok {
 		theta = thr
@@ -135,7 +137,7 @@ func topkThresholds(heap *topk.Heap, lb float64) (theta, thetaB float64, pruned 
 			return theta, -1, theta > 0
 		}
 		thetaB = theta / lb
-		return theta, thetaB, thetaB > 1
+		return theta, thetaB, thetaB > limit
 	}
 	if lb == 0 {
 		thetaB = -1
@@ -175,7 +177,7 @@ func (ix *Index) topkTile(c *call, qs *querySet, lo, hi, kk int, s *scratch, out
 			}
 			qi := lo + int(t)
 			heap := &heaps[t]
-			theta, thetaB, pruned := topkThresholds(heap, b.lb)
+			theta, thetaB, pruned := topkThresholds(heap, b.lb, 1+ix.slack)
 			if pruned {
 				st.PrunedPairs++
 				continue

@@ -207,7 +207,7 @@ func TestTopKTilesMatchPerRowLoop(t *testing.T) {
 		vecmath.Normalize(qdir, q.Vec(1))
 		var st Stats
 		s, want := newScratch(ix.maxBucket, ix.r), newScratch(ix.maxBucket, ix.r)
-		runLength(b, math.Inf(-1), 1, s)
+		runLength(b, math.Inf(-1), 1, 0, s)
 		if !s.prefix || len(s.cand) != b.size() {
 			t.Fatalf("LENGTH at θ = -Inf: prefix=%v over %d of %d rows", s.prefix, len(s.cand), b.size())
 		}

@@ -207,9 +207,9 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 				return
 			}
 			theta, thetaB := prob.Theta, prob.Theta/(qlen*b.lb)
-			pruned := thetaB > 1 // and so is every later, shorter bucket
+			pruned := thetaB > 1+ix.slack // and so is every later, shorter bucket
 			if kk > 0 {
-				theta, thetaB, pruned = topkThresholds(&heap, b.lb)
+				theta, thetaB, pruned = topkThresholds(&heap, b.lb, 1+ix.slack)
 			}
 			if pruned {
 				break
@@ -218,7 +218,7 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 				perSample[si] = append(perSample[si], tunePair{int32(bi), int32(qi), qlen, theta, thetaB})
 			}
 			if kk > 0 {
-				runLength(b, theta, 1, s)
+				runLength(b, theta, 1, ix.slack, s)
 				ix.verifyCands(bi, s, int32(qi), qdir, 1, theta, &trajStats)
 				for i, dot := range s.vals {
 					lid := s.lid(i)
@@ -314,13 +314,13 @@ func (ix *Index) observe(c *call, p tunePair, qdir []float64, phis []int, costPh
 	for _, phi := range phis {
 		o.costPhi[phi] = measure(func() {
 			if incr && phi > 1 {
-				runIncr(b, qdir, qlen, p.theta, p.thetaB, phi, s)
+				runIncr(b, qdir, qlen, p.theta, p.thetaB, ix.slack, phi, s)
 			} else {
-				runCoord(b, qdir, p.thetaB, phi, s)
+				runCoord(b, qdir, p.thetaB, ix.slack, phi, s)
 			}
 		})
 	}
-	o.costL = measure(func() { runLength(b, p.theta, qlen, s) })
+	o.costL = measure(func() { runLength(b, p.theta, qlen, ix.slack, s) })
 	return o
 }
 

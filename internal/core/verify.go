@@ -28,8 +28,8 @@ import (
 //
 // Every kernel accumulates a row in vecmath's one canonical order (stated
 // in vecmath/kernels.go), so which kernel verifies a candidate never
-// changes its value — the differential mutation harness (delta_test.go)
-// asserts byte-identical retrieval results across it. Threshold and heap
+// changes its value — the differential harness (the root package's
+// differential_test.go) asserts bit-identical results across it. Threshold and heap
 // checks are applied per block by the callers, which read the dot products
 // back out of s.vals.
 

@@ -39,20 +39,6 @@ func Sort(entries []Entry) {
 	})
 }
 
-// SortByValue orders entries by decreasing Value, breaking ties by
-// (Query, Probe) ascending so the order is deterministic.
-func SortByValue(entries []Entry) {
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Value != entries[j].Value {
-			return entries[i].Value > entries[j].Value
-		}
-		if entries[i].Query != entries[j].Query {
-			return entries[i].Query < entries[j].Query
-		}
-		return entries[i].Probe < entries[j].Probe
-	})
-}
-
 // TopK is the per-query result of a Row-Top-k retrieval: for each query
 // vector, up to k probe entries ordered by decreasing value.
 type TopK [][]Entry

@@ -26,18 +26,6 @@ func TestSortCanonical(t *testing.T) {
 	}
 }
 
-func TestSortByValue(t *testing.T) {
-	es := []Entry{{1, 1, 5}, {0, 0, 9}, {2, 2, 5}, {3, 3, 1}}
-	SortByValue(es)
-	if es[0].Value != 9 || es[3].Value != 1 {
-		t.Fatalf("order %v", es)
-	}
-	// Equal values tie-break by (Query, Probe).
-	if es[1].Query != 1 || es[2].Query != 2 {
-		t.Fatalf("tie-break %v", es)
-	}
-}
-
 func TestEqualSets(t *testing.T) {
 	a := []Entry{{1, 2, 0.5}, {3, 4, 0.7}}
 	b := []Entry{{3, 4, 0.9}, {1, 2, 0.1}} // values ignored

@@ -28,8 +28,8 @@ package vecmath
 // operation and return the same bits. So on a given machine every kernel is
 // bit-identical, row by row, to Dot on that row; only the interleaving
 // *across* rows differs between kernels, which no result depends on. The
-// exactness-asserted paths (the differential mutation harness, the
-// tile-vs-row test, the bulk cross-check) rely on that.
+// exactness-asserted paths (the differential harness, the tile-vs-row
+// test, the bulk cross-check) rely on that.
 //
 // The wrappers below keep the shape checks and every slice-to-pointer step
 // in Go: assembly sees only rows of r ≥ 4 elements whose lengths were

@@ -40,7 +40,10 @@ import (
 )
 
 // Entry is one large entry of QᵀP: Value = (query column Query)ᵀ·(probe
-// column Probe).
+// column Probe). Both problems compute it from the unit directions q̄, p̄
+// and the lengths, in two orders: TopK as (q̄ᵀp̄·‖p‖)·‖q‖, AboveTheta as
+// (q̄ᵀp̄·‖q‖)·‖p‖. So the same product can differ in its last bit between
+// the two; within one problem every entry point returns the same bits.
 type Entry = retrieval.Entry
 
 // TopKRows holds a Row-Top-k result: TopKRows[i] lists query i's top

@@ -114,40 +114,24 @@ func TestAboveThetaFuncStreams(t *testing.T) {
 	}
 }
 
+// TestAllAlgorithmsThroughPublicAPI: an index built under each algorithm
+// answers 40 of its own 500 Gaussian probes as the differential harness's
+// reference does (differential_test.go).
 func TestAllAlgorithmsThroughPublicAPI(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	vecs := make([][]float64, 500)
-	for i := range vecs {
-		v := make([]float64, 6)
-		for f := range v {
-			v[f] = rng.NormFloat64()
-		}
-		vecs[i] = v
+	p := lemp.NewMatrix(6, 500)
+	for i := 0; i < p.N(); i++ {
+		copy(p.Vec(i), randVec(rng, 6))
 	}
-	p, _ := lemp.MatrixFromVectors(vecs)
-	q, _ := lemp.MatrixFromVectors(vecs[:40])
-	reference, _, err := func() ([]lemp.Entry, lemp.Stats, error) {
-		ix, _ := lemp.New(p, lemp.Options{Algorithm: lemp.AlgorithmL})
-		return aboveTheta(ix, q, 4.0)
-	}()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alg := range []lemp.Algorithm{
-		lemp.AlgorithmLI, lemp.AlgorithmLC, lemp.AlgorithmI, lemp.AlgorithmC,
-	} {
+	var eps []entryPoint
+	for _, alg := range allAlgorithms {
 		ix, err := lemp.New(p, lemp.Options{Algorithm: alg})
 		if err != nil {
 			t.Fatalf("New(%v): %v", alg, err)
 		}
-		got, _, err := aboveTheta(ix, q, 4.0)
-		if err != nil {
-			t.Fatalf("AboveTheta(%v): %v", alg, err)
-		}
-		if len(got) != len(reference) {
-			t.Errorf("alg %v: %d entries, want %d", alg, len(got), len(reference))
-		}
+		eps = append(eps, retrieveEP(alg.String(), ix, false))
 	}
+	check(t, "public API", newReference(t, p, nil), p.Head(40), 10, rng, eps...)
 }
 
 func TestParseAlgorithm(t *testing.T) {
@@ -236,14 +220,14 @@ func TestMatrixHelpersAndLoadMatrix(t *testing.T) {
 	}
 }
 
+// TestParallelOptionsThroughPublicAPI: Options.Parallelism and
+// WithParallelism answer as the differential harness's reference does.
 func TestParallelOptionsThroughPublicAPI(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	p := lemp.NewMatrix(6, 300)
-	q := lemp.NewMatrix(6, 80)
+	p, q := lemp.NewMatrix(6, 300), lemp.NewMatrix(6, 80)
 	for _, m := range []*lemp.Matrix{p, q} {
-		d := m.Data()
-		for i := range d {
-			d[i] = rng.NormFloat64()
+		for i := 0; i < m.N(); i++ {
+			copy(m.Vec(i), randVec(rng, 6))
 		}
 	}
 	serial, err := lemp.New(p, lemp.Options{})
@@ -254,18 +238,6 @@ func TestParallelOptionsThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTop, _, _ := rowTopK(serial, q, 3)
-	gotTop, _, _ := rowTopK(parallel, q, 3)
-	for i := range wantTop {
-		for j := range wantTop[i] {
-			if wantTop[i][j].Value != gotTop[i][j].Value {
-				t.Fatalf("row %d rank %d: %g vs %g", i, j, gotTop[i][j].Value, wantTop[i][j].Value)
-			}
-		}
-	}
-	want, _, _ := aboveTheta(serial, q, 3)
-	got, _, _ := aboveTheta(parallel, q, 3)
-	if len(want) != len(got) {
-		t.Fatalf("parallel Above-θ %d entries, serial %d", len(got), len(want))
-	}
+	check(t, "parallel options", newReference(t, p, nil), q, 3, rng,
+		retrieveEP("Options.Parallelism 4", parallel, false), retrieveEP("WithParallelism 4", serial, false, lemp.WithParallelism(4)))
 }
