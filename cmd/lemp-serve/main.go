@@ -424,7 +424,8 @@ func saveSnapshots(srv *server.Server, path string, k int, lists bool) {
 	start := time.Now()
 	ixs := srv.Sharded().Indexes()
 	for i, ix := range ixs {
-		if err := ix.PretuneTopK(pretuneSample(ix.Probe()), k); err != nil {
+		live, _ := ix.LiveProbes()
+		if err := ix.PretuneTopK(pretuneSample(live), k); err != nil {
 			fail("pretuning shard %d: %v", i, err)
 		}
 	}

@@ -3,19 +3,16 @@ package lemp_test
 // The differential harness: one case generator, one reference and one
 // agreement rule for every entry point that answers Above-θ or Row-Top-k.
 //
-// The reference is a fresh lemp.NewWithIDs over the live catalog under
-// algorithm L, held to internal/naive within tolerance(r)·‖q‖·‖p‖: its
-// every value near its own probe's product, its Row-Top-k values rank by
-// rank near naive's, and at a safe θ — midway in a gap between naive values
-// wider than four tolerances — naive's Above-θ entry set. Every other entry
-// point must agree with the reference bit for bit (agree). Values are
-// compared only within one problem: Row-Top-k computes (q̄ᵀp̄·‖p‖)·‖q‖ and
-// Above-θ (q̄ᵀp̄·‖q‖)·‖p‖, which can differ in the last bit.
+// The reference is internal/naive over the live catalog in ascending-id
+// order, and agreement is equality: every entry point returns naive's
+// entries, ids and values, with ±0 counted alike. Every value is fl(qᵀp) as
+// vecmath.Dot computes it, for Row-Top-k as for Above-θ, so values agree
+// across the two problems too; Row-Top-k ties go to the smaller id, as
+// naive's heap breaks them.
 //
-// Above-θ runs at two thresholds: the safe θ, and an exact θ equal to a value
-// the reference returned at a lower θ. At the exact θ the reference must
-// return that entry and every entry point the same set, so no pruning bound
-// may drop an entry whose computed value reaches θ.
+// Above-θ runs at two thresholds: the smallest positive θ, which returns
+// every positive product, and an exact θ equal to one of those values, so
+// no pruning bound may drop an entry whose value reaches θ.
 //
 //	go test -run 'Differential|TieContract' .       # the harness
 //	go test -run '^$' -fuzz FuzzDifferential .       # more generated cases
@@ -42,13 +39,7 @@ import (
 	"lemp"
 	"lemp/internal/naive"
 	"lemp/internal/server"
-	"lemp/internal/vecmath"
 )
-
-// tolerance bounds |LEMP's value − naive's| relative to ‖q‖·‖p‖: twice the
-// pruning bounds' slack δ(r) = (r+8)·2⁻⁵² (internal/core boundSlack), which
-// covers LEMP's normalization, dot and multiplications and naive's dot.
-func tolerance(r int) float64 { return float64(r+8) * 0x1p-51 }
 
 var allAlgorithms = []lemp.Algorithm{
 	lemp.AlgorithmLI, lemp.AlgorithmL, lemp.AlgorithmC, lemp.AlgorithmI, lemp.AlgorithmLC,
@@ -405,158 +396,72 @@ func caseEntryPoints(t *testing.T, c diffCase, n int) []entryPoint {
 	return eps
 }
 
-// agree is the agreement rule. Above-θ rows, sorted by probe, must be
-// byte-identical. Row-Top-k rows must carry bitwise-equal values rank by rank
-// and the same probe ids, except where the value is tied — equal to a
-// neighbour in the row or to the row's last value — where the probe must be
-// one the reference scores with exactly that value (valueOf).
-func agree(t *testing.T, tag string, k int, got, want [][]lemp.Entry, valueOf func(i, probe int) (float64, bool)) {
-	t.Helper()
-	for i, w := range want {
-		g := got[i]
-		if len(g) != len(w) {
-			t.Fatalf("%s: row %d has %d entries, reference %d\n got %v\nwant %v", tag, i, len(g), len(w), g, w)
-		}
-		seen := make(map[int]bool, len(g))
-		for j := range w {
-			if math.Float64bits(g[j].Value) != math.Float64bits(w[j].Value) || g[j].Query != w[j].Query || seen[g[j].Probe] {
-				t.Fatalf("%s: row %d rank %d: got %+v, reference %+v", tag, i, j, g[j], w[j])
-			}
-			seen[g[j].Probe] = true
-			if g[j].Probe == w[j].Probe {
-				continue
-			}
-			v := w[j].Value
-			tied := k > 0 && ((j > 0 && w[j-1].Value == v) || (j+1 < len(w) && w[j+1].Value == v) || w[len(w)-1].Value == v)
-			if !tied {
-				t.Fatalf("%s: row %d rank %d: probe %d, reference %d (value %v)", tag, i, j, g[j].Probe, w[j].Probe, v)
-			}
-			if rv, ok := valueOf(i, g[j].Probe); !ok || math.Float64bits(rv) != math.Float64bits(v) {
-				t.Fatalf("%s: row %d rank %d: tied probe %d scores %v, not %v", tag, i, j, g[j].Probe, rv, v)
-			}
-		}
-	}
-}
-
-// reference is the fresh index over a catalog, which it keeps for naive.
+// reference is internal/naive over a catalog in ascending-id order.
 type reference struct {
-	ix   *lemp.Index
-	p    *lemp.Matrix
-	cols map[int32]int // probe id → column of p
-	tol  float64       // tolerance(r)·max‖p‖
+	p   *lemp.Matrix
+	ids []int32 // by column, ascending
 }
 
-func newReference(t *testing.T, p *lemp.Matrix, ids []int32) *reference {
-	t.Helper()
-	ix, err := lemp.NewWithIDs(p, ids, lemp.Options{Algorithm: lemp.AlgorithmL, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
+func newReference(p *lemp.Matrix, ids []int32) reference {
+	cols := make([]int, p.N())
+	for col := range cols {
+		cols[col] = col
 	}
-	ref := &reference{ix: ix, p: p, cols: make(map[int32]int, p.N())}
-	for col := 0; col < p.N(); col++ {
-		id := int32(col)
-		if ids != nil {
-			id = ids[col]
+	id := func(col int) int32 {
+		if ids == nil {
+			return int32(col)
 		}
-		ref.cols[id] = col
-		ref.tol = max(ref.tol, tolerance(p.R())*vecmath.Norm(p.Vec(col)))
+		return ids[col]
+	}
+	slices.SortFunc(cols, func(a, b int) int { return int(id(a) - id(b)) })
+	ref := reference{lemp.NewMatrix(p.R(), p.N()), make([]int32, p.N())}
+	for j, col := range cols {
+		copy(ref.p.Vec(j), p.Vec(col))
+		ref.ids[j] = id(col)
 	}
 	return ref
 }
 
-// checkAgainstNaive holds the reference's rows to internal/naive.
-func (ref *reference) checkAgainstNaive(t *testing.T, tag string, q *lemp.Matrix, k int, theta float64, rows [][]lemp.Entry) {
-	t.Helper()
-	var want [][]lemp.Entry
+// answer is naive's Row-Top-k rows when k > 0, else its Above-θ rows at
+// theta, in probe ids.
+func (ref reference) answer(q *lemp.Matrix, k int, theta float64) [][]lemp.Entry {
+	var rows [][]lemp.Entry
 	if k > 0 {
-		want, _ = naive.RowTopK(q, ref.p, k)
+		rows, _ = naive.RowTopK(q, ref.p, k)
 	} else {
 		var entries []lemp.Entry
 		naive.AboveTheta(q, ref.p, theta, func(e lemp.Entry) { entries = append(entries, e) })
-		want = byQuery(q.N(), entries)
+		rows = byQuery(q.N(), entries)
 	}
-	for i, row := range rows {
-		qv, tol := q.Vec(i), ref.tol*vecmath.Norm(q.Vec(i))
-		if len(row) != len(want[i]) {
-			t.Fatalf("%s: reference row %d has %d entries, naive %d (k=%d θ=%v)", tag, i, len(row), len(want[i]), k, theta)
-		}
-		cols := make(map[int]bool, len(row))
-		for j, e := range row {
-			col, ok := ref.cols[int32(e.Probe)]
-			if v := vecmath.Dot(qv, ref.p.Vec(col)); !ok || math.Abs(e.Value-v) > tol {
-				t.Fatalf("%s: reference entry %+v is not its product %v", tag, e, v)
-			}
-			if k > 0 && math.Abs(e.Value-want[i][j].Value) > tol {
-				t.Fatalf("%s: reference row %d rank %d: %v, naive %v", tag, i, j, e.Value, want[i][j].Value)
-			}
-			cols[col] = true
-		}
-		for _, e := range want[i] {
-			if k == 0 && !cols[e.Probe] {
-				t.Fatalf("%s: reference row %d misses naive's column %d (θ=%v)", tag, i, e.Probe, theta)
-			}
+	for _, row := range rows {
+		for j := range row {
+			row[j].Probe = int(ref.ids[row[j].Probe])
 		}
 	}
+	return rows
 }
 
-// safeTheta returns a θ > 0 midway in a gap between naive values wider than
-// four tolerances, near a random level, or false if there is none.
-func (ref *reference) safeTheta(q *lemp.Matrix, rng *rand.Rand) (float64, bool) {
-	vals, gap := []float64{0}, 0.0
-	for i := 0; i < q.N(); i++ {
-		gap = max(gap, 4*ref.tol*vecmath.Norm(q.Vec(i)))
-		for col := 0; col < ref.p.N(); col++ {
-			if v := vecmath.Dot(q.Vec(i), ref.p.Vec(col)); v > 0 {
-				vals = append(vals, v)
-			}
-		}
-	}
-	slices.Sort(vals)
-	for d, start := 0, 1+rng.Intn(len(vals)); d < len(vals); d++ {
-		for _, l := range []int{start + d, start - d} {
-			if l >= 1 && l < len(vals) && vals[l]-vals[l-1] > gap {
-				return (vals[l] + vals[l-1]) / 2, true
-			}
-		}
-	}
-	return 0, false
-}
-
-// check answers q through the reference and every entry point: Row-Top-k at
-// k, Above-θ at a safe θ, and Above-θ at an exact θ.
-func check(t *testing.T, tag string, ref *reference, q *lemp.Matrix, k int, rng *rand.Rand, eps ...entryPoint) {
+// check answers q through every entry point and holds each to naive:
+// Row-Top-k at k, Above-θ at the smallest positive θ, and Above-θ at an
+// exact θ, the value of one entry of the run before.
+func check(t *testing.T, tag string, ref reference, q *lemp.Matrix, k int, rng *rand.Rand, eps ...entryPoint) {
 	t.Helper()
-	refEP := retrieveEP("reference", ref.ix, false)
-	var full [][]lemp.Entry // the reference's whole Row-Top-k rows, for ties
-	valueOf := func(i, probe int) (float64, bool) {
-		if full == nil {
-			full = refEP.answer(t, tag, q, max(1, ref.ix.N()), 0)
-		}
-		j := slices.IndexFunc(full[i], func(e lemp.Entry) bool { return e.Probe == probe })
-		if j < 0 {
-			return 0, false
-		}
-		return full[i][j].Value, true
-	}
 	run := func(k int, theta float64) [][]lemp.Entry {
-		want := refEP.answer(t, tag, q, k, theta)
+		want := ref.answer(q, k, theta)
 		for _, ep := range eps {
-			agree(t, fmt.Sprintf("%s: %s k=%d θ=%v", tag, ep.name, k, theta), k, ep.answer(t, tag, q, k, theta), want, valueOf)
+			got := ep.answer(t, tag, q, k, theta)
+			for i := range want {
+				if !slices.Equal(got[i], want[i]) { // Entry's == counts ±0 alike
+					t.Fatalf("%s: %s k=%d θ=%v: row %d\n got %v\nwant %v", tag, ep.name, k, theta, i, got[i], want[i])
+				}
+			}
 		}
 		return want
 	}
-	ref.checkAgainstNaive(t, tag, q, k, 0, run(k, 0))
-	low := math.SmallestNonzeroFloat64
-	if theta, ok := ref.safeTheta(q, rng); ok {
-		ref.checkAgainstNaive(t, tag, q, 0, theta, run(0, theta))
-		low = theta
-	}
-	below := slices.Concat(refEP.answer(t, tag, q, 0, low)...)
-	if len(below) == 0 {
-		return
-	}
-	if e := below[rng.Intn(len(below))]; !slices.Contains(run(0, e.Value)[e.Query], e) {
-		t.Fatalf("%s: the reference drops %+v at θ equal to its value", tag, e)
+	run(k, 0)
+	all := slices.Concat(run(0, math.SmallestNonzeroFloat64)...)
+	if len(all) > 0 {
+		run(0, all[rng.Intn(len(all))].Value)
 	}
 }
 
@@ -569,7 +474,7 @@ func TestDifferential(t *testing.T) {
 	for n := 0; n < cases; n++ {
 		c := genCase(int64(1 + n))
 		tag := fmt.Sprintf("case %d (r=%d n=%d %v)", 1+n, c.p.R(), c.p.N(), c.opts.Algorithm)
-		check(t, tag, newReference(t, c.p, c.ids), c.q, c.k, rand.New(rand.NewSource(int64(n))), caseEntryPoints(t, c, n)...)
+		check(t, tag, newReference(c.p, c.ids), c.q, c.k, rand.New(rand.NewSource(int64(n))), caseEntryPoints(t, c, n)...)
 	}
 }
 
@@ -581,13 +486,13 @@ func FuzzDifferential(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		c := genCase(seed)
-		check(t, fmt.Sprintf("seed %d", seed), newReference(t, c.p, c.ids), c.q, c.k, rand.New(rand.NewSource(seed)), caseEntryPoints(t, c, int(seed&0xffff))...)
+		check(t, fmt.Sprintf("seed %d", seed), newReference(c.p, c.ids), c.q, c.k, rand.New(rand.NewSource(seed)), caseEntryPoints(t, c, int(seed&0xffff))...)
 	})
 }
 
 // TestDifferentialFixtures holds the format version 1, 2 and 5 snapshot
 // files, loaded as written, quantized and retuned, and unquantized at
-// Parallelism 3, to a reference over the catalog they restore.
+// Parallelism 3, to naive over the catalog they restore.
 func TestDifferentialFixtures(t *testing.T) {
 	for _, name := range []string{"v1.snap", "v2.snap", "v5.snap"} {
 		raw, err := os.ReadFile(filepath.Join("internal", "snapshot", "testdata", name))
@@ -612,15 +517,16 @@ func TestDifferentialFixtures(t *testing.T) {
 				copy(q.Vec(i), p.Vec(rng.Intn(p.N())))
 				q.Vec(i)[0] += rng.NormFloat64()
 			}
-			check(t, name, newReference(t, p, ids), q, k, rng, eps...)
+			check(t, name, newReference(p, ids), q, k, rng, eps...)
 		}
 	}
 }
 
 // TestTieContract pins which of four equal vectors under ids [7, 2, 5, 1]
-// answers TopK(1): one index returns the first in its scan order, 7; a
-// 2-shard range server merges shard {7, 2}'s 7 with shard {5, 1}'s 5, and
-// MergeTopK keeps the lower id, 5.
+// answers TopK(1): the smallest id, 1, naive's answer, from one index (its
+// heap keeps the smaller id among equal values) and from a 2-shard range
+// server (shard {5, 1} answers 1, shard {7, 2} answers 2, and MergeTopK
+// keeps the lower id).
 func TestTieContract(t *testing.T) {
 	p, _ := lemp.MatrixFromVectors([][]float64{{1, 2}, {1, 2}, {1, 2}, {1, 2}})
 	q, _ := lemp.MatrixFromVectors([][]float64{{3, 1}})
@@ -629,15 +535,15 @@ func TestTieContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := ix.Retrieve(context.Background(), q, lemp.TopK(1)); err != nil || res.TopK[0][0].Probe != 7 {
-		t.Fatalf("one index: %v, %v; want probe 7", res, err)
+	if res, err := ix.Retrieve(context.Background(), q, lemp.TopK(1)); err != nil || res.TopK[0][0].Probe != 1 {
+		t.Fatalf("one index: %v, %v; want probe 1", res, err)
 	}
 	srv, err := server.NewWithIDs(p, ids, server.Config{Shards: 2, Placement: "range"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows, _, err := srv.Sharded().CurrentView().TopKCtx(context.Background(), q, 1); err != nil || rows[0][0].Probe != 5 {
-		t.Fatalf("2-shard range server: %v, %v; want probe 5", rows, err)
+	if rows, _, err := srv.Sharded().CurrentView().TopKCtx(context.Background(), q, 1); err != nil || rows[0][0].Probe != 1 {
+		t.Fatalf("2-shard range server: %v, %v; want probe 1", rows, err)
 	}
 }
 
@@ -767,7 +673,7 @@ func sequence(t *testing.T, seq string, rng *rand.Rand, ix *lemp.Index, sh *serv
 				copy(q.Vec(i), randVec(rng, r))
 			}
 		}
-		check(t, tag, newReference(t, p, ids), q, []int{1, 3, 10, len(live) + 5}[rng.Intn(4)], rng, eps...)
+		check(t, tag, newReference(p, ids), q, []int{1, 3, 10, len(live) + 5}[rng.Intn(4)], rng, eps...)
 		checks++
 	}
 	for step := 0; step < steps; step++ {

@@ -118,7 +118,7 @@ func TestQuantScreenGuardUniform(t *testing.T) {
 	if row.screenRate < 0.90 {
 		t.Errorf("sidecar screened %.1f%% of candidates at θ=%.4f, want >= 90%%", 100*row.screenRate, theta)
 	}
-	const wantScreened, wantSurvived = 58420, 1482
+	const wantScreened, wantSurvived = 58040, 1862
 	if row.screened != wantScreened || row.survived != wantSurvived {
 		t.Errorf("sidecar screened %d and passed %d of %d candidates (%s kernels), pinned %d and %d",
 			row.screened, row.survived, row.candidates, vecmath.Kernels(), wantScreened, wantSurvived)

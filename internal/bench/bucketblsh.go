@@ -51,7 +51,7 @@ func (g *blshGen) Worker() core.GenFunc {
 func (g *blshGen) sign(b core.Bucket) []uint64 {
 	sigs := make([]uint64, b.Size())
 	for lid := range sigs {
-		sigs[lid] = g.hasher.Signature(b.Dir(lid))
+		sigs[lid] = g.hasher.Signature(b.Row(lid)) // a positive scale keeps every sign
 	}
 	return sigs
 }

@@ -42,5 +42,9 @@ func (g *l2apGen) build(b core.Bucket) *l2ap.Index {
 	if g.qmax > 0 && b.MaxLen() > 0 {
 		t0 = vecmath.Clamp(g.theta/(g.qmax*b.MaxLen()), 0, 1)
 	}
-	return l2ap.Build(b.Dir, b.Size(), b.R(), t0)
+	dirs := matrix.New(b.R(), b.Size()) // L2AP indexes unit vectors: normalize a copy
+	for lid := 0; lid < b.Size(); lid++ {
+		vecmath.Normalize(dirs.Vec(lid), b.Row(lid))
+	}
+	return l2ap.Build(dirs.Vec, b.Size(), b.R(), t0)
 }

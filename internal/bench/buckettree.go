@@ -6,7 +6,6 @@ import (
 	"lemp/internal/core"
 	"lemp/internal/covertree"
 	"lemp/internal/matrix"
-	"lemp/internal/vecmath"
 )
 
 // treeGen runs a cover-tree search inside each bucket (LEMP-Tree, §6.3). A
@@ -33,7 +32,7 @@ func (g *treeGen) Worker() core.GenFunc {
 func buildTree(b core.Bucket) *covertree.Tree {
 	pts := matrix.New(b.R(), b.Size())
 	for lid := 0; lid < b.Size(); lid++ {
-		vecmath.Scale(pts.Vec(lid), b.Dir(lid), b.Len(lid))
+		copy(pts.Vec(lid), b.Row(lid))
 	}
 	return covertree.Build(pts, covertree.DefaultBase)
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"lemp/internal/vecmath"
 )
 
 // The soundness property of §4.2's coordinate bounds: whenever two unit
@@ -75,6 +77,37 @@ func TestFeasibleRegionEdgeCases(t *testing.T) {
 		lo2, hi2 := feasibleRegion(-qf, 0.7, 0)
 		if math.Abs(lo1+hi2) > 1e-12 || math.Abs(hi1+lo2) > 1e-12 {
 			t.Errorf("asymmetry at q̄_f=%g: [%g,%g] vs [%g,%g]", qf, lo1, hi1, lo2, hi2)
+		}
+	}
+}
+
+// TestFeasibleRegionNearAxis holds the region to what the scan needs of it,
+// in floating point: for a query near a coordinate axis (where the
+// endpoints are steepest), at θ equal to a pair's value fl(qᵀp) and
+// l_b = ‖p‖, every unit coordinate the lists store for p lies in the region
+// of the query's direction under the index's slack. The first pair is one a
+// coordinate scan once dropped.
+func TestFeasibleRegionNearAxis(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	q, p := []float64{0.02675111401481811, -2.1179823062589502}, []float64{0.8404960471958267, -0.7953923927641737}
+	for trial := 0; trial < 200000; trial++ {
+		r := len(q)
+		if thetaB := vecmath.Dot(q, p) / (vecmath.Norm(q) * vecmath.Norm(p)); thetaB > 0 {
+			qdir, pdir := make([]float64, r), make([]float64, r)
+			vecmath.Normalize(qdir, q)
+			vecmath.Normalize(pdir, p)
+			for f := range q {
+				if lo, hi := feasibleRegion(qdir[f], thetaB, boundSlack(r)); pdir[f] < lo || pdir[f] > hi {
+					t.Fatalf("q=%v p=%v: p̄_%d = %v outside [%v, %v] at θ_b = %v", q, p, f, pdir[f], lo, hi, thetaB)
+				}
+			}
+		}
+		r = 1 + rng.Intn(8)
+		q, p = randUnit(rng, r), randUnit(rng, r)
+		for f, c := 0, math.Exp(rng.NormFloat64()); f < r; f++ {
+			if q[f] *= c; f != 0 {
+				q[f] *= math.Pow(10, -1-6*rng.Float64()) // near axis 0
+			}
 		}
 	}
 }

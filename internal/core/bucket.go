@@ -6,19 +6,18 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"lemp/internal/matrix"
 	"lemp/internal/quant"
-	"lemp/internal/vecmath"
 )
 
 // bucket holds a group of probe vectors of similar length (§3.2, Fig. 4a):
-// original column ids, lengths sorted in decreasing order, and the
-// normalized directions, plus lazily built per-bucket indexes.
+// their external ids, lengths sorted in decreasing order and raw rows in the
+// same order — the index's one copy of each probe, from which whatever needs
+// a unit coordinate derives it — plus lazily built per-bucket indexes.
 type bucket struct {
 	r    int
-	ids  []int32   // original probe column numbers, by decreasing length
+	ids  []int32   // external probe ids, by decreasing length
 	lens []float64 // vector lengths, decreasing
-	dirs []float64 // normalized vectors, contiguous (size() × r)
+	rows []float64 // raw vectors, contiguous (size() × r), in lens's order
 	lb   float64   // length of the longest vector
 
 	// Sorted-list index for COORD/INCR, built lazily on first use. An
@@ -32,7 +31,7 @@ type bucket struct {
 	// other bucket's.
 	delta bool
 
-	// Int8 quantization sidecar of dirs: the conservative screen that runs
+	// Int8 quantization sidecar of rows: the conservative screen that runs
 	// ahead of exact verification (verify.go). One more lazy index — built by
 	// the first (query, bucket) pair the screen pays for, so a bucket no
 	// retrieval verifies never carries one — except under Options.Quantize,
@@ -46,9 +45,30 @@ type bucket struct {
 
 func (b *bucket) size() int { return len(b.ids) }
 
-// dir returns the normalized vector with bucket-local id lid.
-func (b *bucket) dir(lid int) []float64 {
-	return b.dirs[lid*b.r : (lid+1)*b.r : (lid+1)*b.r]
+// row returns the raw vector with bucket-local id lid.
+func (b *bucket) row(lid int) []float64 {
+	return b.rows[lid*b.r : (lid+1)*b.r : (lid+1)*b.r]
+}
+
+// invLens returns each entry's factor from row to unit direction: 1/len,
+// the factor vecmath.Normalize multiplies by, or 0 for a zero-length row.
+func (b *bucket) invLens() []float64 {
+	inv := make([]float64, b.size())
+	for lid, l := range b.lens {
+		if l != 0 {
+			inv[lid] = 1 / l
+		}
+	}
+	return inv
+}
+
+// unit returns coordinate f of entry lid's unit direction, inv being its
+// invLens factor: vecmath.Normalize's bits, +0 for a zero-length row.
+func (b *bucket) unit(lid, f int, inv float64) float64 {
+	if inv == 0 {
+		return 0
+	}
+	return b.rows[lid*b.r+f] * inv
 }
 
 // ensureLists builds the sorted-list index on first use, over up to
@@ -65,11 +85,11 @@ func (b *bucket) ensureLists(workers int) *sortedLists {
 	return b.lists.Load()
 }
 
-// ensureSidecar quantizes the bucket's directions on first use. The
+// ensureSidecar quantizes the bucket's rows on first use. The
 // dimension must lie in [1, quant.MaxDim]: attachSidecars checks,
 // Index.autoScreen implies it.
 func (b *bucket) ensureSidecar() *quant.Rows {
-	b.q8Once.Do(func() { b.q8.Store(quant.QuantizeRows(b.dirs, b.r)) })
+	b.q8Once.Do(func() { b.q8.Store(quant.QuantizeRows(b.rows, b.r)) })
 	return b.q8.Load()
 }
 
@@ -110,16 +130,14 @@ func bucketSpans(sortedLens []float64, shrink float64, minSize, maxSize int) [][
 	return spans
 }
 
-// bucketize sorts the probe vectors by decreasing length and groups them
-// into buckets per §3.2 (boundaries from bucketSpans), and says by column
-// where each probe landed. lens holds every column's length, as
-// p.Lengths() computes it, all finite. extIDs names column col extIDs[col]
-// in the bucket id arrays; nil uses the column numbers themselves. Each
-// member's length and direction (its column scaled by the inverse length,
-// vecmath.Normalize's bits) are then written in catalog order, so the one
-// large read streams.
-func bucketize(p *matrix.Matrix, lens []float64, extIDs []int32, shrink float64, minSize, maxSize int) ([]*bucket, []probeLoc) {
-	n, r := p.N(), p.R()
+// bucketize sorts the n probe vectors vec(0..n-1) of dimension r by
+// decreasing length and groups them into buckets per §3.2 (boundaries from
+// bucketSpans), and says by column where each probe landed. lens holds
+// every column's length, as vecmath.Norm computes it, all finite. ids names
+// column col ids[col] in the bucket id arrays; nil uses the column numbers
+// themselves. Each member's length and row are then copied in catalog order,
+// so the one large read streams.
+func bucketize(n, r int, vec func(col int) []float64, lens []float64, ids []int32, shrink float64, minSize, maxSize int) ([]*bucket, []probeLoc) {
 	if n == 0 {
 		return nil, nil
 	}
@@ -133,23 +151,21 @@ func bucketize(p *matrix.Matrix, lens []float64, extIDs []int32, shrink float64,
 	loc := make([]probeLoc, n)
 	for _, sp := range bucketSpans(sorted, shrink, minSize, maxSize) {
 		cols := order[sp[0]:sp[1]]
-		ids := make([]int32, len(cols))
+		bids := make([]int32, len(cols))
 		for lid, col := range cols {
 			loc[col] = probeLoc{int32(len(buckets)), int32(lid)}
-			ids[lid] = col
-			if extIDs != nil {
-				ids[lid] = extIDs[col]
+			bids[lid] = col
+			if ids != nil {
+				bids[lid] = ids[col]
 			}
 		}
-		buckets = append(buckets, &bucket{r: r, ids: ids, lb: sorted[sp[0]],
-			lens: make([]float64, len(cols)), dirs: make([]float64, len(cols)*r)})
+		buckets = append(buckets, &bucket{r: r, ids: bids, lb: sorted[sp[0]],
+			lens: make([]float64, len(cols)), rows: make([]float64, len(cols)*r)})
 	}
 	for col, at := range loc {
-		b, l := buckets[at.bucket], lens[col]
-		b.lens[at.lid] = l
-		if l != 0 { // a zero vector has the zero direction, already in place
-			vecmath.Scale(b.dir(int(at.lid)), p.Vec(col), 1/l)
-		}
+		b := buckets[at.bucket]
+		b.lens[at.lid] = lens[col]
+		copy(b.row(int(at.lid)), vec(col))
 	}
 	return buckets, loc
 }
@@ -192,8 +208,8 @@ func byDecreasingLength(lens []float64) []int32 {
 }
 
 // bucketBytes estimates the cache footprint of one probe vector inside a
-// bucket: its normalized direction, length, id, and sorted-list index entry
-// per coordinate (value + local id).
+// bucket: its raw row, length, id, and sorted-list index entry per
+// coordinate (value + local id).
 func bucketBytes(r int) int {
 	return r*8 + 8 + 4 + r*(8+4)
 }

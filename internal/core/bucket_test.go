@@ -30,7 +30,7 @@ func TestBucketizeInvariants(t *testing.T) {
 		{0, 30, 100, 0.9},
 	} {
 		p := randomProbe(rng, tc.n, 8, 1.0)
-		buckets, _ := bucketize(p, p.Lengths(), nil, tc.shrink, tc.minSize, tc.maxSize)
+		buckets, _ := bucketizeMatrix(p, nil, tc.shrink, tc.minSize, tc.maxSize)
 
 		// Every probe vector appears in exactly one bucket.
 		seen := make(map[int32]bool)
@@ -76,22 +76,12 @@ func TestBucketizeInvariants(t *testing.T) {
 				}
 			}
 
-			// Directions are unit length (or zero for zero vectors),
-			// and dir·len reconstructs the original vector.
+			// Every row is its probe's vector, bit for bit, beside its
+			// length.
 			for lid := 0; lid < b.size(); lid++ {
-				dir := b.dir(lid)
-				var n2 float64
-				for _, x := range dir {
-					n2 += x * x
-				}
-				if b.lens[lid] > 0 && math.Abs(n2-1) > 1e-9 {
-					t.Fatalf("bucket %d lid %d: |dir|²=%g", bi, lid, n2)
-				}
 				orig := p.Vec(int(b.ids[lid]))
-				for f, x := range dir {
-					if math.Abs(x*b.lens[lid]-orig[f]) > 1e-9 {
-						t.Fatalf("bucket %d lid %d: reconstruction mismatch", bi, lid)
-					}
+				if !slices.Equal(b.row(lid), orig) || b.lens[lid] != vecmath.Norm(orig) {
+					t.Fatalf("bucket %d lid %d: row or length differs from the probe's", bi, lid)
 				}
 			}
 		}
@@ -108,7 +98,7 @@ func TestBucketizeZeroVectorsLast(t *testing.T) {
 		}
 	}
 	// vectors 40..49 stay zero
-	buckets, _ := bucketize(p, p.Lengths(), nil, 0.9, 5, 20)
+	buckets, _ := bucketizeMatrix(p, nil, 0.9, 5, 20)
 	// Zero vectors sort last, so in the concatenated bucket order no
 	// non-zero length may follow a zero length (a minimum-size bucket is
 	// allowed to mix them, but only at the global tail).
@@ -165,9 +155,14 @@ func TestCacheBudgetControlsBucketCount(t *testing.T) {
 	}
 }
 
+// bucketizeMatrix is bucketize over the columns of p.
+func bucketizeMatrix(p *matrix.Matrix, ids []int32, shrink float64, minSize, maxSize int) ([]*bucket, []probeLoc) {
+	return bucketize(p.N(), p.R(), p.Vec, p.Lengths(), ids, shrink, minSize, maxSize)
+}
+
 // oracleBucketize is bucketize as it stood before the radix sort and the
 // catalog-order fill: a reflective stable sort of the columns by decreasing
-// length, then every bucket normalized member by member in bucket order.
+// length, then every bucket filled member by member in bucket order.
 // TestBucketizeMatchesOracle holds the two to the same bits.
 func oracleBucketize(p *matrix.Matrix, extIDs []int32, shrink float64, minSize, maxSize int) ([]*bucket, []probeLoc) {
 	n := p.N()
@@ -185,14 +180,15 @@ func oracleBucketize(p *matrix.Matrix, extIDs []int32, shrink float64, minSize, 
 	loc := make([]probeLoc, n)
 	for _, sp := range bucketSpans(sorted, shrink, minSize, maxSize) {
 		cols := order[sp[0]:sp[1]]
-		b := &bucket{r: p.R(), ids: make([]int32, len(cols)), lens: make([]float64, len(cols)), dirs: make([]float64, len(cols)*p.R())}
+		b := &bucket{r: p.R(), ids: make([]int32, len(cols)), lens: make([]float64, len(cols)), rows: make([]float64, len(cols)*p.R())}
 		for lid, col := range cols {
 			loc[col] = probeLoc{int32(len(buckets)), int32(lid)}
 			b.ids[lid] = col
 			if extIDs != nil {
 				b.ids[lid] = extIDs[col]
 			}
-			b.lens[lid] = vecmath.Normalize(b.dir(lid), p.Vec(int(col)))
+			b.lens[lid] = vecmath.Norm(p.Vec(int(col)))
+			copy(b.row(lid), p.Vec(int(col)))
 		}
 		b.lb = b.lens[0]
 		buckets = append(buckets, b)
@@ -201,8 +197,10 @@ func oracleBucketize(p *matrix.Matrix, extIDs []int32, shrink float64, minSize, 
 }
 
 // TestBucketizeMatchesOracle: the radix-sorted, catalog-order bucketize
-// produces the oracle's buckets bit for bit — ids, lengths, directions, l_b
-// and the column → entry map — on catalogs built to stress the sort key:
+// produces the oracle's buckets bit for bit — ids, lengths, rows copied from
+// the catalog, l_b and the column → entry map — and every unit coordinate
+// derived from a row (bucket.unit) has vecmath.Normalize's bits (the
+// values the sorted lists store), on catalogs built to stress the sort key:
 // lengths tied in runs (stability decides the order), zero vectors,
 // coordinates so small that their squares are subnormal (lengths near
 // 1e-160) or vanish (subnormal coordinates: length 0, a non-zero vector
@@ -267,7 +265,7 @@ func TestBucketizeMatchesOracle(t *testing.T) {
 					ids[col] = int32(3*k + 1)
 				}
 			}
-			got, gotLoc := bucketize(p, p.Lengths(), ids, shape.shrink, shape.minSize, shape.maxSize)
+			got, gotLoc := bucketizeMatrix(p, ids, shape.shrink, shape.minSize, shape.maxSize)
 			want, wantLoc := oracleBucketize(p, ids, shape.shrink, shape.minSize, shape.maxSize)
 			if !slices.Equal(gotLoc, wantLoc) || len(got) != len(want) {
 				t.Fatalf("%s %+v: %d buckets, oracle %d, or the column map differs", name, shape, len(got), len(want))
@@ -282,8 +280,18 @@ func TestBucketizeMatchesOracle(t *testing.T) {
 			for bi, b := range got {
 				w := want[bi]
 				if !slices.Equal(b.ids, w.ids) || !slices.Equal(bits(b.lens), bits(w.lens)) ||
-					!slices.Equal(bits(b.dirs), bits(w.dirs)) || math.Float64bits(b.lb) != math.Float64bits(w.lb) || b.r != w.r {
+					!slices.Equal(bits(b.rows), bits(w.rows)) || math.Float64bits(b.lb) != math.Float64bits(w.lb) || b.r != w.r {
 					t.Fatalf("%s %+v: bucket %d differs from the oracle's", name, shape, bi)
+				}
+			}
+			dir := make([]float64, r)
+			for col, at := range gotLoc {
+				b := got[at.bucket]
+				vecmath.Normalize(dir, p.Vec(col))
+				for f := range dir {
+					if u := b.unit(int(at.lid), f, b.invLens()[at.lid]); math.Float64bits(u) != math.Float64bits(dir[f]) {
+						t.Fatalf("%s %+v: column %d coordinate %d: derived %v, Normalize %v", name, shape, col, f, u, dir[f])
+					}
 				}
 			}
 		}

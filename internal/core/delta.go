@@ -169,13 +169,19 @@ func (ix *Index) deadSkip(bi, lid int) bool { return isDead(ix.dead, bi, lid) }
 type probeLoc struct{ bucket, lid int32 }
 
 // segment is one immutable bucketization (§3.2) of a set of probe vectors,
-// shared by every index version that holds it.
+// shared by every index version that holds it. Its buckets hold the vectors;
+// a column is reached through loc.
 type segment struct {
-	ids     []int32        // external ids by column
-	vecs    *matrix.Matrix // raw vectors; column i belongs to ids[i]
-	buckets []*bucket      // decreasing l_b
-	loc     []probeLoc     // by column: where each probe sits
-	byID    []int32        // columns by ascending id; nil when ids ascend
+	ids     []int32    // external ids by column
+	buckets []*bucket  // decreasing l_b
+	loc     []probeLoc // by column: where each probe sits
+	byID    []int32    // columns by ascending id; nil when ids ascend
+}
+
+// vec returns the raw vector of column col, aliasing its bucket's row.
+func (s *segment) vec(col int) []float64 {
+	at := s.loc[col]
+	return s.buckets[at.bucket].row(int(at.lid))
 }
 
 // segRef is a segment as one index version holds it: live counts the
@@ -238,23 +244,13 @@ type liveVec struct {
 	vec []float64
 }
 
-// materialize copies probes into a fresh matrix, one column each in the order
-// given, and lists their ids beside it.
-func (ix *Index) materialize(probes []liveVec) (*matrix.Matrix, []int32) {
-	m, ids := matrix.New(ix.r, len(probes)), make([]int32, len(probes))
-	for i, e := range probes {
-		ids[i] = e.id
-		copy(m.Vec(i), e.vec)
-	}
-	return m, ids
-}
-
-// newSegment bucketizes the probes of vecs, column col named ids[col] and
-// of length lens[col], into a segment with every entry live. Under
-// Options.Quantize its buckets carry their sidecars.
-func (ix *Index) newSegment(vecs *matrix.Matrix, ids []int32, lens []float64) segRef {
-	s := &segment{ids: ids, vecs: vecs, byID: columnsByID(ids)}
-	s.buckets, s.loc = bucketize(vecs, lens, ids, ix.opts.ShrinkFactor, ix.opts.MinBucketSize, ix.bucketCap())
+// newSegment bucketizes the n probes vec(0..n-1), column col named ids[col]
+// and of length lens[col], into a segment with every entry live, copying
+// each vector into its bucket. Under Options.Quantize its buckets carry
+// their sidecars.
+func (ix *Index) newSegment(n int, vec func(col int) []float64, ids []int32, lens []float64) segRef {
+	s := &segment{ids: ids, byID: columnsByID(ids)}
+	s.buckets, s.loc = bucketize(n, ix.r, vec, lens, ids, ix.opts.ShrinkFactor, ix.opts.MinBucketSize, ix.bucketCap())
 	ix.attachSidecars(s.buckets)
 	return segRef{s, len(ids)}
 }
@@ -533,7 +529,7 @@ func (ix *Index) merge(segs []segRef, from int, dead []tombs, batch []liveVec) {
 		for _, b := range s.buckets {
 			gone[ix.scanPos(b)] = true
 		}
-		ix.eachLive(s, dead, func(col int) { live = append(live, liveVec{s.ids[col], s.vecs.Vec(col)}) })
+		ix.eachLive(s, dead, func(col int) { live = append(live, liveVec{s.ids[col], s.vec(col)}) })
 	}
 	live = append(live, batch...)
 	rest := live
@@ -546,8 +542,11 @@ func (ix *Index) merge(segs []segRef, from int, dead []tombs, batch []liveVec) {
 	segs = segs[:from:from]
 	var fresh []*bucket
 	if len(live) > 0 || from == 0 {
-		m, ids := ix.materialize(live)
-		s := ix.newSegment(m, ids, m.Lengths())
+		ids, lens := make([]int32, len(live)), make([]float64, len(live))
+		for i, e := range live {
+			ids[i], lens[i] = e.id, vecmath.Norm(e.vec)
+		}
+		s := ix.newSegment(len(live), func(col int) []float64 { return live[col].vec }, ids, lens)
 		for _, b := range s.buckets {
 			b.delta = from > 0
 		}
@@ -717,17 +716,4 @@ func (ix *Index) Compact() {
 		ix.refreeze(false)
 		ix.prepTime += time.Since(tuneStart)
 	}
-}
-
-// ProbeIDs returns the external ids of the base segment's columns — the
-// columns of Probe — in column order, nil when they are the column numbers
-// themselves. Newer runs are not reflected.
-func (ix *Index) ProbeIDs() []int32 {
-	ids := ix.segs[0].ids
-	for col, id := range ids {
-		if id != int32(col) {
-			return ids
-		}
-	}
-	return nil
 }

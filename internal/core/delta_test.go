@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"lemp/internal/matrix"
 	"lemp/internal/retrieval"
-	"lemp/internal/vecmath"
 )
 
 // ---------------------------------------------------------------------------
@@ -712,25 +712,18 @@ func TestProbeIDOverflowRejected(t *testing.T) {
 	}
 }
 
-// find locates every probe, and its bucket-resident unit direction scaled
-// by its stored length gives back the raw vector.
+// find locates every probe, and its bucket row is the raw vector.
 func TestProbeVecReconstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(115))
 	p := genMatrix(rng, 120, 7, 1.0, 1, false, 2, 5)
 	ix, _ := NewIndex(p, testOptions(AlgLI))
-	got := make([]float64, ix.r)
 	for id := 0; id < p.N(); id++ {
 		_, bi, lid, ok := ix.find(int32(id))
 		if !ok {
 			t.Fatalf("probe %d missing from location lookup", id)
 		}
-		b := ix.scan[bi]
-		vecmath.Scale(got, b.dir(lid), b.lens[lid])
-		want := p.Vec(id)
-		for f := range want {
-			if math.Abs(got[f]-want[f]) > 1e-9 {
-				t.Fatalf("probe %d coordinate %d: %g vs %g", id, f, got[f], want[f])
-			}
+		if got, want := ix.scan[bi].row(lid), p.Vec(id); !slices.Equal(got, want) {
+			t.Fatalf("probe %d: row %v, vector %v", id, got, want)
 		}
 	}
 }

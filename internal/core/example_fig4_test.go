@@ -32,20 +32,21 @@ func fig4Bucket(t *testing.T) *bucket {
 	}
 	// The bucket is constructed directly rather than through bucketize:
 	// the table's two-decimal directions are not exactly unit length, so
-	// re-deriving lengths would perturb the paper's tie order. Normalizing
-	// here changes each coordinate by ≤ 0.2%, inside every tolerance used
-	// below.
+	// re-deriving lengths would perturb the paper's tie order. Each row is
+	// the normalized direction times the table's length, which changes each
+	// coordinate by ≤ 0.2%, inside every tolerance used below.
 	b := &bucket{
 		r:    4,
 		ids:  []int32{0, 1, 2, 3, 4, 5},
 		lens: lens,
-		dirs: make([]float64, 6*4),
+		rows: make([]float64, 6*4),
 		lb:   2.0,
 	}
 	for i, d := range dirs {
-		if vecmath.Normalize(b.dir(i), d) == 0 {
+		if vecmath.Normalize(b.row(i), d) == 0 {
 			t.Fatalf("vector %d is zero", i)
 		}
+		vecmath.Scale(b.row(i), b.row(i), lens[i])
 	}
 	return b
 }
@@ -115,7 +116,7 @@ func TestFig4Verification(t *testing.T) {
 	runCoord(b, fig4Query.qdir, 0.9, 0, 2, s)
 	var passed []int
 	for _, lid := range s.lids() {
-		v := vecmath.Dot(fig4Query.qdir, b.dir(int(lid))) * fig4Query.qlen * b.lens[lid]
+		v := vecmath.Dot(fig4Query.qdir, b.row(int(lid))) * fig4Query.qlen
 		if v >= fig4Query.theta {
 			passed = append(passed, int(lid))
 			if v < 0.96 || v > 0.98 { // paper: qᵀp = 0.97
@@ -137,8 +138,8 @@ func TestFig4ProductsTable(t *testing.T) {
 	wantCos := []float64{0.97, 0.79, 0.80, 0.56, 0.97, 0.26}
 	wantProd := []float64{0.97, 0.75, 0.76, 0.52, 0.87, 0.23}
 	for lid := 0; lid < 6; lid++ {
-		cos := vecmath.Dot(fig4Query.qdir, b.dir(lid))
-		prod := cos * fig4Query.qlen * b.lens[lid]
+		prod := vecmath.Dot(fig4Query.qdir, b.row(lid)) * fig4Query.qlen
+		cos := prod / (fig4Query.qlen * b.lens[lid])
 		if diff := cos - wantCos[lid]; diff > 0.03 || diff < -0.03 {
 			t.Errorf("vector %d: cosine %.3f, paper %.2f", lid+1, cos, wantCos[lid])
 		}

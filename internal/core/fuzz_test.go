@@ -1,8 +1,9 @@
 package core
 
 import (
-	"math"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lemp/internal/naive"
@@ -43,16 +44,14 @@ func FuzzAboveThetaEquivalence(f *testing.F) {
 			if _, err := aboveTheta(ix, q, theta, retrieval.Collect(&got)); err != nil {
 				t.Fatalf("AboveTheta(%v): %v", alg, err)
 			}
-			if !retrieval.EqualSets(got, want) {
-				t.Fatalf("alg %v: %d entries, naive %d (θ=%g, seed=%d r=%d n=%d sparse=%v)",
-					alg, len(got), len(want), theta, seed, r, n, sparse)
+			if retrieval.Sort(got); !slices.Equal(got, want) {
+				t.Fatalf("alg %v: %v, naive %v (θ=%g, seed=%d r=%d n=%d sparse=%v)", alg, got, want, theta, seed, r, n, sparse)
 			}
 		}
 	})
 }
 
-// FuzzRowTopKEquivalence does the same for Row-Top-k, comparing value
-// sequences (tie-robust).
+// FuzzRowTopKEquivalence does the same for Row-Top-k, row for row.
 func FuzzRowTopKEquivalence(f *testing.F) {
 	f.Add(int64(4), uint8(6), uint8(80), uint8(3))
 	f.Add(int64(5), uint8(2), uint8(40), uint8(1))
@@ -74,17 +73,7 @@ func FuzzRowTopKEquivalence(f *testing.F) {
 			if err != nil {
 				t.Fatalf("RowTopK(%v): %v", alg, err)
 			}
-			for i := range want {
-				if len(got[i]) != len(want[i]) {
-					t.Fatalf("alg %v row %d: %d entries, want %d", alg, i, len(got[i]), len(want[i]))
-				}
-				for j := range want[i] {
-					gv, wv := got[i][j].Value, want[i][j].Value
-					if math.Abs(gv-wv) > 1e-9*(1+math.Abs(wv)) {
-						t.Fatalf("alg %v row %d rank %d: %g vs %g (seed=%d)", alg, i, j, gv, wv, seed)
-					}
-				}
-			}
+			compareTopK(t, fmt.Sprintf("alg %v seed %d", alg, seed), got, want)
 		}
 	})
 }
@@ -96,7 +85,7 @@ func TestIncrSubsetOfCoordAtPhi1(t *testing.T) {
 	rng := rand.New(rand.NewSource(141))
 	for trial := 0; trial < 40; trial++ {
 		p := genMatrix(rng, 120, 8, 0.8, 1, false, 0, 0)
-		buckets, _ := bucketize(p, p.Lengths(), nil, 0, 1, 0)
+		buckets, _ := bucketizeMatrix(p, nil, 0, 1, 0)
 		b := buckets[0]
 		qdir := randUnit(rng, 8)
 		qlen := 0.5 + rng.Float64()*2
@@ -119,7 +108,7 @@ func TestIncrSubsetOfCoordAtPhi1(t *testing.T) {
 		// Soundness: both sets contain every vector passing the global
 		// threshold.
 		for lid := 0; lid < b.size(); lid++ {
-			v := dot(qdir, b.dir(lid)) * qlen * b.lens[lid]
+			v := dot(qdir, b.row(lid)) * qlen
 			if v >= theta+1e-9 && !coordSet[int32(lid)] {
 				t.Fatalf("trial %d: true result %d (v=%g θ=%g) not in COORD set", trial, lid, v, theta)
 			}

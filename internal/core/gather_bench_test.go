@@ -18,7 +18,7 @@ func benchBucket(b *testing.B) (*bucket, []float64, *scratch) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(301))
 	p := genMatrix(rng, 1024, 50, 0.6, 1, false, 0, 0)
-	buckets, _ := bucketize(p, p.Lengths(), nil, 0, 1, 0)
+	buckets, _ := bucketizeMatrix(p, nil, 0, 1, 0)
 	bk := buckets[0]
 	bk.ensureLists(1)
 	qdir := make([]float64, 50)
@@ -62,7 +62,7 @@ func BenchmarkVerification(b *testing.B) {
 	var acc float64
 	for i := 0; i < b.N; i++ {
 		for _, lid := range s.lids() {
-			acc += vecmath.Dot(qdir, bk.dir(int(lid)))
+			acc += vecmath.Dot(qdir, bk.row(int(lid)))
 		}
 	}
 	verifySink.Store(math.Float64bits(acc))
@@ -149,7 +149,7 @@ func BenchmarkVerifyScalar(b *testing.B) {
 				if ix.deadSkip(0, int(lid)) {
 					continue
 				}
-				acc += vecmath.Dot(qdir, bk.dir(int(lid))) * bk.lens[lid]
+				acc += vecmath.Dot(qdir, bk.row(int(lid)))
 			}
 		}
 		verifySink.Store(math.Float64bits(acc))
@@ -169,8 +169,8 @@ func BenchmarkVerifyBlocked(b *testing.B) {
 			loadCands(s, cand, dense)
 			ix.compactLiveCands(0, s)
 			verifyDots(bk, qdir, s, &st)
-			for j, dot := range s.vals {
-				acc += dot * bk.lens[s.lid(j)]
+			for _, v := range s.vals {
+				acc += v
 			}
 		}
 		verifySink.Store(math.Float64bits(acc))
@@ -216,15 +216,15 @@ func BenchmarkVerifyKernelGuard(b *testing.B) {
 				if ix.deadSkip(0, int(lid)) {
 					continue
 				}
-				acc += vecmath.Dot(qdir, bk.dir(int(lid))) * bk.lens[lid]
+				acc += vecmath.Dot(qdir, bk.row(int(lid)))
 			}
 		}
 		blockedPass := func() {
 			loadCands(s, cand, c.dense)
 			ix.compactLiveCands(0, s)
 			verifyDots(bk, qdir, s, &st)
-			for j, dot := range s.vals {
-				acc += dot * bk.lens[s.lid(j)]
+			for _, v := range s.vals {
+				acc += v
 			}
 		}
 		reps := 1 + (1<<22)/(len(cand)*c.r+1)

@@ -23,9 +23,10 @@ type CandidateGen interface {
 type GenFunc func(b Bucket, q Pair, cand []int32) (lids []int32, prefix int)
 
 // Pair is what a query brings to one bucket: its number within the call
-// (queries sorted by decreasing length), unit direction and length (1 for
-// Row-Top-k, which ranks directions), the global threshold θ (-Inf while a
-// Row-Top-k heap is not yet full) and the local one θ_b = θ/(Len·l_b).
+// (queries sorted by decreasing length), unit direction and length ‖q‖, the
+// global threshold θ (-Inf while a Row-Top-k heap is not yet full) and the
+// local one θ_b = θ/(Len·l_b). θ bounds the value fl(qᵀp) the scan verifies,
+// for Row-Top-k as for Above-θ.
 type Pair struct {
 	QI            int32
 	Dir           []float64
@@ -39,11 +40,11 @@ type Pair struct {
 // see it (mutations and Compact make new ones). Slices alias index state.
 type Bucket struct{ b *bucket }
 
-// Size, R, Dir, Len, MaxLen (l_b) and LengthPrefix (the number of leading
-// vectors of length ≥ l) read the bucket.
+// Size, R, Row (the raw vector), Len, MaxLen (l_b) and LengthPrefix (the
+// number of leading vectors of length ≥ l) read the bucket.
 func (v Bucket) Size() int                  { return v.b.size() }
 func (v Bucket) R() int                     { return v.b.r }
-func (v Bucket) Dir(lid int) []float64      { return v.b.dir(lid) }
+func (v Bucket) Row(lid int) []float64      { return v.b.row(lid) }
 func (v Bucket) Len(lid int) float64        { return v.b.lens[lid] }
 func (v Bucket) MaxLen() float64            { return v.b.lb }
 func (v Bucket) LengthPrefix(l float64) int { return v.b.lengthPrefix(l) }

@@ -74,7 +74,11 @@ func (g *testL2APGen) build(b Bucket) *l2ap.Index {
 	if g.qmax > 0 && b.MaxLen() > 0 {
 		t0 = vecmath.Clamp(g.theta/(g.qmax*b.MaxLen()), 0, 1)
 	}
-	return l2ap.Build(b.Dir, b.Size(), b.R(), t0)
+	dirs := matrix.New(b.R(), b.Size())
+	for lid := 0; lid < b.Size(); lid++ {
+		vecmath.Normalize(dirs.Vec(lid), b.Row(lid))
+	}
+	return l2ap.Build(dirs.Vec, b.Size(), b.R(), t0)
 }
 
 // testBLSHGen keeps, of a bucket's length-qualified prefix, the vectors
@@ -114,7 +118,7 @@ func (g *testBLSHGen) Worker() GenFunc {
 func (g *testBLSHGen) sign(b Bucket) []uint64 {
 	sigs := make([]uint64, b.Size())
 	for lid := range sigs {
-		sigs[lid] = g.hasher.Signature(b.Dir(lid))
+		sigs[lid] = g.hasher.Signature(b.Row(lid))
 	}
 	return sigs
 }

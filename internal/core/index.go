@@ -11,10 +11,11 @@ import (
 )
 
 // Index is a LEMP index over a probe matrix P: the preprocessing phase of
-// Algorithm 1 (bucketization by length, normalization), with all per-bucket
-// search indexes built lazily during retrieval. Its probes live in segments
-// (delta.go): the base segment a build, restore or Compact produces, and the
-// newer runs that absorb probe mutations between re-bucketizations.
+// Algorithm 1 (bucketization by length), with all per-bucket search indexes
+// built lazily during retrieval. Its buckets hold the one copy of each probe
+// it keeps, the raw row. Its probes live in segments (delta.go): the base
+// segment a build, restore or Compact produces, and the newer runs that
+// absorb probe mutations between re-bucketizations.
 //
 // Concurrency: any number of retrievals — one-shot Retrieve calls, the Run
 // panels of any Job — may run concurrently on one Index and
@@ -84,11 +85,9 @@ type Index struct {
 	scratchPool *sync.Pool
 }
 
-// NewIndex preprocesses the probe matrix into a LEMP index. The matrix must
-// not be mutated while the index is in use: directions are copied, but the
-// base segment aliases the matrix for the raw vectors that Compact and run
-// merges, LiveProbes, Probe and State read. Probes are assigned the external
-// ids 0..n-1.
+// NewIndex preprocesses the probe matrix into a LEMP index. The index copies
+// every probe into its bucket and keeps no reference to the matrix, which
+// the caller may reuse at once. Probes are assigned the external ids 0..n-1.
 func NewIndex(p *matrix.Matrix, opts Options) (*Index, error) {
 	return NewIndexWithIDs(p, nil, opts)
 }
@@ -127,7 +126,7 @@ func NewIndexWithIDs(p *matrix.Matrix, ids []int32, opts Options) (*Index, error
 	}
 	ix := &Index{opts: opts, r: p.R(), slack: boundSlack(p.R()), id: indexSeq.Add(1), scratchPool: new(sync.Pool),
 		autoScreen: !opts.Quantize && quant.Accelerated(p.R())}
-	ix.setBase(ix.newSegment(p, ids, lens))
+	ix.setBase(ix.newSegment(p.N(), p.Vec, ids, lens))
 	ix.prepTime = time.Since(start)
 	return ix, nil
 }
@@ -248,9 +247,9 @@ const defaultTB = 0.9
 // gather leaves the candidates of one (query, scan bucket bi) pair in
 // s.cand: the call's generator's (RunOptions.Gen) when it has one, otherwise
 // those of the bucket method resolve picks. qi is the query's index in the
-// sorted query set, qdir its unit direction, qlen its length (1 for
-// Row-Top-k), theta the global threshold (-Inf while a Row-Top-k heap is not
-// yet full) and thetaB the local one.
+// sorted query set, qdir its unit direction, qlen its length, theta the
+// global threshold (-Inf while a Row-Top-k heap is not yet full) and thetaB
+// the local one, θ/(qlen·l_b).
 func (ix *Index) gather(c *call, bi int, qi int32, qdir []float64, qlen, theta, thetaB float64, s *scratch) {
 	b := ix.scan[bi]
 	if c.gen != nil {
@@ -277,8 +276,8 @@ func (ix *Index) gather(c *call, bi int, qi int32, qdir []float64, qlen, theta, 
 	}
 }
 
-// attachSidecars quantizes the directions of freshly built or restored
-// buckets into their int8 screening sidecars, eagerly, under
+// attachSidecars quantizes the rows of freshly built or restored buckets
+// into their int8 screening sidecars, eagerly, under
 // Options.Quantize; every other index leaves them to the first screened pair
 // (sidecarFor). Dimensions outside [1, quant.MaxDim] leave every sidecar nil,
 // silently disabling screening.

@@ -7,11 +7,11 @@ import (
 	"sync"
 )
 
-// sortedLists is the per-bucket sorted-list index of §4.2 (Fig. 4c): for
-// each coordinate f, the bucket's normalized values p̄_f paired with their
-// local ids, sorted by decreasing value. Values and ids live in parallel
-// arrays so COORD's id-only scans and INCR's value+id scans both stream
-// contiguously.
+// sortedLists is the per-bucket sorted-list index of §4.2 (Fig. 4c): for each
+// coordinate f, the bucket's unit-direction values p̄_f (bucket.unit) paired
+// with their local ids, sorted by decreasing value. Values and ids live in
+// parallel arrays so COORD's id-only scans and INCR's value+id scans both
+// stream contiguously.
 type sortedLists struct {
 	n    int
 	vals []float64 // r lists of length n; list f at [f*n, (f+1)*n)
@@ -63,18 +63,19 @@ func listKey(v float64) uint64 {
 }
 
 // buildListRange fills the lists of coordinates [f0, f1) by a stable LSD
-// radix sort: a column is gathered once out of the r-strided directions and
-// keyed, and the local ids, ascending to begin with, go through one counting
-// pass per 8-bit digit of the keys, least significant first, so ties keep
-// ascending lid without a comparator. A digit every key shares — exponent
-// bytes of a narrow value range, low mantissa bytes of coarse values — is
-// skipped. Short lists are insertion-sorted on the same keys (radixMin).
+// radix sort: a column of unit coordinates is derived once out of the
+// r-strided rows and keyed, and the local ids, ascending to begin with, go
+// through one counting pass per 8-bit digit of the keys, least significant
+// first, so ties keep ascending lid without a comparator. A digit every key
+// shares — exponent bytes of a narrow value range, low mantissa bytes of
+// coarse values — is skipped. Short lists are insertion-sorted on the same
+// keys (radixMin).
 func buildListRange(b *bucket, sl *sortedLists, f0, f1 int) {
-	n, r := b.size(), b.r
-	col, keys, tmp := make([]float64, n), make([]uint64, n), make([]int32, n)
+	n := b.size()
+	col, keys, tmp, inv := make([]float64, n), make([]uint64, n), make([]int32, n), b.invLens()
 	for f := f0; f < f1; f++ {
 		for i := range col {
-			col[i] = b.dirs[i*r+f]
+			col[i] = b.unit(i, f, inv[i])
 			keys[i] = listKey(col[i])
 		}
 		vals, lids := sl.list(f)
@@ -125,14 +126,15 @@ func (sl *sortedLists) list(f int) (vals []float64, lids []int32) {
 }
 
 // checkLists verifies a restored sorted-list index (snapshot SLST section)
-// against the bucket's directions: every coordinate list must be a
-// permutation of the n local ids, sorted by non-increasing value, with each
-// value bit-equal to the direction entry it claims to index. These three
+// against the bucket: every coordinate list must be a permutation of the
+// n = b.size() local ids, sorted by non-increasing value, with each value
+// equal to the unit coordinate (bucket.unit) it claims to index. These three
 // invariants are exactly what scanRange and the COORD/INCR/TA scans rely
 // on, so a list index passing them prunes identically to a rebuilt one
 // (ties may order differently, which no scan depends on). seen must have at
 // least n elements; it is clobbered.
-func checkLists(vals []float64, lids []int32, dirs []float64, n, r int, seen []bool) error {
+func checkLists(vals []float64, lids []int32, b *bucket, seen []bool) error {
+	n, r, inv := b.size(), b.r, b.invLens()
 	for f := 0; f < r; f++ {
 		lv := vals[f*n : (f+1)*n]
 		ll := lids[f*n : (f+1)*n]
@@ -154,9 +156,8 @@ func checkLists(vals []float64, lids []int32, dirs []float64, n, r int, seen []b
 				return fmt.Errorf("list %d entry %d: value %v above predecessor %v (not sorted decreasingly)", f, i, v, prev)
 			}
 			prev = v
-			if v != dirs[int(lid)*r+f] {
-				return fmt.Errorf("list %d entry %d: value %v does not match direction %v of local id %d",
-					f, i, v, dirs[int(lid)*r+f], lid)
+			if u := b.unit(int(lid), f, inv[lid]); v != u {
+				return fmt.Errorf("list %d entry %d: value %v does not match direction %v of local id %d", f, i, v, u, lid)
 			}
 		}
 	}

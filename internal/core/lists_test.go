@@ -12,7 +12,7 @@ import (
 
 func testBucket(rng *rand.Rand, n, r int) *bucket {
 	p := randomProbe(rng, n, r, 0.5)
-	buckets, _ := bucketize(p, p.Lengths(), nil, 0, 1, 0) // single bucket holding everything
+	buckets, _ := bucketizeMatrix(p, nil, 0, 1, 0) // single bucket holding everything
 	if len(buckets) != 1 {
 		panic("expected one bucket")
 	}
@@ -22,7 +22,7 @@ func testBucket(rng *rand.Rand, n, r int) *bucket {
 func TestSortedListsSortedAndComplete(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	b := testBucket(rng, 200, 7)
-	sl := b.ensureLists(1)
+	sl, inv := b.ensureLists(1), b.invLens()
 	for f := 0; f < b.r; f++ {
 		vals, lids := sl.list(f)
 		if len(vals) != b.size() || len(lids) != b.size() {
@@ -38,7 +38,7 @@ func TestSortedListsSortedAndComplete(t *testing.T) {
 				t.Fatalf("list %d: duplicate lid %d", f, lid)
 			}
 			seen[lid] = true
-			if vals[i] != b.dir(int(lid))[f] {
+			if vals[i] != b.unit(int(lid), f, inv[lid]) {
 				t.Fatalf("list %d entry %d: value mismatch", f, i)
 			}
 		}
@@ -50,17 +50,16 @@ func TestSortedListsSortedAndComplete(t *testing.T) {
 func referenceLists(b *bucket) *sortedLists {
 	n, r := b.size(), b.r
 	sl := &sortedLists{n: n, vals: make([]float64, r*n), lids: make([]int32, r*n)}
-	perm := make([]int32, n)
+	perm, inv := make([]int32, n), b.invLens()
 	for f := 0; f < r; f++ {
 		for i := range perm {
 			perm[i] = int32(i)
 		}
-		sort.SliceStable(perm, func(x, y int) bool {
-			return b.dirs[int(perm[x])*r+f] > b.dirs[int(perm[y])*r+f]
-		})
+		unit := func(lid int32) float64 { return b.unit(int(lid), f, inv[lid]) }
+		sort.SliceStable(perm, func(x, y int) bool { return unit(perm[x]) > unit(perm[y]) })
 		vals, lids := sl.list(f)
 		for i, lid := range perm {
-			lids[i], vals[i] = lid, b.dirs[int(lid)*r+f]
+			lids[i], vals[i] = lid, unit(lid)
 		}
 	}
 	return sl
@@ -89,7 +88,7 @@ func TestBuildListsMatchesStableSort(t *testing.T) {
 					t.Fatalf("%s workers=%d: value %d is %v, stable sort has %v", name, workers, i, got.vals[i], want.vals[i])
 				}
 			}
-			if err := checkLists(got.vals, got.lids, b.dirs, b.size(), b.r, seen); err != nil {
+			if err := checkLists(got.vals, got.lids, b, seen); err != nil {
 				t.Fatalf("%s workers=%d: checkLists: %v", name, workers, err)
 			}
 		}
@@ -98,15 +97,17 @@ func TestBuildListsMatchesStableSort(t *testing.T) {
 	for _, shape := range []struct{ n, r int }{{1, 3}, {2, 3}, {37, 5}, {255, 4}, {256, 4}, {257, 4}, {2072, 9}, {70000, 2}} {
 		b := testBucket(rng, shape.n, shape.r)
 		check(fmt.Sprintf("n=%d r=%d", shape.n, shape.r), b)
-		// Coarsen the directions so values collide, and plant signed zeros.
-		for i := range b.dirs {
-			switch v := math.Round(b.dirs[i]*4) / 4; {
+		// Coarsen the rows so values collide, and plant signed zeros; at
+		// length 1 a row is its own unit direction, bit for bit.
+		for i := range b.rows {
+			switch v := math.Round(b.rows[i]*4) / 4; {
 			case v == 0 && rng.Intn(2) == 0:
-				b.dirs[i] = math.Copysign(0, -1)
+				b.rows[i] = math.Copysign(0, -1)
 			default:
-				b.dirs[i] = v
+				b.rows[i] = v
 			}
 		}
+		unitLengths(b)
 		check(fmt.Sprintf("n=%d r=%d coarse", shape.n, shape.r), b)
 	}
 
@@ -114,8 +115,9 @@ func TestBuildListsMatchesStableSort(t *testing.T) {
 	const tiny = 5e-324 // the smallest denormal
 	for _, n := range []int{radixMin / 2, 3 * radixMin} {
 		b := testBucket(rng, n, 5)
+		unitLengths(b)
 		for i := 0; i < n; i++ {
-			d := b.dir(i)
+			d := b.row(i)
 			d[0] = 0.25                                                              // all equal
 			d[1] = math.Copysign(0, float64(rng.Intn(2))-0.5)                        // ±0 only
 			d[2] = math.Float64frombits(math.Float64bits(0.5) + uint64(rng.Intn(4))) // last mantissa bits
@@ -132,18 +134,27 @@ func TestBuildListsMatchesStableSort(t *testing.T) {
 		if len(bits) == 0 {
 			return true
 		}
-		b := &bucket{r: 1, ids: make([]int32, len(bits)), dirs: make([]float64, len(bits))}
+		b := &bucket{r: 1, ids: make([]int32, len(bits)), lens: make([]float64, len(bits)), rows: make([]float64, len(bits))}
+		unitLengths(b)
 		for i, u := range bits {
 			if u>>52&0x7ff == 0x7ff {
 				u &^= 1 << 52 // Inf or NaN: make it finite
 			}
-			b.dirs[i] = math.Float64frombits(u)
+			b.rows[i] = math.Float64frombits(u)
 		}
 		check("random bit patterns", b)
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
 		t.Error(err)
+	}
+}
+
+// unitLengths sets every length of b to 1, so that the values a test plants
+// in a row are its unit coordinates as they are.
+func unitLengths(b *bucket) {
+	for i := range b.lens {
+		b.lens[i] = 1
 	}
 }
 

@@ -110,25 +110,26 @@ type Options struct {
 	// Seed seeds the serving layer's cluster placement (default 1); the
 	// index itself draws nothing at random.
 	Seed int64
-	// Quantize makes the int8 screen (internal/quant: a cheap approximate
-	// dot plus a conservative error bound that discards verification
-	// candidates before the exact f64 kernels run) eager, unconditional and
-	// persistent: every bucket's sidecar is built at index construction, on
-	// mutation, on compaction and on snapshot restore, and every (query,
-	// bucket) pair under a finite threshold is screened, the portable
-	// kernels included. Snapshots record the option (QNT8 section), not the
-	// sidecars: they are re-quantized on load. Without it an index screens
-	// by itself wherever the int8 kernels run in assembly for its dimension
-	// (quant.Accelerated): a bucket's sidecar is built by the first pair that
-	// shows at least eight candidates under a finite threshold, only such
-	// pairs are screened, and buckets no retrieval verifies never carry one.
-	// Exact results are the same in all three cases — the bound is
-	// conservative, so only candidates that provably cannot reach the
-	// threshold are skipped, and every survivor is verified in f64. A
-	// sidecar costs r + 8 bytes per probe (58 beside the 400 bytes of an
-	// r = 50 direction; the ratio tends to 1/8 as r grows). On the portable
-	// kernels the screen costs more than the exact dot it saves, which is
-	// why only this option turns it on there. Dimensions above
+	// Quantize makes the int8 screen (internal/quant: a cheap approximate dot
+	// of the quantized query and probe rows plus a conservative error bound
+	// on fl(qᵀp) that discards verification candidates before the exact f64
+	// kernels run) eager, unconditional and persistent: every bucket's
+	// sidecar is built at index construction, on mutation, on compaction and
+	// on snapshot restore, and every (query, bucket) pair under a finite
+	// threshold is screened, the portable kernels included. Snapshots record
+	// the option (QNT8 section), not the sidecars: they are re-quantized on
+	// load. Without it an index screens by itself wherever the int8 kernels
+	// run in assembly for its dimension (quant.Accelerated): a bucket's
+	// sidecar is built by the first pair that shows at least eight candidates
+	// under a finite threshold, only such pairs are screened, and buckets no
+	// retrieval verifies never carry one. Exact results are the same in all
+	// three cases — the bound is conservative, so only candidates that
+	// provably cannot reach the threshold are skipped, and every survivor is
+	// verified in f64. A sidecar quantizes a bucket's raw rows, the index's
+	// one f64 copy of its probes, at r + 8 bytes per probe (58 beside the 400
+	// bytes of an r = 50 row; the ratio tends to 1/8 as r grows). On the
+	// portable kernels the screen costs more than the exact dot it saves,
+	// which is why only this option turns it on there. Dimensions above
 	// quant.MaxDim silently disable screening.
 	Quantize bool
 }

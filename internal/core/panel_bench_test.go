@@ -17,7 +17,7 @@ import (
 func BenchmarkBuildLists(b *testing.B) {
 	rng := rand.New(rand.NewSource(303))
 	p := genMatrix(rng, 2072, 50, 0.39, 1, false, 0, 0)
-	bs, _ := bucketize(p, p.Lengths(), nil, 0, 1, 0)
+	bs, _ := bucketizeMatrix(p, nil, 0, 1, 0)
 	bk := bs[0]
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

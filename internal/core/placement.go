@@ -33,8 +33,13 @@ func (ix *Index) EstimatedCost() float64 {
 func (ix *Index) LiveProbes() (*matrix.Matrix, []int32) {
 	live := make([]liveVec, 0, ix.LiveN())
 	for _, s := range ix.segs {
-		ix.eachLive(s, ix.dead, func(col int) { live = append(live, liveVec{s.ids[col], s.vecs.Vec(col)}) })
+		ix.eachLive(s, ix.dead, func(col int) { live = append(live, liveVec{s.ids[col], s.vec(col)}) })
 	}
 	sort.Slice(live, func(a, b int) bool { return live[a].id < live[b].id })
-	return ix.materialize(live)
+	m, ids := matrix.New(ix.r, len(live)), make([]int32, len(live))
+	for i, e := range live {
+		ids[i] = e.id
+		copy(m.Vec(i), e.vec)
+	}
+	return m, ids
 }

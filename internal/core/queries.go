@@ -7,15 +7,17 @@ import (
 	"lemp/internal/vecmath"
 )
 
-// querySet is the preprocessed query matrix: normalized query directions
-// with their lengths, sorted by decreasing length (the paper sorts and
-// normalizes queries the same way it bucketizes P — footnote 1 of §3.2).
+// querySet is the preprocessed query matrix: the raw rows, their normalized
+// directions and their lengths, sorted by decreasing length (the paper sorts
+// and normalizes queries the same way it bucketizes P — footnote 1 of §3.2).
 // Sorting lets the Above-θ inner loop stop at the first query whose local
-// threshold exceeds 1: every later query is shorter.
+// threshold exceeds 1: every later query is shorter. Verification and the
+// int8 screen read the rows, the coordinate methods the directions.
 type querySet struct {
 	r    int
 	ids  []int32   // original query column numbers, by decreasing length
 	lens []float64 // query lengths, decreasing
+	q    *matrix.Matrix
 	dirs []float64 // normalized directions, contiguous
 }
 
@@ -34,6 +36,7 @@ func prepareQueries(q *matrix.Matrix) (*querySet, error) {
 		r:    r,
 		ids:  make([]int32, m),
 		lens: make([]float64, m),
+		q:    q,
 		dirs: make([]float64, m*r),
 	}
 	for i := range qs.ids {
@@ -48,6 +51,9 @@ func prepareQueries(q *matrix.Matrix) (*querySet, error) {
 }
 
 func (qs *querySet) n() int { return len(qs.ids) }
+
+// row returns the raw vector of the i-th longest query.
+func (qs *querySet) row(i int) []float64 { return qs.q.Vec(int(qs.ids[i])) }
 
 // dir returns the normalized direction of the i-th longest query.
 func (qs *querySet) dir(i int) []float64 {

@@ -51,7 +51,7 @@ func TestCancelBeforeStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewIndex(ix.Probe(), ix.Options())
+	fresh, err := rebuild(ix, ix.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestRunOptionsAlgorithmOverride(t *testing.T) {
 		}
 		opts := ix.Options()
 		opts.Algorithm = alg
-		fresh, err := NewIndex(ix.Probe(), opts)
+		fresh, err := rebuild(ix, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestProblemValidatedOnceEverywhere(t *testing.T) {
 		if want == nil {
 			t.Fatalf("%+v validates", prob)
 		}
-		fresh, err := NewIndex(ix.Probe(), ix.Options())
+		fresh, err := rebuild(ix, ix.Options())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,7 +366,7 @@ func TestTuningCacheInvalidatedByMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewIndexWithIDs(ix.Probe(), ix.ProbeIDs(), ix.Options())
+	fresh, err := rebuild(ix, ix.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,4 +484,10 @@ func TestCanceledTuningWhileFitting(t *testing.T) {
 	if !reflect.DeepEqual(got, want) || tc.Len() != 1 {
 		t.Fatalf("after the canceled pass: answer equals the twin's: %v, %d cache entries", reflect.DeepEqual(got, want), tc.Len())
 	}
+}
+
+// rebuild is a fresh index under opts over ix's live probes and ids.
+func rebuild(ix *Index, opts Options) (*Index, error) {
+	p, ids := ix.LiveProbes()
+	return NewIndexWithIDs(p, ids, opts)
 }

@@ -40,19 +40,19 @@ func (ix *Index) scanRange(c *call, p Problem, qs *querySet, lo, hi int, s *scra
 // verifyCands is the per-pair step of both kernels (line 16 of Algorithm
 // 1), for scan bucket bi: count the candidates its method left in s.cand,
 // drop tombstones, screen against cut — θ, or the current heap floor — where
-// sidecarFor says the pair is screened, and compute the survivors' dots q̄ᵀp̄
-// into s.vals with the blocked kernels (verify.go). The tuner's measurements
-// and its Row-Top-k trajectory call it too, so §4.4 fits the cost a scan
-// pays. The dots are accumulated in vecmath's canonical order
-// (vecmath/kernels.go) whichever kernel computes them, so a candidate's value
-// depends neither on the candidates it is verified with nor on the tile its
-// query rides in.
-func (ix *Index) verifyCands(bi int, s *scratch, qi int32, qdir []float64, qlen, cut float64, st *Stats) {
+// sidecarFor says the pair is screened, and compute the survivors' values
+// fl(qᵀp) from the raw query row qrow into s.vals with the blocked kernels
+// (verify.go). The tuner's measurements and its Row-Top-k trajectory call it
+// too, so §4.4 fits the cost a scan pays. The dots are accumulated in
+// vecmath's canonical order (vecmath/kernels.go) whichever kernel computes
+// them, so a candidate's value depends neither on the candidates it is
+// verified with nor on the tile its query rides in.
+func (ix *Index) verifyCands(bi int, s *scratch, qi int32, qrow []float64, cut float64, st *Stats) {
 	b := ix.scan[bi]
 	st.Candidates += int64(len(s.cand))
 	ix.compactLiveCands(bi, s)
-	ix.screenCands(b, s, qi, qdir, qlen, cut, st)
-	verifyDots(b, qdir, s, st)
+	ix.screenCands(b, s, qi, qrow, cut, st)
+	verifyDots(b, qrow, s, st)
 }
 
 // aboveWorker is the Above-θ kernel for sorted queries [lo, hi), one
@@ -83,16 +83,13 @@ func (ix *Index) aboveWorker(c *call, qs *querySet, lo, hi int, theta float64, s
 				break // every later query is shorter (line 13)
 			}
 			processed++
-			qdir, origID := qs.dir(qi), int(qs.ids[qi])
-			ix.gather(c, bi, int32(qi), qdir, qlen, theta, thetaB, s)
-			ix.verifyCands(bi, s, int32(qi), qdir, qlen, theta, st)
-			// Each emitted value is (q̄ᵀp̄)·‖q‖·‖p‖, always multiplied in
-			// that order.
-			for i, dot := range s.vals {
-				lid := s.lid(i)
-				if v := dot * qlen * b.lens[lid]; v >= theta {
+			origID := int(qs.ids[qi])
+			ix.gather(c, bi, int32(qi), qs.dir(qi), qlen, theta, thetaB, s)
+			ix.verifyCands(bi, s, int32(qi), qs.row(qi), theta, st)
+			for i, v := range s.vals {
+				if v >= theta {
 					st.Results++
-					emit(retrieval.Entry{Query: origID, Probe: int(b.ids[lid]), Value: v})
+					emit(retrieval.Entry{Query: origID, Probe: int(b.ids[s.lid(i)]), Value: v})
 				}
 			}
 		}
@@ -119,16 +116,15 @@ const (
 	topkTileItems = 1 << 16
 )
 
-// topkThresholds returns what a Row-Top-k query brings to a bucket of
-// longest length lb (§4.5: Above-θ′ with θ′ the heap's current k-th best
-// value): the running threshold θ′ and the local one θ′/l_b, both -Inf
-// until the heap is full — the first bucket, which holds the longest
-// vectors, is scanned fully and plays the role of the paper's "k longest
-// vectors" seed — and whether θ′ prunes the bucket, which prunes every
-// later one too. The query's length is irrelevant to its ranking, so the
-// search runs on the unit direction (‖q‖ = 1). limit is 1 plus the index's
-// slack (boundSlack).
-func topkThresholds(heap *topk.Heap, lb, limit float64) (theta, thetaB float64, pruned bool) {
+// topkThresholds returns what a Row-Top-k query of length qlen > 0 brings
+// to a bucket of longest length lb (§4.5: Above-θ′ with θ′ the heap's
+// current k-th best value): the running threshold θ′ and the local one
+// θ′/(‖q‖·l_b), both -Inf until the heap is full — the first bucket, which
+// holds the longest vectors, is scanned fully and plays the role of the
+// paper's "k longest vectors" seed — and whether θ′ prunes the bucket, which
+// prunes every later one too. limit is 1 plus the index's slack
+// (boundSlack).
+func topkThresholds(heap *topk.Heap, qlen, lb, limit float64) (theta, thetaB float64, pruned bool) {
 	theta, thetaB = math.Inf(-1), math.Inf(-1)
 	if thr, ok := heap.Threshold(); ok {
 		theta = thr
@@ -136,7 +132,7 @@ func topkThresholds(heap *topk.Heap, lb, limit float64) (theta, thetaB float64, 
 			// Zero-length probes: products are 0.
 			return theta, -1, theta > 0
 		}
-		thetaB = theta / lb
+		thetaB = theta / (qlen * lb)
 		return theta, thetaB, thetaB > limit
 	}
 	if lb == 0 {
@@ -176,27 +172,26 @@ func (ix *Index) topkTile(c *call, qs *querySet, lo, hi, kk int, s *scratch, out
 				return
 			}
 			qi := lo + int(t)
-			heap := &heaps[t]
-			theta, thetaB, pruned := topkThresholds(heap, b.lb, 1+ix.slack)
+			heap, qlen := &heaps[t], qs.lens[qi]
+			theta, thetaB, pruned := topkThresholds(heap, qlen, b.lb, 1+ix.slack)
 			if pruned {
 				st.PrunedPairs++
 				continue
 			}
 			keep = append(keep, t)
 			st.ProcessedPairs++
-			qdir := qs.dir(qi)
-			ix.gather(c, bi, int32(qi), qdir, 1, theta, thetaB, s)
+			ix.gather(c, bi, int32(qi), qs.dir(qi), qlen, theta, thetaB, s)
 			// theta is -Inf until the heap fills, so nothing screens before
-			// the seed; Push drops values ≤ the floor, so the screen's
-			// strict < is byte-safe. v = (q̄ᵀp̄)·‖p‖.
-			ix.verifyCands(bi, s, int32(qi), qdir, 1, theta, st)
-			for i, dot := range s.vals {
-				lid := s.lid(i)
-				heap.Push(int(b.ids[lid]), dot*b.lens[lid])
+			// the seed; the screen keeps every value equal to the floor,
+			// which Push may still take on a smaller id.
+			ix.verifyCands(bi, s, int32(qi), qs.row(qi), theta, st)
+			for i, v := range s.vals {
+				heap.Push(int(b.ids[s.lid(i)]), v)
 			}
 		}
 		active = keep
 	}
+	var smallest []int32 // the kk smallest live ids, once a zero query needs them
 	for t := range heaps {
 		origID, qlen := qs.ids[lo+t], qs.lens[lo+t]
 		var row []retrieval.Entry
@@ -204,13 +199,15 @@ func (ix *Index) topkTile(c *call, qs *querySet, lo, hi, kk int, s *scratch, out
 			if c.canceled() {
 				return
 			}
-			row = ix.zeroQueryRow(int(origID), kk)
+			if smallest == nil {
+				smallest = ix.LiveIDs()[:kk]
+			}
+			row = zeroQueryRow(int(origID), smallest)
 		} else {
-			// Values are rescaled by the query's length at the end.
 			items := heaps[t].Items()
 			row = make([]retrieval.Entry, len(items))
 			for j, it := range items {
-				row[j] = retrieval.Entry{Query: int(origID), Probe: it.ID, Value: it.Value * qlen}
+				row[j] = retrieval.Entry{Query: int(origID), Probe: it.ID, Value: it.Value}
 			}
 		}
 		st.Results += int64(len(row))
@@ -218,34 +215,12 @@ func (ix *Index) topkTile(c *call, qs *querySet, lo, hi, kk int, s *scratch, out
 	}
 }
 
-// zeroQueryRow answers a zero-length query: every product is 0, so any k
-// probes qualify; return the k longest live probes (ties broken by smaller
-// id) for determinism. With a delta layer the per-bucket length order no
-// longer implies a global order, so the buckets are merged cursor-wise.
-func (ix *Index) zeroQueryRow(origID, kk int) []retrieval.Entry {
-	row := make([]retrieval.Entry, 0, kk)
-	cur := make([]int, len(ix.scan))
-	for len(row) < kk {
-		best := -1
-		var bestLen float64
-		var bestID int32
-		for bi, b := range ix.scan {
-			for cur[bi] < b.size() && ix.deadSkip(bi, cur[bi]) {
-				cur[bi]++
-			}
-			if cur[bi] >= b.size() {
-				continue
-			}
-			l, id := b.lens[cur[bi]], b.ids[cur[bi]]
-			if best == -1 || l > bestLen || (l == bestLen && id < bestID) {
-				best, bestLen, bestID = bi, l, id
-			}
-		}
-		if best == -1 {
-			break
-		}
-		row = append(row, retrieval.Entry{Query: origID, Probe: int(bestID), Value: 0})
-		cur[best]++
+// zeroQueryRow answers a zero-length query: every product is 0, so its row
+// is the k smallest live ids, naive's row under the heap's tie rule.
+func zeroQueryRow(origID int, smallest []int32) []retrieval.Entry {
+	row := make([]retrieval.Entry, len(smallest))
+	for j, id := range smallest {
+		row[j] = retrieval.Entry{Query: origID, Probe: int(id)}
 	}
 	return row
 }

@@ -27,7 +27,7 @@ type scratch struct {
 	// length but its elements are not written, so readers go through lid
 	// or lids. The flag survives tombstone compaction and the int8 screen
 	// only while they drop nothing; while it is set, verification is one
-	// panel product over the head of b.dirs.
+	// panel product over the head of b.rows.
 	prefix bool
 
 	focus      []int32 // focus coordinates, by decreasing |q̄_f|
@@ -169,10 +169,10 @@ func (s *scratch) beginTile(lo, n int) {
 }
 
 // quantQuery returns the quantized form of query qi (sorted index inside
-// the current tile, direction qdir) and whether it is usable for screening,
+// the current tile, raw row qrow) and whether it is usable for screening,
 // quantizing it into the tile's code buffer on first use — so a query
 // crossing many buckets quantizes once, whatever the loop order.
-func (s *scratch) quantQuery(qi int32, qdir []float64) (quant.Query, bool) {
+func (s *scratch) quantQuery(qi int32, qrow []float64) (quant.Query, bool) {
 	t := int(qi - s.tileLo)
 	if s.tileHave[t]&haveQ8 == 0 {
 		if n := len(s.tileHave); len(s.tileQ8) < n {
@@ -181,7 +181,7 @@ func (s *scratch) quantQuery(qi int32, qdir []float64) (quant.Query, bool) {
 		}
 		s.tileHave[t] |= haveQ8
 		var ok bool
-		if s.tileQ8[t], ok = quant.QuantizeQuery(s.tileCodes[t*s.r:(t+1)*s.r], qdir); ok {
+		if s.tileQ8[t], ok = quant.QuantizeQuery(s.tileCodes[t*s.r:(t+1)*s.r], qrow); ok {
 			s.tileHave[t] |= q8OK
 		}
 	}

@@ -19,8 +19,9 @@ import (
 // derive from the probe matrix: not the members' lengths and directions,
 // not the int8 screening sidecars.
 //
-// The slices returned by Index.State alias the index's internal storage —
-// they may be read (serialized) but must not be mutated.
+// Index.State copies the probe matrix out of the buckets; its other slices
+// alias the index's internal storage — they may be read (serialized) but
+// must not be mutated.
 type State struct {
 	Opts     Options
 	Probe    *matrix.Matrix
@@ -63,17 +64,19 @@ type BucketState struct {
 	// Sorted-list index (§4.2, Fig. 4c), both len(IDs) × r in
 	// coordinate-major layout (list f occupies [f·n, (f+1)·n)), or nil when
 	// the bucket's lists were never built. FromState verifies they are
-	// exactly what buildLists would produce from the directions — a
+	// exactly what buildLists would produce from the bucket rows — a
 	// corrupted or hand-edited list index fails to load rather than
 	// mis-pruning.
 	ListVals []float64
 	ListLids []int32
 }
 
-// State exports the index's serializable state. The contained slices alias
-// index storage and must not be mutated. It only reads, so it may run beside
-// retrievals, and what it exports does not depend on which were answered —
-// except for the sorted lists they have built so far.
+// State exports the index's serializable state: the base segment's probes
+// copied out of their buckets into one matrix, in the column order of the
+// build, restore or Compact that made it, beside their ids. The other slices
+// alias index storage and must not be mutated. It only reads, so it may run
+// beside retrievals, and what it exports does not depend on which were
+// answered — except for the sorted lists they have built so far.
 //
 // A mutated index (a tombstone or a run) is compacted on export — into a
 // private copy, the receiver is unchanged — so the state always describes
@@ -85,14 +88,21 @@ func (ix *Index) State() *State {
 		cp.Compact()
 		return cp.State()
 	}
+	base := ix.segs[0]
 	st := &State{
 		Opts:     ix.opts,
-		Probe:    ix.Probe(),
+		Probe:    matrix.New(ix.r, len(base.ids)),
 		Pretuned: ix.pretuned,
 		Buckets:  make([]BucketState, len(ix.scan)),
-		IDs:      ix.ProbeIDs(),
+		IDs:      base.ids,
 		Epoch:    ix.epoch,
 		NextID:   ix.nextID,
+	}
+	for col := range base.ids {
+		copy(st.Probe.Vec(col), base.vec(col))
+	}
+	if slices.Equal(base.ids, identityIDs(len(base.ids))) {
+		st.IDs = nil
 	}
 	if ix.pretuned && ix.tuneSample != nil {
 		st.TuneSample, st.TuneProblem = ix.tuneSample, ix.tuneProb
@@ -108,11 +118,6 @@ func (ix *Index) State() *State {
 	return st
 }
 
-// Probe returns the base segment's raw vectors: the probe matrix the index
-// was built over or restored with, or the one its last Compact produced.
-// Newer runs are not in it. It aliases index state and must not be mutated.
-func (ix *Index) Probe() *matrix.Matrix { return ix.segs[0].vecs }
-
 // Pretuned reports whether per-call tuning is frozen: the index reuses its
 // stored per-bucket parameters instead of re-tuning on every retrieval.
 func (ix *Index) Pretuned() bool { return ix.pretuned }
@@ -124,10 +129,11 @@ func (ix *Index) Pretuned() bool { return ix.pretuned }
 // equal the derived ones, member for member, or the state is refused. What a
 // restore skips is the tuning (§4.4): the stored fit of a pretuned index is
 // adopted onto those buckets, as are the sorted lists a state carries, once
-// each is verified against the directions it indexes. So a corrupt or
+// each is verified against the rows it indexes. So a corrupt or
 // hand-edited state fails here instead of serving wrong results. The
-// state's probe matrix and lists are adopted, not copied; the caller must
-// not reuse them.
+// state's probes are copied into bucket rows and its matrix released (the
+// index keeps no reference to it); its lists are adopted, not copied, and
+// the caller must not reuse them.
 func FromState(st *State) (*Index, error) {
 	start := time.Now()
 	if st.Probe == nil {
@@ -176,7 +182,7 @@ func FromState(st *State) (*Index, error) {
 			if len(listSeen) < size {
 				listSeen = make([]bool, size)
 			}
-			if err := checkLists(bs.ListVals, bs.ListLids, b.dirs, size, r, listSeen); err != nil {
+			if err := checkLists(bs.ListVals, bs.ListLids, b, listSeen); err != nil {
 				return nil, fmt.Errorf("core: bucket %d sorted lists: %w", i, err)
 			}
 			b.lists.Store(&sortedLists{n: size, vals: bs.ListVals, lids: bs.ListLids})

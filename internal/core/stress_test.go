@@ -48,7 +48,7 @@ func TestStressProfileScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareTopK(t, "stress", q, p, gotTop, wantTop)
+	compareTopK(t, "stress", gotTop, wantTop)
 	if topSt.CandidatesPerQuery() > float64(p.N())/2 {
 		t.Errorf("top-k candidates/query %.0f of %d", topSt.CandidatesPerQuery(), p.N())
 	}

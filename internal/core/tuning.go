@@ -106,9 +106,9 @@ type observation struct {
 }
 
 // tunePair is one meeting of a sample query with scan bucket bi, as a real
-// run would see it: the query's sorted index and length (1 for Row-Top-k,
-// which ranks unit directions), the cut θ it brings — the problem's, or its
-// heap's running θ′ — and θ_b ∈ (0, 1], at or below 0 resolve forces LENGTH.
+// run would see it: the query's sorted index and length, the cut θ it brings
+// — the problem's, or its heap's running θ′ — and θ_b ∈ (0, 1], at or below 0
+// resolve forces LENGTH.
 type tunePair struct {
 	bi, qi              int32
 	qlen, theta, thetaB float64
@@ -194,12 +194,10 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 		if qlen == 0 {
 			return // a zero query scans nothing
 		}
-		qdir := qs.dir(qi)
 		s.beginTile(qi, 1) // verifyCands keeps the query's int8 codes per tile row
 		var heap topk.Heap
 		if kk > 0 {
 			heap.Init(kk)
-			qlen = 1 // a query's length is irrelevant to its ranking
 		}
 		var trajStats Stats // trajectory verification is not a run; discard
 		for bi, b := range ix.scan[:lastTarget+1] {
@@ -209,7 +207,7 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 			theta, thetaB := prob.Theta, prob.Theta/(qlen*b.lb)
 			pruned := thetaB > 1+ix.slack // and so is every later, shorter bucket
 			if kk > 0 {
-				theta, thetaB, pruned = topkThresholds(&heap, b.lb, 1+ix.slack)
+				theta, thetaB, pruned = topkThresholds(&heap, qlen, b.lb, 1+ix.slack)
 			}
 			if pruned {
 				break
@@ -218,11 +216,10 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 				perSample[si] = append(perSample[si], tunePair{int32(bi), int32(qi), qlen, theta, thetaB})
 			}
 			if kk > 0 {
-				runLength(b, theta, 1, ix.slack, s)
-				ix.verifyCands(bi, s, int32(qi), qdir, 1, theta, &trajStats)
-				for i, dot := range s.vals {
-					lid := s.lid(i)
-					heap.Push(int(b.ids[lid]), dot*b.lens[lid])
+				runLength(b, theta, qlen, ix.slack, s)
+				ix.verifyCands(bi, s, int32(qi), qs.row(qi), theta, &trajStats)
+				for i, v := range s.vals {
+					heap.Push(int(b.ids[s.lid(i)]), v)
 				}
 			}
 		}
@@ -259,7 +256,7 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 		obs, w := make([]observation, len(ps)), c.opts.MaxPhi+1
 		costs := make([]float64, len(ps)*w) // a row of φ costs per pair
 		fan(len(ps), func(i int, s *scratch) {
-			obs[i] = ix.observe(c, ps[i], qs.dir(int(ps[i].qi)), phis, costs[i*w:(i+1)*w], s)
+			obs[i] = ix.observe(c, ps[i], qs, phis, costs[i*w:(i+1)*w], s)
 		})
 		if c.canceled() {
 			return nil, c.ctxErr()
@@ -283,14 +280,15 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 // measurement times a build: tune has built the bucket's sorted lists and the
 // sidecar a timed pass could be the first to ask for, and the query is
 // quantized here, ahead of the clock. costPhi is the pair's cost row.
-func (ix *Index) observe(c *call, p tunePair, qdir []float64, phis []int, costPhi []float64, s *scratch) observation {
+func (ix *Index) observe(c *call, p tunePair, qs *querySet, phis []int, costPhi []float64, s *scratch) observation {
 	bi, qlen := int(p.bi), p.qlen
 	b := ix.scan[bi]
+	qdir, qrow := qs.dir(int(p.qi)), qs.row(int(p.qi))
 	o := observation{thetaB: p.thetaB, costPhi: costPhi}
 	byCost := c.opts.TuneByCost
 	s.beginTile(int(p.qi), 1)
 	if b.q8.Load() != nil {
-		s.quantQuery(p.qi, qdir)
+		s.quantQuery(p.qi, qrow)
 	}
 
 	measure := func(gather func()) float64 {
@@ -301,10 +299,10 @@ func (ix *Index) observe(c *call, p tunePair, qdir []float64, phis []int, costPh
 			return float64(s.work + int64(len(s.cand))*int64(b.r))
 		}
 		var mst Stats
-		ix.verifyCands(bi, s, p.qi, qdir, qlen, p.theta, &mst)
+		ix.verifyCands(bi, s, p.qi, qrow, p.theta, &mst)
 		var acc float64
-		for i, dot := range s.vals {
-			acc += dot * qlen * b.lens[s.lid(i)]
+		for _, v := range s.vals {
+			acc += v
 		}
 		verifySink.Store(math.Float64bits(acc)) // defeat dead-code elimination
 		return float64(time.Since(start))

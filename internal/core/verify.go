@@ -17,7 +17,7 @@ import (
 //  2. takes the common prefix case — LENGTH's prefix and the whole-bucket
 //     fallback are lids 0..c-1, which the generator records as a flag
 //     (scratch.prefix) instead of a list — as one DotBatch panel pass
-//     directly over b.dirs with zero gathering (the candidate set is
+//     directly over b.rows with zero gathering (the candidate set is
 //     literally a dense matrix–vector product there);
 //  3. otherwise verifies in 8/4-wide blocks with vecmath.Dot8/Dot4 over the
 //     strided rows in generator order, falling back to scalar Dot only for
@@ -26,10 +26,12 @@ import (
 //     sort buys no locality while costing O(c log c) per (query, bucket)
 //     pair — benchmarked as a net loss at every r in {16, 64, 256}.
 //
-// Every kernel accumulates a row in vecmath's one canonical order (stated
-// in vecmath/kernels.go), so which kernel verifies a candidate never
-// changes its value — the differential harness (the root package's
-// differential_test.go) asserts bit-identical results across it. Threshold and heap
+// Every kernel multiplies the raw query row with the raw probe row and
+// accumulates in vecmath's one canonical order (stated in
+// vecmath/kernels.go), so every value is fl(qᵀp) as vecmath.Dot, and so
+// internal/naive, computes it, whichever kernel verifies the candidate — the
+// differential harness (the root package's differential_test.go) holds every
+// entry point to naive bit for bit. Threshold and heap
 // checks are applied per block by the callers, which read the dot products
 // back out of s.vals.
 
@@ -54,15 +56,13 @@ func (ix *Index) compactLiveCands(bi int, s *scratch) {
 }
 
 // screenCands runs the quantized prefilter over s.cand, between tombstone
-// compaction and exact verification: the full-width int8 dot against the
-// bucket's sidecar plus quant's conservative bound discards losers without
-// touching their f64 row. The bound caps the scaled value the caller would
-// emit, computed in the caller's own multiply order — (val·qlen)·lens for
-// Above-θ, val·lens for top-k with qlen == 1; qlen is folded into the
-// screen's constants (NewScreen's emit factor) — so float rounding
-// monotonicity makes the comparison sound. Candidates whose upper bound
-// falls below cut (θ, or the current top-k heap floor) are dropped; a
-// non-finite upper bound compares false and conservatively survives.
+// compaction and exact verification: the full-width int8 dot of the query
+// row's codes with the bucket's sidecar, the quantization of its raw rows,
+// plus quant's conservative bound discards losers without touching their
+// f64 row. The bound caps fl(qᵀp), the value the caller emits or pushes as
+// it is, so candidates whose upper bound falls below cut (θ, or the current
+// top-k heap floor) are dropped; a non-finite upper bound compares false and
+// conservatively survives.
 //
 // A recorded prefix goes to the panel kernel as it is, rows 0..c-1 of the
 // sidecar, and only its survivors are ever written to s.cand; a list goes
@@ -74,12 +74,12 @@ func (ix *Index) compactLiveCands(bi int, s *scratch) {
 // Screening is off — s.cand left untouched — when sidecarFor gives the pair
 // no sidecar or the query does not quantize cleanly (non-finite coordinates,
 // degenerate magnitudes).
-func (ix *Index) screenCands(b *bucket, s *scratch, qi int32, qdir []float64, qlen, cut float64, st *Stats) {
+func (ix *Index) screenCands(b *bucket, s *scratch, qi int32, qrow []float64, cut float64, st *Stats) {
 	q8 := ix.sidecarFor(b, len(s.cand), cut)
 	if q8 == nil {
 		return
 	}
-	qq, ok := s.quantQuery(qi, qdir)
+	qq, ok := s.quantQuery(qi, qrow)
 	if !ok {
 		return
 	}
@@ -87,12 +87,12 @@ func (ix *Index) screenCands(b *bucket, s *scratch, qi int32, qdir []float64, ql
 	if len(s.dots) < c {
 		s.dots = make([]int32, cap(s.cand))
 	}
-	scr := q8.NewScreen(qq, qlen)
+	scr := q8.NewScreen(qq, 1)
 	var k int
 	if s.prefix {
-		k = scr.Prefix(b.lens[:c], cut, s.dots, s.cand)
+		k = scr.Prefix(c, cut, s.dots, s.cand)
 	} else {
-		k = scr.List(s.cand, b.lens, cut, s.dots)
+		k = scr.List(s.cand, cut, s.dots)
 	}
 	st.QuantScreened += int64(c - k)
 	st.QuantSurvived += int64(k)
@@ -135,10 +135,10 @@ func (ix *Index) sidecarFor(b *bucket, n int, cut float64) *quant.Rows {
 	return b.ensureSidecar()
 }
 
-// verifyDots computes s.vals[i] = q̄ᵀp̄ for every (live) candidate s.cand[i]
-// using the blocked kernels, and counts block- vs scalar-verified
-// candidates into st.
-func verifyDots(b *bucket, qdir []float64, s *scratch, st *Stats) {
+// verifyDots computes s.vals[i] = fl(qᵀp) for every (live) candidate
+// s.cand[i], q being the raw query row, using the blocked kernels, and
+// counts block- vs scalar-verified candidates into st.
+func verifyDots(b *bucket, qrow []float64, s *scratch, st *Stats) {
 	c := len(s.cand)
 	if cap(s.vals) < c {
 		s.vals = make([]float64, c+c/2+8)
@@ -148,28 +148,28 @@ func verifyDots(b *bucket, qdir []float64, s *scratch, st *Stats) {
 		return
 	}
 	if s.prefix { // rows 0..c-1: one dense panel product
-		vecmath.DotBatch(qdir, b.dirs[:c*b.r], s.vals)
+		vecmath.DotBatch(qrow, b.rows[:c*b.r], s.vals)
 		st.BlockVerified += int64(c)
 		return
 	}
 	i := 0
 	for ; i+8 <= c; i += 8 {
-		vecmath.Dot8(qdir,
-			b.dir(int(s.cand[i])), b.dir(int(s.cand[i+1])),
-			b.dir(int(s.cand[i+2])), b.dir(int(s.cand[i+3])),
-			b.dir(int(s.cand[i+4])), b.dir(int(s.cand[i+5])),
-			b.dir(int(s.cand[i+6])), b.dir(int(s.cand[i+7])),
+		vecmath.Dot8(qrow,
+			b.row(int(s.cand[i])), b.row(int(s.cand[i+1])),
+			b.row(int(s.cand[i+2])), b.row(int(s.cand[i+3])),
+			b.row(int(s.cand[i+4])), b.row(int(s.cand[i+5])),
+			b.row(int(s.cand[i+6])), b.row(int(s.cand[i+7])),
 			(*[8]float64)(s.vals[i:i+8]))
 	}
 	for ; i+4 <= c; i += 4 {
-		vecmath.Dot4(qdir,
-			b.dir(int(s.cand[i])), b.dir(int(s.cand[i+1])),
-			b.dir(int(s.cand[i+2])), b.dir(int(s.cand[i+3])),
+		vecmath.Dot4(qrow,
+			b.row(int(s.cand[i])), b.row(int(s.cand[i+1])),
+			b.row(int(s.cand[i+2])), b.row(int(s.cand[i+3])),
 			(*[4]float64)(s.vals[i:i+4]))
 	}
 	st.BlockVerified += int64(i)
 	st.ScalarVerified += int64(c - i)
 	for ; i < c; i++ {
-		s.vals[i] = vecmath.Dot(qdir, b.dir(int(s.cand[i])))
+		s.vals[i] = vecmath.Dot(qrow, b.row(int(s.cand[i])))
 	}
 }

@@ -63,7 +63,7 @@ func TestBlockedVerifyBitIdenticalToScalar(t *testing.T) {
 					continue
 				}
 				wantLids = append(wantLids, lid)
-				wantBits = append(wantBits, math.Float64bits(vecmath.Dot(qdir, b.dir(int(lid)))))
+				wantBits = append(wantBits, math.Float64bits(vecmath.Dot(qdir, b.row(int(lid)))))
 			}
 			var st Stats
 			ix.compactLiveCands(bi, s)

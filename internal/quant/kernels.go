@@ -65,14 +65,14 @@ func dot8(q, codes []int8, rows *[8]int, out *[8]int32) {
 		dot8Go(q, codes, rows, out)
 		return
 	}
-	dot8Asm(q, codes, rows, out, nil, nil, 0, 0, 0)
+	dot8Asm(q, codes, rows, out, nil, 0, 0, 0)
 }
 
 // dot8Asm hands dot8's rows to dot8AVX2, with the predicate's operands
 // when scales is non-nil. A row outside codes panics here, so the assembly
 // only ever reads whole rows, and with len(scales)·r = len(codes) the same
 // row numbers index scales.
-func dot8Asm(q, codes []int8, rows *[8]int, out *[8]int32, scales []float64, lens *[8]float64, qs, resid, cut float64) uint8 {
+func dot8Asm(q, codes []int8, rows *[8]int, out *[8]int32, scales []float64, qs, resid, cut float64) uint8 {
 	r := len(q)
 	n := uint(len(codes) / r)
 	for _, i := range rows {
@@ -84,7 +84,7 @@ func dot8Asm(q, codes []int8, rows *[8]int, out *[8]int32, scales []float64, len
 	if scales != nil {
 		sc = &scales[0]
 	}
-	return dot8AVX2(&q[0], &codes[0], rows, r, out, sc, lens, qs, resid, cut)
+	return dot8AVX2(&q[0], &codes[0], rows, r, out, sc, qs, resid, cut)
 }
 
 // dotPanel computes out[i] = DotQ8(q, panel[i*r:(i+1)*r]) for r = len(q).

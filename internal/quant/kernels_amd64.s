@@ -45,7 +45,7 @@
 // siftAVX2 and dot8AVX2 decide eight rows at a time exactly as survives
 // (quant.go) does one: VCVTDQ2PD widens the dots exactly, then
 //
-//	ub = (qs·scale)·d + resid;   discard iff ub ≥ −MaxFloat64 && ub·len < cut
+//	ub = (qs·scale)·d + resid;   discard iff ub ≥ −MaxFloat64 && ub < cut
 //
 // in that operation order, each step one IEEE rounding (no FMA), both
 // comparisons ordered and quiet (false on NaN, so a NaN survives), and
@@ -191,9 +191,9 @@ GLOBL negMax<>(SB), RODATA|NOPTR, $8
 	VPADDD X1, X0, X0
 
 // PRED decides eight rows from their dots as float64 (Y0 rows 0–3, Y1 rows
-// 4–7), scales (Y2, Y3) and lengths (Y6, Y7), with Y12 = qs, Y13 = resid,
-// Y14 = cut and Y15 = −MaxFloat64 broadcast, and leaves the discard mask
-// (bit j set: row j is discarded) in R9. Clobbers Y2–Y5 and R10.
+// 4–7) and scales (Y2, Y3), with Y12 = qs, Y13 = resid, Y14 = cut and
+// Y15 = −MaxFloat64 broadcast, and leaves the discard mask (bit j set: row j
+// is discarded) in R9. Clobbers Y2–Y5 and R10.
 #define PRED \
 	VMULPD    Y2, Y12, Y2; \
 	VMULPD    Y3, Y12, Y3; \
@@ -203,8 +203,6 @@ GLOBL negMax<>(SB), RODATA|NOPTR, $8
 	VADDPD    Y13, Y3, Y3; \
 	VCMPPD    $0x1d, Y15, Y2, Y4; \
 	VCMPPD    $0x1d, Y15, Y3, Y5; \
-	VMULPD    Y6, Y2, Y2; \
-	VMULPD    Y7, Y3, Y3; \
 	VCMPPD    $0x11, Y14, Y2, Y2; \
 	VCMPPD    $0x11, Y14, Y3, Y3; \
 	VANDPD    Y4, Y2, Y2; \
@@ -233,14 +231,6 @@ GLOBL negMax<>(SB), RODATA|NOPTR, $8
 	VMOVSD      (SI)(R10*8), hi; \
 	MOVQ        off+24(BX), R10; \
 	VMOVHPD     (SI)(R10*8), hi, hi; \
-	VINSERTF128 $1, hi, v, v
-
-// LENS2 loads into v the four lengths at off(DX) one by one.
-#define LENS2(off, lo, hi, v) \
-	VMOVSD      off(DX), lo; \
-	VMOVHPD     off+8(DX), lo, lo; \
-	VMOVSD      off+16(DX), hi; \
-	VMOVHPD     off+24(DX), hi, hi; \
 	VINSERTF128 $1, hi, v, v
 
 // func dotAVX2(a, b *int8, n int) int32
@@ -285,16 +275,16 @@ dot_sum:
 	VZEROUPPER
 	RET
 
-// func dot8AVX2(q, codes *int8, rows *[8]int, n int, out *[8]int32, scales *float64, lens *[8]float64, qs, resid, cut float64) uint8
+// func dot8AVX2(q, codes *int8, rows *[8]int, n int, out *[8]int32, scales *float64, qs, resid, cut float64) uint8
 //
 // Row j is the n codes at codes + rows[j]·n. With scales nil it stores the
 // eight dots and returns 0. Otherwise it also screens the eight rows
 // straight from the registers (Screen8): row j's scale is scales[rows[j]],
-// its length lens[j], and bit j of the result is set when row j survives.
-// Scales and lengths are loaded one by one, not as vectors: the caller has
-// just written rows and lens element by element, and a vector load spanning
-// several pending stores stalls until they land.
-TEXT ·dot8AVX2(SB), NOSPLIT, $0-81
+// and bit j of the result is set when row j survives. Scales are loaded one
+// by one, not as a vector: the caller has just written rows element by
+// element, and a vector load spanning several pending stores stalls until
+// they land.
+TEXT ·dot8AVX2(SB), NOSPLIT, $0-73
 	MOVQ q+0(FP), AX
 	MOVQ codes+8(FP), R15
 	MOVQ rows+16(FP), BX
@@ -343,7 +333,7 @@ dot8_store:
 	MOVQ  scales+40(FP), SI
 	TESTQ SI, SI
 	JNZ   dot8_screen
-	MOVB  $0, ret+80(FP)
+	MOVB  $0, ret+72(FP)
 	VZEROUPPER
 	RET
 
@@ -354,13 +344,10 @@ dot8_screen:
 	MOVQ rows+16(FP), BX
 	SCALES2(0, X2, X4, Y2)
 	SCALES2(32, X3, X5, Y3)
-	MOVQ lens+48(FP), DX
-	LENS2(0, X6, X4, Y6)
-	LENS2(32, X7, X5, Y7)
-	PREDCONST(qs+56(FP), resid+64(FP), cut+72(FP))
+	PREDCONST(qs+48(FP), resid+56(FP), cut+64(FP))
 	PRED
 	NOTQ R9
-	MOVB R9, ret+80(FP)
+	MOVB R9, ret+72(FP)
 	VZEROUPPER
 	RET
 
@@ -453,20 +440,19 @@ panel_store:
 	VZEROUPPER
 	RET
 
-// func siftAVX2(dots *int32, scales, lens *float64, n int, qs, resid, cut float64, rows *int32) int
+// func siftAVX2(dots *int32, scales *float64, n int, qs, resid, cut float64, rows *int32) int
 //
 // Screens the first n (a positive multiple of 8) rows group by group and
 // compacts the survivors in order: row numbers to rows, their dots to the
 // front of dots. A survivor's dot is read back from dots before the write
 // that could reach it: writes land below the survivor count, which never
 // passes the row being read.
-TEXT ·siftAVX2(SB), NOSPLIT, $0-72
+TEXT ·siftAVX2(SB), NOSPLIT, $0-64
 	MOVQ dots+0(FP), DI
 	MOVQ scales+8(FP), SI
-	MOVQ lens+16(FP), DX
-	MOVQ n+24(FP), CX
-	PREDCONST(qs+32(FP), resid+40(FP), cut+48(FP))
-	MOVQ rows+56(FP), R8
+	MOVQ n+16(FP), CX
+	PREDCONST(qs+24(FP), resid+32(FP), cut+40(FP))
+	MOVQ rows+48(FP), R8
 	XORQ AX, AX // row of the group
 	XORQ BX, BX // survivors so far
 
@@ -475,8 +461,6 @@ sift_group:
 	VCVTDQ2PD 16(DI)(AX*4), Y1
 	VMOVUPD   (SI)(AX*8), Y2
 	VMOVUPD   32(SI)(AX*8), Y3
-	VMOVUPD   (DX)(AX*8), Y6
-	VMOVUPD   32(DX)(AX*8), Y7
 	PRED
 	XORQ $0xff, R9
 	JZ   sift_next
@@ -496,6 +480,6 @@ sift_next:
 	ADDQ $8, AX
 	CMPQ AX, CX
 	JLT  sift_group
-	MOVQ BX, ret+64(FP)
+	MOVQ BX, ret+56(FP)
 	VZEROUPPER
 	RET

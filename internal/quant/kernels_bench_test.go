@@ -18,8 +18,8 @@ import (
 //
 // prints the dispatched and the portable kernels side by side with an
 // ns/cand column; with -tags purego both rows are the portable ones. The
-// MB/s column counts what a candidate touches: its r codes, its scale and
-// its length (r + 16 bytes).
+// MB/s column counts what a candidate touches: its r codes and its scale
+// (r + 8 bytes).
 
 const benchRows = 2048
 
@@ -31,7 +31,7 @@ var benchDims = []int{16, 50, 64, 100, 256}
 // query at every benchDims dimension.
 const benchCut = 0.9
 
-func benchScreen(tb testing.TB, r int) (*Rows, Screen, []float64) {
+func benchScreen(tb testing.TB, r int) (*Rows, Screen) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(int64(r)))
 	unit := func(v []float64) {
@@ -51,15 +51,11 @@ func benchScreen(tb testing.TB, r int) (*Rows, Screen, []float64) {
 	if !ok {
 		tb.Fatal("query failed to quantize")
 	}
-	lens := make([]float64, benchRows)
-	for i := range lens {
-		lens[i] = 1
-	}
-	return qr, qr.NewScreen(qq, 1), lens
+	return qr, qr.NewScreen(qq, 1)
 }
 
-// candBytes is what screening one candidate reads: codes, scale, length.
-func candBytes(r int) int64 { return int64(benchRows * (r + 16)) }
+// candBytes is what screening one candidate reads: codes and scale.
+func candBytes(r int) int64 { return int64(benchRows * (r + 8)) }
 
 // reportPerCand adds the ns/cand column the kernel acceptance numbers are
 // read from.
@@ -73,13 +69,13 @@ func BenchmarkScreenPanel(b *testing.B) {
 	for _, r := range benchDims {
 		for _, ks := range kernelSets {
 			b.Run(fmt.Sprintf("r=%d/%s", r, ks.name), func(b *testing.B) {
-				_, scr, lens := benchScreen(b, r)
+				_, scr := benchScreen(b, r)
 				dots, keep := make([]int32, benchRows), make([]int32, benchRows)
 				kept := 0
 				b.SetBytes(candBytes(r))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					kept += ks.prefix(&scr, lens, benchCut, dots, keep)
+					kept += ks.prefix(&scr, benchRows, benchCut, dots, keep)
 				}
 				reportPerCand(b)
 				if kept > b.N*benchRows/20 {
@@ -97,9 +93,8 @@ func BenchmarkScreen8Strided(b *testing.B) {
 	for _, r := range benchDims {
 		for _, ks := range kernelSets {
 			b.Run(fmt.Sprintf("r=%d/%s", r, ks.name), func(b *testing.B) {
-				_, scr, lens := benchScreen(b, r)
+				_, scr := benchScreen(b, r)
 				o := rand.New(rand.NewSource(8)).Perm(benchRows)
-				l8 := (*[8]float64)(lens)
 				var d [8]int32
 				kept := 0
 				b.SetBytes(candBytes(r))
@@ -108,7 +103,7 @@ func BenchmarkScreen8Strided(b *testing.B) {
 					for j := 0; j+8 <= benchRows; j += 8 {
 						// Walk the mask's bits as List does: the caller branches on
 						// it rather than carrying it as data.
-						for mask := ks.screen8(&scr, (*[8]int)(o[j:j+8]), l8, benchCut, &d); mask != 0; mask &= mask - 1 {
+						for mask := ks.screen8(&scr, (*[8]int)(o[j:j+8]), benchCut, &d); mask != 0; mask &= mask - 1 {
 							kept++
 						}
 					}
@@ -128,14 +123,14 @@ func BenchmarkDotQ8(b *testing.B) {
 	for _, r := range benchDims {
 		for _, ks := range kernelSets {
 			b.Run(fmt.Sprintf("r=%d/%s", r, ks.name), func(b *testing.B) {
-				qr, scr, lens := benchScreen(b, r)
+				qr, scr := benchScreen(b, r)
 				o := rand.New(rand.NewSource(8)).Perm(benchRows)
 				var mask uint8
 				b.SetBytes(candBytes(r))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for _, row := range o {
-						if scr.keep(row, ks.dot(scr.codes, qr.Row(row)), lens[row], benchCut) {
+						if scr.keep(row, ks.dot(scr.codes, qr.Row(row)), benchCut) {
 							mask++
 						}
 					}

@@ -67,9 +67,9 @@ func TestKernelsStayInsideTheirVectors(t *testing.T) {
 		panel := guardedTail(t, rows*r)
 		codeFills[0].fill(rng, heapQ, panel)
 		// NaN scales: every row survives, whatever its dot.
-		scales, lens := guardedFloats(t, rows), guardedFloats(t, rows)
+		scales := guardedFloats(t, rows)
 		for i := range scales {
-			scales[i], lens[i] = math.NaN(), 1
+			scales[i] = math.NaN()
 		}
 		copy(edgeQ, heapQ)
 		row := func(i int) []int8 { return panel[i*r : (i+1)*r : (i+1)*r] }
@@ -94,7 +94,7 @@ func TestKernelsStayInsideTheirVectors(t *testing.T) {
 					qr := &Rows{r: r, n: n, Scales: scales[rows-n:], Codes: panel[(rows-n)*r:]}
 					scr := Screen{qr: qr, codes: q, qs: 1}
 					dots, kept := make([]int32, n), make([]int32, n)
-					if k := ks.prefix(&scr, lens[rows-n:], 0, dots, kept); k != n {
+					if k := ks.prefix(&scr, n, 0, dots, kept); k != n {
 						t.Fatalf("%s r=%d: predicate at the guard kept %d of %d rows that all survive", ks.name, r, k, n)
 					}
 				}

@@ -24,8 +24,8 @@ type kernelSet struct {
 	dot     func(a, b []int8) int32
 	dot8    func(q, codes []int8, rows *[8]int, out *[8]int32)
 	panel   func(q, panel []int8, out []int32)
-	prefix  func(s *Screen, lens []float64, cut float64, dots, rows []int32) int
-	screen8 func(s *Screen, rows *[8]int, lens *[8]float64, cut float64, dots *[8]int32) uint8
+	prefix  func(s *Screen, n int, cut float64, dots, rows []int32) int
+	screen8 func(s *Screen, rows *[8]int, cut float64, dots *[8]int32) uint8
 }
 
 // kernelSets is the dispatcher (assembly where the CPU has it) beside the
@@ -36,16 +36,16 @@ var kernelSets = []kernelSet{
 }
 
 // prefixGo is the portable Prefix: the panel kernel, then siftPrefix.
-func prefixGo(s *Screen, lens []float64, cut float64, dots, rows []int32) int {
-	dots = dots[:len(lens)]
-	dotPanelGo(s.codes, s.qr.Codes[:len(lens)*s.qr.r], dots)
-	return s.siftPrefix(0, 0, lens, cut, dots, rows)
+func prefixGo(s *Screen, n int, cut float64, dots, rows []int32) int {
+	dots = dots[:n]
+	dotPanelGo(s.codes, s.qr.Codes[:n*s.qr.r], dots)
+	return s.siftPrefix(0, 0, cut, dots, rows)
 }
 
 // screen8Go is the portable Screen8: the eight-row kernel, then mask8.
-func screen8Go(s *Screen, rows *[8]int, lens *[8]float64, cut float64, dots *[8]int32) uint8 {
+func screen8Go(s *Screen, rows *[8]int, cut float64, dots *[8]int32) uint8 {
 	dot8Go(s.codes, s.qr.Codes, rows, dots)
-	return s.mask8(rows, lens, cut, dots)
+	return s.mask8(rows, cut, dots)
 }
 
 // offset16 returns n codes that start off bytes past a 16-byte boundary.

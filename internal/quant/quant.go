@@ -44,20 +44,32 @@
 // panel against one query, so Screen hoists everything that does not depend
 // on the row: with d the exact integer dot of the two code vectors,
 //
-//	ub = emit·(S_q·S_p[i]·d + resid),   keep iff !(ub ≥ −MaxFloat64 && ub·len[i] < cut)
+//	ub = S_q·S_p[i]·d + resid,   keep iff !(ub ≥ −MaxFloat64 && ub < cut)
 //
 // where resid puts the panel-wide maxima of ‖e_p‖ and ‖p‖ᵘᵇ in place of the
-// per-row values in the Cauchy–Schwarz term (a sound over-approximation that
-// leaves one load and four flops per candidate, and the reason the sidecar
-// stores no per-row bound) and carries every rounding allowance as
-// screenSlack·‖q‖ᵘᵇ·‖p‖ᵘᵇ: the exact kernel's accumulation, as in the
-// bracket, plus the handful of roundings ub itself commits, each at most
-// one ulp of a quantity bounded by ‖q‖·‖p‖. Then ub ≥ fl(emit·Dot(q, row_i))
-// for all finite inputs, and a panel holding a non-finite row has an infinite
-// resid, so none of its rows is ever discarded. The dot runs the full r
-// dimensions: on directions without spectral decay a prefix of the
-// dimensions bounds almost nothing, and the integer kernels (kernels.go)
-// make the full width cheaper than the exact row it guards.
+// per-row values (sound, and the reason the sidecar stores no per-row
+// bound) and carries every rounding allowance as screenSlack·‖q‖ᵘᵇ·‖p‖ᵘᵇ. A
+// panel holding a non-finite row has an infinite resid. The dot runs the
+// full r dimensions: on vectors without spectral decay a prefix of them
+// bounds almost nothing.
+//
+// # Error model for fl(qᵀp)
+//
+// In core a panel is a bucket's raw probe rows and the query its raw row,
+// so ub must not undercut the value the verifier emits as it is,
+// v = fl(qᵀp) in vecmath's canonical order (internal/naive's bits). As in
+// SpAMM's norm-product analysis (Fast Multiplication of Matrices with
+// Decay), every error is charged against ‖q‖·‖p‖, never against the
+// product, so cancellation costs nothing. With u = 2⁻⁵³: quantization is
+// the bound above; the exact kernel adds |v − qᵀp| ≤ r·u·‖q‖·‖p‖ in any
+// order (underflow adds r·2⁻¹⁰⁷⁵, which tiny dominates); the predicate's
+// product and add and NewScreen's folding of resid are a handful of
+// roundings of quantities at most ‖q‖ᵘᵇ·‖p‖ᵘᵇ. screenSlack(r) = 4(r+8)u +
+// 32u covers the last three about three times over, so ub ≥ v, and
+// ub < cut implies v < cut: an entry equal to θ, or to a Row-Top-k heap's
+// floor (which takes an equal value on a smaller id), is never discarded.
+// The panel maxima charge every row the longest row's residual, which is
+// only looser for a bucket's shorter rows.
 //
 // Where the kernels are assembly (Accelerated) the predicate runs there
 // too, eight rows at a time (VCVTDQ2PD, then the same multiplies, add and
@@ -90,7 +102,7 @@ const ulp = 1.0 / (1 << 53)
 const tiny = 1e-150
 
 // Rows is the int8 sidecar of one contiguous row-panel (in core: one
-// bucket's normalized directions): per row a scale and the quantized codes,
+// bucket's raw rows): per row a scale and the quantized codes,
 // r + 8 bytes per row, and two panel-wide bound inputs.
 type Rows struct {
 	r int
@@ -283,9 +295,10 @@ func QuantizeQuery(dst []int8, q []float64) (qq Query, ok bool) {
 // screenSlack is the relative allowance backing the screen's naked
 // arithmetic: it must dominate, relative to ‖q‖·‖p‖, the exact kernel's
 // accumulation rounding (as dotSlack does) and the ~10 roundings of the
-// predicate and of NewScreen's folding (emit included) — each at most one
-// ulp of a norm-dominated quantity. The headroom over dotSlack is 32 ulp,
-// about three times what those roundings can consume.
+// predicate and of NewScreen's folding — each at most one ulp of a
+// norm-dominated quantity (the package comment's error model). The headroom
+// over dotSlack is 32 ulp, about three times what those roundings can
+// consume.
 func screenSlack(r int) float64 { return dotSlack(r) + 32*ulp }
 
 // Screen is the per-(query, panel) state of the screening predicate: the
@@ -300,11 +313,11 @@ type Screen struct {
 }
 
 // NewScreen hoists the query-side constants of the screen, pre-multiplied
-// by the caller's emit factor, so the predicate bounds emit·Dot directly
-// (pass emit = 1 for a bound on the bare dot). emit must be nonnegative — a
-// negative factor would flip the bound's side; a NaN or +Inf emit only
-// poisons the bound conservatively. qq must be a quantization of an
-// r-dimensional query; NewScreen panics otherwise.
+// by emit, so the predicate bounds emit·Dot. Retrieval passes 1: the panel
+// holds raw rows, and the value it screens is the bare dot fl(qᵀp). emit
+// must be nonnegative — a negative factor would flip the bound's side; a
+// NaN or +Inf emit only poisons the bound conservatively. qq must be a
+// quantization of an r-dimensional query; NewScreen panics otherwise.
 func (qr *Rows) NewScreen(qq Query, emit float64) Screen {
 	if len(qq.Codes) != qr.r {
 		panic("quant: NewScreen on a query of the wrong dimension")
@@ -321,93 +334,86 @@ func (qr *Rows) NewScreen(qq Query, emit float64) Screen {
 
 // survives is the screening predicate for one row: scale is the row's
 // S_p[i], d its integer dot with the query codes, qs and resid the Screen's
-// constants. The row is discarded exactly when ub·len < cut for
-//
-//	ub = emit·(S_q·S_p[i]·d + resid) ≥ fl(emit·Dot(q, row_i)),
-//
-// evaluated without per-step inflation (see the package comment; scales are
-// nonnegative, so the sign of d survives). len must be nonnegative (a row
-// length), so by rounding monotonicity a caller that emits
-// fl(fl(emit·Dot)·len) and compares it with cut in the same order never
-// loses a row it would have emitted. Non-finite inputs or overflow make ub
-// +Inf or NaN, which fail the second comparison, or −Inf (an overflowed
-// scale product times a negative d), which the first comparison catches:
-// all three survive. The conversion pins the product's rounding on
-// architectures that would otherwise fuse it into the add, so every build
-// decides every row alike. Operands come by value so that the loops below
-// keep them in registers across their stores.
-func survives(qs, resid, scale float64, d int32, len, cut float64) bool {
+// constants. The row is discarded exactly when ub < cut for
+// ub = emit·(S_q·S_p[i]·d + resid) ≥ fl(emit·Dot(q, row_i)) (the package
+// comment). Non-finite inputs or overflow make ub +Inf or NaN, which fail
+// the second comparison, or −Inf (an overflowed scale product times a
+// negative d), which the first comparison catches: all three survive. The
+// conversion pins the product's rounding on architectures that would
+// otherwise fuse it into the add, so every build decides every row alike.
+// Operands come by value so that the loops below keep them in registers
+// across their stores.
+func survives(qs, resid, scale float64, d int32, cut float64) bool {
 	ub := float64(qs*scale*float64(d)) + resid
-	return !(ub >= -math.MaxFloat64 && ub*len < cut)
+	return !(ub >= -math.MaxFloat64 && ub < cut)
 }
 
 // keep is survives for row i.
-func (s *Screen) keep(i int, d int32, len, cut float64) bool {
-	return survives(s.qs, s.resid, s.qr.Scales[i], d, len, cut)
+func (s *Screen) keep(i int, d int32, cut float64) bool {
+	return survives(s.qs, s.resid, s.qr.Scales[i], d, cut)
 }
 
 // Screen8 screens eight rows anywhere in the panel: dots[j] receives row
 // ij's integer dot and bit j of the result is set when row ij survives
-// against lens[j] and cut. In the common case the mask is zero or one bit,
-// so the caller touches survivors only.
+// against cut. lens is not read — a raw row carries its length in its
+// codes — and stays for callers of the length-scaled predicate
+// (benchmark/kernels.go, which passes ones).
 func (s *Screen) Screen8(i0, i1, i2, i3, i4, i5, i6, i7 int, lens *[8]float64, cut float64, dots *[8]int32) uint8 {
-	return s.screen8(&[8]int{i0, i1, i2, i3, i4, i5, i6, i7}, lens, cut, dots)
+	return s.screen8(&[8]int{i0, i1, i2, i3, i4, i5, i6, i7}, cut, dots)
 }
 
-func (s *Screen) screen8(rows *[8]int, lens *[8]float64, cut float64, dots *[8]int32) uint8 {
+func (s *Screen) screen8(rows *[8]int, cut float64, dots *[8]int32) uint8 {
 	if Accelerated(s.qr.r) {
-		return dot8Asm(s.codes, s.qr.Codes, rows, dots, s.qr.Scales, lens, s.qs, s.resid, cut)
+		return dot8Asm(s.codes, s.qr.Codes, rows, dots, s.qr.Scales, s.qs, s.resid, cut)
 	}
 	dot8Go(s.codes, s.qr.Codes, rows, dots)
-	return s.mask8(rows, lens, cut, dots)
+	return s.mask8(rows, cut, dots)
 }
 
 // mask8 is the predicate half of Screen8 over dots the eight-pointer kernel
 // filled: the portable twin and oracle of the predicate dot8AVX2 fuses in.
-func (s *Screen) mask8(rows *[8]int, lens *[8]float64, cut float64, dots *[8]int32) uint8 {
+func (s *Screen) mask8(rows *[8]int, cut float64, dots *[8]int32) uint8 {
 	scales, qs, resid := s.qr.Scales, s.qs, s.resid
 	var mask uint8
 	for j, i := range rows {
-		if survives(qs, resid, scales[i], dots[j], lens[j], cut) {
+		if survives(qs, resid, scales[i], dots[j], cut) {
 			mask |= 1 << j
 		}
 	}
 	return mask
 }
 
-// Prefix screens the panel's first len(lens) rows, lens[i] being row i's
-// length: one panel-kernel pass fills dots, then the survivors' row numbers
-// are written to rows in order, their dots compacted to the front of dots
-// alongside. It returns the survivor count. dots and rows must hold
-// len(lens) elements.
-func (s *Screen) Prefix(lens []float64, cut float64, dots, rows []int32) int {
-	n := len(lens)
+// Prefix screens the panel's first n rows: one panel-kernel pass fills dots,
+// then the survivors' row numbers are written to rows in order, their dots
+// compacted to the front of dots alongside. It returns the survivor count.
+// dots and rows must hold n elements.
+func (s *Screen) Prefix(n int, cut float64, dots, rows []int32) int {
 	dots = dots[:n]
 	dotPanel(s.codes, s.qr.Codes[:n*s.qr.r], dots)
-	return s.sift(lens, cut, dots, rows)
+	return s.sift(cut, dots, rows)
 }
 
 // sift is the predicate half of Prefix, over dots the panel kernel filled:
 // siftAVX2 over the groups of eight where the kernels are assembly,
 // siftPrefix over the rest.
-func (s *Screen) sift(lens []float64, cut float64, dots, rows []int32) int {
+func (s *Screen) sift(cut float64, dots, rows []int32) int {
 	n := len(dots)
-	scales, lens, rows := s.qr.Scales[:n], lens[:n], rows[:n]
+	scales, rows := s.qr.Scales[:n], rows[:n]
 	i, k := 0, 0
 	if Accelerated(s.qr.r) && n >= 8 {
 		i = n &^ 7
-		k = siftAVX2(&dots[0], &scales[0], &lens[0], i, s.qs, s.resid, cut, &rows[0])
+		k = siftAVX2(&dots[0], &scales[0], i, s.qs, s.resid, cut, &rows[0])
 	}
-	return s.siftPrefix(i, k, lens, cut, dots, rows)
+	return s.siftPrefix(i, k, cut, dots, rows)
 }
 
 // siftPrefix is sift's portable twin and oracle, from row i on with k
 // survivors already compacted.
-func (s *Screen) siftPrefix(i, k int, lens []float64, cut float64, dots, rows []int32) int {
-	scales, lens, rows := s.qr.Scales[:len(dots)], lens[:len(dots)], rows[:len(dots)]
+func (s *Screen) siftPrefix(i, k int, cut float64, dots, rows []int32) int {
+	scales, rows := s.qr.Scales[:len(dots)], rows[:len(dots)]
 	qs, resid := s.qs, s.resid
 	for ; i < len(dots); i++ {
-		if d := dots[i]; survives(qs, resid, scales[i], d, lens[i], cut) {
+		if d := dots[i]; survives(qs, resid, scales[i], d, cut) {
 			rows[k], dots[k] = int32(i), d
 			k++
 		}
@@ -415,24 +421,23 @@ func (s *Screen) siftPrefix(i, k int, lens []float64, cut float64, dots, rows []
 	return k
 }
 
-// List screens the rows listed in rows (any order, repeats allowed), lens
-// being the whole panel's row lengths: survivors are compacted to the front
-// of rows in order, their dots written to dots alongside. Blocks of eight go
-// through Screen8, the ragged tail through the one-row kernel. It returns
-// the survivor count. dots must hold len(rows) elements.
-func (s *Screen) List(rows []int32, lens []float64, cut float64, dots []int32) int {
+// List screens the rows listed in rows (any order, repeats allowed):
+// survivors are compacted to the front of rows in order, their dots written
+// to dots alongside. Blocks of eight go through Screen8, the ragged tail
+// through the one-row kernel. It returns the survivor count. dots must hold
+// len(rows) elements.
+func (s *Screen) List(rows []int32, cut float64, dots []int32) int {
 	qr := s.qr
 	k, i := 0, 0
 	var r8 [8]int
-	var l8 [8]float64
 	var d8 [8]int32
 	for ; i+8 <= len(rows); i += 8 {
 		for j, row := range rows[i : i+8] {
-			r8[j], l8[j] = int(row), lens[row]
+			r8[j] = int(row)
 		}
 		// The block is copied out and k never passes it, so the writes below
 		// reach no unread entry of rows.
-		for mask := s.screen8(&r8, &l8, cut, &d8); mask != 0; mask &= mask - 1 {
+		for mask := s.screen8(&r8, cut, &d8); mask != 0; mask &= mask - 1 {
 			j := bits.TrailingZeros8(mask)
 			rows[k], dots[k] = int32(r8[j]), d8[j]
 			k++
@@ -441,7 +446,7 @@ func (s *Screen) List(rows []int32, lens []float64, cut float64, dots []int32) i
 	for ; i < len(rows); i++ {
 		row := rows[i]
 		d := DotQ8(s.codes, qr.Row(int(row)))
-		if s.keep(int(row), d, lens[row], cut) {
+		if s.keep(int(row), d, cut) {
 			rows[k], dots[k] = row, d
 			k++
 		}

@@ -48,7 +48,6 @@ func TestBatchedKernelsMatchScalar(t *testing.T) {
 	for _, r := range []int{1, 3, 4, 8, 16, 33, 50, 64} {
 		rows := make([]float64, n*r)
 		q := make([]float64, r)
-		lens := make([]float64, n)
 		for trial := 0; trial < 10; trial++ {
 			for i := range rows {
 				rows[i] = rng.NormFloat64() * math.Exp(3*rng.NormFloat64())
@@ -56,10 +55,7 @@ func TestBatchedKernelsMatchScalar(t *testing.T) {
 			for i := range q {
 				q[i] = rng.NormFloat64()
 			}
-			for i := range lens {
-				lens[i] = 5 * rng.Float64()
-			}
-			lens[2] = 0
+			clear(rows[2*r : 3*r]) // a zero row
 			qr := quant.QuantizeRows(rows, r)
 			qq, ok := quant.QuantizeQuery(make([]int8, r), q)
 			if !ok {
@@ -71,7 +67,7 @@ func TestBatchedKernelsMatchScalar(t *testing.T) {
 				var wantRows, wantDots []int32
 				for i := 0; i < n; i++ {
 					one, d := []int32{int32(i)}, []int32{0}
-					if scr.List(one, lens, cut, d) == 1 {
+					if scr.List(one, cut, d) == 1 {
 						wantRows, wantDots = append(wantRows, int32(i)), append(wantDots, d[0])
 						if want := quant.DotQ8(qq.Codes, qr.Row(i)); d[0] != want {
 							t.Fatalf("r=%d row %d: List dot %d, DotQ8 %d", r, i, d[0], want)
@@ -79,7 +75,7 @@ func TestBatchedKernelsMatchScalar(t *testing.T) {
 					}
 				}
 				got, dots := make([]int32, n), make([]int32, n)
-				k := scr.Prefix(lens, cut, dots, got)
+				k := scr.Prefix(n, cut, dots, got)
 				if !slices.Equal(got[:k], wantRows) || !slices.Equal(dots[:k], wantDots) {
 					t.Fatalf("r=%d cut %v: Prefix kept %v dots %v, one-row path %v dots %v",
 						r, cut, got[:k], dots[:k], wantRows, wantDots)
@@ -96,7 +92,7 @@ func TestBatchedKernelsMatchScalar(t *testing.T) {
 						wantList = append(wantList, int32(i))
 					}
 				}
-				k = scr.List(list, lens, cut, dots)
+				k = scr.List(list, cut, dots)
 				if !slices.Equal(list[:k], wantList) {
 					t.Fatalf("r=%d cut %v: List kept %v, one-row path %v", r, cut, list[:k], wantList)
 				}
@@ -106,12 +102,9 @@ func TestBatchedKernelsMatchScalar(t *testing.T) {
 					}
 				}
 				ids := [8]int{5, 2, 7, 0, 3, 6, 1, 4}
-				var l8 [8]float64
-				for j, i := range ids {
-					l8[j] = lens[i]
-				}
+				ones := [8]float64{1, 1, 1, 1, 1, 1, 1, 1}
 				var d8 [8]int32
-				mask := scr.Screen8(ids[0], ids[1], ids[2], ids[3], ids[4], ids[5], ids[6], ids[7], &l8, cut, &d8)
+				mask := scr.Screen8(ids[0], ids[1], ids[2], ids[3], ids[4], ids[5], ids[6], ids[7], &ones, cut, &d8)
 				for j, i := range ids {
 					if want := quant.DotQ8(qq.Codes, qr.Row(i)); d8[j] != want {
 						t.Fatalf("r=%d: Screen8 dot %d of row %d, DotQ8 %d", r, d8[j], i, want)
@@ -194,36 +187,31 @@ func checkBracket(t *testing.T, q, rows []float64, r int) bool {
 // checkScreen is checkBracket's twin for the screening predicate, over the
 // same inputs: ub ≥ fl(emit·Dot(q, row_i)), observed the way the verifier
 // relies on it — with the cutoff set to the very value the exact path would
-// emit for row i, fl(fl(Dot·emit)·len), row i must survive every shape of
-// the screen (a NaN cutoff, from an overflowed exact dot, discards nothing).
-// emit = 1 is Row-Top-k's screen, the others stand for query lengths.
+// emit for row i, row i must survive every shape of the screen (a NaN
+// cutoff, from an overflowed exact dot, discards nothing). emit = 1 is
+// retrieval's screen, whose value is the bare dot of the raw rows; the
+// others check that the folded factor scales the bound with the value.
 func checkScreen(t *testing.T, qr *quant.Rows, qq quant.Query, q, rows []float64) bool {
 	t.Helper()
 	r, n := qr.R(), qr.N()
-	lens := make([]float64, n)
 	keep, dots, list := make([]int32, n), make([]int32, n), make([]int32, 1)
+	ones := [8]float64{1, 1, 1, 1, 1, 1, 1, 1}
 	for _, emit := range []float64{1, 2.5, 1e-3} {
 		scr := qr.NewScreen(qq, emit)
-		for _, rowLen := range []float64{1, 0.37, 41} {
-			for i := range lens {
-				lens[i] = rowLen
+		for i := 0; i < n; i++ {
+			cut := vecmath.Dot(q, rows[i*r:(i+1)*r]) * emit
+			if k := scr.Prefix(n, cut, dots, keep); !slices.Contains(keep[:k], int32(i)) {
+				t.Errorf("row %d (emit %v): Prefix discards it at its own value %v", i, emit, cut)
+				return false
 			}
-			for i := 0; i < n; i++ {
-				cut := vecmath.Dot(q, rows[i*r:(i+1)*r]) * emit * rowLen
-				if k := scr.Prefix(lens, cut, dots, keep); !slices.Contains(keep[:k], int32(i)) {
-					t.Errorf("row %d (emit %v, len %v): Prefix discards it at its own value %v", i, emit, rowLen, cut)
-					return false
-				}
-				if list[0] = int32(i); scr.List(list, lens, cut, dots) != 1 {
-					t.Errorf("row %d (emit %v, len %v): List discards it at its own value %v", i, emit, rowLen, cut)
-					return false
-				}
-				l8 := [8]float64{rowLen, rowLen, rowLen, rowLen, rowLen, rowLen, rowLen, rowLen}
-				var d8 [8]int32
-				if mask := scr.Screen8(i, i, i, i, i, i, i, i, &l8, cut, &d8); mask != 0xff {
-					t.Errorf("row %d (emit %v, len %v): Screen8 mask %08b at its own value %v", i, emit, rowLen, mask, cut)
-					return false
-				}
+			if list[0] = int32(i); scr.List(list, cut, dots) != 1 {
+				t.Errorf("row %d (emit %v): List discards it at its own value %v", i, emit, cut)
+				return false
+			}
+			var d8 [8]int32
+			if mask := scr.Screen8(i, i, i, i, i, i, i, i, &ones, cut, &d8); mask != 0xff {
+				t.Errorf("row %d (emit %v): Screen8 mask %08b at its own value %v", i, emit, mask, cut)
+				return false
 			}
 		}
 	}
@@ -344,19 +332,18 @@ func TestNonFiniteRowsNeverScreened(t *testing.T) {
 		}
 	}
 	// The screen keeps them through every shape, at any cutoff and emit.
-	lens := []float64{1, 1, 1, 1}
 	for _, emit := range []float64{1, 3, 0} {
 		scr := qr.NewScreen(qq, emit)
 		for _, cut := range []float64{-1, 0, 1e300, math.Inf(1)} {
 			keep, dots := make([]int32, 4), make([]int32, 4)
-			k := scr.Prefix(lens, cut, dots, keep)
+			k := scr.Prefix(4, cut, dots, keep)
 			for i := int32(1); i < 4; i++ {
 				if !slices.Contains(keep[:k], i) {
 					t.Fatalf("emit %v cut %v: Prefix kept %v, dropping non-finite row %d", emit, cut, keep[:k], i)
 				}
 			}
 			list := []int32{3, 1, 2}
-			if k := scr.List(list, lens, cut, dots); k != 3 {
+			if k := scr.List(list, cut, dots); k != 3 {
 				t.Fatalf("emit %v cut %v: List kept %v of the non-finite rows", emit, cut, list[:k])
 			}
 			l8 := [8]float64{1, 1, 1, 1, 1, 1, 1, 1}

@@ -9,11 +9,13 @@ import (
 )
 
 // The screen's assembly (the fused predicate of the eight-pointer kernel and
-// the panel's second pass) must keep exactly the rows its Go twins keep,
-// with the same dots, on any input the predicate can meet — not only the
-// values quantization produces. These tests build Rows and Screen from raw
-// values, so scales, lengths, cutoffs and the Screen's constants take any bit
-// pattern. With -tags purego both sides run the Go code.
+// the panel's second pass) must keep exactly the rows its Go twins keep, with
+// the same dots, on any input the predicate can meet — not only the values
+// quantization produces. These tests build Rows and Screen from raw values,
+// so scales, cutoffs and the Screen's constants take any bit pattern. The
+// oracle is survives over raw rows: a row's length lives in its codes and
+// scale, so the predicate is ub < cut with no length operand. With -tags
+// purego both sides run the Go code.
 
 // edgeFloats are the values the predicate's comparisons and roundings turn
 // on: signed zeros, subnormals, the float64 extremes and their neighbours,
@@ -29,14 +31,13 @@ var edgeFloats = []float64{
 
 // screenCase is one screen over raw sidecar values.
 type screenCase struct {
-	scr  Screen
-	lens []float64
-	cut  float64
+	scr Screen
+	cut float64
 }
 
-func newScreenCase(q, codes []int8, scales, lens []float64, qs, resid, cut float64) screenCase {
+func newScreenCase(q, codes []int8, scales []float64, qs, resid, cut float64) screenCase {
 	qr := &Rows{r: len(q), n: len(scales), Scales: scales, Codes: codes}
-	return screenCase{Screen{qr: qr, codes: q, qs: qs, resid: resid}, lens, cut}
+	return screenCase{Screen{qr: qr, codes: q, qs: qs, resid: resid}, cut}
 }
 
 // checkScreenShapes holds Prefix over every prefix length, List over a
@@ -51,7 +52,7 @@ func checkScreenShapes(t testing.TB, c screenCase, rng *rand.Rand) {
 	keep := make([]bool, n)
 	for i := range want {
 		want[i] = plainDot(s.codes, s.qr.Row(i))
-		keep[i] = survives(s.qs, s.resid, s.qr.Scales[i], want[i], c.lens[i], c.cut)
+		keep[i] = survives(s.qs, s.resid, s.qr.Scales[i], want[i], c.cut)
 	}
 	describe := func() string {
 		return fmt.Sprintf("r=%d qs=%v resid=%v cut=%v", r, s.qs, s.resid, c.cut)
@@ -60,8 +61,8 @@ func checkScreenShapes(t testing.TB, c screenCase, rng *rand.Rand) {
 	dots, rows := make([]int32, n), make([]int32, n)
 	goDots, goRows := make([]int32, n), make([]int32, n)
 	for m := 0; m <= n; m++ {
-		k := s.Prefix(c.lens[:m], c.cut, dots, rows)
-		gk := prefixGo(s, c.lens[:m], c.cut, goDots, goRows)
+		k := s.Prefix(m, c.cut, dots, rows)
+		gk := prefixGo(s, m, c.cut, goDots, goRows)
 		if k != gk || !slices.Equal(rows[:k], goRows[:gk]) || !slices.Equal(dots[:k], goDots[:gk]) {
 			t.Fatalf("%s: Prefix of %d rows kept %v dots %v, Go twin %v dots %v",
 				describe(), m, rows[:k], dots[:k], goRows[:gk], goDots[:gk])
@@ -88,22 +89,20 @@ func checkScreenShapes(t testing.TB, c screenCase, rng *rand.Rand) {
 		}
 	}
 	listDots := make([]int32, len(list))
-	k := s.List(list, c.lens, c.cut, listDots)
+	k := s.List(list, c.cut, listDots)
 	if !slices.Equal(list[:k], wantList) || !slices.Equal(listDots[:k], wantDots) {
 		t.Fatalf("%s: List kept %v dots %v, Go twin %v dots %v", describe(), list[:k], listDots[:k], wantList, wantDots)
 	}
 
 	var ids [8]int
-	var l8 [8]float64
 	for j := range ids {
 		ids[j] = rng.Intn(n)
-		l8[j] = c.lens[ids[j]]
 	}
 	ids[7] = ids[0]
-	l8[7] = l8[0]
+	ones := [8]float64{1, 1, 1, 1, 1, 1, 1, 1}
 	var d8, g8 [8]int32
-	mask := s.Screen8(ids[0], ids[1], ids[2], ids[3], ids[4], ids[5], ids[6], ids[7], &l8, c.cut, &d8)
-	if gm := screen8Go(s, &ids, &l8, c.cut, &g8); mask != gm || d8 != g8 {
+	mask := s.Screen8(ids[0], ids[1], ids[2], ids[3], ids[4], ids[5], ids[6], ids[7], &ones, c.cut, &d8)
+	if gm := screen8Go(s, &ids, c.cut, &g8); mask != gm || d8 != g8 {
 		t.Fatalf("%s: Screen8 over rows %v: mask %08b dots %v, Go twin %08b dots %v", describe(), ids, mask, d8, gm, g8)
 	}
 }
@@ -112,7 +111,7 @@ func checkScreenShapes(t testing.TB, c screenCase, rng *rand.Rand) {
 // never leave Go) over the code fills of the kernel tests plus a "unit"
 // fill whose dots are −1, 0 or 1, with the floats drawn from edgeFloats,
 // from raw bit patterns, and from realistic screens whose cutoff sits
-// exactly on a row's emitted value and one ulp above it.
+// exactly on a row's upper bound and one ulp above it.
 func TestScreenMatchesPortable(t *testing.T) {
 	const n = 21 // two groups of eight and a five-row tail
 	rng := rand.New(rand.NewSource(35))
@@ -135,38 +134,37 @@ func TestScreenMatchesPortable(t *testing.T) {
 		for _, fc := range fills {
 			fc.fill(rng, q, codes)
 			for trial := 0; trial < 7; trial++ {
-				scales, lens := make([]float64, n), make([]float64, n)
+				scales := make([]float64, n)
 				var qs, resid, cut float64
 				switch {
 				case trial == 6: // ub on and just past −MaxFloat64
 					for i := range scales {
-						scales[i], lens[i] = edgeFloats[len(edgeFloats)-1-i%7], 1
+						scales[i] = edgeFloats[len(edgeFloats)-1-i%7]
 					}
 					qs, resid, cut = 1, -math.MaxFloat64, math.Inf(1)
 				case trial%3 == 0: // edge values everywhere
 					for i := range scales {
-						scales[i], lens[i] = edge(), edge()
+						scales[i] = edge()
 					}
 					qs, resid, cut = edge(), edge(), edge()
 				case trial%3 == 1: // raw bit patterns
 					for i := range scales {
-						scales[i], lens[i] = raw(), raw()
+						scales[i] = raw()
 					}
 					qs, resid, cut = raw(), raw(), raw()
-				default: // a realistic screen, cut on a row's own value
+				default: // a realistic screen, cut on a row's own bound
 					for i := range scales {
-						scales[i], lens[i] = rng.Float64()/64, 5*rng.Float64()
+						scales[i] = 5 * rng.Float64() / 64
 					}
-					lens[2] = 0
+					scales[2] = 0 // a zero row
 					qs, resid = rng.Float64()/64, rng.Float64()/4
 					i := rng.Intn(n)
-					ub := float64(qs*scales[i]*float64(plainDot(q, codes[i*r:(i+1)*r]))) + resid
-					cut = ub * lens[i]
+					cut = float64(qs*scales[i]*float64(plainDot(q, codes[i*r:(i+1)*r]))) + resid
 					if trial > 3 {
 						cut = math.Nextafter(cut, math.Inf(1))
 					}
 				}
-				checkScreenShapes(t, newScreenCase(q, codes, scales, lens, qs, resid, cut), rng)
+				checkScreenShapes(t, newScreenCase(q, codes, scales, qs, resid, cut), rng)
 			}
 		}
 	}
@@ -219,12 +217,12 @@ func FuzzScreenKernels(f *testing.F) {
 				v[i] = max(int8(in.byte()), -127)
 			}
 		}
-		scales, lens := make([]float64, n), make([]float64, n)
+		scales := make([]float64, n)
 		for i := range scales {
-			scales[i], lens[i] = in.float(), in.float()
+			scales[i] = in.float()
 		}
 		qs, resid, cut := in.float(), in.float(), in.float()
 		rng := rand.New(rand.NewSource(int64(len(data))))
-		checkScreenShapes(t, newScreenCase(q, codes, scales, lens, qs, resid, cut), rng)
+		checkScreenShapes(t, newScreenCase(q, codes, scales, qs, resid, cut), rng)
 	})
 }

@@ -49,10 +49,11 @@ type shardPart struct {
 
 // partitionProbes splits the catalog into nShards parts under the given
 // placement strategy. ids[i] names probe column i (nil = identity); seed
-// seeds cluster placement. Range parts alias the probe matrix (contiguous
-// slices); cluster parts are gathered copies. Cluster parts can be empty — a
-// cluster the k-means run left without members — which is legal shard
-// content.
+// seeds cluster placement. Range parts are views of the probe matrix
+// (contiguous slices), cluster parts gathered copies; either way the shard
+// indexes built over them copy their probes, so no part outlives the build.
+// Cluster parts can be empty — a cluster the k-means run left without members
+// — which is legal shard content.
 func partitionProbes(kind Placement, probe *lemp.Matrix, ids []int32, nShards int, seed int64) ([]shardPart, error) {
 	n := probe.N()
 	colID := func(col int) int32 {

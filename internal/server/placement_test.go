@@ -100,34 +100,17 @@ func compareRows(t *testing.T, ctx string, got, want [][]lemp.Entry) {
 	}
 }
 
-// compareTopKValues asserts two top-k result sets rank the same values.
-// Probe identity is only required while values are strictly decreasing:
-// among tied values (notably 0, from zero probes or zero queries) the
-// winner of the k-th slot is an arbitrary choice the shard merge is free
-// to make differently from a single index.
+// compareTopKValues asserts two top-k result sets are equal, ids and values
+// (±0 alike): ties go to the smaller id in a single index and in a shard
+// merge alike.
 func compareTopKValues(t *testing.T, ctx string, got, want [][]lemp.Entry) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d rows, want %d", ctx, len(got), len(want))
 	}
 	for i := range want {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("%s: row %d has %d entries, want %d", ctx, i, len(got[i]), len(want[i]))
-		}
-		for j := range want[i] {
-			if got[i][j].Value != want[i][j].Value {
-				t.Fatalf("%s: row %d rank %d: got value %v (probe %d), want %v (probe %d)",
-					ctx, i, j, got[i][j].Value, got[i][j].Probe, want[i][j].Value, want[i][j].Probe)
-			}
-			// Value 0 can also tie with candidates outside the returned
-			// set (every zero probe scores 0), so it never pins a probe.
-			tied := want[i][j].Value == 0 ||
-				(j > 0 && want[i][j-1].Value == want[i][j].Value) ||
-				(j+1 < len(want[i]) && want[i][j+1].Value == want[i][j].Value)
-			if !tied && got[i][j].Probe != want[i][j].Probe {
-				t.Fatalf("%s: row %d rank %d: got probe %d, want %d (value %v)",
-					ctx, i, j, got[i][j].Probe, want[i][j].Probe, want[i][j].Value)
-			}
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("%s: row %d: got %v, want %v", ctx, i, got[i], want[i])
 		}
 	}
 }
@@ -318,59 +301,44 @@ func liveSet(sh *Sharded) (*lemp.Matrix, []int32) {
 }
 
 // answersLikeNaive checks a shard set against internal/naive over the live
-// probe set p (column col named ids[col]): the same Row-Top-k probes and
-// Above-θ entries, values within rounding of the exact products. θ lies
-// halfway across the widest gap among the 40 largest products, so no entry
-// sits within rounding of it.
+// probe set p (column col named ids[col]) in ascending-id order: the same
+// Row-Top-k rows and Above-θ entries, ids and values, at θ equal to the
+// 40th largest product.
 func answersLikeNaive(t *testing.T, what string, sh *Sharded, p *lemp.Matrix, ids []int32, q *lemp.Matrix) {
 	t.Helper()
-	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(b)) }
+	cols := make([]int, len(ids))
+	for c := range cols {
+		cols[c] = c
+	}
+	slices.SortFunc(cols, func(a, b int) int { return cmp.Compare(ids[a], ids[b]) })
+	sorted := lemp.NewMatrix(p.R(), len(cols))
+	for j, c := range cols {
+		copy(sorted.Vec(j), p.Vec(c))
+	}
+	byID := func(e lemp.Entry) lemp.Entry { e.Probe = int(ids[cols[e.Probe]]); return e }
 	v := sh.CurrentView()
-	wantTop, _ := naive.RowTopK(q, p, 4)
+	wantTop, _ := naive.RowTopK(q, sorted, 4)
+	for _, row := range wantTop {
+		for j := range row {
+			row[j] = byID(row[j])
+		}
+	}
 	gotTop, _, err := v.TopKCtx(context.Background(), q, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range wantTop {
-		if len(gotTop[i]) != len(wantTop[i]) {
-			t.Fatalf("%s: query %d has %d top-k entries, naive %d", what, i, len(gotTop[i]), len(wantTop[i]))
-		}
-		for j, w := range wantTop[i] {
-			if g := gotTop[i][j]; g.Probe != int(ids[w.Probe]) || !near(g.Value, w.Value) {
-				t.Fatalf("%s: query %d rank %d: probe %d value %v, naive probe %d value %v", what, i, j, g.Probe, g.Value, ids[w.Probe], w.Value)
-			}
-		}
-	}
+	compareTopKValues(t, what+": Row-Top-k against naive", gotTop, wantTop)
 	var all []float64
-	naive.AboveTheta(q, p, math.SmallestNonzeroFloat64, func(e lemp.Entry) { all = append(all, e.Value) })
+	naive.AboveTheta(q, sorted, math.SmallestNonzeroFloat64, func(e lemp.Entry) { all = append(all, e.Value) })
 	slices.SortFunc(all, func(a, b float64) int { return cmp.Compare(b, a) })
-	gap := 1
-	for i := 2; i < min(40, len(all)); i++ {
-		if all[i-1]-all[i] > all[gap-1]-all[gap] {
-			gap = i
-		}
-	}
-	theta := (all[gap-1] + all[gap]) / 2
+	theta := all[min(40, len(all))-1]
 	want := make([][]lemp.Entry, q.N())
-	naive.AboveTheta(q, p, theta, func(e lemp.Entry) {
-		e.Probe = int(ids[e.Probe])
-		want[e.Query] = append(want[e.Query], e)
-	})
+	naive.AboveTheta(q, sorted, theta, func(e lemp.Entry) { want[e.Query] = append(want[e.Query], byID(e)) })
 	got, _, err := v.AboveThetaCtx(context.Background(), q, theta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		lemp.SortEntries(want[i])
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("%s: query %d has %d Above-θ entries, naive %d", what, i, len(got[i]), len(want[i]))
-		}
-		for j, w := range want[i] {
-			if g := got[i][j]; g.Probe != w.Probe || !near(g.Value, w.Value) {
-				t.Fatalf("%s: query %d Above-θ entry %d: %+v, naive %+v", what, i, j, g, w)
-			}
-		}
-	}
+	compareTopKValues(t, what+": Above-θ against naive", got, want)
 }
 
 // TestClusterSnapshotRoundTrip: a cluster-placed server, mutated, then

@@ -181,7 +181,8 @@ type Server struct {
 }
 
 // New builds a server over the probe matrix: cfg.Shards indexes over
-// contiguous probe ranges behind a micro-batcher.
+// contiguous probe ranges behind a micro-batcher. The indexes copy the
+// probes, so the caller may reuse the matrix at once.
 func New(probe *lemp.Matrix, cfg Config) (*Server, error) {
 	return NewWithIDs(probe, nil, cfg)
 }

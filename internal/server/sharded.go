@@ -96,15 +96,15 @@ type Sharded struct {
 	testShardDone  func(shard int, err error)
 }
 
-// NewShardedPlaced builds nShards LEMP indexes over probe (sharing its
-// storage where the placement keeps columns contiguous) under an explicit
-// placement strategy: equal-count contiguous ranges (PlaceRange: shard i
-// indexes probes [i·n/S, (i+1)·n/S), sizes differing by at most one) or
-// direction clusters (PlaceCluster, seeded by opts.Seed). Every shard
-// receives the same options. ids[i] names probe column i in the global id
-// space (nil assigns 0..n-1); re-sharding a previously mutated catalog
-// passes them so probe ids survive the rebuild instead of being renumbered.
-// The shards build concurrently; a failure names the lowest failing shard.
+// NewShardedPlaced builds nShards LEMP indexes over probe, each copying its
+// probes, under an explicit placement strategy: equal-count contiguous ranges
+// (PlaceRange: shard i indexes probes [i·n/S, (i+1)·n/S), sizes differing by
+// at most one) or direction clusters (PlaceCluster, seeded by opts.Seed).
+// Every shard receives the same options. ids[i] names probe column i in the
+// global id space (nil assigns 0..n-1); re-sharding a previously mutated
+// catalog passes them so probe ids survive the rebuild instead of being
+// renumbered. The shards build concurrently; a failure names the lowest
+// failing shard.
 func NewShardedPlaced(probe *lemp.Matrix, ids []int32, nShards int, opts lemp.Options, kind Placement) (*Sharded, error) {
 	n := probe.N()
 	if nShards < 1 {

@@ -650,7 +650,8 @@ func TestReshardPreservesMutatedIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewWithIDs(loaded.Probe(), loaded.ProbeIDs(), Config{Shards: 3, Options: lemp.Options{Parallelism: 1}})
+	live, ids := loaded.LiveProbes()
+	srv, err := NewWithIDs(live, ids, Config{Shards: 3, Options: lemp.Options{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

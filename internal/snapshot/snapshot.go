@@ -51,13 +51,17 @@
 // bucketization over the live probes.
 //
 // Derived on load: core.FromState is a build. It bucketizes the PROB
-// columns under OPTS and PIDS as core.NewIndexWithIDs does, so a restored
-// bucket holds the bits a fresh one does, and it refuses the file unless
-// BUKT names exactly the derived buckets, member for member, which is what
-// catches a corrupt probe value, a permuted membership or a moved bucket
-// boundary. A Quantize index quantizes its int8 screening sidecars as a
-// build does, and persisted sorted lists are verified against the derived
-// directions bit for bit, so a tampered list fails to load.
+// columns under OPTS and PIDS as core.NewIndexWithIDs does, copying them
+// into bucket rows, so a restored bucket holds the bits a fresh one does,
+// and the loaded matrix is released: the restored index keeps one copy of
+// each probe, as a built one does. It refuses the file unless BUKT names
+// exactly the derived buckets, member for member, which is what catches a
+// corrupt probe value, a permuted membership or a moved bucket boundary. A
+// Quantize index quantizes its int8 screening sidecars as a build does, and
+// persisted sorted lists are verified against the unit coordinates derived
+// from the rows bit for bit, so a tampered list fails to load. PROB is
+// written from the bucket rows in the column order of the build, restore or
+// Compact that made the index.
 //
 // OPTS names the bucket algorithm by number: 0 LI, 1 L, 2 C, 3 I, 4 LC.
 // Builds that served the paper's TA, cover-tree, L2AP and BayesLSH-Lite

@@ -10,12 +10,19 @@ type Item struct {
 }
 
 // Heap keeps the k items with the largest values among everything pushed
-// into it. The zero value is unusable; construct with New or prepare a
-// pooled value with Init. Ties are broken arbitrarily, matching the paper's
-// problem statement.
+// into it, ties going to the smaller id: the k first of the order "larger
+// value, then smaller id", whatever order distinct ids are pushed in. The
+// zero value is unusable; construct with New or prepare a pooled value
+// with Init.
 type Heap struct {
 	k     int
-	items []Item // min-heap on Value
+	items []Item // min-heap on worse: the root is the smallest value with the largest id
+}
+
+// worse reports whether a ranks below b: a smaller value, or an equal one
+// (±0 alike) with a larger id.
+func worse(a, b Item) bool {
+	return a.Value < b.Value || a.Value == b.Value && a.ID > b.ID
 }
 
 // New returns a collector for the k largest values. k must be positive.
@@ -59,24 +66,26 @@ func (h *Heap) Threshold() (v float64, ok bool) {
 	return h.items[0].Value, true
 }
 
-// Push offers (id, value). It returns true if the item was retained (heap
-// not yet full, or value beats the current minimum).
+// Push offers (id, value). It returns true if the item was retained: the
+// heap was not yet full, or the item ranks above the root — a larger value,
+// or the root's value with a smaller id.
 func (h *Heap) Push(id int, value float64) bool {
+	it := Item{ID: id, Value: value}
 	if len(h.items) < h.k {
-		h.items = append(h.items, Item{ID: id, Value: value})
+		h.items = append(h.items, it)
 		h.up(len(h.items) - 1)
 		return true
 	}
-	if value <= h.items[0].Value {
+	if !worse(h.items[0], it) {
 		return false
 	}
-	h.items[0] = Item{ID: id, Value: value}
+	h.items[0] = it
 	h.down(0)
 	return true
 }
 
-// Items returns the retained items sorted by decreasing value (ties in
-// arbitrary order). The heap is consumed: it must not be used afterwards.
+// Items returns the retained items sorted by decreasing value, ties by
+// ascending id. The heap is consumed: it must not be used afterwards.
 func (h *Heap) Items() []Item {
 	out := make([]Item, len(h.items))
 	for i := len(h.items) - 1; i >= 0; i-- {
@@ -95,7 +104,7 @@ func (h *Heap) Reset() { h.items = h.items[:0] }
 func (h *Heap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.items[parent].Value <= h.items[i].Value {
+		if !worse(h.items[i], h.items[parent]) {
 			break
 		}
 		h.items[parent], h.items[i] = h.items[i], h.items[parent]
@@ -108,10 +117,10 @@ func (h *Heap) down(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
-		if l < n && h.items[l].Value < h.items[smallest].Value {
+		if l < n && worse(h.items[l], h.items[smallest]) {
 			smallest = l
 		}
-		if r < n && h.items[r].Value < h.items[smallest].Value {
+		if r < n && worse(h.items[r], h.items[smallest]) {
 			smallest = r
 		}
 		if smallest == i {

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -56,6 +57,25 @@ func TestPushRejectsBelowThreshold(t *testing.T) {
 	}
 	if !h.Push(4, 7) {
 		t.Error("push above threshold rejected")
+	}
+}
+
+// The tie rule: among equal values (±0 alike) the smaller id wins, whatever
+// the push order, and Items lists ties by ascending id.
+func TestTiesKeepSmallerIDs(t *testing.T) {
+	vals := []float64{2, 1, 1, 1, 0, math.Copysign(0, -1), 1, 0, 2, 1}
+	want := []int{0, 8, 1, 2, 3, 6, 9, 4, 5, 7} // by decreasing value, then id
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 200; trial++ {
+		h := New(1 + rng.Intn(len(vals)))
+		for _, i := range rng.Perm(len(vals)) {
+			h.Push(i, vals[i])
+		}
+		for j, it := range h.Items() {
+			if it.ID != want[j] {
+				t.Fatalf("k=%d rank %d: id %d, want %d", h.K(), j, it.ID, want[j])
+			}
+		}
 	}
 }
 

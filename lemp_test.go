@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"lemp"
+	"lemp/internal/server"
 )
 
 // fig1 returns the paper's running example (Fig. 1): user and movie factor
@@ -131,7 +132,50 @@ func TestAllAlgorithmsThroughPublicAPI(t *testing.T) {
 		}
 		eps = append(eps, retrieveEP(alg.String(), ix, false))
 	}
-	check(t, "public API", newReference(t, p, nil), p.Head(40), 10, rng, eps...)
+	check(t, "public API", newReference(p, nil), p.Head(40), 10, rng, eps...)
+}
+
+// TestCallerMatrixReusable: lemp.New, lemp.NewWithIDs and server.New copy
+// the probes, so overwriting the caller's matrix afterwards changes no
+// answer — nor what a snapshot or a compaction reads back out of the index:
+// each still returns naive's over the catalog as it was.
+func TestCallerMatrixReusable(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	p, q := lemp.NewMatrix(5, 200), lemp.NewMatrix(5, 6)
+	for _, m := range []*lemp.Matrix{p, q} {
+		for i := 0; i < m.N(); i++ {
+			copy(m.Vec(i), randVec(rng, 5))
+		}
+	}
+	ids := make([]int32, p.N())
+	for col := range ids {
+		ids[col] = int32(2*p.N() - col)
+	}
+	orig := p.Clone()
+	ix, err := lemp.New(p, lemp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withIDs, err := lemp.NewWithIDs(p, ids, lemp.Options{Quantize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.NewWithIDs(p, ids, server.Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < p.N(); i++ {
+		copy(p.Vec(i), randVec(rng, 5))
+	}
+	check(t, "caller matrix overwritten", newReference(orig, ids), q, 10, rng,
+		retrieveEP("NewWithIDs", withIDs, false), viewEP("server.NewWithIDs", srv.Sharded()), httpEP("server.NewWithIDs", srv))
+	compacted, _, err := ix.WithUpdates([]lemp.ProbeUpdate{{Op: lemp.OpRemove, ID: 0}, {Op: lemp.OpAdd, ID: 0, Vec: orig.Vec(0)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compacted.Compact()
+	check(t, "caller matrix overwritten", newReference(orig, nil), q, 10, rng, retrieveEP("New", ix, false),
+		retrieveEP("snapshot", roundTrip(t, ix, lemp.SnapshotOptions{}, lemp.LoadOptions{}), false), retrieveEP("compacted", compacted, false))
 }
 
 func TestParseAlgorithm(t *testing.T) {
@@ -238,6 +282,6 @@ func TestParallelOptionsThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(t, "parallel options", newReference(t, p, nil), q, 3, rng,
+	check(t, "parallel options", newReference(p, nil), q, 3, rng,
 		retrieveEP("Options.Parallelism 4", parallel, false), retrieveEP("WithParallelism 4", serial, false, lemp.WithParallelism(4)))
 }

@@ -293,7 +293,8 @@ func TestSnapshotRestoredPretuneSurvivesCompact(t *testing.T) {
 	if res.Stats.Tunings != 0 {
 		t.Fatalf("pretuned restored index re-tuned per call (Tunings=%d)", res.Stats.Tunings)
 	}
-	fresh, err := lemp.NewWithIDs(restored.Probe(), restored.ProbeIDs(), lemp.Options{MinBucketSize: 10, CacheBytes: 8 * 1024})
+	live, ids := restored.LiveProbes()
+	fresh, err := lemp.NewWithIDs(live, ids, lemp.Options{MinBucketSize: 10, CacheBytes: 8 * 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,10 +110,6 @@ func LoadIndex(r io.Reader, opts LoadOptions) (*Index, error) {
 	return &Index{inner: inner}, nil
 }
 
-// Probe returns the probe matrix the index was built over (or loaded with).
-// It aliases index state: mutating it invalidates the index.
-func (ix *Index) Probe() *Matrix { return ix.inner.Probe() }
-
 // Pretuned reports whether per-call tuning is frozen: the index reuses
 // stored per-bucket parameters (§4.4) instead of re-tuning on every
 // retrieval call. See PretuneTopK.

@@ -180,7 +180,8 @@ func TestLoadIndexReadsPlacementFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := naive.RowTopK(q, ix.Probe(), 5)
+	live, _ := ix.LiveProbes()
+	want, _ := naive.RowTopK(q, live, 5)
 	for i := range want {
 		if len(got[i]) != len(want[i]) {
 			t.Fatalf("query %d: %d entries, naive %d", i, len(got[i]), len(want[i]))

@@ -88,13 +88,6 @@ func (ix *Index) LiveIDs() []int32 { return ix.inner.LiveIDs() }
 // may run beside retrievals.
 func (ix *Index) Has(id int32) bool { return ix.inner.Has(id) }
 
-// ProbeIDs returns the external ids of the Probe() matrix's columns, in
-// column order, or nil when the ids are the column numbers themselves.
-// Probes added or rewritten since the last build or Compact are not
-// reflected — Compact first (snapshot-loaded indexes are always compacted). Re-sharding uses this to rebuild shards
-// without renumbering the catalog.
-func (ix *Index) ProbeIDs() []int32 { return ix.inner.ProbeIDs() }
-
 // DeltaMass reports accumulated mutation drift: (base tombstones + run
 // vectors) / live probes. See MaybeCompact.
 func (ix *Index) DeltaMass() float64 { return ix.inner.DeltaMass() }
