@@ -64,6 +64,9 @@ func TestExactThetaEntryKept(t *testing.T) {
 //   - copies with denormal coordinates and ±0 planted beside normal ones (a
 //     row whose every coordinate is denormal has length 0 and lies outside
 //     the bounds' analysis, boundSlack);
+//   - copies 1e-163 to 1e-250 as long, whose squared coordinates all
+//     underflow, so only vecmath.Norm's scaled sum gives them a length (a
+//     plain sum gives 0, and such a row was pruned with the zero bucket);
 //   - near-cancelling pairs: rows whose products with the first query cancel
 //     to a value far below ‖q‖·‖p‖, where the int8 screen's error bound
 //     dwarfs the value;
@@ -105,6 +108,9 @@ func TestAboveThetaAtOwnValue(t *testing.T) {
 				row[rng.Intn(r-1)] = -tiny // a normal coordinate remains
 			}
 			rows = append(rows, row)
+		}
+		for _, c := range []float64{1e-163, 1e-170, 1e-250} {
+			rows = append(rows, scale(c*math.Exp(rng.NormFloat64()), dir)) // every square underflows
 		}
 		if r >= 2 {
 			a, b := slices.IndexFunc(dir, func(x float64) bool { return x != 0 }), r-1

@@ -1,22 +1,19 @@
 // Command lemp-serve runs a long-lived LEMP query server: it loads (or
 // synthesizes) a probe matrix, shards it across independent LEMP indexes,
-// and answers Row-Top-k and Above-θ queries over HTTP, micro-batching
-// concurrent requests into single whole-matrix retrieval calls.
+// and answers Row-Top-k and Above-θ queries over HTTP. Each request is one
+// retrieval call on its own goroutine: its query rows reach every shard as
+// one matrix, and no request waits for another.
 //
-// Batching is continuous: a request arriving at an idle index dispatches
-// immediately — no window penalty at low load — and under load batches
-// dispatch back-to-back the moment the previous retrieval completes, with
-// -batch-window and -batch-max as upper bounds (-batch-window 0 disables
-// coalescing). Admission control sheds load before it queues: when forming
-// batches hold ≥ -shed-queue-rows query rows, or more than -shed-inflight
-// requests are in flight, new retrieval requests get 429 with a
-// Retry-After header instead of joining an unboundedly deep queue (see
-// lemp_requests_shed_total and the shed block in /stats).
+// Admission control sheds load before it queues: when admitted requests not
+// yet answered hold ≥ -shed-queue-rows query rows, or more than
+// -shed-inflight requests are in flight, new retrieval requests get 429 with
+// a Retry-After header instead of piling up (see lemp_requests_shed_total
+// and the shed block in /stats).
 //
 // Usage:
 //
 //	lemp-serve -p items.p -shards 4                       # serve a matrix file
-//	lemp-serve -profile Smoke -addr :9000 -batch-window 2ms
+//	lemp-serve -profile Smoke -addr :9000
 //	lemp-serve -profile Smoke -save-snapshot idx          # build once, persist
 //	lemp-serve -snapshot idx                              # restart without tuning
 //
@@ -66,17 +63,16 @@
 // compacted live probe set with ids preserved.
 //
 // Retrieval uses all CPU cores by default: each shard runs with
-// Options.Parallelism = NumCPU/shards, so one dispatched batch fanning out
+// Options.Parallelism = NumCPU/shards, so one request fanning out
 // across every shard saturates the machine without oversubscribing it
 // (override with -parallel; the paper's measurements are single-threaded,
 // but a server owns its machine).
 //
-// Serving is context-aware end to end: a client that disconnects stops
-// contributing to its micro-batch, and once every batch-mate is gone the
-// underlying shard scans abort mid-bucket; -request-timeout adds a
+// Serving is context-aware end to end: when a client disconnects, its
+// request's shard scans abort mid-bucket; -request-timeout adds a
 // per-request deadline with the same behavior. Repeat queries with the
 // same k or θ reuse fitted per-bucket tuning parameters through a shared
-// tuning cache, so small-batch serving stops re-paying §4.4 sample tuning
+// tuning cache, so small-request serving stops re-paying §4.4 sample tuning
 // on every call (visible as tunings vs tune_cache_hits in /stats).
 //
 // Observability: every request is traced (id in the X-Lemp-Trace response
@@ -123,13 +119,11 @@ func main() {
 	algName := flag.String("alg", "LI", "bucket algorithm: L LI LC I C (L never tunes; the others run the paper's sample tuner, §4.4, on each new problem)")
 	phi := flag.Int("phi", 0, "fixed focus-set size φ (0 = tuned per bucket)")
 	quantize := flag.Bool("quant", false, "build the int8 screening sidecars eagerly and screen every candidate set (results stay exact; ~1 byte per probe per dimension); snapshots record the option and re-quantize on restore. Without it the server screens by itself where the int8 kernels are assembly (/stats \"kernels\": \"avx2\"), building sidecars lazily for the buckets queries reach; the flag adds the eager build and, on the portable kernels, the screen itself, which loses there. With -snapshot, given explicitly it forces the option on or off regardless of what the snapshots recorded")
-	parallel := flag.Int("parallel", 0, "retrieval goroutines per shard (0 = NumCPU/shards, so one batch uses all cores)")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "upper bound on how long requests wait to coalesce (0 disables batching)")
-	batchMax := flag.Int("batch-max", 256, "maximum query rows per combined batch")
-	shedQueueRows := flag.Int("shed-queue-rows", 16384, "reject retrieval requests with 429 while this many query rows wait in forming batches (0 or negative disables)")
+	parallel := flag.Int("parallel", 0, "retrieval goroutines per shard (0 = NumCPU/shards, so one request uses all cores)")
+	shedQueueRows := flag.Int("shed-queue-rows", 16384, "reject retrieval requests with 429 while admitted requests not yet answered hold this many query rows (0 or negative disables)")
 	shedInflight := flag.Int("shed-inflight", 4096, "reject retrieval requests with 429 past this many in-flight requests (0 or negative disables)")
 	pretuneK := flag.Int("pretune-k", 10, "k used by -save-snapshot's pretuning pass")
-	snapshotLists := flag.Bool("snapshot-lists", true, "with -save-snapshot, also persist the per-bucket sorted-list indexes (larger files; a restored server's first batch skips the list rebuild)")
+	snapshotLists := flag.Bool("snapshot-lists", true, "with -save-snapshot, also persist the per-bucket sorted-list indexes (larger files; a restored server's first request skips the list rebuild)")
 	compactFrac := flag.Float64("compact-frac", 0.25, "re-bucketize a shard when its delta mass (tombstones+overlay per live probe) exceeds this fraction (negative disables)")
 	maxUpdateOps := flag.Int("max-update-ops", 4096, "maximum ops per /v1/update batch (negative disables the limit)")
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request retrieval deadline; expired requests abort their shard scans mid-bucket and return 503 (0 disables)")
@@ -178,8 +172,6 @@ func main() {
 		Placement:          *placementName,
 		RebalanceOnLoad:    *rebalanceOnLoad,
 		Options:            lemp.Options{Algorithm: alg, Phi: *phi, Parallelism: *parallel, Quantize: *quantize},
-		BatchWindow:        *batchWindow,
-		BatchMax:           *batchMax,
 		ShedQueueRows:      *shedQueueRows,
 		ShedInflight:       *shedInflight,
 		MaxUpdateOps:       *maxUpdateOps,
@@ -269,8 +261,6 @@ func main() {
 		"dim", srv.Sharded().R(),
 		"shards", srv.Sharded().NumShards(),
 		"addr", *addr,
-		"batch_window", batchWindow.String(),
-		"batch_max", *batchMax,
 		"parallelism", par,
 	)
 

@@ -34,7 +34,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"lemp"
 	"lemp/internal/naive"
@@ -218,9 +217,9 @@ func viewEP(name string, sh *server.Sharded) entryPoint {
 }
 
 // batcherEP submits every query row as a request of its own, all at once, so
-// that rows coalesce into batches and are scattered back.
+// that each row is its own retrieval call running beside the others.
 func batcherEP(name string, sh *server.Sharded) entryPoint {
-	b := server.NewBatcher(sh, 2*time.Millisecond, 64, 0)
+	b := server.NewBatcher(sh, 0, 0, server.BatchModeContinuous)
 	return entryPoint{name + " batcher", func(q *lemp.Matrix, k int, theta float64) ([][]lemp.Entry, error) {
 		v, rows, errs := sh.CurrentView(), make([][]lemp.Entry, q.N()), make([]error, q.N())
 		var wg sync.WaitGroup

@@ -190,22 +190,6 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
-func TestLengthPercentile(t *testing.T) {
-	m, _ := FromVectors([][]float64{{1, 0}, {2, 0}, {3, 0}, {4, 0}})
-	if v := LengthPercentile(m, 0); v != 1 {
-		t.Errorf("p0=%g", v)
-	}
-	if v := LengthPercentile(m, 100); v != 4 {
-		t.Errorf("p100=%g", v)
-	}
-	if v := LengthPercentile(m, 50); math.Abs(v-2.5) > 1e-12 {
-		t.Errorf("p50=%g", v)
-	}
-	if v := LengthPercentile(New(2, 0), 50); v != 0 {
-		t.Errorf("empty percentile %g", v)
-	}
-}
-
 func TestSlice(t *testing.T) {
 	m := New(2, 5)
 	for i := 0; i < 5; i++ {

@@ -1,9 +1,6 @@
 package matrix
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Stats summarizes a factor matrix the way the paper's Table 1 does.
 type Stats struct {
@@ -53,28 +50,4 @@ func ComputeStats(m *Matrix) Stats {
 	}
 	s.NonZero = float64(nz) / float64(len(m.Data()))
 	return s
-}
-
-// LengthPercentile returns the p-th percentile (p in [0,100]) of the vector
-// length distribution, using nearest-rank interpolation.
-func LengthPercentile(m *Matrix, p float64) float64 {
-	if m.N() == 0 {
-		return 0
-	}
-	lengths := m.Lengths()
-	sort.Float64s(lengths)
-	if p <= 0 {
-		return lengths[0]
-	}
-	if p >= 100 {
-		return lengths[len(lengths)-1]
-	}
-	rank := p / 100 * float64(len(lengths)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return lengths[lo]
-	}
-	frac := rank - float64(lo)
-	return lengths[lo]*(1-frac) + lengths[hi]*frac
 }

@@ -19,9 +19,8 @@ import (
 // a span tree to the ring happens only for the retained few.
 
 // MaxSpans bounds one trace's span count. The serving tree is small —
-// request → batch wait/retrieve → per-shard scans → tune/scan/merge — so
-// 64 covers servers up to ~28 shards; beyond that, spans drop (counted)
-// rather than allocate.
+// request → per-shard scans → tune/scan/merge — so 64 covers servers up to
+// ~28 shards; beyond that, spans drop (counted) rather than allocate.
 const MaxSpans = 64
 
 // SpanRef indexes a span within its trace. NoSpan is the nil reference:
@@ -130,43 +129,6 @@ func (t *Trace) Spans() []Span {
 		return nil
 	}
 	return t.spans[:t.Len()]
-}
-
-// AdoptSpans copies src's spans [lo, hi) — e.g. the spans a shared batch
-// retrieval recorded into the leader's trace — into t under parent.
-// Parent references inside the copied range are remapped; references
-// outside it (the leader's own ancestors) collapse to parent. Time offsets
-// are rebased from src's start to t's. Spans that do not fit are dropped
-// and counted.
-func (t *Trace) AdoptSpans(src *Trace, lo, hi SpanRef, parent SpanRef) {
-	if t == nil || src == nil || lo < 0 || hi > SpanRef(src.Len()) || lo >= hi {
-		return
-	}
-	shift := src.start.Sub(t.start).Nanoseconds()
-	refs := make([]SpanRef, hi-lo)
-	for i := lo; i < hi; i++ {
-		sp := src.spans[i]
-		p := parent
-		if sp.Parent >= lo && sp.Parent < hi {
-			p = refs[sp.Parent-lo]
-		}
-		j := t.n.Add(1) - 1
-		if j >= MaxSpans {
-			t.dropped.Add(1)
-			refs[i-lo] = parent // children of a dropped span attach to parent
-			continue
-		}
-		dst := &t.spans[j]
-		dst.Name = sp.Name
-		dst.Parent = p
-		dst.Shard = sp.Shard
-		dst.StartNS = sp.StartNS + shift
-		dst.EndNS = 0
-		if sp.EndNS != 0 {
-			dst.EndNS = sp.EndNS + shift
-		}
-		refs[i-lo] = SpanRef(j)
-	}
 }
 
 // reset prepares a pooled trace for reuse.
@@ -325,17 +287,6 @@ func (tc *Tracer) Finish(tr *Trace, meta TraceMeta) bool {
 	}
 	tc.pool.Put(tr)
 	return retain
-}
-
-// Release returns a trace to the pool without a retention decision or
-// counter updates — for internal scratch traces (like the batch-scoped
-// trace a request coalescer records shared retrieval spans into before
-// adopting them into each waiter's own trace).
-func (tc *Tracer) Release(tr *Trace) {
-	if tc == nil || tr == nil {
-		return
-	}
-	tc.pool.Put(tr)
 }
 
 // snapshot copies the trace onto the heap for retention.

@@ -14,8 +14,8 @@ func TestTraceSpanTree(t *testing.T) {
 		t.Fatalf("trace id = %d (%q)", tr.ID(), tr.IDString())
 	}
 	root := tr.Start("topk", NoSpan)
-	batch := tr.Start("batch.wait", root)
-	tr.End(batch)
+	tune := tr.Start("tune", root)
+	tr.End(tune)
 	s0 := tr.StartShard("shard", root, 0)
 	s1 := tr.StartShard("shard", root, 1)
 	tr.End(s0)
@@ -121,51 +121,7 @@ func TestTraceCapacityDrops(t *testing.T) {
 	if tr2.Len() != 0 || tr2.Dropped() != 0 {
 		t.Fatalf("reused trace not reset: len=%d dropped=%d", tr2.Len(), tr2.Dropped())
 	}
-	tc.Release(tr2)
-}
-
-func TestAdoptSpans(t *testing.T) {
-	tc := NewTracer(TracerConfig{SampleRate: 1, RingSize: 2})
-	// The batch-coalescing shape: a scratch trace records the shared
-	// retrieval, then each waiter adopts those spans under its own span.
-	scratch := tc.StartTrace()
-	ret := scratch.Start("retrieve", NoSpan)
-	sh := scratch.StartShard("shard", ret, 2)
-	scratch.End(sh)
-	scratch.End(ret)
-
-	dst := tc.StartTrace()
-	root := dst.Start("topk", NoSpan)
-	wait := dst.Start("batch.retrieve", root)
-	dst.AdoptSpans(scratch, 0, SpanRef(scratch.Len()), wait)
-	dst.End(wait)
-	dst.End(root)
-	tc.Release(scratch)
-
-	if dst.Len() != 4 {
-		t.Fatalf("len = %d, want 4", dst.Len())
-	}
-	sp := dst.Spans()
-	// Adopted root reparents onto `wait`; intra-range parents are remapped.
-	if sp[2].Name != "retrieve" || sp[2].Parent != wait {
-		t.Fatalf("adopted retrieve span: %+v", sp[2])
-	}
-	if sp[3].Name != "shard" || sp[3].Parent != SpanRef(2) || sp[3].Shard != 2 {
-		t.Fatalf("adopted shard span: %+v", sp[3])
-	}
-	if sp[3].EndNS == 0 {
-		t.Fatal("adopted closed span lost its end time")
-	}
-
-	// Degenerate calls are no-ops.
-	dst.AdoptSpans(nil, 0, 1, root)
-	dst.AdoptSpans(scratch, 3, 2, root)
-	var nilTrace *Trace
-	nilTrace.AdoptSpans(dst, 0, 1, NoSpan)
-	if dst.Len() != 4 {
-		t.Fatalf("degenerate AdoptSpans changed the trace: len = %d", dst.Len())
-	}
-	tc.Finish(dst, TraceMeta{})
+	tc.Finish(tr2, TraceMeta{})
 }
 
 func TestSpanContext(t *testing.T) {
@@ -200,7 +156,6 @@ func TestNilTraceAndTracerAreSafe(t *testing.T) {
 	if tc.StartTrace() != nil || tc.Finish(nil, TraceMeta{}) || tc.Snapshots() != nil {
 		t.Fatal("nil tracer must be inert")
 	}
-	tc.Release(nil)
 	if tc.Retained() != 0 || tc.Finished() != 0 {
 		t.Fatal("nil tracer counters must be zero")
 	}

@@ -29,17 +29,14 @@ func benchSharded(b *testing.B) (*Sharded, *lemp.Matrix) {
 
 const benchK = 10
 
-// runDispatchBench drives concurrent single-query clients through a
-// batcher. With a zero window the batcher degenerates to one retrieval
-// call per request — the baseline the batched configuration must beat.
-func runDispatchBench(b *testing.B, window time.Duration, maxBatch int) {
+// BenchmarkDispatchPerRequest drives concurrent single-query clients through
+// the batcher, one sharded retrieval call per query.
+func BenchmarkDispatchPerRequest(b *testing.B) {
 	sh, q := benchSharded(b)
-	batcher := NewBatcher(sh, window, maxBatch, BatchModeContinuous)
+	batcher := &Batcher{sharded: sh}
 	n := q.N()
 	var i atomic.Int64
-	// Many more in-flight clients than cores: the regime batching targets.
-	// Per-call costs (sample-based tuning, scratch setup, shard fan-out)
-	// then amortize across the coalesced batch.
+	// Many more in-flight clients than cores.
 	b.SetParallelism(64)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -52,17 +49,6 @@ func runDispatchBench(b *testing.B, window time.Duration, maxBatch int) {
 		}
 	})
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-// BenchmarkDispatchPerRequest issues one sharded retrieval call per query.
-func BenchmarkDispatchPerRequest(b *testing.B) {
-	runDispatchBench(b, 0, 1)
-}
-
-// BenchmarkDispatchBatched coalesces concurrent queries into combined
-// retrieval calls (waits of at most 1 ms, up to 256 rows per batch).
-func BenchmarkDispatchBatched(b *testing.B) {
-	runDispatchBench(b, time.Millisecond, 256)
 }
 
 // BenchmarkTuningCacheServing measures — and asserts — the serving win of

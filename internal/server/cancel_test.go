@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -15,10 +14,10 @@ import (
 	"lemp"
 )
 
-// cancelPaths are the two ways a lone request reaches the shards: with no
-// coalescing configured, and alone on an idle key under the continuous
-// window. Both retrieve on the handler goroutine under the request's own
-// context, so a cancellation must reach the shard scans directly.
+// cancelPaths are two server configurations: without a batch window and
+// with one, which Config ignores now that no request coalesces. Under both a
+// request retrieves on its handler goroutine under its own context, so a
+// cancellation must reach the shard scans directly.
 var cancelPaths = []struct {
 	name   string
 	window time.Duration
@@ -174,192 +173,6 @@ func TestRequestTimeoutAbortsRetrieval(t *testing.T) {
 				t.Errorf("%d of %d shard retrievals reported", len(shardErrs), testShards)
 			}
 		})
-	}
-}
-
-// TestBatcherMergedContext checks the coalescing semantics: one impatient
-// caller cannot abort a batch its mates still want, but when every caller
-// leaves, the batch context cancels and the shards abort. The batches form
-// behind a retrieval held in flight.
-func TestBatcherMergedContext(t *testing.T) {
-	q, p := smokeMatrices(t)
-	sh, err := NewShardedPlaced(p, nil, testShards, lemp.Options{Parallelism: 1}, PlaceRange)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// lone submits a request that will be alone on the idle key, so its
-	// retrieval is the one held.
-	lone := func(b *Batcher, i int) <-chan error {
-		done := make(chan error, 1)
-		go func() {
-			_, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(i), 1, 3)
-			done <- err
-		}()
-		return done
-	}
-
-	// One of two callers cancels: the survivor still gets its rows.
-	b := NewBatcher(sh, 10*time.Second, 64, BatchModeContinuous)
-	held := holdCalls(t, b, 1)
-	firstDone := lone(b, 3)
-	held.await(t, 1)
-	ctxA, cancelA := context.WithCancel(context.Background())
-	aDone := make(chan error, 1)
-	go func() {
-		_, _, err := b.TopKAt(ctxA, sh.CurrentView(), q.Vec(0), 1, 3)
-		aDone <- err
-	}()
-	bDone := make(chan struct {
-		rows [][]lemp.Entry
-		err  error
-	}, 1)
-	go func() {
-		rows, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(1), 1, 3)
-		bDone <- struct {
-			rows [][]lemp.Entry
-			err  error
-		}{rows, err}
-	}()
-	awaitPending(t, b, 2)
-	cancelA()
-	if err := <-aDone; !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled caller got err %v, want context.Canceled", err)
-	}
-	held.release()
-	res := <-bDone
-	if res.err != nil {
-		t.Fatalf("surviving caller failed: %v", res.err)
-	}
-	if len(res.rows) != 1 || len(res.rows[0]) != 3 {
-		t.Fatalf("surviving caller got %d rows", len(res.rows))
-	}
-	if err := <-firstDone; err != nil {
-		t.Fatal(err)
-	}
-
-	// Every caller of an already-dispatched batch cancels: the merged
-	// context dies mid-retrieval and the shard scans abort with
-	// context.Canceled instead of running to completion. The batch fills to
-	// max and dispatches while the lone retrieval is still held. (A batch
-	// whose every caller leaves before it fires is retired without
-	// dispatching at all — covered by TestAbandonedBatchNotJoinable.)
-	full := NewBatcher(sh, 10*time.Second, 2, BatchModeContinuous)
-	held = holdCalls(t, full, 1)
-	firstDone = lone(full, 4)
-	held.await(t, 1)
-	started := make(chan struct{})
-	var startOnce sync.Once
-	sh.testShardStart = func(ctx context.Context, _ int) {
-		startOnce.Do(func() { close(started) })
-		<-ctx.Done() // hold the scan until the cancellation lands
-	}
-	var mu sync.Mutex
-	var shardErrs []error
-	sh.testShardDone = func(_ int, err error) {
-		mu.Lock()
-		shardErrs = append(shardErrs, err)
-		mu.Unlock()
-	}
-	var cancels []context.CancelFunc
-	callerErrs := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancels = append(cancels, cancel)
-		go func(i int) {
-			_, _, err := full.TopKAt(ctx, sh.CurrentView(), q.Vec(5+i), 1, 3)
-			callerErrs <- err
-		}(i)
-	}
-	select {
-	case <-started: // the batch fired and its shard scans are in flight
-	case <-time.After(5 * time.Second):
-		t.Fatal("batch never dispatched")
-	}
-	for _, cancel := range cancels {
-		cancel()
-	}
-	for range cancels {
-		if err := <-callerErrs; !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(shardErrs)
-		mu.Unlock()
-		if n >= testShards {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("abandoned in-flight batch: only %d shard retrievals finished", len(shardErrs))
-		}
-		time.Sleep(time.Millisecond)
-	}
-	mu.Lock()
-	for _, err := range shardErrs[:testShards] {
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("in-flight batch shard retrieval returned %v, want context.Canceled", err)
-		}
-	}
-	// The batch's scans have all reported: unhook them before the held
-	// retrieval, whose context never ends, scans.
-	sh.testShardStart, sh.testShardDone = nil, nil
-	mu.Unlock()
-	held.release()
-	if err := <-firstDone; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAbandonedBatchNotJoinable is the regression test for a review
-// finding: when a forming batch's only caller disconnects, the batch's
-// merged context dies — a later innocent caller on the same key must start
-// a fresh batch, not join the dead one and inherit its cancellation.
-func TestAbandonedBatchNotJoinable(t *testing.T) {
-	q, p := smokeMatrices(t)
-	sh, err := NewShardedPlaced(p, nil, testShards, lemp.Options{Parallelism: 1}, PlaceRange)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBatcher(sh, 10*time.Second, 64, BatchModeContinuous)
-	held := holdCalls(t, b, 1)
-	firstDone := make(chan error, 1)
-	go func() {
-		_, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(2), 1, 3)
-		firstDone <- err
-	}()
-	held.await(t, 1)
-
-	ctxA, cancelA := context.WithCancel(context.Background())
-	aDone := make(chan error, 1)
-	go func() {
-		_, _, err := b.TopKAt(ctxA, sh.CurrentView(), q.Vec(0), 1, 3)
-		aDone <- err
-	}()
-	awaitPending(t, b, 1) // A creates the forming batch behind the held retrieval
-	cancelA()             // ...and abandons it: live drops to 0
-	if err := <-aDone; !errors.Is(err, context.Canceled) {
-		t.Fatalf("abandoning caller got %v, want context.Canceled", err)
-	}
-
-	// B arrives on the same (k, epoch) key while A's batch would still be
-	// waiting. It must get real rows, not A's cancellation.
-	bDone := make(chan error, 1)
-	go func() {
-		rows, _, err := b.TopKAt(context.Background(), sh.CurrentView(), q.Vec(1), 1, 3)
-		if err == nil && (len(rows) != 1 || len(rows[0]) != 3) {
-			err = fmt.Errorf("innocent caller got %d rows", len(rows))
-		}
-		bDone <- err
-	}()
-	awaitPending(t, b, 1)
-	held.release()
-	if err := <-bDone; err != nil {
-		t.Fatalf("innocent caller after an abandoned batch: %v", err)
-	}
-	if err := <-firstDone; err != nil {
-		t.Fatal(err)
 	}
 }
 

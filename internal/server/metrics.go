@@ -10,9 +10,9 @@ import (
 
 // The server's metric surface, exposed in Prometheus text format at
 // GET /metrics. Everything observed on the serving path — request
-// latencies, batch-wait time, per-shard scan time, merge time — records
-// through pre-resolved handles (atomic adds, no allocation, no locks);
-// state that already lives somewhere (epoch, queue depth, the cumulative
+// latencies, per-shard scan time, merge time — records through
+// pre-resolved handles (atomic adds, no allocation, no locks);
+// state that already lives somewhere (epoch, rows in flight, the cumulative
 // core stats /stats renders) is exported through func-backed
 // counters/gauges read only at scrape time.
 
@@ -34,7 +34,6 @@ type serverMetrics struct {
 	reqTotal      map[string]map[int]*obs.Counter // endpoint → status → count
 	reqTotalOther map[string]*obs.Counter         // endpoint → unexpected status
 
-	batchWait    *obs.Histogram
 	batchRows    *obs.Histogram
 	shardScan    []*obs.Histogram // per shard
 	mergeDur     *obs.Histogram
@@ -72,11 +71,8 @@ func newServerMetrics(shards int) *serverMetrics {
 		m.reqTotalOther[ep] = totVec.With(ep, "other")
 	}
 
-	m.batchWait = reg.Histogram("lemp_batch_wait_seconds",
-		"Time a request spent waiting for its micro-batch to dispatch.",
-		obs.ExpBuckets(50e-6, 2, 12))
 	m.batchRows = reg.Histogram("lemp_batch_rows",
-		"Query rows per dispatched retrieval call.",
+		"Query rows per retrieval call (one call per request).",
 		obs.ExpBuckets(1, 2, 10))
 	scanVec := reg.HistogramVec("lemp_shard_scan_seconds",
 		"Per-shard retrieval time, the per-shard skew signal.",
@@ -89,7 +85,7 @@ func newServerMetrics(shards int) *serverMetrics {
 		"K-way merge (top-k) or row gather and sort (above-theta) time per retrieval call.",
 		obs.ExpBuckets(10e-6, 2, 12))
 	m.requestsShed = reg.Counter("lemp_requests_shed_total",
-		"Retrieval requests rejected with 429 by admission control (batch queue depth or in-flight limit reached).")
+		"Retrieval requests rejected with 429 by admission control (rows-in-flight or in-flight-request limit reached).")
 
 	m.slowQueries = reg.Counter("lemp_slow_queries_total",
 		"Requests past the slow-query threshold (always traced and logged).")
@@ -146,7 +142,7 @@ func (s *Server) wireState() {
 		"Shard re-bucketizations triggered by update delta mass.",
 		func() float64 { return float64(s.sharded.Compactions()) })
 	reg.CounterFunc("lemp_shards_scanned_total",
-		"Per-shard retrievals dispatched across all batches.",
+		"Per-shard retrievals across all retrieval calls.",
 		func() float64 { return float64(s.sharded.ShardsScanned()) })
 	reg.GaugeFunc("lemp_placement_cost_skew",
 		"Max/mean ratio of per-shard estimated scan cost (1 = perfectly balanced).",
@@ -158,8 +154,8 @@ func (s *Server) wireState() {
 		"Memory held by the sorted-list indexes of the coordinate methods across all shards, 12 r bytes per probe of every bucket that carries them: it grows with the buckets tuning passes observe and coordinate methods scan.",
 		func() float64 { return float64(s.sharded.ListBytes()) })
 	reg.GaugeFunc("lemp_batch_queue_rows",
-		"Query rows currently waiting in forming batches (batcher queue depth).",
-		func() float64 { return float64(s.batcher.PendingRows()) })
+		"Query rows of admitted retrieval requests not yet answered (the queue depth -shed-queue-rows bounds).",
+		func() float64 { return float64(s.batcher.RowsInFlight()) })
 	reg.CounterFunc("lemp_traces_finished_total",
 		"Request traces recorded (tail-sampled at completion).",
 		func() float64 { return float64(s.tracer.Finished()) })
@@ -219,8 +215,6 @@ func (s *Server) wireState() {
 	s.sharded.compactHist = reg.Histogram("lemp_compaction_seconds",
 		"Wall time of one shard compaction (re-bucketization triggered by update delta mass).",
 		obs.LatencyBuckets())
-	// And the batcher: wait/size histograms and the batch-scoped tracer.
-	s.batcher.batchWaitHist = m.batchWait
+	// And the retrieval door: rows per call.
 	s.batcher.batchRowsHist = m.batchRows
-	s.batcher.tracer = s.tracer
 }

@@ -134,7 +134,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	required := []string{
 		"lemp_requests_in_flight", "lemp_request_duration_seconds",
-		"lemp_http_requests_total", "lemp_batch_wait_seconds",
+		"lemp_http_requests_total",
 		"lemp_batch_rows", "lemp_shard_scan_seconds", "lemp_merge_seconds",
 		"lemp_core_candidates_total", "lemp_core_results_total",
 		"lemp_core_block_verified_total", "lemp_core_scalar_verified_total",
@@ -278,28 +278,27 @@ func TestCoreCountersMatchStats(t *testing.T) {
 }
 
 // TestBatchCountsMatchHistogram: /stats batches and batch_rows read the
-// lemp_batch_rows histogram, so after lone requests and a coalesced batch
-// they equal its count and sum.
+// lemp_batch_rows histogram, so after sequential requests and three
+// concurrent ones held in flight together they equal its count and sum: one
+// retrieval call per request.
 func TestBatchCountsMatchHistogram(t *testing.T) {
-	srv, h, _ := obsServer(t, Config{Shards: 2, Options: lemp.Options{Parallelism: 1}, BatchWindow: 10 * time.Second})
+	srv, h, _ := obsServer(t, Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})
 	dim := srv.Sharded().R()
 	post := func(rows int) {
 		if w := doJSON(t, h, "POST", "/v1/topk", topKBody(t, dim, rows, 5)); w.Code != 200 {
 			t.Errorf("topk = %d: %s", w.Code, w.Body.String())
 		}
 	}
-	// Two lone requests, then two that coalesce behind a held third.
+	// Two sequential requests, then three in flight at once.
 	post(3)
 	post(1)
-	held := holdCalls(t, srv.batcher, 1)
+	held := holdCalls(t, srv.batcher, 3)
 	var wg sync.WaitGroup
-	wg.Add(3)
-	go func() { defer wg.Done(); post(2) }()
-	held.await(t, 1)
-	for _, rows := range []int{1, 4} {
+	for _, rows := range []int{2, 1, 4} {
+		wg.Add(1)
 		go func() { defer wg.Done(); post(rows) }()
 	}
-	awaitPending(t, srv.batcher, 5)
+	held.await(t, 3)
 	held.release()
 	wg.Wait()
 
@@ -315,8 +314,8 @@ func TestBatchCountsMatchHistogram(t *testing.T) {
 	if err := json.Unmarshal(doJSON(t, h, "GET", "/stats", "").Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Batches != 4 || st.BatchRows != 11 || st.AvgBatchRows != 2.75 {
-		t.Errorf("/stats batches %d, batch_rows %d, avg_batch_rows %v, want 4, 11, 2.75", st.Batches, st.BatchRows, st.AvgBatchRows)
+	if st.Batches != 5 || st.BatchRows != 11 || st.AvgBatchRows != 2.2 {
+		t.Errorf("/stats batches %d, batch_rows %d, avg_batch_rows %v, want 5, 11, 2.2", st.Batches, st.BatchRows, st.AvgBatchRows)
 	}
 	if float64(st.Batches) != hist["lemp_batch_rows_count"] || float64(st.BatchRows) != hist["lemp_batch_rows_sum"] {
 		t.Errorf("/stats batches %d, batch_rows %d; lemp_batch_rows count %v, sum %v", st.Batches, st.BatchRows, hist["lemp_batch_rows_count"], hist["lemp_batch_rows_sum"])
@@ -326,89 +325,81 @@ func TestBatchCountsMatchHistogram(t *testing.T) {
 // TestTraceHeaderAndRing checks the per-request trace contract: retrieval
 // responses carry X-Lemp-Trace, and with SampleRate 1 the same id is
 // retrievable from GET /debug/traces with the span tree intact. A request
-// that joins no batch — coalescing off, or alone on an idle key — retrieves
-// on its handler goroutine; its trace must still show the coalescing shape
-// a dispatched batch leaves: the (zero-length) wait span, the retrieval
-// span, and the shard/scan/merge spans under it, with one batch-wait
-// observation.
+// retrieves on its handler goroutine into its own trace, so the shard and
+// merge spans hang directly under the request's root span, with scans under
+// the shards and no batch span in between.
 func TestTraceHeaderAndRing(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		window time.Duration
-	}{
-		{"no coalescing", 0},
-		{"idle key", 100 * time.Microsecond},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			srv, h, _ := obsServer(t, Config{
-				Shards:          2,
-				Options:         lemp.Options{Parallelism: 1},
-				TraceSampleRate: 1,
-				BatchWindow:     tc.window,
-			})
-			dim := srv.Sharded().R()
-
-			w := doJSON(t, h, "POST", "/v1/topk", topKBody(t, dim, 2, 5))
-			if w.Code != 200 {
-				t.Fatalf("topk = %d: %s", w.Code, w.Body.String())
-			}
-			id := w.Header().Get("X-Lemp-Trace")
-			if len(id) != 16 {
-				t.Fatalf("X-Lemp-Trace = %q, want 16 hex digits", id)
-			}
-			// Probe endpoints are untraced: no header, no ring entry.
-			if hdr := doJSON(t, h, "GET", "/healthz", "").Header().Get("X-Lemp-Trace"); hdr != "" {
-				t.Fatalf("/healthz carries a trace header %q", hdr)
-			}
-
-			tw := doJSON(t, h, "GET", "/debug/traces", "")
-			if tw.Code != 200 {
-				t.Fatalf("/debug/traces = %d", tw.Code)
-			}
-			var resp struct {
-				Traces []*obs.TraceSnapshot `json:"traces"`
-			}
-			if err := json.Unmarshal(tw.Body.Bytes(), &resp); err != nil {
-				t.Fatal(err)
-			}
-			if len(resp.Traces) != 1 {
-				t.Fatalf("ring holds %d traces, want 1", len(resp.Traces))
-			}
-			snap := resp.Traces[0]
-			if snap.TraceID != id {
-				t.Fatalf("ring trace id %s != header %s", snap.TraceID, id)
-			}
-			if snap.Kind != "topk" || snap.Rows != 2 {
-				t.Fatalf("trace meta = kind %q rows %d, want topk/2", snap.Kind, snap.Rows)
-			}
-			names := map[string]int{}
-			shards := map[int32]bool{}
-			byID := map[int32]obs.SpanSnapshot{}
-			for _, sp := range snap.Spans {
-				byID[sp.ID] = sp
-			}
-			for _, sp := range snap.Spans {
-				names[sp.Name]++
-				if sp.Name == "shard" {
-					shards[sp.Shard] = true
-				}
-				if (sp.Name == "shard" || sp.Name == "merge") && byID[sp.Parent].Name != "batch.retrieve" {
-					t.Errorf("span %q hangs under %q, want batch.retrieve", sp.Name, byID[sp.Parent].Name)
-				}
-			}
-			for _, want := range []string{"topk", "batch.wait", "batch.retrieve", "shard", "scan", "merge"} {
-				if names[want] == 0 {
-					t.Errorf("span %q missing from trace (have %v)", want, names)
-				}
-			}
-			if !shards[0] || !shards[1] {
-				t.Errorf("shard fan-out spans incomplete: %v", shards)
-			}
-			if n := srv.metrics.batchWait.Count(); n != 1 {
-				t.Errorf("%d batch-wait observations, want 1", n)
-			}
+	t.Run("no coalescing", func(t *testing.T) {
+		srv, h, _ := obsServer(t, Config{
+			Shards:          2,
+			Options:         lemp.Options{Parallelism: 1},
+			TraceSampleRate: 1,
 		})
-	}
+		dim := srv.Sharded().R()
+
+		w := doJSON(t, h, "POST", "/v1/topk", topKBody(t, dim, 2, 5))
+		if w.Code != 200 {
+			t.Fatalf("topk = %d: %s", w.Code, w.Body.String())
+		}
+		id := w.Header().Get("X-Lemp-Trace")
+		if len(id) != 16 {
+			t.Fatalf("X-Lemp-Trace = %q, want 16 hex digits", id)
+		}
+		// Probe endpoints are untraced: no header, no ring entry.
+		if hdr := doJSON(t, h, "GET", "/healthz", "").Header().Get("X-Lemp-Trace"); hdr != "" {
+			t.Fatalf("/healthz carries a trace header %q", hdr)
+		}
+
+		tw := doJSON(t, h, "GET", "/debug/traces", "")
+		if tw.Code != 200 {
+			t.Fatalf("/debug/traces = %d", tw.Code)
+		}
+		var resp struct {
+			Traces []*obs.TraceSnapshot `json:"traces"`
+		}
+		if err := json.Unmarshal(tw.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Traces) != 1 {
+			t.Fatalf("ring holds %d traces, want 1", len(resp.Traces))
+		}
+		snap := resp.Traces[0]
+		if snap.TraceID != id {
+			t.Fatalf("ring trace id %s != header %s", snap.TraceID, id)
+		}
+		if snap.Kind != "topk" || snap.Rows != 2 {
+			t.Fatalf("trace meta = kind %q rows %d, want topk/2", snap.Kind, snap.Rows)
+		}
+		names := map[string]int{}
+		shards := map[int32]bool{}
+		byID := map[int32]obs.SpanSnapshot{}
+		for _, sp := range snap.Spans {
+			byID[sp.ID] = sp
+		}
+		for _, sp := range snap.Spans {
+			names[sp.Name]++
+			if sp.Name == "shard" {
+				shards[sp.Shard] = true
+			}
+			if (sp.Name == "shard" || sp.Name == "merge") && byID[sp.Parent].Name != "topk" {
+				t.Errorf("span %q hangs under %q, want the request's topk root", sp.Name, byID[sp.Parent].Name)
+			}
+			if sp.Name == "scan" && byID[sp.Parent].Name != "shard" {
+				t.Errorf("span scan hangs under %q, want shard", byID[sp.Parent].Name)
+			}
+		}
+		for _, want := range []string{"topk", "shard", "scan", "merge"} {
+			if names[want] == 0 {
+				t.Errorf("span %q missing from trace (have %v)", want, names)
+			}
+		}
+		if names["batch.wait"]+names["batch.retrieve"] != 0 {
+			t.Errorf("trace carries batch spans: %v", names)
+		}
+		if !shards[0] || !shards[1] {
+			t.Errorf("shard fan-out spans incomplete: %v", shards)
+		}
+	})
 }
 
 // TestSlowQueryLog forces every request over the slow threshold and checks
@@ -442,8 +433,13 @@ func TestSlowQueryLog(t *testing.T) {
 	if rec["endpoint"] != "topk" || rec["rows"] != float64(2) {
 		t.Errorf("slow-query record wrong: %v", rec)
 	}
-	if rec["scan_ns"] == nil || rec["shards"] == nil {
-		t.Errorf("slow-query record missing phase timings: %v", rec)
+	for _, phase := range []string{"tune_ns", "scan_ns", "merge_ns", "shards"} {
+		if rec[phase] == nil {
+			t.Errorf("slow-query record missing %s: %v", phase, rec)
+		}
+	}
+	if _, ok := rec["batch_wait_ns"]; ok {
+		t.Errorf("slow-query record still reports a batch wait: %v", rec)
 	}
 	if sh, ok := rec["shards"].([]any); !ok || len(sh) != 2 {
 		t.Errorf("slow-query shard timings = %v, want 2 entries", rec["shards"])

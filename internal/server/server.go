@@ -19,11 +19,10 @@ import (
 	"lemp/internal/vecmath"
 )
 
-// Config sizes a Server. The zero value is usable: it means 1 shard, no
-// batching window, a bounded request-body size, and library-default
-// retrieval options except Parallelism, which defaults to using all cores
-// across the shard fan-out (a server owns the machine, unlike the paper's
-// single-threaded measurements).
+// Config sizes a Server. The zero value is usable: it means 1 shard, a
+// bounded request-body size, and library-default retrieval options except
+// Parallelism, which defaults to using all cores across the shard fan-out (a
+// server owns the machine, unlike the paper's single-threaded measurements).
 type Config struct {
 	// Shards is the number of index shards (default 1).
 	Shards int
@@ -49,23 +48,19 @@ type Config struct {
 	// Fresh builds ignore it — set Options.Quantize instead.
 	Quant lemp.QuantMode
 	// Options configure each shard's index. Options.Parallelism == 0 is
-	// replaced by runtime.NumCPU()/Shards (at least 1), so one dispatched
-	// batch fanning out across all shards uses about all cores — not
-	// Shards× of them. Set Parallelism explicitly to override.
+	// replaced by runtime.NumCPU()/Shards (at least 1), so one request
+	// fanning out across all shards uses about all cores — not Shards× of
+	// them. Set Parallelism explicitly to override.
 	Options lemp.Options
-	// BatchWindow bounds how long a request waits to coalesce with others
-	// (default 0: no coalescing). A request on an idle key never waits, and
-	// a waiting batch dispatches as soon as its key's retrieval in flight
-	// completes, so the window is an upper bound, reached only when one
-	// retrieval outlasts it (see Batcher).
+	// BatchWindow is ignored: requests are never coalesced (see Batcher).
+	// It is kept only because the benchmark/ module sets it; its next
+	// refresh deletes it.
 	BatchWindow time.Duration
-	// BatchMax caps the number of query rows per combined batch
-	// (default 256).
-	BatchMax int
-	// ShedQueueRows is the admission-control bound on the batcher's queue
-	// depth: while at least this many query rows sit in forming batches,
-	// new retrieval requests are rejected with 429 before enqueueing
-	// (default 16384; negative disables queue-depth shedding).
+	// ShedQueueRows is the admission-control bound on the query rows in
+	// flight: while admitted retrieval requests not yet answered hold at
+	// least this many query rows, new retrieval requests are rejected with
+	// 429 before their bodies are decoded (default 16384; negative disables
+	// queue-depth shedding).
 	ShedQueueRows int
 	// ShedInflight is the admission-control bound on concurrently served
 	// retrieval/update requests: a request that would push the in-flight
@@ -124,9 +119,6 @@ func (c Config) withDefaults() Config {
 			c.Options.Parallelism = 1
 		}
 	}
-	if c.BatchMax == 0 {
-		c.BatchMax = 256
-	}
 	if c.ShedQueueRows == 0 {
 		c.ShedQueueRows = 16384
 	}
@@ -181,8 +173,8 @@ type Server struct {
 }
 
 // New builds a server over the probe matrix: cfg.Shards indexes over
-// contiguous probe ranges behind a micro-batcher. The indexes copy the
-// probes, so the caller may reuse the matrix at once.
+// contiguous probe ranges. The indexes copy the probes, so the caller may
+// reuse the matrix at once.
 func New(probe *lemp.Matrix, cfg Config) (*Server, error) {
 	return NewWithIDs(probe, nil, cfg)
 }
@@ -241,7 +233,7 @@ func newServer(sharded *Sharded, cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		sharded: sharded,
-		batcher: NewBatcher(sharded, cfg.BatchWindow, cfg.BatchMax, BatchModeContinuous),
+		batcher: &Batcher{sharded: sharded},
 		start:   time.Now(),
 		logger:  cfg.Logger,
 		logging: cfg.Logger != nil,
@@ -286,7 +278,7 @@ func (s *Server) Sharded() *Sharded { return s.sharded }
 // writes the shard versions current when it starts, and queries change
 // nothing it reads. opts are the persistence options — e.g.
 // lemp.SnapshotOptions{IncludeLists: true} to carry the built sorted-list
-// indexes so a restored server's first batch skips their rebuild.
+// indexes so a restored server's first request skips their rebuild.
 func (s *Server) WriteSnapshotsWith(open func(i, n int) (io.WriteCloser, error), opts lemp.SnapshotOptions) error {
 	ixs := s.sharded.Indexes()
 	for i, ix := range ixs {
@@ -334,7 +326,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // reqInfo is the per-request scratch the handlers fill for the instrument
-// wrapper: query rows served and the batch's core stats, so the access and
+// wrapper: query rows served and the call's core stats, so the access and
 // slow-query logs can report work, not just latency.
 type reqInfo struct {
 	rows  int
@@ -453,7 +445,7 @@ func (s *Server) logSlowQuery(r *http.Request, endpoint string, status int, dur 
 		return
 	}
 	durNS := dur.Nanoseconds()
-	var waitNS, tuneNS, scanNS, mergeNS int64
+	var tuneNS, scanNS, mergeNS int64
 	type shardTime struct {
 		Shard int   `json:"shard"`
 		NS    int64 `json:"ns"`
@@ -466,8 +458,6 @@ func (s *Server) logSlowQuery(r *http.Request, endpoint string, status int, dur 
 		}
 		d := end - sp.StartNS
 		switch sp.Name {
-		case "batch.wait":
-			waitNS += d
 		case "tune":
 			tuneNS += d
 		case "scan":
@@ -484,7 +474,6 @@ func (s *Server) logSlowQuery(r *http.Request, endpoint string, status int, dur 
 		slog.Int("status", status),
 		slog.Duration("duration", dur),
 		slog.Int("rows", info.rows),
-		slog.Int64("batch_wait_ns", waitNS),
 		slog.Int64("tune_ns", tuneNS),
 		slog.Int64("scan_ns", scanNS),
 		slog.Int64("merge_ns", mergeNS),
@@ -522,17 +511,17 @@ type queryResponse struct {
 }
 
 // shedRequest is the admission-control gate, checked before a retrieval
-// request's body is even decoded: when the batcher's forming-batch queue
-// or the in-flight request count is past the configured bound, the request
-// is rejected with 429 and a Retry-After hint instead of being enqueued.
+// request's body is even decoded: when the query rows in flight or the
+// in-flight request count is past the configured bound, the request is
+// rejected with 429 and a Retry-After hint of one second.
 // Shedding at the door keeps the latency of admitted requests bounded
 // under overload — the alternative is an unboundedly deep queue where
 // every request times out. Returns true when the request was shed.
 func (s *Server) shedRequest(w http.ResponseWriter) bool {
 	var reason string
 	switch {
-	case s.cfg.ShedQueueRows > 0 && s.batcher.PendingRows() >= int64(s.cfg.ShedQueueRows):
-		reason = fmt.Sprintf("batch queue holds %d rows (limit %d)", s.batcher.PendingRows(), s.cfg.ShedQueueRows)
+	case s.cfg.ShedQueueRows > 0 && s.batcher.RowsInFlight() >= int64(s.cfg.ShedQueueRows):
+		reason = fmt.Sprintf("%d query rows in flight (limit %d)", s.batcher.RowsInFlight(), s.cfg.ShedQueueRows)
 	case s.cfg.ShedInflight > 0 && int(s.metrics.inFlight.Value()) > s.cfg.ShedInflight:
 		// The gauge already counts this request (instrument incremented
 		// it), so strictly-greater means the limit was full before us.
@@ -541,13 +530,7 @@ func (s *Server) shedRequest(w http.ResponseWriter) bool {
 		return false
 	}
 	s.metrics.requestsShed.Inc()
-	// One batch window is the natural drain quantum; clients should wait
-	// at least a second before re-offering load.
-	retry := int64(1)
-	if w2 := 2 * s.cfg.BatchWindow; w2 > time.Second {
-		retry = int64(w2 / time.Second)
-	}
-	w.Header().Set("Retry-After", fmt.Sprint(retry))
+	w.Header().Set("Retry-After", "1")
 	httpError(w, http.StatusTooManyRequests, "overloaded: %s", reason)
 	return true
 }
@@ -571,15 +554,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, topk bool) 
 	s.serve(w, r, key, cb)
 }
 
-// serve answers one retrieval request pinned to a single update epoch:
-// the epoch snapshot is taken once and both the coalescing key and the
-// batched retrieval use it, so a response can never mix rows from different
-// epochs.
+// serve answers one retrieval request pinned to a single update epoch: the
+// epoch snapshot is taken once and the whole request retrieves on it, so a
+// response can never mix rows from different epochs.
 //
 // The request context (plus the configured RequestTimeout) flows into the
-// sharded retrieval: a client that disconnects mid-batch stops contributing
-// to the merged batch context, and when every batch-mate has left the
-// underlying shard scans abort mid-bucket.
+// sharded retrieval: when the client disconnects or the deadline passes, the
+// shard scans abort mid-bucket.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, key batchKey, cb *codecBuf) {
 	if err := key.check(); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -593,7 +574,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, key batchKey, cb 
 	// Every coordinate is finite: JSON spells no NaN or Inf, and the decoder
 	// refuses a literal that overflows float64. A row's length can still
 	// overflow (a row of 1e200s), and the library refuses such a query; it is
-	// refused here, alone, before it can join a batch and fail its mates.
+	// refused here as a 400 rather than failing the retrieval with a 500.
 	for i, dim := 0, s.sharded.R(); i < req.rows; i++ {
 		if l := vecmath.Norm(req.data[i*dim : (i+1)*dim]); math.IsInf(l, 0) {
 			httpError(w, http.StatusBadRequest, "query %d: length is %v; a vector's length must be finite", i, l)
@@ -607,7 +588,6 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, key batchKey, cb 
 		defer cancel()
 	}
 	view := s.sharded.CurrentView()
-	key.epoch = view.Epoch()
 	// A row can never hold more than N entries; clamping here keeps huge k
 	// values from sizing merge buffers off user input.
 	if n := view.N(); key.topk && n > 0 && key.k > n {
@@ -619,7 +599,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, key batchKey, cb 
 		info.rows = req.rows
 	}
 
-	// The request's rows form one submission (none: no dispatch).
+	// The request's rows form one retrieval call (none: no call).
 	rows, st, err := s.batcher.submit(ctx, key, view, req.data, req.rows)
 	if info != nil {
 		info.stats = st
@@ -707,7 +687,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, _ *http.Request) {
 }
 
 // statsResponse is the body of GET /stats: server counters plus the
-// cumulative core retrieval stats across all shards and batches.
+// cumulative core retrieval stats across all shards and calls.
 type statsResponse struct {
 	UptimeSeconds float64   `json:"uptime_seconds"`
 	Requests      uint64    `json:"requests"`
@@ -739,7 +719,7 @@ type quantInfo struct {
 
 // shedInfo reports the admission-control configuration and effect: the
 // configured bounds (0 = disabled), requests rejected with 429 so far, and
-// the current queue depth the policy acts on.
+// the query rows in flight the queue-depth bound acts on.
 type shedInfo struct {
 	QueueRowsLimit int    `json:"queue_rows_limit"`
 	InflightLimit  int    `json:"inflight_limit"`
@@ -748,7 +728,7 @@ type shedInfo struct {
 }
 
 // coreStats is the "core" block of GET /stats: the cumulative lemp.Stats of
-// every retrieval call (all shards, all batches) beside the index state of
+// every retrieval call (all shards, all calls) beside the index state of
 // the current view, summed over its shards. Durations are integer
 // nanoseconds; tune_ns and retrieval_ns sum worker time across shards and
 // calls — four shards scanning concurrently for 1ms add 4ms — so neither is
@@ -795,7 +775,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			QueueRowsLimit: max(0, s.cfg.ShedQueueRows),
 			InflightLimit:  max(0, s.cfg.ShedInflight),
 			ShedTotal:      uint64(s.metrics.requestsShed.Value()),
-			QueueRows:      s.batcher.PendingRows(),
+			QueueRows:      s.batcher.RowsInFlight(),
 		},
 		CostSkew:      s.sharded.CostSkew(),
 		ShardsScanned: s.sharded.ShardsScanned(),

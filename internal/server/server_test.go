@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"lemp"
 	"lemp/internal/data"
@@ -110,12 +109,7 @@ func vecs(m *lemp.Matrix, lo, hi int) [][]float64 {
 const testShards = 4
 
 func testConfig() Config {
-	return Config{
-		Shards:      testShards,
-		Options:     lemp.Options{Parallelism: 1},
-		BatchWindow: time.Millisecond,
-		BatchMax:    64,
-	}
+	return Config{Shards: testShards, Options: lemp.Options{Parallelism: 1}}
 }
 
 // TestTopKMatchesDirect posts query batches to a 4-shard batching server
@@ -308,24 +302,24 @@ func TestHealthzAndStats(t *testing.T) {
 
 // TestOverflowingQueryRefusedAlone checks the library's query rule at the
 // HTTP door: a row of finite coordinates whose length overflows (1e200s) is
-// a 400 naming the row on /v1/topk and /v1/above, and it is refused before
-// it joins a batch, so a batch-mate parked in the forming batch it would
-// have joined still gets its 200.
+// a 400 naming the row on /v1/topk and /v1/above, refused before its rows
+// count in flight or reach a retrieval call, while two good requests held in
+// flight beside it still get their 200s.
 func TestOverflowingQueryRefusedAlone(t *testing.T) {
-	cfg := testConfig()
-	cfg.BatchWindow = 10 * time.Second // only the held retrieval's completion fires the forming batch
-	srv, ts, q := newShedServer(t, cfg)
+	srv, ts, q := newShedServer(t, testConfig())
 	huge := make([]float64, q.R())
 	for f := range huge {
 		huge[f] = 1e200
 	}
-	release, first := holdFirstRequest(t, srv, ts.URL, q.Vec(0))
-	mate := make(chan int, 1)
-	go func() {
-		status, _ := postTopK(t, ts.URL, q.Vec(1), 5)
-		mate <- status
-	}()
-	awaitPending(t, srv.batcher, 1)
+	held := holdCalls(t, srv.batcher, 2)
+	first, mate := make(chan int, 1), make(chan int, 1)
+	for i, ch := range []chan int{first, mate} {
+		go func() {
+			status, _ := postTopK(t, ts.URL, q.Vec(i), 5)
+			ch <- status
+		}()
+	}
+	held.await(t, 2)
 	for _, tc := range []struct {
 		path, want string
 		body       any
@@ -344,15 +338,18 @@ func TestOverflowingQueryRefusedAlone(t *testing.T) {
 			t.Errorf("POST %s: status %d (%s), want a 400 naming %q", tc.path, resp.StatusCode, msg, tc.want)
 		}
 	}
-	if n := srv.batcher.PendingRows(); n != 1 {
-		t.Errorf("forming batch holds %d rows after the refusals, want the batch-mate's 1", n)
+	if n := srv.batcher.RowsInFlight(); n != 2 {
+		t.Errorf("%d rows in flight after the refusals, want the two held requests' 2", n)
 	}
-	release()
+	if calls := held.calls(); len(calls) != 2 {
+		t.Errorf("retrieval calls of %v rows, want only the two held requests'", calls)
+	}
+	held.release()
 	if got := <-first; got != http.StatusOK {
 		t.Errorf("held request returned %d, want 200", got)
 	}
 	if got := <-mate; got != http.StatusOK {
-		t.Errorf("batch-mate returned %d, want 200", got)
+		t.Errorf("concurrent good request returned %d, want 200", got)
 	}
 }
 

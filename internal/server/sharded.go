@@ -478,11 +478,10 @@ func (f *shardFan) scan(ctx context.Context, i int) {
 }
 
 // retrieve is the serving stack's one sharded retrieval body: key's problem
-// — Row-Top-k at key.k or Above-θ at key.theta; key.epoch is not read, the
-// view is the epoch — for a whole query matrix across the shards of the
-// view, merged into one row per query. Top-k rows are the k-way merge of the
-// shards' rows, by decreasing value; Above-θ rows gather the shards' entries
-// in canonical (Query, Probe) order, the grouping batching works in. One spec
+// — Row-Top-k at key.k or Above-θ at key.theta — for a whole query matrix
+// across the shards of the view, merged into one row per query. Top-k rows
+// are the k-way merge of the shards' rows, by decreasing value; Above-θ rows
+// gather the shards' entries in canonical (Query, Probe) order. One spec
 // serves every shard of the call (and validates once); shard retrievals run
 // under ctx and share the Sharded's tuning cache, so a repeated (k | θ,
 // epoch) pays sample tuning only on its first call.

@@ -12,7 +12,7 @@ import (
 )
 
 // newShedServer builds a server with direct access to the *Server (the
-// shed tests steer on batcher queue depth and the in-flight gauge).
+// shed tests steer on the rows in flight and the in-flight gauge).
 func newShedServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *lemp.Matrix) {
 	t.Helper()
 	q, p := smokeMatrices(t)
@@ -29,7 +29,13 @@ func newShedServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *lemp.M
 // and the Retry-After header.
 func postTopK(t *testing.T, url string, query []float64, k int) (int, string) {
 	t.Helper()
-	buf, err := json.Marshal(topKRequest{Queries: [][]float64{query}, K: k})
+	return postTopKRows(t, url, [][]float64{query}, k)
+}
+
+// postTopKRows is postTopK for a request of several query rows.
+func postTopKRows(t *testing.T, url string, queries [][]float64, k int) (int, string) {
+	t.Helper()
+	buf, err := json.Marshal(topKRequest{Queries: queries, K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +75,7 @@ func getShedStats(t *testing.T, url string) shedStats {
 
 // holdFirstRequest posts a request whose retrieval call holds until release,
 // and returns once the call has started, with a channel that yields the
-// request's status. Requests on its key then wait in a forming batch.
+// request's status.
 func holdFirstRequest(t *testing.T, srv *Server, url string, query []float64) (release func(), status <-chan int) {
 	t.Helper()
 	held := holdCalls(t, srv.batcher, 1)
@@ -82,56 +88,58 @@ func holdFirstRequest(t *testing.T, srv *Server, url string, query []float64) (r
 	return held.release, first
 }
 
-// TestShedQueueRows drives the batch queue to the configured depth and
-// checks that the next request is rejected with 429 + Retry-After before
-// enqueueing, that shedding stops once the queue drains, and that the
-// /stats shed block reports it all.
+// TestShedQueueRows holds requests in flight until their query rows reach
+// the configured bound — a three-row request and a one-row one — and checks
+// that the next request is rejected with 429 and Retry-After 1 before its
+// rows count, that shedding stops once the held requests are answered, and
+// that the /stats shed block reports it all.
 func TestShedQueueRows(t *testing.T) {
 	cfg := testConfig()
-	cfg.BatchWindow = 10 * time.Second // only the held retrieval's completion fires the queue
-	cfg.BatchMax = 1024
 	cfg.ShedQueueRows = 4
 	cfg.ShedInflight = -1
 	srv, ts, q := newShedServer(t, cfg)
-	release, first := holdFirstRequest(t, srv, ts.URL, q.Vec(0))
+	held := holdCalls(t, srv.batcher, 2)
 
-	// Park requests in the forming batch behind the held retrieval one at a
-	// time so the queue depth at each admission check is deterministic.
-	const parked = 4
-	results := make(chan int, parked)
-	for i := 1; i <= parked; i++ {
-		go func(i int) {
-			status, _ := postTopK(t, ts.URL, q.Vec(i), 5)
+	// Admit the held requests one at a time so the rows in flight at each
+	// admission check are deterministic: 0, then 3.
+	results := make(chan int, 2)
+	for i, rows := range [][2]int{{0, 3}, {3, 4}} {
+		go func() {
+			status, _ := postTopKRows(t, ts.URL, vecs(q, rows[0], rows[1]), 5)
 			results <- status
-		}(i)
-		awaitPending(t, srv.batcher, int64(i))
+		}()
+		held.await(t, i+1)
+	}
+	if n := srv.batcher.RowsInFlight(); n != 4 {
+		t.Fatalf("%d rows in flight, want the held requests' 4", n)
 	}
 
-	// Queue is at the limit: the next request must shed, not enqueue.
-	status, retryAfter := postTopK(t, ts.URL, q.Vec(parked+1), 5)
+	// The rows in flight are at the limit: the next request must shed.
+	status, retryAfter := postTopK(t, ts.URL, q.Vec(5), 5)
 	if status != http.StatusTooManyRequests {
-		t.Fatalf("request over queue limit: status %d, want 429", status)
+		t.Fatalf("request over the rows-in-flight limit: status %d, want 429", status)
 	}
-	if retryAfter == "" {
-		t.Fatal("429 response missing Retry-After header")
+	if retryAfter != "1" {
+		t.Fatalf("429 response Retry-After = %q, want 1", retryAfter)
 	}
-	if n := srv.batcher.PendingRows(); n != parked {
-		t.Fatalf("shed request still enqueued: %d pending rows, want %d", n, parked)
+	if n := srv.batcher.RowsInFlight(); n != 4 {
+		t.Fatalf("shed request counted in flight: %d rows, want 4", n)
+	}
+	if st := getShedStats(t, ts.URL); st.Shed.QueueRows != 4 {
+		t.Errorf("stats queue_rows = %d while held, want 4", st.Shed.QueueRows)
 	}
 
-	// The held and parked requests must be unaffected.
-	release()
-	if got := <-first; got != http.StatusOK {
-		t.Fatalf("held request returned %d, want 200", got)
-	}
-	for i := 0; i < parked; i++ {
+	// The held requests must be unaffected.
+	held.release()
+	for range 2 {
 		if got := <-results; got != http.StatusOK {
-			t.Fatalf("parked request returned %d, want 200", got)
+			t.Fatalf("held request returned %d, want 200", got)
 		}
 	}
 
-	// Drained: shedding stops.
-	if status, _ := postTopK(t, ts.URL, q.Vec(parked+2), 5); status != http.StatusOK {
+	// Answered: their rows left flight before their responses were written,
+	// so shedding stops.
+	if status, _ := postTopK(t, ts.URL, q.Vec(6), 5); status != http.StatusOK {
 		t.Fatalf("request after drain: status %d, want 200", status)
 	}
 
@@ -144,6 +152,9 @@ func TestShedQueueRows(t *testing.T) {
 	}
 	if st.Shed.ShedTotal != 1 {
 		t.Errorf("stats shed_total = %d, want 1", st.Shed.ShedTotal)
+	}
+	if st.Shed.QueueRows != 0 {
+		t.Errorf("stats queue_rows = %d after drain, want 0", st.Shed.QueueRows)
 	}
 }
 

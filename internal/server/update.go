@@ -31,8 +31,7 @@ import (
 // Consistency model: every applied batch advances the epoch by one, even
 // one whose net effect leaves every shard as it was.
 // Queries are pinned to the epoch snapshot taken at admission — responses
-// never mix pre- and post-update vectors, and requests coalesce only with
-// others admitted at the same epoch.
+// never mix pre- and post-update vectors.
 
 // updateRequest is the body of POST /v1/update as encoding/json decodes it,
 // for the bodies outside the codec's fast grammar (codec.go).

@@ -400,7 +400,7 @@ func TestPooledUpdateVectorsOutliveReuse(t *testing.T) {
 
 // TestEpochConsistencyUnderRace is the update/query race test: an updater
 // rescales every probe per batch while readers hammer /v1/topk and
-// /v1/above through the batcher. Every probe's value under a
+// /v1/above. Every probe's value under a
 // query recovers the scale factor (probes and queries live in the positive
 // octant), so a response mixing two epochs is detectable: all entries of a
 // response must imply the same scale. Run under -race in CI.
@@ -408,12 +408,7 @@ func TestEpochConsistencyUnderRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const r, n, epochs, readers = 3, 24, 25, 4
 	base := epochProbe(rng, r, n)
-	srv, err := New(base.Clone(), Config{
-		Shards:      3,
-		Options:     lemp.Options{Parallelism: 1},
-		BatchWindow: 200 * time.Microsecond,
-		BatchMax:    8,
-	})
+	srv, err := New(base.Clone(), Config{Shards: 3, Options: lemp.Options{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,8 @@ package vecmath
 //
 // # Canonical accumulation order
 //
-// Every inner product this package computes — Dot, Dot4, Dot8, DotBatch and
-// the dot half of DotNorm2 — is accumulated in one order, stated here once:
+// Every inner product this package computes — Dot, Dot4, Dot8 and DotBatch
+// — is accumulated in one order, stated here once:
 //
 //   - four lanes l0..l3 start at +0; with n4 = 4⌊r/4⌋, element i < n4 is
 //     multiplied, rounded, and added to lane i mod 4;
@@ -123,22 +123,4 @@ func Dot8(q, p0, p1, p2, p3, p4, p5, p6, p7 []float64, out *[8]float64) {
 		return
 	}
 	dot8Go(q, p0, p1, p2, p3, p4, p5, p6, p7, out)
-}
-
-// DotNorm2 fuses the two accumulations INCR-style bounds need — the inner
-// product a·b and the squared norm ‖b‖² — into one pass over b, halving the
-// memory traffic of computing them separately. The slices must have equal
-// length; DotNorm2 panics otherwise. The dot accumulator follows the
-// canonical order (bit-identical to Dot(a, b)); the norm accumulator uses
-// the same four lanes, which may differ from Norm2's sequential order in
-// the last bits — callers needing bit-compatibility with Norm2 must keep
-// calling Norm2.
-func DotNorm2(a, b []float64) (dot, norm2 float64) {
-	if len(a) != len(b) {
-		panic("vecmath: DotNorm2 on vectors of unequal length")
-	}
-	if useAVX2 && len(a) >= 4 {
-		return dotNorm2AVX2(&a[0], &b[0], len(a))
-	}
-	return dotNorm2Go(a, b)
 }

@@ -38,9 +38,6 @@ func xgetbv() (eax, edx uint32)
 func dotAVX2(a, b *float64, n int) float64
 
 //go:noescape
-func dotNorm2AVX2(a, b *float64, n int) (dot, norm2 float64)
-
-//go:noescape
 func dot4AVX2(q, p0, p1, p2, p3 *float64, n int, out *[4]float64)
 
 //go:noescape

@@ -145,48 +145,6 @@ dot_done:
 	VZEROUPPER
 	RET
 
-// func dotNorm2AVX2(a, b *float64, n int) (dot, norm2 float64)
-//
-// Y0 holds the lanes of a·b, Y1 those of b·b; Y8 is the block of b.
-TEXT ·dotNorm2AVX2(SB), NOSPLIT, $0-40
-	MOVQ a+0(FP), AX
-	MOVQ b+8(FP), DX
-	MOVQ n+16(FP), R13
-	SHLQ $3, R13
-	MOVQ R13, BX
-	ANDQ $~31, BX
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	XORQ CX, CX
-
-dotnorm_block:
-	VMOVUPD (DX)(CX*1), Y8
-	ROW(AX, Y0, Y9)
-	VMULPD Y8, Y8, Y10
-	VADDPD Y10, Y1, Y1
-	ADDQ $32, CX
-	CMPQ CX, BX
-	JLT  dotnorm_block
-	HSUM(Y0, X0, X9)
-	HSUM(Y1, X1, X10)
-	CMPQ CX, R13
-	JGE  dotnorm_done
-
-dotnorm_tail:
-	VMOVSD (DX)(CX*1), X8
-	TAILROW(AX, X0, X9)
-	VMULSD X8, X8, X10
-	VADDSD X10, X1, X1
-	ADDQ $8, CX
-	CMPQ CX, R13
-	JLT  dotnorm_tail
-
-dotnorm_done:
-	VMOVSD X0, dot+24(FP)
-	VMOVSD X1, norm2+32(FP)
-	VZEROUPPER
-	RET
-
 // func dot4AVX2(q, p0, p1, p2, p3 *float64, n int, out *[4]float64)
 TEXT ·dot4AVX2(SB), NOSPLIT, $0-56
 	MOVQ q+0(FP), AX

@@ -104,19 +104,3 @@ func BenchmarkDot8Strided(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkDotNorm2(b *testing.B) {
-	for _, r := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
-			q, panel, _ := benchPanel(r)
-			b.SetBytes(int64(2 * r * 8))
-			var sink float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d, n := DotNorm2(q, panel[:r])
-				sink += d + n
-			}
-			_ = sink
-		})
-	}
-}

@@ -84,28 +84,3 @@ func dotBatchGo(q, panel, out []float64) {
 		out[i] = dotGo(q, panel[i*r:(i+1)*r])
 	}
 }
-
-func dotNorm2Go(a, b []float64) (dot, norm2 float64) {
-	n := len(a)
-	b = b[:n]
-	var d0, d1, d2, d3, n0, n1, n2, n3 float64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		x, y := a[i:i+4:i+4], b[i:i+4:i+4]
-		d0 += float64(x[0] * y[0])
-		n0 += float64(y[0] * y[0])
-		d1 += float64(x[1] * y[1])
-		n1 += float64(y[1] * y[1])
-		d2 += float64(x[2] * y[2])
-		n2 += float64(y[2] * y[2])
-		d3 += float64(x[3] * y[3])
-		n3 += float64(y[3] * y[3])
-	}
-	dot = (d0 + d2) + (d1 + d3)
-	norm2 = (n0 + n2) + (n1 + n3)
-	for ; i < n; i++ {
-		dot += float64(a[i] * b[i])
-		norm2 += float64(b[i] * b[i])
-	}
-	return dot, norm2
-}

@@ -74,9 +74,6 @@ func TestKernelsStayInsideTheirVectors(t *testing.T) {
 			if got := Dot(last, q); !sameFloat(got, want[rows-1]) {
 				t.Fatalf("r=%d: Dot at the guard (first operand) = %g, want %g", r, got, want[rows-1])
 			}
-			if got, _ := DotNorm2(q, last); !sameFloat(got, want[rows-1]) {
-				t.Fatalf("r=%d: DotNorm2 at the guard = %g, want %g", r, got, want[rows-1])
-			}
 			// The guarded row in each of the eight (four) positions.
 			for j := 0; j < 8; j++ {
 				p := [8]int{0, 1, 2, 3, 4, 5, 6, 7}

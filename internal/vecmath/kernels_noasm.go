@@ -9,10 +9,6 @@ const useAVX2 = false
 
 func dotAVX2(a, b *float64, n int) float64 { panic("vecmath: no AVX2 kernels in this build") }
 
-func dotNorm2AVX2(a, b *float64, n int) (dot, norm2 float64) {
-	panic("vecmath: no AVX2 kernels in this build")
-}
-
 func dot4AVX2(q, p0, p1, p2, p3 *float64, n int, out *[4]float64) {
 	panic("vecmath: no AVX2 kernels in this build")
 }

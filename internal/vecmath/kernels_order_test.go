@@ -124,15 +124,6 @@ func TestKernelsFollowCanonicalOrder(t *testing.T) {
 				for i := 0; i < rows; i++ {
 					check("Dot", i, Dot(q, row(i)))
 					check("dotGo", i, dotGo(q, row(i)))
-					wantN := refDot(row(i), row(i))
-					for name, dn := range map[string]func(a, b []float64) (float64, float64){"DotNorm2": DotNorm2, "dotNorm2Go": dotNorm2Go} {
-						d, n2 := dn(q, row(i))
-						check(name, i, d)
-						if !sameFloat(n2, wantN) {
-							t.Fatalf("%s, r=%d, offset %d: %s row %d norm² = %x, canonical order gives %x",
-								fc.name, r, off, name, i, math.Float64bits(n2), math.Float64bits(wantN))
-						}
-					}
 				}
 				// Strided rows in a scrambled order, as COORD/INCR survivors arrive.
 				pick := [8]int{12, 3, 7, 0, 9, 5, 11, 2}

@@ -17,14 +17,6 @@ func naiveDot(a, b []float64) float64 {
 	return s
 }
 
-func naiveNorm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return s
-}
-
 // genVec draws a Gaussian vector; about one call in eight returns the zero
 // vector so the degenerate case is always in the property mix.
 func genVec(rng *rand.Rand, n int) []float64 {
@@ -116,27 +108,6 @@ func TestKernelsMatchNaiveReference(t *testing.T) {
 					t.Fatalf("r=%d row %d: DotBatch %g, naive %g", r, i, out[i], want)
 				}
 			}
-			b := genVec(rng, r)
-			dot, n2 := DotNorm2(q, b)
-			if !almostEqual(dot, naiveDot(q, b), 1e-9) {
-				t.Fatalf("r=%d: DotNorm2 dot %g, naive %g", r, dot, naiveDot(q, b))
-			}
-			if !almostEqual(n2, naiveNorm2(b), 1e-9) {
-				t.Fatalf("r=%d: DotNorm2 norm2 %g, naive %g", r, n2, naiveNorm2(b))
-			}
-		}
-	}
-}
-
-// TestDotNorm2DotBitIdentical: the dot half of the fused kernel keeps Dot's
-// exact accumulation order.
-func TestDotNorm2DotBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for _, r := range kernelLengths {
-		a, b := genVec(rng, r), genVec(rng, r)
-		dot, _ := DotNorm2(a, b)
-		if math.Float64bits(dot) != math.Float64bits(Dot(a, b)) {
-			t.Fatalf("r=%d: DotNorm2 dot %x, Dot %x", r, math.Float64bits(dot), math.Float64bits(Dot(a, b)))
 		}
 	}
 }
@@ -187,10 +158,6 @@ func TestKernelsZeroVector(t *testing.T) {
 			t.Fatalf("zero query row %d: %g", i, v)
 		}
 	}
-	dot, n2 := DotNorm2(panel[:10], q)
-	if dot != 0 || n2 != 0 {
-		t.Fatalf("DotNorm2 against zero vector: %g, %g", dot, n2)
-	}
 }
 
 // TestKernelsNonFiniteBoundary: NaN and Inf coordinates must flow through
@@ -216,13 +183,6 @@ func TestKernelsNonFiniteBoundary(t *testing.T) {
 			t.Fatalf("DotBatch row %d with Inf query: %g, Dot %g", i, v, want)
 		}
 	}
-	dot, n2 := DotNorm2(q, row)
-	if !math.IsNaN(dot) {
-		t.Fatalf("DotNorm2 dot with NaN input: %g", dot)
-	}
-	if n2 != naiveNorm2(row) {
-		t.Fatalf("DotNorm2 norm2 polluted by the other vector's NaN: %g", n2)
-	}
 }
 
 func TestKernelsPanicOnShapeMismatch(t *testing.T) {
@@ -240,7 +200,6 @@ func TestKernelsPanicOnShapeMismatch(t *testing.T) {
 			p := make([]float64, 3)
 			Dot8(make([]float64, 3), p, p, p, p, p, p, p, make([]float64, 4), &out)
 		}},
-		{"DotNorm2", func() { DotNorm2(make([]float64, 3), make([]float64, 4)) }},
 	}
 	for _, c := range cases {
 		func() {

