@@ -126,8 +126,8 @@ type Options struct {
 	// three cases — the bound is conservative, so only candidates that
 	// provably cannot reach the threshold are skipped, and every survivor is
 	// verified in f64. A sidecar quantizes a bucket's raw rows, the index's
-	// one f64 copy of its probes, at r + 8 bytes per probe (58 beside the 400
-	// bytes of an r = 50 row; the ratio tends to 1/8 as r grows). On the
+	// one f64 copy of its probes, at one step per bucket: r bytes per probe
+	// (50 beside the 400 bytes of an r = 50 row) and 8 per bucket. On the
 	// portable kernels the screen costs more than the exact dot it saves,
 	// which is why only this option turns it on there. Dimensions above
 	// quant.MaxDim silently disable screening.

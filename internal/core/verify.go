@@ -61,8 +61,8 @@ func (ix *Index) compactLiveCands(bi int, s *scratch) {
 // plus quant's conservative bound discards losers without touching their
 // f64 row. The bound caps fl(qᵀp), the value the caller emits or pushes as
 // it is, so candidates whose upper bound falls below cut (θ, or the current
-// top-k heap floor) are dropped; a non-finite upper bound compares false and
-// conservatively survives.
+// top-k heap floor) are dropped: the call turns cut into one integer cut on
+// the int8 dot, and a non-finite bound keeps every candidate.
 //
 // A recorded prefix goes to the panel kernel as it is, rows 0..c-1 of the
 // sidecar, and only its survivors are ever written to s.cand; a list goes
@@ -84,15 +84,12 @@ func (ix *Index) screenCands(b *bucket, s *scratch, qi int32, qrow []float64, cu
 		return
 	}
 	c := len(s.cand)
-	if len(s.dots) < c {
-		s.dots = make([]int32, cap(s.cand))
-	}
 	scr := q8.NewScreen(qq, 1)
 	var k int
 	if s.prefix {
-		k = scr.Prefix(c, cut, s.dots, s.cand)
+		k = scr.Prefix(c, cut, s.cand)
 	} else {
-		k = scr.List(s.cand, cut, s.dots)
+		k = scr.List(s.cand, cut)
 	}
 	st.QuantScreened += int64(c - k)
 	st.QuantSurvived += int64(k)
@@ -102,7 +99,7 @@ func (ix *Index) screenCands(b *bucket, s *scratch, qi int32, qrow []float64, cu
 // autoScreenMin is the fewest candidates for which an automatic screen runs:
 // the width of quant's strided kernel (Screen8); below it the screen goes row
 // by row. Per candidate that no longer loses to the exact row: at r = 50 on
-// a 2.1 GHz Xeon, BenchmarkDotQ8 (one-row kernel plus predicate, scattered
+// a 2.1 GHz Xeon, BenchmarkDotQ8 (one-row kernel plus comparison, scattered
 // rows) reads 6.8–7.6 ns and one f64 Dot (BenchmarkDotScalarPanel) 11–13 ns.
 // The constant stays because a pair below it also pays the screen's fixed
 // cost — the query's screen constants, the List call and, for the first such

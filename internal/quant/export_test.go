@@ -3,12 +3,12 @@ package quant
 import "math"
 
 // RowBounds recomputes the inflated upper bounds on a row's quantization
-// residual ‖e_p‖ and dequantized norm ‖p̂‖ that QuantizeRows folds into the
-// panel maxima: the sidecar keeps no per-row copy, and quantization is
-// deterministic, so the bracket tests derive them again from the row.
-func RowBounds(row []float64) (resid, norm float64) {
-	_, resid, norm = quantizeRow(make([]int8, len(row)), row)
-	return resid, norm
+// residual ‖e_p‖ and dequantized norm ‖p̂‖ at the panel's step that
+// QuantizeRows folds into the panel maxima: the sidecar keeps no per-row
+// copy, and quantization is deterministic, so the bracket tests derive them
+// again from the row.
+func (qr *Rows) RowBounds(row []float64) (resid, norm float64) {
+	return quantizeRow(make([]int8, len(row)), row, qr.Scale)
 }
 
 // ApproxBound returns the quantized estimate of Dot(q, row_i) and the
@@ -17,8 +17,8 @@ func RowBounds(row []float64) (resid, norm float64) {
 // the float64 kernel result. When any input is non-finite or an
 // intermediate overflows, it returns (0, +Inf).
 func (qr *Rows) ApproxBound(qq Query, row []float64, i int) (approx, bound float64) {
-	pResid, pNorm := RowBounds(row)
-	approx = qq.Scale * qr.Scales[i] * float64(DotQ8(qq.Codes, qr.Row(i)))
+	pResid, pNorm := qr.RowBounds(row)
+	approx = qq.Scale * qr.Scale * float64(DotQ8(qq.Codes, qr.Row(i)))
 	// ‖p‖ ≤ ‖p̂‖+‖e_p‖ and ‖q‖ ≤ ‖q̂‖+‖e_q‖ feed the Dot-rounding term.
 	pUB := pNorm + pResid
 	qUB := qq.Norm + qq.Resid

@@ -1,37 +1,39 @@
 package quant
 
-import "lemp/internal/vecmath"
+import (
+	"math/bits"
+
+	"lemp/internal/vecmath"
+)
 
 // Integer kernels: the full r-dimension inner product of the query's codes
 // with a row's codes, in the three shapes the verifier's candidate sets
 // take — one row (DotQ8: ragged tails), eight rows anywhere in the
 // sidecar (dot8: COORD/INCR survivor lists; eight row pointers by the
-// time assembly sees them) and a contiguous panel (dotPanel: LENGTH's
-// prefix, the whole-bucket fallback) — and the screen's predicate over
-// eight dots at a time (fused into dot8AVX2 for Screen8, a pass of its own
-// for Prefix: Screen.sift in quant.go).
+// time assembly sees them) and a contiguous panel (screenPanel: LENGTH's
+// prefix, the whole-bucket fallback). The two batched shapes also decide
+// the screen, a row surviving when its dot is at least the call's integer
+// cut (intCut in quant.go): dot8 returns the survivor mask beside the dots,
+// screenPanel writes only the survivors' row numbers.
 //
 // # Kernel contract
 //
-// Every kernel returns the exact integer Σ a[k]·b[k] as an int32. Codes lie
+// Every kernel computes the exact integer Σ a[k]·b[k] as an int32. Codes lie
 // in [-127, 127] and r ≤ MaxDim, so neither a lane nor the total can
 // overflow, and integer addition is exact in any grouping: the AVX2
 // assembly (kernels_amd64.s, taken when vecmath.AVX2 reports the CPU and
 // operating system support it) and the portable Go below (every other
-// GOARCH, CPUs without AVX2, -tags purego) return the same integers with no
-// accumulation order to agree on. The assembly multiplies 32-byte chunks
+// GOARCH, CPUs without AVX2, -tags purego) compute the same integers with no
+// accumulation order to agree on, and a signed integer comparison against
+// the same cut keeps the same rows. The assembly multiplies 32-byte chunks
 // (16-byte ones for r < 32) with VPSIGNB, VPMADDUBSW and VPMADDWD; its word
 // pair sums are at most 2·127² = 32 258 < 2¹⁵, so VPMADDUBSW never
 // saturates. No kernel loads a byte outside the r bytes of a row or of the
 // query: the last chunk is the row's final chunk-width bytes, overlapping
 // its predecessor, with a byte tail mask zeroing the query lanes already
 // counted, so rows of r < minAsmDim never leave Go. The dispatchers keep the
-// shape checks and every slice-to-pointer step in Go.
-//
-// The predicate kernels evaluate survives' arithmetic in its order, one
-// rounding per step and no fused multiply-add, with comparisons that are
-// false on NaN, so the assembly and the Go loops keep the same rows bit for
-// bit; the Go loops are the oracle.
+// shape checks and every slice-to-pointer step in Go; the Go loops are the
+// oracle.
 
 // minAsmDim is the narrowest row the assembly takes: one 16-byte chunk.
 const minAsmDim = 16
@@ -47,6 +49,7 @@ func Accelerated(r int) bool {
 // DotQ8 returns the integer inner product of two int8 code vectors. The
 // slices must have equal length ≤ MaxDim with values in [-127, 127], as
 // QuantizeRows and QuantizeQuery produce; DotQ8 panics on unequal lengths.
+// Its signature is kept for benchmark/kernels.go.
 func DotQ8(a, b []int8) int32 {
 	if len(a) != len(b) {
 		panic("quant: DotQ8 on code vectors of unequal length")
@@ -58,62 +61,66 @@ func DotQ8(a, b []int8) int32 {
 }
 
 // dot8 computes out[j] = DotQ8(q, row rows[j] of codes) for eight rows of
-// the row-major codes that need not be adjacent (nor distinct), r = len(q).
-// A row outside codes panics, as slicing it would.
-func dot8(q, codes []int8, rows *[8]int, out *[8]int32) {
+// the row-major codes that need not be adjacent (nor distinct), r = len(q),
+// and returns the survivor mask: bit j is set when out[j] ≥ cut. A row
+// outside codes panics here, as slicing it would, so the assembly only ever
+// reads whole rows.
+func dot8(q, codes []int8, rows *[8]int, out *[8]int32, cut int32) uint8 {
 	if !Accelerated(len(q)) {
 		dot8Go(q, codes, rows, out)
-		return
+		return mask8(out, cut)
 	}
-	dot8Asm(q, codes, rows, out, nil, 0, 0, 0)
-}
-
-// dot8Asm hands dot8's rows to dot8AVX2, with the predicate's operands
-// when scales is non-nil. A row outside codes panics here, so the assembly
-// only ever reads whole rows, and with len(scales)·r = len(codes) the same
-// row numbers index scales.
-func dot8Asm(q, codes []int8, rows *[8]int, out *[8]int32, scales []float64, qs, resid, cut float64) uint8 {
-	r := len(q)
-	n := uint(len(codes) / r)
+	n := uint(len(codes) / len(q))
 	for _, i := range rows {
 		if uint(i) >= n {
 			panic("quant: dot8 row outside the codes")
 		}
 	}
-	var sc *float64
-	if scales != nil {
-		sc = &scales[0]
-	}
-	return dot8AVX2(&q[0], &codes[0], rows, r, out, sc, qs, resid, cut)
+	return dot8AVX2(&q[0], &codes[0], rows, len(q), out, cut)
 }
 
-// dotPanel computes out[i] = DotQ8(q, panel[i*r:(i+1)*r]) for r = len(q).
-// The panel must hold exactly len(out) rows; dotPanel panics otherwise. The
-// assembly takes the rows in groups of eight; the last len(out) mod 8 go
-// through the eight-pointer kernel with the final row repeated.
-func dotPanel(q, panel []int8, out []int32) {
-	r := len(q)
-	if len(panel) != len(out)*r {
-		panic("quant: dotPanel panel size does not match len(out) rows")
+// mask8 is the survivor mask of eight dots against cut: dot8's predicate in
+// Go.
+func mask8(dots *[8]int32, cut int32) uint8 {
+	var mask uint8
+	for j, d := range dots {
+		if d >= cut {
+			mask |= 1 << j
+		}
+	}
+	return mask
+}
+
+// screenPanel writes to rows, in order, the numbers of the rows of panel
+// (row-major, r = len(q)) whose dot with q is at least cut, and returns
+// their count. rows must have one element per panel row; screenPanel panics
+// otherwise. The assembly takes the rows in groups of eight; the last
+// len(rows) mod 8 go through the eight-pointer kernel with the final row
+// repeated.
+func screenPanel(q, panel []int8, cut int32, rows []int32) int {
+	r, n := len(q), len(rows)
+	if len(panel) != n*r {
+		panic("quant: screenPanel panel size does not match len(rows) rows")
 	}
 	if !Accelerated(r) {
-		dotPanelGo(q, panel, out)
-		return
+		return screenPanelGo(q, panel, cut, rows)
 	}
-	n := len(out)
-	g := n &^ 7
+	g, k := n&^7, 0
 	if g > 0 {
-		dotPanelAVX2(&q[0], &panel[0], r, g/8, &out[0])
+		k = dotPanelAVX2(&q[0], &panel[0], r, g/8, cut, &rows[0])
 	}
 	if g < n {
-		var rows [8]int
-		for j := range rows {
-			rows[j] = min(g+j, n-1)
+		var r8 [8]int
+		for j := range r8 {
+			r8[j] = min(g+j, n-1)
 		}
 		var o8 [8]int32
-		dot8(q, panel, &rows, &o8)
-		copy(out[g:], o8[:])
+		for mask := dot8(q, panel, &r8, &o8, cut) & (1<<(n-g) - 1); mask != 0; mask &= mask - 1 {
+			rows[k] = int32(g + bits.TrailingZeros8(mask))
+			k++
+		}
 	}
+	return k
 }
 
 // dotGo is the portable one-row kernel: four independent accumulator
@@ -171,15 +178,23 @@ func dot8Go(q, codes []int8, rows *[8]int, out *[8]int32) {
 	out[4], out[5], out[6], out[7] = s4, s5, s6, s7
 }
 
-// dotPanelGo is the portable panel kernel: dot8Go over groups of eight
-// adjacent rows, dotGo over the rest.
-func dotPanelGo(q, panel []int8, out []int32) {
-	r := len(q)
-	i := 0
-	for ; i+8 <= len(out); i += 8 {
-		dot8Go(q, panel, &[8]int{i, i + 1, i + 2, i + 3, i + 4, i + 5, i + 6, i + 7}, (*[8]int32)(out[i:i+8]))
+// screenPanelGo is the portable screenPanel: dot8Go and mask8 over groups
+// of eight adjacent rows, dotGo over the rest.
+func screenPanelGo(q, panel []int8, cut int32, rows []int32) int {
+	r, k, i := len(q), 0, 0
+	var d8 [8]int32
+	for ; i+8 <= len(rows); i += 8 {
+		dot8Go(q, panel, &[8]int{i, i + 1, i + 2, i + 3, i + 4, i + 5, i + 6, i + 7}, &d8)
+		for mask := mask8(&d8, cut); mask != 0; mask &= mask - 1 {
+			rows[k] = int32(i + bits.TrailingZeros8(mask))
+			k++
+		}
 	}
-	for ; i < len(out); i++ {
-		out[i] = dotGo(q, panel[i*r:(i+1)*r])
+	for ; i < len(rows); i++ {
+		if dotGo(q, panel[i*r:(i+1)*r]) >= cut {
+			rows[k] = int32(i)
+			k++
+		}
 	}
+	return k
 }

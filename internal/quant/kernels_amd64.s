@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// AVX2 kernels for the full-width int8 dot and for the screen's predicate.
+// AVX2 kernels for the full-width int8 dot and the screen's integer cut.
 //
 // # Dots
 //
@@ -34,22 +34,20 @@
 //	CX       byte offset into the query and every row
 //	BX       bytes covered by whole chunks (dot8AVX2: first the row numbers)
 //	R13      bytes per row, r
-//	R14      out
+//	R14      dot8AVX2: out; dotPanelAVX2: the next survivor slot of rows
 //	R15      dotPanelAVX2: the panel rows being prefetched; dot8AVX2: the
 //	         codes the row numbers index, while the row pointers are built
 //	Y0..Y7   one accumulator per row; Y8 the query chunk, Y9 its |q|;
-//	         Y10, Y11 products; Y12 sixteen words of 1; Y13 the tail mask
+//	         Y10, Y11 products; Y12 sixteen words of 1; Y13 the tail mask;
+//	         Y14 the cut
 //
-// # Predicate
+// # Cut
 //
-// siftAVX2 and dot8AVX2 decide eight rows at a time exactly as survives
-// (quant.go) does one: VCVTDQ2PD widens the dots exactly, then
-//
-//	ub = (qs·scale)·d + resid;   discard iff ub ≥ −MaxFloat64 && ub < cut
-//
-// in that operation order, each step one IEEE rounding (no FMA), both
-// comparisons ordered and quiet (false on NaN, so a NaN survives), and
-// VMOVMSKPD turns the eight decisions into a bit mask.
+// The screen's predicate arrives as one int32 cut per call (intCut in
+// quant.go): a row survives when its dot is at least the cut. dot8AVX2 and
+// dotPanelAVX2 broadcast it into Y14 and decide eight rows with one signed
+// VPCMPGTD (cut > dot: discard) and VMOVMSKPS, whose complement is the
+// survivor mask.
 
 // tailMask is 32 zero bytes followed by 32 0xff bytes: the 32 bytes at
 // offset t keep the last t lanes of a Y chunk, the 16 at offset 16 + t the
@@ -63,10 +61,6 @@ DATA tailMask<>+40(SB)/8, $-1
 DATA tailMask<>+48(SB)/8, $-1
 DATA tailMask<>+56(SB)/8, $-1
 GLOBL tailMask<>(SB), RODATA|NOPTR, $64
-
-// negMax is −MaxFloat64 (bits 0xffefffffffffffff).
-DATA negMax<>+0(SB)/8, $-4503599627370497
-GLOBL negMax<>(SB), RODATA|NOPTR, $8
 
 // ROWPTR sets p to the codes of the row whose number sits at off(BX): R15
 // plus that number times R13.
@@ -166,10 +160,10 @@ GLOBL negMax<>(SB), RODATA|NOPTR, $8
 	VPXOR Y6, Y6, Y6; \
 	VPXOR Y7, Y7, Y7
 
-// STORE8 folds the eight accumulators into the eight sums and stores them
-// at R14: two rounds of pairwise adds leave rows 0–3 (Y0) and 4–7 (Y4) summed
+// FOLD8 folds the eight accumulators into the eight sums, row j in lane j
+// of Y0: two rounds of pairwise adds leave rows 0–3 (Y0) and 4–7 (Y4) summed
 // within each 128-bit half, and the halves are added across.
-#define STORE8 \
+#define FOLD8 \
 	VPHADDD Y1, Y0, Y0; \
 	VPHADDD Y3, Y2, Y2; \
 	VPHADDD Y5, Y4, Y4; \
@@ -178,8 +172,14 @@ GLOBL negMax<>(SB), RODATA|NOPTR, $8
 	VPHADDD Y6, Y4, Y4; \
 	VPERM2I128 $0x20, Y4, Y0, Y1; \
 	VPERM2I128 $0x31, Y4, Y0, Y2; \
-	VPADDD Y2, Y1, Y0; \
-	VMOVDQU Y0, (R14)
+	VPADDD Y2, Y1, Y0
+
+// KEEP8 leaves in reg the survivor mask of the eight dots in Y0 against the
+// cut broadcast in Y14: bit j is set when dot j ≥ cut. Clobbers Y1.
+#define KEEP8(reg) \
+	VPCMPGTD  Y0, Y14, Y1; \
+	VMOVMSKPS Y1, reg; \
+	XORL      $0xff, reg
 
 // SUM1 folds the eight lanes of Y0 into the low lane of X0.
 #define SUM1 \
@@ -189,49 +189,6 @@ GLOBL negMax<>(SB), RODATA|NOPTR, $8
 	VPADDD X1, X0, X0; \
 	VPSHUFD $0xb1, X0, X1; \
 	VPADDD X1, X0, X0
-
-// PRED decides eight rows from their dots as float64 (Y0 rows 0–3, Y1 rows
-// 4–7) and scales (Y2, Y3), with Y12 = qs, Y13 = resid, Y14 = cut and
-// Y15 = −MaxFloat64 broadcast, and leaves the discard mask (bit j set: row j
-// is discarded) in R9. Clobbers Y2–Y5 and R10.
-#define PRED \
-	VMULPD    Y2, Y12, Y2; \
-	VMULPD    Y3, Y12, Y3; \
-	VMULPD    Y0, Y2, Y2; \
-	VMULPD    Y1, Y3, Y3; \
-	VADDPD    Y13, Y2, Y2; \
-	VADDPD    Y13, Y3, Y3; \
-	VCMPPD    $0x1d, Y15, Y2, Y4; \
-	VCMPPD    $0x1d, Y15, Y3, Y5; \
-	VCMPPD    $0x11, Y14, Y2, Y2; \
-	VCMPPD    $0x11, Y14, Y3, Y3; \
-	VANDPD    Y4, Y2, Y2; \
-	VANDPD    Y5, Y3, Y3; \
-	VMOVMSKPD Y2, R9; \
-	VMOVMSKPD Y3, R10; \
-	SHLQ      $4, R10; \
-	ORQ       R10, R9
-
-// PREDCONST broadcasts the predicate's constants into Y12–Y15 from the
-// frame slots of qs, resid and cut.
-#define PREDCONST(qs, resid, cut) \
-	VBROADCASTSD qs, Y12; \
-	VBROADCASTSD resid, Y13; \
-	VBROADCASTSD cut, Y14; \
-	VBROADCASTSD negMax<>(SB), Y15
-
-// SCALES2 loads into v the scales of the four rows whose numbers sit at
-// off(BX), from the scale array at SI, lo and hi collecting two each.
-#define SCALES2(off, lo, hi, v) \
-	MOVQ        off(BX), R10; \
-	VMOVSD      (SI)(R10*8), lo; \
-	MOVQ        off+8(BX), R10; \
-	VMOVHPD     (SI)(R10*8), lo, lo; \
-	MOVQ        off+16(BX), R10; \
-	VMOVSD      (SI)(R10*8), hi; \
-	MOVQ        off+24(BX), R10; \
-	VMOVHPD     (SI)(R10*8), hi, hi; \
-	VINSERTF128 $1, hi, v, v
 
 // func dotAVX2(a, b *int8, n int) int32
 TEXT ·dotAVX2(SB), NOSPLIT, $0-28
@@ -275,16 +232,11 @@ dot_sum:
 	VZEROUPPER
 	RET
 
-// func dot8AVX2(q, codes *int8, rows *[8]int, n int, out *[8]int32, scales *float64, qs, resid, cut float64) uint8
+// func dot8AVX2(q, codes *int8, rows *[8]int, n int, out *[8]int32, cut int32) uint8
 //
-// Row j is the n codes at codes + rows[j]·n. With scales nil it stores the
-// eight dots and returns 0. Otherwise it also screens the eight rows
-// straight from the registers (Screen8): row j's scale is scales[rows[j]],
-// and bit j of the result is set when row j survives. Scales are loaded one
-// by one, not as a vector: the caller has just written rows element by
-// element, and a vector load spanning several pending stores stalls until
-// they land.
-TEXT ·dot8AVX2(SB), NOSPLIT, $0-73
+// Row j is the n codes at codes + rows[j]·n. It stores the eight dots and
+// returns their survivor mask against cut.
+TEXT ·dot8AVX2(SB), NOSPLIT, $0-49
 	MOVQ q+0(FP), AX
 	MOVQ codes+8(FP), R15
 	MOVQ rows+16(FP), BX
@@ -329,45 +281,38 @@ dot8_x:
 	ROWS8X
 
 dot8_store:
-	STORE8
-	MOVQ  scales+40(FP), SI
-	TESTQ SI, SI
-	JNZ   dot8_screen
-	MOVB  $0, ret+72(FP)
+	FOLD8
+	VMOVDQU      Y0, (R14)
+	MOVL         cut+40(FP), AX
+	VMOVD        AX, X14
+	VPBROADCASTD X14, Y14
+	KEEP8(AX)
+	MOVB         AX, ret+48(FP)
 	VZEROUPPER
 	RET
 
-dot8_screen:
-	VEXTRACTI128 $1, Y0, X1
-	VCVTDQ2PD X1, Y1
-	VCVTDQ2PD X0, Y0
-	MOVQ rows+16(FP), BX
-	SCALES2(0, X2, X4, Y2)
-	SCALES2(32, X3, X5, Y3)
-	PREDCONST(qs+48(FP), resid+56(FP), cut+64(FP))
-	PRED
-	NOTQ R9
-	MOVB R9, ret+72(FP)
-	VZEROUPPER
-	RET
-
-// func dotPanelAVX2(q, panel *int8, n, groups int, out *int32)
+// func dotPanelAVX2(q, panel *int8, n, groups int, cut int32, rows *int32) int
 //
 // dot8AVX2 over consecutive groups of eight adjacent rows: the row pointers
 // are rebuilt from the panel pointer and the row size at the top of each
-// group, and a stack slot counts the groups left. The dispatcher finishes
-// the rows mod 8 through dot8AVX2.
+// group, and a stack slot counts the groups left. A group's survivors (the
+// rare case) have their row numbers, the group's first row number (a second
+// stack slot) plus their lane, written at R14 in lane order; nothing else is
+// stored. The dispatcher finishes the rows mod 8 through dot8AVX2.
 //
 // A group is 8n contiguous bytes read as eight interleaved streams; each
 // chunk step also prefetches its share (8 × the chunk width: four lines for
 // a Y chunk, two for an X chunk) of the group two ahead, whose first byte
 // R15 points at. Prefetches never fault, so running up to sixteen rows past
 // the panel's end is harmless.
-TEXT ·dotPanelAVX2(SB), NOSPLIT, $8-40
+TEXT ·dotPanelAVX2(SB), NOSPLIT, $16-56
 	MOVQ q+0(FP), AX
 	MOVQ panel+8(FP), DX
 	MOVQ n+16(FP), R13
-	MOVQ out+32(FP), R14
+	MOVQ rows+40(FP), R14
+	MOVL         cut+32(FP), CX
+	VMOVD        CX, X14
+	VPBROADCASTD X14, Y14
 	CMPQ R13, $32
 	JLT  panel_setx
 	SETUPY
@@ -379,6 +324,7 @@ panel_setx:
 panel_start:
 	MOVQ groups+24(FP), R15
 	MOVQ R15, left-8(SP)
+	MOVQ $0, first-16(SP)
 	MOVQ R13, R15
 	SHLQ $4, R15
 	ADDQ DX, R15 // panel + 16 rows
@@ -407,7 +353,7 @@ panel_chunk:
 	CMPQ CX, BX
 	JLT  panel_chunk
 	CMPQ BX, R13
-	JEQ  panel_store
+	JEQ  panel_cut
 	LEAQ -32(R13), CX
 	PREFETCHT0 (R15)(CX*8)
 	PREFETCHT0 64(R15)(CX*8)
@@ -415,7 +361,7 @@ panel_chunk:
 	PREFETCHT0 192(R15)(CX*8)
 	TQY
 	ROWS8Y
-	JMP  panel_store
+	JMP  panel_cut
 
 panel_x:
 	PREFETCHT0 (R15)
@@ -423,63 +369,36 @@ panel_x:
 	QX
 	ROWS8X
 	CMPQ BX, R13
-	JEQ  panel_store
+	JEQ  panel_cut
 	LEAQ -16(R13), CX
 	PREFETCHT0 (R15)(CX*8)
 	PREFETCHT0 64(R15)(CX*8)
 	TQX
 	ROWS8X
 
-panel_store:
-	STORE8
-	ADDQ $32, R14
+panel_cut:
+	FOLD8
+	KEEP8(SI)
+	JZ   panel_next
+	MOVQ first-16(SP), DI
+
+panel_keep:
+	BSFQ SI, R8
+	ADDQ DI, R8
+	MOVL R8, (R14)
+	ADDQ $4, R14
+	LEAQ -1(SI), R8
+	ANDQ R8, SI
+	JNZ  panel_keep
+
+panel_next:
+	ADDQ $8, first-16(SP)
 	LEAQ (R12)(R13*1), DX
 	LEAQ (R15)(R13*8), R15
 	DECQ left-8(SP)
 	JNZ  panel_group
-	VZEROUPPER
-	RET
-
-// func siftAVX2(dots *int32, scales *float64, n int, qs, resid, cut float64, rows *int32) int
-//
-// Screens the first n (a positive multiple of 8) rows group by group and
-// compacts the survivors in order: row numbers to rows, their dots to the
-// front of dots. A survivor's dot is read back from dots before the write
-// that could reach it: writes land below the survivor count, which never
-// passes the row being read.
-TEXT ·siftAVX2(SB), NOSPLIT, $0-64
-	MOVQ dots+0(FP), DI
-	MOVQ scales+8(FP), SI
-	MOVQ n+16(FP), CX
-	PREDCONST(qs+24(FP), resid+32(FP), cut+40(FP))
-	MOVQ rows+48(FP), R8
-	XORQ AX, AX // row of the group
-	XORQ BX, BX // survivors so far
-
-sift_group:
-	VCVTDQ2PD (DI)(AX*4), Y0
-	VCVTDQ2PD 16(DI)(AX*4), Y1
-	VMOVUPD   (SI)(AX*8), Y2
-	VMOVUPD   32(SI)(AX*8), Y3
-	PRED
-	XORQ $0xff, R9
-	JZ   sift_next
-
-sift_keep:
-	BSFQ R9, R10
-	ADDQ AX, R10
-	MOVL (DI)(R10*4), R11
-	MOVL R10, (R8)(BX*4)
-	MOVL R11, (DI)(BX*4)
-	INCQ BX
-	LEAQ -1(R9), R10
-	ANDQ R10, R9
-	JNZ  sift_keep
-
-sift_next:
-	ADDQ $8, AX
-	CMPQ AX, CX
-	JLT  sift_group
-	MOVQ BX, ret+56(FP)
+	SUBQ rows+40(FP), R14
+	SHRQ $2, R14
+	MOVQ R14, ret+48(FP)
 	VZEROUPPER
 	RET

@@ -18,8 +18,8 @@ import (
 //
 // prints the dispatched and the portable kernels side by side with an
 // ns/cand column; with -tags purego both rows are the portable ones. The
-// MB/s column counts what a candidate touches: its r codes and its scale
-// (r + 8 bytes).
+// MB/s column counts what a candidate touches: its r codes. Each screening
+// call pays its own integer cut (intCut), as Prefix, List and Screen8 do.
 
 const benchRows = 2048
 
@@ -54,8 +54,8 @@ func benchScreen(tb testing.TB, r int) (*Rows, Screen) {
 	return qr, qr.NewScreen(qq, 1)
 }
 
-// candBytes is what screening one candidate reads: codes and scale.
-func candBytes(r int) int64 { return int64(benchRows * (r + 8)) }
+// candBytes is what screening one candidate reads: its codes.
+func candBytes(r int) int64 { return int64(benchRows * r) }
 
 // reportPerCand adds the ns/cand column the kernel acceptance numbers are
 // read from.
@@ -63,19 +63,19 @@ func reportPerCand(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchRows), "ns/cand")
 }
 
-// BenchmarkScreenPanel times Screen.Prefix over a whole bucket — the panel
-// kernel and the predicate pass — LENGTH's candidate shape.
+// BenchmarkScreenPanel times Screen.Prefix over a whole bucket — the cut and
+// the panel kernel with its integer comparison — LENGTH's candidate shape.
 func BenchmarkScreenPanel(b *testing.B) {
 	for _, r := range benchDims {
 		for _, ks := range kernelSets {
 			b.Run(fmt.Sprintf("r=%d/%s", r, ks.name), func(b *testing.B) {
 				_, scr := benchScreen(b, r)
-				dots, keep := make([]int32, benchRows), make([]int32, benchRows)
+				keep := make([]int32, benchRows)
 				kept := 0
 				b.SetBytes(candBytes(r))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					kept += ks.prefix(&scr, benchRows, benchCut, dots, keep)
+					kept += ks.panel(scr.codes, scr.qr.Codes, scr.intCut(benchCut), keep)
 				}
 				reportPerCand(b)
 				if kept > b.N*benchRows/20 {
@@ -86,8 +86,8 @@ func BenchmarkScreenPanel(b *testing.B) {
 	}
 }
 
-// BenchmarkScreen8Strided times Screen8 — the eight-pointer kernel and its
-// predicate — over rows taken in a scattered order, the shape of a
+// BenchmarkScreen8Strided times Screen8 — the cut, the eight-pointer kernel
+// and its comparison — over rows taken in a scattered order, the shape of a
 // COORD/INCR survivor list.
 func BenchmarkScreen8Strided(b *testing.B) {
 	for _, r := range benchDims {
@@ -103,7 +103,7 @@ func BenchmarkScreen8Strided(b *testing.B) {
 					for j := 0; j+8 <= benchRows; j += 8 {
 						// Walk the mask's bits as List does: the caller branches on
 						// it rather than carrying it as data.
-						for mask := ks.screen8(&scr, (*[8]int)(o[j:j+8]), benchCut, &d); mask != 0; mask &= mask - 1 {
+						for mask := ks.dot8(scr.codes, scr.qr.Codes, (*[8]int)(o[j:j+8]), &d, scr.intCut(benchCut)); mask != 0; mask &= mask - 1 {
 							kept++
 						}
 					}
@@ -117,8 +117,8 @@ func BenchmarkScreen8Strided(b *testing.B) {
 	}
 }
 
-// BenchmarkDotQ8 times the one-row kernel plus the predicate, the ragged
-// tail's cost per candidate, over the same scattered order.
+// BenchmarkDotQ8 times the one-row kernel plus the integer comparison, the
+// ragged tail's cost per candidate, over the same scattered order.
 func BenchmarkDotQ8(b *testing.B) {
 	for _, r := range benchDims {
 		for _, ks := range kernelSets {
@@ -129,8 +129,9 @@ func BenchmarkDotQ8(b *testing.B) {
 				b.SetBytes(candBytes(r))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					cut := scr.intCut(benchCut)
 					for _, row := range o {
-						if scr.keep(row, ks.dot(scr.codes, qr.Row(row)), benchCut) {
+						if ks.dot(scr.codes, qr.Row(row)) >= cut {
 							mask++
 						}
 					}

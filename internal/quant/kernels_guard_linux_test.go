@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"syscall"
 	"testing"
 	"unsafe"
@@ -23,11 +24,11 @@ func guardedTail(t *testing.T, n int) []int8 {
 	return unsafe.Slice((*int8)(unsafe.Pointer(&b[0])), n)
 }
 
-// guardedFloats is guardedTail for n ≥ 1 float64 values.
-func guardedFloats(t *testing.T, n int) []float64 {
+// guardedInt32s is guardedTail for n ≥ 1 int32 values.
+func guardedInt32s(t *testing.T, n int) []int32 {
 	t.Helper()
-	b := guardedBytes(t, 8*n)
-	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n)
+	b := guardedBytes(t, 4*n)
+	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
 }
 
 // guardedBytes returns the last n bytes in front of an unreadable page.
@@ -52,9 +53,9 @@ func guardedBytes(t *testing.T, n int) []byte {
 // chunk loads q[r−32:r] and the row's final 32 bytes. A kernel whose chunk
 // loop or overlapping last chunk over-reads, even by a lane it would mask,
 // faults here instead of passing; the values are checked too, so a kernel
-// cannot pass by reading short. The panel's predicate runs with the scales
-// and lengths flush against guards as well, so it reads no entry past the
-// rows it decides.
+// cannot pass by reading short. The panel kernel writes its survivors into
+// an output flush against a guard as well, under a cut every row survives,
+// so it writes no slot past the rows it decides.
 func TestKernelsStayInsideTheirVectors(t *testing.T) {
 	// A fault becomes a panic naming the address rather than a dead test
 	// binary.
@@ -66,12 +67,8 @@ func TestKernelsStayInsideTheirVectors(t *testing.T) {
 		edgeQ := guardedTail(t, r)
 		panel := guardedTail(t, rows*r)
 		codeFills[0].fill(rng, heapQ, panel)
-		// NaN scales: every row survives, whatever its dot.
-		scales := guardedFloats(t, rows)
-		for i := range scales {
-			scales[i] = math.NaN()
-		}
 		copy(edgeQ, heapQ)
+		out := guardedInt32s(t, rows)
 		row := func(i int) []int8 { return panel[i*r : (i+1)*r : (i+1)*r] }
 		last := row(rows - 1)
 		want := make([]int32, rows)
@@ -80,22 +77,29 @@ func TestKernelsStayInsideTheirVectors(t *testing.T) {
 		}
 		for _, q := range [][]int8{heapQ, edgeQ} {
 			for _, ks := range kernelSets {
-				out := make([]int32, rows)
 				for n := 1; n <= rows; n++ { // the panel's last n rows: each step of the panel kernel ends at the guard
-					clear(out)
-					ks.panel(q, panel[(rows-n)*r:], out[:n])
-					for i := 0; i < n; i++ {
-						if out[i] != want[rows-n+i] {
-							t.Fatalf("%s r=%d: panel of %d rows at the guard, row %d = %d, want %d", ks.name, r, n, i, out[i], want[rows-n+i])
+					kept := out[rows-n:]
+					if k := ks.panel(q, panel[(rows-n)*r:], math.MinInt32, kept); k != n {
+						t.Fatalf("%s r=%d: panel of %d rows at the guard kept %d under a cut every row survives", ks.name, r, n, k)
+					}
+					for i := range kept {
+						if kept[i] != int32(i) {
+							t.Fatalf("%s r=%d: panel of %d rows at the guard kept %v", ks.name, r, n, kept)
 						}
 					}
-				}
-				for n := 1; n <= rows; n++ { // the predicate over the panel's last n rows
-					qr := &Rows{r: r, n: n, Scales: scales[rows-n:], Codes: panel[(rows-n)*r:]}
-					scr := Screen{qr: qr, codes: q, qs: 1}
-					dots, kept := make([]int32, n), make([]int32, n)
-					if k := ks.prefix(&scr, n, 0, dots, kept); k != n {
-						t.Fatalf("%s r=%d: predicate at the guard kept %d of %d rows that all survive", ks.name, r, k, n)
+					// The cut at row i's dot keeps exactly the rows at or above it.
+					for i := 0; i < n; i++ {
+						cut := want[rows-n+i]
+						k := ks.panel(q, panel[(rows-n)*r:], cut, kept)
+						var w []int32
+						for j := 0; j < n; j++ {
+							if want[rows-n+j] >= cut {
+								w = append(w, int32(j))
+							}
+						}
+						if !slices.Equal(kept[:k], w) {
+							t.Fatalf("%s r=%d: panel of %d rows at the guard, cut %d kept %v, want %v", ks.name, r, n, cut, kept[:k], w)
+						}
 					}
 				}
 				if got := ks.dot(q, last); got != want[rows-1] {
@@ -109,7 +113,7 @@ func TestKernelsStayInsideTheirVectors(t *testing.T) {
 					p := [8]int{0, 1, 2, 3, 4, 5, 6, 7}
 					p[j] = rows - 1
 					var o8 [8]int32
-					ks.dot8(q, panel, &p, &o8)
+					ks.dot8(q, panel, &p, &o8, math.MinInt32)
 					for k, v := range o8 {
 						if v != want[p[k]] {
 							t.Fatalf("%s r=%d: eight-pointer kernel with the guarded row in position %d, output %d = %d, want %d", ks.name, r, j, k, v, want[p[k]])

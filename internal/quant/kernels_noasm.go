@@ -8,14 +8,10 @@ package quant
 
 func dotAVX2(a, b *int8, n int) int32 { panic("quant: no AVX2 kernels in this build") }
 
-func dot8AVX2(q, codes *int8, rows *[8]int, n int, out *[8]int32, scales *float64, qs, resid, cut float64) uint8 {
+func dot8AVX2(q, codes *int8, rows *[8]int, n int, out *[8]int32, cut int32) uint8 {
 	panic("quant: no AVX2 kernels in this build")
 }
 
-func dotPanelAVX2(q, panel *int8, n, groups int, out *int32) {
-	panic("quant: no AVX2 kernels in this build")
-}
-
-func siftAVX2(dots *int32, scales *float64, n int, qs, resid, cut float64, rows *int32) int {
+func dotPanelAVX2(q, panel *int8, n, groups int, cut int32, rows *int32) int {
 	panic("quant: no AVX2 kernels in this build")
 }

@@ -1,7 +1,9 @@
 package quant
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -17,35 +19,37 @@ func plainDot(a, b []int8) int32 {
 	return s
 }
 
-// kernelSet is one implementation of the three kernel shapes and of the
-// screen's two predicate shapes.
+// kernelSet is one implementation of the three kernel shapes.
 type kernelSet struct {
-	name    string
-	dot     func(a, b []int8) int32
-	dot8    func(q, codes []int8, rows *[8]int, out *[8]int32)
-	panel   func(q, panel []int8, out []int32)
-	prefix  func(s *Screen, n int, cut float64, dots, rows []int32) int
-	screen8 func(s *Screen, rows *[8]int, cut float64, dots *[8]int32) uint8
+	name  string
+	dot   func(a, b []int8) int32
+	dot8  func(q, codes []int8, rows *[8]int, out *[8]int32, cut int32) uint8
+	panel func(q, panel []int8, cut int32, rows []int32) int
 }
 
 // kernelSets is the dispatcher (assembly where the CPU has it) beside the
 // portable Go code; with -tags purego both run the portable code.
 var kernelSets = []kernelSet{
-	{"dispatch", DotQ8, dot8, dotPanel, (*Screen).Prefix, (*Screen).screen8},
-	{"portable", dotGo, dot8Go, dotPanelGo, prefixGo, screen8Go},
+	{"dispatch", DotQ8, dot8, screenPanel},
+	{"portable", dotGo, dot8Portable, screenPanelGo},
 }
 
-// prefixGo is the portable Prefix: the panel kernel, then siftPrefix.
-func prefixGo(s *Screen, n int, cut float64, dots, rows []int32) int {
-	dots = dots[:n]
-	dotPanelGo(s.codes, s.qr.Codes[:n*s.qr.r], dots)
-	return s.siftPrefix(0, 0, cut, dots, rows)
+// dot8Portable is the portable dot8: the eight-row kernel, then mask8.
+func dot8Portable(q, codes []int8, rows *[8]int, out *[8]int32, cut int32) uint8 {
+	dot8Go(q, codes, rows, out)
+	return mask8(out, cut)
 }
 
-// screen8Go is the portable Screen8: the eight-row kernel, then mask8.
-func screen8Go(s *Screen, rows *[8]int, cut float64, dots *[8]int32) uint8 {
-	dot8Go(s.codes, s.qr.Codes, rows, dots)
-	return s.mask8(rows, cut, dots)
+// survivors is the oracle of the panel kernel: the rows whose dot is at
+// least cut, in order.
+func survivors(dots []int32, cut int32) []int32 {
+	var keep []int32
+	for i, d := range dots {
+		if d >= cut {
+			keep = append(keep, int32(i))
+		}
+	}
+	return keep
 }
 
 // offset16 returns n codes that start off bytes past a 16-byte boundary.
@@ -99,7 +103,10 @@ var codeFills = []struct {
 // checkKernels runs one (query, panel of rows) case through a kernel set:
 // the panel kernel over every row count 0..rows (groups of eight and every
 // tail length), the one-row kernel on every row, the eight-pointer kernel
-// on scattered rows with a repeat.
+// on scattered rows with a repeat. The panel kernel reports only survivors,
+// so its dots are pinned through the cut: over all rows, row i must survive
+// a cut of its own dot and fall to one above it, with every other row
+// deciding as its oracle dot says.
 func checkKernels(t *testing.T, ks kernelSet, q, panel []int8, rows int, rng *rand.Rand) {
 	t.Helper()
 	r := len(q)
@@ -108,20 +115,28 @@ func checkKernels(t *testing.T, ks kernelSet, q, panel []int8, rows int, rng *ra
 	for i := range want {
 		want[i] = plainDot(q, row(i))
 	}
-	out := make([]int32, rows)
-	for n := 0; n <= rows; n++ {
+	out := make([]int32, rows+1)
+	panelCase := func(n int, cut int32) {
 		for i := range out {
 			out[i] = -1
 		}
-		ks.panel(q, panel[:n*r], out[:n])
-		for i := 0; i < n; i++ {
-			if out[i] != want[i] {
-				t.Fatalf("%s r=%d: panel of %d rows, row %d = %d, want %d", ks.name, r, n, i, out[i], want[i])
-			}
+		k := ks.panel(q, panel[:n*r], cut, out[:n])
+		if w := survivors(want[:n], cut); !slices.Equal(out[:k], w) {
+			t.Fatalf("%s r=%d: panel of %d rows at cut %d kept %v, want %v", ks.name, r, n, cut, out[:k], w)
 		}
-		if n < rows && out[n] != -1 {
-			t.Fatalf("%s r=%d: panel of %d rows wrote past its output", ks.name, r, n)
+		if out[n] != -1 || (k < n && out[k] != -1) {
+			t.Fatalf("%s r=%d: panel of %d rows wrote past its survivors", ks.name, r, n)
 		}
+	}
+	for n := 0; n <= rows; n++ {
+		panelCase(n, math.MinInt32)
+		if n > 0 {
+			panelCase(n, want[rng.Intn(n)])
+		}
+	}
+	for i := 0; i < rows; i++ {
+		panelCase(rows, want[i])
+		panelCase(rows, want[i]+1)
 	}
 	for i := 0; i < rows; i++ {
 		if got := ks.dot(q, row(i)); got != want[i] {
@@ -136,11 +151,16 @@ func checkKernels(t *testing.T, ks kernelSet, q, panel []int8, rows int, rng *ra
 		p[j] = rng.Intn(rows)
 	}
 	p[7] = p[0]
-	var o8 [8]int32
-	ks.dot8(q, panel, &p, &o8)
-	for j, v := range o8 {
-		if v != want[p[j]] {
-			t.Fatalf("%s r=%d: eight-pointer kernel output %d (row %d) = %d, want %d", ks.name, r, j, p[j], v, want[p[j]])
+	for _, cut := range []int32{math.MinInt32, want[p[1]], want[p[1]] + 1, math.MaxInt32} {
+		var o8 [8]int32
+		mask := ks.dot8(q, panel, &p, &o8, cut)
+		for j, v := range o8 {
+			if v != want[p[j]] {
+				t.Fatalf("%s r=%d: eight-pointer kernel output %d (row %d) = %d, want %d", ks.name, r, j, p[j], v, want[p[j]])
+			}
+			if got := mask>>j&1 == 1; got != (v >= cut) {
+				t.Fatalf("%s r=%d: eight-pointer kernel at cut %d, mask %08b for dots %v", ks.name, r, cut, mask, o8)
+			}
 		}
 	}
 }

@@ -2,11 +2,11 @@
 // candidates before the exact f64 kernels run. Exact verification is
 // memory-bandwidth-bound: every candidate that survives bucket pruning
 // streams its full float64 row through the cache even when its product ends
-// far below the threshold. A per-row symmetric int8 quantization (scale =
-// maxabs/127) shrinks a row 8×; a cheap int8 dot against the quantized
-// query, widened by a provably conservative error bound, rules most losers
-// out while touching only the sidecar — survivors fall through to the exact
-// kernels, so exact results never change.
+// far below the threshold. A symmetric int8 quantization at one step per
+// panel (scale = the panel's maxabs/127) shrinks a row 8×; a cheap int8 dot
+// against the quantized query, widened by a provably conservative error
+// bound, rules most losers out while touching only the codes — survivors
+// fall through to the exact kernels, so exact results never change.
 //
 // # The bound
 //
@@ -22,15 +22,16 @@
 //
 // q̂ᵀp̂ is exact (an integer dot times two scales; the integer fits float64
 // for every supported dimension). Quantization computes inflated upper
-// bounds on ‖e_p‖ and ‖p̂‖ per row and keeps only their panel-wide maxima;
-// the bracket is widened by three float-rounding allowances: the stored
-// norms and residuals are inflated upper bounds of the true values, a term
-// of order r·2⁻⁵³·‖q‖·‖p‖ covers the accumulation rounding of the exact
-// float64 Dot the bound must bracket (the screening contract is against
-// what vecmath.Dot computes, not against the mathematical product), and the
-// bound's own arithmetic is inflated once more. The contract, which
-// quant_test.go property-checks over adversarial inputs through a per-row
-// bracket that recomputes the row's residual and norm:
+// bounds on ‖e_p‖ and ‖p̂‖ per row from the stored codes and keeps only
+// their panel-wide maxima; the bracket is widened by float-rounding
+// allowances: the stored norms and residuals are inflated upper bounds of
+// the true values, a term of order r·2⁻⁵³·‖q‖·‖p‖ covers the accumulation
+// rounding of the exact float64 Dot the bound must bracket (the screening
+// contract is against what vecmath.Dot computes, not against the
+// mathematical product), and the bound's own arithmetic is inflated once
+// more. The contract, which quant_test.go property-checks over adversarial
+// inputs through a per-row bracket that recomputes the row's residual and
+// norm:
 //
 //	approx − bound ≤ Dot(q, row_i) ≤ approx + bound
 //
@@ -44,14 +45,24 @@
 // panel against one query, so Screen hoists everything that does not depend
 // on the row: with d the exact integer dot of the two code vectors,
 //
-//	ub = S_q·S_p[i]·d + resid,   keep iff !(ub ≥ −MaxFloat64 && ub < cut)
+//	ub = S_q·S_p·d + resid,   discard iff ub < cut,
 //
 // where resid puts the panel-wide maxima of ‖e_p‖ and ‖p‖ᵘᵇ in place of the
 // per-row values (sound, and the reason the sidecar stores no per-row
-// bound) and carries every rounding allowance as screenSlack·‖q‖ᵘᵇ·‖p‖ᵘᵇ. A
-// panel holding a non-finite row has an infinite resid. The dot runs the
+// bound) and carries every rounding allowance as screenSlack·‖q‖ᵘᵇ·‖p‖ᵘᵇ.
+// With one scale per panel, ub is increasing in d alone, so each call
+// (one per query and panel) turns its cut into one int32 D (intCut): every
+// d < D has S_q·S_p·d + resid < cut in exact arithmetic, and the kernels
+// keep a row iff d ≥ D — one integer comparison per row, no per-row scale
+// read and no float pass. A NaN or ±Inf operand (a panel holding a
+// non-finite row has an infinite resid) keeps every row. The dot runs the
 // full r dimensions: on vectors without spectral decay a prefix of them
 // bounds almost nothing.
+//
+// One step per panel screens about as well as a step per row would: the
+// bound charges every row the panel's largest residual either way, and with
+// a step per row that residual would still come, up to rounding, from the
+// widest row, whose step is the panel's.
 //
 // # Error model for fl(qᵀp)
 //
@@ -62,20 +73,19 @@
 // Decay), every error is charged against ‖q‖·‖p‖, never against the
 // product, so cancellation costs nothing. With u = 2⁻⁵³: quantization is
 // the bound above; the exact kernel adds |v − qᵀp| ≤ r·u·‖q‖·‖p‖ in any
-// order (underflow adds r·2⁻¹⁰⁷⁵, which tiny dominates); the predicate's
-// product and add and NewScreen's folding of resid are a handful of
-// roundings of quantities at most ‖q‖ᵘᵇ·‖p‖ᵘᵇ. screenSlack(r) = 4(r+8)u +
-// 32u covers the last three about three times over, so ub ≥ v, and
-// ub < cut implies v < cut: an entry equal to θ, or to a Row-Top-k heap's
-// floor (which takes an equal value on a smaller id), is never discarded.
-// The panel maxima charge every row the longest row's residual, which is
-// only looser for a bucket's shorter rows.
+// order (underflow adds r·2⁻¹⁰⁷⁵, which tiny dominates); NewScreen's
+// folding of S_q and resid is a handful of roundings of quantities at most
+// ‖q‖ᵘᵇ·‖p‖ᵘᵇ, and the integer cut is exact against the folded constants.
+// screenSlack(r) = 4(r+8)u + 32u covers those roundings several times
+// over, so ub ≥ v, and d < D implies v < cut: an entry equal to θ, or to a
+// Row-Top-k heap's floor (which takes an equal value on a smaller id), is
+// never discarded. The panel maxima charge every row the longest row's
+// residual, which is only looser for a bucket's shorter rows.
 //
-// Where the kernels are assembly (Accelerated) the predicate runs there
-// too, eight rows at a time (VCVTDQ2PD, then the same multiplies, add and
-// two ordered comparisons in the same order, no FMA), and only survivors
-// are written; survives, mask8 and siftPrefix are its portable twins and
-// its oracle.
+// Where the kernels are assembly (Accelerated) the comparison runs there
+// too, eight rows at a time (VPCMPGTD against the broadcast cut), inside
+// the panel kernel, which writes only survivors; mask8 and screenPanelGo
+// are its portable twins and its oracle.
 package quant
 
 import (
@@ -102,23 +112,23 @@ const ulp = 1.0 / (1 << 53)
 const tiny = 1e-150
 
 // Rows is the int8 sidecar of one contiguous row-panel (in core: one
-// bucket's raw rows): per row a scale and the quantized codes,
-// r + 8 bytes per row, and two panel-wide bound inputs.
+// bucket's raw rows): one quantization step for the whole panel, r code
+// bytes per row, and two panel-wide bound inputs.
 type Rows struct {
 	r int
 	n int
 
-	// Scales[i] is row i's quantization step (maxabs/127; 0 for a zero
-	// row). Codes holds the int8 payload, row-major (n × r), every value
-	// in [-127, 127].
-	Scales []float64
-	Codes  []int8
+	// Scale is the panel's quantization step, maxabs/127 over every finite
+	// coordinate of the panel (0 for a zero panel). Codes holds the int8
+	// payload, row-major (n × r), every value in [-127, 127].
+	Scale float64
+	Codes []int8
 
 	// maxResid and maxNormUB are the largest inflated bounds on a row's
-	// quantization residual ‖e_p‖ and on ‖p̂‖+‖e_p‖ across the panel: the
-	// screen substitutes them for the per-row values (see the package
-	// comment). A non-finite row makes maxResid +Inf, which switches the
-	// screen off for the whole panel.
+	// quantization residual ‖e_p‖ and on ‖p̂‖+‖e_p‖ across the panel,
+	// computed from the stored codes: the screen charges every row these
+	// (see the package comment). A non-finite row makes maxResid +Inf, which
+	// switches the screen off for the whole panel.
 	maxResid  float64
 	maxNormUB float64
 }
@@ -129,18 +139,19 @@ func (qr *Rows) R() int { return qr.r }
 // N returns the number of rows.
 func (qr *Rows) N() int { return qr.n }
 
-// Row returns the int8 codes of row i.
+// Row returns the int8 codes of row i. Its signature is kept for
+// benchmark/kernels.go.
 func (qr *Rows) Row(i int) []int8 {
 	return qr.Codes[i*qr.r : (i+1)*qr.r : (i+1)*qr.r]
 }
 
-// Bytes returns the sidecar's memory footprint: codes plus the per-row
-// scales.
+// Bytes returns the sidecar's memory footprint: the codes plus the panel's
+// one scale.
 func (qr *Rows) Bytes() int {
 	if qr == nil {
 		return 0
 	}
-	return len(qr.Codes) + 8*len(qr.Scales)
+	return len(qr.Codes) + 8
 }
 
 // sumSlack bounds the relative error of a float64 sum of r nonnegative
@@ -160,12 +171,24 @@ func dotSlack(r int) float64 { return 4 * float64(r+8) * ulp }
 // of the computation that produced x.
 func inflate(x, rel float64) float64 { return x + x*rel + tiny }
 
+// maxAbs returns the largest finite |x| of v (0 when there is none).
+func maxAbs(v []float64) float64 {
+	m := 0.0
+	for _, x := range v {
+		if a := math.Abs(x); a > m && a <= math.MaxFloat64 {
+			m = a
+		}
+	}
+	return m
+}
+
 // QuantizeRows builds the sidecar of a contiguous row-major panel holding
-// len(rows)/r rows of dimension r. r must be in [1, MaxDim] and divide
-// len(rows); QuantizeRows panics otherwise (a programming error). Zero rows
-// quantize to scale 0 with zero residual; rows holding NaN or ±Inf get an
-// infinite residual bound, so they always survive screening and reach the
-// exact path.
+// len(rows)/r rows of dimension r, all at the panel's one step. r must be in
+// [1, MaxDim] and divide len(rows); QuantizeRows panics otherwise (a
+// programming error). Zero rows quantize to zero codes; rows holding NaN or
+// ±Inf get an infinite residual bound, so the panel always survives
+// screening and reaches the exact path. Its signature is kept for
+// benchmark/kernels.go.
 func QuantizeRows(rows []float64, r int) *Rows {
 	if r < 1 || r > MaxDim {
 		panic("quant: QuantizeRows dimension out of [1, MaxDim]")
@@ -174,52 +197,29 @@ func QuantizeRows(rows []float64, r int) *Rows {
 		panic("quant: QuantizeRows panel size not a multiple of the dimension")
 	}
 	n := len(rows) / r
-	qr := &Rows{
-		r:      r,
-		n:      n,
-		Scales: make([]float64, n),
-		Codes:  make([]int8, n*r),
-	}
+	qr := &Rows{r: r, n: n, Scale: maxAbs(rows) / 127, Codes: make([]int8, n*r)}
 	for i := 0; i < n; i++ {
-		var resid, norm float64
-		qr.Scales[i], resid, norm = quantizeRow(qr.Codes[i*r:(i+1)*r], rows[i*r:(i+1)*r])
+		resid, norm := quantizeRow(qr.Codes[i*r:(i+1)*r], rows[i*r:(i+1)*r], qr.Scale)
 		qr.maxResid = max(qr.maxResid, resid)
 		qr.maxNormUB = max(qr.maxNormUB, norm+resid)
 	}
 	return qr
 }
 
-// quantizeRow fills codes with the symmetric int8 quantization of row and
-// returns (scale, residual-norm upper bound, dequantized-norm upper bound).
-func quantizeRow(codes []int8, row []float64) (scale, resid, norm float64) {
-	maxabs := 0.0
+// quantizeRow fills codes with the symmetric int8 quantization of row at
+// step scale (at least the row's maxabs/127) and returns upper bounds on the
+// residual norm and on the dequantized norm. A row holding NaN or ±Inf, or a
+// nonzero coordinate under a step of 0 (maxabs/127 underflowed), gets zero
+// codes and an infinite residual.
+func quantizeRow(codes []int8, row []float64, scale float64) (resid, norm float64) {
+	clear(codes)
 	for _, x := range row {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			// Non-finite row: no usable quantization. Zero codes, infinite
-			// residual — the bound is +Inf and the row is never screened.
-			for j := range codes {
-				codes[j] = 0
-			}
-			return 0, math.Inf(1), 0
-		}
-		if a := math.Abs(x); a > maxabs {
-			maxabs = a
+		if x-x != 0 || (scale == 0 && x != 0) {
+			return math.Inf(1), 0
 		}
 	}
-	if maxabs == 0 {
-		for j := range codes {
-			codes[j] = 0
-		}
-		return 0, 0, 0
-	}
-	scale = maxabs / 127
-	if math.IsInf(scale, 0) || scale == 0 {
-		// maxabs/127 overflowed or underflowed to a degenerate step (maxabs
-		// near the float64 extremes); treat like a non-finite row.
-		for j := range codes {
-			codes[j] = 0
-		}
-		return 0, math.Inf(1), 0
+	if scale == 0 {
+		return 0, 0
 	}
 	// Quantize by reciprocal multiply: a division per coordinate costs
 	// several times a multiply and this loop runs per query on the serving
@@ -241,11 +241,7 @@ func quantizeRow(codes []int8, row []float64) (scale, resid, norm float64) {
 		// The quotient can round a full-scale coordinate past ±127
 		// (|x| == maxabs gives exactly ±127 only when it is exact); clamp
 		// so the code always fits the int8 contract.
-		if c > 127 {
-			c = 127
-		} else if c < -127 {
-			c = -127
-		}
+		c = min(max(c, -127), 127)
 		codes[j] = int8(c)
 		deq := scale * c
 		d := x - deq
@@ -259,9 +255,10 @@ func quantizeRow(codes []int8, row []float64) (scale, resid, norm float64) {
 	// to the dequantized coordinate — covered by the 4·2⁻⁵²·‖p̂‖ term.
 	resid = inflate(math.Sqrt(sumd)+4*(2*ulp)*norm, slack)
 	if math.IsNaN(resid) || math.IsNaN(norm) || math.IsInf(norm, 0) {
-		return 0, math.Inf(1), 0
+		clear(codes)
+		return math.Inf(1), 0
 	}
-	return scale, resid, norm
+	return resid, norm
 }
 
 // Query is a quantized query vector: the same per-vector symmetric scheme,
@@ -275,9 +272,10 @@ type Query struct {
 }
 
 // QuantizeQuery quantizes q into the caller's dst buffer (len(dst) must be
-// len(q); QuantizeQuery panics otherwise). ok is false when q holds a
-// non-finite value or its magnitude defeats quantization — callers must
-// then skip screening entirely and verify every candidate exactly.
+// len(q); QuantizeQuery panics otherwise) at its own step, maxabs/127. ok is
+// false when q holds a non-finite value or its magnitude defeats
+// quantization — callers must then skip screening entirely and verify every
+// candidate exactly. Its signature is kept for benchmark/kernels.go.
 func QuantizeQuery(dst []int8, q []float64) (qq Query, ok bool) {
 	if len(dst) != len(q) {
 		panic("quant: QuantizeQuery buffer size does not match the query dimension")
@@ -285,7 +283,8 @@ func QuantizeQuery(dst []int8, q []float64) (qq Query, ok bool) {
 	if len(q) == 0 || len(q) > MaxDim {
 		return Query{}, false
 	}
-	scale, resid, norm := quantizeRow(dst, q)
+	scale := maxAbs(q) / 127
+	resid, norm := quantizeRow(dst, q, scale)
 	if math.IsInf(resid, 0) {
 		return Query{}, false
 	}
@@ -294,11 +293,9 @@ func QuantizeQuery(dst []int8, q []float64) (qq Query, ok bool) {
 
 // screenSlack is the relative allowance backing the screen's naked
 // arithmetic: it must dominate, relative to ‖q‖·‖p‖, the exact kernel's
-// accumulation rounding (as dotSlack does) and the ~10 roundings of the
-// predicate and of NewScreen's folding — each at most one ulp of a
-// norm-dominated quantity (the package comment's error model). The headroom
-// over dotSlack is 32 ulp, about three times what those roundings can
-// consume.
+// accumulation rounding (as dotSlack does) and the handful of roundings of
+// NewScreen's folding — each at most one ulp of a norm-dominated quantity
+// (the package comment's error model). The headroom over dotSlack is 32 ulp.
 func screenSlack(r int) float64 { return dotSlack(r) + 32*ulp }
 
 // Screen is the per-(query, panel) state of the screening predicate: the
@@ -315,9 +312,9 @@ type Screen struct {
 // NewScreen hoists the query-side constants of the screen, pre-multiplied
 // by emit, so the predicate bounds emit·Dot. Retrieval passes 1: the panel
 // holds raw rows, and the value it screens is the bare dot fl(qᵀp). emit
-// must be nonnegative — a negative factor would flip the bound's side; a
-// NaN or +Inf emit only poisons the bound conservatively. qq must be a
-// quantization of an r-dimensional query; NewScreen panics otherwise.
+// must be nonnegative — a negative or non-finite factor keeps every row. qq
+// must be a quantization of an r-dimensional query; NewScreen panics
+// otherwise. Its signature is kept for benchmark/kernels.go.
 func (qr *Rows) NewScreen(qq Query, emit float64) Screen {
 	if len(qq.Codes) != qr.r {
 		panic("quant: NewScreen on a query of the wrong dimension")
@@ -332,102 +329,101 @@ func (qr *Rows) NewScreen(qq Query, emit float64) Screen {
 	}
 }
 
-// survives is the screening predicate for one row: scale is the row's
-// S_p[i], d its integer dot with the query codes, qs and resid the Screen's
-// constants. The row is discarded exactly when ub < cut for
-// ub = emit·(S_q·S_p[i]·d + resid) ≥ fl(emit·Dot(q, row_i)) (the package
-// comment). Non-finite inputs or overflow make ub +Inf or NaN, which fail
-// the second comparison, or −Inf (an overflowed scale product times a
-// negative d), which the first comparison catches: all three survive. The
-// conversion pins the product's rounding on architectures that would
-// otherwise fuse it into the add, so every build decides every row alike.
-// Operands come by value so that the loops below keep them in registers
-// across their stores.
-func survives(qs, resid, scale float64, d int32, cut float64) bool {
-	ub := float64(qs*scale*float64(d)) + resid
-	return !(ub >= -math.MaxFloat64 && ub < cut)
+// keepAll and dropAll are the integer cuts that keep and that discard every
+// row: no dot lies below MinInt32, and every dot lies below MaxInt32
+// (|d| ≤ 127²·MaxDim < 2³¹−1).
+const keepAll, dropAll = math.MinInt32, math.MaxInt32
+
+// intCut turns the screen's predicate ub < cut, ub = qs·sp·d + resid, into
+// one integer comparison: it returns an int32 D such that every integer
+// d < D has qs·sp·d + resid < cut in exact arithmetic, so a row whose dot
+// is below D can be discarded. With t = (cut − resid)/(qs·sp) the best such
+// D is ⌈t⌉, clamped to the int32 range; intCut returns it exactly where t is
+// an integer and at most one below it elsewhere. A NaN or ±Inf operand, or
+// a negative scale, keeps every row; qs·sp = 0 makes the bound resid, which
+// discards every row or none.
+//
+// fl(cut − resid), fl(qs·sp) and their quotient round once each, 3 ulp of t
+// in all (rescaledQuotient where the first two leave the normal range), and
+// t is lowered by 16 ulp before ⌈·⌉, which only ever loses a discard.
+// |t| ≥ 2³³ and |t| < ½ are decided by the sign of cut − resid alone: the
+// first clamps, and the second lies in (−1, 1), where ⌈t⌉ is 1 or 0.
+func intCut(qs, sp, resid, cut float64) int32 {
+	if !(qs >= 0 && sp >= 0) || qs-qs != 0 || sp-sp != 0 || resid-resid != 0 || cut-cut != 0 {
+		return keepAll
+	}
+	if qs == 0 || sp == 0 {
+		if resid < cut {
+			return dropAll
+		}
+		return keepAll
+	}
+	num, a := cut-resid, qs*sp
+	if num == 0 {
+		return 0
+	}
+	t := num / a
+	if a < 0x1p-1022 || math.IsInf(a, 0) || math.IsInf(num, 0) {
+		t = rescaledQuotient(cut, resid, qs, sp)
+	}
+	switch abs := math.Abs(t); {
+	case !(abs < 0x1p33):
+		if num > 0 {
+			return dropAll
+		}
+		return keepAll
+	case abs < 0.5:
+		if num > 0 {
+			return 1
+		}
+		return 0
+	}
+	t -= math.Abs(t) * 0x1p-49
+	return int32(min(max(math.Ceil(t), keepAll), dropAll))
 }
 
-// keep is survives for row i.
-func (s *Screen) keep(i int, d int32, cut float64) bool {
-	return survives(s.qs, s.resid, s.qr.Scales[i], d, cut)
+// rescaledQuotient is (cut − resid)/(qs·sp) for operands where fl(cut −
+// resid) overflows or fl(qs·sp) is subnormal or infinite: it divides the
+// mantissas (math.Frexp) and scales by the exponents, so nothing over- or
+// underflows, with the same three roundings. The exponent is clamped to
+// ±40, which keeps a quotient past 2³³ past it and one under ½ under it.
+func rescaledQuotient(cut, resid, qs, sp float64) float64 {
+	num, k := cut-resid, 0
+	if math.IsInf(num, 0) {
+		// Both operands are then at least 2⁹⁷⁰ in magnitude: halving is exact.
+		num, k = cut/2-resid/2, 1
+	}
+	fn, en := math.Frexp(num)
+	fq, eq := math.Frexp(qs)
+	fs, es := math.Frexp(sp)
+	return math.Ldexp(fn/(fq*fs), min(max(en+k-eq-es, -40), 40))
 }
+
+// intCut is the function intCut over this screen's constants and cut.
+func (s *Screen) intCut(cut float64) int32 { return intCut(s.qs, s.qr.Scale, s.resid, cut) }
 
 // Screen8 screens eight rows anywhere in the panel: dots[j] receives row
 // ij's integer dot and bit j of the result is set when row ij survives
 // against cut. lens is not read — a raw row carries its length in its
-// codes — and stays for callers of the length-scaled predicate
-// (benchmark/kernels.go, which passes ones).
+// codes. Its signature, lens and dots included, is kept for
+// benchmark/kernels.go, which times it.
 func (s *Screen) Screen8(i0, i1, i2, i3, i4, i5, i6, i7 int, lens *[8]float64, cut float64, dots *[8]int32) uint8 {
-	return s.screen8(&[8]int{i0, i1, i2, i3, i4, i5, i6, i7}, cut, dots)
+	return dot8(s.codes, s.qr.Codes, &[8]int{i0, i1, i2, i3, i4, i5, i6, i7}, dots, s.intCut(cut))
 }
 
-func (s *Screen) screen8(rows *[8]int, cut float64, dots *[8]int32) uint8 {
-	if Accelerated(s.qr.r) {
-		return dot8Asm(s.codes, s.qr.Codes, rows, dots, s.qr.Scales, s.qs, s.resid, cut)
-	}
-	dot8Go(s.codes, s.qr.Codes, rows, dots)
-	return s.mask8(rows, cut, dots)
-}
-
-// mask8 is the predicate half of Screen8 over dots the eight-pointer kernel
-// filled: the portable twin and oracle of the predicate dot8AVX2 fuses in.
-func (s *Screen) mask8(rows *[8]int, cut float64, dots *[8]int32) uint8 {
-	scales, qs, resid := s.qr.Scales, s.qs, s.resid
-	var mask uint8
-	for j, i := range rows {
-		if survives(qs, resid, scales[i], dots[j], cut) {
-			mask |= 1 << j
-		}
-	}
-	return mask
-}
-
-// Prefix screens the panel's first n rows: one panel-kernel pass fills dots,
-// then the survivors' row numbers are written to rows in order, their dots
-// compacted to the front of dots alongside. It returns the survivor count.
-// dots and rows must hold n elements.
-func (s *Screen) Prefix(n int, cut float64, dots, rows []int32) int {
-	dots = dots[:n]
-	dotPanel(s.codes, s.qr.Codes[:n*s.qr.r], dots)
-	return s.sift(cut, dots, rows)
-}
-
-// sift is the predicate half of Prefix, over dots the panel kernel filled:
-// siftAVX2 over the groups of eight where the kernels are assembly,
-// siftPrefix over the rest.
-func (s *Screen) sift(cut float64, dots, rows []int32) int {
-	n := len(dots)
-	scales, rows := s.qr.Scales[:n], rows[:n]
-	i, k := 0, 0
-	if Accelerated(s.qr.r) && n >= 8 {
-		i = n &^ 7
-		k = siftAVX2(&dots[0], &scales[0], i, s.qs, s.resid, cut, &rows[0])
-	}
-	return s.siftPrefix(i, k, cut, dots, rows)
-}
-
-// siftPrefix is sift's portable twin and oracle, from row i on with k
-// survivors already compacted.
-func (s *Screen) siftPrefix(i, k int, cut float64, dots, rows []int32) int {
-	scales, rows := s.qr.Scales[:len(dots)], rows[:len(dots)]
-	qs, resid := s.qs, s.resid
-	for ; i < len(dots); i++ {
-		if d := dots[i]; survives(qs, resid, scales[i], d, cut) {
-			rows[k], dots[k] = int32(i), d
-			k++
-		}
-	}
-	return k
+// Prefix screens the panel's first n rows in one panel-kernel pass and
+// writes the survivors' row numbers to rows in order. It returns the
+// survivor count. rows must hold n elements.
+func (s *Screen) Prefix(n int, cut float64, rows []int32) int {
+	return screenPanel(s.codes, s.qr.Codes[:n*s.qr.r], s.intCut(cut), rows[:n])
 }
 
 // List screens the rows listed in rows (any order, repeats allowed):
-// survivors are compacted to the front of rows in order, their dots written
-// to dots alongside. Blocks of eight go through Screen8, the ragged tail
-// through the one-row kernel. It returns the survivor count. dots must hold
-// len(rows) elements.
-func (s *Screen) List(rows []int32, cut float64, dots []int32) int {
-	qr := s.qr
+// survivors are compacted to the front of rows in order. Blocks of eight go
+// through the eight-row kernel, the ragged tail through the one-row kernel.
+// It returns the survivor count.
+func (s *Screen) List(rows []int32, cut float64) int {
+	d := s.intCut(cut)
 	k, i := 0, 0
 	var r8 [8]int
 	var d8 [8]int32
@@ -437,17 +433,14 @@ func (s *Screen) List(rows []int32, cut float64, dots []int32) int {
 		}
 		// The block is copied out and k never passes it, so the writes below
 		// reach no unread entry of rows.
-		for mask := s.screen8(&r8, cut, &d8); mask != 0; mask &= mask - 1 {
-			j := bits.TrailingZeros8(mask)
-			rows[k], dots[k] = int32(r8[j]), d8[j]
+		for mask := dot8(s.codes, s.qr.Codes, &r8, &d8, d); mask != 0; mask &= mask - 1 {
+			rows[k] = int32(r8[bits.TrailingZeros8(mask)])
 			k++
 		}
 	}
 	for ; i < len(rows); i++ {
-		row := rows[i]
-		d := DotQ8(s.codes, qr.Row(int(row)))
-		if s.keep(int(row), d, cut) {
-			rows[k], dots[k] = row, d
+		if row := rows[i]; DotQ8(s.codes, s.qr.Row(int(row))) >= d {
+			rows[k] = row
 			k++
 		}
 	}

@@ -38,9 +38,9 @@ func TestDotQ8MatchesNaive(t *testing.T) {
 }
 
 // TestBatchedKernelsMatchScalar: Screen8, Prefix and List exist only for
-// speed — every batched shape must hand back the dots and reach the
-// screen/survive decisions of the one-row path (List over a single row:
-// DotQ8 plus the predicate), across cutoffs that land inside and outside
+// speed — every batched shape must reach the screen/survive decisions of
+// the one-row path (List over a single row: DotQ8 against the cut), and
+// Screen8 hand back its dots, across cutoffs that land inside and outside
 // the bound range, and compact its survivors in order.
 func TestBatchedKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -64,21 +64,16 @@ func TestBatchedKernelsMatchScalar(t *testing.T) {
 			scr := qr.NewScreen(qq, 1.5)
 			for _, cut := range []float64{-10, -0.1, 0, 0.1, 1, 10, math.Inf(1)} {
 				// The one-row path decides each row on its own.
-				var wantRows, wantDots []int32
+				var wantRows []int32
 				for i := 0; i < n; i++ {
-					one, d := []int32{int32(i)}, []int32{0}
-					if scr.List(one, cut, d) == 1 {
-						wantRows, wantDots = append(wantRows, int32(i)), append(wantDots, d[0])
-						if want := quant.DotQ8(qq.Codes, qr.Row(i)); d[0] != want {
-							t.Fatalf("r=%d row %d: List dot %d, DotQ8 %d", r, i, d[0], want)
-						}
+					if one := []int32{int32(i)}; scr.List(one, cut) == 1 {
+						wantRows = append(wantRows, int32(i))
 					}
 				}
-				got, dots := make([]int32, n), make([]int32, n)
-				k := scr.Prefix(n, cut, dots, got)
-				if !slices.Equal(got[:k], wantRows) || !slices.Equal(dots[:k], wantDots) {
-					t.Fatalf("r=%d cut %v: Prefix kept %v dots %v, one-row path %v dots %v",
-						r, cut, got[:k], dots[:k], wantRows, wantDots)
+				got := make([]int32, n)
+				k := scr.Prefix(n, cut, got)
+				if !slices.Equal(got[:k], wantRows) {
+					t.Fatalf("r=%d cut %v: Prefix kept %v, one-row path %v", r, cut, got[:k], wantRows)
 				}
 				// List over a scattered order with a repeat: survivors stay in
 				// list order.
@@ -92,14 +87,9 @@ func TestBatchedKernelsMatchScalar(t *testing.T) {
 						wantList = append(wantList, int32(i))
 					}
 				}
-				k = scr.List(list, cut, dots)
+				k = scr.List(list, cut)
 				if !slices.Equal(list[:k], wantList) {
 					t.Fatalf("r=%d cut %v: List kept %v, one-row path %v", r, cut, list[:k], wantList)
-				}
-				for j, i := range list[:k] {
-					if want := quant.DotQ8(qq.Codes, qr.Row(int(i))); dots[j] != want {
-						t.Fatalf("r=%d cut %v: List dot %d of row %d, DotQ8 %d", r, cut, dots[j], i, want)
-					}
 				}
 				ids := [8]int{5, 2, 7, 0, 3, 6, 1, 4}
 				ones := [8]float64{1, 1, 1, 1, 1, 1, 1, 1}
@@ -194,17 +184,17 @@ func checkBracket(t *testing.T, q, rows []float64, r int) bool {
 func checkScreen(t *testing.T, qr *quant.Rows, qq quant.Query, q, rows []float64) bool {
 	t.Helper()
 	r, n := qr.R(), qr.N()
-	keep, dots, list := make([]int32, n), make([]int32, n), make([]int32, 1)
+	keep, list := make([]int32, n), make([]int32, 1)
 	ones := [8]float64{1, 1, 1, 1, 1, 1, 1, 1}
 	for _, emit := range []float64{1, 2.5, 1e-3} {
 		scr := qr.NewScreen(qq, emit)
 		for i := 0; i < n; i++ {
 			cut := vecmath.Dot(q, rows[i*r:(i+1)*r]) * emit
-			if k := scr.Prefix(n, cut, dots, keep); !slices.Contains(keep[:k], int32(i)) {
+			if k := scr.Prefix(n, cut, keep); !slices.Contains(keep[:k], int32(i)) {
 				t.Errorf("row %d (emit %v): Prefix discards it at its own value %v", i, emit, cut)
 				return false
 			}
-			if list[0] = int32(i); scr.List(list, cut, dots) != 1 {
+			if list[0] = int32(i); scr.List(list, cut) != 1 {
 				t.Errorf("row %d (emit %v): List discards it at its own value %v", i, emit, cut)
 				return false
 			}
@@ -309,7 +299,7 @@ func TestNonFiniteRowsNeverScreened(t *testing.T) {
 	}
 	qr := quant.QuantizeRows(rows, r)
 	for i := 1; i < 4; i++ {
-		if resid, _ := quant.RowBounds(rows[i*r : (i+1)*r]); !math.IsInf(resid, 1) {
+		if resid, _ := qr.RowBounds(rows[i*r : (i+1)*r]); !math.IsInf(resid, 1) {
 			t.Fatalf("non-finite row %d must carry an infinite residual, got %v", i, resid)
 		}
 	}
@@ -335,15 +325,15 @@ func TestNonFiniteRowsNeverScreened(t *testing.T) {
 	for _, emit := range []float64{1, 3, 0} {
 		scr := qr.NewScreen(qq, emit)
 		for _, cut := range []float64{-1, 0, 1e300, math.Inf(1)} {
-			keep, dots := make([]int32, 4), make([]int32, 4)
-			k := scr.Prefix(4, cut, dots, keep)
+			keep := make([]int32, 4)
+			k := scr.Prefix(4, cut, keep)
 			for i := int32(1); i < 4; i++ {
 				if !slices.Contains(keep[:k], i) {
 					t.Fatalf("emit %v cut %v: Prefix kept %v, dropping non-finite row %d", emit, cut, keep[:k], i)
 				}
 			}
 			list := []int32{3, 1, 2}
-			if k := scr.List(list, cut, dots); k != 3 {
+			if k := scr.List(list, cut); k != 3 {
 				t.Fatalf("emit %v cut %v: List kept %v of the non-finite rows", emit, cut, list[:k])
 			}
 			l8 := [8]float64{1, 1, 1, 1, 1, 1, 1, 1}
@@ -381,10 +371,8 @@ func TestQuantizeRowsDeterministic(t *testing.T) {
 	}
 	a := quant.QuantizeRows(rows, r)
 	b := quant.QuantizeRows(rows, r)
-	for i := range a.Scales {
-		if a.Scales[i] != b.Scales[i] {
-			t.Fatalf("row %d: quantization not deterministic", i)
-		}
+	if a.Scale != b.Scale {
+		t.Fatal("quantization step not deterministic")
 	}
 	for i := range a.Codes {
 		if a.Codes[i] != b.Codes[i] {
@@ -402,7 +390,7 @@ func TestRowsAccessors(t *testing.T) {
 	if len(qr.Row(1)) != 3 {
 		t.Fatalf("Row(1) len %d", len(qr.Row(1)))
 	}
-	wantBytes := 6 + 8*2 // r + 8 bytes per row
+	wantBytes := 6 + 8 // r bytes per row and one scale
 	if qr.Bytes() != wantBytes {
 		t.Fatalf("Bytes = %d, want %d", qr.Bytes(), wantBytes)
 	}
