@@ -1,8 +1,8 @@
 // Command lemp-serve runs a long-lived LEMP query server: it loads (or
-// synthesizes) a probe matrix, shards it across independent LEMP indexes,
-// and answers Row-Top-k and Above-θ queries over HTTP. Each request is one
-// retrieval call on its own goroutine: its query rows reach every shard as
-// one matrix, and no request waits for another.
+// synthesizes) a probe matrix, builds one LEMP index over it, and answers
+// Row-Top-k and Above-θ queries over HTTP. Each request is one retrieval
+// call on its own goroutine: its query rows reach the index as one matrix,
+// and no request waits for another.
 //
 // Admission control sheds load before it queues: when admitted requests not
 // yet answered hold ≥ -shed-queue-rows query rows, or more than
@@ -12,25 +12,18 @@
 //
 // Usage:
 //
-//	lemp-serve -p items.p -shards 4                       # serve a matrix file
+//	lemp-serve -p items.p                                 # serve a matrix file
 //	lemp-serve -profile Smoke -addr :9000
 //	lemp-serve -profile Smoke -save-snapshot idx          # build once, persist
 //	lemp-serve -snapshot idx                              # restart without tuning
 //
-// Snapshots: -save-snapshot writes one LEMPIDX1 file per shard (path for a
-// single shard, path.0 … path.N-1 otherwise) after pretuning each shard, so
-// a later -snapshot startup skips the tuning (and, with the lists saved, their
-// builds); it bucketizes the probes again and checks the stored buckets.
-// -snapshot restores that partition, whichever placement built it. Pass
-// -shards with a different count, or -rebalance-on-load, to re-place the
-// restored live probes instead: a fresh build under -placement, ids
-// preserved.
-//
-// Placement (-placement) decides which probes share a shard when shards are
-// built, and nothing else: "range" splits the catalog into contiguous
-// equal-count runs, "cluster" groups directionally similar probes via
-// spherical k-means. Every query reaches every shard, and every add goes to
-// the shard with the least estimated scan cost.
+// Snapshots: -save-snapshot pretunes the index and writes it to one LEMPIDX1
+// file, so a later -snapshot startup skips the tuning (and, with the lists
+// saved, their builds); it bucketizes the probes again and checks the stored
+// buckets. A set path.0 … path.N-1 that builds whose server split its
+// catalog into shards wrote, one file per shard, still restores: its files
+// are joined into one index, ids and the AutoID mark kept, which tunes again
+// as a fresh build does.
 //
 // Endpoints:
 //
@@ -55,21 +48,19 @@
 // finish.
 //
 // The probe set is live: /v1/update applies atomic batches of adds,
-// removes and replaces. Small changes land in per-shard delta buckets;
-// once a shard's accumulated drift exceeds -compact-frac of its live
-// probes, the shard re-bucketizes. Every batch advances the epoch; queries
+// removes and replaces. Small changes land in delta buckets; once the
+// accumulated drift exceeds -compact-frac of the live probes, the index
+// re-bucketizes. Every batch advances the epoch; queries
 // are epoch-consistent (a response never mixes pre- and post-update
 // vectors). A -save-snapshot taken after updates persists the
 // compacted live probe set with ids preserved.
 //
-// Retrieval uses all CPU cores by default: each shard runs with
-// Options.Parallelism = NumCPU/shards, so one request fanning out
-// across every shard saturates the machine without oversubscribing it
-// (override with -parallel; the paper's measurements are single-threaded,
-// but a server owns its machine).
+// The index uses all CPU cores by default: Options.Parallelism = NumCPU, for
+// the build and for each retrieval call (override with -parallel; the
+// paper's measurements are single-threaded, but a server owns its machine).
 //
 // Serving is context-aware end to end: when a client disconnects, its
-// request's shard scans abort mid-bucket; -request-timeout adds a
+// request's scan aborts mid-bucket; -request-timeout adds a
 // per-request deadline with the same behavior. Repeat queries with the
 // same k or θ reuse fitted per-bucket tuning parameters through a shared
 // tuning cache, so small-request serving stops re-paying §4.4 sample tuning
@@ -111,22 +102,19 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	pPath := flag.String("p", "", "probe matrix file (columns of P as vectors)")
 	profileName := flag.String("profile", "", "synthesize the probe side of a dataset profile instead of loading -p (e.g. Smoke, Netflix)")
-	snapshotPath := flag.String("snapshot", "", "restore shard indexes from LEMPIDX1 snapshots (path, or path.0..path.N-1 as written by -save-snapshot) instead of building them")
-	saveSnapshot := flag.String("save-snapshot", "", "after building, pretune and write one snapshot per shard (path for 1 shard, else path.0..path.N-1), then serve")
-	shards := flag.Int("shards", 4, "number of index shards")
-	placementName := flag.String("placement", "range", "how a shard build partitions the catalog: range (contiguous equal-count) or cluster (spherical k-means); with -snapshot it applies only when the restore re-places")
-	rebalanceOnLoad := flag.Bool("rebalance-on-load", false, "with -snapshot, re-place the restored probe set under -placement even when -shards matches the snapshot count")
+	snapshotPath := flag.String("snapshot", "", "restore the index from the LEMPIDX1 snapshot at this path (a path.0..path.N-1 set of shard snapshots from earlier builds is joined into one index) instead of building it")
+	saveSnapshot := flag.String("save-snapshot", "", "after building, pretune the index and write its snapshot to this path, then serve")
 	algName := flag.String("alg", "LI", "bucket algorithm: L LI LC I C (L never tunes; the others run the paper's sample tuner, §4.4, on each new problem)")
 	phi := flag.Int("phi", 0, "fixed focus-set size φ (0 = tuned per bucket)")
-	quantize := flag.Bool("quant", false, "build the int8 screening sidecars eagerly and screen every candidate set (results stay exact; ~1 byte per probe per dimension); snapshots record the option and re-quantize on restore. Without it the server screens by itself where the int8 kernels are assembly (/stats \"kernels\": \"avx2\"), building sidecars lazily for the buckets queries reach; the flag adds the eager build and, on the portable kernels, the screen itself, which loses there. With -snapshot, given explicitly it forces the option on or off regardless of what the snapshots recorded")
-	parallel := flag.Int("parallel", 0, "retrieval goroutines per shard (0 = NumCPU/shards, so one request uses all cores)")
+	quantize := flag.Bool("quant", false, "build the int8 screening sidecars eagerly and screen every candidate set (results stay exact; ~1 byte per probe per dimension); snapshots record the option and re-quantize on restore. Without it the server screens by itself where the int8 kernels are assembly (/stats \"kernels\": \"avx2\"), building sidecars lazily for the buckets queries reach; the flag adds the eager build and, on the portable kernels, the screen itself, which loses there. With -snapshot, given explicitly it forces the option on or off regardless of what the snapshot recorded")
+	parallel := flag.Int("parallel", 0, "goroutines of the index build and of each retrieval call (0 = NumCPU)")
 	shedQueueRows := flag.Int("shed-queue-rows", 16384, "reject retrieval requests with 429 while admitted requests not yet answered hold this many query rows (0 or negative disables)")
 	shedInflight := flag.Int("shed-inflight", 4096, "reject retrieval requests with 429 past this many in-flight requests (0 or negative disables)")
 	pretuneK := flag.Int("pretune-k", 10, "k used by -save-snapshot's pretuning pass")
 	snapshotLists := flag.Bool("snapshot-lists", true, "with -save-snapshot, also persist the per-bucket sorted-list indexes (larger files; a restored server's first request skips the list rebuild)")
-	compactFrac := flag.Float64("compact-frac", 0.25, "re-bucketize a shard when its delta mass (tombstones+overlay per live probe) exceeds this fraction (negative disables)")
+	compactFrac := flag.Float64("compact-frac", 0.25, "re-bucketize the index when its delta mass (tombstones+overlay per live probe) exceeds this fraction (negative disables)")
 	maxUpdateOps := flag.Int("max-update-ops", 4096, "maximum ops per /v1/update batch (negative disables the limit)")
-	requestTimeout := flag.Duration("request-timeout", 0, "per-request retrieval deadline; expired requests abort their shard scans mid-bucket and return 503 (0 disables)")
+	requestTimeout := flag.Duration("request-timeout", 0, "per-request retrieval deadline; expired requests abort their scan mid-bucket and return 503 (0 disables)")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error (the per-request access log is at debug)")
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	slowQuery := flag.Duration("slow-query", 500*time.Millisecond, "requests slower than this are logged with per-phase timings and always retained in /debug/traces (0 disables)")
@@ -151,9 +139,6 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	if _, err := server.ParsePlacement(*placementName); err != nil {
-		fail("%v", err)
-	}
 	if *shedQueueRows <= 0 {
 		// On the CLI, 0 naturally reads as "never shed"; the Config zero
 		// value means "default" per the library convention.
@@ -168,9 +153,6 @@ func main() {
 		*compactFrac = 1e-9
 	}
 	cfg := server.Config{
-		Shards:             *shards,
-		Placement:          *placementName,
-		RebalanceOnLoad:    *rebalanceOnLoad,
 		Options:            lemp.Options{Algorithm: alg, Phi: *phi, Parallelism: *parallel, Quantize: *quantize},
 		ShedQueueRows:      *shedQueueRows,
 		ShedInflight:       *shedInflight,
@@ -210,14 +192,8 @@ func main() {
 
 	var srv *server.Server
 	if *snapshotPath != "" {
-		// A restore keeps the snapshot's own shard count unless -shards was
-		// given explicitly: the default describes a fresh build, not an
-		// instruction to re-partition a stored one.
-		if !flagSet("shards") {
-			cfg.Shards = 0
-		}
-		// An explicit -quant overrides the snapshots' recorded Quantize
-		// option in either direction; by default they restore as written.
+		// An explicit -quant overrides the snapshot's recorded Quantize
+		// option in either direction; by default it restores as written.
 		if flagSet("quant") {
 			if *quantize {
 				cfg.Quant = lemp.QuantOn
@@ -252,14 +228,13 @@ func main() {
 		saveSnapshots(srv, *saveSnapshot, *pretuneK, *snapshotLists)
 	}
 
-	par := "auto (NumCPU/shards)"
+	par := "auto (NumCPU)"
 	if *parallel > 0 {
 		par = fmt.Sprint(*parallel)
 	}
 	logger.Info("serving",
 		"probes", srv.Sharded().N(),
 		"dim", srv.Sharded().R(),
-		"shards", srv.Sharded().NumShards(),
 		"addr", *addr,
 		"parallelism", par,
 	)
@@ -330,7 +305,7 @@ func bootHandler() http.Handler {
 
 // flagSet reports whether a flag was given explicitly (as opposed to
 // resting at its default), which decides whether a snapshot restore keeps
-// the snapshot's own shard count or re-partitions.
+// the snapshot's own Quantize option.
 func flagSet(name string) bool {
 	set := false
 	flag.Visit(func(f *flag.Flag) {
@@ -342,10 +317,10 @@ func flagSet(name string) bool {
 }
 
 // snapshotFiles resolves the file set behind -snapshot path: the file
-// itself, or the path.0..path.N-1 series written for a multi-shard server.
-// A bare file and a numbered series together are ambiguous (a stale
-// snapshot from a save with a different shard count) and fail loudly
-// rather than silently picking one.
+// itself, or the path.0..path.N-1 series builds whose server split its
+// catalog into shards wrote. A bare file and a numbered series together are
+// ambiguous (a stale set beside a newer save) and fail loudly rather than
+// silently picking one.
 func snapshotFiles(path string) []string {
 	_, bareErr := os.Stat(path)
 	var files []string
@@ -357,7 +332,7 @@ func snapshotFiles(path string) []string {
 		files = append(files, name)
 	}
 	if bareErr == nil && len(files) > 0 {
-		fail("both %s and %s.0 exist; remove the stale one (saves with different -shards leave both forms behind)", path, path)
+		fail("both %s and %s.0 exist; remove the stale one (a shard set from an earlier build beside a newer save)", path, path)
 	}
 	if bareErr == nil {
 		return []string{path}
@@ -368,10 +343,8 @@ func snapshotFiles(path string) []string {
 	return files
 }
 
-// loadSnapshots restores a server from snapshot files. A -shards
-// disagreeing with the snapshot count (or -rebalance-on-load) is handled
-// inside NewFromSnapshot, which re-places the restored probe set under
-// -placement — ids preserved, index build re-paid only then.
+// loadSnapshots restores a server from snapshot files: one, or a shard set
+// from earlier builds, which NewFromSnapshot joins into one index.
 func loadSnapshots(path string, cfg server.Config) *server.Server {
 	files := snapshotFiles(path)
 	start := time.Now()
@@ -392,71 +365,46 @@ func loadSnapshots(path string, cfg server.Config) *server.Server {
 	if err != nil {
 		fail("restoring snapshots: %v", err)
 	}
-	msg := "restored shards from snapshots (buckets checked, tuning skipped)"
-	if srv.Sharded().NumShards() != len(files) || cfg.RebalanceOnLoad {
-		msg = "restored and re-partitioned shards from snapshots"
+	msg := "restored the index from its snapshot (buckets checked, tuning skipped)"
+	if len(files) > 1 {
+		msg = "joined a shard snapshot set into one index (tuning not restored)"
 	}
 	logger.Info(msg,
 		"snapshots", len(files),
-		"shards", srv.Sharded().NumShards(),
 		"path", path,
 		"elapsed", time.Since(start).Round(time.Millisecond).String())
 	return srv
 }
 
-// saveSnapshots pretunes every shard on a sample of its own probes, then
-// writes one snapshot file per shard (atomically, via rename). Pretuning
-// freezes the fitted per-bucket parameters into the snapshots, so a later
-// -snapshot restart serves with zero tuning time; with lists enabled the
-// sorted-list indexes the pretuning pass built ride along, so the restart
-// also skips their first-use rebuild.
+// saveSnapshots pretunes the index on a sample of its own probes, then
+// writes its snapshot to path (atomically, via rename). Pretuning freezes
+// the fitted per-bucket parameters into the snapshot, so a later -snapshot
+// restart serves with zero tuning time; with lists enabled the sorted-list
+// indexes the pretuning pass built ride along, so the restart also skips
+// their first-use rebuild.
 func saveSnapshots(srv *server.Server, path string, k int, lists bool) {
 	start := time.Now()
-	ixs := srv.Sharded().Indexes()
-	for i, ix := range ixs {
-		live, _ := ix.LiveProbes()
-		if err := ix.PretuneTopK(pretuneSample(live), k); err != nil {
-			fail("pretuning shard %d: %v", i, err)
-		}
+	ix := srv.Sharded().Indexes()[0]
+	live, _ := ix.LiveProbes()
+	if err := ix.PretuneTopK(pretuneSample(live), k); err != nil {
+		fail("pretuning the index: %v", err)
 	}
-	err := srv.WriteSnapshotsWith(func(i, n int) (io.WriteCloser, error) {
-		name := path
-		if n > 1 {
-			name = fmt.Sprintf("%s.%d", path, i)
-		}
-		return newAtomicFile(name)
+	err := srv.WriteSnapshotsWith(func(int, int) (io.WriteCloser, error) {
+		return newAtomicFile(path)
 	}, lemp.SnapshotOptions{IncludeLists: lists})
 	if err != nil {
-		fail("saving snapshots: %v", err)
+		fail("saving the snapshot: %v", err)
 	}
-	removeStaleSnapshots(path, len(ixs))
-	logger.Info("pretuned and saved shard snapshots",
-		"shards", len(ixs), "path", path, "elapsed", time.Since(start).Round(time.Millisecond).String())
+	removeStaleSnapshots(path)
+	logger.Info("pretuned and saved the index snapshot",
+		"path", path, "elapsed", time.Since(start).Round(time.Millisecond).String())
 }
 
-// removeStaleSnapshots deletes leftover files of the same snapshot family
-// that a previous save with a different shard count left behind: without
-// this, a later -snapshot restart would glob them in and silently assemble
-// extra shards of duplicated probes (or prefer a stale single-file snapshot
-// over the fresh numbered set).
-func removeStaleSnapshots(path string, n int) {
-	stale := func(name string) {
-		if _, err := os.Stat(name); err != nil {
-			return
-		}
-		if err := os.Remove(name); err != nil {
-			fail("removing stale snapshot %s: %v", name, err)
-		}
-		logger.Info("removed stale snapshot (previous save used a different shard count)", "path", name)
-	}
-	if n > 1 {
-		stale(path) // a single-file snapshot would shadow the numbered set
-	}
-	start := n
-	if n == 1 {
-		start = 0 // the fresh snapshot is the bare path; every .i is stale
-	}
-	for i := start; ; i++ {
+// removeStaleSnapshots deletes the path.0..path.N-1 shard set an earlier
+// build may have left at the same path: beside the fresh file it would make
+// a later -snapshot restart ambiguous (snapshotFiles refuses both).
+func removeStaleSnapshots(path string) {
+	for i := 0; ; i++ {
 		name := fmt.Sprintf("%s.%d", path, i)
 		if _, err := os.Stat(name); err != nil {
 			break
@@ -464,7 +412,7 @@ func removeStaleSnapshots(path string, n int) {
 		if err := os.Remove(name); err != nil {
 			fail("removing stale snapshot %s: %v", name, err)
 		}
-		logger.Info("removed stale snapshot (previous save used a different shard count)", "path", name)
+		logger.Info("removed a stale shard snapshot of an earlier build", "path", name)
 	}
 }
 

@@ -121,7 +121,6 @@ func genCase(seed int64) diffCase {
 		CacheBytes:    []int{0, -1, 2048}[rng.Intn(3)],
 		SampleQueries: 4,
 		Parallelism:   1,
-		Seed:          seed,
 	}
 	return c
 }
@@ -204,7 +203,7 @@ func bulkEP(t *testing.T, ix *lemp.Index, panelRows, par int) entryPoint {
 	}}
 }
 
-// viewEP answers on a shard set's current view.
+// viewEP answers on a server's current view.
 func viewEP(name string, sh *server.Sharded) entryPoint {
 	return entryPoint{name + " view", func(q *lemp.Matrix, k int, theta float64) ([][]lemp.Entry, error) {
 		if k > 0 {
@@ -303,7 +302,7 @@ type nopCloser struct{ *bytes.Buffer }
 
 func (nopCloser) Close() error { return nil }
 
-// restoredServer starts a server from srv's shard snapshots under cfg.
+// restoredServer starts a server from srv's snapshot under cfg.
 func restoredServer(t *testing.T, srv *server.Server, cfg server.Config) *server.Sharded {
 	t.Helper()
 	var readers []io.Reader
@@ -322,6 +321,42 @@ func restoredServer(t *testing.T, srv *server.Server, cfg server.Config) *server
 	return restored.Sharded()
 }
 
+// legacySetServer restores the case's catalog from a two-file snapshot set
+// as builds whose server split its catalog into two shards wrote it — the
+// even columns in one file, the odd ones in the other, each its own index —
+// which the server joins into one index.
+func legacySetServer(t *testing.T, c diffCase) *server.Sharded {
+	t.Helper()
+	var readers []io.Reader
+	for half := range 2 {
+		var cols []int
+		for col := half; col < c.p.N(); col += 2 {
+			cols = append(cols, col)
+		}
+		p, ids := lemp.NewMatrix(c.p.R(), len(cols)), make([]int32, len(cols))
+		for j, col := range cols {
+			copy(p.Vec(j), c.p.Vec(col))
+			if ids[j] = int32(col); c.ids != nil {
+				ids[j] = c.ids[col]
+			}
+		}
+		ix, err := lemp.NewWithIDs(p, ids, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := new(bytes.Buffer)
+		if err := ix.WriteSnapshotWith(buf, lemp.SnapshotOptions{IncludeLists: true}); err != nil {
+			t.Fatal(err)
+		}
+		readers = append(readers, buf)
+	}
+	srv, err := server.NewFromSnapshot(readers, server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv.Sharded()
+}
+
 // caseEntryPoints returns Retrieve under every algorithm and three of the
 // other entry points, rotated by the case number n so that each one meets
 // every kind of catalog in turn.
@@ -337,8 +372,8 @@ func caseEntryPoints(t *testing.T, c diffCase, n int) []entryPoint {
 	for _, a := range allAlgorithms {
 		eps = append(eps, retrieveEP("Retrieve "+a.String(), ix, false, lemp.WithAlgorithm(a)))
 	}
-	srv := func(shards int, placement string) *server.Server {
-		s, err := server.NewWithIDs(c.p, c.ids, server.Config{Shards: shards, Placement: placement, Options: c.opts})
+	srv := func() *server.Server {
+		s, err := server.NewWithIDs(c.p, c.ids, server.Config{Options: c.opts})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,19 +410,11 @@ func caseEntryPoints(t *testing.T, c diffCase, n int) []entryPoint {
 	}
 	if c.p.N() > 0 { // a server refuses an empty catalog
 		others = append(others,
-			func() entryPoint { return viewEP("range 1", srv(1, "range").Sharded()) },
-			func() entryPoint { return viewEP("range 2", srv(2, "range").Sharded()) },
-			func() entryPoint { return viewEP("cluster 3", srv(3, "cluster").Sharded()) },
-			func() entryPoint { return batcherEP("range 3", srv(3, "range").Sharded()) },
-			func() entryPoint { return batcherEP("cluster 2", srv(2, "cluster").Sharded()) },
-			func() entryPoint { return httpEP("range 2", srv(2, "range")) },
-			func() entryPoint { return httpEP("cluster 1", srv(1, "cluster")) },
-			func() entryPoint {
-				return viewEP("2 shards restored", restoredServer(t, srv(2, "cluster"), server.Config{}))
-			},
-			func() entryPoint {
-				return viewEP("2 shards restored into 3", restoredServer(t, srv(2, "range"), server.Config{Shards: 3, Placement: "cluster"}))
-			})
+			func() entryPoint { return viewEP("server", srv().Sharded()) },
+			func() entryPoint { return batcherEP("server", srv().Sharded()) },
+			func() entryPoint { return httpEP("server", srv()) },
+			func() entryPoint { return viewEP("server restored", restoredServer(t, srv(), server.Config{})) },
+			func() entryPoint { return viewEP("two-file set joined", legacySetServer(t, c)) })
 	}
 	for j := 0; j < 3; j++ {
 		eps = append(eps, others[(3*n+j)%len(others)]())
@@ -523,9 +550,9 @@ func TestDifferentialFixtures(t *testing.T) {
 
 // TestTieContract pins which of four equal vectors under ids [7, 2, 5, 1]
 // answers TopK(1): the smallest id, 1, naive's answer, from one index (its
-// heap keeps the smaller id among equal values) and from a 2-shard range
-// server (shard {5, 1} answers 1, shard {7, 2} answers 2, and MergeTopK
-// keeps the lower id).
+// heap keeps the smaller id among equal values), from a server, and from
+// MergeTopK over two indexes of two vectors each (index {5, 1} answers 1,
+// index {7, 2} answers 2, and the merge keeps the lower id).
 func TestTieContract(t *testing.T) {
 	p, _ := lemp.MatrixFromVectors([][]float64{{1, 2}, {1, 2}, {1, 2}, {1, 2}})
 	q, _ := lemp.MatrixFromVectors([][]float64{{3, 1}})
@@ -537,12 +564,27 @@ func TestTieContract(t *testing.T) {
 	if res, err := ix.Retrieve(context.Background(), q, lemp.TopK(1)); err != nil || res.TopK[0][0].Probe != 1 {
 		t.Fatalf("one index: %v, %v; want probe 1", res, err)
 	}
-	srv, err := server.NewWithIDs(p, ids, server.Config{Shards: 2, Placement: "range"})
+	srv, err := server.NewWithIDs(p, ids, server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rows, _, err := srv.Sharded().CurrentView().TopKCtx(context.Background(), q, 1); err != nil || rows[0][0].Probe != 1 {
-		t.Fatalf("2-shard range server: %v, %v; want probe 1", rows, err)
+		t.Fatalf("server: %v, %v; want probe 1", rows, err)
+	}
+	var parts []lemp.TopKRows
+	for _, half := range [][2]int{{0, 2}, {2, 4}} {
+		hix, err := lemp.NewWithIDs(p.Slice(half[0], half[1]), ids[half[0]:half[1]], lemp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := hix.Retrieve(context.Background(), q, lemp.TopK(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, res.TopK)
+	}
+	if rows := lemp.MergeTopK(1, parts...); rows[0][0].Probe != 1 {
+		t.Fatalf("MergeTopK of the halves: %v; want probe 1", rows)
 	}
 }
 
@@ -713,18 +755,14 @@ func sequence(t *testing.T, seq string, rng *rand.Rand, ix *lemp.Index, sh *serv
 			t.Fatalf("%s: live ids %v, catalog %v", tag, ix.LiveIDs(), ids)
 		}
 		if sh != nil {
-			var shIDs []int32
-			for _, six := range sh.Indexes() {
-				shIDs = append(shIDs, six.LiveIDs()...)
-			}
-			if slices.Sort(shIDs); !slices.Equal(shIDs, ids) || sh.Epoch() != ix.Epoch() {
+			if shIDs := sh.Indexes()[0].LiveIDs(); !slices.Equal(shIDs, ids) || sh.Epoch() != ix.Epoch() {
 				t.Fatalf("%s: server live ids %v epoch %d, index %v %d", tag, shIDs, sh.Epoch(), ids, ix.Epoch())
 			}
 		}
 		if checkAt(step) {
 			eps := []entryPoint{retrieveEP("mutated index", ix, false)}
 			if sh != nil {
-				eps = append(eps, viewEP("2-shard cluster", sh))
+				eps = append(eps, viewEP("server", sh))
 			}
 			checkOne(tag, live, 1+rng.Intn(3), eps...)
 		}
@@ -739,7 +777,7 @@ func sequence(t *testing.T, seq string, rng *rand.Rand, ix *lemp.Index, sh *serv
 // TestDifferentialMutations runs short mutation sequences from catalogs of
 // up to 90 probes, a third of them under shuffled, sparse ids whose removed
 // members are revived, each through an index and, unless the catalog starts
-// empty, a 2-shard cluster-placed server: 1 100 sequences with a server (200
+// empty, a server: 1 100 sequences with a server (200
 // under -short), and those that start empty besides.
 func TestDifferentialMutations(t *testing.T) {
 	sequences := 1100
@@ -758,7 +796,6 @@ func TestDifferentialMutations(t *testing.T) {
 			TuneByCost:    rng.Intn(2) == 0,
 			Quantize:      rng.Intn(2) == 0,
 			SampleQueries: 4,
-			Seed:          int64(seq + 1),
 		}
 		var ids []int32
 		if seq%3 == 2 {
@@ -780,11 +817,13 @@ func TestDifferentialMutations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sh *server.Sharded // a shard set refuses an empty catalog
+		var sh *server.Sharded // a server refuses an empty catalog
 		if n0 > 0 {
-			if sh, err = server.NewShardedPlaced(p, ids, 2, opts, server.PlaceCluster); err != nil {
+			srv, err := server.NewWithIDs(p, ids, server.Config{Options: opts})
+			if err != nil {
 				t.Fatal(err)
 			}
+			sh = srv.Sharded()
 			servers++
 		}
 		c, rf := sequence(t, fmt.Sprintf("seq %d", seq), rng, ix, sh, live, 1+rng.Intn(5), false,

@@ -13,18 +13,21 @@ import (
 // its signature agrees with the query's in at least MinMatches(θ_b) bits,
 // the smallest count at which the posterior P(cos ≥ θ_b | matches) reaches
 // ε. One 32-bit signature and ε = 0.03, the paper's settings, hyperplanes
-// drawn from the index's Options.Seed. The one approximate variant: each
-// true result escapes with probability ≤ ε.
+// drawn from a fixed seed, blshSeed. The one approximate variant: each true
+// result escapes with probability ≤ ε.
 type blshGen struct {
 	hasher *lsh.Hasher
 	table  *lsh.Table
 	sigs   perBucket[[]uint64]
 }
 
-const blshBits = 32
+const (
+	blshBits = 32
+	blshSeed = 1 // seeds the hyperplanes, so runs of one build agree
+)
 
 func newBLSHGen(ix *core.Index) *blshGen {
-	rng := rand.New(rand.NewSource(ix.Options().Seed))
+	rng := rand.New(rand.NewSource(blshSeed))
 	return &blshGen{hasher: lsh.NewHasher(ix.R(), blshBits, rng), table: lsh.NewTable(blshBits, 0.03)}
 }
 

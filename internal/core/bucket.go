@@ -135,9 +135,10 @@ func bucketSpans(sortedLens []float64, shrink float64, minSize, maxSize int) [][
 // bucketSpans), and says by column where each probe landed. lens holds
 // every column's length, as vecmath.Norm computes it, all finite. ids names
 // column col ids[col] in the bucket id arrays; nil uses the column numbers
-// themselves. Each member's length and row are then copied in catalog order,
-// so the one large read streams.
-func bucketize(n, r int, vec func(col int) []float64, lens []float64, ids []int32, shrink float64, minSize, maxSize int) ([]*bucket, []probeLoc) {
+// themselves. The buckets are then laid out, each on its own, and each
+// member's length and row copied in catalog order, so the one large read
+// streams, both steps spread over up to workers goroutines.
+func bucketize(n, r int, vec func(col int) []float64, lens []float64, ids []int32, shrink float64, minSize, maxSize, workers int) ([]*bucket, []probeLoc) {
 	if n == 0 {
 		return nil, nil
 	}
@@ -147,27 +148,41 @@ func bucketize(n, r int, vec func(col int) []float64, lens []float64, ids []int3
 		sorted[i] = lens[col]
 	}
 
-	var buckets []*bucket
-	loc := make([]probeLoc, n)
-	for _, sp := range bucketSpans(sorted, shrink, minSize, maxSize) {
-		cols := order[sp[0]:sp[1]]
+	// What both steps read and fill.
+	type layout struct {
+		r            int
+		order, ids   []int32
+		sorted, lens []float64
+		spans        [][2]int
+		buckets      []*bucket
+		loc          []probeLoc
+		vec          func(col int) []float64
+	}
+	spans := bucketSpans(sorted, shrink, minSize, maxSize)
+	l := layout{r: r, order: order, ids: ids, sorted: sorted, lens: lens, spans: spans,
+		buckets: make([]*bucket, len(spans)), loc: make([]probeLoc, n), vec: vec}
+	spreadItems(len(spans), spreadWorkers(n, workers), l, func(l layout, bi int) {
+		cols := l.order[l.spans[bi][0]:l.spans[bi][1]]
 		bids := make([]int32, len(cols))
 		for lid, col := range cols {
-			loc[col] = probeLoc{int32(len(buckets)), int32(lid)}
+			l.loc[col] = probeLoc{int32(bi), int32(lid)}
 			bids[lid] = col
-			if ids != nil {
-				bids[lid] = ids[col]
+			if l.ids != nil {
+				bids[lid] = l.ids[col]
 			}
 		}
-		buckets = append(buckets, &bucket{r: r, ids: bids, lb: sorted[sp[0]],
-			lens: make([]float64, len(cols)), rows: make([]float64, len(cols)*r)})
-	}
-	for col, at := range loc {
-		b := buckets[at.bucket]
-		b.lens[at.lid] = lens[col]
-		copy(b.row(int(at.lid)), vec(col))
-	}
-	return buckets, loc
+		l.buckets[bi] = &bucket{r: l.r, ids: bids, lb: l.sorted[l.spans[bi][0]],
+			lens: make([]float64, len(cols)), rows: make([]float64, len(cols)*l.r)}
+	})
+	spreadCols(n, workers, l, func(l layout, lo, hi int) {
+		for col := lo; col < hi; col++ {
+			at := l.loc[col]
+			b := l.buckets[at.bucket]
+			b.lens[at.lid] = l.lens[col]
+			copy(b.row(int(at.lid)), l.vec(col))
+		}
+	})
+	return l.buckets, l.loc
 }
 
 // byDecreasingLength returns the columns ordered by decreasing length, ties

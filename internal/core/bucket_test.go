@@ -157,7 +157,7 @@ func TestCacheBudgetControlsBucketCount(t *testing.T) {
 
 // bucketizeMatrix is bucketize over the columns of p.
 func bucketizeMatrix(p *matrix.Matrix, ids []int32, shrink float64, minSize, maxSize int) ([]*bucket, []probeLoc) {
-	return bucketize(p.N(), p.R(), p.Vec, p.Lengths(), ids, shrink, minSize, maxSize)
+	return bucketize(p.N(), p.R(), p.Vec, p.Lengths(), ids, shrink, minSize, maxSize, 1)
 }
 
 // oracleBucketize is bucketize as it stood before the radix sort and the
@@ -196,7 +196,8 @@ func oracleBucketize(p *matrix.Matrix, extIDs []int32, shrink float64, minSize, 
 	return buckets, loc
 }
 
-// TestBucketizeMatchesOracle: the radix-sorted, catalog-order bucketize
+// TestBucketizeMatchesOracle: the radix-sorted, catalog-order bucketize,
+// its row copy spread over three goroutines where a catalog is wide enough,
 // produces the oracle's buckets bit for bit — ids, lengths, rows copied from
 // the catalog, l_b and the column → entry map — and every unit coordinate
 // derived from a row (bucket.unit) has vecmath.Normalize's bits (the
@@ -226,6 +227,7 @@ func TestBucketizeMatchesOracle(t *testing.T) {
 	cases := map[string]*matrix.Matrix{
 		"single":  catalog(1, gauss(1)),
 		"gauss":   catalog(700, gauss(1)),
+		"wide":    catalog(3*spreadMinCols+17, gauss(1)), // the row copy spreads over three goroutines
 		"binades": catalog(500, func(_ int, v []float64) { gauss(math.Exp(12*rng.NormFloat64()))(0, v) }),
 		"tied": catalog(400, func(i int, v []float64) { // eight distinct vectors up to sign and order
 			clear(v)
@@ -265,7 +267,7 @@ func TestBucketizeMatchesOracle(t *testing.T) {
 					ids[col] = int32(3*k + 1)
 				}
 			}
-			got, gotLoc := bucketizeMatrix(p, ids, shape.shrink, shape.minSize, shape.maxSize)
+			got, gotLoc := bucketize(p.N(), p.R(), p.Vec, p.Lengths(), ids, shape.shrink, shape.minSize, shape.maxSize, 3)
 			want, wantLoc := oracleBucketize(p, ids, shape.shrink, shape.minSize, shape.maxSize)
 			if !slices.Equal(gotLoc, wantLoc) || len(got) != len(want) {
 				t.Fatalf("%s %+v: %d buckets, oracle %d, or the column map differs", name, shape, len(got), len(want))

@@ -134,8 +134,19 @@ func checkFinite(v []float64, length float64) error {
 // finiteLengths returns every column's length (m.Lengths()) once each
 // column has passed checkFinite, or an error naming the first that fails it
 // as the kind ("probe", "query") numbered ids[col], or col when ids is nil.
-func finiteLengths(m *matrix.Matrix, kind string, ids []int32) ([]float64, error) {
-	lens := m.Lengths()
+// The lengths are computed over up to workers goroutines, then checked in
+// column order (a finite length needs no look at its coordinates).
+func finiteLengths(m *matrix.Matrix, kind string, ids []int32, workers int) ([]float64, error) {
+	type cols struct {
+		m    *matrix.Matrix
+		lens []float64
+	}
+	lens := make([]float64, m.N())
+	spreadCols(m.N(), workers, cols{m, lens}, func(c cols, lo, hi int) {
+		for col := lo; col < hi; col++ {
+			c.lens[col] = vecmath.Norm(c.m.Vec(col))
+		}
+	})
 	for col, l := range lens {
 		if err := checkFinite(m.Vec(col), l); err != nil {
 			id := int32(col)
@@ -250,7 +261,7 @@ type liveVec struct {
 // their sidecars.
 func (ix *Index) newSegment(n int, vec func(col int) []float64, ids []int32, lens []float64) segRef {
 	s := &segment{ids: ids, byID: columnsByID(ids)}
-	s.buckets, s.loc = bucketize(n, ix.r, vec, lens, ids, ix.opts.ShrinkFactor, ix.opts.MinBucketSize, ix.bucketCap())
+	s.buckets, s.loc = bucketize(n, ix.r, vec, lens, ids, ix.opts.ShrinkFactor, ix.opts.MinBucketSize, ix.bucketCap(), ix.opts.Parallelism)
 	ix.attachSidecars(s.buckets)
 	return segRef{s, len(ids)}
 }
@@ -309,6 +320,22 @@ func (ix *Index) DeltaMass() float64 {
 		return 0
 	}
 	return float64(mass) / float64(max(ix.LiveN(), 1))
+}
+
+// LiveProbes materializes the live probe set — every segment's
+// untombstoned vectors — as a fresh matrix with its ids in ascending order.
+func (ix *Index) LiveProbes() (*matrix.Matrix, []int32) {
+	live := make([]liveVec, 0, ix.LiveN())
+	for _, s := range ix.segs {
+		ix.eachLive(s, ix.dead, func(col int) { live = append(live, liveVec{s.ids[col], s.vec(col)}) })
+	}
+	sort.Slice(live, func(a, b int) bool { return live[a].id < live[b].id })
+	m, ids := matrix.New(ix.r, len(live)), make([]int32, len(live))
+	for i, e := range live {
+		ids[i] = e.id
+		copy(m.Vec(i), e.vec)
+	}
+	return m, ids
 }
 
 // LiveIDs returns the external ids of all live probes in ascending order.
@@ -542,10 +569,17 @@ func (ix *Index) merge(segs []segRef, from int, dead []tombs, batch []liveVec) {
 	segs = segs[:from:from]
 	var fresh []*bucket
 	if len(live) > 0 || from == 0 {
-		ids, lens := make([]int32, len(live)), make([]float64, len(live))
-		for i, e := range live {
-			ids[i], lens[i] = e.id, vecmath.Norm(e.vec)
+		type cols struct {
+			live []liveVec
+			ids  []int32
+			lens []float64
 		}
+		ids, lens := make([]int32, len(live)), make([]float64, len(live))
+		spreadCols(len(live), ix.opts.Parallelism, cols{live, ids, lens}, func(c cols, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				c.ids[i], c.lens[i] = c.live[i].id, vecmath.Norm(c.live[i].vec)
+			}
+		})
 		s := ix.newSegment(len(live), func(col int) []float64 { return live[col].vec }, ids, lens)
 		for _, b := range s.buckets {
 			b.delta = from > 0

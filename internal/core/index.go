@@ -95,8 +95,8 @@ func NewIndex(p *matrix.Matrix, opts Options) (*Index, error) {
 // NewIndexWithIDs is NewIndex with caller-chosen external probe ids:
 // ids[col] names probe column col in every result and mutation. ids must be
 // unique and non-negative; nil assigns 0..n-1. Every probe must have finite
-// coordinates and a finite length (checkFinite). Shards of a partitioned
-// probe set use this to index directly in the global id space.
+// coordinates and a finite length (checkFinite). A catalog rebuilt after
+// mutations uses this to keep its ids.
 func NewIndexWithIDs(p *matrix.Matrix, ids []int32, opts Options) (*Index, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
@@ -120,7 +120,7 @@ func NewIndexWithIDs(p *matrix.Matrix, ids []int32, opts Options) (*Index, error
 		}
 	}
 	start := time.Now()
-	lens, err := finiteLengths(p, "probe", ids)
+	lens, err := finiteLengths(p, "probe", ids, opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -278,16 +278,19 @@ func (ix *Index) gather(c *call, bi int, qi int32, qdir []float64, qlen, theta, 
 
 // attachSidecars quantizes the rows of freshly built or restored buckets
 // into their int8 screening sidecars, eagerly, under
-// Options.Quantize; every other index leaves them to the first screened pair
-// (sidecarFor). Dimensions outside [1, quant.MaxDim] leave every sidecar nil,
-// silently disabling screening.
+// Options.Quantize, the buckets spread over Options.Parallelism goroutines;
+// every other index leaves them to the first screened pair (sidecarFor).
+// Dimensions outside [1, quant.MaxDim] leave every sidecar nil, silently
+// disabling screening.
 func (ix *Index) attachSidecars(buckets []*bucket) {
 	if !ix.opts.Quantize || ix.r < 1 || ix.r > quant.MaxDim {
 		return
 	}
+	n := 0
 	for _, b := range buckets {
-		b.ensureSidecar()
+		n += b.size()
 	}
+	spreadItems(len(buckets), spreadWorkers(n, ix.opts.Parallelism), buckets, func(bs []*bucket, i int) { bs[i].ensureSidecar() })
 }
 
 // SidecarBytes returns the memory held by the int8 screening sidecars across

@@ -107,9 +107,6 @@ type Options struct {
 	// Parallelism fans the retrieval phase out over this many goroutines
 	// (default 1, matching the paper's single-threaded measurements).
 	Parallelism int
-	// Seed seeds the serving layer's cluster placement (default 1); the
-	// index itself draws nothing at random.
-	Seed int64
 	// Quantize makes the int8 screen (internal/quant: a cheap approximate dot
 	// of the quantized query and probe rows plus a conservative error bound
 	// on fl(qᵀp) that discards verification candidates before the exact f64
@@ -162,9 +159,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = 1
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }

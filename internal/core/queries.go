@@ -26,7 +26,7 @@ type querySet struct {
 // direction, and its products are not values a bound can prune or a heap can
 // rank, so the whole matrix is refused with an error naming the row.
 func prepareQueries(q *matrix.Matrix) (*querySet, error) {
-	lens, err := finiteLengths(q, "query", nil)
+	lens, err := finiteLengths(q, "query", nil, 1)
 	if err != nil {
 		return nil, err
 	}

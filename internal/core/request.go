@@ -73,7 +73,7 @@ type call struct {
 
 // newCall binds a context and effective options into a call. A trace
 // carried by the context (obs.ContextWithSpan — the server attaches one
-// per shard fan-out) makes the call record tune/scan phase spans; the
+// per request) makes the call record tune/scan phase spans; the
 // hooks sit at the same boundaries as the cancellation checkpoints and
 // are free for untraced calls.
 func newCall(ctx context.Context, opts Options, cache *TuningCache) *call {

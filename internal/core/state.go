@@ -118,6 +118,31 @@ func (ix *Index) State() *State {
 	return st
 }
 
+// adoptBucket checks a stored bucket against the one the restore derived —
+// the same members in the same order, a valid fit entry, and sorted lists,
+// if stored, that are b's own (checkLists) — and installs its lists on b. Its
+// error reads after "bucket i".
+func adoptBucket(b *bucket, bs BucketState) error {
+	if !slices.Equal(bs.IDs, b.ids) {
+		return fmt.Errorf("does not match the bucketization of the state's probes")
+	}
+	if bs.Tuned && (math.IsNaN(bs.TB) || bs.Phi < 1) {
+		return fmt.Errorf("tuned parameters invalid (tb=%v, phi=%d)", bs.TB, bs.Phi)
+	}
+	if bs.ListVals == nil && bs.ListLids == nil {
+		return nil
+	}
+	size, r := b.size(), b.r
+	if len(bs.ListVals) != size*r || len(bs.ListLids) != size*r {
+		return fmt.Errorf("sorted-list shape mismatch: %d vals, %d lids, want %d each", len(bs.ListVals), len(bs.ListLids), size*r)
+	}
+	if err := checkLists(bs.ListVals, bs.ListLids, b, make([]bool, size)); err != nil {
+		return fmt.Errorf("sorted lists: %w", err)
+	}
+	b.lists.Store(&sortedLists{n: size, vals: bs.ListVals, lids: bs.ListLids})
+	return nil
+}
+
 // Pretuned reports whether per-call tuning is frozen: the index reuses its
 // stored per-bucket parameters instead of re-tuning on every retrieval.
 func (ix *Index) Pretuned() bool { return ix.pretuned }
@@ -163,29 +188,24 @@ func FromState(st *State) (*Index, error) {
 	if len(st.Buckets) != len(buckets) {
 		return nil, fmt.Errorf("core: state has %d buckets, its probes bucketize into %d", len(st.Buckets), len(buckets))
 	}
-	frozen := make([]tunedParam, len(buckets))
-	var listSeen []bool // per-list permutation check scratch, sized on demand
-	for i, b := range buckets {
-		bs, size := st.Buckets[i], b.size()
-		if !slices.Equal(bs.IDs, b.ids) {
-			return nil, fmt.Errorf("core: bucket %d does not match the bucketization of the state's probes", i)
-		}
-		if bs.Tuned && (math.IsNaN(bs.TB) || bs.Phi < 1) {
-			return nil, fmt.Errorf("core: bucket %d tuned parameters invalid (tb=%v, phi=%d)", i, bs.TB, bs.Phi)
-		}
-		frozen[i] = tunedParam{tuned: bs.Tuned, tb: bs.TB, phi: bs.Phi}
-		if bs.ListVals != nil || bs.ListLids != nil {
-			if len(bs.ListVals) != size*r || len(bs.ListLids) != size*r {
-				return nil, fmt.Errorf("core: bucket %d sorted-list shape mismatch: %d vals, %d lids, want %d each",
-					i, len(bs.ListVals), len(bs.ListLids), size*r)
-			}
-			if len(listSeen) < size {
-				listSeen = make([]bool, size)
-			}
-			if err := checkLists(bs.ListVals, bs.ListLids, b, listSeen); err != nil {
-				return nil, fmt.Errorf("core: bucket %d sorted lists: %w", i, err)
-			}
-			b.lists.Store(&sortedLists{n: size, vals: bs.ListVals, lids: bs.ListLids})
+	// Each bucket is checked on its own, spread over Options.Parallelism
+	// goroutines; the lowest failing bucket names the refusal.
+	type check struct {
+		buckets []*bucket
+		stored  []BucketState
+		frozen  []tunedParam
+		errs    []error
+	}
+	c := check{buckets, st.Buckets, make([]tunedParam, len(buckets)), make([]error, len(buckets))}
+	spreadItems(len(buckets), spreadWorkers(st.Probe.N(), ix.opts.Parallelism), c, func(c check, i int) {
+		bs := c.stored[i]
+		c.frozen[i] = tunedParam{tuned: bs.Tuned, tb: bs.TB, phi: bs.Phi}
+		c.errs[i] = adoptBucket(c.buckets[i], bs)
+	})
+	frozen, errs := c.frozen, c.errs
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("core: bucket %d %w", i, err)
 		}
 	}
 	if st.Pretuned {

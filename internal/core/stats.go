@@ -7,7 +7,7 @@ import "time"
 // Index state — bucket counts, lazily built lists, the one-time
 // preprocessing time — is not a call's work and is read from the Index
 // (NumBuckets, Buckets, PrepTime). Every field sums under Add, so a
-// cumulative or cross-shard total is the plain sum of its calls. The JSON
+// cumulative total is the plain sum of its calls. The JSON
 // names are those of a server's /stats "core" block.
 type Stats struct {
 	Queries int `json:"queries"` // number of query vectors processed
@@ -57,8 +57,8 @@ type Stats struct {
 	TuneCacheHits int `json:"tune_cache_hits"`
 
 	// Phase times of the call, in integer nanoseconds in JSON. Summed over
-	// calls or shards they are worker time, not wall clock: four shards
-	// scanning concurrently for 1ms add 4ms of RetrievalTime.
+	// calls they are worker time, not wall clock: four calls scanning
+	// concurrently for 1ms add 4ms of RetrievalTime.
 	TuneTime      time.Duration `json:"tune_ns"`      // sample-based algorithm selection (§4.4)
 	RetrievalTime time.Duration `json:"retrieval_ns"` // the retrieval phase itself
 }

@@ -14,7 +14,7 @@ import "sync"
 
 // TuningCache caches fitted per-bucket tuning parameters across retrieval
 // calls. It is safe for concurrent use by multiple goroutines and may be
-// shared across indexes (e.g. the shards of a partitioned probe set): keys
+// shared across indexes: keys
 // embed a unique per-index instance id, so entries never cross indexes.
 //
 // Entries are invalidated implicitly: any probe mutation advances the index

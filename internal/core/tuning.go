@@ -324,7 +324,7 @@ func (ix *Index) observe(c *call, p tunePair, qs *querySet, phis []int, costPhi 
 
 // verifySink absorbs verification results during tuning so the compiler
 // cannot elide the measured inner products. It is atomic because distinct
-// indexes (e.g. server shards) may tune concurrently.
+// indexes, and calls on one index, may tune concurrently.
 var verifySink atomic.Uint64
 
 // tunePhis returns the φ values the tuner tries under options o: all of

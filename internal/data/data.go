@@ -63,7 +63,7 @@ var (
 
 	// Smoke is not a paper dataset: it is a fixture sized for server smoke
 	// tests and CI — indexes in milliseconds yet skewed enough to exercise
-	// bucket pruning and keep several shards non-trivial.
+	// bucket pruning.
 	Smoke = Profile{Name: "Smoke", R: 16, M: 256, N: 800, CoVQ: 0.8, CoVP: 1.2, Sparsity: 1, NonNeg: false, Seed: 105}
 )
 

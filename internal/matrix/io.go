@@ -105,12 +105,25 @@ func ReadFloat64s(r io.Reader, count int) ([]float64, error) {
 			return nil, err
 		}
 		base := len(out)
-		out = slices.Grow(out, c)[:base+c]
+		out = growDoubling(out, c, count)[:base+c]
 		for i := 0; i < c; i++ {
 			out[base+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
 		}
 	}
 	return out, nil
+}
+
+// growDoubling makes room for c more elements in s, which will hold count
+// in the end: at least doubling its capacity when it grows, but never past
+// count. append's growth for large slices is a quarter, so a read of a few
+// hundred MiB would copy what it has read about four times over; doubling
+// copies it at most once, and what a lying count can make it allocate stays
+// within twice the values actually read.
+func growDoubling[T any](s []T, c, count int) []T {
+	if cap(s)-len(s) >= c {
+		return s
+	}
+	return slices.Grow(s, min(max(c, len(s)), count-len(s)))
 }
 
 // WriteInt32s writes vals as little-endian int32 bit patterns in bulk
@@ -157,7 +170,7 @@ func ReadInt32s(r io.Reader, count int) ([]int32, error) {
 			return nil, err
 		}
 		base := len(out)
-		out = slices.Grow(out, c)[:base+c]
+		out = growDoubling(out, c, count)[:base+c]
 		for i := 0; i < c; i++ {
 			out[base+i] = int32(binary.LittleEndian.Uint32(buf[i*4:]))
 		}

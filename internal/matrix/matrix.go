@@ -94,8 +94,8 @@ func (m *Matrix) Head(n int) *Matrix {
 	return &Matrix{r: m.r, data: m.data[:n*m.r]}
 }
 
-// Slice returns a matrix aliasing vectors [i, j) of m. Shards of a probe
-// matrix share storage with the original.
+// Slice returns a matrix aliasing vectors [i, j) of m: the two share
+// storage.
 func (m *Matrix) Slice(i, j int) *Matrix {
 	if i < 0 || j < i || j > m.N() {
 		panic(fmt.Sprintf("matrix: Slice [%d,%d) out of range [0,%d)", i, j, m.N()))

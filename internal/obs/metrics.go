@@ -27,9 +27,9 @@ import (
 )
 
 // maxChildren bounds the label cardinality of one family. Children are
-// created by With at wiring time (per shard, per endpoint, per status
-// class), never from request data, so hitting this bound is a programming
-// error — unbounded label values are the classic way a metrics registry
+// created by With at wiring time (per endpoint, per status class), never
+// from request data, so hitting this bound is a programming error —
+// unbounded label values are the classic way a metrics registry
 // becomes a memory leak.
 const maxChildren = 1000
 
@@ -233,7 +233,7 @@ type Family struct {
 }
 
 // CounterVec and HistogramVec hand out per-label-value children
-// of a family. With is meant for wiring time (startup, shard construction):
+// of a family. With is meant for wiring time (startup):
 // it takes the family lock and may allocate; hold on to the returned handle
 // for hot-path observation.
 type CounterVec struct{ fam *Family }

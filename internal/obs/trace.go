@@ -18,9 +18,9 @@ import (
 // for every fast one: recording is always on and allocation-free; copying
 // a span tree to the ring happens only for the retained few.
 
-// MaxSpans bounds one trace's span count. The serving tree is small —
-// request → per-shard scans → tune/scan/merge — so 64 covers servers up to
-// ~28 shards; beyond that, spans drop (counted) rather than allocate.
+// MaxSpans bounds one trace's span count. The serving tree is small — the
+// request and its tune and scan phases — so 64 leaves ample room; beyond it,
+// spans drop (counted) rather than allocate.
 const MaxSpans = 64
 
 // SpanRef indexes a span within its trace. NoSpan is the nil reference:
@@ -31,11 +31,10 @@ type SpanRef int32
 const NoSpan SpanRef = -1
 
 // Span is one timed node of a trace tree. Times are monotonic nanosecond
-// offsets from the trace start; Shard is -1 for non-shard spans.
+// offsets from the trace start.
 type Span struct {
 	Name    string
 	Parent  SpanRef
-	Shard   int32
 	StartNS int64
 	EndNS   int64
 }
@@ -68,14 +67,9 @@ func (t *Trace) IDString() string {
 }
 
 // Start opens a span under parent and returns its reference. Concurrent
-// calls are safe (shard fan-out records from many goroutines); when the
-// trace is full the span is dropped and counted.
+// calls are safe (a call's goroutines may record at once); when the trace is
+// full the span is dropped and counted.
 func (t *Trace) Start(name string, parent SpanRef) SpanRef {
-	return t.StartShard(name, parent, -1)
-}
-
-// StartShard is Start carrying a shard number.
-func (t *Trace) StartShard(name string, parent SpanRef, shard int) SpanRef {
 	if t == nil {
 		return NoSpan
 	}
@@ -87,7 +81,6 @@ func (t *Trace) StartShard(name string, parent SpanRef, shard int) SpanRef {
 	sp := &t.spans[i]
 	sp.Name = name
 	sp.Parent = parent
-	sp.Shard = int32(shard)
 	sp.StartNS = time.Since(t.start).Nanoseconds()
 	sp.EndNS = 0
 	return SpanRef(i)
@@ -141,7 +134,7 @@ func (t *Trace) reset(id uint64) {
 
 // spanCtx is the context ContextWithSpan returns: its parent plus the
 // active trace and the parent span for child spans opened further down the
-// stack (shard scans, core tune/scan phases). It is one allocation where
+// stack (the core's tune/scan phases). It is one allocation where
 // context.WithValue would be two (the context and the boxed value): Value
 // hands out the spanCtx itself.
 type spanCtx struct {
@@ -160,8 +153,8 @@ func (c *spanCtx) Value(key any) any {
 }
 
 // ContextWithSpan returns ctx carrying (trace, parent) for downstream span
-// recording. It allocates once, so callers attach it once per request or
-// per shard call, never per candidate.
+// recording. It allocates once, so callers attach it once per request,
+// never per candidate.
 func ContextWithSpan(ctx context.Context, tr *Trace, parent SpanRef) context.Context {
 	return &spanCtx{Context: ctx, tr: tr, parent: parent}
 }
@@ -184,7 +177,6 @@ type SpanSnapshot struct {
 	ID         int32  `json:"id"`
 	Parent     int32  `json:"parent"`
 	Name       string `json:"name"`
-	Shard      int32  `json:"shard"` // -1 for non-shard spans
 	StartNS    int64  `json:"start_ns"`
 	DurationNS int64  `json:"duration_ns"`
 }
@@ -313,7 +305,6 @@ func (t *Trace) snapshot(meta TraceMeta) *TraceSnapshot {
 			ID:         int32(i),
 			Parent:     int32(sp.Parent),
 			Name:       sp.Name,
-			Shard:      sp.Shard,
 			StartNS:    sp.StartNS,
 			DurationNS: end - sp.StartNS,
 		}

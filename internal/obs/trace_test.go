@@ -16,10 +16,10 @@ func TestTraceSpanTree(t *testing.T) {
 	root := tr.Start("topk", NoSpan)
 	tune := tr.Start("tune", root)
 	tr.End(tune)
-	s0 := tr.StartShard("shard", root, 0)
-	s1 := tr.StartShard("shard", root, 1)
-	tr.End(s0)
-	tr.End(s1)
+	scan := tr.Start("scan", root)
+	verify := tr.Start("verify", scan)
+	tr.End(verify)
+	tr.End(scan)
 	tr.End(root)
 	if tr.Len() != 4 {
 		t.Fatalf("len = %d, want 4", tr.Len())
@@ -43,17 +43,13 @@ func TestTraceSpanTree(t *testing.T) {
 	if snap.Spans[0].Name != "topk" || snap.Spans[0].Parent != int32(NoSpan) {
 		t.Fatalf("root span wrong: %+v", snap.Spans[0])
 	}
-	shards := map[int32]bool{}
-	for _, sp := range snap.Spans[1:] {
-		if sp.Parent != 0 {
-			t.Fatalf("span %q parent = %d, want 0", sp.Name, sp.Parent)
+	for i, want := range []struct {
+		name   string
+		parent int32
+	}{{"tune", 0}, {"scan", 0}, {"verify", 2}} {
+		if sp := snap.Spans[i+1]; sp.Name != want.name || sp.Parent != want.parent {
+			t.Fatalf("span %d = %q under %d, want %q under %d", i+1, sp.Name, sp.Parent, want.name, want.parent)
 		}
-		if sp.Name == "shard" {
-			shards[sp.Shard] = true
-		}
-	}
-	if !shards[0] || !shards[1] {
-		t.Fatalf("shard spans missing: %v", shards)
 	}
 }
 
@@ -172,8 +168,8 @@ func TestTraceRecordingDoesNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(500, func() {
 		tr := tc.StartTrace()
 		root := tr.Start("req", NoSpan)
-		sh := tr.StartShard("shard", root, 0)
-		tr.End(sh)
+		scan := tr.Start("scan", root)
+		tr.End(scan)
 		tr.End(root)
 		tc.Finish(tr, TraceMeta{Kind: "topk", Rows: 1})
 	}); n > 0 {
@@ -181,23 +177,23 @@ func TestTraceRecordingDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestConcurrentSpanRecording exercises the shard fan-out shape — many
-// goroutines appending spans to one trace — under -race.
+// TestConcurrentSpanRecording exercises many goroutines appending spans to
+// one trace under -race.
 func TestConcurrentSpanRecording(t *testing.T) {
 	tc := NewTracer(TracerConfig{SampleRate: 1, RingSize: 4})
 	tr := tc.StartTrace()
 	root := tr.Start("req", NoSpan)
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for range 8 {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				ref := tr.StartShard("shard", root, g)
+				ref := tr.Start("scan", root)
 				time.Sleep(time.Microsecond)
 				tr.End(ref)
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 	tr.End(root)

@@ -419,28 +419,24 @@ func (s *Screen) Prefix(n int, cut float64, rows []int32) int {
 }
 
 // List screens the rows listed in rows (any order, repeats allowed):
-// survivors are compacted to the front of rows in order. Blocks of eight go
-// through the eight-row kernel, the ragged tail through the one-row kernel.
-// It returns the survivor count.
+// survivors are compacted to the front of rows in order. Every block of
+// eight goes through the eight-row kernel; a ragged tail is padded to eight
+// by repeating its last row, and the padding's bits are masked off, as
+// screenPanel does. It returns the survivor count.
 func (s *Screen) List(rows []int32, cut float64) int {
 	d := s.intCut(cut)
-	k, i := 0, 0
+	k := 0
 	var r8 [8]int
 	var d8 [8]int32
-	for ; i+8 <= len(rows); i += 8 {
-		for j, row := range rows[i : i+8] {
-			r8[j] = int(row)
+	for i := 0; i < len(rows); i += 8 {
+		m := min(8, len(rows)-i)
+		for j := range r8 {
+			r8[j] = int(rows[i+min(j, m-1)])
 		}
 		// The block is copied out and k never passes it, so the writes below
 		// reach no unread entry of rows.
-		for mask := dot8(s.codes, s.qr.Codes, &r8, &d8, d); mask != 0; mask &= mask - 1 {
+		for mask := dot8(s.codes, s.qr.Codes, &r8, &d8, d) & (1<<m - 1); mask != 0; mask &= mask - 1 {
 			rows[k] = int32(r8[bits.TrailingZeros8(mask)])
-			k++
-		}
-	}
-	for ; i < len(rows); i++ {
-		if row := rows[i]; DotQ8(s.codes, s.qr.Row(int(row))) >= d {
-			rows[k] = row
 			k++
 		}
 	}

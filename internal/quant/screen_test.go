@@ -207,11 +207,11 @@ func prefixGo(s *Screen, n int, cut float64, rows []int32) int {
 	return screenPanelGo(s.codes, s.qr.Codes[:n*s.qr.r], s.intCut(cut), rows[:n])
 }
 
-// checkScreenShapes holds Prefix over every prefix length, List over a
-// scattered order with a repeat, and Screen8 over eight rows with a repeat
-// against their Go twins (prefixGo, DotQ8 against the cut, dot8Portable):
-// same survivors in the same order, same dots, same mask. The cut itself
-// goes through checkCut.
+// checkScreenShapes holds Prefix over every prefix length, List over every
+// length of a scattered order with a repeat, and Screen8 over eight rows
+// with a repeat against their Go twins (prefixGo, each row's dot against the
+// cut, dot8Portable): same survivors in the same order, same dots, same
+// mask. The cut itself goes through checkCut.
 func checkScreenShapes(t testing.TB, c screenCase, rng *rand.Rand) {
 	t.Helper()
 	s := &c.scr
@@ -244,19 +244,23 @@ func checkScreenShapes(t testing.TB, c screenCase, rng *rand.Rand) {
 	if n == 0 {
 		return
 	}
+	// Every length of the scattered order, so that List meets a ragged
+	// tail of each size 1…7 once the order holds seven rows.
 	order := rng.Perm(n)
 	order = append(order, order[0])
-	list := make([]int32, len(order))
-	var wantList []int32
-	for j, i := range order {
-		list[j] = int32(i)
-		if keep[i] {
-			wantList = append(wantList, int32(i))
+	for m := 1; m <= len(order); m++ {
+		list := make([]int32, m)
+		var wantList []int32
+		for j, i := range order[:m] {
+			list[j] = int32(i)
+			if keep[i] {
+				wantList = append(wantList, int32(i))
+			}
 		}
-	}
-	k := s.List(list, c.cut)
-	if !slices.Equal(list[:k], wantList) {
-		t.Fatalf("%s: List kept %v, Go twin %v", describe(), list[:k], wantList)
+		k := s.List(list, c.cut)
+		if !slices.Equal(list[:k], wantList) {
+			t.Fatalf("%s: List of %d rows kept %v, Go twin %v", describe(), m, list[:k], wantList)
+		}
 	}
 
 	var ids [8]int

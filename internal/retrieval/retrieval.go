@@ -1,7 +1,7 @@
 // Package retrieval defines the result types shared by every large-entry
 // retrieval algorithm in this repository (the LEMP framework and all
-// standalone baselines), plus helpers for merging results across index
-// shards and comparing result sets in tests.
+// standalone baselines), plus helpers for merging results across indexes
+// and comparing result sets in tests.
 package retrieval
 
 import (

@@ -17,14 +17,15 @@ import (
 
 // TestServerSteadyStateAllocs asserts the serving hot path is allocation-
 // free per verified candidate: after warm-up (lazy bucket indexes built,
-// tuning parameters cached, scratch pools populated), repeated shard scans
-// must not allocate in proportion to the candidates they verify. Fixed
-// per-call overhead — result rows, the shard fan-out, query normalization —
-// is legal; anything scaling with candidate count is a regression back to
-// per-candidate scratch allocation.
+// tuning parameters cached, scratch pools populated), repeated scans must
+// not allocate in proportion to the candidates they verify. Fixed per-call
+// overhead — result rows, query normalization — is legal; anything scaling
+// with candidate count is a regression back to per-candidate scratch
+// allocation. The per-call count is pinned too: 112 on two shards, 45 once
+// the server held one index.
 func TestServerSteadyStateAllocs(t *testing.T) {
 	q, p := data.Smoke.Generate()
-	sh, err := NewShardedPlaced(p, nil, 2, lemp.Options{Parallelism: 1}, PlaceRange)
+	sh, err := shardedOver(p, lemp.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +64,15 @@ func TestServerSteadyStateAllocs(t *testing.T) {
 	t.Logf("%.1f allocs/call over %d verified candidates = %.4f allocs/candidate",
 		allocs, candidates, perCandidate)
 	// Zero allocations per verified candidate, with headroom for the fixed
-	// per-call overhead (rows, goroutines, merge buffers) that this bound
-	// spreads across the candidate count.
+	// per-call overhead (rows, goroutines) that this bound spreads across the
+	// candidate count.
 	if perCandidate > 0.10 {
 		t.Fatalf("%.4f allocations per verified candidate (%.1f per call / %d candidates); the hot path is allocating per candidate",
 			perCandidate, allocs, candidates)
+	}
+	const ceiling = 45
+	if !raceEnabled && allocs > ceiling {
+		t.Fatalf("%.1f allocations per call, ceiling %v", allocs, ceiling)
 	}
 }
 
@@ -77,7 +82,7 @@ func TestServerSteadyStateAllocs(t *testing.T) {
 // budget.
 func TestServerQuantSteadyStateAllocs(t *testing.T) {
 	q, p := data.Smoke.Generate()
-	sh, err := NewShardedPlaced(p, nil, 2, lemp.Options{Parallelism: 1, Quantize: true}, PlaceRange)
+	sh, err := shardedOver(p, lemp.Options{Parallelism: 1, Quantize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +123,13 @@ func TestServerQuantSteadyStateAllocs(t *testing.T) {
 
 // TestServerObservedSteadyStateAllocs is the same bound with the full
 // observability envelope engaged: a wired Server (metric hooks on the
-// shard set), an active trace in the context (so tune/scan/shard/merge
-// spans record), and a tracer Finish per call. Metrics observation and
-// span recording must stay off the per-candidate cost; only the fixed
-// per-call envelope (context values, root span, fan-out) may allocate.
+// index), an active trace in the context (so tune and scan spans record),
+// and a tracer Finish per call. Metrics observation and span recording must
+// stay off the per-candidate cost; only the fixed per-call envelope (context
+// values, root span) may allocate.
 func TestServerObservedSteadyStateAllocs(t *testing.T) {
 	q, p := data.Smoke.Generate()
 	srv, err := New(p, Config{
-		Shards:  2,
 		Options: lemp.Options{Parallelism: 1},
 		// Rate 0: traces record fully but are never retained, which is the
 		// steady state for the overwhelming majority of production requests.
@@ -175,17 +179,17 @@ func TestServerObservedSteadyStateAllocs(t *testing.T) {
 }
 
 // TestReadAfterUpdateAllocs holds what an update leaves for the reads behind
-// it: the derived shard indexes share their lineage's scratch pool, so the
+// it: the derived index versions share their lineage's scratch pool, so the
 // first read of the new version allocates like any other, and a delta bucket
 // the batch did not retire arrives with its lazy index and its entry in the
 // frozen fit. (With a pool per index the first read allocated ≈ 30× a steady
-// one, 145 KB against 4.5 KB on the benchmark's shard.)
+// one, 145 KB against 4.5 KB on a benchmark shard.)
 func TestReadAfterUpdateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ratio: see raceEnabled")
 	}
 	q, p := data.Smoke.Generate()
-	sh, err := NewShardedPlaced(p, nil, 2, lemp.Options{Algorithm: lemp.AlgorithmLI, Parallelism: 1}, PlaceRange)
+	sh, err := shardedOver(p, lemp.Options{Algorithm: lemp.AlgorithmLI, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,8 +263,8 @@ func TestReadAfterUpdateAllocs(t *testing.T) {
 }
 
 // TestHandlerSteadyStateAllocs is the fourth reading, of the whole request:
-// a one-row /v1/topk through Handler() — decode, admission, batcher, fan-out,
-// merge, encode, the observability envelope and this test's own recorder.
+// a one-row /v1/topk through Handler() — decode, admission, batcher,
+// retrieval, encode, the observability envelope and this test's own recorder.
 // The ceiling is the count measured on this fixture once the hand-written
 // codec replaced encoding/json (its decoder state, the [][]float64 rows and
 // their flat copy, the [][]resultEntry response copy and the marshal
@@ -268,8 +272,9 @@ func TestReadAfterUpdateAllocs(t *testing.T) {
 // channel and dispatch goroutine, the last shard stopped taking a
 // goroutine, and the fan-out and instrument wrapper each gathered their
 // per-call state into one allocation: 101 → 70. A span context then took
-// one allocation instead of two (68), and the batch.retrieve span's context
-// left with request coalescing: 67.
+// one allocation instead of two (68), the batch.retrieve span's context
+// left with request coalescing (67), and the shard fan-out and merge left
+// with the server's shards: 44.
 func TestHandlerSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation ceiling: see raceEnabled")
@@ -277,7 +282,7 @@ func TestHandlerSteadyStateAllocs(t *testing.T) {
 	q, p := data.Smoke.Generate()
 	body, _ := json.Marshal(topKRequest{Queries: [][]float64{q.Vec(0)}, K: 10})
 	t.Run("no coalescing", func(t *testing.T) {
-		srv, err := New(p, Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})
+		srv, err := New(p, Config{Options: lemp.Options{Parallelism: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +295,7 @@ func TestHandlerSteadyStateAllocs(t *testing.T) {
 			}
 		}
 		post() // warm-up: bucket indexes, tuning cache, scratch, codec and trace pools
-		const ceiling = 67
+		const ceiling = 44
 		if allocs := testing.AllocsPerRun(20, post); allocs > ceiling {
 			t.Fatalf("%.1f allocations per one-row /v1/topk, ceiling %v", allocs, ceiling)
 		} else {
@@ -303,12 +308,13 @@ func TestHandlerSteadyStateAllocs(t *testing.T) {
 // batch — eight rewrites of 16 coordinates — through Handler() the way
 // TestHandlerSteadyStateAllocs reads a query. The body is decoded into the
 // pooled codec buffer and the response appended there too, so what is left
-// is the update's own plan and derived shard indexes. The ceiling is the
+// is the update's own plan and derived index version. The ceiling is the
 // count measured on this fixture once the codec replaced encoding/json (its
 // decoder state, eight id pointers, eight vectors, the op slice, the
 // ProbeUpdate copy and the marshalled response): 145 → 74, and 73 once a
 // span context took one allocation instead of two; it has since measured
-// 71, and the ceiling is set to that.
+// 71, and 65 once the server's own plan and shard routing left with its
+// shards.
 func TestUpdateHandlerSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation ceiling: see raceEnabled")
@@ -319,7 +325,7 @@ func TestUpdateHandlerSteadyStateAllocs(t *testing.T) {
 		ops[i] = map[string]any{"op": "update", "id": i, "vector": p.Vec(100 + i)}
 	}
 	body, _ := json.Marshal(map[string]any{"updates": ops})
-	srv, err := New(p, Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})
+	srv, err := New(p, Config{Options: lemp.Options{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +338,7 @@ func TestUpdateHandlerSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	post() // warm-up: codec and trace pools, the first delta segment
-	const ceiling = 71
+	const ceiling = 65
 	if allocs := testing.AllocsPerRun(20, post); allocs > ceiling {
 		t.Fatalf("%.1f allocations per eight-op /v1/update, ceiling %v", allocs, ceiling)
 	} else {

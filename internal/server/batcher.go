@@ -22,13 +22,13 @@ const BatchModeContinuous BatchMode = 0
 // Batcher is the serving stack's door to retrieval. It refuses a bad k, θ or
 // submission shape, counts the request's query rows in flight, and runs the
 // request as one View.retrieve call on the caller's goroutine, under the
-// caller's context (a cancellation aborts the shard scans directly) and into
+// caller's context (a cancellation aborts the index scan directly) and into
 // the caller's trace.
 //
 // Requests are never coalesced. LEMP answers a query matrix bucket by bucket,
 // so one bucket read could serve many requests, but a tile of coalesced rows
 // is not cheaper per row than its rows alone, and holding a request back for
-// a batch only made it wait. A multi-row request still reaches the shards as
+// a batch only made it wait. A multi-row request still reaches the index as
 // one matrix. The type keeps its name because the benchmark/ module calls
 // NewBatcher, TopKAt and AboveThetaAt.
 type Batcher struct {
@@ -73,7 +73,7 @@ func (key batchKey) check() error {
 	return nil
 }
 
-// NewBatcher returns the retrieval door over a shard set. The window,
+// NewBatcher returns the retrieval door over a server's index. The window,
 // maxBatch and mode arguments are ignored (nothing coalesces); they are kept
 // only because the benchmark/ module passes them, and its next refresh
 // deletes them.

@@ -87,8 +87,8 @@ type ownCtxKey struct{}
 // TestBatcherContinuousImmediateDispatch pins that no request waits on
 // another: while a first request's retrieval is held in flight, a second
 // with the same k, epoch and view dispatches a retrieval call of its own,
-// runs its shard scans under its own context and returns its rows, all
-// before the first returns.
+// runs its scan under its own context and returns its rows, all before the
+// first returns.
 func TestBatcherContinuousImmediateDispatch(t *testing.T) {
 	sh, q := newTestSharded(t)
 	b := NewBatcher(sh, 2*time.Millisecond, 1024, BatchModeContinuous)
@@ -103,7 +103,7 @@ func TestBatcherContinuousImmediateDispatch(t *testing.T) {
 	held.await(t, 1)
 
 	var own, scans atomic.Int32
-	sh.testShardStart = func(ctx context.Context, _ int) {
+	sh.testScanStart = func(ctx context.Context) {
 		scans.Add(1)
 		if ctx.Value(ownCtxKey{}) != nil {
 			own.Add(1)
@@ -125,13 +125,13 @@ func TestBatcherContinuousImmediateDispatch(t *testing.T) {
 	if calls := held.calls(); len(calls) != 2 || calls[1] != 1 {
 		t.Errorf("retrieval calls of %v rows, want the held one's and the second's own, 1 row each", calls)
 	}
-	if o, n := own.Load(), scans.Load(); o != testShards || n != testShards {
-		t.Errorf("%d of %d shard scans ran under the second caller's own context, want all %d", o, n, testShards)
+	if o, n := own.Load(), scans.Load(); o != 1 || n != 1 {
+		t.Errorf("%d of %d scans ran under the second caller's own context, want its one", o, n)
 	}
 	if n := b.RowsInFlight(); n != 1 {
 		t.Errorf("%d rows in flight after the second returned, want the held request's 1", n)
 	}
-	sh.testShardStart = nil
+	sh.testScanStart = nil
 	held.release()
 	if err := <-first; err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 func newTestSharded(t testing.TB) (*Sharded, *lemp.Matrix) {
 	t.Helper()
 	q, p := smokeMatrices(t)
-	sh, err := NewShardedPlaced(p, nil, testShards, lemp.Options{Parallelism: 1}, PlaceRange)
+	sh, err := shardedOver(p, lemp.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func benchSharded(b *testing.B) (*Sharded, *lemp.Matrix) {
 	b.Helper()
 	profile := data.Smoke.Scale(4)
 	q, p := profile.Generate()
-	sh, err := NewShardedPlaced(p, nil, testShards, lemp.Options{Parallelism: 1}, PlaceRange)
+	sh, err := shardedOver(p, lemp.Options{Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func BenchmarkTuningCacheServing(b *testing.B) {
 
 	best := 1.0
 	for attempt := 0; attempt < 5 && best > 0.20; attempt++ {
-		sh, err := NewShardedPlaced(p, nil, testShards, lemp.Options{Algorithm: lemp.AlgorithmLI, Parallelism: 1}, PlaceRange)
+		sh, err := shardedOver(p, lemp.Options{Algorithm: lemp.AlgorithmLI, Parallelism: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,8 +76,8 @@ func BenchmarkTuningCacheServing(b *testing.B) {
 			b.Fatal(err)
 		}
 		cold := time.Since(coldStart)
-		if coldSt.Tunings != testShards {
-			b.Fatalf("cold call ran %d tunings, want %d", coldSt.Tunings, testShards)
+		if coldSt.Tunings != 1 {
+			b.Fatalf("cold call ran %d tunings, want 1", coldSt.Tunings)
 		}
 		warm := time.Duration(1 << 62)
 		for i := 0; i < 3; i++ {

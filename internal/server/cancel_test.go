@@ -17,7 +17,7 @@ import (
 // cancelPaths are two server configurations: without a batch window and
 // with one, which Config ignores now that no request coalesces. Under both a
 // request retrieves on its handler goroutine under its own context, so a
-// cancellation must reach the shard scans directly.
+// cancellation must reach the index scan directly.
 var cancelPaths = []struct {
 	name   string
 	window time.Duration
@@ -27,8 +27,8 @@ var cancelPaths = []struct {
 }
 
 // TestClientDisconnectCancelsShardRetrievals is the acceptance criterion:
-// an HTTP request whose client disconnects mid-batch cancels the underlying
-// shard retrievals — observed through the shard test hooks — instead of
+// an HTTP request whose client disconnects mid-call cancels the underlying
+// index retrieval — observed through the scan test hooks — instead of
 // running to completion.
 func TestClientDisconnectCancelsShardRetrievals(t *testing.T) {
 	for _, path := range cancelPaths {
@@ -40,22 +40,22 @@ func TestClientDisconnectCancelsShardRetrievals(t *testing.T) {
 
 func testClientDisconnect(t *testing.T, window time.Duration) {
 	q, p := smokeMatrices(t)
-	srv, err := New(p, Config{Shards: testShards, Options: lemp.Options{Parallelism: 1}, BatchWindow: window})
+	srv, err := New(p, Config{Options: lemp.Options{Parallelism: 1}, BatchWindow: window})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Gate every shard retrieval: all shards block at their start hook
-	// until the server-side request context reports the disconnect, so the
-	// cancellation is deterministically "mid-batch" — dispatched, not yet
-	// scanned — and the scans observably start only after it landed.
+	// Gate the retrieval: it blocks at its start hook until the server-side
+	// request context reports the disconnect, so the cancellation is
+	// deterministically "mid-call" — dispatched, not yet scanned — and the
+	// scan observably starts only after it landed.
 	started := make(chan struct{})
 	var startOnce sync.Once
 	var mu sync.Mutex
 	var shardErrs []error
-	own := 0 // shard scans that ran under the request's own context
+	own := 0 // scans that ran under the request's own context
 	sh := srv.Sharded()
-	sh.testShardStart = func(ctx context.Context, _ int) {
+	sh.testScanStart = func(ctx context.Context) {
 		if requestInfo(ctx) != nil {
 			mu.Lock()
 			own++
@@ -64,7 +64,7 @@ func testClientDisconnect(t *testing.T, window time.Duration) {
 		startOnce.Do(func() { close(started) })
 		<-ctx.Done()
 	}
-	sh.testShardDone = func(_ int, err error) {
+	sh.testScanDone = func(err error) {
 		mu.Lock()
 		shardErrs = append(shardErrs, err)
 		mu.Unlock()
@@ -91,9 +91,9 @@ func testClientDisconnect(t *testing.T, window time.Duration) {
 	select {
 	case <-started:
 	case <-time.After(5 * time.Second):
-		t.Fatal("no shard retrieval started")
+		t.Fatal("no retrieval started")
 	}
-	cancel() // the client disconnects mid-batch
+	cancel() // the client disconnects mid-call
 	if err := <-clientDone; err == nil {
 		t.Fatal("client request succeeded despite cancellation")
 	}
@@ -103,11 +103,11 @@ func testClientDisconnect(t *testing.T, window time.Duration) {
 		mu.Lock()
 		n := len(shardErrs)
 		mu.Unlock()
-		if n == testShards {
+		if n == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d shard retrievals finished", n, testShards)
+			t.Fatal("the retrieval did not finish")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -119,31 +119,31 @@ func testClientDisconnect(t *testing.T, window time.Duration) {
 			canceled++
 		}
 	}
-	if canceled != testShards {
-		t.Fatalf("%d of %d shard retrievals saw context.Canceled: %v", canceled, testShards, shardErrs)
+	if canceled != 1 {
+		t.Fatalf("the retrieval returned %v, want context.Canceled", shardErrs)
 	}
-	if own != testShards {
-		t.Fatalf("%d of %d shard scans ran under the request's own context, want all: a lone request must not be handed to a dispatched batch", own, testShards)
+	if own != 1 {
+		t.Fatal("the scan did not run under the request's own context: a lone request must not be handed to a dispatched batch")
 	}
 }
 
 // TestRequestTimeoutAbortsRetrieval checks Config.RequestTimeout flows into
-// shard scans: a request whose deadline expires mid-batch returns 503 and
-// the shards observe context.DeadlineExceeded.
+// the index scan: a request whose deadline expires mid-call returns 503 and
+// the retrieval observes context.DeadlineExceeded.
 func TestRequestTimeoutAbortsRetrieval(t *testing.T) {
 	for _, path := range cancelPaths {
 		t.Run(path.name, func(t *testing.T) {
 			q, p := smokeMatrices(t)
-			srv, err := New(p, Config{Shards: testShards, Options: lemp.Options{Parallelism: 1}, RequestTimeout: 30 * time.Millisecond, BatchWindow: path.window})
+			srv, err := New(p, Config{Options: lemp.Options{Parallelism: 1}, RequestTimeout: 30 * time.Millisecond, BatchWindow: path.window})
 			if err != nil {
 				t.Fatal(err)
 			}
 			sh := srv.Sharded()
-			// Hold each shard until the per-request deadline has expired.
+			// Hold the retrieval until the per-request deadline has expired.
 			var mu sync.Mutex
 			var shardErrs []error
-			sh.testShardStart = func(ctx context.Context, _ int) { <-ctx.Done() }
-			sh.testShardDone = func(_ int, err error) {
+			sh.testScanStart = func(ctx context.Context) { <-ctx.Done() }
+			sh.testScanDone = func(err error) {
 				mu.Lock()
 				shardErrs = append(shardErrs, err)
 				mu.Unlock()
@@ -160,48 +160,43 @@ func TestRequestTimeoutAbortsRetrieval(t *testing.T) {
 			if resp.StatusCode != http.StatusServiceUnavailable {
 				t.Fatalf("status %d, want 503 on request timeout", resp.StatusCode)
 			}
-			// The handler answered after the fan-out returned, so every shard
-			// has reported.
+			// The handler answered after the retrieval returned, so it has
+			// reported.
 			mu.Lock()
 			defer mu.Unlock()
-			for _, err := range shardErrs {
-				if !errors.Is(err, context.DeadlineExceeded) {
-					t.Errorf("shard retrieval returned %v, want context.DeadlineExceeded", err)
-				}
-			}
-			if len(shardErrs) != testShards {
-				t.Errorf("%d of %d shard retrievals reported", len(shardErrs), testShards)
+			if len(shardErrs) != 1 || !errors.Is(shardErrs[0], context.DeadlineExceeded) {
+				t.Errorf("the retrieval reported %v, want one context.DeadlineExceeded", shardErrs)
 			}
 		})
 	}
 }
 
 // TestShardedTuningCacheReuse checks the serving path shares one tuning
-// cache across shards and epochs key it: repeat calls tune zero times,
-// updates force exactly one re-tune per shard.
+// cache across calls and epochs key it: repeat calls tune zero times, an
+// update forces exactly one re-tune.
 func TestShardedTuningCacheReuse(t *testing.T) {
 	q, p := smokeMatrices(t)
-	sh, err := NewShardedPlaced(p, nil, testShards, lemp.Options{Algorithm: lemp.AlgorithmLI, Parallelism: 1}, PlaceRange)
+	sh, err := shardedOver(p, lemp.Options{Algorithm: lemp.AlgorithmLI, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, st, err := sh.CurrentView().TopKCtx(context.Background(), q, 5); err != nil {
 		t.Fatal(err)
-	} else if st.Tunings != testShards {
-		t.Fatalf("first call ran %d tunings, want one per shard (%d)", st.Tunings, testShards)
+	} else if st.Tunings != 1 {
+		t.Fatalf("first call ran %d tunings, want 1", st.Tunings)
 	}
 	top, st, err := sh.CurrentView().TopKCtx(context.Background(), q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Tunings != 0 || st.TuneCacheHits != testShards {
-		t.Fatalf("warm call: Tunings=%d TuneCacheHits=%d, want 0/%d", st.Tunings, st.TuneCacheHits, testShards)
+	if st.Tunings != 0 || st.TuneCacheHits != 1 {
+		t.Fatalf("warm call: Tunings=%d TuneCacheHits=%d, want 0/1", st.Tunings, st.TuneCacheHits)
 	}
 	if st.TuneTime != 0 {
 		t.Fatalf("warm call spent %v tuning", st.TuneTime)
 	}
 
-	// Results identical to a direct unsharded index.
+	// Results identical to a direct index.
 	direct := directIndex(t, p)
 	want := directTopK(t, direct, q, 5)
 	for i := range want {
@@ -215,7 +210,7 @@ func TestShardedTuningCacheReuse(t *testing.T) {
 		}
 	}
 
-	// An update batch rotates the keys of the affected shards only.
+	// An update batch rotates the key.
 	if _, err := sh.Update([]lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: p.Vec(0)}}, -1); err != nil {
 		t.Fatal(err)
 	}
@@ -223,8 +218,7 @@ func TestShardedTuningCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Tunings != 1 || st.TuneCacheHits != testShards-1 {
-		t.Fatalf("post-update call: Tunings=%d TuneCacheHits=%d, want 1/%d (only the mutated shard re-tunes)",
-			st.Tunings, st.TuneCacheHits, testShards-1)
+	if st.Tunings != 1 || st.TuneCacheHits != 0 {
+		t.Fatalf("post-update call: Tunings=%d TuneCacheHits=%d, want 1/0 (the new version re-tunes)", st.Tunings, st.TuneCacheHits)
 	}
 }

@@ -12,13 +12,13 @@ import (
 	"lemp"
 )
 
-// TestConcurrentSameShardCalls: nothing orders retrievals on one shard. A
-// TopKCtx(k=5) call is held inside shard 0; a TopKCtx(k=7) call on the same
-// view must enter shard 0 while it is still there, and both must answer as
-// they do alone.
+// TestConcurrentSameShardCalls: nothing orders retrievals on the index. A
+// TopKCtx(k=5) call is held inside it; a TopKCtx(k=7) call on the same view
+// must enter while the first is still there, and both must answer as they
+// do alone.
 func TestConcurrentSameShardCalls(t *testing.T) {
 	q, p := smokeMatrices(t)
-	sh, err := NewShardedPlaced(p, nil, testShards, lemp.Options{Parallelism: 1}, PlaceRange)
+	sh, err := shardedOver(p, lemp.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,14 +31,11 @@ func TestConcurrentSameShardCalls(t *testing.T) {
 		}
 	}
 
-	// The first call into shard 0 stays there until released.
+	// The first call into the index stays there until released.
 	entered := make(chan struct{}, 2)
 	release := make(chan struct{})
 	var held atomic.Bool
-	sh.testShardStart = func(_ context.Context, shard int) {
-		if shard != 0 {
-			return
-		}
+	sh.testScanStart = func(context.Context) {
 		entered <- struct{}{}
 		if held.CompareAndSwap(false, true) {
 			<-release
@@ -63,7 +60,7 @@ func TestConcurrentSameShardCalls(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			close(release)
 			wg.Wait()
-			t.Fatalf("%s did not enter shard 0", what)
+			t.Fatalf("%s did not enter the index", what)
 		}
 	}
 	call(5)
@@ -74,13 +71,14 @@ func TestConcurrentSameShardCalls(t *testing.T) {
 	wg.Wait()
 }
 
-// TestConcurrentNumShardsBesideUpdates: /healthz and the lemp_shards gauge
-// read the shard count while Update's commits replace the shard slice. Under
-// -race this fails unless NumShards takes the read lock, as N and Epoch do.
-func TestConcurrentNumShardsBesideUpdates(t *testing.T) {
+// TestConcurrentStateReadsBesideUpdates: /healthz and the /metrics gauges
+// read the serving state (live count, epoch, sidecar and list bytes) while
+// Update's commits replace the index. Under -race this fails unless every
+// such read takes the read lock.
+func TestConcurrentStateReadsBesideUpdates(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	const r, n = 4, 40
-	srv, err := New(epochProbe(rng, r, n), Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})
+	srv, err := New(epochProbe(rng, r, n), Config{Options: lemp.Options{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 
 // The server's metric surface, exposed in Prometheus text format at
 // GET /metrics. Everything observed on the serving path — request
-// latencies, per-shard scan time, merge time — records through
+// latencies, rows per call, update and compaction times — records through
 // pre-resolved handles (atomic adds, no allocation, no locks);
 // state that already lives somewhere (epoch, rows in flight, the cumulative
 // core stats /stats renders) is exported through func-backed
@@ -35,16 +35,14 @@ type serverMetrics struct {
 	reqTotalOther map[string]*obs.Counter         // endpoint → unexpected status
 
 	batchRows    *obs.Histogram
-	shardScan    []*obs.Histogram // per shard
-	mergeDur     *obs.Histogram
 	requestsShed *obs.Counter
 
 	slowQueries *obs.Counter
 }
 
 // newServerMetrics registers every family and pre-resolves the hot-path
-// children (per endpoint, per status, per shard).
-func newServerMetrics(shards int) *serverMetrics {
+// children (per endpoint, per status).
+func newServerMetrics() *serverMetrics {
 	reg := obs.NewRegistry()
 	m := &serverMetrics{
 		reg:           reg,
@@ -74,16 +72,6 @@ func newServerMetrics(shards int) *serverMetrics {
 	m.batchRows = reg.Histogram("lemp_batch_rows",
 		"Query rows per retrieval call (one call per request).",
 		obs.ExpBuckets(1, 2, 10))
-	scanVec := reg.HistogramVec("lemp_shard_scan_seconds",
-		"Per-shard retrieval time, the per-shard skew signal.",
-		obs.LatencyBuckets(), "shard")
-	m.shardScan = make([]*obs.Histogram, shards)
-	for i := range m.shardScan {
-		m.shardScan[i] = scanVec.With(fmt.Sprint(i))
-	}
-	m.mergeDur = reg.Histogram("lemp_merge_seconds",
-		"K-way merge (top-k) or row gather and sort (above-theta) time per retrieval call.",
-		obs.ExpBuckets(10e-6, 2, 12))
 	m.requestsShed = reg.Counter("lemp_requests_shed_total",
 		"Retrieval requests rejected with 429 by admission control (rows-in-flight or in-flight-request limit reached).")
 
@@ -127,11 +115,8 @@ func (s *Server) wireState() {
 		"Current update epoch (0 at construction, +1 per applied update batch).",
 		func() float64 { return float64(s.sharded.Epoch()) })
 	reg.GaugeFunc("lemp_live_probes",
-		"Live probe vectors across all shards.",
+		"Live probe vectors.",
 		func() float64 { return float64(s.sharded.N()) })
-	reg.GaugeFunc("lemp_shards",
-		"Number of index shards.",
-		func() float64 { return float64(s.sharded.NumShards()) })
 	reg.CounterFunc("lemp_requests_total",
 		"Retrieval requests accepted (post-validation).",
 		func() float64 { return float64(s.requests.Load()) })
@@ -139,19 +124,13 @@ func (s *Server) wireState() {
 		"Update batches applied.",
 		func() float64 { return float64(s.updates.Load()) })
 	reg.CounterFunc("lemp_compactions_total",
-		"Shard re-bucketizations triggered by update delta mass.",
+		"Index re-bucketizations triggered by update delta mass.",
 		func() float64 { return float64(s.sharded.Compactions()) })
-	reg.CounterFunc("lemp_shards_scanned_total",
-		"Per-shard retrievals across all retrieval calls.",
-		func() float64 { return float64(s.sharded.ShardsScanned()) })
-	reg.GaugeFunc("lemp_placement_cost_skew",
-		"Max/mean ratio of per-shard estimated scan cost (1 = perfectly balanced).",
-		func() float64 { return s.sharded.CostSkew() })
 	reg.GaugeFunc("lemp_quant_sidecar_bytes",
-		"Memory held by the int8 quantized screening sidecars across all shards: every bucket's when built with quantization, otherwise it grows with the buckets queries reach (0 on the portable kernels).",
+		"Memory held by the int8 quantized screening sidecars: every bucket's when built with quantization, otherwise it grows with the buckets queries reach (0 on the portable kernels).",
 		func() float64 { return float64(s.sharded.SidecarBytes()) })
 	reg.GaugeFunc("lemp_index_list_bytes",
-		"Memory held by the sorted-list indexes of the coordinate methods across all shards, 12 r bytes per probe of every bucket that carries them: it grows with the buckets tuning passes observe and coordinate methods scan.",
+		"Memory held by the sorted-list indexes of the coordinate methods, 12 r bytes per probe of every bucket that carries them: it grows with the buckets tuning passes observe and coordinate methods scan.",
 		func() float64 { return float64(s.sharded.ListBytes()) })
 	reg.GaugeFunc("lemp_batch_queue_rows",
 		"Query rows of admitted retrieval requests not yet answered (the queue depth -shed-queue-rows bounds).",
@@ -193,10 +172,10 @@ func (s *Server) wireState() {
 		"Tuning phases answered from the shared tuning cache.",
 		func(st lemp.Stats) float64 { return float64(st.TuneCacheHits) })
 	stat("lemp_core_tune_seconds_total",
-		"Cumulative tuning time, summed across shards and calls (worker time, not wall clock).",
+		"Cumulative tuning time, summed across calls and their goroutines (worker time, not wall clock).",
 		func(st lemp.Stats) float64 { return st.TuneTime.Seconds() })
 	stat("lemp_core_scan_seconds_total",
-		"Cumulative retrieval-scan time, summed across shards and calls (worker time, not wall clock).",
+		"Cumulative retrieval-scan time, summed across calls and their goroutines (worker time, not wall clock).",
 		func(st lemp.Stats) float64 { return st.RetrievalTime.Seconds() })
 	stat("lemp_quant_screened_total",
 		"Candidates discarded by int8 quantized screening before exact verification (0 on the portable kernels unless built with quantization).",
@@ -205,16 +184,12 @@ func (s *Server) wireState() {
 		"Candidates that passed quantized screening and went on to exact verification.",
 		func(st lemp.Stats) float64 { return float64(st.QuantSurvived) })
 
-	// Hook the sharded layer: per-shard scan histograms and the merge
-	// histogram.
-	s.sharded.scanHist = m.shardScan
-	s.sharded.mergeHist = m.mergeDur
+	// Hook the update path and the retrieval door.
 	s.sharded.applyHist = reg.Histogram("lemp_update_apply_seconds",
-		"Wall time of one committed update batch, any shard compaction it ran included.",
+		"Wall time of one committed update batch, any compaction it ran included.",
 		obs.LatencyBuckets())
 	s.sharded.compactHist = reg.Histogram("lemp_compaction_seconds",
-		"Wall time of one shard compaction (re-bucketization triggered by update delta mass).",
+		"Wall time of one compaction (re-bucketization triggered by update delta mass).",
 		obs.LatencyBuckets())
-	// And the retrieval door: rows per call.
 	s.batcher.batchRowsHist = m.batchRows
 }

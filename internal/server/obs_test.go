@@ -104,7 +104,7 @@ func topKBody(t *testing.T, dim, rows, k int) string {
 // family the dashboards (and the CI smoke check) rely on, plus bounded
 // label cardinality.
 func TestMetricsEndpoint(t *testing.T) {
-	srv, h, _ := obsServer(t, Config{Shards: 2, Options: lemp.Options{Algorithm: lemp.AlgorithmLI, Parallelism: 1}})
+	srv, h, _ := obsServer(t, Config{Options: lemp.Options{Algorithm: lemp.AlgorithmLI, Parallelism: 1}})
 	dim := srv.Sharded().R()
 
 	if w := doJSON(t, h, "POST", "/v1/topk", topKBody(t, dim, 3, 5)); w.Code != 200 {
@@ -135,14 +135,14 @@ func TestMetricsEndpoint(t *testing.T) {
 	required := []string{
 		"lemp_requests_in_flight", "lemp_request_duration_seconds",
 		"lemp_http_requests_total",
-		"lemp_batch_rows", "lemp_shard_scan_seconds", "lemp_merge_seconds",
+		"lemp_batch_rows",
 		"lemp_core_candidates_total", "lemp_core_results_total",
 		"lemp_core_block_verified_total", "lemp_core_scalar_verified_total",
 		"lemp_core_processed_pairs_total", "lemp_core_pruned_pairs_total",
 		"lemp_core_tunings_total", "lemp_core_tune_cache_hits_total",
 		"lemp_core_tune_seconds_total", "lemp_core_scan_seconds_total",
 		"lemp_slow_queries_total", "lemp_uptime_seconds", "lemp_ready",
-		"lemp_epoch", "lemp_live_probes", "lemp_shards",
+		"lemp_epoch", "lemp_live_probes",
 		"lemp_requests_total", "lemp_updates_total", "lemp_compactions_total",
 		"lemp_batch_queue_rows",
 		"lemp_traces_finished_total", "lemp_traces_retained_total",
@@ -199,16 +199,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("lemp_index_list_bytes = %v (ok=%v), /stats list_bytes = %d, Sharded.ListBytes = %d: want one positive number",
 			v, ok, st.ListBytes, srv.Sharded().ListBytes())
 	}
-	if v, ok := value("lemp_shards", nil); !ok || v != 2 {
-		t.Errorf("lemp_shards = %v (ok=%v), want 2", v, ok)
-	}
 	if v, ok := value("lemp_epoch", nil); !ok || v != 1 {
 		t.Errorf("lemp_epoch = %v (ok=%v), want 1 after one update", v, ok)
 	}
-	// One scan histogram per shard and nothing more: label cardinality on
-	// the per-shard family is bounded by the shard count.
-	if card := fams["lemp_shard_scan_seconds"].LabelCardinality(); card != 2 {
-		t.Errorf("lemp_shard_scan_seconds cardinality = %d, want 2", card)
+	for _, gone := range []string{"lemp_shards", "lemp_shard_scan_seconds", "lemp_merge_seconds", "lemp_shards_scanned_total", "lemp_placement_cost_skew"} {
+		if fams[gone] != nil {
+			t.Errorf("/metrics still exports %s, a family of the shards a server no longer has", gone)
+		}
 	}
 	if v, ok := value("lemp_request_duration_seconds_count", map[string]string{"endpoint": "topk"}); !ok || v == 0 {
 		t.Errorf("request duration histogram recorded nothing")
@@ -227,7 +224,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // counter family must equal its /stats "core" / "quant" field exactly — both
 // read the same cumulative stats.
 func TestCoreCountersMatchStats(t *testing.T) {
-	srv, h, _ := obsServer(t, Config{Shards: 2, Options: lemp.Options{Parallelism: 1, Quantize: true}})
+	srv, h, _ := obsServer(t, Config{Options: lemp.Options{Parallelism: 1, Quantize: true}})
 	dim := srv.Sharded().R()
 	above := strings.Replace(strings.Replace(topKBody(t, dim, 4, 1), `"k":1`, `"theta":0.05`, 1), "0.1", "0.3", -1)
 	for _, req := range [][2]string{
@@ -282,7 +279,7 @@ func TestCoreCountersMatchStats(t *testing.T) {
 // concurrent ones held in flight together they equal its count and sum: one
 // retrieval call per request.
 func TestBatchCountsMatchHistogram(t *testing.T) {
-	srv, h, _ := obsServer(t, Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})
+	srv, h, _ := obsServer(t, Config{Options: lemp.Options{Parallelism: 1}})
 	dim := srv.Sharded().R()
 	post := func(rows int) {
 		if w := doJSON(t, h, "POST", "/v1/topk", topKBody(t, dim, rows, 5)); w.Code != 200 {
@@ -325,13 +322,12 @@ func TestBatchCountsMatchHistogram(t *testing.T) {
 // TestTraceHeaderAndRing checks the per-request trace contract: retrieval
 // responses carry X-Lemp-Trace, and with SampleRate 1 the same id is
 // retrievable from GET /debug/traces with the span tree intact. A request
-// retrieves on its handler goroutine into its own trace, so the shard and
-// merge spans hang directly under the request's root span, with scans under
-// the shards and no batch span in between.
+// retrieves on its handler goroutine into its own trace, so the executor's
+// scan span hangs directly under the request's root span, with no batch,
+// shard or merge span in between.
 func TestTraceHeaderAndRing(t *testing.T) {
 	t.Run("no coalescing", func(t *testing.T) {
 		srv, h, _ := obsServer(t, Config{
-			Shards:          2,
 			Options:         lemp.Options{Parallelism: 1},
 			TraceSampleRate: 1,
 		})
@@ -371,33 +367,23 @@ func TestTraceHeaderAndRing(t *testing.T) {
 			t.Fatalf("trace meta = kind %q rows %d, want topk/2", snap.Kind, snap.Rows)
 		}
 		names := map[string]int{}
-		shards := map[int32]bool{}
 		byID := map[int32]obs.SpanSnapshot{}
 		for _, sp := range snap.Spans {
 			byID[sp.ID] = sp
 		}
 		for _, sp := range snap.Spans {
 			names[sp.Name]++
-			if sp.Name == "shard" {
-				shards[sp.Shard] = true
-			}
-			if (sp.Name == "shard" || sp.Name == "merge") && byID[sp.Parent].Name != "topk" {
-				t.Errorf("span %q hangs under %q, want the request's topk root", sp.Name, byID[sp.Parent].Name)
-			}
-			if sp.Name == "scan" && byID[sp.Parent].Name != "shard" {
-				t.Errorf("span scan hangs under %q, want shard", byID[sp.Parent].Name)
+			if sp.Name == "scan" && byID[sp.Parent].Name != "topk" {
+				t.Errorf("span scan hangs under %q, want the request's topk root", byID[sp.Parent].Name)
 			}
 		}
-		for _, want := range []string{"topk", "shard", "scan", "merge"} {
+		for _, want := range []string{"topk", "scan"} {
 			if names[want] == 0 {
 				t.Errorf("span %q missing from trace (have %v)", want, names)
 			}
 		}
-		if names["batch.wait"]+names["batch.retrieve"] != 0 {
-			t.Errorf("trace carries batch spans: %v", names)
-		}
-		if !shards[0] || !shards[1] {
-			t.Errorf("shard fan-out spans incomplete: %v", shards)
+		if n := names["batch.wait"] + names["batch.retrieve"] + names["shard"] + names["merge"]; n != 0 {
+			t.Errorf("trace carries batch, shard or merge spans: %v", names)
 		}
 	})
 }
@@ -408,7 +394,6 @@ func TestTraceHeaderAndRing(t *testing.T) {
 // same trace id.
 func TestSlowQueryLog(t *testing.T) {
 	srv, h, sink := obsServer(t, Config{
-		Shards:             2,
 		Options:            lemp.Options{Parallelism: 1},
 		SlowQueryThreshold: time.Nanosecond, // everything is slow
 	})
@@ -433,16 +418,15 @@ func TestSlowQueryLog(t *testing.T) {
 	if rec["endpoint"] != "topk" || rec["rows"] != float64(2) {
 		t.Errorf("slow-query record wrong: %v", rec)
 	}
-	for _, phase := range []string{"tune_ns", "scan_ns", "merge_ns", "shards"} {
+	for _, phase := range []string{"tune_ns", "scan_ns"} {
 		if rec[phase] == nil {
 			t.Errorf("slow-query record missing %s: %v", phase, rec)
 		}
 	}
-	if _, ok := rec["batch_wait_ns"]; ok {
-		t.Errorf("slow-query record still reports a batch wait: %v", rec)
-	}
-	if sh, ok := rec["shards"].([]any); !ok || len(sh) != 2 {
-		t.Errorf("slow-query shard timings = %v, want 2 entries", rec["shards"])
+	for _, gone := range []string{"batch_wait_ns", "merge_ns", "shards"} {
+		if _, ok := rec[gone]; ok {
+			t.Errorf("slow-query record still reports %s: %v", gone, rec)
+		}
 	}
 
 	// Slow requests are retained even at sample rate 0.
@@ -474,7 +458,7 @@ func TestSlowQueryLog(t *testing.T) {
 // 503 "draining" permanently after BeginDrain — while /healthz stays 200
 // throughout.
 func TestReadyzLifecycle(t *testing.T) {
-	srv, h, sink := obsServer(t, Config{Shards: 1, Options: lemp.Options{Parallelism: 1}})
+	srv, h, sink := obsServer(t, Config{Options: lemp.Options{Parallelism: 1}})
 
 	status := func() (int, string) {
 		w := doJSON(t, h, "GET", "/readyz", "")
@@ -512,7 +496,7 @@ func TestReadyzLifecycle(t *testing.T) {
 // TestAccessLog checks every request emits a debug-level access record with
 // the fields an operator greps for.
 func TestAccessLog(t *testing.T) {
-	srv, h, sink := obsServer(t, Config{Shards: 1, Options: lemp.Options{Parallelism: 1}})
+	srv, h, sink := obsServer(t, Config{Options: lemp.Options{Parallelism: 1}})
 	dim := srv.Sharded().R()
 	w := doJSON(t, h, "POST", "/v1/topk", topKBody(t, dim, 1, 3))
 	if w.Code != 200 {
@@ -538,9 +522,9 @@ func TestAccessLog(t *testing.T) {
 
 // TestStatsDurations checks /stats serves its durations as integer
 // nanoseconds only: retrieval_ns counts the query's scans, prep_ns is the
-// shards' build time, and no human-readable duration string is left.
+// index's build time, and no human-readable duration string is left.
 func TestStatsDurations(t *testing.T) {
-	srv, h, _ := obsServer(t, Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})
+	srv, h, _ := obsServer(t, Config{Options: lemp.Options{Parallelism: 1}})
 	dim := srv.Sharded().R()
 	if w := doJSON(t, h, "POST", "/v1/topk", topKBody(t, dim, 2, 5)); w.Code != 200 {
 		t.Fatalf("topk = %d", w.Code)
@@ -572,7 +556,7 @@ func TestStatsDurations(t *testing.T) {
 		prep += ix.PrepTime()
 	}
 	if got := ns("prep_ns"); got != prep.Nanoseconds() {
-		t.Fatalf("prep_ns = %d, the shards' PrepTime sums to %d", got, prep.Nanoseconds())
+		t.Fatalf("prep_ns = %d, the index's PrepTime is %d", got, prep.Nanoseconds())
 	}
 	for _, key := range []string{"prep", "tune", "retrieval"} {
 		if v, ok := st.Core[key]; ok {
@@ -582,11 +566,11 @@ func TestStatsDurations(t *testing.T) {
 }
 
 // TestStatsIndexStateFollowsShards: /stats buckets, indexed_buckets and
-// prep_ns describe the shards serving when /stats is read, summed over
-// them — before any query, and after a batch that removes most of the
-// catalog and compacts the shards.
+// prep_ns describe the index version serving when /stats is read — before
+// any query, and after a batch that removes most of the catalog and
+// compacts the index.
 func TestStatsIndexStateFollowsShards(t *testing.T) {
-	srv, h, _ := obsServer(t, Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})
+	srv, h, _ := obsServer(t, Config{Options: lemp.Options{Parallelism: 1}})
 	check := func(when string) {
 		t.Helper()
 		var st statsResponse
@@ -605,10 +589,10 @@ func TestStatsIndexStateFollowsShards(t *testing.T) {
 			}
 		}
 		if buckets == 0 || prep <= 0 {
-			t.Fatalf("%s: shards hold %d buckets built in %v", when, buckets, prep)
+			t.Fatalf("%s: the index holds %d buckets built in %v", when, buckets, prep)
 		}
 		if st.Core.Buckets != buckets || st.Core.IndexedBuckets != indexed || st.Core.PrepNS != prep.Nanoseconds() {
-			t.Errorf("%s: /stats buckets %d, indexed_buckets %d, prep_ns %d; the shards hold %d, %d, %d",
+			t.Errorf("%s: /stats buckets %d, indexed_buckets %d, prep_ns %d; the index holds %d, %d, %d",
 				when, st.Core.Buckets, st.Core.IndexedBuckets, st.Core.PrepNS, buckets, indexed, prep.Nanoseconds())
 		}
 	}
@@ -633,22 +617,22 @@ func TestStatsIndexStateFollowsShards(t *testing.T) {
 		t.Fatalf("update = %d: %s", w.Code, w.Body.String())
 	}
 	if srv.Sharded().Compactions() == 0 {
-		t.Fatal("removing three quarters of the catalog compacted no shard")
+		t.Fatal("removing three quarters of the catalog compacted nothing")
 	}
 	check("after the shrinking batch")
 	if w := doJSON(t, h, "POST", "/v1/topk", topKBody(t, dim, 4, 5)); w.Code != 200 {
 		t.Fatalf("topk = %d: %s", w.Code, w.Body.String())
 	}
-	check("after a query on the shrunk shards")
+	check("after a query on the shrunk index")
 }
 
 // TestPprofGate checks the profiling endpoints are mounted only on opt-in.
 func TestPprofGate(t *testing.T) {
-	_, off, _ := obsServer(t, Config{Shards: 1, Options: lemp.Options{Parallelism: 1}})
+	_, off, _ := obsServer(t, Config{Options: lemp.Options{Parallelism: 1}})
 	if w := doJSON(t, off, "GET", "/debug/pprof/", ""); w.Code == 200 {
 		t.Fatal("pprof served without EnablePprof")
 	}
-	_, on, _ := obsServer(t, Config{Shards: 1, Options: lemp.Options{Parallelism: 1}, EnablePprof: true})
+	_, on, _ := obsServer(t, Config{Options: lemp.Options{Parallelism: 1}, EnablePprof: true})
 	if w := doJSON(t, on, "GET", "/debug/pprof/", ""); w.Code != 200 {
 		t.Fatalf("pprof index = %d with EnablePprof, want 200", w.Code)
 	}

@@ -19,38 +19,26 @@ import (
 	"lemp/internal/vecmath"
 )
 
-// Config sizes a Server. The zero value is usable: it means 1 shard, a
-// bounded request-body size, and library-default retrieval options except
-// Parallelism, which defaults to using all cores across the shard fan-out (a
+// Config sizes a Server. The zero value is usable: it means a bounded
+// request-body size and library-default index options except Parallelism,
+// which defaults to every core, for a build and for each retrieval call (a
 // server owns the machine, unlike the paper's single-threaded measurements).
 type Config struct {
-	// Shards is the number of index shards (default 1).
+	// Shards is ignored: a server holds one index. It is kept only because
+	// the benchmark/ module sets it; its next refresh deletes it.
 	Shards int
-	// Placement selects how a build partitions the catalog into shards:
-	// "range" (equal-count contiguous, the default) or "cluster"
-	// (directional spherical k-means, seeded by Options.Seed). It decides
-	// nothing else: every retrieval reaches every shard, and adds go to the
-	// shard with the least estimated scan cost under any placement. Neither
-	// indexes nor snapshots record it, so NewFromSnapshot reads it only when
-	// it re-places (see RebalanceOnLoad).
+	// Placement is ignored, like Shards, and kept for the same reason.
 	Placement string
-	// RebalanceOnLoad makes NewFromSnapshot re-place the restored live
-	// probes under Placement: a fresh build of Shards shards (the snapshot
-	// count when Shards is 0), ids and AutoID mark preserved. Without it a
-	// restore keeps the snapshots' partition, unless Shards is set and
-	// differs from the snapshot count, which re-places just the same.
-	RebalanceOnLoad bool
 	// Quant overrides the snapshots' Options.Quantize when restoring
 	// (NewFromSnapshot): lemp.QuantAuto (the zero value) keeps what each
 	// snapshot recorded, QuantOn forces the option on (every bucket is
-	// quantized at load), QuantOff forces it off (the shards then screen
+	// quantized at load), QuantOff forces it off (the index then screens
 	// lazily where the int8 kernels are assembly, like any default build).
 	// Fresh builds ignore it — set Options.Quantize instead.
 	Quant lemp.QuantMode
-	// Options configure each shard's index. Options.Parallelism == 0 is
-	// replaced by runtime.NumCPU()/Shards (at least 1), so one request
-	// fanning out across all shards uses about all cores — not Shards× of
-	// them. Set Parallelism explicitly to override.
+	// Options configure the index. Options.Parallelism == 0 is replaced by
+	// runtime.NumCPU(): a build, a restore and each retrieval call use every
+	// core. Set Parallelism explicitly to override.
 	Options lemp.Options
 	// BatchWindow is ignored: requests are never coalesced (see Batcher).
 	// It is kept only because the benchmark/ module sets it; its next
@@ -76,15 +64,15 @@ type Config struct {
 	// 4096; negative disables the limit). Updates are applied atomically,
 	// so an unbounded batch would buffer unbounded derived state.
 	MaxUpdateOps int
-	// CompactFraction is the per-shard delta-mass threshold above which an
-	// update triggers re-bucketization of that shard (default 0.25;
+	// CompactFraction is the delta-mass threshold above which an update
+	// triggers re-bucketization of the index (default 0.25;
 	// negative disables auto-compaction). Lower values keep pruning tight
 	// at the cost of more frequent rebuilds.
 	CompactFraction float64
 	// RequestTimeout bounds each retrieval request's end-to-end time
-	// (default 0: no deadline). The deadline propagates into the sharded
-	// scans, which abort mid-bucket when it expires, so a pathological
-	// query cannot pin shard workers indefinitely.
+	// (default 0: no deadline). The deadline propagates into the index
+	// scan, which aborts mid-bucket when it expires, so a pathological
+	// query cannot pin the retrieval workers indefinitely.
 	RequestTimeout time.Duration
 
 	// Logger receives the structured access log (Debug), slow-query log
@@ -110,14 +98,8 @@ type Config struct {
 
 // withDefaults resolves zero fields.
 func (c Config) withDefaults() Config {
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
 	if c.Options.Parallelism == 0 {
-		c.Options.Parallelism = runtime.NumCPU() / c.Shards
-		if c.Options.Parallelism < 1 {
-			c.Options.Parallelism = 1
-		}
+		c.Options.Parallelism = runtime.NumCPU()
 	}
 	if c.ShedQueueRows == 0 {
 		c.ShedQueueRows = 16384
@@ -172,63 +154,45 @@ type Server struct {
 	updates  atomic.Uint64 // update batches applied
 }
 
-// New builds a server over the probe matrix: cfg.Shards indexes over
-// contiguous probe ranges. The indexes copy the probes, so the caller may
-// reuse the matrix at once.
+// New builds a server over the probe matrix: one index, which copies the
+// probes, so the caller may reuse the matrix at once.
 func New(probe *lemp.Matrix, cfg Config) (*Server, error) {
 	return NewWithIDs(probe, nil, cfg)
 }
 
 // NewWithIDs is New with caller-chosen external probe ids (ids[i] names
 // probe column i; nil assigns 0..n-1). Rebuilding a server from a mutated
-// catalog — e.g. re-sharding a snapshot whose ids are no longer contiguous
-// — must use this so results and updates keep addressing the same probes.
+// catalog, whose ids are no longer contiguous, must use this so results and
+// updates keep addressing the same probes.
 func NewWithIDs(probe *lemp.Matrix, ids []int32, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	kind, err := ParsePlacement(cfg.Placement)
-	if err != nil {
-		return nil, err
+	if probe.N() == 0 {
+		return nil, fmt.Errorf("server: probe matrix is empty")
 	}
-	sharded, err := NewShardedPlaced(probe, ids, cfg.Shards, cfg.Options, kind)
+	ix, err := lemp.NewWithIDs(probe, ids, cfg.Options)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("server: building the index: %w", err)
 	}
-	return newServer(sharded, cfg), nil
+	return newServer(newSharded(ix), cfg), nil
 }
 
-// NewFromSnapshot builds a server from one LEMPIDX1 snapshot per shard (in
-// shard order, as written by WriteSnapshotsWith). Each shard re-derives its
-// buckets and skips the tuning and the list builds (lemp.LoadIndex). cfg.Options contributes
-// only Parallelism (structure and algorithm are fixed by the snapshots).
-//
-// The snapshots' partition is kept as-is by default: one shard per snapshot.
-// cfg.Shards set to a different count, or cfg.RebalanceOnLoad, instead
-// re-places the restored live probes under cfg.Placement — a fresh build,
-// ids preserved — before the server starts serving.
+// NewFromSnapshot builds a server from the LEMPIDX1 snapshot
+// WriteSnapshotsWith wrote: the index re-derives its buckets and skips the
+// tuning and the list builds (lemp.LoadIndex). cfg.Options contributes only
+// Parallelism (structure and algorithm are fixed by the snapshot). A set of
+// several files, one per shard as builds whose server split its catalog
+// into shards wrote it, in shard order, is joined into one unpretuned build
+// that keeps every id and the set's AutoID mark.
 func NewFromSnapshot(snapshots []io.Reader, cfg Config) (*Server, error) {
-	if cfg.Shards == 0 {
-		cfg.Shards = len(snapshots)
-	}
 	cfg = cfg.withDefaults()
-	kind, err := ParsePlacement(cfg.Placement)
+	ix, err := loadSnapshots(snapshots, lemp.LoadOptions{Parallelism: cfg.Options.Parallelism, Quant: cfg.Quant})
 	if err != nil {
 		return nil, err
 	}
-	sharded, err := NewShardedFromSnapshot(snapshots, lemp.LoadOptions{Parallelism: cfg.Options.Parallelism, Quant: cfg.Quant})
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Shards != len(snapshots) || cfg.RebalanceOnLoad {
-		if sharded, err = sharded.rePlaced(cfg.Shards, kind); err != nil {
-			return nil, err
-		}
-	}
-	// Per-shard observability is sized to the final shard count.
-	cfg.Shards = sharded.NumShards()
-	return newServer(sharded, cfg), nil
+	return newServer(newSharded(ix), cfg), nil
 }
 
-// newServer wires the shared serving stack around a shard set.
+// newServer wires the serving stack around the index.
 func newServer(sharded *Sharded, cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
@@ -242,7 +206,7 @@ func newServer(sharded *Sharded, cfg Config) *Server {
 		s.logger = slog.New(slog.DiscardHandler)
 	}
 	s.tracer = obs.NewTracer(obs.TracerConfig{SampleRate: cfg.TraceSampleRate, RingSize: cfg.TraceRingSize})
-	s.metrics = newServerMetrics(sharded.NumShards())
+	s.metrics = newServerMetrics()
 	s.wireState()
 	return s
 }
@@ -263,40 +227,37 @@ func (s *Server) BeginDrain() {
 	}
 }
 
-// Sharded returns the server's shard set (for snapshot persistence and
-// introspection).
+// Sharded returns the server's index and its serving state (for snapshot
+// persistence and introspection).
 func (s *Server) Sharded() *Sharded { return s.sharded }
 
-// WriteSnapshotsWith persists every shard index: open(i, n) is called with
-// each shard number and the shard count and returns the destination (and any
-// error, which aborts the walk). Close is called only after a fully
-// successful write; when a write fails mid-stream, a destination
-// implementing Abort() is aborted instead of closed, so implementations
-// that commit on Close (temp file + rename) can discard the partial output
-// rather than publish it. Restart with NewFromSnapshot by supplying the
-// same snapshots in the same order. It may run beside request serving: it
-// writes the shard versions current when it starts, and queries change
-// nothing it reads. opts are the persistence options — e.g.
+// WriteSnapshotsWith persists the index as one snapshot: open(0, 1) returns
+// the destination (and any error, which aborts the write); the arguments are
+// a file number and count, kept for the benchmark/ module, which names its
+// files by them. Close is called only after a fully successful write; when
+// the write fails mid-stream, a destination implementing Abort() is aborted
+// instead of closed, so implementations that commit on Close (temp file +
+// rename) can discard the partial output rather than publish it. Restart
+// with NewFromSnapshot. It may run beside request serving: it writes the
+// index version current when it starts, and queries change nothing it
+// reads. opts are the persistence options — e.g.
 // lemp.SnapshotOptions{IncludeLists: true} to carry the built sorted-list
 // indexes so a restored server's first request skips their rebuild.
 func (s *Server) WriteSnapshotsWith(open func(i, n int) (io.WriteCloser, error), opts lemp.SnapshotOptions) error {
-	ixs := s.sharded.Indexes()
-	for i, ix := range ixs {
-		w, err := open(i, len(ixs))
-		if err != nil {
-			return err
+	w, err := open(0, 1)
+	if err != nil {
+		return err
+	}
+	if err := s.sharded.current().WriteSnapshotWith(w, opts); err != nil {
+		if a, ok := w.(interface{ Abort() error }); ok {
+			a.Abort()
+		} else {
+			w.Close()
 		}
-		if err := ix.WriteSnapshotWith(w, opts); err != nil {
-			if a, ok := w.(interface{ Abort() error }); ok {
-				a.Abort()
-			} else {
-				w.Close()
-			}
-			return fmt.Errorf("server: snapshotting shard %d: %w", i, err)
-		}
-		if err := w.Close(); err != nil {
-			return fmt.Errorf("server: snapshotting shard %d: %w", i, err)
-		}
+		return fmt.Errorf("server: snapshotting the index: %w", err)
+	}
+	if err := w.Close(); err != nil {
+		return fmt.Errorf("server: snapshotting the index: %w", err)
 	}
 	return nil
 }
@@ -436,8 +397,8 @@ func (s *Server) instrument(endpoint string, traced bool, h http.HandlerFunc) ht
 }
 
 // logSlowQuery emits the structured slow-query record: end-to-end and
-// per-phase durations (summed from the trace's span tree), per-shard scan
-// times, and the work counters the handler recorded. It runs while the
+// per-phase durations (summed from the trace's span tree) and the work
+// counters the handler recorded. It runs while the
 // trace is still owned by this request, before Finish returns it to the
 // pool.
 func (s *Server) logSlowQuery(r *http.Request, endpoint string, status int, dur time.Duration, tr *obs.Trace, info *reqInfo) {
@@ -445,12 +406,7 @@ func (s *Server) logSlowQuery(r *http.Request, endpoint string, status int, dur 
 		return
 	}
 	durNS := dur.Nanoseconds()
-	var tuneNS, scanNS, mergeNS int64
-	type shardTime struct {
-		Shard int   `json:"shard"`
-		NS    int64 `json:"ns"`
-	}
-	var shards []shardTime
+	var tuneNS, scanNS int64
 	for _, sp := range tr.Spans() {
 		end := sp.EndNS
 		if end == 0 {
@@ -462,10 +418,6 @@ func (s *Server) logSlowQuery(r *http.Request, endpoint string, status int, dur 
 			tuneNS += d
 		case "scan":
 			scanNS += d
-		case "merge":
-			mergeNS += d
-		case "shard":
-			shards = append(shards, shardTime{Shard: int(sp.Shard), NS: d})
 		}
 	}
 	s.logger.LogAttrs(r.Context(), slog.LevelWarn, "slow query",
@@ -476,8 +428,6 @@ func (s *Server) logSlowQuery(r *http.Request, endpoint string, status int, dur 
 		slog.Int("rows", info.rows),
 		slog.Int64("tune_ns", tuneNS),
 		slog.Int64("scan_ns", scanNS),
-		slog.Int64("merge_ns", mergeNS),
-		slog.Any("shards", shards),
 		slog.Int64("candidates", info.stats.Candidates),
 		slog.Int64("results", info.stats.Results),
 		slog.Int("tunings", info.stats.Tunings),
@@ -559,8 +509,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, topk bool) 
 // response can never mix rows from different epochs.
 //
 // The request context (plus the configured RequestTimeout) flows into the
-// sharded retrieval: when the client disconnects or the deadline passes, the
-// shard scans abort mid-bucket.
+// retrieval: when the client disconnects or the deadline passes, the scan
+// aborts mid-bucket.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, key batchKey, cb *codecBuf) {
 	if err := key.check(); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -589,7 +539,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, key batchKey, cb 
 	}
 	view := s.sharded.CurrentView()
 	// A row can never hold more than N entries; clamping here keeps huge k
-	// values from sizing merge buffers off user input.
+	// values from sizing top-k heaps off user input.
 	if n := view.N(); key.topk && n > 0 && key.k > n {
 		key.k = n
 	}
@@ -633,7 +583,6 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, key batchKey, cb 
 type healthzResponse struct {
 	Status string `json:"status"`
 	Probes int    `json:"probes"`
-	Shards int    `json:"shards"`
 	Dim    int    `json:"dim"`
 	Epoch  uint64 `json:"epoch"`
 }
@@ -643,7 +592,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, healthzResponse{
 		Status: "ok",
 		Probes: view.N(),
-		Shards: s.sharded.NumShards(),
 		Dim:    s.sharded.R(),
 		Epoch:  view.Epoch(),
 	})
@@ -687,7 +635,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, _ *http.Request) {
 }
 
 // statsResponse is the body of GET /stats: server counters plus the
-// cumulative core retrieval stats across all shards and calls.
+// cumulative core retrieval stats across all calls.
 type statsResponse struct {
 	UptimeSeconds float64   `json:"uptime_seconds"`
 	Requests      uint64    `json:"requests"`
@@ -699,16 +647,14 @@ type statsResponse struct {
 	AvgBatchRows  float64   `json:"avg_batch_rows"`
 	Kernels       string    `json:"kernels"` // "avx2" or "portable": vecmath.Kernels
 	Shed          shedInfo  `json:"shed"`
-	CostSkew      float64   `json:"cost_skew"`
-	ShardsScanned uint64    `json:"shards_scanned"`
-	ListBytes     int       `json:"list_bytes"` // sorted-list indexes across shards: Sharded.ListBytes
+	ListBytes     int       `json:"list_bytes"` // the index's sorted-list indexes: Sharded.ListBytes
 	Quant         quantInfo `json:"quant"`
 	Core          coreStats `json:"core"`
 }
 
 // quantInfo reports quantized-screening effectiveness and footprint:
 // candidates discarded before exact verification vs passed through, and
-// the sidecar memory across shards — every bucket's with Options.Quantize,
+// the index's sidecar memory — every bucket's with Options.Quantize,
 // otherwise growing with the buckets queries reach. All zero on the portable
 // kernels without the option.
 type quantInfo struct {
@@ -728,11 +674,10 @@ type shedInfo struct {
 }
 
 // coreStats is the "core" block of GET /stats: the cumulative lemp.Stats of
-// every retrieval call (all shards, all calls) beside the index state of
-// the current view, summed over its shards. Durations are integer
-// nanoseconds; tune_ns and retrieval_ns sum worker time across shards and
-// calls — four shards scanning concurrently for 1ms add 4ms — so neither is
-// wall clock, while prep_ns is the shards' total build time.
+// every retrieval call beside the index state of the current view.
+// Durations are integer nanoseconds; tune_ns and retrieval_ns sum worker
+// time across calls and their goroutines, so neither is wall clock, while
+// prep_ns is the index's build time.
 type coreStats struct {
 	lemp.Stats
 	Buckets        int   `json:"buckets"`
@@ -752,15 +697,13 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	view := s.sharded.CurrentView()
 	core := coreStats{Stats: st}
-	for _, ix := range view.ixs {
-		for _, b := range ix.Buckets() {
-			core.Buckets++
-			if b.Indexed {
-				core.IndexedBuckets++
-			}
+	for _, b := range view.ix.Buckets() {
+		core.Buckets++
+		if b.Indexed {
+			core.IndexedBuckets++
 		}
-		core.PrepNS += ix.PrepTime().Nanoseconds()
 	}
+	core.PrepNS = view.ix.PrepTime().Nanoseconds()
 	writeJSON(w, http.StatusOK, statsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Requests:      s.requests.Load(),
@@ -777,9 +720,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			ShedTotal:      uint64(s.metrics.requestsShed.Value()),
 			QueueRows:      s.batcher.RowsInFlight(),
 		},
-		CostSkew:      s.sharded.CostSkew(),
-		ShardsScanned: s.sharded.ShardsScanned(),
-		ListBytes:     s.sharded.ListBytes(),
+		ListBytes: s.sharded.ListBytes(),
 		Quant: quantInfo{
 			Screened:     st.QuantScreened,
 			Survivors:    st.QuantSurvived,

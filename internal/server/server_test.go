@@ -2,18 +2,24 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"lemp"
 	"lemp/internal/data"
+	"lemp/internal/naive"
+	"lemp/internal/vecmath"
 )
 
 // smokeMatrices generates the server test fixture: the Smoke profile's
@@ -106,10 +112,17 @@ func vecs(m *lemp.Matrix, lo, hi int) [][]float64 {
 	return out
 }
 
-const testShards = 4
-
 func testConfig() Config {
-	return Config{Shards: testShards, Options: lemp.Options{Parallelism: 1}}
+	return Config{Options: lemp.Options{Parallelism: 1}}
+}
+
+// shardedOver serves one index over p under opts, as a server does.
+func shardedOver(p *lemp.Matrix, opts lemp.Options) (*Sharded, error) {
+	ix, err := lemp.New(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	return newSharded(ix), nil
 }
 
 // TestTopKMatchesDirect posts query batches to a 4-shard batching server
@@ -281,7 +294,7 @@ func TestHealthzAndStats(t *testing.T) {
 
 	var hz healthzResponse
 	getJSON(t, ts.URL+"/healthz", &hz)
-	if hz.Status != "ok" || hz.Probes != p.N() || hz.Shards != testShards || hz.Dim != p.R() {
+	if hz.Status != "ok" || hz.Probes != p.N() || hz.Dim != p.R() {
 		t.Fatalf("healthz: %+v", hz)
 	}
 
@@ -491,4 +504,146 @@ func getJSON(t testing.TB, url string, out any) {
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// clusteredProbe builds a catalog with a few directional clusters, varied
+// lengths, and a sprinkle of zero vectors.
+func clusteredProbe(rng *rand.Rand, r, n int) *lemp.Matrix {
+	nCenters := 2 + rng.Intn(3)
+	centers := make([][]float64, nCenters)
+	for c := range centers {
+		v := make([]float64, r)
+		for f := range v {
+			v[f] = rng.NormFloat64()
+		}
+		vecmath.Normalize(v, v)
+		centers[c] = v
+	}
+	p := lemp.NewMatrix(r, n)
+	for i := 0; i < n; i++ {
+		if rng.Intn(12) == 0 {
+			continue // zero vector
+		}
+		v := p.Vec(i)
+		c := centers[rng.Intn(nCenters)]
+		for f := range v {
+			v[f] = c[f] + 0.25*rng.NormFloat64()
+		}
+		scale := 0.5 + 2*rng.Float64()
+		norm := vecmath.Norm(v)
+		if norm > 0 {
+			vecmath.Scale(v, v, scale/norm)
+		}
+	}
+	return p
+}
+
+// randomOps builds one mutation batch over the currently live ids: removes
+// and rewrites of random live probes plus AutoID adds (occasionally zero
+// vectors). live is updated to reflect the batch.
+func randomOps(rng *rand.Rand, r int, live *[]int32) []lemp.ProbeUpdate {
+	var ops []lemp.ProbeUpdate
+	nOps := 1 + rng.Intn(6)
+	for o := 0; o < nOps; o++ {
+		switch roll := rng.Intn(4); {
+		case roll == 0 && len(*live) > 4:
+			i := rng.Intn(len(*live))
+			ops = append(ops, lemp.ProbeUpdate{Op: lemp.OpRemove, ID: (*live)[i]})
+			*live = append((*live)[:i], (*live)[i+1:]...)
+		case roll == 1 && len(*live) > 0:
+			i := rng.Intn(len(*live))
+			ops = append(ops, lemp.ProbeUpdate{Op: lemp.OpUpdate, ID: (*live)[i], Vec: randVec(rng, r)})
+		default:
+			ops = append(ops, lemp.ProbeUpdate{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: randVec(rng, r)})
+		}
+	}
+	return ops
+}
+
+func randVec(rng *rand.Rand, r int) []float64 {
+	v := make([]float64, r)
+	if rng.Intn(9) == 0 {
+		return v // zero vector
+	}
+	for f := range v {
+		v[f] = rng.NormFloat64()
+	}
+	return v
+}
+
+// compareRows asserts two grouped Above-θ result sets are byte-identical.
+func compareRows(t *testing.T, ctx string, got, want [][]lemp.Entry) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", ctx, len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("%s: row %d has %d entries, want %d\n got %+v\nwant %+v",
+				ctx, i, len(got[i]), len(want[i]), got[i], want[i])
+		}
+		for j := range want[i] {
+			if got[i][j] != want[i][j] {
+				t.Fatalf("%s: row %d entry %d: got %+v, want %+v", ctx, i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+}
+
+// compareTopKValues asserts two top-k result sets are equal, ids and values
+// (±0 alike).
+func compareTopKValues(t *testing.T, ctx string, got, want [][]lemp.Entry) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", ctx, len(got), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("%s: row %d: got %v, want %v", ctx, i, got[i], want[i])
+		}
+	}
+}
+
+// liveSet gathers the served index's live probes and their ids.
+func liveSet(sh *Sharded) (*lemp.Matrix, []int32) { return sh.current().LiveProbes() }
+
+// answersLikeNaive checks a served index against internal/naive over the live
+// probe set p (column col named ids[col]) in ascending-id order: the same
+// Row-Top-k rows and Above-θ entries, ids and values, at θ equal to the
+// 40th largest product.
+func answersLikeNaive(t *testing.T, what string, sh *Sharded, p *lemp.Matrix, ids []int32, q *lemp.Matrix) {
+	t.Helper()
+	cols := make([]int, len(ids))
+	for c := range cols {
+		cols[c] = c
+	}
+	slices.SortFunc(cols, func(a, b int) int { return cmp.Compare(ids[a], ids[b]) })
+	sorted := lemp.NewMatrix(p.R(), len(cols))
+	for j, c := range cols {
+		copy(sorted.Vec(j), p.Vec(c))
+	}
+	byID := func(e lemp.Entry) lemp.Entry { e.Probe = int(ids[cols[e.Probe]]); return e }
+	v := sh.CurrentView()
+	wantTop, _ := naive.RowTopK(q, sorted, 4)
+	for _, row := range wantTop {
+		for j := range row {
+			row[j] = byID(row[j])
+		}
+	}
+	gotTop, _, err := v.TopKCtx(context.Background(), q, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareTopKValues(t, what+": Row-Top-k against naive", gotTop, wantTop)
+	var all []float64
+	naive.AboveTheta(q, sorted, math.SmallestNonzeroFloat64, func(e lemp.Entry) { all = append(all, e.Value) })
+	slices.SortFunc(all, func(a, b float64) int { return cmp.Compare(b, a) })
+	theta := all[min(40, len(all))-1]
+	want := make([][]lemp.Entry, q.N())
+	naive.AboveTheta(q, sorted, theta, func(e lemp.Entry) { want[e.Query] = append(want[e.Query], byID(e)) })
+	got, _, err := v.AboveThetaCtx(context.Background(), q, theta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareTopKValues(t, what+": Above-θ against naive", got, want)
 }

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"slices"
 	"strings"
 	"testing"
 
@@ -74,81 +72,4 @@ func TestLengthServerNeverTunes(t *testing.T) {
 		t.Fatal(err)
 	}
 	serve("restored", restored)
-}
-
-// TestShardsBuildAndRestoreConcurrently: NewShardedPlaced and
-// NewShardedFromSnapshot run their shards at the same time (run it under
-// -race). Each returns the shard set a one-by-one loop would, and when
-// shards fail, the error of the lowest-numbered one, whichever finishes
-// first.
-func TestShardsBuildAndRestoreConcurrently(t *testing.T) {
-	q, p := smokeMatrices(t)
-	const shards = 4
-	opts := lemp.Options{Parallelism: 1}
-	sh, err := NewShardedPlaced(p, nil, shards, opts, PlaceRange)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := sh.CurrentView().TopKCtx(t.Context(), q.Head(16), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Range placement gives shard i the columns [i·n/4, (i+1)·n/4): poison
-	// one column in each shard named.
-	poisoned := func(bad ...int) *lemp.Matrix {
-		m := p.Clone()
-		for _, s := range bad {
-			m.Vec(s * m.N() / shards)[0] = math.NaN()
-		}
-		return m
-	}
-	for _, bad := range [][]int{{2}, {3, 1}, {0, 1, 2, 3}} {
-		_, err := NewShardedPlaced(poisoned(bad...), nil, shards, opts, PlaceRange)
-		first := slices.Min(bad)
-		if want := fmt.Sprintf("building shard %d:", first); err == nil || !strings.HasPrefix(err.Error(), "server: "+want) {
-			t.Errorf("shards %v failing: err = %v, want one naming shard %d", bad, err, first)
-		}
-	}
-
-	snapshots := func() [][]byte {
-		var out [][]byte
-		for _, ix := range sh.Indexes() {
-			var buf bytes.Buffer
-			if err := ix.WriteSnapshot(&buf); err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, buf.Bytes())
-		}
-		return out
-	}
-	readers := func(files [][]byte) []io.Reader {
-		rs := make([]io.Reader, len(files))
-		for i, f := range files {
-			rs[i] = bytes.NewReader(f)
-		}
-		return rs
-	}
-	restored, err := NewShardedFromSnapshot(readers(snapshots()), lemp.LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := restored.CurrentView().TopKCtx(t.Context(), q.Head(16), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatal("the concurrently restored shards answer differently from the built ones")
-	}
-	for _, bad := range [][]int{{2}, {3, 1}} {
-		files := snapshots()
-		for _, s := range bad {
-			files[s] = files[s][:len(files[s])/2]
-		}
-		_, err := NewShardedFromSnapshot(readers(files), lemp.LoadOptions{})
-		first := slices.Min(bad)
-		if want := fmt.Sprintf("server: loading shard %d snapshot:", first); err == nil || !strings.HasPrefix(err.Error(), want) {
-			t.Errorf("snapshots %v truncated: err = %v, want one naming shard %d", bad, err, first)
-		}
-	}
 }

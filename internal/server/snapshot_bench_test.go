@@ -23,7 +23,7 @@ import (
 func BenchmarkStartupBuildPretuned(b *testing.B) {
 	q, p := data.Smoke.Scale(4).Generate()
 	sample := q.Head(64)
-	cfg := Config{Shards: testShards, Options: benchOptions()}
+	cfg := Config{Options: benchOptions()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		srv, err := New(p, cfg)
@@ -40,7 +40,7 @@ func BenchmarkStartupBuildPretuned(b *testing.B) {
 
 func BenchmarkStartupSnapshot(b *testing.B) {
 	q, p := data.Smoke.Scale(4).Generate()
-	cfg := Config{Shards: testShards, Options: benchOptions()}
+	cfg := Config{Options: benchOptions()}
 	built, err := New(p, cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -76,7 +76,7 @@ func benchOptions() lemp.Options { return lemp.Options{Algorithm: lemp.Algorithm
 // retrieval, not index rebuilds.
 func BenchmarkFirstBatchAfterRestore(b *testing.B) {
 	q, p := data.Smoke.Scale(4).Generate()
-	cfg := Config{Shards: testShards, Options: benchOptions()}
+	cfg := Config{Options: benchOptions()}
 	built, err := New(p, cfg)
 	if err != nil {
 		b.Fatal(err)

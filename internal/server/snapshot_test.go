@@ -16,10 +16,11 @@ import (
 	"testing"
 
 	"lemp"
+	"lemp/internal/vecmath"
 )
 
-// writeShardSnapshots snapshots every shard of a server into in-memory
-// buffers, in shard order.
+// writeShardSnapshots snapshots a server into in-memory buffers, one per
+// file WriteSnapshotsWith opens.
 func writeShardSnapshots(t testing.TB, srv *Server) []*bytes.Buffer {
 	t.Helper()
 	var bufs []*bytes.Buffer
@@ -96,8 +97,8 @@ func TestSnapshotServerWithLists(t *testing.T) {
 	}
 }
 
-// TestSnapshotServerMatchesBuiltServer round-trips a 4-shard server through
-// snapshots and requires identical responses from both.
+// TestSnapshotServerMatchesBuiltServer round-trips a server through its
+// snapshot and requires identical responses from both.
 func TestSnapshotServerMatchesBuiltServer(t *testing.T) {
 	q, p := smokeMatrices(t)
 	built, err := New(p, testConfig())
@@ -108,9 +109,8 @@ func TestSnapshotServerMatchesBuiltServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Sharded().N() != built.Sharded().N() || restored.Sharded().NumShards() != built.Sharded().NumShards() {
-		t.Fatalf("restored %d probes in %d shards, want %d in %d",
-			restored.Sharded().N(), restored.Sharded().NumShards(), built.Sharded().N(), built.Sharded().NumShards())
+	if restored.Sharded().N() != built.Sharded().N() {
+		t.Fatalf("restored %d probes, want %d", restored.Sharded().N(), built.Sharded().N())
 	}
 	tsBuilt := httptest.NewServer(built.Handler())
 	defer tsBuilt.Close()
@@ -134,7 +134,7 @@ func TestSnapshotServerMatchesBuiltServer(t *testing.T) {
 }
 
 // TestSnapshotServerSkipsTuning is the restart-cost contract: a server
-// restored from pretuned shard snapshots must never spend time in tuning —
+// restored from a pretuned snapshot must never spend time in tuning —
 // cumulative TuneTime stays zero across served traffic.
 func TestSnapshotServerSkipsTuning(t *testing.T) {
 	q, p := smokeMatrices(t)
@@ -142,8 +142,8 @@ func TestSnapshotServerSkipsTuning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pretune every shard so the snapshots freeze fitted parameters (this
-	// is what lemp-serve -save-snapshot does before writing).
+	// Pretune the index so the snapshot freezes fitted parameters (this is
+	// what lemp-serve -save-snapshot does before writing).
 	for _, ix := range built.Sharded().Indexes() {
 		if err := ix.PretuneTopK(q.Head(32), 10); err != nil {
 			t.Fatal(err)
@@ -201,78 +201,6 @@ func TestWriteSnapshotsAbortsFailedWrites(t *testing.T) {
 	}
 }
 
-// TestNewShardedFromIndexesValidates: an index set from outside the program
-// is refused when it is empty, mixes dimensions or names one live id in two
-// shards — the error naming both shards and the id — and adopted otherwise.
-func TestNewShardedFromIndexesValidates(t *testing.T) {
-	_, p := smokeMatrices(t)
-	build := func(probe *lemp.Matrix, ids []int32) *lemp.Index {
-		t.Helper()
-		ix, err := lemp.NewWithIDs(probe, ids, lemp.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ix
-	}
-	ix := build(p, nil)
-	r := p.R()
-	for _, tc := range []struct {
-		name string
-		ixs  []*lemp.Index
-		want string
-	}{
-		{"no indexes", nil, "no shard indexes"},
-		{"dimension mismatch", []*lemp.Index{ix, build(lemp.NewMatrix(3, 5), nil)}, "shard 1 has dimension 3"},
-		{"shared id", []*lemp.Index{
-			build(lemp.NewMatrix(r, 3), []int32{0, 1, 2}),
-			build(lemp.NewMatrix(r, 2), []int32{9, 10}),
-			build(lemp.NewMatrix(r, 2), []int32{2, 3}),
-		}, "probe id 2 appears in shards 0 and 2"},
-	} {
-		if _, err := NewShardedFromIndexes(tc.ixs); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
-		}
-	}
-	sh, err := NewShardedFromIndexes([]*lemp.Index{ix})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.N() != p.N() || sh.R() != p.R() {
-		t.Fatalf("shape %d/%d, want %d/%d", sh.N(), sh.R(), p.N(), p.R())
-	}
-}
-
-// TestRouterOverlapDetection: shard indexes whose live ids overlap cannot
-// be assembled — probe updates route by which shard holds an id, so an id
-// held twice has no owner — while disjoint id sets assemble and every id
-// routes to the shard that holds it.
-func TestRouterOverlapDetection(t *testing.T) {
-	r := 4
-	build := func(ids []int32) *lemp.Index {
-		t.Helper()
-		ix, err := lemp.NewWithIDs(lemp.NewMatrix(r, len(ids)), ids, lemp.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ix
-	}
-	_, err := NewShardedFromIndexes([]*lemp.Index{build([]int32{0, 1, 2}), build([]int32{2, 3})})
-	if err == nil || !strings.Contains(err.Error(), "probe id 2 appears in shards 0 and 1") {
-		t.Fatalf("overlapping shards: error %v, want one naming id 2 in shards 0 and 1", err)
-	}
-	sh, err := NewShardedFromIndexes([]*lemp.Index{build([]int32{0, 1}), build([]int32{2, 3})})
-	if err != nil {
-		t.Fatalf("disjoint shards refused: %v", err)
-	}
-	for id, shard := range []int{0, 0, 1, 1} {
-		for i, ix := range sh.Indexes() {
-			if got := ix.Has(int32(id)); got != (i == shard) {
-				t.Fatalf("shard %d Has(%d) = %v, want %v", i, id, got, i == shard)
-			}
-		}
-	}
-}
-
 func TestNewFromSnapshotRejectsCorrupt(t *testing.T) {
 	_, p := smokeMatrices(t)
 	built, err := New(p, testConfig())
@@ -280,17 +208,16 @@ func TestNewFromSnapshotRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	bufs := writeShardSnapshots(t, built)
-	raw := bufs[1].Bytes()
+	raw := bufs[0].Bytes()
 	raw[len(raw)/2] ^= 0x20
 	if _, err := NewFromSnapshot(snapshotReaders(bufs), testConfig()); err == nil {
-		t.Fatal("corrupt shard snapshot accepted")
+		t.Fatal("corrupt snapshot accepted")
 	}
 }
 
 // TestRestoresPlacementFixture: the version-5 snapshot fixture, whose PLMT
-// section names a cluster placement, restores through NewFromSnapshot both
-// as-is and re-placed into two cluster shards, and each answers Row-Top-k
-// as the fixture's index loaded alone does.
+// section names a cluster placement, restores through NewFromSnapshot and
+// answers Row-Top-k as the fixture's index loaded alone does.
 func TestRestoresPlacementFixture(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("..", "snapshot", "testdata", "v5.snap"))
 	if err != nil {
@@ -303,26 +230,15 @@ func TestRestoresPlacementFixture(t *testing.T) {
 	q := lemp.NewMatrix(ix.R(), 6)
 	q.FillRandom(rand.New(rand.NewSource(5)))
 	want := directTopK(t, ix, q, 5)
-	for _, tc := range []struct {
-		cfg    Config
-		shards int
-	}{
-		{Config{}, 1},
-		{Config{Shards: 2, Placement: "cluster"}, 2},
-	} {
-		srv, err := NewFromSnapshot([]io.Reader{bytes.NewReader(raw)}, tc.cfg)
-		if err != nil {
-			t.Fatalf("%+v: %v", tc.cfg, err)
-		}
-		if got := srv.Sharded().NumShards(); got != tc.shards {
-			t.Fatalf("%+v: %d shards, want %d", tc.cfg, got, tc.shards)
-		}
-		got, _, err := srv.Sharded().CurrentView().TopKCtx(context.Background(), q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareTopKValues(t, "restored fixture vs loaded index", got, want)
+	srv, err := NewFromSnapshot([]io.Reader{bytes.NewReader(raw)}, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	got, _, err := srv.Sharded().CurrentView().TopKCtx(context.Background(), q, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareTopKValues(t, "restored fixture vs loaded index", got, want)
 }
 
 // TestRejectsNonFiniteInputs covers the serving-path hardening: NaN/Inf θ
@@ -384,4 +300,49 @@ func TestRejectsNonFiniteInputs(t *testing.T) {
 			t.Errorf("coordinate %s: status %d %s, want a 400 decoding error", lit, resp.StatusCode, msg)
 		}
 	}
+}
+
+// TestMutatedServerSnapshotRoundTrip: a server, mutated, then snapshotted,
+// restores into one index that answers as internal/naive does over the live
+// probe set, as does the saving server. The snapshot carries no PLMT section.
+func TestMutatedServerSnapshotRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	const r, n = 6, 90
+	p := clusteredProbe(rng, r, n)
+	cfg := Config{Options: lemp.Options{MinBucketSize: 6, Parallelism: 1}}
+	srv, err := New(p.Clone(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, live := liveSet(srv.Sharded())
+	for round := 0; round < 4; round++ {
+		ops := randomOps(rng, r, &live)
+		res, err := srv.Sharded().Update(ops, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, op := range ops {
+			if op.Op == lemp.OpAdd {
+				live = append(live, res.IDs[i])
+			}
+		}
+	}
+	liveP, ids := liveSet(srv.Sharded())
+	q := lemp.NewMatrix(r, 5)
+	for i := 0; i < 5; i++ {
+		for vecmath.Norm(q.Vec(i)) == 0 { // probe-like, and not a zero vector
+			copy(q.Vec(i), clusteredProbe(rng, r, 1).Vec(0))
+		}
+	}
+	answersLikeNaive(t, "saving server", srv.Sharded(), liveP, ids, q)
+
+	bufs := writeShardSnapshots(t, srv)
+	if len(bufs) != 1 || bytes.Contains(bufs[0].Bytes(), []byte("PLMT")) {
+		t.Fatalf("%d snapshot files, or a PLMT section; want one file without", len(bufs))
+	}
+	restored, err := NewFromSnapshot(snapshotReaders(bufs), Config{Options: lemp.Options{Parallelism: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answersLikeNaive(t, "restored", restored.Sharded(), liveP, ids, q)
 }

@@ -29,7 +29,7 @@ import (
 // (assigned ids for adds without one).
 //
 // Consistency model: every applied batch advances the epoch by one, even
-// one whose net effect leaves every shard as it was.
+// one whose net effect leaves the probe set as it was.
 // Queries are pinned to the epoch snapshot taken at admission — responses
 // never mix pre- and post-update vectors.
 

@@ -81,7 +81,7 @@ func TestUpdateEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const r, n = 6, 60
 	p := epochProbe(rng, r, n)
-	srv, err := New(p, Config{Shards: 3, Options: lemp.Options{Parallelism: 1}})
+	srv, err := New(p, Config{Options: lemp.Options{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestUpdateHandlerRejects(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const r, n = 4, 40
 	p := epochProbe(rng, r, n)
-	srv, err := New(p, Config{Shards: 2, MaxUpdateOps: 4, Options: lemp.Options{Parallelism: 1}})
+	srv, err := New(p, Config{MaxUpdateOps: 4, Options: lemp.Options{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,17 +231,17 @@ func TestUpdateHandlerRejects(t *testing.T) {
 }
 
 // TestUpdateValidatesBeforeDeriving: Sharded.Update checks every op's vector
-// while it plans the batch, before placement reads it and before any shard
-// derives or compacts anything — so a bad vector is an error under every
-// placement, is reported under its index in the batch, and costs nothing.
+// while it plans the batch, before the index derives or compacts anything —
+// so a bad vector is an error, is reported under its index in the batch, and
+// costs nothing.
 func TestUpdateValidatesBeforeDeriving(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const r, n = 4, 40
 	p := epochProbe(rng, r, n)
 	vec := func() []float64 { return append([]float64(nil), p.Vec(rng.Intn(n))...) }
 
-	t.Run("cluster placement meets a short vector", func(t *testing.T) {
-		sh, err := NewShardedPlaced(p, nil, 2, lemp.Options{Parallelism: 1}, PlaceCluster)
+	t.Run("a short vector", func(t *testing.T) {
+		sh, err := shardedOver(p, lemp.Options{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,16 +251,16 @@ func TestUpdateValidatesBeforeDeriving(t *testing.T) {
 	})
 
 	t.Run("a rejected batch counts no compaction and names its own op", func(t *testing.T) {
-		sh, err := NewShardedPlaced(p, nil, 2, lemp.Options{Parallelism: 1}, PlaceRange)
+		sh, err := shardedOver(p, lemp.Options{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids := sh.Indexes()[1].LiveIDs()
-		// Op 0 alone would push shard 0 past the threshold and compact it;
-		// op 1 is shard 1's first op and no index accepts it.
+		ids := sh.Indexes()[0].LiveIDs()
+		// Op 0 alone would push the index past the threshold and compact it;
+		// op 1 no index accepts.
 		ups := []lemp.ProbeUpdate{
-			{Op: lemp.OpUpdate, ID: sh.Indexes()[0].LiveIDs()[0], Vec: vec()},
-			{Op: lemp.OpUpdate, ID: ids[0], Vec: []float64{math.NaN(), 0, 0, 0}},
+			{Op: lemp.OpUpdate, ID: ids[0], Vec: vec()},
+			{Op: lemp.OpUpdate, ID: ids[1], Vec: []float64{math.NaN(), 0, 0, 0}},
 		}
 		_, err = sh.Update(ups, 0)
 		if err == nil {
@@ -313,7 +313,7 @@ func FuzzUpdateHandler(f *testing.F) {
 	probe := epochProbe(rng, r, n)
 
 	f.Fuzz(func(t *testing.T, body string) {
-		srv, err := New(probe.Clone(), Config{Shards: 2, MaxUpdateOps: 64, Options: lemp.Options{Parallelism: 1}})
+		srv, err := New(probe.Clone(), Config{MaxUpdateOps: 64, Options: lemp.Options{Parallelism: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +343,7 @@ func FuzzUpdateHandler(f *testing.F) {
 func TestPooledUpdateVectorsOutliveReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	const r, n = 4, 32
-	srv, err := New(epochProbe(rng, r, n), Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})
+	srv, err := New(epochProbe(rng, r, n), Config{Options: lemp.Options{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestEpochConsistencyUnderRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const r, n, epochs, readers = 3, 24, 25, 4
 	base := epochProbe(rng, r, n)
-	srv, err := New(base.Clone(), Config{Shards: 3, Options: lemp.Options{Parallelism: 1}})
+	srv, err := New(base.Clone(), Config{Options: lemp.Options{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +551,7 @@ func TestRepeatRetrievesAtItsEpoch(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	const r, n = 4, 30
 	p := epochProbe(rng, r, n)
-	srv, err := New(p.Clone(), Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})
+	srv, err := New(p.Clone(), Config{Options: lemp.Options{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,8 +617,8 @@ func TestRepeatRetrievesAtItsEpoch(t *testing.T) {
 }
 
 // TestReshardPreservesMutatedIDs: rebuilding a server from a mutated
-// (compacted) index must keep the catalog's external ids — a re-shard
-// must never silently renumber probes.
+// (compacted) index must keep the catalog's external ids — a rebuild must
+// never silently renumber probes.
 func TestReshardPreservesMutatedIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const r, n = 4, 30
@@ -646,7 +646,7 @@ func TestReshardPreservesMutatedIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	live, ids := loaded.LiveProbes()
-	srv, err := NewWithIDs(live, ids, Config{Shards: 3, Options: lemp.Options{Parallelism: 1}})
+	srv, err := NewWithIDs(live, ids, Config{Options: lemp.Options{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -659,7 +659,7 @@ func TestReshardPreservesMutatedIDs(t *testing.T) {
 	}
 	// id 3 must still be dead: re-adding succeeds, removing first fails.
 	if status, _ := postBody(t, ts.URL+"/v1/update", `{"updates": [{"op": "remove", "id": 3}]}`); status != http.StatusBadRequest {
-		t.Fatalf("removed id 3 still live after re-shard (status %d)", status)
+		t.Fatalf("removed id 3 still live after the rebuild (status %d)", status)
 	}
 	// The marker vector must be addressable under its original ids.
 	q, _ := json.Marshal(map[string]any{"queries": [][]float64{marker}, "k": 2})
@@ -679,22 +679,23 @@ func TestReshardPreservesMutatedIDs(t *testing.T) {
 	resp.Body.Close()
 	got := []int{out.Results[0][0].Probe, out.Results[0][1].Probe}
 	if !(got[0] == 9 && got[1] == int(n) || got[0] == int(n) && got[1] == 9) {
-		t.Fatalf("marker probes %v after re-shard, want {9, %d}", got, n)
+		t.Fatalf("marker probes %v after the rebuild, want {9, %d}", got, n)
 	}
 }
 
-// TestEmptyShardSnapshotRestores: updates can drain a shard completely;
+// TestEmptyShardSnapshotRestores: updates can drain the index completely;
 // its snapshot must still restore and later adds must refill it.
 func TestEmptyShardSnapshotRestores(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	const r, n = 4, 4
 	p := epochProbe(rng, r, n)
-	srv, err := New(p.Clone(), Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})
+	srv, err := New(p.Clone(), Config{Options: lemp.Options{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Shard 1 holds ids 2 and 3; removing both drains it.
 	if _, err := srv.Sharded().Update([]lemp.ProbeUpdate{
+		{Op: lemp.OpRemove, ID: 0},
+		{Op: lemp.OpRemove, ID: 1},
 		{Op: lemp.OpRemove, ID: 2},
 		{Op: lemp.OpRemove, ID: 3},
 	}, 0.25); err != nil {
@@ -714,20 +715,21 @@ func TestEmptyShardSnapshotRestores(t *testing.T) {
 	}
 	restored, err := NewFromSnapshot(readers, Config{Options: lemp.Options{Parallelism: 1}})
 	if err != nil {
-		t.Fatalf("restore with an emptied shard: %v", err)
+		t.Fatalf("restore of the emptied index: %v", err)
 	}
-	if restored.Sharded().N() != 2 {
-		t.Fatalf("restored %d probes, want 2", restored.Sharded().N())
+	if restored.Sharded().N() != 0 {
+		t.Fatalf("restored %d probes, want 0", restored.Sharded().N())
 	}
-	// Adds go to the smallest shard — the empty one — and serve.
 	res, err := restored.Sharded().Update([]lemp.ProbeUpdate{
 		{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: p.Vec(0)},
+		{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: p.Vec(1)},
+		{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: p.Vec(2)},
 	}, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LiveN != 3 {
-		t.Fatalf("LiveN %d after refill, want 3", res.LiveN)
+	if res.LiveN != 3 || !slices.Equal(res.IDs, []int32{n, n + 1, n + 2}) {
+		t.Fatalf("LiveN %d, ids %v after refill, want 3 under fresh ids from %d", res.LiveN, res.IDs, n)
 	}
 	q, _ := lemp.MatrixFromData(r, 1, append([]float64(nil), p.Vec(0)...))
 	top, _, err := restored.Sharded().CurrentView().TopKCtx(context.Background(), q, 3)
@@ -739,33 +741,29 @@ func TestEmptyShardSnapshotRestores(t *testing.T) {
 	}
 }
 
-// TestReplaceOnLoadKeepsAutoIDsFresh: a restore that re-places rebuilds
-// every shard from the live probes alone, so once the highest id is removed
-// no new shard remembers it; the next AutoID add must still receive an id
-// never used before.
-func TestReplaceOnLoadKeepsAutoIDsFresh(t *testing.T) {
+// TestRestoreKeepsAutoIDsFresh: once the highest id is removed no live
+// probe carries it, yet after a snapshot restore the next AutoID add must
+// still receive an id never used before.
+func TestRestoreKeepsAutoIDsFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const r, n = 4, 12
-	srv, err := New(epochProbe(rng, r, n), Config{Shards: 3, Options: lemp.Options{Parallelism: 1}})
+	srv, err := New(epochProbe(rng, r, n), Config{Options: lemp.Options{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := srv.Sharded().Update([]lemp.ProbeUpdate{{Op: lemp.OpRemove, ID: n - 1}}, -1); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := NewFromSnapshot(snapshotReaders(writeShardSnapshots(t, srv)), Config{Shards: 2, Options: lemp.Options{Parallelism: 1}})
+	restored, err := NewFromSnapshot(snapshotReaders(writeShardSnapshots(t, srv)), Config{Options: lemp.Options{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := restored.Sharded().NumShards(); got != 2 {
-		t.Fatalf("restored %d shards, want 2", got)
 	}
 	res, err := restored.Sharded().Update([]lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: randVec(rng, r)}}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.IDs[0] != n {
-		t.Fatalf("AutoID add after the re-placing restore got id %d, want the never-used %d", res.IDs[0], n)
+		t.Fatalf("AutoID add after the restore got id %d, want the never-used %d", res.IDs[0], n)
 	}
 }
 
@@ -791,77 +789,74 @@ func catalogMatrix(r int, cat map[int32][]float64) (*lemp.Matrix, []int32) {
 	return p, ids
 }
 
-// TestUpdateBatchInvariants: the rules of one batch hold through the shard
-// set whatever the batch's net effect. An accepted batch whose net effect is
+// TestUpdateBatchInvariants: the rules of one batch hold through the server
+// whatever the batch's net effect. An accepted batch whose net effect is
 // empty (an AutoID add, then the remove of that id) still advances the epoch
 // by one and consumes its id; a live id removed and re-added in one batch is
 // live once, with the new vector; a new id added and then updated is live
-// with the final vector. After each batch the shards hold exactly the
-// expected catalog, cat, and answer as internal/naive does over it.
+// with the final vector. After each batch the index holds exactly the
+// expected catalog, cat, and answers as internal/naive does over it.
 func TestUpdateBatchInvariants(t *testing.T) {
-	for _, kind := range []Placement{PlaceRange, PlaceCluster} {
-		rng := rand.New(rand.NewSource(71))
-		const r, n = 4, 40
-		p := octantProbe(rng, r, n)
-		sh, err := NewShardedPlaced(p.Clone(), nil, 3, lemp.Options{Parallelism: 1}, kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cat := make(map[int32][]float64, n)
-		for i := range n {
-			cat[int32(i)] = p.Vec(i)
-		}
-		q := octantProbe(rng, r, 6)
-		vec := func() []float64 { return octantProbe(rng, r, 1).Vec(0) }
-		apply := func(step string, ups []lemp.ProbeUpdate, wantIDs ...int32) {
-			t.Helper()
-			step = fmt.Sprintf("%s: %s", kind, step)
-			epoch := sh.Epoch()
-			res, err := sh.Update(ups, -1)
-			if err != nil {
-				t.Fatalf("%s: %v", step, err)
-			}
-			if res.Epoch != epoch+1 || sh.Epoch() != epoch+1 {
-				t.Fatalf("%s: epoch %d → %d (reported %d), want +1", step, epoch, sh.Epoch(), res.Epoch)
-			}
-			if !slices.Equal(res.IDs, wantIDs) {
-				t.Fatalf("%s: ids %v, want %v", step, res.IDs, wantIDs)
-			}
-			gotP, gotIDs := liveSet(sh)
-			if res.LiveN != len(cat) || len(gotIDs) != len(cat) {
-				t.Fatalf("%s: %d live probes (reported %d), want %d", step, len(gotIDs), res.LiveN, len(cat))
-			}
-			for col, id := range gotIDs {
-				if want, ok := cat[id]; !ok || !slices.Equal(gotP.Vec(col), want) {
-					t.Fatalf("%s: live probe %d holds %v, want %v (live %v)", step, id, gotP.Vec(col), want, ok)
-				}
-			}
-			wantP, ids := catalogMatrix(r, cat)
-			answersLikeNaive(t, step, sh, wantP, ids, q)
-		}
-
-		apply("add then remove", []lemp.ProbeUpdate{
-			{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: vec()},
-			{Op: lemp.OpRemove, ID: n},
-		}, n, n)
-		v := vec()
-		cat[n+1] = v
-		apply("the next AutoID add", []lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: v}}, n+1)
-
-		v = vec()
-		cat[5] = v
-		apply("remove then re-add", []lemp.ProbeUpdate{
-			{Op: lemp.OpRemove, ID: 5},
-			{Op: lemp.OpAdd, ID: 5, Vec: v},
-		}, 5, 5)
-
-		v = vec()
-		cat[1000] = v
-		apply("add then update", []lemp.ProbeUpdate{
-			{Op: lemp.OpAdd, ID: 1000, Vec: vec()},
-			{Op: lemp.OpUpdate, ID: 1000, Vec: v},
-		}, 1000, 1000)
+	rng := rand.New(rand.NewSource(71))
+	const r, n = 4, 40
+	p := octantProbe(rng, r, n)
+	sh, err := shardedOver(p.Clone(), lemp.Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
+	cat := make(map[int32][]float64, n)
+	for i := range n {
+		cat[int32(i)] = p.Vec(i)
+	}
+	q := octantProbe(rng, r, 6)
+	vec := func() []float64 { return octantProbe(rng, r, 1).Vec(0) }
+	apply := func(step string, ups []lemp.ProbeUpdate, wantIDs ...int32) {
+		t.Helper()
+		epoch := sh.Epoch()
+		res, err := sh.Update(ups, -1)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if res.Epoch != epoch+1 || sh.Epoch() != epoch+1 {
+			t.Fatalf("%s: epoch %d → %d (reported %d), want +1", step, epoch, sh.Epoch(), res.Epoch)
+		}
+		if !slices.Equal(res.IDs, wantIDs) {
+			t.Fatalf("%s: ids %v, want %v", step, res.IDs, wantIDs)
+		}
+		gotP, gotIDs := liveSet(sh)
+		if res.LiveN != len(cat) || len(gotIDs) != len(cat) {
+			t.Fatalf("%s: %d live probes (reported %d), want %d", step, len(gotIDs), res.LiveN, len(cat))
+		}
+		for col, id := range gotIDs {
+			if want, ok := cat[id]; !ok || !slices.Equal(gotP.Vec(col), want) {
+				t.Fatalf("%s: live probe %d holds %v, want %v (live %v)", step, id, gotP.Vec(col), want, ok)
+			}
+		}
+		wantP, ids := catalogMatrix(r, cat)
+		answersLikeNaive(t, step, sh, wantP, ids, q)
+	}
+
+	apply("add then remove", []lemp.ProbeUpdate{
+		{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: vec()},
+		{Op: lemp.OpRemove, ID: n},
+	}, n, n)
+	v := vec()
+	cat[n+1] = v
+	apply("the next AutoID add", []lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: v}}, n+1)
+
+	v = vec()
+	cat[5] = v
+	apply("remove then re-add", []lemp.ProbeUpdate{
+		{Op: lemp.OpRemove, ID: 5},
+		{Op: lemp.OpAdd, ID: 5, Vec: v},
+	}, 5, 5)
+
+	v = vec()
+	cat[1000] = v
+	apply("add then update", []lemp.ProbeUpdate{
+		{Op: lemp.OpAdd, ID: 1000, Vec: vec()},
+		{Op: lemp.OpUpdate, ID: 1000, Vec: v},
+	}, 1000, 1000)
 }
 
 // shardedBatch draws one random mutation batch against a catalog whose live
@@ -927,62 +922,55 @@ func shardedBatch(rng *rand.Rand, r int, live []int32, next int32, late bool) []
 
 // TestShardedUpdatesMatchIndex holds the two entry points that apply update
 // batches to the same bookkeeping: the same random batch sequence, valid and
-// invalid ops mixed, goes to a shard set under each placement and shard count
-// and to one unsharded index over the same catalog. Both must accept or
-// refuse each batch alike (a refusal with the same error), report the same
-// per-op ids, and agree on the epoch, the next AutoID (the shard set's
-// unexported nextID) and the live ids. Their answers are the root
+// invalid ops mixed, goes to the server's index and to one index of its own
+// over the same catalog. Both must accept or refuse each batch alike (a
+// refusal with the same error), report the same per-op ids, and agree on the
+// epoch, the next AutoID and the live ids. Their answers are the root
 // differential harness's (TestDifferentialMutations).
 func TestShardedUpdatesMatchIndex(t *testing.T) {
 	batches := 200
 	if testing.Short() {
 		batches = 40
 	}
-	for _, kind := range []Placement{PlaceRange, PlaceCluster} {
-		for shards := 1; shards <= 3; shards++ {
-			name := fmt.Sprintf("%s/%d", kind, shards)
-			rng := rand.New(rand.NewSource(int64(83 + shards)))
-			const r, n = 5, 36
-			p := octantProbe(rng, r, n)
-			opts := lemp.Options{Parallelism: 1, MinBucketSize: 4}
-			sh, err := NewShardedPlaced(p.Clone(), nil, shards, opts, kind)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ix, err := lemp.New(p.Clone(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			accepted := 0
-			for b := range batches {
-				ups := shardedBatch(rng, r, ix.LiveIDs(), ix.NextID(), b >= batches-10)
-				step := fmt.Sprintf("%s batch %d %v", name, b, ups)
-				res, errS := sh.Update(ups, 0.5)
-				nix, ids, errI := ix.WithUpdates(ups)
-				if (errS == nil) != (errI == nil) || errS != nil && errS.Error() != errI.Error() {
-					t.Fatalf("%s: sharded error %v, index error %v", step, errS, errI)
-				}
-				if errI == nil {
-					accepted++
-					ix = nix
-					if !slices.Equal(res.IDs, ids) || res.Epoch != ix.Epoch() || res.LiveN != ix.N() {
-						t.Fatalf("%s: sharded ids %v epoch %d live %d, index %v %d %d", step, res.IDs, res.Epoch, res.LiveN, ids, ix.Epoch(), ix.N())
-					}
-				}
-				var live []int32
-				for _, six := range sh.Indexes() {
-					live = append(live, six.LiveIDs()...)
-				}
-				slices.Sort(live)
-				if sh.Epoch() != ix.Epoch() || sh.nextID != ix.NextID() || !slices.Equal(live, ix.LiveIDs()) {
-					t.Fatalf("%s: sharded epoch %d next id %d live %v, index %d %d %v",
-						step, sh.Epoch(), sh.nextID, live, ix.Epoch(), ix.NextID(), ix.LiveIDs())
-				}
-			}
-			if accepted < batches/4 || accepted == batches {
-				t.Fatalf("%s: %d of %d batches accepted; the mix must exercise both outcomes", name, accepted, batches)
-			}
-			t.Logf("%s: %d of %d batches accepted", name, accepted, batches)
+	for seed := int64(84); seed <= 86; seed++ {
+		name := fmt.Sprintf("seed %d", seed)
+		rng := rand.New(rand.NewSource(seed))
+		const r, n = 5, 36
+		p := octantProbe(rng, r, n)
+		opts := lemp.Options{Parallelism: 1, MinBucketSize: 4}
+		sh, err := shardedOver(p.Clone(), opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		ix, err := lemp.New(p.Clone(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		accepted := 0
+		for b := range batches {
+			ups := shardedBatch(rng, r, ix.LiveIDs(), ix.NextID(), b >= batches-10)
+			step := fmt.Sprintf("%s batch %d %v", name, b, ups)
+			res, errS := sh.Update(ups, 0.5)
+			nix, ids, errI := ix.WithUpdates(ups)
+			if (errS == nil) != (errI == nil) || errS != nil && errS.Error() != errI.Error() {
+				t.Fatalf("%s: sharded error %v, index error %v", step, errS, errI)
+			}
+			if errI == nil {
+				accepted++
+				ix = nix
+				if !slices.Equal(res.IDs, ids) || res.Epoch != ix.Epoch() || res.LiveN != ix.N() {
+					t.Fatalf("%s: sharded ids %v epoch %d live %d, index %v %d %d", step, res.IDs, res.Epoch, res.LiveN, ids, ix.Epoch(), ix.N())
+				}
+			}
+			six := sh.current()
+			if sh.Epoch() != ix.Epoch() || six.NextID() != ix.NextID() || !slices.Equal(six.LiveIDs(), ix.LiveIDs()) {
+				t.Fatalf("%s: server epoch %d next id %d live %v, index %d %d %v",
+					step, sh.Epoch(), six.NextID(), six.LiveIDs(), ix.Epoch(), ix.NextID(), ix.LiveIDs())
+			}
+		}
+		if accepted < batches/4 || accepted == batches {
+			t.Fatalf("%s: %d of %d batches accepted; the mix must exercise both outcomes", name, accepted, batches)
+		}
+		t.Logf("%s: %d of %d batches accepted", name, accepted, batches)
 	}
 }

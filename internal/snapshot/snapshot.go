@@ -151,11 +151,13 @@ const (
 const optionsLen = 4 + 10*8 + 1
 
 // The values Write puts in the two OPTS slots that held BLSH's signature
-// length and false-negative rate when they were options: the settings the
-// BLSH baseline of the experiment harness uses. Read ignores the slots.
+// length and false-negative rate when they were options — the settings the
+// BLSH baseline of the experiment harness uses — and in the one that held
+// the cluster-placement seed, its old default. Read ignores the three slots.
 const (
 	blshBits    = 32
 	blshEpsilon = 0.03
+	retiredSeed = 1
 )
 
 // defaultNextID is the NextID value a state would derive on load anyway,
@@ -403,7 +405,7 @@ func writeOptions(w io.Writer, o core.Options) error {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(o.Parallelism)))
 	buf = binary.LittleEndian.AppendUint64(buf, blshBits)
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(blshEpsilon))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(o.Seed))
+	buf = binary.LittleEndian.AppendUint64(buf, retiredSeed)
 	_, err := w.Write(buf)
 	return err
 }
@@ -693,7 +695,6 @@ func readOptions(r io.Reader) (core.Options, error) {
 		SampleQueries: int(int64(u64(44))),
 		TuneByCost:    buf[52] != 0,
 		Parallelism:   int(int64(u64(53))),
-		Seed:          int64(u64(77)),
 	}
 	if name, ok := retiredAlgorithms[o.Algorithm]; ok {
 		return o, fmt.Errorf("algorithm %d (LEMP-%s) is a baseline this build does not serve; rebuild the index with L, LI, LC, I or C", int(o.Algorithm), name)

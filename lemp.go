@@ -54,7 +54,7 @@ type TopKRows = retrieval.TopK
 // and its pruning counters. Index state — bucket count, lazily built lists,
 // the one-time preprocessing time — is not part of it; read it from the
 // Index (NumBuckets, Buckets, PrepTime). Stats.Add sums every field, so a
-// total over calls or shards is a plain sum.
+// total over calls is a plain sum.
 type Stats = core.Stats
 
 // Options configure an Index; the zero value selects the paper's defaults.
@@ -136,12 +136,11 @@ func (ix *Index) Buckets() []BucketInfo { return ix.inner.Buckets() }
 // PrepTime returns the preprocessing wall-clock time.
 func (ix *Index) PrepTime() time.Duration { return ix.inner.PrepTime() }
 
-// MergeTopK k-way-merges Row-Top-k results obtained from disjoint shards of
-// one probe matrix into a single global result. Each part must hold one row
-// per query (sorted by decreasing value, as Row-Top-k returns them) with
-// probe ids already remapped to the global id space; merged rows keep the k
-// largest entries overall, equal values by ascending probe id. It is the
-// merge step used by sharded serving.
+// MergeTopK k-way-merges Row-Top-k results obtained from indexes over
+// disjoint parts of one probe set into a single global result. Each part
+// must hold one row per query (sorted by decreasing value, as Row-Top-k
+// returns them) with probe ids in one id space; merged rows keep the k
+// largest entries overall, equal values by ascending probe id.
 func MergeTopK(k int, parts ...TopKRows) TopKRows { return retrieval.MergeTopK(k, parts...) }
 
 // SortEntries orders entries canonically by (Query, Probe) ascending, the

@@ -114,9 +114,9 @@ func NewSpec(opts ...Option) (*Spec, error) {
 // vectors with the largest inner products, by decreasing value (fewer when
 // the index holds fewer live probes). Ties are broken arbitrarily: inside
 // one index, scan order decides which of several probes with equal values a
-// row keeps, while MergeTopK, and with it a sharded server, keeps the
-// smallest ids among the shards' rows. So the two can return different
-// probes for tied values; the values themselves agree.
+// row keeps, while MergeTopK keeps the smallest ids among the rows it
+// merges. So the two can return different probes for tied values; the
+// values themselves agree.
 func TopK(k int) Option {
 	return func(s *Spec) error {
 		return s.setProblem(core.Problem{K: k}, "k must be positive, got %d", k)
@@ -221,7 +221,7 @@ func Stream(emit func(Entry)) Option {
 
 // TuningCache caches fitted per-bucket tuning parameters across retrieval
 // calls; see WithTuningCache. It is safe for concurrent use and may be
-// shared across indexes (e.g. server shards) — entries are keyed by index
+// shared across indexes — entries are keyed by index
 // instance and version, so they never cross indexes or survive mutations.
 type TuningCache = core.TuningCache
 

@@ -48,8 +48,8 @@ const MaxProbeID = core.MaxProbeID
 
 // NewWithIDs is New with caller-chosen external probe ids: ids[i] names
 // probe vector i in every result and mutation. ids must be unique and
-// non-negative; nil assigns 0..n-1. Shards of a partitioned catalog use
-// this to index directly in the global id space.
+// non-negative; nil assigns 0..n-1. A catalog rebuilt after mutations
+// uses this to keep its ids.
 func NewWithIDs(probe *Matrix, ids []int32, opts Options) (*Index, error) {
 	inner, err := core.NewIndexWithIDs(probe, ids, opts)
 	if err != nil {
@@ -83,6 +83,15 @@ func (ix *Index) NextID() int32 { return ix.inner.NextID() }
 
 // LiveIDs returns the external ids of all live probes in ascending order.
 func (ix *Index) LiveIDs() []int32 { return ix.inner.LiveIDs() }
+
+// LiveProbes materializes the index's live probe set as a fresh matrix
+// with its external ids in ascending order — the gather step when a catalog
+// is rebuilt, such as a server joining the snapshot set of earlier builds.
+func (ix *Index) LiveProbes() (*Matrix, []int32) { return ix.inner.LiveProbes() }
+
+// Options returns the effective (defaulted) options the index was built
+// or restored with.
+func (ix *Index) Options() Options { return ix.inner.Options() }
 
 // Has reports whether the probe with the given id is live. Like LiveIDs it
 // may run beside retrievals.
