@@ -15,15 +15,18 @@
 //	lemp-serve -p items.p                                 # serve a matrix file
 //	lemp-serve -profile Smoke -addr :9000
 //	lemp-serve -profile Smoke -save-snapshot idx          # build once, persist
-//	lemp-serve -snapshot idx                              # restart without tuning
+//	lemp-serve -snapshot idx                              # restart from the file
 //
-// Snapshots: -save-snapshot pretunes the index and writes it to one LEMPIDX1
-// file, so a later -snapshot startup skips the tuning (and, with the lists
-// saved, their builds); it bucketizes the probes again and checks the stored
-// buckets. A set path.0 … path.N-1 that builds whose server split its
-// catalog into shards wrote, one file per shard, still restores: its files
-// are joined into one index, ids and the AutoID mark kept, which tunes again
-// as a fresh build does.
+// The index runs LENGTH (§4.1) with the int8 screen: no request tunes and no
+// bucket builds sorted lists.
+//
+// Snapshots: -save-snapshot writes the built index to one LEMPIDX1 file as it
+// is; a later -snapshot startup bucketizes the probes again and checks the
+// stored buckets. A file of another bucket algorithm (from earlier builds, or
+// written by the library) and a set path.0 … path.N-1 that builds whose
+// server split its catalog into shards wrote, one file per shard, still
+// restore: they are rebuilt as one LENGTH index, ids and the AutoID mark
+// kept.
 //
 // Endpoints:
 //
@@ -61,10 +64,7 @@
 //
 // Serving is context-aware end to end: when a client disconnects, its
 // request's scan aborts mid-bucket; -request-timeout adds a
-// per-request deadline with the same behavior. Repeat queries with the
-// same k or θ reuse fitted per-bucket tuning parameters through a shared
-// tuning cache, so small-request serving stops re-paying §4.4 sample tuning
-// on every call (visible as tunings vs tune_cache_hits in /stats).
+// per-request deadline with the same behavior.
 //
 // Observability: every request is traced (id in the X-Lemp-Trace response
 // header); requests slower than -slow-query are logged with per-phase
@@ -103,15 +103,11 @@ func main() {
 	pPath := flag.String("p", "", "probe matrix file (columns of P as vectors)")
 	profileName := flag.String("profile", "", "synthesize the probe side of a dataset profile instead of loading -p (e.g. Smoke, Netflix)")
 	snapshotPath := flag.String("snapshot", "", "restore the index from the LEMPIDX1 snapshot at this path (a path.0..path.N-1 set of shard snapshots from earlier builds is joined into one index) instead of building it")
-	saveSnapshot := flag.String("save-snapshot", "", "after building, pretune the index and write its snapshot to this path, then serve")
-	algName := flag.String("alg", "LI", "bucket algorithm: L LI LC I C (L never tunes; the others run the paper's sample tuner, §4.4, on each new problem)")
-	phi := flag.Int("phi", 0, "fixed focus-set size φ (0 = tuned per bucket)")
+	saveSnapshot := flag.String("save-snapshot", "", "after building, write the index's snapshot to this path, then serve")
 	quantize := flag.Bool("quant", false, "build the int8 screening sidecars eagerly and screen every candidate set (results stay exact; ~1 byte per probe per dimension); snapshots record the option and re-quantize on restore. Without it the server screens by itself where the int8 kernels are assembly (/stats \"kernels\": \"avx2\"), building sidecars lazily for the buckets queries reach; the flag adds the eager build and, on the portable kernels, the screen itself, which loses there. With -snapshot, given explicitly it forces the option on or off regardless of what the snapshot recorded")
 	parallel := flag.Int("parallel", 0, "goroutines of the index build and of each retrieval call (0 = NumCPU)")
 	shedQueueRows := flag.Int("shed-queue-rows", 16384, "reject retrieval requests with 429 while admitted requests not yet answered hold this many query rows (0 or negative disables)")
 	shedInflight := flag.Int("shed-inflight", 4096, "reject retrieval requests with 429 past this many in-flight requests (0 or negative disables)")
-	pretuneK := flag.Int("pretune-k", 10, "k used by -save-snapshot's pretuning pass")
-	snapshotLists := flag.Bool("snapshot-lists", true, "with -save-snapshot, also persist the per-bucket sorted-list indexes (larger files; a restored server's first request skips the list rebuild)")
 	compactFrac := flag.Float64("compact-frac", 0.25, "re-bucketize the index when its delta mass (tombstones+overlay per live probe) exceeds this fraction (negative disables)")
 	maxUpdateOps := flag.Int("max-update-ops", 4096, "maximum ops per /v1/update batch (negative disables the limit)")
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request retrieval deadline; expired requests abort their scan mid-bucket and return 503 (0 disables)")
@@ -135,10 +131,6 @@ func main() {
 	if sources != 1 {
 		fail("specify exactly one of -p, -profile or -snapshot")
 	}
-	alg, err := lemp.ParseAlgorithm(*algName)
-	if err != nil {
-		fail("%v", err)
-	}
 	if *shedQueueRows <= 0 {
 		// On the CLI, 0 naturally reads as "never shed"; the Config zero
 		// value means "default" per the library convention.
@@ -153,7 +145,7 @@ func main() {
 		*compactFrac = 1e-9
 	}
 	cfg := server.Config{
-		Options:            lemp.Options{Algorithm: alg, Phi: *phi, Parallelism: *parallel, Quantize: *quantize},
+		Options:            lemp.Options{Parallelism: *parallel, Quantize: *quantize},
 		ShedQueueRows:      *shedQueueRows,
 		ShedInflight:       *shedInflight,
 		MaxUpdateOps:       *maxUpdateOps,
@@ -225,7 +217,7 @@ func main() {
 	}
 
 	if *saveSnapshot != "" {
-		saveSnapshots(srv, *saveSnapshot, *pretuneK, *snapshotLists)
+		saveSnapshots(srv, *saveSnapshot)
 	}
 
 	par := "auto (NumCPU)"
@@ -365,9 +357,9 @@ func loadSnapshots(path string, cfg server.Config) *server.Server {
 	if err != nil {
 		fail("restoring snapshots: %v", err)
 	}
-	msg := "restored the index from its snapshot (buckets checked, tuning skipped)"
+	msg := "restored the index from its snapshot (buckets checked)"
 	if len(files) > 1 {
-		msg = "joined a shard snapshot set into one index (tuning not restored)"
+		msg = "joined a shard snapshot set into one index"
 	}
 	logger.Info(msg,
 		"snapshots", len(files),
@@ -376,27 +368,18 @@ func loadSnapshots(path string, cfg server.Config) *server.Server {
 	return srv
 }
 
-// saveSnapshots pretunes the index on a sample of its own probes, then
-// writes its snapshot to path (atomically, via rename). Pretuning freezes
-// the fitted per-bucket parameters into the snapshot, so a later -snapshot
-// restart serves with zero tuning time; with lists enabled the sorted-list
-// indexes the pretuning pass built ride along, so the restart also skips
-// their first-use rebuild.
-func saveSnapshots(srv *server.Server, path string, k int, lists bool) {
+// saveSnapshots writes the index's snapshot to path (atomically, via
+// rename).
+func saveSnapshots(srv *server.Server, path string) {
 	start := time.Now()
-	ix := srv.Sharded().Indexes()[0]
-	live, _ := ix.LiveProbes()
-	if err := ix.PretuneTopK(pretuneSample(live), k); err != nil {
-		fail("pretuning the index: %v", err)
-	}
 	err := srv.WriteSnapshotsWith(func(int, int) (io.WriteCloser, error) {
 		return newAtomicFile(path)
-	}, lemp.SnapshotOptions{IncludeLists: lists})
+	}, lemp.SnapshotOptions{})
 	if err != nil {
 		fail("saving the snapshot: %v", err)
 	}
 	removeStaleSnapshots(path)
-	logger.Info("pretuned and saved the index snapshot",
+	logger.Info("saved the index snapshot",
 		"path", path, "elapsed", time.Since(start).Round(time.Millisecond).String())
 }
 
@@ -414,22 +397,6 @@ func removeStaleSnapshots(path string) {
 		}
 		logger.Info("removed a stale shard snapshot of an earlier build", "path", name)
 	}
-}
-
-// pretuneSample spreads up to 256 probe vectors of m into a query sample
-// for pretuning (the self-join workload the paper uses for its IE
-// datasets).
-func pretuneSample(m *lemp.Matrix) *lemp.Matrix {
-	const want = 256
-	n := m.N()
-	if n <= want {
-		return m
-	}
-	sample := lemp.NewMatrix(m.R(), want)
-	for i := 0; i < want; i++ {
-		copy(sample.Vec(i), m.Vec(i*n/want))
-	}
-	return sample
 }
 
 // atomicFile writes through a temporary file renamed into place on Close,

@@ -399,8 +399,8 @@ func (ix *Index) Has(id int32) bool {
 	return ok
 }
 
-// PlanUpdates holds the rules of one mutation batch, for every layer that
-// applies one: each op is checked in order, against the batch's own effect
+// planUpdates holds the rules of one mutation batch, which Apply checks
+// before it changes anything: each op is checked in order, against the batch's own effect
 // so far over live — the caller's liveness test for the state before the
 // batch — and an AutoID add takes the next id from nextID on. An add needs a
 // valid id that is not live, a remove or a rewrite a live one, and an add or
@@ -410,9 +410,9 @@ func (ix *Index) Has(id int32) bool {
 // batch names in the order of its first op there, carrying the id's final
 // vector: OpRemove or OpUpdate for an id live before the batch, OpAdd for
 // one live only after, and nothing for an id live at neither end (an add
-// then a remove). PlanUpdates returns each op's id (the assigned one for an
+// then a remove). planUpdates returns each op's id (the assigned one for an
 // AutoID add) and the id the next AutoID add would take.
-func PlanUpdates(ups []ProbeUpdate, r int, nextID int32, live func(int32) bool, net func(ProbeUpdate)) ([]int32, int32, error) {
+func planUpdates(ups []ProbeUpdate, r int, nextID int32, live func(int32) bool, net func(ProbeUpdate)) ([]int32, int32, error) {
 	// What the batch has done so far to each id it names: whether the id
 	// was live before it and is now, and the op whose vector it carries.
 	type stage struct {
@@ -473,7 +473,7 @@ func PlanUpdates(ups []ProbeUpdate, r int, nextID int32, live func(int32) bool, 
 	return ids, nextID, nil
 }
 
-// Apply performs a batch of probe mutations atomically: PlanUpdates checks
+// Apply performs a batch of probe mutations atomically: planUpdates checks
 // the batch against the untouched index, which changes only if every op
 // passes. On success each live entry the batch removes or rewrites becomes a
 // tombstone, the vectors it leaves live become a new run — merged with
@@ -494,7 +494,7 @@ func (ix *Index) Apply(ups []ProbeUpdate) ([]int32, error) {
 	dead, segs := ix.dead, slices.Clone(ix.segs)
 	copied := false // dead is the batch's own slice
 	var batch []liveVec
-	ids, nextID, err := PlanUpdates(ups, ix.r, ix.nextID, ix.Has, func(up ProbeUpdate) {
+	ids, nextID, err := planUpdates(ups, ix.r, ix.nextID, ix.Has, func(up ProbeUpdate) {
 		if up.Op != OpAdd {
 			seg, bi, lid, _ := ix.find(up.ID)
 			segs[seg].live--

@@ -16,8 +16,8 @@ import (
 )
 
 // TestServerSteadyStateAllocs asserts the serving hot path is allocation-
-// free per verified candidate: after warm-up (lazy bucket indexes built,
-// tuning parameters cached, scratch pools populated), repeated scans must
+// free per verified candidate: after warm-up (lazy sidecars built, scratch
+// pools populated), repeated scans must
 // not allocate in proportion to the candidates they verify. Fixed per-call
 // overhead — result rows, query normalization — is legal; anything scaling
 // with candidate count is a regression back to per-candidate scratch
@@ -32,8 +32,7 @@ func TestServerSteadyStateAllocs(t *testing.T) {
 	batch := q.Head(16)
 	const k = 10
 	view := sh.CurrentView()
-	// Warm up: builds lazy per-bucket indexes, fills the tuning cache and
-	// the per-index scratch pools.
+	// Warm up: builds the lazy sidecars and the per-index scratch pools.
 	if _, _, err := view.TopKCtx(context.Background(), batch, k); err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +49,6 @@ func TestServerSteadyStateAllocs(t *testing.T) {
 	}
 	if after.BlockVerified == before.BlockVerified {
 		t.Fatal("steady-state call verified no candidates through the blocked kernels")
-	}
-	if after.Tunings != before.Tunings {
-		t.Fatalf("steady-state call re-tuned (%d -> %d); warm-up failed", before.Tunings, after.Tunings)
 	}
 
 	allocs := testing.AllocsPerRun(10, func() {
@@ -155,7 +151,7 @@ func TestServerObservedSteadyStateAllocs(t *testing.T) {
 		tracer.Finish(tr, obs.TraceMeta{Kind: "topk", Rows: batch.N()})
 	}
 
-	observedTopK() // warm-up: bucket indexes, tuning cache, scratch pools, trace pool
+	observedTopK() // warm-up: sidecars, scratch pools, trace pool
 
 	before := sh.CumulativeStats()
 	observedTopK()
@@ -163,9 +159,6 @@ func TestServerObservedSteadyStateAllocs(t *testing.T) {
 	candidates := after.Candidates - before.Candidates
 	if candidates == 0 {
 		t.Fatal("steady-state call verified no candidates; fixture too small")
-	}
-	if after.Tunings != before.Tunings {
-		t.Fatalf("steady-state call re-tuned (%d -> %d); warm-up failed", before.Tunings, after.Tunings)
 	}
 
 	allocs := testing.AllocsPerRun(10, observedTopK)
@@ -181,24 +174,20 @@ func TestServerObservedSteadyStateAllocs(t *testing.T) {
 // TestReadAfterUpdateAllocs holds what an update leaves for the reads behind
 // it: the derived index versions share their lineage's scratch pool, so the
 // first read of the new version allocates like any other, and a delta bucket
-// the batch did not retire arrives with its lazy index and its entry in the
-// frozen fit. (With a pool per index the first read allocated ≈ 30× a steady
-// one, 145 KB against 4.5 KB on a benchmark shard.)
+// the batch did not retire arrives unchanged, with the lazy sidecar reads
+// built for it where the int8 kernels are assembly. (With a pool per index
+// the first read allocated ≈ 30× a steady one, 145 KB against 4.5 KB on a
+// benchmark shard.)
 func TestReadAfterUpdateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ratio: see raceEnabled")
 	}
 	q, p := data.Smoke.Generate()
-	sh, err := shardedOver(p, lemp.Options{Algorithm: lemp.AlgorithmLI, Parallelism: 1})
+	sh, err := shardedOver(p, lemp.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const k = 10
-	for _, ix := range sh.Indexes() { // frozen fits travel with a version; per-call ones are re-fitted
-		if err := ix.PretuneTopK(q.Head(32), k); err != nil {
-			t.Fatal(err)
-		}
-	}
 	row := q.Head(1)
 	read := func() float64 {
 		var before, after runtime.MemStats
@@ -232,16 +221,16 @@ func TestReadAfterUpdateAllocs(t *testing.T) {
 		return out
 	}
 
-	// A first batch large enough for both shards' delta buckets to be fitted,
-	// then reads: lazy indexes, scratch pools.
+	// A first batch that forms delta buckets, then reads: lazy sidecars,
+	// scratch pools.
 	update(adds(160))
 	var steady, afterUpdate []float64
 	for i := 0; i < 8; i++ {
 		steady = append(steady, read())
 	}
 	old := deltaBuckets()
-	if !slices.ContainsFunc(old, func(b lemp.BucketInfo) bool { return b.Indexed && b.Tuned }) {
-		t.Fatalf("warm-up left no delta bucket both indexed and tuned: %+v", old)
+	if len(old) == 0 {
+		t.Fatal("the first batch formed no delta bucket")
 	}
 	for i := 0; i < 5; i++ {
 		update(append(adds(4), lemp.ProbeUpdate{Op: lemp.OpRemove, ID: int32(10 * i)}, lemp.ProbeUpdate{Op: lemp.OpUpdate, ID: int32(10*i + 1), Vec: q.Vec(i)}))
@@ -249,7 +238,12 @@ func TestReadAfterUpdateAllocs(t *testing.T) {
 	}
 	now := deltaBuckets()
 	for _, b := range old { // small batches merge among themselves, never into the big first run
-		if !slices.Contains(now, b) {
+		// A sidecar a later read built is the only change allowed.
+		kept := slices.ContainsFunc(now, func(c lemp.BucketInfo) bool {
+			c.Sidecar = c.Sidecar && b.Sidecar
+			return c == b
+		})
+		if !kept {
 			t.Errorf("delta bucket %+v did not survive the batches unchanged: %+v", b, now)
 		}
 	}
@@ -294,7 +288,7 @@ func TestHandlerSteadyStateAllocs(t *testing.T) {
 				t.Fatalf("status %d: %s", rec.Code, rec.Body)
 			}
 		}
-		post() // warm-up: bucket indexes, tuning cache, scratch, codec and trace pools
+		post() // warm-up: sidecars, scratch, codec and trace pools
 		const ceiling = 44
 		if allocs := testing.AllocsPerRun(20, post); allocs > ceiling {
 			t.Fatalf("%.1f allocations per one-row /v1/topk, ceiling %v", allocs, ceiling)

@@ -170,55 +170,3 @@ func TestRequestTimeoutAbortsRetrieval(t *testing.T) {
 		})
 	}
 }
-
-// TestShardedTuningCacheReuse checks the serving path shares one tuning
-// cache across calls and epochs key it: repeat calls tune zero times, an
-// update forces exactly one re-tune.
-func TestShardedTuningCacheReuse(t *testing.T) {
-	q, p := smokeMatrices(t)
-	sh, err := shardedOver(p, lemp.Options{Algorithm: lemp.AlgorithmLI, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, st, err := sh.CurrentView().TopKCtx(context.Background(), q, 5); err != nil {
-		t.Fatal(err)
-	} else if st.Tunings != 1 {
-		t.Fatalf("first call ran %d tunings, want 1", st.Tunings)
-	}
-	top, st, err := sh.CurrentView().TopKCtx(context.Background(), q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Tunings != 0 || st.TuneCacheHits != 1 {
-		t.Fatalf("warm call: Tunings=%d TuneCacheHits=%d, want 0/1", st.Tunings, st.TuneCacheHits)
-	}
-	if st.TuneTime != 0 {
-		t.Fatalf("warm call spent %v tuning", st.TuneTime)
-	}
-
-	// Results identical to a direct index.
-	direct := directIndex(t, p)
-	want := directTopK(t, direct, q, 5)
-	for i := range want {
-		if len(top[i]) != len(want[i]) {
-			t.Fatalf("row %d: %d entries, want %d", i, len(top[i]), len(want[i]))
-		}
-		for j := range want[i] {
-			if top[i][j].Probe != want[i][j].Probe || top[i][j].Value != want[i][j].Value {
-				t.Fatalf("row %d entry %d differs", i, j)
-			}
-		}
-	}
-
-	// An update batch rotates the key.
-	if _, err := sh.Update([]lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: p.Vec(0)}}, -1); err != nil {
-		t.Fatal(err)
-	}
-	_, st, err = sh.CurrentView().TopKCtx(context.Background(), q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Tunings != 1 || st.TuneCacheHits != 0 {
-		t.Fatalf("post-update call: Tunings=%d TuneCacheHits=%d, want 1/0 (the new version re-tunes)", st.Tunings, st.TuneCacheHits)
-	}
-}

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -194,5 +196,79 @@ func TestLegacySetValidates(t *testing.T) {
 	}
 	if got := srv.Sharded().Indexes()[0].LiveIDs(); !slices.Equal(got, []int32{0, 2, 3, 7}) {
 		t.Fatalf("joined index holds ids %v, want [0 2 3 7]", got)
+	}
+}
+
+// TestLegacySnapshotsServeLength: the committed LI fixtures — v5.snap alone
+// (pretuned, with sorted lists, Quantize) and the legacy set — restore
+// through NewFromSnapshot into one LENGTH index. After a Row-Top-k and an
+// Above-θ request /stats reads no tuning work and the index holds no list;
+// the rows carry internal/naive's ids and values over the files' live
+// probes; and the next AutoID add takes the files' mark.
+func TestLegacySnapshotsServeLength(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		files []string
+	}{
+		{"v5 file", []string{"v5.snap"}},
+		{"legacy set", []string{"legacy2.snap.0", "legacy2.snap.1"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The reference: each file loaded by the library as it was written.
+			var (
+				raws [][]byte
+				vecs [][]float64
+				ids  []int32
+				mark int32
+			)
+			for _, name := range tc.files {
+				raw, err := os.ReadFile(filepath.Join("..", "snapshot", "testdata", name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ix, err := lemp.LoadIndex(bytes.NewReader(raw), lemp.LoadOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ix.Options().Algorithm == lemp.AlgorithmL {
+					t.Fatalf("%s was written under LENGTH; the test needs an LI file", name)
+				}
+				m, fileIDs := ix.LiveProbes()
+				for col, id := range fileIDs {
+					vecs, ids = append(vecs, m.Vec(col)), append(ids, id)
+				}
+				raws, mark = append(raws, raw), max(mark, ix.NextID())
+			}
+			live, err := lemp.MatrixFromVectors(vecs)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			readers := make([]io.Reader, len(raws))
+			for i, raw := range raws {
+				readers[i] = bytes.NewReader(raw)
+			}
+			srv, err := NewFromSnapshot(readers, testConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := lemp.NewMatrix(live.R(), 6)
+			q.FillRandom(rand.New(rand.NewSource(9)))
+			queries, err := json.Marshal([][]float64{q.Vec(0), q.Vec(1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			servesUntuned(t, tc.name, srv,
+				fmt.Sprintf(`{"queries":%s,"k":5}`, queries), fmt.Sprintf(`{"queries":%s,"theta":0.5}`, queries))
+			answersLikeNaive(t, tc.name, srv.Sharded(), live, ids, q)
+
+			res, err := srv.Sharded().Update([]lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: make([]float64, live.R())}}, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.IDs[0] != mark {
+				t.Fatalf("next AutoID add took id %d, want the files' mark %d", res.IDs[0], mark)
+			}
+		})
 	}
 }

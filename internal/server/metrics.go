@@ -129,9 +129,6 @@ func (s *Server) wireState() {
 	reg.GaugeFunc("lemp_quant_sidecar_bytes",
 		"Memory held by the int8 quantized screening sidecars: every bucket's when built with quantization, otherwise it grows with the buckets queries reach (0 on the portable kernels).",
 		func() float64 { return float64(s.sharded.SidecarBytes()) })
-	reg.GaugeFunc("lemp_index_list_bytes",
-		"Memory held by the sorted-list indexes of the coordinate methods, 12 r bytes per probe of every bucket that carries them: it grows with the buckets tuning passes observe and coordinate methods scan.",
-		func() float64 { return float64(s.sharded.ListBytes()) })
 	reg.GaugeFunc("lemp_batch_queue_rows",
 		"Query rows of admitted retrieval requests not yet answered (the queue depth -shed-queue-rows bounds).",
 		func() float64 { return float64(s.batcher.RowsInFlight()) })
@@ -165,15 +162,6 @@ func (s *Server) wireState() {
 	stat("lemp_core_pruned_pairs_total",
 		"(query, bucket) combinations pruned by the local threshold bound.",
 		func(st lemp.Stats) float64 { return float64(st.PrunedPairs) })
-	stat("lemp_core_tunings_total",
-		"Sample-tuning passes executed.",
-		func(st lemp.Stats) float64 { return float64(st.Tunings) })
-	stat("lemp_core_tune_cache_hits_total",
-		"Tuning phases answered from the shared tuning cache.",
-		func(st lemp.Stats) float64 { return float64(st.TuneCacheHits) })
-	stat("lemp_core_tune_seconds_total",
-		"Cumulative tuning time, summed across calls and their goroutines (worker time, not wall clock).",
-		func(st lemp.Stats) float64 { return st.TuneTime.Seconds() })
 	stat("lemp_core_scan_seconds_total",
 		"Cumulative retrieval-scan time, summed across calls and their goroutines (worker time, not wall clock).",
 		func(st lemp.Stats) float64 { return st.RetrievalTime.Seconds() })

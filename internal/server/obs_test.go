@@ -104,7 +104,7 @@ func topKBody(t *testing.T, dim, rows, k int) string {
 // family the dashboards (and the CI smoke check) rely on, plus bounded
 // label cardinality.
 func TestMetricsEndpoint(t *testing.T) {
-	srv, h, _ := obsServer(t, Config{Options: lemp.Options{Algorithm: lemp.AlgorithmLI, Parallelism: 1}})
+	srv, h, _ := obsServer(t, Config{Options: lemp.Options{Parallelism: 1}})
 	dim := srv.Sharded().R()
 
 	if w := doJSON(t, h, "POST", "/v1/topk", topKBody(t, dim, 3, 5)); w.Code != 200 {
@@ -139,8 +139,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"lemp_core_candidates_total", "lemp_core_results_total",
 		"lemp_core_block_verified_total", "lemp_core_scalar_verified_total",
 		"lemp_core_processed_pairs_total", "lemp_core_pruned_pairs_total",
-		"lemp_core_tunings_total", "lemp_core_tune_cache_hits_total",
-		"lemp_core_tune_seconds_total", "lemp_core_scan_seconds_total",
+		"lemp_core_scan_seconds_total",
 		"lemp_slow_queries_total", "lemp_uptime_seconds", "lemp_ready",
 		"lemp_epoch", "lemp_live_probes",
 		"lemp_requests_total", "lemp_updates_total", "lemp_compactions_total",
@@ -148,7 +147,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"lemp_traces_finished_total", "lemp_traces_retained_total",
 		"lemp_requests_shed_total",
 		"lemp_update_apply_seconds", "lemp_compaction_seconds",
-		"lemp_quant_sidecar_bytes", "lemp_index_list_bytes",
+		"lemp_quant_sidecar_bytes",
 	}
 	for _, name := range required {
 		if fams[name] == nil {
@@ -190,21 +189,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v, ok := value("lemp_batch_rows_sum", nil); !ok || v != 6 {
 		t.Errorf("batch rows = %v (ok=%v), want 6: the repeat must retrieve again", v, ok)
 	}
-	// The sorted lists the first call's tuning pass built, as /stats has them.
-	var st statsResponse
-	if err := json.Unmarshal(doJSON(t, h, "GET", "/stats", "").Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := value("lemp_index_list_bytes", nil); !ok || v <= 0 || int(v) != srv.Sharded().ListBytes() || st.ListBytes != int(v) {
-		t.Errorf("lemp_index_list_bytes = %v (ok=%v), /stats list_bytes = %d, Sharded.ListBytes = %d: want one positive number",
-			v, ok, st.ListBytes, srv.Sharded().ListBytes())
-	}
 	if v, ok := value("lemp_epoch", nil); !ok || v != 1 {
 		t.Errorf("lemp_epoch = %v (ok=%v), want 1 after one update", v, ok)
 	}
 	for _, gone := range []string{"lemp_shards", "lemp_shard_scan_seconds", "lemp_merge_seconds", "lemp_shards_scanned_total", "lemp_placement_cost_skew"} {
 		if fams[gone] != nil {
 			t.Errorf("/metrics still exports %s, a family of the shards a server no longer has", gone)
+		}
+	}
+	for _, gone := range []string{"lemp_index_list_bytes", "lemp_core_tunings_total", "lemp_core_tune_cache_hits_total", "lemp_core_tune_seconds_total"} {
+		if fams[gone] != nil {
+			t.Errorf("/metrics still exports %s, which reads 0 on a server that never tunes", gone)
 		}
 	}
 	if v, ok := value("lemp_request_duration_seconds_count", map[string]string{"endpoint": "topk"}); !ok || v == 0 {
@@ -256,9 +251,6 @@ func TestCoreCountersMatchStats(t *testing.T) {
 		"lemp_core_scalar_verified_total": float64(st.Core.ScalarVerified),
 		"lemp_core_processed_pairs_total": float64(st.Core.ProcessedPairs),
 		"lemp_core_pruned_pairs_total":    float64(st.Core.PrunedPairs),
-		"lemp_core_tunings_total":         float64(st.Core.Tunings),
-		"lemp_core_tune_cache_hits_total": float64(st.Core.TuneCacheHits),
-		"lemp_core_tune_seconds_total":    st.Core.TuneTime.Seconds(),
 		"lemp_core_scan_seconds_total":    st.Core.RetrievalTime.Seconds(),
 		"lemp_quant_screened_total":       float64(st.Quant.Screened),
 		"lemp_quant_survivors_total":      float64(st.Quant.Survivors),
@@ -423,7 +415,7 @@ func TestSlowQueryLog(t *testing.T) {
 			t.Errorf("slow-query record missing %s: %v", phase, rec)
 		}
 	}
-	for _, gone := range []string{"batch_wait_ns", "merge_ns", "shards"} {
+	for _, gone := range []string{"batch_wait_ns", "merge_ns", "shards", "tunings", "tune_cache_hits"} {
 		if _, ok := rec[gone]; ok {
 			t.Errorf("slow-query record still reports %s: %v", gone, rec)
 		}
@@ -565,10 +557,9 @@ func TestStatsDurations(t *testing.T) {
 	}
 }
 
-// TestStatsIndexStateFollowsShards: /stats buckets, indexed_buckets and
-// prep_ns describe the index version serving when /stats is read — before
-// any query, and after a batch that removes most of the catalog and
-// compacts the index.
+// TestStatsIndexStateFollowsShards: /stats buckets and prep_ns describe the
+// index version serving when /stats is read — before any query, and after a
+// batch that removes most of the catalog and compacts the index.
 func TestStatsIndexStateFollowsShards(t *testing.T) {
 	srv, h, _ := obsServer(t, Config{Options: lemp.Options{Parallelism: 1}})
 	check := func(when string) {
@@ -577,23 +568,18 @@ func TestStatsIndexStateFollowsShards(t *testing.T) {
 		if err := json.Unmarshal(doJSON(t, h, "GET", "/stats", "").Body.Bytes(), &st); err != nil {
 			t.Fatal(err)
 		}
-		var buckets, indexed int
+		var buckets int
 		var prep time.Duration
 		for _, ix := range srv.Sharded().Indexes() {
 			buckets += ix.NumBuckets()
 			prep += ix.PrepTime()
-			for _, b := range ix.Buckets() {
-				if b.Indexed {
-					indexed++
-				}
-			}
 		}
 		if buckets == 0 || prep <= 0 {
 			t.Fatalf("%s: the index holds %d buckets built in %v", when, buckets, prep)
 		}
-		if st.Core.Buckets != buckets || st.Core.IndexedBuckets != indexed || st.Core.PrepNS != prep.Nanoseconds() {
-			t.Errorf("%s: /stats buckets %d, indexed_buckets %d, prep_ns %d; the index holds %d, %d, %d",
-				when, st.Core.Buckets, st.Core.IndexedBuckets, st.Core.PrepNS, buckets, indexed, prep.Nanoseconds())
+		if st.Core.Buckets != buckets || st.Core.PrepNS != prep.Nanoseconds() {
+			t.Errorf("%s: /stats buckets %d, prep_ns %d; the index holds %d, %d",
+				when, st.Core.Buckets, st.Core.PrepNS, buckets, prep.Nanoseconds())
 		}
 	}
 	check("before any query")

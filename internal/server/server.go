@@ -20,9 +20,10 @@ import (
 )
 
 // Config sizes a Server. The zero value is usable: it means a bounded
-// request-body size and library-default index options except Parallelism,
-// which defaults to every core, for a build and for each retrieval call (a
-// server owns the machine, unlike the paper's single-threaded measurements).
+// request-body size and library-default index options except two. The
+// bucket algorithm is always LENGTH, and Parallelism defaults to every core,
+// for a build and for each retrieval call (a server owns the machine, unlike
+// the paper's single-threaded measurements).
 type Config struct {
 	// Shards is ignored: a server holds one index. It is kept only because
 	// the benchmark/ module sets it; its next refresh deletes it.
@@ -36,9 +37,12 @@ type Config struct {
 	// lazily where the int8 kernels are assembly, like any default build).
 	// Fresh builds ignore it — set Options.Quantize instead.
 	Quant lemp.QuantMode
-	// Options configure the index. Options.Parallelism == 0 is replaced by
-	// runtime.NumCPU(): a build, a restore and each retrieval call use every
-	// core. Set Parallelism explicitly to override.
+	// Options configure the index. Options.Algorithm and Options.Phi are
+	// overridden: the server builds every index under lemp.AlgorithmL with
+	// Phi 0, whose retrievals never tune and build no sorted lists.
+	// Options.Parallelism == 0 is replaced by runtime.NumCPU(): a build, a
+	// restore and each retrieval call use every core. Set Parallelism
+	// explicitly to override.
 	Options lemp.Options
 	// BatchWindow is ignored: requests are never coalesced (see Batcher).
 	// It is kept only because the benchmark/ module sets it; its next
@@ -98,6 +102,7 @@ type Config struct {
 
 // withDefaults resolves zero fields.
 func (c Config) withDefaults() Config {
+	c.Options.Algorithm, c.Options.Phi = lemp.AlgorithmL, 0
 	if c.Options.Parallelism == 0 {
 		c.Options.Parallelism = runtime.NumCPU()
 	}
@@ -176,13 +181,15 @@ func NewWithIDs(probe *lemp.Matrix, ids []int32, cfg Config) (*Server, error) {
 	return newServer(newSharded(ix), cfg), nil
 }
 
-// NewFromSnapshot builds a server from the LEMPIDX1 snapshot
-// WriteSnapshotsWith wrote: the index re-derives its buckets and skips the
-// tuning and the list builds (lemp.LoadIndex). cfg.Options contributes only
-// Parallelism (structure and algorithm are fixed by the snapshot). A set of
-// several files, one per shard as builds whose server split its catalog
-// into shards wrote it, in shard order, is joined into one unpretuned build
-// that keeps every id and the set's AutoID mark.
+// NewFromSnapshot builds a server from a LEMPIDX1 snapshot. A file written
+// under AlgorithmL, as WriteSnapshotsWith writes one, restores through
+// lemp.LoadIndex, which re-derives its buckets and checks them against the
+// file. A file of any other algorithm (an older server's, or one the library
+// wrote) and a set of several files, one per shard as builds whose server
+// split its catalog into shards wrote it, in shard order, are rebuilt as one
+// index under AlgorithmL: their frozen fits and sorted lists are dropped, and
+// every id and the AutoID mark are kept. cfg.Options contributes only
+// Parallelism; the rest of the structure comes from the (first) file.
 func NewFromSnapshot(snapshots []io.Reader, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	ix, err := loadSnapshots(snapshots, lemp.LoadOptions{Parallelism: cfg.Options.Parallelism, Quant: cfg.Quant})
@@ -240,9 +247,8 @@ func (s *Server) Sharded() *Sharded { return s.sharded }
 // rename) can discard the partial output rather than publish it. Restart
 // with NewFromSnapshot. It may run beside request serving: it writes the
 // index version current when it starts, and queries change nothing it
-// reads. opts are the persistence options — e.g.
-// lemp.SnapshotOptions{IncludeLists: true} to carry the built sorted-list
-// indexes so a restored server's first request skips their rebuild.
+// reads. opts are the persistence options; the server's index holds no
+// sorted lists, so IncludeLists adds nothing to the file.
 func (s *Server) WriteSnapshotsWith(open func(i, n int) (io.WriteCloser, error), opts lemp.SnapshotOptions) error {
 	w, err := open(0, 1)
 	if err != nil {
@@ -430,8 +436,6 @@ func (s *Server) logSlowQuery(r *http.Request, endpoint string, status int, dur 
 		slog.Int64("scan_ns", scanNS),
 		slog.Int64("candidates", info.stats.Candidates),
 		slog.Int64("results", info.stats.Results),
-		slog.Int("tunings", info.stats.Tunings),
-		slog.Int("tune_cache_hits", info.stats.TuneCacheHits),
 	)
 }
 
@@ -647,7 +651,6 @@ type statsResponse struct {
 	AvgBatchRows  float64   `json:"avg_batch_rows"`
 	Kernels       string    `json:"kernels"` // "avx2" or "portable": vecmath.Kernels
 	Shed          shedInfo  `json:"shed"`
-	ListBytes     int       `json:"list_bytes"` // the index's sorted-list indexes: Sharded.ListBytes
 	Quant         quantInfo `json:"quant"`
 	Core          coreStats `json:"core"`
 }
@@ -680,9 +683,8 @@ type shedInfo struct {
 // prep_ns is the index's build time.
 type coreStats struct {
 	lemp.Stats
-	Buckets        int   `json:"buckets"`
-	IndexedBuckets int   `json:"indexed_buckets"`
-	PrepNS         int64 `json:"prep_ns"`
+	Buckets int   `json:"buckets"`
+	PrepNS  int64 `json:"prep_ns"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -696,14 +698,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		avg = float64(rows) / float64(batches)
 	}
 	view := s.sharded.CurrentView()
-	core := coreStats{Stats: st}
-	for _, b := range view.ix.Buckets() {
-		core.Buckets++
-		if b.Indexed {
-			core.IndexedBuckets++
-		}
-	}
-	core.PrepNS = view.ix.PrepTime().Nanoseconds()
+	core := coreStats{Stats: st, Buckets: view.ix.NumBuckets(), PrepNS: view.ix.PrepTime().Nanoseconds()}
 	writeJSON(w, http.StatusOK, statsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Requests:      s.requests.Load(),
@@ -720,7 +715,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			ShedTotal:      uint64(s.metrics.requestsShed.Value()),
 			QueueRows:      s.batcher.RowsInFlight(),
 		},
-		ListBytes: s.sharded.ListBytes(),
 		Quant: quantInfo{
 			Screened:     st.QuantScreened,
 			Survivors:    st.QuantSurvived,

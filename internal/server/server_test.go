@@ -116,9 +116,10 @@ func testConfig() Config {
 	return Config{Options: lemp.Options{Parallelism: 1}}
 }
 
-// shardedOver serves one index over p under opts, as a server does.
+// shardedOver serves one index over p under opts, as a server does: under
+// the algorithm Config.withDefaults sets.
 func shardedOver(p *lemp.Matrix, opts lemp.Options) (*Sharded, error) {
-	ix, err := lemp.New(p, opts)
+	ix, err := lemp.New(p, Config{Options: opts}.withDefaults().Options)
 	if err != nil {
 		return nil, err
 	}

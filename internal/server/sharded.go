@@ -20,8 +20,10 @@ import (
 // Sharded is the server's one index and what serves from it. LEMP visits
 // buckets by decreasing length (§3), so the running top-k threshold rises
 // fastest when one index sees the whole catalog; the index spends
-// Options.Parallelism goroutines on a call and on a build. The type keeps its
-// name because the benchmark/ module reaches it through Server.Sharded.
+// Options.Parallelism goroutines on a call and on a build. It runs LENGTH
+// (lemp.AlgorithmL) with the int8 screen: no retrieval tunes and no bucket
+// builds sorted lists. The type keeps its name because the benchmark/ module
+// reaches it through Server.Sharded.
 //
 // The probe set is mutable: Update applies a batch of add/remove/update ops
 // by deriving a new index copy-on-write (lemp.Index.WithUpdates) and swapping
@@ -45,10 +47,7 @@ type Sharded struct {
 	// updMu serializes Update calls.
 	updMu sync.Mutex
 
-	// tc shares fitted per-bucket tuning parameters across all retrieval
-	// calls: the first call per (problem, index version) pays one
-	// sample-tuning pass, every repeat restores it. Keys embed the index
-	// instance and epoch, so entries never leak across versions.
+	// tc is what TuningCache returns; nothing in the server consults it.
 	tc *lemp.TuningCache
 
 	statsMu sync.Mutex
@@ -77,24 +76,18 @@ func newSharded(ix *lemp.Index) *Sharded {
 	return &Sharded{r: ix.R(), ix: ix, tc: lemp.NewTuningCache()}
 }
 
-// loadSnapshots restores the index behind NewFromSnapshot: one file loads
-// through lemp.LoadIndex. A set of several, one per shard as builds whose
-// server split its catalog into shards wrote it (in shard order), loads file
-// by file, each checked as LoadIndex checks it, and their live probes, in
-// ascending id order, build one index under the first file's options. That
-// build is not pretuned — each shard's frozen fit belonged to its own buckets
-// — and it keeps every id and the set's AutoID mark, the highest of the
+// loadSnapshots restores the index behind NewFromSnapshot. One file written
+// under AlgorithmL loads through lemp.LoadIndex as it is. Any other input —
+// a file of another algorithm, with its frozen fit and sorted lists, or a
+// set of several, one per shard as builds whose server split its catalog
+// into shards wrote it (in shard order) — loads file by file, each checked as
+// LoadIndex checks it, and their live probes, in ascending id order, build
+// one index under the first file's options with AlgorithmL and Phi 0. That
+// build keeps every id and the input's AutoID mark, the highest of the
 // files'.
 func loadSnapshots(snapshots []io.Reader, opts lemp.LoadOptions) (*lemp.Index, error) {
 	if len(snapshots) == 0 {
 		return nil, fmt.Errorf("server: no snapshot to restore")
-	}
-	if len(snapshots) == 1 {
-		ix, err := lemp.LoadIndex(snapshots[0], opts)
-		if err != nil {
-			return nil, fmt.Errorf("server: loading snapshot: %w", err)
-		}
-		return ix, nil
 	}
 	type probe struct {
 		id  int32
@@ -112,7 +105,11 @@ func loadSnapshots(snapshots []io.Reader, opts lemp.LoadOptions) (*lemp.Index, e
 			return nil, fmt.Errorf("server: loading snapshot %d: %w", i, err)
 		}
 		if i == 0 {
+			if len(snapshots) == 1 && ix.Options().Algorithm == lemp.AlgorithmL {
+				return ix, nil
+			}
 			first, r = ix.Options(), ix.R()
+			first.Algorithm, first.Phi = lemp.AlgorithmL, 0
 		} else if ix.R() != r {
 			return nil, fmt.Errorf("server: snapshot %d has dimension %d, snapshot 0 has %d", i, ix.R(), r)
 		}
@@ -130,7 +127,7 @@ func loadSnapshots(snapshots []io.Reader, opts lemp.LoadOptions) (*lemp.Index, e
 	}
 	ix, err := lemp.NewWithIDs(p, ids, first)
 	if err != nil {
-		return nil, fmt.Errorf("server: joining %d snapshots: %w", len(snapshots), err)
+		return nil, fmt.Errorf("server: rebuilding the snapshots as one LENGTH index: %w", err)
 	}
 	if mark > ix.NextID() {
 		// An id at or past the largest live one was handed out and removed
@@ -169,10 +166,6 @@ func (s *Sharded) R() int { return s.r }
 // sidecars: every bucket's with Options.Quantize, otherwise those of the
 // buckets queries have reached (none on the portable kernels).
 func (s *Sharded) SidecarBytes() int { return s.current().SidecarBytes() }
-
-// ListBytes returns the memory held by the index's sorted-list indexes: it
-// grows with the buckets tuning passes observe and coordinate methods scan.
-func (s *Sharded) ListBytes() int { return s.current().ListBytes() }
 
 // Epoch returns the current update epoch: 0 at construction, +1 per
 // applied update batch.
@@ -224,23 +217,17 @@ func (v *View) N() int { return v.ix.N() }
 // the view's index, one row per query. Top-k rows come by decreasing value,
 // Above-θ rows in canonical (Query, Probe) order. The call runs under ctx —
 // canceling it aborts the scan mid-bucket, and a trace it carries
-// (obs.ContextWithSpan) receives the executor's tune and scan spans — and
-// shares the Sharded's tuning cache, so a repeated (k | θ, epoch) pays sample
-// tuning only on its first call.
+// (obs.ContextWithSpan) receives the executor's scan span.
 func (v *View) retrieve(ctx context.Context, q *lemp.Matrix, key batchKey) ([][]lemp.Entry, lemp.Stats, error) {
 	mode := lemp.TopK(key.k)
 	if !key.topk {
 		mode = lemp.AboveTheta(key.theta)
 	}
-	spec, err := lemp.NewSpec(mode, lemp.WithTuningCache(v.s.tc))
-	if err != nil {
-		return nil, lemp.Stats{}, err
-	}
 	s := v.s
 	if s.testScanStart != nil {
 		s.testScanStart(ctx)
 	}
-	res, err := v.ix.RetrieveSpec(ctx, q, spec)
+	res, err := v.ix.Retrieve(ctx, q, mode)
 	if s.testScanDone != nil {
 		s.testScanDone(err)
 	}
@@ -276,8 +263,10 @@ func (v *View) AboveThetaCtx(ctx context.Context, q *lemp.Matrix, theta float64)
 	return v.retrieve(ctx, q, batchKey{theta: theta})
 }
 
-// TuningCache returns the cache of fitted tuning parameters shared by all
-// retrievals (introspection and tests).
+// TuningCache returns an empty tuning cache that nothing in the server
+// consults: the server's index runs LENGTH, which has nothing to fit. It is
+// kept only because the benchmark/ module passes it to Index.Retrieve; its
+// next refresh deletes it.
 func (s *Sharded) TuningCache() *lemp.TuningCache { return s.tc }
 
 // UpdateResult reports an applied update batch.
@@ -289,7 +278,7 @@ type UpdateResult struct {
 
 // Update applies a batch of probe mutations atomically. The index derives a
 // new version copy-on-write (lemp.Index.WithUpdates), which checks every op
-// by the library's rules (core.PlanUpdates: unknown or duplicate id,
+// by the library's rules (core.Index.Apply: unknown or duplicate id,
 // dimension mismatch, non-finite coordinate, each reported under the op's
 // index in the batch) before it changes anything, so a rejected batch changes
 // and counts nothing. The new version is swapped in under a single epoch

@@ -46,54 +46,40 @@ func snapshotReaders(bufs []*bytes.Buffer) []io.Reader {
 	return rs
 }
 
-// TestSnapshotServerWithLists round-trips a warmed server through
-// list-carrying snapshots (SLST section): the restored shards must arrive
-// with their sorted-list indexes pre-built and answer identically.
+// TestSnapshotServerWithLists: a snapshot the library wrote of a warmed LI
+// index, its sorted lists carried (SLST section), restores into a server
+// that drops the lists and the algorithm with them: it serves LENGTH with no
+// list in any bucket and answers as the LI index does.
 func TestSnapshotServerWithLists(t *testing.T) {
 	q, p := smokeMatrices(t)
-	cfg := testConfig()
-	cfg.Options.Algorithm = lemp.AlgorithmLI // its tuning pass builds the lists
-	built, err := New(p, cfg)
+	ix, err := lemp.New(p, lemp.Options{Algorithm: lemp.AlgorithmLI, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm-up builds the lazy sorted lists the snapshot should carry.
-	if _, _, err := built.Sharded().CurrentView().TopKCtx(context.Background(), q.Head(8), 5); err != nil {
+	// Warm-up: the tuning pass builds the sorted lists the snapshot carries.
+	want := directTopK(t, ix, q.Head(16), 7)
+	if ix.ListBytes() == 0 {
+		t.Fatal("the warmed LI index holds no sorted lists")
+	}
+	var buf bytes.Buffer
+	if err := ix.WriteSnapshotWith(&buf, lemp.SnapshotOptions{IncludeLists: true}); err != nil {
 		t.Fatal(err)
 	}
-	var bufs []*bytes.Buffer
-	err = built.WriteSnapshotsWith(func(i, n int) (io.WriteCloser, error) {
-		bufs = append(bufs, &bytes.Buffer{})
-		return nopWriteCloser{bufs[i]}, nil
-	}, lemp.SnapshotOptions{IncludeLists: true})
+	restored, err := NewFromSnapshot([]io.Reader{&buf}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := NewFromSnapshot(snapshotReaders(bufs), cfg)
+	rix := restored.Sharded().current()
+	if rix.Options().Algorithm != lemp.AlgorithmL || rix.ListBytes() != 0 {
+		t.Fatalf("restored index runs %v with %d list bytes; want LENGTH and no list", rix.Options().Algorithm, rix.ListBytes())
+	}
+	got, _, err := restored.Sharded().CurrentView().TopKCtx(context.Background(), q.Head(16), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed := 0
-	for _, ix := range restored.Sharded().Indexes() {
-		for _, b := range ix.Buckets() {
-			if b.Indexed {
-				indexed++
-			}
-		}
-	}
-	if indexed == 0 {
-		t.Fatal("restored shards carry no pre-built sorted lists")
-	}
-	wantRows, _, err := built.Sharded().CurrentView().TopKCtx(context.Background(), q.Head(16), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRows, _, err := restored.Sharded().CurrentView().TopKCtx(context.Background(), q.Head(16), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotRows, wantRows) {
-		t.Fatal("restored-with-lists server answers differently")
+	compareTopKValues(t, "restored LI snapshot vs the LI index", got, want)
+	if rix.ListBytes() != 0 {
+		t.Fatalf("a request built %d bytes of sorted lists", rix.ListBytes())
 	}
 }
 
@@ -134,20 +120,13 @@ func TestSnapshotServerMatchesBuiltServer(t *testing.T) {
 }
 
 // TestSnapshotServerSkipsTuning is the restart-cost contract: a server
-// restored from a pretuned snapshot must never spend time in tuning —
-// cumulative TuneTime stays zero across served traffic.
+// restored from its snapshot never spends time in tuning — cumulative
+// TuneTime stays zero across served traffic.
 func TestSnapshotServerSkipsTuning(t *testing.T) {
 	q, p := smokeMatrices(t)
 	built, err := New(p, testConfig())
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Pretune the index so the snapshot freezes fitted parameters (this is
-	// what lemp-serve -save-snapshot does before writing).
-	for _, ix := range built.Sharded().Indexes() {
-		if err := ix.PretuneTopK(q.Head(32), 10); err != nil {
-			t.Fatal(err)
-		}
 	}
 	restored, err := NewFromSnapshot(snapshotReaders(writeShardSnapshots(t, built)), testConfig())
 	if err != nil {

@@ -22,7 +22,7 @@ import (
 // what the wire form alone decides (an empty or oversized batch, past
 // Config.MaxUpdateOps; an unknown op; a missing or negative id; a remove
 // with a vector), and Sharded.Update the rest, by the library's rules
-// (core.PlanUpdates: an id already or not live, an id past MaxProbeID, a
+// (core.Index.Apply: an id already or not live, an id past MaxProbeID, a
 // dimension mismatch, a non-finite coordinate). Either returns 400 and
 // leaves the probe set and the epoch exactly as they were. On success the
 // response reports the new epoch, the live probe count, and the per-op ids

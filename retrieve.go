@@ -9,7 +9,7 @@ import (
 )
 
 // Retrieve is the single context-aware entry point for every retrieval
-// mode. The spec is assembled from functional options: exactly one of
+// mode. The call is configured by functional options: exactly one of
 // TopK(k) or AboveTheta(theta) selects the problem, and the remaining
 // options adjust per-call execution policy — bucket algorithm, parallelism,
 // tuning-parameter reuse, streaming. Index construction fixes structure;
@@ -24,31 +24,21 @@ import (
 // reusable. Option conflicts and invalid parameters are reported before any
 // retrieval work runs.
 func (ix *Index) Retrieve(ctx context.Context, q *Matrix, opts ...Option) (*Result, error) {
-	spec, err := NewSpec(opts...)
+	sp, err := newSpec(opts...)
 	if err != nil {
 		return nil, err
 	}
-	return ix.RetrieveSpec(ctx, q, spec)
-}
-
-// RetrieveSpec is Retrieve with a pre-validated Spec, letting serving loops
-// build the spec once and reuse it across calls.
-func (ix *Index) RetrieveSpec(ctx context.Context, q *Matrix, spec *Spec) (*Result, error) {
-	if spec == nil || spec.prob == (core.Problem{}) {
-		return nil, fmt.Errorf("lemp: spec must be built with NewSpec")
-	}
 	ro := core.RunOptions{
-		Algorithm:   spec.algorithm,
-		Parallelism: spec.parallelism,
-		Cache:       spec.cache,
+		Algorithm:   sp.algorithm,
+		Parallelism: sp.parallelism,
+		Cache:       sp.cache,
 	}
 	res := &Result{Epoch: ix.Epoch()}
-	sink := retrieval.Sink(spec.stream)
-	if spec.prob.K == 0 && sink == nil {
+	sink := retrieval.Sink(sp.stream)
+	if sp.prob.K == 0 && sink == nil {
 		sink = retrieval.Collect(&res.Entries)
 	}
-	var err error
-	res.TopK, res.Stats, err = ix.inner.Retrieve(ctx, q, spec.prob, sink, ro)
+	res.TopK, res.Stats, err = ix.inner.Retrieve(ctx, q, sp.prob, sink, ro)
 	if err != nil {
 		return nil, err
 	}
@@ -74,40 +64,40 @@ type Result struct {
 	Epoch uint64
 }
 
-// Spec is a validated retrieval specification. Build one with NewSpec (or
-// implicitly via Retrieve); the zero value is invalid.
-type Spec struct {
-	prob        core.Problem // set, and valid, in every Spec NewSpec returns
+// spec is a validated retrieval specification, assembled by newSpec from
+// the options Retrieve is given.
+type spec struct {
+	prob        core.Problem // set, and valid, in every spec newSpec returns
 	algorithm   *Algorithm
 	parallelism int
 	cache       *TuningCache
 	stream      func(Entry)
 }
 
-// Option configures one aspect of a retrieval Spec.
-type Option func(*Spec) error
+// Option configures one aspect of a Retrieve call.
+type Option func(*spec) error
 
-// NewSpec validates a set of options into a Spec: exactly one retrieval
+// newSpec validates a set of options into a spec: exactly one retrieval
 // mode, no conflicting options, every parameter in range. All validation
 // happens here — before any retrieval work — so a bad spec can never start
 // a scan.
-func NewSpec(opts ...Option) (*Spec, error) {
-	spec := &Spec{}
+func newSpec(opts ...Option) (*spec, error) {
+	s := &spec{}
 	for _, opt := range opts {
 		if opt == nil {
 			return nil, fmt.Errorf("lemp: nil Option")
 		}
-		if err := opt(spec); err != nil {
+		if err := opt(s); err != nil {
 			return nil, err
 		}
 	}
-	if spec.prob == (core.Problem{}) {
+	if s.prob == (core.Problem{}) {
 		return nil, fmt.Errorf("lemp: no retrieval mode: pass TopK(k) or AboveTheta(theta)")
 	}
-	if spec.stream != nil && spec.prob.K > 0 {
+	if s.stream != nil && s.prob.K > 0 {
 		return nil, fmt.Errorf("lemp: Stream applies only to AboveTheta retrieval")
 	}
-	return spec, nil
+	return s, nil
 }
 
 // TopK selects Row-Top-k retrieval: for every query vector, its k probe
@@ -118,7 +108,7 @@ func NewSpec(opts ...Option) (*Spec, error) {
 // merges. So the two can return different probes for tied values; the
 // values themselves agree.
 func TopK(k int) Option {
-	return func(s *Spec) error {
+	return func(s *spec) error {
 		return s.setProblem(core.Problem{K: k}, "k must be positive, got %d", k)
 	}
 }
@@ -127,7 +117,7 @@ func TopK(k int) Option {
 // ≥ theta, in unspecified order. theta must be a positive finite number,
 // as in the paper's problem statement.
 func AboveTheta(theta float64) Option {
-	return func(s *Spec) error {
+	return func(s *spec) error {
 		return s.setProblem(core.Problem{Theta: theta}, "theta must be a positive finite number, got %v", theta)
 	}
 }
@@ -136,7 +126,7 @@ func AboveTheta(theta float64) Option {
 // (TopK + AboveTheta, or a mode given twice) and an out-of-range k or θ.
 // Whether the value is in range is core's one validator's decision; the
 // words are the option's, which knows what the caller passed.
-func (s *Spec) setProblem(p core.Problem, rangeMsg string, arg any) error {
+func (s *spec) setProblem(p core.Problem, rangeMsg string, arg any) error {
 	if s.prob != (core.Problem{}) {
 		return fmt.Errorf("lemp: retrieval mode already set: pass exactly one of TopK or AboveTheta")
 	}
@@ -152,7 +142,7 @@ func (s *Spec) setProblem(p core.Problem, rangeMsg string, arg any) error {
 // lazily built per-bucket indexes for the new algorithm appear on first
 // use.
 func WithAlgorithm(a Algorithm) Option {
-	return func(s *Spec) error {
+	return func(s *spec) error {
 		if !a.Valid() {
 			return fmt.Errorf("lemp: invalid algorithm %d", int(a))
 		}
@@ -167,7 +157,7 @@ func WithAlgorithm(a Algorithm) Option {
 // WithParallelism fans this call's retrieval phase out over n goroutines,
 // overriding Options.Parallelism. n must be at least 1.
 func WithParallelism(n int) Option {
-	return func(s *Spec) error {
+	return func(s *spec) error {
 		if n < 1 {
 			return fmt.Errorf("lemp: parallelism must be at least 1, got %d", n)
 		}
@@ -189,7 +179,7 @@ func WithParallelism(n int) Option {
 // AlgorithmL there is nothing to fit: the cache is accepted and never
 // consulted.
 func WithTuningCache(tc *TuningCache) Option {
-	return func(s *Spec) error {
+	return func(s *spec) error {
 		if tc == nil {
 			return fmt.Errorf("lemp: WithTuningCache needs a non-nil cache (build one with NewTuningCache)")
 		}
@@ -207,7 +197,7 @@ func WithTuningCache(tc *TuningCache) Option {
 // passed to emit must not be retained; emit may be called from multiple
 // goroutines' entries but never concurrently. Conflicts with TopK.
 func Stream(emit func(Entry)) Option {
-	return func(s *Spec) error {
+	return func(s *spec) error {
 		if emit == nil {
 			return fmt.Errorf("lemp: Stream needs a non-nil emit func")
 		}

@@ -45,9 +45,11 @@ func retrieveFixture(t *testing.T) (*lemp.Index, *lemp.Matrix) {
 	return ix, q
 }
 
-// TestNewSpecValidation is the table-driven option-constructor check: every
-// conflict and out-of-range parameter errors before any retrieval work.
+// TestNewSpecValidation is the table-driven option check, run through
+// Retrieve: every conflict and out-of-range parameter errors before any
+// retrieval work, and every valid set of options answers.
 func TestNewSpecValidation(t *testing.T) {
+	ix, q := retrieveFixture(t)
 	emit := func(lemp.Entry) {}
 	tc := lemp.NewTuningCache()
 	cases := []struct {
@@ -88,45 +90,38 @@ func TestNewSpecValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			spec, err := lemp.NewSpec(c.opts...)
+			res, err := ix.Retrieve(context.Background(), q, c.opts...)
 			if c.wantErr == "" {
 				if err != nil {
-					t.Fatalf("NewSpec: unexpected error %v", err)
+					t.Fatalf("Retrieve: unexpected error %v", err)
 				}
-				if spec == nil {
-					t.Fatal("NewSpec returned nil spec without error")
+				if res == nil {
+					t.Fatal("Retrieve returned nil result without error")
 				}
 				return
 			}
 			if err == nil {
-				t.Fatalf("NewSpec accepted an invalid spec, want error containing %q", c.wantErr)
+				t.Fatalf("Retrieve accepted invalid options, want error containing %q", c.wantErr)
 			}
 			if !strings.Contains(err.Error(), c.wantErr) {
-				t.Fatalf("NewSpec error %q does not contain %q", err, c.wantErr)
+				t.Fatalf("Retrieve error %q does not contain %q", err, c.wantErr)
 			}
 		})
 	}
 }
 
-// TestRetrieveRejectsBeforeWork asserts an invalid spec fails through
-// Retrieve too, without touching the index.
+// TestRetrieveRejectsBeforeWork asserts a call without a mode fails
+// without touching the index.
 func TestRetrieveRejectsBeforeWork(t *testing.T) {
 	ix, q := retrieveFixture(t)
 	if _, err := ix.Retrieve(context.Background(), q); err == nil {
 		t.Fatal("Retrieve without a mode succeeded")
 	}
-	if _, err := ix.RetrieveSpec(context.Background(), q, nil); err == nil {
-		t.Fatal("RetrieveSpec with nil spec succeeded")
-	}
-	if _, err := ix.RetrieveSpec(context.Background(), q, &lemp.Spec{}); err == nil {
-		t.Fatal("RetrieveSpec with zero spec succeeded")
-	}
 }
 
 // TestRetrieveModesFillTheirResult checks what each mode puts in a Result:
-// TopK fills rows and no entries — a prebuilt Spec answering as the options
-// do — AboveTheta collects entries and no rows, Stream delivers the same
-// entry set and materializes nothing.
+// TopK fills rows and no entries, AboveTheta collects entries and no rows,
+// Stream delivers the same entry set and materializes nothing.
 func TestRetrieveModesFillTheirResult(t *testing.T) {
 	ix, q := retrieveFixture(t)
 	ctx := context.Background()
@@ -138,14 +133,6 @@ func TestRetrieveModesFillTheirResult(t *testing.T) {
 	if len(res.TopK) != q.N() || res.Entries != nil {
 		t.Fatalf("TopK mode: %d rows for %d queries, Entries set: %v", len(res.TopK), q.N(), res.Entries != nil)
 	}
-	spec, err := lemp.NewSpec(lemp.TopK(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaSpec, err := ix.RetrieveSpec(ctx, q, spec); err != nil || !reflect.DeepEqual(viaSpec.TopK, res.TopK) {
-		t.Fatalf("RetrieveSpec differs from Retrieve with the same options (err %v)", err)
-	}
-
 	res, err = ix.Retrieve(ctx, q, lemp.AboveTheta(0.8))
 	if err != nil {
 		t.Fatal(err)
