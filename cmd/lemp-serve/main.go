@@ -20,9 +20,9 @@
 // The index runs LENGTH (§4.1) with the int8 screen: no request tunes and no
 // bucket builds sorted lists.
 //
-// Snapshots: -save-snapshot writes the built index to one LEMPIDX1 file as it
-// is; a later -snapshot startup bucketizes the probes again and checks the
-// stored buckets. A file of another bucket algorithm (from earlier builds, or
+// Snapshots: -save-snapshot writes the index's catalog (options, live probes,
+// ids, mutation marks) to one LEMPIDX1 file; a later -snapshot startup builds
+// the index over it, as a start from the matrix does. A file of another bucket algorithm (from earlier builds, or
 // written by the library) and a set path.0 … path.N-1 that builds whose
 // server split its catalog into shards wrote, one file per shard, still
 // restore: they are rebuilt as one LENGTH index, ids and the AutoID mark
@@ -357,7 +357,7 @@ func loadSnapshots(path string, cfg server.Config) *server.Server {
 	if err != nil {
 		fail("restoring snapshots: %v", err)
 	}
-	msg := "restored the index from its snapshot (buckets checked)"
+	msg := "restored the index from its snapshot"
 	if len(files) > 1 {
 		msg = "joined a shard snapshot set into one index"
 	}

@@ -285,10 +285,10 @@ func postQueries(h http.Handler, q *lemp.Matrix, k int, theta float64) ([][]lemp
 }
 
 // roundTrip writes ix as a snapshot and loads it back.
-func roundTrip(t *testing.T, ix *lemp.Index, so lemp.SnapshotOptions, lo lemp.LoadOptions) *lemp.Index {
+func roundTrip(t *testing.T, ix *lemp.Index, lo lemp.LoadOptions) *lemp.Index {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := ix.WriteSnapshotWith(&buf, so); err != nil {
+	if err := ix.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := lemp.LoadIndex(&buf, lo)
@@ -310,7 +310,7 @@ func restoredServer(t *testing.T, srv *server.Server, cfg server.Config) *server
 		buf := new(bytes.Buffer)
 		readers = append(readers, buf)
 		return nopCloser{buf}, nil
-	}, lemp.SnapshotOptions{IncludeLists: true})
+	}, lemp.SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func legacySetServer(t *testing.T, c diffCase) *server.Sharded {
 			t.Fatal(err)
 		}
 		buf := new(bytes.Buffer)
-		if err := ix.WriteSnapshotWith(buf, lemp.SnapshotOptions{IncludeLists: true}); err != nil {
+		if err := ix.WriteSnapshot(buf); err != nil {
 			t.Fatal(err)
 		}
 		readers = append(readers, buf)
@@ -397,15 +397,15 @@ func caseEntryPoints(t *testing.T, c diffCase, n int) []entryPoint {
 		func() entryPoint { return bulkEP(t, ix, 7, 1) },
 		func() entryPoint { return bulkEP(t, ix, 256, 3) },
 		func() entryPoint {
-			return retrieveEP("snapshot with lists", roundTrip(t, ix, lemp.SnapshotOptions{IncludeLists: true}, lemp.LoadOptions{}), false)
+			return retrieveEP("snapshot", roundTrip(t, ix, lemp.LoadOptions{}), false)
 		},
 		func() entryPoint {
 			lo := lemp.LoadOptions{Quant: lemp.QuantOn}
-			return retrieveEP("pretuned snapshot, Quant on", roundTrip(t, pretuned(c.k), lemp.SnapshotOptions{IncludeLists: true}, lo), false)
+			return retrieveEP("pretuned snapshot, Quant on", roundTrip(t, pretuned(c.k), lo), false)
 		},
 		func() entryPoint {
 			lo := lemp.LoadOptions{Quant: lemp.QuantOff, Retune: true, Parallelism: 3}
-			return retrieveEP("pretuned snapshot, Quant off, Retune, par 3", roundTrip(t, pretuned(0), lemp.SnapshotOptions{}, lo), false)
+			return retrieveEP("pretuned snapshot, Quant off, Retune, par 3", roundTrip(t, pretuned(0), lo), false)
 		},
 	}
 	if c.p.N() > 0 { // a server refuses an empty catalog
@@ -516,11 +516,11 @@ func FuzzDifferential(f *testing.F) {
 	})
 }
 
-// TestDifferentialFixtures holds the format version 1, 2 and 5 snapshot
+// TestDifferentialFixtures holds the format version 1, 2, 5 and 6 snapshot
 // files, loaded as written, quantized and retuned, and unquantized at
 // Parallelism 3, to naive over the catalog they restore.
 func TestDifferentialFixtures(t *testing.T) {
-	for _, name := range []string{"v1.snap", "v2.snap", "v5.snap"} {
+	for _, name := range []string{"v1.snap", "v2.snap", "v5.snap", "v6.snap"} {
 		raw, err := os.ReadFile(filepath.Join("internal", "snapshot", "testdata", name))
 		if err != nil {
 			t.Fatal(err)
@@ -767,7 +767,7 @@ func sequence(t *testing.T, seq string, rng *rand.Rand, ix *lemp.Index, sh *serv
 			checkOne(tag, live, 1+rng.Intn(3), eps...)
 		}
 	}
-	kept = append(kept, version{roundTrip(t, ix, lemp.SnapshotOptions{IncludeLists: rng.Intn(2) == 0}, lemp.LoadOptions{}), live, steps})
+	kept = append(kept, version{roundTrip(t, ix, lemp.LoadOptions{}), live, steps})
 	for _, v := range kept {
 		checkOne(fmt.Sprintf("%s: the version of step %d, re-checked at the end", seq, v.step), v.live, 3, retrieveEP("kept", v.ix, false))
 	}

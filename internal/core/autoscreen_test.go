@@ -86,7 +86,7 @@ func TestAutoScreenMatchesUnscreened(t *testing.T) {
 						t.Fatalf("autoScreen = %v on a default index (accelerated: %v), %v under Quantize", auto.autoScreen, accelerated, eager.autoScreen)
 					}
 					off.autoScreen = false
-					exported := exportedState(auto)
+					exported := auto.State()
 					if auto.SidecarBytes() != 0 || eager.SidecarBytes() == 0 {
 						t.Fatalf("before any call: %d sidecar bytes on a default index, %d under Quantize", auto.SidecarBytes(), eager.SidecarBytes())
 					}
@@ -130,7 +130,7 @@ func TestAutoScreenMatchesUnscreened(t *testing.T) {
 					if !slices.ContainsFunc(auto.Buckets(), func(b BucketInfo) bool { return b.Sidecar }) {
 						t.Fatal("no bucket reports the sidecar SidecarBytes counts")
 					}
-					if !reflect.DeepEqual(exportedState(auto), exported) {
+					if !reflect.DeepEqual(auto.State(), exported) {
 						t.Fatal("the calls changed the state a snapshot exports")
 					}
 				})

@@ -21,7 +21,8 @@ type bucket struct {
 	lb   float64   // length of the longest vector
 
 	// Sorted-list index for COORD/INCR, built lazily on first use. An
-	// atomic pointer because State reads it beside retrievals that build it.
+	// atomic pointer because Buckets and ListBytes read it beside retrievals
+	// that build it.
 	listsOnce sync.Once
 	lists     atomic.Pointer[sortedLists]
 
@@ -74,14 +75,10 @@ func (b *bucket) unit(lid, f int, inv float64) float64 {
 // ensureLists builds the sorted-list index on first use, over up to
 // `workers` goroutines: the scan paths pass 1, the tuning pass — which builds
 // most lists, and only for a bucket it is about to observe (tune) — the
-// call's parallelism. A bucket restored from a snapshot that persisted its
-// lists (SLST section) arrives with b.lists pre-populated and skips the build.
+// call's parallelism. A snapshot restore builds none: they are built on first
+// use after it, as after a build.
 func (b *bucket) ensureLists(workers int) *sortedLists {
-	b.listsOnce.Do(func() {
-		if b.lists.Load() == nil {
-			b.lists.Store(buildLists(b, workers))
-		}
-	})
+	b.listsOnce.Do(func() { b.lists.Store(buildLists(b, workers)) })
 	return b.lists.Load()
 }
 

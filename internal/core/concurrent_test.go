@@ -140,7 +140,7 @@ func TestConcurrentRetrievals(t *testing.T) {
 						if cached {
 							ro.Cache = NewTuningCache()
 						}
-						exported := exportedState(ixs[0])
+						exported := ixs[0].State()
 						var stop atomic.Bool
 						var exporter sync.WaitGroup
 						exporter.Add(1)
@@ -148,8 +148,8 @@ func TestConcurrentRetrievals(t *testing.T) {
 							defer exporter.Done()
 							for !stop.Load() {
 								for i, ix := range ixs {
-									if st := ix.State(); st.Pretuned != pretuned || len(st.Buckets) == 0 {
-										t.Errorf("State of index %d beside retrievals: pretuned=%v, %d buckets", i, st.Pretuned, len(st.Buckets))
+									if st := ix.State(); (st.TuneSample != nil) != pretuned || st.Probe.N() == 0 {
+										t.Errorf("State of index %d beside retrievals: tuning sample %v, %d probes", i, st.TuneSample != nil, st.Probe.N())
 									}
 								}
 							}
@@ -178,7 +178,7 @@ func TestConcurrentRetrievals(t *testing.T) {
 						if !quantize && ixs[0].SidecarBytes() == 0 {
 							t.Error("lazy arm: no sidecar bytes after the calls")
 						}
-						if !reflect.DeepEqual(exportedState(ixs[0]), exported) {
+						if !reflect.DeepEqual(ixs[0].State(), exported) {
 							t.Error("the calls changed the state a snapshot exports")
 						}
 					})

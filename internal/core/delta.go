@@ -542,7 +542,7 @@ func (ix *Index) Apply(ups []ProbeUpdate) ([]int32, error) {
 // segs[:from] plus that segment, whose buckets take the rewritten ones'
 // places in the scan. The new segment keeps segment 0's live columns in
 // column order, when it rewrites segment 0, and takes every other vector by
-// ascending id: the column order a snapshot of a mutated index stores. It is
+// ascending id: the column order State exports a mutated index in. It is
 // Apply's geometric merge (from ≥ 1) and Compact (from 0, no batch); only
 // the latter leaves no fit and no tombstone behind.
 func (ix *Index) merge(segs []segRef, from int, dead []tombs, batch []liveVec) {

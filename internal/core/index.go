@@ -64,8 +64,8 @@ type Index struct {
 	dead   []tombs
 
 	// pretuned freezes per-call tuning: every retrieval runs under the
-	// frozen fit instead of fitting its own. Set by Pretune and restored by
-	// FromState. frozen is aligned with scan, nil unless pretuned (and then
+	// frozen fit instead of fitting its own. Set by Pretune, which FromState
+	// runs on a retained sample. frozen is aligned with scan, nil unless pretuned (and then
 	// still nil when nothing was tunable: defaults), and only ever replaced
 	// wholesale — by Pretune, Compact's re-freeze, pretuneDelta, and rescan,
 	// which carries every surviving bucket's entry to its new position —
@@ -307,7 +307,7 @@ func (ix *Index) SidecarBytes() int {
 
 // ListBytes returns the memory held by the sorted-list indexes (§4.2), 12·r
 // bytes per probe of every scanned bucket that carries them: built by a tuning
-// pass or a coordinate method's scan, or restored. It may run beside retrievals.
+// pass or a coordinate method's scan. It may run beside retrievals.
 func (ix *Index) ListBytes() int {
 	total := 0
 	for _, b := range ix.scan {

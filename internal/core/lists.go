@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -30,9 +29,8 @@ const radixMin = 96
 
 // buildLists sorts every coordinate of the bucket into its list: values
 // decreasing, ties by ascending lid — the order a stable sort of 0..n-1 by
-// decreasing value yields, ±0 comparing equal, so a rebuilt index matches a
-// snapshotted one byte for byte. The r lists are independent and split
-// evenly over up to `workers` goroutines.
+// decreasing value yields, ±0 comparing equal, whatever `workers` is. The r
+// lists are independent and split evenly over up to `workers` goroutines.
 func buildLists(b *bucket, workers int) *sortedLists {
 	n, r := b.size(), b.r
 	sl := &sortedLists{n: n, vals: make([]float64, r*n), lids: make([]int32, r*n)}
@@ -123,45 +121,6 @@ func buildListRange(b *bucket, sl *sortedLists, f0, f1 int) {
 // list returns the value and id arrays of coordinate f.
 func (sl *sortedLists) list(f int) (vals []float64, lids []int32) {
 	return sl.vals[f*sl.n : (f+1)*sl.n], sl.lids[f*sl.n : (f+1)*sl.n]
-}
-
-// checkLists verifies a restored sorted-list index (snapshot SLST section)
-// against the bucket: every coordinate list must be a permutation of the
-// n = b.size() local ids, sorted by non-increasing value, with each value
-// equal to the unit coordinate (bucket.unit) it claims to index. These three
-// invariants are exactly what scanRange and the COORD/INCR/TA scans rely
-// on, so a list index passing them prunes identically to a rebuilt one
-// (ties may order differently, which no scan depends on). seen must have at
-// least n elements; it is clobbered.
-func checkLists(vals []float64, lids []int32, b *bucket, seen []bool) error {
-	n, r, inv := b.size(), b.r, b.invLens()
-	for f := 0; f < r; f++ {
-		lv := vals[f*n : (f+1)*n]
-		ll := lids[f*n : (f+1)*n]
-		for i := 0; i < n; i++ {
-			seen[i] = false
-		}
-		prev := math.Inf(1)
-		for i := 0; i < n; i++ {
-			lid := ll[i]
-			if lid < 0 || int(lid) >= n {
-				return fmt.Errorf("list %d entry %d: local id %d out of range [0,%d)", f, i, lid, n)
-			}
-			if seen[lid] {
-				return fmt.Errorf("list %d: local id %d appears twice", f, lid)
-			}
-			seen[lid] = true
-			v := lv[i]
-			if !(v <= prev) { // also rejects NaN
-				return fmt.Errorf("list %d entry %d: value %v above predecessor %v (not sorted decreasingly)", f, i, v, prev)
-			}
-			prev = v
-			if u := b.unit(int(lid), f, inv[lid]); v != u {
-				return fmt.Errorf("list %d entry %d: value %v does not match direction %v of local id %d", f, i, v, u, lid)
-			}
-		}
-	}
-	return nil
 }
 
 // scanRange returns the half-open index range [start, end) of list f whose

@@ -66,18 +66,15 @@ func referenceLists(b *bucket) *sortedLists {
 }
 
 // The radix build must order every list exactly as the stable sort does —
-// ties, which snapshots persist, included: duplicated values and ±0 (equal
-// under >, different bits) keep ascending local id. Serial and parallel
-// builds alike, at sizes around one digit's 256 counters and past 65 535
-// entries, on columns that leave the sort nothing to do (all equal, ±0 only),
-// that differ in the last mantissa bit alone, and on denormals; and over
-// random finite bit patterns. checkLists, the snapshot reader's test of a
-// list index, must accept every one built.
+// ties included: duplicated values and ±0 (equal under >, different bits)
+// keep ascending local id. Serial and parallel builds alike, at sizes around
+// one digit's 256 counters and past 65 535 entries, on columns that leave
+// the sort nothing to do (all equal, ±0 only), that differ in the last
+// mantissa bit alone, and on denormals; and over random finite bit patterns.
 func TestBuildListsMatchesStableSort(t *testing.T) {
 	check := func(name string, b *bucket) {
 		t.Helper()
 		want := referenceLists(b)
-		seen := make([]bool, b.size())
 		for _, workers := range []int{1, 2, 4, 64} {
 			got := buildLists(b, workers)
 			if !slices.Equal(got.lids, want.lids) {
@@ -87,9 +84,6 @@ func TestBuildListsMatchesStableSort(t *testing.T) {
 				if math.Float64bits(got.vals[i]) != math.Float64bits(want.vals[i]) {
 					t.Fatalf("%s workers=%d: value %d is %v, stable sort has %v", name, workers, i, got.vals[i], want.vals[i])
 				}
-			}
-			if err := checkLists(got.vals, got.lids, b, seen); err != nil {
-				t.Fatalf("%s workers=%d: checkLists: %v", name, workers, err)
 			}
 		}
 	}

@@ -114,12 +114,13 @@ type Options struct {
 	// sidecar is built at index construction, on mutation, on compaction and
 	// on snapshot restore, and every (query, bucket) pair under a finite
 	// threshold is screened, the portable kernels included. Snapshots record
-	// the option (QNT8 section), not the sidecars: they are re-quantized on
-	// load. Without it an index screens by itself wherever the int8 kernels
-	// run in assembly for its dimension (quant.Accelerated): a bucket's
-	// sidecar is built by the first pair that shows at least eight candidates
-	// under a finite threshold, only such pairs are screened, and buckets no
-	// retrieval verifies never carry one. Exact results are the same in all
+	// the option (an empty QNT8 section), not the sidecars: they are
+	// re-quantized on load. Without it an index screens by itself wherever
+	// the int8 kernels run in assembly for its dimension
+	// (quant.Accelerated): a bucket's sidecar is built by the first pair
+	// that shows at least eight candidates under a finite threshold, only
+	// such pairs are screened, and buckets no retrieval verifies never carry
+	// one. Exact results are the same in all
 	// three cases — the bound is conservative, so only candidates that
 	// provably cannot reach the threshold are skipped, and every survivor is
 	// verified in f64. A sidecar quantizes a bucket's raw rows, the index's

@@ -27,8 +27,8 @@ func TestStateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewIndex(%v): %v", alg, err)
 		}
-		// The retrievals build lazy indexes on the original, so the exported
-		// state carries sorted lists for the algorithms that use them.
+		// The retrievals build lazy indexes on the original; the restore
+		// builds its own.
 		wantTop, _, err := rowTopK(ix, q, 7)
 		if err != nil {
 			t.Fatalf("RowTopK(%v): %v", alg, err)
@@ -123,9 +123,9 @@ func TestPretuneFreezesTuning(t *testing.T) {
 		t.Fatalf("restored pretuned index re-tuned: TuneTime=%v err=%v", st.TuneTime, err)
 	}
 
-	// Unfreezing restores per-call tuning.
+	// A state without the sample restores unfrozen: per-call tuning again.
 	st2 := ix.State()
-	st2.Pretuned = false
+	st2.TuneSample = nil
 	re2, err := FromState(st2)
 	if err != nil {
 		t.Fatal(err)
@@ -158,47 +158,35 @@ func TestPretuneFreezesTuning(t *testing.T) {
 }
 
 // TestFromStateRejectsCorruptState mutates a valid state one invariant at a
-// time; every mutation must be rejected.
+// time; every mutation must be rejected: by the build, or by the Pretune
+// that restores the retained tuning sample.
 func TestFromStateRejectsCorruptState(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	p := genMatrix(rng, 120, 6, 0.9, 1, false, 0, 0)
+	sample := genMatrix(rng, 10, 6, 0.9, 1, false, 0, 0)
 	build := func() *State {
 		ix, err := NewIndex(p.Clone(), testOptions(AlgLI))
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := ix.Pretune(sample, Problem{K: 3}); err != nil {
+			t.Fatal(err)
+		}
 		return ix.State()
 	}
-	// member returns the probe column of bucket b's member j (the ids are
-	// the column numbers).
-	member := func(st *State, b, j int) []float64 { return st.Probe.Vec(int(st.Buckets[b].IDs[j])) }
 	cases := []struct {
 		name   string
 		mutate func(st *State)
 	}{
 		{"nil probe", func(st *State) { st.Probe = nil }},
-		{"empty bucket", func(st *State) { st.Buckets[0].IDs = nil }},
-		{"id out of range", func(st *State) { st.Buckets[0].IDs[0] = 9999 }},
-		{"duplicate id", func(st *State) { st.Buckets[0].IDs[1] = st.Buckets[0].IDs[0] }},
-		{"swapped ids", func(st *State) { ids := st.Buckets[0].IDs; ids[0], ids[1] = ids[1], ids[0] }},
-		{"NaN probe value", func(st *State) { member(st, 0, 0)[2] = math.NaN() }},
-		{"infinite probe value", func(st *State) { member(st, 1, 0)[0] = math.Inf(-1) }},
-		{"probe value breaks the length order", func(st *State) { member(st, len(st.Buckets)-1, 0)[0] = 1e12 }},
-		{"bad tuned phi", func(st *State) { st.Buckets[0].Tuned = true; st.Buckets[0].Phi = 0 }},
-		{"NaN tb", func(st *State) { st.Buckets[0].Tuned = true; st.Buckets[0].Phi = 1; st.Buckets[0].TB = math.NaN() }},
-		{"missing probes", func(st *State) { st.Buckets = st.Buckets[:len(st.Buckets)-1] }},
+		{"NaN probe value", func(st *State) { st.Probe.Vec(0)[2] = math.NaN() }},
+		{"infinite probe value", func(st *State) { st.Probe.Vec(1)[0] = math.Inf(-1) }},
 		{"bad options", func(st *State) { st.Opts.ShrinkFactor = 2 }},
-		// Memberships that keep the lengths non-increasing but that a build
-		// of these probes never produces.
-		{"bucket boundary moved by one probe", func(st *State) {
-			b0, b1 := st.Buckets[0].IDs, st.Buckets[1].IDs
-			st.Buckets[0].IDs, st.Buckets[1].IDs = b0[:len(b0)-1], append([]int32{b0[len(b0)-1]}, b1...)
-		}},
-		{"bucket split in two", func(st *State) {
-			ids := st.Buckets[0].IDs
-			st.Buckets = slices.Insert(st.Buckets, 1, BucketState{IDs: ids[len(ids)/2:]})
-			st.Buckets[0].IDs = ids[:len(ids)/2]
-		}},
+		{"duplicate id", func(st *State) { st.IDs = identityIDs(st.Probe.N()); st.IDs[1] = st.IDs[0] }},
+		{"tuning sample of another dimension", func(st *State) { st.TuneSample = matrix.New(5, 4) }},
+		{"empty tuning sample", func(st *State) { st.TuneSample = matrix.New(6, 0) }},
+		{"NaN in the tuning sample", func(st *State) { st.TuneSample = st.TuneSample.Clone(); st.TuneSample.Vec(0)[0] = math.NaN() }},
+		{"invalid tuning problem", func(st *State) { st.TuneProblem = Problem{Theta: math.NaN()} }},
 	}
 	for _, tc := range cases {
 		st := build()
@@ -209,14 +197,56 @@ func TestFromStateRejectsCorruptState(t *testing.T) {
 	}
 }
 
-// exportedState is ix.State() without the sorted lists, the one part of it
-// retrievals may add to: the state a snapshot written without
-// IncludeLists stores.
-func exportedState(ix *Index) *State {
-	st := ix.State()
-	st.Buckets = slices.Clone(st.Buckets)
-	for i := range st.Buckets {
-		st.Buckets[i].ListVals, st.Buckets[i].ListLids = nil, nil
+// TestStateOfMutatedIndexMatchesCompaction: State of a mutated index
+// exports, without compacting it, the probes, ids, epoch and AutoID mark
+// that a compacted clone of it exports, for a LENGTH index and a pretuned
+// cost-fitted LI one at Parallelism 1 and 4; the receiver keeps its delta
+// mass and its preprocessing time.
+func TestStateOfMutatedIndexMatchesCompaction(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	p := genMatrix(rng, 300, 8, 1.2, 1, false, 2, 4)
+	sample := genMatrix(rng, 12, 8, 1.0, 1, false, 0, 0)
+	var ups []ProbeUpdate
+	for i := 0; i < 40; i++ {
+		ups = append(ups, ProbeUpdate{Op: OpAdd, ID: AutoID, Vec: randVec(rng, 8)})
+		ups = append(ups, ProbeUpdate{Op: OpRemove, ID: int32(3 * i)})
 	}
-	return st
+	ups = append(ups, ProbeUpdate{Op: OpUpdate, ID: 301, Vec: randVec(rng, 8)}, ProbeUpdate{Op: OpAdd, ID: 1000, Vec: randVec(rng, 8)})
+	for _, alg := range []Algorithm{AlgL, AlgLI} {
+		for _, par := range []int{1, 4} {
+			opts := testOptions(alg)
+			opts.Parallelism = par
+			ix, err := NewIndex(p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if alg == AlgLI {
+				if err := ix.Pretune(sample, Problem{K: 5}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, batch := range [][]ProbeUpdate{ups[:60], ups[60:]} {
+				if _, err := ix.Apply(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mass, prep := ix.DeltaMass(), ix.PrepTime()
+			if mass == 0 || len(ix.segs) < 2 {
+				t.Fatalf("%v par %d: the batches left delta mass %g over %d segments", alg, par, mass, len(ix.segs))
+			}
+			got := ix.State()
+			if ix.DeltaMass() != mass || ix.PrepTime() != prep {
+				t.Fatalf("%v par %d: State changed the receiver: delta mass %g → %g, prep time %v → %v", alg, par, mass, ix.DeltaMass(), prep, ix.PrepTime())
+			}
+			cp := ix.shallowClone()
+			cp.Compact()
+			want := cp.State()
+			if !reflect.DeepEqual(got.Probe, want.Probe) || !slices.Equal(got.IDs, want.IDs) || got.Epoch != want.Epoch || got.NextID != want.NextID {
+				t.Fatalf("%v par %d: the mutated index's state differs from its compaction's", alg, par)
+			}
+			if (got.TuneSample != nil) != (alg == AlgLI) {
+				t.Fatalf("%v par %d: tuning sample %v", alg, par, got.TuneSample != nil)
+			}
+		}
+	}
 }

@@ -67,9 +67,10 @@ func (ix *Index) ensureTuned(c *call, qs *querySet, prob Problem, st *Stats) ([]
 // with the given query sample and freezes the fitted per-bucket parameters:
 // subsequent retrieval calls reuse them instead of re-tuning. Freezing
 // trades adaptivity for per-call latency — results stay exact either way,
-// only the per-bucket algorithm choice is affected — and the frozen
-// parameters survive snapshot save/restore, which is how a snapshot-loaded
-// server answers queries with zero tuning time.
+// only the per-bucket algorithm choice is affected. The sample and problem
+// are retained, and a snapshot persists them: FromState pretunes a restored
+// index on them, which is how a snapshot-loaded index answers queries with
+// zero tuning time.
 func (ix *Index) Pretune(q *matrix.Matrix, prob Problem) error {
 	if err := prob.Validate(); err != nil {
 		return err

@@ -28,8 +28,8 @@ const binaryMagic = "LEMPMAT1"
 const ioChunkFloats = 8192
 
 // chunkBytes sizes a scratch buffer for count values of width bytes each,
-// capped at one chunk: small sections (snapshots hold one per bucket) must
-// not pay a full chunk's allocation and zeroing.
+// capped at one chunk: small payloads (a short id list, a few-query sample)
+// must not pay a full chunk's allocation and zeroing.
 func chunkBytes(count, width int) int {
 	if count > ioChunkFloats {
 		count = ioChunkFloats

@@ -183,13 +183,13 @@ func NewWithIDs(probe *lemp.Matrix, ids []int32, cfg Config) (*Server, error) {
 
 // NewFromSnapshot builds a server from a LEMPIDX1 snapshot. A file written
 // under AlgorithmL, as WriteSnapshotsWith writes one, restores through
-// lemp.LoadIndex, which re-derives its buckets and checks them against the
-// file. A file of any other algorithm (an older server's, or one the library
-// wrote) and a set of several files, one per shard as builds whose server
-// split its catalog into shards wrote it, in shard order, are rebuilt as one
-// index under AlgorithmL: their frozen fits and sorted lists are dropped, and
-// every id and the AutoID mark are kept. cfg.Options contributes only
-// Parallelism; the rest of the structure comes from the (first) file.
+// lemp.LoadIndex, which builds the index over the file's probes. A file of
+// any other algorithm (an older server's, or one the library wrote) and a
+// set of several files, one per shard as builds whose server split its
+// catalog into shards wrote it, in shard order, are rebuilt as one index
+// under AlgorithmL, every id and the AutoID mark kept. No file's tuning
+// sample is fitted on: LENGTH has nothing to fit. cfg.Options contributes
+// only Parallelism; the rest of the structure comes from the (first) file.
 func NewFromSnapshot(snapshots []io.Reader, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	ix, err := loadSnapshots(snapshots, lemp.LoadOptions{Parallelism: cfg.Options.Parallelism, Quant: cfg.Quant})
@@ -247,14 +247,13 @@ func (s *Server) Sharded() *Sharded { return s.sharded }
 // rename) can discard the partial output rather than publish it. Restart
 // with NewFromSnapshot. It may run beside request serving: it writes the
 // index version current when it starts, and queries change nothing it
-// reads. opts are the persistence options; the server's index holds no
-// sorted lists, so IncludeLists adds nothing to the file.
-func (s *Server) WriteSnapshotsWith(open func(i, n int) (io.WriteCloser, error), opts lemp.SnapshotOptions) error {
+// reads. The options are ignored: no snapshot stores sorted lists.
+func (s *Server) WriteSnapshotsWith(open func(i, n int) (io.WriteCloser, error), _ lemp.SnapshotOptions) error {
 	w, err := open(0, 1)
 	if err != nil {
 		return err
 	}
-	if err := s.sharded.current().WriteSnapshotWith(w, opts); err != nil {
+	if err := s.sharded.current().WriteSnapshot(w); err != nil {
 		if a, ok := w.(interface{ Abort() error }); ok {
 			a.Abort()
 		} else {
@@ -402,8 +401,8 @@ func (s *Server) instrument(endpoint string, traced bool, h http.HandlerFunc) ht
 	}
 }
 
-// logSlowQuery emits the structured slow-query record: end-to-end and
-// per-phase durations (summed from the trace's span tree) and the work
+// logSlowQuery emits the structured slow-query record: the end-to-end
+// duration, the scan time (summed from the trace's span tree) and the work
 // counters the handler recorded. It runs while the
 // trace is still owned by this request, before Finish returns it to the
 // pool.
@@ -412,18 +411,14 @@ func (s *Server) logSlowQuery(r *http.Request, endpoint string, status int, dur 
 		return
 	}
 	durNS := dur.Nanoseconds()
-	var tuneNS, scanNS int64
+	var scanNS int64
 	for _, sp := range tr.Spans() {
 		end := sp.EndNS
 		if end == 0 {
 			end = durNS // unclosed span: clamp to request end
 		}
-		d := end - sp.StartNS
-		switch sp.Name {
-		case "tune":
-			tuneNS += d
-		case "scan":
-			scanNS += d
+		if sp.Name == "scan" {
+			scanNS += end - sp.StartNS
 		}
 	}
 	s.logger.LogAttrs(r.Context(), slog.LevelWarn, "slow query",
@@ -432,7 +427,6 @@ func (s *Server) logSlowQuery(r *http.Request, endpoint string, status int, dur 
 		slog.Int("status", status),
 		slog.Duration("duration", dur),
 		slog.Int("rows", info.rows),
-		slog.Int64("tune_ns", tuneNS),
 		slog.Int64("scan_ns", scanNS),
 		slog.Int64("candidates", info.stats.Candidates),
 		slog.Int64("results", info.stats.Results),

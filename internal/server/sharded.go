@@ -76,19 +76,21 @@ func newSharded(ix *lemp.Index) *Sharded {
 	return &Sharded{r: ix.R(), ix: ix, tc: lemp.NewTuningCache()}
 }
 
-// loadSnapshots restores the index behind NewFromSnapshot. One file written
-// under AlgorithmL loads through lemp.LoadIndex as it is. Any other input —
-// a file of another algorithm, with its frozen fit and sorted lists, or a
-// set of several, one per shard as builds whose server split its catalog
-// into shards wrote it (in shard order) — loads file by file, each checked as
-// LoadIndex checks it, and their live probes, in ascending id order, build
-// one index under the first file's options with AlgorithmL and Phi 0. That
-// build keeps every id and the input's AutoID mark, the highest of the
-// files'.
+// loadSnapshots restores the index behind NewFromSnapshot. Every file loads
+// with opts.Retune set: a LENGTH index has nothing to fit, and any other is
+// rebuilt under LENGTH, so no file's tuning sample is fitted on. One file
+// written under AlgorithmL loads through lemp.LoadIndex as it is. Any other
+// input — a file of another algorithm, or a set of several, one per shard as
+// builds whose server split its catalog into shards wrote it (in shard
+// order) — loads file by file, each checked as LoadIndex checks it, and
+// their live probes, in ascending id order, build one index under the first
+// file's options with AlgorithmL and Phi 0. That build keeps every id and
+// the input's AutoID mark, the highest of the files'.
 func loadSnapshots(snapshots []io.Reader, opts lemp.LoadOptions) (*lemp.Index, error) {
 	if len(snapshots) == 0 {
 		return nil, fmt.Errorf("server: no snapshot to restore")
 	}
+	opts.Retune = true
 	type probe struct {
 		id  int32
 		vec []float64

@@ -12,8 +12,8 @@ import (
 // The startup benchmarks compare the two ways lemp-serve reaches a
 // ready-to-serve state: building from the raw matrix pays the bucketization
 // (what -save-snapshot pays once), restoring pays deserialization and the
-// bucketization it checks the stored buckets against (what -snapshot pays on
-// every restart). Neither tunes: the server runs LENGTH.
+// same bucketization over the probes it read (what -snapshot pays on every
+// restart). Neither tunes: the server runs LENGTH.
 
 func BenchmarkStartupBuild(b *testing.B) {
 	_, p := data.Smoke.Scale(4).Generate()

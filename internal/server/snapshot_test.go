@@ -46,32 +46,38 @@ func snapshotReaders(bufs []*bytes.Buffer) []io.Reader {
 	return rs
 }
 
-// TestSnapshotServerWithLists: a snapshot the library wrote of a warmed LI
-// index, its sorted lists carried (SLST section), restores into a server
-// that drops the lists and the algorithm with them: it serves LENGTH with no
-// list in any bucket and answers as the LI index does.
-func TestSnapshotServerWithLists(t *testing.T) {
+// TestSnapshotServerFromPretunedLI: a snapshot the library wrote of a
+// warmed, pretuned LI index, its tuning sample carried (TSMP section),
+// restores into a server that drops the sample and the algorithm with it: it
+// serves LENGTH, unpretuned, with no list in any bucket, and answers as the
+// LI index does.
+func TestSnapshotServerFromPretunedLI(t *testing.T) {
 	q, p := smokeMatrices(t)
 	ix, err := lemp.New(p, lemp.Options{Algorithm: lemp.AlgorithmLI, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm-up: the tuning pass builds the sorted lists the snapshot carries.
+	if err := ix.PretuneTopK(q.Head(16), 7); err != nil {
+		t.Fatal(err)
+	}
 	want := directTopK(t, ix, q.Head(16), 7)
 	if ix.ListBytes() == 0 {
 		t.Fatal("the warmed LI index holds no sorted lists")
 	}
 	var buf bytes.Buffer
-	if err := ix.WriteSnapshotWith(&buf, lemp.SnapshotOptions{IncludeLists: true}); err != nil {
+	if err := ix.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte("TSMP")) {
+		t.Fatal("the pretuned index's snapshot carries no tuning sample")
 	}
 	restored, err := NewFromSnapshot([]io.Reader{&buf}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rix := restored.Sharded().current()
-	if rix.Options().Algorithm != lemp.AlgorithmL || rix.ListBytes() != 0 {
-		t.Fatalf("restored index runs %v with %d list bytes; want LENGTH and no list", rix.Options().Algorithm, rix.ListBytes())
+	if rix.Options().Algorithm != lemp.AlgorithmL || rix.Pretuned() || rix.ListBytes() != 0 {
+		t.Fatalf("restored index runs %v, pretuned %v, with %d list bytes; want LENGTH, unpretuned, no list", rix.Options().Algorithm, rix.Pretuned(), rix.ListBytes())
 	}
 	got, _, err := restored.Sharded().CurrentView().TopKCtx(context.Background(), q.Head(16), 7)
 	if err != nil {

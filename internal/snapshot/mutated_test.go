@@ -17,13 +17,15 @@ import (
 // mutatedSnapshotSHA256 is the SHA-256 of the snapshot
 // TestMutatedSnapshotBytesPinned writes. Change it only with a format change
 // that says why the bytes of an unchanged index moved. Format version 6 moved
-// them: BUKT no longer stores each member's length and direction, which the
-// loader re-derives from PROB. It pins the index built with algorithm LI;
+// them: BUKT no longer stored each member's length and direction. Format
+// version 7 moved them again: the version word, and no BUKT section at all —
+// a load derives the buckets from PROB; the PROB, PIDS and MUTA payloads
+// did not change. It pins the index built with algorithm LI;
 // lengthSnapshotSHA256 pins the same index built with algorithm L, whose
 // file differs from it only in the OPTS algorithm code.
 const (
-	mutatedSnapshotSHA256 = "a415938fc2f368fee36444df1ed2bc07624ede2004a84f6fe137248a9413a41a"
-	lengthSnapshotSHA256  = "ca0b1357844ebb6283685fafc081909ca08037b2b3ca680354ac139635d1ea5b"
+	mutatedSnapshotSHA256 = "ce806eb858b6c8c44935bcdafbefa1eef654046c470c1bbf17ba4677225154a1"
+	lengthSnapshotSHA256  = "9b2fc9ef5ed0daa915f3332bbed347a68269b5412750a3f21085600c91ea26df"
 )
 
 // mutatedIndex builds the index TestMutatedSnapshotBytesPinned pins, under
@@ -31,9 +33,28 @@ const (
 // nor quantized, answering
 // no retrieval (no sorted lists, no lazy sidecars), so its snapshot bytes
 // depend on the mutation sequence alone. Its second batch lands beside the
-// first batch's run without merging it: the export compacts a tombstoned base
-// and two runs.
+// first batch's run without merging it: the export holds the live probes of
+// a tombstoned base and two runs.
 func mutatedIndex(t testing.TB, alg core.Algorithm) *core.Index {
+	t.Helper()
+	return mutatedIndexWith(t, core.Options{Algorithm: alg, MinBucketSize: 10}, nil)
+}
+
+// fullIndex is the index testdata/v6.snap was written from: mutatedIndex's
+// catalog and batches under a Quantize LI index that fits by cost, pretuned
+// for Row-Top-k at k 5 before its first batch. A version-6 writer stored
+// its fit and its sorted lists beside the sections this writer keeps.
+func fullIndex(t testing.TB) *core.Index {
+	t.Helper()
+	sample := matrix.New(6, 20)
+	sample.FillRandom(rand.New(rand.NewSource(66)))
+	opts := core.Options{Algorithm: core.AlgLI, MinBucketSize: 10, SampleQueries: 8, TuneByCost: true, Quantize: true}
+	return mutatedIndexWith(t, opts, sample)
+}
+
+// mutatedIndexWith is mutatedIndex under opts, pretuned on sample for
+// Row-Top-k at k 5 before the first batch when sample is not nil.
+func mutatedIndexWith(t testing.TB, opts core.Options, sample *matrix.Matrix) *core.Index {
 	t.Helper()
 	const r, n = 6, 120
 	rng := rand.New(rand.NewSource(26))
@@ -51,9 +72,14 @@ func mutatedIndex(t testing.TB, alg core.Algorithm) *core.Index {
 		copy(p.Vec(col), vec())
 		ids[col] = int32(3*k + 1)
 	}
-	ix, err := core.NewIndexWithIDs(p, ids, core.Options{Algorithm: alg, MinBucketSize: 10})
+	ix, err := core.NewIndexWithIDs(p, ids, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if sample != nil {
+		if err := ix.Pretune(sample, core.Problem{K: 5}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	apply := func(ups []core.ProbeUpdate) []int32 {
 		t.Helper()
@@ -111,10 +137,12 @@ func mutatedIndex(t testing.TB, alg core.Algorithm) *core.Index {
 }
 
 // TestMutatedSnapshotBytesPinned pins the bytes of a mutated index's
-// snapshot. State compacts a clone, and the column order that compaction
-// gives its matrix — the base segment's live columns in column order, then
-// every newer live vector by ascending id — fixes the probe matrix and the
-// bucket membership the file stores, so it is part of the format.
+// snapshot. State exports the live probes in the column order a Compact
+// gives them — the base segment's live columns in column order, then every
+// newer live vector by ascending id — which fixes the probe matrix the file
+// stores, so it is part of the format: the PROB, PIDS and MUTA payloads are
+// those of testdata/v2.snap, which a version-2 writer wrote of the same
+// index.
 func TestMutatedSnapshotBytesPinned(t *testing.T) {
 	files := make(map[core.Algorithm][]byte)
 	for alg, pin := range map[core.Algorithm]string{core.AlgLI: mutatedSnapshotSHA256, core.AlgL: lengthSnapshotSHA256} {
@@ -131,6 +159,12 @@ func TestMutatedSnapshotBytesPinned(t *testing.T) {
 			t.Fatalf("%v: exporting the snapshot compacted the index itself", alg)
 		}
 		files[alg] = buf.Bytes()
+	}
+	v2 := readFixture(t, "v2.snap")
+	for _, tag := range [][4]byte{tagProbe, tagIDs, tagMuta} {
+		if !bytes.Equal(sectionPayload(t, files[core.AlgLI], tag), sectionPayload(t, v2, tag)) {
+			t.Errorf("the %s payload differs from the version-2 fixture's", tag[:])
+		}
 	}
 	// The two files differ in the OPTS algorithm word and its checksum only.
 	li, l := files[core.AlgLI], files[core.AlgL]

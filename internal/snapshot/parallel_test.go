@@ -4,21 +4,22 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"lemp/internal/core"
 	"lemp/internal/matrix"
 )
 
-// stateBytes serializes ix's state, lists included, with the Parallelism
-// option it records set to 1: the option is the one thing two builds at
-// different Parallelism may write differently.
+// stateBytes serializes ix's state with the Parallelism option it records
+// set to 1: the option is the one thing two builds at different Parallelism
+// may write differently.
 func stateBytes(t *testing.T, ix *core.Index) []byte {
 	t.Helper()
 	st := ix.State()
 	st.Opts.Parallelism = 1
 	var buf bytes.Buffer
-	if err := WriteWith(&buf, st, WriteOptions{IncludeLists: true}); err != nil {
+	if err := Write(&buf, st); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -26,11 +27,11 @@ func stateBytes(t *testing.T, ix *core.Index) []byte {
 
 // TestStateIndependentOfParallelism: a build, a restore and a Compact spread
 // their work over Options.Parallelism goroutines, and what they produce is
-// the same, byte for byte, at Parallelism 1 and 4. The catalog is wide
-// enough that the per-column steps split into four runs, its ids are
-// shuffled, its buckets quantized and its pretuned lists stored, so every
-// spread step runs: lengths, bucket layout, row copy, sidecars, and the
-// restore's bucket and list checks. Run it under -race.
+// the same, byte for byte, at Parallelism 1 and 4, and so is the fit a
+// restore's Pretune makes. The catalog is wide enough that the per-column
+// steps split into four runs, its ids are shuffled, its buckets quantized
+// and its tuning sample stored, so every spread step runs: lengths, bucket
+// layout, row copy, sidecars, and the restore's fit. Run it under -race.
 func TestStateIndependentOfParallelism(t *testing.T) {
 	const r, n = 6, 4*4096 + 123
 	rng := rand.New(rand.NewSource(46))
@@ -51,6 +52,7 @@ func TestStateIndependentOfParallelism(t *testing.T) {
 		{Op: core.OpAdd, ID: core.AutoID, Vec: p.Vec(3)},
 	}
 	var built, restored, compacted [][]byte
+	var fits [][]core.BucketInfo
 	for _, par := range []int{1, 4} {
 		opts := core.Options{Parallelism: par, MinBucketSize: 40, SampleQueries: 8, TuneByCost: true, Quantize: true}
 		ix, err := core.NewIndexWithIDs(p, ids, opts)
@@ -73,6 +75,7 @@ func TestStateIndependentOfParallelism(t *testing.T) {
 			t.Fatal(err)
 		}
 		restored = append(restored, stateBytes(t, back))
+		fits = append(fits, back.Buckets())
 
 		if _, err := back.Apply(batch); err != nil {
 			t.Fatal(err)
@@ -91,7 +94,10 @@ func TestStateIndependentOfParallelism(t *testing.T) {
 	if !bytes.Equal(built[0], restored[0]) {
 		t.Error("a restore's state differs from the build's it restored")
 	}
-	if !bytes.Contains(built[0], []byte("SLST")) {
-		t.Error("the pretuned build stored no sorted list: the restore's list check went unexercised")
+	if !reflect.DeepEqual(fits[0], fits[1]) {
+		t.Error("the restore's fit at Parallelism 4 differs from the one at 1")
+	}
+	if !bytes.Contains(built[0], []byte("TSMP")) {
+		t.Error("the pretuned build stored no tuning sample: the restore's fit went unexercised")
 	}
 }

@@ -1,13 +1,13 @@
-// Package snapshot serializes a LEMP index so a server can restart without
-// re-paying the expensive part of its preprocessing: when the index was
-// pretuned, the sample-based parameter selection of §4.4, and the
-// sorted-list builds. The bucketization of §3.2 is stored and checked, not
-// trusted: a load bucketizes the probes again.
+// Package snapshot serializes a LEMP index as its catalog: the options it
+// was built with, its live probes and their ids, its mutation marks and, for
+// a pretuned index, the query sample its fit was made on. Everything else is
+// derived on load: core.FromState is a build (§3.2) and, with a sample, a
+// Pretune (§4.4).
 //
 // The LEMPIDX1 format is a versioned, self-describing container:
 //
 //	magic    [8]byte  "LEMPIDX1"
-//	version  uint32   format version; this writer emits 6
+//	version  uint32   format version; this writer emits 7
 //	reserved uint32   zero
 //	section* — each section:
 //	    tag     [4]byte
@@ -15,53 +15,29 @@
 //	    payload [length]byte
 //	    crc32   uint32   IEEE CRC-32 of the payload
 //
-// All integers and floats are little endian. A version-6 stream stores each
-// fact once, in these sections, in this order. Of what the loader can derive
-// from the probe matrix it keeps only BUKT's member ids: they are the check
-// that the stored fit and lists belong to the buckets a load derives.
+// All integers and floats are little endian. A version-7 stream stores each
+// fact once, in these sections, in this order:
 //
 //	"OPTS"  the core.Options the index was built with (a fixed 85 bytes;
 //	        two slots that once held BLSH settings carry their fixed
-//	        values, 32 and 0.03, and are ignored on read)
-//	"PROB"  the probe matrix (r, n, r×n float64)
+//	        values, 32 and 0.03, and one that held a placement seed 1; all
+//	        three are ignored on read)
+//	"PROB"  the live probe matrix (r, n, r×n float64), in the column order a
+//	        Compact gives it: the base segment's live columns in column
+//	        order, then the newer runs' live vectors by ascending id
 //	"PIDS"  optional: probe column → external id (n × int32), present when
 //	        the ids are not the column numbers
 //	"MUTA"  optional: mutation epoch (uint64) and next AutoID assignment
 //	        (int64), present when either differs from its derived default
 //	"TSMP"  optional: the retained tuning sample of a pretuned index — the
 //	        problem kind (topk flag), k (int64), θ (float64), then the
-//	        sample matrix (r, m, r×m float64) — so a restored index can
-//	        re-freeze fitted parameters after a Compact
-//	"BUKT"  the bucketization: bucket count (uint32) and pretuned flag, then
-//	        per bucket its size (uint32), tuning state (tuned flag, t_b
-//	        float64, φ_b int64) and member ids (size × int32) by decreasing
-//	        length
-//	"SLST"  optional (WriteOptions.IncludeLists): the per-bucket sorted-list
-//	        indexes (§4.2) built so far — per bucket a presence byte, then
-//	        when present the coordinate-major values (size × r float64) and
-//	        local ids (size × r int32). Persisting them lets a restored
-//	        server's first batch skip the rebuild that dominates
-//	        post-restore latency, at roughly twice the snapshot size.
-//	"QNT8"  present iff core.Options.Quantize (the OPTS layout predates the
-//	        flag): one zero byte per bucket
+//	        sample matrix (r, m, r×m float64). A load pretunes on it.
+//	"QNT8"  empty, present iff core.Options.Quantize (the OPTS layout
+//	        predates the flag)
 //	"END\0" zero-length terminator
 //
-// A mutated index is compacted on save — the delta layer folds into a fresh
-// bucketization with ids preserved — so every snapshot holds one
-// bucketization over the live probes.
-//
-// Derived on load: core.FromState is a build. It bucketizes the PROB
-// columns under OPTS and PIDS as core.NewIndexWithIDs does, copying them
-// into bucket rows, so a restored bucket holds the bits a fresh one does,
-// and the loaded matrix is released: the restored index keeps one copy of
-// each probe, as a built one does. It refuses the file unless BUKT names
-// exactly the derived buckets, member for member, which is what catches a
-// corrupt probe value, a permuted membership or a moved bucket boundary. A
-// Quantize index quantizes its int8 screening sidecars as a build does, and
-// persisted sorted lists are verified against the unit coordinates derived
-// from the rows bit for bit, so a tampered list fails to load. PROB is
-// written from the bucket rows in the column order of the build, restore or
-// Compact that made the index.
+// A mutated index is exported as its compaction would be, without
+// compacting it, so every snapshot holds one catalog of live probes.
 //
 // OPTS names the bucket algorithm by number: 0 LI, 1 L, 2 C, 3 I, 4 LC.
 // Builds that served the paper's TA, cover-tree, L2AP and BayesLSH-Lite
@@ -69,37 +45,25 @@
 // the experiment harness, and a file of any version naming one is refused
 // with the number, never loaded with another method in its place.
 //
-// Versions 1–5 are read, never written. Version 1 has OPTS, PROB, BUKT and
-// END; 2 adds PIDS, MUTA and TSMP; 3 SLST; 4 PLMT; 5 QNT8. Their BUKT also
-// stores each member's length (float64) and direction (r × float64) after
-// the ids, and their QNT8 follows a presence byte 1 with a sidecar (size
-// scales and size residual bounds as float64, size × r int8 codes). The
-// reader checks the framing of those bytes and skips them; the section
-// checksums still cover them.
-//
-// "PLMT", which sits between SLST and QNT8 and which earlier builds also
-// wrote into version-6 files, held the serving layer's shard-placement
-// name (length-prefixed, at most 64 bytes) and a cone flag; a flag 1, from
-// builds that pruned shards by direction, is followed by a cone (uint32
-// centroid length 0 or r, the centroid, cos of the angular radius, maximum
-// live probe length). It is read and discarded, never written: any split of
-// the probes answers exactly, and a restore keeps the snapshots' partition
-// or re-places under the placement it is given.
+// Versions 1–6 are read, never written. Version 1 has OPTS, PROB, BUKT and
+// END; 2 adds PIDS, MUTA and TSMP; 3 SLST; 4 PLMT; 5 QNT8; 6 drops PLMT
+// again (though earlier builds still wrote it into version-6 files). Those
+// writers also stored what a load derives: "BUKT" the bucketization, with
+// each bucket's members and its entry in a pretuned index's fit, "SLST" the
+// sorted lists (§4.2) built so far, "PLMT" the serving layer's shard
+// placement, and under "QNT8" the int8 sidecars. In any version the reader
+// checks those four sections' checksums and discards their payloads — QNT8's
+// presence still means Quantize — so no byte of them reaches an index.
 //
 // A reader fails loudly — never silently serves wrong results — on a bad
-// magic, an unsupported version, an unknown section tag, a checksum
-// mismatch, a truncated stream, or any structural inconsistency; allocation
-// while reading is always bounded by the bytes actually present, so a
-// crafted header cannot balloon memory. (Unknown tags are rejected rather
-// than skipped because the reader already rejects unknown versions: within
-// an accepted stream every tag is known, so an unknown one is corruption —
-// a flipped tag byte must not silently drop a section.)
-//
-// The int8 sidecars are intentionally not persisted: they are cheap relative
-// to bucketization, derived, and rebuilt after a restore.
-// Sorted lists earned their optional section because every coordinate
-// method needs them and their rebuild dominates a restored server's first
-// batch.
+// magic, an unsupported version, a duplicate or unknown section tag, a
+// checksum mismatch, a truncated stream, or any structural inconsistency in
+// the sections it keeps; allocation while reading is always bounded by the
+// bytes actually present, so a crafted header cannot balloon memory.
+// (Unknown tags are rejected rather than skipped because the reader already
+// rejects unknown versions: within an accepted stream every tag is known, so
+// an unknown one is corruption — a flipped tag byte must not silently drop a
+// section.)
 package snapshot
 
 import (
@@ -111,7 +75,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"slices"
 
 	"lemp/internal/core"
 	"lemp/internal/matrix"
@@ -121,24 +84,22 @@ import (
 const Magic = "LEMPIDX1"
 
 // Version is the format version Write emits. Read accepts 1 through Version.
-const Version = 6
+const Version = 7
 
 var (
-	tagOptions   = [4]byte{'O', 'P', 'T', 'S'}
-	tagProbe     = [4]byte{'P', 'R', 'O', 'B'}
-	tagIDs       = [4]byte{'P', 'I', 'D', 'S'}
-	tagMuta      = [4]byte{'M', 'U', 'T', 'A'}
-	tagTune      = [4]byte{'T', 'S', 'M', 'P'}
+	tagOptions = [4]byte{'O', 'P', 'T', 'S'}
+	tagProbe   = [4]byte{'P', 'R', 'O', 'B'}
+	tagIDs     = [4]byte{'P', 'I', 'D', 'S'}
+	tagMuta    = [4]byte{'M', 'U', 'T', 'A'}
+	tagTune    = [4]byte{'T', 'S', 'M', 'P'}
+	tagQuant   = [4]byte{'Q', 'N', 'T', '8'}
+	tagEnd     = [4]byte{'E', 'N', 'D', 0}
+
+	// Sections of older versions, read and discarded, never written.
 	tagBuckets   = [4]byte{'B', 'U', 'K', 'T'}
 	tagLists     = [4]byte{'S', 'L', 'S', 'T'}
 	tagPlacement = [4]byte{'P', 'L', 'M', 'T'}
-	tagQuant     = [4]byte{'Q', 'N', 'T', '8'}
-	tagEnd       = [4]byte{'E', 'N', 'D', 0}
 )
-
-// maxPlacementKind bounds the placement-strategy name in a PLMT section; a
-// longer one is corruption, not a name.
-const maxPlacementKind = 64
 
 // Dimension plausibility bounds, matching matrix.ReadBinary.
 const (
@@ -175,32 +136,12 @@ func defaultNextID(st *core.State) int32 {
 	return next
 }
 
-// WriteOptions adjust what Write persists beyond the required sections.
-type WriteOptions struct {
-	// IncludeLists persists the per-bucket sorted-list indexes that have
-	// been built so far (SLST section), trading snapshot size for a restored
-	// server that skips the first-use list rebuild. Buckets whose lists were
-	// never built are recorded as absent and still rebuild lazily after
-	// restore.
-	IncludeLists bool
-}
-
-// Write serializes st in the LEMPIDX1 format with default options (no
-// SLST section).
+// Write serializes st in the LEMPIDX1 format, always as format Version; the
+// optional sections appear when the state needs them.
 func Write(w io.Writer, st *core.State) error {
-	return WriteWith(w, st, WriteOptions{})
-}
-
-// WriteWith is Write with explicit options. It always writes format
-// Version; the optional sections appear when the state needs them, SLST
-// when WriteOptions.IncludeLists asks for it and some list is built.
-func WriteWith(w io.Writer, st *core.State, opts WriteOptions) error {
 	if st.Probe == nil {
 		return fmt.Errorf("snapshot: state has no probe matrix")
 	}
-	writeMuta := st.Epoch != 0 || st.NextID != defaultNextID(st)
-	writeTune := st.Pretuned && st.TuneSample != nil
-	writeLists := opts.IncludeLists && slices.ContainsFunc(st.Buckets, func(b core.BucketState) bool { return b.ListVals != nil })
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(Magic); err != nil {
 		return err
@@ -229,7 +170,7 @@ func WriteWith(w io.Writer, st *core.State, opts WriteOptions) error {
 			return err
 		}
 	}
-	if writeMuta {
+	if st.Epoch != 0 || st.NextID != defaultNextID(st) {
 		if err := writeSection(bw, tagMuta, 16, func(w io.Writer) error {
 			var buf [16]byte
 			binary.LittleEndian.PutUint64(buf[0:8], st.Epoch)
@@ -240,7 +181,7 @@ func WriteWith(w io.Writer, st *core.State, opts WriteOptions) error {
 			return err
 		}
 	}
-	if writeTune {
+	if st.TuneSample != nil {
 		tuneLen := uint64(1+8+8+8) + 8*uint64(st.TuneSample.R())*uint64(st.TuneSample.N())
 		if err := writeSection(bw, tagTune, tuneLen, func(w io.Writer) error {
 			return writeTuneSample(w, st)
@@ -248,33 +189,8 @@ func WriteWith(w io.Writer, st *core.State, opts WriteOptions) error {
 			return err
 		}
 	}
-	bucketsLen := uint64(5)
-	for _, b := range st.Buckets {
-		bucketsLen += 21 + 4*uint64(len(b.IDs))
-	}
-	if err := writeSection(bw, tagBuckets, bucketsLen, func(w io.Writer) error {
-		return writeBuckets(w, st)
-	}); err != nil {
-		return err
-	}
-	if writeLists {
-		listsLen := uint64(len(st.Buckets))
-		for _, b := range st.Buckets {
-			if b.ListVals != nil {
-				listsLen += 8*uint64(len(b.ListVals)) + 4*uint64(len(b.ListLids))
-			}
-		}
-		if err := writeSection(bw, tagLists, listsLen, func(w io.Writer) error {
-			return writeSortedLists(w, st)
-		}); err != nil {
-			return err
-		}
-	}
 	if st.Opts.Quantize {
-		if err := writeSection(bw, tagQuant, uint64(len(st.Buckets)), func(w io.Writer) error {
-			_, err := w.Write(make([]byte, len(st.Buckets)))
-			return err
-		}); err != nil {
+		if err := writeSection(bw, tagQuant, 0, func(io.Writer) error { return nil }); err != nil {
 			return err
 		}
 	}
@@ -282,92 +198,6 @@ func WriteWith(w io.Writer, st *core.State, opts WriteOptions) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// readQuantSidecar parses the QNT8 payload: one presence byte per
-// already-read bucket. A version-5 writer followed a 1 with the bucket's
-// sidecar, which is skipped — FromState re-quantizes the directions it
-// derives.
-func readQuantSidecar(r io.Reader, st *core.State) error {
-	dim := int64(st.Probe.R())
-	for i, b := range st.Buckets {
-		var present [1]byte
-		if _, err := io.ReadFull(r, present[:]); err != nil {
-			return fmt.Errorf("bucket %d sidecar flag: %w", i, err)
-		}
-		switch present[0] {
-		case 0:
-			continue
-		case 1:
-		default:
-			return fmt.Errorf("bucket %d sidecar flag is %d, want 0 or 1", i, present[0])
-		}
-		if _, err := io.CopyN(io.Discard, r, int64(len(b.IDs))*(8+8+dim)); err != nil {
-			return fmt.Errorf("bucket %d sidecar: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// writeSortedLists emits the SLST payload: one presence byte per bucket, then
-// the present buckets' value and local-id arrays.
-func writeSortedLists(w io.Writer, st *core.State) error {
-	for _, b := range st.Buckets {
-		present := byte(0)
-		if b.ListVals != nil {
-			present = 1
-		}
-		if _, err := w.Write([]byte{present}); err != nil {
-			return err
-		}
-		if present == 0 {
-			continue
-		}
-		if err := matrix.WriteFloat64s(w, b.ListVals); err != nil {
-			return err
-		}
-		if err := matrix.WriteInt32s(w, b.ListLids); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// skipPlacement checks the framing of a PLMT payload and discards it: the
-// placement name, then a cone flag, and after a flag 1 a cone whose
-// centroid length must be 0 or the probe dimension.
-func skipPlacement(r io.Reader, st *core.State) error {
-	var kindLen [1]byte
-	if _, err := io.ReadFull(r, kindLen[:]); err != nil {
-		return err
-	}
-	if int(kindLen[0]) > maxPlacementKind {
-		return fmt.Errorf("placement kind length %d exceeds %d", kindLen[0], maxPlacementKind)
-	}
-	if _, err := io.CopyN(io.Discard, r, int64(kindLen[0])); err != nil {
-		return err
-	}
-	var present [1]byte
-	if _, err := io.ReadFull(r, present[:]); err != nil {
-		return err
-	}
-	switch present[0] {
-	case 0:
-		return nil
-	case 1:
-	default:
-		return fmt.Errorf("cone flag is %d, want 0 or 1", present[0])
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	clen := int64(binary.LittleEndian.Uint32(hdr[:]))
-	if clen != 0 && clen != int64(st.Probe.R()) {
-		return fmt.Errorf("cone centroid has dimension %d, probe matrix %d", clen, st.Probe.R())
-	}
-	_, err := io.CopyN(io.Discard, r, 8*clen+16)
-	return err
 }
 
 // writeSection frames one section: tag, declared length, the payload teed
@@ -435,59 +265,6 @@ func writeTuneSample(w io.Writer, st *core.State) error {
 	return matrix.WriteFloat64s(w, st.TuneSample.Data())
 }
 
-func writeBuckets(w io.Writer, st *core.State) error {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(st.Buckets)))
-	hdr[4] = boolByte(st.Pretuned)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	for _, b := range st.Buckets {
-		var bh [21]byte
-		binary.LittleEndian.PutUint32(bh[0:4], uint32(len(b.IDs)))
-		bh[4] = boolByte(b.Tuned)
-		binary.LittleEndian.PutUint64(bh[5:13], math.Float64bits(b.TB))
-		binary.LittleEndian.PutUint64(bh[13:21], uint64(int64(b.Phi)))
-		if _, err := w.Write(bh[:]); err != nil {
-			return err
-		}
-		if err := matrix.WriteInt32s(w, b.IDs); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readSortedLists parses the SLST payload into the already-read bucket
-// states. Allocation is bounded by the declared bucket sizes; semantic
-// verification (permutation, sortedness, value agreement with the
-// directions) runs in core.FromState.
-func readSortedLists(r io.Reader, st *core.State) error {
-	dim := st.Probe.R()
-	for i := range st.Buckets {
-		var present [1]byte
-		if _, err := io.ReadFull(r, present[:]); err != nil {
-			return fmt.Errorf("bucket %d list flag: %w", i, err)
-		}
-		switch present[0] {
-		case 0:
-			continue
-		case 1:
-		default:
-			return fmt.Errorf("bucket %d list flag is %d, want 0 or 1", i, present[0])
-		}
-		n := len(st.Buckets[i].IDs) * dim
-		var err error
-		if st.Buckets[i].ListVals, err = matrix.ReadFloat64s(r, n); err != nil {
-			return fmt.Errorf("bucket %d list values: %w", i, err)
-		}
-		if st.Buckets[i].ListLids, err = matrix.ReadInt32s(r, n); err != nil {
-			return fmt.Errorf("bucket %d list ids: %w", i, err)
-		}
-	}
-	return nil
-}
-
 func boolByte(b bool) byte {
 	if b {
 		return 1
@@ -496,9 +273,9 @@ func boolByte(b bool) byte {
 }
 
 // Read parses a LEMPIDX1 stream into a core.State. It verifies the format
-// version and every section checksum; structural invariants of the state
-// itself (id uniqueness, length ordering, …) are verified by
-// core.FromState, which every loader runs next.
+// version, every section checksum and the framing of the sections it keeps;
+// the state's own invariants (finite probes, unique ids, a valid tuning
+// sample) are verified by core.FromState, which every loader runs next.
 func Read(r io.Reader) (*core.State, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(Magic))
@@ -520,7 +297,7 @@ func Read(r io.Reader) (*core.State, error) {
 		return nil, fmt.Errorf("snapshot: reserved header field is %#x, want 0", rsv)
 	}
 	st := &core.State{}
-	var haveOpts, haveProbe, haveBuckets, haveIDs, haveMuta, haveTune, haveLists, havePlmt, haveQuant bool
+	seen := make(map[[4]byte]bool)
 	for {
 		var tag [4]byte
 		if _, err := io.ReadFull(br, tag[:]); err != nil {
@@ -531,88 +308,28 @@ func Read(r io.Reader) (*core.State, error) {
 			return nil, fmt.Errorf("snapshot: reading section length: %w", err)
 		}
 		sr := &sectionReader{br: br, n: binary.LittleEndian.Uint64(lenBuf[:]), crc: crc32.NewIEEE()}
+		if seen[tag] {
+			return nil, fmt.Errorf("snapshot: duplicate %q section", tag[:])
+		}
+		seen[tag] = true
 		var err error
 		switch tag {
 		case tagOptions:
-			if haveOpts {
-				return nil, fmt.Errorf("snapshot: duplicate OPTS section")
-			}
-			haveOpts = true
 			st.Opts, err = readOptions(sr)
 		case tagProbe:
-			if haveProbe {
-				return nil, fmt.Errorf("snapshot: duplicate PROB section")
-			}
-			haveProbe = true
 			st.Probe, err = readProbe(sr)
 		case tagIDs:
-			if haveIDs {
-				return nil, fmt.Errorf("snapshot: duplicate PIDS section")
-			}
-			if !haveProbe {
+			if st.Probe == nil {
 				return nil, fmt.Errorf("snapshot: PIDS section before PROB")
 			}
-			haveIDs = true
 			st.IDs, err = matrix.ReadInt32s(sr, st.Probe.N())
 		case tagMuta:
-			if haveMuta {
-				return nil, fmt.Errorf("snapshot: duplicate MUTA section")
-			}
-			haveMuta = true
-			var buf [16]byte
-			if _, err = io.ReadFull(sr, buf[:]); err == nil {
-				st.Epoch = binary.LittleEndian.Uint64(buf[0:8])
-				next := int64(binary.LittleEndian.Uint64(buf[8:16]))
-				if next < 0 || next > core.MaxProbeID+1 {
-					return nil, fmt.Errorf("snapshot: implausible next probe id %d", next)
-				}
-				st.NextID = int32(next)
-			}
+			err = readMuta(sr, st)
 		case tagTune:
-			if haveTune {
-				return nil, fmt.Errorf("snapshot: duplicate TSMP section")
-			}
-			haveTune = true
 			err = readTuneSample(sr, st)
-		case tagBuckets:
-			if haveBuckets {
-				return nil, fmt.Errorf("snapshot: duplicate BUKT section")
-			}
-			if !haveProbe {
-				return nil, fmt.Errorf("snapshot: BUKT section before PROB")
-			}
-			haveBuckets = true
-			err = readBuckets(sr, st, version)
-		case tagLists:
-			if haveLists {
-				return nil, fmt.Errorf("snapshot: duplicate SLST section")
-			}
-			if !haveBuckets {
-				return nil, fmt.Errorf("snapshot: SLST section before BUKT")
-			}
-			haveLists = true
-			err = readSortedLists(sr, st)
-		case tagPlacement:
-			if havePlmt {
-				return nil, fmt.Errorf("snapshot: duplicate PLMT section")
-			}
-			if !haveProbe {
-				return nil, fmt.Errorf("snapshot: PLMT section before PROB")
-			}
-			havePlmt = true
-			err = skipPlacement(sr, st)
-		case tagQuant:
-			if haveQuant {
-				return nil, fmt.Errorf("snapshot: duplicate QNT8 section")
-			}
-			if !haveBuckets {
-				return nil, fmt.Errorf("snapshot: QNT8 section before BUKT")
-			}
-			haveQuant = true
-			// The fixed-size OPTS payload predates the Quantize flag;
-			// presence of the QNT8 section is the persisted form of it.
-			st.Opts.Quantize = true
-			err = readQuantSidecar(sr, st)
+		case tagBuckets, tagLists, tagPlacement, tagQuant:
+			// Derived or retired: checksummed and discarded.
+			_, err = io.Copy(io.Discard, sr)
 		case tagEnd:
 			if sr.n != 0 {
 				return nil, fmt.Errorf("snapshot: END section with %d payload bytes", sr.n)
@@ -620,9 +337,12 @@ func Read(r io.Reader) (*core.State, error) {
 			if err := sr.finish("END"); err != nil {
 				return nil, err
 			}
-			if !haveOpts || !haveProbe || !haveBuckets {
-				return nil, fmt.Errorf("snapshot: missing section (OPTS %v, PROB %v, BUKT %v)", haveOpts, haveProbe, haveBuckets)
+			if !seen[tagOptions] || !seen[tagProbe] {
+				return nil, fmt.Errorf("snapshot: missing section (OPTS %v, PROB %v)", seen[tagOptions], seen[tagProbe])
 			}
+			// The fixed-size OPTS payload predates the Quantize flag;
+			// presence of the QNT8 section is the persisted form of it.
+			st.Opts.Quantize = seen[tagQuant]
 			return st, nil
 		default:
 			// The reader rejects any format version it does not know, so
@@ -640,6 +360,21 @@ func Read(r io.Reader) (*core.State, error) {
 			return nil, err
 		}
 	}
+}
+
+// readMuta parses the MUTA payload: the mutation epoch and the next AutoID
+// assignment, which may be at most one past the largest possible id.
+func readMuta(r io.Reader, st *core.State) error {
+	var buf [16]byte
+	if _, err := io.ReadFull(r, buf[:]); err != nil {
+		return err
+	}
+	next := int64(binary.LittleEndian.Uint64(buf[8:16]))
+	if next < 0 || next > core.MaxProbeID+1 {
+		return fmt.Errorf("implausible next probe id %d", next)
+	}
+	st.Epoch, st.NextID = binary.LittleEndian.Uint64(buf[0:8]), int32(next)
+	return nil
 }
 
 // sectionReader bounds reads to one section's declared payload and
@@ -718,7 +453,8 @@ func readProbe(r io.Reader) (*matrix.Matrix, error) {
 
 // readTuneSample parses the TSMP payload. Dimensional plausibility is
 // checked here (bounded allocation); the semantic checks — sample dimension
-// versus the probe matrix, k/θ validity — run in core.FromState.
+// versus the probe matrix, finite values, k/θ validity — are Pretune's,
+// which core.FromState runs on the sample.
 func readTuneSample(r io.Reader, st *core.State) error {
 	var hdr [25]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -753,52 +489,4 @@ func readMatrix(r io.Reader, dims []byte, least int, what string) (*matrix.Matri
 		return nil, err
 	}
 	return matrix.FromData(rr, n, data)
-}
-
-// readBuckets parses the BUKT payload of a stream of the given format
-// version. Before version 6 each bucket's ids are followed by the members'
-// lengths and directions, which are skipped: FromState derives them.
-func readBuckets(r io.Reader, st *core.State, version uint32) error {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	numBuckets := int(binary.LittleEndian.Uint32(hdr[0:4]))
-	st.Pretuned = hdr[4] != 0
-	n, dim := st.Probe.N(), st.Probe.R()
-	if numBuckets < 0 || numBuckets > n {
-		return fmt.Errorf("%d buckets for %d probes", numBuckets, n)
-	}
-	st.Buckets = make([]core.BucketState, 0, numBuckets)
-	total := 0
-	for i := 0; i < numBuckets; i++ {
-		var bh [21]byte
-		if _, err := io.ReadFull(r, bh[:]); err != nil {
-			return fmt.Errorf("bucket %d header: %w", i, err)
-		}
-		size := int(binary.LittleEndian.Uint32(bh[0:4]))
-		if size < 1 || total+size > n {
-			return fmt.Errorf("bucket %d size %d exceeds %d probes", i, size, n)
-		}
-		total += size
-		b := core.BucketState{
-			Tuned: bh[4] != 0,
-			TB:    math.Float64frombits(binary.LittleEndian.Uint64(bh[5:13])),
-			Phi:   int(int64(binary.LittleEndian.Uint64(bh[13:21]))),
-		}
-		if b.Phi < 0 || b.Phi > maxDim {
-			return fmt.Errorf("bucket %d phi %d out of range", i, b.Phi)
-		}
-		var err error
-		if b.IDs, err = matrix.ReadInt32s(r, size); err != nil {
-			return fmt.Errorf("bucket %d ids: %w", i, err)
-		}
-		if version < 6 {
-			if _, err := io.CopyN(io.Discard, r, 8*int64(size)*int64(1+dim)); err != nil {
-				return fmt.Errorf("bucket %d lengths and directions: %w", i, err)
-			}
-		}
-		st.Buckets = append(st.Buckets, b)
-	}
-	return nil
 }

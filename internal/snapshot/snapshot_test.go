@@ -9,7 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,79 +49,38 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := Write(&buf, st); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Opts != st.Opts {
-		t.Errorf("options differ:\n got %+v\nwant %+v", got.Opts, st.Opts)
-	}
-	if got.Pretuned != st.Pretuned {
-		t.Errorf("pretuned %v, want %v", got.Pretuned, st.Pretuned)
-	}
-	if got.Probe.R() != st.Probe.R() || got.Probe.N() != st.Probe.N() {
-		t.Fatalf("probe %d×%d, want %d×%d", got.Probe.R(), got.Probe.N(), st.Probe.R(), st.Probe.N())
-	}
-	if !reflect.DeepEqual(got.Probe.Data(), st.Probe.Data()) {
-		t.Error("probe data differs")
-	}
-	// Default Write intentionally drops the optional sorted lists; every
-	// other bucket field must round-trip exactly.
-	want := append([]core.BucketState(nil), st.Buckets...)
-	for i := range want {
-		want[i].ListVals, want[i].ListLids = nil, nil
-	}
-	if !reflect.DeepEqual(got.Buckets, want) {
-		t.Error("bucket states differ")
-	}
-	// The parsed state must satisfy every structural invariant.
-	if _, err := core.FromState(got); err != nil {
-		t.Fatalf("FromState on round-tripped state: %v", err)
-	}
-}
-
-// TestWriteReadRoundTripWithLists: opting into list persistence must emit
-// an SLST section and round-trip the sorted-list arrays bit-for-bit, and
-// the loaded state must pass FromState's list verification.
-func TestWriteReadRoundTripWithLists(t *testing.T) {
-	st := buildState(t)
-	withLists := false
-	for _, b := range st.Buckets {
-		if b.ListVals != nil {
-			withLists = true
-		}
-	}
-	if !withLists {
-		t.Fatal("fixture built no sorted lists; pretuning should have")
-	}
-	var buf bytes.Buffer
-	if err := WriteWith(&buf, st, WriteOptions{IncludeLists: true}); err != nil {
-		t.Fatal(err)
-	}
 	raw := buf.Bytes()
-	if v := version(raw); v != Version || !hasSection(t, raw, tagLists) {
-		t.Fatalf("format version %d, SLST section %v; want %d and one", v, hasSection(t, raw, tagLists), Version)
+	if got, want := tags(t, raw), []string{"OPTS", "PROB", "TSMP", "END\x00"}; !slices.Equal(got, want) {
+		t.Fatalf("sections %q, want %q", got, want)
 	}
 	got, err := Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Buckets, st.Buckets) {
-		t.Error("bucket states (lists included) differ")
+	// A NextID that equals its derived default is not written, and reads
+	// back as 0: "derive from the ids".
+	want := *st
+	want.NextID = 0
+	if !reflect.DeepEqual(got, &want) {
+		t.Errorf("state differs after the round trip:\n got %+v\nwant %+v", got, &want)
 	}
-	if _, err := core.FromState(got); err != nil {
-		t.Fatalf("FromState on round-tripped state with lists: %v", err)
+	// The parsed state must satisfy every structural invariant, and restore
+	// pretuned on its sample.
+	ix, err := core.FromState(got)
+	if err != nil {
+		t.Fatalf("FromState on round-tripped state: %v", err)
 	}
-	// Without any built lists, IncludeLists must write no empty SLST
-	// section.
-	plain := buildUntunedState(t)
-	var buf2 bytes.Buffer
-	if err := WriteWith(&buf2, plain, WriteOptions{IncludeLists: true}); err != nil {
-		t.Fatal(err)
+	if !ix.Pretuned() {
+		t.Fatal("the round-tripped state restored unpretuned")
 	}
-	if v := version(buf2.Bytes()); v != Version || hasSection(t, buf2.Bytes(), tagLists) {
-		t.Fatalf("listless IncludeLists snapshot: version %d, SLST section %v", v, hasSection(t, buf2.Bytes(), tagLists))
-	}
+}
+
+// tags lists a snapshot's section tags in stream order.
+func tags(t *testing.T, raw []byte) []string {
+	t.Helper()
+	var out []string
+	sections(t, raw, func(tag [4]byte, _ []byte) { out = append(out, string(tag[:])) })
+	return out
 }
 
 // version returns a snapshot's format version.
@@ -142,28 +101,27 @@ func buildUntunedState(t testing.TB) *core.State {
 
 // TestPlacementReadsParentCone: builds before this one wrote a PLMT
 // section: a placement name and a cone flag, and into cluster shards of
-// earlier builds still a direction cone (flag 1, uint32 centroid length 0 or
-// r, the centroid, cos radius, max length). The reader must check that
-// framing and discard it — rejecting a flag other than 0 or 1, a centroid
-// length that is neither 0 nor r, an over-long name and a section that ends
-// inside the cone — and no writer emits the section.
+// earlier builds still a direction cone. The reader checks its checksum and
+// discards it whatever it holds — a cone, a bad flag, an over-long name, a
+// payload that ends inside the cone — and no writer emits the section. A
+// checksum mismatch in it, or a stream cut inside it, still fails.
 func TestPlacementReadsParentCone(t *testing.T) {
 	raw := readFixture(t, "v5.snap")
 	if got, want := sectionPayload(t, raw, tagPlacement), append([]byte{7}, "cluster\x00"...); !bytes.Equal(got, want) {
 		t.Fatalf("fixture PLMT payload %q, want %q", got, want)
 	}
-	st, err := Read(bytes.NewReader(raw))
+	want, err := Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := st.Probe.R()
 	var buf bytes.Buffer
-	if err := WriteWith(&buf, st, WriteOptions{IncludeLists: true}); err != nil {
+	if err := Write(&buf, want); err != nil {
 		t.Fatal(err)
 	}
 	if hasSection(t, buf.Bytes(), tagPlacement) {
 		t.Fatal("the fixture written again carries a PLMT section")
 	}
+	r := want.Probe.R()
 	cone := func(flag byte, clen, floats int) []byte {
 		p := append([]byte{7}, "cluster"...)
 		p = append(p, flag)
@@ -173,42 +131,32 @@ func TestPlacementReadsParentCone(t *testing.T) {
 		}
 		return p
 	}
-	for _, tc := range []struct {
-		name    string
-		payload []byte
-		ok      bool
-	}{
-		{"cone", cone(1, r, r+2), true},
-		{"axis-free cone", cone(1, 0, 2), true},
-		{"empty name", []byte{0, 0}, true},
-		{"flag 2", cone(2, r, r+2), false},
-		{"centroid length r+1", cone(1, r+1, r+3), false},
-		{"centroid length 1", cone(1, 1, 3), false},
-		{"name of 65 bytes", append(append([]byte{65}, strings.Repeat("x", 65)...), 0), false},
-		{"section ends inside the name", []byte{7, 'c', 'l'}, false},
-		{"section ends inside the centroid", cone(1, r, r-1), false},
-		{"section ends inside the tail", cone(1, r, r+1), false},
-		{"section ends inside the length", cone(1, r, 0)[:10], false},
+	for name, payload := range map[string][]byte{
+		"cone":                             cone(1, r, r+2),
+		"axis-free cone":                   cone(1, 0, 2),
+		"empty name":                       {0, 0},
+		"flag 2":                           cone(2, r, r+2),
+		"centroid length r+1":              cone(1, r+1, r+3),
+		"name of 65 bytes":                 append(append([]byte{65}, strings.Repeat("x", 65)...), 0),
+		"section ends inside the centroid": cone(1, r, r-1),
+		"empty section":                    {},
 	} {
-		got, err := Read(bytes.NewReader(replaceSection(t, raw, tagPlacement, tc.payload)))
-		if !tc.ok {
-			if err == nil {
-				t.Errorf("%s: accepted", tc.name)
-			}
-			continue
-		}
+		got, err := Read(bytes.NewReader(replaceSection(t, raw, tagPlacement, payload)))
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := core.FromState(got); err != nil {
-			t.Fatalf("%s: FromState: %v", tc.name, err)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the PLMT payload changed the state read", name)
 		}
 	}
-	// A stream cut inside the cone fails too.
 	full := replaceSection(t, raw, tagPlacement, cone(1, r, r+2))
-	at := bytes.Index(full, tagPlacement[:]) + 12 + 13 + 8*(r/2)
-	if _, err := Read(bytes.NewReader(full[:at])); err == nil {
+	at := bytes.Index(full, tagPlacement[:])
+	if _, err := Read(bytes.NewReader(full[:at+12+13+8*(r/2)])); err == nil {
 		t.Error("stream truncated inside the cone accepted")
+	}
+	full[at+12] ^= 0x40
+	if _, err := Read(bytes.NewReader(full)); err == nil {
+		t.Error("PLMT payload under a stale checksum accepted")
 	}
 }
 
@@ -288,6 +236,80 @@ func TestReadRejectsBadMagicAndVersion(t *testing.T) {
 	}
 }
 
+// TestReadRefusesMalformedSections: a non-zero reserved header word, a
+// section that appears twice — a kept one or one the reader discards — and
+// an unknown section tag are refused, as are a stream without OPTS or PROB
+// and a PIDS section ahead of PROB.
+func TestReadRefusesMalformedSections(t *testing.T) {
+	raw := readFixture(t, "v6.snap")
+	if _, err := Read(bytes.NewReader(raw)); err != nil {
+		t.Fatal(err)
+	}
+	// rebuild re-frames the fixture's sections, in the order keep returns.
+	rebuild := func(keep func(tag [4]byte, payload []byte) [][4]byte) []byte {
+		out := append([]byte(nil), raw[:16]...)
+		sections(t, raw, func(tag [4]byte, p []byte) {
+			for _, tg := range keep(tag, p) {
+				out = append(out, tg[:]...)
+				out = binary.LittleEndian.AppendUint64(out, uint64(len(p)))
+				out = append(out, p...)
+				out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(p))
+			}
+		})
+		return out
+	}
+	twice := func(dup [4]byte) []byte {
+		return rebuild(func(tag [4]byte, _ []byte) [][4]byte {
+			if tag == dup {
+				return [][4]byte{tag, tag}
+			}
+			return [][4]byte{tag}
+		})
+	}
+	without := func(drop [4]byte) []byte {
+		return rebuild(func(tag [4]byte, _ []byte) [][4]byte {
+			if tag == drop {
+				return nil
+			}
+			return [][4]byte{tag}
+		})
+	}
+	reserved := append([]byte(nil), raw...)
+	reserved[12] = 1
+	cases := map[string][]byte{
+		"reserved word 1": reserved,
+		"unknown tag":     replaceTag(raw, tagLists, [4]byte{'S', 'L', 'S', 'U'}),
+		"no OPTS":         without(tagOptions),
+		"no PROB":         without(tagProbe),
+		"PIDS ahead of PROB": rebuild(func(tag [4]byte, _ []byte) [][4]byte {
+			switch tag {
+			case tagOptions:
+				return [][4]byte{tagOptions, tagIDs}
+			case tagIDs:
+				return nil
+			}
+			return [][4]byte{tag}
+		}),
+	}
+	for _, tag := range [][4]byte{tagOptions, tagProbe, tagIDs, tagMuta, tagTune, tagQuant, tagBuckets, tagLists} {
+		cases["two "+string(tag[:])] = twice(tag)
+	}
+	for name, bad := range cases {
+		if _, err := Read(bytes.NewReader(bad)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// replaceTag returns a copy of the snapshot with the tag of the section
+// tagged from renamed to to; payload and checksum stay.
+func replaceTag(raw []byte, from, to [4]byte) []byte {
+	out := append([]byte(nil), raw...)
+	at := bytes.Index(out[16:], from[:]) + 16
+	copy(out[at:], to[:])
+	return out
+}
+
 // TestReadDetectsCorruption flips one byte at every offset of a valid
 // snapshot: each flip must either be detected by Read/FromState or produce
 // a state that still passes full validation (flips confined to unused
@@ -317,22 +339,15 @@ func TestReadDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestListsCorruptionDetected is TestReadDetectsCorruption over a
-// version-3 (SLST) snapshot, plus semantic tampering that keeps checksums
-// valid: a list index whose bytes are intact but whose content disagrees
-// with the bucket directions must be rejected by FromState's verification.
+// TestListsCorruptionDetected is TestReadDetectsCorruption over the
+// version-6 fixture, whose BUKT, SLST and QNT8 sections the reader discards:
+// a flip inside a discarded payload is caught by its checksum like any
+// other. A discarded payload rewritten under a valid checksum — lists that
+// disagree with the probes, a garbage bucketization — loads, and the index
+// answers exactly like one loaded from the untouched file.
 func TestListsCorruptionDetected(t *testing.T) {
-	st := buildState(t)
-	var buf bytes.Buffer
-	if err := WriteWith(&buf, st, WriteOptions{IncludeLists: true}); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	step := 1
-	if len(raw) > 1<<16 {
-		step = len(raw) / (1 << 16)
-	}
-	for off := 0; off < len(raw); off += step {
+	raw := readFixture(t, "v6.snap")
+	for off := 0; off < len(raw); off++ {
 		bad := append([]byte(nil), raw...)
 		bad[off] ^= 0x40
 		got, err := Read(bytes.NewReader(bad))
@@ -340,90 +355,71 @@ func TestListsCorruptionDetected(t *testing.T) {
 			continue
 		}
 		if _, err := core.FromState(got); err == nil {
-			t.Fatalf("bit flip at offset %d of a lists snapshot went undetected", off)
+			t.Fatalf("bit flip at offset %d of the version-6 fixture went undetected", off)
 		}
 	}
 
-	// CRC-valid but semantically wrong lists: every tamper must fail
-	// FromState, never load and silently mis-prune.
-	tampers := []struct {
-		name string
-		mut  func(bs *core.BucketState)
-	}{
-		{"swapped lids", func(bs *core.BucketState) {
-			bs.ListLids[0], bs.ListLids[1] = bs.ListLids[1], bs.ListLids[0]
-		}},
-		{"duplicated lid", func(bs *core.BucketState) {
-			bs.ListLids[1] = bs.ListLids[0]
-		}},
-		{"out-of-range lid", func(bs *core.BucketState) {
-			bs.ListLids[0] = int32(len(bs.IDs))
-		}},
-		{"value drift", func(bs *core.BucketState) {
-			bs.ListVals[0] += 1e-9
-		}},
-		{"shape mismatch", func(bs *core.BucketState) {
-			bs.ListVals = bs.ListVals[:len(bs.ListVals)-1]
-		}},
-	}
-	for _, tc := range tampers {
-		got, err := Read(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
+	want := answer(t, raw, 80)
+	for _, tag := range [][4]byte{tagBuckets, tagLists, tagQuant} {
+		tampered := append([]byte(nil), sectionPayload(t, raw, tag)...)
+		for i := range tampered {
+			tampered[i] ^= 0x5a
 		}
-		target := -1
-		for i := range got.Buckets {
-			if len(got.Buckets[i].ListLids) >= 2 {
-				target = i
-				break
-			}
-		}
-		if target < 0 {
-			t.Fatal("no bucket with a usable list in the fixture")
-		}
-		tc.mut(&got.Buckets[target])
-		if _, err := core.FromState(got); err == nil {
-			t.Errorf("%s: tampered list index loaded", tc.name)
+		if !reflect.DeepEqual(answer(t, replaceSection(t, raw, tag, tampered), 80), want) {
+			t.Errorf("a tampered %s payload changed the answers", tag[:])
 		}
 	}
 }
 
-// TestRestoredListsServeIdentically: an index restored from a lists
-// snapshot must report its buckets indexed, answer exactly like the
-// original, and not rebuild what the snapshot carried.
+// answer loads a snapshot and returns its Row-Top-k answers at k 5 to six
+// random queries drawn from seed.
+func answer(t *testing.T, raw []byte, seed int64) retrieval.TopK {
+	t.Helper()
+	st, err := Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := core.FromState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := matrix.New(ix.R(), 6)
+	q.FillRandom(rand.New(rand.NewSource(seed)))
+	top, _, err := ix.Retrieve(context.Background(), q, core.Problem{K: 5}, nil, core.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return top
+}
+
+// TestRestoredListsServeIdentically: the version-6 fixture stored the
+// sorted lists of the index it was written from; restored, it builds its own
+// lists and fit instead, pretuned on the stored sample — the fit, under
+// TuneByCost, the one the version-7 file of the same index restores — and
+// answers exactly like that index.
 func TestRestoredListsServeIdentically(t *testing.T) {
-	st := buildState(t)
-	var buf bytes.Buffer
-	if err := WriteWith(&buf, st, WriteOptions{IncludeLists: true}); err != nil {
-		t.Fatal(err)
+	raw := readFixture(t, "v6.snap")
+	if !hasSection(t, raw, tagLists) {
+		t.Fatal("the version-6 fixture stores no sorted lists")
 	}
-	got, err := Read(bytes.NewReader(buf.Bytes()))
+	st, err := Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := core.FromState(got)
+	restored, err := core.FromState(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed := 0
-	for _, b := range restored.Buckets() {
-		if b.Indexed {
-			indexed++
-		}
-	}
-	if indexed == 0 {
-		t.Fatal("restored index reports no pre-built bucket indexes")
-	}
-	listBytes := 0
-	for _, bs := range st.Buckets {
-		listBytes += 8*len(bs.ListVals) + 4*len(bs.ListLids)
-	}
-	if got := restored.ListBytes(); got == 0 || got != listBytes {
-		t.Fatalf("restored index reports %d list bytes, the snapshot carried %d", got, listBytes)
-	}
-	original, err := core.FromState(buildState(t))
+	original := fullIndex(t)
+	fresh, err := core.FromState(original.State())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !restored.Pretuned() || !reflect.DeepEqual(restored.Buckets(), fresh.Buckets()) {
+		t.Fatalf("restored from version 6: pretuned %v, buckets %+v; from version 7: %+v", restored.Pretuned(), restored.Buckets(), fresh.Buckets())
+	}
+	if restored.ListBytes() == 0 {
+		t.Fatal("the restore's Pretune built no sorted list")
 	}
 	q := matrix.New(st.Probe.R(), 5)
 	q.FillRandom(rand.New(rand.NewSource(77)))
@@ -431,12 +427,15 @@ func TestRestoredListsServeIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTop, _, err := restored.Retrieve(context.Background(), q, core.Problem{K: 7}, nil, core.RunOptions{})
+	gotTop, stats, err := restored.Retrieve(context.Background(), q, core.Problem{K: 7}, nil, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotTop, wantTop) {
-		t.Fatal("restored-with-lists index answers differently")
+		t.Fatal("the index restored from version 6 answers differently")
+	}
+	if stats.TuneTime != 0 {
+		t.Fatalf("the pretuned restore tuned per call: %v", stats.TuneTime)
 	}
 }
 
@@ -461,10 +460,10 @@ func buildQuantState(t testing.TB) *core.State {
 	return ix.State()
 }
 
-// TestQuantRoundTrip: a Quantize index records the option as a QNT8
-// section of one zero byte per bucket — no sidecar — and restores with
-// every bucket quantized, answering exactly like the original. A snapshot
-// without the section restores with the option off.
+// TestQuantRoundTrip: a Quantize index records the option as an empty QNT8
+// section and restores with every bucket quantized, answering exactly like
+// the original. A snapshot without the section restores with the option
+// off.
 func TestQuantRoundTrip(t *testing.T) {
 	st := buildQuantState(t)
 	var buf bytes.Buffer
@@ -472,8 +471,11 @@ func TestQuantRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if got, want := sectionPayload(t, raw, tagQuant), make([]byte, len(st.Buckets)); !bytes.Equal(got, want) {
-		t.Fatalf("QNT8 payload %v, want %d zero bytes", got, len(want))
+	if got := tags(t, raw); !slices.Equal(got, []string{"OPTS", "PROB", "QNT8", "END\x00"}) {
+		t.Fatalf("sections %q, want an empty QNT8 after PROB", got)
+	}
+	if got := sectionPayload(t, raw, tagQuant); len(got) != 0 {
+		t.Fatalf("QNT8 payload %v, want none", got)
 	}
 	got, err := Read(bytes.NewReader(raw))
 	if err != nil {
@@ -525,65 +527,41 @@ func TestQuantRoundTrip(t *testing.T) {
 }
 
 // TestQuantCorruptionDetected: the int8 sidecars a version-5 snapshot
-// carries are skipped, never trusted. Tampered sidecar bytes under a fixed
-// checksum load, the sidecars are rebuilt from the directions, and the
-// index answers exactly like one loaded from the untouched file. A sidecar
-// flag other than 0 or 1, or a sidecar the section ends inside, still fails.
+// carries are discarded, never trusted. Tampered sidecar bytes, a bad
+// presence flag, a section that ends inside a sidecar and an empty one all
+// load under a valid checksum: the sidecars are rebuilt from the probes, and
+// the index answers exactly like one loaded from the untouched file. A
+// checksum mismatch in the section still fails.
 func TestQuantCorruptionDetected(t *testing.T) {
 	raw := readFixture(t, "v5.snap")
-	st, err := Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip every sidecar byte, keeping the presence flags.
 	payload := sectionPayload(t, raw, tagQuant)
-	tampered := append([]byte(nil), payload...)
-	off, sidecars := 0, 0
-	for _, b := range st.Buckets {
-		off++
-		if payload[off-1] == 1 {
-			end := off + len(b.IDs)*(16+st.Probe.R())
-			for ; off < end; off++ {
-				tampered[off] ^= 0x5a
-			}
-			sidecars++
-		}
+	flipped := append([]byte(nil), payload...)
+	for i := range flipped {
+		flipped[i] ^= 0x5a
 	}
-	if sidecars == 0 || off != len(payload) {
-		t.Fatalf("fixture QNT8: %d sidecars, %d of %d bytes walked", sidecars, off, len(payload))
-	}
-	answer := func(raw []byte) retrieval.TopK {
-		t.Helper()
-		st, err := Read(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix, err := core.FromState(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := matrix.New(ix.R(), 6)
-		q.FillRandom(rand.New(rand.NewSource(79)))
-		top, stats, err := ix.Retrieve(context.Background(), q, core.Problem{K: 5}, nil, core.RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ix.SidecarBytes() == 0 || stats.QuantScreened+stats.QuantSurvived == 0 {
-			t.Fatalf("restored Quantize index: %d sidecar bytes, %+v", ix.SidecarBytes(), stats)
-		}
-		return top
-	}
-	if !reflect.DeepEqual(answer(replaceSection(t, raw, tagQuant, tampered)), answer(raw)) {
-		t.Fatal("a tampered version-5 sidecar changed the answers")
-	}
-	for name, bad := range map[string][]byte{
+	want := answer(t, raw, 79)
+	for name, p := range map[string][]byte{
+		"every byte flipped":            flipped,
 		"flag 2":                        append([]byte{2}, payload[1:]...),
 		"section ends inside a sidecar": payload[:len(payload)/2],
 		"empty section":                 payload[:0],
 	} {
-		if _, err := Read(bytes.NewReader(replaceSection(t, raw, tagQuant, bad))); err == nil {
-			t.Errorf("%s: accepted", name)
+		tampered := replaceSection(t, raw, tagQuant, p)
+		st, err := Read(bytes.NewReader(tampered))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		if !st.Opts.Quantize {
+			t.Fatalf("%s: read with Quantize off", name)
+		}
+		if !reflect.DeepEqual(answer(t, tampered, 79), want) {
+			t.Fatalf("%s: a tampered version-5 sidecar changed the answers", name)
+		}
+	}
+	bad := append([]byte(nil), raw...)
+	bad[bytes.Index(bad, tagQuant[:])+12] ^= 0x5a
+	if _, err := Read(bytes.NewReader(bad)); err == nil {
+		t.Error("QNT8 payload under a stale checksum accepted")
 	}
 }
 
@@ -656,8 +634,8 @@ func FuzzRead(f *testing.F) {
 	crafted := append([]byte(nil), raw[:16]...)
 	crafted = append(crafted, 'B', 'U', 'K', 'T', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)
 	f.Add(crafted)
-	for _, name := range []string{"v1.snap", "v2.snap", "v5.snap"} {
-		f.Add(readFixture(f, name)) // older versions: skipped bytes reachable
+	for _, name := range []string{"v1.snap", "v2.snap", "v5.snap", "v6.snap"} {
+		f.Add(readFixture(f, name)) // older versions: discarded sections reachable
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Read(bytes.NewReader(data))
@@ -668,75 +646,4 @@ func FuzzRead(f *testing.F) {
 			return // rejected by structural validation, as designed
 		}
 	})
-}
-
-// TestSortedListBytesMatchStableSort pins the SLST bytes to the tie order
-// the section has always had — a stable sort of the local ids by decreasing
-// value, so equal values (±0 included: equal under >, different bits) stay
-// in ascending local id — on a catalog built to collide. A snapshot written
-// from the index's own lists must equal, byte for byte, one written from
-// lists sorted that way here.
-func TestSortedListBytesMatchStableSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	const r, n = 6, 400
-	p := matrix.New(r, n)
-	alphabet := []float64{-1, math.Copysign(0, -1), 0, 1, 2}
-	for i := 0; i < n; i++ {
-		v := p.Vec(i)
-		for f := range v {
-			v[f] = alphabet[rng.Intn(len(alphabet))]
-		}
-		v[rng.Intn(r)] = 1 // no zero vectors
-	}
-	ix, err := core.NewIndex(p, core.Options{Algorithm: core.AlgLI, MinBucketSize: 40, SampleQueries: 8, TuneByCost: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := matrix.New(r, 20)
-	q.FillRandom(rng)
-	if err := ix.Pretune(q, core.Problem{K: 5}); err != nil {
-		t.Fatal(err)
-	}
-	st := ix.State()
-	ref := *st
-	ref.Buckets = append([]core.BucketState(nil), st.Buckets...)
-	built, ties := 0, 0
-	for bi := range ref.Buckets {
-		b := &ref.Buckets[bi]
-		if b.ListVals == nil {
-			continue
-		}
-		built++
-		size := len(b.IDs)
-		_, dirs := derived(st, *b)
-		b.ListVals, b.ListLids = make([]float64, size*r), make([]int32, size*r)
-		perm := make([]int32, size)
-		for f := 0; f < r; f++ {
-			for i := range perm {
-				perm[i] = int32(i)
-			}
-			sort.SliceStable(perm, func(x, y int) bool {
-				return dirs[int(perm[x])*r+f] > dirs[int(perm[y])*r+f]
-			})
-			for i, lid := range perm {
-				b.ListLids[f*size+i], b.ListVals[f*size+i] = lid, dirs[int(lid)*r+f]
-				if i > 0 && b.ListVals[f*size+i] == b.ListVals[f*size+i-1] {
-					ties++
-				}
-			}
-		}
-	}
-	if built == 0 || ties == 0 {
-		t.Fatalf("fixture built lists for %d buckets with %d tied neighbours; want both positive", built, ties)
-	}
-	var got, want bytes.Buffer
-	if err := WriteWith(&got, st, WriteOptions{IncludeLists: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteWith(&want, &ref, WriteOptions{IncludeLists: true}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("snapshot with the index's sorted lists differs from one with stable-sorted lists")
-	}
 }

@@ -120,8 +120,8 @@ func (ix *Index) SidecarBytes() int { return ix.inner.SidecarBytes() }
 
 // ListBytes returns the memory held by the lazily built sorted-list indexes
 // of the coordinate methods, 12·r bytes per probe of every bucket that
-// carries them: those a tuning pass observed, a retrieval scanned with COORD
-// or INCR, or a snapshot restored with its lists.
+// carries them: those a tuning pass observed or a retrieval scanned with
+// COORD or INCR.
 func (ix *Index) ListBytes() int { return ix.inner.ListBytes() }
 
 // BucketInfo describes one probe bucket: size, length range, lazy-index

@@ -175,7 +175,7 @@ func TestCallerMatrixReusable(t *testing.T) {
 	}
 	compacted.Compact()
 	check(t, "caller matrix overwritten", newReference(orig, nil), q, 10, rng, retrieveEP("New", ix, false),
-		retrieveEP("snapshot", roundTrip(t, ix, lemp.SnapshotOptions{}, lemp.LoadOptions{}), false), retrieveEP("compacted", compacted, false))
+		retrieveEP("snapshot", roundTrip(t, ix, lemp.LoadOptions{}), false), retrieveEP("compacted", compacted, false))
 }
 
 func TestParseAlgorithm(t *testing.T) {

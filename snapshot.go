@@ -7,37 +7,28 @@ import (
 	"lemp/internal/snapshot"
 )
 
-// Index snapshots persist an index in the versioned LEMPIDX1 binary format:
-// the probe matrix, the build options and the bucketization (§3.2), and for
-// pretuned indexes the sample-based parameter selection (§4.4), optionally
-// with the sorted lists built so far. A load bucketizes the probes again, as
-// a build does, and refuses a snapshot whose stored buckets differ from the
-// ones it derives; what it skips is the tuning and the list builds, the
-// expensive part. Every section is checksummed; a corrupt or truncated
-// snapshot fails to load instead of serving wrong results.
+// Index snapshots persist an index in the versioned LEMPIDX1 binary format
+// as its catalog: the build options, the live probes and their ids, the
+// mutation marks and, for a pretuned index, the query sample its fit was made
+// on. A load is a build over that catalog (§3.2), followed for a pretuned
+// index by a Pretune on the stored sample (§4.4). Every section is
+// checksummed; a corrupt or truncated snapshot fails to load instead of
+// serving wrong results.
 
-// WriteSnapshot serializes the index (probe matrix, options, bucketization
-// and, if pretuned, the frozen fit) in the LEMPIDX1 format. It may run
-// beside retrieval calls, and its bytes do not depend on which were answered.
+// WriteSnapshot serializes the index in the LEMPIDX1 format: options, live
+// probes and ids, mutation marks and, if pretuned, the retained tuning sample
+// and problem. A mutated index is written as its compaction would be, and is
+// not compacted. It may run beside retrieval calls, and its bytes do not
+// depend on which were answered.
 func (ix *Index) WriteSnapshot(w io.Writer) error {
-	return ix.WriteSnapshotWith(w, SnapshotOptions{})
+	return snapshot.Write(w, ix.inner.State())
 }
 
-// SnapshotOptions adjust what WriteSnapshotWith persists beyond the
-// required index state.
+// SnapshotOptions is the options parameter of server.WriteSnapshotsWith,
+// which ignores it: a snapshot stores no sorted lists, so IncludeLists adds
+// nothing to a file.
 type SnapshotOptions struct {
-	// IncludeLists also persists the per-bucket sorted-list indexes built
-	// so far, so a restored index answers its first coordinate-method
-	// queries without rebuilding them (they otherwise dominate the first
-	// post-restore batch). Roughly doubles the snapshot size; the loader
-	// verifies the lists against the directions it derives from the probe
-	// matrix, so corruption fails the load instead of mis-pruning.
 	IncludeLists bool
-}
-
-// WriteSnapshotWith is WriteSnapshot with explicit persistence options.
-func (ix *Index) WriteSnapshotWith(w io.Writer, opts SnapshotOptions) error {
-	return snapshot.WriteWith(w, ix.inner.State(), snapshot.WriteOptions{IncludeLists: opts.IncludeLists})
 }
 
 // LoadOptions adjust how a snapshot is turned back into an Index. Only
@@ -47,9 +38,9 @@ type LoadOptions struct {
 	// Parallelism overrides the snapshot's retrieval parallelism
 	// (0 keeps the stored value).
 	Parallelism int
-	// Retune discards the snapshot's frozen tuning decision: the loaded
-	// index re-runs per-call sample-based tuning like a freshly built one,
-	// instead of reusing the stored per-bucket parameters.
+	// Retune discards the snapshot's retained tuning sample: the loaded
+	// index is not pretuned and re-runs per-call sample-based tuning like a
+	// freshly built one, and the load skips the fit on the sample.
 	Retune bool
 	// Quant overrides the snapshot's Options.Quantize (recorded by the QNT8
 	// section). QuantAuto keeps it as written, QuantOn forces it on and
@@ -76,13 +67,16 @@ const (
 	QuantOff
 )
 
-// LoadIndex reads a LEMPIDX1 snapshot and rebuilds the index: it
-// bucketizes the probes as New does and adopts the stored fit and sorted
-// lists onto those buckets, so it skips the tuning and the list builds. The
-// snapshot is checksum-verified and its buckets must be the ones the build
-// derives; any corruption or version mismatch is an error. A loaded index answers queries identically to the
-// index that was snapshotted. The shard-placement name and direction cone
-// older builds wrote (the PLMT section) are read and discarded.
+// LoadIndex reads a LEMPIDX1 snapshot and builds the index from it: it
+// bucketizes the probes as New does and, when the snapshot retains a tuning
+// sample and opts.Retune is false, pretunes on it as PretuneTopK or
+// PretuneAboveTheta did, so the loaded index answers with zero per-call
+// tuning. Under Options.TuneByCost that fit equals the written index's; under
+// wall-clock tuning it is measured again. The snapshot is checksum-verified;
+// any corruption or version mismatch is an error. A loaded index answers
+// queries identically to the index that was snapshotted. The sections older
+// formats stored beside the catalog — buckets, fit, sorted lists, int8
+// sidecars, shard placement — are read and discarded.
 func LoadIndex(r io.Reader, opts LoadOptions) (*Index, error) {
 	st, err := snapshot.Read(r)
 	if err != nil {
@@ -92,9 +86,6 @@ func LoadIndex(r io.Reader, opts LoadOptions) (*Index, error) {
 		st.Opts.Parallelism = opts.Parallelism
 	}
 	if opts.Retune {
-		// Unfreezing discards the whole pretune decision, retained sample
-		// included: the loaded index behaves like a freshly built one.
-		st.Pretuned = false
 		st.TuneSample = nil
 	}
 	switch opts.Quant {
@@ -117,10 +108,11 @@ func (ix *Index) Pretuned() bool { return ix.inner.Pretuned() }
 
 // PretuneTopK fits the per-bucket algorithm-selection parameters (§4.4) on
 // the given query sample for Row-Top-k retrieval at the given k, and
-// freezes them: subsequent retrieval calls skip tuning and a snapshot of
-// the index carries the fitted parameters, so a reloaded server answers
-// with zero tuning time. Results stay exact either way; tuning only picks
-// the per-bucket method. Use LoadOptions.Retune to unfreeze.
+// freezes them: subsequent retrieval calls skip tuning. A snapshot of the
+// index carries the sample, and LoadIndex fits on it again, so a reloaded
+// index answers with zero tuning time too. Results stay exact either way;
+// tuning only picks the per-bucket method. LoadOptions.Retune loads a
+// snapshot unfrozen.
 func (ix *Index) PretuneTopK(q *Matrix, k int) error {
 	return ix.inner.Pretune(q, core.Problem{K: k})
 }

@@ -154,7 +154,7 @@ func TestMutatedSnapshotRoundTrip(t *testing.T) {
 
 // TestUnmutatedSnapshotCarriesNoIDState: an index that never saw an update
 // writes the current format version and no external-id state — its
-// sections are OPTS, PROB, BUKT and END alone.
+// sections are OPTS, PROB and END alone.
 func TestUnmutatedSnapshotCarriesNoIDState(t *testing.T) {
 	_, p := data.Smoke.Generate()
 	ix, err := lemp.New(p, lemp.Options{})
@@ -173,7 +173,7 @@ func TestUnmutatedSnapshotCarriesNoIDState(t *testing.T) {
 	for off := 16; off < len(raw); off += 12 + int(binary.LittleEndian.Uint64(raw[off+4:])) + 4 {
 		tags = append(tags, string(raw[off:off+4]))
 	}
-	if want := []string{"OPTS", "PROB", "BUKT", "END\x00"}; !slices.Equal(tags, want) {
+	if want := []string{"OPTS", "PROB", "END\x00"}; !slices.Equal(tags, want) {
 		t.Fatalf("unmutated snapshot sections %q, want %q", tags, want)
 	}
 }
