@@ -7,9 +7,9 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Binary format: a small self-describing container so datasets generated by
@@ -61,69 +61,95 @@ func WriteFloat64s(w io.Writer, vals []float64) error {
 	return nil
 }
 
-// ReadFloat64sInto fills dst from r in bulk chunks. Callers must size dst
-// from trusted information (or information validated against the input, as
-// ReadBinary does); for untrusted counts use ReadFloat64s.
+// littleEndian reports whether this machine stores float64s and int32s in
+// the byte order of the formats read here, so that their bytes can be read
+// into the values' memory as they are. A variable so that tests can drive
+// the decoding loops on any machine.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// asBytes returns the memory of s as bytes.
+func asBytes[T float64 | int32](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(s[0])))
+}
+
+// ReadFloat64sInto fills dst from r: on a little-endian machine by reading
+// the bytes straight into dst's memory, elsewhere in bulk chunks decoded
+// one value at a time. Callers must size dst from trusted information (or
+// information validated against the input, as ReadBinary does); for
+// untrusted counts use ReadFloat64s.
 func ReadFloat64sInto(r io.Reader, dst []float64) error {
+	if littleEndian {
+		_, err := io.ReadFull(r, asBytes(dst))
+		return err
+	}
 	buf := make([]byte, chunkBytes(len(dst), 8))
 	for len(dst) > 0 {
-		c := len(dst)
-		if c > ioChunkFloats {
-			c = ioChunkFloats
-		}
+		c := min(len(dst), ioChunkFloats)
 		if _, err := io.ReadFull(r, buf[:c*8]); err != nil {
 			return err
 		}
-		for i := range dst[:c] {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
+		decodeFloat64s(dst, buf[:c*8])
 		dst = dst[c:]
 	}
 	return nil
 }
 
-// ReadFloat64s reads count values from r, growing the result incrementally
-// so that a header lying about its size fails with an IO error after
-// consuming only the bytes actually present — the claimed count is never
-// allocated up front.
+// ReadFloat64s reads count values from r without trusting count: a header
+// lying about its size fails with an IO error having allocated about the
+// bytes actually present (see readBlocks).
 func ReadFloat64s(r io.Reader, count int) ([]float64, error) {
+	return readBlocks(r, count, 8, decodeFloat64s)
+}
+
+// readBlocks reads count values of width bytes each into blocks of at most
+// ioChunkFloats values, allocating each block only as its bytes arrive, and
+// decodes the blocks once into a result of exactly count values when all are
+// in. A count that overstates the input therefore fails at the first missing
+// byte having allocated the bytes read plus one block — never the claimed
+// size, nor the up to four times the bytes read that regrowing one slice
+// by doubling would allocate in all.
+func readBlocks[T any](r io.Reader, count, width int, decode func([]T, []byte)) ([]T, error) {
 	if count < 0 {
 		return nil, fmt.Errorf("matrix: negative value count %d", count)
 	}
-	cap0 := count
-	if cap0 > ioChunkFloats {
-		cap0 = ioChunkFloats
-	}
-	out := make([]float64, 0, cap0)
-	buf := make([]byte, chunkBytes(count, 8))
-	for len(out) < count {
-		c := count - len(out)
-		if c > ioChunkFloats {
-			c = ioChunkFloats
-		}
-		if _, err := io.ReadFull(r, buf[:c*8]); err != nil {
+	var blocks [][]byte
+	for left := count; left > 0; {
+		b := make([]byte, min(left, ioChunkFloats)*width)
+		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, err
 		}
-		base := len(out)
-		out = growDoubling(out, c, count)[:base+c]
-		for i := 0; i < c; i++ {
-			out[base+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
+		blocks = append(blocks, b)
+		left -= len(b) / width
+	}
+	out := make([]T, count)
+	for i, b := range blocks {
+		decode(out[i*ioChunkFloats:], b)
 	}
 	return out, nil
 }
 
-// growDoubling makes room for c more elements in s, which will hold count
-// in the end: at least doubling its capacity when it grows, but never past
-// count. append's growth for large slices is a quarter, so a read of a few
-// hundred MiB would copy what it has read about four times over; doubling
-// copies it at most once, and what a lying count can make it allocate stays
-// within twice the values actually read.
-func growDoubling[T any](s []T, c, count int) []T {
-	if cap(s)-len(s) >= c {
-		return s
+// decodeFloat64s decodes the little-endian float64s of src into dst.
+func decodeFloat64s(dst []float64, src []byte) {
+	dst = dst[:len(src)/8]
+	if littleEndian {
+		copy(asBytes(dst), src)
+		return
 	}
-	return slices.Grow(s, min(max(c, len(s)), count-len(s)))
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
+	}
+}
+
+// decodeInt32s decodes the little-endian int32s of src into dst.
+func decodeInt32s(dst []int32, src []byte) {
+	dst = dst[:len(src)/4]
+	if littleEndian {
+		copy(asBytes(dst), src)
+		return
+	}
+	for i := range dst {
+		dst[i] = int32(binary.LittleEndian.Uint32(src[i*4:]))
+	}
 }
 
 // WriteInt32s writes vals as little-endian int32 bit patterns in bulk
@@ -147,35 +173,11 @@ func WriteInt32s(w io.Writer, vals []int32) error {
 	return nil
 }
 
-// ReadInt32s reads count values with the same bounded incremental
-// allocation as ReadFloat64s: a lying header fails at the first missing
-// byte instead of allocating the claimed size up front.
+// ReadInt32s reads count values with ReadFloat64s' bounded allocation: a
+// lying header fails at the first missing byte instead of allocating the
+// claimed size up front.
 func ReadInt32s(r io.Reader, count int) ([]int32, error) {
-	if count < 0 {
-		return nil, fmt.Errorf("matrix: negative value count %d", count)
-	}
-	cap0 := count
-	if cap0 > ioChunkFloats {
-		cap0 = ioChunkFloats
-	}
-	out := make([]int32, 0, cap0)
-	buf := make([]byte, chunkBytes(count, 4))
-	chunk := len(buf) / 4
-	for len(out) < count {
-		c := count - len(out)
-		if c > chunk {
-			c = chunk
-		}
-		if _, err := io.ReadFull(r, buf[:c*4]); err != nil {
-			return nil, err
-		}
-		base := len(out)
-		out = growDoubling(out, c, count)[:base+c]
-		for i := 0; i < c; i++ {
-			out[base+i] = int32(binary.LittleEndian.Uint32(buf[i*4:]))
-		}
-	}
-	return out, nil
+	return readBlocks(r, count, 4, decodeInt32s)
 }
 
 // WriteBinary writes m in the LEMPMAT1 binary format.
@@ -196,6 +198,29 @@ func WriteBinary(w io.Writer, m *Matrix) error {
 	return bw.Flush()
 }
 
+// Remaining returns how many bytes r holds from its current offset, or -1
+// when it cannot tell: r is no io.Seeker, or seeking fails, as on a pipe. It
+// seeks to the end and back, so call it before any buffered read of r; an
+// error means the offset could not be restored.
+func Remaining(r io.Reader) (int64, error) {
+	s, ok := r.(io.Seeker)
+	if !ok {
+		return -1, nil
+	}
+	cur, err := s.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return -1, nil
+	}
+	end, errEnd := s.Seek(0, io.SeekEnd)
+	if _, err := s.Seek(cur, io.SeekStart); err != nil {
+		return -1, fmt.Errorf("matrix: rewinding input: %w", err)
+	}
+	if errEnd != nil {
+		return -1, nil
+	}
+	return max(end-cur, 0), nil
+}
+
 // ReadBinary reads a matrix in the LEMPMAT1 binary format.
 //
 // The 16-byte header is untrusted input: the claimed r×n is bounds-checked,
@@ -206,17 +231,9 @@ func WriteBinary(w io.Writer, m *Matrix) error {
 // at the first missing byte.
 func ReadBinary(r io.Reader) (*Matrix, error) {
 	// Measure the remaining input before any buffered reads.
-	remaining := int64(-1)
-	if s, ok := r.(io.Seeker); ok {
-		if cur, err := s.Seek(0, io.SeekCurrent); err == nil {
-			end, err := s.Seek(0, io.SeekEnd)
-			if err == nil {
-				if _, err := s.Seek(cur, io.SeekStart); err != nil {
-					return nil, fmt.Errorf("matrix: rewinding input: %w", err)
-				}
-				remaining = end - cur
-			}
-		}
+	remaining, err := Remaining(r)
+	if err != nil {
+		return nil, err
 	}
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(binaryMagic))

@@ -87,13 +87,30 @@ func TestReadBinaryStreamingRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFloat64sHelpersRoundTrip(t *testing.T) {
+// bothDecoders runs f with this machine's decoding and, where that reads
+// values' bytes in place, again with the portable decoding loops.
+func bothDecoders(t *testing.T, f func(t *testing.T)) {
+	t.Run("native", f)
+	if littleEndian {
+		littleEndian = false
+		defer func() { littleEndian = true }()
+		t.Run("portable", f)
+	}
+}
+
+func TestFloat64sHelpersRoundTrip(t *testing.T) { bothDecoders(t, testFloat64sRoundTrip) }
+
+func testFloat64sRoundTrip(t *testing.T) {
 	// Cross the chunk boundary so both the full-chunk and tail paths run.
 	vals := make([]float64, ioChunkFloats+137)
 	rng := rand.New(rand.NewSource(4))
 	for i := range vals {
 		vals[i] = rng.NormFloat64()
 	}
+	// Bit patterns that must survive as they are: a NaN payload, −0, ±Inf
+	// and a subnormal.
+	copy(vals[3:], []float64{math.Float64frombits(0x7ff8_0000_dead_beef), math.Copysign(0, -1),
+		math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64})
 	var buf bytes.Buffer
 	if err := WriteFloat64s(&buf, vals); err != nil {
 		t.Fatal(err)
@@ -109,9 +126,9 @@ func TestFloat64sHelpersRoundTrip(t *testing.T) {
 	if err := ReadFloat64sInto(bytes.NewReader(buf.Bytes()), dst); err != nil {
 		t.Fatal(err)
 	}
-	for i := range vals {
-		if got[i] != vals[i] || dst[i] != vals[i] {
-			t.Fatalf("value %d: %g / %g != %g", i, got[i], dst[i], vals[i])
+	for i, v := range vals {
+		if b := math.Float64bits(v); math.Float64bits(got[i]) != b || math.Float64bits(dst[i]) != b {
+			t.Fatalf("value %d: %g / %g != %g", i, got[i], dst[i], v)
 		}
 	}
 	if _, err := ReadFloat64s(bytes.NewReader(buf.Bytes()), -1); err == nil {
@@ -122,7 +139,9 @@ func TestFloat64sHelpersRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInt32sHelpersRoundTrip(t *testing.T) {
+func TestInt32sHelpersRoundTrip(t *testing.T) { bothDecoders(t, testInt32sRoundTrip) }
+
+func testInt32sRoundTrip(t *testing.T) {
 	vals := make([]int32, ioChunkFloats+61)
 	rng := rand.New(rand.NewSource(6))
 	for i := range vals {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,10 +32,35 @@ import (
 // becomes a memory leak.
 const maxChildren = 1000
 
-var (
-	metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
-	labelNameRE  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
-)
+// validMetricName reports whether name matches the exposition format's
+// metric-name grammar, [a-zA-Z_:][a-zA-Z0-9_:]*. A byte loop, not a regexp:
+// every family registration checks its name, and a server registers its
+// families on every construction.
+func validMetricName(name string) bool {
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; !(nameByte(c) || c == ':' || (i > 0 && '0' <= c && c <= '9')) {
+			return false
+		}
+	}
+	return name != ""
+}
+
+// validLabelName reports whether name matches the label-name grammar,
+// [a-zA-Z_][a-zA-Z0-9_]*.
+func validLabelName(name string) bool {
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; !(nameByte(c) || (i > 0 && '0' <= c && c <= '9')) {
+			return false
+		}
+	}
+	return name != ""
+}
+
+// nameByte reports whether c may start a metric or label name other than
+// with a colon: an ASCII letter or an underscore.
+func nameByte(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_'
+}
 
 // Kind is a metric family's type.
 type Kind int
@@ -294,11 +318,11 @@ func NewRegistry() *Registry {
 }
 
 func (r *Registry) register(name, help string, kind Kind, labelKeys []string, buckets []float64) *Family {
-	if !metricNameRE.MatchString(name) {
+	if !validMetricName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
 	for _, k := range labelKeys {
-		if !labelNameRE.MatchString(k) {
+		if !validLabelName(k) {
 			panic(fmt.Sprintf("obs: metric %s: invalid label name %q", name, k))
 		}
 	}

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"math"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -189,6 +191,59 @@ func TestRegistryIdempotentAndConflicts(t *testing.T) {
 	mustPanic(t, "non-finite bucket", func() { r.Histogram("h3", "h", []float64{1, math.Inf(1)}) })
 	v := r.CounterVec("vec_total", "h", "a")
 	mustPanic(t, "label arity", func() { v.With("x", "y") })
+}
+
+// The name grammars of the exposition format, as regexps: the oracle of
+// validMetricName and validLabelName.
+var (
+	metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	labelNameRE  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
+)
+
+// TestNameChecksMatchRegexps: the byte loops accept exactly the names the
+// grammar's regexps do — on a table of valid, empty, leading-digit,
+// colon-in-label and non-ASCII names, and on every string of one or two
+// bytes — and registration keeps its panic messages.
+func TestNameChecksMatchRegexps(t *testing.T) {
+	names := []string{
+		"lemp_requests_total", "_x", "a", "Z9", "a:b", ":x", "::", "a_b:c_1",
+		"", "0abc", "9", "1_total",
+		"a-b", "a b", "a.b", "a/b", "a\x00", "a\n", "a{", "a\"",
+		"é", "aé", "a\xff", "\x80a", "名前", "a\u200b",
+	}
+	for c := 0; c < 256; c++ {
+		names = append(names, string([]byte{byte(c)}))
+		for d := 0; d < 256; d++ {
+			names = append(names, string([]byte{byte(c), byte(d)}))
+		}
+	}
+	for _, name := range names {
+		if got, want := validMetricName(name), metricNameRE.MatchString(name); got != want {
+			t.Errorf("validMetricName(%q) = %v, regexp says %v", name, got, want)
+		}
+		if got, want := validLabelName(name), labelNameRE.MatchString(name); got != want {
+			t.Errorf("validLabelName(%q) = %v, regexp says %v", name, got, want)
+		}
+	}
+	r := NewRegistry()
+	for _, c := range []struct {
+		want string
+		f    func()
+	}{
+		{`obs: invalid metric name "0bad"`, func() { r.Counter("0bad", "h") }},
+		{`obs: invalid metric name ""`, func() { r.Gauge("", "h") }},
+		{`obs: metric ok_total: invalid label name "a:b"`, func() { r.CounterVec("ok_total", "h", "a:b") }},
+		{`obs: metric ok_seconds: invalid label name "é"`, func() { r.HistogramVec("ok_seconds", "h", []float64{1}, "é") }},
+	} {
+		func() {
+			defer func() {
+				if got := fmt.Sprint(recover()); got != c.want {
+					t.Errorf("panic %q, want %q", got, c.want)
+				}
+			}()
+			c.f()
+		}()
+	}
 }
 
 func mustPanic(t *testing.T, name string, f func()) {

@@ -101,7 +101,7 @@ func parseComment(line string, fams map[string]*ParsedFamily) error {
 		return nil // free-form comment
 	}
 	name := fields[2]
-	if !metricNameRE.MatchString(name) {
+	if !validMetricName(name) {
 		return fmt.Errorf("invalid metric name %q in %s", name, fields[1])
 	}
 	fam := fams[name]
@@ -161,7 +161,7 @@ func parseSample(line string) (ParsedSample, error) {
 		return s, fmt.Errorf("malformed sample %q", line)
 	}
 	s.Name = line[:i]
-	if !metricNameRE.MatchString(s.Name) {
+	if !validMetricName(s.Name) {
 		return s, fmt.Errorf("invalid sample name %q", s.Name)
 	}
 	rest := line[i:]
@@ -203,7 +203,7 @@ func parseLabels(in string) (map[string]string, string, error) {
 			return nil, "", fmt.Errorf("malformed labels %q", in)
 		}
 		key := in[i : i+j]
-		if !labelNameRE.MatchString(key) && key != "le" {
+		if !validLabelName(key) && key != "le" {
 			return nil, "", fmt.Errorf("invalid label name %q", key)
 		}
 		i += j + 1

@@ -171,6 +171,33 @@ func dotSlack(r int) float64 { return 4 * float64(r+8) * ulp }
 // of the computation that produced x.
 func inflate(x, rel float64) float64 { return x + x*rel + tiny }
 
+// roundHalfEven is math.RoundToEven for |y| < 2⁵¹, without a call: y +
+// 1.5·2⁵² lies in (2⁵², 2⁵³), where the spacing of float64 is 1, so the
+// addition rounds y to an integer, ties to even (the constant is even), and
+// the subtraction is exact. A quantization quotient is at most about 127.
+// Above 2⁵¹ the result is still of y's sign and at least 2⁵⁰ in magnitude,
+// so the clamp to ±127 that follows gives the same code; ±Inf and NaN pass
+// through. The one difference, −0 for RoundToEven against +0 here on
+// y ∈ (−0.5, −0], vanishes in a code and in every square it feeds.
+func roundHalfEven(y float64) float64 {
+	const shift = 0x1.8p52
+	return (y + shift) - shift
+}
+
+// clampCode limits a rounded quotient to the int8 code range [-127, 127].
+// It is min(max(c, -127), 127) for every c but NaN, which it passes through
+// as the builtins do; comparisons instead of the builtins keep the common
+// case to two untaken branches, and a NaN code is cleared anyway.
+func clampCode(c float64) float64 {
+	if c > 127 {
+		return 127
+	}
+	if c < -127 {
+		return -127
+	}
+	return c
+}
+
 // maxAbs returns the largest finite |x| of v (0 when there is none).
 func maxAbs(v []float64) float64 {
 	m := 0.0
@@ -212,13 +239,13 @@ func QuantizeRows(rows []float64, r int) *Rows {
 // nonzero coordinate under a step of 0 (maxabs/127 underflowed), gets zero
 // codes and an infinite residual.
 func quantizeRow(codes []int8, row []float64, scale float64) (resid, norm float64) {
-	clear(codes)
-	for _, x := range row {
-		if x-x != 0 || (scale == 0 && x != 0) {
-			return math.Inf(1), 0
-		}
-	}
 	if scale == 0 {
+		clear(codes)
+		for _, x := range row {
+			if x != 0 { // NaN included
+				return math.Inf(1), 0
+			}
+		}
 		return 0, 0
 	}
 	// Quantize by reciprocal multiply: a division per coordinate costs
@@ -228,25 +255,41 @@ func quantizeRow(codes []int8, row []float64, scale float64) (resid, norm float6
 	// any rounding of the quotient only moves error between the code and
 	// the (exactly accounted) residual. The reciprocal overflows only for
 	// subnormal scales; fall back to division there.
+	//
+	// The loops call nothing, so their accumulators stay in registers:
+	// rounding is roundHalfEven's addition, and the finiteness check is
+	// folded in as a sum of x−x, which is 0 for a finite x and NaN for NaN
+	// or ±Inf. The float64 conversion of the quotient keeps it rounded on
+	// its own (no fused multiply-add into the rounding constant).
 	inv := 1 / scale
-	div := math.IsInf(inv, 0)
-	var sumd, sumq float64
-	for j, x := range row {
-		var c float64
-		if div {
-			c = math.RoundToEven(x / scale)
-		} else {
-			c = math.RoundToEven(x * inv)
+	var sumd, sumq, nonFinite float64
+	if math.IsInf(inv, 0) {
+		for j, x := range row {
+			c := clampCode(roundHalfEven(float64(x / scale)))
+			codes[j] = int8(c)
+			deq := scale * c
+			d := x - deq
+			sumd += d * d
+			sumq += deq * deq
+			nonFinite += x - x
 		}
-		// The quotient can round a full-scale coordinate past ±127
-		// (|x| == maxabs gives exactly ±127 only when it is exact); clamp
-		// so the code always fits the int8 contract.
-		c = min(max(c, -127), 127)
-		codes[j] = int8(c)
-		deq := scale * c
-		d := x - deq
-		sumd += d * d
-		sumq += deq * deq
+	} else {
+		for j, x := range row {
+			// The quotient can round a full-scale coordinate past ±127
+			// (|x| == maxabs gives exactly ±127 only when it is exact);
+			// clamp so the code always fits the int8 contract.
+			c := clampCode(roundHalfEven(float64(x * inv)))
+			codes[j] = int8(c)
+			deq := scale * c
+			d := x - deq
+			sumd += d * d
+			sumq += deq * deq
+			nonFinite += x - x
+		}
+	}
+	if nonFinite != 0 {
+		clear(codes)
+		return math.Inf(1), 0
 	}
 	slack := sumSlack(len(row))
 	norm = inflate(math.Sqrt(sumq), slack)

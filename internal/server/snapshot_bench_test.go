@@ -3,6 +3,9 @@ package server
 import (
 	"bytes"
 	"io"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"lemp"
@@ -13,32 +16,85 @@ import (
 // ready-to-serve state: building from the raw matrix pays the bucketization
 // (what -save-snapshot pays once), restoring pays deserialization and the
 // same bucketization over the probes it read (what -snapshot pays on every
-// restart). Neither tunes: the server runs LENGTH.
+// restart). Neither tunes: the server runs LENGTH. Each runs on two shapes:
+//
+//   - smoke4: the Smoke catalog × 4 at Parallelism 1, restored from memory;
+//   - mixed: the benchmark's serve_mixed catalog — 100 000 × 50 probes with
+//     skewed lengths (data.GenerateVectors, CoV 4.44), Quantize (QuantOn on
+//     restore), default Parallelism — restored from a file as lemp-serve
+//     -snapshot does.
+//
+// go test ./internal/server -run '^$' -bench Startup -count 5
+type startupShape struct {
+	name    string
+	catalog func() *lemp.Matrix
+	cfg     Config
+	file    bool // restore from an *os.File rather than a bytes.Reader
+}
+
+var startupShapes = []startupShape{
+	{
+		name:    "smoke4",
+		catalog: func() *lemp.Matrix { _, p := data.Smoke.Scale(4).Generate(); return p },
+		cfg:     Config{Options: lemp.Options{Parallelism: 1}},
+	},
+	{
+		name: "mixed",
+		catalog: func() *lemp.Matrix {
+			return data.GenerateVectors(rand.New(rand.NewSource(1)), 100_000, 50, 4.44, 1, false)
+		},
+		cfg:  Config{Options: lemp.Options{Quantize: true}, Quant: lemp.QuantOn},
+		file: true,
+	},
+}
 
 func BenchmarkStartupBuild(b *testing.B) {
-	_, p := data.Smoke.Scale(4).Generate()
-	cfg := Config{Options: lemp.Options{Parallelism: 1}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := New(p, cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, sh := range startupShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			p := sh.catalog()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(p, sh.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 func BenchmarkStartupSnapshot(b *testing.B) {
-	_, p := data.Smoke.Scale(4).Generate()
-	cfg := Config{Options: lemp.Options{Parallelism: 1}}
-	built, err := New(p, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bufs := writeShardSnapshots(b, built)
-	b.Logf("snapshot size: %d bytes", bufs[0].Len())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewFromSnapshot([]io.Reader{bytes.NewReader(bufs[0].Bytes())}, cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, sh := range startupShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			built, err := New(sh.catalog(), sh.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			raw := writeShardSnapshots(b, built)[0].Bytes()
+			b.Logf("snapshot size: %d bytes", len(raw))
+			open := func() (io.Reader, func()) { return bytes.NewReader(raw), func() {} }
+			if sh.file {
+				path := filepath.Join(b.TempDir(), "index.snap")
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
+					b.Fatal(err)
+				}
+				open = func() (io.Reader, func()) {
+					f, err := os.Open(path)
+					if err != nil {
+						b.Fatal(err)
+					}
+					return f, func() { f.Close() }
+				}
+			}
+			built = nil // the restores' GC should not scan the built index
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, done := open()
+				_, err := NewFromSnapshot([]io.Reader{r}, sh.cfg)
+				done()
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -276,8 +276,20 @@ func boolByte(b bool) byte {
 // version, every section checksum and the framing of the sections it keeps;
 // the state's own invariants (finite probes, unique ids, a valid tuning
 // sample) are verified by core.FromState, which every loader runs next.
+//
+// When r can tell how many bytes it holds (an io.Seeker such as an *os.File;
+// Read seeks to the end and back once, before reading), a matrix whose
+// values fit both its section's declared length and the bytes left is read
+// straight into a slice of its size; otherwise its values are read a chunk
+// at a time (matrix.ReadFloat64s). Either way allocation is bounded by the
+// bytes present.
 func Read(r io.Reader) (*core.State, error) {
-	br := bufio.NewReader(r)
+	size, err := matrix.Remaining(r)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
+	}
+	src := &source{r: r, size: size}
+	br := bufio.NewReader(src)
 	magic := make([]byte, len(Magic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("snapshot: reading magic: %w", err)
@@ -307,7 +319,7 @@ func Read(r io.Reader) (*core.State, error) {
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			return nil, fmt.Errorf("snapshot: reading section length: %w", err)
 		}
-		sr := &sectionReader{br: br, n: binary.LittleEndian.Uint64(lenBuf[:]), crc: crc32.NewIEEE()}
+		sr := &sectionReader{br: br, src: src, n: binary.LittleEndian.Uint64(lenBuf[:]), crc: crc32.NewIEEE()}
 		if seen[tag] {
 			return nil, fmt.Errorf("snapshot: duplicate %q section", tag[:])
 		}
@@ -377,12 +389,38 @@ func readMuta(r io.Reader, st *core.State) error {
 	return nil
 }
 
+// source is Read's input, counting the bytes the buffered reader pulls
+// from it so that, when its size at entry is known, the bytes not yet
+// consumed are too.
+type source struct {
+	r      io.Reader
+	size   int64 // bytes r held at Read's entry; -1 when unknown
+	pulled int64 // bytes read from r so far
+}
+
+func (s *source) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	s.pulled += int64(n)
+	return n, err
+}
+
 // sectionReader bounds reads to one section's declared payload and
 // accumulates its CRC-32.
 type sectionReader struct {
 	br  *bufio.Reader
+	src *source
 	n   uint64
 	crc hash.Hash32
+}
+
+// holds reports whether both the section's unread payload and the input
+// still hold size bytes, so that reading them may allocate up front.
+func (s *sectionReader) holds(size uint64) bool {
+	if s.src.size < 0 {
+		return false
+	}
+	left := s.src.size - s.src.pulled + int64(s.br.Buffered())
+	return size <= s.n && left >= 0 && size <= uint64(left)
 }
 
 func (s *sectionReader) Read(p []byte) (int, error) {
@@ -443,7 +481,7 @@ var retiredAlgorithms = map[core.Algorithm]string{5: "TA", 6: "Tree", 7: "L2AP",
 
 // readProbe parses the PROB payload: the probe matrix's dimensions, then
 // its values.
-func readProbe(r io.Reader) (*matrix.Matrix, error) {
+func readProbe(r *sectionReader) (*matrix.Matrix, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -455,7 +493,7 @@ func readProbe(r io.Reader) (*matrix.Matrix, error) {
 // checked here (bounded allocation); the semantic checks — sample dimension
 // versus the probe matrix, finite values, k/θ validity — are Pretune's,
 // which core.FromState runs on the sample.
-func readTuneSample(r io.Reader, st *core.State) error {
+func readTuneSample(r *sectionReader, st *core.State) error {
 	var hdr [25]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return err
@@ -473,8 +511,10 @@ func readTuneSample(r io.Reader, st *core.State) error {
 // readMatrix reads the float64 values of a matrix whose dimensions, r then
 // n as little-endian uint32s, are the 8 bytes of dims. Both must be at least
 // least and within maxDim and maxProbes, and r·n values must be addressable,
-// so a corrupt header cannot force an unbounded allocation.
-func readMatrix(r io.Reader, dims []byte, least int, what string) (*matrix.Matrix, error) {
+// so a corrupt header cannot force an unbounded allocation. The values are
+// read into the matrix's own slice when r holds them all, and a chunk at a
+// time otherwise.
+func readMatrix(r *sectionReader, dims []byte, least int, what string) (*matrix.Matrix, error) {
 	rr := int(binary.LittleEndian.Uint32(dims[0:4]))
 	n := int(binary.LittleEndian.Uint32(dims[4:8]))
 	if rr < least || n < least || rr > maxDim || n > maxProbes {
@@ -484,7 +524,14 @@ func readMatrix(r io.Reader, dims []byte, least int, what string) (*matrix.Matri
 	if hi != 0 || lo > uint64(math.MaxInt)/8 {
 		return nil, fmt.Errorf("%s dimensions %d×%d overflow", what, rr, n)
 	}
-	data, err := matrix.ReadFloat64s(r, int(lo))
+	var data []float64
+	var err error
+	if r.holds(8 * lo) {
+		data = make([]float64, lo)
+		err = matrix.ReadFloat64sInto(r, data)
+	} else {
+		data, err = matrix.ReadFloat64s(r, int(lo))
+	}
 	if err != nil {
 		return nil, err
 	}
