@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -139,11 +141,7 @@ func bucketize(n, r int, vec func(col int) []float64, lens []float64, ids []int3
 	if n == 0 {
 		return nil, nil
 	}
-	order := byDecreasingLength(lens)
-	sorted := make([]float64, n)
-	for i, col := range order {
-		sorted[i] = lens[col]
-	}
+	order, sorted := byDecreasingLength(lens, workers)
 
 	// What both steps read and fill.
 	type layout struct {
@@ -182,41 +180,199 @@ func bucketize(n, r int, vec func(col int) []float64, lens []float64, ids []int3
 	return l.buckets, l.loc
 }
 
+// lenKey is a column's sort key, ^Float64bits of its length, which orders
+// non-negative, non-NaN floats (a length is never -0) decreasingly, beside
+// the column.
+type lenKey struct {
+	key uint64
+	col int32
+}
+
 // byDecreasingLength returns the columns ordered by decreasing length, ties
-// in column order. It is a stable LSD radix sort over ^Float64bits(length),
-// which orders non-negative, non-NaN floats (a length is never -0)
-// decreasingly: one pass counts all eight bytes, then one scatter pass runs
-// per byte the lengths do not all share.
-func byDecreasingLength(lens []float64) []int32 {
+// in column order, and the lengths in that order. It is a stable MSD radix
+// sort over (key, column) pairs (lenKey) spread over up to workers
+// goroutines: the columns are cut into contiguous chunks, which find their
+// smallest and largest key, count their top digits and scatter their pairs
+// — each chunk's first slot per digit taken digit by digit, chunks in order
+// within a digit, so equal digits keep their order — and the digits' runs
+// are then sorted (sortKeys) and written out, each chunk taking the runs
+// that start in it. A digit is the top bits of the key's offset from the
+// smallest key, about a quarter as many digit values as columns (at most
+// 2¹³, 32 KiB of counts per chunk): lengths in a few binades spread over
+// many digits even where they straddle a power of two. Fewer than spreadMinCols columns go to sortKeys
+// whole. The result does not depend on workers.
+func byDecreasingLength(lens []float64, workers int) (order []int32, sorted []float64) {
 	n := len(lens)
-	keys := make([]uint64, n)
-	var cnt [8][256]int32
-	for i, l := range lens {
-		k := ^math.Float64bits(l)
-		keys[i] = k
-		for b := range cnt {
-			cnt[b][byte(k>>(8*b))]++
+	if n < spreadMinCols { // an update's run, say: sortKeys alone, in three allocations
+		pairs := make([]lenKey, 2*n)
+		for col, l := range lens {
+			pairs[col] = lenKey{^math.Float64bits(l), int32(col)}
+		}
+		sortKeys(pairs[:n], pairs[n:], false)
+		order, sorted = make([]int32, n), make([]float64, n)
+		for i, e := range pairs[:n] {
+			order[i], sorted[i] = e.col, math.Float64frombits(^e.key)
+		}
+		return order, sorted
+	}
+	w := spreadWorkers(n, workers)
+	s := &lenSort{lens: lens, w: w, lo: make([]uint64, w), hi: make([]uint64, w),
+		order: make([]int32, n), sorted: make([]float64, n)}
+	spreadItems(w, w, s, func(s *lenSort, c int) {
+		lo, hi := s.chunk(c)
+		kmin, kmax := ^uint64(0), uint64(0)
+		for _, l := range s.lens[lo:hi] {
+			k := ^math.Float64bits(l)
+			kmin, kmax = min(kmin, k), max(kmax, k)
+		}
+		s.lo[c], s.hi[c] = kmin, kmax
+	})
+	s.width = min(13, bits.Len(uint(n))-2)
+	s.min, s.shift = slices.Min(s.lo), keyShift(slices.Min(s.lo), slices.Max(s.hi), s.width)
+	digits := 1 << s.width
+	s.tmp = make([]lenKey, n)
+	s.cnt, s.start = make([]int32, w*digits), make([]int32, digits+1)
+	spreadItems(w, w, s, func(s *lenSort, c int) {
+		lo, hi := s.chunk(c)
+		cnt, kmin, shift := s.counts(c), s.min, s.shift
+		for _, l := range s.lens[lo:hi] {
+			cnt[(^math.Float64bits(l)-kmin)>>shift]++
+		}
+	})
+	at := int32(0)
+	for d := range digits {
+		s.start[d] = at
+		for c := range w {
+			cnt := s.counts(c)
+			at, cnt[d] = at+cnt[d], at
 		}
 	}
-	src, dst := identityIDs(n), make([]int32, n)
-	for b := range cnt {
-		shift := 8 * b
-		c := &cnt[b]
-		if int(c[byte(keys[0]>>shift)]) == n {
-			continue
+	s.start[digits] = at
+	spreadItems(w, w, s, func(s *lenSort, c int) {
+		lo, hi := s.chunk(c)
+		cnt, kmin, shift, tmp := s.counts(c), s.min, s.shift, s.tmp
+		for col := lo; col < hi; col++ {
+			k := ^math.Float64bits(s.lens[col])
+			d := (k - kmin) >> shift
+			tmp[cnt[d]] = lenKey{k, int32(col)}
+			cnt[d]++
 		}
-		at := int32(0)
-		for j, x := range c {
-			c[j], at = at, at+x
+	})
+	spreadItems(w, w, s, func(s *lenSort, c int) {
+		lo, hi := s.chunk(c)
+		// The runs that start in this chunk: each run belongs to one chunk.
+		dlo, _ := slices.BinarySearch(s.start, int32(lo))
+		dhi, _ := slices.BinarySearch(s.start, int32(hi))
+		dhi = min(dhi, len(s.start)-1)
+		longest := int32(0)
+		for d := dlo; d < dhi; d++ {
+			longest = max(longest, s.start[d+1]-s.start[d])
 		}
-		for _, col := range src {
-			j := byte(keys[col] >> shift)
-			dst[c[j]] = col
-			c[j]++
+		scratch := make([]lenKey, longest)
+		for d := dlo; d < dhi; d++ {
+			at := int(s.start[d])
+			run := s.tmp[at:s.start[d+1]]
+			if s.shift > 0 && len(run) > 1 {
+				sortKeys(run, scratch[:len(run)], true)
+				run = scratch[:len(run)]
+			}
+			for i, e := range run {
+				s.order[at+i], s.sorted[at+i] = e.col, math.Float64frombits(^e.key)
+			}
 		}
-		src, dst = dst, src
+	})
+	return s.order, s.sorted
+}
+
+// lenSort is what byDecreasingLength's phases read and fill: the pairs by
+// their top digit (tmp), each digit's first slot (start), and per chunk —
+// chunk c being columns [c·n/w, (c+1)·n/w) — its smallest and largest key
+// and its count, then its next slot, per digit.
+type lenSort struct {
+	lens   []float64
+	tmp    []lenKey
+	w      int
+	lo, hi []uint64
+	min    uint64
+	width  int // the top digit is (key − min) >> shift, width bits wide
+	shift  int
+	cnt    []int32
+	start  []int32
+	order  []int32
+	sorted []float64
+}
+
+// chunk returns chunk c's range of columns.
+func (s *lenSort) chunk(c int) (lo, hi int) {
+	n := len(s.lens)
+	return c * n / s.w, (c + 1) * n / s.w
+}
+
+// counts returns chunk c's count per digit.
+func (s *lenSort) counts(c int) []int32 {
+	return s.cnt[c<<s.width : (c+1)<<s.width]
+}
+
+// keyShift returns the shift that leaves the top width bits of the largest
+// offset hi − lo: 0 where the offsets fit width bits, each digit value then
+// one key.
+func keyShift(lo, hi uint64, width int) int {
+	return max(bits.Len64(hi-lo)-width, 0)
+}
+
+// sortKeys sorts the pairs of a stably by key, with tmp (as long as a) as
+// scratch, and leaves them in tmp when toTmp, else in a. Up to 16 pairs are
+// insertion-sorted; more are scattered into tmp by a digit of their own
+// (byDecreasingLength's, about half as many digit values as pairs), and
+// each digit's run is sorted in turn the other way round.
+func sortKeys(a, tmp []lenKey, toTmp bool) {
+	if len(a) <= 16 {
+		for i := 1; i < len(a); i++ {
+			for j := i; j > 0 && a[j-1].key > a[j].key; j-- {
+				a[j-1], a[j] = a[j], a[j-1]
+			}
+		}
+		if toTmp {
+			copy(tmp, a)
+		}
+		return
 	}
-	return src
+	kmin, kmax := a[0].key, a[0].key
+	for _, e := range a {
+		kmin, kmax = min(kmin, e.key), max(kmax, e.key)
+	}
+	width := min(8, bits.Len(uint(len(a)))-1)
+	shift := keyShift(kmin, kmax, width)
+	var next [257]int32
+	for _, e := range a {
+		next[(e.key-kmin)>>shift+1]++
+	}
+	for d := 1; d <= 1<<width; d++ {
+		next[d] += next[d-1]
+	}
+	start := next
+	for _, e := range a {
+		d := (e.key - kmin) >> shift
+		tmp[next[d]] = e
+		next[d]++
+	}
+	if shift == 0 { // every digit's run holds one key
+		if !toTmp {
+			copy(a, tmp)
+		}
+		return
+	}
+	for d := range 1 << width {
+		switch lo, hi := start[d], start[d+1]; hi - lo {
+		case 0:
+		case 1:
+			if !toTmp {
+				a[lo] = tmp[lo]
+			}
+		default:
+			sortKeys(tmp[lo:hi], a[lo:hi], !toTmp)
+		}
+	}
 }
 
 // bucketBytes estimates the cache footprint of one probe vector inside a

@@ -105,7 +105,11 @@ type Options struct {
 	// the per-bucket algorithm choice can differ.
 	TuneByCost bool
 	// Parallelism fans the retrieval phase out over this many goroutines
-	// (default 1, matching the paper's single-threaded measurements).
+	// (default 1, matching the paper's single-threaded measurements), and
+	// with it the per-probe and per-bucket work of a build, a snapshot
+	// restore and a compaction: the length sort, the lengths, the bucket
+	// layout, the row copy and eager sidecars. What they build does not
+	// depend on it.
 	Parallelism int
 	// Quantize makes the int8 screen (internal/quant: a cheap approximate dot
 	// of the quantized query and probe rows plus a conservative error bound

@@ -5,14 +5,15 @@ import (
 	"sync/atomic"
 )
 
-// The build's independent work — each probe's length, its row's copy into
-// its bucket, each bucket's layout and int8 sidecar — fans out over
-// Options.Parallelism goroutines, and so does a restore, which is a build.
-// Every item writes only its own slots, so the result does not depend on how
-// the items were split. The work reaches the helpers as a function of an
-// argument value rather than as a closure, so that a call that runs on one
-// goroutine, as every retrieval's query preparation and every update of a
-// Parallelism 1 index does, allocates nothing for them.
+// The build's independent work — each probe's length, the length sort's
+// chunks and runs, each row's copy into its bucket, each bucket's layout and
+// int8 sidecar — fans out over Options.Parallelism goroutines, and so does a
+// restore, which is a build. Every item writes only its own slots, so the
+// result does not depend on how the items were split. The work reaches the
+// helpers as a function of an argument value rather than as a closure, so
+// that a call that runs on one goroutine, as every retrieval's query
+// preparation and every update of a Parallelism 1 index does, allocates
+// nothing for them.
 
 // spreadMinCols is the fewest columns worth a goroutine of their own: a
 // column's length or row copy takes tens of nanoseconds.

@@ -41,9 +41,13 @@ func chunkBytes(count, width int) int {
 }
 
 // WriteFloat64s writes vals as little-endian IEEE 754 bit patterns in bulk
-// chunks rather than one Write per value. It is the payload encoder shared
+// chunks: on a little-endian machine the values' own bytes, elsewhere bytes
+// encoded one value at a time. It is the payload encoder shared
 // by the LEMPMAT1 matrix format and the LEMPIDX1 index-snapshot format.
 func WriteFloat64s(w io.Writer, vals []float64) error {
+	if littleEndian {
+		return writeChunks(w, asBytes(vals))
+	}
 	buf := make([]byte, chunkBytes(len(vals), 8))
 	for len(vals) > 0 {
 		c := len(vals)
@@ -62,10 +66,25 @@ func WriteFloat64s(w io.Writer, vals []float64) error {
 }
 
 // littleEndian reports whether this machine stores float64s and int32s in
-// the byte order of the formats read here, so that their bytes can be read
-// into the values' memory as they are. A variable so that tests can drive
-// the decoding loops on any machine.
+// the byte order of the formats read and written here, so that their bytes
+// can be read into and written from the values' memory as they are. A
+// variable so that tests can drive the encoding and decoding loops on any
+// machine.
 var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// writeChunks writes b in Writes of one chunk's bytes (64 KiB), as the
+// encoding loops do: a writer that passes its input on twice, such as a
+// file beside a checksum, then reads each chunk from cache the second time.
+func writeChunks(w io.Writer, b []byte) error {
+	for len(b) > 0 {
+		c := min(len(b), 8*ioChunkFloats)
+		if _, err := w.Write(b[:c]); err != nil {
+			return err
+		}
+		b = b[c:]
+	}
+	return nil
+}
 
 // asBytes returns the memory of s as bytes.
 func asBytes[T float64 | int32](s []T) []byte {
@@ -152,9 +171,12 @@ func decodeInt32s(dst []int32, src []byte) {
 	}
 }
 
-// WriteInt32s writes vals as little-endian int32 bit patterns in bulk
-// chunks; the id-array counterpart of WriteFloat64s.
+// WriteInt32s writes vals as little-endian int32 bit patterns, as
+// WriteFloat64s does; the id-array counterpart of WriteFloat64s.
 func WriteInt32s(w io.Writer, vals []int32) error {
+	if littleEndian {
+		return writeChunks(w, asBytes(vals))
+	}
 	buf := make([]byte, chunkBytes(len(vals), 4))
 	chunk := len(buf) / 4
 	for len(vals) > 0 {

@@ -87,8 +87,9 @@ func TestReadBinaryStreamingRoundTrip(t *testing.T) {
 	}
 }
 
-// bothDecoders runs f with this machine's decoding and, where that reads
-// values' bytes in place, again with the portable decoding loops.
+// bothDecoders runs f with this machine's encoding and decoding and, where
+// those write and read values' bytes in place, again with the portable
+// loops.
 func bothDecoders(t *testing.T, f func(t *testing.T)) {
 	t.Run("native", f)
 	if littleEndian {
@@ -115,8 +116,13 @@ func testFloat64sRoundTrip(t *testing.T) {
 	if err := WriteFloat64s(&buf, vals); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() != len(vals)*8 {
-		t.Fatalf("encoded %d bytes, want %d", buf.Len(), len(vals)*8)
+	// Both writers emit these bytes: each value's bits, little-endian.
+	var want []byte
+	for _, v := range vals {
+		want = binary.LittleEndian.AppendUint64(want, math.Float64bits(v))
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("encoded %d bytes, not the values' little-endian bits (%d bytes)", buf.Len(), len(want))
 	}
 	got, err := ReadFloat64s(bytes.NewReader(buf.Bytes()), len(vals))
 	if err != nil {
@@ -151,8 +157,12 @@ func testInt32sRoundTrip(t *testing.T) {
 	if err := WriteInt32s(&buf, vals); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() != len(vals)*4 {
-		t.Fatalf("encoded %d bytes, want %d", buf.Len(), len(vals)*4)
+	var want []byte
+	for _, v := range vals {
+		want = binary.LittleEndian.AppendUint32(want, uint32(v))
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("encoded %d bytes, not the values' little-endian bits (%d bytes)", buf.Len(), len(want))
 	}
 	got, err := ReadInt32s(bytes.NewReader(buf.Bytes()), len(vals))
 	if err != nil {

@@ -34,6 +34,21 @@ import (
 // counted, so rows of r < minAsmDim never leave Go. The dispatchers keep the
 // shape checks and every slice-to-pointer step in Go; the Go loops are the
 // oracle.
+//
+// The quantizer's kernels hold the same contract in float64: they give the
+// Go loops' bits, not merely sound bounds. maxAbsAVX2 takes a maximum of
+// finite |x|, which is one value in any lane order. quantize4AVX2 puts one
+// row in each of four lanes, so every lane runs quantizeRow's loop — the
+// same rounded operations, no fused multiply-add, its sums accumulated
+// coordinate by coordinate in the same order — and returns the three sums
+// per row; rowBounds, the square roots and the inflation, stays in Go for
+// both paths. So the codes, the step and both panel maxima of a sidecar are
+// the same bits on every host, and TestQuantizeRowsMatchesReference and
+// FuzzQuantizeRows hold them to quantizeRowReference. quantizePanel keeps in
+// Go a zero or subnormal step (whose reciprocal overflows), the last
+// len(rows)/r mod 4 rows and rows of r < minAsmDim; maxAbs keeps the last
+// len(v) mod 8 values. The quantizer reads no value past a panel's last row
+// and writes no code past its last code.
 
 // minAsmDim is the narrowest row the assembly takes: one 16-byte chunk.
 const minAsmDim = 16

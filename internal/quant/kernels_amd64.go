@@ -2,9 +2,10 @@
 
 package quant
 
-// The kernels of kernels_amd64.s read exactly n ≥ 16 bytes behind every
+// The dot kernels of kernels_amd64.s read exactly n ≥ 16 bytes behind every
 // vector pointer and write only through out or rows, dotPanelAVX2 only its
-// survivors' slots. Nothing needs alignment.
+// survivors' slots; the quantizer's read exactly the values of their rows
+// and write exactly their codes and sums. Nothing needs alignment.
 
 //go:noescape
 func dotAVX2(a, b *int8, n int) int32
@@ -21,3 +22,18 @@ func dot8AVX2(q, codes *int8, rows *[8]int, n int, out *[8]int32, cut int32) uin
 //
 //go:noescape
 func dotPanelAVX2(q, panel *int8, n, groups int, cut int32, rows *int32) int
+
+// quantize4AVX2 quantizes the four rows of n ≥ 16 float64s at rows,
+// rows + n, rows + 2n and rows + 3n at step scale (inv = 1/scale, finite)
+// into the n codes at codes, codes + n, …, and stores row k's sums of
+// (x − deq)², deq² and x − x at sums[k], sums[4+k] and sums[8+k]: the
+// scalar loop of quantizeRow, four rows at a time.
+//
+//go:noescape
+func quantize4AVX2(rows *float64, codes *int8, n int, scale, inv float64, sums *[12]float64)
+
+// maxAbsAVX2 returns the largest finite |x| of the n float64s at v (n ≥ 8 a
+// multiple of 8), 0 when there is none.
+//
+//go:noescape
+func maxAbsAVX2(v *float64, n int) float64

@@ -2,7 +2,8 @@
 
 #include "textflag.h"
 
-// AVX2 kernels for the full-width int8 dot and the screen's integer cut.
+// AVX2 kernels for the full-width int8 dot and the screen's integer cut,
+// and for the quantizer that builds the codes (# Quantizer, below).
 //
 // # Dots
 //
@@ -400,5 +401,192 @@ panel_next:
 	SUBQ rows+40(FP), R14
 	SHRQ $2, R14
 	MOVQ R14, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// # Quantizer
+//
+// quantize4AVX2 runs quantizeRow's loop on four rows at once, one row per
+// float64 lane, so that each lane computes its row's codes and sums with the
+// scalar loop's operations in the scalar loop's order: per coordinate j, in
+// j = 0, 1, …, r−1,
+//
+//	c    = min(max((x·inv + 0x1.8p52) − 0x1.8p52, −127), 127)
+//	deq  = scale·c
+//	sumd += (x − deq)·(x − deq);  sumq += deq·deq;  nonFinite += x − x
+//
+// each operation one rounded VMULPD, VADDPD, VSUBPD, VMAXPD or VMINPD (no
+// FMA), so every lane's bits are the scalar loop's. The clamp differs from
+// clampCode only on a NaN quotient, whose row Go clears (its nonFinite is
+// NaN). Four coordinates of the four rows are loaded as four 32-byte row
+// chunks and transposed (VUNPCKLPD/VUNPCKHPD, VPERM2F128) into one vector
+// per coordinate; the codes, exact integers in [−127, 127] after the clamp,
+// are truncated to int32 (VCVTTPD2DQ), packed to bytes (VPACKSSDW,
+// VPACKSSWB) and transposed back (VPSHUFB), and each row's four codes are
+// stored as one dword. The last r mod 4 coordinates go one at a time, each
+// lane loaded and each code stored on its own, so no load or store leaves
+// the rows or their codes.
+//
+// Register use:
+//
+//	R8 R9 R10 R11    the four rows
+//	R12 R13 R14 R15  their codes
+//	AX  the coordinate; BX the coordinates in whole chunks; CX r
+//	Y0 sumd, Y1 sumq, Y2 nonFinite (one lane per row)
+//	Y3, Y8  temporaries; Y4..Y7 the chunk's coordinates, then their codes
+//	Y11 −127, Y12 127, Y13 0x1.8p52, Y14 scale, Y15 inv
+
+DATA quantShift<>+0(SB)/8, $0x4338000000000000 // 0x1.8p52
+GLOBL quantShift<>(SB), RODATA|NOPTR, $8
+
+DATA quantMax<>+0(SB)/8, $0x405fc00000000000 // 127
+GLOBL quantMax<>(SB), RODATA|NOPTR, $8
+
+DATA quantMin<>+0(SB)/8, $0xc05fc00000000000 // −127
+GLOBL quantMin<>(SB), RODATA|NOPTR, $8
+
+// codeTranspose reorders the sixteen code bytes of four coordinates (byte
+// 4j + k: coordinate j of row k) into row order (byte 4k + j).
+DATA codeTranspose<>+0(SB)/8, $0x0d0905010c080400
+DATA codeTranspose<>+8(SB)/8, $0x0f0b07030e0a0602
+GLOBL codeTranspose<>(SB), RODATA|NOPTR, $16
+
+// QSTEP runs one coordinate of the four rows, held in y (x names its low
+// half), through the scalar loop's operations, accumulating into Y0..Y2,
+// and leaves the four codes as int32 in x. Clobbers Y3 and Y8.
+#define QSTEP(y, x) \
+	VMULPD      Y15, y, Y3; \
+	VADDPD      Y13, Y3, Y3; \
+	VSUBPD      Y13, Y3, Y3; \
+	VMAXPD      Y11, Y3, Y3; \
+	VMINPD      Y12, Y3, Y3; \
+	VSUBPD      y, y, Y8; \
+	VADDPD      Y8, Y2, Y2; \
+	VMULPD      Y14, Y3, Y8; \
+	VSUBPD      Y8, y, y; \
+	VMULPD      y, y, y; \
+	VADDPD      y, Y0, Y0; \
+	VMULPD      Y8, Y8, Y8; \
+	VADDPD      Y8, Y1, Y1; \
+	VCVTTPD2DQY Y3, x
+
+// func quantize4AVX2(rows *float64, codes *int8, n int, scale, inv float64, sums *[12]float64)
+TEXT ·quantize4AVX2(SB), NOSPLIT, $0-48
+	MOVQ rows+0(FP), R8
+	MOVQ codes+8(FP), R12
+	MOVQ n+16(FP), CX
+	LEAQ (R8)(CX*8), R9
+	LEAQ (R9)(CX*8), R10
+	LEAQ (R10)(CX*8), R11
+	LEAQ (R12)(CX*1), R13
+	LEAQ (R13)(CX*1), R14
+	LEAQ (R14)(CX*1), R15
+	VBROADCASTSD scale+24(FP), Y14
+	VBROADCASTSD inv+32(FP), Y15
+	VBROADCASTSD quantShift<>(SB), Y13
+	VBROADCASTSD quantMax<>(SB), Y12
+	VBROADCASTSD quantMin<>(SB), Y11
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	MOVQ CX, BX
+	ANDQ $~3, BX
+	XORQ AX, AX
+
+quant_chunk:
+	VMOVUPD (R8)(AX*8), Y3
+	VMOVUPD (R9)(AX*8), Y4
+	VMOVUPD (R10)(AX*8), Y5
+	VMOVUPD (R11)(AX*8), Y6
+	VUNPCKLPD  Y4, Y3, Y7        // rows 0,1 of coordinates 0 and 2
+	VUNPCKHPD  Y4, Y3, Y3        // rows 0,1 of coordinates 1 and 3
+	VUNPCKLPD  Y6, Y5, Y4        // rows 2,3 of coordinates 0 and 2
+	VUNPCKHPD  Y6, Y5, Y5        // rows 2,3 of coordinates 1 and 3
+	VPERM2F128 $0x20, Y4, Y7, Y6 // coordinate 0
+	VPERM2F128 $0x31, Y4, Y7, Y4 // coordinate 2
+	VPERM2F128 $0x20, Y5, Y3, Y7 // coordinate 1
+	VPERM2F128 $0x31, Y5, Y3, Y5 // coordinate 3
+	QSTEP(Y6, X6)
+	QSTEP(Y7, X7)
+	QSTEP(Y4, X4)
+	QSTEP(Y5, X5)
+	VPACKSSDW X7, X6, X6
+	VPACKSSDW X5, X4, X4
+	VPACKSSWB X4, X6, X6
+	VPSHUFB   codeTranspose<>(SB), X6, X6
+	VMOVD     X6, (R12)(AX*1)
+	VPEXTRD   $1, X6, (R13)(AX*1)
+	VPEXTRD   $2, X6, (R14)(AX*1)
+	VPEXTRD   $3, X6, (R15)(AX*1)
+	ADDQ $4, AX
+	CMPQ AX, BX
+	JLT  quant_chunk
+
+quant_tail:
+	CMPQ AX, CX
+	JGE  quant_done
+	VMOVSD      (R8)(AX*8), X6
+	VMOVHPD     (R9)(AX*8), X6, X6
+	VMOVSD      (R10)(AX*8), X7
+	VMOVHPD     (R11)(AX*8), X7, X7
+	VINSERTF128 $1, X7, Y6, Y6
+	QSTEP(Y6, X6)
+	VPACKSSDW X6, X6, X6
+	VPACKSSWB X6, X6, X6
+	VPEXTRB   $0, X6, (R12)(AX*1)
+	VPEXTRB   $1, X6, (R13)(AX*1)
+	VPEXTRB   $2, X6, (R14)(AX*1)
+	VPEXTRB   $3, X6, (R15)(AX*1)
+	INCQ AX
+	JMP  quant_tail
+
+quant_done:
+	MOVQ    sums+40(FP), DX
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VZEROUPPER
+	RET
+
+DATA absMask<>+0(SB)/8, $0x7fffffffffffffff
+GLOBL absMask<>(SB), RODATA|NOPTR, $8
+
+DATA maxFinite<>+0(SB)/8, $0x7fefffffffffffff // math.MaxFloat64
+GLOBL maxFinite<>(SB), RODATA|NOPTR, $8
+
+// func maxAbsAVX2(v *float64, n int) float64
+//
+// The largest finite |x| of the n ≥ 8 (a multiple of 8) values at v, 0 when
+// there is none: |x| by clearing the sign bit, a non-finite |x| zeroed by
+// its failed comparison with MaxFloat64 (NaN compares false), and two
+// vectors of running maxima. Every candidate is +0 or positive, so the
+// maximum is the same value in any lane order.
+TEXT ·maxAbsAVX2(SB), NOSPLIT, $0-24
+	MOVQ v+0(FP), SI
+	MOVQ n+8(FP), CX
+	VBROADCASTSD absMask<>(SB), Y15
+	VBROADCASTSD maxFinite<>(SB), Y14
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	XORQ   AX, AX
+
+max_chunk:
+	VANDPD (SI)(AX*8), Y15, Y2
+	VANDPD 32(SI)(AX*8), Y15, Y3
+	VCMPPD $2, Y14, Y2, Y4 // |x| ≤ MaxFloat64
+	VCMPPD $2, Y14, Y3, Y5
+	VANDPD Y4, Y2, Y2
+	VANDPD Y5, Y3, Y3
+	VMAXPD Y2, Y0, Y0
+	VMAXPD Y3, Y1, Y1
+	ADDQ   $8, AX
+	CMPQ   AX, CX
+	JLT    max_chunk
+	VMAXPD       Y1, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VMAXPD       X1, X0, X0
+	VPERMILPD    $1, X0, X1
+	VMAXSD       X1, X0, X0
+	VMOVSD       X0, ret+16(FP)
 	VZEROUPPER
 	RET

@@ -124,3 +124,40 @@ func TestKernelsStayInsideTheirVectors(t *testing.T) {
 		}
 	}
 }
+
+// guardedFloat64s is guardedTail for n ≥ 1 float64 values.
+func guardedFloat64s(t *testing.T, n int) []float64 {
+	t.Helper()
+	b := guardedBytes(t, 8*n)
+	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n)
+}
+
+// TestQuantizerStaysInsideItsRows puts a panel's last row and its last code
+// flush against an unreadable page, for r up to 70 (every r mod 4 of the
+// four-row kernel's last coordinates) and panels of 4 to 9 rows (the last
+// row in a kernel pass, and in the rows left to Go): a kernel whose chunk
+// loop or last coordinates load a value past the rows, or store a code past
+// the codes, faults here instead of passing. The codes and bounds are
+// checked against the reference, and maxAbs, whose vector loop ends at the
+// guard where the panel holds a multiple of eight values, against its loop.
+func TestQuantizerStaysInsideItsRows(t *testing.T) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	rng := rand.New(rand.NewSource(51))
+	for r := 1; r <= 70; r++ {
+		for n := 4; n <= 9; n++ {
+			rows := guardedFloat64s(t, n*r)
+			for i := range n {
+				fillRow(rng, rows[i*r:(i+1)*r], 1)
+			}
+			got := guardedTail(t, n*r)
+			want := make([]int8, n*r)
+			scale := maxAbsReference(rows) / 127
+			gr, gn := quantizePanel(got, rows, r, scale)
+			wr, wn := quantizePanelReference(want, rows, r, scale)
+			comparePanels(t, "at the guard", r, n, scale, got, want, gr, gn, wr, wn, rows)
+			if m := maxAbs(rows); math.Float64bits(m) != math.Float64bits(maxAbsReference(rows)) {
+				t.Fatalf("r=%d n=%d: maxAbs at the guard = %v, reference %v", r, n, m, maxAbsReference(rows))
+			}
+		}
+	}
+}

@@ -15,3 +15,9 @@ func dot8AVX2(q, codes *int8, rows *[8]int, n int, out *[8]int32, cut int32) uin
 func dotPanelAVX2(q, panel *int8, n, groups int, cut int32, rows *int32) int {
 	panic("quant: no AVX2 kernels in this build")
 }
+
+func quantize4AVX2(rows *float64, codes *int8, n int, scale, inv float64, sums *[12]float64) {
+	panic("quant: no AVX2 kernels in this build")
+}
+
+func maxAbsAVX2(v *float64, n int) float64 { panic("quant: no AVX2 kernels in this build") }

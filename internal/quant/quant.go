@@ -91,6 +91,8 @@ package quant
 import (
 	"math"
 	"math/bits"
+
+	"lemp/internal/vecmath"
 )
 
 // MaxDim is the largest row dimension the sidecar supports: DotQ8
@@ -198,9 +200,15 @@ func clampCode(c float64) float64 {
 	return c
 }
 
-// maxAbs returns the largest finite |x| of v (0 when there is none).
+// maxAbs returns the largest finite |x| of v (0 when there is none). Where
+// the kernels are assembly, all but the last len(v) mod 8 values go through
+// maxAbsAVX2; a maximum is the same value in any order.
 func maxAbs(v []float64) float64 {
 	m := 0.0
+	if n := len(v) &^ 7; n > 0 && vecmath.AVX2() {
+		m = maxAbsAVX2(&v[0], n)
+		v = v[n:]
+	}
 	for _, x := range v {
 		if a := math.Abs(x); a > m && a <= math.MaxFloat64 {
 			m = a
@@ -225,12 +233,35 @@ func QuantizeRows(rows []float64, r int) *Rows {
 	}
 	n := len(rows) / r
 	qr := &Rows{r: r, n: n, Scale: maxAbs(rows) / 127, Codes: make([]int8, n*r)}
-	for i := 0; i < n; i++ {
-		resid, norm := quantizeRow(qr.Codes[i*r:(i+1)*r], rows[i*r:(i+1)*r], qr.Scale)
-		qr.maxResid = max(qr.maxResid, resid)
-		qr.maxNormUB = max(qr.maxNormUB, norm+resid)
-	}
+	qr.maxResid, qr.maxNormUB = quantizePanel(qr.Codes, rows, r, qr.Scale)
 	return qr
+}
+
+// quantizePanel fills codes with the quantization of the len(rows)/r rows
+// of rows at step scale and returns the panel maxima of the rows' residual
+// bounds and of their norm-plus-residual bounds. Where the kernels are
+// assembly for r and 1/scale is finite, the rows go four at a time through
+// quantize4AVX2, which runs quantizeRow's loop with its bits, and rowBounds
+// finishes each; the last len(rows)/r mod 4 rows, a zero or subnormal step
+// and every other host take quantizeRow.
+func quantizePanel(codes []int8, rows []float64, r int, scale float64) (maxResid, maxNormUB float64) {
+	n, i := len(rows)/r, 0
+	if inv := 1 / scale; Accelerated(r) && scale != 0 && !math.IsInf(inv, 0) {
+		codes = codes[:n*r] // the assembly writes every row's codes
+		var sums [12]float64
+		for ; i+4 <= n; i += 4 {
+			quantize4AVX2(&rows[i*r], &codes[i*r], r, scale, inv, &sums)
+			for k := range 4 {
+				resid, norm := rowBounds(codes[(i+k)*r:(i+k+1)*r], sums[k], sums[4+k], sums[8+k])
+				maxResid, maxNormUB = max(maxResid, resid), max(maxNormUB, norm+resid)
+			}
+		}
+	}
+	for ; i < n; i++ {
+		resid, norm := quantizeRow(codes[i*r:(i+1)*r], rows[i*r:(i+1)*r], scale)
+		maxResid, maxNormUB = max(maxResid, resid), max(maxNormUB, norm+resid)
+	}
+	return maxResid, maxNormUB
 }
 
 // quantizeRow fills codes with the symmetric int8 quantization of row at
@@ -259,18 +290,19 @@ func quantizeRow(codes []int8, row []float64, scale float64) (resid, norm float6
 	// The loops call nothing, so their accumulators stay in registers:
 	// rounding is roundHalfEven's addition, and the finiteness check is
 	// folded in as a sum of x−x, which is 0 for a finite x and NaN for NaN
-	// or ±Inf. The float64 conversion of the quotient keeps it rounded on
-	// its own (no fused multiply-add into the rounding constant).
+	// or ±Inf. The float64 conversions keep every product rounded on its own
+	// (no fused multiply-add into the rounding constant or a sum), as
+	// quantize4AVX2 rounds them.
 	inv := 1 / scale
 	var sumd, sumq, nonFinite float64
 	if math.IsInf(inv, 0) {
 		for j, x := range row {
 			c := clampCode(roundHalfEven(float64(x / scale)))
 			codes[j] = int8(c)
-			deq := scale * c
+			deq := float64(scale * c)
 			d := x - deq
-			sumd += d * d
-			sumq += deq * deq
+			sumd += float64(d * d)
+			sumq += float64(deq * deq)
 			nonFinite += x - x
 		}
 	} else {
@@ -280,18 +312,26 @@ func quantizeRow(codes []int8, row []float64, scale float64) (resid, norm float6
 			// clamp so the code always fits the int8 contract.
 			c := clampCode(roundHalfEven(float64(x * inv)))
 			codes[j] = int8(c)
-			deq := scale * c
+			deq := float64(scale * c)
 			d := x - deq
-			sumd += d * d
-			sumq += deq * deq
+			sumd += float64(d * d)
+			sumq += float64(deq * deq)
 			nonFinite += x - x
 		}
 	}
+	return rowBounds(codes, sumd, sumq, nonFinite)
+}
+
+// rowBounds turns the sums of a quantized row — of (x − deq)², of deq² and
+// of x − x over its coordinates — into quantizeRow's residual and norm
+// bounds, clearing the row's codes where it holds NaN or ±Inf (nonFinite is
+// then NaN) or a bound comes out NaN or its norm infinite.
+func rowBounds(codes []int8, sumd, sumq, nonFinite float64) (resid, norm float64) {
 	if nonFinite != 0 {
 		clear(codes)
 		return math.Inf(1), 0
 	}
-	slack := sumSlack(len(row))
+	slack := sumSlack(len(codes))
 	norm = inflate(math.Sqrt(sumq), slack)
 	// ‖e_p‖ in exact arithmetic differs from the computed ‖d‖ by at most
 	// the rounding of scale·c and of the subtraction, each ≤ 2⁻⁵³ relative

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math/rand"
 	"os"
@@ -16,20 +17,26 @@ import (
 // ready-to-serve state: building from the raw matrix pays the bucketization
 // (what -save-snapshot pays once), restoring pays deserialization and the
 // same bucketization over the probes it read (what -snapshot pays on every
-// restart). Neither tunes: the server runs LENGTH. Each runs on two shapes:
+// restart). Neither tunes: the server runs LENGTH. Each runs on these
+// shapes:
 //
 //   - smoke4: the Smoke catalog × 4 at Parallelism 1, restored from memory;
 //   - mixed: the benchmark's serve_mixed catalog — 100 000 × 50 probes with
 //     skewed lengths (data.GenerateVectors, CoV 4.44), Quantize (QuantOn on
 //     restore), default Parallelism — restored from a file as lemp-serve
-//     -snapshot does.
+//     -snapshot does;
+//   - flat (build only): the benchmark's serve_flat catalog — 200 000 × 50
+//     probes, CoV 0.40, default Parallelism — and a first 32-row top-10
+//     request, whose screen builds the lazy int8 sidecars of the buckets it
+//     verifies, as serve_flat's warm-up does.
 //
 // go test ./internal/server -run '^$' -bench Startup -count 5
 type startupShape struct {
 	name    string
 	catalog func() *lemp.Matrix
 	cfg     Config
-	file    bool // restore from an *os.File rather than a bytes.Reader
+	file    bool         // restore from an *os.File rather than a bytes.Reader
+	warm    *lemp.Matrix // queries of a first top-10 request timed with the build
 }
 
 var startupShapes = []startupShape{
@@ -46,6 +53,13 @@ var startupShapes = []startupShape{
 		cfg:  Config{Options: lemp.Options{Quantize: true}, Quant: lemp.QuantOn},
 		file: true,
 	},
+	{
+		name: "flat",
+		catalog: func() *lemp.Matrix {
+			return data.GenerateVectors(rand.New(rand.NewSource(1)), 200_000, 50, 0.40, 1, false)
+		},
+		warm: data.GenerateVectors(rand.New(rand.NewSource(2)), 32, 50, 0.40, 1, false),
+	},
 }
 
 func BenchmarkStartupBuild(b *testing.B) {
@@ -54,8 +68,14 @@ func BenchmarkStartupBuild(b *testing.B) {
 			p := sh.catalog()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := New(p, sh.cfg); err != nil {
+				srv, err := New(p, sh.cfg)
+				if err != nil {
 					b.Fatal(err)
+				}
+				if sh.warm != nil {
+					if _, _, err := srv.Sharded().CurrentView().TopKCtx(context.Background(), sh.warm, 10); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})
@@ -64,6 +84,9 @@ func BenchmarkStartupBuild(b *testing.B) {
 
 func BenchmarkStartupSnapshot(b *testing.B) {
 	for _, sh := range startupShapes {
+		if sh.warm != nil {
+			continue
+		}
 		b.Run(sh.name, func(b *testing.B) {
 			built, err := New(sh.catalog(), sh.cfg)
 			if err != nil {
