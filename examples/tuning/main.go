@@ -4,7 +4,7 @@
 // paper's Tables 5–6 measure: LENGTH verifies many candidates cheaply,
 // INCR/COORD prune aggressively at some scanning cost — and the mixed LC
 // and LI, which pick per bucket and per query, match the best of them. (The
-// paper's TA, Tree, L2AP and BLSH baselines run under lemp-bench.) The example also demonstrates fixing φ by
+// paper's TA, Tree, L2AP and BLSH baselines run under paper/'s lemp-bench.) The example also demonstrates fixing φ by
 // hand, disabling the cache-size bucket limit, and reusing fitted tuning
 // parameters across calls with a TuningCache (the serving-path win: repeat
 // calls skip §4.4 sample tuning entirely).

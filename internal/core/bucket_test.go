@@ -279,19 +279,21 @@ func TestBucketizeMatchesOracle(t *testing.T) {
 				}
 				return out
 			}
+			inv := make([][]float64, len(got)) // each bucket's invLens, filled once
 			for bi, b := range got {
 				w := want[bi]
 				if !slices.Equal(b.ids, w.ids) || !slices.Equal(bits(b.lens), bits(w.lens)) ||
 					!slices.Equal(bits(b.rows), bits(w.rows)) || math.Float64bits(b.lb) != math.Float64bits(w.lb) || b.r != w.r {
 					t.Fatalf("%s %+v: bucket %d differs from the oracle's", name, shape, bi)
 				}
+				inv[bi] = b.invLens()
 			}
 			dir := make([]float64, r)
 			for col, at := range gotLoc {
 				b := got[at.bucket]
 				vecmath.Normalize(dir, p.Vec(col))
 				for f := range dir {
-					if u := b.unit(int(at.lid), f, b.invLens()[at.lid]); math.Float64bits(u) != math.Float64bits(dir[f]) {
+					if u := b.unit(int(at.lid), f, inv[at.bucket][at.lid]); math.Float64bits(u) != math.Float64bits(dir[f]) {
 						t.Fatalf("%s %+v: column %d coordinate %d: derived %v, Normalize %v", name, shape, col, f, u, dir[f])
 					}
 				}

@@ -2,8 +2,9 @@ package core
 
 // CandidateGen generates candidates from outside the package
 // (RunOptions.Gen): the paper's §6.3 runs TA, cover trees, L2AP and
-// BayesLSH-Lite inside LEMP's buckets, and those baselines live with the
-// experiment harness (internal/bench). A call with a generator runs no
+// BayesLSH-Lite inside LEMP's buckets. Those baselines live with the
+// experiment harness in the paper/ module (paper/internal/bench), the hook's
+// only caller outside this package's tests. A call with a generator runs no
 // tuning pass and replaces the bucket method of every (query, bucket) pair;
 // bucket and query pruning, tombstones, the int8 screen and exact
 // verification stay the scan's own, so an exact generator answers exactly.

@@ -4,7 +4,8 @@
 // bucket-level retrieval algorithms LENGTH, COORD and INCR (§4.1–4.3) and
 // sample-based algorithm selection (§4.4). Other candidate generators — the
 // TA, cover-tree, L2AP and BayesLSH-Lite baselines of §6.3, which live in
-// internal/bench — plug into the same scan through RunOptions.Gen (gen.go).
+// the paper/ module's harness — plug into the same scan through
+// RunOptions.Gen (gen.go).
 package core
 
 import (
@@ -64,7 +65,7 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 			return a, nil
 		}
 	}
-	return 0, fmt.Errorf("core: unknown algorithm %q: the bucket algorithms are L, LI, LC, I and C; the paper's TA, Tree, L2AP and BLSH baselines run only under lemp-bench -experiment fig7ab|fig7cf|table5|table6", s)
+	return 0, fmt.Errorf("core: unknown algorithm %q: the bucket algorithms are L, LI, LC, I and C; the paper's TA, Tree, L2AP and BLSH baselines run only in the paper/ module, under lemp-bench -experiment fig7ab|fig7cf|table5|table6", s)
 }
 
 // Valid reports whether a names a known bucket algorithm.

@@ -114,9 +114,9 @@ func tileFixture(t *testing.T, alg Algorithm, quantize, mutate bool) (*Index, *m
 // for every query, the entries a one-row call gives — Row-Top-k: same
 // probes, same value bits, same order; Above-θ: the same set with the same
 // value bits — and the summed counters of the one-row calls, for every
-// bucket algorithm and for an L2AP candidate generator (one shared by every
-// call, indexing at t0 = 0, so every cut sees the same candidate sets), with
-// and without tombstones + delta buckets, with and without the int8 screen.
+// bucket algorithm and for a candidate generator that lists every local id
+// (RunOptions.Gen), with and without tombstones + delta buckets, with and
+// without the int8 screen.
 func TestTopKTilesMatchPerRowLoop(t *testing.T) {
 	ctx := context.Background()
 	type method struct {
@@ -128,7 +128,7 @@ func TestTopKTilesMatchPerRowLoop(t *testing.T) {
 	for _, alg := range diffAlgorithms {
 		methods = append(methods, method{name: alg.String(), alg: alg})
 	}
-	methods = append(methods, method{name: "L2AP", alg: AlgLI, gen: func() CandidateGen { return new(testL2APGen) }})
+	methods = append(methods, method{name: "all-lids", alg: AlgLI, gen: func() CandidateGen { return allLidsGen{} }})
 	for _, m := range methods {
 		for _, mutate := range []bool{false, true} {
 			for _, quantize := range []bool{false, true} {

@@ -13,7 +13,7 @@ import (
 )
 
 // Binary format: a small self-describing container so datasets generated by
-// cmd/lemp-datagen can be re-read by cmd/lemp and cmd/lemp-bench.
+// cmd/lemp-datagen can be re-read by cmd/lemp and cmd/lemp-bulk.
 //
 //	magic   [8]byte  "LEMPMAT1"
 //	r       uint32   vector dimension

@@ -79,7 +79,8 @@ const (
 
 // ParseAlgorithm resolves a LEMP-X suffix such as "LI" or "lc". The paper's
 // other LEMP-X variants (TA, Tree, L2AP, BLSH) are baselines that only the
-// experiment harness runs (lemp-bench); naming one is an error.
+// experiment harness runs (lemp-bench, in the paper/ module); naming one is
+// an error.
 func ParseAlgorithm(s string) (Algorithm, error) { return core.ParseAlgorithm(s) }
 
 // Index is a LEMP index over a probe matrix, ready to answer Above-θ and

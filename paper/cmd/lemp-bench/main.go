@@ -8,12 +8,12 @@
 //	lemp-bench -experiment fig6b          # one experiment
 //	lemp-bench -experiment table5 -scale 0.5
 //	lemp-bench -quick                     # reduced grid, skips D-Tree
-//	lemp-bench -experiment bulk -json out # + BENCH_bulk.json trajectory
+//	lemp-bench -experiment table6 -json . # + PAPER_table6.json trajectory
 //
 // Experiment ids: fig5 fig6a fig6b fig7ab fig7cf table2 table3 table4
-// table5 table6 cache tune kernels quant bulk. With -json
-// each experiment also writes a machine-readable BENCH_<id>.json file for
-// archiving trajectories across commits.
+// table5 table6 cache tune. With -json each experiment also writes a
+// machine-readable PAPER_<id>.json file for archiving trajectories across
+// commits.
 package main
 
 import (
@@ -22,14 +22,14 @@ import (
 	"os"
 	"strings"
 
-	"lemp/internal/bench"
+	"lemp/paper/internal/bench"
 )
 
 func main() {
 	experiment := flag.String("experiment", "all", "experiment id or 'all' ("+strings.Join(bench.ExperimentIDs, " ")+")")
 	scale := flag.Float64("scale", 1.0, "dataset size multiplier")
 	quick := flag.Bool("quick", false, "reduced grid (fewer levels/k, no D-Tree)")
-	jsonDir := flag.String("json", "", "also write BENCH_<experiment>.json trajectory files to this directory")
+	jsonDir := flag.String("json", "", "also write PAPER_<experiment>.json trajectory files to this directory")
 	verbose := flag.Bool("v", false, "progress logging")
 	flag.Parse()
 

@@ -22,15 +22,7 @@ import (
 func baselineFixture(t *testing.T, quantize bool) (*core.Index, *matrix.Matrix, *rand.Rand) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(311))
-	const r = 8
-	gen := func(n int) *matrix.Matrix {
-		m := matrix.New(r, n)
-		for j := 0; j < n; j++ {
-			copy(m.Vec(j), randVec(rng, r))
-		}
-		return m
-	}
-	p, q := gen(300), gen(270)
+	p, q := randMatrix(rng, 8, 300), randMatrix(rng, 8, 270)
 	for _, row := range []int{0, 5, 130, 269} {
 		clear(q.Vec(row))
 	}
@@ -42,6 +34,15 @@ func baselineFixture(t *testing.T, quantize bool) (*core.Index, *matrix.Matrix, 
 		t.Fatalf("fixture has %d buckets, want many", ix.NumBuckets())
 	}
 	return ix, q, rng
+}
+
+// randMatrix draws n columns of dimension r with randVec.
+func randMatrix(rng *rand.Rand, r, n int) *matrix.Matrix {
+	m := matrix.New(r, n)
+	for j := 0; j < n; j++ {
+		copy(m.Vec(j), randVec(rng, r))
+	}
+	return m
 }
 
 // randVec draws a Gaussian direction with a log-normally spread length.

@@ -19,8 +19,7 @@ import (
 
 // RecallLevels are the Above-θ result sizes used by the harness. The paper
 // uses 10³…10⁷ out of ~10¹¹ product entries; our scaled matrices have ~10⁷
-// entries, so the ladder shifts down one decade (documented in
-// EXPERIMENTS.md).
+// entries, so the ladder shifts down one decade.
 var RecallLevels = []int{100, 1000, 10000, 100000, 1000000}
 
 // KValues are the Row-Top-k values of the paper (§6.1).
@@ -32,7 +31,7 @@ type Config struct {
 	Quick   bool      // reduced levels/k and skip the slowest baselines
 	Out     io.Writer // destination for the result tables
 	Verbose bool      // progress logging to Out
-	// JSONDir, when non-empty, receives one BENCH_<experiment>.json
+	// JSONDir, when non-empty, receives one PAPER_<experiment>.json
 	// trajectory file per experiment run, holding its measurements in
 	// machine-readable form for archiving across commits.
 	JSONDir string
@@ -186,7 +185,7 @@ type Measurement struct {
 	NumBuckets int // LEMP only
 	Skipped    bool
 	// Recall is an approximate method's recall against the exact rows of
-	// the same cell (core.Recall); nil for exact methods.
+	// the same cell (recall); nil for exact methods.
 	Recall *float64
 }
 

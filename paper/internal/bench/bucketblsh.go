@@ -5,7 +5,7 @@ import (
 	"slices"
 
 	"lemp/internal/core"
-	"lemp/internal/lsh"
+	"lemp/paper/internal/lsh"
 )
 
 // blshGen prunes with BayesLSH-Lite (LEMP-BLSH, §6.3): of the bucket's

@@ -4,9 +4,9 @@ import (
 	"slices"
 
 	"lemp/internal/core"
-	"lemp/internal/l2ap"
 	"lemp/internal/matrix"
 	"lemp/internal/vecmath"
+	"lemp/paper/internal/l2ap"
 )
 
 // l2apGen generates candidates with a per-bucket L2AP index (LEMP-L2AP,

@@ -4,8 +4,8 @@ import (
 	"math"
 
 	"lemp/internal/core"
-	"lemp/internal/covertree"
 	"lemp/internal/matrix"
+	"lemp/paper/internal/covertree"
 )
 
 // treeGen runs a cover-tree search inside each bucket (LEMP-Tree, §6.3). A

@@ -10,17 +10,17 @@ import (
 )
 
 // Experiment ids accepted by Run: the paper's figures and tables of §6,
-// then the ablations and engine measurements this repository adds.
+// then its caching study (§6.2) and a tuning ablation for §4.4.
 var ExperimentIDs = []string{
 	"fig5", "fig6a", "fig6b", "fig7ab", "fig7cf",
 	"table2", "table3", "table4", "table5", "table6",
-	"cache", "tune", "kernels", "quant", "bulk",
+	"cache", "tune",
 }
 
 // Run executes one experiment by id ("all" runs every experiment) and
 // prints its table(s) to cfg.Out. With Config.JSONDir set, each
 // experiment's measurements are also written to
-// <JSONDir>/BENCH_<id>.json so CI can archive trajectories across
+// <JSONDir>/PAPER_<id>.json so CI can archive trajectories across
 // commits.
 func (r *Runner) Run(id string) error {
 	if id == "all" {
@@ -67,12 +67,6 @@ func (r *Runner) run1(id string) error {
 		return r.cacheAblation()
 	case "tune":
 		return r.tuneAblation()
-	case "kernels":
-		return r.kernels()
-	case "quant":
-		return r.quantScreening()
-	case "bulk":
-		return r.bulkThroughput()
 	default:
 		return fmt.Errorf("bench: unknown experiment %q (have %v)", id, ExperimentIDs)
 	}
@@ -196,7 +190,7 @@ func (r *Runner) bucketGridTopK() []Measurement {
 				case core.AlgLI.String():
 					exact = rows
 				case "BLSH":
-					rec := core.Recall(exact, rows)
+					rec := recall(exact, rows)
 					m.Recall = &rec
 				}
 				ms = append(ms, m)

@@ -16,7 +16,7 @@ func (r *Runner) record(ms []Measurement) {
 	r.collect = append(r.collect, ms...)
 }
 
-// trajectory is the schema of one BENCH_<experiment>.json file. Durations
+// trajectory is the schema of one PAPER_<experiment>.json file. Durations
 // are reported in seconds — the unit benchstat-style tooling diffs across
 // commits — alongside the work counters the paper's tables show.
 type trajectory struct {
@@ -43,7 +43,7 @@ type jsonResult struct {
 }
 
 // writeJSON renders one experiment's measurements to
-// <JSONDir>/BENCH_<id>.json, creating the directory on first use.
+// <JSONDir>/PAPER_<id>.json, creating the directory on first use.
 func (r *Runner) writeJSON(id string, ms []Measurement) error {
 	if err := os.MkdirAll(r.cfg.JSONDir, 0o755); err != nil {
 		return err
@@ -73,6 +73,6 @@ func (r *Runner) writeJSON(id string, ms []Measurement) error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(r.cfg.JSONDir, fmt.Sprintf("BENCH_%s.json", id))
+	path := filepath.Join(r.cfg.JSONDir, fmt.Sprintf("PAPER_%s.json", id))
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }

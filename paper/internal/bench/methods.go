@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"lemp/internal/core"
-	"lemp/internal/covertree"
 	"lemp/internal/naive"
 	"lemp/internal/retrieval"
-	"lemp/internal/ta"
+	"lemp/paper/internal/covertree"
+	"lemp/paper/internal/ta"
 )
 
 // Method runners. Each measures one (dataset, problem, method) cell:

@@ -1,8 +1,8 @@
 package bench
 
 import (
-	"lemp/internal/covertree"
-	"lemp/internal/ta"
+	"lemp/paper/internal/covertree"
+	"lemp/paper/internal/ta"
 )
 
 // Construction helpers for Table 2: build each baseline's index and return

@@ -1,12 +1,12 @@
-package core
+package bench
 
 import "lemp/internal/retrieval"
 
-// Recall returns the fraction of true top-k entries (per exact) that also
+// recall returns the fraction of true top-k entries (per exact) that also
 // appear in approx, averaged over queries — the quality metric of an
 // approximate Row-Top-k answer, such as LEMP-BLSH's against exact LEMP-LI in
 // Table 6. Rows must correspond query by query.
-func Recall(exact, approx retrieval.TopK) float64 {
+func recall(exact, approx retrieval.TopK) float64 {
 	if len(exact) == 0 {
 		return 1
 	}

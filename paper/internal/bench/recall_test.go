@@ -1,4 +1,4 @@
-package core
+package bench
 
 import (
 	"math"
@@ -16,13 +16,13 @@ func TestRecallMetric(t *testing.T) {
 		{{Probe: 1}, {Probe: 9}},
 		{{Probe: 3}, {Probe: 4}},
 	}
-	if rec := Recall(exact, approx); math.Abs(rec-0.75) > 1e-12 {
+	if rec := recall(exact, approx); math.Abs(rec-0.75) > 1e-12 {
 		t.Errorf("recall %g, want 0.75", rec)
 	}
-	if rec := Recall(nil, nil); rec != 1 {
+	if rec := recall(nil, nil); rec != 1 {
 		t.Errorf("empty recall %g", rec)
 	}
-	if rec := Recall(retrieval.TopK{{}}, retrieval.TopK{{}}); rec != 1 {
+	if rec := recall(retrieval.TopK{{}}, retrieval.TopK{{}}); rec != 1 {
 		t.Errorf("all-empty-rows recall %g", rec)
 	}
 }

@@ -2,14 +2,19 @@
 # Lines of Go in the repository, the number a simplification PR is judged by:
 # program (non-test) lines per package directory and in total, and test lines
 # separately, so that code moved into *_test.go does not read as a reduction.
-# The benchmark module (benchmark/) and its build output (.bench_build/) are
-# not counted. Usage: sh scripts/loc.sh
+# The root module (the system) is counted first. The paper's evaluation
+# (paper/, a module of its own) is counted on its own lines after it, so that
+# code moved there does not read as a deletion. The benchmark module
+# (benchmark/) and its build output (.bench_build/) are not counted.
+# Usage: sh scripts/loc.sh
 set -eu
 cd "$(dirname "$0")/.."
 
+# gofiles lists the .go files under $1, leaving out the nested modules
+# below it.
 gofiles() {
-	find . \( -path ./benchmark -o -path ./.bench_build -o -path ./.git \) -prune \
-		-o -type f -name '*.go' -print
+	find "$1" -mindepth 1 \( -path ./benchmark -o -path ./.bench_build -o -path ./.git \
+		-o -path ./paper \) -prune -o -type f -name '*.go' -print
 }
 
 # per_dir sums `wc -l` output by directory and appends the grand total.
@@ -31,8 +36,15 @@ per_dir() {
 		}'
 }
 
-echo "program lines (non-test .go) by package:"
-gofiles | grep -v '_test\.go$' | per_dir program
+# count prints program and test lines of the files under $1.
+count() {
+	echo "program lines (non-test .go) by package$2:"
+	gofiles "$1" | grep -v '_test\.go$' | per_dir "program$2"
+	echo
+	echo "test lines (*_test.go) by package$2:"
+	gofiles "$1" | grep '_test\.go$' | per_dir "test$2"
+}
+
+count . ""
 echo
-echo "test lines (*_test.go) by package:"
-gofiles | grep '_test\.go$' | per_dir test
+count ./paper " (paper/)"
