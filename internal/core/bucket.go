@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -21,6 +22,11 @@ type bucket struct {
 	lens []float64 // vector lengths, decreasing
 	rows []float64 // raw vectors, contiguous (size() × r), in lens's order
 	lb   float64   // length of the longest vector
+
+	// maxAbs is the largest |x| of rows, from the pass that computed the
+	// lengths (vecmath.NormMaxAbs): the int8 sidecar's step, so that
+	// quantizing reads the rows once.
+	maxAbs float64
 
 	// Sorted-list index for COORD/INCR, built lazily on first use. An
 	// atomic pointer because Buckets and ListBytes read it beside retrievals
@@ -84,11 +90,11 @@ func (b *bucket) ensureLists(workers int) *sortedLists {
 	return b.lists.Load()
 }
 
-// ensureSidecar quantizes the bucket's rows on first use. The
-// dimension must lie in [1, quant.MaxDim]: attachSidecars checks,
-// Index.autoScreen implies it.
+// ensureSidecar quantizes the bucket's rows on first use, at the step its
+// maxAbs sets. The dimension must lie in [1, quant.MaxDim]: attachSidecars
+// checks, Index.autoScreen implies it.
 func (b *bucket) ensureSidecar() *quant.Rows {
-	b.q8Once.Do(func() { b.q8.Store(quant.QuantizeRows(b.rows, b.r)) })
+	b.q8Once.Do(func() { b.q8.Store(quant.QuantizeRowsMax(b.rows, b.r, b.maxAbs)) })
 	return b.q8.Load()
 }
 
@@ -129,55 +135,106 @@ func bucketSpans(sortedLens []float64, shrink float64, minSize, maxSize int) [][
 	return spans
 }
 
-// bucketize sorts the n probe vectors vec(0..n-1) of dimension r by
-// decreasing length and groups them into buckets per §3.2 (boundaries from
-// bucketSpans), and says by column where each probe landed. lens holds
-// every column's length, as vecmath.Norm computes it, all finite. ids names
-// column col ids[col] in the bucket id arrays; nil uses the column numbers
-// themselves. The buckets are then laid out, each on its own, and each
-// member's length and row copied in catalog order, so the one large read
-// streams, both steps spread over up to workers goroutines.
-func bucketize(n, r int, vec func(col int) []float64, lens []float64, ids []int32, shrink float64, minSize, maxSize, workers int) ([]*bucket, []probeLoc) {
+// columns is what a segment is built from: len(lens) probes, column col's
+// vector vec(col), its length lens[col] (vecmath.Norm, finite) and its
+// largest |x| maxAbs[col], both from one length pass (vecmath.NormMaxAbs), and
+// its name ids[col], nil meaning col itself. byID lists the columns by
+// ascending id, nil when the ids ascend (columnsByID). arena, when not nil,
+// is the caller's matrix that vec reads, r values per column, column after
+// column, handed over with lens and ids: the segment may keep its rows
+// there.
+type columns struct {
+	vec          func(col int) []float64
+	lens, maxAbs []float64
+	ids, byID    []int32
+	arena        []float64
+}
+
+// bucketize sorts the probes of c by decreasing length, ties in column
+// order, groups them into buckets of dimension r per §3.2 (boundaries from
+// bucketSpans), and says by column where each probe landed. Where c hands
+// over its arena and its lengths are already non-increasing — a restore of
+// a file written in scan order — the sort is the identity and each bucket
+// is a window of the arena, its lengths and ids windows of c's, capacity
+// cut at its end: nothing is sorted, allocated per bucket or copied.
+// Otherwise the buckets are laid out, each on its own, and each member's
+// length and row copied in catalog order, so the one large read streams,
+// both steps spread over up to workers goroutines. Either way a bucket's
+// maxAbs is the largest of its members'.
+func bucketize(c columns, r int, shrink float64, minSize, maxSize, workers int) ([]*bucket, []probeLoc) {
+	n := len(c.lens)
 	if n == 0 {
 		return nil, nil
 	}
-	order, sorted := byDecreasingLength(lens, workers)
+	if c.arena != nil && slices.IsSortedFunc(c.lens, func(a, b float64) int { return cmp.Compare(b, a) }) {
+		return bucketizeInPlace(c, r, shrink, minSize, maxSize)
+	}
+	order, sorted := byDecreasingLength(c.lens, workers)
 
 	// What both steps read and fill.
 	type layout struct {
-		r            int
-		order, ids   []int32
-		sorted, lens []float64
-		spans        [][2]int
-		buckets      []*bucket
-		loc          []probeLoc
-		vec          func(col int) []float64
+		c       columns
+		r       int
+		order   []int32
+		sorted  []float64
+		spans   [][2]int
+		buckets []*bucket
+		loc     []probeLoc
 	}
 	spans := bucketSpans(sorted, shrink, minSize, maxSize)
-	l := layout{r: r, order: order, ids: ids, sorted: sorted, lens: lens, spans: spans,
-		buckets: make([]*bucket, len(spans)), loc: make([]probeLoc, n), vec: vec}
+	l := layout{c: c, r: r, order: order, sorted: sorted, spans: spans,
+		buckets: make([]*bucket, len(spans)), loc: make([]probeLoc, n)}
 	spreadItems(len(spans), spreadWorkers(n, workers), l, func(l layout, bi int) {
 		cols := l.order[l.spans[bi][0]:l.spans[bi][1]]
 		bids := make([]int32, len(cols))
+		m := 0.0
 		for lid, col := range cols {
 			l.loc[col] = probeLoc{int32(bi), int32(lid)}
 			bids[lid] = col
-			if l.ids != nil {
-				bids[lid] = l.ids[col]
+			if l.c.ids != nil {
+				bids[lid] = l.c.ids[col]
+			}
+			if a := l.c.maxAbs[col]; a > m {
+				m = a
 			}
 		}
-		l.buckets[bi] = &bucket{r: l.r, ids: bids, lb: l.sorted[l.spans[bi][0]],
+		l.buckets[bi] = &bucket{r: l.r, ids: bids, lb: l.sorted[l.spans[bi][0]], maxAbs: m,
 			lens: make([]float64, len(cols)), rows: make([]float64, len(cols)*l.r)}
 	})
 	spreadCols(n, workers, l, func(l layout, lo, hi int) {
 		for col := lo; col < hi; col++ {
 			at := l.loc[col]
 			b := l.buckets[at.bucket]
-			b.lens[at.lid] = l.lens[col]
-			copy(b.row(int(at.lid)), l.vec(col))
+			b.lens[at.lid] = l.c.lens[col]
+			copy(b.row(int(at.lid)), l.c.vec(col))
 		}
 	})
 	return l.buckets, l.loc
+}
+
+// bucketizeInPlace is bucketize over columns already in bucket order whose
+// arena is handed over: bucket bi of span [lo, hi) holds columns lo..hi-1 as
+// lids 0..hi-lo-1, its rows, lengths and ids windows of c's.
+func bucketizeInPlace(c columns, r int, shrink float64, minSize, maxSize int) ([]*bucket, []probeLoc) {
+	ids := c.ids
+	if ids == nil {
+		ids = identityIDs(len(c.lens))
+	}
+	spans := bucketSpans(c.lens, shrink, minSize, maxSize)
+	buckets, loc := make([]*bucket, len(spans)), make([]probeLoc, len(c.lens))
+	for bi, sp := range spans {
+		lo, hi := sp[0], sp[1]
+		m := 0.0
+		for col := lo; col < hi; col++ {
+			loc[col] = probeLoc{int32(bi), int32(col - lo)}
+			if a := c.maxAbs[col]; a > m {
+				m = a
+			}
+		}
+		buckets[bi] = &bucket{r: r, ids: ids[lo:hi:hi], lens: c.lens[lo:hi:hi], rows: c.arena[lo*r : hi*r : hi*r],
+			lb: c.lens[lo], maxAbs: m}
+	}
+	return buckets, loc
 }
 
 // lenKey is a column's sort key, ^Float64bits of its length, which orders

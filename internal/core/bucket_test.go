@@ -157,12 +157,32 @@ func TestCacheBudgetControlsBucketCount(t *testing.T) {
 
 // bucketizeMatrix is bucketize over the columns of p.
 func bucketizeMatrix(p *matrix.Matrix, ids []int32, shrink float64, minSize, maxSize int) ([]*bucket, []probeLoc) {
-	return bucketize(p.N(), p.R(), p.Vec, p.Lengths(), ids, shrink, minSize, maxSize, 1)
+	return bucketize(matrixColumns(p, ids), p.R(), shrink, minSize, maxSize, 1)
+}
+
+// matrixColumns is the columns of p as a build hands them to bucketize,
+// named by ids (nil: the column numbers), its matrix not handed over.
+func matrixColumns(p *matrix.Matrix, ids []int32) columns {
+	maxAbs := make([]float64, p.N())
+	for col := range maxAbs {
+		maxAbs[col] = maxAbsOf(p.Vec(col))
+	}
+	return columns{vec: p.Vec, lens: p.Lengths(), maxAbs: maxAbs, ids: ids}
+}
+
+// maxAbsOf is the largest |x| of v, 0 for an empty v.
+func maxAbsOf(v []float64) float64 {
+	m := 0.0
+	for _, x := range v {
+		m = max(m, math.Abs(x))
+	}
+	return m
 }
 
 // oracleBucketize is bucketize as it stood before the radix sort and the
 // catalog-order fill: a reflective stable sort of the columns by decreasing
-// length, then every bucket filled member by member in bucket order.
+// length, then every bucket filled member by member in bucket order, its
+// maxAbs taken over its rows as one panel.
 // TestBucketizeMatchesOracle holds the two to the same bits.
 func oracleBucketize(p *matrix.Matrix, extIDs []int32, shrink float64, minSize, maxSize int) ([]*bucket, []probeLoc) {
 	n := p.N()
@@ -190,23 +210,44 @@ func oracleBucketize(p *matrix.Matrix, extIDs []int32, shrink float64, minSize, 
 			b.lens[lid] = vecmath.Norm(p.Vec(int(col)))
 			copy(b.row(lid), p.Vec(int(col)))
 		}
-		b.lb = b.lens[0]
+		b.lb, b.maxAbs = b.lens[0], maxAbsOf(b.rows)
 		buckets = append(buckets, b)
 	}
 	return buckets, loc
 }
 
+// inBucketOrder returns p's columns, and ids (nil: the column numbers)
+// beside them, stably sorted by decreasing length: the scan order
+// Index.State exports.
+func inBucketOrder(p *matrix.Matrix, ids []int32) (*matrix.Matrix, []int32) {
+	order, lens := identityIDs(p.N()), p.Lengths()
+	sort.SliceStable(order, func(a, b int) bool { return lens[order[a]] > lens[order[b]] })
+	sp, sids := matrix.New(p.R(), p.N()), make([]int32, p.N())
+	for i, col := range order {
+		copy(sp.Vec(i), p.Vec(int(col)))
+		sids[i] = col
+		if ids != nil {
+			sids[i] = ids[col]
+		}
+	}
+	return sp, sids
+}
+
 // TestBucketizeMatchesOracle: the radix-sorted, catalog-order bucketize,
 // its row copy spread over three goroutines where a catalog is wide enough,
 // produces the oracle's buckets bit for bit — ids, lengths, rows copied from
-// the catalog, l_b and the column → entry map — and every unit coordinate
-// derived from a row (bucket.unit) has vecmath.Normalize's bits (the
-// values the sorted lists store), on catalogs built to stress the sort key:
-// lengths tied in runs (stability decides the order), zero vectors,
-// coordinates so small that their squares are subnormal (lengths near
-// 1e-160) or vanish (subnormal coordinates: length 0, a non-zero vector
-// with the zero direction), lengths spanning many binades, a single probe,
-// and caller-chosen ids.
+// the catalog, l_b, the sidecar step maxAbs and the column → entry map — and
+// every unit coordinate derived from a row (bucket.unit) has
+// vecmath.Normalize's bits (the values the sorted lists store), on catalogs
+// built to stress the sort key: lengths tied in runs (stability decides the
+// order), zero vectors, coordinates so small that their squares are
+// subnormal (lengths near 1e-160) or vanish (subnormal coordinates: length
+// 0, a non-zero vector with the zero direction), lengths spanning many
+// binades, a single probe, and caller-chosen ids. Each catalog is also
+// handed over (columns.arena) as it is, which a catalog out of length order
+// bucketizes by sorting and copying, and in bucket order (inBucketOrder),
+// where every bucket keeps its rows, lengths and ids in the arena and its
+// slices: the same buckets either way.
 func TestBucketizeMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	const r = 5
@@ -253,13 +294,20 @@ func TestBucketizeMatchesOracle(t *testing.T) {
 			}
 		}),
 	}
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
 	for _, name := range slices.Sorted(maps.Keys(cases)) {
-		p := cases[name]
 		for _, shape := range []struct {
 			shrink           float64
 			minSize, maxSize int
 			ids              bool
 		}{{0.9, 30, 100, false}, {0.8, 1, 7, true}, {0, 1, 0, false}} {
+			p := cases[name]
 			var ids []int32
 			if shape.ids {
 				ids = make([]int32, p.N())
@@ -267,34 +315,46 @@ func TestBucketizeMatchesOracle(t *testing.T) {
 					ids[col] = int32(3*k + 1)
 				}
 			}
-			got, gotLoc := bucketize(p.N(), p.R(), p.Vec, p.Lengths(), ids, shape.shrink, shape.minSize, shape.maxSize, 3)
-			want, wantLoc := oracleBucketize(p, ids, shape.shrink, shape.minSize, shape.maxSize)
-			if !slices.Equal(gotLoc, wantLoc) || len(got) != len(want) {
-				t.Fatalf("%s %+v: %d buckets, oracle %d, or the column map differs", name, shape, len(got), len(want))
-			}
-			bits := func(xs []float64) []uint64 {
-				out := make([]uint64, len(xs))
-				for i, x := range xs {
-					out[i] = math.Float64bits(x)
+			sp, sids := inBucketOrder(p, ids)
+			for _, arm := range []struct {
+				what    string
+				p       *matrix.Matrix
+				ids     []int32
+				arena   bool
+				inPlace bool
+			}{{"copied", p, ids, false, false}, {"handed over", p, ids, true, p.N() == 1}, {"handed over in bucket order", sp, sids, true, true}} {
+				c := matrixColumns(arm.p, arm.ids)
+				if arm.arena {
+					c.arena = arm.p.Data()
 				}
-				return out
-			}
-			inv := make([][]float64, len(got)) // each bucket's invLens, filled once
-			for bi, b := range got {
-				w := want[bi]
-				if !slices.Equal(b.ids, w.ids) || !slices.Equal(bits(b.lens), bits(w.lens)) ||
-					!slices.Equal(bits(b.rows), bits(w.rows)) || math.Float64bits(b.lb) != math.Float64bits(w.lb) || b.r != w.r {
-					t.Fatalf("%s %+v: bucket %d differs from the oracle's", name, shape, bi)
+				got, gotLoc := bucketize(c, arm.p.R(), shape.shrink, shape.minSize, shape.maxSize, 3)
+				want, wantLoc := oracleBucketize(arm.p, arm.ids, shape.shrink, shape.minSize, shape.maxSize)
+				if !slices.Equal(gotLoc, wantLoc) || len(got) != len(want) {
+					t.Fatalf("%s %+v %s: %d buckets, oracle %d, or the column map differs", name, shape, arm.what, len(got), len(want))
 				}
-				inv[bi] = b.invLens()
-			}
-			dir := make([]float64, r)
-			for col, at := range gotLoc {
-				b := got[at.bucket]
-				vecmath.Normalize(dir, p.Vec(col))
-				for f := range dir {
-					if u := b.unit(int(at.lid), f, inv[at.bucket][at.lid]); math.Float64bits(u) != math.Float64bits(dir[f]) {
-						t.Fatalf("%s %+v: column %d coordinate %d: derived %v, Normalize %v", name, shape, col, f, u, dir[f])
+				inv := make([][]float64, len(got)) // each bucket's invLens, filled once
+				start := 0
+				for bi, b := range got {
+					w := want[bi]
+					if !slices.Equal(b.ids, w.ids) || !slices.Equal(bits(b.lens), bits(w.lens)) ||
+						!slices.Equal(bits(b.rows), bits(w.rows)) || math.Float64bits(b.lb) != math.Float64bits(w.lb) ||
+						math.Float64bits(b.maxAbs) != math.Float64bits(w.maxAbs) || b.r != w.r {
+						t.Fatalf("%s %+v %s: bucket %d differs from the oracle's", name, shape, arm.what, bi)
+					}
+					if inArena := &b.rows[0] == &arm.p.Data()[start*r]; inArena != arm.inPlace || cap(b.rows) != len(b.rows) {
+						t.Fatalf("%s %+v %s: bucket %d rows in the arena %v, want %v (capacity %d, length %d)", name, shape, arm.what, bi, inArena, arm.inPlace, cap(b.rows), len(b.rows))
+					}
+					start += b.size()
+					inv[bi] = b.invLens()
+				}
+				dir := make([]float64, r)
+				for col, at := range gotLoc {
+					b := got[at.bucket]
+					vecmath.Normalize(dir, arm.p.Vec(col))
+					for f := range dir {
+						if u := b.unit(int(at.lid), f, inv[at.bucket][at.lid]); math.Float64bits(u) != math.Float64bits(dir[f]) {
+							t.Fatalf("%s %+v %s: column %d coordinate %d: derived %v, Normalize %v", name, shape, arm.what, col, f, u, dir[f])
+						}
 					}
 				}
 			}

@@ -134,17 +134,23 @@ func checkFinite(v []float64, length float64) error {
 // finiteLengths returns every column's length (m.Lengths()) once each
 // column has passed checkFinite, or an error naming the first that fails it
 // as the kind ("probe", "query") numbered ids[col], or col when ids is nil.
-// The lengths are computed over up to workers goroutines, then checked in
-// column order (a finite length needs no look at its coordinates).
-func finiteLengths(m *matrix.Matrix, kind string, ids []int32, workers int) ([]float64, error) {
+// maxAbs, when not nil, receives each column's largest |x| from the same
+// read (vecmath.NormMaxAbs). The lengths are computed over up to workers
+// goroutines, then checked in column order (a finite length needs no look at
+// its coordinates).
+func finiteLengths(m *matrix.Matrix, kind string, ids []int32, workers int, maxAbs []float64) ([]float64, error) {
 	type cols struct {
-		m    *matrix.Matrix
-		lens []float64
+		m            *matrix.Matrix
+		lens, maxAbs []float64
 	}
 	lens := make([]float64, m.N())
-	spreadCols(m.N(), workers, cols{m, lens}, func(c cols, lo, hi int) {
+	spreadCols(m.N(), workers, cols{m, lens, maxAbs}, func(c cols, lo, hi int) {
 		for col := lo; col < hi; col++ {
-			c.lens[col] = vecmath.Norm(c.m.Vec(col))
+			if c.maxAbs != nil {
+				c.lens[col], c.maxAbs[col] = vecmath.NormMaxAbs(c.m.Vec(col))
+			} else {
+				c.lens[col] = vecmath.Norm(c.m.Vec(col))
+			}
 		}
 	})
 	for col, l := range lens {
@@ -255,15 +261,14 @@ type liveVec struct {
 	vec []float64
 }
 
-// newSegment bucketizes the n probes vec(0..n-1), column col named ids[col]
-// and of length lens[col], into a segment with every entry live, copying
-// each vector into its bucket. Under Options.Quantize its buckets carry
-// their sidecars.
-func (ix *Index) newSegment(n int, vec func(col int) []float64, ids []int32, lens []float64) segRef {
-	s := &segment{ids: ids, byID: columnsByID(ids)}
-	s.buckets, s.loc = bucketize(n, ix.r, vec, lens, ids, ix.opts.ShrinkFactor, ix.opts.MinBucketSize, ix.bucketCap(), ix.opts.Parallelism)
+// newSegment bucketizes the probes of c, every column named (c.ids not
+// nil), into a segment with every entry live (bucketize). Under
+// Options.Quantize its buckets carry their sidecars.
+func (ix *Index) newSegment(c columns) segRef {
+	s := &segment{ids: c.ids, byID: c.byID}
+	s.buckets, s.loc = bucketize(c, ix.r, ix.opts.ShrinkFactor, ix.opts.MinBucketSize, ix.bucketCap(), ix.opts.Parallelism)
 	ix.attachSidecars(s.buckets)
-	return segRef{s, len(ids)}
+	return segRef{s, len(c.ids)}
 }
 
 // identityIDs returns the ids 0..n-1.
@@ -570,17 +575,21 @@ func (ix *Index) merge(segs []segRef, from int, dead []tombs, batch []liveVec) {
 	var fresh []*bucket
 	if len(live) > 0 || from == 0 {
 		type cols struct {
-			live []liveVec
-			ids  []int32
-			lens []float64
+			live         []liveVec
+			ids          []int32
+			lens, maxAbs []float64
 		}
-		ids, lens := make([]int32, len(live)), make([]float64, len(live))
-		spreadCols(len(live), ix.opts.Parallelism, cols{live, ids, lens}, func(c cols, lo, hi int) {
+		stats := make([]float64, 2*len(live)) // lengths, then maxima: the buckets copy both
+		c := columns{vec: func(col int) []float64 { return live[col].vec },
+			ids: make([]int32, len(live)), lens: stats[:len(live):len(live)], maxAbs: stats[len(live):]}
+		spreadCols(len(live), ix.opts.Parallelism, cols{live, c.ids, c.lens, c.maxAbs}, func(c cols, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				c.ids[i], c.lens[i] = c.live[i].id, vecmath.Norm(c.live[i].vec)
+				c.ids[i] = c.live[i].id
+				c.lens[i], c.maxAbs[i] = vecmath.NormMaxAbs(c.live[i].vec)
 			}
 		})
-		s := ix.newSegment(len(live), func(col int) []float64 { return live[col].vec }, ids, lens)
+		c.byID = columnsByID(c.ids)
+		s := ix.newSegment(c)
 		for _, b := range s.buckets {
 			b.delta = from > 0
 		}

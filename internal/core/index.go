@@ -98,37 +98,63 @@ func NewIndex(p *matrix.Matrix, opts Options) (*Index, error) {
 // coordinates and a finite length (checkFinite). A catalog rebuilt after
 // mutations uses this to keep its ids.
 func NewIndexWithIDs(p *matrix.Matrix, ids []int32, opts Options) (*Index, error) {
+	return newIndex(p, ids, opts, false)
+}
+
+// newIndex is NewIndexWithIDs. With own the caller hands p and ids over
+// (FromState): where p's columns are already in bucket order, the buckets
+// keep their rows in p's values and their ids in ids (bucketize).
+func newIndex(p *matrix.Matrix, ids []int32, opts Options, own bool) (*Index, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
+	start := time.Now()
+	c := columns{vec: p.Vec, ids: ids, maxAbs: make([]float64, p.N())}
 	if ids == nil {
-		ids = identityIDs(p.N())
+		c.ids = identityIDs(p.N())
 	} else {
 		if len(ids) != p.N() {
 			return nil, fmt.Errorf("core: %d probe ids for %d probes", len(ids), p.N())
 		}
-		seen := make(map[int32]struct{}, len(ids))
 		for _, id := range ids {
 			if id < 0 || id > MaxProbeID {
 				return nil, fmt.Errorf("core: probe id %d out of range [0, %d]", id, int32(MaxProbeID))
 			}
-			if _, dup := seen[id]; dup {
-				return nil, fmt.Errorf("core: duplicate probe id %d", id)
-			}
-			seen[id] = struct{}{}
+		}
+		c.byID = columnsByID(ids)
+		if id, dup := duplicateID(ids, c.byID); dup {
+			return nil, fmt.Errorf("core: duplicate probe id %d", id)
 		}
 	}
-	start := time.Now()
-	lens, err := finiteLengths(p, "probe", ids, opts.Parallelism)
-	if err != nil {
+	var err error
+	if c.lens, err = finiteLengths(p, "probe", ids, opts.Parallelism, c.maxAbs); err != nil {
 		return nil, err
+	}
+	if own {
+		c.arena = p.Data()
 	}
 	ix := &Index{opts: opts, r: p.R(), slack: boundSlack(p.R()), id: indexSeq.Add(1), scratchPool: new(sync.Pool),
 		autoScreen: !opts.Quantize && quant.Accelerated(p.R())}
-	ix.setBase(ix.newSegment(p.N(), p.Vec, ids, lens))
+	ix.setBase(ix.newSegment(c))
 	ix.prepTime = time.Since(start)
 	return ix, nil
+}
+
+// duplicateID returns an id ids holds twice, if any: equal ids are
+// neighbours in ascending order, byID's (columnsByID), or the columns' own
+// order where byID is nil.
+func duplicateID(ids, byID []int32) (int32, bool) {
+	for k := 1; k < len(ids); k++ {
+		a, b := int32(k-1), int32(k)
+		if byID != nil {
+			a, b = byID[k-1], byID[k]
+		}
+		if ids[a] == ids[b] {
+			return ids[a], true
+		}
+	}
+	return 0, false
 }
 
 // indexSeq issues unique Index instance ids (TuningCache key component).

@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
 	"lemp/internal/matrix"
+	"lemp/internal/vecmath"
 )
 
 // State is the serializable snapshot of an Index: the effective options,
@@ -17,15 +17,17 @@ import (
 // directions, sorted lists or int8 sidecars — and no fit (§4.4): a restore
 // fits again on the retained sample.
 //
-// Index.State copies the probes and their ids out of the index; TuneSample
-// aliases the index's retained sample and must not be mutated.
+// Index.State copies the probes and their ids out of the index, in scan
+// order: the order the buckets of the index's compaction hold them, which
+// a restore takes as its bucket layout as it stands. TuneSample aliases the
+// index's retained sample and must not be mutated.
 type State struct {
 	Opts  Options
 	Probe *matrix.Matrix
 
 	// IDs maps probe column → external id; nil means the identity mapping
-	// (column numbers are the ids). Indexes built over caller-chosen ids and
-	// mutated ones have arbitrary stable ids.
+	// (column numbers are the ids), as in a file that stored none. Index.State
+	// always sets it.
 	IDs []int32
 	// Epoch is the mutation epoch (delta.go); NextID the next AutoID
 	// assignment. A zero NextID means "derive from the ids".
@@ -41,13 +43,38 @@ type State struct {
 }
 
 // State exports the index's serializable state: its live probes copied into
-// one matrix beside their ids, in the column order a Compact would give them
-// — the base segment's live columns in column order, then the newer runs'
-// live vectors by ascending id. It only reads, so it may run beside
-// retrievals, and what it exports does not depend on which were answered. A
-// mutated index exports the state of its compaction without compacting:
-// loading it answers queries identically to the mutated index.
+// one matrix beside their ids, in scan order — the column order a Compact
+// would give them (the base segment's live columns in column order, then
+// the newer runs' live vectors by ascending id) stably sorted by decreasing
+// length, the order the compaction's buckets hold them. An unmutated index
+// is its own compaction and exports its bucket rows as they are; only a
+// mutated one sorts. It only reads, so it may run beside retrievals, and
+// what it exports does not depend on which were answered. A mutated index
+// exports the state of its compaction without compacting: loading it
+// answers queries identically to the mutated index.
 func (ix *Index) State() *State {
+	st := &State{Opts: ix.opts, Epoch: ix.epoch, NextID: ix.nextID}
+	if ix.mutated() {
+		st.Probe, st.IDs = ix.compactionProbes()
+	} else {
+		base := ix.segs[0]
+		st.Probe, st.IDs = matrix.New(ix.r, len(base.ids)), make([]int32, 0, len(base.ids))
+		at := st.Probe.Data()
+		for _, b := range base.buckets {
+			at = at[copy(at, b.rows):]
+			st.IDs = append(st.IDs, b.ids...)
+		}
+	}
+	if ix.pretuned {
+		st.TuneSample, st.TuneProblem = ix.tuneSample, ix.tuneProb
+	}
+	return st
+}
+
+// compactionProbes returns the live probes of a mutated index and their ids
+// in the order its compaction's buckets would hold them: the compaction's
+// column order, stably sorted by decreasing length.
+func (ix *Index) compactionProbes() (*matrix.Matrix, []int32) {
 	base := ix.segs[0]
 	live := make([]liveVec, 0, ix.LiveN())
 	for _, s := range ix.segs {
@@ -55,24 +82,17 @@ func (ix *Index) State() *State {
 	}
 	runs := live[base.live:]
 	sort.Slice(runs, func(a, b int) bool { return runs[a].id < runs[b].id })
-	st := &State{
-		Opts:   ix.opts,
-		Probe:  matrix.New(ix.r, len(live)),
-		IDs:    make([]int32, len(live)),
-		Epoch:  ix.epoch,
-		NextID: ix.nextID,
+	lens := make([]float64, len(live))
+	for i, e := range live {
+		lens[i] = vecmath.Norm(e.vec)
 	}
-	for col, e := range live {
-		st.IDs[col] = e.id
-		copy(st.Probe.Vec(col), e.vec)
+	order, _ := byDecreasingLength(lens, ix.opts.Parallelism)
+	p, ids := matrix.New(ix.r, len(live)), make([]int32, len(live))
+	for col, i := range order {
+		ids[col] = live[i].id
+		copy(p.Vec(col), live[i].vec)
 	}
-	if slices.Equal(st.IDs, identityIDs(len(st.IDs))) {
-		st.IDs = nil
-	}
-	if ix.pretuned {
-		st.TuneSample, st.TuneProblem = ix.tuneSample, ix.tuneProb
-	}
-	return st
+	return p, ids
 }
 
 // Pretuned reports whether per-call tuning is frozen: the index reuses its
@@ -85,14 +105,17 @@ func (ix *Index) Pretuned() bool { return ix.pretuned }
 // epoch and AutoID mark, then, when the state retains a tuning sample,
 // Pretune on it. Under Options.TuneByCost that fit equals the exporting
 // index's bucket for bucket; under wall-clock tuning it is measured again.
-// Answers are exact either way. The state's probes are copied into bucket
-// rows and its matrix released; the sample is cloned.
+// Answers are exact either way. FromState takes ownership of st.Probe and
+// st.IDs, which the caller must not modify afterwards: a state in scan order
+// (Index.State's) becomes the index's buckets where it lies, any other
+// order is sorted and copied into bucket rows as a build does. The sample
+// is cloned.
 func FromState(st *State) (*Index, error) {
 	start := time.Now()
 	if st.Probe == nil {
 		return nil, fmt.Errorf("core: state has no probe matrix")
 	}
-	ix, err := NewIndexWithIDs(st.Probe, st.IDs, st.Opts)
+	ix, err := newIndex(st.Probe, st.IDs, st.Opts, true)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lemp/internal/matrix"
+	"lemp/internal/quant"
 	"lemp/internal/retrieval"
 )
 
@@ -248,5 +249,91 @@ func TestStateOfMutatedIndexMatchesCompaction(t *testing.T) {
 				t.Fatalf("%v par %d: tuning sample %v", alg, par, got.TuneSample != nil)
 			}
 		}
+	}
+}
+
+// TestFromStateKeepsScanOrderInPlace: a state Index.State exported, of an
+// unmutated index and of a mutated one, is in scan order, and FromState
+// keeps it where it lies: every bucket's rows and ids are windows of the
+// state's matrix and ids, in bucket order, each capacity cut at its end, as
+// is its lengths slice. A state out of scan order is copied
+// into bucket rows, and both restore the exporting index's buckets and its
+// re-exported state. Every bucket of every index here, built, mutated or
+// restored either way, quantizes (Options.Quantize) at the step its length
+// pass found: its sidecar is quant.QuantizeRows' of its rows.
+func TestFromStateKeepsScanOrderInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	p := genMatrix(rng, 400, 8, 1.2, 1, false, 2, 4)
+	opts := testOptions(AlgL)
+	opts.Quantize = true
+	ix, err := NewIndex(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sidecarsOfRows := func(what string, ix *Index) {
+		t.Helper()
+		for bi, b := range ix.scan {
+			got, want := b.q8.Load(), quant.QuantizeRows(b.rows, b.r)
+			if got == nil || got.Scale != want.Scale || !slices.Equal(got.Codes, want.Codes) {
+				t.Fatalf("%s: bucket %d's sidecar is not its rows' (step %v, want %v)", what, bi, got.Scale, want.Scale)
+			}
+		}
+	}
+	sidecarsOfRows("built", ix)
+	mutated := ix.shallowClone()
+	if _, err := mutated.Apply([]ProbeUpdate{
+		{Op: OpAdd, ID: AutoID, Vec: randVec(rng, 8)},
+		{Op: OpRemove, ID: 7},
+		{Op: OpUpdate, ID: 11, Vec: randVec(rng, 8)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sidecarsOfRows("mutated", mutated)
+	for name, src := range map[string]*Index{"unmutated": ix, "mutated": mutated} {
+		st := src.State()
+		want := src.State()
+		re, err := FromState(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sidecarsOfRows(name+" restored", re)
+		base := re.segs[0]
+		data, at := st.Probe.Data(), 0
+		for bi, b := range base.buckets {
+			n := b.size()
+			if &b.rows[0] != &data[at*re.r] || cap(b.rows) != n*re.r || &b.ids[0] != &st.IDs[at] || cap(b.ids) != n || cap(b.lens) != n {
+				t.Fatalf("%s: bucket %d is not the window [%d, %d) of the state", name, bi, at, at+n)
+			}
+			at += n
+		}
+		if at != st.Probe.N() {
+			t.Fatalf("%s: the buckets hold %d of %d probes", name, at, st.Probe.N())
+		}
+		got := re.State()
+		if !reflect.DeepEqual(got.Probe, want.Probe) || !slices.Equal(got.IDs, want.IDs) {
+			t.Fatalf("%s: the restore re-exports another state", name)
+		}
+
+		// Out of scan order: the reversed state restores by sorting and copying.
+		rev := src.State()
+		n := rev.Probe.N()
+		for i := range n / 2 {
+			a, b := rev.Probe.Vec(i), rev.Probe.Vec(n-1-i)
+			for f := range a {
+				a[f], b[f] = b[f], a[f]
+			}
+			rev.IDs[i], rev.IDs[n-1-i] = rev.IDs[n-1-i], rev.IDs[i]
+		}
+		sorted, err := FromState(rev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &sorted.segs[0].buckets[0].rows[0] == &rev.Probe.Data()[0] {
+			t.Fatalf("%s: a state out of scan order was kept in place", name)
+		}
+		if !reflect.DeepEqual(sorted.Buckets(), re.Buckets()) {
+			t.Fatalf("%s: the reversed state restores other buckets", name)
+		}
+		sidecarsOfRows(name+" restored by sorting", sorted)
 	}
 }

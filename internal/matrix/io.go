@@ -91,23 +91,48 @@ func asBytes[T float64 | int32](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(s[0])))
 }
 
+// readChunkBytes is how many bytes ReadFloat64sInto reads into dst's memory
+// at a time: a reader that passes its bytes on, such as a snapshot section
+// that checksums them, then finds each chunk in cache.
+const readChunkBytes = 1 << 20
+
 // ReadFloat64sInto fills dst from r: on a little-endian machine by reading
-// the bytes straight into dst's memory, elsewhere in bulk chunks decoded
-// one value at a time. Callers must size dst from trusted information (or
-// information validated against the input, as ReadBinary does); for
-// untrusted counts use ReadFloat64s.
+// the bytes straight into dst's memory, readChunkBytes at a time, elsewhere
+// in bulk chunks decoded one value at a time. Like io.ReadFull it fails with
+// io.EOF only when r held no byte at all. Callers must size dst from trusted
+// information (or information validated against the input, as ReadBinary
+// does); for untrusted counts use ReadFloat64s.
 func ReadFloat64sInto(r io.Reader, dst []float64) error {
+	return readInto(r, dst, decodeFloat64s)
+}
+
+// ReadInt32sInto is ReadFloat64sInto for int32s.
+func ReadInt32sInto(r io.Reader, dst []int32) error {
+	return readInto(r, dst, decodeInt32s)
+}
+
+// readInto is ReadFloat64sInto for values of either width.
+func readInto[T float64 | int32](r io.Reader, dst []T, decode func([]T, []byte)) error {
 	if littleEndian {
-		_, err := io.ReadFull(r, asBytes(dst))
-		return err
+		b := asBytes(dst)
+		for at := 0; at < len(b); at += readChunkBytes {
+			if _, err := io.ReadFull(r, b[at:min(at+readChunkBytes, len(b))]); err != nil {
+				if err == io.EOF && at > 0 {
+					err = io.ErrUnexpectedEOF
+				}
+				return err
+			}
+		}
+		return nil
 	}
-	buf := make([]byte, chunkBytes(len(dst), 8))
+	width := int(unsafe.Sizeof(*new(T)))
+	buf := make([]byte, chunkBytes(len(dst), width))
 	for len(dst) > 0 {
 		c := min(len(dst), ioChunkFloats)
-		if _, err := io.ReadFull(r, buf[:c*8]); err != nil {
+		if _, err := io.ReadFull(r, buf[:c*width]); err != nil {
 			return err
 		}
-		decodeFloat64s(dst, buf[:c*8])
+		decode(dst, buf[:c*width])
 		dst = dst[c:]
 	}
 	return nil

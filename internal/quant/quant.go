@@ -202,7 +202,8 @@ func clampCode(c float64) float64 {
 
 // maxAbs returns the largest finite |x| of v (0 when there is none). Where
 // the kernels are assembly, all but the last len(v) mod 8 values go through
-// maxAbsAVX2; a maximum is the same value in any order.
+// maxAbsAVX2; a maximum is the same value in any order, so a panel's is the
+// largest of its rows'.
 func maxAbs(v []float64) float64 {
 	m := 0.0
 	if n := len(v) &^ 7; n > 0 && vecmath.AVX2() {
@@ -225,6 +226,14 @@ func maxAbs(v []float64) float64 {
 // screening and reaches the exact path. Its signature is kept for
 // benchmark/kernels.go.
 func QuantizeRows(rows []float64, r int) *Rows {
+	return QuantizeRowsMax(rows, r, maxAbs(rows))
+}
+
+// QuantizeRowsMax is QuantizeRows given the panel's largest finite |x|,
+// maxAbs, which a caller that has already read every row (core's length
+// pass) knows as the largest of the rows': it reads the rows once, for the
+// codes, and its sidecar is QuantizeRows' bit for bit.
+func QuantizeRowsMax(rows []float64, r int, maxAbs float64) *Rows {
 	if r < 1 || r > MaxDim {
 		panic("quant: QuantizeRows dimension out of [1, MaxDim]")
 	}
@@ -232,7 +241,7 @@ func QuantizeRows(rows []float64, r int) *Rows {
 		panic("quant: QuantizeRows panel size not a multiple of the dimension")
 	}
 	n := len(rows) / r
-	qr := &Rows{r: r, n: n, Scale: maxAbs(rows) / 127, Codes: make([]int8, n*r)}
+	qr := &Rows{r: r, n: n, Scale: maxAbs / 127, Codes: make([]int8, n*r)}
 	qr.maxResid, qr.maxNormUB = quantizePanel(qr.Codes, rows, r, qr.Scale)
 	return qr
 }

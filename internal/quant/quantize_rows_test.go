@@ -32,6 +32,8 @@ func quantizePanelReference(codes []int8, rows []float64, r int, scale float64) 
 // checkPanel holds quantizePanel at step scale, and QuantizeRows at the
 // panel's own step, to the references bit for bit: every code, both panel
 // maxima, and the step itself. Stale codes must be overwritten.
+// QuantizeRowsMax, given the largest of the rows' MaxAbs as core's length
+// pass computes it, must give QuantizeRows' sidecar bit for bit.
 func checkPanel(t *testing.T, kind string, rows []float64, r int, scale float64) {
 	t.Helper()
 	n := len(rows) / r
@@ -50,6 +52,16 @@ func checkPanel(t *testing.T, kind string, rows []float64, r int, scale float64)
 	}
 	wr, wn = quantizePanelReference(want, rows, r, s)
 	comparePanels(t, kind+" (QuantizeRows)", r, n, s, qr.Codes, want, qr.maxResid, qr.maxNormUB, wr, wn, rows)
+
+	rowMax := 0.0
+	for i := range n {
+		rowMax = max(rowMax, maxAbs(rows[i*r:(i+1)*r]))
+	}
+	qm := QuantizeRowsMax(rows, r, rowMax)
+	if math.Float64bits(qm.Scale) != math.Float64bits(s) {
+		t.Fatalf("%s r=%d n=%d: QuantizeRowsMax step %v, reference %v", kind, r, n, qm.Scale, s)
+	}
+	comparePanels(t, kind+" (QuantizeRowsMax)", r, n, s, qm.Codes, want, qm.maxResid, qm.maxNormUB, wr, wn, rows)
 }
 
 func comparePanels(t *testing.T, kind string, r, n int, scale float64, got, want []int8, gr, gn, wr, wn float64, rows []float64) {
@@ -106,7 +118,7 @@ func fillRow(rng *rand.Rand, row []float64, m float64) {
 
 // TestQuantizeRowsMatchesReference holds the panel quantizer — four rows
 // per kernel pass where the kernels are assembly, the rest row by row —
-// and the vector maxAbs to their references bit for bit, for every r from
+// through QuantizeRows and QuantizeRowsMax, and the vector maxAbs to their references bit for bit, for every r from
 // 1 to 300 and every panel of 1 to 9 rows: panels mixing the row kinds of
 // TestQuantizeRowMatchesReference (ties, ±maxabs, NaN and ±Inf, ±0,
 // subnormal steps, magnitudes from 1e-300 to 1e300), each at its own step,
@@ -141,7 +153,8 @@ func TestQuantizeRowsMatchesReference(t *testing.T) {
 	t.Logf("%d panels checked", panels)
 }
 
-// FuzzQuantizeRows holds QuantizeRows to its references on arbitrary
+// FuzzQuantizeRows holds QuantizeRows and QuantizeRowsMax to their
+// references on arbitrary
 // float64 bit patterns — NaN payloads, ±Inf, subnormals and every
 // magnitude — at a row dimension the input chooses.
 func FuzzQuantizeRows(f *testing.F) {

@@ -16,9 +16,10 @@ import (
 // The startup benchmarks compare the two ways lemp-serve reaches a
 // ready-to-serve state: building from the raw matrix pays the bucketization
 // (what -save-snapshot pays once), restoring pays deserialization and the
-// same bucketization over the probes it read (what -snapshot pays on every
-// restart). Neither tunes: the server runs LENGTH. Each runs on these
-// shapes:
+// lengths and sidecars of the probes it read (what -snapshot pays on every
+// restart) but neither the length sort nor the row copy: the file holds the
+// probes in scan order, and the matrix read becomes the bucket rows.
+// Neither tunes: the server runs LENGTH. Each runs on these shapes:
 //
 //   - smoke4: the Smoke catalog × 4 at Parallelism 1, restored from memory;
 //   - mixed: the benchmark's serve_mixed catalog — 100 000 × 50 probes with

@@ -30,6 +30,15 @@ import (
 //	mkdir ../v6 && git archive 0045603 | tar -x -C ../v6
 //	cp internal/snapshot/mutated_test.go internal/snapshot/testdata/generate_v6_test.go ../v6/internal/snapshot/
 //	go test -C ../v6 ./internal/snapshot -run TestGenerateV6Fixture -v6fixture "$PWD/internal/snapshot/testdata"
+//
+// v7.snap was written by the last writer that emitted format version 7
+// (commit 068259d), with testdata/generate_v7_test.go, from the same
+// fullIndex; it stores the catalog in column order, without the derived
+// sections (TestVersion7And8Agree reads it):
+//
+//	mkdir ../v7 && git archive 068259d | tar -x -C ../v7
+//	cp internal/snapshot/testdata/generate_v7_test.go ../v7/internal/snapshot/
+//	go test -C ../v7 ./internal/snapshot -run TestGenerateV7Fixture -v7fixture "$PWD/internal/snapshot/testdata"
 var oldFormats = []struct {
 	file    string
 	version uint32
@@ -50,9 +59,10 @@ func readFixture(t testing.TB, name string) []byte {
 // derived and retired sections it carries — BUKT in all, SLST and QNT8 in
 // the pretuned ones, PLMT in version 5 — are discarded whatever they hold,
 // and a stream cut inside one still fails. The version-2 file, written
-// again, is byte for byte the version-7 snapshot of the index it was taken
-// from, and the version-6 file's PROB, PIDS, MUTA and TSMP payloads are
-// those of the version-7 file its index writes.
+// again, is byte for byte the version-8 snapshot of the index it was taken
+// from, and the version-6 file's MUTA and TSMP payloads are those of the
+// version-8 file its index writes, its PROB and PIDS those in scan order
+// (inScanOrder).
 func TestReadsOlderFormats(t *testing.T) {
 	for _, f := range oldFormats {
 		t.Run(f.file, func(t *testing.T) {
@@ -117,13 +127,17 @@ func TestReadsOlderFormats(t *testing.T) {
 	}
 
 	v6 := readFixture(t, "v6.snap")
-	var v7 bytes.Buffer
-	if err := Write(&v7, fullIndex(t).State()); err != nil {
+	var v8 bytes.Buffer
+	if err := Write(&v8, fullIndex(t).State()); err != nil {
 		t.Fatal(err)
 	}
-	for _, tag := range [][4]byte{tagProbe, tagIDs, tagMuta, tagTune} {
-		if !bytes.Equal(sectionPayload(t, v6, tag), sectionPayload(t, v7.Bytes(), tag)) {
-			t.Errorf("the %s payloads of the version-6 fixture and of its index's version-7 file differ", tag[:])
+	prob, pids := inScanOrder(t, sectionPayload(t, v6, tagProbe), sectionPayload(t, v6, tagIDs))
+	for _, c := range []struct {
+		tag  [4]byte
+		want []byte
+	}{{tagProbe, prob}, {tagIDs, pids}, {tagMuta, sectionPayload(t, v6, tagMuta)}, {tagTune, sectionPayload(t, v6, tagTune)}} {
+		if !bytes.Equal(c.want, sectionPayload(t, v8.Bytes(), c.tag)) {
+			t.Errorf("the %s payloads of the version-6 fixture and of its index's version-8 file differ", c.tag[:])
 		}
 	}
 }

@@ -8,10 +8,12 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"lemp/internal/core"
 	"lemp/internal/matrix"
+	"lemp/internal/vecmath"
 )
 
 // mutatedSnapshotSHA256 is the SHA-256 of the snapshot
@@ -20,13 +22,50 @@ import (
 // them: BUKT no longer stored each member's length and direction. Format
 // version 7 moved them again: the version word, and no BUKT section at all —
 // a load derives the buckets from PROB; the PROB, PIDS and MUTA payloads
-// did not change. It pins the index built with algorithm LI;
+// did not change. Format version 8 moved them again: PROB and PIDS hold the
+// probes in scan order, the version-2 payloads' columns stably sorted by
+// decreasing length (inScanOrder), so that a load takes PROB as its bucket
+// rows; MUTA did not change. It pins the index built with algorithm LI;
 // lengthSnapshotSHA256 pins the same index built with algorithm L, whose
 // file differs from it only in the OPTS algorithm code.
 const (
-	mutatedSnapshotSHA256 = "ce806eb858b6c8c44935bcdafbefa1eef654046c470c1bbf17ba4677225154a1"
-	lengthSnapshotSHA256  = "9b2fc9ef5ed0daa915f3332bbed347a68269b5412750a3f21085600c91ea26df"
+	mutatedSnapshotSHA256 = "f46ec7a841d31df0037e0fc10538525c33020d8aaaf472bf9d4406b8a6454dbb"
+	lengthSnapshotSHA256  = "dc5cd39b8b45e134a22f4b673a95098674e66236001cfd2ce8df78a9d8f971ae"
 )
+
+// inScanOrder returns the PROB and PIDS payloads of a file that stored its
+// catalog in column order (versions 1–7; pids nil where it stored no PIDS,
+// the ids being the column numbers) with the columns stably sorted by
+// decreasing length (vecmath.Norm): the payloads a version-8 writer emits
+// for the same catalog.
+func inScanOrder(t *testing.T, prob, pids []byte) ([]byte, []byte) {
+	t.Helper()
+	r, n := int(binary.LittleEndian.Uint32(prob[0:4])), int(binary.LittleEndian.Uint32(prob[4:8]))
+	if len(prob) != 8+8*r*n || (pids != nil && len(pids) != 4*n) {
+		t.Fatalf("PROB of %d bytes for %d×%d values, PIDS of %d bytes", len(prob), r, n, len(pids))
+	}
+	col := func(c int) []byte { return prob[8+8*r*c : 8+8*r*(c+1)] }
+	lens := make([]float64, n)
+	order := make([]int, n)
+	for c := range n {
+		v := make([]float64, r)
+		for f := range v {
+			v[f] = math.Float64frombits(binary.LittleEndian.Uint64(col(c)[8*f:]))
+		}
+		lens[c], order[c] = vecmath.Norm(v), c
+	}
+	sort.SliceStable(order, func(a, b int) bool { return lens[order[a]] > lens[order[b]] })
+	outProb, outPids := append([]byte(nil), prob[:8]...), make([]byte, 0, 4*n)
+	for _, c := range order {
+		outProb = append(outProb, col(c)...)
+		id := uint32(c)
+		if pids != nil {
+			id = binary.LittleEndian.Uint32(pids[4*c:])
+		}
+		outPids = binary.LittleEndian.AppendUint32(outPids, id)
+	}
+	return outProb, outPids
+}
 
 // mutatedIndex builds the index TestMutatedSnapshotBytesPinned pins, under
 // algorithm alg: built over shuffled, sparse caller ids, neither pretuned
@@ -137,12 +176,13 @@ func mutatedIndexWith(t testing.TB, opts core.Options, sample *matrix.Matrix) *c
 }
 
 // TestMutatedSnapshotBytesPinned pins the bytes of a mutated index's
-// snapshot. State exports the live probes in the column order a Compact
-// gives them — the base segment's live columns in column order, then every
-// newer live vector by ascending id — which fixes the probe matrix the file
-// stores, so it is part of the format: the PROB, PIDS and MUTA payloads are
-// those of testdata/v2.snap, which a version-2 writer wrote of the same
-// index.
+// snapshot. State exports the live probes in scan order — the column order a
+// Compact gives them (the base segment's live columns in column order, then
+// every newer live vector by ascending id), stably sorted by decreasing
+// length — which fixes the probe matrix the file stores, so it is part of
+// the format: the PROB and PIDS payloads are those of testdata/v2.snap,
+// which a version-2 writer wrote of the same index in that column order,
+// with their columns in that length order, and MUTA is v2.snap's.
 func TestMutatedSnapshotBytesPinned(t *testing.T) {
 	files := make(map[core.Algorithm][]byte)
 	for alg, pin := range map[core.Algorithm]string{core.AlgLI: mutatedSnapshotSHA256, core.AlgL: lengthSnapshotSHA256} {
@@ -161,9 +201,13 @@ func TestMutatedSnapshotBytesPinned(t *testing.T) {
 		files[alg] = buf.Bytes()
 	}
 	v2 := readFixture(t, "v2.snap")
-	for _, tag := range [][4]byte{tagProbe, tagIDs, tagMuta} {
-		if !bytes.Equal(sectionPayload(t, files[core.AlgLI], tag), sectionPayload(t, v2, tag)) {
-			t.Errorf("the %s payload differs from the version-2 fixture's", tag[:])
+	prob, pids := inScanOrder(t, sectionPayload(t, v2, tagProbe), sectionPayload(t, v2, tagIDs))
+	for _, c := range []struct {
+		tag  [4]byte
+		want []byte
+	}{{tagProbe, prob}, {tagIDs, pids}, {tagMuta, sectionPayload(t, v2, tagMuta)}} {
+		if !bytes.Equal(sectionPayload(t, files[core.AlgLI], c.tag), c.want) {
+			t.Errorf("the %s payload differs from the version-2 fixture's in scan order", c.tag[:])
 		}
 	}
 	// The two files differ in the OPTS algorithm word and its checksum only.

@@ -7,7 +7,7 @@
 // The LEMPIDX1 format is a versioned, self-describing container:
 //
 //	magic    [8]byte  "LEMPIDX1"
-//	version  uint32   format version; this writer emits 7
+//	version  uint32   format version; this writer emits 8
 //	reserved uint32   zero
 //	section* — each section:
 //	    tag     [4]byte
@@ -15,18 +15,20 @@
 //	    payload [length]byte
 //	    crc32   uint32   IEEE CRC-32 of the payload
 //
-// All integers and floats are little endian. A version-7 stream stores each
+// All integers and floats are little endian. A version-8 stream stores each
 // fact once, in these sections, in this order:
 //
 //	"OPTS"  the core.Options the index was built with (a fixed 85 bytes;
 //	        two slots that once held BLSH settings carry their fixed
 //	        values, 32 and 0.03, and one that held a placement seed 1; all
 //	        three are ignored on read)
-//	"PROB"  the live probe matrix (r, n, r×n float64), in the column order a
-//	        Compact gives it: the base segment's live columns in column
-//	        order, then the newer runs' live vectors by ascending id
-//	"PIDS"  optional: probe column → external id (n × int32), present when
-//	        the ids are not the column numbers
+//	"PROB"  the live probe matrix (r, n, r×n float64) in scan order: the
+//	        column order a Compact gives the probes (the base segment's live
+//	        columns in column order, then the newer runs' live vectors by
+//	        ascending id), stably sorted by decreasing length — the order the
+//	        compaction's buckets hold them, so an unmutated index writes its
+//	        bucket rows as they are
+//	"PIDS"  probe column → external id (n × int32), always present
 //	"MUTA"  optional: mutation epoch (uint64) and next AutoID assignment
 //	        (int64), present when either differs from its derived default
 //	"TSMP"  optional: the retained tuning sample of a pretuned index — the
@@ -39,21 +41,32 @@
 // A mutated index is exported as its compaction would be, without
 // compacting it, so every snapshot holds one catalog of live probes.
 //
+// A load recomputes every length and, where they never rise along PROB,
+// takes PROB's matrix as its buckets' rows where it lies: no sort and no
+// copy. Any other PROB — a version-1 to 7 file, which stored the catalog
+// in column order, a file whose lengths round differently on the reading
+// machine (where Norm fuses x·x+s, say), a crafted one — is sorted and
+// copied into bucket rows as a build does; no file is refused for its
+// order, and both paths give the same buckets.
+//
 // OPTS names the bucket algorithm by number: 0 LI, 1 L, 2 C, 3 I, 4 LC.
 // Builds that served the paper's TA, cover-tree, L2AP and BayesLSH-Lite
 // baselines as bucket algorithms numbered them 5–8; those now run only in
 // the experiment harness, and a file of any version naming one is refused
 // with the number, never loaded with another method in its place.
 //
-// Versions 1–6 are read, never written. Version 1 has OPTS, PROB, BUKT and
+// Versions 1–7 are read, never written. Version 1 has OPTS, PROB, BUKT and
 // END; 2 adds PIDS, MUTA and TSMP; 3 SLST; 4 PLMT; 5 QNT8; 6 drops PLMT
-// again (though earlier builds still wrote it into version-6 files). Those
-// writers also stored what a load derives: "BUKT" the bucketization, with
-// each bucket's members and its entry in a pretuned index's fit, "SLST" the
-// sorted lists (§4.2) built so far, "PLMT" the serving layer's shard
-// placement, and under "QNT8" the int8 sidecars. In any version the reader
-// checks those four sections' checksums and discards their payloads — QNT8's
-// presence still means Quantize — so no byte of them reaches an index.
+// again (though earlier builds still wrote it into version-6 files); 7
+// drops BUKT and SLST and leaves QNT8 empty. Versions 1–7 stored PROB
+// in the Compact column order, with PIDS only where the ids were not the
+// column numbers. Those writers also stored what a load derives: "BUKT" the
+// bucketization, with each bucket's members and its entry in a pretuned
+// index's fit, "SLST" the sorted lists (§4.2) built so far, "PLMT" the
+// serving layer's shard placement, and under "QNT8" the int8 sidecars. In
+// any version the reader checks those four sections' checksums and discards
+// their payloads — QNT8's presence still means Quantize — so no byte of
+// them reaches an index.
 //
 // A reader fails loudly — never silently serves wrong results — on a bad
 // magic, an unsupported version, a duplicate or unknown section tag, a
@@ -84,7 +97,7 @@ import (
 const Magic = "LEMPIDX1"
 
 // Version is the format version Write emits. Read accepts 1 through Version.
-const Version = 7
+const Version = 8
 
 var (
 	tagOptions = [4]byte{'O', 'P', 'T', 'S'}
@@ -121,6 +134,25 @@ const (
 	retiredSeed = 1
 )
 
+// identityIDs returns the ids 0..n-1, the PIDS of a state without ids.
+func identityIDs(n int) []int32 {
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
+}
+
+// isIdentity reports whether ids are the column numbers 0..len(ids)-1.
+func isIdentity(ids []int32) bool {
+	for i, id := range ids {
+		if id != int32(i) {
+			return false
+		}
+	}
+	return true
+}
+
 // defaultNextID is the NextID value a state would derive on load anyway,
 // which therefore does not need a MUTA section.
 func defaultNextID(st *core.State) int32 {
@@ -137,7 +169,8 @@ func defaultNextID(st *core.State) int32 {
 }
 
 // Write serializes st in the LEMPIDX1 format, always as format Version; the
-// optional sections appear when the state needs them.
+// optional sections appear when the state needs them. It writes st.Probe's
+// columns in the order they stand: Index.State exports them in scan order.
 func Write(w io.Writer, st *core.State) error {
 	if st.Probe == nil {
 		return fmt.Errorf("snapshot: state has no probe matrix")
@@ -163,12 +196,14 @@ func Write(w io.Writer, st *core.State) error {
 	}); err != nil {
 		return err
 	}
-	if st.IDs != nil {
-		if err := writeSection(bw, tagIDs, 4*uint64(len(st.IDs)), func(w io.Writer) error {
-			return matrix.WriteInt32s(w, st.IDs)
-		}); err != nil {
-			return err
-		}
+	ids := st.IDs
+	if ids == nil {
+		ids = identityIDs(st.Probe.N())
+	}
+	if err := writeSection(bw, tagIDs, 4*uint64(len(ids)), func(w io.Writer) error {
+		return matrix.WriteInt32s(w, ids)
+	}); err != nil {
+		return err
 	}
 	if st.Epoch != 0 || st.NextID != defaultNextID(st) {
 		if err := writeSection(bw, tagMuta, 16, func(w io.Writer) error {
@@ -334,7 +369,7 @@ func Read(r io.Reader) (*core.State, error) {
 			if st.Probe == nil {
 				return nil, fmt.Errorf("snapshot: PIDS section before PROB")
 			}
-			st.IDs, err = matrix.ReadInt32s(sr, st.Probe.N())
+			st.IDs, err = readIDs(sr, st.Probe.N())
 		case tagMuta:
 			err = readMuta(sr, st)
 		case tagTune:
@@ -487,6 +522,24 @@ func readProbe(r *sectionReader) (*matrix.Matrix, error) {
 		return nil, err
 	}
 	return readMatrix(r, hdr[:], 0, "probe")
+}
+
+// readIDs parses the PIDS payload, n ids: into their slice when r holds
+// them all, as readMatrix reads values, and a chunk at a time otherwise. The
+// column numbers read as nil, the identity mapping of a file without PIDS.
+func readIDs(r *sectionReader, n int) ([]int32, error) {
+	var ids []int32
+	var err error
+	if r.holds(4 * uint64(n)) {
+		ids = make([]int32, n)
+		err = matrix.ReadInt32sInto(r, ids)
+	} else {
+		ids, err = matrix.ReadInt32s(r, n)
+	}
+	if err != nil || isIdentity(ids) {
+		return nil, err
+	}
+	return ids, nil
 }
 
 // readTuneSample parses the TSMP payload. Dimensional plausibility is

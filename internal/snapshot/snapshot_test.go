@@ -51,7 +51,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if got, want := tags(t, raw), []string{"OPTS", "PROB", "TSMP", "END\x00"}; !slices.Equal(got, want) {
+	if got, want := tags(t, raw), []string{"OPTS", "PROB", "PIDS", "TSMP", "END\x00"}; !slices.Equal(got, want) {
 		t.Fatalf("sections %q, want %q", got, want)
 	}
 	got, err := Read(bytes.NewReader(raw))
@@ -396,7 +396,7 @@ func answer(t *testing.T, raw []byte, seed int64) retrieval.TopK {
 // TestRestoredListsServeIdentically: the version-6 fixture stored the
 // sorted lists of the index it was written from; restored, it builds its own
 // lists and fit instead, pretuned on the stored sample — the fit, under
-// TuneByCost, the one the version-7 file of the same index restores — and
+// TuneByCost, the one the version-8 file of the same index restores — and
 // answers exactly like that index.
 func TestRestoredListsServeIdentically(t *testing.T) {
 	raw := readFixture(t, "v6.snap")
@@ -417,7 +417,7 @@ func TestRestoredListsServeIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !restored.Pretuned() || !reflect.DeepEqual(restored.Buckets(), fresh.Buckets()) {
-		t.Fatalf("restored from version 6: pretuned %v, buckets %+v; from version 7: %+v", restored.Pretuned(), restored.Buckets(), fresh.Buckets())
+		t.Fatalf("restored from version 6: pretuned %v, buckets %+v; from version 8: %+v", restored.Pretuned(), restored.Buckets(), fresh.Buckets())
 	}
 	if restored.ListBytes() == 0 {
 		t.Fatal("the restore's Pretune built no sorted list")
@@ -472,8 +472,8 @@ func TestQuantRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if got := tags(t, raw); !slices.Equal(got, []string{"OPTS", "PROB", "QNT8", "END\x00"}) {
-		t.Fatalf("sections %q, want an empty QNT8 after PROB", got)
+	if got := tags(t, raw); !slices.Equal(got, []string{"OPTS", "PROB", "PIDS", "QNT8", "END\x00"}) {
+		t.Fatalf("sections %q, want an empty QNT8 after PROB and PIDS", got)
 	}
 	if got := sectionPayload(t, raw, tagQuant); len(got) != 0 {
 		t.Fatalf("QNT8 payload %v, want none", got)
@@ -635,9 +635,14 @@ func FuzzRead(f *testing.F) {
 	crafted := append([]byte(nil), raw[:16]...)
 	crafted = append(crafted, 'B', 'U', 'K', 'T', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)
 	f.Add(crafted)
-	for _, name := range []string{"v1.snap", "v2.snap", "v5.snap", "v6.snap"} {
+	for _, name := range []string{"v1.snap", "v2.snap", "v5.snap", "v6.snap", "v7.snap"} {
 		f.Add(readFixture(f, name)) // older versions: discarded sections reachable
 	}
+	var full bytes.Buffer
+	if err := Write(&full, fullIndex(f).State()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full.Bytes()) // version 8 in scan order, every section present
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Through an io.Seeker a matrix whose bytes are all there is read in
 		// place; through io.MultiReader, which hides Seek, a chunk at a time.

@@ -48,6 +48,36 @@ func Norm(v []float64) float64 {
 	return 0
 }
 
+// NormMaxAbs returns Norm(v) and, for a finite v, its largest |x|, in one
+// read of v: a build's length pass, which takes each probe's largest |x|
+// for its bucket's int8 sidecar. The squares are summed in Norm2's order,
+// so the length has Norm's bits. The maximum is taken over the coordinates'
+// bit patterns with the sign cleared, which order non-negative floats as
+// their values do, in two chains of integer maxima that keep it off the
+// sum's critical path. A NaN or an infinite coordinate makes the maximum
+// meaningless, and the length non-finite.
+func NormMaxAbs(v []float64) (norm, maxAbs float64) {
+	const abs = 1<<63 - 1
+	var s float64
+	var m0, m1 uint64
+	i := 0
+	for ; i+1 < len(v); i += 2 {
+		x0, x1 := v[i], v[i+1]
+		s += x0 * x0
+		s += x1 * x1
+		m0, m1 = max(m0, math.Float64bits(x0)&abs), max(m1, math.Float64bits(x1)&abs)
+	}
+	if i < len(v) {
+		s += v[i] * v[i]
+		m0 = max(m0, math.Float64bits(v[i])&abs)
+	}
+	maxAbs = math.Float64frombits(max(m0, m1))
+	if !(s < smallestNormal) { // NaN takes this branch too
+		return math.Sqrt(s), maxAbs
+	}
+	return Norm(v), maxAbs
+}
+
 // Normalize writes v/‖v‖ into dst and returns ‖v‖. If v is the zero vector,
 // dst is zeroed and 0 is returned; callers treat zero vectors as having no
 // direction (their inner product with anything is 0). dst and v may alias.

@@ -179,3 +179,31 @@ func TestNormScalesUnderflowingRows(t *testing.T) {
 		t.Errorf("Norm of a row holding NaN = %g, want NaN", n)
 	}
 }
+
+// TestNormMaxAbsMatchesNormAndMax: NormMaxAbs gives Norm's bits and the
+// largest |x| of every finite row: Gaussian rows at magnitudes from 1e-300
+// to 1e150, rows whose squares underflow (Norm's scaled path), subnormal
+// coordinates, signed zeros and empty rows.
+func TestNormMaxAbsMatchesNormAndMax(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	rows := [][]float64{{}, {0, math.Copysign(0, -1)}, {5e-324, -5e-324}, {3e-163, -4e-163}, {1e-310, 0.5}}
+	for _, mag := range []float64{1e-300, 1e-170, 1e-163, 1e-3, 1, 1e3, 1e150} {
+		for _, r := range []int{1, 3, 16, 50, 67} {
+			v := make([]float64, r)
+			for f := range v {
+				v[f] = mag * rng.NormFloat64()
+			}
+			rows = append(rows, v)
+		}
+	}
+	for _, v := range rows {
+		want := 0.0
+		for _, x := range v {
+			want = max(want, math.Abs(x))
+		}
+		n, m := NormMaxAbs(v)
+		if math.Float64bits(n) != math.Float64bits(Norm(v)) || math.Float64bits(m) != math.Float64bits(want) {
+			t.Errorf("NormMaxAbs(%v) = (%v, %v), want (%v, %v)", v, n, m, Norm(v), want)
+		}
+	}
+}

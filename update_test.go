@@ -154,7 +154,9 @@ func TestMutatedSnapshotRoundTrip(t *testing.T) {
 
 // TestUnmutatedSnapshotCarriesNoIDState: an index that never saw an update
 // writes the current format version and no external-id state — its
-// sections are OPTS, PROB and END alone.
+// sections are OPTS, PROB, PIDS and END, no MUTA, and PIDS, which the
+// format always writes to name PROB's columns in scan order, holds the
+// column numbers of the matrix the index was built from, 0..n-1, each once.
 func TestUnmutatedSnapshotCarriesNoIDState(t *testing.T) {
 	_, p := data.Smoke.Generate()
 	ix, err := lemp.New(p, lemp.Options{})
@@ -170,11 +172,24 @@ func TestUnmutatedSnapshotCarriesNoIDState(t *testing.T) {
 		t.Fatalf("unmutated snapshot has version %d, want %d", got, snapshot.Version)
 	}
 	var tags []string
+	var ids []int
 	for off := 16; off < len(raw); off += 12 + int(binary.LittleEndian.Uint64(raw[off+4:])) + 4 {
 		tags = append(tags, string(raw[off:off+4]))
+		if tags[len(tags)-1] == "PIDS" {
+			payload := raw[off+12 : off+12+int(binary.LittleEndian.Uint64(raw[off+4:]))]
+			for at := 0; at < len(payload); at += 4 {
+				ids = append(ids, int(binary.LittleEndian.Uint32(payload[at:])))
+			}
+		}
 	}
-	if want := []string{"OPTS", "PROB", "END\x00"}; !slices.Equal(tags, want) {
+	if want := []string{"OPTS", "PROB", "PIDS", "END\x00"}; !slices.Equal(tags, want) {
 		t.Fatalf("unmutated snapshot sections %q, want %q", tags, want)
+	}
+	slices.Sort(ids)
+	for i, id := range ids {
+		if id != i || len(ids) != p.N() {
+			t.Fatalf("PIDS holds %d ids, sorted %v…, want the column numbers 0..%d", len(ids), ids[:min(len(ids), 8)], p.N()-1)
+		}
 	}
 }
 
