@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"lemp/internal/core"
-	"lemp/internal/retrieval"
 )
 
 // Config shapes one bulk job. Exactly one of K (Row-Top-k) or Theta
@@ -181,6 +180,7 @@ func Run(ctx context.Context, ix *core.Index, src QuerySource, outPath string, c
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			above := newAboveRows()
 			for {
 				idx, ok := j.claim(runCtx)
 				if !ok {
@@ -191,7 +191,7 @@ func Run(ctx context.Context, ix *core.Index, src QuerySource, outPath string, c
 				if hi > m {
 					hi = m
 				}
-				buf, err := runPanel(runCtx, rj, src, mode, lo, hi, &workerStats[w])
+				buf, err := runPanel(runCtx, rj, src, mode, lo, hi, &workerStats[w], above)
 				if err != nil {
 					j.fail(err)
 					cancel()
@@ -247,8 +247,9 @@ func Run(ctx context.Context, ix *core.Index, src QuerySource, outPath string, c
 	return st, nil
 }
 
-// runPanel computes and canonically encodes one panel.
-func runPanel(ctx context.Context, rj *core.Job, src QuerySource, mode Mode, lo, hi int, ws *core.Stats) ([]byte, error) {
+// runPanel computes and canonically encodes one panel; an Above-θ panel
+// collects its entries in the worker's above.
+func runPanel(ctx context.Context, rj *core.Job, src QuerySource, mode Mode, lo, hi int, ws *core.Stats, above *aboveRows) ([]byte, error) {
 	qm, err := src.Panel(lo, hi-lo)
 	if err != nil {
 		return nil, fmt.Errorf("bulk: reading query panel [%d,%d): %w", lo, hi, err)
@@ -261,15 +262,13 @@ func runPanel(ctx context.Context, rj *core.Job, src QuerySource, mode Mode, lo,
 		ws.Add(pst)
 		return encodeTopKPanel(rows), nil
 	}
-	rows := make([][]retrieval.Entry, qm.N())
-	_, pst, err := rj.Run(ctx, qm, func(e retrieval.Entry) {
-		rows[e.Query] = append(rows[e.Query], e)
-	})
+	above.reset(qm.N())
+	_, pst, err := rj.Run(ctx, qm, above.sink)
 	if err != nil {
 		return nil, fmt.Errorf("bulk: query panel [%d,%d): %w", lo, hi, err)
 	}
 	ws.Add(pst)
-	return encodeAbovePanel(rows), nil
+	return above.encode(), nil
 }
 
 // job is the shared write-side state: the claim cursor, the reordering

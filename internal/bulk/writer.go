@@ -1,9 +1,10 @@
 package bulk
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 
 	"lemp/internal/retrieval"
 )
@@ -87,18 +88,18 @@ func appendRow(buf []byte, row []retrieval.Entry) []byte {
 // path must apply to both sides before comparing (the serving path breaks
 // value ties arbitrarily).
 func CanonicalizeTopK(row []retrieval.Entry) {
-	sort.Slice(row, func(a, b int) bool {
-		if row[a].Value != row[b].Value {
-			return row[a].Value > row[b].Value
+	slices.SortFunc(row, func(a, b retrieval.Entry) int {
+		if c := cmp.Compare(b.Value, a.Value); c != 0 {
+			return c
 		}
-		return row[a].Probe < row[b].Probe
+		return cmp.Compare(a.Probe, b.Probe)
 	})
 }
 
 // canonicalizeAbove orders an Above-θ row by probe id ascending in place
 // (one entry per probe, so the order is total).
 func canonicalizeAbove(row []retrieval.Entry) {
-	sort.Slice(row, func(a, b int) bool { return row[a].Probe < row[b].Probe })
+	slices.SortFunc(row, func(a, b retrieval.Entry) int { return cmp.Compare(a.Probe, b.Probe) })
 }
 
 // encodeTopKPanel renders a panel's rows (panel-local order) canonically.
@@ -115,16 +116,55 @@ func encodeTopKPanel(rows retrieval.TopK) []byte {
 	return buf
 }
 
-// encodeAbovePanel renders a panel's per-row entry lists canonically.
-func encodeAbovePanel(rows [][]retrieval.Entry) []byte {
-	size := 0
-	for _, row := range rows {
-		size += 4 + 12*len(row)
+// aboveRows collects one panel's Above-θ entries as the retrieval sink emits
+// them and encodes them canonically. A worker keeps one across its panels,
+// so its buffers stop growing once they hold its largest panel.
+type aboveRows struct {
+	sink    retrieval.Sink    // appends to entries; made once
+	entries []retrieval.Entry // as emitted, Query panel-local
+	grouped []retrieval.Entry // the same entries, row by row
+	ends    []int             // per row: its end in grouped (a count first)
+}
+
+func newAboveRows() *aboveRows {
+	a := &aboveRows{}
+	a.sink = func(e retrieval.Entry) { a.entries = append(a.entries, e) }
+	return a
+}
+
+// reset empties the collector for a panel of n rows.
+func (a *aboveRows) reset(n int) {
+	a.entries = a.entries[:0]
+	if cap(a.ends) < n+1 {
+		a.ends = make([]int, n+1)
 	}
-	buf := make([]byte, 0, size)
-	for _, row := range rows {
+	a.ends = a.ends[:n+1]
+	clear(a.ends)
+}
+
+// encode renders the collected panel: a counting pass groups the entries by
+// query, each row is sorted by probe, and the rows are written in order,
+// empty ones as a zero count.
+func (a *aboveRows) encode() []byte {
+	n := len(a.ends) - 1
+	for _, e := range a.entries {
+		a.ends[e.Query+1]++
+	}
+	for q := range n {
+		a.ends[q+1] += a.ends[q] // ends[q] is now row q's start
+	}
+	a.grouped = slices.Grow(a.grouped[:0], len(a.entries))[:len(a.entries)]
+	for _, e := range a.entries {
+		a.grouped[a.ends[e.Query]] = e
+		a.ends[e.Query]++ // ... and, once all are placed, its end
+	}
+	buf := make([]byte, 0, 4*n+12*len(a.grouped))
+	start := 0
+	for _, end := range a.ends[:n] {
+		row := a.grouped[start:end]
 		canonicalizeAbove(row)
 		buf = appendRow(buf, row)
+		start = end
 	}
 	return buf
 }

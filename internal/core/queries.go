@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"lemp/internal/matrix"
 	"lemp/internal/vecmath"
@@ -42,7 +43,13 @@ func prepareQueries(q *matrix.Matrix) (*querySet, error) {
 	for i := range qs.ids {
 		qs.ids[i] = int32(i)
 	}
-	sort.SliceStable(qs.ids, func(a, b int) bool { return lens[qs.ids[a]] > lens[qs.ids[b]] })
+	// Decreasing length, ties by row: the stable order, with no reflection.
+	slices.SortFunc(qs.ids, func(a, b int32) int {
+		if c := cmp.Compare(lens[b], lens[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	for i, id := range qs.ids {
 		qs.lens[i] = lens[id]
 		vecmath.Normalize(qs.dir(i), q.Vec(int(id)))

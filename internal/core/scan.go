@@ -15,7 +15,23 @@ import (
 // most one bucket of work per worker. They stay two because their pruning
 // control flow differs: Above-θ walks the queries in decreasing length and
 // stops at the first pruned one, Row-Top-k keeps a per-query threshold and
-// an active list. What they share per pair is verifyCands.
+// an active list. What they share per pair is verifyCands, split in two
+// where the int8 screen can take pairs in blocks.
+//
+// # Blocked screens
+//
+// A pair whose candidates are a prefix of the bucket (LENGTH, the
+// whole-bucket fallback) and whose screen is on (sidecarFor) is not screened
+// at once: queueScreen parks it in the scratch's quant.Block, and
+// flushBlock screens up to four such pairs of the bucket in one pass (the
+// VNNI block kernel loads each row chunk once for all four) and then
+// verifies and reports them one by one, in the order they were queued. A
+// kernel flushes when the block is full, before any pair it cannot queue,
+// and at the end of the bucket, so pairs are reported in the order the
+// one-pair path reports them. Batching changes nothing a query sees: its
+// threshold moves only on its own pushes, which follow its own
+// verification, and its screen, survivors and counters are those of its
+// Prefix call.
 
 // scanRange answers sorted queries [lo, hi) with the problem's kernel:
 // entries to sink for Above-θ, whose kernel takes the range whole, rows into
@@ -55,6 +71,75 @@ func (ix *Index) verifyCands(bi int, s *scratch, qi int32, qrow []float64, cut f
 	verifyDots(b, qrow, s, st)
 }
 
+// blockPair is a pair queued in the scratch's block: its sorted query and
+// its prefix length.
+type blockPair struct {
+	qi int32
+	n  int
+}
+
+// queueScreen is verifyCands' first step for a scan kernel: it counts the
+// pair's candidates and drops tombstones, and when what is left is still a
+// prefix that sidecarFor screens and the query quantizes, it queues the
+// pair's screen in s.blk and returns true. Otherwise, and always in a
+// one-query tile, which has no pair to share a block with, it returns
+// false, with s.cand ready for screenCands and verifyDots.
+func (ix *Index) queueScreen(b *bucket, bi int, s *scratch, qi int32, qrow []float64, cut float64, st *Stats) bool {
+	st.Candidates += int64(len(s.cand))
+	ix.compactLiveCands(bi, s)
+	if !s.prefix || len(s.tileHave) < 2 {
+		return false
+	}
+	q8 := ix.sidecarFor(b, len(s.cand), cut)
+	if q8 == nil {
+		return false
+	}
+	qq, ok := s.quantQuery(qi, qrow)
+	if !ok {
+		return false
+	}
+	if s.blkRows[0] == nil {
+		for j := range s.blkRows {
+			s.blkRows[j] = make([]int32, s.maxBucket)
+		}
+	}
+	s.blkPairs[s.blk.Len()] = blockPair{qi: qi, n: len(s.cand)}
+	s.blk.Add(q8.NewScreen(qq, 1), len(s.cand), cut)
+	return true
+}
+
+// flushBlock screens the pairs queued in s.blk in one block pass and then,
+// pair by pair in queue order, verifies the pair's survivors into s.vals and
+// calls report with its query, as verifyCands and the kernel's loop would
+// have. The candidates in s.cand, a pair not yet verified, are kept.
+func (ix *Index) flushBlock(b *bucket, qs *querySet, s *scratch, st *Stats, report func(b *bucket, qi int32)) {
+	m := s.blk.Len()
+	if m == 0 {
+		return
+	}
+	k := s.blk.Run(&s.blkRows)
+	s.blk.Reset()
+	cand, prefix := s.cand, s.prefix
+	for j, p := range s.blkPairs[:m] {
+		st.QuantScreened += int64(p.n - k[j])
+		st.QuantSurvived += int64(k[j])
+		s.cand, s.prefix = s.blkRows[j][:k[j]], k[j] == p.n
+		verifyDots(b, qs.row(int(p.qi)), s, st)
+		report(b, p.qi)
+	}
+	s.cand, s.prefix = cand, prefix
+}
+
+// verifyOne is verifyCands' rest for a pair queueScreen did not take, once
+// the pairs queued before it are flushed.
+func (ix *Index) verifyOne(b *bucket, qs *querySet, s *scratch, qi int32, cut float64, st *Stats, report func(b *bucket, qi int32)) {
+	ix.flushBlock(b, qs, s, st, report)
+	qrow := qs.row(int(qi))
+	ix.screenCands(b, s, qi, qrow, cut, st)
+	verifyDots(b, qrow, s, st)
+	report(b, qi)
+}
+
 // aboveWorker is the Above-θ kernel for sorted queries [lo, hi), one
 // scratch tile: what a query needs in every bucket it meets (its quantized
 // codes) is derived once and kept per row. A query whose
@@ -66,6 +151,15 @@ func (ix *Index) aboveWorker(c *call, qs *querySet, lo, hi int, theta float64, s
 	nq := int64(hi - lo)
 	limit := 1 + ix.slack // the largest local threshold a computed value can reach
 	s.beginTile(lo, hi-lo)
+	report := func(b *bucket, qi int32) {
+		origID := int(qs.ids[qi])
+		for i, v := range s.vals {
+			if v >= theta {
+				st.Results++
+				emit(retrieval.Entry{Query: origID, Probe: int(b.ids[s.lid(i)]), Value: v})
+			}
+		}
+	}
 	for bi, b := range ix.scan {
 		// θ_b(q) = θ/(‖q‖·l_b); for l_b = 0 this is +Inf and the
 		// bucket (zero vectors only) is pruned for every query.
@@ -83,16 +177,14 @@ func (ix *Index) aboveWorker(c *call, qs *querySet, lo, hi int, theta float64, s
 				break // every later query is shorter (line 13)
 			}
 			processed++
-			origID := int(qs.ids[qi])
 			ix.gather(c, bi, int32(qi), qs.dir(qi), qlen, theta, thetaB, s)
-			ix.verifyCands(bi, s, int32(qi), qs.row(qi), theta, st)
-			for i, v := range s.vals {
-				if v >= theta {
-					st.Results++
-					emit(retrieval.Entry{Query: origID, Probe: int(b.ids[s.lid(i)]), Value: v})
-				}
+			if !ix.queueScreen(b, bi, s, int32(qi), qs.row(qi), theta, st) {
+				ix.verifyOne(b, qs, s, int32(qi), theta, st, report)
+			} else if s.blk.Len() == 4 {
+				ix.flushBlock(b, qs, s, st, report)
 			}
 		}
+		ix.flushBlock(b, qs, s, st, report)
 		st.ProcessedPairs += processed
 		st.PrunedPairs += nq - processed
 		if processed == 0 {
@@ -162,6 +254,12 @@ func (ix *Index) topkTile(c *call, qs *querySet, lo, hi, kk int, s *scratch, out
 		}
 	}
 	s.active = active // keep the grown storage pooled
+	push := func(b *bucket, qi int32) {
+		heap := &heaps[int(qi)-lo]
+		for i, v := range s.vals {
+			heap.Push(int(b.ids[s.lid(i)]), v)
+		}
+	}
 	for bi, b := range ix.scan {
 		if len(active) == 0 {
 			break
@@ -184,11 +282,13 @@ func (ix *Index) topkTile(c *call, qs *querySet, lo, hi, kk int, s *scratch, out
 			// theta is -Inf until the heap fills, so nothing screens before
 			// the seed; the screen keeps every value equal to the floor,
 			// which Push may still take on a smaller id.
-			ix.verifyCands(bi, s, int32(qi), qs.row(qi), theta, st)
-			for i, v := range s.vals {
-				heap.Push(int(b.ids[s.lid(i)]), v)
+			if !ix.queueScreen(b, bi, s, int32(qi), qs.row(qi), theta, st) {
+				ix.verifyOne(b, qs, s, int32(qi), theta, st, push)
+			} else if s.blk.Len() == 4 {
+				ix.flushBlock(b, qs, s, st, push)
 			}
 		}
+		ix.flushBlock(b, qs, s, st, push)
 		active = keep
 	}
 	var smallest []int32 // the kk smallest live ids, once a zero query needs them

@@ -57,6 +57,13 @@ type scratch struct {
 	heaps  []topk.Heap
 	active []int32
 
+	// The scan kernels' queued int8 screens (scan.go, "Blocked screens"):
+	// up to four pairs of one bucket and one survivor buffer of maxBucket
+	// rows per slot, made on the first queued pair.
+	blk      quant.Block
+	blkPairs [4]blockPair
+	blkRows  [4][]int32
+
 	work int64 // deterministic cost counter for TuneByCost
 
 	// Sizing the scratch was built for, checked when a pooled scratch is
@@ -157,8 +164,9 @@ const (
 )
 
 // beginTile re-arms the per-tile query caches for sorted queries
-// [lo, lo+n): every row starts with nothing derived.
+// [lo, lo+n): every row starts with nothing derived and no screen queued.
 func (s *scratch) beginTile(lo, n int) {
+	s.blk.Reset() // a canceled tile may have left screens queued
 	s.tileLo = int32(lo)
 	if cap(s.tileHave) < n {
 		s.tileHave = make([]uint8, n)

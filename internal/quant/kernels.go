@@ -11,10 +11,12 @@ import (
 // take — one row (DotQ8: ragged tails), eight rows anywhere in the
 // sidecar (dot8: COORD/INCR survivor lists; eight row pointers by the
 // time assembly sees them) and a contiguous panel (screenPanel: LENGTH's
-// prefix, the whole-bucket fallback). The two batched shapes also decide
-// the screen, a row surviving when its dot is at least the call's integer
-// cut (intCut in quant.go): dot8 returns the survivor mask beside the dots,
-// screenPanel writes only the survivors' row numbers.
+// prefix, the whole-bucket fallback) — and a fourth for a panel's prefixes
+// of up to four queries at once (screenBlockVNNI, behind Block.Run in
+// block.go). The batched shapes also decide the screen, a row surviving
+// when its dot is at least the call's integer cut (intCut in quant.go):
+// dot8 returns the survivor mask beside the dots, screenPanel and the block
+// kernel write only the survivors' row numbers.
 //
 // # Kernel contract
 //
@@ -34,6 +36,20 @@ import (
 // counted, so rows of r < minAsmDim never leave Go. The dispatchers keep the
 // shape checks and every slice-to-pointer step in Go; the Go loops are the
 // oracle.
+//
+// The block kernel (kernels_amd64.s, "Block kernel") holds the same
+// contract on the AVX-512 VNNI tier (vecmath.VNNI): it multiplies p + 128,
+// a code with its sign bit flipped, into each of four queries' codes with
+// VPDPBUSD, two rows to a ZMM register, and the dispatcher moves each query's cut by 128·Σq, so a row
+// survives for a query exactly when its dot, as dotGo computes it, is at
+// least that query's cut. Every partial sum is at most 255·127·r < 2³¹ for
+// r ≤ blockMaxDim, so nothing wraps; wider rows, and every host below the
+// tier, take the one-query kernels per query. Each query has its own prefix
+// length: the kernel masks the rows past it, reads a row's last r mod 32
+// bytes with a zeroing byte mask and a missing row of the last group as the
+// panel's last row, so it loads nothing outside the panel. Its portable
+// twin, screenBlockGo in the tests, is the oracle TestBlockMatchesOneQueryScreens
+// and FuzzBlockKernel hold it to.
 //
 // The quantizer's kernels hold the same contract in float64: they give the
 // Go loops' bits, not merely sound bounds. maxAbsAVX2 takes a maximum of
@@ -59,6 +75,21 @@ const minAsmDim = 16
 // it guards (core screens by default exactly where this holds).
 func Accelerated(r int) bool {
 	return vecmath.AVX2() && minAsmDim <= r && r <= MaxDim
+}
+
+// blockMaxDim is the widest row the block kernel takes. It multiplies the
+// unsigned p + 128 (a code with its sign bit flipped, in [1, 255]) with the
+// signed query code and subtracts 128·Σq through the cut (Block.runKernel),
+// so every partial sum it forms is at most 255·127·r in magnitude: below
+// 2³¹ − 1 for r ≤ 2¹⁶, and no lane or total ever wraps. Wider rows take the
+// one-query kernel per query.
+const blockMaxDim = 1 << 16
+
+// blockKernel reports whether Block.Run screens rows of dimension r with the
+// four-query block kernel: the AVX-512 VNNI tier (vecmath.VNNI) and a row
+// the assembly takes. Elsewhere it runs the one-query kernels per query.
+func blockKernel(r int) bool {
+	return vecmath.VNNI() && Accelerated(r) && r <= blockMaxDim
 }
 
 // DotQ8 returns the integer inner product of two int8 code vectors. The

@@ -23,6 +23,17 @@ func dot8AVX2(q, codes *int8, rows *[8]int, n int, out *[8]int32, cut int32) uin
 //go:noescape
 func dotPanelAVX2(q, panel *int8, n, groups int, cut int32, rows *int32) int
 
+// screenBlockVNNI screens rows 0 … n−1 (n ≥ 1) of the panel of r-code rows
+// for the four queries packed at qbuf (Block.packBlock): lane 4j+i of lim and
+// cut holds query j's row limit and biased cut, for every i. Row i survives
+// for query j when i < lim[4j] and Σ (p+128)·q ≥ cut[4j]; its number is
+// written at out[j] + 4·cnt[j], and cnt[j] counted. Rows are read four at a
+// time, the last group's missing rows as the panel's last row, whose lanes
+// lie past every limit.
+//
+//go:noescape
+func screenBlockVNNI(qbuf, panel *int8, r, n int, lim, cut *[16]int32, out *[4]*int32, cnt *[4]int)
+
 // quantize4AVX2 quantizes the four rows of n ≥ 16 float64s at rows,
 // rows + n, rows + 2n and rows + 3n at step scale (inv = 1/scale, finite)
 // into the n codes at codes, codes + n, …, and stores row k's sums of

@@ -404,6 +404,272 @@ panel_next:
 	VZEROUPPER
 	RET
 
+// # Block kernel
+//
+// screenBlockVNNI screens one panel for four queries at once with the
+// AVX-512 VNNI VPDPBUSD, which multiplies unsigned bytes with signed bytes
+// and adds each group of four products into an int32 lane. A row chunk's
+// codes have their sign bit flipped (VPXORQ with 0x80: p + 128, in
+// [1, 255]) and are multiplied into every query's chunk:
+//
+//	VPDPBUSD  q_j, p+128, acc   →  Σ (p+128)·q_j over four bytes, per lane
+//
+// so each row chunk is loaded once for four queries. The dot is the lane sum
+// minus 128·Σq_j, which the dispatcher folds into the cut (Block.runKernel);
+// every partial sum is at most 255·127·r < 2³¹ in magnitude (blockMaxDim),
+// and VPDPBUSD is the non-saturating form, so every lane holds the exact
+// integer. The queries arrive packed (Block.packBlock): chunk c of query j at
+// qbuf + 128c + 32j, zero past r, so the chunk at byte offset CX of a row is
+// the one at 4·CX + 32j of qbuf; VBROADCASTI64X4 puts it in both halves of a
+// ZMM register. A row's last r mod 32 bytes are read with a zeroing byte
+// mask (VMOVDQU8.Z, K1), which loads nothing past the row; the zeroed lanes
+// become 0x80 and meet zero query bytes.
+//
+// A group is four adjacent rows, two to a ZMM register: rows 0 and 1 in the
+// low and high half of Z16, rows 2 and 3 in Z17. Eight accumulators, Z0–Z3
+// for rows 0–1 and Z4–Z7 for rows 2–3 (query j in Zj and Z4+j), fold into
+// one vector of sixteen dots (LANES, QWORDS, DWORDS), which VPERMD puts in
+// the order of the limits and cuts, query j's rows 0–3 in lanes 4j … 4j+3.
+// One VPCMPD against the biased cuts, masked by row number < the query's
+// limit, leaves the survivors in K3, and their row numbers are written to
+// their query's output. The group past the panel's end reads its missing
+// rows as the last row, which every limit excludes.
+//
+// Register use:
+//
+//	AX       qbuf
+//	BX       bytes covered by whole chunks, 32⌊r/32⌋
+//	CX       byte offset into every row
+//	DX SI DI R8   the group's row pointers
+//	R11      the group's first row number; R12 the panel's last
+//	R13      r; R14 out; R15 the panel's last row
+//	R9 R10   scratch
+//	Z16, Z17 the flipped row-pair chunks, Y18 a masked tail load; Z20 bytes
+//	         of 0x80; Z21–Z24 the query chunks; Z25 lane row numbers; Z26
+//	         the limits and Z27 the cuts; Z28 the fold's lane order; Z31 a
+//	         fold temporary
+//	K1 the tail byte mask; K2, K5, K6, K7 the fold blends; K3 survivors
+
+// laneRows is the row offset of each lane of the folded dots, query j's
+// rows 0–3 in lanes 4j … 4j+3; fours steps it by a group. foldOrder
+// takes the folded dots into that order (VPERMD).
+DATA laneRows<>+0(SB)/8, $0x0000000100000000
+DATA laneRows<>+8(SB)/8, $0x0000000300000002
+DATA laneRows<>+16(SB)/8, $0x0000000100000000
+DATA laneRows<>+24(SB)/8, $0x0000000300000002
+DATA laneRows<>+32(SB)/8, $0x0000000100000000
+DATA laneRows<>+40(SB)/8, $0x0000000300000002
+DATA laneRows<>+48(SB)/8, $0x0000000100000000
+DATA laneRows<>+56(SB)/8, $0x0000000300000002
+GLOBL laneRows<>(SB), RODATA|NOPTR, $64
+
+DATA fours<>+0(SB)/8, $0x0000000400000004
+DATA fours<>+8(SB)/8, $0x0000000400000004
+DATA fours<>+16(SB)/8, $0x0000000400000004
+DATA fours<>+24(SB)/8, $0x0000000400000004
+DATA fours<>+32(SB)/8, $0x0000000400000004
+DATA fours<>+40(SB)/8, $0x0000000400000004
+DATA fours<>+48(SB)/8, $0x0000000400000004
+DATA fours<>+56(SB)/8, $0x0000000400000004
+GLOBL fours<>(SB), RODATA|NOPTR, $64
+
+DATA foldOrder<>+0(SB)/8, $0x0000000800000000
+DATA foldOrder<>+8(SB)/8, $0x0000000900000001
+DATA foldOrder<>+16(SB)/8, $0x0000000c00000004
+DATA foldOrder<>+24(SB)/8, $0x0000000d00000005
+DATA foldOrder<>+32(SB)/8, $0x0000000a00000002
+DATA foldOrder<>+40(SB)/8, $0x0000000b00000003
+DATA foldOrder<>+48(SB)/8, $0x0000000e00000006
+DATA foldOrder<>+56(SB)/8, $0x0000000f00000007
+GLOBL foldOrder<>(SB), RODATA|NOPTR, $64
+
+// BQUERY broadcasts each query's chunk at row offset CX into both halves of
+// Z21–Z24.
+#define BQUERY \
+	VBROADCASTI64X4 (AX)(CX*4), Z21; \
+	VBROADCASTI64X4 32(AX)(CX*4), Z22; \
+	VBROADCASTI64X4 64(AX)(CX*4), Z23; \
+	VBROADCASTI64X4 96(AX)(CX*4), Z24
+
+// BMUL adds the products of the two flipped row-pair chunks Z16 (rows 0, 1)
+// and Z17 (rows 2, 3) with the four query chunks into the eight
+// accumulators.
+#define BMUL \
+	VPDPBUSD Z21, Z16, Z0; \
+	VPDPBUSD Z22, Z16, Z1; \
+	VPDPBUSD Z23, Z16, Z2; \
+	VPDPBUSD Z24, Z16, Z3; \
+	VPDPBUSD Z21, Z17, Z4; \
+	VPDPBUSD Z22, Z17, Z5; \
+	VPDPBUSD Z23, Z17, Z6; \
+	VPDPBUSD Z24, Z17, Z7
+
+// LANES sets x to [x.l0 + x.l1, y.l0 + y.l1, x.l2 + x.l3, y.l2 + y.l3]
+// (128-bit lanes): each row half of x and y summed.
+#define LANES(x, y) \
+	VPBLENDMQ  x, y, K2, Z31; \
+	VSHUFI64X2 $0xb1, Z31, Z31, Z31; \
+	VPBLENDMQ  y, x, K2, x; \
+	VPADDD     Z31, x, x
+
+// QWORDS sets x to [x.q0 + x.q1, y.q0 + y.q1] in each 128-bit lane.
+#define QWORDS(x, y) \
+	VPALIGNR  $8, x, y, Z31; \
+	VPBLENDMQ y, x, K5, x; \
+	VPADDD    Z31, x, x
+
+// DWORDS sets x to [x.d0 + x.d1, y.d0 + y.d1] in each 64-bit quarter.
+#define DWORDS(x, y) \
+	VPBLENDMD y, x, K7, Z31; \
+	VPSHUFD   $0xb1, Z31, Z31; \
+	VPBLENDMD y, x, K6, x; \
+	VPADDD    Z31, x, x
+
+// func screenBlockVNNI(qbuf, panel *int8, r, n int, lim, cut *[16]int32, out *[4]*int32, cnt *[4]int)
+TEXT ·screenBlockVNNI(SB), NOSPLIT, $0-64
+	MOVQ qbuf+0(FP), AX
+	MOVQ panel+8(FP), DX
+	MOVQ r+16(FP), R13
+	MOVQ n+24(FP), R12
+	DECQ R12
+	MOVQ R12, R15
+	IMULQ R13, R15
+	ADDQ DX, R15 // the last row
+	MOVQ lim+32(FP), R9
+	VMOVDQU32 (R9), Z26
+	MOVQ cut+40(FP), R9
+	VMOVDQU32 (R9), Z27
+	VMOVDQU32 laneRows<>(SB), Z25
+	VMOVDQU32 foldOrder<>(SB), Z28
+	MOVL $0x80808080, R9
+	VPBROADCASTD R9, Z20
+	MOVQ R13, CX
+	ANDQ $31, CX
+	MOVL $1, R9
+	SHLL CX, R9
+	DECL R9
+	KMOVD R9, K1
+	MOVL $0xcc, R9
+	KMOVW R9, K2
+	MOVL $0xaa, R9
+	KMOVW R9, K5
+	MOVL $0xaaaa, R9
+	KMOVW R9, K6
+	MOVL $0x5555, R9
+	KMOVW R9, K7
+	MOVQ R13, BX
+	ANDQ $~31, BX
+	XORQ R11, R11
+	MOVQ out+48(FP), R14
+
+block_group:
+	LEAQ (DX)(R13*1), SI
+	LEAQ (SI)(R13*1), DI
+	LEAQ (DI)(R13*1), R8
+	LEAQ 3(R11), R9
+	CMPQ R9, R12
+	JLE  block_zero
+	// The last group: rows past the panel read as its last row.
+	LEAQ    1(R11), R9
+	CMPQ    R9, R12
+	CMOVQGT R15, SI
+	LEAQ    2(R11), R9
+	CMPQ    R9, R12
+	CMOVQGT R15, DI
+	MOVQ    R15, R8
+
+block_zero:
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	XORQ CX, CX
+	CMPQ BX, $0
+	JEQ  block_tail
+
+block_chunk:
+	BQUERY
+	VMOVDQU8     (DX)(CX*1), Y16
+	VINSERTI64X4 $1, (SI)(CX*1), Z16, Z16
+	VMOVDQU8     (DI)(CX*1), Y17
+	VINSERTI64X4 $1, (R8)(CX*1), Z17, Z17
+	VPXORQ       Z20, Z16, Z16
+	VPXORQ       Z20, Z17, Z17
+	BMUL
+	ADDQ $32, CX
+	CMPQ CX, BX
+	JLT  block_chunk
+
+block_tail:
+	CMPQ CX, R13
+	JEQ  block_fold
+	BQUERY
+	VMOVDQU8.Z   (DX)(CX*1), K1, Y16
+	VMOVDQU8.Z   (SI)(CX*1), K1, Y18
+	VINSERTI64X4 $1, Y18, Z16, Z16
+	VMOVDQU8.Z   (DI)(CX*1), K1, Y17
+	VMOVDQU8.Z   (R8)(CX*1), K1, Y18
+	VINSERTI64X4 $1, Y18, Z17, Z17
+	VPXORQ       Z20, Z16, Z16
+	VPXORQ       Z20, Z17, Z17
+	BMUL
+
+block_fold:
+	LANES(Z0, Z1)
+	LANES(Z2, Z3)
+	LANES(Z4, Z5)
+	LANES(Z6, Z7)
+	QWORDS(Z0, Z2)
+	QWORDS(Z4, Z6)
+	DWORDS(Z0, Z4)
+	VPERMD Z0, Z28, Z0
+	VPCMPD $5, Z27, Z0, K3
+	VPCMPD $1, Z26, Z25, K3, K3
+	VPADDD fours<>(SB), Z25, Z25
+	KMOVW K3, R9
+	TESTL R9, R9
+	JZ    block_next
+
+	// Survivors: bits 4j … 4j+3 of R9 are query j's rows R11 … R11+3.
+	XORQ SI, SI
+
+block_query:
+	MOVQ R9, DI
+	ANDQ $15, DI
+	JZ   block_query_next
+	MOVQ (R14)(SI*1), R8
+	MOVQ cnt+56(FP), CX
+	MOVQ (CX)(SI*1), R10
+
+block_keep:
+	BSFQ DI, CX
+	ADDQ R11, CX
+	MOVL CX, (R8)(R10*4)
+	INCQ R10
+	LEAQ -1(DI), CX
+	ANDQ CX, DI
+	JNZ  block_keep
+	MOVQ cnt+56(FP), CX
+	MOVQ R10, (CX)(SI*1)
+
+block_query_next:
+	SHRQ $4, R9
+	ADDQ $8, SI
+	CMPQ SI, $32
+	JLT  block_query
+
+block_next:
+	LEAQ (DX)(R13*4), DX
+	ADDQ $4, R11
+	CMPQ R11, R12
+	JLE  block_group
+	VZEROUPPER
+	RET
+
 // # Quantizer
 //
 // quantize4AVX2 runs quantizeRow's loop on four rows at once, one row per

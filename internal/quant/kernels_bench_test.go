@@ -142,3 +142,49 @@ func BenchmarkDotQ8(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkScreenBlock times Block.Run over a whole bucket for four queries
+// (their own cuts, every prefix whole) against four Prefix calls on the same
+// screens: ns/pair is per (row, query), the unit BenchmarkScreenPanel's
+// ns/cand counts for one query. Off the VNNI tier both rows run the
+// one-query kernel.
+func BenchmarkScreenBlock(b *testing.B) {
+	for _, r := range benchDims {
+		var screens [4]Screen
+		_, screens[0] = benchScreen(b, r)
+		for j := 1; j < len(screens); j++ { // the query's codes rotated: same sum
+			q := make([]int8, r)
+			copy(q, screens[0].codes[j:])
+			copy(q[r-j:], screens[0].codes)
+			screens[j] = screens[0]
+			screens[j].codes = q
+		}
+		out := blockOut(benchRows)
+		for _, shape := range []string{"block", "one-query"} {
+			b.Run(fmt.Sprintf("r=%d/%s", r, shape), func(b *testing.B) {
+				var blk Block
+				kept := 0
+				b.SetBytes(4 * candBytes(r))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if shape == "one-query" {
+						for j := range screens {
+							kept += screens[j].Prefix(benchRows, benchCut, out[j])
+						}
+						continue
+					}
+					blk.Reset()
+					for j := range screens {
+						blk.Add(screens[j], benchRows, benchCut)
+					}
+					k := blk.Run(out)
+					kept += k[0] + k[1] + k[2] + k[3]
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(4*b.N*benchRows), "ns/pair")
+				if kept > 4*b.N*benchRows/20 {
+					b.Fatalf("cutoff kept %d of %d rows: not the screening regime", kept/b.N, 4*benchRows)
+				}
+			})
+		}
+	}
+}

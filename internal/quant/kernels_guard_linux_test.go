@@ -10,6 +10,8 @@ import (
 	"syscall"
 	"testing"
 	"unsafe"
+
+	"lemp/internal/vecmath"
 )
 
 // guardedTail maps fresh memory ending in an unreadable page and returns the
@@ -157,6 +159,54 @@ func TestQuantizerStaysInsideItsRows(t *testing.T) {
 			comparePanels(t, "at the guard", r, n, scale, got, want, gr, gn, wr, wn, rows)
 			if m := maxAbs(rows); math.Float64bits(m) != math.Float64bits(maxAbsReference(rows)) {
 				t.Fatalf("r=%d n=%d: maxAbs at the guard = %v, reference %v", r, n, m, maxAbsReference(rows))
+			}
+		}
+	}
+}
+
+// TestBlockStaysInsideItsRows puts the last row of a panel flush against an
+// unreadable page, and each query's codes and survivor output against
+// others, for r up to 130 and every panel of 1 to 13 rows ending at the
+// guard: the block kernel's masked last chunk and its last group, whose
+// missing rows it reads as the panel's last, must not load a byte past the
+// panel, and a cut every row survives must write exactly each query's
+// prefix. Four queries with four prefix lengths run through Block.Run (the
+// block kernel on a VNNI host, the one-query kernels elsewhere) and, on a
+// VNNI host, the kernel alone over the longest prefix.
+func TestBlockStaysInsideItsRows(t *testing.T) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	const rows = 13
+	rng := rand.New(rand.NewSource(59))
+	for r := 1; r <= 130; r++ {
+		panel := guardedTail(t, rows*r)
+		qs := make([][]int8, 4)
+		for j := range qs {
+			qs[j] = guardedTail(t, r)
+			codeFills[0].fill(rng, qs[j], panel)
+		}
+		for n := 1; n <= rows; n++ {
+			sub := panel[(rows-n)*r:]
+			prefixes := []int{n, max(n-1, 0), n, n / 2}
+			for _, cut := range []int32{keepAll, 0} {
+				b := newBlock(sub, r, qs, prefixes, []int32{cut, cut, cut, cut})
+				var out [4][]int32
+				for j := range out {
+					out[j] = guardedInt32s(t, max(prefixes[j], 1))[:prefixes[j]]
+				}
+				want := blockOut(n)
+				kw := screenBlockGo(b, want)
+				check := func(how string, k [4]int) {
+					t.Helper()
+					for j := range k {
+						if !slices.Equal(out[j][:k[j]], want[j][:kw[j]]) {
+							t.Fatalf("r=%d, %d rows at the guard, cut %d, %s: query %d kept %v, want %v", r, n, cut, how, j, out[j][:k[j]], want[j][:kw[j]])
+						}
+					}
+				}
+				check("Run", b.Run(&out))
+				if vecmath.VNNI() {
+					check("kernel", b.runKernel(n, &out))
+				}
 			}
 		}
 	}

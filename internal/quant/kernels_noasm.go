@@ -16,6 +16,10 @@ func dotPanelAVX2(q, panel *int8, n, groups int, cut int32, rows *int32) int {
 	panic("quant: no AVX2 kernels in this build")
 }
 
+func screenBlockVNNI(qbuf, panel *int8, r, n int, lim, cut *[16]int32, out *[4]*int32, cnt *[4]int) {
+	panic("quant: no VNNI kernels in this build")
+}
+
 func quantize4AVX2(rows *float64, codes *int8, n int, scale, inv float64, sums *[12]float64) {
 	panic("quant: no AVX2 kernels in this build")
 }

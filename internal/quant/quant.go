@@ -361,6 +361,8 @@ type Query struct {
 	Codes []int8
 	Resid float64 // upper bound on ‖q − Scale·Codes‖
 	Norm  float64 // upper bound on ‖Scale·Codes‖
+
+	sum int32 // Σ Codes, the block kernel's bias correction (block.go)
 }
 
 // QuantizeQuery quantizes q into the caller's dst buffer (len(dst) must be
@@ -380,7 +382,11 @@ func QuantizeQuery(dst []int8, q []float64) (qq Query, ok bool) {
 	if math.IsInf(resid, 0) {
 		return Query{}, false
 	}
-	return Query{Scale: scale, Codes: dst, Resid: resid, Norm: norm}, true
+	var sum int32
+	for _, c := range dst {
+		sum += int32(c)
+	}
+	return Query{Scale: scale, Codes: dst, Resid: resid, Norm: norm, sum: sum}, true
 }
 
 // screenSlack is the relative allowance backing the screen's naked
@@ -397,6 +403,7 @@ func screenSlack(r int) float64 { return dotSlack(r) + 32*ulp }
 type Screen struct {
 	qr    *Rows
 	codes []int8  // query codes
+	sum   int32   // Σ codes
 	qs    float64 // emit·(query scale)
 	resid float64 // emit·(qn·maxResid + (qresid + screenSlack·qUB)·maxNormUB) + tiny
 }
@@ -416,6 +423,7 @@ func (qr *Rows) NewScreen(qq Query, emit float64) Screen {
 	return Screen{
 		qr:    qr,
 		codes: qq.Codes,
+		sum:   qq.sum,
 		qs:    emit * qq.Scale,
 		resid: emit*(qq.Norm*qr.maxResid+qfac*qr.maxNormUB) + tiny,
 	}

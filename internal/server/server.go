@@ -643,7 +643,7 @@ type statsResponse struct {
 	Batches       uint64    `json:"batches"`
 	BatchRows     uint64    `json:"batch_rows"`
 	AvgBatchRows  float64   `json:"avg_batch_rows"`
-	Kernels       string    `json:"kernels"` // "avx2" or "portable": vecmath.Kernels
+	Kernels       string    `json:"kernels"` // "avx2+avx512vnni", "avx2" or "portable": vecmath.Kernels
 	Shed          shedInfo  `json:"shed"`
 	Quant         quantInfo `json:"quant"`
 	Core          coreStats `json:"core"`

@@ -309,8 +309,8 @@ func TestHealthzAndStats(t *testing.T) {
 	if st.Core.Queries != 4 || st.Core.Results == 0 || st.Core.Buckets == 0 {
 		t.Errorf("core stats not accumulated: %+v", st.Core)
 	}
-	if st.Kernels != "avx2" && st.Kernels != "portable" {
-		t.Errorf("stats kernels = %q, want avx2 or portable", st.Kernels)
+	if st.Kernels != vecmath.Kernels() || (st.Kernels != "avx2+avx512vnni" && st.Kernels != "avx2" && st.Kernels != "portable") {
+		t.Errorf("stats kernels = %q, want vecmath.Kernels() %q: avx2+avx512vnni, avx2 or portable", st.Kernels, vecmath.Kernels())
 	}
 }
 

@@ -76,21 +76,25 @@ func newSharded(ix *lemp.Index) *Sharded {
 	return &Sharded{r: ix.R(), ix: ix, tc: lemp.NewTuningCache()}
 }
 
-// loadSnapshots restores the index behind NewFromSnapshot. Every file loads
-// with opts.Retune set: a LENGTH index has nothing to fit, and any other is
-// rebuilt under LENGTH, so no file's tuning sample is fitted on. One file
-// written under AlgorithmL loads through lemp.LoadIndex as it is. Any other
-// input — a file of another algorithm, or a set of several, one per shard as
-// builds whose server split its catalog into shards wrote it (in shard
-// order) — loads file by file, each checked as LoadIndex checks it, and
-// their live probes, in ascending id order, build one index under the first
-// file's options with AlgorithmL and Phi 0. That build keeps every id and
-// the input's AutoID mark, the highest of the files'.
+// loadSnapshots restores the index behind NewFromSnapshot, under LENGTH
+// (lemp.LoadIndexLength): no file's tuning sample is fitted on. One file,
+// whatever algorithm wrote it, is read once and built once. A set of several
+// — one per shard, as builds whose server split its catalog into shards
+// wrote it (in shard order) — loads file by file, each checked as
+// LoadIndexLength checks it, and their live probes, in ascending id order,
+// build one index under the first file's options. That build keeps every
+// id and the input's AutoID mark, the highest of the files'.
 func loadSnapshots(snapshots []io.Reader, opts lemp.LoadOptions) (*lemp.Index, error) {
 	if len(snapshots) == 0 {
 		return nil, fmt.Errorf("server: no snapshot to restore")
 	}
-	opts.Retune = true
+	if len(snapshots) == 1 {
+		ix, err := lemp.LoadIndexLength(snapshots[0], opts)
+		if err != nil {
+			return nil, fmt.Errorf("server: loading snapshot 0: %w", err)
+		}
+		return ix, nil
+	}
 	type probe struct {
 		id  int32
 		vec []float64
@@ -102,16 +106,12 @@ func loadSnapshots(snapshots []io.Reader, opts lemp.LoadOptions) (*lemp.Index, e
 		mark  int32
 	)
 	for i, src := range snapshots {
-		ix, err := lemp.LoadIndex(src, opts)
+		ix, err := lemp.LoadIndexLength(src, opts)
 		if err != nil {
 			return nil, fmt.Errorf("server: loading snapshot %d: %w", i, err)
 		}
 		if i == 0 {
-			if len(snapshots) == 1 && ix.Options().Algorithm == lemp.AlgorithmL {
-				return ix, nil
-			}
 			first, r = ix.Options(), ix.R()
-			first.Algorithm, first.Phi = lemp.AlgorithmL, 0
 		} else if ix.R() != r {
 			return nil, fmt.Errorf("server: snapshot %d has dimension %d, snapshot 0 has %d", i, ix.R(), r)
 		}

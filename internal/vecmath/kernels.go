@@ -41,13 +41,47 @@ package vecmath
 // without AVX2 support, and under -tags purego.
 func AVX2() bool { return useAVX2 }
 
-// Kernels names the kernel set AVX2 selects, for run headers and /stats: a
-// slow host is told from a slow build by this string.
+// VNNI reports whether internal/quant runs its int8 block kernel, which
+// screens four queries per row load with the EVEX-encoded VPDPBUSD: AVX2
+// plus AVX-512 F, BW, VL and VNNI, with the operating system saving the
+// opmask and ZMM state. False wherever AVX2 is.
+func VNNI() bool { return useVNNI }
+
+// Kernels names the kernel tier in use, for run headers and /stats: a slow
+// host is told from a slow build by this string. "avx2+avx512vnni" is the
+// AVX2 kernels plus quant's int8 block kernel.
 func Kernels() string {
-	if useAVX2 {
+	switch {
+	case useVNNI:
+		return "avx2+avx512vnni"
+	case useAVX2:
 		return "avx2"
 	}
 	return "portable"
+}
+
+// Tier is a kernel set; each tier runs everything the tiers below it do
+// not. The host's tier is probed once at start-up, as AVX2 is.
+type Tier uint8
+
+const (
+	TierPortable Tier = iota // the Go loops: other GOARCHes, -tags purego
+	TierAVX2                 // the AVX2 assembly of both packages
+	TierVNNI                 // AVX2 plus quant's int8 block kernel
+)
+
+// HostTier returns the highest tier this process can run.
+func HostTier() Tier { return hostTier() }
+
+// LimitTier makes this process run the kernels of at most tier t (never
+// more than HostTier) until restore is called, so that tests on a VNNI host
+// also drive the AVX2 and the portable paths through the same entry points.
+// It is a test hook, not a setting: it must not run beside any kernel call,
+// and an index built under one tier must not be queried under another
+// (core decides at build whether the int8 screen is on).
+func LimitTier(t Tier) (restore func()) {
+	limitTier(t)
+	return func() { limitTier(hostTier()) }
 }
 
 // Dot returns the inner product of a and b, accumulated in the canonical

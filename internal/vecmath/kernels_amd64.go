@@ -2,9 +2,31 @@
 
 package vecmath
 
-// useAVX2 selects the assembly kernels of kernels_amd64.s. It is fixed
-// before main runs and never changes.
-var useAVX2 = detectAVX2()
+// hostAVX2 and hostVNNI are what the CPU and operating system support,
+// probed once before main runs. useAVX2 selects the assembly kernels of
+// kernels_amd64.s and useVNNI internal/quant's int8 block kernel; they equal
+// the host's tier and change only under LimitTier, a test hook.
+var (
+	hostAVX2 = detectAVX2()
+	hostVNNI = hostAVX2 && detectVNNI()
+
+	useAVX2, useVNNI = hostAVX2, hostVNNI
+)
+
+func hostTier() Tier {
+	switch {
+	case hostVNNI:
+		return TierVNNI
+	case hostAVX2:
+		return TierAVX2
+	}
+	return TierPortable
+}
+
+func limitTier(t Tier) {
+	useAVX2 = hostAVX2 && t >= TierAVX2
+	useVNNI = hostVNNI && t >= TierVNNI
+}
 
 // detectAVX2 reports whether the CPU implements AVX2 and the operating
 // system saves the YMM registers across context switches: CPUID.1:ECX has
@@ -24,6 +46,20 @@ func detectAVX2() bool {
 	}
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&(1<<5) != 0
+}
+
+// detectVNNI reports, on a host detectAVX2 accepted, whether it runs the
+// EVEX-encoded int8 block kernel: CPUID.(7,0):EBX has AVX512F (bit 16),
+// AVX512BW (bit 30) and AVX512VL (bit 31), CPUID.(7,0):ECX has AVX512_VNNI
+// (bit 11), and XCR0 also enables the opmask and both ZMM state components
+// (bits 5, 6 and 7), which the kernel's K and ZMM registers need.
+func detectVNNI() bool {
+	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
+		return false
+	}
+	const f, bw, vl, vnni = 1 << 16, 1 << 30, 1 << 31, 1 << 11
+	_, ebx, ecx, _ := cpuid(7, 0)
+	return ebx&(f|bw|vl) == f|bw|vl && ecx&vnni != 0
 }
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

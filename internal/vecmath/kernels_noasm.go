@@ -5,7 +5,11 @@ package vecmath
 // No assembly in this build: the wrappers in kernels.go always take the
 // portable kernels, and the compiler drops the branches that would call the
 // functions below.
-const useAVX2 = false
+const useAVX2, useVNNI = false, false
+
+func hostTier() Tier { return TierPortable }
+
+func limitTier(Tier) {}
 
 func dotAVX2(a, b *float64, n int) float64 { panic("vecmath: no AVX2 kernels in this build") }
 

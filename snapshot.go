@@ -78,9 +78,27 @@ const (
 // formats stored beside the catalog — buckets, fit, sorted lists, int8
 // sidecars, shard placement — are read and discarded.
 func LoadIndex(r io.Reader, opts LoadOptions) (*Index, error) {
+	return loadIndex(r, opts, false)
+}
+
+// LoadIndexLength is LoadIndex for a caller that serves LENGTH alone, as
+// the lemp-serve server does: it builds the snapshot's catalog under
+// AlgorithmL (Phi 0 where another algorithm wrote it), fits no tuning sample
+// (opts.Retune is implied) and keeps the catalog's ids, epoch and AutoID
+// mark. The file is read once and its probes built once, in place where the
+// file holds them in scan order, as LoadIndex builds an AlgorithmL file.
+func LoadIndexLength(r io.Reader, opts LoadOptions) (*Index, error) {
+	opts.Retune = true
+	return loadIndex(r, opts, true)
+}
+
+func loadIndex(r io.Reader, opts LoadOptions, length bool) (*Index, error) {
 	st, err := snapshot.Read(r)
 	if err != nil {
 		return nil, err
+	}
+	if length && st.Opts.Algorithm != core.AlgL {
+		st.Opts.Algorithm, st.Opts.Phi = core.AlgL, 0
 	}
 	if opts.Parallelism != 0 {
 		st.Opts.Parallelism = opts.Parallelism
