@@ -126,47 +126,47 @@ func TestBlockedScreensMatchOneRowCalls(t *testing.T) {
 	})
 }
 
-// TestFlushBlockMatchesVerifyCands queues the LENGTH pairs of up to four
-// queries on one bucket and flushes them: each query must see the
-// survivors, values and counters verifyCands gives it alone, and a pair
-// gathered but not yet verified when the block flushes keeps its
-// candidates.
-func TestFlushBlockMatchesVerifyCands(t *testing.T) {
+// TestFlushBlockMatchesImmediateFlush queues the LENGTH pairs of up to four
+// queries on one bucket through step and flushes them: each query must see
+// the survivors, values and counters step gives it in a one-query walk,
+// which flushes every pair at once, and a pair gathered but not yet verified
+// when the block flushes keeps its candidates.
+func TestFlushBlockMatchesImmediateFlush(t *testing.T) {
 	forEachTier(t, func(t *testing.T) {
 		ix, q, _ := blockFixture(t, AlgL, true, false)
 		qs, err := prepareQueries(q)
 		if err != nil {
 			t.Fatal(err)
 		}
+		record := func(vals [][]float64, s *scratch) func(*bucket, int32) {
+			return func(_ *bucket, qi int32) { vals[(int(qi)-10)/23] = slices.Clone(s.vals) }
+		}
 		for _, bi := range []int{0, 1, len(ix.scan) / 2} {
 			b := ix.scan[bi]
 			for m := 1; m <= 4; m++ {
 				s, one := newScratch(ix.maxBucket, ix.r), newScratch(ix.maxBucket, ix.r)
 				s.beginTile(0, qs.n())
-				one.beginTile(0, qs.n())
 				var got, want Stats
 				gotVals := make([][]float64, m)
 				wantVals := make([][]float64, m)
 				cut := func(j int) float64 { return float64(j) * 0.3 }
-				queued := 0
 				for j := range m {
 					qi := 10 + 23*j
 					runLength(b, 2*cut(j)/3, qs.lens[qi], ix.slack, s)
-					if ix.queueScreen(b, bi, s, int32(qi), qs.row(qi), cut(j), &got) {
-						queued++
+					ix.step(b, bi, qs, s, int32(qi), cut(j), &got, record(gotVals, s))
+					if s.blk.Len() != (j+1)%blockRows {
+						t.Fatalf("bucket %d: %d pairs queued after %d LENGTH pairs", bi, s.blk.Len(), j+1)
 					}
+					one.beginTile(qi, 1)
 					runLength(b, 2*cut(j)/3, qs.lens[qi], ix.slack, one)
-					ix.verifyCands(bi, one, int32(qi), qs.row(qi), cut(j), &want)
-					wantVals[j] = slices.Clone(one.vals)
-				}
-				if queued != m {
-					t.Fatalf("bucket %d: %d of %d LENGTH pairs queued", bi, queued, m)
+					ix.step(b, bi, qs, one, int32(qi), cut(j), &want, record(wantVals, one))
+					if one.blk.Len() != 0 || wantVals[j] == nil {
+						t.Fatalf("bucket %d: a one-query walk left its pair queued", bi)
+					}
 				}
 				s.resetCands()
 				s.cand = append(s.cand, 3, 1, 4)
-				ix.flushBlock(b, qs, s, &got, func(_ *bucket, qi int32) {
-					gotVals[(int(qi)-10)/23] = slices.Clone(s.vals)
-				})
+				ix.flushBlock(b, qs, s, &got, record(gotVals, s))
 				if s.prefix || !slices.Equal(s.cand, []int32{3, 1, 4}) {
 					t.Fatalf("flush changed the pending pair's candidates to %v (prefix %v)", s.cand, s.prefix)
 				}
@@ -177,6 +177,44 @@ func TestFlushBlockMatchesVerifyCands(t *testing.T) {
 				}
 				if got != want {
 					t.Fatalf("bucket %d, %d queued: counters\n got %+v\nwant %+v", bi, m, got, want)
+				}
+			}
+		}
+	})
+}
+
+// TestSmallParallelCallMatchesSerial: a 16-row Retrieve at Parallelism 2,
+// whose tiles hold a full block of four rows each, must give every query the
+// entries and value bits, and the call the counters, of the same call at
+// Parallelism 1 and of sixteen one-row calls, for both problems, with
+// Options.Quantize on, under every kernel tier the host runs.
+func TestSmallParallelCallMatchesSerial(t *testing.T) {
+	ctx := context.Background()
+	if rows, tiles := tiling(16, 2, 10); rows != blockRows || tiles != 4 {
+		t.Fatalf("16 rows on two workers cut into %d tiles of %d rows, want 4 of %d", tiles, rows, blockRows)
+	}
+	forEachTier(t, func(t *testing.T) {
+		ix, all, theta := blockFixture(t, AlgL, true, false)
+		q := all.Slice(0, 16)
+		for _, prob := range []Problem{{K: 10}, {Theta: theta}} {
+			run := func(par int) func(*matrix.Matrix, retrieval.Sink) (retrieval.TopK, Stats, error) {
+				return func(q *matrix.Matrix, sink retrieval.Sink) (retrieval.TopK, Stats, error) {
+					return ix.Retrieve(ctx, q, prob, sink, RunOptions{Parallelism: par})
+				}
+			}
+			want, wantC := cutAnswer(t, q, prob, 1, run(1))
+			if wantC.QuantScreened == 0 || wantC.ProcessedPairs == 0 {
+				t.Fatalf("%+v: degenerate fixture %+v", prob, wantC)
+			}
+			for _, par := range []int{1, 2} {
+				got, gotC := cutAnswer(t, q, prob, q.N(), run(par))
+				for i := range want {
+					if !slices.Equal(got[i], want[i]) {
+						t.Fatalf("%+v Parallelism %d row %d:\n got %v\nwant %v", prob, par, i, got[i], want[i])
+					}
+				}
+				if gotC != wantC {
+					t.Fatalf("%+v Parallelism %d counters:\n got %+v\nwant %+v", prob, par, gotC, wantC)
 				}
 			}
 		}

@@ -184,7 +184,7 @@ func bucketize(c columns, r int, shrink float64, minSize, maxSize, workers int) 
 	spans := bucketSpans(sorted, shrink, minSize, maxSize)
 	l := layout{c: c, r: r, order: order, sorted: sorted, spans: spans,
 		buckets: make([]*bucket, len(spans)), loc: make([]probeLoc, n)}
-	spreadItems(len(spans), spreadWorkers(n, workers), l, func(l layout, bi int) {
+	spreadItems(len(spans), spreadWorkers(n, workers), l, func(l layout, _, bi int) {
 		cols := l.order[l.spans[bi][0]:l.spans[bi][1]]
 		bids := make([]int32, len(cols))
 		m := 0.0
@@ -275,7 +275,7 @@ func byDecreasingLength(lens []float64, workers int) (order []int32, sorted []fl
 	w := spreadWorkers(n, workers)
 	s := &lenSort{lens: lens, w: w, lo: make([]uint64, w), hi: make([]uint64, w),
 		order: make([]int32, n), sorted: make([]float64, n)}
-	spreadItems(w, w, s, func(s *lenSort, c int) {
+	spreadItems(w, w, s, func(s *lenSort, _, c int) {
 		lo, hi := s.chunk(c)
 		kmin, kmax := ^uint64(0), uint64(0)
 		for _, l := range s.lens[lo:hi] {
@@ -289,7 +289,7 @@ func byDecreasingLength(lens []float64, workers int) (order []int32, sorted []fl
 	digits := 1 << s.width
 	s.tmp = make([]lenKey, n)
 	s.cnt, s.start = make([]int32, w*digits), make([]int32, digits+1)
-	spreadItems(w, w, s, func(s *lenSort, c int) {
+	spreadItems(w, w, s, func(s *lenSort, _, c int) {
 		lo, hi := s.chunk(c)
 		cnt, kmin, shift := s.counts(c), s.min, s.shift
 		for _, l := range s.lens[lo:hi] {
@@ -305,7 +305,7 @@ func byDecreasingLength(lens []float64, workers int) (order []int32, sorted []fl
 		}
 	}
 	s.start[digits] = at
-	spreadItems(w, w, s, func(s *lenSort, c int) {
+	spreadItems(w, w, s, func(s *lenSort, _, c int) {
 		lo, hi := s.chunk(c)
 		cnt, kmin, shift, tmp := s.counts(c), s.min, s.shift, s.tmp
 		for col := lo; col < hi; col++ {
@@ -315,7 +315,7 @@ func byDecreasingLength(lens []float64, workers int) (order []int32, sorted []fl
 			cnt[d]++
 		}
 	})
-	spreadItems(w, w, s, func(s *lenSort, c int) {
+	spreadItems(w, w, s, func(s *lenSort, _, c int) {
 		lo, hi := s.chunk(c)
 		// The runs that start in this chunk: each run belongs to one chunk.
 		dlo, _ := slices.BinarySearch(s.start, int32(lo))

@@ -403,6 +403,17 @@ func TestStatsAccounting(t *testing.T) {
 	if st.ProcessedPairs+st.PrunedPairs != maxPairs {
 		t.Errorf("pairs: processed %d + pruned %d != %d", st.ProcessedPairs, st.PrunedPairs, maxPairs)
 	}
+	// Row-Top-k accounts for every pair too: a query's pairs after the
+	// bucket its heap floor prunes, and every pair of a zero-length query.
+	qz := q.Clone()
+	clear(qz.Vec(3))
+	_, tst, err := ix.Retrieve(context.Background(), qz, Problem{K: 5}, nil, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tst.ProcessedPairs+tst.PrunedPairs != maxPairs || tst.PrunedPairs < int64(ix.NumBuckets()) {
+		t.Errorf("top-k pairs: processed %d + pruned %d, want %d with at least %d pruned", tst.ProcessedPairs, tst.PrunedPairs, maxPairs, ix.NumBuckets())
+	}
 	if st.CandidatesPerQuery() <= 0 {
 		t.Errorf("CandidatesPerQuery=%g", st.CandidatesPerQuery())
 	}

@@ -12,12 +12,11 @@ import (
 	"lemp/internal/retrieval"
 )
 
-// The retrieval executor: the one driver around the two tile kernels of
-// scan.go. Every retrieval — a one-shot call, a server shard scan, a bulk
-// panel — is a Job run over a query matrix, and this file holds the only
-// copy of what surrounds the scan: input checks, option resolution, the §4.4
-// fit, the tune/scan phase spans, pooled scratch, worker fan-out and the
-// cancellation epilogue.
+// The retrieval executor, the one caller of the scan of scan.go. Every
+// retrieval — a one-shot call, a server request, a bulk panel — is a Job run
+// over a query matrix, and this file holds the only copy of what surrounds
+// the scan: input checks, option resolution, the §4.4 fit, the tune/scan
+// phase spans and the cancellation epilogue.
 
 // Problem is what a retrieval computes, as a value: K ≥ 1 selects Row-Top-k
 // (the paper's Problem 2: every query's K largest products), K = 0 selects
@@ -129,11 +128,9 @@ func (ix *Index) checkDim(q *matrix.Matrix) error {
 
 // run is the executor: every retrieval passes through it once. The loop
 // nest below it is §3.2's for both problems — probe bucket outside, queries
-// inside (scan.go) — and the sorted queries reach it in tiles: a serial
-// range is cut into tiles of at most topkTileRows (256) rows, a parallel
-// call's workers claim tiles of at most 64 rows from a shared cursor
-// (tiles.go), so a straggler tile delays only itself. Per-row results and
-// all counters are independent of the tiling.
+// inside — and the sorted queries reach it in tiles (scan.go states the one
+// tile rule). Per-row results and all counters are independent of the
+// tiling.
 //
 // The caller's Stats are filled in place instead of being returned by value
 // through every level: a call may run on a fresh goroutine (a server's
@@ -170,57 +167,13 @@ func (j *Job) run(ctx context.Context, q *matrix.Matrix, sink retrieval.Sink, wo
 	c.fit = j.fit
 	scanSpan := c.startSpan("scan")
 	start := time.Now()
-	if workers == 1 || qs.n() < 2*workers {
-		s := ix.getScratch()
-		ix.scanRange(c, p, qs, 0, qs.n(), s, out, sink, st)
-		ix.putScratch(s)
-	} else {
-		ix.scanParallel(c, p, qs, workers, out, sink, st)
-	}
+	ix.scanTiles(c, p, qs, workers, out, sink, st)
 	st.RetrievalTime = time.Since(start)
 	c.endSpan(scanSpan)
 	if c.canceled() {
 		return nil, c.ctxErr()
 	}
 	return out, nil
-}
-
-// scanParallel fans a scan out over workers goroutines claiming tiles from
-// a shared cursor. Each worker keeps one pooled scratch for all the tiles
-// it answers and counts into its own Stats, folded into st at the end;
-// output rows are disjoint, so only the sink locks.
-func (ix *Index) scanParallel(c *call, p Problem, qs *querySet, workers int, out retrieval.TopK, sink retrieval.Sink, st *Stats) {
-	emit := sink
-	if sink != nil {
-		var mu sync.Mutex
-		emit = func(e retrieval.Entry) {
-			mu.Lock()
-			sink(e)
-			mu.Unlock()
-		}
-	}
-	stats := make([]Stats, workers)
-	cursor := newTileCursor(qs.n(), workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := ix.getScratch()
-			defer ix.putScratch(s)
-			for {
-				lo, hi, ok := cursor.claim()
-				if !ok || c.canceled() {
-					return
-				}
-				ix.scanRange(c, p, qs, lo, hi, s, out, emit, &stats[w])
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w := range stats {
-		st.Add(stats[w])
-	}
 }
 
 // ensureTuned makes the job's one fit, with the first run's queries as the

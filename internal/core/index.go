@@ -316,7 +316,7 @@ func (ix *Index) attachSidecars(buckets []*bucket) {
 	for _, b := range buckets {
 		n += b.size()
 	}
-	spreadItems(len(buckets), spreadWorkers(n, ix.opts.Parallelism), buckets, func(bs []*bucket, i int) { bs[i].ensureSidecar() })
+	spreadItems(len(buckets), spreadWorkers(n, ix.opts.Parallelism), buckets, func(bs []*bucket, _, i int) { bs[i].ensureSidecar() })
 }
 
 // SidecarBytes returns the memory held by the int8 screening sidecars across

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"sort"
-	"sync"
 )
 
 // sortedLists is the per-bucket sorted-list index of §4.2 (Fig. 4c): for each
@@ -38,16 +37,9 @@ func buildLists(b *bucket, workers int) *sortedLists {
 	if n*r < buildListsMinParallel {
 		workers = 1
 	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buildListRange(b, sl, w*r/workers, (w+1)*r/workers)
-		}()
-	}
-	buildListRange(b, sl, 0, r/workers) // the caller sorts the first share
-	wg.Wait()
+	spreadItems(workers, workers, sl, func(sl *sortedLists, _, c int) {
+		buildListRange(b, sl, c*r/workers, (c+1)*r/workers)
+	})
 	return sl
 }
 

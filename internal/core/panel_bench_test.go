@@ -85,3 +85,52 @@ func BenchmarkTopKPanel(b *testing.B) {
 		}
 	}
 }
+
+// retrievePerRowBench is the catalog BenchmarkRetrievePerRow scans: the
+// benchmark's flat catalog, 200 000 probes at r = 50 with log-normal lengths
+// (CoV ≈ 0.40), indexed under L with default options, as a server indexes
+// it. Built once per process.
+var retrievePerRowBench struct {
+	once sync.Once
+	ix   *Index
+	q    *matrix.Matrix
+}
+
+// BenchmarkRetrievePerRow times Index.Retrieve for top-10 at 1, 16 and 256
+// rows per call, at Parallelism 1 and 2, and reports the wall time per row
+// (ns/row). Every call is a one-shot Retrieve, as a server request is: a
+// call at Parallelism 2 must cost no more wall time per row than at 1, which
+// needs its tiles to hold more than one row.
+func BenchmarkRetrievePerRow(b *testing.B) {
+	tb := &retrievePerRowBench
+	ctx := context.Background()
+	retrieve := func(lo, rows, par int) {
+		if _, _, err := tb.ix.Retrieve(ctx, tb.q.Slice(lo, lo+rows), Problem{K: 10}, nil, RunOptions{Parallelism: par}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	tb.once.Do(func() {
+		rng := rand.New(rand.NewSource(307))
+		p := genMatrix(rng, 200000, 50, 0.39, 1, false, 0, 0)
+		tb.q = genMatrix(rng, 1024, 50, 0.39, 1, false, 0, 0)
+		var err error
+		if tb.ix, err = NewIndex(p, Options{Algorithm: AlgL}); err != nil {
+			b.Fatal(err)
+		}
+		retrieve(0, tb.q.N(), 1) // builds the sidecars the queries reach
+	})
+	for _, rows := range []int{1, 16, 256} {
+		for _, par := range []int{1, 2} {
+			b.Run(fmt.Sprintf("rows=%d/par=%d", rows, par), func(b *testing.B) {
+				lo := 0
+				for j := 0; j < b.N; j++ {
+					retrieve(lo, rows, par)
+					if lo += rows; lo+rows > tb.q.N() {
+						lo = 0
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+			})
+		}
+	}
+}

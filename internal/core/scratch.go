@@ -39,7 +39,7 @@ type scratch struct {
 	// to the pool.
 	gen GenFunc
 
-	// Per-tile query state. Both retrieval loops are bucket-outer /
+	// Per-tile query state. The tile kernel is bucket-outer /
 	// query-inner, so whatever is derived from a query alone must be kept
 	// for every query of the worker's tile, not for the last one seen: row
 	// t belongs to sorted query tileLo+t. The quantized codes fill lazily on
@@ -51,15 +51,15 @@ type scratch struct {
 	tileQ8    []quant.Query // quantized queries; Codes alias tileCodes
 	tileCodes []int8        // tile rows × r
 
-	// Row-Top-k tile state (topkTile): one bounded heap per tile row and
-	// the rows whose running threshold has not yet pruned the rest of the
+	// Tile kernel state (scanTile): one bounded heap per tile row under
+	// Row-Top-k, and the rows whose cut has not yet pruned the rest of the
 	// scan, in query order.
 	heaps  []topk.Heap
 	active []int32
 
-	// The scan kernels' queued int8 screens (scan.go, "Blocked screens"):
-	// up to four pairs of one bucket and one survivor buffer of maxBucket
-	// rows per slot, made on the first queued pair.
+	// The queued int8 screens (scan.go, "Blocked screens"): up to four
+	// pairs of one bucket and one survivor buffer of maxBucket rows per
+	// slot, made on the slot's first queued pair.
 	blk      quant.Block
 	blkPairs [4]blockPair
 	blkRows  [4][]int32

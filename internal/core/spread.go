@@ -5,11 +5,15 @@ import (
 	"sync/atomic"
 )
 
-// The build's independent work — each probe's length, the length sort's
-// chunks and runs, each row's copy into its bucket, each bucket's layout and
-// int8 sidecar — fans out over Options.Parallelism goroutines, and so does a
-// restore, which is a build. Every item writes only its own slots, so the
-// result does not depend on how the items were split. The work reaches the
+// Every fan-out of the package goes through the two helpers below. The
+// build's independent work — each probe's length, the length sort's chunks
+// and runs, each row's copy into its bucket, each bucket's layout and int8
+// sidecar — fans out over Options.Parallelism goroutines, and so does a
+// restore, which is a build. A retrieval spreads its query tiles (scan.go),
+// its tuning pass's sample walks and observations (tuning.go) and the sorted
+// lists of a bucket it tunes (lists.go) over the call's. Every item writes
+// only its own slots, so the result does not depend on how the items were
+// split. The work reaches the
 // helpers as a function of an argument value rather than as a closure, so
 // that a call that runs on one goroutine, as every retrieval's query
 // preparation and every update of a Parallelism 1 index does, allocates
@@ -45,28 +49,51 @@ func spreadCols[A any](n, workers int, arg A, fn func(arg A, lo, hi int)) {
 	wg.Wait()
 }
 
-// spreadItems runs fn(arg, i) for every i in [0, n) on up to workers
-// goroutines, each taking the next undone item, and returns once all are
-// done. Items of uneven cost, such as buckets, balance this way; callers
-// size workers by the columns the items hold (spreadWorkers).
-func spreadItems[A any](n, workers int, arg A, fn func(arg A, i int)) {
+// spreadItems runs fn(arg, w, i) for every i in [0, n) on up to workers
+// goroutines, the caller's among them, each taking the next undone item,
+// and returns once all are done. w is the running goroutine's index in
+// [0, min(workers, n)), for per-worker scratch and counters. Items of uneven
+// cost, such as buckets or query tiles, balance this way.
+func spreadItems[A any](n, workers int, arg A, fn func(arg A, w, i int)) {
 	w := min(workers, n)
 	if w <= 1 {
 		for i := range n {
-			fn(arg, i)
+			fn(arg, 0, i)
 		}
 		return
 	}
 	var next atomic.Int64
+	work := func(w int) {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			fn(arg, w, i)
+		}
+	}
 	var wg sync.WaitGroup
-	for range w {
+	for g := 1; g < w; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				fn(arg, i)
-			}
+			work(g)
 		}()
 	}
+	work(0)
 	wg.Wait()
+}
+
+// spreadScratch is spreadItems for retrieval work: fn(s, w, i) runs with
+// worker w's own pooled scratch s, taken on the worker's first item and
+// returned to the pool at the end.
+func (ix *Index) spreadScratch(n, workers int, fn func(s *scratch, w, i int)) {
+	ss := make([]*scratch, max(1, min(workers, n)))
+	spreadItems(n, workers, ss, func(ss []*scratch, w, i int) {
+		if ss[w] == nil {
+			ss[w] = ix.getScratch()
+		}
+		fn(ss[w], w, i)
+	})
+	for _, s := range ss {
+		if s != nil {
+			ix.putScratch(s)
+		}
+	}
 }

@@ -31,7 +31,9 @@ type Stats struct {
 
 	// ProcessedPairs and PrunedPairs count (query, bucket) combinations
 	// that were processed vs. skipped because the local threshold
-	// exceeded 1 (line 13 of Algorithm 1).
+	// exceeded 1 (line 13 of Algorithm 1) at that bucket or an earlier
+	// one, or because the query has length 0: they sum to queries ×
+	// buckets for both problems.
 	ProcessedPairs int64 `json:"processed_pairs"`
 	PrunedPairs    int64 `json:"pruned_pairs"`
 

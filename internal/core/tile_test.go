@@ -166,7 +166,7 @@ func TestTopKTilesMatchPerRowLoop(t *testing.T) {
 							if gotC != wantC {
 								t.Fatalf("%+v %s counters:\n got %+v\nwant %+v", prob, cut, gotC, wantC)
 							}
-							if pairs := int64(q.N()) * int64(ix.NumBuckets()); prob.K == 0 && gotC.ProcessedPairs+gotC.PrunedPairs != pairs {
+							if pairs := int64(q.N()) * int64(ix.NumBuckets()); gotC.ProcessedPairs+gotC.PrunedPairs != pairs {
 								t.Fatalf("%+v %s: %d processed + %d pruned pairs, want %d", prob, cut, gotC.ProcessedPairs, gotC.PrunedPairs, pairs)
 							}
 						}
@@ -358,4 +358,49 @@ func TestConcurrentPanelsOnFreshIndex(t *testing.T) {
 		_, st, err := above.Run(context.Background(), q.Slice(lo, hi), func(retrieval.Entry) {})
 		return st, err
 	})
+}
+
+// TestTilingRule checks the one tile rule for serial and parallel calls of
+// every size around its edges: the tiles cover [0, n) exactly once, none is
+// larger than the cap, none but the ragged last is smaller than one full
+// block (or n, when the call has fewer rows), and a serial call gets tiles
+// of the cap, 256 rows unless a large k shrinks them.
+func TestTilingRule(t *testing.T) {
+	var sizes []int
+	for n := 1; n <= 20; n++ {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, 63, 64, 65, 255, 256, 257, 1000)
+	for _, kk := range []int{0, 10, 1000} {
+		limit := min(tileMaxRows, tileMaxItems/max(kk, 1))
+		for _, workers := range []int{1, 2, 3, 8} {
+			for _, n := range sizes {
+				rows, tiles := tiling(n, workers, kk)
+				covered := make([]int, n)
+				for i := range tiles {
+					lo, hi := i*rows, min((i+1)*rows, n)
+					if hi <= lo {
+						t.Fatalf("k=%d workers=%d n=%d: tile %d of %d is empty", kk, workers, n, i, tiles)
+					}
+					if hi-lo > limit {
+						t.Fatalf("k=%d workers=%d n=%d: tile of %d rows, cap %d", kk, workers, n, hi-lo, limit)
+					}
+					if i < tiles-1 && hi-lo < min(n, blockRows) {
+						t.Fatalf("k=%d workers=%d n=%d: tile %d of %d holds %d rows", kk, workers, n, i, tiles, hi-lo)
+					}
+					for q := lo; q < hi; q++ {
+						covered[q]++
+					}
+				}
+				for q, c := range covered {
+					if c != 1 {
+						t.Fatalf("k=%d workers=%d n=%d: row %d in %d tiles", kk, workers, n, q, c)
+					}
+				}
+				if workers == 1 && rows != limit {
+					t.Fatalf("k=%d n=%d: a serial call cuts %d-row tiles, want %d", kk, n, rows, limit)
+				}
+			}
+		}
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -161,42 +160,21 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 	}
 	kk := min(prob.K, ix.LiveN()) // 0 for Above-θ
 
-	// fan runs work(i), i in [0, n), over the call's parallelism, caller included.
-	fan := func(n int, work func(i int, s *scratch)) {
-		var next atomic.Int64
-		worker := func() {
-			s := ix.getScratch()
-			defer ix.putScratch(s)
-			for !c.canceled() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				work(i, s)
-			}
-		}
-		var wg sync.WaitGroup
-		for w := min(c.opts.Parallelism, n); w > 1; w-- {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				worker()
-			}()
-		}
-		worker()
-		wg.Wait()
-	}
-
 	sample := sampleIndices(qs.n(), c.opts.SampleQueries)
 	perSample := make([][]tunePair, len(sample))
-	fan(len(sample), func(si int, s *scratch) {
+	ix.spreadScratch(len(sample), c.opts.Parallelism, func(s *scratch, _, si int) {
 		qi := sample[si]
 		qlen := qs.lens[qi]
 		if qlen == 0 {
 			return // a zero query scans nothing
 		}
-		s.beginTile(qi, 1) // verifyCands keeps the query's int8 codes per tile row
+		s.beginTile(qi, 1) // a one-query walk: step flushes every pair at once
 		var heap topk.Heap
+		push := func(b *bucket, _ int32) {
+			for i, v := range s.vals {
+				heap.Push(int(b.ids[s.lid(i)]), v)
+			}
+		}
 		if kk > 0 {
 			heap.Init(kk)
 		}
@@ -205,23 +183,20 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 			if c.canceled() {
 				return
 			}
-			theta, thetaB := prob.Theta, prob.Theta/(qlen*b.lb)
-			pruned := thetaB > 1+ix.slack // and so is every later, shorter bucket
+			theta := prob.Theta
 			if kk > 0 {
-				theta, thetaB, pruned = topkThresholds(&heap, qlen, b.lb, 1+ix.slack)
+				theta = heapFloor(&heap)
 			}
+			thetaB, pruned := localThreshold(theta, qlen, b.lb, 1+ix.slack)
 			if pruned {
-				break
+				break // and so is every later, shorter bucket
 			}
 			if thetaB > 0 && target(bi) {
 				perSample[si] = append(perSample[si], tunePair{int32(bi), int32(qi), qlen, theta, thetaB})
 			}
 			if kk > 0 {
 				runLength(b, theta, qlen, ix.slack, s)
-				ix.verifyCands(bi, s, int32(qi), qs.row(qi), theta, &trajStats)
-				for i, v := range s.vals {
-					heap.Push(int(b.ids[s.lid(i)]), v)
-				}
+				ix.step(b, bi, qs, s, int32(qi), theta, &trajStats, push)
 			}
 		}
 	})
@@ -256,8 +231,10 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 		}
 		obs, w := make([]observation, len(ps)), c.opts.MaxPhi+1
 		costs := make([]float64, len(ps)*w) // a row of φ costs per pair
-		fan(len(ps), func(i int, s *scratch) {
-			obs[i] = ix.observe(c, ps[i], qs, phis, costs[i*w:(i+1)*w], s)
+		ix.spreadScratch(len(ps), c.opts.Parallelism, func(s *scratch, _, i int) {
+			if !c.canceled() {
+				obs[i] = ix.observe(c, ps[i], qs, phis, costs[i*w:(i+1)*w], s)
+			}
 		})
 		if c.canceled() {
 			return nil, c.ctxErr()
@@ -274,7 +251,7 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 
 // observe measures one pair: the coordinate-family cost for every candidate
 // φ, then the LENGTH cost, each including candidate verification (the dominant
-// term) by verifyCands, the scan's own per-pair step, against the pair's cut —
+// term) by step, the scan's own per-pair step, against the pair's cut —
 // so a method is charged the int8 screen plus the exact rows of its survivors
 // where the scan would screen, and the exact rows alone where it would not.
 // LENGTH goes last so that it is timed as warm as the φ passes before it. No
@@ -300,11 +277,12 @@ func (ix *Index) observe(c *call, p tunePair, qs *querySet, phis []int, costPhi 
 			return float64(s.work + int64(len(s.cand))*int64(b.r))
 		}
 		var mst Stats
-		ix.verifyCands(bi, s, p.qi, qrow, p.theta, &mst)
 		var acc float64
-		for _, v := range s.vals {
-			acc += v
-		}
+		ix.step(b, bi, qs, s, p.qi, p.theta, &mst, func(*bucket, int32) {
+			for _, v := range s.vals {
+				acc += v
+			}
+		})
 		verifySink.Store(math.Float64bits(acc)) // defeat dead-code elimination
 		return float64(time.Since(start))
 	}

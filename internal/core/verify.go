@@ -13,7 +13,14 @@ import (
 // time. Instead of one vecmath.Dot call per candidate, the verifier:
 //
 //  1. compacts the candidate list to live entries in place (tombstone
-//     filtering moves out of the dot-product loop);
+//     filtering moves out of the dot-product loop), and where sidecarFor
+//     screens the pair, drops the candidates whose conservative int8 bound
+//     on fl(qᵀp) — the query's codes against the bucket's sidecar, the
+//     quantization of its raw rows — falls below the cut, θ or the current
+//     heap floor (step, scan.go: a prefix through the panel kernel in a
+//     quant.Block, a list through the eight-row kernel; a query that does
+//     not quantize cleanly is not screened). The screen only discards:
+//     every survivor is verified in f64;
 //  2. takes the common prefix case — LENGTH's prefix and the whole-bucket
 //     fallback are lids 0..c-1, which the generator records as a flag
 //     (scratch.prefix) instead of a list — as one DotBatch panel pass
@@ -52,47 +59,6 @@ func (ix *Index) compactLiveCands(bi int, s *scratch) {
 			k++
 		}
 	}
-	s.dropTo(k)
-}
-
-// screenCands runs the quantized prefilter over s.cand, between tombstone
-// compaction and exact verification: the full-width int8 dot of the query
-// row's codes with the bucket's sidecar, the quantization of its raw rows,
-// plus quant's conservative bound discards losers without touching their
-// f64 row. The bound caps fl(qᵀp), the value the caller emits or pushes as
-// it is, so candidates whose upper bound falls below cut (θ, or the current
-// top-k heap floor) are dropped: the call turns cut into one integer cut on
-// the int8 dot, and a non-finite bound keeps every candidate.
-//
-// A recorded prefix goes to the panel kernel as it is, rows 0..c-1 of the
-// sidecar, and only its survivors are ever written to s.cand; a list goes
-// through the eight-pointer kernel in blocks and the one-row kernel for the
-// ragged tail (quant.Screen.Prefix and List). Nothing here allocates once
-// the scratch has served a call. The screen only discards: every survivor
-// is verified in f64 afterwards.
-//
-// Screening is off — s.cand left untouched — when sidecarFor gives the pair
-// no sidecar or the query does not quantize cleanly (non-finite coordinates,
-// degenerate magnitudes).
-func (ix *Index) screenCands(b *bucket, s *scratch, qi int32, qrow []float64, cut float64, st *Stats) {
-	q8 := ix.sidecarFor(b, len(s.cand), cut)
-	if q8 == nil {
-		return
-	}
-	qq, ok := s.quantQuery(qi, qrow)
-	if !ok {
-		return
-	}
-	c := len(s.cand)
-	scr := q8.NewScreen(qq, 1)
-	var k int
-	if s.prefix {
-		k = scr.Prefix(c, cut, s.cand)
-	} else {
-		k = scr.List(s.cand, cut)
-	}
-	st.QuantScreened += int64(c - k)
-	st.QuantSurvived += int64(k)
 	s.dropTo(k)
 }
 

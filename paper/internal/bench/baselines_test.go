@@ -219,12 +219,14 @@ func checkOracle(t *testing.T, v variant, q, live *matrix.Matrix, ids []int32, p
 // for it cannot leak into the lower one) and Row-Top-k with k below and
 // above the live count as internal/naive does — BLSH within its error
 // bound — and give the same rows, value bits and candidate counts at
-// Parallelism 1 and 4 and as one job cut into 7-row panels.
+// Parallelism 1 and 4 and as one job cut into 7-row panels. The sixteen
+// cases build their own fixtures and run in parallel.
 func TestBucketGeneratorsMatchNaive(t *testing.T) {
 	for _, v := range baselines {
 		for _, mutate := range []bool{false, true} {
 			for _, quantize := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/mutated=%v/quant=%v", v.name, mutate, quantize), func(t *testing.T) {
+					t.Parallel()
 					ix, q, rng := baselineFixture(t, quantize)
 					check := func(stage string) {
 						live, ids := ix.LiveProbes()
