@@ -1,9 +1,7 @@
 package quant
 
-import "math"
-
 // Block is up to four prefix screens of one panel, run as one pass: where
-// the block kernel runs (blockKernel), each row chunk is loaded once and
+// the block kernel runs (vnniKernels), each row chunk is loaded once and
 // multiplied into every queued query, where one Prefix call per query would
 // load it once per query. Every query keeps its own prefix length and its
 // own integer cut, so a query's survivors are exactly those its Prefix call
@@ -49,9 +47,9 @@ func (b *Block) Run(rows *[4][]int32) (k [4]int) {
 		return k
 	}
 	r := b.qr.r
-	if b.m == 1 || !blockKernel(r) {
+	if b.m == 1 || !vnniKernels(r) {
 		for j := range b.m {
-			k[j] = screenPanel(b.scr[j].codes, b.qr.Codes[:b.n[j]*r], b.cut[j], rows[j][:b.n[j]])
+			k[j] = screenPanel(b.scr[j].codes, b.scr[j].sum, b.qr.Codes[:b.n[j]*r], b.cut[j], rows[j][:b.n[j]])
 		}
 		return k
 	}
@@ -75,7 +73,7 @@ func (b *Block) Run(rows *[4][]int32) (k [4]int) {
 	}
 	if rest := b.n[j0] - n2; rest > 0 {
 		out := rows[j0][k[j0] : k[j0]+rest]
-		c := screenPanel(b.scr[j0].codes, b.qr.Codes[n2*r:b.n[j0]*r], b.cut[j0], out)
+		c := screenPanel(b.scr[j0].codes, b.scr[j0].sum, b.qr.Codes[n2*r:b.n[j0]*r], b.cut[j0], out)
 		for i := range out[:c] {
 			out[i] += int32(n2)
 		}
@@ -90,13 +88,7 @@ func (b *Block) runKernel(n int, rows *[4][]int32) [4]int {
 	var lim, cut [16]int32
 	var out [4]*int32
 	for j := range b.m {
-		s := &b.scr[j]
-		lj := int32(min(b.n[j], n))
-		// The kernel compares Σ (p+128)·q = d + 128·Σq with the cut, so
-		// the cut moves by the bias; past the int32 range it keeps or drops
-		// every row, as the clamp does (|Σ (p+128)·q| < 2³¹ − 1, see
-		// blockMaxDim).
-		cj := int32(min(max(int64(b.cut[j])+128*int64(s.sum), math.MinInt32), math.MaxInt32))
+		lj, cj := int32(min(b.n[j], n)), biasCut(b.cut[j], b.scr[j].sum)
 		for i := range 4 {
 			lim[4*j+i], cut[4*j+i] = lj, cj
 		}

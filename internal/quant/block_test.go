@@ -37,11 +37,7 @@ func newBlock(panel []int8, r int, qs [][]int8, n []int, cuts []int32) *Block {
 	qr := &Rows{r: r, n: len(panel) / r, Codes: panel}
 	b := &Block{qr: qr, m: len(qs)}
 	for j, q := range qs {
-		var sum int32
-		for _, c := range q {
-			sum += int32(c)
-		}
-		b.scr[j] = Screen{qr: qr, codes: q, sum: sum}
+		b.scr[j] = Screen{qr: qr, codes: q, sum: codeSum(q)}
 		b.n[j], b.cut[j] = n[j], cuts[j]
 	}
 	return b
@@ -211,20 +207,33 @@ func TestBlockAdd(t *testing.T) {
 	}
 }
 
-// TestKernelTier names the kernel tier this process runs, so that a CI
-// runner without AVX-512 VNNI shows in a verbose log, and checks that
-// vecmath.LimitTier takes the block screen down to the one-query kernels and
-// back.
-func TestKernelTier(t *testing.T) {
-	t.Logf("kernel tier: %s (block kernel at r=50: %v)", vecmath.Kernels(), blockKernel(50))
-	if vecmath.HostTier() < vecmath.TierVNNI {
-		t.Log("no AVX-512 VNNI here: the block kernel's own cases are skipped, Block runs the one-query kernels")
+// panelKernel names the kernel screenPanel runs for rows of dimension r.
+func panelKernel(r int) string {
+	switch {
+	case vnniKernels(r):
+		return "screenPanelVNNI"
+	case Accelerated(r):
+		return "dotPanelAVX2"
 	}
+	return "screenPanelGo"
+}
+
+// TestKernelTier names the kernel tier this process runs and the panel
+// kernel a one-query prefix takes, so that a CI runner without AVX-512 VNNI
+// shows in a verbose log, and checks that vecmath.LimitTier takes the block
+// screen down to the one-query kernels, and the panel screen down to the
+// AVX2 and the portable kernel, and back.
+func TestKernelTier(t *testing.T) {
+	t.Logf("kernel tier: %s (block kernel at r=50: %v, panel kernel at r=50: %s)", vecmath.Kernels(), vnniKernels(50), panelKernel(50))
+	if vecmath.HostTier() < vecmath.TierVNNI {
+		t.Log("no AVX-512 VNNI here: the VNNI kernels' own cases are skipped, Block runs the one-query kernels and screenPanel the AVX2 or portable one")
+	}
+	want := [...]string{"screenPanelGo", "dotPanelAVX2", "screenPanelVNNI"}
 	for tier := vecmath.TierPortable; tier <= vecmath.HostTier(); tier++ {
 		restore := vecmath.LimitTier(tier)
-		if blockKernel(50) != (tier == vecmath.TierVNNI) || Accelerated(50) != (tier >= vecmath.TierAVX2) {
+		if vnniKernels(50) != (tier == vecmath.TierVNNI) || Accelerated(50) != (tier >= vecmath.TierAVX2) || panelKernel(50) != want[tier] {
 			restore()
-			t.Fatalf("tier %d: blockKernel %v, Accelerated %v", tier, blockKernel(50), Accelerated(50))
+			t.Fatalf("tier %d: vnniKernels %v, Accelerated %v, panel kernel %s", tier, vnniKernels(50), Accelerated(50), panelKernel(50))
 		}
 		restore()
 	}

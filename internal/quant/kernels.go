@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"math"
 	"math/bits"
 
 	"lemp/internal/vecmath"
@@ -15,8 +16,10 @@ import (
 // of up to four queries at once (screenBlockVNNI, behind Block.Run in
 // block.go). The batched shapes also decide the screen, a row surviving
 // when its dot is at least the call's integer cut (intCut in quant.go):
-// dot8 returns the survivor mask beside the dots, screenPanel and the block
-// kernel write only the survivors' row numbers.
+// dot8 returns the survivor mask beside the dots, the panel and block
+// kernels write only the survivors' row numbers. On the AVX-512 VNNI tier
+// the panel shape has a kernel of its own (screenPanelVNNI), which
+// screenPanel runs for every prefix there.
 //
 // # Kernel contract
 //
@@ -37,19 +40,28 @@ import (
 // shape checks and every slice-to-pointer step in Go; the Go loops are the
 // oracle.
 //
-// The block kernel (kernels_amd64.s, "Block kernel") holds the same
-// contract on the AVX-512 VNNI tier (vecmath.VNNI): it multiplies p + 128,
-// a code with its sign bit flipped, into each of four queries' codes with
-// VPDPBUSD, two rows to a ZMM register, and the dispatcher moves each query's cut by 128·Σq, so a row
-// survives for a query exactly when its dot, as dotGo computes it, is at
-// least that query's cut. Every partial sum is at most 255·127·r < 2³¹ for
-// r ≤ blockMaxDim, so nothing wraps; wider rows, and every host below the
-// tier, take the one-query kernels per query. Each query has its own prefix
-// length: the kernel masks the rows past it, reads a row's last r mod 32
-// bytes with a zeroing byte mask and a missing row of the last group as the
-// panel's last row, so it loads nothing outside the panel. Its portable
-// twin, screenBlockGo in the tests, is the oracle TestBlockMatchesOneQueryScreens
-// and FuzzBlockKernel hold it to.
+// The VNNI kernels (kernels_amd64.s, "Block kernel" and "One-query
+// kernel") hold the same contract on the AVX-512 VNNI tier (vecmath.VNNI).
+// VPDPBUSD multiplies unsigned bytes with signed ones, so both flip each row
+// code's sign bit, p + 128 in [1, 255], and multiply it into the signed
+// query codes, two rows to a ZMM register; their lane sums are
+// Σ (p+128)·q = d + 128·Σq, and the dispatchers move the cut by the same
+// bias (biasCut, Σq being Screen.sum), so a row survives exactly when its
+// dot, as dotGo computes it, is at least the cut. Every partial sum is at
+// most 255·127·r < 2³¹ for r ≤ blockMaxDim, so nothing wraps; wider rows,
+// and every host below the tier, take the kernels of the tier below (a
+// block runs them one query at a time). The block kernel screens up to four
+// queries, each with its own prefix length, the one-query kernel sixteen
+// rows per group. Each masks the rows past its limits and reads a row's
+// last r mod 32 bytes with a zeroing byte mask and a missing row of its
+// last group as the panel's last row, so neither loads anything outside the
+// panel. The block
+// kernel's portable twin, screenBlockGo in the tests, is the oracle
+// TestBlockMatchesOneQueryScreens and FuzzBlockKernel hold it to; the
+// one-query kernel and its twin screenPanelVNNIGo, the biased arithmetic in
+// Go, meet the plain loop in TestKernelsMatchPlainLoop and the portable
+// screen in FuzzScreenKernels. TestBlockAtWidestRow and TestKernelsAtMaxDim
+// run both at blockMaxDim.
 //
 // The quantizer's kernels hold the same contract in float64: they give the
 // Go loops' bits, not merely sound bounds. maxAbsAVX2 takes a maximum of
@@ -77,19 +89,28 @@ func Accelerated(r int) bool {
 	return vecmath.AVX2() && minAsmDim <= r && r <= MaxDim
 }
 
-// blockMaxDim is the widest row the block kernel takes. It multiplies the
+// blockMaxDim is the widest row the VNNI kernels take. They multiply the
 // unsigned p + 128 (a code with its sign bit flipped, in [1, 255]) with the
-// signed query code and subtracts 128·Σq through the cut (Block.runKernel),
-// so every partial sum it forms is at most 255·127·r in magnitude: below
-// 2³¹ − 1 for r ≤ 2¹⁶, and no lane or total ever wraps. Wider rows take the
-// one-query kernel per query.
+// signed query code and subtract 128·Σq through the cut (biasCut), so every
+// partial sum they form is at most 255·127·r in magnitude: below 2³¹ − 1 for
+// r ≤ 2¹⁶, and no lane or total ever wraps. Wider rows take the AVX2
+// kernels.
 const blockMaxDim = 1 << 16
 
-// blockKernel reports whether Block.Run screens rows of dimension r with the
-// four-query block kernel: the AVX-512 VNNI tier (vecmath.VNNI) and a row
-// the assembly takes. Elsewhere it runs the one-query kernels per query.
-func blockKernel(r int) bool {
+// vnniKernels reports whether rows of dimension r are screened by the AVX-512
+// VNNI kernels: the one-query panel screen (screenPanelVNNI, behind
+// screenPanel) and the four-query block kernel (behind Block.Run). It holds
+// on the VNNI tier (vecmath.VNNI) for a row the assembly takes.
+func vnniKernels(r int) bool {
 	return vecmath.VNNI() && Accelerated(r) && r <= blockMaxDim
+}
+
+// biasCut is the cut a VNNI kernel compares Σ (p+128)·q = d + 128·Σq with,
+// sum being Σq: a row's dot d is at least cut exactly when its biased sum is
+// at least biasCut(cut, sum). Past the int32 range the clamp keeps or drops
+// every row, as cut itself would: |Σ (p+128)·q| < 2³¹ − 1 (blockMaxDim).
+func biasCut(cut, sum int32) int32 {
+	return int32(min(max(int64(cut)+128*int64(sum), math.MinInt32), math.MaxInt32))
 }
 
 // DotQ8 returns the integer inner product of two int8 code vectors. The
@@ -139,17 +160,24 @@ func mask8(dots *[8]int32, cut int32) uint8 {
 
 // screenPanel writes to rows, in order, the numbers of the rows of panel
 // (row-major, r = len(q)) whose dot with q is at least cut, and returns
-// their count. rows must have one element per panel row; screenPanel panics
-// otherwise. The assembly takes the rows in groups of eight; the last
+// their count; sum is Σq (Screen.sum), by which the VNNI kernel moves the
+// cut. rows must have one element per panel row; screenPanel panics
+// otherwise. On the VNNI tier one kernel takes every row, sixteen at a
+// time; the AVX2 kernel takes the rows in groups of eight, and the last
 // len(rows) mod 8 go through the eight-pointer kernel with the final row
 // repeated.
-func screenPanel(q, panel []int8, cut int32, rows []int32) int {
+func screenPanel(q []int8, sum int32, panel []int8, cut int32, rows []int32) int {
 	r, n := len(q), len(rows)
 	if len(panel) != n*r {
 		panic("quant: screenPanel panel size does not match len(rows) rows")
 	}
-	if !Accelerated(r) {
+	switch {
+	case !Accelerated(r):
 		return screenPanelGo(q, panel, cut, rows)
+	case n == 0:
+		return 0
+	case vnniKernels(r):
+		return screenPanelVNNI(&q[0], &panel[0], r, n, biasCut(cut, sum), &rows[0])
 	}
 	g, k := n&^7, 0
 	if g > 0 {

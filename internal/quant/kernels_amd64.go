@@ -3,9 +3,9 @@
 package quant
 
 // The dot kernels of kernels_amd64.s read exactly n ≥ 16 bytes behind every
-// vector pointer and write only through out or rows, dotPanelAVX2 only its
-// survivors' slots; the quantizer's read exactly the values of their rows
-// and write exactly their codes and sums. Nothing needs alignment.
+// vector pointer and write only through out or rows, the panel screens only
+// their survivors' slots; the quantizer's read exactly the values of their
+// rows and write exactly their codes and sums. Nothing needs alignment.
 
 //go:noescape
 func dotAVX2(a, b *int8, n int) int32
@@ -33,6 +33,16 @@ func dotPanelAVX2(q, panel *int8, n, groups int, cut int32, rows *int32) int
 //
 //go:noescape
 func screenBlockVNNI(qbuf, panel *int8, r, n int, lim, cut *[16]int32, out *[4]*int32, cnt *[4]int)
+
+// screenPanelVNNI screens rows 0 … n−1 (n ≥ 1) of the panel of r-code rows
+// for the query q, sixteen rows at a time: row i survives when
+// Σ (p+128)·q ≥ cut, the cut already moved by 128·Σq (biasCut), and its
+// number is written to the next slot of rows. It returns the survivor count.
+// The last group's missing rows read as the panel's last row, past the limit
+// n.
+//
+//go:noescape
+func screenPanelVNNI(q, panel *int8, r, n int, cut int32, rows *int32) int
 
 // quantize4AVX2 quantizes the four rows of n ≥ 16 float64s at rows,
 // rows + n, rows + 2n and rows + 3n at step scale (inv = 1/scale, finite)

@@ -670,6 +670,287 @@ block_next:
 	VZEROUPPER
 	RET
 
+// # One-query kernel
+//
+// screenPanelVNNI is the panel screen of one query on the VNNI tier: the
+// block kernel's arithmetic with sixteen rows per group in place of four
+// queries. A row chunk's codes are flipped to p + 128 (VPXORQ with 0x80), two
+// rows to a ZMM register, and one VPDPBUSD multiplies each register with the
+// query chunk broadcast into both halves (VBROADCASTI64X4):
+//
+//	VPDPBUSD  q, p+128, acc   →  Σ (p+128)·q over four bytes, per lane
+//
+// The lane sum is the dot plus 128·Σq, and the dispatcher moves the cut by
+// the same bias (biasCut in kernels.go), so one signed VPCMPD decides a row
+// exactly when the dot reaches the unbiased cut: every partial sum is at most
+// 255·127·r < 2³¹ in magnitude for r ≤ blockMaxDim, and nothing wraps.
+// Against the AVX2 panel kernel's four vector operations per 32-byte row
+// chunk (VPSIGNB, VPMADDUBSW, VPMADDWD, VPADDD) this takes one VPXORQ and one
+// VPDPBUSD per two rows, so a panel too large for L2 streams at close to the
+// rate one core reads from L3.
+//
+// The eight accumulators Z0–Z7 (cleared by ZERO8, whose VEX-encoded writes
+// zero all 512 bits) take the row pairs in the block kernel's query slots,
+// rows 4j, 4j+1 in Zj and rows 4j+2, 4j+3 in Z4+j, so the block kernel's
+// fold (LANES, QWORDS, DWORDS and the VPERMD by foldOrder) leaves row i's
+// dot in lane i. One VPCMPD against the biased cut, masked by
+// row number < n, leaves the survivors in K3, and VPCOMPRESSD writes their
+// row numbers, one lane each, to the next slots of rows; a group without
+// survivors (the common case) stores nothing.
+//
+// A group of sixteen whole rows addresses them from two moving pointers,
+// rows 0 and 8 of the group plus the chunk offset, with r, 3r, 5r and 7r as
+// scaled indexes. The panel's last n mod 16 rows form one more group, whose
+// missing rows read as the panel's last row (a table of sixteen row pointers
+// on the stack), past the row limit, as screenBlockVNNI's last group does:
+// so every prefix of the VNNI tier runs in this kernel, none in the AVX2 one.
+// A row's last r mod 32 bytes are read with a zeroing byte mask (K1) and
+// meet the query's last chunk, loaded once with the same mask and so zero
+// past r; no load leaves the panel or the query.
+//
+// Each chunk step of a whole group prefetches eight lines (its 512 bytes,
+// rounded up) 4 KiB ahead of the group's rows. A one-query panel has no
+// operand reuse: a prefix past L2 (86 016 rows of 50 codes is 4.3 MB)
+// streams from L3 at the kernel's rate, and the hardware prefetchers, which
+// stop at 4 KiB page boundaries, leave it waiting on L3 latency at each new
+// page. 4 KiB ahead covers that latency (about 2 KiB at 30 GB/s) with
+// margin, and is near enough, a small share of L1D, that a line is still
+// there when its group reads it. On a 2-vCPU Xeon (2 MiB L2 a core) a
+// 4.3 MB panel at r = 50 read a median 2.06 ns a row with it against 2.16
+// without (six alternations); 2 and 8 KiB read the same, and PREFETCHT1 or
+// T2 8–16 KiB ahead 2.17–2.19. The last group does not prefetch: nothing
+// follows it.
+// Prefetches never fault, so running past the panel's end is harmless.
+//
+// Register use:
+//
+//	AX       the query
+//	BX       bytes covered by whole chunks, 32⌊r/32⌋
+//	CX       byte offset into the query (and into every row of the last
+//	         group, whose rows sit in the pointer table)
+//	DX       the group's first row
+//	SI, DI   rows 0 and 8 of a whole group, plus the chunk offset; the last
+//	         group's row pointers
+//	R8 R9 R10   3r, 5r, 7r
+//	R11 R15  scratch; R12 the prefetch pointer, then the pointer table
+//	R13      r; R14 the next survivor slot of rows
+//	Z16, Z17 flipped row pairs, Y18 a masked tail load; Z20 bytes of 0x80;
+//	Z21 the query chunk, Z22 its masked last chunk; Z23 lanes of 16; Z25 the
+//	lanes' row numbers; Z26 n; Z27 the biased cut; Z28 the fold's lane
+//	order; Z31 a fold temporary
+//	K1 the tail byte mask; K2, K5, K6, K7 the fold blends; K3 survivors
+
+// iota16 is the row number of each lane of the folded dots in a group.
+DATA iota16<>+0(SB)/8, $0x0000000100000000
+DATA iota16<>+8(SB)/8, $0x0000000300000002
+DATA iota16<>+16(SB)/8, $0x0000000500000004
+DATA iota16<>+24(SB)/8, $0x0000000700000006
+DATA iota16<>+32(SB)/8, $0x0000000900000008
+DATA iota16<>+40(SB)/8, $0x0000000b0000000a
+DATA iota16<>+48(SB)/8, $0x0000000d0000000c
+DATA iota16<>+56(SB)/8, $0x0000000f0000000e
+GLOBL iota16<>(SB), RODATA|NOPTR, $64
+
+// PAIR flips the chunks of two rows at a and b into the halves of z (y its
+// low half) and adds their products with the query chunk Z21 into acc; TPAIR is the masked
+// last chunk, with Z22.
+#define PAIR(a, b, y, z, acc) \
+	VMOVDQU8     a, y; \
+	VINSERTI64X4 $1, b, z, z; \
+	VPXORQ       Z20, z, z; \
+	VPDPBUSD     Z21, z, acc
+
+#define TPAIR(a, b, y, z, acc) \
+	VMOVDQU8.Z   a, K1, y; \
+	VMOVDQU8.Z   b, K1, Y18; \
+	VINSERTI64X4 $1, Y18, z, z; \
+	VPXORQ       Z20, z, z; \
+	VPDPBUSD     Z22, z, acc
+
+// ROWS16 and TROWS16 run one chunk of the sixteen rows of a whole group,
+// rows 0–7 at SI and 8–15 at DI.
+#define ROWS16(P) \
+	P((SI), (SI)(R13*1), Y16, Z16, Z0); \
+	P((SI)(R13*2), (SI)(R8*1), Y17, Z17, Z4); \
+	P((SI)(R13*4), (SI)(R9*1), Y16, Z16, Z1); \
+	P((SI)(R8*2), (SI)(R10*1), Y17, Z17, Z5); \
+	P((DI), (DI)(R13*1), Y16, Z16, Z2); \
+	P((DI)(R13*2), (DI)(R8*1), Y17, Z17, Z6); \
+	P((DI)(R13*4), (DI)(R9*1), Y16, Z16, Z3); \
+	P((DI)(R8*2), (DI)(R10*1), Y17, Z17, Z7)
+
+// TABLE2 runs one chunk of rows k and k+1 of the last group, whose pointers
+// sit at a and b in the table at R12.
+#define TABLE2(P, a, b, y, z, acc) \
+	MOVQ a(R12), SI; \
+	MOVQ b(R12), DI; \
+	P((SI)(CX*1), (DI)(CX*1), y, z, acc)
+
+#define TABLE16(P) \
+	TABLE2(P, 0, 8, Y16, Z16, Z0); \
+	TABLE2(P, 16, 24, Y17, Z17, Z4); \
+	TABLE2(P, 32, 40, Y16, Z16, Z1); \
+	TABLE2(P, 48, 56, Y17, Z17, Z5); \
+	TABLE2(P, 64, 72, Y16, Z16, Z2); \
+	TABLE2(P, 80, 88, Y17, Z17, Z6); \
+	TABLE2(P, 96, 104, Y16, Z16, Z3); \
+	TABLE2(P, 112, 120, Y17, Z17, Z7)
+
+#define PREFETCH8 \
+	PREFETCHT0 (R12); \
+	PREFETCHT0 64(R12); \
+	PREFETCHT0 128(R12); \
+	PREFETCHT0 192(R12); \
+	PREFETCHT0 256(R12); \
+	PREFETCHT0 320(R12); \
+	PREFETCHT0 384(R12); \
+	PREFETCHT0 448(R12)
+
+// func screenPanelVNNI(q, panel *int8, r, n int, cut int32, rows *int32) int
+TEXT ·screenPanelVNNI(SB), NOSPLIT, $136-56
+	MOVQ q+0(FP), AX
+	MOVQ panel+8(FP), DX
+	MOVQ r+16(FP), R13
+	MOVQ rows+40(FP), R14
+	LEAQ (R13)(R13*2), R8
+	LEAQ (R13)(R13*4), R9
+	MOVQ R13, R10
+	SHLQ $3, R10
+	SUBQ R13, R10
+	MOVQ R13, BX
+	ANDQ $~31, BX
+	MOVQ R13, CX
+	ANDQ $31, CX
+	MOVL $1, R11
+	SHLL CX, R11
+	DECL R11
+	KMOVD R11, K1
+	VMOVDQU8.Z      (AX)(BX*1), K1, Y22
+	VSHUFI64X2      $0x44, Z22, Z22, Z22
+	MOVL $0xcc, R11
+	KMOVW R11, K2
+	MOVL $0xaa, R11
+	KMOVW R11, K5
+	MOVL $0xaaaa, R11
+	KMOVW R11, K6
+	MOVL $0x5555, R11
+	KMOVW R11, K7
+	MOVL $0x80808080, R11
+	VPBROADCASTD R11, Z20
+	MOVL $16, R11
+	VPBROADCASTD R11, Z23
+	MOVQ n+24(FP), R11
+	VPBROADCASTD R11, Z26
+	SHRQ $4, R11
+	MOVQ R11, left-8(SP)
+	MOVL cut+32(FP), R11
+	VPBROADCASTD R11, Z27
+	VMOVDQU32 iota16<>(SB), Z25
+	VMOVDQU32 foldOrder<>(SB), Z28
+
+one_group:
+	MOVQ left-8(SP), R11
+	CMPQ R11, $0
+	JLT  one_done
+	JEQ  one_last
+	DECQ R11
+	MOVQ R11, left-8(SP)
+	ZERO8
+	MOVQ DX, SI
+	LEAQ (DX)(R13*8), DI
+	LEAQ 4096(DX), R12
+	XORQ CX, CX
+	CMPQ BX, $0
+	JEQ  one_tail
+
+one_chunk:
+	PREFETCH8
+	VBROADCASTI64X4 (AX)(CX*1), Z21
+	ROWS16(PAIR)
+	ADDQ $32, CX
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $512, R12
+	CMPQ CX, BX
+	JLT  one_chunk
+
+one_tail:
+	CMPQ CX, R13
+	JEQ  one_fold
+	PREFETCH8
+	ROWS16(TPAIR)
+	JMP  one_fold
+
+one_last:
+	// The last n mod 16 rows: row k of the group reads as row
+	// min(k, n mod 16 − 1), whose lane the limit n drops.
+	MOVQ $-1, left-8(SP)
+	MOVQ n+24(FP), R15
+	ANDQ $15, R15
+	JZ   one_done
+	LEAQ table-136(SP), R12
+	MOVQ DX, R11
+	XORQ CX, CX
+
+one_table:
+	MOVQ R11, (R12)(CX*8)
+	INCQ CX
+	CMPQ CX, R15
+	JGE  one_table_next
+	ADDQ R13, R11
+
+one_table_next:
+	CMPQ CX, $16
+	JLT  one_table
+	ZERO8
+	XORQ CX, CX
+	CMPQ BX, $0
+	JEQ  one_last_tail
+
+one_last_chunk:
+	VBROADCASTI64X4 (AX)(CX*1), Z21
+	TABLE16(PAIR)
+	ADDQ $32, CX
+	CMPQ CX, BX
+	JLT  one_last_chunk
+
+one_last_tail:
+	CMPQ CX, R13
+	JEQ  one_fold
+	TABLE16(TPAIR)
+
+one_fold:
+	LANES(Z0, Z1)
+	LANES(Z2, Z3)
+	LANES(Z4, Z5)
+	LANES(Z6, Z7)
+	QWORDS(Z0, Z2)
+	QWORDS(Z4, Z6)
+	DWORDS(Z0, Z4)
+	VPERMD Z0, Z28, Z0
+	VPCMPD $5, Z27, Z0, K3
+	VPCMPD $1, Z26, Z25, K3, K3
+	KMOVW  K3, R11
+	TESTL  R11, R11
+	JZ     one_next
+	VPCOMPRESSD Z25, K3, (R14)
+	POPCNTL R11, R11
+	LEAQ    (R14)(R11*4), R14
+
+one_next:
+	VPADDD Z23, Z25, Z25
+	MOVQ   R13, R11
+	SHLQ   $4, R11
+	ADDQ   R11, DX
+	JMP    one_group
+
+one_done:
+	SUBQ rows+40(FP), R14
+	SHRQ $2, R14
+	MOVQ R14, ret+48(FP)
+	VZEROUPPER
+	RET
+
 // # Quantizer
 //
 // quantize4AVX2 runs quantizeRow's loop on four rows at once, one row per

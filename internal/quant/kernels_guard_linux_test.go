@@ -57,12 +57,14 @@ func guardedBytes(t *testing.T, n int) []byte {
 // faults here instead of passing; the values are checked too, so a kernel
 // cannot pass by reading short. The panel kernel writes its survivors into
 // an output flush against a guard as well, under a cut every row survives,
-// so it writes no slot past the rows it decides.
+// so it writes no slot past the rows it decides. 19 rows take the VNNI panel
+// kernel through a last group alone (up to 15 rows), a group of sixteen, and
+// one followed by a last group whose missing rows read the guarded row.
 func TestKernelsStayInsideTheirVectors(t *testing.T) {
 	// A fault becomes a panic naming the address rather than a dead test
 	// binary.
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	const rows = 13
+	const rows = 19
 	rng := rand.New(rand.NewSource(19))
 	for r := 1; r <= 130; r++ {
 		heapQ := make([]int8, r)

@@ -20,6 +20,10 @@ func screenBlockVNNI(qbuf, panel *int8, r, n int, lim, cut *[16]int32, out *[4]*
 	panic("quant: no VNNI kernels in this build")
 }
 
+func screenPanelVNNI(q, panel *int8, r, n int, cut int32, rows *int32) int {
+	panic("quant: no VNNI kernels in this build")
+}
+
 func quantize4AVX2(rows *float64, codes *int8, n int, scale, inv float64, sums *[12]float64) {
 	panic("quant: no AVX2 kernels in this build")
 }

@@ -28,10 +28,69 @@ type kernelSet struct {
 }
 
 // kernelSets is the dispatcher (assembly where the CPU has it) beside the
-// portable Go code; with -tags purego both run the portable code.
-var kernelSets = []kernelSet{
-	{"dispatch", DotQ8, dot8, screenPanel},
+// portable Go code and the VNNI kernel's Go twin, and on a VNNI host the
+// dispatcher held to the AVX2 tier, so that both assembly panel kernels stay
+// tested where the VNNI one takes every prefix; with -tags purego every set
+// but the twin runs the portable code.
+var kernelSets = append([]kernelSet{
+	{"dispatch", DotQ8, dot8, dispatchPanel},
 	{"portable", dotGo, dot8Portable, screenPanelGo},
+	{vnniTwin, dotGo, dot8Portable, func(q, panel []int8, cut int32, rows []int32) int {
+		if len(q) > blockMaxDim { // where the biased sums could wrap, no VNNI kernel runs
+			return screenPanelGo(q, panel, cut, rows)
+		}
+		return screenPanelVNNIGo(q, panel, biasCut(cut, codeSum(q)), rows)
+	}},
+}, avx2TierSet()...)
+
+// vnniTwin names the set whose panel kernel is screenPanelVNNIGo.
+const vnniTwin = "VNNI twin"
+
+// avx2TierSet is, on a VNNI host, the dispatcher run under
+// vecmath.LimitTier(TierAVX2): the AVX2 panel kernel the VNNI tier no longer
+// reaches. Elsewhere the dispatcher already runs it and the set is empty.
+func avx2TierSet() []kernelSet {
+	if vecmath.HostTier() < vecmath.TierVNNI {
+		return nil
+	}
+	return []kernelSet{{"AVX2 tier", DotQ8, dot8, func(q, panel []int8, cut int32, rows []int32) int {
+		defer vecmath.LimitTier(vecmath.TierAVX2)()
+		return dispatchPanel(q, panel, cut, rows)
+	}}}
+}
+
+// codeSum is Σq, the Screen.sum of a query's codes.
+func codeSum(q []int8) int32 {
+	var sum int32
+	for _, c := range q {
+		sum += int32(c)
+	}
+	return sum
+}
+
+// dispatchPanel is screenPanel on raw codes, their sum counted as
+// QuantizeQuery counts it.
+func dispatchPanel(q, panel []int8, cut int32, rows []int32) int {
+	return screenPanel(q, codeSum(q), panel, cut, rows)
+}
+
+// screenPanelVNNIGo is the one-query VNNI kernel's Go twin: it keeps row i
+// when Σ (p+128)·q, the kernel's lane sum over the sign-flipped codes, is at
+// least the biased cut, so it checks biasCut and the flip as well as the
+// kernel's survivors.
+func screenPanelVNNIGo(q, panel []int8, cut int32, rows []int32) int {
+	r, k := len(q), 0
+	for i := range rows {
+		var s int32
+		for j, c := range panel[i*r : (i+1)*r] {
+			s += int32(uint8(c)^0x80) * int32(q[j])
+		}
+		if s >= cut {
+			rows[k] = int32(i)
+			k++
+		}
+	}
+	return k
 }
 
 // dot8Portable is the portable dot8: the eight-row kernel, then mask8.
@@ -169,11 +228,12 @@ func checkKernels(t *testing.T, ks kernelSet, q, panel []int8, rows int, rng *ra
 // kernels, through the dispatcher and directly on the portable code, against
 // the plain int32 loop: r = 0..130 covers empty, narrower than one chunk
 // (the rows that never leave Go), every tail length and many chunk counts;
-// 20 rows take the panel kernel through two groups of eight and every tail;
+// 37 rows take the VNNI panel kernel through two groups of sixteen and a
+// partial one, the AVX2 kernel through four groups of eight and every tail;
 // the panel starts at every offset within a 16-byte chunk.
 func TestKernelsMatchPlainLoop(t *testing.T) {
-	t.Logf("assembly kernels in use: %v", vecmath.AVX2())
-	const rows = 20
+	t.Logf("assembly kernels in use: %v (panel kernel at r=50: %s)", vecmath.AVX2(), panelKernel(50))
+	const rows = 37
 	rng := rand.New(rand.NewSource(17))
 	for _, fc := range codeFills {
 		for r := 0; r <= 130; r++ {
@@ -182,6 +242,9 @@ func TestKernelsMatchPlainLoop(t *testing.T) {
 				panel := offset16(rows*r, off)
 				fc.fill(rng, q, panel)
 				for _, ks := range kernelSets {
+					if ks.name == vnniTwin && off > 0 {
+						continue // Go loops, which no offset changes
+					}
 					checkKernels(t, ks, q, panel, rows, rng)
 				}
 			}
@@ -190,22 +253,33 @@ func TestKernelsMatchPlainLoop(t *testing.T) {
 }
 
 // TestKernelsAtMaxDim is the accumulator bound: saturated codes at the
-// widest supported row, where each int32 lane and the total come closest to
-// overflow (127²·MaxDim is just below 2³¹), in a nine-row panel so the group
-// of eight and the one-row tail both run. The int32 reference is itself
-// checked against the 64-bit value first.
+// widest row each panel kernel takes, where the int32 lanes and totals come
+// closest to overflow. At MaxDim (127²·MaxDim is just below 2³¹) a nine-row
+// panel runs the AVX2 group of eight and its one-row tail; at blockMaxDim,
+// where the VNNI kernel's biased sums reach 255·127·r, within 2 % of the
+// int32 range, 17 rows run its group of sixteen and a one-row last group.
+// Every third row has its signs flipped, so one panel holds dots at both
+// extremes. The int32 reference is itself checked against the 64-bit value
+// first.
 func TestKernelsAtMaxDim(t *testing.T) {
-	const rows = 9
-	q := make([]int8, MaxDim)
-	panel := make([]int8, rows*MaxDim)
 	rng := rand.New(rand.NewSource(18))
-	for _, c := range []struct{ sign, fill int }{{+1, 1}, {-1, 2}} {
-		codeFills[c.fill].fill(rng, q, panel)
-		if got, want := int64(plainDot(q, panel[:MaxDim])), int64(c.sign)*127*127*MaxDim; got != want {
-			t.Fatalf("reference at saturation = %d, want %d: MaxDim overflows int32", got, want)
-		}
-		for _, ks := range kernelSets {
-			checkKernels(t, ks, q, panel, rows, rng)
+	for _, size := range []struct{ r, rows int }{{MaxDim, 9}, {blockMaxDim, 17}} {
+		r := size.r
+		q := make([]int8, r)
+		panel := make([]int8, size.rows*r)
+		for _, c := range []struct{ sign, fill int }{{+1, 1}, {-1, 2}} {
+			codeFills[c.fill].fill(rng, q, panel)
+			for i := r; i < len(panel); i += 3 * r {
+				for j := range panel[i : i+r] {
+					panel[i+j] = -panel[i+j]
+				}
+			}
+			if got, want := int64(plainDot(q, panel[:r])), int64(c.sign)*127*127*int64(r); got != want {
+				t.Fatalf("r=%d: reference at saturation = %d, want %d: the row overflows int32", r, got, want)
+			}
+			for _, ks := range kernelSets {
+				checkKernels(t, ks, q, panel, size.rows, rng)
+			}
 		}
 	}
 }

@@ -362,7 +362,7 @@ type Query struct {
 	Resid float64 // upper bound on ‖q − Scale·Codes‖
 	Norm  float64 // upper bound on ‖Scale·Codes‖
 
-	sum int32 // Σ Codes, the block kernel's bias correction (block.go)
+	sum int32 // Σ Codes, the VNNI kernels' bias correction (biasCut)
 }
 
 // QuantizeQuery quantizes q into the caller's dst buffer (len(dst) must be
@@ -515,7 +515,7 @@ func (s *Screen) Screen8(i0, i1, i2, i3, i4, i5, i6, i7 int, lens *[8]float64, c
 // writes the survivors' row numbers to rows in order. It returns the
 // survivor count. rows must hold n elements.
 func (s *Screen) Prefix(n int, cut float64, rows []int32) int {
-	return screenPanel(s.codes, s.qr.Codes[:n*s.qr.r], s.intCut(cut), rows[:n])
+	return screenPanel(s.codes, s.sum, s.qr.Codes[:n*s.qr.r], s.intCut(cut), rows[:n])
 }
 
 // List screens the rows listed in rows (any order, repeats allowed):

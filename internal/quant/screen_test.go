@@ -199,7 +199,7 @@ type screenCase struct {
 
 func newScreenCase(q, codes []int8, scale, qs, resid, cut float64) screenCase {
 	qr := &Rows{r: len(q), n: len(codes) / len(q), Scale: scale, Codes: codes}
-	return screenCase{Screen{qr: qr, codes: q, qs: qs, resid: resid}, cut}
+	return screenCase{Screen{qr: qr, codes: q, sum: codeSum(q), qs: qs, resid: resid}, cut}
 }
 
 // prefixGo is the portable Prefix: the cut, then screenPanelGo.
@@ -372,7 +372,8 @@ func (f *fuzzBytes) float() float64 {
 }
 
 // FuzzScreenKernels is TestScreenMatchesPortable's oracle over fuzzed
-// screens: r = 16…130, one to 24 rows, codes and floats from the input, and
+// screens: r = 16…130, one to 40 rows (two groups of sixteen and a partial
+// one in the VNNI panel kernel), codes and floats from the input, and
 // the cut either fuzzed or placed on, one ulp beside, or ±2³¹ steps past a
 // row's own bound (boundaryCut).
 //
@@ -384,7 +385,7 @@ func FuzzScreenKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := &fuzzBytes{b: data}
 		r := 16 + int(in.byte())%115
-		n := 1 + int(in.byte())%24
+		n := 1 + int(in.byte())%40
 		q, codes := make([]int8, r), make([]int8, n*r)
 		for _, v := range [][]int8{q, codes} {
 			for i := range v {

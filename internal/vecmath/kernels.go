@@ -41,15 +41,16 @@ package vecmath
 // without AVX2 support, and under -tags purego.
 func AVX2() bool { return useAVX2 }
 
-// VNNI reports whether internal/quant runs its int8 block kernel, which
-// screens four queries per row load with the EVEX-encoded VPDPBUSD: AVX2
-// plus AVX-512 F, BW, VL and VNNI, with the operating system saving the
-// opmask and ZMM state. False wherever AVX2 is.
+// VNNI reports whether internal/quant runs its int8 VNNI kernels, the block
+// kernel (four queries per row load) and the one-query panel screen, both
+// built on the EVEX-encoded VPDPBUSD: AVX2 plus AVX-512 F, BW, VL and VNNI,
+// with the operating system saving the opmask and ZMM state. False wherever
+// AVX2 is.
 func VNNI() bool { return useVNNI }
 
 // Kernels names the kernel tier in use, for run headers and /stats: a slow
 // host is told from a slow build by this string. "avx2+avx512vnni" is the
-// AVX2 kernels plus quant's int8 block kernel.
+// AVX2 kernels plus quant's int8 VNNI kernels.
 func Kernels() string {
 	switch {
 	case useVNNI:
@@ -67,7 +68,7 @@ type Tier uint8
 const (
 	TierPortable Tier = iota // the Go loops: other GOARCHes, -tags purego
 	TierAVX2                 // the AVX2 assembly of both packages
-	TierVNNI                 // AVX2 plus quant's int8 block kernel
+	TierVNNI                 // AVX2 plus quant's int8 VNNI kernels
 )
 
 // HostTier returns the highest tier this process can run.

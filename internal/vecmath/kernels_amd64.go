@@ -4,7 +4,7 @@ package vecmath
 
 // hostAVX2 and hostVNNI are what the CPU and operating system support,
 // probed once before main runs. useAVX2 selects the assembly kernels of
-// kernels_amd64.s and useVNNI internal/quant's int8 block kernel; they equal
+// kernels_amd64.s and useVNNI internal/quant's int8 VNNI kernels; they equal
 // the host's tier and change only under LimitTier, a test hook.
 var (
 	hostAVX2 = detectAVX2()
@@ -49,12 +49,17 @@ func detectAVX2() bool {
 }
 
 // detectVNNI reports, on a host detectAVX2 accepted, whether it runs the
-// EVEX-encoded int8 block kernel: CPUID.(7,0):EBX has AVX512F (bit 16),
+// EVEX-encoded int8 VNNI kernels: CPUID.(7,0):EBX has AVX512F (bit 16),
 // AVX512BW (bit 30) and AVX512VL (bit 31), CPUID.(7,0):ECX has AVX512_VNNI
 // (bit 11), and XCR0 also enables the opmask and both ZMM state components
-// (bits 5, 6 and 7), which the kernel's K and ZMM registers need.
+// (bits 5, 6 and 7), which the kernels' K and ZMM registers need; and
+// CPUID.1:ECX has POPCNT (bit 23), which counts the one-query kernel's
+// survivors (every AVX-512 CPU has it).
 func detectVNNI() bool {
 	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
+		return false
+	}
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(1<<23) == 0 {
 		return false
 	}
 	const f, bw, vl, vnni = 1 << 16, 1 << 30, 1 << 31, 1 << 11
