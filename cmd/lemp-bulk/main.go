@@ -46,7 +46,7 @@ func main() {
 	ckptEvery := flag.Int("ckpt-every", 0, "checkpoint every this many flushed panels (0 = default 64)")
 	algName := flag.String("alg", "", "bucket algorithm override: L LI LC I C (default: the index's; L never tunes, the others run the paper's sample tuner, §4.4, once per job)")
 	phi := flag.Int("phi", 0, "fixed focus-set size φ (0 = tuned per bucket)")
-	quant := flag.Bool("quant", false, "build the int8 screening sidecars eagerly and screen every candidate set; without it the job screens lazily, and only where the int8 kernels are assembly")
+	quant := flag.Bool("quant", false, "screen every candidate set with the int8 sidecars, each built on first screened use; without it the job screens only where the int8 kernels are assembly")
 	stats := flag.Bool("stats", false, "print job statistics to stderr")
 	flag.Parse()
 

@@ -104,7 +104,7 @@ func main() {
 	profileName := flag.String("profile", "", "synthesize the probe side of a dataset profile instead of loading -p (e.g. Smoke, Netflix)")
 	snapshotPath := flag.String("snapshot", "", "restore the index from the LEMPIDX1 snapshot at this path (a path.0..path.N-1 set of shard snapshots from earlier builds is joined into one index) instead of building it")
 	saveSnapshot := flag.String("save-snapshot", "", "after building, write the index's snapshot to this path, then serve")
-	quantize := flag.Bool("quant", false, "build the int8 screening sidecars eagerly and screen every candidate set (results stay exact; ~1 byte per probe per dimension); snapshots record the option and re-quantize on restore. Without it the server screens by itself where the int8 kernels are assembly (/stats \"kernels\": \"avx2\" or \"avx2+avx512vnni\"), building sidecars lazily for the buckets queries reach; the flag adds the eager build and, on the portable kernels, the screen itself, which loses there. With -snapshot, given explicitly it forces the option on or off regardless of what the snapshot recorded")
+	quantize := flag.Bool("quant", false, "screen every candidate set with the int8 sidecars (results stay exact; ~1 byte per probe per dimension of the buckets queries reach, each sidecar built on first screened use); snapshots record the option. Without it the server screens by itself where the int8 kernels are assembly (/stats \"kernels\": \"avx2\" or \"avx2+avx512vnni\"), only the candidate sets of at least eight; the flag screens every set and, on the portable kernels, adds the screen itself, which loses there. With -snapshot, given explicitly it forces the option on or off regardless of what the snapshot recorded")
 	parallel := flag.Int("parallel", 0, "goroutines of the index build and of each retrieval call (0 = NumCPU)")
 	shedQueueRows := flag.Int("shed-queue-rows", 16384, "reject retrieval requests with 429 while admitted requests not yet answered hold this many query rows (0 or negative disables)")
 	shedInflight := flag.Int("shed-inflight", 4096, "reject retrieval requests with 429 past this many in-flight requests (0 or negative disables)")

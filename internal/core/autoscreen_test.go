@@ -5,20 +5,23 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"lemp/internal/quant"
 	"lemp/internal/retrieval"
+	"lemp/internal/vecmath"
 )
 
 // TestAutoScreenMatchesUnscreened is the contract of the automatic int8
 // screen (sidecarFor): an index built with default options answers byte for
 // byte like the same index with the screen forced off and like one built with
 // Options.Quantize, for the L/C/I family, both problems, with and without
-// tombstones + delta buckets. Its sidecars are lazy — none before the first
-// call, some after it where quant's kernels are assembly, none ever where they
-// are not (so under -tags purego all three arms must still agree, with the
-// default arm screening nothing) — and whether a pair is screened does not
+// tombstones + delta buckets. Sidecars are built on first screened use under
+// either option — none before the first call; after it, some on the Quantize
+// index, and on the default one where quant's kernels are assembly, none ever
+// where they are not (so under -tags purego all three arms must still agree,
+// with the default arm screening nothing) — and whether a pair is screened does not
 // depend on the calls before it: a fresh index's first call and a repeat of
 // it report equal counters.
 func TestAutoScreenMatchesUnscreened(t *testing.T) {
@@ -82,12 +85,16 @@ func TestAutoScreenMatchesUnscreened(t *testing.T) {
 						return ix
 					}
 					auto, off, eager := build(false), build(false), build(true)
-					if auto.autoScreen != accelerated || eager.autoScreen {
-						t.Fatalf("autoScreen = %v on a default index (accelerated: %v), %v under Quantize", auto.autoScreen, accelerated, eager.autoScreen)
+					wantMin := 0
+					if accelerated {
+						wantMin = autoScreenMin
 					}
-					off.autoScreen = false
+					if auto.screenMin != wantMin || eager.screenMin != 1 {
+						t.Fatalf("screenMin = %d on a default index (accelerated: %v), %d under Quantize", auto.screenMin, accelerated, eager.screenMin)
+					}
+					off.screenMin = 0
 					exported := auto.State()
-					if auto.SidecarBytes() != 0 || eager.SidecarBytes() == 0 {
+					if auto.SidecarBytes() != 0 || eager.SidecarBytes() != 0 {
 						t.Fatalf("before any call: %d sidecar bytes on a default index, %d under Quantize", auto.SidecarBytes(), eager.SidecarBytes())
 					}
 
@@ -106,8 +113,8 @@ func TestAutoScreenMatchesUnscreened(t *testing.T) {
 					if firstC != againC {
 						t.Fatalf("counters depend on the calls before:\nfirst  %+v\nrepeat %+v", firstC, againC)
 					}
-					if quantizedC.QuantScreened == 0 {
-						t.Fatal("fixture is vacuous: the Quantize index screened nothing")
+					if quantizedC.QuantScreened == 0 || eager.SidecarBytes() == 0 {
+						t.Fatalf("fixture is vacuous: the Quantize index screened %d candidates, built %d sidecar bytes", quantizedC.QuantScreened, eager.SidecarBytes())
 					}
 					if !accelerated {
 						if firstC != wantC || auto.SidecarBytes() != 0 {
@@ -119,7 +126,7 @@ func TestAutoScreenMatchesUnscreened(t *testing.T) {
 						t.Fatalf("default index on assembly kernels screened nothing: %+v, %d sidecar bytes", firstC, auto.SidecarBytes())
 					}
 					if auto.SidecarBytes() > eager.SidecarBytes() {
-						t.Fatalf("lazy sidecars hold %d bytes, more than the %d of every bucket's", auto.SidecarBytes(), eager.SidecarBytes())
+						t.Fatalf("the default index's sidecars hold %d bytes, more than the %d of the Quantize index, which screens every pair it does", auto.SidecarBytes(), eager.SidecarBytes())
 					}
 					// One accounting identity on every arm, and the bucket
 					// report agrees with the byte count.
@@ -157,7 +164,9 @@ func TestQuantizeSkipsSeedPairs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix.autoScreen = false
+		if !quantize {
+			ix.screenMin = 0
+		}
 		return ix
 	}
 	eager, off := build(true), build(false)
@@ -180,4 +189,153 @@ func TestQuantizeSkipsSeedPairs(t *testing.T) {
 			t.Fatalf("k=%d: fixture is vacuous, the Quantize index screened nothing", k)
 		}
 	}
+}
+
+// TestSidecarBuiltOnFirstScreen: a bucket's int8 sidecar is built by the
+// first pair that screens the bucket and by nothing else, under
+// Options.Quantize as by default. A build, a restore, an update batch and a
+// compaction leave every bucket without one; after one call, every bucket
+// that carries one holds quant.QuantizeRowsMax of its rows at the step its
+// length pass found, bit for bit, under every kernel tier the host runs (and
+// equal to the portable tier's); concurrent first calls on a fresh index
+// build each sidecar once.
+func TestSidecarBuiltOnFirstScreen(t *testing.T) {
+	const r = 50 // wide enough for the int8 assembly
+	rng := rand.New(rand.NewSource(561))
+	p := genMatrix(rng, 1500, r, 0.5, 1, false, 2, 4)
+	q := genMatrix(rng, 24, r, 0.5, 1, false, 1, 0)
+	theta, _ := safeTheta(t, q, p, 300)
+	var ups []ProbeUpdate
+	for id := int32(0); id < 150; id += 5 {
+		ups = append(ups, ProbeUpdate{Op: OpRemove, ID: id})
+	}
+	for i := 0; i < 60; i++ {
+		ups = append(ups, ProbeUpdate{Op: OpAdd, ID: AutoID, Vec: randVec(rng, r)})
+	}
+	build := func(t *testing.T, quantize bool) *Index {
+		t.Helper()
+		opts := testOptions(AlgL)
+		opts.CacheBytes = bucketBytes(r) * 64
+		opts.Quantize = quantize
+		ix, err := NewIndex(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	noSidecar := func(t *testing.T, what string, ix *Index) {
+		t.Helper()
+		if ix.SidecarBytes() != 0 || slices.ContainsFunc(ix.Buckets(), func(b BucketInfo) bool { return b.Sidecar }) {
+			t.Fatalf("%s: %d sidecar bytes before any call", what, ix.SidecarBytes())
+		}
+	}
+
+	// Every sidecar the calls build, to hold against the portable tier's.
+	type sidecar struct {
+		name string
+		bi   int
+		b    *bucket
+		got  *quant.Rows
+	}
+	var sidecars []sidecar
+	forEachTier(t, func(t *testing.T) {
+		for _, quantize := range []bool{false, true} {
+			built := build(t, quantize)
+			restored, err := FromState(built.State())
+			if err != nil {
+				t.Fatal(err)
+			}
+			updated, _, err := built.WithUpdates(ups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compacted, _, err := built.WithUpdates(ups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compacted.Compact()
+			indexes := []struct {
+				name string
+				ix   *Index
+			}{{"built", built}, {"restored", restored}, {"updated", updated}, {"compacted", compacted}}
+			for _, c := range indexes {
+				noSidecar(t, fmt.Sprintf("quantize=%v %s", quantize, c.name), c.ix)
+			}
+			for _, c := range indexes {
+				ix := c.ix
+				for _, prob := range []Problem{{K: 10}, {Theta: theta}} {
+					name := fmt.Sprintf("quantize=%v %s %+v", quantize, c.name, prob)
+					var st Stats
+					if prob.K > 0 {
+						if _, st, err = rowTopK(ix, q, prob.K); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						_, st = collectAbove(t, ix, q, prob.Theta)
+					}
+					screened := st.QuantScreened+st.QuantSurvived > 0
+					if screened != (ix.screenMin > 0) || screened != (ix.SidecarBytes() > 0) {
+						t.Fatalf("%s: screenMin %d, %d candidates screened, %d sidecar bytes", name, ix.screenMin, st.QuantScreened+st.QuantSurvived, ix.SidecarBytes())
+					}
+					for bi, b := range ix.scan {
+						got := b.q8.Load()
+						if got == nil {
+							continue
+						}
+						if want := quant.QuantizeRowsMax(b.rows, b.r, b.maxAbs); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: bucket %d's sidecar is not QuantizeRowsMax of its rows", name, bi)
+						}
+						sidecars = append(sidecars, sidecar{vecmath.Kernels() + " " + name, bi, b, got})
+					}
+				}
+			}
+		}
+	})
+
+	restore := vecmath.LimitTier(vecmath.TierPortable)
+	for _, s := range sidecars {
+		if !reflect.DeepEqual(s.got, quant.QuantizeRowsMax(s.b.rows, s.b.r, s.b.maxAbs)) {
+			t.Errorf("%s: bucket %d's sidecar differs from the portable tier's", s.name, s.bi)
+		}
+	}
+	restore()
+
+	t.Run("concurrent", func(t *testing.T) {
+		const callers = 4
+		for _, quantize := range []bool{false, true} {
+			want, _, err := rowTopK(build(t, quantize), q, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix := build(t, quantize)
+			seen := make([][]*quant.Rows, callers)
+			var wg sync.WaitGroup
+			for w := range callers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got, _, err := rowTopK(ix, q, 10)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("quantize=%v caller %d: answer differs from the serial one", quantize, w)
+					}
+					for _, b := range ix.scan {
+						seen[w] = append(seen[w], b.q8.Load())
+					}
+				}()
+			}
+			wg.Wait()
+			for w := 1; w < callers; w++ {
+				if !slices.Equal(seen[w], seen[0]) {
+					t.Fatalf("quantize=%v: caller %d saw other sidecars than caller 0: one was built twice", quantize, w)
+				}
+			}
+			if (ix.screenMin > 0) != slices.ContainsFunc(seen[0], func(s *quant.Rows) bool { return s != nil }) {
+				t.Fatalf("quantize=%v: screenMin %d, yet sidecars after the calls: %v", quantize, ix.screenMin, ix.SidecarBytes())
+			}
+		}
+	})
 }

@@ -42,12 +42,12 @@ type bucket struct {
 
 	// Int8 quantization sidecar of rows: the conservative screen that runs
 	// ahead of exact verification (verify.go). One more lazy index — built by
-	// the first (query, bucket) pair the screen pays for, so a bucket no
-	// retrieval verifies never carries one — except under Options.Quantize,
-	// where attachSidecars builds it before the bucket is published. An
-	// atomic pointer because SidecarBytes and Buckets read it beside
-	// retrievals that build it. Derived state like the lists; BucketInfo
-	// reports it as Sidecar, apart from Indexed.
+	// the first (query, bucket) pair the screen covers (sidecarFor), or by the
+	// tuner before it times the bucket, so a bucket no retrieval screens
+	// never carries one, whatever the options. An atomic pointer because
+	// SidecarBytes and Buckets read it beside retrievals that build it.
+	// Derived state like the lists; BucketInfo reports it as Sidecar, apart
+	// from Indexed.
 	q8Once sync.Once
 	q8     atomic.Pointer[quant.Rows]
 }
@@ -91,8 +91,8 @@ func (b *bucket) ensureLists(workers int) *sortedLists {
 }
 
 // ensureSidecar quantizes the bucket's rows on first use, at the step its
-// maxAbs sets. The dimension must lie in [1, quant.MaxDim]: attachSidecars
-// checks, Index.autoScreen implies it.
+// maxAbs sets. The dimension must lie in [1, quant.MaxDim], as a non-zero
+// Index.screenMin implies (screenRule).
 func (b *bucket) ensureSidecar() *quant.Rows {
 	b.q8Once.Do(func() { b.q8.Store(quant.QuantizeRowsMax(b.rows, b.r, b.maxAbs)) })
 	return b.q8.Load()

@@ -19,10 +19,11 @@ import (
 // fitting per call and under a frozen fit, while another goroutine exports
 // State. No retrieval writes index state, so every answer
 // must equal the one the same call gives alone. TuneByCost makes each call's
-// fit a function of the call. The index screens either eagerly
-// (Options.Quantize) or through lazy sidecars, switched on whatever the host's
-// kernels: there the first-touch sidecar builds meet concurrent scans, State
-// and the copy-on-write relative, which shares the base segment's sidecars.
+// fit a function of the call. The index screens either every pair
+// (Options.Quantize) or by the default rule, switched on whatever the host's
+// kernels; either way the first-touch sidecar builds meet concurrent scans,
+// State and the copy-on-write relative, which shares the base segment's
+// sidecars.
 func TestConcurrentRetrievals(t *testing.T) {
 	const (
 		r       = 10
@@ -112,7 +113,9 @@ func TestConcurrentRetrievals(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							base.autoScreen = !quantize
+							if !quantize {
+								base.screenMin = autoScreenMin
+							}
 							if pretuned {
 								if err := base.Pretune(q.Head(12), Problem{K: 5}); err != nil {
 									t.Fatal(err)
@@ -175,8 +178,8 @@ func TestConcurrentRetrievals(t *testing.T) {
 						wg.Wait()
 						stop.Store(true)
 						exporter.Wait()
-						if !quantize && ixs[0].SidecarBytes() == 0 {
-							t.Error("lazy arm: no sidecar bytes after the calls")
+						if ixs[0].SidecarBytes() == 0 {
+							t.Error("no sidecar bytes after the calls")
 						}
 						if !reflect.DeepEqual(ixs[0].State(), exported) {
 							t.Error("the calls changed the state a snapshot exports")
@@ -280,7 +283,7 @@ func TestConcurrentTuneBesideRetrievals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix.autoScreen = true // lazy sidecars whatever the host's kernels
+		ix.screenMin = autoScreenMin // the default screen whatever the host's kernels
 		return ix
 	}
 	tune := func(ix *Index, prob Problem) []tunedParam {

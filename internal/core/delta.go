@@ -262,12 +262,11 @@ type liveVec struct {
 }
 
 // newSegment bucketizes the probes of c, every column named (c.ids not
-// nil), into a segment with every entry live (bucketize). Under
-// Options.Quantize its buckets carry their sidecars.
+// nil), into a segment with every entry live (bucketize). Its buckets
+// carry no sidecar: the first pair that screens one builds it.
 func (ix *Index) newSegment(c columns) segRef {
 	s := &segment{ids: c.ids, byID: c.byID}
 	s.buckets, s.loc = bucketize(c, ix.r, ix.opts.ShrinkFactor, ix.opts.MinBucketSize, ix.bucketCap(), ix.opts.Parallelism)
-	ix.attachSidecars(s.buckets)
 	return segRef{s, len(c.ids)}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"lemp/internal/matrix"
-	"lemp/internal/quant"
 )
 
 // Index is a LEMP index over a probe matrix P: the preprocessing phase of
@@ -31,13 +30,12 @@ type Index struct {
 	prepTime  time.Duration
 	slack     float64 // boundSlack(r), by which every pruning bound is loosened
 
-	// autoScreen is set where the int8 screen runs without being asked for:
-	// the index was built without Options.Quantize and quant's kernels are
-	// assembly for its dimension. Sidecars are then lazy per-bucket indexes
-	// and sidecarFor (verify.go) decides pair by pair. Fixed at construction
-	// and shared with copy-on-write relatives; tests clear it to obtain the
-	// screen-less reference.
-	autoScreen bool
+	// screenMin is the fewest live candidates a finite-cut pair shows for
+	// the int8 screen to cover it (sidecarFor, verify.go), 0 where nothing is
+	// screened: see screenRule. Fixed at construction and shared with
+	// copy-on-write relatives; tests clear it to obtain the screen-less
+	// reference.
+	screenMin int
 
 	// sweepOff makes the tuner observe every bucket its sample reaches, not
 	// stop where LENGTH sweeps (tunePatience): set by tests, to compare fits.
@@ -135,7 +133,7 @@ func newIndex(p *matrix.Matrix, ids []int32, opts Options, own bool) (*Index, er
 		c.arena = p.Data()
 	}
 	ix := &Index{opts: opts, r: p.R(), slack: boundSlack(p.R()), id: indexSeq.Add(1), scratchPool: new(sync.Pool),
-		autoScreen: !opts.Quantize && quant.Accelerated(p.R())}
+		screenMin: screenRule(opts, p.R())}
 	ix.setBase(ix.newSegment(c))
 	ix.prepTime = time.Since(start)
 	return ix, nil
@@ -182,7 +180,7 @@ type BucketInfo struct {
 	MaxLength float64 // l_b, the length of the longest vector
 	MinLength float64
 	Indexed   bool    // the sorted lists exist
-	Sidecar   bool    // an int8 sidecar exists: built eagerly (Options.Quantize) or by a screened pair
+	Sidecar   bool    // an int8 sidecar exists: built on first screened use
 	Tuned     bool    // the frozen fit holds t_b and φ_b for this bucket
 	TB        float64 // switch threshold: LENGTH below, coordinate method above
 	Phi       int     // focus-set size φ_b
@@ -302,27 +300,10 @@ func (ix *Index) gather(c *call, bi int, qi int32, qdir []float64, qlen, theta, 
 	}
 }
 
-// attachSidecars quantizes the rows of freshly built or restored buckets
-// into their int8 screening sidecars, eagerly, under
-// Options.Quantize, the buckets spread over Options.Parallelism goroutines;
-// every other index leaves them to the first screened pair (sidecarFor).
-// Dimensions outside [1, quant.MaxDim] leave every sidecar nil, silently
-// disabling screening.
-func (ix *Index) attachSidecars(buckets []*bucket) {
-	if !ix.opts.Quantize || ix.r < 1 || ix.r > quant.MaxDim {
-		return
-	}
-	n := 0
-	for _, b := range buckets {
-		n += b.size()
-	}
-	spreadItems(len(buckets), spreadWorkers(n, ix.opts.Parallelism), buckets, func(bs []*bucket, _, i int) { bs[i].ensureSidecar() })
-}
-
 // SidecarBytes returns the memory held by the int8 screening sidecars across
-// all scanned buckets: every bucket's under Options.Quantize, otherwise those
-// of the buckets retrievals have screened so far (none where the int8 kernels
-// are not assembly). It may run beside retrievals.
+// all scanned buckets: those of the buckets retrievals have screened (or the
+// tuner has timed) so far, none on an index that screens nothing. It may run
+// beside retrievals.
 func (ix *Index) SidecarBytes() int {
 	total := 0
 	for _, b := range ix.scan {

@@ -109,31 +109,29 @@ type Options struct {
 	// (default 1, matching the paper's single-threaded measurements), and
 	// with it the per-probe and per-bucket work of a build, a snapshot
 	// restore and a compaction: the length sort, the lengths, the bucket
-	// layout, the row copy and eager sidecars. What they build does not
-	// depend on it.
+	// layout and the row copy. What they build does not depend on it.
 	Parallelism int
 	// Quantize makes the int8 screen (internal/quant: a cheap approximate dot
 	// of the quantized query and probe rows plus a conservative error bound
 	// on fl(qᵀp) that discards verification candidates before the exact f64
-	// kernels run) eager, unconditional and persistent: every bucket's
-	// sidecar is built at index construction, on mutation, on compaction and
-	// on snapshot restore, and every (query, bucket) pair under a finite
-	// threshold is screened, the portable kernels included. Snapshots record
-	// the option (an empty QNT8 section), not the sidecars: they are
-	// re-quantized on load. Without it an index screens by itself wherever
-	// the int8 kernels run in assembly for its dimension
-	// (quant.Accelerated): a bucket's sidecar is built by the first pair
-	// that shows at least eight candidates under a finite threshold, only
-	// such pairs are screened, and buckets no retrieval verifies never carry
-	// one. Exact results are the same in all
-	// three cases — the bound is conservative, so only candidates that
-	// provably cannot reach the threshold are skipped, and every survivor is
-	// verified in f64. A sidecar quantizes a bucket's raw rows, the index's
-	// one f64 copy of its probes, at one step per bucket: r bytes per probe
-	// (50 beside the 400 bytes of an r = 50 row) and 8 per bucket. On the
-	// portable kernels the screen costs more than the exact dot it saves,
-	// which is why only this option turns it on there. Dimensions above
-	// quant.MaxDim silently disable screening.
+	// kernels run) unconditional: every (query, bucket) pair with a candidate
+	// under a finite threshold is screened, the portable kernels included.
+	// Snapshots record the option (an empty QNT8 section), not the sidecars.
+	// Without it an index screens by itself wherever the int8 kernels run in
+	// assembly for its dimension (quant.Accelerated): only the pairs that
+	// show at least eight candidates under a finite threshold are screened.
+	// Either way a bucket's sidecar is built on first screened use — by the
+	// first pair the screen covers, or by the tuner before it times the
+	// bucket — so a build, a restore, an update or a compaction quantizes
+	// nothing, and buckets no retrieval reaches never carry one. Exact
+	// results are the same in all three cases — the bound is conservative,
+	// so only candidates that provably cannot reach the threshold are
+	// skipped, and every survivor is verified in f64. A sidecar quantizes a
+	// bucket's raw rows, the index's one f64 copy of its probes, at one step
+	// per bucket: r bytes per probe (50 beside the 400 bytes of an r = 50
+	// row) and 8 per bucket. On the portable kernels the screen costs more
+	// than the exact dot it saves, which is why only this option turns it on
+	// there. Dimensions above quant.MaxDim silently disable screening.
 	Quantize bool
 }
 

@@ -101,10 +101,11 @@ func (ix *Index) Pretuned() bool { return ix.pretuned }
 
 // FromState builds an index from an exported state: NewIndexWithIDs over
 // the state's probes, options and ids — every probe obeys the build's rule,
-// and under Options.Quantize every bucket is quantized — at the state's
-// epoch and AutoID mark, then, when the state retains a tuning sample,
-// Pretune on it. Under Options.TuneByCost that fit equals the exporting
-// index's bucket for bucket; under wall-clock tuning it is measured again.
+// and no bucket is quantized: its sidecar is built on first screened use —
+// at the state's epoch and AutoID mark, then, when the state retains a
+// tuning sample, Pretune on it. Under Options.TuneByCost that fit equals the
+// exporting index's bucket for bucket; under wall-clock tuning it is
+// measured again.
 // Answers are exact either way. FromState takes ownership of st.Probe and
 // st.IDs, which the caller must not modify afterwards: a state in scan order
 // (Index.State's) becomes the index's buckets where it lies, any other

@@ -260,7 +260,8 @@ func TestStateOfMutatedIndexMatchesCompaction(t *testing.T) {
 // into bucket rows, and both restore the exporting index's buckets and its
 // re-exported state. Every bucket of every index here, built, mutated or
 // restored either way, quantizes (Options.Quantize) at the step its length
-// pass found: its sidecar is quant.QuantizeRows' of its rows.
+// pass found: the sidecar its first use builds is quant.QuantizeRows' of
+// its rows.
 func TestFromStateKeepsScanOrderInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	p := genMatrix(rng, 400, 8, 1.2, 1, false, 2, 4)
@@ -273,7 +274,7 @@ func TestFromStateKeepsScanOrderInPlace(t *testing.T) {
 	sidecarsOfRows := func(what string, ix *Index) {
 		t.Helper()
 		for bi, b := range ix.scan {
-			got, want := b.q8.Load(), quant.QuantizeRows(b.rows, b.r)
+			got, want := b.ensureSidecar(), quant.QuantizeRows(b.rows, b.r)
 			if got == nil || got.Scale != want.Scale || !slices.Equal(got.Codes, want.Codes) {
 				t.Fatalf("%s: bucket %d's sidecar is not its rows' (step %v, want %v)", what, bi, got.Scale, want.Scale)
 			}
@@ -331,9 +332,9 @@ func TestFromStateKeepsScanOrderInPlace(t *testing.T) {
 		if &sorted.segs[0].buckets[0].rows[0] == &rev.Probe.Data()[0] {
 			t.Fatalf("%s: a state out of scan order was kept in place", name)
 		}
+		sidecarsOfRows(name+" restored by sorting", sorted)
 		if !reflect.DeepEqual(sorted.Buckets(), re.Buckets()) {
 			t.Fatalf("%s: the reversed state restores other buckets", name)
 		}
-		sidecarsOfRows(name+" restored by sorting", sorted)
 	}
 }

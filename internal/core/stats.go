@@ -41,7 +41,7 @@ type Stats struct {
 	// (query, bucket) pairs: screened ones were discarded by the
 	// conservative int8 bound without touching their f64 row, survived ones
 	// fell through to the exact kernels. Every pair is screened under
-	// Options.Quantize;
+	// Options.Quantize (screenRule);
 	// otherwise the pairs of at least eight candidates under a finite
 	// threshold are, and only where the int8 kernels are assembly — so on an
 	// index built without the option these two, and with them the

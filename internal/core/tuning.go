@@ -226,7 +226,7 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 		}
 		b := ix.scan[bi]
 		b.ensureLists(c.opts.Parallelism)
-		if ix.autoScreen && !c.opts.TuneByCost {
+		if ix.screenMin > 0 && !c.opts.TuneByCost {
 			b.ensureSidecar()
 		}
 		obs, w := make([]observation, len(ps)), c.opts.MaxPhi+1

@@ -74,25 +74,39 @@ func (ix *Index) compactLiveCands(bi int, s *scratch) {
 // has shown a smaller one to pay.
 const autoScreenMin = 8
 
+// screenRule decides, once per index, which pairs the int8 screen covers,
+// as the fewest live candidates a pair under a finite cut must show (0:
+// none). An index screens nothing where its dimension lies outside
+// [1, quant.MaxDim]; under Options.Quantize it screens every pair that has a
+// candidate, on every kernel tier; otherwise it screens the pairs of at
+// least autoScreenMin candidates where the int8 kernels are assembly
+// (quant.Accelerated), and nothing on the portable ones, where the screen
+// costs more than the exact dot it saves.
+func screenRule(opts Options, r int) int {
+	switch {
+	case r < 1 || r > quant.MaxDim:
+		return 0
+	case opts.Quantize:
+		return 1
+	case quant.Accelerated(r):
+		return autoScreenMin
+	}
+	return 0
+}
+
 // sidecarFor returns the sidecar that screens a pair holding n live
 // candidates against cut, nil for none. No pair under a cut of −∞ is
 // screened: a Row-Top-k heap that is not yet full (the seed buckets) can drop
 // nothing, so its candidates are never counted as screened or survived.
-// Otherwise, under Options.Quantize, it is the bucket's eagerly attached
-// sidecar, for every pair. Without it, where the int8 kernels are assembly
-// (Index.autoScreen), a pair is screened iff it shows at least autoScreenMin
-// candidates, and the first such pair builds the bucket's sidecar. Whether a
+// Otherwise a pair is screened iff it shows at least Index.screenMin
+// candidates (screenRule), and the first such pair builds the bucket's
+// sidecar, whatever the options (the tuner alone builds one earlier, before
+// it times the bucket). Whether a
 // pair is screened must not depend on whether the sidecar already exists: the
 // rule that uses one is the rule that builds it, so a call's counters stay a
 // function of (index, query, problem) and not of the calls before it.
 func (ix *Index) sidecarFor(b *bucket, n int, cut float64) *quant.Rows {
-	if math.IsInf(cut, -1) {
-		return nil
-	}
-	if !ix.autoScreen {
-		return b.q8.Load()
-	}
-	if n < autoScreenMin {
+	if ix.screenMin == 0 || n < ix.screenMin || math.IsInf(cut, -1) {
 		return nil
 	}
 	return b.ensureSidecar()

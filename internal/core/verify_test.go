@@ -108,8 +108,8 @@ func TestVerifyStatsSplit(t *testing.T) {
 		t.Fatalf("screened %d + verified %d+%d does not cover %d candidates (no tombstones here)",
 			st.QuantScreened, st.BlockVerified, st.ScalarVerified, st.Candidates)
 	}
-	if (st.QuantScreened > 0) != ix.autoScreen {
-		t.Fatalf("%d candidates screened on a default index, autoScreen=%v", st.QuantScreened, ix.autoScreen)
+	if (st.QuantScreened > 0) != (ix.screenMin > 0) {
+		t.Fatalf("%d candidates screened on a default index, screenMin=%d", st.QuantScreened, ix.screenMin)
 	}
 	if st.BlockVerified == 0 {
 		t.Fatal("no block-verified candidates on a 400-probe index")

@@ -2,11 +2,11 @@ package quant
 
 // Block is up to four prefix screens of one panel, run as one pass: where
 // the block kernel runs (vnniKernels), each row chunk is loaded once and
-// multiplied into every queued query, where one Prefix call per query would
-// load it once per query. Every query keeps its own prefix length and its
-// own integer cut, so a query's survivors are exactly those its Prefix call
-// would write. A Block is reusable scratch: Reset, Add up to four screens,
-// Run, and Reset again.
+// multiplied into every queued query, where one panel-kernel pass per query
+// (screenPanel) would load it once per query. Every query keeps its own
+// prefix length and its own integer cut, so a query's survivors are exactly
+// those a block of one would write. A Block is reusable scratch: Reset, Add
+// up to four screens, Run, and Reset again.
 type Block struct {
 	qr   *Rows
 	m    int
@@ -23,7 +23,7 @@ func (b *Block) Reset() { b.m, b.qr = 0, nil }
 func (b *Block) Len() int { return b.m }
 
 // Add queues the screen s of the first n rows of its panel against cut, as
-// s.Prefix(n, cut, …) would run it, and reports whether the block is now
+// a block of one would run it, and reports whether the block is now
 // full. Every screen of a block must be of the same panel; Add panics on a
 // fifth screen or another panel.
 func (b *Block) Add(s Screen, n int, cut float64) (full bool) {

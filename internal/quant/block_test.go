@@ -164,8 +164,9 @@ func TestBlockAtWidestRow(t *testing.T) {
 	}
 }
 
-// TestBlockAdd checks that Add turns the float cut into Prefix's integer cut
-// and that a queued block screens as one Prefix call per screen does.
+// TestBlockAdd checks that Add turns the float cut into the panel screen's
+// integer cut and that a queued block screens as one prefix call per screen
+// does.
 func TestBlockAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	const r, rows = 50, 40
@@ -196,9 +197,9 @@ func TestBlockAdd(t *testing.T) {
 	k := b.Run(got)
 	for j := range screens {
 		want := make([]int32, rows)
-		kw := screens[j].Prefix(rows-7*j, cuts[j], want)
+		kw := prefix(&screens[j], rows-7*j, cuts[j], want)
 		if !slices.Equal(got[j][:k[j]], want[:kw]) {
-			t.Fatalf("screen %d: block kept %v, Prefix %v", j, got[j][:k[j]], want[:kw])
+			t.Fatalf("screen %d: block kept %v, prefix %v", j, got[j][:k[j]], want[:kw])
 		}
 	}
 	b.Reset()

@@ -64,8 +64,7 @@ import (
 // run both at blockMaxDim.
 //
 // The quantizer's kernels hold the same contract in float64: they give the
-// Go loops' bits, not merely sound bounds. maxAbsAVX2 takes a maximum of
-// finite |x|, which is one value in any lane order. quantize4AVX2 puts one
+// Go loops' bits, not merely sound bounds. quantize4AVX2 puts one
 // row in each of four lanes, so every lane runs quantizeRow's loop — the
 // same rounded operations, no fused multiply-add, its sums accumulated
 // coordinate by coordinate in the same order — and returns the three sums

@@ -52,9 +52,3 @@ func screenPanelVNNI(q, panel *int8, r, n int, cut int32, rows *int32) int
 //
 //go:noescape
 func quantize4AVX2(rows *float64, codes *int8, n int, scale, inv float64, sums *[12]float64)
-
-// maxAbsAVX2 returns the largest finite |x| of the n float64s at v (n ≥ 8 a
-// multiple of 8), 0 when there is none.
-//
-//go:noescape
-func maxAbsAVX2(v *float64, n int) float64

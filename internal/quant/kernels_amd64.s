@@ -1094,46 +1094,3 @@ quant_done:
 	VMOVUPD Y2, 64(DX)
 	VZEROUPPER
 	RET
-
-DATA absMask<>+0(SB)/8, $0x7fffffffffffffff
-GLOBL absMask<>(SB), RODATA|NOPTR, $8
-
-DATA maxFinite<>+0(SB)/8, $0x7fefffffffffffff // math.MaxFloat64
-GLOBL maxFinite<>(SB), RODATA|NOPTR, $8
-
-// func maxAbsAVX2(v *float64, n int) float64
-//
-// The largest finite |x| of the n ≥ 8 (a multiple of 8) values at v, 0 when
-// there is none: |x| by clearing the sign bit, a non-finite |x| zeroed by
-// its failed comparison with MaxFloat64 (NaN compares false), and two
-// vectors of running maxima. Every candidate is +0 or positive, so the
-// maximum is the same value in any lane order.
-TEXT ·maxAbsAVX2(SB), NOSPLIT, $0-24
-	MOVQ v+0(FP), SI
-	MOVQ n+8(FP), CX
-	VBROADCASTSD absMask<>(SB), Y15
-	VBROADCASTSD maxFinite<>(SB), Y14
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	XORQ   AX, AX
-
-max_chunk:
-	VANDPD (SI)(AX*8), Y15, Y2
-	VANDPD 32(SI)(AX*8), Y15, Y3
-	VCMPPD $2, Y14, Y2, Y4 // |x| ≤ MaxFloat64
-	VCMPPD $2, Y14, Y3, Y5
-	VANDPD Y4, Y2, Y2
-	VANDPD Y5, Y3, Y3
-	VMAXPD Y2, Y0, Y0
-	VMAXPD Y3, Y1, Y1
-	ADDQ   $8, AX
-	CMPQ   AX, CX
-	JLT    max_chunk
-	VMAXPD       Y1, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VMAXPD       X1, X0, X0
-	VPERMILPD    $1, X0, X1
-	VMAXSD       X1, X0, X0
-	VMOVSD       X0, ret+16(FP)
-	VZEROUPPER
-	RET

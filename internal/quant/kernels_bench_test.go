@@ -22,7 +22,7 @@ import (
 // ns/cand column, and on a VNNI host the dispatcher held to the AVX2 tier
 // as well; with -tags purego every row is the portable one. The MB/s column
 // counts what a candidate touches: its r codes. Each screening call pays its
-// own integer cut (intCut), as Prefix, List and Screen8 do.
+// own integer cut (intCut), as Block.Run, List and Screen8 do.
 
 const benchRows = 2048
 
@@ -85,7 +85,7 @@ func reportPerCand(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchRows), "ns/cand")
 }
 
-// BenchmarkScreenPanel times Screen.Prefix over a whole bucket — the cut and
+// BenchmarkScreenPanel times the panel screen over a whole bucket — the cut and
 // the panel kernel with its integer comparison — LENGTH's candidate shape:
 // at every benchDims dimension on the cache-resident panel, and at r = 50
 // on the bigPanelRows panel, which streams from L3 (rows=86016). Besides
@@ -184,7 +184,7 @@ func BenchmarkDotQ8(b *testing.B) {
 }
 
 // BenchmarkScreenBlock times Block.Run over a whole bucket for four queries
-// (their own cuts, every prefix whole) against four Prefix calls on the same
+// (their own cuts, every prefix whole) against four prefix calls on the same
 // screens: ns/pair is per (row, query), the unit BenchmarkScreenPanel's
 // ns/cand counts for one query. Off the VNNI tier both rows run the
 // one-query kernel.
@@ -209,7 +209,7 @@ func BenchmarkScreenBlock(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if shape == "one-query" {
 						for j := range screens {
-							kept += screens[j].Prefix(benchRows, benchCut, out[j])
+							kept += prefix(&screens[j], benchRows, benchCut, out[j])
 						}
 						continue
 					}

@@ -27,5 +27,3 @@ func screenPanelVNNI(q, panel *int8, r, n int, cut int32, rows *int32) int {
 func quantize4AVX2(rows *float64, codes *int8, n int, scale, inv float64, sums *[12]float64) {
 	panic("quant: no AVX2 kernels in this build")
 }
-
-func maxAbsAVX2(v *float64, n int) float64 { panic("quant: no AVX2 kernels in this build") }

@@ -91,8 +91,6 @@ package quant
 import (
 	"math"
 	"math/bits"
-
-	"lemp/internal/vecmath"
 )
 
 // MaxDim is the largest row dimension the sidecar supports: DotQ8
@@ -200,16 +198,11 @@ func clampCode(c float64) float64 {
 	return c
 }
 
-// maxAbs returns the largest finite |x| of v (0 when there is none). Where
-// the kernels are assembly, all but the last len(v) mod 8 values go through
-// maxAbsAVX2; a maximum is the same value in any order, so a panel's is the
-// largest of its rows'.
+// maxAbs returns the largest finite |x| of v (0 when there is none): a
+// query's step (QuantizeQuery) and a panel's (QuantizeRows). A maximum is the
+// same value in any order, so a panel's is the largest of its rows'.
 func maxAbs(v []float64) float64 {
 	m := 0.0
-	if n := len(v) &^ 7; n > 0 && vecmath.AVX2() {
-		m = maxAbsAVX2(&v[0], n)
-		v = v[n:]
-	}
 	for _, x := range v {
 		if a := math.Abs(x); a > m && a <= math.MaxFloat64 {
 			m = a
@@ -509,13 +502,6 @@ func (s *Screen) intCut(cut float64) int32 { return intCut(s.qs, s.qr.Scale, s.r
 // benchmark/kernels.go, which times it.
 func (s *Screen) Screen8(i0, i1, i2, i3, i4, i5, i6, i7 int, lens *[8]float64, cut float64, dots *[8]int32) uint8 {
 	return dot8(s.codes, s.qr.Codes, &[8]int{i0, i1, i2, i3, i4, i5, i6, i7}, dots, s.intCut(cut))
-}
-
-// Prefix screens the panel's first n rows in one panel-kernel pass and
-// writes the survivors' row numbers to rows in order. It returns the
-// survivor count. rows must hold n elements.
-func (s *Screen) Prefix(n int, cut float64, rows []int32) int {
-	return screenPanel(s.codes, s.sum, s.qr.Codes[:n*s.qr.r], s.intCut(cut), rows[:n])
 }
 
 // List screens the rows listed in rows (any order, repeats allowed):

@@ -20,6 +20,15 @@ func naiveDotQ8(a, b []int8) int32 {
 	return s
 }
 
+// prefix screens the first n rows of s's panel against cut as a Block of
+// one, the panel screen every prefix takes, and returns the survivor count;
+// the survivors' row numbers are in rows, which must hold n elements.
+func prefix(s quant.Screen, n int, cut float64, rows []int32) int {
+	var b quant.Block
+	b.Add(s, n, cut)
+	return b.Run(&[4][]int32{rows})[0]
+}
+
 func TestDotQ8MatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, r := range []int{1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 64, 100, 257} {
@@ -37,14 +46,14 @@ func TestDotQ8MatchesNaive(t *testing.T) {
 	}
 }
 
-// TestBatchedKernelsMatchScalar: Screen8, Prefix and List exist only for
+// TestBatchedKernelsMatchScalar: Screen8, the panel screen (prefix) and List exist only for
 // speed — every batched shape must reach the screen/survive decisions of
 // the one-row path (List over a single row: DotQ8 against the cut), and
 // Screen8 hand back its dots, across cutoffs that land inside and outside
 // the bound range, and compact its survivors in order.
 func TestBatchedKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	const n = 21 // Prefix and List: two blocks of eight and a five-row tail
+	const n = 21 // prefix and List: two blocks of eight and a five-row tail
 	for _, r := range []int{1, 3, 4, 8, 16, 33, 50, 64} {
 		rows := make([]float64, n*r)
 		q := make([]float64, r)
@@ -71,9 +80,9 @@ func TestBatchedKernelsMatchScalar(t *testing.T) {
 					}
 				}
 				got := make([]int32, n)
-				k := scr.Prefix(n, cut, got)
+				k := prefix(scr, n, cut, got)
 				if !slices.Equal(got[:k], wantRows) {
-					t.Fatalf("r=%d cut %v: Prefix kept %v, one-row path %v", r, cut, got[:k], wantRows)
+					t.Fatalf("r=%d cut %v: prefix kept %v, one-row path %v", r, cut, got[:k], wantRows)
 				}
 				// List over a scattered order with a repeat: survivors stay in
 				// list order.
@@ -190,8 +199,8 @@ func checkScreen(t *testing.T, qr *quant.Rows, qq quant.Query, q, rows []float64
 		scr := qr.NewScreen(qq, emit)
 		for i := 0; i < n; i++ {
 			cut := vecmath.Dot(q, rows[i*r:(i+1)*r]) * emit
-			if k := scr.Prefix(n, cut, keep); !slices.Contains(keep[:k], int32(i)) {
-				t.Errorf("row %d (emit %v): Prefix discards it at its own value %v", i, emit, cut)
+			if k := prefix(scr, n, cut, keep); !slices.Contains(keep[:k], int32(i)) {
+				t.Errorf("row %d (emit %v): prefix discards it at its own value %v", i, emit, cut)
 				return false
 			}
 			if list[0] = int32(i); scr.List(list, cut) != 1 {
@@ -326,10 +335,10 @@ func TestNonFiniteRowsNeverScreened(t *testing.T) {
 		scr := qr.NewScreen(qq, emit)
 		for _, cut := range []float64{-1, 0, 1e300, math.Inf(1)} {
 			keep := make([]int32, 4)
-			k := scr.Prefix(4, cut, keep)
+			k := prefix(scr, 4, cut, keep)
 			for i := int32(1); i < 4; i++ {
 				if !slices.Contains(keep[:k], i) {
-					t.Fatalf("emit %v cut %v: Prefix kept %v, dropping non-finite row %d", emit, cut, keep[:k], i)
+					t.Fatalf("emit %v cut %v: prefix kept %v, dropping non-finite row %d", emit, cut, keep[:k], i)
 				}
 			}
 			list := []int32{3, 1, 2}

@@ -176,17 +176,17 @@ func TestIntCutSound(t *testing.T) {
 	zero := QuantizeRows(make([]float64, 3*r), r)
 	scr := zero.NewScreen(qq, 1)
 	rows := make([]int32, 3)
-	if k := scr.Prefix(3, 2*scr.resid, rows); k != 0 {
+	if k := prefix(&scr, 3, 2*scr.resid, rows); k != 0 {
 		t.Fatalf("zero panel kept %d rows at a cut above its bound %v", k, scr.resid)
 	}
-	if k := scr.Prefix(3, scr.resid, rows); k != 3 {
+	if k := prefix(&scr, 3, scr.resid, rows); k != 3 {
 		t.Fatalf("zero panel kept %d of 3 rows at a cut on its bound %v", k, scr.resid)
 	}
 	bad := make([]float64, 3*r)
 	bad[r] = math.Inf(1)
 	bad[2*r] = 1
 	scr = QuantizeRows(bad, r).NewScreen(qq, 1)
-	if k := scr.Prefix(3, math.MaxFloat64, rows); k != 3 {
+	if k := prefix(&scr, 3, math.MaxFloat64, rows); k != 3 {
 		t.Fatalf("panel with a non-finite row kept %d of 3 rows", k)
 	}
 }
@@ -202,12 +202,20 @@ func newScreenCase(q, codes []int8, scale, qs, resid, cut float64) screenCase {
 	return screenCase{Screen{qr: qr, codes: q, sum: codeSum(q), qs: qs, resid: resid}, cut}
 }
 
-// prefixGo is the portable Prefix: the cut, then screenPanelGo.
+// prefix screens the panel's first n rows of s against cut in one
+// panel-kernel pass, as a Block of one runs it: the integer cut, then
+// screenPanel, which writes the survivors' row numbers to rows in order. It
+// returns the survivor count. rows must hold n elements.
+func prefix(s *Screen, n int, cut float64, rows []int32) int {
+	return screenPanel(s.codes, s.sum, s.qr.Codes[:n*s.qr.r], s.intCut(cut), rows[:n])
+}
+
+// prefixGo is the portable prefix: the cut, then screenPanelGo.
 func prefixGo(s *Screen, n int, cut float64, rows []int32) int {
 	return screenPanelGo(s.codes, s.qr.Codes[:n*s.qr.r], s.intCut(cut), rows[:n])
 }
 
-// checkScreenShapes holds Prefix over every prefix length, List over every
+// checkScreenShapes holds prefix over every prefix length, List over every
 // length of a scattered order with a repeat, and Screen8 over eight rows
 // with a repeat against their Go twins (prefixGo, each row's dot against the
 // cut, dot8Portable): same survivors in the same order, same dots, same
@@ -229,14 +237,14 @@ func checkScreenShapes(t testing.TB, c screenCase, rng *rand.Rand) {
 
 	rows, goRows := make([]int32, n), make([]int32, n)
 	for m := 0; m <= n; m++ {
-		k := s.Prefix(m, c.cut, rows)
+		k := prefix(s, m, c.cut, rows)
 		gk := prefixGo(s, m, c.cut, goRows)
 		if k != gk || !slices.Equal(rows[:k], goRows[:gk]) {
-			t.Fatalf("%s: Prefix of %d rows kept %v, Go twin %v", describe(), m, rows[:k], goRows[:gk])
+			t.Fatalf("%s: prefix of %d rows kept %v, Go twin %v", describe(), m, rows[:k], goRows[:gk])
 		}
 		for _, i := range rows[:k] {
 			if !keep[i] {
-				t.Fatalf("%s: Prefix of %d rows kept row %d (dot %d)", describe(), m, i, want[i])
+				t.Fatalf("%s: prefix of %d rows kept row %d (dot %d)", describe(), m, i, want[i])
 			}
 		}
 	}

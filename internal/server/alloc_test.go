@@ -75,21 +75,25 @@ func TestServerSteadyStateAllocs(t *testing.T) {
 // TestServerQuantSteadyStateAllocs is TestServerSteadyStateAllocs with the
 // int8 screening sidecar active: quantizing the query (cached in scratch)
 // and screening every candidate must stay off the per-candidate allocation
-// budget.
+// budget. The build quantizes nothing; the warm-up call builds the sidecars
+// of the buckets it screens.
 func TestServerQuantSteadyStateAllocs(t *testing.T) {
 	q, p := data.Smoke.Generate()
 	sh, err := shardedOver(p, lemp.Options{Parallelism: 1, Quantize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh.SidecarBytes() == 0 {
-		t.Fatal("Quantize build attached no sidecar")
+	if sh.SidecarBytes() != 0 {
+		t.Fatalf("Quantize build holds %d sidecar bytes before any call", sh.SidecarBytes())
 	}
 	batch := q.Head(16)
 	const k = 10
 	view := sh.CurrentView()
 	if _, _, err := view.TopKCtx(context.Background(), batch, k); err != nil { // warm-up
 		t.Fatal(err)
+	}
+	if sh.SidecarBytes() == 0 {
+		t.Fatal("the warm-up call built no sidecar")
 	}
 
 	before := sh.CumulativeStats()

@@ -127,7 +127,7 @@ func (s *Server) wireState() {
 		"Index re-bucketizations triggered by update delta mass.",
 		func() float64 { return float64(s.sharded.Compactions()) })
 	reg.GaugeFunc("lemp_quant_sidecar_bytes",
-		"Memory held by the int8 quantized screening sidecars: every bucket's when built with quantization, otherwise it grows with the buckets queries reach (0 on the portable kernels).",
+		"Memory held by the int8 quantized screening sidecars, each built on first screened use: it grows with the buckets queries reach, with or without quantization (0 on the portable kernels without it).",
 		func() float64 { return float64(s.sharded.SidecarBytes()) })
 	reg.GaugeFunc("lemp_batch_queue_rows",
 		"Query rows of admitted retrieval requests not yet answered (the queue depth -shed-queue-rows bounds).",

@@ -32,10 +32,11 @@ type Config struct {
 	Placement string
 	// Quant overrides the snapshots' Options.Quantize when restoring
 	// (NewFromSnapshot): lemp.QuantAuto (the zero value) keeps what each
-	// snapshot recorded, QuantOn forces the option on (every bucket is
-	// quantized at load), QuantOff forces it off (the index then screens
-	// lazily where the int8 kernels are assembly, like any default build).
-	// Fresh builds ignore it — set Options.Quantize instead.
+	// snapshot recorded, QuantOn forces the option on (every pair is
+	// screened), QuantOff forces it off (the index then screens where the
+	// int8 kernels are assembly, like any default build). Either way no
+	// bucket is quantized at load: its sidecar is built on first screened
+	// use. Fresh builds ignore it — set Options.Quantize instead.
 	Quant lemp.QuantMode
 	// Options configure the index. Options.Algorithm and Options.Phi are
 	// overridden: the server builds every index under lemp.AlgorithmL with
@@ -651,9 +652,9 @@ type statsResponse struct {
 
 // quantInfo reports quantized-screening effectiveness and footprint:
 // candidates discarded before exact verification vs passed through, and
-// the index's sidecar memory — every bucket's with Options.Quantize,
-// otherwise growing with the buckets queries reach. All zero on the portable
-// kernels without the option.
+// the index's sidecar memory, each sidecar built on first screened use, so
+// growing with the buckets queries reach, with Options.Quantize as without
+// it. All zero on the portable kernels without the option.
 type quantInfo struct {
 	Screened     int64 `json:"screened"`
 	Survivors    int64 `json:"survivors"`

@@ -165,8 +165,8 @@ func (s *Sharded) N() int { return s.current().N() }
 func (s *Sharded) R() int { return s.r }
 
 // SidecarBytes returns the memory held by the index's int8 screening
-// sidecars: every bucket's with Options.Quantize, otherwise those of the
-// buckets queries have reached (none on the portable kernels).
+// sidecars, each built on first screened use: those of the buckets queries
+// have reached (none on the portable kernels without Options.Quantize).
 func (s *Sharded) SidecarBytes() int { return s.current().SidecarBytes() }
 
 // Epoch returns the current update epoch: 0 at construction, +1 per

@@ -462,9 +462,9 @@ func buildQuantState(t testing.TB) *core.State {
 }
 
 // TestQuantRoundTrip: a Quantize index records the option as an empty QNT8
-// section and restores with every bucket quantized, answering exactly like
-// the original. A snapshot without the section restores with the option
-// off.
+// section and restores with the option and no sidecar, answering exactly
+// like the original and building the same sidecars on the way. A snapshot
+// without the section restores with the option off.
 func TestQuantRoundTrip(t *testing.T) {
 	st := buildQuantState(t)
 	var buf bytes.Buffer
@@ -493,8 +493,8 @@ func TestQuantRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.SidecarBytes() == 0 || restored.SidecarBytes() != original.SidecarBytes() {
-		t.Fatalf("restored index holds %d sidecar bytes, the original %d", restored.SidecarBytes(), original.SidecarBytes())
+	if restored.SidecarBytes() != 0 || original.SidecarBytes() != 0 {
+		t.Fatalf("before any retrieval the restored index holds %d sidecar bytes, the original %d", restored.SidecarBytes(), original.SidecarBytes())
 	}
 	q := matrix.New(st.Probe.R(), 5)
 	q.FillRandom(rand.New(rand.NewSource(78)))
@@ -508,6 +508,9 @@ func TestQuantRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotTop, wantTop) {
 		t.Fatal("restored quant index answers differently")
+	}
+	if restored.SidecarBytes() == 0 || restored.SidecarBytes() != original.SidecarBytes() {
+		t.Fatalf("after one retrieval the restored index holds %d sidecar bytes, the original %d", restored.SidecarBytes(), original.SidecarBytes())
 	}
 
 	plain := buildUntunedState(t)

@@ -113,10 +113,11 @@ func (ix *Index) R() int { return ix.inner.R() }
 // NumBuckets returns the number of probe buckets.
 func (ix *Index) NumBuckets() int { return ix.inner.NumBuckets() }
 
-// SidecarBytes returns the memory held by the int8 screening sidecars: every
-// bucket's under Options.Quantize; otherwise those of the buckets retrievals
-// have screened so far, which grows with the buckets queries reach and stays
-// 0 where the int8 kernels are not assembly.
+// SidecarBytes returns the memory held by the int8 screening sidecars, each
+// built on first screened use: those of the buckets retrievals have screened
+// so far, which grows with the buckets queries reach, under Options.Quantize
+// as without it, and stays 0 where nothing is screened (the portable kernels
+// without the option).
 func (ix *Index) SidecarBytes() int { return ix.inner.SidecarBytes() }
 
 // ListBytes returns the memory held by the lazily built sorted-list indexes

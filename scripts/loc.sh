@@ -2,6 +2,7 @@
 # Lines of Go in the repository, the number a simplification PR is judged by:
 # program (non-test) lines per package directory and in total, and test lines
 # separately, so that code moved into *_test.go does not read as a reduction.
+# Assembly (*.s) is program code too and is counted per package beside them.
 # The root module (the system) is counted first. The paper's evaluation
 # (paper/, a module of its own) is counted on its own lines after it, so that
 # code moved there does not read as a deletion. The benchmark module
@@ -10,11 +11,11 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-# gofiles lists the .go files under $1, leaving out the nested modules
+# files lists the files named $2 under $1, leaving out the nested modules
 # below it.
-gofiles() {
+files() {
 	find "$1" -mindepth 1 \( -path ./benchmark -o -path ./.bench_build -o -path ./.git \
-		-o -path ./paper \) -prune -o -type f -name '*.go' -print
+		-o -path ./paper \) -prune -o -type f -name "$2" -print
 }
 
 # per_dir sums `wc -l` output by directory and appends the grand total.
@@ -36,13 +37,18 @@ per_dir() {
 		}'
 }
 
-# count prints program and test lines of the files under $1.
+# count prints program, assembly and test lines of the files under $1.
 count() {
 	echo "program lines (non-test .go) by package$2:"
-	gofiles "$1" | grep -v '_test\.go$' | per_dir "program$2"
+	files "$1" '*.go' | grep -v '_test\.go$' | per_dir "program$2"
+	if [ -n "$(files "$1" '*.s')" ]; then
+		echo
+		echo "assembly lines (*.s) by package$2:"
+		files "$1" '*.s' | per_dir "assembly$2"
+	fi
 	echo
 	echo "test lines (*_test.go) by package$2:"
-	gofiles "$1" | grep '_test\.go$' | per_dir "test$2"
+	files "$1" '*.go' | grep '_test\.go$' | per_dir "test$2"
 }
 
 count . ""

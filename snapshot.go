@@ -44,11 +44,11 @@ type LoadOptions struct {
 	Retune bool
 	// Quant overrides the snapshot's Options.Quantize (recorded by the QNT8
 	// section). QuantAuto keeps it as written, QuantOn forces it on and
-	// QuantOff off. With the option on, the loader quantizes every bucket's
-	// directions into its int8 sidecar before returning the index; with it
-	// off, the index screens like one built without it: lazily, and only
-	// where the int8 kernels are assembly. Exact results are identical in
-	// every mode.
+	// QuantOff off. With the option on, the index screens every pair, as
+	// one built with it does; with it off, it screens like one built without
+	// it: only where the int8 kernels are assembly. Either way the loader
+	// quantizes nothing: a bucket's int8 sidecar is built on first screened
+	// use. Exact results are identical in every mode.
 	Quant QuantMode
 }
 
@@ -59,11 +59,12 @@ const (
 	// QuantAuto restores the snapshot's own setting: Options.Quantize on iff
 	// it has a QNT8 section.
 	QuantAuto QuantMode = iota
-	// QuantOn forces Options.Quantize on: every bucket is quantized at load.
+	// QuantOn forces Options.Quantize on: the restored index screens every
+	// pair, each bucket's sidecar built on first screened use.
 	QuantOn
 	// QuantOff loads with Options.Quantize off. The restored index still
-	// screens where the int8 kernels are assembly, through sidecars it
-	// builds lazily, as any index built without the option does.
+	// screens where the int8 kernels are assembly, as any index built
+	// without the option does.
 	QuantOff
 )
 
