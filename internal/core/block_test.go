@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -78,9 +79,11 @@ func blockFixture(t *testing.T, alg Algorithm, quantize, mutate bool) (*Index, *
 // panels of 3 rows, all 100 in one call, and a four-worker call — must give every
 // query the entries and value bits of a one-row call and the summed
 // counters of the one-row calls (Candidates, QuantScreened, QuantSurvived
-// and the verification split among them), with eager and with lazy
-// sidecars, with and without tombstones, under every kernel tier the host
-// runs.
+// and the verification split among them), with every finite-cut pair
+// screened (Options.Quantize) and under the default screen rule, with and
+// without tombstones — a tombstoned LENGTH pair still reaches the block
+// path, its tombstones dropped after the screen — under every kernel tier
+// the host runs.
 func TestBlockedScreensMatchOneRowCalls(t *testing.T) {
 	ctx := context.Background()
 	forEachTier(t, func(t *testing.T) {
@@ -126,6 +129,75 @@ func TestBlockedScreensMatchOneRowCalls(t *testing.T) {
 	})
 }
 
+// TestTombstonedPrefixesAreScreenedWhole: on a LENGTH index under
+// Options.Quantize with tombstones in every bucket, every pair under a finite
+// cut is screened as the generator left it, tombstones included, so
+// QuantScreened + QuantSurvived equal those pairs' candidates; the answers
+// carry the entries and value bits of a compacted twin's, for both problems
+// under every kernel tier the host runs.
+func TestTombstonedPrefixesAreScreenedWhole(t *testing.T) {
+	ctx := context.Background()
+	forEachTier(t, func(t *testing.T) {
+		ix, q, theta := blockFixture(t, AlgL, true, false)
+		twin, _, _ := blockFixture(t, AlgL, true, false)
+		var ups []ProbeUpdate
+		for _, b := range ix.scan { // lid 0 lies inside every prefix
+			ups = append(ups, ProbeUpdate{Op: OpRemove, ID: b.ids[0]})
+			if b.size() > 2 {
+				ups = append(ups, ProbeUpdate{Op: OpRemove, ID: b.ids[b.size()/2]})
+			}
+		}
+		for _, x := range []*Index{ix, twin} {
+			if _, err := x.Apply(ups); err != nil {
+				t.Fatal(err)
+			}
+		}
+		twin.Compact()
+		if len(ix.dead) != len(ix.scan) || ix.NumBuckets() < 8 {
+			t.Fatalf("fixture: %d tombstone states over %d buckets", len(ix.dead), ix.NumBuckets())
+		}
+		for bi := range ix.scan {
+			if ix.dead[bi].n == 0 {
+				t.Fatalf("fixture: bucket %d holds no tombstone", bi)
+			}
+		}
+		nonzero := int64(0)
+		for i := range q.N() {
+			if vecmath.Norm(q.Vec(i)) > 0 {
+				nonzero++
+			}
+		}
+		for _, prob := range []Problem{{K: 10}, {Theta: theta}} {
+			run := func(x *Index) func(*matrix.Matrix, retrieval.Sink) (retrieval.TopK, Stats, error) {
+				return func(q *matrix.Matrix, sink retrieval.Sink) (retrieval.TopK, Stats, error) {
+					return x.Retrieve(ctx, q, prob, sink, RunOptions{})
+				}
+			}
+			got, st := cutAnswer(t, q, prob, q.N(), run(ix))
+			want, _ := cutAnswer(t, q, prob, q.N(), run(twin))
+			for i := range want {
+				if !slices.EqualFunc(got[i], want[i], func(a, b retrieval.Entry) bool {
+					return a.Query == b.Query && a.Probe == b.Probe && math.Float64bits(a.Value) == math.Float64bits(b.Value)
+				}) {
+					t.Fatalf("%+v row %d:\n got %v\nwant %v (compacted twin)", prob, i, got[i], want[i])
+				}
+			}
+			// A Row-Top-k query meets the buckets under a cut of −∞, whole
+			// and unscreened, until its heap holds k live entries.
+			seed := int64(0)
+			for bi, live := 0, 0; prob.K > 0 && live < prob.K; bi++ {
+				seed += int64(ix.scan[bi].size())
+				live += ix.scan[bi].size() - int(ix.dead[bi].n)
+			}
+			finite := st.Candidates - nonzero*seed
+			if st.QuantScreened == 0 || st.QuantScreened+st.QuantSurvived != finite {
+				t.Fatalf("%+v: %d screened + %d survived, want the %d candidates of the finite-cut pairs (%d in all)",
+					prob, st.QuantScreened, st.QuantSurvived, finite, st.Candidates)
+			}
+		}
+	})
+}
+
 // TestFlushBlockMatchesImmediateFlush queues the LENGTH pairs of up to four
 // queries on one bucket through step and flushes them: each query must see
 // the survivors, values and counters step gives it in a one-query walk,
@@ -153,20 +225,20 @@ func TestFlushBlockMatchesImmediateFlush(t *testing.T) {
 				for j := range m {
 					qi := 10 + 23*j
 					runLength(b, 2*cut(j)/3, qs.lens[qi], ix.slack, s)
-					ix.step(b, bi, qs, s, int32(qi), cut(j), &got, record(gotVals, s))
+					ix.step(bi, qs, s, int32(qi), cut(j), &got, record(gotVals, s))
 					if s.blk.Len() != (j+1)%blockRows {
 						t.Fatalf("bucket %d: %d pairs queued after %d LENGTH pairs", bi, s.blk.Len(), j+1)
 					}
 					one.beginTile(qi, 1)
 					runLength(b, 2*cut(j)/3, qs.lens[qi], ix.slack, one)
-					ix.step(b, bi, qs, one, int32(qi), cut(j), &want, record(wantVals, one))
+					ix.step(bi, qs, one, int32(qi), cut(j), &want, record(wantVals, one))
 					if one.blk.Len() != 0 || wantVals[j] == nil {
 						t.Fatalf("bucket %d: a one-query walk left its pair queued", bi)
 					}
 				}
 				s.resetCands()
 				s.cand = append(s.cand, 3, 1, 4)
-				ix.flushBlock(b, qs, s, &got, record(gotVals, s))
+				ix.flushBlock(bi, qs, s, &got, record(gotVals, s))
 				if s.prefix || !slices.Equal(s.cand, []int32{3, 1, 4}) {
 					t.Fatalf("flush changed the pending pair's candidates to %v (prefix %v)", s.cand, s.prefix)
 				}

@@ -101,7 +101,7 @@ func TestConcurrentRetrievals(t *testing.T) {
 			for _, cached := range []bool{false, true} {
 				for _, quantize := range []bool{true, false} {
 					name := fmt.Sprintf("%v/pretuned=%v/cache=%v", alg, pretuned, cached)
-					if !quantize {
+					if !quantize { // the default screen rule; both arms build sidecars lazily
 						name += "/lazy-sidecars"
 					}
 					t.Run(name, func(t *testing.T) {

@@ -71,8 +71,8 @@ func BenchmarkVerification(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Blocked-verification benchmarks: the seed scalar loop (deadSkip + one Dot
 // per candidate, exactly what the verify paths ran before the blocked
-// engine) against compactLiveCands + verifyDots, across dimension and
-// candidate density. "dense" is LENGTH's recorded prefix (the DotBatch
+// engine) against verifyDots, which drops tombstones itself, across
+// dimension and candidate density. "dense" is LENGTH's recorded prefix (the DotBatch
 // panel path), "sparse" a strided coordinate-method survivor set (the
 // Dot8/Dot4 path).
 // ---------------------------------------------------------------------------
@@ -156,7 +156,7 @@ func BenchmarkVerifyScalar(b *testing.B) {
 	})
 }
 
-// BenchmarkVerifyBlocked is the production path — compact + blocked
+// BenchmarkVerifyBlocked is the production path — tombstone drop + blocked
 // kernels in generator order (no sort; see verify.go) — including the
 // per-iteration cost of re-copying the candidate list the way a real
 // (query, bucket) pair pays it.
@@ -167,8 +167,7 @@ func BenchmarkVerifyBlocked(b *testing.B) {
 		var acc float64
 		for i := 0; i < b.N; i++ {
 			loadCands(s, cand, dense)
-			ix.compactLiveCands(0, s)
-			verifyDots(bk, qdir, s, &st)
+			ix.verifyDots(0, qdir, s, &st)
 			for _, v := range s.vals {
 				acc += v
 			}
@@ -221,8 +220,7 @@ func BenchmarkVerifyKernelGuard(b *testing.B) {
 		}
 		blockedPass := func() {
 			loadCands(s, cand, c.dense)
-			ix.compactLiveCands(0, s)
-			verifyDots(bk, qdir, s, &st)
+			ix.verifyDots(0, qdir, s, &st)
 			for _, v := range s.vals {
 				acc += v
 			}

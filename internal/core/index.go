@@ -30,7 +30,7 @@ type Index struct {
 	prepTime  time.Duration
 	slack     float64 // boundSlack(r), by which every pruning bound is loosened
 
-	// screenMin is the fewest live candidates a finite-cut pair shows for
+	// screenMin is the fewest candidates a finite-cut pair shows for
 	// the int8 screen to cover it (sidecarFor, verify.go), 0 where nothing is
 	// screened: see screenRule. Fixed at construction and shared with
 	// copy-on-write relatives; tests clear it to obtain the screen-less

@@ -39,11 +39,12 @@ import (
 // # Blocked screens
 //
 // A pair whose candidates are a prefix of the bucket (LENGTH, the
-// whole-bucket fallback) and whose screen is on (sidecarFor) is not screened
-// at once: step parks it in the scratch's quant.Block, and flushBlock
-// screens up to four such pairs of the bucket in one pass (the VNNI block
-// kernel loads each row chunk once for all four) and then verifies and
-// reports them one by one, in the order they were queued. The block flushes
+// whole-bucket fallback; a tombstone does not end a prefix) and whose screen
+// is on (sidecarFor) is not screened at once: step parks it in the scratch's
+// quant.Block, and flushBlock screens up to four such pairs of the bucket in
+// one pass (the VNNI block kernel loads each row chunk once for all four)
+// and then verifies and reports them one by one, in the order they were
+// queued, dropping tombstoned survivors as it verifies. The block flushes
 // when it is full, before any pair that cannot be queued, at the end of the
 // bucket, and at once in a one-query walk, so pairs are reported in the
 // order a one-pair path would report them. Batching changes nothing a query
@@ -203,9 +204,9 @@ func (ix *Index) scanTile(c *call, theta float64, kk int, qs *querySet, lo, hi i
 			ix.gather(c, bi, int32(qi), qs.dir(qi), qs.lens[qi], cut, thetaB, s)
 			// A cut of −Inf screens nothing; the screen keeps every value
 			// equal to the cut, which Push may still take on a smaller id.
-			ix.step(b, bi, qs, s, int32(qi), cut, st, report)
+			ix.step(bi, qs, s, int32(qi), cut, st, report)
 		}
-		ix.flushBlock(b, qs, s, st, report)
+		ix.flushBlock(bi, qs, s, st, report)
 		active = keep
 	}
 	st.PrunedPairs += int64(n)*int64(len(ix.scan)) - (st.ProcessedPairs - before)
@@ -256,20 +257,19 @@ type blockPair struct {
 // step is the per-pair step (line 16 of Algorithm 1) of the tile kernel and
 // of the tuner's trajectory and measurements, so §4.4 fits the cost a scan
 // pays. For sorted query qi at scan bucket bi, once gather has left the
-// pair's candidates in s.cand, it counts them, drops tombstones, screens
-// what is left against cut — θ, or the current heap floor — where
-// sidecarFor says the pair is screened, computes the survivors' values
-// fl(qᵀp) from the raw query row into s.vals with the blocked kernels
-// (verify.go) and calls report with the query. A screened prefix is queued
+// pair's candidates in s.cand, it counts them, screens them as generated,
+// tombstones included, against cut — θ, or the current heap floor — where
+// sidecarFor says the pair is screened, has verifyDots drop the tombstoned
+// survivors and compute the rest's values fl(qᵀp) from the raw query row
+// into s.vals, and calls report with the query. A screened prefix is queued
 // in s.blk instead and reported when the block flushes ("Blocked screens"
 // above); the caller flushes at the end of the bucket. The dots are
 // accumulated in vecmath's canonical order (vecmath/kernels.go) whichever
 // kernel computes them, so a candidate's value depends neither on the
 // candidates it is verified with nor on the tile its query rides in.
-func (ix *Index) step(b *bucket, bi int, qs *querySet, s *scratch, qi int32, cut float64, st *Stats, report func(b *bucket, qi int32)) {
+func (ix *Index) step(bi int, qs *querySet, s *scratch, qi int32, cut float64, st *Stats, report func(b *bucket, qi int32)) {
 	st.Candidates += int64(len(s.cand))
-	ix.compactLiveCands(bi, s)
-	qrow := qs.row(int(qi))
+	b, qrow := ix.scan[bi], qs.row(int(qi))
 	var qq quant.Query
 	q8 := ix.sidecarFor(b, len(s.cand), cut)
 	ok := q8 != nil
@@ -283,11 +283,11 @@ func (ix *Index) step(b *bucket, bi int, qs *querySet, s *scratch, qi int32, cut
 		}
 		s.blkPairs[j] = blockPair{qi: qi, n: len(s.cand)}
 		if s.blk.Add(q8.NewScreen(qq, 1), len(s.cand), cut) || len(s.tileHave) == 1 {
-			ix.flushBlock(b, qs, s, st, report)
+			ix.flushBlock(bi, qs, s, st, report)
 		}
 		return
 	}
-	ix.flushBlock(b, qs, s, st, report)
+	ix.flushBlock(bi, qs, s, st, report)
 	if ok {
 		c, scr := len(s.cand), q8.NewScreen(qq, 1)
 		k := scr.List(s.cand, cut)
@@ -295,7 +295,7 @@ func (ix *Index) step(b *bucket, bi int, qs *querySet, s *scratch, qi int32, cut
 		st.QuantSurvived += int64(k)
 		s.dropTo(k)
 	}
-	verifyDots(b, qrow, s, st)
+	ix.verifyDots(bi, qrow, s, st)
 	report(b, qi)
 }
 
@@ -303,19 +303,19 @@ func (ix *Index) step(b *bucket, bi int, qs *querySet, s *scratch, qi int32, cut
 // pair by pair in queue order, verifies the pair's survivors into s.vals and
 // calls report with its query. The candidates in s.cand, a pair not yet
 // verified, are kept.
-func (ix *Index) flushBlock(b *bucket, qs *querySet, s *scratch, st *Stats, report func(b *bucket, qi int32)) {
+func (ix *Index) flushBlock(bi int, qs *querySet, s *scratch, st *Stats, report func(b *bucket, qi int32)) {
 	m := s.blk.Len()
 	if m == 0 {
 		return
 	}
-	k := s.blk.Run(&s.blkRows)
+	b, k := ix.scan[bi], s.blk.Run(&s.blkRows)
 	s.blk.Reset()
 	cand, prefix := s.cand, s.prefix
 	for j, p := range s.blkPairs[:m] {
 		st.QuantScreened += int64(p.n - k[j])
 		st.QuantSurvived += int64(k[j])
 		s.cand, s.prefix = s.blkRows[j][:k[j]], k[j] == p.n
-		verifyDots(b, qs.row(int(p.qi)), s, st)
+		ix.verifyDots(bi, qs.row(int(p.qi)), s, st)
 		report(b, p.qi)
 	}
 	s.cand, s.prefix = cand, prefix

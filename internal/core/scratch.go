@@ -23,10 +23,10 @@ type scratch struct {
 	// prefix is set when the candidates are the bucket's first len(cand)
 	// rows in order — LENGTH's prefix, the whole-bucket fallback. Those
 	// generators record only the count (setPrefix): cand has the right
-	// length but its elements are not written, so readers go through lid
-	// or lids. The flag survives tombstone compaction and the int8 screen
-	// only while they drop nothing; while it is set, verification is one
-	// panel product over the head of b.rows.
+	// length but its elements are not written, so readers go through lid.
+	// The flag survives the int8 screen, then tombstone compaction, only
+	// while they drop nothing; while it is set, verification is one panel
+	// product over the head of b.rows.
 	prefix bool
 
 	focus      []int32 // focus coordinates, by decreasing |q̄_f|
@@ -135,17 +135,6 @@ func (s *scratch) lid(i int) int32 {
 		return int32(i)
 	}
 	return s.cand[i]
-}
-
-// lids returns the candidate local ids as a slice, writing a recorded
-// prefix out first: for the passes that may drop candidates in place.
-func (s *scratch) lids() []int32 {
-	if s.prefix {
-		for i := range s.cand {
-			s.cand[i] = int32(i)
-		}
-	}
-	return s.cand
 }
 
 // dropTo keeps the first k entries an in-place filter left in cand; a

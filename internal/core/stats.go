@@ -23,9 +23,9 @@ type Stats struct {
 	// by kernel: block-verified candidates went through the panel kernels
 	// (DotBatch over a contiguous run, or 8/4-wide strided blocks), scalar-
 	// verified ones were the ragged tail handled by plain Dot. Their sum
-	// can undershoot Candidates: tombstoned candidates and those the int8
-	// screen discards (QuantScreened) never reach verification and are
-	// counted in neither.
+	// can undershoot Candidates: the candidates the int8 screen discards
+	// (QuantScreened) and the tombstoned ones, dropped after the screen,
+	// never reach verification and are counted in neither.
 	BlockVerified  int64 `json:"block_verified"`
 	ScalarVerified int64 `json:"scalar_verified"`
 
@@ -38,16 +38,17 @@ type Stats struct {
 	PrunedPairs    int64 `json:"pruned_pairs"`
 
 	// QuantScreened and QuantSurvived split the candidates of the screened
-	// (query, bucket) pairs: screened ones were discarded by the
-	// conservative int8 bound without touching their f64 row, survived ones
-	// fell through to the exact kernels. Every pair is screened under
-	// Options.Quantize (screenRule);
-	// otherwise the pairs of at least eight candidates under a finite
-	// threshold are, and only where the int8 kernels are assembly — so on an
-	// index built without the option these two, and with them the
-	// BlockVerified/ScalarVerified split, differ between an AVX2 host and a
-	// portable one (both 0 there), while rows and every other counter do
-	// not. A server renders them in its own "quant" block.
+	// (query, bucket) pairs, tombstoned ones included, so they sum to those
+	// pairs' candidates: screened ones were discarded by the conservative
+	// int8 bound without touching their f64 row, survived ones fell through
+	// to the tombstone test and the exact kernels. Every finite-cut pair is
+	// screened under Options.Quantize (screenRule); otherwise the pairs of
+	// at least eight candidates under a finite threshold are, and only
+	// where the int8 kernels are assembly — so on an index built without
+	// the option these two, and with them the BlockVerified/ScalarVerified
+	// split, differ between an AVX2 host and a portable one (both 0 there),
+	// while rows and every other counter do not. A server renders them in
+	// its own "quant" block.
 	QuantScreened int64 `json:"-"`
 	QuantSurvived int64 `json:"-"`
 

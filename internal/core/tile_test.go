@@ -13,7 +13,6 @@ import (
 
 	"lemp/internal/matrix"
 	"lemp/internal/retrieval"
-	"lemp/internal/vecmath"
 )
 
 // addCounters accumulates the Stats fields that sum over (query, bucket)
@@ -193,35 +192,62 @@ func TestTopKTilesMatchPerRowLoop(t *testing.T) {
 		}
 	}
 	// LENGTH and the whole-bucket fallback record their candidates as a
-	// prefix flag instead of a list. A tombstone inside the prefix must
-	// clear the flag, and from there on the pair must verify to the lids
-	// and value bits of the written-out list; with no tombstone in reach the
-	// flag must survive to the panel kernel.
+	// prefix flag instead of a list. A tombstone does not end the prefix
+	// before the screen: step queues the pair in the block with its
+	// generated count, the screen counts the tombstone, and only
+	// verification drops it. A tombstone inside the prefix must clear the
+	// flag there, and from there on the pair must verify to the lids and
+	// value bits of the written-out list; with no tombstone in reach the flag
+	// must survive to the panel kernel.
 	t.Run("prefix flag set, one tombstone inside the prefix", func(t *testing.T) {
-		ix, q := tileFixture(t, AlgL, false, false)
+		ix, q := tileFixture(t, AlgL, true, false)
 		b := ix.scan[0]
 		if _, err := ix.Apply([]ProbeUpdate{{Op: OpRemove, ID: b.ids[1]}}); err != nil {
 			t.Fatal(err)
 		}
-		qdir := make([]float64, ix.r)
-		vecmath.Normalize(qdir, q.Vec(1))
+		qs, err := prepareQueries(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const qi, cut = 1, 1e-9
 		var st Stats
 		s, want := newScratch(ix.maxBucket, ix.r), newScratch(ix.maxBucket, ix.r)
+		s.beginTile(0, qs.n())
+		runLength(b, cut, qs.lens[qi], ix.slack, s)
+		if !s.prefix || len(s.cand) != b.size() {
+			t.Fatalf("LENGTH at θ = %v: prefix=%v over %d of %d rows", cut, s.prefix, len(s.cand), b.size())
+		}
+		ix.step(0, qs, s, qi, cut, &st, func(*bucket, int32) { t.Fatal("a queued pair was reported before its flush") })
+		if s.blk.Len() != 1 || s.blkPairs[0].n != b.size() {
+			t.Fatalf("tombstoned prefix not queued whole: %d queued, n=%d of %d rows", s.blk.Len(), s.blkPairs[0].n, b.size())
+		}
+		var lids []int32
+		ix.flushBlock(0, qs, s, &st, func(*bucket, int32) {
+			for i := range s.vals {
+				lids = append(lids, s.lid(i))
+			}
+		})
+		// Verification drops the one tombstone if it survived the screen.
+		verified := st.BlockVerified + st.ScalarVerified
+		if dropped := st.QuantSurvived - verified; st.QuantScreened+st.QuantSurvived != int64(b.size()) ||
+			slices.Contains(lids, 1) || int64(len(lids)) != verified || dropped < 0 || dropped > 1 {
+			t.Fatalf("tombstoned prefix: %d screened + %d survived of %d rows, verified lids %v", st.QuantScreened, st.QuantSurvived, b.size(), lids)
+		}
+		qrow := qs.row(qi)
+		s.beginTile(qi, 1)
 		runLength(b, math.Inf(-1), 1, 0, s)
 		if !s.prefix || len(s.cand) != b.size() {
 			t.Fatalf("LENGTH at θ = -Inf: prefix=%v over %d of %d rows", s.prefix, len(s.cand), b.size())
 		}
-		ix.compactLiveCands(0, s)
+		ix.verifyDots(0, qrow, s, &st)
 		if s.prefix {
-			t.Fatal("prefix flag survived a tombstone inside the prefix")
+			t.Fatal("prefix flag survived verification with a tombstone inside the prefix")
 		}
-		verifyDots(b, qdir, s, &st)
 		want.resetCands()
 		for lid := 0; lid < b.size(); lid++ {
 			want.cand = append(want.cand, int32(lid))
 		}
-		ix.compactLiveCands(0, want)
-		verifyDots(b, qdir, want, &st)
+		ix.verifyDots(0, qrow, want, &st)
 		if len(s.cand) != b.size()-1 || !slices.Equal(s.cand, want.cand) || !slices.Equal(s.vals, want.vals) {
 			t.Fatalf("flagged prefix:\n got %v %v\nwant %v %v", s.cand, s.vals, want.cand, want.vals)
 		}
@@ -229,14 +255,13 @@ func TestTopKTilesMatchPerRowLoop(t *testing.T) {
 		// verifier, which must give the written-out list's values.
 		b = ix.scan[1]
 		allCandidates(b, s)
-		ix.compactLiveCands(1, s)
+		ix.verifyDots(1, qrow, s, &st)
 		if !s.prefix {
 			t.Fatal("prefix flag cleared with no tombstone inside the prefix")
 		}
-		verifyDots(b, qdir, s, &st)
 		want.resetCands()
 		want.cand = append(want.cand, s.lids()...)
-		verifyDots(b, qdir, want, &st)
+		ix.verifyDots(1, qrow, want, &st)
 		if !slices.Equal(s.vals, want.vals) {
 			t.Fatalf("panel kernel over a flagged prefix:\n got %v\nwant %v", s.vals, want.vals)
 		}

@@ -196,7 +196,7 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 			}
 			if kk > 0 {
 				runLength(b, theta, qlen, ix.slack, s)
-				ix.step(b, bi, qs, s, int32(qi), theta, &trajStats, push)
+				ix.step(bi, qs, s, int32(qi), theta, &trajStats, push)
 			}
 		}
 	})
@@ -278,7 +278,7 @@ func (ix *Index) observe(c *call, p tunePair, qs *querySet, phis []int, costPhi 
 		}
 		var mst Stats
 		var acc float64
-		ix.step(b, bi, qs, s, p.qi, p.theta, &mst, func(*bucket, int32) {
+		ix.step(bi, qs, s, p.qi, p.theta, &mst, func(*bucket, int32) {
 			for _, v := range s.vals {
 				acc += v
 			}

@@ -12,15 +12,15 @@ import (
 // and once thresholds are moderate that verification dominates retrieval
 // time. Instead of one vecmath.Dot call per candidate, the verifier:
 //
-//  1. compacts the candidate list to live entries in place (tombstone
-//     filtering moves out of the dot-product loop), and where sidecarFor
-//     screens the pair, drops the candidates whose conservative int8 bound
-//     on fl(qᵀp) — the query's codes against the bucket's sidecar, the
-//     quantization of its raw rows — falls below the cut, θ or the current
-//     heap floor (step, scan.go: a prefix through the panel kernel in a
-//     quant.Block, a list through the eight-row kernel; a query that does
-//     not quantize cleanly is not screened). The screen only discards:
-//     every survivor is verified in f64;
+//  1. where sidecarFor screens the pair, drops the candidates whose
+//     conservative int8 bound on fl(qᵀp) — the query's codes against the
+//     bucket's sidecar, the quantization of its raw rows — falls below the
+//     cut, θ or the current heap floor (step, scan.go: a prefix through the
+//     panel kernel in a quant.Block, a list through the eight-row kernel; a
+//     query that does not quantize cleanly is not screened), taking the
+//     candidates as generated, tombstones included, so a LENGTH pair stays a
+//     prefix. The screen only discards; then compactLiveCands drops the
+//     tombstoned survivors in place, and every live one is verified in f64;
 //  2. takes the common prefix case — LENGTH's prefix and the whole-bucket
 //     fallback are lids 0..c-1, which the generator records as a flag
 //     (scratch.prefix) instead of a list — as one DotBatch panel pass
@@ -50,12 +50,10 @@ func (ix *Index) compactLiveCands(bi int, s *scratch) {
 	if ix.dead == nil || ix.dead[bi].bits == nil {
 		return
 	}
-	bits := ix.dead[bi].bits
-	cand := s.lids()
-	k := 0
-	for _, lid := range cand {
-		if bits[lid>>6]&(1<<(uint32(lid)&63)) == 0 {
-			cand[k] = lid
+	bits, k := ix.dead[bi].bits, 0
+	for i := range s.cand {
+		if lid := s.lid(i); bits[lid>>6]&(1<<(uint32(lid)&63)) == 0 {
+			s.cand[k] = lid // k ≤ i: a recorded prefix is read through lid, not cand
 			k++
 		}
 	}
@@ -75,7 +73,7 @@ func (ix *Index) compactLiveCands(bi int, s *scratch) {
 const autoScreenMin = 8
 
 // screenRule decides, once per index, which pairs the int8 screen covers,
-// as the fewest live candidates a pair under a finite cut must show (0:
+// as the fewest candidates a pair under a finite cut must show (0:
 // none). An index screens nothing where its dimension lies outside
 // [1, quant.MaxDim]; under Options.Quantize it screens every pair that has a
 // candidate, on every kernel tier; otherwise it screens the pairs of at
@@ -94,10 +92,10 @@ func screenRule(opts Options, r int) int {
 	return 0
 }
 
-// sidecarFor returns the sidecar that screens a pair holding n live
-// candidates against cut, nil for none. No pair under a cut of −∞ is
-// screened: a Row-Top-k heap that is not yet full (the seed buckets) can drop
-// nothing, so its candidates are never counted as screened or survived.
+// sidecarFor returns the sidecar that screens a pair holding n candidates,
+// tombstones included, against cut, nil for none. No pair under a cut of −∞
+// is screened: a Row-Top-k heap that is not yet full (the seed buckets) can
+// drop nothing, so its candidates are never counted as screened or survived.
 // Otherwise a pair is screened iff it shows at least Index.screenMin
 // candidates (screenRule), and the first such pair builds the bucket's
 // sidecar, whatever the options (the tuner alone builds one earlier, before
@@ -112,10 +110,12 @@ func (ix *Index) sidecarFor(b *bucket, n int, cut float64) *quant.Rows {
 	return b.ensureSidecar()
 }
 
-// verifyDots computes s.vals[i] = fl(qᵀp) for every (live) candidate
-// s.cand[i], q being the raw query row, using the blocked kernels, and
-// counts block- vs scalar-verified candidates into st.
-func verifyDots(b *bucket, qrow []float64, s *scratch, st *Stats) {
+// verifyDots drops the tombstoned candidates of scan bucket bi, computes
+// s.vals[i] = fl(qᵀp) for every live s.cand[i], q being the raw query row,
+// with the blocked kernels and counts block- vs scalar-verified ones into st.
+func (ix *Index) verifyDots(bi int, qrow []float64, s *scratch, st *Stats) {
+	ix.compactLiveCands(bi, s)
+	b := ix.scan[bi]
 	c := len(s.cand)
 	if cap(s.vals) < c {
 		s.vals = make([]float64, c+c/2+8)

@@ -9,12 +9,23 @@ import (
 	"lemp/internal/vecmath"
 )
 
+// lids returns the candidate local ids as a slice, writing a recorded
+// prefix out first.
+func (s *scratch) lids() []int32 {
+	if s.prefix {
+		for i := range s.cand {
+			s.cand[i] = int32(i)
+		}
+	}
+	return s.cand
+}
+
 // TestBlockedVerifyBitIdenticalToScalar is the exactness contract of the
 // blocked verifier at the core layer: for random buckets, queries and
 // candidate subsets (shuffled, partially tombstoned), verifyDots must
-// produce bit-for-bit the values the seed implementation computed with one
-// vecmath.Dot per candidate, and compactLiveCands must keep exactly the
-// live candidates in generator order.
+// drop exactly the tombstoned candidates, keep the live ones in generator
+// order and produce bit-for-bit the values the seed implementation computed
+// with one vecmath.Dot per candidate.
 func TestBlockedVerifyBitIdenticalToScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(501))
 	for trial := 0; trial < 60; trial++ {
@@ -66,8 +77,7 @@ func TestBlockedVerifyBitIdenticalToScalar(t *testing.T) {
 				wantBits = append(wantBits, math.Float64bits(vecmath.Dot(qdir, b.row(int(lid)))))
 			}
 			var st Stats
-			ix.compactLiveCands(bi, s)
-			verifyDots(b, qdir, s, &st)
+			ix.verifyDots(bi, qdir, s, &st)
 			if len(s.cand) != len(wantLids) {
 				t.Fatalf("trial %d: %d live candidates, want %d", trial, len(s.cand), len(wantLids))
 			}
