@@ -10,7 +10,8 @@ import (
 // applyFixture is an index of n probes at r = 50 that already carries
 // `overlay` added vectors (in one batch), and a driver of the benchmark's
 // update batch: eight ops — four adds, two rewrites, two removes — on ids
-// drawn from the whole live set.
+// drawn from the whole live set. A pretuned fixture is an LI index fitted
+// by Pretune (TuneByCost) on 32 sample queries before the overlay lands.
 type applyFixture struct {
 	ix   *Index
 	rng  *rand.Rand
@@ -19,12 +20,21 @@ type applyFixture struct {
 
 const applyCostR = 50
 
-func newApplyFixture(tb testing.TB, n, overlay int) *applyFixture {
+func newApplyFixture(tb testing.TB, n, overlay int, pretuned bool) *applyFixture {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(int64(n + overlay)))
-	ix, err := NewIndex(genMatrix(rng, n, applyCostR, 0.4, 1, false, 0, 0), Options{})
+	opts := Options{}
+	if pretuned {
+		opts = Options{Algorithm: AlgLI, TuneByCost: true}
+	}
+	ix, err := NewIndex(genMatrix(rng, n, applyCostR, 0.4, 1, false, 0, 0), opts)
 	if err != nil {
 		tb.Fatal(err)
+	}
+	if pretuned {
+		if err := ix.Pretune(genMatrix(rng, 32, applyCostR, 0.4, 1, false, 0, 0), Problem{K: 10}); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	f := &applyFixture{ix: ix, rng: rng, live: ix.LiveIDs()}
 	if overlay > 0 {
@@ -70,9 +80,9 @@ func (f *applyFixture) step(tb testing.TB) {
 
 // applyCost measures one batch on the fixture, amortised over 256
 // consecutive ones so that run merges are part of it: bytes and objects.
-func applyCost(t *testing.T, n, overlay int) (bytes, objects float64) {
+func applyCost(t *testing.T, n, overlay int, pretuned bool) (bytes, objects float64) {
 	const batches = 256
-	f := newApplyFixture(t, n, overlay)
+	f := newApplyFixture(t, n, overlay, pretuned)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < batches; i++ {
@@ -80,9 +90,9 @@ func applyCost(t *testing.T, n, overlay int) (bytes, objects float64) {
 	}
 	runtime.ReadMemStats(&after)
 	bytes = float64(after.TotalAlloc-before.TotalAlloc) / batches
-	f = newApplyFixture(t, n, overlay)
+	f = newApplyFixture(t, n, overlay, pretuned)
 	objects = testing.AllocsPerRun(batches-1, func() { f.step(t) })
-	t.Logf("n=%d overlay=%d: %.0f bytes, %.0f objects per batch", n, overlay, bytes, objects)
+	t.Logf("n=%d overlay=%d pretuned=%v: %.0f bytes, %.0f objects per batch", n, overlay, pretuned, bytes, objects)
 	return bytes, objects
 }
 
@@ -98,28 +108,30 @@ const (
 // TestApplyCostIsBatchBound holds the delta layer's complexity, not a ratio
 // on one fixture: what deriving an updated index allocates depends on the
 // batch, not on how many probes the index holds nor on how large its
-// overlay already is.
+// overlay already is — on a pretuned index too, whose batches tune nothing.
 func TestApplyCostIsBatchBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 50 000-probe indexes")
 	}
-	within := func(what string, a, b, factor float64) {
-		t.Helper()
-		if a > b*factor || b > a*factor {
-			t.Errorf("%s: %.0f vs %.0f, more than %.2fx apart", what, a, b, factor)
+	for _, pretuned := range []bool{false, true} {
+		within := func(what string, a, b, factor float64) {
+			t.Helper()
+			if a > b*factor || b > a*factor {
+				t.Errorf("pretuned=%v: %s: %.0f vs %.0f, more than %.2fx apart", pretuned, what, a, b, factor)
+			}
 		}
-	}
-	smallB, smallO := applyCost(t, 5000, 0)
-	largeB, largeO := applyCost(t, 50000, 0)
-	within("bytes per batch at n = 5 000 and 50 000", smallB, largeB, 1.25)
-	within("objects per batch at n = 5 000 and 50 000", smallO, largeO, 1.25)
-	deepB, deepO := applyCost(t, 50000, 4096)
-	within("bytes per batch over an overlay of 0 and of 4 096", largeB, deepB, 1.5)
-	within("objects per batch over an overlay of 0 and of 4 096", largeO, deepO, 1.5)
-	for _, c := range []struct{ bytes, objects float64 }{{smallB, smallO}, {largeB, largeO}, {deepB, deepO}} {
-		if c.bytes > applyCostCeilingBytes || c.objects > applyCostCeilingObjects {
-			t.Errorf("one batch allocates %.0f bytes in %.0f objects, ceiling %d in %d",
-				c.bytes, c.objects, applyCostCeilingBytes, applyCostCeilingObjects)
+		smallB, smallO := applyCost(t, 5000, 0, pretuned)
+		largeB, largeO := applyCost(t, 50000, 0, pretuned)
+		within("bytes per batch at n = 5 000 and 50 000", smallB, largeB, 1.25)
+		within("objects per batch at n = 5 000 and 50 000", smallO, largeO, 1.25)
+		deepB, deepO := applyCost(t, 50000, 4096, pretuned)
+		within("bytes per batch over an overlay of 0 and of 4 096", largeB, deepB, 1.5)
+		within("objects per batch over an overlay of 0 and of 4 096", largeO, deepO, 1.5)
+		for _, c := range []struct{ bytes, objects float64 }{{smallB, smallO}, {largeB, largeO}, {deepB, deepO}} {
+			if c.bytes > applyCostCeilingBytes || c.objects > applyCostCeilingObjects {
+				t.Errorf("pretuned=%v: one batch allocates %.0f bytes in %.0f objects, ceiling %d in %d",
+					pretuned, c.bytes, c.objects, applyCostCeilingBytes, applyCostCeilingObjects)
+			}
 		}
 	}
 }
@@ -130,7 +142,7 @@ func BenchmarkApplyBatch(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		for _, overlay := range []int{0, 512, 8192} {
 			b.Run(fmt.Sprintf("n=%d/overlay=%d", n, overlay), func(b *testing.B) {
-				f := newApplyFixture(b, n, overlay)
+				f := newApplyFixture(b, n, overlay, false)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

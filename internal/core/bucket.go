@@ -34,10 +34,10 @@ type bucket struct {
 	listsOnce sync.Once
 	lists     atomic.Pointer[sortedLists]
 
-	// delta marks a bucket outside the base segment, a run's (delta.go):
-	// BucketInfo.Delta reports it, and pretuneDelta fits the ones the
-	// frozen fit has no entry for. Its entries carry tombstones like any
-	// other bucket's.
+	// delta marks a bucket outside the base segment, a run's (delta.go),
+	// which BucketInfo.Delta reports. Its entry in a frozen fit is untuned
+	// (it scans on the defaults) until Compact rewrites it into the base,
+	// and its entries carry tombstones like any other bucket's.
 	delta bool
 
 	// Int8 quantization sidecar of rows: the conservative screen that runs

@@ -34,9 +34,9 @@ func TestConcurrentRetrievals(t *testing.T) {
 	q := genMatrix(rng, 36, r, 0.9, 1, false, 1, 0)
 	theta, _ := safeTheta(t, q, p, 150)
 
-	// Enough adds for pretuneDelta to publish a frozen fit with delta entries.
+	// Enough adds for a run of several buckets beside the base's.
 	var ups []ProbeUpdate
-	for i := 0; i < pretuneDeltaMinOverlay+8; i++ {
+	for i := 0; i < 40; i++ {
 		ups = append(ups, ProbeUpdate{Op: OpAdd, ID: AutoID, Vec: randVec(rng, r)})
 	}
 	for id := int32(0); id < 10; id++ {
@@ -287,7 +287,7 @@ func TestConcurrentTuneBesideRetrievals(t *testing.T) {
 		return ix
 	}
 	tune := func(ix *Index, prob Problem) []tunedParam {
-		fit, err := ix.tune(newCall(nil, ix.opts, nil), preparedQueries(t, q), prob, false)
+		fit, err := ix.tune(newCall(nil, ix.opts, nil), preparedQueries(t, q), prob)
 		if err != nil {
 			t.Error(err)
 		}

@@ -24,9 +24,11 @@ import (
 //   - Every probe carries a stable external id, the caller's or 0..n-1 for
 //     NewIndex; mutations address probes by id and never renumber survivors.
 //   - The vectors a batch adds or rewrites become one run, by ascending id.
-//     Its buckets are ordinary buckets — the same bucket algorithms, lazy
-//     indexes and tuning apply — merged with every other segment's into the
-//     decreasing-l_b scan order both retrieval kernels require.
+//     Its buckets are ordinary buckets — the same bucket algorithms and lazy
+//     indexes apply — merged with every other segment's into the
+//     decreasing-l_b scan order both retrieval kernels require. A batch
+//     never tunes: on a pretuned index a run's buckets scan on the default
+//     parameters until the next Compact.
 //   - Runs merge geometrically (the logarithmic method): a run stays while
 //     it holds at least twice the live vectors of everything newer and at
 //     least half of its own are live; otherwise it and every newer run are
@@ -44,9 +46,10 @@ import (
 //     to the derived index by pointer, with its lazily built lists and
 //     sidecar and its entry in a frozen fit.
 //   - Compact is the same merge started at the base: every segment's live
-//     vectors become one new base, re-bucketized and re-tuned (amortizing
-//     the rebuild the way blocked methods for slowly changing matrices
-//     amortize recomputation), external ids preserved.
+//     vectors become one new base, re-bucketized and, on a pretuned index,
+//     pretuned again on the retained sample as a restore is (paying the
+//     rebuild and the refit there, the way blocked methods for slowly
+//     changing matrices amortize recomputation), external ids preserved.
 //
 // Every mutation batch bumps the index epoch, the version number serving
 // layers key caches and consistency checks on. Mutation calls are exclusive
@@ -535,58 +538,29 @@ func (ix *Index) Apply(ups []ProbeUpdate) ([]int32, error) {
 	ix.merge(segs, from, dead, batch)
 	ix.nextID = nextID
 	ix.epoch++
-	if from == 1 {
-		ix.pretuneDelta()
-	}
 	return ids, nil
 }
 
 // merge rewrites segs[from:] — this version's segments, their live counts
-// matching dead — and the batch's vectors into one new segment, and installs
-// segs[:from] plus that segment, whose buckets take the rewritten ones'
-// places in the scan. The new segment keeps segment 0's live columns in
-// column order, when it rewrites segment 0, and takes every other vector by
-// ascending id: the column order State exports a mutated index in. It is
-// Apply's geometric merge (from ≥ 1) and Compact (from 0, no batch); only
-// the latter leaves no fit and no tombstone behind.
+// matching dead — and the batch's vectors into one new segment in
+// mergeColumns' order, and installs segs[:from] plus that segment, whose
+// buckets take the rewritten ones' places in the scan. It is Apply's
+// geometric merge (from ≥ 1) and Compact (from 0, no batch); only the latter
+// leaves no fit and no tombstone behind.
 func (ix *Index) merge(segs []segRef, from int, dead []tombs, batch []liveVec) {
 	gone := make([]bool, len(ix.scan)) // by scan position: a bucket of a rewritten segment
-	n := len(batch)
-	for _, s := range segs[from:] {
-		n += s.live
-	}
-	live := make([]liveVec, 0, n)
 	for _, s := range segs[from:] {
 		for _, b := range s.buckets {
 			gone[ix.scanPos(b)] = true
 		}
-		ix.eachLive(s, dead, func(col int) { live = append(live, liveVec{s.ids[col], s.vec(col)}) })
 	}
-	live = append(live, batch...)
-	rest := live
+	c := ix.mergeColumns(segs[from:], from == 0, dead, batch)
 	if from == 0 {
-		rest = live[segs[0].live:]
 		ix.scan, ix.frozen, dead, gone = nil, nil, nil, nil // nothing of the old scan survives
 	}
-	sort.Slice(rest, func(a, b int) bool { return rest[a].id < rest[b].id })
-
 	segs = segs[:from:from]
 	var fresh []*bucket
-	if len(live) > 0 || from == 0 {
-		type cols struct {
-			live         []liveVec
-			ids          []int32
-			lens, maxAbs []float64
-		}
-		stats := make([]float64, 2*len(live)) // lengths, then maxima: the buckets copy both
-		c := columns{vec: func(col int) []float64 { return live[col].vec },
-			ids: make([]int32, len(live)), lens: stats[:len(live):len(live)], maxAbs: stats[len(live):]}
-		spreadCols(len(live), ix.opts.Parallelism, cols{live, c.ids, c.lens, c.maxAbs}, func(c cols, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				c.ids[i] = c.live[i].id
-				c.lens[i], c.maxAbs[i] = vecmath.NormMaxAbs(c.live[i].vec)
-			}
-		})
+	if len(c.ids) > 0 || from == 0 {
 		c.byID = columnsByID(c.ids)
 		s := ix.newSegment(c)
 		for _, b := range s.buckets {
@@ -596,6 +570,43 @@ func (ix *Index) merge(segs []segRef, from int, dead []tombs, batch []liveVec) {
 	}
 	ix.segs = segs
 	ix.rescan(dead, gone, fresh)
+}
+
+// mergeColumns gathers the live vectors of segs, read against dead, and the
+// batch's, in the one column order a merge and State give them: with base,
+// segs[0]'s live columns in column order first; every other vector by
+// ascending id. Their lengths and largest |x| come from one read of each
+// (vecmath.NormMaxAbs), spread over the index's parallelism.
+func (ix *Index) mergeColumns(segs []segRef, base bool, dead []tombs, batch []liveVec) columns {
+	n := len(batch)
+	for _, s := range segs {
+		n += s.live
+	}
+	live := make([]liveVec, 0, n)
+	for _, s := range segs {
+		ix.eachLive(s, dead, func(col int) { live = append(live, liveVec{s.ids[col], s.vec(col)}) })
+	}
+	live = append(live, batch...)
+	rest := live
+	if base {
+		rest = live[segs[0].live:]
+	}
+	sort.Slice(rest, func(a, b int) bool { return rest[a].id < rest[b].id })
+	type cols struct {
+		live         []liveVec
+		ids          []int32
+		lens, maxAbs []float64
+	}
+	stats := make([]float64, 2*len(live)) // lengths, then maxima: the buckets copy both
+	c := columns{vec: func(col int) []float64 { return live[col].vec },
+		ids: make([]int32, len(live)), lens: stats[:len(live):len(live)], maxAbs: stats[len(live):]}
+	spreadCols(len(live), ix.opts.Parallelism, cols{live, c.ids, c.lens, c.maxAbs}, func(c cols, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			c.ids[i] = c.live[i].id
+			c.lens[i], c.maxAbs[i] = vecmath.NormMaxAbs(c.live[i].vec)
+		}
+	})
+	return c
 }
 
 // WithUpdates derives a new index with the batch applied, leaving the
@@ -622,57 +633,17 @@ func (ix *Index) shallowClone() *Index {
 	return &cp
 }
 
-// pretuneDeltaMinOverlay is the number of live run vectors below which
-// pretuneDelta does nothing: scanning a handful of vectors costs about the
-// same under any per-bucket method, so fitting parameters for them would
-// charge small mutation batches a tuning pass that cannot pay for itself.
-// Above it, run buckets are big enough that a bad default method shows up in
-// every retrieval until the next Compact.
-const pretuneDeltaMinOverlay = 32
-
-// pretuneDelta fits per-bucket parameters for the run buckets the frozen fit
-// has no entry for, reusing the retained pretune sample. Without it a
-// pretuned index's runs scan on default parameters until the next Compact —
-// heavy update churn would keep the hottest (freshest) probes on the
-// least-tuned buckets indefinitely, since frozen tuning means no retrieval
-// call ever re-fits them. Every bucket that has an entry keeps it. Results
-// are unaffected either way (tuning only selects the per-bucket method); the
-// cost, like Compact's re-freeze, lands in PrepTime and is bounded three
-// ways: tiny runs skip tuning entirely, the restricted tuner stops its scan
-// at the deepest bucket it fits, and fits are geometrically amortized —
-// Apply calls this only for a batch that rewrote the oldest run, which takes
-// everything newer to have reached half its size, so the runs grew 1.5×
-// since the last pass and a churn sequence of B batches pays O(log B)
-// passes, not B. Between passes the newer runs' buckets run on defaults, and
-// hold less than a third of the runs' vectors.
-func (ix *Index) pretuneDelta() {
-	if !ix.pretuned || ix.runsLive() < pretuneDeltaMinOverlay || ix.tuneSample == nil || !ix.opts.hasTunableParams() {
-		return
-	}
-	start := time.Now()
-	ix.refreeze(true)
-	ix.prepTime += time.Since(start)
-}
-
-// refreeze refits the frozen parameters from the retained sample, every
-// bucket's or (deltaOnly) the runs' only. The sample obeyed prepareQueries'
-// rule when Pretune or FromState kept it; the fit is never canceled.
-func (ix *Index) refreeze(deltaOnly bool) {
-	qs, _ := prepareQueries(ix.tuneSample)
-	ix.frozen, _ = ix.tune(newCall(nil, ix.opts, nil), qs, ix.tuneProb, deltaOnly)
-}
-
 // rescan rebuilds the scan order — every segment's buckets merged by
 // decreasing l_b, which both retrieval kernels rely on for pruning — after a
 // batch: the buckets of rewritten segments (gone, by old scan position)
 // leave, the new segment's (fresh, by decreasing l_b) enter, and every other
 // bucket keeps, from its old position, its tombstones (dead is aligned with
-// the old scan) and its entry in the frozen fit; a fresh position is untuned
-// until pretuneDelta publishes a fit for it. All four arrays are new, so
-// relatives and running jobs may hold the old ones. It re-derives the
-// scratch sizing bound, and, every call being a bucket-layout change,
-// advances the layout generation (invalidating TuningCache entries for this
-// index).
+// the old scan) and its entry in the frozen fit; a fresh position is
+// untuned, so it scans on the defaults until the next Compact. All four
+// arrays are new, so relatives and running jobs may hold the old ones. It
+// re-derives the scratch sizing bound, and, every call being a
+// bucket-layout change, advances the layout generation (invalidating
+// TuningCache entries for this index).
 func (ix *Index) rescan(dead []tombs, gone []bool, fresh []*bucket) {
 	old, oldFit := ix.scan, ix.frozen
 	n := len(old) + len(fresh)
@@ -741,21 +712,17 @@ func (ix *Index) MaybeCompact(threshold float64) bool {
 // the base's in column order, then the runs' by ascending id, external ids
 // preserved — re-bucketized per §3.2, with no tombstone and no run left.
 // Queries before and after a Compact return identical results — only the
-// internal layout changes — so the epoch is not advanced. If per-call tuning
-// was frozen by a Pretune method, the fitted per-bucket parameters are
-// re-frozen on the retained tuning sample — which snapshots persist, so a
-// snapshot-restored pretuned index re-freezes after Compact exactly like the
-// original.
+// internal layout changes — so the epoch is not advanced. A pretuned index
+// is pretuned again on its retained sample and problem, the call FromState
+// makes, so it is fitted exactly as a restore of its snapshot is.
 func (ix *Index) Compact() {
 	if !ix.mutated() {
 		return
 	}
 	start := time.Now()
 	ix.merge(ix.segs, 0, ix.dead, nil)
-	ix.prepTime += time.Since(start)
-	if ix.pretuned && ix.tuneSample != nil && ix.LiveN() > 0 && ix.opts.hasTunableParams() {
-		tuneStart := time.Now()
-		ix.refreeze(false)
-		ix.prepTime += time.Since(tuneStart)
+	if ix.pretuned {
+		_ = ix.Pretune(ix.tuneSample, ix.tuneProb) // cannot fail: the retained sample passed its checks
 	}
+	ix.prepTime += time.Since(start)
 }

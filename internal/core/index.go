@@ -63,13 +63,13 @@ type Index struct {
 
 	// pretuned freezes per-call tuning: every retrieval runs under the
 	// frozen fit instead of fitting its own. Set by Pretune, which FromState
-	// runs on a retained sample. frozen is aligned with scan, nil unless pretuned (and then
-	// still nil when nothing was tunable: defaults), and only ever replaced
-	// wholesale — by Pretune, Compact's re-freeze, pretuneDelta, and rescan,
-	// which carries every surviving bucket's entry to its new position —
-	// never written in place, so copy-on-write relatives and running jobs
-	// may hold it. tuneProb and tuneSample retain what Pretune fitted (the
-	// sample is nil when nothing was retained), so Compact can re-freeze.
+	// and Compact run on the retained sample. frozen is aligned with scan,
+	// nil unless pretuned (and then still nil when nothing was tunable:
+	// defaults), and only ever replaced wholesale — made by Pretune alone,
+	// and carried by rescan, which moves every surviving bucket's entry to
+	// its new position and leaves a new run's untuned — never written in
+	// place, so copy-on-write relatives and running jobs may hold it.
+	// tuneProb and tuneSample retain what Pretune fitted.
 	pretuned   bool
 	frozen     []tunedParam
 	tuneProb   Problem
@@ -173,8 +173,8 @@ func (ix *Index) NumBuckets() int { return len(ix.scan) }
 // int8 screening sidecar, and the bucket's entry in the frozen fit of a
 // pretuned index (§4.4). Tuned, TB and Phi are false/zero on an index that is
 // not pretuned — there each retrieval fits and owns its own parameters, and
-// none are the index's to report — and for a bucket the frozen fit has not
-// reached (a run's bucket awaiting its fit).
+// none are the index's to report — and for a run's bucket, which scans on
+// the defaults until the next Compact pretunes again.
 type BucketInfo struct {
 	Size      int
 	MaxLength float64 // l_b, the length of the longest vector

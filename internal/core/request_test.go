@@ -434,7 +434,7 @@ func TestCanceledTuningWhileFitting(t *testing.T) {
 	ix, q := cancelFixture(t)
 	twin, _ := cancelFixture(t)
 	prob := Problem{K: 5}
-	if _, err := twin.tune(newCall(nil, twin.opts, nil), preparedQueries(t, q), prob, false); err != nil {
+	if _, err := twin.tune(newCall(nil, twin.opts, nil), preparedQueries(t, q), prob); err != nil {
 		t.Fatal(err)
 	}
 	var observed []*bucket // of ix, in the order the pass observes them

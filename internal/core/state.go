@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"lemp/internal/matrix"
-	"lemp/internal/vecmath"
 )
 
 // State is the serializable snapshot of an Index: the effective options,
@@ -73,24 +71,14 @@ func (ix *Index) State() *State {
 
 // compactionProbes returns the live probes of a mutated index and their ids
 // in the order its compaction's buckets would hold them: the compaction's
-// column order, stably sorted by decreasing length.
+// column order (mergeColumns), stably sorted by decreasing length.
 func (ix *Index) compactionProbes() (*matrix.Matrix, []int32) {
-	base := ix.segs[0]
-	live := make([]liveVec, 0, ix.LiveN())
-	for _, s := range ix.segs {
-		ix.eachLive(s, ix.dead, func(col int) { live = append(live, liveVec{s.ids[col], s.vec(col)}) })
-	}
-	runs := live[base.live:]
-	sort.Slice(runs, func(a, b int) bool { return runs[a].id < runs[b].id })
-	lens := make([]float64, len(live))
-	for i, e := range live {
-		lens[i] = vecmath.Norm(e.vec)
-	}
-	order, _ := byDecreasingLength(lens, ix.opts.Parallelism)
-	p, ids := matrix.New(ix.r, len(live)), make([]int32, len(live))
+	c := ix.mergeColumns(ix.segs, true, ix.dead, nil)
+	order, _ := byDecreasingLength(c.lens, ix.opts.Parallelism)
+	p, ids := matrix.New(ix.r, len(order)), make([]int32, len(order))
 	for col, i := range order {
-		ids[col] = live[i].id
-		copy(p.Vec(col), live[i].vec)
+		ids[col] = c.ids[i]
+		copy(p.Vec(col), c.vec(int(i)))
 	}
 	return p, ids
 }

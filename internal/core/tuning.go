@@ -50,7 +50,7 @@ func (ix *Index) ensureTuned(c *call, qs *querySet, prob Problem, st *Stats) ([]
 		}
 	}
 	tuneStart := time.Now()
-	fit, err := ix.tune(c, qs, prob, false)
+	fit, err := ix.tune(c, qs, prob)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +69,8 @@ func (ix *Index) ensureTuned(c *call, qs *querySet, prob Problem, st *Stats) ([]
 // only the per-bucket algorithm choice is affected. The sample and problem
 // are retained, and a snapshot persists them: FromState pretunes a restored
 // index on them, which is how a snapshot-loaded index answers queries with
-// zero tuning time.
+// zero tuning time, and Compact its re-bucketization. Pretune is the one
+// maker of a frozen fit; an update batch tunes nothing.
 func (ix *Index) Pretune(q *matrix.Matrix, prob Problem) error {
 	if err := prob.Validate(); err != nil {
 		return err
@@ -86,12 +87,12 @@ func (ix *Index) Pretune(q *matrix.Matrix, prob Problem) error {
 	}
 	ix.frozen = nil
 	if ix.opts.hasTunableParams() && ix.LiveN() > 0 {
-		ix.frozen, _ = ix.tune(newCall(nil, ix.opts, nil), qs, prob, false) // never canceled
+		ix.frozen, _ = ix.tune(newCall(nil, ix.opts, nil), qs, prob) // never canceled
 	}
 	ix.pretuned = true
-	// Retain the sample and problem so Compact can re-freeze the fitted
-	// parameters after re-bucketization (the sample is small; cloning
-	// detaches it from caller-owned storage).
+	// Retain the sample and problem so Compact can pretune again after
+	// re-bucketization (the sample is small; cloning detaches it from
+	// caller-owned storage).
 	ix.tuneProb = prob
 	ix.tuneSample = q.Clone()
 	return nil
@@ -121,7 +122,8 @@ type tunePair struct {
 const tunePatience = 2
 
 // tune runs the sample-based selection under the call's effective options
-// and returns the fit, one entry per scan bucket, in two phases. First every
+// and returns the fit of every scan bucket, one entry each — a call's own
+// (ensureTuned) or the frozen one (Pretune) — in two phases. First every
 // sample query walks the scan — pure arithmetic for Above-θ, LENGTH verified
 // by the scan's own per-pair step for Row-Top-k, whose running threshold must
 // follow the trajectory of a real run — and records the pairs it meets. Then
@@ -137,26 +139,12 @@ const tunePatience = 2
 // scratch, and a bucket's observations stay in sample order, so the fit is a
 // serial pass's (bit-identical under TuneByCost, where the costs are counts).
 // A call canceled, which is checked at bucket boundaries, returns no fit.
-//
-// With deltaOnly only the run buckets the frozen fit has no entry for are
-// fitted, from a sample that walks no further than the deepest of them, and
-// every other entry is the frozen fit's: how pretuneDelta (delta.go) fits
-// new runs' buckets from the retained pretune sample.
-func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tunedParam, error) {
-	target := func(bi int) bool {
-		return !deltaOnly || ix.scan[bi].delta && !fitEntry(ix.frozen, bi).tuned
-	}
-	// Every target starts from the defaults, which one the sample misses keeps.
+func (ix *Index) tune(c *call, qs *querySet, prob Problem) ([]tunedParam, error) {
+	// Every bucket starts from the defaults, which one the sample misses keeps.
 	phis := ix.tunePhis(c.opts)
 	fit := make([]tunedParam, len(ix.scan))
-	if deltaOnly {
-		copy(fit, ix.frozen)
-	}
-	lastTarget := -1
-	for bi := range ix.scan {
-		if target(bi) {
-			lastTarget, fit[bi] = bi, ix.fitBucket(c.opts, phis, nil)
-		}
+	for bi := range fit {
+		fit[bi] = ix.fitBucket(c.opts, phis, nil)
 	}
 	kk := min(prob.K, ix.LiveN()) // 0 for Above-θ
 
@@ -179,7 +167,7 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 			heap.Init(kk)
 		}
 		var trajStats Stats // trajectory verification is not a run; discard
-		for bi, b := range ix.scan[:lastTarget+1] {
+		for bi, b := range ix.scan {
 			if c.canceled() {
 				return
 			}
@@ -191,7 +179,7 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 			if pruned {
 				break // and so is every later, shorter bucket
 			}
-			if thetaB > 0 && target(bi) {
+			if thetaB > 0 {
 				perSample[si] = append(perSample[si], tunePair{int32(bi), int32(qi), qlen, theta, thetaB})
 			}
 			if kk > 0 {
@@ -211,8 +199,8 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem, deltaOnly bool) ([]tu
 	}
 
 	swept, sweptTop := 0, math.Inf(1) // the current run of LENGTH-swept buckets
-	for bi := lastTarget; bi >= 0; bi-- {
-		ps := pairs[bi] // of targets only
+	for bi := len(ix.scan) - 1; bi >= 0; bi-- {
+		ps := pairs[bi]
 		if len(ps) == 0 {
 			continue
 		}

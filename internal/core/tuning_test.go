@@ -207,7 +207,7 @@ func TestTuningParallelismFitsIdentically(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := ix.tune(newCall(nil, ix.opts, nil), preparedQueries(t, q), prob, false)
+				got, err := ix.tune(newCall(nil, ix.opts, nil), preparedQueries(t, q), prob)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -307,7 +307,7 @@ func TestTuneSweepSkipsLists(t *testing.T) {
 				t.Fatal(err)
 			}
 			ix.sweepOff = sweepOff
-			fit, err := ix.tune(newCall(nil, ix.opts, nil), preparedQueries(t, q), tc.prob, false)
+			fit, err := ix.tune(newCall(nil, ix.opts, nil), preparedQueries(t, q), tc.prob)
 			if err != nil {
 				t.Fatal(err)
 			}

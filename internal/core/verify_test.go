@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lemp/internal/matrix"
@@ -130,9 +132,10 @@ func TestVerifyStatsSplit(t *testing.T) {
 	}
 }
 
-// TestPretuneDeltaBuckets: once tuning is frozen, freshly created delta
-// buckets must come out pretuned from the retained sample instead of
-// running on defaults until compaction — and results must stay exact.
+// TestPretuneDeltaBuckets: a batch never tunes. After each batch on a
+// pretuned index every run bucket scans on the defaults (its frozen entry is
+// untuned), every bucket the batch carries keeps the entry it had before,
+// and results stay exact.
 func TestPretuneDeltaBuckets(t *testing.T) {
 	rng := rand.New(rand.NewSource(503))
 	p := matrix.New(8, 150)
@@ -150,37 +153,50 @@ func TestPretuneDeltaBuckets(t *testing.T) {
 	if err := ix.Pretune(sample, Problem{K: 5}); err != nil {
 		t.Fatal(err)
 	}
+	if !slices.ContainsFunc(ix.frozen, func(p tunedParam) bool { return p.tuned }) {
+		t.Fatal("Pretune fitted no bucket")
+	}
 	model := &probeModel{vecs: make(map[int32][]float64)}
 	for i := 0; i < 150; i++ {
 		model.vecs[int32(i)] = append([]float64(nil), p.Vec(i)...)
-	}
-	// A batch large enough to clear pretuneDeltaMinOverlay (tiny overlays
-	// deliberately skip delta pretuning — scanning them is cheap under any
-	// method), on top of some random churn.
-	nextID := int32(150)
-	ups := randomBatch(rng, model, &nextID, 8)
-	for len(ups) < pretuneDeltaMinOverlay+8 {
-		vec := randVec(rng, 8)
-		ups = append(ups, ProbeUpdate{Op: OpAdd, ID: nextID, Vec: vec})
-		model.vecs[nextID] = vec
-		nextID++
-	}
-	if _, err := ix.Apply(ups); err != nil {
-		t.Fatal(err)
-	}
-	if len(ix.segs) == 1 {
-		t.Fatal("batch produced no overlay entries")
-	}
-	for bi, b := range ix.scan {
-		if b.delta && !ix.frozen[bi].tuned {
-			t.Fatalf("delta bucket at scan position %d not pretuned despite frozen tuning", bi)
-		}
 	}
 	q := matrix.New(8, 3)
 	for i := 0; i < 3; i++ {
 		copy(q.Vec(i), randVec(rng, 8))
 	}
-	checkEqual(t, "pretuned-delta", ix, model.freshIndex(t, 8, Options{Algorithm: AlgLI, TuneByCost: true}), q, 6)
+	// A first batch of 40 or more ops, random churn topped up with adds,
+	// makes a run of several buckets; a second, small one carries it or
+	// rewrites it.
+	nextID := int32(150)
+	for round := 0; round < 2; round++ {
+		ups := randomBatch(rng, model, &nextID, 8)
+		for round == 0 && len(ups) < 40 {
+			vec := randVec(rng, 8)
+			ups = append(ups, ProbeUpdate{Op: OpAdd, ID: nextID, Vec: vec})
+			model.vecs[nextID] = vec
+			nextID++
+		}
+		before := make(map[*bucket]tunedParam, len(ix.scan))
+		for bi, b := range ix.scan {
+			before[b] = fitEntry(ix.frozen, bi)
+		}
+		if _, err := ix.Apply(ups); err != nil {
+			t.Fatal(err)
+		}
+		if len(ix.segs) == 1 {
+			t.Fatalf("round %d: the batch left no run", round)
+		}
+		for bi, b := range ix.scan {
+			got := fitEntry(ix.frozen, bi)
+			if b.delta && got.tuned {
+				t.Fatalf("round %d: run bucket at scan position %d is tuned: the batch fitted it", round, bi)
+			}
+			if was, carried := before[b]; carried && got != was {
+				t.Fatalf("round %d: carried bucket at scan position %d: entry %+v, before the batch %+v", round, bi, got, was)
+			}
+		}
+		checkEqual(t, fmt.Sprintf("pretuned-delta round %d", round), ix, model.freshIndex(t, 8, Options{Algorithm: AlgLI, TuneByCost: true}), q, 6)
+	}
 }
 
 // TestScratchPoolReuse: a second retrieval call on the same index must reuse

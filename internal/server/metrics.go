@@ -112,7 +112,7 @@ func (s *Server) wireState() {
 			return 0
 		})
 	reg.GaugeFunc("lemp_epoch",
-		"Current update epoch (0 at construction, +1 per applied update batch).",
+		"Current update epoch, the index's (0 at a build, the snapshot's at a restore, +1 per applied update batch).",
 		func() float64 { return float64(s.sharded.Epoch()) })
 	reg.GaugeFunc("lemp_live_probes",
 		"Live probe vectors.",

@@ -37,12 +37,12 @@ import (
 type Sharded struct {
 	r int
 
-	// mu guards the swappable serving state: the current index version and
-	// the epoch. The index is replaced wholesale on every commit, never
-	// mutated in place, so a View may hold it without the lock.
-	mu    sync.RWMutex
-	epoch uint64
-	ix    *lemp.Index
+	// mu guards the swappable serving state: the current index version,
+	// which carries the epoch (lemp.Index.Epoch). It is replaced wholesale
+	// on every commit, never mutated in place, so a View may hold it
+	// without the lock.
+	mu sync.RWMutex
+	ix *lemp.Index
 
 	// updMu serializes Update calls.
 	updMu sync.Mutex
@@ -71,7 +71,7 @@ type Sharded struct {
 	testScanDone  func(err error)
 }
 
-// newSharded serves ix at epoch 0.
+// newSharded serves ix, at its epoch.
 func newSharded(ix *lemp.Index) *Sharded {
 	return &Sharded{r: ix.R(), ix: ix, tc: lemp.NewTuningCache()}
 }
@@ -83,7 +83,8 @@ func newSharded(ix *lemp.Index) *Sharded {
 // wrote it (in shard order) — loads file by file, each checked as
 // LoadIndexLength checks it, and their live probes, in ascending id order,
 // build one index under the first file's options. That build keeps every
-// id and the input's AutoID mark, the highest of the files'.
+// id and the input's AutoID mark, the highest of the files'; it starts at
+// epoch 0, or at 1 where keeping the mark takes an add-then-remove batch.
 func loadSnapshots(snapshots []io.Reader, opts lemp.LoadOptions) (*lemp.Index, error) {
 	if len(snapshots) == 0 {
 		return nil, fmt.Errorf("server: no snapshot to restore")
@@ -169,13 +170,9 @@ func (s *Sharded) R() int { return s.r }
 // have reached (none on the portable kernels without Options.Quantize).
 func (s *Sharded) SidecarBytes() int { return s.current().SidecarBytes() }
 
-// Epoch returns the current update epoch: 0 at construction, +1 per
-// applied update batch.
-func (s *Sharded) Epoch() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.epoch
-}
+// Epoch returns the current update epoch, the index's: 0 at a build, a
+// snapshot's at a restore, +1 per applied update batch.
+func (s *Sharded) Epoch() uint64 { return s.current().Epoch() }
 
 // Compactions returns the number of re-bucketizations triggered by update
 // delta mass since construction.
@@ -196,20 +193,19 @@ func (s *Sharded) CumulativeStats() lemp.Stats {
 // index versions are retained by the snapshot), but long-held views serve
 // increasingly stale data.
 type View struct {
-	s     *Sharded
-	epoch uint64
-	ix    *lemp.Index
+	s  *Sharded
+	ix *lemp.Index
 }
 
 // CurrentView snapshots the serving state at the current epoch.
 func (s *Sharded) CurrentView() *View {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return &View{s: s, epoch: s.epoch, ix: s.ix}
+	return &View{s: s, ix: s.ix}
 }
 
 // Epoch returns the update epoch the view was taken at.
-func (v *View) Epoch() uint64 { return v.epoch }
+func (v *View) Epoch() uint64 { return v.ix.Epoch() }
 
 // N returns the live probe count at the view's epoch.
 func (v *View) N() int { return v.ix.N() }
@@ -309,11 +305,8 @@ func (s *Sharded) Update(ups []lemp.ProbeUpdate, compactThreshold float64) (Upda
 
 	s.mu.Lock()
 	s.ix = nix
-	if len(ups) > 0 { // an empty batch is no batch, as for Index.WithUpdates
-		s.epoch++
-	}
-	res := UpdateResult{Epoch: s.epoch, IDs: ids, LiveN: nix.N()}
 	s.mu.Unlock()
+	res := UpdateResult{Epoch: nix.Epoch(), IDs: ids, LiveN: nix.N()}
 	s.applyHist.ObserveDuration(time.Since(start))
 	return res, nil
 }

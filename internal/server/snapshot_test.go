@@ -331,3 +331,41 @@ func TestMutatedServerSnapshotRoundTrip(t *testing.T) {
 	}
 	answersLikeNaive(t, "restored", restored.Sharded(), liveP, ids, q)
 }
+
+// TestRestoredServerContinuesEpoch: the epoch is the index's, which its
+// snapshot carries, so a server restored from the snapshot of an index at
+// epoch E serves at E — /healthz reads it — and its next batch creates E+1.
+func TestRestoredServerContinuesEpoch(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	const r, n, epoch = 6, 40, 3
+	ix, err := lemp.New(epochProbe(rng, r, n), lemp.Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < epoch; e++ {
+		add := []lemp.ProbeUpdate{{Op: lemp.OpAdd, ID: lemp.AutoID, Vec: epochProbe(rng, r, 1).Vec(0)}}
+		if ix, _, err = ix.WithUpdates(add); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := ix.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewFromSnapshot([]io.Reader{&buf}, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if got, _ := getHealthz(t, ts.URL); got != epoch {
+		t.Fatalf("/healthz epoch %d after restoring a snapshot at epoch %d", got, epoch)
+	}
+	status, out := postBody(t, ts.URL+"/v1/update", `{"updates":[{"op":"remove","id":0}]}`)
+	if status != http.StatusOK {
+		t.Fatalf("update status %d: %v", status, out)
+	}
+	if got := out["epoch"].(float64); got != epoch+1 {
+		t.Fatalf("the first batch after the restore created epoch %v, want %d", got, epoch+1)
+	}
+}

@@ -12,11 +12,12 @@ import (
 // tombstone bitset — and accumulated drift merged back into one freshly
 // bucketized base by Compact. Applying a batch costs O(batch · r + buckets)
 // time and allocation, independent of the probe count and of what the runs
-// already hold; a derived index shares every bucket the batch did
-// not retire, and nothing reachable from an index is written again once it
-// is published. Results remain exact after any mutation sequence: a mutated
-// index answers queries identically to an index freshly built over the same
-// live probe set.
+// already hold, and tunes nothing (a pretuned index scans a new run on the
+// default parameters until Compact); a derived index shares every bucket
+// the batch did not retire, and nothing reachable from an index is written
+// again once it is published. Results remain exact after any mutation
+// sequence: a mutated index answers queries identically to an index freshly
+// built over the same live probe set.
 //
 // Concurrency: a batch never changes the Index it is applied to.
 // WithUpdates derives a new index copy-on-write, so serving layers keep
@@ -102,9 +103,10 @@ func (ix *Index) Has(id int32) bool { return ix.inner.Has(id) }
 func (ix *Index) DeltaMass() float64 { return ix.inner.DeltaMass() }
 
 // Compact merges every run and the base into one fresh bucketization over
-// the live probe set (ids preserved), restoring full pruning effectiveness. Results
-// before and after are identical. Exclusive with everything else on this
-// index.
+// the live probe set (ids preserved), restoring full pruning effectiveness,
+// and pretunes a pretuned index again on its retained sample, as a restore
+// of its snapshot does. Results before and after are identical. Exclusive
+// with everything else on this index.
 func (ix *Index) Compact() { ix.inner.Compact() }
 
 // MaybeCompact compacts when DeltaMass exceeds the threshold, reporting
