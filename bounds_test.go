@@ -146,7 +146,8 @@ func TestAboveThetaAtOwnValue(t *testing.T) {
 		top := ref.answer(q, len(rows), 0)[0]
 		k := slices.IndexFunc(top, func(e lemp.Entry) bool { return slices.Equal(p.Vec(e.Probe), dup) }) + 2
 		for _, quantize := range []bool{false, true} {
-			ix, err := lemp.New(p, lemp.Options{MinBucketSize: 4, Phi: 3, TuneByCost: true, SampleQueries: 3, Quantize: quantize})
+			opts := lemp.Options{MinBucketSize: 4, Phi: 3, TuneByCost: true, SampleQueries: 3, Quantize: quantize}
+			ix, err := lemp.New(p, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,9 +157,14 @@ func TestAboveThetaAtOwnValue(t *testing.T) {
 			}
 			var eps []entryPoint
 			for _, alg := range allAlgorithms {
+				opts.Algorithm = alg
+				aix, err := lemp.New(p, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for try := 0; try < 8 && len(all.Entries) > 0; try++ {
 					e := all.Entries[rng.Intn(len(all.Entries))]
-					res, err := ix.Retrieve(ctx, q, lemp.AboveTheta(e.Value), lemp.WithAlgorithm(alg))
+					res, err := aix.Retrieve(ctx, q, lemp.AboveTheta(e.Value))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -166,7 +172,7 @@ func TestAboveThetaAtOwnValue(t *testing.T) {
 						t.Fatalf("r=%d %v quantize=%v: Above-θ at θ = %v drops the entry %+v", r, alg, quantize, e.Value, e)
 					}
 				}
-				eps = append(eps, retrieveEP(alg.String(), ix, false, lemp.WithAlgorithm(alg)))
+				eps = append(eps, retrieveEP(alg.String(), aix, false))
 			}
 			check(t, fmt.Sprintf("r=%d quantize=%v", r, quantize), ref, q, k, rng, eps...)
 		}

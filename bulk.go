@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"lemp/internal/bulk"
-	"lemp/internal/core"
 	"lemp/internal/matrix"
 )
 
@@ -32,8 +31,9 @@ type BulkQuerySource = bulk.QuerySource
 // it into memory; Close when the job is done.
 type QueryPanels = matrix.PanelReader
 
-// BulkOptions tune a bulk job; the zero value selects throughput-oriented
-// defaults (256-row panels, all cores, no checkpointing).
+// BulkOptions shape a bulk job; the zero value selects throughput-oriented
+// defaults (256-row panels, all cores, no checkpointing). A job runs the
+// index's bucket algorithm and fits it once, on its first panel.
 type BulkOptions struct {
 	// PanelRows is the query-panel height (default 256).
 	PanelRows int
@@ -50,12 +50,6 @@ type BulkOptions struct {
 	// an uninterrupted one.
 	Checkpoint      string
 	CheckpointEvery int
-	// Algorithm optionally overrides the index's bucket algorithm for
-	// this job, like WithAlgorithm does per Retrieve call.
-	Algorithm *Algorithm
-	// Cache optionally reuses fitted tuning parameters across jobs, like
-	// WithTuningCache does per Retrieve call.
-	Cache *TuningCache
 }
 
 func (o BulkOptions) config() bulk.Config {
@@ -65,7 +59,6 @@ func (o BulkOptions) config() bulk.Config {
 		Window:          o.Window,
 		Checkpoint:      o.Checkpoint,
 		CheckpointEvery: o.CheckpointEvery,
-		Run:             core.RunOptions{Algorithm: o.Algorithm, Cache: o.Cache},
 	}
 }
 

@@ -10,7 +10,8 @@
 // it after an interruption, producing a byte-identical result file to an
 // uninterrupted run; the checkpoint is removed on completion. Ctrl-C
 // stops the job through the context — with -ckpt that is a clean
-// suspension point, not a loss of work.
+// suspension point, not a loss of work. The index is built with the -alg
+// bucket algorithm, which the job fits once, on its first panel.
 //
 // Usage:
 //
@@ -44,7 +45,7 @@ func main() {
 	window := flag.Int("window", 0, "max panels in flight past the flush frontier (0 = 4×parallel)")
 	ckpt := flag.String("ckpt", "", "checkpoint file path; resume from it if it exists")
 	ckptEvery := flag.Int("ckpt-every", 0, "checkpoint every this many flushed panels (0 = default 64)")
-	algName := flag.String("alg", "", "bucket algorithm override: L LI LC I C (default: the index's; L never tunes, the others run the paper's sample tuner, §4.4, once per job)")
+	algName := flag.String("alg", "LI", "bucket algorithm the index is built with: L LI LC I C (L never tunes; the others run the paper's sample tuner, §4.4, once per job)")
 	phi := flag.Int("phi", 0, "fixed focus-set size φ (0 = tuned per bucket)")
 	quant := flag.Bool("quant", false, "screen every candidate set with the int8 sidecars, each built on first screened use; without it the job screens only where the int8 kernels are assembly")
 	stats := flag.Bool("stats", false, "print job statistics to stderr")
@@ -56,20 +57,16 @@ func main() {
 	if (*theta > 0) == (*topk > 0) {
 		fail("specify exactly one of -theta or -topk")
 	}
-
+	alg, err := lemp.ParseAlgorithm(*algName)
+	if err != nil {
+		fail("%v", err)
+	}
 	opts := lemp.BulkOptions{
 		PanelRows:       *panel,
 		Parallelism:     *parallel,
 		Window:          *window,
 		Checkpoint:      *ckpt,
 		CheckpointEvery: *ckptEvery,
-	}
-	if *algName != "" {
-		alg, err := lemp.ParseAlgorithm(*algName)
-		if err != nil {
-			fail("%v", err)
-		}
-		opts.Algorithm = &alg
 	}
 
 	src, closeSrc, err := openQueries(*qPath)
@@ -82,7 +79,7 @@ func main() {
 	if err != nil {
 		fail("loading %s: %v", *pPath, err)
 	}
-	index, err := lemp.New(p, lemp.Options{Phi: *phi, Quantize: *quant})
+	index, err := lemp.New(p, lemp.Options{Algorithm: alg, Phi: *phi, Quantize: *quant})
 	if err != nil {
 		fail("building index: %v", err)
 	}

@@ -55,8 +55,9 @@
 // accumulated drift exceeds -compact-frac of the live probes, the index
 // re-bucketizes. Every batch advances the epoch; queries
 // are epoch-consistent (a response never mixes pre- and post-update
-// vectors). A -save-snapshot taken after updates persists the
-// compacted live probe set with ids preserved.
+// vectors). -save-snapshot writes its file once, after the build or
+// restore and before the server answers a request; no route or signal
+// writes one later, so updates applied while serving reach no file.
 //
 // The index uses all CPU cores by default: Options.Parallelism = NumCPU, for
 // the build and for each retrieval call (override with -parallel; the

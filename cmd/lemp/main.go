@@ -36,7 +36,7 @@ func main() {
 	pPath := flag.String("p", "", "probe matrix file (columns of P as vectors)")
 	theta := flag.Float64("theta", 0, "Above-θ threshold (> 0); mutually exclusive with -topk")
 	topk := flag.Int("topk", 0, "Row-Top-k: number of results per query; mutually exclusive with -theta")
-	algName := flag.String("alg", "LI", "bucket algorithm: L LI LC I C (L never tunes; the others run the paper's sample tuner, §4.4, on each new problem)")
+	algName := flag.String("alg", "LI", "bucket algorithm the index is built with: L LI LC I C (L never tunes; the others run the paper's sample tuner, §4.4, on each new problem)")
 	phi := flag.Int("phi", 0, "fixed focus-set size φ (0 = tuned per bucket)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "retrieval goroutines (default all cores; use -parallel 1 for the paper's single-threaded setting)")
 	outPath := flag.String("out", "", "write results as CSV (query,probe,value); default stdout")
@@ -63,7 +63,7 @@ func main() {
 		fail("loading %s: %v", *pPath, err)
 	}
 
-	index, err := lemp.New(p, lemp.Options{Phi: *phi})
+	index, err := lemp.New(p, lemp.Options{Algorithm: alg, Phi: *phi})
 	if err != nil {
 		fail("building index: %v", err)
 	}
@@ -95,8 +95,8 @@ func main() {
 	defer stop()
 
 	// One call, assembled from options: the mode plus per-call policy
-	// (algorithm, parallelism, streaming).
-	opts := []lemp.Option{lemp.WithAlgorithm(alg), lemp.WithParallelism(*parallel)}
+	// (parallelism, streaming).
+	opts := []lemp.Option{lemp.WithParallelism(*parallel)}
 	if *theta > 0 {
 		opts = append(opts, lemp.AboveTheta(*theta), lemp.Stream(writeEntry))
 	} else {

@@ -357,9 +357,9 @@ func legacySetServer(t *testing.T, c diffCase) *server.Sharded {
 	return srv.Sharded()
 }
 
-// caseEntryPoints returns Retrieve under every algorithm and three of the
-// other entry points, rotated by the case number n so that each one meets
-// every kind of catalog in turn.
+// caseEntryPoints returns Retrieve on an index built with each algorithm
+// and three of the other entry points, rotated by the case number n so that
+// each one meets every kind of catalog in turn.
 func caseEntryPoints(t *testing.T, c diffCase, n int) []entryPoint {
 	must := func(ix *lemp.Index, err error) *lemp.Index {
 		if err != nil {
@@ -370,7 +370,9 @@ func caseEntryPoints(t *testing.T, c diffCase, n int) []entryPoint {
 	ix := must(lemp.NewWithIDs(c.p, c.ids, c.opts))
 	var eps []entryPoint
 	for _, a := range allAlgorithms {
-		eps = append(eps, retrieveEP("Retrieve "+a.String(), ix, false, lemp.WithAlgorithm(a)))
+		o := c.opts
+		o.Algorithm = a
+		eps = append(eps, retrieveEP("Retrieve "+a.String(), must(lemp.NewWithIDs(c.p, c.ids, o)), false))
 	}
 	srv := func() *server.Server {
 		s, err := server.NewWithIDs(c.p, c.ids, server.Config{Options: c.opts})

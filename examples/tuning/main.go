@@ -1,7 +1,7 @@
 // Tuning: a look inside LEMP's algorithm selection (§4.4). The same
-// workload runs under every bucket algorithm — selected per call with
-// lemp.WithAlgorithm on one shared index — showing the trade-off the
-// paper's Tables 5–6 measure: LENGTH verifies many candidates cheaply,
+// workload runs under every bucket algorithm — one index built with each
+// (Options.Algorithm) — showing the trade-off the paper's Tables 5–6
+// measure: LENGTH verifies many candidates cheaply,
 // INCR/COORD prune aggressively at some scanning cost — and the mixed LC
 // and LI, which pick per bucket and per query, match the best of them. (The
 // paper's TA, Tree, L2AP and BLSH baselines run under paper/'s lemp-bench.) The example also demonstrates fixing φ by
@@ -32,18 +32,19 @@ func main() {
 	const k = 10
 	ctx := context.Background()
 
-	// One index, five algorithms: the bucket method is per-call policy.
-	index, err := lemp.New(p, lemp.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Five algorithms, one index each: an index runs the method it was
+	// built with.
 	fmt.Printf("\n%-18s %12s %14s %10s\n", "algorithm", "tune+retr", "cands/query", "buckets")
 	for _, name := range []string{"L", "C", "I", "LC", "LI"} {
 		alg, err := lemp.ParseAlgorithm(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := index.Retrieve(ctx, q, lemp.TopK(k), lemp.WithAlgorithm(alg))
+		index, err := lemp.New(p, lemp.Options{Algorithm: alg})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := index.Retrieve(ctx, q, lemp.TopK(k))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -76,7 +77,7 @@ func main() {
 	// kernels are assembly, those whose candidate sets the tuning sample
 	// timed with the screen on; none elsewhere (no Options.Quantize here).
 	fmt.Println("\nper-bucket selections LI freezes with PretuneTopK (first 8 buckets):")
-	index, err = lemp.New(p, lemp.Options{Algorithm: lemp.AlgorithmLI})
+	index, err := lemp.New(p, lemp.Options{Algorithm: lemp.AlgorithmLI})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,7 +31,10 @@ type Config struct {
 	// cache-resident beside the bucket being scanned.
 	PanelRows int
 	// Parallelism is the worker-pool size (default all cores — this is
-	// the throughput mode).
+	// the throughput mode). It also sizes the one tuning pass of the
+	// core.Job, made by the first panel while the rest of the pool waits
+	// for the fit; each panel is one single-threaded Job.Run, the pool
+	// parallelizes across panels.
 	Parallelism int
 	// Window bounds how many panels past the flush frontier may be
 	// claimed (default 4×Parallelism): it is the writer's reordering
@@ -45,12 +48,6 @@ type Config struct {
 	// CheckpointEvery is the checkpoint cadence in flushed panels
 	// (default 64).
 	CheckpointEvery int
-	// Run carries per-job retrieval policy (algorithm override, tuning
-	// cache). Parallelism inside Run is overridden with the pool size: it
-	// sizes the one tuning pass of the core.Job (made by the first panel
-	// while the rest of the pool waits for the fit); each panel is one
-	// single-threaded Job.Run, the pool parallelizes across panels.
-	Run core.RunOptions
 }
 
 func (cfg Config) withDefaults() Config {
@@ -130,9 +127,7 @@ func Run(ctx context.Context, ix *core.Index, src QuerySource, outPath string, c
 	if err := cfg.validate(); err != nil {
 		return st, err
 	}
-	run := cfg.Run
-	run.Parallelism = cfg.Parallelism
-	rj, err := ix.NewJob(core.Problem{K: cfg.K, Theta: cfg.Theta}, run)
+	rj, err := ix.NewJob(core.Problem{K: cfg.K, Theta: cfg.Theta}, core.RunOptions{Parallelism: cfg.Parallelism})
 	if err != nil {
 		return st, err
 	}

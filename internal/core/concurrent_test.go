@@ -101,8 +101,8 @@ func TestConcurrentRetrievals(t *testing.T) {
 			for _, cached := range []bool{false, true} {
 				for _, quantize := range []bool{true, false} {
 					name := fmt.Sprintf("%v/pretuned=%v/cache=%v", alg, pretuned, cached)
-					if !quantize { // the default screen rule; both arms build sidecars lazily
-						name += "/lazy-sidecars"
+					if !quantize { // both arms build sidecars lazily
+						name += "/default-screen"
 					}
 					t.Run(name, func(t *testing.T) {
 						// The serial answers come from a twin pair built the same
@@ -287,7 +287,7 @@ func TestConcurrentTuneBesideRetrievals(t *testing.T) {
 		return ix
 	}
 	tune := func(ix *Index, prob Problem) []tunedParam {
-		fit, err := ix.tune(newCall(nil, ix.opts, nil), preparedQueries(t, q), prob)
+		fit, err := ix.tune(newCall(nil, ix.opts.Parallelism, nil), preparedQueries(t, q), prob)
 		if err != nil {
 			t.Error(err)
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -125,16 +124,14 @@ func sortRow(row []retrieval.Entry) {
 }
 
 // checkEqual runs Row-Top-k and Above-θ on both indexes and requires
-// byte-identical results. The mutated index answers three times: under its
-// own algorithm, and overridden to L and to LI, the untuned method and the
-// paper's tuned winner, which must agree entry for entry whatever built the
-// index.
+// byte-identical results. The mutated index answers under its own
+// algorithm; TestDifferentialMutations rotates the algorithms over its
+// sequences.
 func checkEqual(t *testing.T, tag string, mutated, fresh *Index, q *matrix.Matrix, k int) {
 	t.Helper()
 	if got, want := mutated.LiveN(), fresh.LiveN(); got != want {
 		t.Fatalf("%s: LiveN %d, fresh %d", tag, got, want)
 	}
-	ctx := context.Background()
 	wantTop, _, err := rowTopK(fresh, q, k)
 	if err != nil {
 		t.Fatalf("%s: fresh RowTopK: %v", tag, err)
@@ -160,41 +157,34 @@ func checkEqual(t *testing.T, tag string, mutated, fresh *Index, q *matrix.Matri
 	}
 	retrieval.Sort(want)
 
-	l, li := AlgL, AlgLI
-	for _, alg := range []*Algorithm{nil, &l, &li} {
-		run, name := RunOptions{Algorithm: alg}, "own"
-		if alg != nil {
-			name = alg.String()
+	gotTop, _, err := rowTopK(mutated, q, k)
+	if err != nil {
+		t.Fatalf("%s: mutated RowTopK: %v", tag, err)
+	}
+	for i, w := range wantTop {
+		g := gotTop[i]
+		sortRow(g)
+		if len(g) != len(w) {
+			t.Fatalf("%s: query %d: %d entries, fresh %d", tag, i, len(g), len(w))
 		}
-		gotTop, _, err := mutated.Retrieve(ctx, q, Problem{K: k}, nil, run)
-		if err != nil {
-			t.Fatalf("%s (%s): mutated RowTopK: %v", tag, name, err)
-		}
-		for i, w := range wantTop {
-			g := gotTop[i]
-			sortRow(g)
-			if len(g) != len(w) {
-				t.Fatalf("%s (%s): query %d: %d entries, fresh %d", tag, name, i, len(g), len(w))
-			}
-			for j := range w {
-				if g[j].Probe != w[j].Probe || g[j].Value != w[j].Value {
-					t.Fatalf("%s (%s): query %d entry %d: got (probe %d, %v), fresh (probe %d, %v)",
-						tag, name, i, j, g[j].Probe, g[j].Value, w[j].Probe, w[j].Value)
-				}
+		for j := range w {
+			if g[j].Probe != w[j].Probe || g[j].Value != w[j].Value {
+				t.Fatalf("%s: query %d entry %d: got (probe %d, %v), fresh (probe %d, %v)",
+					tag, i, j, g[j].Probe, g[j].Value, w[j].Probe, w[j].Value)
 			}
 		}
-		var got []retrieval.Entry
-		if _, _, err := mutated.Retrieve(ctx, q, Problem{Theta: theta}, retrieval.Collect(&got), run); err != nil {
-			t.Fatalf("%s (%s): mutated AboveTheta: %v", tag, name, err)
-		}
-		retrieval.Sort(got)
-		if len(got) != len(want) {
-			t.Fatalf("%s (%s): above-θ %d entries, fresh %d (θ=%v)", tag, name, len(got), len(want), theta)
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("%s (%s): above-θ entry %d: got %+v, fresh %+v", tag, name, j, got[j], want[j])
-			}
+	}
+	var got []retrieval.Entry
+	if _, err := aboveTheta(mutated, q, theta, retrieval.Collect(&got)); err != nil {
+		t.Fatalf("%s: mutated AboveTheta: %v", tag, err)
+	}
+	retrieval.Sort(got)
+	if len(got) != len(want) {
+		t.Fatalf("%s: above-θ %d entries, fresh %d (θ=%v)", tag, len(got), len(want), theta)
+	}
+	for j := range want {
+		if got[j] != want[j] {
+			t.Fatalf("%s: above-θ entry %d: got %+v, fresh %+v", tag, j, got[j], want[j])
 		}
 	}
 }

@@ -44,9 +44,9 @@ func (p Problem) Validate() error {
 	return fmt.Errorf("core: theta must be a positive finite number, got %v", p.Theta)
 }
 
-// Job is one retrieval problem bound to one index under resolved options:
-// the handle every retrieval runs through. Options are validated once, in
-// NewJob, and the first run to arrive fits the per-bucket parameters of
+// Job is one retrieval problem bound to one index under resolved run
+// options: the handle every retrieval runs through. They are validated once,
+// in NewJob, and the first run to arrive fits the per-bucket parameters of
 // §4.4 on its own queries for the whole job — every later run reuses the
 // fit, so a million-row job cut into panels tunes exactly once.
 //
@@ -60,7 +60,7 @@ func (p Problem) Validate() error {
 type Job struct {
 	ix    *Index
 	prob  Problem
-	opts  Options
+	par   int // resolved parallelism
 	cache *TuningCache
 	gen   CandidateGen
 
@@ -69,17 +69,17 @@ type Job struct {
 	fit    []tunedParam // the job's one fit, written once before tuned is set
 }
 
-// NewJob validates the problem and resolves the per-call options against
-// the index's build-time ones. It does no retrieval work.
+// NewJob validates the problem and resolves the run options against the
+// index's build-time ones. It does no retrieval work.
 func (ix *Index) NewJob(p Problem, ro RunOptions) (*Job, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	opts, err := ix.effOptions(ro)
+	par, err := ix.parallelism(ro)
 	if err != nil {
 		return nil, err
 	}
-	return &Job{ix: ix, prob: p, opts: opts, cache: ro.Cache, gen: ro.Gen}, nil
+	return &Job{ix: ix, prob: p, par: par, cache: ro.Cache, gen: ro.Gen}, nil
 }
 
 // Retrieve answers one problem for one query matrix: NewJob plus one run
@@ -102,7 +102,7 @@ func (ix *Index) Retrieve(ctx context.Context, q *matrix.Matrix, p Problem, sink
 	if err != nil {
 		return nil, st, err
 	}
-	rows, err = j.run(ctx, q, sink, j.opts.Parallelism, &st)
+	rows, err = j.run(ctx, q, sink, j.par, &st)
 	return rows, st, err
 }
 
@@ -151,7 +151,7 @@ func (j *Job) run(ctx context.Context, q *matrix.Matrix, sink retrieval.Sink, wo
 	if err != nil {
 		return nil, err
 	}
-	c := newCall(ctx, j.opts, j.cache)
+	c := newCall(ctx, j.par, j.cache)
 	c.gen = j.gen
 	*st = Stats{Queries: q.N()}
 	var out retrieval.TopK

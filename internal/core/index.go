@@ -214,24 +214,24 @@ func (ix *Index) PrepTime() time.Duration { return ix.prepTime }
 // Options returns the effective (defaulted) options.
 func (ix *Index) Options() Options { return ix.opts }
 
-// defaultPhi is the focus-set size used under options o before tuning has
-// produced a per-bucket φ_b.
-func (ix *Index) defaultPhi(o Options) int { return max(1, min(3, o.MaxPhi, ix.r)) }
+// defaultPhi is the focus-set size used before tuning has produced a
+// per-bucket φ_b.
+func (ix *Index) defaultPhi() int { return max(1, min(3, ix.opts.MaxPhi, ix.r)) }
 
-// resolve maps the call's effective algorithm to the concrete method for
-// one (scan bucket bi, θ_b) pair: mixed algorithms switch on the tuned t_b,
+// resolve maps the index's algorithm to the concrete method for one (scan
+// bucket bi, θ_b) pair: mixed algorithms switch on the tuned t_b,
 // and INCR with φ_b = 1 degrades to COORD (Appendix A). It is the one reader
 // of a fit: the bucket's entry in the one the call runs under, defaults when
 // that is nil or the entry untuned.
 func (ix *Index) resolve(c *call, bi int, thetaB float64) (Algorithm, int) {
 	p := fitEntry(c.fit, bi)
-	alg := c.opts.Algorithm
-	phi := c.opts.Phi
+	alg := ix.opts.Algorithm
+	phi := ix.opts.Phi
 	if phi == 0 {
 		if p.tuned {
 			phi = p.phi
 		} else {
-			phi = ix.defaultPhi(c.opts)
+			phi = ix.defaultPhi()
 		}
 	}
 	if phi > ix.r && ix.r > 0 {

@@ -68,12 +68,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return 0, fmt.Errorf("core: unknown algorithm %q: the bucket algorithms are L, LI, LC, I and C; the paper's TA, Tree, L2AP and BLSH baselines run only in the paper/ module, under lemp-bench -experiment fig7ab|fig7cf|table5|table6", s)
 }
 
-// Valid reports whether a names a known bucket algorithm.
-func (a Algorithm) Valid() bool {
-	_, ok := algorithmNames[a]
-	return ok
-}
-
 // needsTB reports whether the algorithm switches between LENGTH and
 // coordinate pruning on the tuned threshold t_b.
 func (a Algorithm) needsTB() bool { return a == AlgLC || a == AlgLI }

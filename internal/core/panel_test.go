@@ -74,12 +74,11 @@ func TestPanelRunConcurrentPanels(t *testing.T) {
 	ix, q := panelFixture(t, 96, 300, 10, 11)
 	ctx := context.Background()
 	const panelRows = 8
-	li := AlgLI
 	for _, prob := range []Problem{{K: 3}, {Theta: 2.5}} {
 		want, _ := cutAnswer(t, q, prob, q.N(), func(q *matrix.Matrix, sink retrieval.Sink) (retrieval.TopK, Stats, error) {
-			return ix.Retrieve(ctx, q, prob, sink, RunOptions{Algorithm: &li})
+			return ix.Retrieve(ctx, q, prob, sink, RunOptions{})
 		})
-		job, err := ix.NewJob(prob, RunOptions{Algorithm: &li})
+		job, err := ix.NewJob(prob, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,13 +212,16 @@ func TestPanelRunValidation(t *testing.T) {
 	}
 }
 
-// TestLengthJobNeverTunes: the panels of a Job under algorithm L fit
+// TestLengthJobNeverTunes: the panels of a Job on an algorithm L index fit
 // nothing and build no sorted list, for both problems.
 func TestLengthJobNeverTunes(t *testing.T) {
-	ix, q := panelFixture(t, 96, 300, 10, 11)
-	l := AlgL
+	li, q := panelFixture(t, 96, 300, 10, 11)
+	ix, err := rebuild(li, Options{Algorithm: AlgL})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, prob := range []Problem{{K: 3}, {Theta: 2.5}} {
-		job, err := ix.NewJob(prob, RunOptions{Algorithm: &l, Parallelism: 2})
+		job, err := ix.NewJob(prob, RunOptions{Parallelism: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

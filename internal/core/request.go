@@ -8,60 +8,47 @@ import (
 )
 
 // Per-call execution policy. Index construction fixes everything structural
-// (bucketization, cache sizing, the id space); RunOptions carries the few
-// knobs that are legitimately per-query-batch decisions — which bucket
-// algorithm to run, how many goroutines to fan out over, and whether fitted
-// tuning parameters may be reused across calls, and the candidate generator
-// an experiment substitutes for the bucket methods — so a serving system can
-// hold one index and vary execution policy request by request.
+// and the method — bucketization, cache sizing, the id space, the bucket
+// algorithm and its fit — and RunOptions carries the few knobs that are
+// legitimately per-query-batch decisions: how many goroutines to fan out
+// over, whether fitted tuning parameters may be reused across calls, and the
+// candidate generator an experiment substitutes for the bucket methods.
 
-// RunOptions are per-call overrides of an Index's build-time Options plus
-// the cross-call tuning cache. The zero value runs with the index defaults.
+// RunOptions are a call's execution policy on top of the index's build-time
+// Options. The zero value runs with the index defaults.
 type RunOptions struct {
-	// Algorithm overrides the bucket algorithm for this call only (nil
-	// keeps the index's Options.Algorithm). Structural options that shaped
-	// the per-bucket indexes are unaffected; lazily built indexes for the
-	// new algorithm appear on first use, like after a fresh build.
-	Algorithm *Algorithm
 	// Parallelism overrides Options.Parallelism when > 0.
 	Parallelism int
 	// Cache, when non-nil, reuses fitted per-bucket tuning parameters
-	// (§4.4) across calls with the same problem, algorithm and index
-	// version, eliminating the per-call sample-tuning cost that dominates
-	// small serving batches. See TuningCache.
+	// (§4.4) across calls with the same problem and index version,
+	// eliminating the per-call sample-tuning cost that dominates small
+	// serving batches. See TuningCache.
 	Cache *TuningCache
 	// Gen, when non-nil, generates every pair's candidates in place of the
 	// bucket algorithm (gen.go); the call then runs no tuning pass and
-	// ignores Algorithm, Phi and any fit.
+	// ignores Options.Algorithm, Options.Phi and any fit.
 	Gen CandidateGen
 }
 
-// effOptions resolves the per-call effective options: the index's defaults
-// with the RunOptions overrides applied and re-validated.
-func (ix *Index) effOptions(ro RunOptions) (Options, error) {
-	o := ix.opts
-	if ro.Algorithm != nil {
-		o.Algorithm = *ro.Algorithm
+// parallelism resolves a call's parallelism: the RunOptions override when
+// positive, the index's otherwise.
+func (ix *Index) parallelism(ro RunOptions) (int, error) {
+	if ro.Parallelism < 0 {
+		return 0, fmt.Errorf("core: parallelism %d must be positive", ro.Parallelism)
 	}
 	if ro.Parallelism > 0 {
-		o.Parallelism = ro.Parallelism
+		return ro.Parallelism, nil
 	}
-	if ro.Parallelism < 0 {
-		return o, fmt.Errorf("core: parallelism %d must be positive", ro.Parallelism)
-	}
-	if err := o.validate(); err != nil {
-		return o, err
-	}
-	return o, nil
+	return ix.opts.Parallelism, nil
 }
 
 // call is the per-invocation state threaded through the executor and its
 // workers: the caller's context (sampled at bucket boundaries so a
-// cancellation aborts the scan promptly), the effective options, the fit the
+// cancellation aborts the scan promptly), its parallelism, the fit the
 // scan runs under (set by the executor once the job has one), and the request
 // trace (if any) for phase spans.
 type call struct {
-	opts  Options
+	par   int // goroutines the tuning pass fans out over
 	cache *TuningCache
 	fit   []tunedParam    // aligned with ix.scan; nil = defaults
 	gen   CandidateGen    // RunOptions.Gen; nil runs the bucket algorithms
@@ -71,17 +58,17 @@ type call struct {
 	span  obs.SpanRef     // parent span for this call's phase spans
 }
 
-// newCall binds a context and effective options into a call. A trace
+// newCall binds a context and a parallelism into a call. A trace
 // carried by the context (obs.ContextWithSpan — the server attaches one
 // per request) makes the call record tune/scan phase spans; the
 // hooks sit at the same boundaries as the cancellation checkpoints and
 // are free for untraced calls.
-func newCall(ctx context.Context, opts Options, cache *TuningCache) *call {
+func newCall(ctx context.Context, par int, cache *TuningCache) *call {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	tr, parent := obs.SpanFrom(ctx)
-	return &call{opts: opts, cache: cache, done: ctx.Done(), err: ctx.Err, tr: tr, span: parent}
+	return &call{par: par, cache: cache, done: ctx.Done(), err: ctx.Err, tr: tr, span: parent}
 }
 
 // startSpan opens a phase span under the call's parent span; a no-op

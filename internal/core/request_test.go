@@ -136,34 +136,6 @@ func TestCancelMidRetrievalParallel(t *testing.T) {
 	}
 }
 
-func TestRunOptionsAlgorithmOverride(t *testing.T) {
-	ix, q := cancelFixture(t)
-	for _, alg := range []Algorithm{AlgL, AlgC, AlgLC} {
-		alg := alg
-		got, _, err := ix.Retrieve(context.Background(), q, Problem{K: 5}, nil, RunOptions{Algorithm: &alg})
-		if err != nil {
-			t.Fatalf("override %v: %v", alg, err)
-		}
-		opts := ix.Options()
-		opts.Algorithm = alg
-		fresh, err := rebuild(ix, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := rowTopK(fresh, q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("per-call algorithm %v differs from an index built with it", alg)
-		}
-	}
-	// The default algorithm still answers correctly after the overrides.
-	if _, _, err := rowTopK(ix, q, 5); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestProblemValidatedOnceEverywhere drives every core entry that takes a
 // problem, and FromState, through the same bad k/θ values: each must give
 // Problem.Validate's refusal, before any tuning or scan work starts.
@@ -254,7 +226,7 @@ func TestJobRunRecordsPhaseSpans(t *testing.T) {
 			t.Errorf("%+v: traced Run recorded spans %v, want one tune and one scan", c.prob, count)
 		}
 	}
-	untraced := newCall(context.Background(), ix.opts, nil)
+	untraced := newCall(context.Background(), ix.opts.Parallelism, nil)
 	if n := testing.AllocsPerRun(100, func() {
 		untraced.endSpan(untraced.startSpan("tune"))
 		untraced.endSpan(untraced.startSpan("scan"))
@@ -265,10 +237,6 @@ func TestJobRunRecordsPhaseSpans(t *testing.T) {
 
 func TestRunOptionsRejectsInvalid(t *testing.T) {
 	ix, q := cancelFixture(t)
-	bad := Algorithm(99)
-	if _, _, err := ix.Retrieve(context.Background(), q, Problem{K: 5}, nil, RunOptions{Algorithm: &bad}); err == nil {
-		t.Fatal("invalid per-call algorithm accepted")
-	}
 	if _, _, err := ix.Retrieve(context.Background(), q, Problem{K: 5}, nil, RunOptions{Parallelism: -2}); err == nil {
 		t.Fatal("negative per-call parallelism accepted")
 	}
@@ -434,7 +402,7 @@ func TestCanceledTuningWhileFitting(t *testing.T) {
 	ix, q := cancelFixture(t)
 	twin, _ := cancelFixture(t)
 	prob := Problem{K: 5}
-	if _, err := twin.tune(newCall(nil, twin.opts, nil), preparedQueries(t, q), prob); err != nil {
+	if _, err := twin.tune(newCall(nil, twin.opts.Parallelism, nil), preparedQueries(t, q), prob); err != nil {
 		t.Fatal(err)
 	}
 	var observed []*bucket // of ix, in the order the pass observes them

@@ -8,9 +8,9 @@ import "sync"
 // over a large query matrix but a serving system re-pays on every small
 // request. A TuningCache remembers the fitted per-bucket (t_b, φ_b) keyed by
 // everything that determines them: the exact index version (instance, epoch
-// and bucket layout), the effective algorithm, and the problem (k or θ). A
-// fit is an immutable value, so a warm hit is a map lookup: the call scans
-// under the cached slice itself and skips sample tuning entirely.
+// and bucket layout) and the problem (k or θ). A fit is an immutable value,
+// so a warm hit is a map lookup: the call scans under the cached slice itself
+// and skips sample tuning entirely.
 
 // TuningCache caches fitted per-bucket tuning parameters across retrieval
 // calls. It is safe for concurrent use by multiple goroutines and may be
@@ -36,10 +36,9 @@ const tuningCacheMaxEntries = 1024
 
 // tuneCacheKey identifies one fitted parameter set.
 type tuneCacheKey struct {
-	index  uint64 // Index instance id (indexSeq); fixes Options.Phi too
+	index  uint64 // Index instance id (indexSeq); fixes its Options too
 	epoch  uint64 // mutation epoch
 	layout uint64 // bucketization generation (delta rebuilds, Compact)
-	alg    Algorithm
 	prob   Problem
 }
 
@@ -110,7 +109,7 @@ func (tc *TuningCache) put(key tuneCacheKey, params []tunedParam) {
 }
 
 // tuneCacheKey builds the cache key for this index at its current version
-// under the call's effective options and problem.
-func (ix *Index) tuneCacheKey(o Options, prob Problem) tuneCacheKey {
-	return tuneCacheKey{index: ix.id, epoch: ix.epoch, layout: ix.layout, alg: o.Algorithm, prob: prob}
+// and the problem.
+func (ix *Index) tuneCacheKey(prob Problem) tuneCacheKey {
+	return tuneCacheKey{index: ix.id, epoch: ix.epoch, layout: ix.layout, prob: prob}
 }

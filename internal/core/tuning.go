@@ -21,12 +21,12 @@ import (
 // (the paper's approach) or a deterministic operation count with
 // Options.TuneByCost.
 
-// needsTuning reports whether a retrieval under options o should run the
-// sample-based selection: the algorithm has parameters to fit and tuning
+// needsTuning reports whether a retrieval should run the sample-based
+// selection: the index's algorithm has parameters to fit and tuning
 // has not been frozen by a Pretune call (or a snapshot restore of a
 // pretuned index).
-func (ix *Index) needsTuning(o Options) bool {
-	return !ix.pretuned && o.hasTunableParams()
+func (ix *Index) needsTuning() bool {
+	return !ix.pretuned && ix.opts.hasTunableParams()
 }
 
 // ensureTuned returns the fit one retrieval runs under: the frozen fit (nil,
@@ -36,12 +36,12 @@ func (ix *Index) needsTuning(o Options) bool {
 // cache) otherwise. Cancellation mid-tune returns the context error and no
 // fit: nothing partial is ever published.
 func (ix *Index) ensureTuned(c *call, qs *querySet, prob Problem, st *Stats) ([]tunedParam, error) {
-	if c.gen != nil || !ix.needsTuning(c.opts) || ix.LiveN() == 0 || qs.n() == 0 {
+	if c.gen != nil || !ix.needsTuning() || ix.LiveN() == 0 || qs.n() == 0 {
 		return ix.frozen, nil
 	}
 	var key tuneCacheKey
 	if c.cache != nil {
-		key = ix.tuneCacheKey(c.opts, prob)
+		key = ix.tuneCacheKey(prob)
 		// The length check is belt and braces: only a layout change that
 		// failed to rotate the key could trip it.
 		if fit, ok := c.cache.get(key); ok && len(fit) == len(ix.scan) {
@@ -87,7 +87,7 @@ func (ix *Index) Pretune(q *matrix.Matrix, prob Problem) error {
 	}
 	ix.frozen = nil
 	if ix.opts.hasTunableParams() && ix.LiveN() > 0 {
-		ix.frozen, _ = ix.tune(newCall(nil, ix.opts, nil), qs, prob) // never canceled
+		ix.frozen, _ = ix.tune(newCall(nil, ix.opts.Parallelism, nil), qs, prob) // never canceled
 	}
 	ix.pretuned = true
 	// Retain the sample and problem so Compact can pretune again after
@@ -121,8 +121,8 @@ type tunePair struct {
 // show: finite t_b on one band of deep buckets and nowhere above it.
 const tunePatience = 2
 
-// tune runs the sample-based selection under the call's effective options
-// and returns the fit of every scan bucket, one entry each — a call's own
+// tune runs the sample-based selection under the index's options and
+// returns the fit of every scan bucket, one entry each — a call's own
 // (ensureTuned) or the frozen one (Pretune) — in two phases. First every
 // sample query walks the scan — pure arithmetic for Above-θ, LENGTH verified
 // by the scan's own per-pair step for Row-Top-k, whose running threshold must
@@ -141,16 +141,16 @@ const tunePatience = 2
 // A call canceled, which is checked at bucket boundaries, returns no fit.
 func (ix *Index) tune(c *call, qs *querySet, prob Problem) ([]tunedParam, error) {
 	// Every bucket starts from the defaults, which one the sample misses keeps.
-	phis := ix.tunePhis(c.opts)
+	phis := ix.tunePhis()
 	fit := make([]tunedParam, len(ix.scan))
 	for bi := range fit {
-		fit[bi] = ix.fitBucket(c.opts, phis, nil)
+		fit[bi] = ix.fitBucket(phis, nil)
 	}
 	kk := min(prob.K, ix.LiveN()) // 0 for Above-θ
 
-	sample := sampleIndices(qs.n(), c.opts.SampleQueries)
+	sample := sampleIndices(qs.n(), ix.opts.SampleQueries)
 	perSample := make([][]tunePair, len(sample))
-	ix.spreadScratch(len(sample), c.opts.Parallelism, func(s *scratch, _, si int) {
+	ix.spreadScratch(len(sample), c.par, func(s *scratch, _, si int) {
 		qi := sample[si]
 		qlen := qs.lens[qi]
 		if qlen == 0 {
@@ -209,17 +209,17 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem) ([]tunedParam, error)
 			top = max(top, p.thetaB)
 		}
 		if swept >= tunePatience && top <= sweptTop && !ix.sweepOff {
-			fit[bi] = tunedParam{tuned: true, tb: math.Inf(1), phi: ix.defaultPhi(c.opts)}
+			fit[bi] = tunedParam{tuned: true, tb: math.Inf(1), phi: ix.defaultPhi()}
 			continue
 		}
 		b := ix.scan[bi]
-		b.ensureLists(c.opts.Parallelism)
-		if ix.screenMin > 0 && !c.opts.TuneByCost {
+		b.ensureLists(c.par)
+		if ix.screenMin > 0 && !ix.opts.TuneByCost {
 			b.ensureSidecar()
 		}
-		obs, w := make([]observation, len(ps)), c.opts.MaxPhi+1
+		obs, w := make([]observation, len(ps)), ix.opts.MaxPhi+1
 		costs := make([]float64, len(ps)*w) // a row of φ costs per pair
-		ix.spreadScratch(len(ps), c.opts.Parallelism, func(s *scratch, _, i int) {
+		ix.spreadScratch(len(ps), c.par, func(s *scratch, _, i int) {
 			if !c.canceled() {
 				obs[i] = ix.observe(c, ps[i], qs, phis, costs[i*w:(i+1)*w], s)
 			}
@@ -227,7 +227,7 @@ func (ix *Index) tune(c *call, qs *querySet, prob Problem) ([]tunedParam, error)
 		if c.canceled() {
 			return nil, c.ctxErr()
 		}
-		fit[bi] = ix.fitBucket(c.opts, phis, obs)
+		fit[bi] = ix.fitBucket(phis, obs)
 		if math.IsInf(fit[bi].tb, 1) { // only an algorithm with a t_b is ever fitted one
 			swept, sweptTop = swept+1, min(sweptTop, top)
 		} else {
@@ -251,7 +251,7 @@ func (ix *Index) observe(c *call, p tunePair, qs *querySet, phis []int, costPhi 
 	b := ix.scan[bi]
 	qdir, qrow := qs.dir(int(p.qi)), qs.row(int(p.qi))
 	o := observation{thetaB: p.thetaB, costPhi: costPhi}
-	byCost := c.opts.TuneByCost
+	byCost := ix.opts.TuneByCost
 	s.beginTile(int(p.qi), 1)
 	if b.q8.Load() != nil {
 		s.quantQuery(p.qi, qrow)
@@ -275,7 +275,7 @@ func (ix *Index) observe(c *call, p tunePair, qs *querySet, phis []int, costPhi 
 		return float64(time.Since(start))
 	}
 
-	incr := c.opts.Algorithm == AlgLI || c.opts.Algorithm == AlgI
+	incr := ix.opts.Algorithm == AlgLI || ix.opts.Algorithm == AlgI
 	for _, phi := range phis {
 		o.costPhi[phi] = measure(func() {
 			if incr && phi > 1 {
@@ -294,17 +294,16 @@ func (ix *Index) observe(c *call, p tunePair, qs *querySet, phis []int, costPhi 
 // indexes, and calls on one index, may tune concurrently.
 var verifySink atomic.Uint64
 
-// tunePhis returns the φ values the tuner tries under options o: all of
-// 1..MaxPhi when φ is tuned, or just the fixed value.
-func (ix *Index) tunePhis(o Options) []int {
-	if o.Phi > 0 {
-		phi := o.Phi
+// tunePhis returns the φ values the tuner tries: all of 1..MaxPhi when φ is
+// tuned, or just the fixed value.
+func (ix *Index) tunePhis() []int {
+	if phi := ix.opts.Phi; phi > 0 {
 		if phi > ix.r && ix.r > 0 {
 			phi = ix.r
 		}
 		return []int{phi}
 	}
-	maxPhi := o.MaxPhi
+	maxPhi := ix.opts.MaxPhi
 	if maxPhi > ix.r && ix.r > 0 {
 		maxPhi = ix.r
 	}
@@ -315,10 +314,9 @@ func (ix *Index) tunePhis(o Options) []int {
 	return phis
 }
 
-// fitBucket selects φ_b and t_b from one bucket's observations under
-// options o.
-func (ix *Index) fitBucket(o Options, phis []int, obs []observation) tunedParam {
-	p := tunedParam{tuned: true, tb: defaultTB, phi: ix.defaultPhi(o)}
+// fitBucket selects φ_b and t_b from one bucket's observations.
+func (ix *Index) fitBucket(phis []int, obs []observation) tunedParam {
+	p := tunedParam{tuned: true, tb: defaultTB, phi: ix.defaultPhi()}
 	if len(obs) == 0 || len(phis) == 0 {
 		return p
 	}
@@ -334,7 +332,7 @@ func (ix *Index) fitBucket(o Options, phis []int, obs []observation) tunedParam 
 		}
 	}
 	p.phi = bestPhi
-	if !o.Algorithm.needsTB() {
+	if !ix.opts.Algorithm.needsTB() {
 		return p
 	}
 	// t_b: best split of the θ_b-sorted sample between LENGTH (below)

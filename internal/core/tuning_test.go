@@ -65,7 +65,7 @@ func TestNeedsTuning(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := ix.needsTuning(ix.opts); got != c.want {
+		if got := ix.needsTuning(); got != c.want {
 			t.Errorf("needsTuning(%v, φ=%d) = %v, want %v",
 				c.opts.Algorithm, c.opts.Phi, got, c.want)
 		}
@@ -97,7 +97,7 @@ func TestFitBucketSplit(t *testing.T) {
 		}
 		obs = append(obs, o)
 	}
-	f := ix.fitBucket(ix.opts, ix.tunePhis(ix.opts), obs)
+	f := ix.fitBucket(ix.tunePhis(), obs)
 	if !f.tuned {
 		t.Fatal("bucket not marked tuned")
 	}
@@ -112,7 +112,7 @@ func TestFitBucketSplit(t *testing.T) {
 			obs[i].costPhi[phi] = 5
 		}
 	}
-	f = ix.fitBucket(ix.opts, ix.tunePhis(ix.opts), obs)
+	f = ix.fitBucket(ix.tunePhis(), obs)
 	if !math.IsInf(f.tb, 1) {
 		t.Errorf("t_b=%g, want +Inf (always LENGTH)", f.tb)
 	}
@@ -124,7 +124,7 @@ func TestFitBucketSplit(t *testing.T) {
 			obs[i].costPhi[phi] = 1
 		}
 	}
-	f = ix.fitBucket(ix.opts, ix.tunePhis(ix.opts), obs)
+	f = ix.fitBucket(ix.tunePhis(), obs)
 	if f.tb != 0 {
 		t.Errorf("t_b=%g, want 0 (never LENGTH)", f.tb)
 	}
@@ -135,13 +135,13 @@ func TestFitBucketSplit(t *testing.T) {
 			obs[i].costPhi[phi] = float64(10 - phi) // φ=5 cheapest
 		}
 	}
-	f = ix.fitBucket(ix.opts, ix.tunePhis(ix.opts), obs)
+	f = ix.fitBucket(ix.tunePhis(), obs)
 	if f.phi != 5 {
 		t.Errorf("φ_b=%d, want 5", f.phi)
 	}
 
 	// No observations: defaults.
-	f = ix.fitBucket(ix.opts, ix.tunePhis(ix.opts), nil)
+	f = ix.fitBucket(ix.tunePhis(), nil)
 	if !f.tuned || f.tb != defaultTB {
 		t.Errorf("empty-fit: tuned=%v tb=%g", f.tuned, f.tb)
 	}
@@ -207,7 +207,7 @@ func TestTuningParallelismFitsIdentically(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := ix.tune(newCall(nil, ix.opts, nil), preparedQueries(t, q), prob)
+				got, err := ix.tune(newCall(nil, ix.opts.Parallelism, nil), preparedQueries(t, q), prob)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -307,7 +307,7 @@ func TestTuneSweepSkipsLists(t *testing.T) {
 				t.Fatal(err)
 			}
 			ix.sweepOff = sweepOff
-			fit, err := ix.tune(newCall(nil, ix.opts, nil), preparedQueries(t, q), tc.prob)
+			fit, err := ix.tune(newCall(nil, ix.opts.Parallelism, nil), preparedQueries(t, q), tc.prob)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,33 +14,19 @@ import (
 	"lemp"
 )
 
-// cancelPaths are two server configurations: without a batch window and
-// with one, which Config ignores now that no request coalesces. Under both a
-// request retrieves on its handler goroutine under its own context, so a
-// cancellation must reach the index scan directly.
-var cancelPaths = []struct {
-	name   string
-	window time.Duration
-}{
-	{"no coalescing", 0},
-	{"idle key", time.Second},
-}
-
 // TestClientDisconnectCancelsShardRetrievals is the acceptance criterion:
 // an HTTP request whose client disconnects mid-call cancels the underlying
 // index retrieval — observed through the scan test hooks — instead of
-// running to completion.
+// running to completion. No request coalesces: it retrieves on its handler
+// goroutine under its own context, so the cancellation must reach the index
+// scan directly.
 func TestClientDisconnectCancelsShardRetrievals(t *testing.T) {
-	for _, path := range cancelPaths {
-		t.Run(path.name, func(t *testing.T) {
-			testClientDisconnect(t, path.window)
-		})
-	}
+	t.Run("no coalescing", testClientDisconnect)
 }
 
-func testClientDisconnect(t *testing.T, window time.Duration) {
+func testClientDisconnect(t *testing.T) {
 	q, p := smokeMatrices(t)
-	srv, err := New(p, Config{Options: lemp.Options{Parallelism: 1}, BatchWindow: window})
+	srv, err := New(p, Config{Options: lemp.Options{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,42 +117,40 @@ func testClientDisconnect(t *testing.T, window time.Duration) {
 // the index scan: a request whose deadline expires mid-call returns 503 and
 // the retrieval observes context.DeadlineExceeded.
 func TestRequestTimeoutAbortsRetrieval(t *testing.T) {
-	for _, path := range cancelPaths {
-		t.Run(path.name, func(t *testing.T) {
-			q, p := smokeMatrices(t)
-			srv, err := New(p, Config{Options: lemp.Options{Parallelism: 1}, RequestTimeout: 30 * time.Millisecond, BatchWindow: path.window})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sh := srv.Sharded()
-			// Hold the retrieval until the per-request deadline has expired.
-			var mu sync.Mutex
-			var shardErrs []error
-			sh.testScanStart = func(ctx context.Context) { <-ctx.Done() }
-			sh.testScanDone = func(err error) {
-				mu.Lock()
-				shardErrs = append(shardErrs, err)
-				mu.Unlock()
-			}
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-
-			body, _ := json.Marshal(map[string]any{"queries": vecs(q, 0, 2), "k": 3})
-			resp, err := http.Post(ts.URL+"/v1/topk", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusServiceUnavailable {
-				t.Fatalf("status %d, want 503 on request timeout", resp.StatusCode)
-			}
-			// The handler answered after the retrieval returned, so it has
-			// reported.
+	t.Run("no coalescing", func(t *testing.T) {
+		q, p := smokeMatrices(t)
+		srv, err := New(p, Config{Options: lemp.Options{Parallelism: 1}, RequestTimeout: 30 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := srv.Sharded()
+		// Hold the retrieval until the per-request deadline has expired.
+		var mu sync.Mutex
+		var shardErrs []error
+		sh.testScanStart = func(ctx context.Context) { <-ctx.Done() }
+		sh.testScanDone = func(err error) {
 			mu.Lock()
-			defer mu.Unlock()
-			if len(shardErrs) != 1 || !errors.Is(shardErrs[0], context.DeadlineExceeded) {
-				t.Errorf("the retrieval reported %v, want one context.DeadlineExceeded", shardErrs)
-			}
-		})
-	}
+			shardErrs = append(shardErrs, err)
+			mu.Unlock()
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+
+		body, _ := json.Marshal(map[string]any{"queries": vecs(q, 0, 2), "k": 3})
+		resp, err := http.Post(ts.URL+"/v1/topk", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("status %d, want 503 on request timeout", resp.StatusCode)
+		}
+		// The handler answered after the retrieval returned, so it has
+		// reported.
+		mu.Lock()
+		defer mu.Unlock()
+		if len(shardErrs) != 1 || !errors.Is(shardErrs[0], context.DeadlineExceeded) {
+			t.Errorf("the retrieval reported %v, want one context.DeadlineExceeded", shardErrs)
+		}
+	})
 }

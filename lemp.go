@@ -26,9 +26,10 @@
 //	for _, row := range res.TopK { ... }
 //
 // Retrieve is the context-aware entry point for both problems; per-call
-// policy — algorithm, parallelism, tuning reuse, streaming — is selected with
-// functional options (TopK, AboveTheta, WithAlgorithm, WithParallelism,
-// WithTuningCache, Stream).
+// policy — parallelism, tuning reuse, streaming — is selected with
+// functional options (TopK, AboveTheta, WithParallelism, WithTuningCache,
+// Stream). The bucket algorithm is the index's: Options.Algorithm, fixed
+// when it is built.
 package lemp
 
 import (

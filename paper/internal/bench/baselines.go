@@ -29,12 +29,14 @@ var baselines = []variant{
 	{name: "BLSH", gen: func(ix *core.Index, _ *matrix.Matrix, _ core.Problem) core.CandidateGen { return newBLSHGen(ix) }},
 }
 
-// runOptions selects the variant for one call answering p over q.
+// runOptions carries a generator variant's generator for one call answering
+// p over q; a bucket algorithm is the index's, set when it is built.
 func (v variant) runOptions(ix *core.Index, q *matrix.Matrix, p core.Problem) core.RunOptions {
+	var ro core.RunOptions
 	if v.gen != nil {
-		return core.RunOptions{Gen: v.gen(ix, q, p)}
+		ro.Gen = v.gen(ix, q, p)
 	}
-	return core.RunOptions{Algorithm: &v.alg}
+	return ro
 }
 
 // perBucket holds a generator's lazily built state per bucket, race-safe:

@@ -120,10 +120,13 @@ func (r *Runner) lempTopK(ds *dataset, k int, v variant, opts core.Options) Meas
 }
 
 // lemp measures variant v on one problem and hands back its Row-Top-k rows
-// (nil for Above-θ). The variant is a per-call execution policy on the
-// shared options, exercising the same RunOptions path the serving layer
-// uses.
+// (nil for Above-θ). A bucket-algorithm variant builds its index with that
+// algorithm; a generator variant runs through RunOptions.Gen on an index
+// built with opts as given.
 func (r *Runner) lemp(ds *dataset, prob core.Problem, label string, sink retrieval.Sink, v variant, opts core.Options) (Measurement, retrieval.TopK) {
+	if v.gen == nil {
+		opts.Algorithm = v.alg
+	}
 	start := time.Now()
 	ix, err := core.NewIndex(ds.p, opts)
 	if err != nil {

@@ -11,9 +11,9 @@ import (
 // Retrieve is the single context-aware entry point for every retrieval
 // mode. The call is configured by functional options: exactly one of
 // TopK(k) or AboveTheta(theta) selects the problem, and the remaining
-// options adjust per-call execution policy — bucket algorithm, parallelism,
-// tuning-parameter reuse, streaming. Index construction fixes structure;
-// Retrieve fixes policy, per call.
+// options adjust per-call execution policy — parallelism, tuning-parameter
+// reuse, streaming. Index construction fixes structure and the bucket
+// algorithm; Retrieve fixes policy, per call.
 //
 //	res, err := index.Retrieve(ctx, q, lemp.TopK(10), lemp.WithParallelism(4))
 //	res, err := index.Retrieve(ctx, q, lemp.AboveTheta(0.9), lemp.Stream(emit))
@@ -28,11 +28,7 @@ func (ix *Index) Retrieve(ctx context.Context, q *Matrix, opts ...Option) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	ro := core.RunOptions{
-		Algorithm:   sp.algorithm,
-		Parallelism: sp.parallelism,
-		Cache:       sp.cache,
-	}
+	ro := core.RunOptions{Parallelism: sp.parallelism, Cache: sp.cache}
 	res := &Result{Epoch: ix.Epoch()}
 	sink := retrieval.Sink(sp.stream)
 	if sp.prob.K == 0 && sink == nil {
@@ -68,7 +64,6 @@ type Result struct {
 // the options Retrieve is given.
 type spec struct {
 	prob        core.Problem // set, and valid, in every spec newSpec returns
-	algorithm   *Algorithm
 	parallelism int
 	cache       *TuningCache
 	stream      func(Entry)
@@ -137,23 +132,6 @@ func (s *spec) setProblem(p core.Problem, rangeMsg string, arg any) error {
 	return nil
 }
 
-// WithAlgorithm overrides the index's bucket algorithm for this call only.
-// Structural options fixed at build time (bucket sizing) are unaffected;
-// lazily built per-bucket indexes for the new algorithm appear on first
-// use.
-func WithAlgorithm(a Algorithm) Option {
-	return func(s *spec) error {
-		if !a.Valid() {
-			return fmt.Errorf("lemp: invalid algorithm %d", int(a))
-		}
-		if s.algorithm != nil {
-			return fmt.Errorf("lemp: WithAlgorithm given twice")
-		}
-		s.algorithm = &a
-		return nil
-	}
-}
-
 // WithParallelism fans this call's retrieval phase out over n goroutines,
 // overriding Options.Parallelism. n must be at least 1.
 func WithParallelism(n int) Option {
@@ -170,8 +148,8 @@ func WithParallelism(n int) Option {
 }
 
 // WithTuningCache reuses fitted per-bucket tuning parameters (§4.4) across
-// calls through tc: the first call with a given (mode, k/θ, algorithm,
-// index version) pays one sample-tuning pass and stores the fit; subsequent
+// calls through tc: the first call with a given (mode, k/θ, index version)
+// pays one sample-tuning pass and stores the fit; subsequent
 // calls restore it and perform zero sample-tuning work (Stats.Tunings == 0,
 // Stats.TuneCacheHits == 1). Probe mutations and re-bucketizations rotate
 // the key, so a stale fit is never applied. Results are byte-identical with

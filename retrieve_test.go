@@ -59,7 +59,7 @@ func TestNewSpecValidation(t *testing.T) {
 	}{
 		{"topk", []lemp.Option{lemp.TopK(5)}, ""},
 		{"above", []lemp.Option{lemp.AboveTheta(0.5)}, ""},
-		{"everything-topk", []lemp.Option{lemp.TopK(5), lemp.WithAlgorithm(lemp.AlgorithmL), lemp.WithParallelism(2), lemp.WithTuningCache(tc)}, ""},
+		{"everything-topk", []lemp.Option{lemp.TopK(5), lemp.WithParallelism(2), lemp.WithTuningCache(tc)}, ""},
 		{"everything-above", []lemp.Option{lemp.AboveTheta(1), lemp.Stream(emit), lemp.WithParallelism(4), lemp.WithTuningCache(tc)}, ""},
 
 		{"no-mode", nil, "no retrieval mode"},
@@ -78,9 +78,6 @@ func TestNewSpecValidation(t *testing.T) {
 		{"zero-parallelism", []lemp.Option{lemp.TopK(5), lemp.WithParallelism(0)}, "parallelism must be"},
 		{"negative-parallelism", []lemp.Option{lemp.TopK(5), lemp.WithParallelism(-1)}, "parallelism must be"},
 		{"parallelism-twice", []lemp.Option{lemp.TopK(5), lemp.WithParallelism(2), lemp.WithParallelism(3)}, "given twice"},
-
-		{"bad-algorithm", []lemp.Option{lemp.TopK(5), lemp.WithAlgorithm(lemp.Algorithm(99))}, "invalid algorithm"},
-		{"algorithm-twice", []lemp.Option{lemp.TopK(5), lemp.WithAlgorithm(lemp.AlgorithmL), lemp.WithAlgorithm(lemp.AlgorithmC)}, "given twice"},
 
 		{"nil-cache", []lemp.Option{lemp.TopK(5), lemp.WithTuningCache(nil)}, "non-nil cache"},
 		{"nil-stream", []lemp.Option{lemp.AboveTheta(0.5), lemp.Stream(nil)}, "non-nil emit"},
@@ -169,14 +166,14 @@ func TestRetrieveTuningCacheZeroWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := ix.Retrieve(ctx, q, lemp.TopK(10), lemp.WithAlgorithm(lemp.AlgorithmLI), lemp.WithTuningCache(tc))
+	cold, err := ix.Retrieve(ctx, q, lemp.TopK(10), lemp.WithTuningCache(tc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Stats.Tunings != 1 {
 		t.Fatalf("cold call Tunings = %d, want 1", cold.Stats.Tunings)
 	}
-	warm, err := ix.Retrieve(ctx, q, lemp.TopK(10), lemp.WithAlgorithm(lemp.AlgorithmLI), lemp.WithTuningCache(tc))
+	warm, err := ix.Retrieve(ctx, q, lemp.TopK(10), lemp.WithTuningCache(tc))
 	if err != nil {
 		t.Fatal(err)
 	}
